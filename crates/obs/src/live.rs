@@ -256,6 +256,30 @@ impl LiveRegistry {
         }
     }
 
+    /// Unregisters every entry whose name starts with `prefix`, so a
+    /// registry whose owners come and go (standing queries) does not
+    /// grow forever. Handles already handed out keep working, detached.
+    /// The match is textual: pass the trailing separator
+    /// (`"query.q1."`, not `"query.q1"`, which would also take
+    /// `query.q10.*`).
+    pub fn remove_prefix(&self, prefix: &str) {
+        #[cfg(feature = "enabled")]
+        {
+            use std::ops::Bound;
+            let mut map = self.inner.lock().expect("live registry poisoned");
+            let doomed: Vec<String> = map
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(|(name, _)| name.starts_with(prefix))
+                .map(|(name, _)| name.clone())
+                .collect();
+            for name in doomed {
+                map.remove(&name);
+            }
+        }
+        #[cfg(not(feature = "enabled"))]
+        let _ = prefix;
+    }
+
     /// Every entry as `(name, value, kind)`, in name order. One call is
     /// one consistent pass over the map, but values are read with relaxed
     /// loads — a snapshot is *approximately* simultaneous, which is all
@@ -668,6 +692,25 @@ mod tests {
         let g = reg.gauge("m"); // wrong kind: detached, never panics
         g.set(99);
         assert_eq!(reg.snapshot().get("m"), Some(0));
+    }
+
+    #[test]
+    #[cfg(feature = "enabled")]
+    fn remove_prefix_unregisters_exactly_the_prefixed_entries() {
+        let reg = LiveRegistry::new();
+        let rows = reg.counter("query.q1.rows");
+        let _ = reg.counter("query.q1.matches_in");
+        let _ = reg.counter("query.q10.rows");
+        let _ = reg.gauge("group.g.depth");
+        reg.remove_prefix("query.q1.");
+        let names: Vec<_> = reg.entries().into_iter().map(|(name, _, _)| name).collect();
+        assert_eq!(names, ["group.g.depth", "query.q10.rows"]);
+        // The detached handle still counts; a re-registration starts over.
+        rows.add(3);
+        assert_eq!(rows.get(), 3);
+        assert_eq!(reg.counter("query.q1.rows").get(), 0);
+        reg.remove_prefix("nothing.");
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]

@@ -123,15 +123,23 @@ pub struct PostPipeline {
 
 impl PostPipeline {
     /// Runs the pipeline on one record's field values: `None` when a
-    /// condition rejects it, otherwise the projected output row.
+    /// condition rejects it, otherwise the projected output row. The
+    /// runtime's block fan-out is a loop over this function.
+    #[inline]
     pub fn apply(&self, values: &[u64]) -> Option<Vec<u64>> {
-        if !self.conditions.iter().all(|c| c.eval(values)) {
+        if !self.accepts(values) {
             return None;
         }
         Some(match &self.projection {
             Some(idx) => idx.iter().map(|&i| values[i]).collect(),
             None => values.to_vec(),
         })
+    }
+
+    /// The filter half of [`PostPipeline::apply`]: every condition holds.
+    #[inline]
+    pub(crate) fn accepts(&self, values: &[u64]) -> bool {
+        self.conditions.iter().all(|c| c.eval(values))
     }
 }
 

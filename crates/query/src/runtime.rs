@@ -16,6 +16,27 @@
 //! [`PostPipeline`](crate::compile::PostPipeline) to the shared match
 //! stream, so N standing queries cost one engine's worker pool, not N.
 //!
+//! # Data path: routes and blocks
+//!
+//! `admit` and `cancel` maintain a route table — one entry per stream
+//! that currently has a consumer, listing the engine groups that take
+//! the stream (and on which side) and the single-stream queries over
+//! it. [`QueryRuntime::push`] finds the stream's entry with an
+//! allocation-free case-insensitive compare and touches only those
+//! consumers; groups, members and queries live in index-stable slots
+//! and are reached by index. Per arrival the runtime does exactly that
+//! much: one route lookup, one engine `process` and one shadow-window
+//! append per consuming group.
+//!
+//! Everything downstream of the engines is per *block*. A
+//! [`QueryRuntime::poll`] drains each group once and hands every member
+//! query the whole drained `&[MatchPair]` run: the record layout, the
+//! conditions and the projection are resolved once, the row buffer is
+//! reserved once, and the query's counters advance once by the block's
+//! totals. The residual of a retiring engine (`replan`, `cancel`,
+//! `finish`) and the arrivals of single-stream queries take the same
+//! path with blocks of their own size.
+//!
 //! # Re-planning without loss
 //!
 //! [`QueryRuntime::replan`] performs drain-and-handoff:
@@ -55,7 +76,12 @@
 //! `group.<key>.arrivals` / `group.<key>.drained` into the runtime's
 //! [`LiveRegistry`](obs::live::LiveRegistry) (see
 //! [`QueryRuntime::live`]), and [`QueryRuntime::finish`] emits one
-//! [`RunManifest`](obs::RunManifest) per query.
+//! [`RunManifest`](obs::RunManifest) per query. The `query.*` cells
+//! advance once per block, so a sampler sees them step at each `poll`;
+//! `cancel` unregisters them, while `group.*` cells outlive their group
+//! as its final totals.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -90,6 +116,11 @@ pub enum RuntimeError {
         /// The single-stream query's id.
         id: String,
     },
+    /// An arrival was pushed on a stream the catalog does not know.
+    UnknownStream {
+        /// The stream name as pushed.
+        stream: String,
+    },
     /// An engine verb failed.
     Engine(JoinError),
     /// An engine's shutdown accounting did not balance: results were
@@ -112,6 +143,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Unknown { id } => write!(f, "no standing query {id:?}"),
             RuntimeError::NotJoined { id } => {
                 write!(f, "query {id:?} runs inline (no join engine to re-plan)")
+            }
+            RuntimeError::UnknownStream { stream } => {
+                write!(f, "stream {stream:?} is not in the catalog")
             }
             RuntimeError::Engine(e) => write!(f, "{e}"),
             RuntimeError::Completeness {
@@ -236,6 +270,86 @@ impl AnyEngine {
             AnyEngine::Handshake(e) => e.shutdown().map(erase),
         }
     }
+
+    /// Shuts the engine of group `key` down and balances its books:
+    /// every result it produced since spawn was either `delivered` by
+    /// an earlier drain or is in the returned outcome's residual.
+    fn retire(self, key: &GroupKey, delivered: u64) -> Result<EngineOutcome, RuntimeError> {
+        let outcome = self.shutdown()?;
+        let delivered = delivered + outcome.residual.len() as u64;
+        if delivered != outcome.result_count {
+            return Err(RuntimeError::Completeness {
+                group: key.to_string(),
+                produced: outcome.result_count,
+                delivered,
+            });
+        }
+        Ok(outcome)
+    }
+}
+
+/// Index-stable storage: a removed entry leaves a hole the next insert
+/// reuses, so the slot numbers held by routes, group member lists and
+/// the id index never shift and the data path reaches everything by
+/// index.
+struct Slots<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<usize>,
+}
+
+impl<T> Slots<T> {
+    fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, value: T) -> usize {
+        if let Some(at) = self.free.pop() {
+            self.slots[at] = Some(value);
+            at
+        } else {
+            self.slots.push(Some(value));
+            self.slots.len() - 1
+        }
+    }
+
+    fn remove(&mut self, at: usize) -> Option<T> {
+        let value = self.slots.get_mut(at)?.take()?;
+        self.free.push(at);
+        Some(value)
+    }
+
+    fn get(&self, at: usize) -> Option<&T> {
+        self.slots.get(at)?.as_ref()
+    }
+
+    fn get_mut(&mut self, at: usize) -> Option<&mut T> {
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    /// Live entries with their slots, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(at, slot)| Some((at, slot.as_ref()?)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Empties the storage, yielding the live entries in slot order.
+    fn drain(&mut self) -> impl Iterator<Item = T> {
+        self.free.clear();
+        std::mem::take(&mut self.slots).into_iter().flatten()
+    }
 }
 
 /// One engine shared by every query over the same [`GroupKey`].
@@ -243,7 +357,8 @@ struct EngineGroup {
     key: GroupKey,
     engine: AnyEngine,
     kind: EngineKind,
-    members: Vec<String>,
+    /// Query slots of the member queries, in admission order.
+    members: Vec<usize>,
     /// Last `window` arrivals per stream, each stamped with its global
     /// arrival sequence number — the handoff replay source
     /// (re-interleaved by stamp to reproduce arrival order).
@@ -253,19 +368,24 @@ struct EngineGroup {
     seq: u64,
     /// Results harvested from the *current* engine since it spawned.
     drained_since_spawn: u64,
-    replans: u64,
     arrivals: obs::live::SharedCounter,
     drained: obs::live::SharedCounter,
 }
 
 impl EngineGroup {
-    fn push(&mut self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+    /// Hands one tuple to the engine.
+    fn feed(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
         self.engine.process(tag, tuple)?;
         // The handshake chain is only exact when waves are serialized —
         // see the module docs.
         if self.kind == EngineKind::Handshake {
             self.engine.flush()?;
         }
+        Ok(())
+    }
+
+    fn push(&mut self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+        self.feed(tag, tuple)?;
         let shadow = match tag {
             StreamTag::R => &mut self.shadow_r,
             StreamTag::S => &mut self.shadow_s,
@@ -277,6 +397,17 @@ impl EngineGroup {
         }
         self.arrivals.incr();
         Ok(())
+    }
+
+    /// Harvests the engine's pending matches and fans them out to the
+    /// member queries as one block. Returns the number drained.
+    fn drain(&mut self, queries: &mut Slots<Standing>) -> Result<u64, JoinError> {
+        let matches = self.engine.drain_results()?;
+        let drained = matches.len() as u64;
+        self.drained_since_spawn += drained;
+        self.drained.add(drained);
+        fan_out(queries, &self.members, Block::Matches(&matches));
+        Ok(drained)
     }
 
     /// The shadows merged back into arrival order.
@@ -300,16 +431,29 @@ impl EngineGroup {
 struct AggState {
     spec: AggSpec,
     values: VecDeque<u64>,
+    /// Sum of `values` modulo 2^64, kept on push and evict so COUNT, SUM
+    /// and AVG cost O(1) per arrival; MIN and MAX scan the window.
+    sum: u64,
 }
 
 impl AggState {
+    fn new(spec: AggSpec) -> Self {
+        Self {
+            spec,
+            values: VecDeque::new(),
+            sum: 0,
+        }
+    }
+
     fn push(&mut self, v: u64) -> Option<u64> {
         use fqp::query::WindowKind;
         self.values.push_back(v);
+        self.sum = self.sum.wrapping_add(v);
         match self.spec.kind {
             WindowKind::Sliding => {
                 if self.values.len() > self.spec.window {
-                    self.values.pop_front();
+                    let evicted = self.values.pop_front().unwrap_or(0);
+                    self.sum = self.sum.wrapping_sub(evicted);
                 }
                 Some(self.eval())
             }
@@ -317,6 +461,7 @@ impl AggState {
                 if self.values.len() == self.spec.window {
                     let out = self.eval();
                     self.values.clear();
+                    self.sum = 0;
                     Some(out)
                 } else {
                     None
@@ -330,17 +475,29 @@ impl AggState {
         let n = self.values.len() as u64;
         match self.spec.func {
             AggFunc::Count => n,
-            AggFunc::Sum => self.values.iter().sum(),
+            AggFunc::Sum => self.sum,
             AggFunc::Min => self.values.iter().copied().min().unwrap_or(0),
             AggFunc::Max => self.values.iter().copied().max().unwrap_or(0),
-            AggFunc::Avg => self.values.iter().sum::<u64>().checked_div(n).unwrap_or(0),
+            AggFunc::Avg => self.sum.checked_div(n).unwrap_or(0),
         }
     }
 }
 
+/// A run of records bound for standing queries, handed over whole:
+/// the matches of one engine drain, or a batch of arrivals on one
+/// stream.
+#[derive(Clone, Copy)]
+enum Block<'a> {
+    Matches(&'a [MatchPair]),
+    Arrivals(&'a [Tuple]),
+}
+
 /// One admitted standing query.
 struct Standing {
+    id: String,
     compiled: CompiledQuery,
+    /// Slot of the engine group a joined query is a member of.
+    group: Option<usize>,
     rows: Vec<Vec<u64>>,
     agg: Option<AggState>,
     /// Records fanned in (plain count — authoritative for reports even
@@ -354,30 +511,140 @@ struct Standing {
 }
 
 impl Standing {
-    /// Fans one full-record value vector through the post pipeline.
-    fn feed(&mut self, values: &[u64]) {
-        self.seen += 1;
-        self.matches_in.incr();
-        let post = match &self.compiled.shape {
-            Shape::Single { post, .. } | Shape::Joined { post, .. } => post,
+    fn new(
+        id: &str,
+        compiled: CompiledQuery,
+        group: Option<usize>,
+        live: &obs::live::LiveRegistry,
+    ) -> Self {
+        let agg = match &compiled.shape {
+            Shape::Single {
+                aggregate: Some(spec),
+                ..
+            } => Some(AggState::new(*spec)),
+            _ => None,
         };
-        if let Some(agg) = &mut self.agg {
-            // Aggregates: filter, then fold the selected field.
-            if !post.conditions.iter().all(|c| c.eval(values)) {
-                return;
-            }
-            let v = agg.spec.field.map_or(1, |i| values[i]);
-            if let Some(out) = agg.push(v) {
-                self.rows.push(vec![out]);
-                self.emitted += 1;
-                self.rows_out.incr();
-            }
-        } else if let Some(row) = post.apply(values) {
-            self.rows.push(row);
-            self.emitted += 1;
-            self.rows_out.incr();
+        Self {
+            id: id.to_string(),
+            compiled,
+            group,
+            rows: Vec::new(),
+            agg,
+            seen: 0,
+            emitted: 0,
+            matches_in: live.counter(&format!("query.{id}.matches_in")),
+            rows_out: live.counter(&format!("query.{id}.rows")),
+            replans: 0,
         }
     }
+
+    /// Runs a whole block through the query: every record is widened to
+    /// its field values (layout resolved once per block), filtered and
+    /// projected by [`PostPipeline::apply`](crate::compile::PostPipeline::apply)
+    /// or folded into the aggregate, and the counters advance once for
+    /// the block. Rows come out in block order.
+    fn absorb(&mut self, block: Block<'_>) {
+        let before = self.rows.len();
+        let seen = match (&self.compiled.shape, block) {
+            (
+                Shape::Joined {
+                    left_arity,
+                    right_arity,
+                    post,
+                    ..
+                },
+                Block::Matches(matches),
+            ) => {
+                let (left, width) = (*left_arity, left_arity + right_arity);
+                self.rows.reserve(matches.len());
+                self.rows.extend(matches.iter().filter_map(|m| {
+                    // Both sides written whole, the right one at the
+                    // left arity: with one-field streams the slot past
+                    // each side is overwritten or cut off by `width`.
+                    let mut values = [0u64; 4];
+                    values[0] = m.r.key() as u64;
+                    values[1] = m.r.payload() as u64;
+                    values[left] = m.s.key() as u64;
+                    values[left + 1] = m.s.payload() as u64;
+                    post.apply(&values[..width])
+                }));
+                matches.len() as u64
+            }
+            (Shape::Single { arity, post, .. }, Block::Arrivals(tuples)) => {
+                let records = tuples.iter().map(|t| [t.key() as u64, t.payload() as u64]);
+                if let Some(agg) = &mut self.agg {
+                    // Aggregates: filter, then fold the selected field.
+                    for values in records.filter(|v| post.accepts(&v[..*arity])) {
+                        let v = agg.spec.field.map_or(1, |i| values[i]);
+                        self.rows.extend(agg.push(v).map(|out| vec![out]));
+                    }
+                } else {
+                    self.rows.reserve(tuples.len());
+                    self.rows
+                        .extend(records.filter_map(|v| post.apply(&v[..*arity])));
+                }
+                tuples.len() as u64
+            }
+            // Routes pair joined queries with matches and single-stream
+            // queries with arrivals; nothing else reaches a query.
+            _ => return,
+        };
+        if seen == 0 {
+            // An idle `poll`: leave the shared cells alone.
+            return;
+        }
+        let emitted = (self.rows.len() - before) as u64;
+        self.seen += seen;
+        self.emitted += emitted;
+        self.matches_in.add(seen);
+        self.rows_out.add(emitted);
+    }
+}
+
+/// The one fan-out path: hands `block` whole to each of `consumers`
+/// (query slots). Drained matches, the residual of a retiring engine
+/// and single-stream arrivals all come through here.
+fn fan_out(queries: &mut Slots<Standing>, consumers: &[usize], block: Block<'_>) {
+    for &slot in consumers {
+        if let Some(q) = queries.get_mut(slot) {
+            q.absorb(block);
+        }
+    }
+}
+
+/// Where one stream's arrivals go. The runtime keeps one route per
+/// stream that currently has a consumer, so `push` touches only those.
+struct Route {
+    /// The stream's name as the catalog spells it.
+    stream: String,
+    /// Engine groups consuming the stream, with the side they take it on.
+    groups: Vec<(usize, StreamTag)>,
+    /// Query slots of the single-stream queries over the stream.
+    singles: Vec<usize>,
+}
+
+impl Route {
+    /// Stream names match as the catalog matches them: ignoring ASCII
+    /// case, and here without allocating.
+    fn carries(&self, stream: &str) -> bool {
+        self.stream.eq_ignore_ascii_case(stream)
+    }
+}
+
+/// The route of `stream`, added empty if it has none yet.
+fn route_mut<'a>(routes: &'a mut Vec<Route>, stream: &str) -> &'a mut Route {
+    let at = routes
+        .iter()
+        .position(|r| r.carries(stream))
+        .unwrap_or_else(|| {
+            routes.push(Route {
+                stream: stream.to_string(),
+                groups: Vec::new(),
+                singles: Vec::new(),
+            });
+            routes.len() - 1
+        });
+    &mut routes[at]
 }
 
 /// The accounting of one drain-and-handoff re-plan. All counts are for
@@ -472,8 +739,12 @@ pub struct QueryRuntime {
     catalog: Catalog,
     config: RuntimeConfig,
     live: obs::live::LiveRegistry,
-    groups: BTreeMap<GroupKey, EngineGroup>,
-    queries: BTreeMap<String, Standing>,
+    groups: Slots<EngineGroup>,
+    queries: Slots<Standing>,
+    /// Query id → slot in `queries`.
+    ids: BTreeMap<String, usize>,
+    /// One entry per stream with a consumer; see the module docs.
+    routes: Vec<Route>,
 }
 
 impl QueryRuntime {
@@ -483,8 +754,10 @@ impl QueryRuntime {
             catalog,
             config,
             live: obs::live::LiveRegistry::new(),
-            groups: BTreeMap::new(),
-            queries: BTreeMap::new(),
+            groups: Slots::new(),
+            queries: Slots::new(),
+            ids: BTreeMap::new(),
+            routes: Vec::new(),
         }
     }
 
@@ -497,7 +770,7 @@ impl QueryRuntime {
 
     /// Admitted query ids, sorted.
     pub fn query_ids(&self) -> Vec<&str> {
-        self.queries.keys().map(String::as_str).collect()
+        self.ids.keys().map(String::as_str).collect()
     }
 
     /// Number of live engine groups (shared engines).
@@ -507,11 +780,8 @@ impl QueryRuntime {
 
     /// The engine a query currently runs on.
     pub fn engine_of(&self, id: &str) -> Option<EngineKind> {
-        let q = self.queries.get(id)?;
-        match q.compiled.group() {
-            Some(key) => self.groups.get(key).map(|g| g.kind),
-            None => Some(EngineKind::Inline),
-        }
+        let q = self.queries.get(*self.ids.get(id)?)?;
+        Some(q.compiled.engine)
     }
 
     /// Compiles and admits a standing query under `id`. Joined queries
@@ -529,108 +799,106 @@ impl QueryRuntime {
     /// [`RuntimeError::Duplicate`] for an id collision, or any
     /// [`CompileError`] via [`RuntimeError::Compile`].
     pub fn admit(&mut self, id: &str, logical: &LogicalPlan) -> Result<EngineKind, RuntimeError> {
-        if self.queries.contains_key(id) {
+        if self.ids.contains_key(id) {
             return Err(RuntimeError::Duplicate { id: id.to_string() });
         }
-        let compiled = compile(logical, &self.catalog, self.config.cores, self.config.objective)?;
-        let engine = match &compiled.shape {
-            Shape::Single { .. } => EngineKind::Inline,
+        let mut compiled = compile(logical, &self.catalog, self.config.cores, self.config.objective)?;
+        let (group, single) = match &compiled.shape {
+            Shape::Single { stream, .. } => (None, Some(stream.clone())),
             Shape::Joined { key, .. } => {
-                if let Some(group) = self.groups.get_mut(key) {
-                    group.members.push(id.to_string());
-                    group.kind
-                } else {
-                    let metric = EngineGroup::metric_key(key);
-                    let group = EngineGroup {
-                        key: key.clone(),
-                        engine: AnyEngine::spawn(compiled.engine, self.config.cores, key.window),
-                        kind: compiled.engine,
-                        members: vec![id.to_string()],
-                        shadow_r: VecDeque::with_capacity(key.window + 1),
-                        shadow_s: VecDeque::with_capacity(key.window + 1),
-                        seq: 0,
-                        drained_since_spawn: 0,
-                        replans: 0,
-                        arrivals: self.live.counter(&format!("group.{metric}.arrivals")),
-                        drained: self.live.counter(&format!("group.{metric}.drained")),
-                    };
-                    self.groups.insert(key.clone(), group);
-                    compiled.engine
-                }
+                let existing = self.groups.iter().find(|(_, g)| g.key == *key);
+                let slot = match existing.map(|(slot, g)| (slot, g.kind)) {
+                    Some((slot, kind)) => {
+                        compiled.engine = kind;
+                        slot
+                    }
+                    None => self.spawn_group(key, compiled.engine),
+                };
+                (Some(slot), None)
             }
         };
-        let agg = match &compiled.shape {
-            Shape::Single {
-                aggregate: Some(spec),
-                ..
-            } => Some(AggState {
-                spec: *spec,
-                values: VecDeque::new(),
-            }),
-            _ => None,
-        };
-        self.queries.insert(
-            id.to_string(),
-            Standing {
-                compiled,
-                rows: Vec::new(),
-                agg,
-                seen: 0,
-                emitted: 0,
-                matches_in: self.live.counter(&format!("query.{id}.matches_in")),
-                rows_out: self.live.counter(&format!("query.{id}.rows")),
-                replans: 0,
-            },
-        );
+        let engine = compiled.engine;
+        let slot = self
+            .queries
+            .insert(Standing::new(id, compiled, group, &self.live));
+        self.ids.insert(id.to_string(), slot);
+        if let Some(group) = group.and_then(|g| self.groups.get_mut(g)) {
+            group.members.push(slot);
+        }
+        if let Some(stream) = single {
+            route_mut(&mut self.routes, &stream).singles.push(slot);
+        }
         Ok(engine)
     }
 
+    /// Spawns the engine group of `key` on `kind` and routes both its
+    /// streams to it. Returns the group's slot.
+    fn spawn_group(&mut self, key: &GroupKey, kind: EngineKind) -> usize {
+        let metric = EngineGroup::metric_key(key);
+        let slot = self.groups.insert(EngineGroup {
+            key: key.clone(),
+            engine: AnyEngine::spawn(kind, self.config.cores, key.window),
+            kind,
+            members: Vec::new(),
+            shadow_r: VecDeque::with_capacity(key.window + 1),
+            shadow_s: VecDeque::with_capacity(key.window + 1),
+            seq: 0,
+            drained_since_spawn: 0,
+            arrivals: self.live.counter(&format!("group.{metric}.arrivals")),
+            drained: self.live.counter(&format!("group.{metric}.drained")),
+        });
+        route_mut(&mut self.routes, &key.left)
+            .groups
+            .push((slot, StreamTag::R));
+        route_mut(&mut self.routes, &key.right)
+            .groups
+            .push((slot, StreamTag::S));
+        slot
+    }
+
     /// Routes one arrival on `stream` to every standing query and
-    /// engine group that consumes it.
+    /// engine group that consumes it. A catalogued stream nothing
+    /// consumes right now is a no-op.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Engine`] when an engine rejects the tuple.
+    /// [`RuntimeError::UnknownStream`] when `stream` is not in the
+    /// catalog, [`RuntimeError::Engine`] when an engine rejects the
+    /// tuple.
     pub fn push(&mut self, stream: &str, tuple: Tuple) -> Result<(), RuntimeError> {
-        let stream = stream.to_ascii_lowercase();
-        for group in self.groups.values_mut() {
-            if group.key.left == stream {
-                group.push(StreamTag::R, tuple)?;
-            }
-            if group.key.right == stream {
-                group.push(StreamTag::S, tuple)?;
-            }
-        }
-        for q in self.queries.values_mut() {
-            if let Shape::Single {
-                stream: s, arity, ..
-            } = &q.compiled.shape
-            {
-                if *s == stream {
-                    let values = [tuple.key() as u64, tuple.payload() as u64];
-                    let arity = *arity;
-                    q.feed(&values[..arity]);
-                }
-            }
-        }
-        Ok(())
+        self.push_batch(stream, std::slice::from_ref(&tuple))
     }
 
-    /// Routes a batch of arrivals on `stream`.
+    /// Routes a batch of arrivals on `stream`: the route is resolved
+    /// once, each consuming engine is fed the batch tuple by tuple, and
+    /// single-stream queries take it as one block.
     ///
     /// # Errors
     ///
     /// See [`QueryRuntime::push`].
     pub fn push_batch(&mut self, stream: &str, tuples: &[Tuple]) -> Result<(), RuntimeError> {
-        for &t in tuples {
-            self.push(stream, t)?;
+        let Some(route) = self.routes.iter().find(|r| r.carries(stream)) else {
+            return match self.catalog.schema(stream) {
+                Some(_) => Ok(()),
+                None => Err(RuntimeError::UnknownStream {
+                    stream: stream.to_string(),
+                }),
+            };
+        };
+        for &(slot, tag) in &route.groups {
+            if let Some(group) = self.groups.get_mut(slot) {
+                for &tuple in tuples {
+                    group.push(tag, tuple)?;
+                }
+            }
         }
+        fan_out(&mut self.queries, &route.singles, Block::Arrivals(tuples));
         Ok(())
     }
 
     /// Harvests every group engine's pending matches and fans them
-    /// through the member queries' post pipelines. Returns the total
-    /// number of matches drained.
+    /// through the member queries' post pipelines, one block per group.
+    /// Returns the total number of matches drained.
     ///
     /// # Errors
     ///
@@ -639,44 +907,10 @@ impl QueryRuntime {
     /// if a collector fails to catch up with its workers.
     pub fn poll(&mut self) -> Result<u64, RuntimeError> {
         let mut total = 0;
-        let keys: Vec<GroupKey> = self.groups.keys().cloned().collect();
-        for key in keys {
-            total += self.drain_group(&key)?;
+        for group in self.groups.iter_mut() {
+            total += group.drain(&mut self.queries)?;
         }
         Ok(total)
-    }
-
-    fn drain_group(&mut self, key: &GroupKey) -> Result<u64, RuntimeError> {
-        let group = self.groups.get_mut(key).expect("caller verified the group");
-        let matches = group.engine.drain_results()?;
-        group.drained_since_spawn += matches.len() as u64;
-        group.drained.add(matches.len() as u64);
-        let members = group.members.clone();
-        self.fan_out(&members, &matches);
-        Ok(matches.len() as u64)
-    }
-
-    fn fan_out(&mut self, members: &[String], matches: &[MatchPair]) {
-        for id in members {
-            let Some(q) = self.queries.get_mut(id) else { continue };
-            let Shape::Joined {
-                left_arity,
-                right_arity,
-                ..
-            } = q.compiled.shape
-            else {
-                continue;
-            };
-            let mut values = [0u64; 4];
-            for m in matches {
-                let left = [m.r.key() as u64, m.r.payload() as u64];
-                let right = [m.s.key() as u64, m.s.payload() as u64];
-                values[..left_arity].copy_from_slice(&left[..left_arity]);
-                values[left_arity..left_arity + right_arity]
-                    .copy_from_slice(&right[..right_arity]);
-                q.feed(&values[..left_arity + right_arity]);
-            }
-        }
     }
 
     /// Takes the rows a query has produced since the last take.
@@ -685,9 +919,11 @@ impl QueryRuntime {
     ///
     /// [`RuntimeError::Unknown`] for an unadmitted id.
     pub fn take_rows(&mut self, id: &str) -> Result<Vec<Vec<u64>>, RuntimeError> {
-        let q = self.queries.get_mut(id).ok_or_else(|| RuntimeError::Unknown {
-            id: id.to_string(),
-        })?;
+        let q = self
+            .ids
+            .get(id)
+            .and_then(|&slot| self.queries.get_mut(slot))
+            .ok_or_else(|| RuntimeError::Unknown { id: id.to_string() })?;
         Ok(std::mem::take(&mut q.rows))
     }
 
@@ -704,122 +940,121 @@ impl QueryRuntime {
     /// [`RuntimeError::Completeness`] if the old engine's accounting
     /// does not balance.
     pub fn replan(&mut self, id: &str, objective: Objective) -> Result<HandoffReport, RuntimeError> {
-        let q = self.queries.get(id).ok_or_else(|| RuntimeError::Unknown {
-            id: id.to_string(),
-        })?;
-        let key = q
-            .compiled
-            .group()
-            .ok_or_else(|| RuntimeError::NotJoined { id: id.to_string() })?
-            .clone();
+        let unknown = || RuntimeError::Unknown { id: id.to_string() };
+        let q = self
+            .ids
+            .get(id)
+            .and_then(|&slot| self.queries.get(slot))
+            .ok_or_else(unknown)?;
+        let slot = q
+            .group
+            .ok_or_else(|| RuntimeError::NotJoined { id: id.to_string() })?;
         let target = compile(&q.compiled.logical, &self.catalog, self.config.cores, objective)?
             .engine;
+        let group = self.groups.get_mut(slot).ok_or_else(unknown)?;
 
         // 1. Drain the old engine and fan the harvest out.
-        let drained = self.drain_group(&key)?;
-        let group = self.groups.get_mut(&key).expect("drained above");
+        let drained = group.drain(&mut self.queries)?;
         let from = group.kind;
-        let delivered_before = group.drained_since_spawn;
 
         // 2. Shut it down and verify completeness. The residual is
         // whatever slipped between the drain barrier and shutdown
         // (nothing, absent concurrent pushes); it is fanned out too, so
         // it is delivered, not lost.
-        let engine = std::mem::replace(
+        let old = std::mem::replace(
             &mut group.engine,
-            AnyEngine::spawn(target, self.config.cores, key.window),
+            AnyEngine::spawn(target, self.config.cores, group.key.window),
         );
+        let delivered_before = std::mem::take(&mut group.drained_since_spawn);
         group.kind = target;
-        group.drained_since_spawn = 0;
-        group.replans += 1;
-        let outcome = engine.shutdown()?;
-        let members = group.members.clone();
-        let replay = group.replay_sequence();
-        let prefilled = (group.shadow_r.len(), group.shadow_s.len());
-        self.fan_out(&members, &outcome.residual);
-        let delivered_total = delivered_before + outcome.residual.len() as u64;
-        if delivered_total != outcome.result_count {
-            return Err(RuntimeError::Completeness {
-                group: key.to_string(),
-                produced: outcome.result_count,
-                delivered: delivered_total,
-            });
-        }
+        let outcome = old.retire(&group.key, delivered_before)?;
+        fan_out(
+            &mut self.queries,
+            &group.members,
+            Block::Matches(&outcome.residual),
+        );
 
         // 3. Replay the shadow through the new engine in original
         // arrival order, then discard the duplicate matches it
         // re-produces (already delivered by the old engine — see the
         // module docs). After this the new engine's windows are exactly
         // the old engine's and its result stream continues seamlessly.
-        let group = self.groups.get_mut(&key).expect("still present");
-        for &(tag, tuple) in &replay {
-            group.engine.process(tag, tuple)?;
-            if group.kind == EngineKind::Handshake {
-                group.engine.flush()?;
-            }
+        for (tag, tuple) in group.replay_sequence() {
+            group.feed(tag, tuple)?;
         }
-        let duplicates = group.engine.drain_results()?;
-        group.drained_since_spawn += duplicates.len() as u64;
+        let duplicates = group.engine.drain_results()?.len() as u64;
+        group.drained_since_spawn += duplicates;
 
-        for id in &members {
-            if let Some(q) = self.queries.get_mut(id) {
+        for &member in &group.members {
+            if let Some(q) = self.queries.get_mut(member) {
                 q.compiled.engine = target;
                 q.replans += 1;
-                self.live.counter(&format!("query.{id}.replans")).incr();
+                self.live
+                    .counter(&format!("query.{}.replans", q.id))
+                    .incr();
             }
         }
 
         Ok(HandoffReport {
-            group: key,
+            group: group.key.clone(),
             from,
             to: target,
             drained,
             residual: outcome.residual.len() as u64,
             produced_total: outcome.result_count,
-            delivered_total,
+            // `retire` returned, so the books balanced.
+            delivered_total: outcome.result_count,
             orphaned_tuples: outcome.orphaned_tuples,
             results_dropped: outcome.results_dropped,
-            prefilled,
-            duplicates_discarded: duplicates.len() as u64,
+            prefilled: (group.shadow_r.len(), group.shadow_s.len()),
+            duplicates_discarded: duplicates,
         })
     }
 
-    /// Cancels a standing query. When it was the last member of its
-    /// engine group, the group's engine is drained (the final harvest
-    /// still reaches the query's report) and shut down with the same
-    /// completeness check as [`QueryRuntime::finish`].
+    /// Cancels a standing query and unregisters its `query.<id>.*` live
+    /// cells. When it was the last member of its engine group, the
+    /// group's engine is drained (the final harvest still reaches the
+    /// query's report) and shut down with the same completeness check
+    /// as [`QueryRuntime::finish`]; the group's `group.*` cells stay
+    /// registered as its final totals.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Unknown`], [`RuntimeError::Engine`], or
-    /// [`RuntimeError::Completeness`].
+    /// [`RuntimeError::Completeness`]. After a failed engine shutdown
+    /// the query is gone all the same.
     pub fn cancel(&mut self, id: &str) -> Result<QueryReport, RuntimeError> {
-        if !self.queries.contains_key(id) {
-            return Err(RuntimeError::Unknown { id: id.to_string() });
+        let unknown = || RuntimeError::Unknown { id: id.to_string() };
+        let slot = *self.ids.get(id).ok_or_else(unknown)?;
+        let home = self.queries.get(slot).ok_or_else(unknown)?.group;
+        if let Some(group) = home.and_then(|g| self.groups.get_mut(g)) {
+            group.drain(&mut self.queries)?;
+            group.members.retain(|&m| m != slot);
         }
-        let key = self.queries[id].compiled.group().cloned();
-        if let Some(key) = &key {
-            self.drain_group(key)?;
-            let group = self.groups.get_mut(key).expect("member implies group");
-            group.members.retain(|m| m != id);
-            if group.members.is_empty() {
-                let group = self.groups.remove(key).expect("present");
-                let delivered = group.drained_since_spawn;
-                let outcome = group.engine.shutdown()?;
-                // The last member is gone, so the residual has no
-                // audience — but it must still balance the books.
-                let delivered = delivered + outcome.residual.len() as u64;
-                if delivered != outcome.result_count {
-                    return Err(RuntimeError::Completeness {
-                        group: key.to_string(),
-                        produced: outcome.result_count,
-                        delivered,
-                    });
+        self.ids.remove(id);
+        let q = self.queries.remove(slot).ok_or_else(unknown)?;
+        self.live.remove_prefix(&format!("query.{id}."));
+        match home {
+            None => self.unroute(|route| route.singles.retain(|&s| s != slot)),
+            Some(g) if self.groups.get(g).is_some_and(|group| group.members.is_empty()) => {
+                self.unroute(|route| route.groups.retain(|&(group, _)| group != g));
+                if let Some(group) = self.groups.remove(g) {
+                    // The last member is gone, so the residual has no
+                    // audience — but it must still balance the books.
+                    group.engine.retire(&group.key, group.drained_since_spawn)?;
                 }
             }
+            Some(_) => {}
         }
-        let q = self.queries.remove(id).expect("checked above");
-        Ok(self.report(id, q))
+        Ok(Self::report(&self.config, q))
+    }
+
+    /// Applies `detach` to every route and drops the routes it leaves
+    /// without a consumer.
+    fn unroute(&mut self, detach: impl Fn(&mut Route)) {
+        self.routes.iter_mut().for_each(detach);
+        self.routes
+            .retain(|r| !(r.groups.is_empty() && r.singles.is_empty()));
     }
 
     /// Drains and shuts down every engine, verifies completeness, and
@@ -830,43 +1065,30 @@ impl QueryRuntime {
     ///
     /// [`RuntimeError::Engine`] or [`RuntimeError::Completeness`].
     pub fn finish(mut self) -> Result<Vec<QueryReport>, RuntimeError> {
-        let keys: Vec<GroupKey> = self.groups.keys().cloned().collect();
-        for key in keys {
-            self.drain_group(&key)?;
-            let group = self.groups.remove(&key).expect("just listed");
-            let members = group.members.clone();
-            let delivered_before = group.drained_since_spawn;
-            let outcome = group.engine.shutdown()?;
-            self.fan_out(&members, &outcome.residual);
-            let delivered = delivered_before + outcome.residual.len() as u64;
-            if delivered != outcome.result_count {
-                return Err(RuntimeError::Completeness {
-                    group: key.to_string(),
-                    produced: outcome.result_count,
-                    delivered,
-                });
-            }
+        for mut group in self.groups.drain() {
+            group.drain(&mut self.queries)?;
+            let outcome = group.engine.retire(&group.key, group.drained_since_spawn)?;
+            fan_out(
+                &mut self.queries,
+                &group.members,
+                Block::Matches(&outcome.residual),
+            );
         }
-        let queries = std::mem::take(&mut self.queries);
-        Ok(queries
-            .into_iter()
-            .map(|(id, q)| self.report(&id, q))
+        let ids = std::mem::take(&mut self.ids);
+        Ok(ids
+            .into_values()
+            .filter_map(|slot| self.queries.remove(slot))
+            .map(|q| Self::report(&self.config, q))
             .collect())
     }
 
-    fn report(&self, id: &str, q: Standing) -> QueryReport {
-        let engine = match q.compiled.group() {
-            Some(key) => self
-                .groups
-                .get(key)
-                .map_or(q.compiled.engine, |g| g.kind),
-            None => EngineKind::Inline,
-        };
+    fn report(config: &RuntimeConfig, q: Standing) -> QueryReport {
+        let (id, engine) = (q.id, q.compiled.engine);
         let mut manifest = obs::RunManifest::new(format!("query_{id}"));
         manifest.config("query", &q.compiled.logical);
         manifest.config("engine", engine);
-        manifest.config("objective", format!("{:?}", self.config.objective));
-        manifest.config("cores", self.config.cores);
+        manifest.config("objective", format!("{:?}", config.objective));
+        manifest.config("cores", config.cores);
         if let Some(key) = q.compiled.group() {
             manifest.config("group", key);
         }
@@ -874,7 +1096,6 @@ impl QueryRuntime {
         manifest.counter(format!("query.{id}.rows"), q.emitted);
         manifest.counter(format!("query.{id}.replans"), q.replans);
         QueryReport {
-            id: id.to_string(),
             engine,
             group: q.compiled.group().cloned(),
             matches_in: q.seen,
@@ -882,15 +1103,19 @@ impl QueryRuntime {
             replans: q.replans,
             rows: q.rows,
             manifest,
+            id,
         }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::compile::PostPipeline;
     use fqp::query::{AggFunc, CmpOp, WindowKind};
     use joinsw::baseline::reference_join;
+    use proptest::prelude::*;
     use streamcore::JoinPredicate;
 
     fn catalog() -> Catalog {
@@ -1102,6 +1327,145 @@ mod tests {
         assert!(json.contains("trades"), "{json}");
     }
 
+    // Registry sizes need real live cells, like the snapshot test above.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn cancel_unregisters_the_querys_live_cells() {
+        let mut rt = runtime(2);
+        rt.admit("keeper", &joined()).unwrap();
+        // A re-plan registers the members' `.replans` cells: have the
+        // keeper's in place before counting.
+        rt.replan("keeper", Objective::MaxThroughput).unwrap();
+        let start = rt.live().len();
+        for i in 0..1_000 {
+            let id = format!("q{i}");
+            if i % 3 == 0 {
+                rt.admit(&id, &LogicalPlan::source("trades")).unwrap();
+            } else {
+                rt.admit(&id, &joined().filter("qty", CmpOp::Gt, i)).unwrap();
+            }
+            if i % 300 == 1 {
+                rt.replan(&id, Objective::MaxThroughput).unwrap();
+            }
+            rt.cancel(&id).unwrap();
+        }
+        assert_eq!(rt.live().len(), start);
+
+        // The last member reaps the group; its cells stay as final totals.
+        rt.cancel("keeper").unwrap();
+        let names: Vec<String> = rt.live().entries().into_iter().map(|e| e.0).collect();
+        assert_eq!(
+            names,
+            ["group.trades_quotes_w16.arrivals", "group.trades_quotes_w16.drained"]
+        );
+    }
+
+    #[test]
+    fn push_on_an_uncatalogued_stream_is_a_typed_error() {
+        let mut rt = runtime(2);
+        let t = Tuple::new(1, 2);
+        assert!(matches!(
+            rt.push("nope", t),
+            Err(RuntimeError::UnknownStream { stream }) if stream == "nope"
+        ));
+        assert!(matches!(
+            rt.push_batch("nope", &[]),
+            Err(RuntimeError::UnknownStream { .. })
+        ));
+        // Catalogued, but nothing consumes it yet: a no-op.
+        rt.push("quotes", t).unwrap();
+        rt.admit("all", &LogicalPlan::source("trades")).unwrap();
+        rt.push("quotes", t).unwrap();
+        rt.push("TRADES", t).unwrap();
+        assert_eq!(rt.take_rows("all").unwrap(), vec![vec![1, 2]]);
+    }
+
+    /// A stream's consumers: `(group slot, side)` pairs and single-query slots.
+    type Consumers = (Vec<(usize, StreamTag)>, Vec<usize>);
+
+    /// The route table the admitted queries imply, built from scratch.
+    fn expected_routes(rt: &QueryRuntime) -> BTreeMap<String, Consumers> {
+        let mut routes: BTreeMap<String, Consumers> = BTreeMap::new();
+        for (slot, group) in rt.groups.iter() {
+            let key = &group.key;
+            routes.entry(key.left.clone()).or_default().0.push((slot, StreamTag::R));
+            routes.entry(key.right.clone()).or_default().0.push((slot, StreamTag::S));
+        }
+        for (slot, q) in rt.queries.iter() {
+            if let Shape::Single { stream, .. } = &q.compiled.shape {
+                routes.entry(stream.clone()).or_default().1.push(slot);
+            }
+        }
+        routes
+    }
+
+    /// The route table the runtime maintained, consumers in slot order.
+    fn actual_routes(rt: &QueryRuntime) -> BTreeMap<String, Consumers> {
+        rt.routes
+            .iter()
+            .map(|r| {
+                let (mut groups, mut singles) = (r.groups.clone(), r.singles.clone());
+                groups.sort_unstable_by_key(|&(slot, _)| slot);
+                singles.sort_unstable();
+                (r.stream.clone(), (groups, singles))
+            })
+            .collect()
+    }
+
+    /// Arrivals each group has taken, as `(seq, R-shadow, S-shadow)` by key.
+    fn group_arrivals(rt: &QueryRuntime) -> BTreeMap<String, (u64, usize, usize)> {
+        rt.groups
+            .iter()
+            .map(|(_, g)| (g.key.to_string(), (g.seq, g.shadow_r.len(), g.shadow_s.len())))
+            .collect()
+    }
+
+    #[test]
+    fn routes_stay_exact_through_admit_cancel_readmit_and_replan() {
+        let mut c = catalog();
+        c.register_spec("orders=sym:32,lot:32").unwrap();
+        let mut rt = QueryRuntime::new(c, RuntimeConfig::new(2));
+        // `quotes` is the right side of one group and the left of another.
+        let tq = joined();
+        let qo = LogicalPlan::source("quotes").join(LogicalPlan::source("orders"), "sym", 16);
+        rt.admit("tq", &tq).unwrap();
+        rt.admit("qo", &qo).unwrap();
+        rt.admit("tap", &LogicalPlan::source("quotes")).unwrap();
+        assert_eq!(actual_routes(&rt), expected_routes(&rt));
+        assert_eq!(rt.routes.len(), 3);
+
+        rt.cancel("tq").unwrap();
+        assert_eq!(actual_routes(&rt), expected_routes(&rt));
+        assert_eq!(rt.routes.len(), 2, "nothing consumes trades any more");
+        rt.push("trades", Tuple::new(1, 1)).unwrap();
+
+        rt.admit("tq2", &tq.clone().project(["qty"])).unwrap();
+        rt.cancel("tap").unwrap();
+        rt.admit("tq3", &tq).unwrap();
+        rt.replan("qo", Objective::MinLatency).unwrap();
+        assert_eq!(actual_routes(&rt), expected_routes(&rt));
+        assert_eq!((rt.group_count(), rt.routes.len()), (2, 3));
+
+        for i in 0..5 {
+            rt.push("quotes", Tuple::new(i, i)).unwrap();
+        }
+        rt.push_batch("orders", &[Tuple::new(1, 9), Tuple::new(2, 9)]).unwrap();
+        rt.push("trades", Tuple::new(3, 7)).unwrap();
+        let arrivals = group_arrivals(&rt);
+        assert_eq!(arrivals["trades⋈quotes/w16"], (6, 1, 5));
+        assert_eq!(arrivals["quotes⋈orders/w16"], (7, 5, 2));
+
+        let reports = rt.finish().unwrap();
+        let by_id: BTreeMap<&str, &QueryReport> =
+            reports.iter().map(|r| (r.id.as_str(), r)).collect();
+        assert_eq!(by_id["tq3"].rows, vec![vec![3, 7, 3, 3]]);
+        assert_eq!(by_id["tq2"].rows, vec![vec![7]]);
+        assert_eq!(
+            sorted(by_id["qo"].rows.clone()),
+            vec![vec![1, 1, 1, 9], vec![2, 2, 2, 9]]
+        );
+    }
+
     #[test]
     fn poll_mid_run_streams_rows_incrementally() {
         let mut rt = runtime(2);
@@ -1116,5 +1480,171 @@ mod tests {
         let reports = rt.finish().unwrap();
         let reference = reference_join(&inputs, 16, JoinPredicate::Equi);
         assert_eq!(seen + reports[0].rows.len() as u64, reference.len() as u64);
+    }
+
+    /// A joined standing query over streams of the given arities, with
+    /// `post` in place of the compiled pipeline.
+    fn joined_standing(left: usize, right: usize, post: &PostPipeline) -> Standing {
+        let mut c = Catalog::new();
+        for spec in ["l1=k:32", "l2=k:32,v:32", "r1=k:32", "r2=k:32,w:32"] {
+            c.register_spec(spec).unwrap();
+        }
+        let plan = LogicalPlan::source(format!("l{left}"))
+            .join(LogicalPlan::source(format!("r{right}")), "k", 8);
+        let mut compiled = compile(&plan, &c, 2, Objective::MaxThroughput).unwrap();
+        let Shape::Joined { post: slot, .. } = &mut compiled.shape else {
+            panic!("expected a joined shape");
+        };
+        *slot = post.clone();
+        Standing::new("p", compiled, None, &obs::live::LiveRegistry::new())
+    }
+
+    /// A pipeline over `width`-field records from unconstrained draws.
+    fn pipeline(
+        width: usize,
+        conditions: &[(usize, CmpOp, u64)],
+        projection: &(bool, Vec<usize>),
+    ) -> PostPipeline {
+        PostPipeline {
+            conditions: conditions
+                .iter()
+                .map(|&(field, op, value)| fqp::plan::BoundCondition {
+                    field: field % width,
+                    op,
+                    value,
+                })
+                .collect(),
+            projection: projection
+                .0
+                .then(|| projection.1.iter().map(|i| i % width).collect()),
+        }
+    }
+
+    fn arb_op() -> impl Strategy<Value = CmpOp> {
+        prop::sample::select(vec![
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whole blocks through `absorb`, split at arbitrary poll points,
+        /// give the rows of a per-record `PostPipeline::apply` loop in
+        /// the same order, and the same counts.
+        #[test]
+        fn block_fan_out_equals_the_per_record_reference(
+            left in 1usize..3,
+            right in 1usize..3,
+            conditions in prop::collection::vec((0usize..4, arb_op(), 0u64..5), 0..4),
+            projection in (any::<bool>(), prop::collection::vec(0usize..4, 1..6)),
+            matches in prop::collection::vec((0u32..5, 0u32..5, 0u32..5, 0u32..5), 0..48),
+            cuts in prop::collection::vec(0usize..49, 0..4),
+        ) {
+            let post = pipeline(left + right, &conditions, &projection);
+            let matches: Vec<MatchPair> = matches
+                .iter()
+                .map(|&(rk, rp, sk, sp)| MatchPair { r: Tuple::new(rk, rp), s: Tuple::new(sk, sp) })
+                .collect();
+            let want: Vec<Vec<u64>> = matches
+                .iter()
+                .filter_map(|m| {
+                    let mut values = vec![m.r.key() as u64];
+                    if left == 2 {
+                        values.push(m.r.payload() as u64);
+                    }
+                    values.push(m.s.key() as u64);
+                    if right == 2 {
+                        values.push(m.s.payload() as u64);
+                    }
+                    post.apply(&values)
+                })
+                .collect();
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (matches.len() + 1)).collect();
+            cuts.extend([0, matches.len()]);
+            cuts.sort_unstable();
+            let mut q = joined_standing(left, right, &post);
+            let mut got = Vec::new();
+            for span in cuts.windows(2) {
+                q.absorb(Block::Matches(&matches[span[0]..span[1]]));
+                got.append(&mut q.rows);
+            }
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!((q.seen, q.emitted), (matches.len() as u64, want.len() as u64));
+            #[cfg(feature = "obs")]
+            prop_assert_eq!((q.matches_in.get(), q.rows_out.get()), (q.seen, q.emitted));
+        }
+
+        /// The same for single-stream queries, whose blocks are arrivals.
+        #[test]
+        fn arrival_blocks_equal_the_per_record_reference(
+            two_fields in any::<bool>(),
+            conditions in prop::collection::vec((0usize..2, arb_op(), 0u64..5), 0..4),
+            projection in (any::<bool>(), prop::collection::vec(0usize..2, 1..4)),
+            tuples in prop::collection::vec((0u32..5, 0u32..5), 0..48),
+            cut in 0usize..49,
+        ) {
+            let mut c = catalog();
+            c.register_spec("beats=node:32").unwrap();
+            let (stream, arity) = if two_fields { ("trades", 2) } else { ("beats", 1) };
+            let post = pipeline(arity, &conditions, &projection);
+            let mut compiled =
+                compile(&LogicalPlan::source(stream), &c, 2, Objective::MaxThroughput).unwrap();
+            let Shape::Single { post: slot, .. } = &mut compiled.shape else {
+                panic!("expected a single-stream shape");
+            };
+            *slot = post.clone();
+            let mut q = Standing::new("p", compiled, None, &obs::live::LiveRegistry::new());
+
+            let tuples: Vec<Tuple> = tuples.iter().map(|&(k, p)| Tuple::new(k, p)).collect();
+            let want: Vec<Vec<u64>> = tuples
+                .iter()
+                .filter_map(|t| post.apply(&[t.key() as u64, t.payload() as u64][..arity]))
+                .collect();
+            let (head, tail) = tuples.split_at(cut % (tuples.len() + 1));
+            q.absorb(Block::Arrivals(head));
+            let mut got = std::mem::take(&mut q.rows);
+            q.absorb(Block::Arrivals(tail));
+            got.append(&mut q.rows);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!((q.seen, q.emitted), (tuples.len() as u64, want.len() as u64));
+        }
+
+        /// Running sums agree with re-folding the window on every arrival.
+        #[test]
+        fn aggregates_equal_a_naive_recompute(
+            window in 1usize..9,
+            values in prop::collection::vec(0u64..1_000, 0..64),
+        ) {
+            let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+            for func in funcs {
+                let naive = |held: &[u64]| match func {
+                    AggFunc::Count => held.len() as u64,
+                    AggFunc::Sum => held.iter().sum(),
+                    AggFunc::Min => held.iter().copied().min().unwrap_or(0),
+                    AggFunc::Max => held.iter().copied().max().unwrap_or(0),
+                    AggFunc::Avg => held.iter().sum::<u64>() / held.len() as u64,
+                };
+                for kind in [WindowKind::Sliding, WindowKind::Tumbling] {
+                    let mut agg = AggState::new(AggSpec { func, field: Some(1), window, kind });
+                    for (i, &v) in values.iter().enumerate() {
+                        let want = match kind {
+                            WindowKind::Sliding => {
+                                Some(naive(&values[(i + 1).saturating_sub(window)..=i]))
+                            }
+                            WindowKind::Tumbling => ((i + 1) % window == 0)
+                                .then(|| naive(&values[i + 1 - window..=i])),
+                        };
+                        prop_assert_eq!(agg.push(v), want, "{:?} {:?} at {}", func, kind, i);
+                    }
+                }
+            }
+        }
     }
 }
