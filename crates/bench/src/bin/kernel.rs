@@ -1,5 +1,5 @@
-//! Regenerates the kernel figure: scalar vs blocked probe kernels on
-//! the software SplitJoin. Run with --release.
+//! Regenerates the kernel figure: the blocked probe kernel on the
+//! software SplitJoin, single-core. Run with --release.
 //!
 //! Accepts `--batch N` (blocked tiles need >= 8 probes per batch),
 //! `--windows LO..HI` (inclusive exponent range, default 8..14), and
@@ -8,8 +8,7 @@
 //! table to stdout, writes a run
 //! manifest to `target/obs/kernel.json` (or `$ACCEL_OBS_DIR`), and
 //! upserts every measured point into `BENCH_swjoin.json` alongside it.
-//! `swjoin_check` gates on the counting-mode speedup these entries
-//! record.
+//! `swjoin_check` gates these entries against the committed baseline.
 fn main() {
     let opts = bench::swjoin::SwRunOpts::from_args();
     opts.setup_trace();

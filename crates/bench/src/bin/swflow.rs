@@ -7,12 +7,9 @@
 //! rings from the first window to `target/obs/swflow.trace.json`).
 //! Measured points are upserted into `BENCH_swjoin.json`.
 
-use joinsw::handshake::HandshakeConfig;
-use joinsw::harness::{
-    measure_handshake_throughput, measure_handshake_throughput_outcome, measure_throughput,
-    measure_throughput_outcome,
-};
-use joinsw::splitjoin::SplitJoinConfig;
+use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
+use joinsw::harness::measure_throughput_with;
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 
 use bench::swjoin::{SwJoinEntry, SwRunOpts};
 
@@ -42,39 +39,23 @@ fn main() {
         let tuples = (40_000_000 / window as u64).clamp(500, 8_192);
         // Under `--trace`, the first window's runs also donate their span
         // rings to the exported timeline; later windows run untouched.
-        let (uni, bi) = if !traced {
+        let (uni, uni_outcome) = measure_throughput_with::<SplitJoin>(
+            SplitJoinConfig::new(4, window).with_batch_size(batch),
+            tuples,
+            1 << 20,
+        )
+        .expect("swflow run failed");
+        let (bi, bi_outcome) = measure_throughput_with::<HandshakeJoin>(
+            HandshakeConfig::new(4, window).with_batch_size(batch),
+            tuples,
+            1 << 20,
+        )
+        .expect("swflow run failed");
+        if !traced {
             traced = true;
-            let (uni, outcome) = measure_throughput_outcome(
-                SplitJoinConfig::new(4, window).with_batch_size(batch),
-                tuples,
-                1 << 20,
-            )
-            .expect("swflow run failed");
-            bench::obsout::harvest(outcome.trace);
-            let (bi, outcome) = measure_handshake_throughput_outcome(
-                HandshakeConfig::new(4, window).with_batch_size(batch),
-                tuples,
-                1 << 20,
-            )
-            .expect("swflow run failed");
-            bench::obsout::harvest(outcome.trace);
-            (uni, bi)
-        } else {
-            (
-                measure_throughput(
-                    SplitJoinConfig::new(4, window).with_batch_size(batch),
-                    tuples,
-                    1 << 20,
-                )
-                .expect("swflow run failed"),
-                measure_handshake_throughput(
-                    HandshakeConfig::new(4, window).with_batch_size(batch),
-                    tuples,
-                    1 << 20,
-                )
-                .expect("swflow run failed"),
-            )
-        };
+            bench::obsout::harvest(uni_outcome.trace);
+            bench::obsout::harvest(bi_outcome.trace);
+        }
         let uni = uni.million_per_second();
         let bi = bi.million_per_second();
         entries.push(entry("splitjoin", window, tuples, uni));

@@ -10,8 +10,8 @@
 //! `cargo run --release -p bench --bin swjoin_baseline` (optionally
 //! `--cores`, `--windows`, `--batch` to vary the sweep).
 
-use joinsw::harness::{host_parallelism, measure_throughput_outcome};
-use joinsw::splitjoin::SplitJoinConfig;
+use joinsw::harness::{host_parallelism, measure_throughput_with};
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 
 use bench::swjoin::{SwJoinEntry, SwRunOpts};
 
@@ -30,7 +30,7 @@ fn main() {
         for exp in windows.clone() {
             let window = 1usize << exp;
             let mut point = |batch: usize| {
-                let (rate, outcome) = measure_throughput_outcome(
+                let (rate, outcome) = measure_throughput_with::<SplitJoin>(
                     SplitJoinConfig::new(n, window).with_batch_size(batch),
                     tuples,
                     1 << 20,

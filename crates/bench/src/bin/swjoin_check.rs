@@ -6,10 +6,7 @@
 //! `path` defaults to the artifact in the manifest directory
 //! (`target/obs/BENCH_swjoin.json`, or `$ACCEL_OBS_DIR`). The file must
 //! exist, parse as schema-1 JSON, and hold entries; a per-figure summary
-//! is printed. When the artifact carries `kernel` figure entries, the
-//! blocked-vs-scalar counting speedup is gated: at every window >= 2^10
-//! the blocked kernel must be at least 2x the scalar kernel measured in
-//! the same run. Then every point is compared against the matching point
+//! is printed. Then every point is compared against the matching point
 //! in the baseline — the committed `BENCH_swjoin.json` at the repo root
 //! unless `--baseline` overrides it — and the run fails when throughput
 //! fell (or latency rose) more than the tolerance, default 10%. A
@@ -112,57 +109,6 @@ fn main() {
             "  {figure}: {} points, batch sizes {batches:?}",
             rows.len()
         );
-    }
-
-    // Kernel speedup gate: within this run (same host, same cores, same
-    // batch), blocked counting must be >= 2x scalar counting at every
-    // window from 2^10 up. Below 2^10 the window fits hot cache either
-    // way and the tile win shrinks; batches under 8 probes never tile.
-    let mut kernel_failures = Vec::new();
-    let mut kernel_gated = 0usize;
-    for s in doc
-        .entries
-        .iter()
-        .filter(|e| e.figure == "kernel" && e.variant == "scalar_count")
-    {
-        let Some(b) = doc.entries.iter().find(|e| {
-            e.figure == "kernel"
-                && e.variant == "blocked_count"
-                && e.cores == s.cores
-                && e.window == s.window
-                && e.batch_size == s.batch_size
-                && e.metric == s.metric
-        }) else {
-            continue;
-        };
-        if s.window < 1 << 10 || s.batch_size < 8 {
-            continue;
-        }
-        kernel_gated += 1;
-        if b.value < 2.0 * s.value {
-            kernel_failures.push(format!(
-                "window {} cores {} batch {}: blocked {:.5} < 2x scalar {:.5} ({:.2}x)",
-                s.window,
-                s.cores,
-                s.batch_size,
-                b.value,
-                s.value,
-                b.value / s.value
-            ));
-        }
-    }
-    if !kernel_failures.is_empty() {
-        eprintln!(
-            "error: blocked kernel misses the 2x counting speedup at {} point(s):",
-            kernel_failures.len()
-        );
-        for f in &kernel_failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    if kernel_gated > 0 {
-        println!("kernel gate: blocked >= 2x scalar counting at {kernel_gated} point(s) (windows >= 2^10)");
     }
 
     if !opts.baseline.exists() {

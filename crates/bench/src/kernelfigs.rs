@@ -1,22 +1,17 @@
-//! Kernel figure: scalar vs blocked probe kernels on the software
-//! SplitJoin.
+//! Kernel figure: the blocked probe kernel on the software SplitJoin.
 //!
-//! Not a paper figure — this sweep documents the repo's own software
-//! optimization: the blocked batch×window compare tiles
-//! ([`streamcore::kernel`]) against the per-tuple scalar sweep, over the
-//! window range where the committed fig14d baseline falls off its cache
-//! cliff (2^8..2^14), in both counting-only and materializing modes.
-//! Both kernels run the same deterministic workload on the same core
-//! count, so the ratio isolates the kernel itself; `swjoin_check`
-//! enforces the ≥2x counting-mode win at windows ≥ 2^10 against these
-//! entries.
+//! Not a paper figure — this sweep records the repo's own software
+//! optimization, the blocked batch×window compare tiles
+//! ([`streamcore::kernel`]), single-core over the window range where the
+//! nested-loop probe falls off its cache cliff (2^8..2^14), in both
+//! counting-only and materializing modes. `swjoin_check` holds these
+//! entries to the committed baseline like every other figure.
 //!
 //! Honors the shared CLI options ([`SwRunOpts`](crate::swjoin::SwRunOpts)):
 //! `--batch` (blocked tiles need at least 8 probes per batch to engage),
 //! `--windows` for the exponent range, and `--samples` for the
 //! best-of-N run count per point (default 3).
 
-use joinsw::config::Kernel;
 use joinsw::harness::{host_parallelism, measure_throughput_collecting, PARALLEL_EFFICIENCY};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use obs::RunManifest;
@@ -29,7 +24,7 @@ const KEY_DOMAIN: u32 = 1 << 20;
 /// Comparison budget per point, matching `swfigs`: tuples per run are
 /// derived from it so every window costs similar wall-clock time. The
 /// clamp ceiling is much higher than the fig14d sweep's because this
-/// figure feeds a hard CI gate (`swjoin_check`'s 2x counting check) —
+/// figure feeds a hard CI gate (`swjoin_check`'s regression check) —
 /// millisecond-scale runs on a loaded host swing 3x in either
 /// direction, so each timed segment here runs tens of milliseconds.
 const COMPARISON_BUDGET: u64 = 100_000_000;
@@ -76,39 +71,22 @@ fn kernel_into(
     let batch = opts.batch_size;
     let samples = opts.samples.unwrap_or(DEFAULT_SAMPLES).max(1);
     let mut t = Table::new(
-        "Kernel — scalar vs blocked probe kernels, SplitJoin throughput (M tuples/s)",
-        &[
-            "window",
-            "scalar count",
-            "blocked count",
-            "speedup",
-            "scalar mat",
-            "blocked mat",
-            "speedup",
-        ],
+        "Kernel — blocked probe kernel, single-core SplitJoin throughput (M tuples/s)",
+        &["window", "blocked count", "blocked mat"],
     );
-    // One core for both kernels: the ratio is the kernel's own win, with
-    // no parallel-scaling model in the quotient.
-    let variants: [(&str, Kernel, bool); 4] = [
-        ("scalar_count", Kernel::Scalar, true),
-        ("blocked_count", Kernel::Blocked, true),
-        ("scalar_mat", Kernel::Scalar, false),
-        ("blocked_mat", Kernel::Blocked, false),
-    ];
+    // Materializing keeps `collect_results` on, so the timed segment runs
+    // bitmask-then-emit with a live collector; counting times
+    // popcount-only tiles.
+    let variants: [(&str, bool); 2] = [("blocked_count", true), ("blocked_mat", false)];
     for exp in exponents {
         let window = 1usize << exp;
         let tuples = tuples_for(window);
-        let mut mtps = [0f64; 4];
-        for (i, (name, kernel, counting)) in variants.iter().enumerate() {
-            let mut config = SplitJoinConfig::new(1, window)
-                .with_batch_size(batch)
-                .with_kernel(*kernel);
-            if *counting {
+        let mut row = vec![format!("2^{exp}")];
+        for (name, counting) in variants {
+            let mut config = SplitJoinConfig::new(1, window).with_batch_size(batch);
+            if counting {
                 config = config.counting_only();
             }
-            // Materializing variants keep `collect_results` on, so the
-            // timed segment runs bitmask-then-emit with a live
-            // collector; counting variants time popcount-only tiles.
             let rate = (0..samples)
                 .map(|_| {
                     measure_throughput_collecting::<SplitJoin>(
@@ -121,14 +99,14 @@ fn kernel_into(
                     .million_per_second()
                 })
                 .fold(0f64, f64::max);
-            mtps[i] = rate;
+            row.push(format!("{rate:.5}"));
             if let Some(m) = manifest.as_deref_mut() {
                 m.config(format!("w2e{exp}.{name}_mtps"), format!("{rate:.5}"));
             }
             if let Some(e) = entries.as_deref_mut() {
                 e.push(SwJoinEntry {
                     figure: "kernel".into(),
-                    variant: (*name).into(),
+                    variant: name.into(),
                     cores: 1,
                     window,
                     batch_size: batch,
@@ -142,19 +120,10 @@ fn kernel_into(
         if let Some(m) = manifest.as_deref_mut() {
             m.counter(format!("w2e{exp}.tuples"), tuples);
         }
-        t.row(vec![
-            format!("2^{exp}"),
-            format!("{:.5}", mtps[0]),
-            format!("{:.5}", mtps[1]),
-            format!("{:.2}x", mtps[1] / mtps[0]),
-            format!("{:.5}", mtps[2]),
-            format!("{:.5}", mtps[3]),
-            format!("{:.2}x", mtps[3] / mtps[2]),
-        ]);
+        t.row(row);
     }
     t.note(format!("distribution batch size: {batch} (blocked tiles engage at >= 8 probes/batch)"));
     t.note("counting mode: popcount-only tiles; materializing mode: bitmask-then-emit pairs");
-    t.note("both kernels measured single-core on identical workloads — the ratio is the kernel's");
     t.note(format!(
         "each point is the best of {samples} run(s): scheduler noise only depresses a rate"
     ));
@@ -166,7 +135,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_figure_emits_four_variants_per_window() {
+    fn kernel_figure_emits_both_variants_per_window() {
         let opts = SwRunOpts {
             batch_size: 64,
             cores: None,
@@ -179,11 +148,11 @@ mod tests {
         let mut entries = Vec::new();
         let t = kernel_into(&opts, None, Some(&mut entries));
         assert_eq!(t.len(), 2);
-        assert_eq!(entries.len(), 8);
+        assert_eq!(entries.len(), 4);
         assert!(entries.iter().all(|e| e.figure == "kernel"));
         assert!(entries.iter().all(|e| e.metric == "throughput_mtps"));
         assert!(entries.iter().all(|e| e.cores == 1));
-        for v in ["scalar_count", "blocked_count", "scalar_mat", "blocked_mat"] {
+        for v in ["blocked_count", "blocked_mat"] {
             assert_eq!(entries.iter().filter(|e| e.variant == v).count(), 2, "{v}");
         }
     }

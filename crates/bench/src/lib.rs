@@ -14,7 +14,7 @@
 //! | `fig15`  | uni-flow HW latency |
 //! | `fig16`  | software SplitJoin latency |
 //! | `fig17`  | clock frequency vs cores |
-//! | `kernel` | scalar vs blocked probe kernels (software SplitJoin) |
+//! | `kernel` | blocked probe kernel, counting and materializing (software SplitJoin) |
 //! | `partition` | broadcast vs hash-partitioned dispatch + zipf occupancy |
 //! | `power`  | Section V power comparison |
 //! | `reconfig` | Fig. 6 deployment paths + live re-query |

@@ -24,7 +24,7 @@
 //! `docs/PARTITIONING.md` reproduces these numbers step by step.
 
 use joinsw::config::Partitioning;
-use joinsw::harness::{host_parallelism, measure_throughput_outcome};
+use joinsw::harness::{host_parallelism, measure_throughput_with};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::streamjoin::JoinSummary;
 use obs::RunManifest;
@@ -120,7 +120,7 @@ fn speedup_sweep(
         let tuples = tuples_for(window);
         // Both arms pin their dispatch mode explicitly: the A/B must
         // hold even when `ACCEL_SW_PARTITIONING=hash` flips the default.
-        let broadcast = measure_throughput_outcome(
+        let broadcast = measure_throughput_with::<SplitJoin>(
             SplitJoinConfig::new(cores, window)
                 .with_batch_size(batch)
                 .with_partitioning(Partitioning::Broadcast),
@@ -130,7 +130,7 @@ fn speedup_sweep(
         .expect("partition broadcast run failed")
         .0
         .million_per_second();
-        let partitioned = measure_throughput_outcome(
+        let partitioned = measure_throughput_with::<SplitJoin>(
             SplitJoinConfig::new(cores, window)
                 .with_batch_size(batch)
                 .with_partitioning(Partitioning::Hash),

@@ -18,10 +18,10 @@
 use std::time::Duration;
 
 use joinsw::harness::{
-    host_parallelism, measure_latency_hist, measure_latency_outcome, measure_throughput,
-    measure_throughput_outcome, modeled_throughput, PARALLEL_EFFICIENCY,
+    host_parallelism, measure_latency_with, measure_throughput_with, modeled_throughput,
+    PARALLEL_EFFICIENCY,
 };
-use joinsw::splitjoin::SplitJoinConfig;
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use obs::{Histogram, RunManifest};
 
 use crate::swjoin::{SwJoinEntry, SwRunOpts};
@@ -120,7 +120,7 @@ fn fig14d_into(
         if !traced {
             // One extra multi-worker run, purely for its timeline.
             traced = true;
-            let (_, outcome) = measure_throughput_outcome(
+            let (_, outcome) = measure_throughput_with::<SplitJoin>(
                 SplitJoinConfig::new(max_cores, window).with_batch_size(batch),
                 tuples,
                 KEY_DOMAIN,
@@ -128,12 +128,13 @@ fn fig14d_into(
             .expect("fig14d trace run failed");
             crate::obsout::harvest(outcome.trace);
         }
-        let single = measure_throughput(
+        let single = measure_throughput_with::<SplitJoin>(
             SplitJoinConfig::new(1, window).with_batch_size(batch),
             tuples,
             KEY_DOMAIN,
         )
-        .expect("fig14d single-core run failed");
+        .expect("fig14d single-core run failed")
+        .0;
         if let Some(e) = entries.as_deref_mut() {
             e.push(throughput_entry(
                 1,
@@ -157,12 +158,13 @@ fn fig14d_into(
         ];
         for &n in &cores {
             let mtps = if direct {
-                measure_throughput(
+                measure_throughput_with::<SplitJoin>(
                     SplitJoinConfig::new(n, window).with_batch_size(batch),
                     tuples * 8,
                     KEY_DOMAIN,
                 )
                 .expect("fig14d multi-core run failed")
+                .0
                 .per_second()
                     / 1e6
             } else {
@@ -261,16 +263,13 @@ fn fig16_config_into(
     // point only (bounded export size); later points run untouched.
     let mut traced = !obs::trace::enabled();
     let mut measure = |config: SplitJoinConfig, samples: usize| {
+        let (s, hist, outcome) = measure_latency_with::<SplitJoin>(config, samples, KEY_DOMAIN)
+            .expect("fig16 run failed");
         if !traced {
             traced = true;
-            let (s, hist, outcome) = measure_latency_outcome(config, samples, KEY_DOMAIN)
-                .expect("fig16 trace run failed");
             crate::obsout::harvest(outcome.trace);
-            (s, hist)
-        } else {
-            measure_latency_hist(config, samples, KEY_DOMAIN)
-                .expect("fig16 run failed")
         }
+        (s, hist)
     };
     let latency_entry = |n: usize, window: usize, p50: Duration, measured: bool| {
         SwJoinEntry {

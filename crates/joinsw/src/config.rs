@@ -23,72 +23,6 @@ use streamcore::JoinPredicate;
 
 use crate::fault::FaultPlan;
 
-/// Data-path transport between the distribution thread, the join
-/// cores, and the collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Transport {
-    /// Vendored MPSC channels (mutex + condvar handoff per message) —
-    /// the original path, kept as the semantic reference.
-    Channel,
-    /// Lock-free SPSC rings plus the shared batch arena
-    /// ([`streamcore::ring`]) — zero-copy from router to probe. The
-    /// default (see [`default_transport`]). SplitJoin only: the
-    /// handshake chain's neighbor links stay on channels.
-    Ring,
-}
-
-/// The process-wide default transport: `ACCEL_SW_TRANSPORT` when set to
-/// `channel` or `ring`, [`Transport::Ring`] otherwise (CI pins both
-/// values explicitly in its test matrix).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo must not silently change
-/// which data path a whole CI leg measures.
-pub fn default_transport() -> Transport {
-    static TRANSPORT: std::sync::OnceLock<Transport> = std::sync::OnceLock::new();
-    *TRANSPORT.get_or_init(|| match std::env::var("ACCEL_SW_TRANSPORT") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("channel") => Transport::Channel,
-        Ok(v) if v.trim().eq_ignore_ascii_case("ring") => Transport::Ring,
-        Ok(v) => panic!("ACCEL_SW_TRANSPORT must be `channel` or `ring`, got {v:?}"),
-        Err(_) => Transport::Ring,
-    })
-}
-
-/// Which probe kernel the join cores run against their windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// One pass over the window per tuple
-    /// ([`JoinPredicate::count_matches`] / per-key evaluation) — the
-    /// original path, kept as the semantic reference.
-    Scalar,
-    /// Blocked batch×window compare tiles ([`streamcore::kernel`]):
-    /// every distribution batch probes the window snapshot in
-    /// cache-sized key tiles with 8-wide unrolled compare loops, plus
-    /// software-prefetched hash-chain walks and O(1) partitioned-chain
-    /// counting. The default (see [`default_kernel`]). SplitJoin only:
-    /// the handshake chain probes tuple-by-tuple by construction.
-    Blocked,
-}
-
-/// The process-wide default probe kernel: `ACCEL_SW_KERNEL` when set to
-/// `scalar` or `blocked`, [`Kernel::Blocked`] otherwise (CI pins both
-/// values explicitly in its test matrix).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo must not silently change
-/// which probe kernel a whole CI leg measures.
-pub fn default_kernel() -> Kernel {
-    static KERNEL: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
-    *KERNEL.get_or_init(|| match std::env::var("ACCEL_SW_KERNEL") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("scalar") => Kernel::Scalar,
-        Ok(v) if v.trim().eq_ignore_ascii_case("blocked") => Kernel::Blocked,
-        Ok(v) => panic!("ACCEL_SW_KERNEL must be `scalar` or `blocked`, got {v:?}"),
-        Err(_) => Kernel::Blocked,
-    })
-}
-
 /// How the SplitJoin router dispatches tuples to the join cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Partitioning {
@@ -128,7 +62,8 @@ pub fn default_partitioning() -> Partitioning {
 /// Default distribution batch size (tuples per batch message), used
 /// unless overridden by the `ACCEL_SW_BATCH` environment variable (CI
 /// runs the whole suite at `ACCEL_SW_BATCH=1` to prove batched and
-/// unbatched paths agree).
+/// unbatched feeding agree — which also sends every SplitJoin in the
+/// suite through the per-tuple probe path instead of the blocked one).
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// The process-wide default batch size: `ACCEL_SW_BATCH` when set to a
@@ -165,10 +100,6 @@ pub struct JoinConfig {
     /// Scripted faults for this run. The default is the empty plan, whose
     /// behavior is bit-for-bit the healthy data path.
     pub fault_plan: FaultPlan,
-    /// Which data-path transport carries batches and results (see
-    /// [`Transport`]); defaults to [`default_transport`]. Engines
-    /// without a ring path (the handshake chain) ignore it.
-    pub transport: Transport,
     /// Pin each join core to a CPU (`position % available CPUs`) via
     /// [`streamcore::affinity`]. Off by default; a failed pin degrades
     /// to running unpinned. Only helps when the host has a core per
@@ -178,10 +109,6 @@ pub struct JoinConfig {
     /// to [`default_partitioning`]. [`Partitioning::Hash`] requires an
     /// equi-join predicate (checked at spawn) and is SplitJoin-only.
     pub partitioning: Partitioning,
-    /// Which probe kernel the join cores run (see [`Kernel`]); defaults
-    /// to [`default_kernel`]. SplitJoin-only; the kernels are
-    /// observationally identical, so this is purely a performance knob.
-    pub kernel: Kernel,
 }
 
 impl JoinConfig {
@@ -191,11 +118,10 @@ impl JoinConfig {
     /// Identical to [`JoinConfig::from_env`] except that the fault plan
     /// starts empty — `new` is the data-path constructor, and scripted
     /// faults are opted into explicitly (or via `from_env`). The other
-    /// environment-overridable knobs (batch size, transport,
-    /// partitioning, kernel) *are* env-aware here too: CI runs entire
-    /// test suites under `ACCEL_SW_BATCH=1`, `ACCEL_SW_TRANSPORT=channel`
-    /// and `ACCEL_SW_KERNEL=scalar` precisely because every engine
-    /// spawned through this constructor picks the overrides up.
+    /// environment-overridable knobs (batch size, partitioning) *are*
+    /// env-aware here too: CI runs the entire test suite under
+    /// `ACCEL_SW_BATCH=1` precisely because every engine spawned through
+    /// this constructor picks the override up.
     ///
     /// # Panics
     ///
@@ -211,10 +137,8 @@ impl JoinConfig {
             batch_size: default_batch_size(),
             collect_results: true,
             fault_plan: FaultPlan::none(),
-            transport: default_transport(),
             pin_workers: false,
             partitioning: default_partitioning(),
-            kernel: default_kernel(),
         }
     }
 
@@ -232,9 +156,7 @@ impl JoinConfig {
     /// | Variable | Field | Values | Built-in default |
     /// |---|---|---|---|
     /// | `ACCEL_SW_BATCH` | [`batch_size`](JoinConfig::batch_size) | positive integer | [`DEFAULT_BATCH_SIZE`] (256) |
-    /// | `ACCEL_SW_TRANSPORT` | [`transport`](JoinConfig::transport) | `channel`, `ring` | [`Transport::Ring`] |
     /// | `ACCEL_SW_PARTITIONING` | [`partitioning`](JoinConfig::partitioning) | `broadcast`, `hash` | [`Partitioning::Broadcast`] |
-    /// | `ACCEL_SW_KERNEL` | [`kernel`](JoinConfig::kernel) | `scalar`, `blocked` | [`Kernel::Blocked`] |
     /// | `ACCEL_FAULTS` | [`fault_plan`](JoinConfig::fault_plan) | [`FaultPlan::parse`] spec | empty plan |
     ///
     /// Each variable is read once per process (the first resolution is
@@ -252,24 +174,10 @@ impl JoinConfig {
         config
     }
 
-    /// Selects the data-path transport (see [`Transport`]).
-    #[must_use]
-    pub fn with_transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Selects the dispatch discipline (see [`Partitioning`]).
     #[must_use]
     pub fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
         self.partitioning = partitioning;
-        self
-    }
-
-    /// Selects the probe kernel (see [`Kernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -303,8 +211,8 @@ impl JoinConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero — a zero-capacity bounded channel
-    /// would deadlock the distributor against its own workers.
+    /// Panics if `capacity` is zero — a zero-capacity link would
+    /// deadlock the distributor against its own workers.
     #[must_use]
     pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "channel capacity must be positive");
@@ -399,14 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn transport_and_pinning_builders() {
-        let config = JoinConfig::new(2, 8)
-            .with_transport(Transport::Channel)
-            .with_pinning();
-        assert_eq!(config.transport, Transport::Channel);
-        assert!(config.pin_workers);
-        // The default comes from the environment override hook.
-        assert_eq!(JoinConfig::new(2, 8).transport, default_transport());
+    fn pinning_builder() {
+        assert!(JoinConfig::new(2, 8).with_pinning().pin_workers);
+        assert!(!JoinConfig::new(2, 8).pin_workers);
     }
 
     #[test]
@@ -414,14 +317,6 @@ mod tests {
         let config = JoinConfig::new(2, 8).with_partitioning(Partitioning::Hash);
         assert_eq!(config.partitioning, Partitioning::Hash);
         assert_eq!(JoinConfig::new(2, 8).partitioning, default_partitioning());
-    }
-
-    #[test]
-    fn kernel_builder_and_default() {
-        let config = JoinConfig::new(2, 8).with_kernel(Kernel::Scalar);
-        assert_eq!(config.kernel, Kernel::Scalar);
-        // The default comes from the environment override hook.
-        assert_eq!(JoinConfig::new(2, 8).kernel, default_kernel());
     }
 
     #[test]
@@ -433,9 +328,7 @@ mod tests {
         let a = JoinConfig::from_env(4, 32);
         let b = JoinConfig::new(4, 32);
         assert_eq!(a.batch_size, b.batch_size);
-        assert_eq!(a.transport, b.transport);
         assert_eq!(a.partitioning, b.partitioning);
-        assert_eq!(a.kernel, b.kernel);
         assert_eq!(a.fault_plan, FaultPlan::from_env());
         assert_eq!(b.fault_plan, FaultPlan::none());
     }

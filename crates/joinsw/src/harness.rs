@@ -1,14 +1,14 @@
 //! Measurement harness for the software joins (Figs. 14d and 16).
 //!
-//! Since the `StreamJoin` convergence the measurement loops are generic:
-//! [`measure_throughput_with`] and [`measure_latency_with`] drive any
-//! engine implementing [`StreamJoin`] — the SplitJoin router, the
-//! handshake chain, or the single-threaded baseline — through the same
-//! warm-up/feed/flush protocol, and the engine-named wrappers
-//! ([`measure_throughput`], [`measure_handshake_throughput`],
-//! [`measure_latency`]) are thin typed aliases kept for the figure
-//! binaries. All of them are fallible: a run that loses its last worker
-//! (or trips the saturation supervisor) reports a
+//! The measurement loops are generic: [`measure_throughput_with`],
+//! [`measure_throughput_collecting`] and [`measure_latency_with`] drive
+//! any engine implementing [`StreamJoin`] — the SplitJoin router
+//! (`::<SplitJoin>`, Figs. 14d and 16), the handshake chain
+//! (`::<HandshakeJoin>`, the software side of Fig. 14b; it has no
+//! probe-free pre-fill, so its warm-up processes `2 × window` tuples
+//! through the chain), or the single-threaded baseline — through the
+//! same warm-up/feed/flush protocol. All of them are fallible: a run that
+//! loses its last worker (or trips the saturation supervisor) reports a
 //! [`JoinError`] instead of panicking mid-measurement, and scripted
 //! fault scenarios surface their damage in the returned outcome's
 //! fault report.
@@ -20,8 +20,6 @@ use streamcore::metrics::{LatencyRecorder, LatencySummary, Throughput};
 use streamcore::{StreamTag, Tuple};
 
 use crate::config::JoinParams;
-use crate::handshake::{HandshakeConfig, HandshakeJoin, HandshakeOutcome};
-use crate::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
 use crate::streamjoin::StreamJoin;
 
 /// Parallel efficiency of the software SplitJoin when one thread per join
@@ -90,7 +88,7 @@ pub fn measure_throughput_with<J: StreamJoin>(
 /// collection on, the timed segment exercises the full materializing
 /// path — matches are built, chunked, and handed to a live collector
 /// draining concurrently — which is what the kernel figure's
-/// materializing variants compare across probe kernels.
+/// materializing variant times.
 ///
 /// # Errors
 ///
@@ -113,69 +111,6 @@ pub fn measure_throughput_collecting<J: StreamJoin>(
     let elapsed = start.elapsed();
     let outcome = join.shutdown()?;
     Ok((Throughput::over_duration(tuples, elapsed), outcome))
-}
-
-/// SplitJoin-typed [`measure_throughput_with`] — the experiment behind
-/// Fig. 14d. Per-tuple cross-thread wake-ups (`batch_size = 1`) measure
-/// the channel implementation as much as the join, which is exactly the
-/// contrast `BENCH_swjoin.json` records.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_throughput(
-    config: SplitJoinConfig,
-    tuples: u64,
-    key_domain: u32,
-) -> Result<Throughput, JoinError> {
-    Ok(measure_throughput_outcome(config, tuples, key_domain)?.0)
-}
-
-/// [`measure_throughput`] that also returns the shutdown
-/// [`JoinOutcome`], so bench manifests can archive the batch-size
-/// histogram and per-worker counters alongside the rate.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_throughput_outcome(
-    config: SplitJoinConfig,
-    tuples: u64,
-    key_domain: u32,
-) -> Result<(Throughput, JoinOutcome), JoinError> {
-    measure_throughput_with::<SplitJoin>(config, tuples, key_domain)
-}
-
-/// Handshake-typed [`measure_throughput_with`] — the uni-flow/bi-flow
-/// comparison of Fig. 14b, in software. The chain has no probe-free
-/// pre-fill path (window placement *is* the flow), so the warm-up
-/// processes `2 × window` tuples through the chain before the timed
-/// segment starts.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_handshake_throughput(
-    config: HandshakeConfig,
-    tuples: u64,
-    key_domain: u32,
-) -> Result<Throughput, JoinError> {
-    Ok(measure_handshake_throughput_outcome(config, tuples, key_domain)?.0)
-}
-
-/// [`measure_handshake_throughput`] that also returns the shutdown
-/// [`HandshakeOutcome`], so bench manifests can archive the batch-size
-/// histogram and any harvested span rings alongside the rate.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_handshake_throughput_outcome(
-    config: HandshakeConfig,
-    tuples: u64,
-    key_domain: u32,
-) -> Result<(Throughput, HandshakeOutcome), JoinError> {
-    measure_throughput_with::<HandshakeJoin>(config, tuples, key_domain)
 }
 
 /// Measures per-tuple latency of any [`StreamJoin`] engine: with
@@ -215,64 +150,31 @@ pub fn measure_latency_with<J: StreamJoin>(
     ))
 }
 
-/// SplitJoin-typed [`measure_latency_with`] returning just the summary —
-/// the experiment behind Fig. 16.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_latency(
-    config: SplitJoinConfig,
-    samples: usize,
-    key_domain: u32,
-) -> Result<LatencySummary, JoinError> {
-    Ok(measure_latency_hist(config, samples, key_domain)?.0)
-}
-
-/// [`measure_latency`] that also returns the full sample distribution —
-/// the summary's p50/p99 collapse the distribution; the histogram is
-/// what the bench manifests archive.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_latency_hist(
-    config: SplitJoinConfig,
-    samples: usize,
-    key_domain: u32,
-) -> Result<(LatencySummary, obs::Histogram), JoinError> {
-    let (s, h, _) = measure_latency_outcome(config, samples, key_domain)?;
-    Ok((s, h))
-}
-
-/// [`measure_latency_hist`] that also returns the shutdown
-/// [`JoinOutcome`], so bench manifests can archive per-worker counters
-/// and any harvested span rings alongside the latency distribution.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_latency_outcome(
-    config: SplitJoinConfig,
-    samples: usize,
-    key_domain: u32,
-) -> Result<(LatencySummary, obs::Histogram, JoinOutcome), JoinError> {
-    measure_latency_with::<SplitJoin>(config, samples, key_domain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::BaselineJoin;
     use crate::config::JoinConfig;
+    use crate::handshake::{HandshakeConfig, HandshakeJoin};
+    use crate::splitjoin::{SplitJoin, SplitJoinConfig};
+
+    fn split_throughput(cores: usize, window: usize, tuples: u64) -> Throughput {
+        measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(cores, window), tuples, 1 << 20)
+            .unwrap()
+            .0
+    }
+
+    fn split_latency(window: usize, samples: usize) -> LatencySummary {
+        measure_latency_with::<SplitJoin>(SplitJoinConfig::new(2, window), samples, 1 << 20)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn throughput_decreases_with_window_size() {
         // Fig. 14d shape: 1/W scaling of the nested-loop probe.
-        let small =
-            measure_throughput(SplitJoinConfig::new(2, 1 << 8), 2_000, 1 << 20).unwrap();
-        let large =
-            measure_throughput(SplitJoinConfig::new(2, 1 << 12), 2_000, 1 << 20).unwrap();
+        let small = split_throughput(2, 1 << 8, 2_000);
+        let large = split_throughput(2, 1 << 12, 2_000);
         assert!(
             small.per_second() > 2.0 * large.per_second(),
             "16x window should cost well over 2x throughput: {small} vs {large}"
@@ -282,16 +184,13 @@ mod tests {
     #[test]
     fn throughput_improves_with_cores() {
         // Fig. 14d: more cores help. On a host with real parallelism this
-        // shows up in wall-clock throughput; on a single-CPU host (this
-        // repo's default container) wall-clock cannot improve, so we
-        // verify the property that *produces* the speedup — each core does
-        // only 1/N of the probe work — plus the calibrated model.
+        // shows up in wall-clock throughput; on a narrow host wall-clock
+        // cannot improve, so we verify the property that *produces* the
+        // speedup — each core does only 1/N of the probe work — plus the
+        // calibrated model.
         if host_parallelism() >= 4 {
-            let one = measure_throughput(SplitJoinConfig::new(1, 1 << 12), 4_000, 1 << 20)
-                .unwrap();
-            let four =
-                measure_throughput(SplitJoinConfig::new(4, 1 << 12), 4_000, 1 << 20)
-                    .unwrap();
+            let one = split_throughput(1, 1 << 12, 4_000);
+            let four = split_throughput(4, 1 << 12, 4_000);
             assert!(
                 four.per_second() > 1.5 * one.per_second(),
                 "4 cores should beat 1 core clearly: {four} vs {one}"
@@ -317,39 +216,21 @@ mod tests {
     }
 
     #[test]
-    fn harness_workload_is_kernel_invariant() {
+    fn harness_workload_is_batch_size_invariant() {
         // The bench harness drives the same deterministic tuple stream
-        // through both kernels; every logical counter must be
-        // bit-identical, or the kernel A/B in `BENCH_swjoin.json` would
-        // compare different joins.
-        let mk = |kernel| {
-            SplitJoinConfig::new(3, 1 << 8)
-                .with_batch_size(64)
-                .with_kernel(kernel)
-                .counting_only()
+        // through the per-tuple probe (batch 4) and the blocked tiles
+        // (batch 64); every logical counter must be bit-identical, or a
+        // batch sweep in `BENCH_swjoin.json` would compare different joins.
+        let run = |batch| {
+            let config =
+                SplitJoinConfig::new(3, 1 << 8).with_batch_size(batch).counting_only();
+            measure_throughput_with::<SplitJoin>(config, 3_000, 1 << 10).unwrap().1
         };
-        let (_, scalar) =
-            measure_throughput_outcome(mk(crate::config::Kernel::Scalar), 3_000, 1 << 10)
-                .unwrap();
-        let (_, blocked) =
-            measure_throughput_outcome(mk(crate::config::Kernel::Blocked), 3_000, 1 << 10)
-                .unwrap();
-        assert_eq!(scalar.result_count, blocked.result_count);
-        assert_eq!(scalar.worker_stats, blocked.worker_stats);
-        assert!(scalar.kernel_stats.is_none());
+        let (per_tuple, blocked) = (run(4), run(64));
+        assert_eq!(per_tuple.result_count, blocked.result_count);
+        assert_eq!(per_tuple.worker_stats, blocked.worker_stats);
+        assert_eq!(per_tuple.kernel_stats.unwrap().tiles, 0);
         assert!(blocked.kernel_stats.unwrap().tiles > 0);
-    }
-
-    #[test]
-    fn handshake_throughput_is_measurable() {
-        let t = measure_handshake_throughput(
-            crate::handshake::HandshakeConfig::new(2, 1 << 8),
-            2_000,
-            1 << 20,
-        )
-        .unwrap();
-        assert!(t.per_second() > 0.0);
-        assert_eq!(t.events(), 2_000);
     }
 
     #[test]
@@ -370,17 +251,18 @@ mod tests {
         assert!(t.per_second() > 0.0);
         assert!(!outcome.fault.degraded());
         let (t, _) = measure_throughput_with::<HandshakeJoin>(
-            HandshakeConfig::new(2, 1 << 6),
-            500,
+            HandshakeConfig::new(2, 1 << 8),
+            2_000,
             1 << 20,
         )
         .unwrap();
         assert!(t.per_second() > 0.0);
+        assert_eq!(t.events(), 2_000);
     }
 
     #[test]
     fn latency_summary_is_populated() {
-        let s = measure_latency(SplitJoinConfig::new(2, 1 << 10), 50, 1 << 20).unwrap();
+        let s = split_latency(1 << 10, 50);
         assert_eq!(s.samples, 50);
         assert!(s.mean.as_nanos() > 0);
         assert!(s.max >= s.p50);
@@ -389,10 +271,8 @@ mod tests {
     #[test]
     fn latency_grows_with_window() {
         // Fig. 16 shape: larger windows -> longer scans -> higher latency.
-        let small =
-            measure_latency(SplitJoinConfig::new(2, 1 << 10), 40, 1 << 20).unwrap();
-        let large =
-            measure_latency(SplitJoinConfig::new(2, 1 << 15), 40, 1 << 20).unwrap();
+        let small = split_latency(1 << 10, 40);
+        let large = split_latency(1 << 15, 40);
         assert!(
             large.p50 > small.p50,
             "latency should grow with window: {small} vs {large}"

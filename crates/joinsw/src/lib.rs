@@ -32,15 +32,15 @@
 //!   [`FaultReport`] each outcome carries describing exactly what
 //!   capacity and match-completeness was lost.
 //! * [`harness`] — the measurement loops behind those figures, now
-//!   generic over [`StreamJoin`]: [`harness::measure_throughput_with`],
-//!   [`harness::measure_latency_with`] and their engine-typed wrappers,
-//!   plus the calibrated multi-core scaling model used when the host has
-//!   fewer hardware threads than join cores.
+//!   generic over [`StreamJoin`]: [`harness::measure_throughput_with`]
+//!   and [`harness::measure_latency_with`], plus the calibrated
+//!   multi-core scaling model used when the host has fewer hardware
+//!   threads than join cores.
 //!
 //! # Fault model
 //!
-//! The data path never panics on a dead peer. Channel sends are
-//! supervised (bounded exponential backoff with a saturation deadline),
+//! The data path never panics on a dead peer. Sends are supervised
+//! (bounded exponential backoff with a saturation deadline),
 //! worker liveness is tracked through heartbeat counters, and losing a
 //! join core *degrades* the run instead of aborting it: the SplitJoin
 //! router re-partitions new tuples over the survivors (see
@@ -86,8 +86,8 @@ mod supervise;
 
 pub use accel_error::{JoinError, WorkerStats};
 pub use config::{
-    default_batch_size, default_kernel, default_partitioning, default_transport, JoinConfig,
-    JoinParams, Kernel, Partitioning, Transport, DEFAULT_BATCH_SIZE,
+    default_batch_size, default_partitioning, JoinConfig, JoinParams, Partitioning,
+    DEFAULT_BATCH_SIZE,
 };
 pub use fault::{FaultEvent, FaultPlan, FaultReport};
 pub use streamjoin::{JoinSummary, StreamJoin};
@@ -108,7 +108,7 @@ pub use streamjoin::{JoinSummary, StreamJoin};
 /// ```
 pub mod prelude {
     pub use crate::baseline::{BaselineJoin, NestedLoopJoin};
-    pub use crate::config::{JoinConfig, JoinParams, Kernel, Partitioning, Transport};
+    pub use crate::config::{JoinConfig, JoinParams, Partitioning};
     pub use crate::fault::{FaultEvent, FaultPlan, FaultReport};
     pub use crate::handshake::{HandshakeConfig, HandshakeJoin, HandshakeOutcome};
     pub use crate::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};

@@ -27,10 +27,10 @@
 //! directions:
 //!
 //! * **Distribution** — [`SplitJoin::process`] accumulates tuples in a
-//!   caller-side buffer and ships one [`Arc`]-shared batch message per
+//!   caller-side buffer and ships one batch message per
 //!   [`JoinConfig::batch_size`](crate::config::JoinConfig::batch_size)
-//!   tuples to every worker (one allocation per batch, N reference-count
-//!   bumps — not N copies).
+//!   tuples to every worker (one arena publish per batch, N sequence
+//!   numbers — not N copies).
 //! * **Collection** — workers buffer matches locally and emit them to the
 //!   collector in chunks; in counting-only mode
 //!   ([`JoinConfig::counting_only`](crate::config::JoinConfig::counting_only))
@@ -42,28 +42,29 @@
 //! `batch_size = 1` reproduces the unbatched message-per-tuple path
 //! exactly and every batch size yields the same result multiset.
 //!
-//! # Transports
+//! # Transport
 //!
-//! Both directions run over one of two interchangeable transports
-//! ([`JoinConfig::transport`], overridable process-wide with
-//! `ACCEL_SW_TRANSPORT`):
+//! Both directions run over lock-free SPSC rings ([`streamcore::ring`]):
+//! one ring per worker for distribution, one per worker for results, and
+//! — in broadcast mode — a shared [batch
+//! arena](streamcore::ring::batch_arena), so a broadcast ships one
+//! sequence number per worker while every join core probes the
+//! arena-resident batch *in place*: zero-copy from router to probe. The
+//! flush barrier needs no reverse link either: each worker publishes the
+//! flush token it has reached to its supervision cell and the router
+//! polls the cells.
 //!
-//! * **`channel`** — the vendored MPSC channels: one mutex + condvar
-//!   handoff per message, one `Arc`-boxed copy of each batch shared by
-//!   reference count. The original path, kept as the semantic
-//!   reference.
-//! * **`ring`** (default) — lock-free SPSC rings
-//!   ([`streamcore::ring`]): one ring per worker for distribution, one
-//!   per worker for results, and a shared [batch
-//!   arena](streamcore::ring::batch_arena) so a broadcast ships one
-//!   sequence number per worker while every join core probes the
-//!   arena-resident batch *in place* — zero-copy from router to probe.
-//!   Supervision is unchanged in spirit: the heartbeat/saturation
-//!   checks simply move from the channel `send_timeout` loop to the
-//!   ring's claim-retry path, and [`FaultPlan`] kill/stall/drop
-//!   semantics are preserved bit-for-bit because batch message
-//!   boundaries are identical on both transports (the cross-transport
-//!   equivalence suite pins exactly this).
+//! # Probe paths
+//!
+//! A worker picks its probe path from what it observes, never from an
+//! option. A broadcast batch of at least
+//! [`MIN_BLOCK_PROBES`] tuples
+//! against nested-loop windows runs the blocked batch×window compare
+//! tiles ([`streamcore::kernel`]); smaller batches (a caller that feeds
+//! per tuple and polls) and hash windows, whose chain walks cannot be
+//! tiled, run the per-tuple probe. The two are bit-identical in results
+//! and in [`WorkerStats`] — the per-tuple path is the in-tree reference
+//! the blocked path is tested against.
 //!
 //! Workers can optionally be pinned to cores
 //! ([`JoinConfig::pin_workers`]) so each ring's two hot cache lines
@@ -106,14 +107,15 @@
 //! # Fault tolerance
 //!
 //! Every data-path operation is fallible ([`accel_error::JoinError`])
-//! instead of `.expect`-ing channel peers alive, and the distribution
-//! side is a supervised *router*:
+//! instead of `.expect`-ing peers alive, and the distribution side is a
+//! supervised *router*:
 //!
-//! * channel sends use bounded exponential backoff
-//!   (`send_timeout`, 1 ms doubling to 64 ms) and watch each worker's
-//!   heartbeat counter — back-pressure with progress waits forever, a
-//!   frozen heartbeat with a full channel for the whole supervision
-//!   deadline reports [`JoinError::Saturated`];
+//! * ring pushes and arena publishes retry with a yield phase and then
+//!   bounded exponential backoff (1 ms doubling to 64 ms) while watching
+//!   the lagging worker's heartbeat counter — back-pressure with
+//!   progress waits forever, a frozen heartbeat with a full ring (or
+//!   arena) for the whole supervision deadline reports
+//!   [`JoinError::Saturated`];
 //! * a worker found dead (scripted kill from the
 //!   [`FaultPlan`], scripted panic, or organic
 //!   death) is *recovered*: the router retires its position from the
@@ -144,7 +146,6 @@ use std::time::{Duration, Instant};
 
 use accel_error::JoinError;
 pub use accel_error::WorkerStats;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
 use streamcore::ring::{self, ArenaReader, ArenaWriter, PopError, RingConsumer, RingProducer};
 use streamcore::{
@@ -152,20 +153,20 @@ use streamcore::{
     PartitionedWindow, StreamTag, Tuple,
 };
 
-use crate::config::{JoinConfig, JoinParams, Kernel, Partitioning, Transport};
+use crate::config::{JoinConfig, JoinParams, Partitioning};
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
 use crate::supervise::{
-    supervised_push, supervised_send, AliveGuard, SendStatus, SendSupervisor, WorkerCell,
-    CLAIM_SPIN_YIELDS, SATURATION_DEADLINE,
+    supervised_push, AliveGuard, SendStatus, SendSupervisor, WorkerCell, CLAIM_SPIN_YIELDS,
+    SATURATION_DEADLINE,
 };
 
 /// Per-worker result-ring capacity (individual [`MatchPair`]s, not
-/// chunks) on the ring transport. Generous enough that a draining
-/// collector never back-pressures the probe loop in practice.
+/// chunks). Generous enough that a draining collector never
+/// back-pressures the probe loop in practice.
 const RESULT_RING_CAPACITY: usize = 8_192;
 
-/// How long an idle ring-transport thread sleeps between polls once
-/// spinning and yielding have not produced work.
+/// How long an idle thread sleeps between ring polls once spinning and
+/// yielding have not produced work.
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 pub use crate::config::{default_batch_size, DEFAULT_BATCH_SIZE};
@@ -339,26 +340,12 @@ impl SplitJoinConfig {
         self
     }
 
-    /// Selects the data-path transport (see [`Transport`]).
-    #[must_use]
-    pub fn with_transport(mut self, transport: Transport) -> Self {
-        self.common = self.common.with_transport(transport);
-        self
-    }
-
     /// Selects the dispatch discipline (see [`Partitioning`]).
     /// [`Partitioning::Hash`] requires an equi-join predicate and no
     /// replication, checked at spawn.
     #[must_use]
     pub fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
         self.common = self.common.with_partitioning(partitioning);
-        self
-    }
-
-    /// Selects the probe kernel (see [`Kernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.common = self.common.with_kernel(kernel);
         self
     }
 
@@ -392,13 +379,10 @@ impl SplitJoinConfig {
 }
 
 enum Msg {
-    /// One distribution batch, shared across all workers
-    /// (channel transport: `Arc` reference-count bumps, not copies).
-    Batch(Arc<[(StreamTag, Tuple)]>),
     /// One distribution batch resident in the shared
-    /// [`batch arena`](streamcore::ring::batch_arena) (ring transport):
-    /// the worker probes arena slot `seq % slots` in place — zero-copy —
-    /// and releases it afterwards so the slot can be reused.
+    /// [`batch arena`](streamcore::ring::batch_arena): the worker probes
+    /// arena slot `seq % slots` in place — zero-copy — and releases it
+    /// afterwards so the slot can be reused.
     ArenaBatch {
         /// Arena sequence number identifying the batch.
         seq: u64,
@@ -418,8 +402,9 @@ enum Msg {
     /// turns. All survivors see it at the same position in their FIFO
     /// queues, so they switch at an identical tuple boundary.
     Reconfigure(Arc<PartitionMap>),
-    /// Barrier token: drain local result buffers, then acknowledge.
-    Flush(FlushToken),
+    /// Barrier token: drain local result buffers, then publish the
+    /// token to [`WorkerCell::flushed`], which the router polls.
+    Flush(u64),
     Stop,
 }
 
@@ -442,82 +427,32 @@ struct PartEntry {
     probe: bool,
 }
 
-/// How a worker acknowledges a [`Msg::Flush`] barrier.
-enum FlushToken {
-    /// Channel transport: send on the ack channel.
-    Ack(Sender<()>),
-    /// Ring transport: publish this token to [`WorkerCell::flushed`];
-    /// the router polls the cells instead of blocking on a channel.
-    Seq(u64),
-}
-
-/// One worker's distribution link, as held by the router.
-#[derive(Debug)]
-enum Lane {
-    Channel(Sender<Msg>),
-    Ring(RingProducer<Msg>),
-}
-
-/// One worker's distribution link, as held by the worker.
-enum WorkerFeed {
-    Channel(Receiver<Msg>),
-    /// Message ring plus this worker's reader handle into the shared
-    /// batch arena ([`Msg::ArenaBatch`] payloads live there). The
-    /// reader is `None` in partitioned mode, which ships keyed
-    /// sub-batches ([`Msg::Part`]) instead of arena broadcasts.
-    Ring(RingConsumer<Msg>, Option<ArenaReader<(StreamTag, Tuple)>>),
-}
-
-impl WorkerFeed {
-    /// Blocking receive. `None` means the router is gone and the queue
-    /// is fully drained — identical to a disconnected channel. The ring
-    /// side spins briefly, then yields, then parks in short sleeps: the
-    /// latency-critical wakeups (next batch in a loaded run) are caught
-    /// by the spin/yield phases.
-    fn recv(&mut self) -> Option<Msg> {
-        match self {
-            WorkerFeed::Channel(rx) => rx.recv().ok(),
-            WorkerFeed::Ring(rx, _) => {
-                let mut spins = 0u32;
-                loop {
-                    match rx.try_pop() {
-                        Ok(msg) => return Some(msg),
-                        Err(PopError::Disconnected) => return None,
-                        Err(PopError::Empty) => {
-                            if spins < 64 {
-                                spins += 1;
-                                std::hint::spin_loop();
-                            } else if spins < 192 {
-                                spins += 1;
-                                std::thread::yield_now();
-                            } else {
-                                std::thread::sleep(IDLE_SLEEP);
-                            }
-                        }
-                    }
+/// Blocking receive on a worker's distribution ring. `None` means the
+/// router is gone and the ring is fully drained. Spins briefly, then
+/// yields, then parks in short sleeps: the latency-critical wakeups
+/// (next batch in a loaded run) are caught by the spin/yield phases.
+fn recv_msg(msgs: &mut RingConsumer<Msg>) -> Option<Msg> {
+    let mut spins = 0u32;
+    loop {
+        match msgs.try_pop() {
+            Ok(msg) => return Some(msg),
+            Err(PopError::Disconnected) => return None,
+            Err(PopError::Empty) => {
+                if spins < 64 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else if spins < 192 {
+                    spins += 1;
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_SLEEP);
                 }
             }
         }
     }
-
-    fn arena_reader(&mut self) -> &mut ArenaReader<(StreamTag, Tuple)> {
-        match self {
-            WorkerFeed::Ring(_, Some(reader)) => reader,
-            _ => unreachable!("arena batches only arrive on the broadcast ring transport"),
-        }
-    }
 }
 
-/// One worker's result link toward the collector.
-enum ResultsLane {
-    /// Shared MPSC channel carrying whole chunks.
-    Channel(Sender<Vec<MatchPair>>),
-    /// Dedicated SPSC ring carrying individual [`MatchPair`]s.
-    Ring(RingProducer<MatchPair>),
-}
-
-/// Ring-transport telemetry, attached to the outcome when the run used
-/// [`Transport::Ring`].
+/// Distribution-ring and arena telemetry, attached to every outcome.
 #[derive(Debug, Default)]
 pub struct RingStats {
     /// Distribution-ring occupancy (queued messages) sampled at every
@@ -610,15 +545,15 @@ pub struct JoinOutcome {
     /// recovery latency. All-zero (and [`FaultReport::degraded`] is
     /// `false`) for a healthy run.
     pub fault: FaultReport,
-    /// Ring-transport telemetry; `None` on the channel transport, so
-    /// channel-run manifests keep their exact pre-ring shape.
+    /// Distribution-ring telemetry. Always `Some`; the `Option` is what
+    /// the ledger benchmark compiles against.
     pub ring_stats: Option<RingStats>,
     /// Partitioned-dispatch telemetry; `None` in broadcast mode, so
     /// broadcast manifests keep their exact pre-partitioning shape.
     pub partition_stats: Option<PartitionStats>,
-    /// Blocked-kernel telemetry, folded across workers; `None` on
-    /// [`Kernel::Scalar`] runs, so scalar manifests keep their exact
-    /// pre-kernel shape.
+    /// Probe-kernel telemetry, folded across workers (`tiles` stays 0
+    /// when only the per-tuple path ran). Always `Some`; the `Option` is
+    /// what the ledger benchmark compiles against.
     pub kernel_stats: Option<KernelStats>,
 }
 
@@ -676,7 +611,7 @@ impl JoinOutcome {
 #[derive(Debug)]
 struct ReplicaBuf {
     cap: usize,
-    buf: VecDeque<(u8, Tuple)>,
+    buf: VecDeque<(usize, Tuple)>,
 }
 
 impl ReplicaBuf {
@@ -688,7 +623,7 @@ impl ReplicaBuf {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
         }
-        self.buf.push_back((owner as u8, tuple));
+        self.buf.push_back((owner, tuple));
     }
 
     /// The last `limit` tuples owned by `worker`, oldest first — exactly
@@ -698,7 +633,7 @@ impl ReplicaBuf {
             .buf
             .iter()
             .rev()
-            .filter(|&&(o, _)| o as usize == worker)
+            .filter(|&&(o, _)| o == worker)
             .take(limit)
             .map(|&(_, t)| t)
             .collect();
@@ -874,10 +809,10 @@ impl LiveWorker {
 /// exact.
 #[derive(Debug)]
 struct Router {
-    /// Per-position distribution lane; `None` once the position is
+    /// Per-position distribution ring; `None` once the position is
     /// retired (the drop disconnects the link and frees queued messages
     /// once the worker's receiving side is gone too).
-    senders: Vec<Option<Lane>>,
+    senders: Vec<Option<RingProducer<Msg>>>,
     cells: Vec<Arc<WorkerCell>>,
     map: PartitionMap,
     plan: FaultPlan,
@@ -898,12 +833,12 @@ struct Router {
     /// `sw.router` span ring (`recover` spans); attached to the outcome
     /// trace only when non-empty, so healthy traced runs are unchanged.
     ring: Option<obs::trace::TraceRing>,
-    /// Ring transport only: writer side of the shared batch arena.
+    /// Writer side of the shared batch arena; `None` in partitioned
+    /// mode, which ships keyed sub-batches instead of broadcasts.
     arena: Option<ArenaWriter<(StreamTag, Tuple)>>,
-    /// Ring transport only: occupancy / claim-wait telemetry.
-    ring_stats: Option<RingStats>,
-    /// Flush tokens issued so far (ring-transport barrier; see
-    /// [`FlushToken::Seq`]).
+    /// Ring occupancy / claim-wait telemetry.
+    ring_stats: RingStats,
+    /// Flush tokens issued so far (see [`Msg::Flush`]).
     flush_seq: u64,
     /// Keyed-dispatch state; `None` in broadcast mode.
     part: Option<PartRouter>,
@@ -913,51 +848,64 @@ struct Router {
 }
 
 impl Router {
-    /// Sends one message down worker `w`'s lane under supervision,
-    /// recording ring telemetry on the way. A retired lane reports
+    /// Sends one message down worker `w`'s ring under supervision,
+    /// recording ring telemetry on the way. A retired position reports
     /// [`SendStatus::Lost`].
     fn send_msg(&mut self, w: usize, msg: Msg) -> Result<SendStatus, JoinError> {
-        // Split borrows: the lane is &mut while cells/stats are read.
+        // Split borrows: the ring is &mut while cells/stats are read.
         let Router { senders, cells, ring_stats, live, .. } = self;
-        match senders[w].as_mut() {
-            None => Ok(SendStatus::Lost),
-            Some(Lane::Channel(tx)) => supervised_send(tx, &cells[w], w, msg),
-            Some(Lane::Ring(prod)) => {
-                let depth = prod.len() as u64;
-                if let Some(stats) = ring_stats.as_mut() {
-                    stats.occupancy.record_value(depth);
-                    stats.peak_occupancy.max(depth);
-                }
-                if let Some(lv) = live.as_ref() {
-                    lv.ring_occupancy.set(depth);
-                }
-                let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg)?;
-                if waited_ns > 0 {
-                    if let Some(stats) = ring_stats.as_mut() {
-                        stats.claim_wait_ns.record_value(waited_ns);
-                    }
-                }
-                Ok(status)
+        let Some(prod) = senders[w].as_mut() else { return Ok(SendStatus::Lost) };
+        let depth = prod.len() as u64;
+        ring_stats.occupancy.record_value(depth);
+        ring_stats.peak_occupancy.max(depth);
+        if let Some(lv) = live.as_ref() {
+            lv.ring_occupancy.set(depth);
+        }
+        let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg)?;
+        if waited_ns > 0 {
+            ring_stats.claim_wait_ns.record_value(waited_ns);
+        }
+        Ok(status)
+    }
+
+    /// [`Router::send_msg`] to every live worker that still has a ring,
+    /// returning the positions found dead on the way.
+    fn send_to_live(&mut self, make: impl Fn() -> Msg) -> Result<Vec<usize>, JoinError> {
+        let mut lost = Vec::new();
+        for w in self.map.live().to_vec() {
+            if self.senders[w].is_none() {
+                continue;
+            }
+            if let SendStatus::Lost = self.send_msg(w, make())? {
+                lost.push(w);
             }
         }
+        Ok(lost)
+    }
+
+    /// Fails with [`JoinError::AllWorkersLost`] once no position is live.
+    fn require_live(&self) -> Result<(), JoinError> {
+        if self.map.live_count() == 0 {
+            return Err(JoinError::AllWorkersLost);
+        }
+        Ok(())
     }
 
     /// Publishes one batch into the shared arena, waiting (supervised)
-    /// for slot reuse when the slowest reader is behind. This is where
-    /// the channel transport's `send_timeout` heartbeat supervision
-    /// lives on the ring transport: a laggard that keeps beating is
-    /// back-pressure and waits forever; a frozen laggard holding the
-    /// arena full for the whole deadline is [`JoinError::Saturated`].
+    /// for slot reuse when the slowest reader is behind: a laggard that
+    /// keeps beating is back-pressure and waits forever; a frozen
+    /// laggard holding the arena full for the whole deadline is
+    /// [`JoinError::Saturated`].
     fn publish_to_arena(&mut self, batch: &[(StreamTag, Tuple)]) -> Result<u64, JoinError> {
         let mut sup = SendSupervisor::new();
         let mut spins = 0u32;
         let mut wait_started: Option<Instant> = None;
         loop {
-            let arena = self.arena.as_mut().expect("ring transport has an arena");
+            let arena = self.arena.as_mut().expect("broadcast mode has an arena");
             match arena.try_publish(batch) {
                 Ok(seq) => {
-                    if let (Some(t0), Some(stats)) = (wait_started, self.ring_stats.as_mut()) {
-                        stats
+                    if let Some(t0) = wait_started {
+                        self.ring_stats
                             .claim_wait_ns
                             .record_value(t0.elapsed().as_nanos().max(1) as u64);
                     }
@@ -973,9 +921,7 @@ impl Router {
                         // The slot hog died — recover it (which also
                         // deactivates its arena reader) and retry.
                         self.reap_dead()?;
-                        if self.map.live_count() == 0 {
-                            return Err(JoinError::AllWorkersLost);
-                        }
+                        self.require_live()?;
                         continue;
                     }
                     if spins < CLAIM_SPIN_YIELDS {
@@ -988,7 +934,7 @@ impl Router {
                         // is holding the arena and for how long.
                         if let Some(lv) = self.live.as_ref() {
                             let (seq, min) = {
-                                let a = self.arena.as_ref().expect("ring transport has an arena");
+                                let a = self.arena.as_ref().expect("broadcast mode has an arena");
                                 (a.seq(), a.min_released())
                             };
                             lv.arena_lag.set(seq.saturating_sub(min));
@@ -1061,21 +1007,9 @@ impl Router {
     /// Sends `make()` to every live worker; workers found dead are
     /// recovered and the broadcast continues over the survivors.
     fn broadcast(&mut self, make: impl Fn() -> Msg) -> Result<(), JoinError> {
-        let mut lost = Vec::new();
-        for w in self.map.live().to_vec() {
-            if self.senders[w].is_none() {
-                continue;
-            }
-            match self.send_msg(w, make())? {
-                SendStatus::Sent => {}
-                SendStatus::Lost => lost.push(w),
-            }
-        }
+        let lost = self.send_to_live(make)?;
         self.recover_all(lost)?;
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
-        Ok(())
+        self.require_live()
     }
 
     /// Routes one tuple under keyed dispatch: stamp its global stream
@@ -1175,80 +1109,49 @@ impl Router {
                 continue;
             }
             let shared: Arc<[PartEntry]> = entries.into();
-            match self.send_msg(w, Msg::Part(shared))? {
-                SendStatus::Sent => {}
-                SendStatus::Lost => lost.push(w),
+            if let SendStatus::Lost = self.send_msg(w, Msg::Part(shared))? {
+                lost.push(w);
             }
         }
         self.recover_all(lost)?;
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
-        Ok(())
+        self.require_live()
     }
 
-    /// Keyed dispatch of one caller batch (partitioned mode): route
-    /// every tuple, then flush at most one message per worker.
-    fn send_part_batch(&mut self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
-        self.batch_hist.record_value(batch.len() as u64);
-        self.batches_sent += 1;
-        if let Some(lv) = self.live.as_ref() {
-            lv.on_batch(batch.len(), &self.cells, self.map.live());
-            lv.routed.add(batch.len() as u64);
-        }
-        let boundary = self.batches_sent;
-        for &(tag, tuple) in batch {
-            self.route_tuple(tag, tuple, true);
-        }
-        self.flush_outboxes()?;
-        // Proactive recovery at the scripted kill boundary, as in
-        // broadcast mode: the victim's lane closes here, it drains what
-        // was already queued and exits, and the ledger is exactly its
-        // live occupancy.
-        let kills: Vec<usize> = self.plan.kills_after(boundary).collect();
-        if !kills.is_empty() {
-            self.recover_all(kills)?;
-            if self.map.live_count() == 0 {
-                return Err(JoinError::AllWorkersLost);
-            }
-        }
-        Ok(())
-    }
-
+    /// Ships one caller batch. Broadcast mode: one arena publish, N
+    /// sequence numbers (zero-copy). Partitioned mode: route every tuple,
+    /// then flush at most one keyed sub-batch per worker.
     fn send_batch(&mut self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
         if batch.is_empty() {
             return Ok(());
         }
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
-        if self.part.is_some() {
-            return self.send_part_batch(batch);
-        }
+        self.require_live()?;
         self.batch_hist.record_value(batch.len() as u64);
         self.batches_sent += 1;
         if let Some(lv) = self.live.as_ref() {
             lv.on_batch(batch.len(), &self.cells, self.map.live());
+            if self.part.is_some() {
+                lv.routed.add(batch.len() as u64);
+            }
         }
-        let boundary = self.batches_sent;
-        self.note_batch(batch);
-        if self.arena.is_some() {
-            // Zero-copy broadcast: one arena publish, N sequence numbers.
+        if self.part.is_some() {
+            for &(tag, tuple) in batch {
+                self.route_tuple(tag, tuple, true);
+            }
+            self.flush_outboxes()?;
+        } else {
+            self.note_batch(batch);
             let seq = self.publish_to_arena(batch)?;
             self.broadcast(|| Msg::ArenaBatch { seq })?;
-        } else {
-            let shared: Arc<[(StreamTag, Tuple)]> = batch.to_vec().into();
-            self.broadcast(|| Msg::Batch(shared.clone()))?;
         }
         // Proactive recovery at the scripted kill boundary: the victim
-        // processes this batch and no more, so the ownership model above
-        // is exactly its occupancy at death.
-        let kills: Vec<usize> = self.plan.kills_after(boundary).collect();
+        // processes this batch and no more (its ring closes here, it
+        // drains what was already queued and exits), so the ownership
+        // model — closed-form shares or the keyed ledger — is exactly its
+        // occupancy at death.
+        let kills: Vec<usize> = self.plan.kills_after(self.batches_sent).collect();
         if !kills.is_empty() {
             self.recover_all(kills)?;
-            if self.map.live_count() == 0 {
-                return Err(JoinError::AllWorkersLost);
-            }
+            self.require_live()?;
         }
         Ok(())
     }
@@ -1257,9 +1160,7 @@ impl Router {
         if tuples.is_empty() {
             return Ok(());
         }
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
+        self.require_live()?;
         if self.part.is_some() {
             // Same keyed routing path, probing disabled — prefill still
             // advances the stream counters and the sketch.
@@ -1280,18 +1181,47 @@ impl Router {
         Ok(())
     }
 
-    /// Retires one dead worker: exact orphan accounting, partition-map
-    /// broadcast, optional re-replication. Returns any further workers
-    /// discovered dead while notifying the survivors.
+    /// Retires one dead worker — exact orphan accounting plus the
+    /// mode's own repair — and times the whole recovery. Returns any
+    /// further workers discovered dead while notifying the survivors.
     fn recover_one(&mut self, worker: usize) -> Result<Vec<usize>, JoinError> {
         if !self.map.is_live(worker) {
             return Ok(Vec::new());
         }
-        if self.part.is_some() {
-            return self.recover_one_part(worker);
-        }
         let t0 = Instant::now();
         let span_start = obs::trace::now_ns();
+        let lost = if self.part.is_some() {
+            self.retire_part(worker);
+            Vec::new()
+        } else {
+            self.retire_broadcast(worker)?
+        };
+        self.report
+            .recovery_ns
+            .record_value(t0.elapsed().as_nanos().max(1) as u64);
+        if let Some(r) = self.ring.as_mut() {
+            let now = obs::trace::now_ns();
+            r.record_arg("recover", span_start, now.saturating_sub(span_start), worker as u64);
+        }
+        Ok(lost)
+    }
+
+    /// The bookkeeping every retirement shares: drop the position from
+    /// the map, close its ring, and report the loss.
+    fn retire_position(&mut self, worker: usize, orphans: u64) {
+        self.map.retire(worker);
+        self.senders[worker] = None;
+        self.report.workers_lost.push(worker);
+        self.report.orphaned_tuples += orphans;
+        if let Some(lv) = self.live.as_ref() {
+            lv.on_worker_lost(worker, orphans, self.map.live_count());
+        }
+    }
+
+    /// Broadcast-mode recovery: closed-form orphan count, partition-map
+    /// broadcast so survivors re-partition future storage turns at the
+    /// same message boundary, optional re-replication.
+    fn retire_broadcast(&mut self, worker: usize) -> Result<Vec<usize>, JoinError> {
         let sub = self.sub_window as u64;
         // Materialize exact per-worker turn counts before mutating the
         // map: while it is still full the closed form reproduces them
@@ -1304,65 +1234,42 @@ impl Router {
         }
         let (owned_r, owned_s) = self.owned.as_ref().expect("just materialized");
         let orphans = owned_r[worker].min(sub) + owned_s[worker].min(sub);
-        self.map.retire(worker);
-        self.senders[worker] = None;
-        if self.arena.is_some() {
-            self.retire_reader(worker)?;
-        }
-        self.report.workers_lost.push(worker);
-        self.report.orphaned_tuples += orphans;
-        if let Some(lv) = self.live.as_ref() {
-            lv.on_worker_lost(worker, orphans, self.map.live_count());
+        self.retire_position(worker, orphans);
+        self.retire_reader(worker)?;
+        if self.map.live_count() == 0 {
+            return Ok(Vec::new());
         }
 
-        let mut lost = Vec::new();
-        if self.map.live_count() > 0 {
-            let shared = Arc::new(self.map.clone());
-            for w in self.map.live().to_vec() {
-                if self.senders[w].is_none() {
+        let shared = Arc::new(self.map.clone());
+        let mut lost = self.send_to_live(|| Msg::Reconfigure(Arc::clone(&shared)))?;
+        let adoptable = self.replicas.as_ref().map(|(rep_r, rep_s)| {
+            (
+                rep_r.orphans_of(worker, sub as usize),
+                rep_s.orphans_of(worker, sub as usize),
+            )
+        });
+        if let Some((adopt_r, adopt_s)) = adoptable {
+            for (tag, adoptees) in [(StreamTag::R, adopt_r), (StreamTag::S, adopt_s)] {
+                if adoptees.is_empty() {
                     continue;
                 }
-                match self.send_msg(w, Msg::Reconfigure(Arc::clone(&shared)))? {
-                    SendStatus::Sent => {}
-                    SendStatus::Lost => lost.push(w),
+                self.report.readopted_tuples += adoptees.len() as u64;
+                let live = self.map.live().to_vec();
+                let mut per_worker: Vec<Vec<Tuple>> = vec![Vec::new(); live.len()];
+                for (i, t) in adoptees.into_iter().enumerate() {
+                    per_worker[i % live.len()].push(t);
                 }
-            }
-            let adoptable = self.replicas.as_ref().map(|(rep_r, rep_s)| {
-                (
-                    rep_r.orphans_of(worker, sub as usize),
-                    rep_s.orphans_of(worker, sub as usize),
-                )
-            });
-            if let Some((adopt_r, adopt_s)) = adoptable {
-                for (tag, adoptees) in [(StreamTag::R, adopt_r), (StreamTag::S, adopt_s)] {
-                    if adoptees.is_empty() {
+                for (slot, tuples) in per_worker.into_iter().enumerate() {
+                    let w = live[slot];
+                    if tuples.is_empty() || lost.contains(&w) || self.senders[w].is_none() {
                         continue;
                     }
-                    self.report.readopted_tuples += adoptees.len() as u64;
-                    let live = self.map.live().to_vec();
-                    let mut per_worker: Vec<Vec<Tuple>> = vec![Vec::new(); live.len()];
-                    for (i, t) in adoptees.into_iter().enumerate() {
-                        per_worker[i % live.len()].push(t);
-                    }
-                    for (slot, tuples) in per_worker.into_iter().enumerate() {
-                        let w = live[slot];
-                        if tuples.is_empty() || lost.contains(&w) || self.senders[w].is_none() {
-                            continue;
-                        }
-                        let shared: Arc<[Tuple]> = tuples.into();
-                        if let SendStatus::Lost = self.send_msg(w, Msg::Adopt(tag, shared))? {
-                            lost.push(w);
-                        }
+                    let shared: Arc<[Tuple]> = tuples.into();
+                    if let SendStatus::Lost = self.send_msg(w, Msg::Adopt(tag, shared))? {
+                        lost.push(w);
                     }
                 }
             }
-        }
-        self.report
-            .recovery_ns
-            .record_value(t0.elapsed().as_nanos().max(1) as u64);
-        if let Some(r) = self.ring.as_mut() {
-            let now = obs::trace::now_ns();
-            r.record_arg("recover", span_start, now.saturating_sub(span_start), worker as u64);
         }
         Ok(lost)
     }
@@ -1374,31 +1281,16 @@ impl Router {
     /// rendezvous hashing the moment the map retires the position, and
     /// replication is rejected at spawn. No arena reader to retire
     /// either: partitioned mode never creates the arena.
-    fn recover_one_part(&mut self, worker: usize) -> Result<Vec<usize>, JoinError> {
-        let t0 = Instant::now();
-        let span_start = obs::trace::now_ns();
+    fn retire_part(&mut self, worker: usize) {
         let part = self.part.as_mut().expect("partitioned mode");
         let orphans = (part.ledger_r[worker].len() + part.ledger_s[worker].len()) as u64;
         part.ledger_r[worker].clear();
         part.ledger_s[worker].clear();
         part.outbox[worker].clear();
-        self.map.retire(worker);
-        self.senders[worker] = None;
-        self.report.workers_lost.push(worker);
-        self.report.orphaned_tuples += orphans;
-        if let Some(lv) = self.live.as_ref() {
-            lv.on_worker_lost(worker, orphans, self.map.live_count());
-        }
-        self.report.recovery_ns.record_value(t0.elapsed().as_nanos().max(1) as u64);
-        if let Some(r) = self.ring.as_mut() {
-            let now = obs::trace::now_ns();
-            r.record_arg("recover", span_start, now.saturating_sub(span_start), worker as u64);
-        }
-        Ok(Vec::new())
+        self.retire_position(worker, orphans);
     }
 
-    /// Ring transport: drops a retired worker from the arena's reuse
-    /// watermark. The arena contract requires that the reader never
+    /// Drops a retired worker from the arena's reuse watermark. The arena contract requires that the reader never
     /// reads again, so this waits — bounded by the supervision deadline
     /// — for the worker thread to actually exit (its `AliveGuard` flips
     /// the cell dead on the way out, scripted kills and panics alike);
@@ -1421,9 +1313,10 @@ impl Router {
                 std::thread::sleep(IDLE_SLEEP);
             }
         }
-        if let Some(arena) = self.arena.as_mut() {
-            arena.deactivate(worker);
-        }
+        self.arena
+            .as_mut()
+            .expect("broadcast mode has an arena")
+            .deactivate(worker);
         Ok(())
     }
 
@@ -1440,70 +1333,20 @@ impl Router {
         self.recover_all(dead)
     }
 
-    /// Flush barrier over the survivors. A worker that dies mid-flush
-    /// simply never acknowledges: recovering it drops its lane, which
-    /// (with its receiving side already gone) frees the queued token and
-    /// lets the barrier cover the survivors instead of deadlocking.
-    ///
-    /// Channel transport: workers acknowledge on a dedicated ack
-    /// channel. Ring transport: workers publish the flush token to
-    /// their cell ([`WorkerCell::flushed`]) and the router polls —
-    /// no reverse channel needed.
+    /// Flush barrier over the survivors: every live worker gets a
+    /// [`Msg::Flush`] token, publishes it to its cell
+    /// ([`WorkerCell::flushed`]) once it has drained its result buffer,
+    /// and the router polls the cells — no reverse link needed. A worker
+    /// that dies mid-flush simply never acknowledges: recovering it
+    /// retires its position, and the barrier covers the survivors
+    /// instead of deadlocking.
     fn flush(&mut self) -> Result<(), JoinError> {
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
-        if self.arena.is_some() {
-            self.flush_ring()
-        } else {
-            self.flush_channel()
-        }
-    }
-
-    fn flush_channel(&mut self) -> Result<(), JoinError> {
-        let (ack_tx, ack_rx) = bounded::<()>(self.map.total());
-        let mut sent = 0usize;
-        let mut lost = Vec::new();
-        for w in self.map.live().to_vec() {
-            if self.senders[w].is_none() {
-                continue;
-            }
-            match self.send_msg(w, Msg::Flush(FlushToken::Ack(ack_tx.clone())))? {
-                SendStatus::Sent => sent += 1,
-                SendStatus::Lost => lost.push(w),
-            }
-        }
-        drop(ack_tx);
-        self.recover_all(lost)?;
-        let mut acks = 0usize;
-        while acks < sent {
-            match ack_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(()) => acks += 1,
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => self.reap_dead()?,
-            }
-        }
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
-        Ok(())
-    }
-
-    fn flush_ring(&mut self) -> Result<(), JoinError> {
+        self.require_live()?;
         self.flush_seq += 1;
         let token = self.flush_seq;
-        let mut waiting = Vec::new();
-        let mut lost = Vec::new();
-        for w in self.map.live().to_vec() {
-            if self.senders[w].is_none() {
-                continue;
-            }
-            match self.send_msg(w, Msg::Flush(FlushToken::Seq(token)))? {
-                SendStatus::Sent => waiting.push(w),
-                SendStatus::Lost => lost.push(w),
-            }
-        }
+        let lost = self.send_to_live(|| Msg::Flush(token))?;
         self.recover_all(lost)?;
+        let mut waiting = self.map.live().to_vec();
         let mut spins = 0u32;
         loop {
             // Acquire pairs with the worker's Release store: once we see
@@ -1526,10 +1369,7 @@ impl Router {
                 std::thread::sleep(IDLE_SLEEP);
             }
         }
-        if self.map.live_count() == 0 {
-            return Err(JoinError::AllWorkersLost);
-        }
-        Ok(())
+        self.require_live()
     }
 }
 
@@ -1549,9 +1389,6 @@ pub struct SplitJoin {
     /// [`SplitJoin::drain_results`] harvests; `None` when counting-only.
     sink: Option<Arc<crate::collect::ResultSink>>,
     batch_size: usize,
-    /// Which probe kernel the workers run — decides whether the outcome
-    /// carries [`JoinOutcome::kernel_stats`].
-    kernel: Kernel,
     /// Caller-side distribution buffer; drained on flush/shutdown so a
     /// partial batch is never lost.
     pending: RefCell<Vec<(StreamTag, Tuple)>>,
@@ -1567,7 +1404,6 @@ impl SplitJoin {
     /// builder methods reject these, but the fields are public).
     pub fn spawn(config: SplitJoinConfig) -> Self {
         config.common.validate();
-        let transport = config.transport;
         let partitioned = config.partitioning == Partitioning::Hash;
         if partitioned {
             // Checked here rather than in `JoinConfig::validate` so a
@@ -1586,53 +1422,40 @@ impl SplitJoin {
             assert!(config.hot_key_factor > 0.0, "hot-key factor must be positive");
         }
 
-        // Result path: one shared MPSC channel (channel transport) or
-        // one dedicated SPSC ring per worker (ring transport).
+        // Result path: one dedicated SPSC ring per worker, drained by the
+        // collector thread.
         let mut collector = None;
         let mut sink = None;
-        let mut chan_results: Option<Sender<Vec<MatchPair>>> = None;
-        let mut ring_results: Vec<Option<ResultsLane>> = Vec::new();
+        let mut result_rings: Vec<RingProducer<MatchPair>> = Vec::new();
         if config.collect_results {
             let shared = Arc::new(crate::collect::ResultSink::default());
-            match transport {
-                Transport::Channel => {
-                    let (tx, rx) = bounded::<Vec<MatchPair>>(1_024);
-                    chan_results = Some(tx);
-                    let dst = Arc::clone(&shared);
-                    collector = Some(std::thread::spawn(move || collector_loop(&rx, &dst)));
-                }
-                Transport::Ring => {
-                    let mut consumers = Vec::with_capacity(config.num_cores);
-                    for _ in 0..config.num_cores {
-                        let (tx, rx) = ring::spsc::<MatchPair>(RESULT_RING_CAPACITY);
-                        ring_results.push(Some(ResultsLane::Ring(tx)));
-                        consumers.push(rx);
-                    }
-                    let dst = Arc::clone(&shared);
-                    collector =
-                        Some(std::thread::spawn(move || ring_collector_loop(consumers, &dst)));
-                }
-            }
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..config.num_cores)
+                .map(|_| ring::spsc::<MatchPair>(RESULT_RING_CAPACITY))
+                .unzip();
+            result_rings = txs;
+            let dst = Arc::clone(&shared);
+            collector = Some(std::thread::spawn(move || collector_thread(rxs, &dst)));
             sink = Some(shared);
         }
+        let mut result_rings = result_rings.into_iter();
 
         // Distribution path. The arena holds `channel_capacity + 2`
         // batch slots: every batch a worker can have queued, plus the
         // one it is probing, plus the one being published — so arena
         // reuse only ever waits when a ring is itself saturated.
-        let (arena, mut readers) = match transport {
-            // Partitioned mode ships per-worker keyed sub-batches, not
-            // broadcasts — the shared arena would be pure overhead, so
-            // it is never created and recovery never retires readers.
-            Transport::Ring if !partitioned => {
-                let (writer, readers) = ring::batch_arena::<(StreamTag, Tuple)>(
-                    config.channel_capacity + 2,
-                    config.num_cores,
-                );
-                (Some(writer), readers.into_iter().map(Some).collect::<Vec<_>>())
-            }
-            _ => (None, Vec::new()),
+        // Partitioned mode ships per-worker keyed sub-batches, not
+        // broadcasts — the shared arena would be pure overhead, so it is
+        // never created and recovery never retires readers.
+        let (arena, readers) = if partitioned {
+            (None, Vec::new())
+        } else {
+            let (writer, readers) = ring::batch_arena::<(StreamTag, Tuple)>(
+                config.channel_capacity + 2,
+                config.num_cores,
+            );
+            (Some(writer), readers)
         };
+        let mut readers = readers.into_iter();
 
         let mut senders = Vec::with_capacity(config.num_cores);
         let mut cells = Vec::with_capacity(config.num_cores);
@@ -1640,38 +1463,16 @@ impl SplitJoin {
         for position in 0..config.num_cores {
             let cell = Arc::new(WorkerCell::default());
             cells.push(Arc::clone(&cell));
-            let results = match transport {
-                Transport::Channel => chan_results.clone().map(ResultsLane::Channel),
-                Transport::Ring => {
-                    ring_results.get_mut(position).and_then(Option::take)
-                }
-            };
-            let feed = match transport {
-                Transport::Channel => {
-                    let (tx, rx) = bounded::<Msg>(config.channel_capacity);
-                    senders.push(Some(Lane::Channel(tx)));
-                    WorkerFeed::Channel(rx)
-                }
-                Transport::Ring => {
-                    let (tx, rx) = ring::spsc::<Msg>(config.channel_capacity);
-                    senders.push(Some(Lane::Ring(tx)));
-                    let reader = readers.get_mut(position).and_then(Option::take);
-                    debug_assert_eq!(
-                        reader.is_some(),
-                        !partitioned,
-                        "one arena reader per broadcast ring worker"
-                    );
-                    WorkerFeed::Ring(rx, reader)
-                }
-            };
+            let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
+            senders.push(Some(tx));
+            let arena = readers.next();
+            let results = result_rings.next();
             let cfg = config.clone();
             let live = obs::live::active().then(|| LiveWorker::new(position));
             workers.push(std::thread::spawn(move || {
-                worker_loop(position, &cfg, feed, results, &cell, live)
+                worker_loop(position, &cfg, msgs, arena, results, &cell, live)
             }));
         }
-        drop(chan_results); // collector exits once every worker has stopped
-        let ring_stats = (transport == Transport::Ring).then(RingStats::default);
         let replicas = config.replicate_on_loss.then(|| {
             let cap = config.effective_window();
             (ReplicaBuf::new(cap), ReplicaBuf::new(cap))
@@ -1707,7 +1508,7 @@ impl SplitJoin {
                 report: FaultReport::default(),
                 ring,
                 arena,
-                ring_stats,
+                ring_stats: RingStats::default(),
                 flush_seq: 0,
                 part,
                 live: obs::live::active().then(|| LiveRouter::new(&config)),
@@ -1716,7 +1517,6 @@ impl SplitJoin {
             collector,
             sink,
             batch_size: config.batch_size,
-            kernel: config.kernel,
             pending: RefCell::new(Vec::with_capacity(config.batch_size)),
         }
     }
@@ -1729,8 +1529,8 @@ impl SplitJoin {
     /// # Errors
     ///
     /// [`JoinError::AllWorkersLost`] when no live worker remains;
-    /// [`JoinError::Saturated`] when a worker's channel stays full with
-    /// a frozen heartbeat past the supervision deadline. Losing *some*
+    /// [`JoinError::Saturated`] when a worker's ring stays full with a
+    /// frozen heartbeat past the supervision deadline. Losing *some*
     /// workers is not an error — the router re-partitions over the
     /// survivors and reports the damage in [`JoinOutcome::fault`].
     pub fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
@@ -1811,7 +1611,7 @@ impl SplitJoin {
         self.flush()?;
         let Some(sink) = &self.sink else { return Ok(Vec::new()) };
         // The flush barrier guarantees every live worker has handed its
-        // buffered results to its lane; killed workers already accounted
+        // buffered results to its ring; killed workers already accounted
         // their unflushed buffers as `results_dropped`, never as sent.
         // So the summed successful handoffs are exactly what must reach
         // the sink.
@@ -1829,7 +1629,7 @@ impl SplitJoin {
 
     /// Stops all threads and returns the accumulated outcome. Any
     /// buffered partial batch is drained first — workers never observe
-    /// channel close with submitted-but-unsent tuples outstanding, so an
+    /// their ring close with submitted-but-unsent tuples outstanding, so an
     /// explicit [`SplitJoin::flush`] before shutdown is not required for
     /// completeness.
     ///
@@ -1847,34 +1647,22 @@ impl SplitJoin {
         // which the fault report already accounts as worker loss.
         let _ = self.drain_pending();
         let mut router = self.router.into_inner();
-        for w in router.map.live().to_vec() {
-            match router.senders[w].as_mut() {
-                Some(Lane::Channel(tx)) => {
-                    let _ = tx.send(Msg::Stop);
-                }
-                // Best effort: a full ring skips the Stop, and the
-                // producer drop below closes the ring — the worker
-                // drains what is queued and exits on disconnect, which
-                // is the same exit path.
-                Some(Lane::Ring(prod)) => {
-                    let _ = prod.try_push(Msg::Stop);
-                }
-                None => {}
-            }
+        // Best effort: a full ring skips the Stop, and the producer drop
+        // below closes the ring — the worker drains what is queued and
+        // exits on disconnect, which is the same exit path.
+        for prod in router.senders.iter_mut().flatten() {
+            let _ = prod.try_push(Msg::Stop);
         }
         router.senders.clear();
         let mut worker_stats = Vec::with_capacity(self.workers.len());
         let mut trace = Vec::new();
         let mut panicked: Option<usize> = None;
-        let mut kernel_stats =
-            (self.kernel == Kernel::Blocked).then(KernelStats::default);
+        let mut kernel_stats = KernelStats::default();
         for (i, w) in self.workers.into_iter().enumerate() {
             match w.join() {
                 Ok((stats, kstats, ring)) => {
                     worker_stats.push(stats);
-                    if let Some(ks) = kernel_stats.as_mut() {
-                        ks.merge(&kstats);
-                    }
+                    kernel_stats.merge(&kstats);
                     trace.extend(ring);
                 }
                 Err(_) => {
@@ -1932,9 +1720,9 @@ impl SplitJoin {
             batch_sizes: router.batch_hist,
             trace,
             fault: router.report,
-            ring_stats: router.ring_stats.take(),
+            ring_stats: Some(router.ring_stats),
             partition_stats,
-            kernel_stats,
+            kernel_stats: Some(kernel_stats),
         })
     }
 }
@@ -1984,18 +1772,12 @@ impl crate::streamjoin::JoinSummary for JoinOutcome {
     }
 }
 
-fn collector_loop(rx: &Receiver<Vec<MatchPair>>, sink: &crate::collect::ResultSink) {
-    for chunk in rx.iter() {
-        sink.deposit(chunk);
-    }
-}
-
-/// Ring-transport result gathering: drains every worker's SPSC result
-/// ring round-robin until all of them disconnect (their producers drop
-/// when the workers exit). Each sweep's harvest is deposited into the
-/// shared sink as one chunk, so a concurrent drain sees results land
-/// in batches, not one at a time.
-fn ring_collector_loop(mut rxs: Vec<RingConsumer<MatchPair>>, sink: &crate::collect::ResultSink) {
+/// Result gathering: drains every worker's SPSC result ring round-robin
+/// until all of them disconnect (their producers drop when the workers
+/// exit). Each sweep's harvest is deposited into the shared sink as one
+/// chunk, so a concurrent drain sees results land in batches, not one
+/// at a time.
+fn collector_thread(mut rxs: Vec<RingConsumer<MatchPair>>, sink: &crate::collect::ResultSink) {
     let mut scratch = Vec::new();
     let mut spins = 0u32;
     loop {
@@ -2117,7 +1899,6 @@ struct WorkerState {
     position: u64,
     n: u64,
     predicate: JoinPredicate,
-    kernel: Kernel,
     window_r: SwWindow,
     window_s: SwWindow,
     r_count: u64,
@@ -2131,13 +1912,14 @@ struct WorkerState {
     /// counting-only).
     out: Vec<MatchPair>,
     out_chunk: usize,
-    /// Dropped (set to `None`) on the first failed send — a dead
+    /// This worker's result ring toward the collector; `None` when
+    /// counting-only, and dropped on the first failed send — a dead
     /// collector degrades result delivery, it doesn't kill the worker.
-    results: Option<ResultsLane>,
+    results: Option<RingProducer<MatchPair>>,
     cell: Arc<WorkerCell>,
     /// Keyed-dispatch shards; `None` in broadcast mode.
     part: Option<PartState>,
-    /// Blocked-kernel batch buffers; idle on the scalar kernel.
+    /// Blocked-path batch buffers.
     scratch: BlockedScratch,
 }
 
@@ -2146,63 +1928,48 @@ struct WorkerState {
 /// worker. Free function so the probe loop can call it while the
 /// opposite window is borrowed.
 fn send_result_chunk(
-    results: &mut Option<ResultsLane>,
+    results: &mut Option<RingProducer<MatchPair>>,
     cell: &WorkerCell,
     out: &mut Vec<MatchPair>,
 ) {
-    let Some(lane) = results else { return };
-    match lane {
-        ResultsLane::Channel(tx) => {
-            let chunk = std::mem::take(out);
-            let n = chunk.len() as u64;
-            if tx.send(chunk).is_err() {
-                cell.results_dropped.fetch_add(n, Ordering::Relaxed);
-                *results = None;
-            } else {
-                cell.results_sent.fetch_add(n, Ordering::Release);
-            }
-        }
-        ResultsLane::Ring(tx) => {
-            let mut sent = 0usize;
-            let mut spins = 0u32;
-            while sent < out.len() {
-                match tx.push_batch(&out[sent..]) {
-                    Ok(0) => {
-                        // Collector back-pressure: wait for ring space.
-                        if spins < 256 {
-                            spins += 1;
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(IDLE_SLEEP);
-                        }
-                    }
-                    Ok(n) => {
-                        cell.results_sent.fetch_add(n as u64, Ordering::Release);
-                        sent += n;
-                        spins = 0;
-                    }
-                    Err(_) => {
-                        cell.results_dropped
-                            .fetch_add((out.len() - sent) as u64, Ordering::Relaxed);
-                        *results = None;
-                        break;
-                    }
+    let Some(tx) = results else { return };
+    let mut sent = 0usize;
+    let mut spins = 0u32;
+    while sent < out.len() {
+        match tx.push_batch(&out[sent..]) {
+            Ok(0) => {
+                // Collector back-pressure: wait for ring space.
+                if spins < 256 {
+                    spins += 1;
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_SLEEP);
                 }
             }
-            out.clear();
+            Ok(n) => {
+                cell.results_sent.fetch_add(n as u64, Ordering::Release);
+                sent += n;
+                spins = 0;
+            }
+            Err(_) => {
+                cell.results_dropped
+                    .fetch_add((out.len() - sent) as u64, Ordering::Relaxed);
+                *results = None;
+                break;
+            }
         }
     }
+    out.clear();
 }
 
 impl WorkerState {
     /// One distribution batch. The blocked kernel applies only where it
     /// pays: nested-loop windows with enough probes to fill compare
-    /// tiles ([`MIN_BLOCK_PROBES`]). Everything else — the scalar
-    /// kernel, hash windows (whose chain walks are pointer-chasing, not
-    /// scannable), undersized batches — runs the per-tuple path.
+    /// tiles ([`MIN_BLOCK_PROBES`]). Everything else — hash windows
+    /// (whose chain walks are pointer-chasing, not scannable) and
+    /// undersized batches — runs the per-tuple path.
     fn handle_batch(&mut self, batch: &[(StreamTag, Tuple)]) {
-        let nested = matches!(self.window_r, SwWindow::Nested(_));
-        if self.kernel == Kernel::Blocked && nested {
+        if matches!(self.window_r, SwWindow::Nested(_)) {
             if batch.len() >= MIN_BLOCK_PROBES {
                 self.handle_batch_blocked(batch);
                 return;
@@ -2227,7 +1994,7 @@ impl WorkerState {
     /// rule (at most `capacity` newest entries survive). The kernel
     /// probes the full snapshot; per-probe scalar corrections subtract
     /// the evicted prefix and add the intra-batch span, reproducing the
-    /// scalar path's `comparisons`/`matches`/`stored` bit for bit.
+    /// per-tuple path's `comparisons`/`matches`/`stored` bit for bit.
     fn handle_batch_blocked(&mut self, batch: &[(StreamTag, Tuple)]) {
         let materialize = self.results.is_some();
         let mut lens = [0usize; 2];
@@ -2382,7 +2149,7 @@ impl WorkerState {
         }
         // Phase 3: the deferred stores, in arrival order per side (the
         // two windows are independent, so side-major application lands
-        // the same final ring state as the interleaved scalar path).
+        // the same final ring state as the interleaved per-tuple path).
         for side in 0..2 {
             let window = if side == 0 { &mut self.window_r } else { &mut self.window_s };
             for &t in &self.scratch.news[side] {
@@ -2400,7 +2167,6 @@ impl WorkerState {
         // mutate.
         let WorkerState {
             predicate,
-            kernel,
             window_r,
             window_s,
             stats,
@@ -2455,16 +2221,11 @@ impl WorkerState {
                 }
             }
             SwWindow::Hash(w) => {
-                // The blocked kernel can't tile a hash chain walk, but it
-                // hides the walk's latency: prefetch the next chain node
-                // while evaluating the current one.
-                let hits = if *kernel == Kernel::Blocked {
-                    w.probe_prefetch(probe_key)
-                } else {
-                    w.probe(probe_key)
-                };
+                // A hash chain walk can't be tiled, but its latency can
+                // be hidden: prefetch the next chain node while
+                // evaluating the current one.
                 let mut matched = 0u64;
-                for stored in hits {
+                for stored in w.probe_prefetch(probe_key) {
                     stats.comparisons += 1;
                     stats.matches += 1;
                     matched += 1;
@@ -2475,10 +2236,8 @@ impl WorkerState {
                         }
                     }
                 }
-                if *kernel == Kernel::Blocked {
-                    kstats.lanes += matched;
-                    kstats.match_bits += matched;
-                }
+                kstats.lanes += matched;
+                kstats.match_bits += matched;
             }
         }
         self.store(tag, tuple, true);
@@ -2495,7 +2254,7 @@ impl WorkerState {
             self.stats.tuples_seen += 1;
         }
         // Disjoint field borrows, as in `handle_tuple`.
-        let WorkerState { part, kernel, stats, kstats, out, out_chunk, results, cell, .. } = self;
+        let WorkerState { part, stats, kstats, out, out_chunk, results, cell, .. } = self;
         let ps = part.as_mut().expect("keyed dispatch needs shard state");
         let horizon = ps.horizon;
         let (own, opposite) = match e.tag {
@@ -2504,7 +2263,7 @@ impl WorkerState {
         };
         if e.probe {
             opposite.evict_below(e.opp.saturating_sub(horizon));
-            if *kernel == Kernel::Blocked && results.is_none() {
+            if results.is_none() {
                 // Keyed shards chain by exact key, so every chain entry
                 // matches: counting-only probes collapse to the O(1)
                 // chain length instead of walking it.
@@ -2589,17 +2348,22 @@ enum BatchOutcome {
     Kill,
 }
 
-/// One distribution batch through the fault script: stall, drop-or-
-/// probe, scripted panic, scripted kill — shared verbatim by the
-/// channel ([`Msg::Batch`]) and ring ([`Msg::ArenaBatch`]) paths so the
-/// two transports keep bit-for-bit identical fault semantics.
+/// One distribution message through the fault script: stall, drop-or-
+/// probe, scripted panic, scripted kill. `probe` is the mode's own work
+/// on the message's `len` entries — [`WorkerState::handle_batch`] for a
+/// broadcast batch, [`WorkerState::handle_part_entry`] per entry for a
+/// keyed sub-batch — so both dispatch modes share one script. `batch_no`
+/// is this worker's own received-message count (which, in keyed
+/// dispatch, can lag the router's batch count — a worker only gets a
+/// message when a key routes to it).
 fn run_scripted_batch(
     w: &mut WorkerState,
     plan: &FaultPlan,
     position: usize,
     batch_no: u64,
-    batch: &[(StreamTag, Tuple)],
+    len: usize,
     ring: &mut Option<obs::trace::TraceRing>,
+    probe: impl FnOnce(&mut WorkerState),
 ) -> BatchOutcome {
     let stall = plan.stall_ms(position, batch_no);
     if stall > 0 {
@@ -2613,10 +2377,10 @@ fn run_scripted_batch(
         w.cell.drops.fetch_add(1, Ordering::Relaxed);
     } else {
         let t0 = obs::trace::now_ns();
-        w.handle_batch(batch);
+        probe(w);
         if let Some(r) = ring.as_mut() {
             let t1 = obs::trace::now_ns();
-            r.record_arg("probe", t0, t1.saturating_sub(t0), batch.len() as u64);
+            r.record_arg("probe", t0, t1.saturating_sub(t0), len as u64);
         }
     }
     if plan.panics(position, batch_no) {
@@ -2634,55 +2398,15 @@ fn run_scripted_batch(
     BatchOutcome::Continue
 }
 
-/// [`run_scripted_batch`] for keyed-dispatch sub-batches
-/// ([`Msg::Part`]): identical stall / drop-or-probe / panic / kill
-/// script hooks, keyed on this worker's own received-message count
-/// (which, unlike broadcast mode, can lag the router's batch count —
-/// a worker only gets a message when a key routes to it).
-fn run_scripted_part_batch(
-    w: &mut WorkerState,
-    plan: &FaultPlan,
-    position: usize,
-    batch_no: u64,
-    entries: &[PartEntry],
-    ring: &mut Option<obs::trace::TraceRing>,
-) -> BatchOutcome {
-    let stall = plan.stall_ms(position, batch_no);
-    if stall > 0 {
-        w.cell.stalls.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(stall));
-    }
-    if plan.drops(position, batch_no) {
-        w.cell.drops.fetch_add(1, Ordering::Relaxed);
-    } else {
-        let t0 = obs::trace::now_ns();
-        for &e in entries {
-            w.handle_part_entry(e);
-        }
-        if let Some(r) = ring.as_mut() {
-            let t1 = obs::trace::now_ns();
-            r.record_arg("probe", t0, t1.saturating_sub(t0), entries.len() as u64);
-        }
-    }
-    if plan.panics(position, batch_no) {
-        w.publish();
-        panic!("fault injection: worker {position} scripted panic at batch {batch_no}");
-    }
-    if plan.kills(position, batch_no) {
-        w.cell
-            .results_dropped
-            .fetch_add(w.out.len() as u64, Ordering::Relaxed);
-        w.publish();
-        return BatchOutcome::Kill;
-    }
-    BatchOutcome::Continue
-}
-
 fn worker_loop(
     position: usize,
     config: &SplitJoinConfig,
-    mut feed: WorkerFeed,
-    results: Option<ResultsLane>,
+    mut msgs: RingConsumer<Msg>,
+    // This worker's reader into the shared batch arena, where
+    // [`Msg::ArenaBatch`] payloads live; `None` in partitioned mode,
+    // which ships keyed sub-batches ([`Msg::Part`]) instead.
+    mut arena: Option<ArenaReader<(StreamTag, Tuple)>>,
+    results: Option<RingProducer<MatchPair>>,
     cell: &Arc<WorkerCell>,
     mut live: Option<LiveWorker>,
 ) -> WorkerExit {
@@ -2701,7 +2425,6 @@ fn worker_loop(
         position: position as u64,
         n: config.num_cores as u64,
         predicate: config.predicate,
-        kernel: config.kernel,
         window_r: SwWindow::new(config.algorithm, sub),
         window_s: SwWindow::new(config.algorithm, sub),
         r_count: 0,
@@ -2735,7 +2458,7 @@ fn worker_loop(
         // exported as `.wait_ns` and the rest of the iteration as
         // `.busy_ns`; unarmed, neither clock is read.
         let wait_start = live.as_ref().map(|_| obs::trace::now_ns());
-        let Some(msg) = feed.recv() else { break };
+        let Some(msg) = recv_msg(&mut msgs) else { break };
         let busy_start = wait_start.map(|t0| {
             let now = obs::trace::now_ns();
             if let Some(lv) = live.as_ref() {
@@ -2748,23 +2471,20 @@ fn worker_loop(
             r.record("recv", idle_since, t.saturating_sub(idle_since));
         }
         match msg {
-            Msg::Batch(batch) => {
-                batch_no += 1;
-                if let BatchOutcome::Kill =
-                    run_scripted_batch(&mut w, plan, position, batch_no, &batch, &mut ring)
-                {
-                    return (w.stats, w.kstats, ring);
-                }
-            }
             Msg::ArenaBatch { seq } => {
                 batch_no += 1;
                 // Probe the arena slot in place; release it only after
                 // the whole batch is processed (a scripted panic unwinds
                 // without releasing — recovery then waits for this
                 // thread to die before retiring the reader).
-                let reader = feed.arena_reader();
+                let reader = arena
+                    .as_mut()
+                    .expect("arena batches only arrive in broadcast mode");
+                let batch = reader.read(seq);
                 let outcome =
-                    run_scripted_batch(&mut w, plan, position, batch_no, reader.read(seq), &mut ring);
+                    run_scripted_batch(&mut w, plan, position, batch_no, batch.len(), &mut ring, |w| {
+                        w.handle_batch(batch)
+                    });
                 reader.release(seq);
                 if let BatchOutcome::Kill = outcome {
                     return (w.stats, w.kstats, ring);
@@ -2772,9 +2492,13 @@ fn worker_loop(
             }
             Msg::Part(entries) => {
                 batch_no += 1;
-                if let BatchOutcome::Kill =
-                    run_scripted_part_batch(&mut w, plan, position, batch_no, &entries, &mut ring)
-                {
+                let outcome =
+                    run_scripted_batch(&mut w, plan, position, batch_no, entries.len(), &mut ring, |w| {
+                        for &e in entries.iter() {
+                            w.handle_part_entry(e);
+                        }
+                    });
+                if let BatchOutcome::Kill = outcome {
                     return (w.stats, w.kstats, ring);
                 }
             }
@@ -2810,15 +2534,9 @@ fn worker_loop(
                     let t1 = obs::trace::now_ns();
                     r.record("send", t0, t1.saturating_sub(t0));
                 }
-                match token {
-                    FlushToken::Ack(ack) => {
-                        let _ = ack.send(());
-                    }
-                    // Release pairs with the router's Acquire poll: the
-                    // token becomes visible only after the result flush
-                    // above.
-                    FlushToken::Seq(seq) => w.cell.flushed.store(seq, Ordering::Release),
-                }
+                // Release pairs with the router's Acquire poll: the token
+                // becomes visible only after the result flush above.
+                w.cell.flushed.store(token, Ordering::Release);
             }
             Msg::Stop => break,
         }
@@ -2902,8 +2620,8 @@ mod tests {
     fn shutdown_drains_partial_batches() {
         // Regression: with `batch_size` larger than the whole stream, no
         // batch is ever full — shutdown (without an explicit flush) must
-        // still deliver every buffered tuple before workers see channel
-        // close.
+        // still deliver every buffered tuple before workers see their
+        // ring close.
         let inputs: Vec<_> = WorkloadSpec::new(40, KeyDist::Uniform { domain: 4 })
             .generate()
             .collect();
@@ -3136,21 +2854,48 @@ mod tests {
         assert_eq!(outcome.result_count, 1);
     }
 
-    /// The per-worker stat fields that must be bit-identical across
-    /// kernels, folded over all workers.
-    fn folded_stats(outcome: &JoinOutcome) -> [u64; 4] {
-        let mut t = [0u64; 4];
-        for w in &outcome.worker_stats {
-            t[0] += w.tuples_seen;
-            t[1] += w.stored;
-            t[2] += w.comparisons;
-            t[3] += w.matches;
+    /// Batch sizes below [`MIN_BLOCK_PROBES`] keep a broadcast worker on
+    /// the per-tuple probe — the in-tree reference path.
+    const PER_TUPLE_BATCHES: [usize; 2] = [1, 7];
+    /// Batch sizes that engage the blocked compare tiles.
+    const BLOCKED_BATCHES: [usize; 3] = [8, 64, 512];
+
+    /// Runs `mk(batch)` at every per-tuple-path and blocked-path batch
+    /// size and asserts result multisets, counts and per-worker
+    /// [`WorkerStats`] all equal the `batch_size = 1` run. Returns that
+    /// reference run plus the `(batch, outcome)` pairs of the rest.
+    fn assert_batch_size_invariant(
+        mk: impl Fn(usize) -> SplitJoinConfig,
+        inputs: &[(StreamTag, Tuple)],
+        label: &str,
+    ) -> (JoinOutcome, Vec<(usize, JoinOutcome)>) {
+        let reference = run_workload(mk(1), inputs);
+        let rest: Vec<_> = PER_TUPLE_BATCHES[1..]
+            .iter()
+            .chain(&BLOCKED_BATCHES)
+            .map(|&batch| (batch, run_workload(mk(batch), inputs)))
+            .collect();
+        for (batch, outcome) in &rest {
+            assert_eq!(
+                as_multiset(&outcome.results),
+                as_multiset(&reference.results),
+                "{label}: result mismatch at batch {batch}"
+            );
+            assert_eq!(outcome.result_count, reference.result_count, "{label}: batch {batch}");
+            assert_eq!(
+                outcome.worker_stats, reference.worker_stats,
+                "{label}: per-worker stat mismatch at batch {batch}"
+            );
         }
-        t
+        (reference, rest)
+    }
+
+    fn tiles(outcome: &JoinOutcome) -> u64 {
+        outcome.kernel_stats.expect("every run carries kernel stats").tiles
     }
 
     #[test]
-    fn blocked_kernel_is_bit_identical_to_scalar() {
+    fn blocked_path_is_bit_identical_to_per_tuple_path() {
         let inputs: Vec<_> = WorkloadSpec::new(900, KeyDist::Uniform { domain: 24 })
             .generate()
             .collect();
@@ -3160,36 +2905,29 @@ mod tests {
             JoinPredicate::LessThan,
             JoinPredicate::All,
         ] {
-            for batch in [8usize, 64, 256] {
-                let mk = |kernel| {
-                    SplitJoinConfig::new(3, 48)
-                        .with_predicate(pred)
-                        .with_batch_size(batch)
-                        .with_kernel(kernel)
-                };
-                let scalar = run_workload(mk(Kernel::Scalar), &inputs);
-                let blocked = run_workload(mk(Kernel::Blocked), &inputs);
-                assert_eq!(
-                    as_multiset(&scalar.results),
-                    as_multiset(&blocked.results),
-                    "result mismatch: {pred:?} batch {batch}"
-                );
-                assert_eq!(
-                    folded_stats(&scalar),
-                    folded_stats(&blocked),
-                    "stat mismatch: {pred:?} batch {batch}"
-                );
-                assert!(scalar.kernel_stats.is_none());
-                let ks = blocked.kernel_stats.expect("blocked runs carry kernel stats");
-                if batch >= MIN_BLOCK_PROBES && pred != JoinPredicate::All {
-                    assert!(ks.tiles > 0, "{pred:?} batch {batch} never tiled");
+            let mk = |batch| {
+                SplitJoinConfig::new(3, 48).with_predicate(pred).with_batch_size(batch)
+            };
+            let (reference, rest) = assert_batch_size_invariant(mk, &inputs, &format!("{pred:?}"));
+            assert_eq!(
+                as_multiset(&reference.results),
+                as_multiset(&reference_join(&inputs, 48, pred)),
+                "{pred:?}: vs reference join"
+            );
+            assert_eq!(tiles(&reference), 0, "batch 1 must stay on the per-tuple path");
+            for (batch, outcome) in &rest {
+                let blocked = *batch >= MIN_BLOCK_PROBES;
+                if !blocked {
+                    assert_eq!(tiles(outcome), 0, "{pred:?} batch {batch} must not tile");
+                } else if pred != JoinPredicate::All {
+                    assert!(tiles(outcome) > 0, "{pred:?} batch {batch} never tiled");
                 }
             }
         }
     }
 
     #[test]
-    fn blocked_kernel_survives_intra_batch_window_wrap() {
+    fn blocked_path_survives_intra_batch_window_wrap() {
         // Window far smaller than the batch: most probes see snapshot
         // entries evicted mid-batch plus freshly stored siblings, so the
         // correction spans do all the work.
@@ -3197,59 +2935,59 @@ mod tests {
             .generate()
             .collect();
         for cores in [1usize, 2, 3] {
-            let mk = |kernel| {
-                SplitJoinConfig::new(cores, 8).with_batch_size(512).with_kernel(kernel)
-            };
-            let scalar = run_workload(mk(Kernel::Scalar), &inputs);
-            let blocked = run_workload(mk(Kernel::Blocked), &inputs);
-            assert_eq!(as_multiset(&scalar.results), as_multiset(&blocked.results));
-            assert_eq!(folded_stats(&scalar), folded_stats(&blocked), "{cores} cores");
-            let want =
-                reference_join(&inputs, mk(Kernel::Blocked).effective_window(), JoinPredicate::Equi);
-            assert_eq!(as_multiset(&blocked.results), as_multiset(&want));
+            let mk = |batch| SplitJoinConfig::new(cores, 8).with_batch_size(batch);
+            let (reference, rest) =
+                assert_batch_size_invariant(mk, &inputs, &format!("{cores} cores"));
+            let want = reference_join(&inputs, mk(1).effective_window(), JoinPredicate::Equi);
+            assert_eq!(as_multiset(&reference.results), as_multiset(&want));
+            let (_, widest) = rest.last().expect("blocked batch sizes ran");
             assert!(
-                blocked.kernel_stats.unwrap().scalar_fallbacks > 0,
+                widest.kernel_stats.unwrap().scalar_fallbacks > 0,
                 "wrap corrections must be accounted"
             );
         }
     }
 
     #[test]
-    fn blocked_counting_matches_scalar_counting() {
+    fn blocked_counting_matches_per_tuple_counting() {
         let inputs: Vec<_> = WorkloadSpec::new(1_000, KeyDist::Uniform { domain: 16 })
             .generate()
             .collect();
-        let mk = |kernel| {
-            SplitJoinConfig::new(3, 24).with_batch_size(128).with_kernel(kernel).counting_only()
-        };
-        let scalar = run_workload(mk(Kernel::Scalar), &inputs);
-        let blocked = run_workload(mk(Kernel::Blocked), &inputs);
-        assert_eq!(scalar.result_count, blocked.result_count);
-        assert_eq!(folded_stats(&scalar), folded_stats(&blocked));
-        let ks = blocked.kernel_stats.unwrap();
-        assert!(ks.tiles > 0 && ks.lanes > 0);
+        let mk = |batch| SplitJoinConfig::new(3, 24).with_batch_size(batch).counting_only();
+        let (reference, rest) = assert_batch_size_invariant(mk, &inputs, "counting");
+        assert_eq!(
+            reference.result_count,
+            reference_join(&inputs, 24, JoinPredicate::Equi).len() as u64
+        );
+        for (batch, outcome) in rest.iter().filter(|(b, _)| *b >= MIN_BLOCK_PROBES) {
+            let ks = outcome.kernel_stats.unwrap();
+            assert!(ks.tiles > 0 && ks.lanes > 0, "batch {batch}");
+        }
     }
 
     #[test]
-    fn blocked_hash_algorithm_agrees_with_scalar() {
-        // Hash windows take the prefetched chain walk, not the tiles:
+    fn hash_algorithm_stays_on_the_per_tuple_path_at_every_batch_size() {
+        // Hash windows take the prefetched chain walk, never the tiles:
         // identical results, zero tiles, lanes mirroring the hits.
         let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 12 })
             .generate()
             .collect();
-        let mk = |kernel| {
+        let mk = |batch| {
             SplitJoinConfig::new(2, 32)
                 .with_algorithm(SwJoinAlgorithm::Hash)
-                .with_batch_size(64)
-                .with_kernel(kernel)
+                .with_batch_size(batch)
         };
-        let scalar = run_workload(mk(Kernel::Scalar), &inputs);
-        let blocked = run_workload(mk(Kernel::Blocked), &inputs);
-        assert_eq!(as_multiset(&scalar.results), as_multiset(&blocked.results));
-        assert_eq!(folded_stats(&scalar), folded_stats(&blocked));
-        let ks = blocked.kernel_stats.unwrap();
-        assert_eq!(ks.tiles, 0, "hash probing never tiles");
-        assert_eq!(ks.lanes, folded_stats(&blocked)[3], "one lane per chain hit");
+        let (reference, rest) = assert_batch_size_invariant(mk, &inputs, "hash");
+        assert_eq!(
+            as_multiset(&reference.results),
+            as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
+        );
+        for (batch, outcome) in std::iter::once(&(1, reference)).chain(&rest) {
+            let ks = outcome.kernel_stats.unwrap();
+            assert_eq!(ks.tiles, 0, "hash probing never tiles (batch {batch})");
+            let matches: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
+            assert_eq!(ks.lanes, matches, "one lane per chain hit (batch {batch})");
+        }
     }
 
     #[test]
@@ -3257,20 +2995,24 @@ mod tests {
         let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
             .generate()
             .collect();
-        let blocked = run_workload(
-            SplitJoinConfig::new(2, 16).with_batch_size(64).with_kernel(Kernel::Blocked),
-            &inputs,
-        );
-        let reg = blocked.registry();
-        assert!(reg.get("splitjoin.kernel.tiles").is_some());
+        let outcome =
+            run_workload(SplitJoinConfig::new(2, 16).with_batch_size(64), &inputs);
+        let reg = outcome.registry();
+        assert!(reg.get("splitjoin.kernel.tiles").is_some_and(|t| t > 0));
         assert!(reg.get("splitjoin.kernel.lanes").is_some());
         assert!(reg.get("splitjoin.kernel.match_density_x1000").is_some());
         assert!(reg.get("splitjoin.kernel.scalar_fallbacks").is_some());
-        let scalar = run_workload(
-            SplitJoinConfig::new(2, 16).with_batch_size(64).with_kernel(Kernel::Scalar),
-            &inputs,
-        );
-        assert_eq!(scalar.registry().get("splitjoin.kernel.tiles"), None);
+    }
+
+    #[test]
+    fn replica_buf_keeps_owner_positions_at_full_width() {
+        // Regression: owners were stored as `u8`, so position 256 aliased
+        // position 0 and recovery re-adopted the wrong orphans.
+        let mut buf = ReplicaBuf::new(8);
+        let t = Tuple::new(7, 70);
+        buf.push(256, t);
+        assert!(buf.orphans_of(0, 8).is_empty());
+        assert_eq!(buf.orphans_of(256, 8), vec![t]);
     }
 
     #[test]
@@ -3337,20 +3079,32 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_blocked_counting_matches_scalar() {
-        // Keyed dispatch + blocked + counting-only takes the O(1)
-        // chain-length shortcut; the tallies must not move.
+    fn partitioned_counting_shortcut_matches_the_chain_walk() {
+        // Keyed dispatch + counting-only takes the O(1) chain-length
+        // shortcut; collecting runs walk the chain. The tallies must not
+        // move, at any batch size.
         let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Zipf { domain: 64, s: 1.2 })
             .generate()
             .collect();
-        let mk = |kernel| part_config(4, 32).with_kernel(kernel).counting_only();
-        let scalar = run_workload(mk(Kernel::Scalar), &inputs);
-        let blocked = run_workload(mk(Kernel::Blocked), &inputs);
-        assert_eq!(scalar.result_count, blocked.result_count);
-        assert_eq!(folded_stats(&scalar), folded_stats(&blocked));
-        let ks = blocked.kernel_stats.unwrap();
+        let (walked, _) = assert_batch_size_invariant(
+            |batch| part_config(4, 32).with_batch_size(batch),
+            &inputs,
+            "keyed collecting",
+        );
+        let (counted, _) = assert_batch_size_invariant(
+            |batch| part_config(4, 32).with_batch_size(batch).counting_only(),
+            &inputs,
+            "keyed counting",
+        );
+        assert_eq!(
+            as_multiset(&walked.results),
+            as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
+        );
+        assert_eq!(counted.result_count, walked.result_count);
+        assert_eq!(counted.worker_stats, walked.worker_stats);
+        let ks = counted.kernel_stats.unwrap();
         assert_eq!(ks.tiles, 0, "keyed dispatch never tiles");
-        assert_eq!(ks.lanes, blocked.result_count, "one lane per chain entry");
+        assert_eq!(ks.lanes, counted.result_count, "one lane per chain entry");
     }
 
     #[test]
@@ -3377,21 +3131,16 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_matches_broadcast_on_both_transports() {
+    fn partitioned_matches_broadcast_under_skew() {
         let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Zipf { domain: 12, s: 0.8 })
             .generate()
             .collect();
         let want = as_multiset(&reference_join(&inputs, 48, JoinPredicate::Equi));
         assert!(!want.is_empty());
-        for transport in [Transport::Channel, Transport::Ring] {
-            let outcome =
-                run_workload(part_config(3, 48).with_transport(transport), &inputs);
-            assert_eq!(
-                as_multiset(&outcome.results),
-                want,
-                "partitioned mismatch on {transport:?}"
-            );
-        }
+        let broadcast = run_workload(SplitJoinConfig::new(3, 48), &inputs);
+        let partitioned = run_workload(part_config(3, 48), &inputs);
+        assert_eq!(as_multiset(&broadcast.results), want);
+        assert_eq!(as_multiset(&partitioned.results), want);
     }
 
     #[test]
@@ -3484,6 +3233,54 @@ mod tests {
     }
 
     #[test]
+    fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
+        // Keyed dispatch acknowledges flushes through the per-worker
+        // token cells: a retired position must drop out of the barrier
+        // instead of wedging it, the drain must complete over the
+        // survivors, and the orphan count must be exactly the victim's
+        // ledger — its share of the last window of each stream.
+        let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+            .generate()
+            .collect();
+        let (cores, window, batch, victim, after_batch) = (4usize, 64usize, 50usize, 1usize, 4u64);
+        // Splitting disabled, so every key is stored at its rendezvous owner.
+        let config = part_config(cores, window)
+            .with_batch_size(batch)
+            .with_hot_key_factor(1e9)
+            .with_fault_plan(FaultPlan::none().with(FaultEvent::Kill {
+                worker: victim,
+                after_batch,
+            }));
+        let join = SplitJoin::spawn(config);
+        for &(tag, t) in &inputs {
+            join.process(tag, t).unwrap();
+        }
+        join.flush().expect("barrier must cover the survivors");
+        let drained = join.drain_results().expect("drain must complete after a kill");
+        assert!(!drained.is_empty());
+        let outcome = join.shutdown().unwrap();
+        assert_eq!(outcome.fault.workers_lost, vec![victim]);
+        assert_eq!(drained.len() as u64, outcome.result_count, "the drain harvested everything");
+
+        let map = PartitionMap::identity(cores);
+        let before_kill = &inputs[..batch * after_batch as usize];
+        let ledger: usize = [StreamTag::R, StreamTag::S]
+            .into_iter()
+            .map(|side| {
+                before_kill
+                    .iter()
+                    .rev()
+                    .filter(|&&(tag, _)| tag == side)
+                    .take(window)
+                    .filter(|&&(_, t)| map.key_owner(t.key()) == victim)
+                    .count()
+            })
+            .sum();
+        assert!(ledger > 0);
+        assert_eq!(outcome.fault.orphaned_tuples, ledger as u64);
+    }
+
+    #[test]
     #[should_panic(expected = "equi-join predicate")]
     fn partitioned_rejects_non_equi_predicates() {
         let _ = SplitJoin::spawn(
@@ -3523,7 +3320,7 @@ mod tests {
     #[cfg(feature = "obs")]
     fn live_plane_exports_router_and_worker_metrics() {
         // The live registry is process-global: arm the plane, run one
-        // ring-transport engine, then check the global snapshot for
+        // engine, then check the global snapshot for
         // every exported key family. Sibling tests running concurrently
         // can only *add* to the shared counters, so the floor
         // assertions below stay race-free.
@@ -3531,10 +3328,7 @@ mod tests {
         let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
             .generate()
             .collect();
-        let config = SplitJoinConfig::new(2, 32)
-            .with_batch_size(64)
-            .with_transport(Transport::Ring);
-        let outcome = run_workload(config, &inputs);
+        let outcome = run_workload(SplitJoinConfig::new(2, 32).with_batch_size(64), &inputs);
         obs::live::set_active(false);
         assert!(!outcome.results.is_empty());
 

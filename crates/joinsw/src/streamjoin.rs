@@ -12,13 +12,12 @@
 //! [`FaultReport`] describing any degradation.
 //!
 //! Engine-internal disciplines stay out of this trait on purpose: the
-//! SplitJoin transport ([`Transport`](crate::config::Transport)) and
-//! dispatch mode ([`Partitioning`](crate::config::Partitioning)) are
-//! config knobs, not API surface, which is what lets one generic
-//! harness A/B broadcast against partitioned dispatch (or channel
-//! against ring) without a line of engine-specific code — the
-//! cross-impl equivalence suite drives all engines and all knob
-//! combinations through exactly this trait.
+//! SplitJoin dispatch mode
+//! ([`Partitioning`](crate::config::Partitioning)) is a config knob, not
+//! API surface, which is what lets one generic harness A/B broadcast
+//! against partitioned dispatch without a line of engine-specific code —
+//! the cross-impl equivalence suite drives all engines and both dispatch
+//! modes through exactly this trait.
 //!
 //! ```
 //! use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};

@@ -2,7 +2,8 @@
 //! router and the handshake chain: the per-worker heartbeat/liveness
 //! cell, the scope guard that marks a cell dead on any exit path, the
 //! bounded-backoff policy ([`SendSupervisor`]), and the supervised send
-//! for each transport (channel `send_timeout`, ring claim-retry).
+//! for each link kind (the handshake chain's channel `send_timeout`,
+//! SplitJoin's ring claim-retry).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,8 +70,8 @@ pub(crate) struct WorkerCell {
     /// removed from the join — used where the coordinator has no
     /// ownership model of its own (the handshake chain).
     pub(crate) orphaned: AtomicU64,
-    /// Highest flush token this worker has acknowledged — the ring
-    /// transport's flush barrier (channels carry an ack sender in the
+    /// Highest flush token this worker has acknowledged — SplitJoin's
+    /// flush barrier (the handshake chain carries an ack sender in the
     /// message instead).
     pub(crate) flushed: AtomicU64,
 }
@@ -214,7 +215,7 @@ pub(crate) fn supervised_send<T>(
     }
 }
 
-/// Ring-transport counterpart of [`supervised_send`]: claim-retry with
+/// Ring counterpart of [`supervised_send`]: claim-retry with
 /// a yield phase, then the same backoff/saturation policy (a ring has
 /// no blocking send to lean on). Returns the status plus the
 /// nanoseconds spent waiting, which the router feeds the claim-wait

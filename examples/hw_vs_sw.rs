@@ -13,9 +13,9 @@ use accel_landscape::joinhw::harness::{
 };
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
 use accel_landscape::joinsw::harness::{
-    host_parallelism, measure_throughput, modeled_throughput,
+    host_parallelism, measure_throughput_with, modeled_throughput,
 };
-use accel_landscape::joinsw::splitjoin::SplitJoinConfig;
+use accel_landscape::joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 
 fn main() {
     let window = 1 << 14; // keep the demo snappy; the paper uses 2^18
@@ -41,11 +41,13 @@ fn main() {
     println!("  {}", report.power);
 
     // Software: SplitJoin on this host.
-    let single = measure_throughput(SplitJoinConfig::new(1, window), 2_048, 1 << 20)
-        .expect("software run failed");
+    let (single, _) =
+        measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(1, window), 2_048, 1 << 20)
+            .expect("software run failed");
     let sw = if host_parallelism() >= sw_cores {
-        measure_throughput(SplitJoinConfig::new(sw_cores, window), 16_384, 1 << 20)
+        measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(sw_cores, window), 16_384, 1 << 20)
             .expect("software run failed")
+            .0
             .per_second()
     } else {
         println!(

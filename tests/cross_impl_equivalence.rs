@@ -4,11 +4,11 @@
 //! (serialized), and the single-threaded reference — produces the same
 //! result multiset on the same workload.
 //!
-//! The second half of the file pins *cross-transport* equivalence: the
-//! SplitJoin channel and ring transports must agree — results, counts,
+//! The second half of the file pins *run-to-run determinism*: two runs
+//! of the same SplitJoin configuration must agree — results, counts,
 //! per-worker statistics, and (under a scripted [`FaultPlan`]) the
 //! exact damage report — at every worker count, because batch message
-//! boundaries are identical on both paths.
+//! boundaries, not thread timing, decide what every worker sees.
 //!
 //! The next section pins *cross-dispatch* equivalence: hash-partitioned
 //! dispatch (PanJoin mode) must produce the same result multiset as
@@ -16,10 +16,10 @@
 //! uniform and zipf-skewed workloads at every worker count, including
 //! when a scripted kill takes out a partition owner mid-run.
 //!
-//! The final section pins *cross-kernel* equivalence: the blocked probe
-//! kernel must be observationally identical to the scalar kernel —
-//! results and per-worker statistics — across the full
-//! kernel × transport × dispatch matrix.
+//! The final section pins *cross-path* equivalence: the blocked probe
+//! path (batches of 8 tuples or more) must be observationally identical
+//! to the per-tuple probe path (smaller batches) — results and
+//! per-worker statistics — in both dispatch modes.
 
 mod common;
 
@@ -28,7 +28,7 @@ use accel_landscape::joinhw::biflow::BiFlowJoin;
 use accel_landscape::joinhw::uniflow::UniFlowJoin;
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinOperator, NetworkKind};
 use accel_landscape::joinsw::baseline::reference_join;
-use accel_landscape::joinsw::config::{Kernel, Partitioning, Transport};
+use accel_landscape::joinsw::config::Partitioning;
 use accel_landscape::joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use accel_landscape::joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
 use accel_landscape::joinsw::{FaultEvent, FaultPlan};
@@ -146,95 +146,77 @@ fn equivalence_holds_across_seeds_and_selectivities() {
     }
 }
 
-/// Runs a SplitJoin to completion on one transport. `batch_size` is
-/// pinned explicitly so the comparison is immune to the `ACCEL_SW_BATCH`
-/// CI legs — identical batch boundaries are exactly what makes the two
-/// transports comparable bit-for-bit under a fault plan.
-fn run_transport(
-    transport: Transport,
-    cores: usize,
-    batch_size: usize,
-    plan: Option<&FaultPlan>,
-    inputs: &[(StreamTag, Tuple)],
-) -> JoinOutcome {
-    let mut config = SplitJoinConfig::new(cores, WINDOW)
-        .with_batch_size(batch_size)
-        .with_transport(transport);
-    if let Some(plan) = plan {
-        config = config.with_fault_plan(plan.clone());
-    }
-    let join = SplitJoin::spawn(config);
-    for &(tag, t) in inputs {
-        join.process(tag, t).unwrap();
-    }
-    join.flush().unwrap();
-    join.shutdown().unwrap()
-}
-
-/// Everything that must match across transports. Recovery latency is
-/// wall-clock and ring telemetry is per-transport, so neither is
-/// compared; all logical outputs are.
-fn assert_outcomes_agree(ring: &JoinOutcome, channel: &JoinOutcome, label: &str) {
+/// Everything that must match between two runs of one configuration.
+/// Recovery latency is wall-clock and ring telemetry depends on thread
+/// timing, so neither is compared; all logical outputs are.
+fn assert_outcomes_agree(first: &JoinOutcome, second: &JoinOutcome, label: &str) {
     assert_eq!(
-        as_multiset(&ring.results),
-        as_multiset(&channel.results),
+        as_multiset(&first.results),
+        as_multiset(&second.results),
         "{label}: result multisets diverge"
     );
-    assert_eq!(ring.result_count, channel.result_count, "{label}: counts");
+    assert_eq!(first.result_count, second.result_count, "{label}: counts");
     assert_eq!(
-        ring.worker_stats, channel.worker_stats,
+        first.worker_stats, second.worker_stats,
         "{label}: per-worker statistics"
     );
     assert_eq!(
-        ring.batch_sizes.total(),
-        channel.batch_sizes.total(),
+        first.batch_sizes.total(),
+        second.batch_sizes.total(),
         "{label}: batch message count"
     );
     assert_eq!(
-        ring.fault.workers_lost, channel.fault.workers_lost,
+        first.fault.workers_lost, second.fault.workers_lost,
         "{label}: lost workers"
     );
     assert_eq!(
-        ring.fault.orphaned_tuples, channel.fault.orphaned_tuples,
+        first.fault.orphaned_tuples, second.fault.orphaned_tuples,
         "{label}: orphan accounting"
     );
     assert_eq!(
-        ring.fault.injected_stalls, channel.fault.injected_stalls,
+        first.fault.injected_stalls, second.fault.injected_stalls,
         "{label}: stall count"
     );
     assert_eq!(
-        ring.fault.injected_drops, channel.fault.injected_drops,
+        first.fault.injected_drops, second.fault.injected_drops,
         "{label}: drop count"
     );
     assert_eq!(
-        ring.fault.results_dropped, channel.fault.results_dropped,
+        first.fault.results_dropped, second.fault.results_dropped,
         "{label}: results dropped at kill"
     );
 }
 
+/// Two broadcast-dispatch runs of the same configuration.
+fn run_twice(
+    cores: usize,
+    batch_size: usize,
+    plan: Option<&FaultPlan>,
+    inputs: &[(StreamTag, Tuple)],
+) -> (JoinOutcome, JoinOutcome) {
+    let run = || run_dispatch(Partitioning::Broadcast, cores, batch_size, plan, inputs);
+    (run(), run())
+}
+
 #[test]
-fn ring_and_channel_transports_agree_at_every_worker_count() {
+fn healthy_runs_are_deterministic_at_every_worker_count() {
     let inputs = workload(600, 8, 42);
     for cores in [1usize, 2, 4, 8] {
-        let ring = run_transport(Transport::Ring, cores, 16, None, &inputs);
-        let channel = run_transport(Transport::Channel, cores, 16, None, &inputs);
-        assert_outcomes_agree(&ring, &channel, &format!("{cores} cores healthy"));
-        assert!(
-            ring.ring_stats.is_some() && channel.ring_stats.is_none(),
-            "ring telemetry belongs to the ring transport only"
-        );
-        assert!(!ring.fault.degraded());
+        let (first, second) = run_twice(cores, 16, None, &inputs);
+        assert_outcomes_agree(&first, &second, &format!("{cores} cores healthy"));
+        assert!(first.ring_stats.is_some(), "every run carries ring telemetry");
+        assert!(!first.fault.degraded());
     }
 }
 
 #[test]
-fn transports_agree_under_kill_and_stall_faults() {
+fn kill_and_stall_faults_are_deterministic() {
     let inputs = workload(600, 8, 7);
     for cores in [1usize, 2, 4, 8] {
         // A stall early, then (with a sibling to survive) a kill at a
         // later batch boundary — the orphan accounting and the
         // results_dropped tally must come out identical because both
-        // transports deliver identical batch boundaries.
+        // runs deliver identical batch boundaries.
         let mut plan = FaultPlan::none().with(FaultEvent::Stall {
             worker: 0,
             at_batch: 2,
@@ -243,39 +225,36 @@ fn transports_agree_under_kill_and_stall_faults() {
         if cores > 1 {
             plan = plan.with(FaultEvent::Kill { worker: cores - 1, after_batch: 4 });
         }
-        let ring = run_transport(Transport::Ring, cores, 16, Some(&plan), &inputs);
-        let channel = run_transport(Transport::Channel, cores, 16, Some(&plan), &inputs);
-        assert_outcomes_agree(&ring, &channel, &format!("{cores} cores faulted"));
-        assert_eq!(ring.fault.injected_stalls, 1);
+        let (first, second) = run_twice(cores, 16, Some(&plan), &inputs);
+        assert_outcomes_agree(&first, &second, &format!("{cores} cores faulted"));
+        assert_eq!(first.fault.injected_stalls, 1);
         if cores > 1 {
-            assert_eq!(ring.fault.workers_lost, vec![cores - 1]);
-            assert!(ring.fault.degraded());
+            assert_eq!(first.fault.workers_lost, vec![cores - 1]);
+            assert!(first.fault.degraded());
         }
     }
 }
 
 #[test]
-fn transports_agree_on_drop_corruption() {
+fn drop_corruption_is_deterministic() {
     // A scripted message drop corrupts the round-robin discipline on
-    // one worker — deliberately. Both transports must corrupt the same
-    // way (same dropped batch boundary), so outcomes still agree.
+    // one worker — deliberately. Every run must corrupt the same way
+    // (same dropped batch boundary), so outcomes still agree.
     let inputs = workload(400, 8, 21);
     let plan = FaultPlan::none().with(FaultEvent::Drop { worker: 1, at_batch: 3 });
-    let ring = run_transport(Transport::Ring, 4, 16, Some(&plan), &inputs);
-    let channel = run_transport(Transport::Channel, 4, 16, Some(&plan), &inputs);
-    assert_outcomes_agree(&ring, &channel, "scripted drop");
-    assert_eq!(ring.fault.injected_drops, 1);
+    let (first, second) = run_twice(4, 16, Some(&plan), &inputs);
+    assert_outcomes_agree(&first, &second, "scripted drop");
+    assert_eq!(first.fault.injected_drops, 1);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized cross-transport equivalence: any workload, any core
-    /// count, any batch size — the ring transport is observationally
-    /// identical to the channel transport (and both match the
-    /// single-threaded reference).
+    /// Randomized equivalence: any workload, any core count, any batch
+    /// size (both probe paths) — two runs agree with each other and with
+    /// the single-threaded reference.
     #[test]
-    fn transports_agree_on_random_workloads(
+    fn random_workloads_match_the_reference(
         n in 100usize..400,
         domain in 2u32..32,
         seed in any::<u64>(),
@@ -283,20 +262,19 @@ proptest! {
         batch in 1usize..64,
     ) {
         let inputs = workload(n, domain, seed);
-        let ring = run_transport(Transport::Ring, cores, batch, None, &inputs);
-        let channel = run_transport(Transport::Channel, cores, batch, None, &inputs);
-        prop_assert_eq!(as_multiset(&ring.results), as_multiset(&channel.results));
-        prop_assert_eq!(&ring.worker_stats, &channel.worker_stats);
+        let (first, second) = run_twice(cores, batch, None, &inputs);
+        prop_assert_eq!(as_multiset(&first.results), as_multiset(&second.results));
+        prop_assert_eq!(&first.worker_stats, &second.worker_stats);
         let window = SplitJoinConfig::new(cores, WINDOW).effective_window();
         let want = as_multiset(&reference_join(&inputs, window, JoinPredicate::Equi));
-        prop_assert_eq!(as_multiset(&ring.results), want);
+        prop_assert_eq!(as_multiset(&first.results), want);
     }
 }
 
-/// Runs a SplitJoin to completion in the given dispatch mode. Batch
-/// size is pinned for the same reason as [`run_transport`]: identical
-/// batch boundaries make the broadcast and hash-partitioned runs
-/// comparable point-for-point under a fault plan.
+/// Runs a SplitJoin to completion in the given dispatch mode.
+/// `batch_size` is pinned explicitly so every comparison is immune to
+/// the `ACCEL_SW_BATCH` CI leg — identical batch boundaries are exactly
+/// what makes two runs comparable point-for-point under a fault plan.
 fn run_dispatch(
     partitioning: Partitioning,
     cores: usize,
@@ -420,56 +398,34 @@ fn partitioned_kill_of_a_partition_owner_degrades_cleanly() {
     assert!(!stats.live.contains(&victim), "victim must leave the live set");
 }
 
-/// Runs a SplitJoin to completion at one point of the
-/// kernel × transport × dispatch matrix.
-fn run_matrix(
-    kernel: Kernel,
-    transport: Transport,
-    partitioning: Partitioning,
-    batch_size: usize,
-    inputs: &[(StreamTag, Tuple)],
-) -> JoinOutcome {
-    let config = SplitJoinConfig::new(CORES as usize, WINDOW)
-        .with_batch_size(batch_size)
-        .with_kernel(kernel)
-        .with_transport(transport)
-        .with_partitioning(partitioning);
-    let join = SplitJoin::spawn(config);
-    for &(tag, t) in inputs {
-        join.process(tag, t).unwrap();
-    }
-    join.flush().unwrap();
-    join.shutdown().unwrap()
-}
-
 #[test]
-fn kernels_agree_across_transports_and_dispatch_modes() {
+fn per_tuple_and_blocked_paths_agree_across_dispatch_modes() {
     let inputs = workload(600, 8, 123);
     let want = as_multiset(&reference_join(&inputs, WINDOW, JoinPredicate::Equi));
     assert!(!want.is_empty());
-    for transport in [Transport::Ring, Transport::Channel] {
-        for partitioning in [Partitioning::Broadcast, Partitioning::Hash] {
-            for batch in [16usize, 64] {
-                let scalar =
-                    run_matrix(Kernel::Scalar, transport, partitioning, batch, &inputs);
-                let blocked =
-                    run_matrix(Kernel::Blocked, transport, partitioning, batch, &inputs);
-                let label = format!("{transport:?}/{partitioning:?}/batch {batch}");
-                assert_eq!(
-                    as_multiset(&scalar.results),
-                    as_multiset(&blocked.results),
-                    "{label}: kernels diverge"
-                );
-                assert_eq!(
-                    scalar.worker_stats, blocked.worker_stats,
-                    "{label}: per-worker statistics diverge"
-                );
-                assert_eq!(as_multiset(&blocked.results), want, "{label}: vs reference");
-                assert!(
-                    scalar.kernel_stats.is_none() && blocked.kernel_stats.is_some(),
-                    "{label}: kernel telemetry belongs to the blocked kernel only"
-                );
-            }
+    for partitioning in [Partitioning::Broadcast, Partitioning::Hash] {
+        let run = |batch| run_dispatch(partitioning, CORES as usize, batch, None, &inputs);
+        // Batch 1 runs the per-tuple probe: the in-tree reference path.
+        let per_tuple = run(1);
+        assert_eq!(as_multiset(&per_tuple.results), want, "{partitioning:?}: vs reference");
+        // 7 stays on the per-tuple path; 8, 64 and 512 engage the
+        // blocked tiles (broadcast dispatch only — keyed shards never
+        // tile).
+        for batch in [7usize, 8, 64, 512] {
+            let other = run(batch);
+            let label = format!("{partitioning:?}/batch {batch}");
+            assert_eq!(
+                as_multiset(&other.results),
+                as_multiset(&per_tuple.results),
+                "{label}: probe paths diverge"
+            );
+            assert_eq!(
+                other.worker_stats, per_tuple.worker_stats,
+                "{label}: per-worker statistics diverge"
+            );
+            let tiles = other.kernel_stats.expect("every run carries kernel telemetry").tiles;
+            let blocked = partitioning == Partitioning::Broadcast && batch >= 8;
+            assert_eq!(tiles > 0, blocked, "{label}: {tiles} tiles");
         }
     }
 }

@@ -12,7 +12,6 @@
 
 use std::time::Duration;
 
-use joinsw::config::Transport;
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
@@ -72,11 +71,7 @@ fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
     let inputs: Vec<_> = WorkloadSpec::new(2_000, KeyDist::Uniform { domain: 16 })
         .generate()
         .collect();
-    let join = SplitJoin::spawn(
-        SplitJoinConfig::new(2, 64)
-            .with_batch_size(32)
-            .with_transport(Transport::Ring),
-    );
+    let join = SplitJoin::spawn(SplitJoinConfig::new(2, 64).with_batch_size(32));
     // Feed half the stream, then scrape mid-run: the run is still live
     // (workers spawned, not yet shut down) when the endpoint answers.
     let (first, second) = inputs.split_at(inputs.len() / 2);
