@@ -1,0 +1,176 @@
+//! What travels between the router, the join cores and the collector:
+//! the distribution message, and both ends of the result rings.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+use streamcore::ring::{PopError, RingConsumer, RingProducer};
+use streamcore::{MatchPair, PartitionMap, StreamTag, Tuple};
+
+use crate::supervise::WorkerCell;
+
+/// Per-worker result-ring capacity (individual [`MatchPair`]s, not
+/// chunks). Generous enough that a draining collector never
+/// back-pressures the probe loop in practice.
+pub(super) const RESULT_RING_CAPACITY: usize = 8_192;
+
+/// How long an idle thread sleeps between ring polls once spinning and
+/// yielding have not produced work.
+pub(super) const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
+pub(super) enum Msg {
+    /// One distribution batch resident in the shared
+    /// [`batch arena`](streamcore::ring::batch_arena): the worker probes
+    /// arena slot `seq % slots` in place — zero-copy — and releases it
+    /// afterwards so the slot can be reused.
+    ArenaBatch {
+        /// Arena sequence number identifying the batch.
+        seq: u64,
+    },
+    /// One keyed-dispatch sub-batch (partitioned mode): only the
+    /// entries this worker owns or must probe, each stamped with the
+    /// global stream coordinates that keep its shard window-equivalent
+    /// to the broadcast realization.
+    Part(Arc<[PartEntry]>),
+    /// Window pre-fill (no probing), shared across all workers.
+    Prefill(StreamTag, Arc<[Tuple]>),
+    /// Re-replicated orphans of a dead worker: insert directly into this
+    /// worker's own sub-window, without probing or advancing the
+    /// round-robin counters.
+    Adopt(StreamTag, Arc<[Tuple]>),
+    /// A worker died: switch to this partition map for future storage
+    /// turns. All survivors see it at the same position in their FIFO
+    /// queues, so they switch at an identical tuple boundary.
+    Reconfigure(Arc<PartitionMap>),
+    /// Barrier token: drain local result buffers, then publish the
+    /// token to [`WorkerCell::flushed`], which the router polls.
+    Flush(u64),
+    Stop,
+}
+
+/// One keyed-dispatch entry: a tuple plus the global stream coordinates
+/// the receiving worker needs to evict its shard by exactly the
+/// watermarks the broadcast window realizes.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PartEntry {
+    pub(super) tag: StreamTag,
+    pub(super) tuple: Tuple,
+    /// Global per-stream sequence number of this tuple (0-based).
+    pub(super) seq: u64,
+    /// Opposite-stream tuple count at this tuple's arrival — the probe
+    /// watermark: the shard evicts below `opp - window` before probing.
+    pub(super) opp: u64,
+    /// Store into the own-stream shard (the key's owner, or the hot
+    /// round-robin turn).
+    pub(super) store: bool,
+    /// Probe the opposite-stream shard (`false` for prefill).
+    pub(super) probe: bool,
+}
+
+/// Blocking receive on a worker's distribution ring. `None` means the
+/// router is gone and the ring is fully drained. Spins briefly, then
+/// yields, then parks in short sleeps: the latency-critical wakeups
+/// (next batch in a loaded run) are caught by the spin/yield phases.
+pub(super) fn recv_msg(msgs: &mut RingConsumer<Msg>) -> Option<Msg> {
+    let mut spins = 0u32;
+    loop {
+        match msgs.try_pop() {
+            Ok(msg) => return Some(msg),
+            Err(PopError::Disconnected) => return None,
+            Err(PopError::Empty) => {
+                if spins < 64 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else if spins < 192 {
+                    spins += 1;
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_SLEEP);
+                }
+            }
+        }
+    }
+}
+
+/// Hands one buffered chunk to the collector; a dead collector degrades
+/// to counting (`results_dropped` accounting), it doesn't kill the
+/// worker. Free function so the probe loop can call it while the
+/// opposite window is borrowed.
+pub(super) fn send_result_chunk(
+    results: &mut Option<RingProducer<MatchPair>>,
+    cell: &WorkerCell,
+    out: &mut Vec<MatchPair>,
+) {
+    let Some(tx) = results else { return };
+    let mut sent = 0usize;
+    let mut spins = 0u32;
+    while sent < out.len() {
+        match tx.push_batch(&out[sent..]) {
+            Ok(0) => {
+                // Collector back-pressure: wait for ring space.
+                if spins < 256 {
+                    spins += 1;
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_SLEEP);
+                }
+            }
+            Ok(n) => {
+                cell.results_sent.fetch_add(n as u64, Ordering::Release);
+                sent += n;
+                spins = 0;
+            }
+            Err(_) => {
+                cell.results_dropped
+                    .fetch_add((out.len() - sent) as u64, Ordering::Relaxed);
+                *results = None;
+                break;
+            }
+        }
+    }
+    out.clear();
+}
+
+/// Result gathering: drains every worker's SPSC result ring round-robin
+/// until all of them disconnect (their producers drop when the workers
+/// exit). Each sweep's harvest is deposited into the shared sink as one
+/// chunk, so a concurrent drain sees results land in batches, not one
+/// at a time.
+pub(super) fn collector_thread(
+    mut rxs: Vec<RingConsumer<MatchPair>>,
+    sink: &crate::collect::ResultSink,
+) {
+    let mut scratch = Vec::new();
+    let mut spins = 0u32;
+    loop {
+        let mut drained = 0usize;
+        let mut open = false;
+        for rx in &mut rxs {
+            match rx.pop_batch(&mut scratch, usize::MAX) {
+                Ok(n) => {
+                    drained += n;
+                    open = true;
+                }
+                Err(PopError::Empty) => open = true,
+                Err(PopError::Disconnected) => {}
+            }
+        }
+        if drained > 0 {
+            sink.deposit(std::mem::take(&mut scratch));
+        }
+        if !open {
+            return;
+        }
+        if drained == 0 {
+            if spins < 256 {
+                spins += 1;
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(IDLE_SLEEP);
+            }
+        } else {
+            spins = 0;
+        }
+    }
+}

@@ -1,0 +1,142 @@
+//! Handles into the process-global live telemetry plane (`obs::live`).
+
+use std::sync::Arc;
+
+use accel_error::WorkerStats;
+
+use super::SplitJoinConfig;
+use crate::supervise::WorkerCell;
+
+/// Router-side handles into the process-global live telemetry plane
+/// (`obs::live`), created at spawn only when the plane was armed
+/// (`obs::live::set_active(true)` *before*
+/// [`SplitJoin::spawn`](super::SplitJoin::spawn)). Every update is a
+/// relaxed atomic at per-batch granularity — an armed plane costs a
+/// handful of stores per *batch*, an unarmed one a single relaxed load
+/// at spawn.
+#[derive(Debug)]
+pub(super) struct LiveRouter {
+    /// `splitjoin.batches` — caller batches routed.
+    batches: obs::live::SharedCounter,
+    /// `splitjoin.tuples` — stream tuples routed through batches.
+    tuples: obs::live::SharedCounter,
+    /// `splitjoin.partition.routed` — keyed-dispatch tuples routed
+    /// (stays 0 in broadcast mode).
+    pub(super) routed: obs::live::SharedCounter,
+    /// `splitjoin.ring.occupancy` — queued messages on the lane most
+    /// recently pushed to (ring transport; instantaneous, the sampler
+    /// turns it into a trajectory).
+    pub(super) ring_occupancy: obs::live::SharedGauge,
+    /// `splitjoin.arena.lag` — published sequence minus the slowest
+    /// reader's release watermark while the router waits on arena reuse.
+    pub(super) arena_lag: obs::live::SharedGauge,
+    /// `splitjoin.workers.live` — live positions in the partition map.
+    workers_live: obs::live::SharedGauge,
+    /// `fault.workers_lost` / `fault.orphaned_tuples` — degradation as
+    /// it happens (the post-mortem `fault.*` registry only exists after
+    /// shutdown).
+    workers_lost: obs::live::SharedCounter,
+    orphaned: obs::live::SharedCounter,
+    /// `splitjoin.worker.<i>.heartbeat_age_ns` — nanoseconds since each
+    /// live worker's last heartbeat, refreshed once per routed batch (and
+    /// for the laggard while the router waits on the arena), so a
+    /// stalling worker is scrape-visible long before the 10 s
+    /// saturation deadline.
+    pub(super) heartbeat_age: Vec<obs::live::SharedGauge>,
+}
+
+impl LiveRouter {
+    pub(super) fn new(config: &SplitJoinConfig) -> Self {
+        let reg = obs::live::global();
+        let this = Self {
+            batches: reg.counter("splitjoin.batches"),
+            tuples: reg.counter("splitjoin.tuples"),
+            routed: reg.counter("splitjoin.partition.routed"),
+            ring_occupancy: reg.gauge("splitjoin.ring.occupancy"),
+            arena_lag: reg.gauge("splitjoin.arena.lag"),
+            workers_live: reg.gauge("splitjoin.workers.live"),
+            workers_lost: reg.counter("fault.workers_lost"),
+            orphaned: reg.counter("fault.orphaned_tuples"),
+            heartbeat_age: (0..config.num_cores)
+                .map(|i| reg.gauge(&format!("splitjoin.worker.{i}.heartbeat_age_ns")))
+                .collect(),
+        };
+        this.workers_live.set(config.num_cores as u64);
+        // Lane capacity is a constant of the run; exporting it lets
+        // `obs::health` turn occupancy into a pressure fraction.
+        reg.gauge("splitjoin.ring.capacity")
+            .set(config.channel_capacity as u64);
+        this
+    }
+
+    /// Per-batch router-side refresh: throughput counters plus the
+    /// heartbeat-age gauge of every live worker (one clock read).
+    pub(super) fn on_batch(&self, len: usize, cells: &[Arc<WorkerCell>], live: &[usize]) {
+        self.batches.incr();
+        self.tuples.add(len as u64);
+        let now = obs::trace::now_ns();
+        for &w in live {
+            if let Some(age) = cells[w].heartbeat_age_ns(now) {
+                self.heartbeat_age[w].set(age);
+            }
+        }
+    }
+
+    /// A retired worker must stop alarming: its age gauge pins to zero
+    /// and the loss shows up in `fault.workers_lost` instead.
+    pub(super) fn on_worker_lost(&self, worker: usize, orphans: u64, live_count: usize) {
+        self.workers_lost.incr();
+        self.orphaned.add(orphans);
+        self.workers_live.set(live_count as u64);
+        self.heartbeat_age[worker].set(0);
+    }
+}
+
+/// Worker-side live handles (`splitjoin.worker.<i>.*`), updated once per
+/// processed message from the worker thread itself. The deltas against
+/// the last publication keep every exported counter monotone.
+#[derive(Debug)]
+pub(super) struct LiveWorker {
+    batches: obs::live::SharedCounter,
+    tuples: obs::live::SharedCounter,
+    matches: obs::live::SharedCounter,
+    /// `splitjoin.matches` — pool-wide match total. Each match is found
+    /// by exactly one worker, so the per-worker deltas sum exactly.
+    matches_total: obs::live::SharedCounter,
+    busy_ns: obs::live::SharedCounter,
+    pub(super) wait_ns: obs::live::SharedCounter,
+    last_tuples: u64,
+    last_matches: u64,
+}
+
+impl LiveWorker {
+    pub(super) fn new(position: usize) -> Self {
+        let reg = obs::live::global();
+        let name = |suffix: &str| format!("splitjoin.worker.{position}.{suffix}");
+        Self {
+            batches: reg.counter(&name("batches")),
+            tuples: reg.counter(&name("tuples")),
+            matches: reg.counter(&name("matches")),
+            matches_total: reg.counter("splitjoin.matches"),
+            busy_ns: reg.counter(&name("busy_ns")),
+            wait_ns: reg.counter(&name("wait_ns")),
+            last_tuples: 0,
+            last_matches: 0,
+        }
+    }
+
+    /// One processed message: service time plus stat deltas.
+    pub(super) fn after_msg(&mut self, stats: &WorkerStats, busy_start_ns: u64) {
+        self.busy_ns
+            .add(obs::trace::now_ns().saturating_sub(busy_start_ns));
+        self.batches.incr();
+        self.tuples.add(stats.tuples_seen - self.last_tuples);
+        self.last_tuples = stats.tuples_seen;
+        let dm = stats.matches - self.last_matches;
+        self.last_matches = stats.matches;
+        if dm > 0 {
+            self.matches.add(dm);
+            self.matches_total.add(dm);
+        }
+    }
+}

@@ -1,0 +1,551 @@
+//! Multithreaded uni-flow stream join (SplitJoin) — the software system
+//! measured in Figs. 14d and 16 of the paper.
+//!
+//! Architecture (mirroring the hardware design of Fig. 9 in threads):
+//!
+//! ```text
+//!            caller thread (distribution network)
+//!           /         |          \
+//!      join core   join core   join core      (N worker threads)
+//!           \         |          /
+//!             collector thread (result gathering network)
+//! ```
+//!
+//! Each worker owns one sub-window per stream and receives *every* tuple:
+//! it probes the tuple against its share of the opposite window and stores
+//! it round-robin ("each join core independently counts the number of
+//! tuples received and, based on its position among other join cores,
+//! determines its turn to store") — no central coordination.
+//!
+//! # The batched data path
+//!
+//! The paper observes that in software "the distribution and result
+//! gathering network also consume a portion of the processors' capacity";
+//! naïvely that cost is one cross-thread channel message *per tuple per
+//! worker* on the way in and one *per match* on the way out, which
+//! dominates the short per-tuple probe. This implementation batches both
+//! directions:
+//!
+//! * **Distribution** — [`SplitJoin::process`] accumulates tuples in a
+//!   caller-side buffer and ships one batch message per
+//!   [`JoinConfig::batch_size`](crate::config::JoinConfig::batch_size)
+//!   tuples to every worker (one arena publish per batch, N sequence
+//!   numbers — not N copies).
+//! * **Collection** — workers buffer matches locally and emit them to the
+//!   collector in chunks; in counting-only mode
+//!   ([`JoinConfig::counting_only`](crate::config::JoinConfig::counting_only))
+//!   no collector thread exists at all and matches are folded from
+//!   per-worker counters at shutdown.
+//!
+//! Batching never changes results: [`SplitJoin::flush`] and
+//! [`SplitJoin::shutdown`] both drain the partial batch first, so
+//! `batch_size = 1` reproduces the unbatched message-per-tuple path
+//! exactly and every batch size yields the same result multiset.
+//!
+//! # Transport
+//!
+//! Both directions run over lock-free SPSC rings ([`streamcore::ring`]):
+//! one ring per worker for distribution, one per worker for results, and
+//! — in broadcast mode — a shared [batch
+//! arena](streamcore::ring::batch_arena), so a broadcast ships one
+//! sequence number per worker while every join core probes the
+//! arena-resident batch *in place*: zero-copy from router to probe. The
+//! flush barrier needs no reverse link either: each worker publishes the
+//! flush token it has reached to its supervision cell and the router
+//! polls the cells.
+//!
+//! # Probe paths
+//!
+//! A worker picks its probe path from what it observes, never from an
+//! option. A broadcast batch of at least
+//! [`MIN_BLOCK_PROBES`](streamcore::kernel::MIN_BLOCK_PROBES) tuples
+//! against nested-loop windows runs the blocked batch×window compare
+//! tiles ([`streamcore::kernel`]); smaller batches (a caller that feeds
+//! per tuple and polls) and hash windows, whose chain walks cannot be
+//! tiled, run the per-tuple probe. The two are bit-identical in results
+//! and in [`WorkerStats`] — the per-tuple path is the in-tree reference
+//! the blocked path is tested against.
+//!
+//! Workers can optionally be pinned to cores
+//! ([`JoinConfig::pin_workers`](crate::config::JoinConfig::pin_workers))
+//! so each ring's two hot cache lines stay put — the software analogue
+//! of the hardware design's hard-wired point-to-point links.
+//!
+//! # Partitioned dispatch (PanJoin mode)
+//!
+//! Broadcast distribution sends every tuple to every worker — each probe
+//! pays O(window) regardless of core count. With
+//! [`Partitioning::Hash`]
+//! ([`JoinConfig::partitioning`](crate::config::JoinConfig::partitioning),
+//! overridable process-wide with `ACCEL_SW_PARTITIONING`) the window is
+//! instead *content-partitioned*
+//! by join key, PanJoin-style: rendezvous hashing
+//! ([`PartitionMap::key_owner`]) assigns each key an owning worker, the
+//! router ships each tuple only to its owner as a keyed sub-batch
+//! (tuple + global stream coordinates), and the owner
+//! probes a per-key chain ([`streamcore::PartitionedWindow`]) instead of
+//! scanning a sub-window. Eviction uses the router-stamped global
+//! sequence watermarks — never local counts — so the union of the shards
+//! equals the broadcast window at every probe and the result multiset is
+//! identical to broadcast mode (the cross-impl equivalence suite pins
+//! this, uniform and zipf, healthy and under kills).
+//!
+//! Skew is handled online: a Misra–Gries sketch ([`FreqSketch`]) watches
+//! routed keys, and a key that exceeds
+//! [`SplitJoinConfig::hot_key_factor`] fair shares of the traffic is
+//! *split* — its stores rotate round-robin over all live workers while
+//! its probes broadcast, so one hot key no longer pins a whole stream to
+//! one core. Old data stays where it was stored; probes reach everyone,
+//! so the transition loses nothing. Per-worker shard occupancy, split
+//! counts, and routing fan-out surface as
+//! [`PartitionStats`] (`splitjoin.partition.*` in the registry).
+//! Recovery keeps working — a dead position's ledger is its exact orphan
+//! count, and rendezvous hashing re-homes only the dead worker's keys —
+//! but replication is rejected at spawn, and non-equi predicates cannot
+//! be content-partitioned. See `docs/PARTITIONING.md` for a measured
+//! walkthrough.
+//!
+//! # Fault tolerance
+//!
+//! Every data-path operation is fallible ([`accel_error::JoinError`])
+//! instead of `.expect`-ing peers alive, and the distribution side is a
+//! supervised *router*:
+//!
+//! * ring pushes and arena publishes retry with a yield phase and then
+//!   bounded exponential backoff (1 ms doubling to 64 ms) while watching
+//!   the lagging worker's heartbeat counter — back-pressure with
+//!   progress waits forever, a frozen heartbeat with a full ring (or
+//!   arena) for the whole supervision deadline reports
+//!   [`JoinError::Saturated`];
+//! * a worker found dead (scripted kill from the
+//!   [`FaultPlan`](crate::fault::FaultPlan), scripted panic, or organic
+//!   death) is *recovered*: the router retires its position from the
+//!   shared [`PartitionMap`], broadcasts the new map so survivors
+//!   re-partition future storage turns at the same message boundary, and
+//!   records the exact completeness loss — the tuples orphaned inside the
+//!   dead worker's sub-window — in the outcome's
+//!   [`FaultReport`];
+//! * with [`SplitJoinConfig::with_replication`], the router additionally
+//!   keeps a replica ring of the last `effective_window` tuples per
+//!   stream and re-inserts the orphans into survivor sub-windows on
+//!   recovery.
+//!
+//! Scripted kills are recovered *proactively* at the exact batch boundary
+//! the plan names, which is what makes the orphan accounting exact: the
+//! dead worker's occupancy is the closed-form round-robin share of the
+//! streams sent so far, clamped to the sub-window size. With an empty
+//! plan none of this machinery runs per tuple: the router counts stream
+//! tags per batch and nothing else.
+
+mod config;
+mod lanes;
+mod live;
+mod outcome;
+mod router;
+#[cfg(test)]
+mod tests;
+mod worker;
+
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+use accel_error::JoinError;
+pub use accel_error::WorkerStats;
+use streamcore::kernel::KernelStats;
+use streamcore::ring::{self, RingProducer};
+use streamcore::{FreqSketch, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
+
+pub use self::config::{
+    SplitJoinConfig, SwJoinAlgorithm, DEFAULT_HOT_KEY_FACTOR, DEFAULT_HOT_MIN_SAMPLE,
+};
+pub use self::outcome::{JoinOutcome, PartitionStats, RingStats};
+pub use crate::config::{default_batch_size, DEFAULT_BATCH_SIZE};
+
+use self::lanes::{collector_thread, Msg, RESULT_RING_CAPACITY};
+use self::live::{LiveRouter, LiveWorker};
+use self::router::{PartRouter, ReplicaBuf, Router, SKETCH_CAPACITY};
+use self::worker::{worker_loop, WorkerExit};
+use crate::config::Partitioning;
+use crate::fault::FaultReport;
+use crate::supervise::WorkerCell;
+
+/// A running SplitJoin: N join-core threads plus (when collecting) a
+/// collector thread.
+///
+/// See the [crate-level example](crate) for basic usage.
+#[derive(Debug)]
+pub struct SplitJoin {
+    router: RefCell<Router>,
+    workers: Vec<JoinHandle<WorkerExit>>,
+    collector: Option<JoinHandle<()>>,
+    /// Shared deposit point the collector thread feeds and
+    /// [`SplitJoin::drain_results`] harvests; `None` when counting-only.
+    sink: Option<Arc<crate::collect::ResultSink>>,
+    batch_size: usize,
+    /// Caller-side distribution buffer; drained on flush/shutdown so a
+    /// partial batch is never lost.
+    pending: RefCell<Vec<(StreamTag, Tuple)>>,
+}
+
+impl SplitJoin {
+    /// Spawns the worker (and, unless counting-only, collector) threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.channel_capacity` or `config.batch_size` is
+    /// zero, or the fault plan targets a worker out of range (the
+    /// builder methods reject these, but the fields are public).
+    pub fn spawn(config: SplitJoinConfig) -> Self {
+        config.common.validate();
+        let partitioned = config.partitioning == Partitioning::Hash;
+        if partitioned {
+            // Checked here rather than in `JoinConfig::validate` so a
+            // process-wide `ACCEL_SW_PARTITIONING=hash` override does
+            // not panic engines that ignore the knob (the handshake
+            // chain validates the same shared config).
+            assert!(
+                config.predicate == JoinPredicate::Equi,
+                "hash partitioning requires an equi-join predicate"
+            );
+            assert!(
+                !config.replicate_on_loss,
+                "replication is not supported with hash partitioning: orphan \
+                 re-adoption would need out-of-order shard inserts; use broadcast mode"
+            );
+            assert!(config.hot_key_factor > 0.0, "hot-key factor must be positive");
+        }
+
+        // Result path: one dedicated SPSC ring per worker, drained by the
+        // collector thread.
+        let mut collector = None;
+        let mut sink = None;
+        let mut result_rings: Vec<RingProducer<MatchPair>> = Vec::new();
+        if config.collect_results {
+            let shared = Arc::new(crate::collect::ResultSink::default());
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..config.num_cores)
+                .map(|_| ring::spsc::<MatchPair>(RESULT_RING_CAPACITY))
+                .unzip();
+            result_rings = txs;
+            let dst = Arc::clone(&shared);
+            collector = Some(std::thread::spawn(move || collector_thread(rxs, &dst)));
+            sink = Some(shared);
+        }
+        let mut result_rings = result_rings.into_iter();
+
+        // Distribution path. The arena holds `channel_capacity + 2`
+        // batch slots: every batch a worker can have queued, plus the
+        // one it is probing, plus the one being published — so arena
+        // reuse only ever waits when a ring is itself saturated.
+        // Partitioned mode ships per-worker keyed sub-batches, not
+        // broadcasts — the shared arena would be pure overhead, so it is
+        // never created and recovery never retires readers.
+        let (arena, readers) = if partitioned {
+            (None, Vec::new())
+        } else {
+            let (writer, readers) = ring::batch_arena::<(StreamTag, Tuple)>(
+                config.channel_capacity + 2,
+                config.num_cores,
+            );
+            (Some(writer), readers)
+        };
+        let mut readers = readers.into_iter();
+
+        let mut senders = Vec::with_capacity(config.num_cores);
+        let mut cells = Vec::with_capacity(config.num_cores);
+        let mut workers = Vec::with_capacity(config.num_cores);
+        for position in 0..config.num_cores {
+            let cell = Arc::new(WorkerCell::default());
+            cells.push(Arc::clone(&cell));
+            let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
+            senders.push(Some(tx));
+            let arena = readers.next();
+            let results = result_rings.next();
+            let cfg = config.clone();
+            let live = obs::live::active().then(|| LiveWorker::new(position));
+            workers.push(std::thread::spawn(move || {
+                worker_loop(position, &cfg, msgs, arena, results, &cell, live)
+            }));
+        }
+        let replicas = config.replicate_on_loss.then(|| {
+            let cap = config.effective_window();
+            (ReplicaBuf::new(cap), ReplicaBuf::new(cap))
+        });
+        let ring = obs::trace::enabled().then(|| {
+            obs::trace::TraceRing::new("sw.router".to_string(), obs::trace::TimeDomain::Wall)
+        });
+        let part = partitioned.then(|| PartRouter {
+            window: config.effective_window() as u64,
+            sketch: FreqSketch::new(SKETCH_CAPACITY),
+            hot: HashMap::new(),
+            hot_factor: config.hot_key_factor,
+            min_sample: config.hot_min_sample,
+            ledger_r: vec![VecDeque::new(); config.num_cores],
+            ledger_s: vec![VecDeque::new(); config.num_cores],
+            outbox: vec![Vec::new(); config.num_cores],
+            hot_splits: 0,
+            routed: 0,
+        });
+        Self {
+            router: RefCell::new(Router {
+                senders,
+                cells,
+                map: PartitionMap::identity(config.num_cores),
+                plan: config.fault_plan.clone(),
+                sub_window: config.sub_window(),
+                batches_sent: 0,
+                batch_hist: obs::Histogram::new(),
+                r_sent: 0,
+                s_sent: 0,
+                owned: None,
+                replicas,
+                report: FaultReport::default(),
+                ring,
+                arena,
+                ring_stats: RingStats::default(),
+                flush_seq: 0,
+                part,
+                live: obs::live::active().then(|| LiveRouter::new(&config)),
+            }),
+            workers,
+            collector,
+            sink,
+            batch_size: config.batch_size,
+            pending: RefCell::new(Vec::with_capacity(config.batch_size)),
+        }
+    }
+
+    /// Submits one tuple to the distribution network. The tuple is
+    /// buffered; every `batch_size` tuples, one batch message is
+    /// broadcast to all live join cores. Blocks (with supervision) when
+    /// worker queues are full — natural back-pressure.
+    ///
+    /// # Errors
+    ///
+    /// [`JoinError::AllWorkersLost`] when no live worker remains;
+    /// [`JoinError::Saturated`] when a worker's ring stays full with a
+    /// frozen heartbeat past the supervision deadline. Losing *some*
+    /// workers is not an error — the router re-partitions over the
+    /// survivors and reports the damage in [`JoinOutcome::fault`].
+    pub fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+        let mut pending = self.pending.borrow_mut();
+        pending.push((tag, tuple));
+        if pending.len() >= self.batch_size {
+            let result = self.router.borrow_mut().send_batch(&pending);
+            pending.clear();
+            return result;
+        }
+        Ok(())
+    }
+
+    /// Broadcasts a pre-assembled batch as a single message per worker
+    /// (after draining any partial [`SplitJoin::process`] buffer, so
+    /// submission order is preserved).
+    ///
+    /// # Errors
+    ///
+    /// See [`SplitJoin::process`].
+    pub fn process_batch(&self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
+        self.drain_pending()?;
+        self.router.borrow_mut().send_batch(batch)
+    }
+
+    fn drain_pending(&self) -> Result<(), JoinError> {
+        let mut pending = self.pending.borrow_mut();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let result = self.router.borrow_mut().send_batch(&pending);
+        pending.clear();
+        result
+    }
+
+    /// Number of batch messages broadcast so far (per worker).
+    pub fn batches_sent(&self) -> u64 {
+        self.router.borrow().batches_sent
+    }
+
+    /// Loads `tuples` directly into the sliding windows without probing —
+    /// measurement setup, mirroring the hardware pre-fill path. Drains
+    /// the pending batch first so earlier `process` calls stay ordered.
+    ///
+    /// # Errors
+    ///
+    /// See [`SplitJoin::process`].
+    pub fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
+        self.drain_pending()?;
+        self.router.borrow_mut().send_prefill(tag, tuples)
+    }
+
+    /// Blocks until every live worker has drained its queue and processed
+    /// everything submitted before this call (including the partial
+    /// batch, which is flushed first), and has handed any buffered
+    /// results to the collector.
+    ///
+    /// # Errors
+    ///
+    /// See [`SplitJoin::process`]. A worker dying *during* the flush is
+    /// recovered, not an error: the barrier then covers the survivors.
+    pub fn flush(&self) -> Result<(), JoinError> {
+        self.drain_pending()?;
+        self.router.borrow_mut().flush()
+    }
+
+    /// Flushes, then removes and returns every match produced so far
+    /// and not yet drained — see
+    /// [`StreamJoin::drain_results`](crate::streamjoin::StreamJoin::drain_results).
+    /// Counting-only runs return an empty vector.
+    ///
+    /// # Errors
+    ///
+    /// See [`SplitJoin::flush`]; additionally
+    /// [`JoinError::DrainStalled`] if the collector fails to catch up
+    /// with the workers' successful result handoffs.
+    pub fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
+        self.flush()?;
+        let Some(sink) = &self.sink else { return Ok(Vec::new()) };
+        // The flush barrier guarantees every live worker has handed its
+        // buffered results to its ring; killed workers already accounted
+        // their unflushed buffers as `results_dropped`, never as sent.
+        // So the summed successful handoffs are exactly what must reach
+        // the sink.
+        let sent: u64 = {
+            let router = self.router.borrow();
+            router
+                .cells
+                .iter()
+                .map(|c| c.results_sent.load(Ordering::Acquire))
+                .sum()
+        };
+        sink.await_received(sent)?;
+        Ok(sink.take())
+    }
+
+    /// Stops all threads and returns the accumulated outcome. Any
+    /// buffered partial batch is drained first — workers never observe
+    /// their ring close with submitted-but-unsent tuples outstanding, so an
+    /// explicit [`SplitJoin::flush`] before shutdown is not required for
+    /// completeness.
+    ///
+    /// # Errors
+    ///
+    /// [`JoinError::WorkerPanicked`] if a worker thread panicked (with
+    /// its last published statistics snapshot — the stats the
+    /// pre-fault-model shutdown used to lose by re-panicking);
+    /// [`JoinError::CollectorPanicked`] if the collector died. Workers
+    /// lost to *scripted kills* exit cleanly and do not error: their
+    /// damage is in [`JoinOutcome::fault`].
+    pub fn shutdown(self) -> Result<JoinOutcome, JoinError> {
+        // Best-effort drain: during shutdown a failed drain (e.g. every
+        // worker already dead) degrades to dropping the buffered batch,
+        // which the fault report already accounts as worker loss.
+        let _ = self.drain_pending();
+        let mut router = self.router.into_inner();
+        // Best effort: a full ring skips the Stop, and the producer drop
+        // below closes the ring — the worker drains what is queued and
+        // exits on disconnect, which is the same exit path.
+        for prod in router.senders.iter_mut().flatten() {
+            let _ = prod.try_push(Msg::Stop);
+        }
+        router.senders.clear();
+        let mut worker_stats = Vec::with_capacity(self.workers.len());
+        let mut trace = Vec::new();
+        let mut panicked: Option<usize> = None;
+        let mut kernel_stats = KernelStats::default();
+        for (i, w) in self.workers.into_iter().enumerate() {
+            match w.join() {
+                Ok((stats, kstats, ring)) => {
+                    worker_stats.push(stats);
+                    kernel_stats.merge(&kstats);
+                    trace.extend(ring);
+                }
+                Err(_) => {
+                    if panicked.is_none() {
+                        panicked = Some(i);
+                    }
+                    worker_stats.push(router.cells[i].snapshot());
+                }
+            }
+        }
+        let collected = self.collector.map(|c| c.join());
+        for cell in &router.cells {
+            router.report.injected_stalls += cell.stalls.load(Ordering::Relaxed);
+            router.report.injected_drops += cell.drops.load(Ordering::Relaxed);
+            router.report.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
+        }
+        if let Some(worker) = panicked {
+            return Err(JoinError::WorkerPanicked {
+                worker,
+                stats_so_far: router.cells[worker].snapshot(),
+            });
+        }
+        let (results, result_count) = match (collected, self.sink) {
+            (Some(Ok(())), Some(sink)) => {
+                // `results` holds only what no mid-run drain harvested;
+                // the sink's running total is every match ever
+                // collected, so the count survives draining.
+                let count = sink.received();
+                (sink.take(), count)
+            }
+            (Some(Err(_)), _) => return Err(JoinError::CollectorPanicked),
+            // Counting-only: fold the per-worker match counters.
+            _ => (Vec::new(), worker_stats.iter().map(|w| w.matches).sum()),
+        };
+        if let Some(ring) = router.ring.take() {
+            if !ring.is_empty() {
+                trace.push(ring);
+            }
+        }
+        let partition_stats = router.part.take().map(|part| PartitionStats {
+            occupancy: part
+                .ledger_r
+                .iter()
+                .zip(&part.ledger_s)
+                .map(|(r, s)| (r.len() + s.len()) as u64)
+                .collect(),
+            live: router.map.live().to_vec(),
+            hot_splits: part.hot_splits,
+            routed: part.routed,
+        });
+        Ok(JoinOutcome {
+            results,
+            result_count,
+            worker_stats,
+            batch_sizes: router.batch_hist,
+            trace,
+            fault: router.report,
+            ring_stats: Some(router.ring_stats),
+            partition_stats,
+            kernel_stats: Some(kernel_stats),
+        })
+    }
+}
+
+impl crate::streamjoin::StreamJoin for SplitJoin {
+    type Config = SplitJoinConfig;
+    type Outcome = JoinOutcome;
+
+    fn spawn(config: SplitJoinConfig) -> Self {
+        SplitJoin::spawn(config)
+    }
+    fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+        SplitJoin::process(self, tag, tuple)
+    }
+    fn process_batch(&self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
+        SplitJoin::process_batch(self, batch)
+    }
+    fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
+        SplitJoin::prefill(self, tag, tuples)
+    }
+    fn flush(&self) -> Result<(), JoinError> {
+        SplitJoin::flush(self)
+    }
+    fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
+        SplitJoin::drain_results(self)
+    }
+    fn shutdown(self) -> Result<JoinOutcome, JoinError> {
+        SplitJoin::shutdown(self)
+    }
+}

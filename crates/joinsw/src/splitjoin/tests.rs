@@ -1,0 +1,824 @@
+use super::*;
+use crate::baseline::reference_join;
+use crate::fault::{FaultEvent, FaultPlan};
+use std::collections::HashMap;
+use streamcore::kernel::MIN_BLOCK_PROBES;
+use streamcore::workload::{KeyDist, WorkloadSpec};
+
+fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
+    let mut m = HashMap::new();
+    for p in results {
+        *m.entry((p.r.raw(), p.s.raw())).or_insert(0) += 1;
+    }
+    m
+}
+
+fn run_workload(config: SplitJoinConfig, inputs: &[(StreamTag, Tuple)]) -> JoinOutcome {
+    let join = SplitJoin::spawn(config);
+    for &(tag, t) in inputs {
+        join.process(tag, t).unwrap();
+    }
+    join.flush().unwrap();
+    join.shutdown().unwrap()
+}
+
+#[test]
+fn matches_reference_exactly() {
+    let inputs: Vec<_> = WorkloadSpec::new(500, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    // Core counts dividing the window: the effective window equals the
+    // nominal one (see `effective_window`).
+    for cores in [1usize, 2, 4, 8] {
+        let outcome = run_workload(SplitJoinConfig::new(cores, 64), &inputs);
+        let want = reference_join(&inputs, 64, JoinPredicate::Equi);
+        assert_eq!(
+            as_multiset(&outcome.results),
+            as_multiset(&want),
+            "mismatch with {cores} cores"
+        );
+        assert!(!want.is_empty());
+        assert!(!outcome.fault.degraded(), "healthy run must not degrade");
+    }
+}
+
+#[test]
+fn every_batch_size_yields_identical_results() {
+    let inputs: Vec<_> = WorkloadSpec::new(700, KeyDist::Uniform { domain: 12 })
+        .generate()
+        .collect();
+    let want = as_multiset(&reference_join(&inputs, 48, JoinPredicate::Equi));
+    assert!(!want.is_empty());
+    for batch in [1usize, 2, 7, 64, 256, 4_096] {
+        let outcome = run_workload(
+            SplitJoinConfig::new(3, 48).with_batch_size(batch),
+            &inputs,
+        );
+        assert_eq!(
+            as_multiset(&outcome.results),
+            want,
+            "mismatch at batch size {batch}"
+        );
+    }
+}
+
+#[test]
+fn shutdown_drains_partial_batches() {
+    // Regression: with `batch_size` larger than the whole stream, no
+    // batch is ever full — shutdown (without an explicit flush) must
+    // still deliver every buffered tuple before workers see their
+    // ring close.
+    let inputs: Vec<_> = WorkloadSpec::new(40, KeyDist::Uniform { domain: 4 })
+        .generate()
+        .collect();
+    let want = reference_join(&inputs, 16, JoinPredicate::Equi);
+    assert!(!want.is_empty());
+    let join = SplitJoin::spawn(SplitJoinConfig::new(2, 16).with_batch_size(1_024));
+    for &(tag, t) in &inputs {
+        join.process(tag, t).unwrap();
+    }
+    let outcome = join.shutdown().unwrap(); // no flush
+    assert_eq!(as_multiset(&outcome.results), as_multiset(&want));
+    assert_eq!(outcome.batch_sizes.total(), 1, "one partial batch");
+    assert_eq!(outcome.batch_sizes.max(), Some(40));
+}
+
+#[test]
+fn uneven_core_count_rounds_the_window_up() {
+    let config = SplitJoinConfig::new(7, 64);
+    assert_eq!(config.sub_window(), 10);
+    assert_eq!(config.effective_window(), 70);
+    // Against a reference with the *effective* window, results match.
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let outcome = run_workload(config, &inputs);
+    let want = reference_join(&inputs, 70, JoinPredicate::Equi);
+    assert_eq!(as_multiset(&outcome.results), as_multiset(&want));
+}
+
+#[test]
+fn batch_processing_matches_per_tuple_processing() {
+    let inputs: Vec<_> = WorkloadSpec::new(300, KeyDist::Uniform { domain: 8 })
+        .generate()
+        .collect();
+    let per_tuple = run_workload(
+        SplitJoinConfig::new(4, 32).with_batch_size(1),
+        &inputs,
+    );
+    let join = SplitJoin::spawn(SplitJoinConfig::new(4, 32));
+    for chunk in inputs.chunks(37) {
+        join.process_batch(chunk).unwrap();
+    }
+    join.flush().unwrap();
+    let batched = join.shutdown().unwrap();
+    assert_eq!(
+        as_multiset(&batched.results),
+        as_multiset(&per_tuple.results)
+    );
+}
+
+#[test]
+fn matches_reference_with_expiry() {
+    let inputs: Vec<_> = WorkloadSpec::new(2_000, KeyDist::Uniform { domain: 8 })
+        .generate()
+        .collect();
+    let outcome = run_workload(SplitJoinConfig::new(4, 32), &inputs);
+    let want = reference_join(&inputs, 32, JoinPredicate::Equi);
+    assert_eq!(as_multiset(&outcome.results), as_multiset(&want));
+}
+
+#[test]
+fn every_worker_sees_every_tuple_but_stores_its_share() {
+    let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 1 << 20 })
+        .generate()
+        .collect();
+    let outcome = run_workload(SplitJoinConfig::new(4, 80), &inputs);
+    for (i, ws) in outcome.worker_stats.iter().enumerate() {
+        assert_eq!(ws.tuples_seen, 400, "worker {i}");
+        assert_eq!(ws.stored, 100, "worker {i}");
+    }
+}
+
+#[test]
+fn prefill_skips_probing_but_keeps_rotation() {
+    let config = SplitJoinConfig::new(2, 8);
+    let join = SplitJoin::spawn(config);
+    let fill: Vec<Tuple> = (0..4u32).map(|i| Tuple::new(i, i)).collect();
+    join.prefill(StreamTag::S, &fill).unwrap();
+    // Probe matches exactly one prefilled tuple.
+    join.process(StreamTag::R, Tuple::new(2, 99)).unwrap();
+    join.flush().unwrap();
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.result_count, 1);
+    let total_comparisons: u64 =
+        outcome.worker_stats.iter().map(|w| w.comparisons).sum();
+    assert_eq!(total_comparisons, 4, "prefill must not probe");
+}
+
+#[test]
+fn counting_only_discards_results() {
+    let config = SplitJoinConfig::new(2, 16).counting_only();
+    let join = SplitJoin::spawn(config);
+    join.process(StreamTag::S, Tuple::new(1, 0)).unwrap();
+    join.process(StreamTag::R, Tuple::new(1, 1)).unwrap();
+    join.flush().unwrap();
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.result_count, 1);
+    assert!(outcome.results.is_empty());
+}
+
+#[test]
+fn counting_only_agrees_with_collection_at_every_batch_size() {
+    let inputs: Vec<_> = WorkloadSpec::new(900, KeyDist::Uniform { domain: 8 })
+        .generate()
+        .collect();
+    let collected = run_workload(SplitJoinConfig::new(3, 24), &inputs);
+    for batch in [1usize, 5, 256] {
+        let counted = run_workload(
+            SplitJoinConfig::new(3, 24).with_batch_size(batch).counting_only(),
+            &inputs,
+        );
+        assert_eq!(counted.result_count, collected.result_count);
+        assert!(counted.results.is_empty());
+    }
+}
+
+#[test]
+fn band_predicate_propagates_to_workers() {
+    let config =
+        SplitJoinConfig::new(3, 9).with_predicate(JoinPredicate::Band { delta: 5 });
+    let join = SplitJoin::spawn(config);
+    join.process(StreamTag::S, Tuple::new(100, 0)).unwrap();
+    join.process(StreamTag::R, Tuple::new(104, 1)).unwrap();
+    join.process(StreamTag::R, Tuple::new(106, 2)).unwrap();
+    join.flush().unwrap();
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.result_count, 1);
+}
+
+#[test]
+fn hash_algorithm_matches_nested_loop_exactly() {
+    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Uniform { domain: 12 })
+        .generate()
+        .collect();
+    let nested = run_workload(SplitJoinConfig::new(4, 32), &inputs);
+    let hashed = run_workload(
+        SplitJoinConfig::new(4, 32).with_algorithm(SwJoinAlgorithm::Hash),
+        &inputs,
+    );
+    assert_eq!(
+        as_multiset(&hashed.results),
+        as_multiset(&nested.results)
+    );
+    // Hash workers compare only matching tuples.
+    let nested_cmp: u64 = nested.worker_stats.iter().map(|w| w.comparisons).sum();
+    let hashed_cmp: u64 = hashed.worker_stats.iter().map(|w| w.comparisons).sum();
+    let matches: u64 = hashed.worker_stats.iter().map(|w| w.matches).sum();
+    assert_eq!(hashed_cmp, matches);
+    assert!(nested_cmp > 2 * hashed_cmp);
+}
+
+#[test]
+#[should_panic(expected = "hash join requires an equi-join")]
+fn hash_with_band_predicate_is_rejected() {
+    let _ = SplitJoinConfig::new(2, 8)
+        .with_predicate(JoinPredicate::Band { delta: 2 })
+        .with_algorithm(SwJoinAlgorithm::Hash);
+}
+
+#[test]
+#[should_panic(expected = "channel capacity must be positive")]
+fn zero_channel_capacity_is_rejected() {
+    let _ = SplitJoinConfig::new(2, 8).with_channel_capacity(0);
+}
+
+#[test]
+#[should_panic(expected = "batch size must be positive")]
+fn zero_batch_size_is_rejected() {
+    let _ = SplitJoinConfig::new(2, 8).with_batch_size(0);
+}
+
+#[test]
+#[should_panic(expected = "channel capacity must be positive")]
+fn spawn_validates_direct_field_writes() {
+    let mut config = SplitJoinConfig::new(2, 8);
+    config.channel_capacity = 0;
+    let _ = SplitJoin::spawn(config);
+}
+
+#[test]
+#[should_panic(expected = "targets worker 9")]
+fn spawn_validates_fault_plan_targets() {
+    let mut config = SplitJoinConfig::new(2, 8);
+    config.common.fault_plan =
+        crate::fault::FaultPlan::parse("kill9").unwrap();
+    let _ = SplitJoin::spawn(config);
+}
+
+#[test]
+fn flush_is_a_real_barrier() {
+    let config = SplitJoinConfig::new(4, 4_096);
+    let join = SplitJoin::spawn(config);
+    let fill: Vec<Tuple> = (0..4_096u32).map(|i| Tuple::new(i, i)).collect();
+    join.prefill(StreamTag::S, &fill).unwrap();
+    for i in 0..64u32 {
+        join.process(StreamTag::R, Tuple::new(i, 1 << 20 | i)).unwrap();
+    }
+    join.flush().unwrap();
+    // After flush all probes are done: every R probed its key once.
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.result_count, 64);
+}
+
+#[test]
+fn batch_histogram_records_distribution_shape() {
+    let join = SplitJoin::spawn(SplitJoinConfig::new(2, 8).with_batch_size(4));
+    for i in 0..10u32 {
+        join.process(StreamTag::R, Tuple::new(i, i)).unwrap();
+    }
+    join.flush().unwrap(); // two full batches of 4, one partial of 2
+    assert_eq!(join.batches_sent(), 3);
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.batch_sizes.total(), 3);
+    assert_eq!(outcome.batch_sizes.max(), Some(4));
+    assert_eq!(outcome.batch_sizes.min(), Some(2));
+    let reg = outcome.registry();
+    assert_eq!(reg.get("splitjoin.batches"), Some(3));
+    assert!(reg.get("splitjoin.worker0.probes").is_some());
+    // Healthy run: the fault namespace must be absent.
+    assert_eq!(reg.get("fault.workers_lost"), None);
+}
+
+#[test]
+fn fallible_surface_round_trips_a_match() {
+    let join = SplitJoin::spawn(SplitJoinConfig::new(2, 8));
+    join.process(StreamTag::S, Tuple::new(3, 0)).unwrap();
+    join.process(StreamTag::R, Tuple::new(3, 1)).unwrap();
+    join.flush().unwrap();
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.result_count, 1);
+}
+
+/// Batch sizes below [`MIN_BLOCK_PROBES`] keep a broadcast worker on
+/// the per-tuple probe — the in-tree reference path.
+const PER_TUPLE_BATCHES: [usize; 2] = [1, 7];
+/// Batch sizes that engage the blocked compare tiles.
+const BLOCKED_BATCHES: [usize; 3] = [8, 64, 512];
+
+/// Runs `mk(batch)` at every per-tuple-path and blocked-path batch
+/// size and asserts result multisets, counts and per-worker
+/// [`WorkerStats`] all equal the `batch_size = 1` run. Returns that
+/// reference run plus the `(batch, outcome)` pairs of the rest.
+fn assert_batch_size_invariant(
+    mk: impl Fn(usize) -> SplitJoinConfig,
+    inputs: &[(StreamTag, Tuple)],
+    label: &str,
+) -> (JoinOutcome, Vec<(usize, JoinOutcome)>) {
+    let reference = run_workload(mk(1), inputs);
+    let rest: Vec<_> = PER_TUPLE_BATCHES[1..]
+        .iter()
+        .chain(&BLOCKED_BATCHES)
+        .map(|&batch| (batch, run_workload(mk(batch), inputs)))
+        .collect();
+    for (batch, outcome) in &rest {
+        assert_eq!(
+            as_multiset(&outcome.results),
+            as_multiset(&reference.results),
+            "{label}: result mismatch at batch {batch}"
+        );
+        assert_eq!(outcome.result_count, reference.result_count, "{label}: batch {batch}");
+        assert_eq!(
+            outcome.worker_stats, reference.worker_stats,
+            "{label}: per-worker stat mismatch at batch {batch}"
+        );
+    }
+    (reference, rest)
+}
+
+fn tiles(outcome: &JoinOutcome) -> u64 {
+    outcome.kernel_stats.expect("every run carries kernel stats").tiles
+}
+
+#[test]
+fn blocked_path_is_bit_identical_to_per_tuple_path() {
+    let inputs: Vec<_> = WorkloadSpec::new(900, KeyDist::Uniform { domain: 24 })
+        .generate()
+        .collect();
+    for pred in [
+        JoinPredicate::Equi,
+        JoinPredicate::Band { delta: 3 },
+        JoinPredicate::LessThan,
+        JoinPredicate::All,
+    ] {
+        let mk = |batch| {
+            SplitJoinConfig::new(3, 48).with_predicate(pred).with_batch_size(batch)
+        };
+        let (reference, rest) = assert_batch_size_invariant(mk, &inputs, &format!("{pred:?}"));
+        assert_eq!(
+            as_multiset(&reference.results),
+            as_multiset(&reference_join(&inputs, 48, pred)),
+            "{pred:?}: vs reference join"
+        );
+        assert_eq!(tiles(&reference), 0, "batch 1 must stay on the per-tuple path");
+        for (batch, outcome) in &rest {
+            let blocked = *batch >= MIN_BLOCK_PROBES;
+            if !blocked {
+                assert_eq!(tiles(outcome), 0, "{pred:?} batch {batch} must not tile");
+            } else if pred != JoinPredicate::All {
+                assert!(tiles(outcome) > 0, "{pred:?} batch {batch} never tiled");
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_path_survives_intra_batch_window_wrap() {
+    // Window far smaller than the batch: most probes see snapshot
+    // entries evicted mid-batch plus freshly stored siblings, so the
+    // correction spans do all the work.
+    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Uniform { domain: 6 })
+        .generate()
+        .collect();
+    for cores in [1usize, 2, 3] {
+        let mk = |batch| SplitJoinConfig::new(cores, 8).with_batch_size(batch);
+        let (reference, rest) =
+            assert_batch_size_invariant(mk, &inputs, &format!("{cores} cores"));
+        let want = reference_join(&inputs, mk(1).effective_window(), JoinPredicate::Equi);
+        assert_eq!(as_multiset(&reference.results), as_multiset(&want));
+        let (_, widest) = rest.last().expect("blocked batch sizes ran");
+        assert!(
+            widest.kernel_stats.unwrap().scalar_fallbacks > 0,
+            "wrap corrections must be accounted"
+        );
+    }
+}
+
+#[test]
+fn blocked_counting_matches_per_tuple_counting() {
+    let inputs: Vec<_> = WorkloadSpec::new(1_000, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let mk = |batch| SplitJoinConfig::new(3, 24).with_batch_size(batch).counting_only();
+    let (reference, rest) = assert_batch_size_invariant(mk, &inputs, "counting");
+    assert_eq!(
+        reference.result_count,
+        reference_join(&inputs, 24, JoinPredicate::Equi).len() as u64
+    );
+    for (batch, outcome) in rest.iter().filter(|(b, _)| *b >= MIN_BLOCK_PROBES) {
+        let ks = outcome.kernel_stats.unwrap();
+        assert!(ks.tiles > 0 && ks.lanes > 0, "batch {batch}");
+    }
+}
+
+#[test]
+fn hash_algorithm_stays_on_the_per_tuple_path_at_every_batch_size() {
+    // Hash windows take the prefetched chain walk, never the tiles:
+    // identical results, zero tiles, lanes mirroring the hits.
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 12 })
+        .generate()
+        .collect();
+    let mk = |batch| {
+        SplitJoinConfig::new(2, 32)
+            .with_algorithm(SwJoinAlgorithm::Hash)
+            .with_batch_size(batch)
+    };
+    let (reference, rest) = assert_batch_size_invariant(mk, &inputs, "hash");
+    assert_eq!(
+        as_multiset(&reference.results),
+        as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
+    );
+    for (batch, outcome) in std::iter::once(&(1, reference)).chain(&rest) {
+        let ks = outcome.kernel_stats.unwrap();
+        assert_eq!(ks.tiles, 0, "hash probing never tiles (batch {batch})");
+        let matches: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
+        assert_eq!(ks.lanes, matches, "one lane per chain hit (batch {batch})");
+    }
+}
+
+#[test]
+fn kernel_stats_surface_in_registry() {
+    let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
+        .generate()
+        .collect();
+    let outcome =
+        run_workload(SplitJoinConfig::new(2, 16).with_batch_size(64), &inputs);
+    let reg = outcome.registry();
+    assert!(reg.get("splitjoin.kernel.tiles").is_some_and(|t| t > 0));
+    assert!(reg.get("splitjoin.kernel.lanes").is_some());
+    assert!(reg.get("splitjoin.kernel.match_density_x1000").is_some());
+    assert!(reg.get("splitjoin.kernel.scalar_fallbacks").is_some());
+}
+
+#[test]
+fn replica_buf_keeps_owner_positions_at_full_width() {
+    // Regression: owners were stored as `u8`, so position 256 aliased
+    // position 0 and recovery re-adopted the wrong orphans.
+    let mut buf = ReplicaBuf::new(8);
+    let t = Tuple::new(7, 70);
+    buf.push(256, t);
+    assert!(buf.orphans_of(0, 8).is_empty());
+    assert_eq!(buf.orphans_of(256, 8), vec![t]);
+}
+
+#[test]
+#[cfg(feature = "obs")]
+fn tracing_records_worker_spans_without_changing_results() {
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let prefill: Vec<Tuple> = (0..32u32).map(|i| Tuple::new(i, i)).collect();
+    let config = || SplitJoinConfig::new(3, 64).with_batch_size(32);
+
+    let run = |traced: bool| {
+        if traced {
+            obs::trace::enable(1);
+        }
+        let join = SplitJoin::spawn(config());
+        join.prefill(StreamTag::S, &prefill).unwrap();
+        for &(tag, t) in &inputs {
+            join.process(tag, t).unwrap();
+        }
+        join.flush().unwrap();
+        let outcome = join.shutdown().unwrap();
+        if traced {
+            obs::trace::disable();
+        }
+        outcome
+    };
+
+    let plain = run(false);
+    assert!(plain.trace.is_empty());
+    let traced = run(true);
+
+    assert_eq!(as_multiset(&plain.results), as_multiset(&traced.results));
+    assert_eq!(plain.worker_stats, traced.worker_stats);
+
+    // Healthy run: the router ring stays empty and is not attached.
+    assert_eq!(traced.trace.len(), 3);
+    let mut tracks: Vec<_> = traced.trace.iter().map(|r| r.track().to_string()).collect();
+    tracks.sort();
+    assert_eq!(tracks, ["sw.worker.0", "sw.worker.1", "sw.worker.2"]);
+    for ring in &traced.trace {
+        assert_eq!(ring.domain(), obs::trace::TimeDomain::Wall);
+        assert!(!ring.is_empty(), "worker ring {} is empty", ring.track());
+        let names: HashMap<&str, u32> =
+            ring.events().iter().fold(HashMap::new(), |mut m, e| {
+                *m.entry(e.name).or_insert(0) += 1;
+                m
+            });
+        for name in names.keys() {
+            assert!(
+                ["recv", "probe", "insert", "send"].contains(name),
+                "unexpected span name {name}"
+            );
+        }
+        assert!(names.contains_key("probe"), "no probe spans on {}", ring.track());
+        assert!(names.contains_key("insert"), "no insert spans on {}", ring.track());
+    }
+}
+
+// ---- partitioned (keyed) dispatch ----
+
+fn part_config(cores: usize, window: usize) -> SplitJoinConfig {
+    SplitJoinConfig::new(cores, window).with_partitioning(Partitioning::Hash)
+}
+
+#[test]
+fn partitioned_counting_shortcut_matches_the_chain_walk() {
+    // Keyed dispatch + counting-only takes the O(1) chain-length
+    // shortcut; collecting runs walk the chain. The tallies must not
+    // move, at any batch size.
+    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Zipf { domain: 64, s: 1.2 })
+        .generate()
+        .collect();
+    let (walked, _) = assert_batch_size_invariant(
+        |batch| part_config(4, 32).with_batch_size(batch),
+        &inputs,
+        "keyed collecting",
+    );
+    let (counted, _) = assert_batch_size_invariant(
+        |batch| part_config(4, 32).with_batch_size(batch).counting_only(),
+        &inputs,
+        "keyed counting",
+    );
+    assert_eq!(
+        as_multiset(&walked.results),
+        as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
+    );
+    assert_eq!(counted.result_count, walked.result_count);
+    assert_eq!(counted.worker_stats, walked.worker_stats);
+    let ks = counted.kernel_stats.unwrap();
+    assert_eq!(ks.tiles, 0, "keyed dispatch never tiles");
+    assert_eq!(ks.lanes, counted.result_count, "one lane per chain entry");
+}
+
+#[test]
+fn partitioned_matches_reference_exactly() {
+    let inputs: Vec<_> = WorkloadSpec::new(500, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let want = as_multiset(&reference_join(&inputs, 64, JoinPredicate::Equi));
+    assert!(!want.is_empty());
+    for cores in [1usize, 2, 4, 8] {
+        let outcome = run_workload(part_config(cores, 64), &inputs);
+        assert_eq!(
+            as_multiset(&outcome.results),
+            want,
+            "partitioned mismatch with {cores} cores"
+        );
+        assert!(!outcome.fault.degraded(), "healthy run must not degrade");
+        let ps = outcome.partition_stats.expect("partitioned runs carry stats");
+        assert_eq!(ps.live.len(), cores);
+        // Steady state: the shards together hold exactly one window
+        // per stream (the streams alternate, 250 tuples each > 64).
+        assert_eq!(ps.occupancy.iter().sum::<u64>(), 128);
+    }
+}
+
+#[test]
+fn partitioned_matches_broadcast_under_skew() {
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Zipf { domain: 12, s: 0.8 })
+        .generate()
+        .collect();
+    let want = as_multiset(&reference_join(&inputs, 48, JoinPredicate::Equi));
+    assert!(!want.is_empty());
+    let broadcast = run_workload(SplitJoinConfig::new(3, 48), &inputs);
+    let partitioned = run_workload(part_config(3, 48), &inputs);
+    assert_eq!(as_multiset(&broadcast.results), want);
+    assert_eq!(as_multiset(&partitioned.results), want);
+}
+
+#[test]
+fn partitioned_hot_split_keeps_results_and_rebalances() {
+    // Heavy skew on a tiny domain: key 0 takes ~45% of the traffic.
+    // With the sample floor lowered the router must split it, and
+    // splitting must not change the result multiset.
+    let inputs: Vec<_> = WorkloadSpec::new(4_000, KeyDist::Zipf { domain: 8, s: 1.2 })
+        .generate()
+        .collect();
+    let want = as_multiset(&reference_join(&inputs, 64, JoinPredicate::Equi));
+    let split = run_workload(part_config(4, 64).with_hot_sample(64), &inputs);
+    let nosplit =
+        run_workload(part_config(4, 64).with_hot_key_factor(1e9), &inputs);
+    assert_eq!(as_multiset(&split.results), want, "hot-split broke the join");
+    assert_eq!(as_multiset(&nosplit.results), want, "nosplit broke the join");
+    let split_stats = split.partition_stats.unwrap();
+    let nosplit_stats = nosplit.partition_stats.unwrap();
+    assert!(split_stats.hot_splits >= 1, "skewed run must promote a key");
+    assert_eq!(nosplit_stats.hot_splits, 0);
+    assert!(
+        split_stats.balance() < nosplit_stats.balance(),
+        "splitting must improve occupancy balance: split {:.2} vs nosplit {:.2}",
+        split_stats.balance(),
+        nosplit_stats.balance()
+    );
+}
+
+#[test]
+fn partitioned_counting_only_agrees_with_collected() {
+    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Zipf { domain: 10, s: 1.0 })
+        .generate()
+        .collect();
+    let collected = run_workload(part_config(4, 32), &inputs);
+    let counted = run_workload(part_config(4, 32).counting_only(), &inputs);
+    assert!(collected.result_count > 0);
+    assert_eq!(counted.result_count, collected.result_count);
+    assert!(counted.results.is_empty());
+}
+
+#[test]
+fn partitioned_prefill_loads_without_probing() {
+    let join = SplitJoin::spawn(part_config(2, 16));
+    let warm: Vec<Tuple> = (0..8).map(|k| Tuple::new(k, 100 + u32::from(k as u8))).collect();
+    join.prefill(StreamTag::S, &warm).unwrap();
+    // One probe against the warmed S shard: exactly one match, and
+    // the prefill itself produced none.
+    join.process(StreamTag::R, Tuple::new(3, 7)).unwrap();
+    join.flush().unwrap();
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.result_count, 1);
+    assert_eq!(outcome.results[0].r.raw(), Tuple::new(3, 7).raw());
+    // Keyed probes only touch the matching chain: comparisons ==
+    // matches, like the hash algorithm.
+    let comparisons: u64 = outcome.worker_stats.iter().map(|w| w.comparisons).sum();
+    assert_eq!(comparisons, 1);
+}
+
+#[test]
+fn partitioned_kill_is_recovered_with_exact_orphans() {
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let victim = 1usize;
+    let config = part_config(4, 64)
+        .with_batch_size(50)
+        .with_fault_plan(FaultPlan::none().with(FaultEvent::Kill {
+            worker: victim,
+            after_batch: 4,
+        }));
+    let outcome = run_workload(config, &inputs);
+    assert!(outcome.fault.degraded());
+    assert_eq!(outcome.fault.workers_lost, vec![victim]);
+    // The victim owned a share of a full two-stream window when it
+    // died (4 batches of 50 ≫ 2×64 window).
+    assert!(outcome.fault.orphaned_tuples > 0);
+    assert!(outcome.fault.orphaned_tuples <= 128);
+    let ps = outcome.partition_stats.unwrap();
+    assert!(!ps.live.contains(&victim));
+    assert_eq!(ps.occupancy[victim], 0, "retired ledger must be cleared");
+    // Results from the healthy run form a superset: losing a shard
+    // only ever loses matches.
+    let healthy = run_workload(part_config(4, 64).with_batch_size(50), &inputs);
+    let lossy = as_multiset(&outcome.results);
+    let full = as_multiset(&healthy.results);
+    for (pair, n) in &lossy {
+        assert!(full.get(pair).is_some_and(|m| m >= n), "degraded run invented {pair:?}");
+    }
+    assert!(outcome.result_count < healthy.result_count);
+}
+
+#[test]
+fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
+    // Keyed dispatch acknowledges flushes through the per-worker
+    // token cells: a retired position must drop out of the barrier
+    // instead of wedging it, the drain must complete over the
+    // survivors, and the orphan count must be exactly the victim's
+    // ledger — its share of the last window of each stream.
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let (cores, window, batch, victim, after_batch) = (4usize, 64usize, 50usize, 1usize, 4u64);
+    // Splitting disabled, so every key is stored at its rendezvous owner.
+    let config = part_config(cores, window)
+        .with_batch_size(batch)
+        .with_hot_key_factor(1e9)
+        .with_fault_plan(FaultPlan::none().with(FaultEvent::Kill {
+            worker: victim,
+            after_batch,
+        }));
+    let join = SplitJoin::spawn(config);
+    for &(tag, t) in &inputs {
+        join.process(tag, t).unwrap();
+    }
+    join.flush().expect("barrier must cover the survivors");
+    let drained = join.drain_results().expect("drain must complete after a kill");
+    assert!(!drained.is_empty());
+    let outcome = join.shutdown().unwrap();
+    assert_eq!(outcome.fault.workers_lost, vec![victim]);
+    assert_eq!(drained.len() as u64, outcome.result_count, "the drain harvested everything");
+
+    let map = PartitionMap::identity(cores);
+    let before_kill = &inputs[..batch * after_batch as usize];
+    let ledger: usize = [StreamTag::R, StreamTag::S]
+        .into_iter()
+        .map(|side| {
+            before_kill
+                .iter()
+                .rev()
+                .filter(|&&(tag, _)| tag == side)
+                .take(window)
+                .filter(|&&(_, t)| map.key_owner(t.key()) == victim)
+                .count()
+        })
+        .sum();
+    assert!(ledger > 0);
+    assert_eq!(outcome.fault.orphaned_tuples, ledger as u64);
+}
+
+#[test]
+#[should_panic(expected = "equi-join predicate")]
+fn partitioned_rejects_non_equi_predicates() {
+    let _ = SplitJoin::spawn(
+        part_config(2, 16).with_predicate(JoinPredicate::Band { delta: 2 }),
+    );
+}
+
+#[test]
+#[should_panic(expected = "replication is not supported")]
+fn partitioned_rejects_replication() {
+    let _ = SplitJoin::spawn(part_config(2, 16).with_replication());
+}
+
+#[test]
+fn partitioned_registry_publishes_partition_counters() {
+    let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
+        .generate()
+        .collect();
+    let outcome = run_workload(part_config(2, 32), &inputs);
+    let reg = outcome.registry();
+    assert!(reg.get("splitjoin.partition.routed").is_some_and(|v| v > 0));
+    assert!(reg.get("splitjoin.partition.hot_splits").is_some());
+    assert!(reg.get("splitjoin.partition.occupancy_max").is_some_and(|v| v > 0));
+    assert!(reg.get("splitjoin.partition.balance_x1000").is_some_and(|v| v > 0));
+    assert!(reg.get("splitjoin.partition.worker0.occupancy").is_some());
+    assert!(reg.get("splitjoin.partition.worker1.occupancy").is_some());
+    // Broadcast runs must keep their exact pre-partitioning shape.
+    let broadcast = run_workload(SplitJoinConfig::new(2, 32), &inputs);
+    assert!(broadcast.partition_stats.is_none());
+    assert!(!broadcast
+        .registry()
+        .iter()
+        .any(|(n, _)| n.starts_with("splitjoin.partition.")));
+}
+
+#[test]
+#[cfg(feature = "obs")]
+fn live_plane_exports_router_and_worker_metrics() {
+    // The live registry is process-global: arm the plane, run one
+    // engine, then check the global snapshot for
+    // every exported key family. Sibling tests running concurrently
+    // can only *add* to the shared counters, so the floor
+    // assertions below stay race-free.
+    obs::live::set_active(true);
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let outcome = run_workload(SplitJoinConfig::new(2, 32).with_batch_size(64), &inputs);
+    obs::live::set_active(false);
+    assert!(!outcome.results.is_empty());
+
+    let snap = obs::live::global().snapshot();
+    for key in [
+        "splitjoin.batches",
+        "splitjoin.tuples",
+        "splitjoin.matches",
+        "splitjoin.partition.routed",
+        "splitjoin.ring.occupancy",
+        "splitjoin.ring.capacity",
+        "splitjoin.arena.lag",
+        "splitjoin.workers.live",
+        "fault.workers_lost",
+        "fault.orphaned_tuples",
+        "splitjoin.worker.0.batches",
+        "splitjoin.worker.0.tuples",
+        "splitjoin.worker.0.matches",
+        "splitjoin.worker.0.busy_ns",
+        "splitjoin.worker.0.wait_ns",
+        "splitjoin.worker.0.heartbeat_age_ns",
+        "splitjoin.worker.1.heartbeat_age_ns",
+    ] {
+        assert!(snap.get(key).is_some(), "missing live key {key}");
+    }
+    assert!(snap.get("splitjoin.tuples").unwrap() >= 600);
+    assert!(snap.get("splitjoin.batches").unwrap() >= 600 / 64);
+    assert!(snap.get("splitjoin.matches").unwrap() > 0);
+    assert!(snap.get("splitjoin.ring.capacity").unwrap() > 0);
+    assert!(snap.get("splitjoin.worker.0.busy_ns").unwrap() > 0);
+}
+
+#[test]
+#[cfg(feature = "obs")]
+fn unarmed_live_plane_registers_nothing_new() {
+    // Spawning without `obs::live::set_active(true)` must not touch
+    // the global registry — the engine's `live` field stays `None`.
+    obs::live::set_active(false);
+    let inputs: Vec<_> = WorkloadSpec::new(50, KeyDist::Uniform { domain: 4 })
+        .generate()
+        .collect();
+    let outcome = run_workload(SplitJoinConfig::new(2, 16), &inputs);
+    assert!(!outcome.results.is_empty());
+    // No assertion on registry size (armed sibling tests may be
+    // interleaved); instead prove the cheap-path predicate directly.
+    assert!(!obs::live::active());
+}
