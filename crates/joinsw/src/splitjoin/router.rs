@@ -209,7 +209,6 @@ impl Router {
                         // The slot hog died — recover it (which also
                         // deactivates its arena reader) and retry.
                         self.reap_dead()?;
-                        self.require_live()?;
                         continue;
                     }
                     if spins < CLAIM_SPIN_YIELDS {
@@ -296,8 +295,7 @@ impl Router {
     /// recovered and the broadcast continues over the survivors.
     fn broadcast(&mut self, make: impl Fn() -> Msg) -> Result<(), JoinError> {
         let lost = self.send_to_live(make)?;
-        self.recover_all(lost)?;
-        self.require_live()
+        self.recover_all(lost)
     }
 
     /// Routes one tuple under keyed dispatch: stamp its global stream
@@ -401,8 +399,7 @@ impl Router {
                 lost.push(w);
             }
         }
-        self.recover_all(lost)?;
-        self.require_live()
+        self.recover_all(lost)
     }
 
     /// Ships one caller batch. Broadcast mode: one arena publish, N
@@ -437,11 +434,7 @@ impl Router {
         // model — closed-form shares or the keyed ledger — is exactly its
         // occupancy at death.
         let kills: Vec<usize> = self.plan.kills_after(self.batches_sent).collect();
-        if !kills.is_empty() {
-            self.recover_all(kills)?;
-            self.require_live()?;
-        }
-        Ok(())
+        self.recover_all(kills)
     }
 
     pub(super) fn send_prefill(
@@ -466,11 +459,13 @@ impl Router {
         self.broadcast(|| Msg::Prefill(tag, shared.clone()))
     }
 
+    /// Recovers every listed worker, plus any found dead on the way;
+    /// fails with [`JoinError::AllWorkersLost`] once no survivor is left.
     fn recover_all(&mut self, mut pending: Vec<usize>) -> Result<(), JoinError> {
         while let Some(w) = pending.pop() {
             pending.extend(self.recover_one(w)?);
         }
-        Ok(())
+        self.require_live()
     }
 
     /// Retires one dead worker — exact orphan accounting plus the
@@ -662,6 +657,6 @@ impl Router {
                 std::thread::sleep(IDLE_SLEEP);
             }
         }
-        self.require_live()
+        Ok(())
     }
 }
