@@ -21,7 +21,7 @@ use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
 use joinsw::{FaultPlan, JoinError};
 use streamcore::{JoinPredicate, StreamTag, Tuple};
 
-use bench::swjoin::SwRunOpts;
+use bench::FigOpts;
 
 const TUPLES: usize = 60_000;
 const KEY_DOMAIN: u32 = 64;
@@ -52,7 +52,7 @@ fn run_scenario(
 }
 
 fn main() {
-    let opts = SwRunOpts::from_args();
+    let opts = FigOpts::from_args(std::env::args().skip(1));
     let cores = opts.cores.clone().and_then(|c| c.first().copied()).unwrap_or(4);
     let exp = opts
         .windows

@@ -15,6 +15,7 @@ use obs::{Histogram, Registry, RunManifest};
 use joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 use streamcore::{StreamTag, Tuple};
 
+use crate::opts::FigOpts;
 use crate::table::Table;
 
 /// Key domain used in throughput runs: large enough that matches are rare
@@ -37,26 +38,16 @@ fn measure_mtps(params: &DesignParams, clock_mhz: f64) -> f64 {
         .million_per_second()
 }
 
-/// One cycle-accurate throughput point plus its service-gap histogram
-/// (cycles between consecutive input acceptances). After the run, the
-/// join's span rings go to the crate harvest when `rings` is set and
-/// its provenance breakdown merges into `prov` — a no-op side channel
-/// unless [`obs::trace::enabled`].
+/// One cycle-accurate throughput point on the sequential engine plus its
+/// service-gap histogram (cycles between consecutive input acceptances);
+/// `rings` and `prov` as in [`measure_run_timed`].
 fn measure_observed_traced(
     params: &DesignParams,
     rings: bool,
     prov: &mut Option<ProvenanceTracker>,
 ) -> (ThroughputRun, Histogram) {
-    let mut join = harness::build(params);
-    prefill_steady_state(join.as_mut(), params.window_size);
-    let out = run_throughput_observed(
-        &mut Simulator::new(),
-        join.as_mut(),
-        tuples_for(params.sub_window()),
-        THROUGHPUT_KEY_DOMAIN,
-    );
-    harvest_join(join.as_mut(), rings, prov);
-    out
+    let timed = measure_run_timed(params, 1, rings, prov);
+    (timed.run, timed.gaps)
 }
 
 /// Harvests a finished join's observability side channel: span rings go
@@ -98,14 +89,10 @@ fn record_run(m: &mut RunManifest, key: &str, run: &ThroughputRun) {
 }
 
 /// Fig. 14a — uni-flow throughput vs join cores on Virtex-5 @100 MHz for
-/// windows 2^11 and 2^13. Linear scaling; infeasible points marked.
-pub fn fig14a() -> Table {
-    fig14a_run().0
-}
-
-/// [`fig14a`] plus its run manifest: per-point tuple/cycle/result
-/// counters and the merged service-gap histogram.
-pub fn fig14a_run() -> (Table, RunManifest) {
+/// windows 2^11 and 2^13. Linear scaling; infeasible points marked. The
+/// manifest holds per-point tuple/cycle/result counters and the merged
+/// service-gap histogram.
+pub fn fig14a(_: &FigOpts) -> (Vec<Table>, RunManifest) {
     let mut m = crate::obsout::manifest("fig14a");
     m.config("device", "XC5VLX50T");
     m.config("target_clock_mhz", 100);
@@ -145,18 +132,13 @@ pub fn fig14a_run() -> (Table, RunManifest) {
     t.note("paper: linear speedup with cores; window 2^13 infeasible at 32/64 cores");
     m.histogram("service_gap_cycles", gaps_all);
     record_provenance(&mut m, &prov);
-    (t, m)
+    (vec![t], m)
 }
 
 /// Fig. 14b — uni-flow vs bi-flow throughput at 16 cores on Virtex-5
-/// @100 MHz across window sizes 2^7–2^13.
-pub fn fig14b() -> Table {
-    fig14b_run().0
-}
-
-/// [`fig14b`] plus its run manifest: per-point counters for both flow
-/// models and a service-gap histogram per model.
-pub fn fig14b_run() -> (Table, RunManifest) {
+/// @100 MHz across window sizes 2^7–2^13. The manifest holds per-point
+/// counters for both flow models and a service-gap histogram per model.
+pub fn fig14b(_: &FigOpts) -> (Vec<Table>, RunManifest) {
     let mut m = crate::obsout::manifest("fig14b");
     m.config("device", "XC5VLX50T");
     m.config("target_clock_mhz", 100);
@@ -206,7 +188,7 @@ pub fn fig14b_run() -> (Table, RunManifest) {
     m.histogram("uni_service_gap_cycles", uni_gaps);
     m.histogram("bi_service_gap_cycles", bi_gaps);
     record_provenance(&mut m, &prov);
-    (t, m)
+    (vec![t], m)
 }
 
 fn measure_biflow_run(
@@ -232,6 +214,10 @@ fn measure_biflow_run(
     out
 }
 
+/// The parallel engine's half of a timed point: its wall clock and the
+/// pool's per-worker busy/wait accounting.
+type ParRun = (f64, ParStats);
+
 /// One throughput point timed under both engines.
 struct TimedRun {
     run: ThroughputRun,
@@ -239,15 +225,18 @@ struct TimedRun {
     /// cycle-identical, so one histogram describes both).
     gaps: Histogram,
     seq_wall: f64,
-    /// Parallel wall clock and per-worker utilization, when `threads > 1`.
-    par: Option<(f64, ParStats)>,
+    /// The parallel run, when `threads > 1`.
+    par: Option<ParRun>,
 }
 
 /// One throughput point timed under both engines: the sequential
 /// [`ThroughputRun`] (with its wall-clock cost), and — when `threads > 1`
 /// — the identical run on a [`ParSimulator`] pool, with the pool's
 /// per-worker busy/wait accounting. Panics if the two engines disagree,
-/// which would break the parallel layer's cycle-exact contract.
+/// which would break the parallel layer's cycle-exact contract. After
+/// the sequential run, the join's span rings go to the crate harvest
+/// when `rings` is set and its provenance breakdown merges into `prov` —
+/// a no-op side channel unless [`obs::trace::enabled`].
 fn measure_run_timed(
     params: &DesignParams,
     threads: usize,
@@ -278,220 +267,153 @@ fn measure_run_timed(
     TimedRun { run: seq, gaps, seq_wall, par: Some((par_wall, stats)) }
 }
 
-/// Fig. 14c — uni-flow throughput with 512 join cores on Virtex-7
-/// @300 MHz (scalable networks) across windows 2^11–2^18.
-pub fn fig14c() -> Table {
-    fig14c_run().0
+/// The columns `--threads` adds to a simulated figure's table.
+const WALL_HEADERS: [&str; 3] = ["seq wall s", "par wall s", "speedup"];
+
+/// The pool width `--threads` asks for. 0 = host auto (`ACCEL_THREADS`,
+/// else available parallelism), the same resolution
+/// `ParSimulator::new(0)` would apply; resolved up front so the
+/// `threads <= 1` sequential-only guards see the real width.
+fn pool_width(opts: &FigOpts) -> Option<usize> {
+    opts.threads
+        .map(|n| if n == 0 { ParSimulator::auto().threads() } else { n })
 }
 
-/// [`fig14c`] plus its run manifest: per-point counters and the merged
-/// service-gap histogram.
-pub fn fig14c_run() -> (Table, RunManifest) {
-    let mut m = crate::obsout::manifest("fig14c");
-    m.config("device", "XC7VX485T");
-    m.config("target_clock_mhz", 300);
-    m.config("cores", 512);
-    m.config("network", "scalable");
-    let mut gaps_all = Histogram::new();
-    let mut prov = None;
-    let mut t = Table::new(
-        "Fig. 14c — uni-flow, 512 cores, Virtex-7 (300 MHz, scalable networks)",
-        &["window", "model Mt/s", "measured Mt/s"],
-    );
-    let cores = 512u32;
-    for exp in 11..=18u32 {
-        let window = 1usize << exp;
-        let params = DesignParams::new(FlowModel::UniFlow, cores, window)
-            .with_network(NetworkKind::Scalable);
-        match params.synthesize_at(&XC7VX485T, 300.0) {
-            Ok(_) => {
-                let model = uniflow_throughput_model(window, cores, 300.0) / 1e6;
-                let (run, gaps) = measure_observed_traced(&params, exp == 11, &mut prov);
-                let measured = run.at_clock(300.0).million_per_second();
-                record_run(&mut m, &format!("w2e{exp}."), &run);
-                gaps_all.merge(&gaps);
-                t.row(vec![
-                    format!("2^{exp}"),
-                    format!("{model:.3}"),
-                    format!("{measured:.3}"),
-                ]);
+/// Simulation wall clock per engine, summed over a `--threads` run.
+#[derive(Default)]
+struct WallClock {
+    seq: f64,
+    par: f64,
+}
+
+impl WallClock {
+    /// One point's [`WALL_HEADERS`] cells. The parallel engine's
+    /// per-worker utilization (`{key}par.worker.N.busy_cycles` /
+    /// `wait_cycles` / `busy_ns` / `wait_ns` — where the simulation pool
+    /// spends its time) lands in `m`; its span rings go to the crate
+    /// harvest when `rings` is set.
+    fn cells(
+        &mut self,
+        m: &mut RunManifest,
+        key: &str,
+        seq_wall: f64,
+        par: Option<ParRun>,
+        rings: bool,
+    ) -> [String; 3] {
+        self.seq += seq_wall;
+        let (par_cell, speedup_cell) = match par {
+            Some((p, mut stats)) => {
+                self.par += p;
+                let mut reg = Registry::new();
+                stats.observe(&mut reg, &format!("{key}par."));
+                m.record_registry(&reg);
+                if rings {
+                    crate::obsout::harvest(stats.rings.drain(..));
+                }
+                (format!("{p:.3}"), format!("{:.2}x", seq_wall / p))
             }
-            Err(e) => t.row(vec![format!("2^{exp}"), "n/a".into(), format!("{e}")]),
+            None => ("-".into(), "-".into()),
+        };
+        [format!("{seq_wall:.3}"), par_cell, speedup_cell]
+    }
+
+    /// The table's closing note; `invariant` names what both engines
+    /// agree on.
+    fn note(&self, t: &mut Table, threads: usize, invariant: &str) {
+        if threads > 1 && self.par > 0.0 {
+            t.note(format!(
+                "--threads {threads}: total simulation wall clock {:.2}s sequential vs \
+                 {:.2}s parallel ({:.2}x); {invariant} are engine-invariant (cycle-exact)",
+                self.seq,
+                self.par,
+                self.seq / self.par
+            ));
+        } else {
+            t.note("run with --threads N to time the parallel simulation engine");
         }
     }
-    t.note("paper: ~2 orders of magnitude over the Virtex-5 realization at window 2^13");
-    m.histogram("service_gap_cycles", gaps_all);
-    record_provenance(&mut m, &prov);
-    (t, m)
 }
 
-/// [`fig14c`] with each point also simulated on a `threads`-wide
+/// Fig. 14c — uni-flow throughput with 512 join cores on Virtex-7
+/// @300 MHz (scalable networks) across windows 2^11–2^18 (or
+/// `--windows`). The manifest holds per-point counters and the merged
+/// service-gap histogram.
+///
+/// With `--threads N` each point is also simulated on an `N`-wide
 /// [`ParSimulator`] pool: the measured throughput must match the
 /// sequential engine exactly (the runs are cycle-identical); the extra
 /// columns report the simulation's wall-clock cost per engine and the
-/// resulting speedup. Backs the `fig14c` binary's `--threads` knob.
-pub fn fig14c_threads(threads: usize) -> Table {
-    fig14c_threads_run(threads).0
-}
-
-/// [`fig14c_threads`] plus its run manifest. Beyond the sequential
-/// counters and service-gap histogram, each point records the parallel
-/// engine's per-worker utilization (`w2e{exp}.par.worker.N.busy_cycles`
-/// / `wait_cycles` / `busy_ns` / `wait_ns`) — the per-shard accounting
-/// that shows where the simulation pool spends its time.
-pub fn fig14c_threads_run(threads: usize) -> (Table, RunManifest) {
-    // 0 = host auto (ACCEL_THREADS, else available parallelism), the same
-    // resolution `ParSimulator::new(0)` would apply; resolve it up front so
-    // the `threads <= 1` sequential-only guard sees the real pool width.
-    let threads = if threads == 0 { ParSimulator::auto().threads() } else { threads };
+/// resulting speedup.
+pub fn fig14c(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let threads = pool_width(opts);
     let mut m = crate::obsout::manifest("fig14c");
-    m.set_threads(threads);
+    if let Some(n) = threads {
+        m.set_threads(n);
+    }
     m.config("device", "XC7VX485T");
     m.config("target_clock_mhz", 300);
     m.config("cores", 512);
     m.config("network", "scalable");
     let mut gaps_all = Histogram::new();
     let mut prov = None;
+    let mut headers = vec!["window", "model Mt/s", "measured Mt/s"];
+    if threads.is_some() {
+        headers.extend(WALL_HEADERS);
+    }
     let mut t = Table::new(
         "Fig. 14c — uni-flow, 512 cores, Virtex-7 (300 MHz, scalable networks)",
-        &["window", "model Mt/s", "measured Mt/s", "seq wall s", "par wall s", "speedup"],
+        &headers,
     );
     let cores = 512u32;
-    let mut seq_total = 0.0f64;
-    let mut par_total = 0.0f64;
-    for exp in 11..=18u32 {
+    let mut wall = WallClock::default();
+    let exponents = opts.windows.clone().unwrap_or(11..=18);
+    let first = *exponents.start();
+    for exp in exponents {
         let window = 1usize << exp;
         let params = DesignParams::new(FlowModel::UniFlow, cores, window)
             .with_network(NetworkKind::Scalable);
+        let mut row = vec![format!("2^{exp}")];
         match params.synthesize_at(&XC7VX485T, 300.0) {
             Ok(_) => {
                 let model = uniflow_throughput_model(window, cores, 300.0) / 1e6;
-                let timed = measure_run_timed(&params, threads, exp == 11, &mut prov);
-                let (run, seq_wall) = (timed.run, timed.seq_wall);
-                let measured = run.at_clock(300.0).million_per_second();
+                let timed =
+                    measure_run_timed(&params, threads.unwrap_or(1), exp == first, &mut prov);
+                let measured = timed.run.at_clock(300.0).million_per_second();
                 let key = format!("w2e{exp}.");
-                record_run(&mut m, &key, &run);
+                record_run(&mut m, &key, &timed.run);
                 gaps_all.merge(&timed.gaps);
-                seq_total += seq_wall;
-                let (par_cell, speedup_cell) = match timed.par {
-                    Some((p, mut stats)) => {
-                        par_total += p;
-                        let mut reg = Registry::new();
-                        stats.observe(&mut reg, &format!("{key}par."));
-                        m.record_registry(&reg);
-                        if exp == 11 {
-                            crate::obsout::harvest(stats.rings.drain(..));
-                        }
-                        (format!("{p:.3}"), format!("{:.2}x", seq_wall / p))
-                    }
-                    None => ("-".into(), "-".into()),
-                };
-                t.row(vec![
-                    format!("2^{exp}"),
-                    format!("{model:.3}"),
-                    format!("{measured:.3}"),
-                    format!("{seq_wall:.3}"),
-                    par_cell,
-                    speedup_cell,
-                ]);
+                row.extend([format!("{model:.3}"), format!("{measured:.3}")]);
+                if threads.is_some() {
+                    row.extend(wall.cells(&mut m, &key, timed.seq_wall, timed.par, exp == first));
+                }
             }
-            Err(e) => t.row(vec![
-                format!("2^{exp}"),
-                "n/a".into(),
-                format!("{e}"),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]),
+            Err(e) => {
+                row.extend(["n/a".into(), format!("{e}")]);
+                if threads.is_some() {
+                    row.extend(["-"; 3].map(String::from));
+                }
+            }
         }
+        t.row(row);
     }
-    if threads > 1 && par_total > 0.0 {
-        t.note(format!(
-            "--threads {threads}: total simulation wall clock {seq_total:.2}s sequential vs \
-             {par_total:.2}s parallel ({:.2}x); throughput columns are engine-invariant \
-             (cycle-exact)",
-            seq_total / par_total
-        ));
-    } else {
-        t.note("run with --threads N to time the parallel simulation engine");
+    match threads {
+        Some(n) => wall.note(&mut t, n, "throughput columns"),
+        None => t.note("paper: ~2 orders of magnitude over the Virtex-5 realization at window 2^13"),
     }
     m.histogram("service_gap_cycles", gaps_all);
     record_provenance(&mut m, &prov);
-    (t, m)
-}
-
-/// Fig. 15 — uni-flow hardware latency versus join cores, in cycles and
-/// microseconds, for the paper's three series.
-pub fn fig15() -> Table {
-    fig15_run().0
-}
-
-/// [`fig15`] plus its run manifest: per-point latency-cycle counters and
-/// a histogram of all measured probe latencies (in cycles).
-pub fn fig15_run() -> (Table, RunManifest) {
-    let mut m = crate::obsout::manifest("fig15");
-    let mut latencies = Histogram::new();
-    let mut prov = None;
-    let mut t = Table::new(
-        "Fig. 15 — uni-flow latency (planted match per core)",
-        &["series", "cores", "cycles", "clock MHz", "latency us"],
-    );
-    let series: [(&str, &Device, NetworkKind, usize, Option<f64>); 3] = [
-        ("W 2^18 (V7)", &XC7VX485T, NetworkKind::Lightweight, 1 << 18, None),
-        ("W 2^18 (V7s)", &XC7VX485T, NetworkKind::Scalable, 1 << 18, Some(300.0)),
-        ("W 2^13 (V5)", &XC5VLX50T, NetworkKind::Lightweight, 1 << 13, Some(100.0)),
-    ];
-    for (s, (name, device, network, window, fixed_clock)) in series.into_iter().enumerate() {
-        m.config(format!("series.{s}"), name);
-        for exp in 1..=9u32 {
-            let cores = 1u32 << exp;
-            let params =
-                DesignParams::new(FlowModel::UniFlow, cores, window).with_network(network);
-            let report = match fixed_clock {
-                Some(mhz) => params.synthesize_at(device, mhz),
-                None => params.synthesize(device),
-            };
-            let Ok(report) = report else {
-                continue; // beyond the device's capacity for this series
-            };
-            let mut join = harness::build(&params);
-            prefill_planted(join.as_mut(), &params, 7);
-            let run = run_latency(
-                join.as_mut(),
-                (StreamTag::R, Tuple::new(7, u32::MAX)),
-                20_000_000,
-            )
-            .expect("latency probe quiesces");
-            harvest_join(join.as_mut(), exp == 1, &mut prov);
-            let cycles = run.cycles_to_last_result;
-            m.counter(format!("s{s}.c{cores}.latency_cycles"), cycles);
-            latencies.record_value(cycles);
-            let mhz = report.clock.mhz();
-            t.row(vec![
-                name.to_string(),
-                cores.to_string(),
-                cycles.to_string(),
-                format!("{mhz:.0}"),
-                format!("{:.2}", cycles as f64 / mhz),
-            ]);
-        }
-    }
-    t.note("paper: cycles similar across networks; lightweight loses in time via clock drop");
-    m.histogram("latency_cycles", latencies);
-    record_provenance(&mut m, &prov);
-    (t, m)
+    (vec![t], m)
 }
 
 /// One latency point under both engines; panics if the parallel engine
 /// is not cycle-exact. Returns the run, the sequential wall clock, and —
-/// when `threads > 1` — the parallel wall clock with the pool's
-/// per-worker utilization.
+/// when `threads > 1` — the parallel run.
 fn measure_latency_timed(
     params: &DesignParams,
     threads: usize,
     rings: bool,
     prov: &mut Option<ProvenanceTracker>,
-) -> (LatencyRun, f64, Option<(f64, ParStats)>) {
+) -> (LatencyRun, f64, Option<ParRun>) {
     const PROBE_KEY: u32 = 7;
     const MAX_CYCLES: u64 = 20_000_000;
     let probe = (StreamTag::R, Tuple::new(PROBE_KEY, u32::MAX));
@@ -518,35 +440,37 @@ fn measure_latency_timed(
     (seq, seq_wall, Some((par_wall, stats)))
 }
 
-/// [`fig15`] with each point also simulated on a `threads`-wide
-/// [`ParSimulator`] pool; cycle counts are engine-invariant and the
-/// extra columns report simulation wall clock and speedup. Backs the
-/// `fig15` binary's `--threads` knob.
-pub fn fig15_threads(threads: usize) -> Table {
-    fig15_threads_run(threads).0
-}
-
-/// [`fig15_threads`] plus its run manifest: per-point latency counters,
-/// the latency histogram, and per-worker utilization of the parallel
-/// engine at each point (`s{series}.c{cores}.par.worker.N.*`).
-pub fn fig15_threads_run(threads: usize) -> (Table, RunManifest) {
-    // 0 = host auto; see `fig14c_threads`.
-    let threads = if threads == 0 { ParSimulator::auto().threads() } else { threads };
+/// Fig. 15 — uni-flow hardware latency versus join cores, in cycles and
+/// microseconds, for the paper's three series. The manifest holds
+/// per-point latency-cycle counters and a histogram of all measured
+/// probe latencies (in cycles).
+///
+/// With `--threads N` each point is also simulated on an `N`-wide
+/// [`ParSimulator`] pool; cycle counts are engine-invariant, and the
+/// simulation wall clock and speedup columns take the clock column's
+/// place.
+pub fn fig15(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let threads = pool_width(opts);
     let mut m = crate::obsout::manifest("fig15");
-    m.set_threads(threads);
+    if let Some(n) = threads {
+        m.set_threads(n);
+    }
     let mut latencies = Histogram::new();
     let mut prov = None;
-    let mut t = Table::new(
-        "Fig. 15 — uni-flow latency (planted match per core)",
-        &["series", "cores", "cycles", "latency us", "seq wall s", "par wall s", "speedup"],
-    );
+    let mut headers = vec!["series", "cores", "cycles"];
+    if threads.is_some() {
+        headers.push("latency us");
+        headers.extend(WALL_HEADERS);
+    } else {
+        headers.extend(["clock MHz", "latency us"]);
+    }
+    let mut t = Table::new("Fig. 15 — uni-flow latency (planted match per core)", &headers);
     let series: [(&str, &Device, NetworkKind, usize, Option<f64>); 3] = [
         ("W 2^18 (V7)", &XC7VX485T, NetworkKind::Lightweight, 1 << 18, None),
         ("W 2^18 (V7s)", &XC7VX485T, NetworkKind::Scalable, 1 << 18, Some(300.0)),
         ("W 2^13 (V5)", &XC5VLX50T, NetworkKind::Lightweight, 1 << 13, Some(100.0)),
     ];
-    let mut seq_total = 0.0f64;
-    let mut par_total = 0.0f64;
+    let mut wall = WallClock::default();
     for (s, (name, device, network, window, fixed_clock)) in series.into_iter().enumerate() {
         m.config(format!("series.{s}"), name);
         for exp in 1..=9u32 {
@@ -560,61 +484,38 @@ pub fn fig15_threads_run(threads: usize) -> (Table, RunManifest) {
             let Ok(report) = report else {
                 continue; // beyond the device's capacity for this series
             };
-            let (run, seq_wall, par_wall) =
-                measure_latency_timed(&params, threads, exp == 1, &mut prov);
-            seq_total += seq_wall;
-            let (par_cell, speedup_cell) = match par_wall {
-                Some((p, mut stats)) => {
-                    par_total += p;
-                    let mut reg = Registry::new();
-                    stats.observe(&mut reg, &format!("s{s}.c{cores}.par."));
-                    m.record_registry(&reg);
-                    if exp == 1 {
-                        crate::obsout::harvest(stats.rings.drain(..));
-                    }
-                    (format!("{p:.3}"), format!("{:.2}x", seq_wall / p))
-                }
-                None => ("-".into(), "-".into()),
-            };
+            let (run, seq_wall, par) =
+                measure_latency_timed(&params, threads.unwrap_or(1), exp == 1, &mut prov);
             let cycles = run.cycles_to_last_result;
-            m.counter(format!("s{s}.c{cores}.latency_cycles"), cycles);
+            let key = format!("s{s}.c{cores}.");
+            m.counter(format!("{key}latency_cycles"), cycles);
             latencies.record_value(cycles);
             let mhz = report.clock.mhz();
-            t.row(vec![
-                name.to_string(),
-                cores.to_string(),
-                cycles.to_string(),
-                format!("{:.2}", cycles as f64 / mhz),
-                format!("{seq_wall:.3}"),
-                par_cell,
-                speedup_cell,
-            ]);
+            let latency_us = format!("{:.2}", cycles as f64 / mhz);
+            let mut row = vec![name.to_string(), cores.to_string(), cycles.to_string()];
+            if threads.is_some() {
+                row.push(latency_us);
+                row.extend(wall.cells(&mut m, &key, seq_wall, par, exp == 1));
+            } else {
+                row.extend([format!("{mhz:.0}"), latency_us]);
+            }
+            t.row(row);
         }
     }
-    if threads > 1 && par_total > 0.0 {
-        t.note(format!(
-            "--threads {threads}: total simulation wall clock {seq_total:.2}s sequential vs \
-             {par_total:.2}s parallel ({:.2}x); cycle counts are engine-invariant (cycle-exact)",
-            seq_total / par_total
-        ));
-    } else {
-        t.note("run with --threads N to time the parallel simulation engine");
+    match threads {
+        Some(n) => wall.note(&mut t, n, "cycle counts"),
+        None => t.note("paper: cycles similar across networks; lightweight loses in time via clock drop"),
     }
     m.histogram("latency_cycles", latencies);
     record_provenance(&mut m, &prov);
-    (t, m)
+    (vec![t], m)
 }
 
 /// Fig. 17 — maximum clock frequency versus join cores for the three
-/// series (pure timing-model sweep).
-pub fn fig17() -> Table {
-    fig17_run().0
-}
-
-/// [`fig17`] plus its run manifest; a pure timing-model sweep, so the
-/// estimated fmax per point lands in the config map (floats, no cycle
-/// counters to record).
-pub fn fig17_run() -> (Table, RunManifest) {
+/// series. A pure timing-model sweep, so the estimated fmax per point
+/// lands in the manifest's config map (floats, no cycle counters to
+/// record).
+pub fn fig17(_: &FigOpts) -> (Vec<Table>, RunManifest) {
     let mut m = crate::obsout::manifest("fig17");
     let mut t = Table::new(
         "Fig. 17 — clock frequency vs join cores",
@@ -638,18 +539,13 @@ pub fn fig17_run() -> (Table, RunManifest) {
         }
     }
     t.note("paper: V7 lightweight drops with fan-out; V7 scalable flat ~300; V5 flat, bump at 16");
-    (t, m)
+    (vec![t], m)
 }
 
 /// Section V power table — bi-flow vs uni-flow at 16 cores, window 2^13,
-/// on the Virtex-5 at 100 MHz, plus a core-count sweep.
-pub fn power() -> Table {
-    power_run().0
-}
-
-/// [`power`] plus its run manifest; model estimates (floats) land in the
-/// config map.
-pub fn power_run() -> (Table, RunManifest) {
+/// on the Virtex-5 at 100 MHz, plus a core-count sweep. Model estimates
+/// (floats) land in the manifest's config map.
+pub fn power(_: &FigOpts) -> (Vec<Table>, RunManifest) {
     let mut m = crate::obsout::manifest("power");
     m.config("device", "XC5VLX50T");
     m.config("clock_mhz", 100);
@@ -694,7 +590,7 @@ pub fn power_run() -> (Table, RunManifest) {
         ]);
     }
     t.note("paper anchor: bi-flow 1647.53 mW vs uni-flow 800.35 mW at 16 cores, window 2^13 (>50% saving)");
-    (t, m)
+    (vec![t], m)
 }
 
 /// Ablation — tree fan-out of the scalable networks (paper future work:
@@ -921,14 +817,14 @@ mod tests {
 
     #[test]
     fn fig17_has_all_series() {
-        let t = fig17();
+        let t = &fig17(&FigOpts::default()).0[0];
         // 9 core counts x 2 V7 series + 4 V5 points.
         assert_eq!(t.len(), 9 * 2 + 4);
     }
 
     #[test]
     fn power_table_reports_over_50_percent_saving() {
-        let t = power();
+        let t = &power(&FigOpts::default()).0[0];
         let saving_cell = t.cell(2, 4).unwrap();
         let saving: f64 = saving_cell.trim_end_matches('%').parse().unwrap();
         assert!(saving > 50.0, "saving {saving}%");

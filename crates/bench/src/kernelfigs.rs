@@ -4,29 +4,27 @@
 //! optimization, the blocked batch×window compare tiles
 //! ([`streamcore::kernel`]), single-core over the window range where the
 //! nested-loop probe falls off its cache cliff (2^8..2^14), in both
-//! counting-only and materializing modes. `swjoin_check` holds these
-//! entries to the committed baseline like every other figure.
+//! counting-only and materializing modes.
 //!
-//! Honors the shared CLI options ([`SwRunOpts`](crate::swjoin::SwRunOpts)):
-//! `--batch` (blocked tiles need at least 8 probes per batch to engage),
-//! `--windows` for the exponent range, and `--samples` for the
-//! best-of-N run count per point (default 3).
+//! Honors the shared CLI options ([`FigOpts`]): `--batch` (blocked tiles
+//! need at least 8 probes per batch to engage), `--windows` for the
+//! exponent range, and `--samples` for the best-of-N run count per point
+//! (default 3).
 
-use joinsw::harness::{host_parallelism, measure_throughput_collecting, PARALLEL_EFFICIENCY};
+use joinsw::harness::measure_throughput_collecting;
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use obs::RunManifest;
 
-use crate::swjoin::{SwJoinEntry, SwRunOpts};
+use crate::opts::FigOpts;
 use crate::table::Table;
 
 const KEY_DOMAIN: u32 = 1 << 20;
 
 /// Comparison budget per point, matching `swfigs`: tuples per run are
 /// derived from it so every window costs similar wall-clock time. The
-/// clamp ceiling is much higher than the fig14d sweep's because this
-/// figure feeds a hard CI gate (`swjoin_check`'s regression check) —
-/// millisecond-scale runs on a loaded host swing 3x in either
-/// direction, so each timed segment here runs tens of milliseconds.
+/// clamp ceiling is much higher than the fig14d sweep's: millisecond-scale
+/// runs on a loaded host swing 3x in either direction, so each timed
+/// segment here runs tens of milliseconds.
 const COMPARISON_BUDGET: u64 = 100_000_000;
 
 /// Best-of-N runs per point. Worker threads share cores with the OS, so
@@ -38,35 +36,11 @@ fn tuples_for(window: usize) -> u64 {
     (COMPARISON_BUDGET / window as u64).clamp(1_024, 65_536)
 }
 
-/// Kernel figure over the default window range 2^8..2^14.
-pub fn kernel_figure() -> Table {
-    kernel_figure_windows(8..=14)
-}
-
-/// [`kernel_figure`] plus its run manifest and the measured points for
-/// `BENCH_swjoin.json`.
-pub fn kernel_run_opts(opts: &SwRunOpts) -> (Table, RunManifest, Vec<SwJoinEntry>) {
-    let mut m = crate::obsout::manifest("kernel");
-    m.config("host_parallelism", host_parallelism());
-    m.config("parallel_efficiency", PARALLEL_EFFICIENCY);
-    m.config("batch_size", opts.batch_size);
-    let mut entries = Vec::new();
-    let t = kernel_into(opts, Some(&mut m), Some(&mut entries));
-    (t, m, entries)
-}
-
-/// Kernel figure over a custom window-exponent range (tests use a small
-/// one).
-pub fn kernel_figure_windows(exponents: std::ops::RangeInclusive<u32>) -> Table {
-    let opts = SwRunOpts { windows: Some(exponents), ..SwRunOpts::default() };
-    kernel_into(&opts, None, None)
-}
-
-fn kernel_into(
-    opts: &SwRunOpts,
-    mut manifest: Option<&mut RunManifest>,
-    mut entries: Option<&mut Vec<SwJoinEntry>>,
-) -> Table {
+/// Kernel figure over windows 2^8..2^14 (or `--windows`). Each rate
+/// lands in the manifest's config map as `w2e{exp}.blocked_count_mtps` /
+/// `w2e{exp}.blocked_mat_mtps`.
+pub fn kernel(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let mut m = crate::swfigs::sw_manifest("kernel", opts);
     let exponents = opts.windows.clone().unwrap_or(8..=14);
     let batch = opts.batch_size;
     let samples = opts.samples.unwrap_or(DEFAULT_SAMPLES).max(1);
@@ -100,26 +74,9 @@ fn kernel_into(
                 })
                 .fold(0f64, f64::max);
             row.push(format!("{rate:.5}"));
-            if let Some(m) = manifest.as_deref_mut() {
-                m.config(format!("w2e{exp}.{name}_mtps"), format!("{rate:.5}"));
-            }
-            if let Some(e) = entries.as_deref_mut() {
-                e.push(SwJoinEntry {
-                    figure: "kernel".into(),
-                    variant: name.into(),
-                    cores: 1,
-                    window,
-                    batch_size: batch,
-                    tuples,
-                    metric: "throughput_mtps".into(),
-                    value: rate,
-                    mode: "measured".into(),
-                });
-            }
+            m.config(format!("w2e{exp}.{name}_mtps"), format!("{rate:.5}"));
         }
-        if let Some(m) = manifest.as_deref_mut() {
-            m.counter(format!("w2e{exp}.tuples"), tuples);
-        }
+        m.counter(format!("w2e{exp}.tuples"), tuples);
         t.row(row);
     }
     t.note(format!("distribution batch size: {batch} (blocked tiles engage at >= 8 probes/batch)"));
@@ -127,7 +84,7 @@ fn kernel_into(
     t.note(format!(
         "each point is the best of {samples} run(s): scheduler noise only depresses a rate"
     ));
-    t
+    (vec![t], m)
 }
 
 #[cfg(test)]
@@ -136,24 +93,21 @@ mod tests {
 
     #[test]
     fn kernel_figure_emits_both_variants_per_window() {
-        let opts = SwRunOpts {
+        let opts = FigOpts {
             batch_size: 64,
-            cores: None,
             windows: Some(8..=9),
             samples: Some(1),
-            trace: None,
-            live: None,
-            live_port: None,
+            ..FigOpts::default()
         };
-        let mut entries = Vec::new();
-        let t = kernel_into(&opts, None, Some(&mut entries));
-        assert_eq!(t.len(), 2);
-        assert_eq!(entries.len(), 4);
-        assert!(entries.iter().all(|e| e.figure == "kernel"));
-        assert!(entries.iter().all(|e| e.metric == "throughput_mtps"));
-        assert!(entries.iter().all(|e| e.cores == 1));
-        for v in ["blocked_count", "blocked_mat"] {
-            assert_eq!(entries.iter().filter(|e| e.variant == v).count(), 2, "{v}");
+        let (tables, m) = kernel(&opts);
+        assert_eq!(tables[0].len(), 2);
+        for exp in [8, 9] {
+            for variant in ["blocked_count", "blocked_mat"] {
+                let key = format!("w2e{exp}.{variant}_mtps");
+                let rate = m.config_entries().iter().find(|(k, _)| *k == key);
+                let rate: f64 = rate.unwrap_or_else(|| panic!("{key} missing")).1.parse().unwrap();
+                assert!(rate > 0.0, "{key} = {rate}");
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Manifest emission for the figure binaries.
+//! Manifest emission for the bench binaries.
 //!
-//! Every `fig*` binary prints its human-readable [`Table`](crate::Table)
+//! `figs` prints each figure's human-readable [`Table`](crate::Table)
 //! to stdout and, in addition, writes a machine-readable
 //! [`obs::RunManifest`] — git revision, thread count,
 //! configuration, counters, and latency histograms — so runs can be

@@ -1,0 +1,321 @@
+//! The one command-line parser of `crates/bench`: the flags `figs` and
+//! `faults` accept, and the trace/live side effects they switch on.
+
+use std::iter::Peekable;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
+use joinsw::default_batch_size;
+
+/// The flag list, as `figs` and `faults` print it on a usage error.
+pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--samples N] \
+                         [--threads N] [--trace [N]] [--live [MS]] [--live-port PORT] [--csv]";
+
+/// CLI options shared by every figure.
+///
+/// Flags (all optional; each figure applies its own defaults and
+/// ignores the flags it has no use for):
+///
+/// * `--batch N` — distribution batch size ([`default_batch_size`] when
+///   absent, itself overridable via `ACCEL_SW_BATCH`).
+/// * `--cores A,B,...` — join-core counts to run.
+/// * `--windows LO..HI` — inclusive window exponent range (`10..12`
+///   means windows 2^10, 2^11, 2^12).
+/// * `--samples N` — latency samples per point (fig16), best-of-N runs
+///   per point (kernel).
+/// * `--threads N` — also run every simulated point (fig14c, fig15) on
+///   an `N`-wide parallel simulation pool and report the wall-clock
+///   speedup; `0` sizes the pool from the host (`ACCEL_THREADS`, else
+///   the CPU count).
+/// * `--trace [N]` — enable span tracing with 1-in-`N` provenance
+///   sampling (`64` when the period is omitted); harvested rings are
+///   written as a Perfetto trace next to the manifest. Tracing never
+///   changes measured cycle counts or results.
+/// * `--live [MS]` — arm the live telemetry plane and sample it every
+///   `MS` milliseconds (`25` when omitted) into
+///   `target/obs/<figure>.series.jsonl`.
+/// * `--live-port PORT` — additionally serve a read-only Prometheus-style
+///   scrape endpoint on `127.0.0.1:PORT` (`0` = ephemeral, printed on
+///   stderr). Implies `--live`.
+/// * `--csv` — print tables as CSV instead of aligned text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FigOpts {
+    /// Distribution batch size.
+    pub batch_size: usize,
+    /// Join-core counts, `None` when the figure's default applies.
+    pub cores: Option<Vec<usize>>,
+    /// Inclusive window exponent range, `None` for the default sweep.
+    pub windows: Option<RangeInclusive<u32>>,
+    /// Samples per point, `None` for the default.
+    pub samples: Option<usize>,
+    /// Parallel simulation pool width (`Some(0)` = size from the host),
+    /// `None` when only the sequential engine runs.
+    pub threads: Option<usize>,
+    /// Span-tracing sample period, `None` when tracing is off.
+    pub trace: Option<u64>,
+    /// Live-plane sampling interval in milliseconds, `None` when the
+    /// plane stays unarmed.
+    pub live: Option<u64>,
+    /// Scrape-endpoint port (implies `live`); `Some(0)` binds ephemeral.
+    pub live_port: Option<u16>,
+    /// Print tables as CSV.
+    pub csv: bool,
+}
+
+impl Default for FigOpts {
+    fn default() -> Self {
+        Self {
+            batch_size: default_batch_size(),
+            cores: None,
+            windows: None,
+            samples: None,
+            threads: None,
+            trace: None,
+            live: None,
+            live_port: None,
+            csv: false,
+        }
+    }
+}
+
+type Args<'a> = Peekable<std::slice::Iter<'a, String>>;
+
+/// The value of `--flag value` or `--flag=value`.
+fn required<'a>(
+    flag: &str,
+    inline: Option<&'a str>,
+    rest: &mut Args<'a>,
+) -> Result<&'a str, String> {
+    inline
+        .or_else(|| rest.next().map(String::as_str))
+        .ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// The value of `--flag [value]` or `--flag=value`: without `=`, the
+/// next argument is consumed only when it is not itself a flag.
+fn optional<'a>(inline: Option<&'a str>, rest: &mut Args<'a>) -> Option<&'a str> {
+    inline.or_else(|| rest.next_if(|v| !v.starts_with('-')).map(String::as_str))
+}
+
+fn positive<T: FromStr + PartialOrd + Default>(flag: &str, v: &str) -> Result<T, String> {
+    v.trim()
+        .parse::<T>()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} requires a positive integer, got `{v}`"))
+}
+
+impl FigOpts {
+    /// Parses `args` (the process arguments after the program and figure
+    /// names), exiting with status 2 and a message on stderr when a flag
+    /// is malformed.
+    #[must_use]
+    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
+        Self::parse(&args.collect::<Vec<_>>()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("usage: {USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Applies the `--trace` flag: enables span tracing at the parsed
+    /// sampling period for the whole process. Without the `obs` feature
+    /// the enable call is a no-op and no spans are ever recorded.
+    pub fn setup_trace(&self) {
+        if let Some(n) = self.trace {
+            obs::trace::enable(n);
+        }
+    }
+
+    /// Applies the `--live` / `--live-port` flags: arms the live plane,
+    /// starts the background sampler (series artifact named after
+    /// `figure`) and, when a port was given, the scrape endpoint.
+    /// Returns `None` when live telemetry was not requested; the caller
+    /// runs [`LiveRun::finish`](crate::obsout::LiveRun::finish) after
+    /// the figure completes.
+    #[must_use]
+    pub fn setup_live(&self, figure: &str) -> Option<crate::obsout::LiveRun> {
+        let interval_ms = self.live.or(self.live_port.map(|_| 25))?;
+        Some(crate::obsout::live_start(
+            figure,
+            interval_ms,
+            self.live_port,
+        ))
+    }
+
+    /// Parses an argument list (`from_args` without the process exit).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed flag.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut opts = Self::default();
+        let mut rest = args.iter().peekable();
+        while let Some(arg) = rest.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) => (flag, Some(v)),
+                None => (arg.as_str(), None),
+            };
+            match flag {
+                "--batch" => opts.batch_size = positive(flag, required(flag, inline, &mut rest)?)?,
+                "--cores" => {
+                    let v = required(flag, inline, &mut rest)?;
+                    let cores = v.split(',').map(|c| positive(flag, c));
+                    opts.cores = Some(cores.collect::<Result<_, _>>()?);
+                }
+                "--windows" => {
+                    let v = required(flag, inline, &mut rest)?;
+                    let bad = || format!("--windows requires LO..HI, got `{v}`");
+                    let (lo, hi) = v.split_once("..").ok_or_else(bad)?;
+                    let hi = hi.strip_prefix('=').unwrap_or(hi); // tolerate 10..=12
+                    let lo: u32 = lo.trim().parse().map_err(|_| bad())?;
+                    let hi: u32 = hi.trim().parse().map_err(|_| bad())?;
+                    if lo > hi || hi > 30 {
+                        return Err(format!("--windows range `{v}` is empty or too large"));
+                    }
+                    opts.windows = Some(lo..=hi);
+                }
+                "--samples" => {
+                    opts.samples = Some(positive(flag, required(flag, inline, &mut rest)?)?);
+                }
+                "--threads" => {
+                    let v = required(flag, inline, &mut rest)?;
+                    opts.threads = Some(v.parse().map_err(|_| {
+                        format!(
+                            "--threads requires a non-negative integer (0 = host auto), got `{v}`"
+                        )
+                    })?);
+                }
+                "--trace" => {
+                    opts.trace = Some(match optional(inline, &mut rest) {
+                        Some(v) => positive(flag, v)?,
+                        None => 64,
+                    });
+                }
+                "--live" => {
+                    opts.live = Some(match optional(inline, &mut rest) {
+                        Some(v) => positive(flag, v)?,
+                        None => 25,
+                    });
+                }
+                "--live-port" => {
+                    let v = required(flag, inline, &mut rest)?;
+                    opts.live_port =
+                        Some(v.parse().map_err(|_| {
+                            format!("--live-port requires a port number, got `{v}`")
+                        })?);
+                }
+                "--csv" if inline.is_none() => opts.csv = true,
+                _ => return Err(format!("unknown flag `{arg}`")),
+            }
+        }
+        Ok(opts)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<FigOpts, String> {
+        FigOpts::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn opts_parse_all_flags() {
+        let opts = parse(&[
+            "--batch",
+            "64",
+            "--cores",
+            "2,4",
+            "--windows",
+            "10..12",
+            "--csv",
+        ])
+        .unwrap();
+        assert_eq!(opts.batch_size, 64);
+        assert_eq!(opts.cores, Some(vec![2, 4]));
+        assert_eq!(opts.windows, Some(10..=12));
+        assert!(opts.csv);
+        let eq_style = parse(&["--samples=5", "--windows=10..=11"]).unwrap();
+        assert_eq!(eq_style.samples, Some(5));
+        assert_eq!(eq_style.windows, Some(10..=11));
+        assert_eq!(parse(&[]).unwrap(), FigOpts::default());
+    }
+
+    #[test]
+    fn opts_parse_threads_flag_forms() {
+        assert_eq!(parse(&[]).unwrap().threads, None);
+        assert_eq!(parse(&["--threads", "2"]).unwrap().threads, Some(2));
+        assert_eq!(parse(&["--threads=4"]).unwrap().threads, Some(4));
+        // 0 is valid: size the pool from the host.
+        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, Some(0));
+        for bad in [
+            &["--threads"][..],
+            &["--threads", "x"],
+            &["--threads=-1"],
+            &["--threads="],
+        ] {
+            let e = parse(bad).unwrap_err();
+            assert!(
+                e.contains("--threads"),
+                "{bad:?}: error should name the flag: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn opts_parse_trace_flag_forms() {
+        assert_eq!(parse(&["--trace", "16"]).unwrap().trace, Some(16));
+        assert_eq!(parse(&["--trace=8"]).unwrap().trace, Some(8));
+        // Bare `--trace` defaults to 64, including before another flag.
+        assert_eq!(parse(&["--trace"]).unwrap().trace, Some(64));
+        let before_flag = parse(&["--trace", "--batch", "32"]).unwrap();
+        assert_eq!(before_flag.trace, Some(64));
+        assert_eq!(before_flag.batch_size, 32);
+        assert!(parse(&["--trace", "0"]).is_err());
+        assert!(parse(&["--trace=x"]).is_err());
+    }
+
+    #[test]
+    fn opts_parse_live_flag_forms() {
+        let with_interval = parse(&["--live", "50"]).unwrap();
+        assert_eq!(with_interval.live, Some(50));
+        assert_eq!(with_interval.live_port, None);
+        assert_eq!(parse(&["--live=10"]).unwrap().live, Some(10));
+        // Bare `--live` defaults to 25 ms, including before another flag.
+        assert_eq!(parse(&["--live"]).unwrap().live, Some(25));
+        let before_flag = parse(&["--live", "--batch", "32"]).unwrap();
+        assert_eq!(before_flag.live, Some(25));
+        assert_eq!(before_flag.batch_size, 32);
+        // `--live-port` alone implies live sampling in `setup_live`
+        // (port 0 = ephemeral); parsing keeps the fields independent.
+        let port_only = parse(&["--live-port", "0"]).unwrap();
+        assert_eq!(port_only.live, None);
+        assert_eq!(port_only.live_port, Some(0));
+        let both = parse(&["--live=5", "--live-port=9091"]).unwrap();
+        assert_eq!((both.live, both.live_port), (Some(5), Some(9091)));
+        assert!(parse(&["--live", "0"]).is_err());
+        assert!(parse(&["--live=x"]).is_err());
+        assert!(parse(&["--live-port", "70000"]).is_err());
+        assert!(parse(&["--live-port"]).is_err());
+    }
+
+    #[test]
+    fn opts_reject_malformed_flags() {
+        for bad in [
+            vec!["--batch", "0"],
+            vec!["--batch", "x"],
+            vec!["--cores", ""],
+            vec!["--cores", "2,0"],
+            vec!["--windows", "12..10"],
+            vec!["--windows", "10"],
+            vec!["--frobnicate"],
+            vec!["--csv=yes"],
+            vec!["fig14a"],
+            vec!["--batch"],
+        ] {
+            assert!(parse(&bad).is_err(), "should reject {bad:?}");
+        }
+    }
+}

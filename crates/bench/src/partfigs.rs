@@ -1,8 +1,7 @@
 //! Partitioned-dispatch (PanJoin mode) figures: broadcast vs hash
 //! speedup and skew-rebalance occupancy.
 //!
-//! Two sweeps, both published under figure `partition` in
-//! `BENCH_swjoin.json`:
+//! Two sweeps, both recorded in the `partition` run manifest:
 //!
 //! 1. **Speedup** — wall-clock throughput of the same SplitJoin at the
 //!    same core count, broadcast vs [`Partitioning::Hash`], across
@@ -13,12 +12,13 @@
 //!    `O(matches)`, so the ratio grows with the window.
 //! 2. **Occupancy** — a zipf(s=1.0, domain 8) feed with *no* warm-up
 //!    prefill, measuring [`PartitionStats::balance`] (max/mean live
-//!    occupancy over live workers, `occupancy_ratio` in the artifact)
+//!    occupancy over live workers, `zipf.<variant>.occupancy_ratio` in
+//!    the manifest)
 //!    with the hot-key splitter enabled versus disabled (`nosplit`, the
 //!    splitter's threshold pushed out of reach). A rebalanced run keeps
 //!    the ratio low; the nosplit run shows the skew the sketch removes.
 //!
-//! Both honor the shared CLI options ([`SwRunOpts`]): `--batch`,
+//! Both honor the shared CLI options ([`FigOpts`]): `--batch`,
 //! `--cores` (first value is the sweep's core count), and `--windows`
 //! reshape the speedup sweep. The walkthrough in
 //! `docs/PARTITIONING.md` reproduces these numbers step by step.
@@ -30,7 +30,7 @@ use joinsw::streamjoin::JoinSummary;
 use obs::RunManifest;
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
-use crate::swjoin::{SwJoinEntry, SwRunOpts};
+use crate::opts::FigOpts;
 use crate::table::Table;
 
 const KEY_DOMAIN: u32 = 1 << 20;
@@ -57,41 +57,17 @@ fn tuples_for(window: usize) -> u64 {
     (COMPARISON_BUDGET / window as u64).clamp(8, 4_096)
 }
 
-fn throughput_entry(
-    variant: &str,
-    cores: usize,
-    window: usize,
-    batch_size: usize,
-    tuples: u64,
-    mtps: f64,
-) -> SwJoinEntry {
-    SwJoinEntry {
-        figure: "partition".into(),
-        variant: variant.into(),
-        cores,
-        window,
-        batch_size,
-        tuples,
-        metric: "throughput_mtps".into(),
-        value: mtps,
-        mode: "measured".into(),
-    }
-}
-
-/// The partition figure with CLI options applied, returning the
-/// speedup and occupancy tables, the run manifest, and the measured
-/// points for `BENCH_swjoin.json`.
-pub fn partition_run_opts(opts: &SwRunOpts) -> (Vec<Table>, RunManifest, Vec<SwJoinEntry>) {
+/// The partition figure: the speedup and occupancy tables.
+pub fn partition(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     let mut m = crate::obsout::manifest("partition");
     m.config("host_parallelism", host_parallelism());
     m.config("batch_size", opts.batch_size);
-    let mut entries = Vec::new();
-    let speedup = speedup_sweep(opts, &mut m, &mut entries);
-    let occupancy = occupancy_sweep(opts, &mut m, &mut entries);
-    (vec![speedup, occupancy], m, entries)
+    let speedup = speedup_sweep(opts, &mut m);
+    let occupancy = occupancy_sweep(opts, &mut m);
+    (vec![speedup, occupancy], m)
 }
 
-fn sweep_cores(opts: &SwRunOpts) -> usize {
+fn sweep_cores(opts: &FigOpts) -> usize {
     opts.cores
         .as_ref()
         .and_then(|c| c.first().copied())
@@ -100,11 +76,7 @@ fn sweep_cores(opts: &SwRunOpts) -> usize {
 
 /// Broadcast vs hash-partitioned wall-clock throughput, windows
 /// 2^16–2^20 (or `--windows`), at one core count.
-fn speedup_sweep(
-    opts: &SwRunOpts,
-    m: &mut RunManifest,
-    entries: &mut Vec<SwJoinEntry>,
-) -> Table {
+fn speedup_sweep(opts: &FigOpts, m: &mut RunManifest) -> Table {
     let exponents = opts.windows.clone().unwrap_or(16..=20);
     let cores = sweep_cores(opts);
     let batch = opts.batch_size;
@@ -147,22 +119,6 @@ fn speedup_sweep(
             format!("{partitioned:.5}"),
         );
         m.config(format!("w2e{exp}.speedup"), format!("{speedup:.1}"));
-        entries.push(throughput_entry(
-            "broadcast",
-            cores,
-            window,
-            batch,
-            tuples,
-            broadcast,
-        ));
-        entries.push(throughput_entry(
-            "partitioned",
-            cores,
-            window,
-            batch,
-            tuples,
-            partitioned,
-        ));
         t.row(vec![
             format!("2^{exp}"),
             format!("{broadcast:.5}"),
@@ -197,11 +153,7 @@ fn occupancy_arm(config: SplitJoinConfig, inputs: &[(streamcore::StreamTag, stre
 
 /// Skew sweep: zipf(1.0) over 8 keys, no warm-up prefill, splitter on
 /// vs off, measuring the final max/mean live-occupancy ratio.
-fn occupancy_sweep(
-    opts: &SwRunOpts,
-    m: &mut RunManifest,
-    entries: &mut Vec<SwJoinEntry>,
-) -> Table {
+fn occupancy_sweep(opts: &FigOpts, m: &mut RunManifest) -> Table {
     let cores = sweep_cores(opts);
     let batch = opts.batch_size;
     let tuples = 3 * ZIPF_WINDOW;
@@ -240,17 +192,6 @@ fn occupancy_sweep(
     ] {
         m.config(format!("zipf.{variant}.occupancy_ratio"), format!("{ratio:.3}"));
         m.counter(format!("zipf.{variant}.hot_splits"), splits);
-        entries.push(SwJoinEntry {
-            figure: "partition".into(),
-            variant: variant.into(),
-            cores,
-            window: ZIPF_WINDOW,
-            batch_size: batch,
-            tuples: tuples as u64,
-            metric: "occupancy_ratio".into(),
-            value: ratio,
-            mode: "measured".into(),
-        });
         t.row(vec![
             variant.into(),
             format!("{ratio:.3}"),
@@ -268,51 +209,48 @@ fn occupancy_sweep(
 mod tests {
     use super::*;
 
+    /// The float recorded under config key `key`.
+    fn config_f64(m: &RunManifest, key: &str) -> f64 {
+        let entry = m.config_entries().iter().find(|(k, _)| k == key);
+        entry.unwrap_or_else(|| panic!("{key} missing")).1.parse().unwrap()
+    }
+
     #[test]
     fn small_speedup_sweep_shows_partitioned_ahead() {
-        let opts = SwRunOpts {
+        let opts = FigOpts {
             cores: Some(vec![2]),
             windows: Some(10..=11),
-            ..SwRunOpts::default()
+            ..FigOpts::default()
         };
         let mut m = crate::obsout::manifest("partition-test");
-        let mut entries = Vec::new();
-        let t = speedup_sweep(&opts, &mut m, &mut entries);
+        let t = speedup_sweep(&opts, &mut m);
         assert_eq!(t.len(), 2);
-        assert_eq!(entries.len(), 4);
-        for pair in entries.chunks(2) {
-            let (b, p) = (&pair[0], &pair[1]);
-            assert_eq!(b.variant, "broadcast");
-            assert_eq!(p.variant, "partitioned");
+        for exp in [10, 11] {
+            let broadcast = config_f64(&m, &format!("w2e{exp}.broadcast_mtps"));
+            let partitioned = config_f64(&m, &format!("w2e{exp}.partitioned_mtps"));
             assert!(
-                p.value > b.value,
-                "hash dispatch should beat broadcast even at 2^{}: {} vs {}",
-                b.window.trailing_zeros(),
-                p.value,
-                b.value
+                partitioned > broadcast,
+                "hash dispatch should beat broadcast even at 2^{exp}: \
+                 {partitioned} vs {broadcast}"
             );
         }
     }
 
     #[test]
     fn occupancy_sweep_rebalances_the_zipf_feed() {
-        let opts = SwRunOpts {
+        let opts = FigOpts {
             cores: Some(vec![4]),
-            ..SwRunOpts::default()
+            ..FigOpts::default()
         };
         let mut m = crate::obsout::manifest("partition-test");
-        let mut entries = Vec::new();
-        let t = occupancy_sweep(&opts, &mut m, &mut entries);
+        let t = occupancy_sweep(&opts, &mut m);
         assert_eq!(t.len(), 2);
-        let split = entries.iter().find(|e| e.variant == "partitioned").unwrap();
-        let nosplit = entries.iter().find(|e| e.variant == "nosplit").unwrap();
-        assert_eq!(split.metric, "occupancy_ratio");
+        let split = config_f64(&m, "zipf.partitioned.occupancy_ratio");
+        let nosplit = config_f64(&m, "zipf.nosplit.occupancy_ratio");
         assert!(
-            split.value < nosplit.value,
-            "hot splitting should flatten occupancy: {} vs {}",
-            split.value,
-            nosplit.value
+            split < nosplit,
+            "hot splitting should flatten occupancy: {split} vs {nosplit}"
         );
-        assert!(split.value < 2.0, "rebalanced ratio {} >= 2", split.value);
+        assert!(split < 2.0, "rebalanced ratio {split} >= 2");
     }
 }

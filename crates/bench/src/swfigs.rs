@@ -1,30 +1,34 @@
-//! Software-side figures: 14d (throughput) and 16 (latency).
+//! Software-side figures: 14d (throughput), 16 (latency), and the two
+//! handshake-chain ablations (uni-flow vs bi-flow, ordering precision).
 //!
-//! The paper measured these on a 32-core Dell R820. This reproduction's
-//! default environment is a single-CPU container, so the harness measures
+//! The paper measured these on a 32-core Dell R820. The harness measures
 //! what the host *can* measure honestly — single-core rates and real
-//! multi-thread coordination overhead — and models the multi-core scaling
-//! with the calibrated efficiency factor from
-//! [`joinsw::harness::PARALLEL_EFFICIENCY`]. On a many-core host the same
-//! binaries measure the multi-thread numbers directly.
+//! multi-thread coordination overhead — and, on a host narrower than the
+//! sweep's core counts, models the multi-core scaling with the calibrated
+//! efficiency factor from [`joinsw::harness::PARALLEL_EFFICIENCY`]. A
+//! modeled value never shares a name with a measured one: its table
+//! column says `(modeled)` and its manifest key carries `_modeled`. On a
+//! many-core host the same figures measure the multi-thread numbers
+//! directly.
 //!
-//! Both figures honor the shared CLI options
-//! ([`SwRunOpts`](crate::swjoin::SwRunOpts)): `--batch` selects the
-//! distribution batch size, `--cores`/`--windows`/`--samples` reshape the
-//! sweep. Besides the human-readable table and the run manifest, every
-//! measured point is returned as a
-//! [`SwJoinEntry`](crate::swjoin::SwJoinEntry) for `BENCH_swjoin.json`.
+//! The three sweeps honor the shared CLI options ([`FigOpts`]): `--batch`
+//! selects the distribution batch size, `--cores`/`--windows`/`--samples`
+//! reshape the sweep. Every point lands in the figure's run manifest.
 
 use std::time::Duration;
 
+use joinsw::baseline::reference_join;
+use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::harness::{
     host_parallelism, measure_latency_with, measure_throughput_with, modeled_throughput,
     PARALLEL_EFFICIENCY,
 };
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use obs::{Histogram, RunManifest};
+use streamcore::workload::{KeyDist, WorkloadSpec};
+use streamcore::JoinPredicate;
 
-use crate::swjoin::{SwJoinEntry, SwRunOpts};
+use crate::opts::FigOpts;
 use crate::table::Table;
 
 const KEY_DOMAIN: u32 = 1 << 20;
@@ -37,80 +41,37 @@ fn tuples_for(window: usize) -> u64 {
     (COMPARISON_BUDGET / window as u64).clamp(8, 4_096)
 }
 
-fn throughput_entry(
-    cores: usize,
-    window: usize,
-    batch_size: usize,
-    tuples: u64,
-    mtps: f64,
-    measured: bool,
-) -> SwJoinEntry {
-    SwJoinEntry {
-        figure: "fig14d".into(),
-        variant: "splitjoin".into(),
-        cores,
-        window,
-        batch_size,
-        tuples,
-        metric: "throughput_mtps".into(),
-        value: mtps,
-        mode: if measured { "measured" } else { "modeled" }.into(),
-    }
-}
-
-/// Fig. 14d — software uni-flow (SplitJoin) throughput for 16 and 28 join
-/// cores across windows 2^16–2^23.
-pub fn fig14d() -> Table {
-    fig14d_windows(16..=23)
-}
-
-/// [`fig14d`] plus its run manifest: single-core rates are wall-clock
-/// measurements (floats), so they land in the config map along with the
-/// host parallelism that decides measured-vs-modeled multi-core columns.
-pub fn fig14d_run() -> (Table, RunManifest) {
-    let (t, m, _) = fig14d_run_opts(&SwRunOpts::default());
-    (t, m)
-}
-
-/// [`fig14d_run`] with CLI options applied — custom core counts, window
-/// exponent range, and batch size — also returning the measured points
-/// for `BENCH_swjoin.json`.
-pub fn fig14d_run_opts(opts: &SwRunOpts) -> (Table, RunManifest, Vec<SwJoinEntry>) {
-    let mut m = crate::obsout::manifest("fig14d");
+/// A software figure's manifest, stamped with what decides its
+/// measured-vs-modeled columns.
+pub(crate) fn sw_manifest(figure: &str, opts: &FigOpts) -> RunManifest {
+    let mut m = crate::obsout::manifest(figure);
     m.config("host_parallelism", host_parallelism());
     m.config("parallel_efficiency", PARALLEL_EFFICIENCY);
     m.config("batch_size", opts.batch_size);
-    let mut entries = Vec::new();
-    let t = fig14d_into(opts, Some(&mut m), Some(&mut entries));
-    (t, m, entries)
+    m
 }
 
-/// Fig. 14d over a custom window-exponent range (tests use a small one).
-pub fn fig14d_windows(exponents: std::ops::RangeInclusive<u32>) -> Table {
-    let opts = SwRunOpts {
-        windows: Some(exponents),
-        ..SwRunOpts::default()
-    };
-    fig14d_into(&opts, None, None)
-}
-
-fn fig14d_into(
-    opts: &SwRunOpts,
-    mut manifest: Option<&mut RunManifest>,
-    mut entries: Option<&mut Vec<SwJoinEntry>>,
-) -> Table {
+/// Fig. 14d — software uni-flow (SplitJoin) throughput for 16 and 28 join
+/// cores across windows 2^16–2^23 (or `--cores` / `--windows`).
+/// Single-core rates are wall-clock measurements (floats), so they land
+/// in the manifest's config map as `w2e{exp}.single_mtps`; a multi-core
+/// point is `w2e{exp}.c{n}_mtps` when measured and
+/// `w2e{exp}.c{n}_modeled_mtps` when modeled.
+pub fn fig14d(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let mut m = sw_manifest("fig14d", opts);
     let exponents = opts.windows.clone().unwrap_or(16..=23);
     let cores = opts.cores.clone().unwrap_or_else(|| vec![16, 28]);
     let batch = opts.batch_size;
+    let max_cores = cores.iter().copied().max().unwrap_or(1);
+    let direct = host_parallelism() >= max_cores;
+    let (column_tag, key_tag) = if direct { ("", "") } else { (" (modeled)", "_modeled") };
     let mut headers: Vec<String> =
         vec!["window".into(), "1 core (measured)".into()];
-    headers.extend(cores.iter().map(|n| format!("{n} cores")));
+    headers.extend(cores.iter().map(|n| format!("{n} cores{column_tag}")));
     let mut t = Table::new(
         "Fig. 14d — software SplitJoin throughput (M tuples/s)",
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    let max_cores = cores.iter().copied().max().unwrap_or(1);
-    let direct = host_parallelism() >= max_cores;
     // Harvest worker span rings from one representative point (the
     // widest sweep config at the first window) to keep exports bounded.
     let mut traced = !obs::trace::enabled();
@@ -135,23 +96,11 @@ fn fig14d_into(
         )
         .expect("fig14d single-core run failed")
         .0;
-        if let Some(e) = entries.as_deref_mut() {
-            e.push(throughput_entry(
-                1,
-                window,
-                batch,
-                tuples,
-                single.million_per_second(),
-                true,
-            ));
-        }
-        if let Some(m) = manifest.as_deref_mut() {
-            m.config(
-                format!("w2e{exp}.single_mtps"),
-                format!("{:.5}", single.million_per_second()),
-            );
-            m.counter(format!("w2e{exp}.tuples"), tuples);
-        }
+        m.config(
+            format!("w2e{exp}.single_mtps"),
+            format!("{:.5}", single.million_per_second()),
+        );
+        m.counter(format!("w2e{exp}.tuples"), tuples);
         let mut row = vec![
             format!("2^{exp}"),
             format!("{:.5}", single.million_per_second()),
@@ -170,12 +119,7 @@ fn fig14d_into(
             } else {
                 modeled_throughput(single, n) / 1e6
             };
-            if let Some(m) = manifest.as_deref_mut() {
-                m.config(format!("w2e{exp}.c{n}_mtps"), format!("{mtps:.5}"));
-            }
-            if let Some(e) = entries.as_deref_mut() {
-                e.push(throughput_entry(n, window, batch, tuples, mtps, direct));
-            }
+            m.config(format!("w2e{exp}.c{n}{key_tag}_mtps"), format!("{mtps:.5}"));
             row.push(format!("{mtps:.5}"));
         }
         t.row(row);
@@ -191,156 +135,69 @@ fn fig14d_into(
     }
     t.note(format!("distribution batch size: {batch}"));
     t.note("paper: peak at 28 of 32 cores; ~0.1 Mt/s at window 2^18 on the R820");
-    t
+    (vec![t], m)
 }
 
-/// Fig. 16 — software uni-flow latency versus join cores for windows
-/// 2^17–2^19.
-pub fn fig16() -> Table {
-    fig16_config(&[12, 16, 20, 24, 28, 32], &[17, 18, 19], 9)
-}
-
-/// [`fig16`] plus its run manifest: per-point p50 latencies in the
-/// config map and the merged distribution of every measured flush-barrier
-/// sample as a `latency_ns` histogram.
-pub fn fig16_run() -> (Table, RunManifest) {
-    let (t, m, _) = fig16_run_opts(&SwRunOpts::default());
-    (t, m)
-}
-
-/// [`fig16_run`] with CLI options applied, also returning the measured
-/// points for `BENCH_swjoin.json`.
-pub fn fig16_run_opts(opts: &SwRunOpts) -> (Table, RunManifest, Vec<SwJoinEntry>) {
-    let mut m = crate::obsout::manifest("fig16");
-    m.config("host_parallelism", host_parallelism());
-    m.config("parallel_efficiency", PARALLEL_EFFICIENCY);
-    m.config("batch_size", opts.batch_size);
+/// Fig. 16 — software uni-flow latency versus join cores (12–32, or
+/// `--cores`) for windows 2^17–2^19 (or `--windows`), `--samples`
+/// flush-barrier samples per point (default 9). The manifest holds the
+/// merged distribution of every sample as a `latency_ns` histogram and
+/// each point's p50 in the config map: `w2e{exp}.c{n}.p50` when
+/// measured, `w2e{exp}.c{n}.p50_modeled_ns` (nanoseconds) when modeled.
+pub fn fig16(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let mut m = sw_manifest("fig16", opts);
     let cores = opts.cores.clone().unwrap_or_else(|| vec![12, 16, 20, 24, 28, 32]);
-    let window_exps: Vec<u32> = opts
-        .windows
-        .clone()
-        .map_or_else(|| vec![17, 18, 19], |r| r.collect());
+    let window_exps = opts.windows.clone().unwrap_or(17..=19);
     let samples = opts.samples.unwrap_or(9);
-    let mut entries = Vec::new();
-    let t = fig16_config_into(
-        &cores,
-        &window_exps,
-        samples,
-        opts.batch_size,
-        Some(&mut m),
-        Some(&mut entries),
-    );
-    (t, m, entries)
-}
-
-/// Fig. 16 with custom core counts, window exponents, and sample count.
-pub fn fig16_config(cores: &[usize], window_exps: &[u32], samples: usize) -> Table {
-    fig16_config_into(
-        cores,
-        window_exps,
-        samples,
-        joinsw::default_batch_size(),
-        None,
-        None,
-    )
-}
-
-fn fig16_config_into(
-    cores: &[usize],
-    window_exps: &[u32],
-    samples: usize,
-    batch: usize,
-    mut manifest: Option<&mut RunManifest>,
-    mut entries: Option<&mut Vec<SwJoinEntry>>,
-) -> Table {
+    let batch = opts.batch_size;
+    let direct = host_parallelism() >= cores.iter().copied().max().unwrap_or(1);
     let mut t = Table::new(
         "Fig. 16 — software SplitJoin latency",
-        &["window", "cores", "latency"],
+        &["window", "cores", if direct { "latency" } else { "latency (modeled)" }],
     );
     let mut all_samples = Histogram::new();
-    let direct = host_parallelism() >= cores.iter().copied().max().unwrap_or(1);
     // Under `--trace`, harvest worker span rings from the first measured
     // point only (bounded export size); later points run untouched.
     let mut traced = !obs::trace::enabled();
-    let mut measure = |config: SplitJoinConfig, samples: usize| {
+    let mut measure = |config: SplitJoinConfig| {
         let (s, hist, outcome) = measure_latency_with::<SplitJoin>(config, samples, KEY_DOMAIN)
             .expect("fig16 run failed");
         if !traced {
             traced = true;
             crate::obsout::harvest(outcome.trace);
         }
-        (s, hist)
+        all_samples.merge(&hist);
+        s.p50
     };
-    let latency_entry = |n: usize, window: usize, p50: Duration, measured: bool| {
-        SwJoinEntry {
-            figure: "fig16".into(),
-            variant: "splitjoin".into(),
-            cores: n,
-            window,
-            batch_size: batch,
-            tuples: samples as u64,
-            metric: "latency_p50_ns".into(),
-            value: p50.as_nanos() as f64,
-            mode: if measured { "measured" } else { "modeled" }.into(),
-        }
-    };
-    for &exp in window_exps {
+    for exp in window_exps {
         let window = 1usize << exp;
-        if direct {
-            for &n in cores {
-                let (s, hist) = measure(
-                    SplitJoinConfig::new(n, window).with_batch_size(batch),
-                    samples,
-                );
-                all_samples.merge(&hist);
-                if let Some(m) = manifest.as_deref_mut() {
-                    m.config(format!("w2e{exp}.c{n}.p50"), format!("{:?}", s.p50));
+        // Hybrid model on a narrow host: real single-core scan time for
+        // this window plus real N-thread flush-barrier overhead, scan
+        // divided by N.
+        let lat1 =
+            (!direct).then(|| measure(SplitJoinConfig::new(1, window).with_batch_size(batch)));
+        for &n in &cores {
+            let p50 = match lat1 {
+                None => {
+                    let p50 = measure(SplitJoinConfig::new(n, window).with_batch_size(batch));
+                    m.config(format!("w2e{exp}.c{n}.p50"), format!("{p50:?}"));
+                    p50
                 }
-                if let Some(e) = entries.as_deref_mut() {
-                    e.push(latency_entry(n, window, s.p50, true));
+                Some(lat1) => {
+                    let overhead = measure(SplitJoinConfig::new(n, n).with_batch_size(batch));
+                    let scan = lat1.saturating_sub(overhead);
+                    let modeled = overhead
+                        + Duration::from_nanos(
+                            (scan.as_nanos() as f64 / (n as f64 * PARALLEL_EFFICIENCY)) as u64,
+                        );
+                    m.config(format!("w2e{exp}.c{n}.p50_modeled_ns"), modeled.as_nanos());
+                    modeled
                 }
-                t.row(vec![
-                    format!("2^{exp}"),
-                    n.to_string(),
-                    format!("{:?}", s.p50),
-                ]);
-            }
-        } else {
-            // Hybrid model: real single-core scan time for this window plus
-            // real N-thread flush-barrier overhead, scan divided by N.
-            let (lat1, hist) = measure(
-                SplitJoinConfig::new(1, window).with_batch_size(batch),
-                samples,
-            );
-            all_samples.merge(&hist);
-            for &n in cores {
-                let (overhead, hist) = measure(
-                    SplitJoinConfig::new(n, n).with_batch_size(batch),
-                    samples,
-                );
-                all_samples.merge(&hist);
-                let scan = lat1.p50.saturating_sub(overhead.p50);
-                let modeled = overhead.p50
-                    + Duration::from_nanos(
-                        (scan.as_nanos() as f64 / (n as f64 * PARALLEL_EFFICIENCY)) as u64,
-                    );
-                if let Some(m) = manifest.as_deref_mut() {
-                    m.config(format!("w2e{exp}.c{n}.p50_modeled"), format!("{modeled:?}"));
-                }
-                if let Some(e) = entries.as_deref_mut() {
-                    e.push(latency_entry(n, window, modeled, false));
-                }
-                t.row(vec![
-                    format!("2^{exp}"),
-                    n.to_string(),
-                    format!("{modeled:?}"),
-                ]);
-            }
+            };
+            t.row(vec![format!("2^{exp}"), n.to_string(), format!("{p50:?}")]);
         }
     }
-    if let Some(m) = manifest {
-        m.histogram("latency_ns", all_samples);
-    }
+    m.histogram("latency_ns", all_samples);
     if !direct {
         t.note(format!(
             "host has {} hardware thread(s): latency = measured N-thread barrier \
@@ -349,6 +206,97 @@ fn fig16_config_into(
         ));
     }
     t.note("paper: 50-100+ ms on the R820; latency falls with cores, grows with window");
+    (vec![t], m)
+}
+
+/// Ablation — software uni-flow (SplitJoin) vs software bi-flow
+/// (handshake join) throughput on this host at 4 threads: the Fig. 14b
+/// comparison, in software, over every second window exponent of
+/// 2^10–2^14 (or `--windows`). Both flows run their data paths at
+/// `--batch`; both rates land in the manifest's config map as
+/// `w2e{exp}.splitjoin_mtps` / `w2e{exp}.handshake_mtps`.
+pub fn swflow(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let mut m = sw_manifest("swflow", opts);
+    let batch = opts.batch_size;
+    let windows = opts.windows.clone().unwrap_or(10..=14);
+    let mut t = Table::new(
+        "Ablation — software uni-flow vs bi-flow throughput (4 threads)",
+        &["window", "uni-flow Mt/s", "bi-flow Mt/s", "uni/bi"],
+    );
+    // Under `--trace`, the first window's runs also donate their span
+    // rings to the exported timeline; later windows run untouched.
+    let mut traced = !obs::trace::enabled();
+    for exp in windows.step_by(2) {
+        let window = 1usize << exp;
+        let tuples = (40_000_000 / window as u64).clamp(500, 8_192);
+        let (uni, uni_outcome) = measure_throughput_with::<SplitJoin>(
+            SplitJoinConfig::new(4, window).with_batch_size(batch),
+            tuples,
+            KEY_DOMAIN,
+        )
+        .expect("swflow run failed");
+        let (bi, bi_outcome) = measure_throughput_with::<HandshakeJoin>(
+            HandshakeConfig::new(4, window).with_batch_size(batch),
+            tuples,
+            KEY_DOMAIN,
+        )
+        .expect("swflow run failed");
+        if !traced {
+            traced = true;
+            crate::obsout::harvest(uni_outcome.trace);
+            crate::obsout::harvest(bi_outcome.trace);
+        }
+        let uni = uni.million_per_second();
+        let bi = bi.million_per_second();
+        m.config(format!("w2e{exp}.splitjoin_mtps"), format!("{uni:.5}"));
+        m.config(format!("w2e{exp}.handshake_mtps"), format!("{bi:.5}"));
+        m.counter(format!("w2e{exp}.tuples"), tuples);
+        t.row(vec![
+            format!("2^{exp}"),
+            format!("{uni:.5}"),
+            format!("{bi:.5}"),
+            format!("{:.1}x", uni / bi),
+        ]);
+    }
+    t.note(format!("data-path batch size: {batch}"));
+    t.note(
+        "both flows do the same total comparisons per tuple; in software they land \
+         near parity at large windows — the paper's 'in theory, both models are \
+         similar in their parallelization concept'. The hardware gap of Fig. 14b \
+         comes from bi-flow's coordination discipline, not the flow model itself.",
+    );
+    (vec![t], m)
+}
+
+/// Ablation: the software handshake chain's ordering-precision knob
+/// (in-flight wave depth) versus result drift from strict semantics.
+pub(crate) fn precision_ablation() -> Table {
+    let mut t = Table::new(
+        "Ablation — handshake ordering precision (in-flight depth) vs result drift",
+        &["channel capacity", "results", "reference", "drift"],
+    );
+    let inputs: Vec<_> = WorkloadSpec::new(6_000, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let window = 256;
+    let want = reference_join(&inputs, window, JoinPredicate::Equi).len() as f64;
+    for capacity in [2usize, 8, 32, 128] {
+        let join = HandshakeJoin::spawn(
+            HandshakeConfig::new(4, window).with_channel_capacity(capacity),
+        );
+        for &(tag, tuple) in &inputs {
+            join.process(tag, tuple).expect("handshake chain died");
+        }
+        join.flush().expect("handshake chain died");
+        let got = join.shutdown().expect("handshake chain died").result_count as f64;
+        t.row(vec![
+            capacity.to_string(),
+            format!("{got}"),
+            format!("{want}"),
+            format!("{:.2}%", 100.0 * (got - want).abs() / want),
+        ]);
+    }
+    t.note("SplitJoin's 'adjustable ordering precision': shallower buffers = stricter semantics");
     t
 }
 
@@ -364,7 +312,8 @@ mod tests {
 
     #[test]
     fn small_fig14d_sweep_shows_window_scaling() {
-        let t = fig14d_windows(10..=12);
+        let opts = FigOpts { windows: Some(10..=12), ..FigOpts::default() };
+        let t = &fig14d(&opts).0[0];
         assert_eq!(t.len(), 3);
         let first: f64 = t.cell(0, 1).unwrap().parse().unwrap();
         let last: f64 = t.cell(2, 1).unwrap().parse().unwrap();
@@ -375,29 +324,44 @@ mod tests {
     }
 
     #[test]
-    fn fig14d_opts_emit_entries_per_core_column() {
-        let opts = SwRunOpts {
-            batch_size: 64,
-            cores: Some(vec![2]),
-            windows: Some(10..=11),
-            samples: None,
-            trace: None,
-            live: None,
-            live_port: None,
+    fn fig14d_never_names_a_modeled_point_like_a_measured_one() {
+        let run = |cores: usize| {
+            let opts = FigOpts {
+                batch_size: 64,
+                cores: Some(vec![cores]),
+                windows: Some(10..=10),
+                ..FigOpts::default()
+            };
+            let (tables, m) = fig14d(&opts);
+            let keys: Vec<String> = m.config_entries().iter().map(|(k, _)| k.clone()).collect();
+            assert!(keys.iter().any(|k| k == "w2e10.single_mtps"), "{keys:?}");
+            (tables[0].to_string(), keys)
         };
-        let mut entries = Vec::new();
-        let t = fig14d_into(&opts, None, Some(&mut entries));
-        assert_eq!(t.len(), 2);
-        // Per window: the measured single-core point plus one per column.
-        assert_eq!(entries.len(), 4);
-        assert!(entries.iter().all(|e| e.batch_size == 64));
-        assert!(entries.iter().all(|e| e.metric == "throughput_mtps"));
-        assert!(entries.iter().any(|e| e.cores == 2));
+        // One core fits every host: measured.
+        let (table, keys) = run(1);
+        assert!(keys.iter().any(|k| k == "w2e10.c1_mtps"), "{keys:?}");
+        assert!(!keys.iter().any(|k| k.contains("modeled")), "{keys:?}");
+        assert!(!table.contains("(modeled)"), "{table}");
+        // 4096 cores fit no host: modeled, and said so in key and column.
+        let (table, keys) = run(4096);
+        assert!(keys.iter().any(|k| k == "w2e10.c4096_modeled_mtps"), "{keys:?}");
+        assert!(!keys.iter().any(|k| k == "w2e10.c4096_mtps"), "{keys:?}");
+        assert!(table.contains("4096 cores (modeled)"), "{table}");
+    }
+
+    #[test]
+    fn precision_ablation_produces_four_points() {
+        assert_eq!(precision_ablation().len(), 4);
     }
 
     #[test]
     fn small_fig16_point_produces_rows() {
-        let t = fig16_config(&[2, 4], &[12], 3);
-        assert_eq!(t.len(), 2);
+        let opts = FigOpts {
+            cores: Some(vec![2, 4]),
+            windows: Some(12..=12),
+            samples: Some(3),
+            ..FigOpts::default()
+        };
+        assert_eq!(fig16(&opts).0[0].len(), 2);
     }
 }

@@ -220,7 +220,7 @@ mod tests {
         // The bench harness drives the same deterministic tuple stream
         // through the per-tuple probe (batch 4) and the blocked tiles
         // (batch 64); every logical counter must be bit-identical, or a
-        // batch sweep in `BENCH_swjoin.json` would compare different joins.
+        // `--batch` sweep of the figures would compare different joins.
         let run = |batch| {
             let config =
                 SplitJoinConfig::new(3, 1 << 8).with_batch_size(batch).counting_only();
