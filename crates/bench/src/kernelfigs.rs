@@ -49,7 +49,7 @@ pub fn kernel(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
         &["window", "blocked count", "blocked mat"],
     );
     // Materializing keeps `collect_results` on, so the timed segment runs
-    // bitmask-then-emit with a live collector; counting times
+    // bitmask-then-emit into the worker's outbox; counting times
     // popcount-only tiles.
     let variants: [(&str, bool); 2] = [("blocked_count", true), ("blocked_mat", false)];
     for exp in exponents {

@@ -54,8 +54,6 @@ pub enum JoinError {
         /// The worker's last published statistics snapshot.
         stats_so_far: WorkerStats,
     },
-    /// The result-collector thread panicked; collected matches are gone.
-    CollectorPanicked,
     /// A worker's input channel stayed full with no heartbeat progress
     /// for the whole supervision deadline: the worker is alive but wedged
     /// (or the stall outlasted the bounded backoff).
@@ -67,16 +65,6 @@ pub enum JoinError {
     },
     /// Every worker is gone; the join cannot make progress at all.
     AllWorkersLost,
-    /// A mid-run result drain timed out: workers reported handing off
-    /// more results than the collector ever received. Indicates a
-    /// wedged collector thread (a panicked collector surfaces as
-    /// [`JoinError::CollectorPanicked`] at shutdown instead).
-    DrainStalled {
-        /// Results the workers successfully handed to their lanes.
-        expected: u64,
-        /// Results the collector had actually received at the deadline.
-        received: u64,
-    },
 }
 
 impl std::fmt::Display for JoinError {
@@ -91,20 +79,12 @@ impl std::fmt::Display for JoinError {
                  ({} stored, {} matches)",
                 stats_so_far.tuples_seen, stats_so_far.stored, stats_so_far.matches
             ),
-            JoinError::CollectorPanicked => {
-                write!(f, "result collector thread panicked")
-            }
             JoinError::Saturated { worker, waited_ms } => write!(
                 f,
                 "join worker {worker} made no progress for {waited_ms} ms \
                  with a full input channel"
             ),
             JoinError::AllWorkersLost => write!(f, "all join workers are gone"),
-            JoinError::DrainStalled { expected, received } => write!(
-                f,
-                "result drain stalled: workers handed off {expected} results \
-                 but the collector received only {received}"
-            ),
         }
     }
 }

@@ -95,7 +95,7 @@ pub struct JoinConfig {
     /// message-per-tuple data path exactly. Must be non-zero.
     pub batch_size: usize,
     /// Retain results (`true`) or only count them. When `false` no
-    /// collector thread is spawned.
+    /// match is materialized.
     pub collect_results: bool,
     /// Scripted faults for this run. The default is the empty plan, whose
     /// behavior is bit-for-bit the healthy data path.

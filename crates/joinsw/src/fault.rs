@@ -282,8 +282,8 @@ pub struct FaultReport {
     pub injected_stalls: u64,
     /// Scripted channel drops that fired.
     pub injected_drops: u64,
-    /// Matches that were buffered worker-side but never reached the
-    /// collector (lost to an abrupt exit or a dead collector).
+    /// Matches a worker found but never published: those of the message
+    /// it was processing when a scripted kill took it.
     pub results_dropped: u64,
     /// Wall-clock nanoseconds per recovery (retire + re-partition +
     /// re-replicate), one histogram value per lost worker.

@@ -62,10 +62,9 @@ use streamcore::{MatchPair, SlidingWindow, StreamTag, Tuple};
 
 use crate::config::{JoinConfig, JoinParams};
 use crate::fault::FaultReport;
-use crate::supervise::{supervised_send, AliveGuard, SendStatus, WorkerCell};
-
-/// Result-collection chunk size (matches per message to the collector).
-const RESULT_CHUNK: usize = 256;
+use crate::supervise::{
+    span_start, supervised_send, take_outboxes, AliveGuard, SendStatus, WorkerCell,
+};
 
 /// Configuration of a [`HandshakeJoin`] chain: the shared [`JoinConfig`]
 /// with chain-appropriate defaults (entry capacity 256, unbatched
@@ -179,7 +178,9 @@ enum ChainMsg {
     /// A group of same-lane waves, forwarded core-to-core as one message.
     Waves { tag: StreamTag, waves: Vec<Wave> },
     /// Flush token: forwarded to the end of the chain, then acknowledged.
-    /// Cores hand their buffered results to the collector on the way.
+    /// It queues behind its lane's waves at every core, and a core
+    /// publishes a wave group's matches before it takes the next
+    /// message, so the acknowledgement covers them.
     Flush(Sender<()>),
     Stop,
 }
@@ -208,11 +209,9 @@ pub struct HandshakeJoin {
     entry_s: Sender<ChainMsg>,
     workers: Vec<JoinHandle<(u64, Option<obs::trace::TraceRing>)>>,
     cells: Vec<Arc<WorkerCell>>,
-    collector: Option<JoinHandle<()>>,
-    /// Shared deposit point the collector thread feeds and
-    /// [`HandshakeJoin::drain_results`] harvests; `None` when
-    /// counting-only.
-    sink: Option<Arc<crate::collect::ResultSink>>,
+    /// `false` when counting-only: the outboxes stay empty and the
+    /// result count comes from the cores' match counters.
+    collecting: bool,
     batch_size: usize,
     /// Caller-side wave buffers, one per lane; drained on flush/shutdown.
     pending_r: RefCell<Vec<Wave>>,
@@ -275,7 +274,7 @@ pub struct HandshakeOutcome {
 }
 
 impl HandshakeJoin {
-    /// Spawns the chain and (unless counting-only) collector threads.
+    /// Spawns the chain: one thread per core, collecting or not.
     ///
     /// # Panics
     ///
@@ -285,22 +284,6 @@ impl HandshakeJoin {
     pub fn spawn(config: HandshakeConfig) -> Self {
         config.common.validate();
         let n = config.num_cores;
-        let (result_tx, collector, sink) = if config.collect_results {
-            let (tx, rx) = bounded::<Vec<MatchPair>>(8_192);
-            let shared = Arc::new(crate::collect::ResultSink::default());
-            let dst = Arc::clone(&shared);
-            (
-                Some(tx),
-                Some(std::thread::spawn(move || {
-                    for chunk in rx.iter() {
-                        dst.deposit(chunk);
-                    }
-                })),
-                Some(shared),
-            )
-        } else {
-            (None, None, None)
-        };
 
         // Each core has one inbox per direction lane. Only the two entry
         // channels are bounded (caller back-pressure); interior links are
@@ -335,19 +318,16 @@ impl HandshakeJoin {
             let s_rx = s_lane[position].1.clone();
             let r_next = (position + 1 < n).then(|| r_lane[position + 1].0.clone());
             let s_next = position.checked_sub(1).map(|p| s_lane[p].0.clone());
-            let results = result_tx.clone();
             workers.push(std::thread::spawn(move || {
-                core_loop(position, &cfg, &r_rx, &s_rx, r_next, s_next, results, &cell)
+                core_loop(position, &cfg, &r_rx, &s_rx, r_next, s_next, &cell)
             }));
         }
-        drop(result_tx);
         Self {
             entry_r,
             entry_s,
             workers,
             cells,
-            collector,
-            sink,
+            collecting: config.collect_results,
             batch_size: config.batch_size,
             pending_r: RefCell::new(Vec::with_capacity(config.batch_size)),
             pending_s: RefCell::new(Vec::with_capacity(config.batch_size)),
@@ -441,7 +421,7 @@ impl HandshakeJoin {
 
     /// Blocks until everything submitted before this call (including
     /// partial wave groups, which are injected first) has traversed the
-    /// whole chain and all buffered results have reached the collector.
+    /// whole chain and every core has published the matches it found.
     ///
     /// # Errors
     ///
@@ -487,19 +467,10 @@ impl HandshakeJoin {
     ///
     /// # Errors
     ///
-    /// See [`HandshakeJoin::flush`]; additionally
-    /// [`JoinError::DrainStalled`] if the collector fails to catch up
-    /// with the cores' successful result handoffs.
+    /// See [`HandshakeJoin::flush`].
     pub fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
         self.flush()?;
-        let Some(sink) = &self.sink else { return Ok(Vec::new()) };
-        let sent: u64 = self
-            .cells
-            .iter()
-            .map(|c| c.results_sent.load(Ordering::Acquire))
-            .sum();
-        sink.await_received(sent)?;
-        Ok(sink.take())
+        Ok(take_outboxes(&self.cells))
     }
 
     /// Stops the chain and returns the accumulated outcome. Pending
@@ -509,10 +480,9 @@ impl HandshakeJoin {
     /// # Errors
     ///
     /// [`JoinError::WorkerPanicked`] if a core thread panicked (with its
-    /// last published statistics snapshot);
-    /// [`JoinError::CollectorPanicked`] if the collector died. Cores
-    /// lost to *scripted kills* exit cleanly and do not error: their
-    /// damage is in [`HandshakeOutcome::fault`].
+    /// last published statistics snapshot). Cores lost to *scripted
+    /// kills* exit cleanly and do not error: their damage is in
+    /// [`HandshakeOutcome::fault`].
     pub fn shutdown(self) -> Result<HandshakeOutcome, JoinError> {
         // Best effort: with an entry core gone the buffered waves are
         // already accounted as orphaned by `send_waves`.
@@ -538,7 +508,6 @@ impl HandshakeJoin {
                 }
             }
         }
-        let collected = self.collector.map(|c| c.join());
         let mut report = self.report.into_inner();
         for (i, cell) in self.cells.iter().enumerate() {
             if cell.killed.load(Ordering::Relaxed) {
@@ -555,19 +524,19 @@ impl HandshakeJoin {
                 stats_so_far: self.cells[worker].snapshot(),
             });
         }
-        let (results, result_count) = match (collected, self.sink) {
-            (Some(Ok(())), Some(sink)) => {
-                // `results` holds only what no mid-run drain harvested;
-                // the sink's running total is every match ever
-                // collected, so the count survives draining.
-                let count = sink.received();
-                (sink.take(), count)
-            }
-            (Some(Err(_)), _) => return Err(JoinError::CollectorPanicked),
-            _ => (Vec::new(), counted),
+        // `results` holds only what no mid-run drain harvested; the
+        // published totals are every match ever handed over, so the
+        // count survives draining.
+        let result_count = if self.collecting {
+            self.cells
+                .iter()
+                .map(|c| c.results_published.load(Ordering::Relaxed))
+                .sum()
+        } else {
+            counted
         };
         Ok(HandshakeOutcome {
-            results,
+            results: take_outboxes(&self.cells),
             result_count,
             batch_sizes: self.batch_hist.into_inner(),
             trace,
@@ -637,7 +606,6 @@ fn forward(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn core_loop(
     position: usize,
     config: &HandshakeConfig,
@@ -645,7 +613,6 @@ fn core_loop(
     s_rx: &Receiver<ChainMsg>,
     mut r_next: Option<Sender<ChainMsg>>,
     mut s_next: Option<Sender<ChainMsg>>,
-    mut results: Option<Sender<Vec<MatchPair>>>,
     cell: &Arc<WorkerCell>,
 ) -> (u64, Option<obs::trace::TraceRing>) {
     let _guard = AliveGuard(Arc::clone(cell));
@@ -664,6 +631,8 @@ fn core_loop(
     let mut r_open = true;
     let mut s_open = true;
     let mut stats = accel_error::WorkerStats::default();
+    // Matches of the wave group being processed; moved into the cell's
+    // outbox at the group's end, so empty between messages.
     let mut out: Vec<MatchPair> = Vec::new();
     let mut group_no: u64 = 0;
     let mut ring = obs::trace::enabled().then(|| {
@@ -672,7 +641,7 @@ fn core_loop(
             obs::trace::TimeDomain::Wall,
         )
     });
-    let mut idle_since = obs::trace::now_ns();
+    let mut idle_since = span_start(&ring);
 
     let publish = |cell: &WorkerCell, stats: &accel_error::WorkerStats| {
         cell.tuples_seen.store(stats.tuples_seen, Ordering::Relaxed);
@@ -720,12 +689,12 @@ fn core_loop(
                     // silently diverge. Deliberate corruption.
                     cell.drops.fetch_add(1, Ordering::Relaxed);
                     publish(cell, &stats);
-                    idle_since = obs::trace::now_ns();
+                    idle_since = span_start(&ring);
                     continue;
                 }
                 // Process the group's waves in order, collecting the
                 // forwarded group for one downstream send.
-                let t0 = obs::trace::now_ns();
+                let t0 = span_start(&ring);
                 let group = waves.len() as u64;
                 let mut onward = Vec::with_capacity(waves.len());
                 for wave in waves {
@@ -744,11 +713,8 @@ fn core_loop(
                         };
                         if config.predicate.matches(r, s) {
                             stats.matches += 1;
-                            if results.is_some() {
+                            if config.collect_results {
                                 out.push(MatchPair { r, s });
-                                if out.len() >= RESULT_CHUNK {
-                                    hand_results(&mut results, cell, &mut out);
-                                }
                             }
                         }
                     }
@@ -805,7 +771,7 @@ fn core_loop(
                 if plan.kills(position, group_no) {
                     // Cooperative abrupt exit: both lanes sever here.
                     // Everything parked in our segments is orphaned,
-                    // and buffered un-flushed results die with us.
+                    // and this group's unpublished matches die with us.
                     cell.orphaned.fetch_add(
                         (window_r.len() + window_s.len()) as u64,
                         Ordering::Relaxed,
@@ -816,9 +782,9 @@ fn core_loop(
                     publish(cell, &stats);
                     return (stats.matches, ring);
                 }
+                cell.publish_results(&mut out);
             }
             ChainMsg::Flush(ack) => {
-                hand_results(&mut results, cell, &mut out);
                 let next = if from_r { &mut r_next } else { &mut s_next };
                 // At the exit end — or a severed link — acknowledge
                 // directly: the barrier covers the reachable chain.
@@ -837,34 +803,11 @@ fn core_loop(
             }
         }
         publish(cell, &stats);
-        idle_since = obs::trace::now_ns();
+        idle_since = span_start(&ring);
     }
-    hand_results(&mut results, cell, &mut out);
+    debug_assert!(out.is_empty(), "matches are published at every message boundary");
     publish(cell, &stats);
     (stats.matches, ring)
-}
-
-/// Hands the core's buffered result chunk to the collector, keeping the
-/// sent/dropped completeness accounting the drain barrier relies on
-/// (see `collect::ResultSink`). A dead collector degrades the core to
-/// counting — it doesn't kill it.
-fn hand_results(
-    results: &mut Option<Sender<Vec<MatchPair>>>,
-    cell: &WorkerCell,
-    out: &mut Vec<MatchPair>,
-) {
-    let Some(tx) = results else { return };
-    if out.is_empty() {
-        return;
-    }
-    let chunk = std::mem::take(out);
-    let n = chunk.len() as u64;
-    if tx.send(chunk).is_ok() {
-        cell.results_sent.fetch_add(n, Ordering::Release);
-    } else {
-        cell.results_dropped.fetch_add(n, Ordering::Relaxed);
-        *results = None;
-    }
 }
 
 #[cfg(test)]

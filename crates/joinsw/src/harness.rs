@@ -64,7 +64,7 @@ pub fn prefill_steady_state<J: StreamJoin>(
 }
 
 /// Measures steady-state input throughput of any [`StreamJoin`] engine:
-/// the windows are pre-filled (counting-only, so no collector work
+/// the windows are pre-filled (counting-only, so no materializing work
 /// distorts the rate), then `tuples` inputs (alternating R/S, keys
 /// hashed over `key_domain`) are pushed as fast as the engine absorbs
 /// them. Returns the rate together with the shutdown outcome, so bench
@@ -86,9 +86,8 @@ pub fn measure_throughput_with<J: StreamJoin>(
 /// [`measure_throughput_with`] that honors the config's
 /// `collect_results` flag instead of forcing counting-only. With
 /// collection on, the timed segment exercises the full materializing
-/// path — matches are built, chunked, and handed to a live collector
-/// draining concurrently — which is what the kernel figure's
-/// materializing variant times.
+/// path — matches are built and published to the workers' outboxes —
+/// which is what the kernel figure's materializing variant times.
 ///
 /// # Errors
 ///

@@ -8,8 +8,9 @@
 //!
 //! * [`splitjoin`] — uni-flow: a distributor broadcasts every tuple to N
 //!   independent join-core threads; each thread stores round-robin into
-//!   its sub-window and probes its share of the opposite window; results
-//!   converge on a collector thread. The thread structure mirrors the
+//!   its sub-window and probes its share of the opposite window; each
+//!   publishes its matches to an outbox of its own, which the caller
+//!   takes behind the flush barrier. The thread structure mirrors the
 //!   SplitJoin paper's software implementation, including the observation
 //!   that the distribution and result-gathering work "consume a portion
 //!   of the processors' capacity" — which is why both directions of the
@@ -75,7 +76,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-mod collect;
 pub mod config;
 pub mod fault;
 pub mod handshake;

@@ -1,19 +1,11 @@
-//! What travels between the router, the join cores and the collector:
-//! the distribution message, and both ends of the result rings.
+//! What travels from the router to the join cores: the distribution
+//! message and the receiving end of its ring.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use streamcore::ring::{PopError, RingConsumer, RingProducer};
-use streamcore::{MatchPair, PartitionMap, StreamTag, Tuple};
-
-use crate::supervise::WorkerCell;
-
-/// Per-worker result-ring capacity (individual [`MatchPair`]s, not
-/// chunks). Generous enough that a draining collector never
-/// back-pressures the probe loop in practice.
-pub(super) const RESULT_RING_CAPACITY: usize = 8_192;
+use streamcore::ring::{PopError, RingConsumer};
+use streamcore::{PartitionMap, StreamTag, Tuple};
 
 /// How long an idle thread sleeps between ring polls once spinning and
 /// yielding have not produced work.
@@ -43,8 +35,9 @@ pub(super) enum Msg {
     /// turns. All survivors see it at the same position in their FIFO
     /// queues, so they switch at an identical tuple boundary.
     Reconfigure(Arc<PartitionMap>),
-    /// Barrier token: drain local result buffers, then publish the
-    /// token to [`WorkerCell::flushed`], which the router polls.
+    /// Barrier token: the worker publishes it to
+    /// [`WorkerCell::flushed`](crate::supervise::WorkerCell::flushed),
+    /// which the router polls.
     Flush(u64),
     Stop,
 }
@@ -89,88 +82,6 @@ pub(super) fn recv_msg(msgs: &mut RingConsumer<Msg>) -> Option<Msg> {
                     std::thread::sleep(IDLE_SLEEP);
                 }
             }
-        }
-    }
-}
-
-/// Hands one buffered chunk to the collector; a dead collector degrades
-/// to counting (`results_dropped` accounting), it doesn't kill the
-/// worker. Free function so the probe loop can call it while the
-/// opposite window is borrowed.
-pub(super) fn send_result_chunk(
-    results: &mut Option<RingProducer<MatchPair>>,
-    cell: &WorkerCell,
-    out: &mut Vec<MatchPair>,
-) {
-    let Some(tx) = results else { return };
-    let mut sent = 0usize;
-    let mut spins = 0u32;
-    while sent < out.len() {
-        match tx.push_batch(&out[sent..]) {
-            Ok(0) => {
-                // Collector back-pressure: wait for ring space.
-                if spins < 256 {
-                    spins += 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
-            }
-            Ok(n) => {
-                cell.results_sent.fetch_add(n as u64, Ordering::Release);
-                sent += n;
-                spins = 0;
-            }
-            Err(_) => {
-                cell.results_dropped
-                    .fetch_add((out.len() - sent) as u64, Ordering::Relaxed);
-                *results = None;
-                break;
-            }
-        }
-    }
-    out.clear();
-}
-
-/// Result gathering: drains every worker's SPSC result ring round-robin
-/// until all of them disconnect (their producers drop when the workers
-/// exit). Each sweep's harvest is deposited into the shared sink as one
-/// chunk, so a concurrent drain sees results land in batches, not one
-/// at a time.
-pub(super) fn collector_thread(
-    mut rxs: Vec<RingConsumer<MatchPair>>,
-    sink: &crate::collect::ResultSink,
-) {
-    let mut scratch = Vec::new();
-    let mut spins = 0u32;
-    loop {
-        let mut drained = 0usize;
-        let mut open = false;
-        for rx in &mut rxs {
-            match rx.pop_batch(&mut scratch, usize::MAX) {
-                Ok(n) => {
-                    drained += n;
-                    open = true;
-                }
-                Err(PopError::Empty) => open = true,
-                Err(PopError::Disconnected) => {}
-            }
-        }
-        if drained > 0 {
-            sink.deposit(std::mem::take(&mut scratch));
-        }
-        if !open {
-            return;
-        }
-        if drained == 0 {
-            if spins < 256 {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        } else {
-            spins = 0;
         }
     }
 }

@@ -7,9 +7,13 @@
 //!            caller thread (distribution network)
 //!           /         |          \
 //!      join core   join core   join core      (N worker threads)
+//!       [outbox]    [outbox]    [outbox]
 //!           \         |          /
-//!             collector thread (result gathering network)
+//!            caller thread (result gathering: `drain_results`)
 //! ```
+//!
+//! An engine of N cores is N threads, collecting or not: there is no
+//! gathering thread.
 //!
 //! Each worker owns one sub-window per stream and receives *every* tuple:
 //! it probes the tuple against its share of the opposite window and stores
@@ -31,11 +35,15 @@
 //!   [`JoinConfig::batch_size`](crate::config::JoinConfig::batch_size)
 //!   tuples to every worker (one arena publish per batch, N sequence
 //!   numbers — not N copies).
-//! * **Collection** — workers buffer matches locally and emit them to the
-//!   collector in chunks; in counting-only mode
+//! * **Collection** — a worker writes each match once, into a local
+//!   buffer, and at the end of every message moves that buffer (by
+//!   pointer when it can) into its own *outbox*.
+//!   [`SplitJoin::drain_results`] is the flush barrier followed by taking
+//!   every outbox in position order: one cross-thread hop per match, one
+//!   barrier per drain. In counting-only mode
 //!   ([`JoinConfig::counting_only`](crate::config::JoinConfig::counting_only))
-//!   no collector thread exists at all and matches are folded from
-//!   per-worker counters at shutdown.
+//!   no match is materialized and the total is folded from per-worker
+//!   counters at shutdown.
 //!
 //! Batching never changes results: [`SplitJoin::flush`] and
 //! [`SplitJoin::shutdown`] both drain the partial batch first, so
@@ -44,15 +52,16 @@
 //!
 //! # Transport
 //!
-//! Both directions run over lock-free SPSC rings ([`streamcore::ring`]):
-//! one ring per worker for distribution, one per worker for results, and
-//! — in broadcast mode — a shared [batch
+//! Distribution runs over lock-free SPSC rings ([`streamcore::ring`]),
+//! one per worker, and — in broadcast mode — a shared [batch
 //! arena](streamcore::ring::batch_arena), so a broadcast ships one
 //! sequence number per worker while every join core probes the
-//! arena-resident batch *in place*: zero-copy from router to probe. The
-//! flush barrier needs no reverse link either: each worker publishes the
-//! flush token it has reached to its supervision cell and the router
-//! polls the cells.
+//! arena-resident batch *in place*: zero-copy from router to probe.
+//! Nothing runs the other way but the worker's supervision cell: it
+//! holds the outbox, and the flush token the worker has reached, which
+//! the router polls — a worker stores a token only after it has
+//! published the matches of every message before it, so once the
+//! barrier returns the outboxes hold every match of everything flushed.
 //!
 //! # Probe paths
 //!
@@ -155,7 +164,7 @@ use std::thread::JoinHandle;
 use accel_error::JoinError;
 pub use accel_error::WorkerStats;
 use streamcore::kernel::KernelStats;
-use streamcore::ring::{self, RingProducer};
+use streamcore::ring;
 use streamcore::{FreqSketch, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
 pub use self::config::{
@@ -164,26 +173,24 @@ pub use self::config::{
 pub use self::outcome::{JoinOutcome, PartitionStats, RingStats};
 pub use crate::config::{default_batch_size, DEFAULT_BATCH_SIZE};
 
-use self::lanes::{collector_thread, Msg, RESULT_RING_CAPACITY};
+use self::lanes::Msg;
 use self::live::{LiveRouter, LiveWorker};
 use self::router::{PartRouter, ReplicaBuf, Router, SKETCH_CAPACITY};
 use self::worker::{worker_loop, WorkerExit};
 use crate::config::Partitioning;
 use crate::fault::FaultReport;
-use crate::supervise::WorkerCell;
+use crate::supervise::{take_outboxes, WorkerCell};
 
-/// A running SplitJoin: N join-core threads plus (when collecting) a
-/// collector thread.
+/// A running SplitJoin: N join-core threads.
 ///
 /// See the [crate-level example](crate) for basic usage.
 #[derive(Debug)]
 pub struct SplitJoin {
     router: RefCell<Router>,
     workers: Vec<JoinHandle<WorkerExit>>,
-    collector: Option<JoinHandle<()>>,
-    /// Shared deposit point the collector thread feeds and
-    /// [`SplitJoin::drain_results`] harvests; `None` when counting-only.
-    sink: Option<Arc<crate::collect::ResultSink>>,
+    /// `false` when counting-only: the outboxes stay empty and the
+    /// result count comes from the workers' match counters.
+    collecting: bool,
     batch_size: usize,
     /// Caller-side distribution buffer; drained on flush/shutdown so a
     /// partial batch is never lost.
@@ -191,7 +198,7 @@ pub struct SplitJoin {
 }
 
 impl SplitJoin {
-    /// Spawns the worker (and, unless counting-only, collector) threads.
+    /// Spawns the worker threads.
     ///
     /// # Panics
     ///
@@ -217,23 +224,6 @@ impl SplitJoin {
             );
             assert!(config.hot_key_factor > 0.0, "hot-key factor must be positive");
         }
-
-        // Result path: one dedicated SPSC ring per worker, drained by the
-        // collector thread.
-        let mut collector = None;
-        let mut sink = None;
-        let mut result_rings: Vec<RingProducer<MatchPair>> = Vec::new();
-        if config.collect_results {
-            let shared = Arc::new(crate::collect::ResultSink::default());
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..config.num_cores)
-                .map(|_| ring::spsc::<MatchPair>(RESULT_RING_CAPACITY))
-                .unzip();
-            result_rings = txs;
-            let dst = Arc::clone(&shared);
-            collector = Some(std::thread::spawn(move || collector_thread(rxs, &dst)));
-            sink = Some(shared);
-        }
-        let mut result_rings = result_rings.into_iter();
 
         // Distribution path. The arena holds `channel_capacity + 2`
         // batch slots: every batch a worker can have queued, plus the
@@ -262,11 +252,10 @@ impl SplitJoin {
             let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
             senders.push(Some(tx));
             let arena = readers.next();
-            let results = result_rings.next();
             let cfg = config.clone();
             let live = obs::live::active().then(|| LiveWorker::new(position));
             workers.push(std::thread::spawn(move || {
-                worker_loop(position, &cfg, msgs, arena, results, &cell, live)
+                worker_loop(position, &cfg, msgs, arena, &cell, live)
             }));
         }
         let replicas = config.replicate_on_loss.then(|| {
@@ -310,8 +299,7 @@ impl SplitJoin {
                 live: obs::live::active().then(|| LiveRouter::new(&config)),
             }),
             workers,
-            collector,
-            sink,
+            collecting: config.collect_results,
             batch_size: config.batch_size,
             pending: RefCell::new(Vec::with_capacity(config.batch_size)),
         }
@@ -381,8 +369,7 @@ impl SplitJoin {
 
     /// Blocks until every live worker has drained its queue and processed
     /// everything submitted before this call (including the partial
-    /// batch, which is flushed first), and has handed any buffered
-    /// results to the collector.
+    /// batch, which is flushed first), and has published its matches.
     ///
     /// # Errors
     ///
@@ -400,27 +387,13 @@ impl SplitJoin {
     ///
     /// # Errors
     ///
-    /// See [`SplitJoin::flush`]; additionally
-    /// [`JoinError::DrainStalled`] if the collector fails to catch up
-    /// with the workers' successful result handoffs.
+    /// See [`SplitJoin::flush`].
     pub fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
+        // Behind the barrier every live worker has published the matches
+        // of everything flushed, and a retired one has exited (recovery
+        // waits for that), so the outboxes are complete.
         self.flush()?;
-        let Some(sink) = &self.sink else { return Ok(Vec::new()) };
-        // The flush barrier guarantees every live worker has handed its
-        // buffered results to its ring; killed workers already accounted
-        // their unflushed buffers as `results_dropped`, never as sent.
-        // So the summed successful handoffs are exactly what must reach
-        // the sink.
-        let sent: u64 = {
-            let router = self.router.borrow();
-            router
-                .cells
-                .iter()
-                .map(|c| c.results_sent.load(Ordering::Acquire))
-                .sum()
-        };
-        sink.await_received(sent)?;
-        Ok(sink.take())
+        Ok(take_outboxes(&self.router.borrow().cells))
     }
 
     /// Stops all threads and returns the accumulated outcome. Any
@@ -433,8 +406,7 @@ impl SplitJoin {
     ///
     /// [`JoinError::WorkerPanicked`] if a worker thread panicked (with
     /// its last published statistics snapshot — the stats the
-    /// pre-fault-model shutdown used to lose by re-panicking);
-    /// [`JoinError::CollectorPanicked`] if the collector died. Workers
+    /// pre-fault-model shutdown used to lose by re-panicking). Workers
     /// lost to *scripted kills* exit cleanly and do not error: their
     /// damage is in [`JoinOutcome::fault`].
     pub fn shutdown(self) -> Result<JoinOutcome, JoinError> {
@@ -469,7 +441,6 @@ impl SplitJoin {
                 }
             }
         }
-        let collected = self.collector.map(|c| c.join());
         for cell in &router.cells {
             router.report.injected_stalls += cell.stalls.load(Ordering::Relaxed);
             router.report.injected_drops += cell.drops.load(Ordering::Relaxed);
@@ -481,17 +452,19 @@ impl SplitJoin {
                 stats_so_far: router.cells[worker].snapshot(),
             });
         }
-        let (results, result_count) = match (collected, self.sink) {
-            (Some(Ok(())), Some(sink)) => {
-                // `results` holds only what no mid-run drain harvested;
-                // the sink's running total is every match ever
-                // collected, so the count survives draining.
-                let count = sink.received();
-                (sink.take(), count)
-            }
-            (Some(Err(_)), _) => return Err(JoinError::CollectorPanicked),
-            // Counting-only: fold the per-worker match counters.
-            _ => (Vec::new(), worker_stats.iter().map(|w| w.matches).sum()),
+        // `results` holds only what no mid-run drain harvested; the
+        // published totals are every match ever handed over, so the
+        // count survives draining. Counting-only folds the per-worker
+        // match counters instead.
+        let results = take_outboxes(&router.cells);
+        let result_count = if self.collecting {
+            router
+                .cells
+                .iter()
+                .map(|c| c.results_published.load(Ordering::Relaxed))
+                .sum()
+        } else {
+            worker_stats.iter().map(|w| w.matches).sum()
         };
         if let Some(ring) = router.ring.take() {
             if !ring.is_empty() {

@@ -478,7 +478,7 @@ impl Router {
         let t0 = Instant::now();
         let span_start = obs::trace::now_ns();
         let lost = if self.part.is_some() {
-            self.retire_part(worker);
+            self.retire_part(worker)?;
             Vec::new()
         } else {
             self.retire_broadcast(worker)?
@@ -493,9 +493,16 @@ impl Router {
         Ok(lost)
     }
 
-    /// The bookkeeping every retirement shares: drop the position from
-    /// the map, close its ring, and report the loss.
-    fn retire_position(&mut self, worker: usize, orphans: u64) {
+    /// What every retirement shares: drop the position from the map,
+    /// close its ring, report the loss — and wait, bounded by the
+    /// supervision deadline, for the worker thread to actually exit (its
+    /// `AliveGuard` flips the cell dead on the way out, scripted kills
+    /// and panics alike). A scripted-kill victim is recovered
+    /// proactively and may still be working through its queue; once it
+    /// has exited, everything it will ever publish is in its outbox, so
+    /// the next flush barrier covers it without its acknowledgement, and
+    /// its arena reader can never read again.
+    fn retire_position(&mut self, worker: usize, orphans: u64) -> Result<(), JoinError> {
         self.map.retire(worker);
         self.senders[worker] = None;
         self.report.workers_lost.push(worker);
@@ -503,6 +510,23 @@ impl Router {
         if let Some(lv) = self.live.as_ref() {
             lv.on_worker_lost(worker, orphans, self.map.live_count());
         }
+        let t0 = Instant::now();
+        let mut spins = 0u32;
+        while !self.cells[worker].is_dead() {
+            if t0.elapsed() >= SATURATION_DEADLINE {
+                return Err(JoinError::Saturated {
+                    worker,
+                    waited_ms: t0.elapsed().as_millis() as u64,
+                });
+            }
+            if spins < 1_024 {
+                spins += 1;
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(IDLE_SLEEP);
+            }
+        }
+        Ok(())
     }
 
     /// Broadcast-mode recovery: closed-form orphan count, partition-map
@@ -521,8 +545,13 @@ impl Router {
         }
         let (owned_r, owned_s) = self.owned.as_ref().expect("just materialized");
         let orphans = owned_r[worker].min(sub) + owned_s[worker].min(sub);
-        self.retire_position(worker, orphans);
-        self.retire_reader(worker)?;
+        self.retire_position(worker, orphans)?;
+        // The worker has exited, so the arena contract holds: a
+        // deactivated reader never reads again.
+        self.arena
+            .as_mut()
+            .expect("broadcast mode has an arena")
+            .deactivate(worker);
         if self.map.live_count() == 0 {
             return Ok(Vec::new());
         }
@@ -568,44 +597,13 @@ impl Router {
     /// rendezvous hashing the moment the map retires the position, and
     /// replication is rejected at spawn. No arena reader to retire
     /// either: partitioned mode never creates the arena.
-    fn retire_part(&mut self, worker: usize) {
+    fn retire_part(&mut self, worker: usize) -> Result<(), JoinError> {
         let part = self.part.as_mut().expect("partitioned mode");
         let orphans = (part.ledger_r[worker].len() + part.ledger_s[worker].len()) as u64;
         part.ledger_r[worker].clear();
         part.ledger_s[worker].clear();
         part.outbox[worker].clear();
-        self.retire_position(worker, orphans);
-    }
-
-    /// Drops a retired worker from the arena's reuse watermark. The arena
-    /// contract requires that the reader never reads again, so this
-    /// waits — bounded by the supervision deadline — for the worker
-    /// thread to actually exit (its `AliveGuard` flips the cell dead on
-    /// the way out, scripted kills and panics alike); a scripted-kill
-    /// victim may still be probing its final arena batch when the router
-    /// recovers it proactively.
-    fn retire_reader(&mut self, worker: usize) -> Result<(), JoinError> {
-        let t0 = Instant::now();
-        let mut spins = 0u32;
-        while !self.cells[worker].is_dead() {
-            if t0.elapsed() >= SATURATION_DEADLINE {
-                return Err(JoinError::Saturated {
-                    worker,
-                    waited_ms: t0.elapsed().as_millis() as u64,
-                });
-            }
-            if spins < 1_024 {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        }
-        self.arena
-            .as_mut()
-            .expect("broadcast mode has an arena")
-            .deactivate(worker);
-        Ok(())
+        self.retire_position(worker, orphans)
     }
 
     /// Recovers any live-mapped worker whose cell reports it dead
@@ -622,9 +620,10 @@ impl Router {
     }
 
     /// Flush barrier over the survivors: every live worker gets a
-    /// [`Msg::Flush`] token, publishes it to its cell
-    /// ([`WorkerCell::flushed`]) once it has drained its result buffer,
-    /// and the router polls the cells — no reverse link needed. A worker
+    /// [`Msg::Flush`] token and publishes it to its cell
+    /// ([`WorkerCell::flushed`]) — after the matches of every earlier
+    /// message, which it moved to its outbox at each message's end —
+    /// and the router polls the cells: no reverse link needed. A worker
     /// that dies mid-flush simply never acknowledges: recovering it
     /// retires its position, and the barrier covers the survivors
     /// instead of deadlocking.
@@ -639,7 +638,7 @@ impl Router {
         loop {
             // Acquire pairs with the worker's Release store: once we see
             // the token, everything the worker did before acknowledging
-            // (probes, stores, result sends) is visible.
+            // (probes, stores, result publishes) is visible.
             waiting.retain(|&w| {
                 self.map.is_live(w) && self.cells[w].flushed.load(Ordering::Acquire) < token
             });

@@ -684,7 +684,10 @@ fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
     // token cells: a retired position must drop out of the barrier
     // instead of wedging it, the drain must complete over the
     // survivors, and the orphan count must be exactly the victim's
-    // ledger — its share of the last window of each stream.
+    // ledger — its share of the last window of each stream. The victim
+    // is stalled on the message before its kill, so the router retires
+    // it — and the caller flushes and drains — while it still has
+    // matches to publish: the barrier has to cover its exit.
     let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
         .generate()
         .collect();
@@ -693,10 +696,11 @@ fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
     let config = part_config(cores, window)
         .with_batch_size(batch)
         .with_hot_key_factor(1e9)
-        .with_fault_plan(FaultPlan::none().with(FaultEvent::Kill {
-            worker: victim,
-            after_batch,
-        }));
+        .with_fault_plan(
+            FaultPlan::none()
+                .with(FaultEvent::Stall { worker: victim, at_batch: after_batch - 1, millis: 40 })
+                .with(FaultEvent::Kill { worker: victim, after_batch }),
+        );
     let join = SplitJoin::spawn(config);
     for &(tag, t) in &inputs {
         join.process(tag, t).unwrap();
@@ -706,6 +710,8 @@ fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
     assert!(!drained.is_empty());
     let outcome = join.shutdown().unwrap();
     assert_eq!(outcome.fault.workers_lost, vec![victim]);
+    assert_eq!(outcome.fault.injected_stalls, 1, "the window was forced");
+    assert!(outcome.results.is_empty(), "nothing surfaced after the drain");
     assert_eq!(drained.len() as u64, outcome.result_count, "the drain harvested everything");
 
     let map = PartitionMap::identity(cores);

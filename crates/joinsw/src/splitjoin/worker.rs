@@ -7,18 +7,18 @@ use std::time::Duration;
 
 use accel_error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
-use streamcore::ring::{ArenaReader, RingConsumer, RingProducer};
+use streamcore::ring::{ArenaReader, RingConsumer};
 use streamcore::{
     FlatWindow, HashIndexWindow, JoinPredicate, MatchPair, PartitionMap, PartitionedWindow,
     StreamTag, Tuple,
 };
 
-use super::lanes::{recv_msg, send_result_chunk, Msg, PartEntry};
+use super::lanes::{recv_msg, Msg, PartEntry};
 use super::live::LiveWorker;
 use super::{SplitJoinConfig, SwJoinAlgorithm};
 use crate::config::Partitioning;
 use crate::fault::FaultPlan;
-use crate::supervise::{AliveGuard, WorkerCell};
+use crate::supervise::{span_start, AliveGuard, WorkerCell};
 
 /// What each worker thread leaves behind at exit.
 pub(super) type WorkerExit = (WorkerStats, KernelStats, Option<obs::trace::TraceRing>);
@@ -119,14 +119,12 @@ struct WorkerState {
     /// Re-partitioned ownership after a sibling died; `None` means the
     /// original `count % n == position` discipline.
     map: Option<Arc<PartitionMap>>,
-    /// Locally buffered matches awaiting a chunked send (empty when
-    /// counting-only).
+    /// Matches of the message being processed; moved into the cell's
+    /// outbox at the message boundary, so empty between messages (and
+    /// always when counting-only).
     out: Vec<MatchPair>,
-    out_chunk: usize,
-    /// This worker's result ring toward the collector; `None` when
-    /// counting-only, and dropped on the first failed send — a dead
-    /// collector degrades result delivery, it doesn't kill the worker.
-    results: Option<RingProducer<MatchPair>>,
+    /// Materialize matches (`false` = counting-only).
+    collect: bool,
     cell: Arc<WorkerCell>,
     /// Keyed-dispatch shards; `None` in broadcast mode.
     part: Option<PartState>,
@@ -168,7 +166,7 @@ impl WorkerState {
     /// the evicted prefix and add the intra-batch span, reproducing the
     /// per-tuple path's `comparisons`/`matches`/`stored` bit for bit.
     fn handle_batch_blocked(&mut self, batch: &[(StreamTag, Tuple)]) {
-        let materialize = self.results.is_some();
+        let materialize = self.collect;
         let mut lens = [0usize; 2];
         let mut caps = [0usize; 2];
         {
@@ -232,9 +230,6 @@ impl WorkerState {
             stats,
             kstats,
             out,
-            out_chunk,
-            results,
-            cell,
             scratch,
             ..
         } = self;
@@ -288,16 +283,11 @@ impl WorkerState {
                             return;
                         }
                         stats.matches += 1;
-                        if results.is_some() {
-                            out.push(MatchPair::oriented(
-                                tag,
-                                p.tuple,
-                                Tuple::new(snap_keys[ki], snap_pays[ki]),
-                            ));
-                            if out.len() >= *out_chunk {
-                                send_result_chunk(results, cell, out);
-                            }
-                        }
+                        out.push(MatchPair::oriented(
+                            tag,
+                            p.tuple,
+                            Tuple::new(snap_keys[ki], snap_pays[ki]),
+                        ));
                     },
                 );
                 for p in probes {
@@ -308,12 +298,7 @@ impl WorkerState {
                     for t in span {
                         if predicate.matches_oriented(p.tuple.key(), probe_is_r, t.key()) {
                             stats.matches += 1;
-                            if results.is_some() {
-                                out.push(MatchPair::oriented(tag, p.tuple, *t));
-                                if out.len() >= *out_chunk {
-                                    send_result_chunk(results, cell, out);
-                                }
-                            }
+                            out.push(MatchPair::oriented(tag, p.tuple, *t));
                         }
                     }
                 }
@@ -335,20 +320,8 @@ impl WorkerState {
         // Probe the opposite sub-window. The nested-loop path scans the
         // contiguous key segments of the flat window and touches a
         // payload only when the key predicate holds. Disjoint field
-        // borrows: the window stays shared while stats/out/results
-        // mutate.
-        let WorkerState {
-            predicate,
-            window_r,
-            window_s,
-            stats,
-            kstats,
-            out,
-            out_chunk,
-            results,
-            cell,
-            ..
-        } = self;
+        // borrows: the window stays shared while stats/out mutate.
+        let WorkerState { predicate, window_r, window_s, stats, kstats, out, collect, .. } = self;
         let opposite = match tag {
             StreamTag::R => &*window_s,
             StreamTag::S => &*window_r,
@@ -356,7 +329,7 @@ impl WorkerState {
         let probe_key = tuple.key();
         match opposite {
             SwWindow::Nested(w) => {
-                if results.is_none() {
+                if !*collect {
                     // Counting-only: no pair materialization, so each
                     // segment reduces to one predicate sweep over the
                     // contiguous key array that the compiler can
@@ -384,9 +357,6 @@ impl WorkerState {
                                     tuple,
                                     Tuple::new(key, payloads[i]),
                                 ));
-                                if out.len() >= *out_chunk {
-                                    send_result_chunk(results, cell, out);
-                                }
                             }
                         }
                     }
@@ -401,11 +371,8 @@ impl WorkerState {
                     stats.comparisons += 1;
                     stats.matches += 1;
                     matched += 1;
-                    if results.is_some() {
+                    if *collect {
                         out.push(MatchPair::oriented(tag, tuple, stored));
-                        if out.len() >= *out_chunk {
-                            send_result_chunk(results, cell, out);
-                        }
                     }
                 }
                 kstats.lanes += matched;
@@ -426,7 +393,7 @@ impl WorkerState {
             self.stats.tuples_seen += 1;
         }
         // Disjoint field borrows, as in `handle_tuple`.
-        let WorkerState { part, stats, kstats, out, out_chunk, results, cell, .. } = self;
+        let WorkerState { part, stats, kstats, out, collect, .. } = self;
         let ps = part.as_mut().expect("keyed dispatch needs shard state");
         let horizon = ps.horizon;
         let (own, opposite) = match e.tag {
@@ -435,7 +402,7 @@ impl WorkerState {
         };
         if e.probe {
             opposite.evict_below(e.opp.saturating_sub(horizon));
-            if results.is_none() {
+            if !*collect {
                 // Keyed shards chain by exact key, so every chain entry
                 // matches: counting-only probes collapse to the O(1)
                 // chain length instead of walking it.
@@ -448,12 +415,7 @@ impl WorkerState {
                 for stored in opposite.probe(e.tuple.key()) {
                     stats.comparisons += 1;
                     stats.matches += 1;
-                    if results.is_some() {
-                        out.push(MatchPair::oriented(e.tag, e.tuple, stored));
-                        if out.len() >= *out_chunk {
-                            send_result_chunk(results, cell, out);
-                        }
-                    }
+                    out.push(MatchPair::oriented(e.tag, e.tuple, stored));
                 }
             }
         }
@@ -491,14 +453,6 @@ impl WorkerState {
         }
     }
 
-    /// Hands any buffered matches to the collector (barrier points and
-    /// shutdown); degrades to counting on a dead collector.
-    fn flush_results(&mut self) {
-        if !self.out.is_empty() {
-            send_result_chunk(&mut self.results, &self.cell, &mut self.out);
-        }
-    }
-
     /// Publishes the statistics snapshot and advances the heartbeat —
     /// once per processed message. With the live plane armed this also
     /// timestamps the beat, which the router exports as
@@ -521,7 +475,9 @@ enum BatchOutcome {
 }
 
 /// One distribution message through the fault script: stall, drop-or-
-/// probe, scripted panic, scripted kill. `probe` is the mode's own work
+/// probe, scripted panic, scripted kill — and, when it survives all of
+/// them, the hand-off of its matches to the cell's outbox, so a later
+/// [`Msg::Flush`] token covers them. `probe` is the mode's own work
 /// on the message's `len` entries — [`WorkerState::handle_batch`] for a
 /// broadcast batch, [`WorkerState::handle_part_entry`] per entry for a
 /// keyed sub-batch — so both dispatch modes share one script. `batch_no`
@@ -548,7 +504,7 @@ fn run_scripted_batch(
         // siblings' — deliberate corruption.
         w.cell.drops.fetch_add(1, Ordering::Relaxed);
     } else {
-        let t0 = obs::trace::now_ns();
+        let t0 = span_start(ring);
         probe(w);
         if let Some(r) = ring.as_mut() {
             let t1 = obs::trace::now_ns();
@@ -560,12 +516,18 @@ fn run_scripted_batch(
         panic!("fault injection: worker {position} scripted panic at batch {batch_no}");
     }
     if plan.kills(position, batch_no) {
-        // Abrupt exit: buffered un-flushed results die here.
+        // Abrupt exit: this message's matches die here, unpublished.
         w.cell
             .results_dropped
             .fetch_add(w.out.len() as u64, Ordering::Relaxed);
         w.publish();
         return BatchOutcome::Kill;
+    }
+    let t0 = span_start(ring);
+    w.cell.publish_results(&mut w.out);
+    if let Some(r) = ring.as_mut() {
+        let t1 = obs::trace::now_ns();
+        r.record("send", t0, t1.saturating_sub(t0));
     }
     BatchOutcome::Continue
 }
@@ -578,7 +540,6 @@ pub(super) fn worker_loop(
     // [`Msg::ArenaBatch`] payloads live; `None` in partitioned mode,
     // which ships keyed sub-batches ([`Msg::Part`]) instead.
     mut arena: Option<ArenaReader<(StreamTag, Tuple)>>,
-    results: Option<RingProducer<MatchPair>>,
     cell: &Arc<WorkerCell>,
     mut live: Option<LiveWorker>,
 ) -> WorkerExit {
@@ -605,8 +566,7 @@ pub(super) fn worker_loop(
         kstats: KernelStats::default(),
         map: None,
         out: Vec::new(),
-        out_chunk: config.batch_size.max(1),
-        results,
+        collect: config.collect_results,
         cell: Arc::clone(cell),
         part: partitioned.then(|| PartState {
             window_r: PartitionedWindow::new(),
@@ -622,7 +582,7 @@ pub(super) fn worker_loop(
             obs::trace::TimeDomain::Wall,
         )
     });
-    let mut idle_since = obs::trace::now_ns();
+    let mut idle_since = span_start(&ring);
     let mut batch_no: u64 = 0;
 
     loop {
@@ -678,7 +638,7 @@ pub(super) fn worker_loop(
             }
             Msg::Prefill(tag, tuples) => {
                 // Same round-robin discipline, no probing.
-                let t0 = obs::trace::now_ns();
+                let t0 = span_start(&ring);
                 for &t in tuples.iter() {
                     w.store(tag, t, false);
                 }
@@ -702,14 +662,9 @@ pub(super) fn worker_loop(
                 w.map = Some(map);
             }
             Msg::Flush(token) => {
-                let t0 = obs::trace::now_ns();
-                w.flush_results();
-                if let Some(r) = ring.as_mut() {
-                    let t1 = obs::trace::now_ns();
-                    r.record("send", t0, t1.saturating_sub(t0));
-                }
-                // Release pairs with the router's Acquire poll: the token
-                // becomes visible only after the result flush above.
+                // Every earlier message published its matches at its own
+                // boundary, so the token covers them. Release pairs with
+                // the router's Acquire poll.
                 w.cell.flushed.store(token, Ordering::Release);
             }
             Msg::Stop => break,
@@ -718,9 +673,9 @@ pub(super) fn worker_loop(
             lv.after_msg(&w.stats, t0);
         }
         w.publish();
-        idle_since = obs::trace::now_ns();
+        idle_since = span_start(&ring);
     }
-    w.flush_results();
+    debug_assert!(w.out.is_empty(), "matches are published at every message boundary");
     w.publish();
     (w.stats, w.kstats, ring)
 }

@@ -122,9 +122,8 @@ pub trait StreamJoin: Sized {
     ///
     /// # Errors
     ///
-    /// See [`StreamJoin::process`]; additionally
-    /// [`JoinError::DrainStalled`] if the engine's collector fails to
-    /// catch up with the workers' handoff accounting.
+    /// See [`StreamJoin::process`]: a drain is a flush plus taking what
+    /// the cores have published, and adds no failure of its own.
     fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError>;
 
     /// Stops the engine and returns the accumulated outcome.

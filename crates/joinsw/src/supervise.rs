@@ -1,17 +1,19 @@
 //! Crate-internal worker supervision primitives shared by the SplitJoin
 //! router and the handshake chain: the per-worker heartbeat/liveness
-//! cell, the scope guard that marks a cell dead on any exit path, the
+//! cell (which also holds the core's result outbox), the scope guard
+//! that marks a cell dead on any exit path, the
 //! bounded-backoff policy ([`SendSupervisor`]), and the supervised send
 //! for each link kind (the handshake chain's channel `send_timeout`,
 //! SplitJoin's ring claim-retry).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use accel_error::{JoinError, WorkerStats};
 use crossbeam::channel::{SendTimeoutError, Sender};
 use streamcore::ring::{PushError, RingProducer};
+use streamcore::MatchPair;
 
 /// First supervised-send timeout; doubles per retry up to
 /// [`BACKOFF_CAP_MS`].
@@ -58,12 +60,14 @@ pub(crate) struct WorkerCell {
     pub(crate) stalls: AtomicU64,
     /// Scripted channel drops that fired on this worker.
     pub(crate) drops: AtomicU64,
-    /// Buffered matches lost to an abrupt exit or a dead collector.
+    /// Matches of the in-progress message lost to an abrupt exit.
     pub(crate) results_dropped: AtomicU64,
-    /// Matches successfully handed to this worker's result lane — the
-    /// drain barrier compares the sum of these against the collector
-    /// sink's received total (see `collect::ResultSink`).
-    pub(crate) results_sent: AtomicU64,
+    /// Matches this core has found and not yet handed to a drain. Only
+    /// its core (at a message boundary) and the drainer (behind the
+    /// flush barrier, or after the join) lock it, so it is uncontended.
+    outbox: Mutex<Vec<MatchPair>>,
+    /// Matches ever published to `outbox`, drained or not.
+    pub(crate) results_published: AtomicU64,
     /// Orphans adopted from a dead sibling's replica.
     pub(crate) adopted: AtomicU64,
     /// Window tuples this worker's death (or a severed link next to it)
@@ -79,6 +83,25 @@ pub(crate) struct WorkerCell {
 impl WorkerCell {
     pub(crate) fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
+    }
+
+    /// A peer that panicked holding the lock was inside a `swap` or
+    /// `append`, both of which leave the vector valid, so poisoning is
+    /// recovered rather than propagated.
+    fn lock_outbox(&self) -> MutexGuard<'_, Vec<MatchPair>> {
+        self.outbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Moves the core's match buffer into its outbox, leaving `out`
+    /// empty: by pointer when the outbox was drained since the last
+    /// publish, appended otherwise.
+    pub(crate) fn publish_results(&self, out: &mut Vec<MatchPair>) {
+        if out.is_empty() {
+            return;
+        }
+        let n = out.len() as u64;
+        move_all(&mut self.lock_outbox(), out);
+        self.results_published.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Stamps the heartbeat instant for live-telemetry age export. Gated
@@ -106,6 +129,41 @@ impl WorkerCell {
             comparisons: self.comparisons.load(Ordering::Relaxed),
             matches: self.matches.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Moves everything in `src` behind what `dst` holds, leaving `src`
+/// empty: by pointer when `dst` is empty, by copy otherwise.
+fn move_all(dst: &mut Vec<MatchPair>, src: &mut Vec<MatchPair>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, src);
+    } else {
+        dst.append(src);
+    }
+}
+
+/// Takes every core's outbox in position order, retired cores included
+/// (what a core published before it died is still a result). The first
+/// non-empty outbox is moved in whole; the rest are appended to it and
+/// their buffers released, so a drained engine holds no result memory
+/// while the caller works on the harvest.
+pub(crate) fn take_outboxes(cells: &[Arc<WorkerCell>]) -> Vec<MatchPair> {
+    let mut all = Vec::new();
+    for cell in cells {
+        let mut outbox = cell.lock_outbox();
+        move_all(&mut all, &mut outbox);
+        *outbox = Vec::new();
+    }
+    all
+}
+
+/// Start instant of a span that is recorded only into `ring`: an
+/// untraced core does not read the clock.
+pub(crate) fn span_start(ring: &Option<obs::trace::TraceRing>) -> u64 {
+    if ring.is_some() {
+        obs::trace::now_ns()
+    } else {
+        0
     }
 }
 
@@ -317,6 +375,47 @@ mod tests {
         assert_eq!(cell.heartbeat_age_ns(250), Some(150));
         // A sampler racing the beat may read an earlier clock: clamp.
         assert_eq!(cell.heartbeat_age_ns(50), Some(0));
+    }
+
+    fn mp(k: u32) -> MatchPair {
+        MatchPair { r: streamcore::Tuple::new(k, 0), s: streamcore::Tuple::new(k, 1) }
+    }
+
+    #[test]
+    fn outboxes_are_taken_in_position_order_and_keep_the_published_total() {
+        let cells = [Arc::new(WorkerCell::default()), Arc::new(WorkerCell::default())];
+        let mut out = Vec::new();
+        cells[1].publish_results(&mut out);
+        assert_eq!(cells[1].results_published.load(Ordering::Relaxed), 0, "empty publishes are free");
+        assert!(take_outboxes(&cells).is_empty());
+
+        out.extend([mp(3), mp(4)]);
+        cells[1].publish_results(&mut out);
+        assert!(out.is_empty(), "the buffer moved");
+        out.push(mp(5));
+        cells[1].publish_results(&mut out); // appended behind the undrained two
+        out.push(mp(1));
+        cells[0].publish_results(&mut out);
+        assert_eq!(take_outboxes(&cells), [mp(1), mp(3), mp(4), mp(5)]);
+        assert!(take_outboxes(&cells).is_empty(), "nothing is returned twice");
+        // Draining does not rewind the totals.
+        assert_eq!(cells[0].results_published.load(Ordering::Relaxed), 1);
+        assert_eq!(cells[1].results_published.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_poisoned_outbox_still_publishes_and_drains() {
+        let cells = [Arc::new(WorkerCell::default())];
+        cells[0].publish_results(&mut vec![mp(1)]);
+        let holder = Arc::clone(&cells[0]);
+        let died = std::thread::spawn(move || {
+            let _held = holder.outbox.lock().unwrap();
+            panic!("a core dies holding its outbox");
+        })
+        .join();
+        assert!(died.is_err() && cells[0].outbox.is_poisoned());
+        cells[0].publish_results(&mut vec![mp(2)]);
+        assert_eq!(take_outboxes(&cells), [mp(1), mp(2)]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ proptest! {
 
     /// Worker accounting is conserved: every input is seen by every
     /// worker, stored exactly once across workers, and the per-worker
-    /// match counts sum to the collector's total.
+    /// match counts sum to the engine's result count.
     #[test]
     fn worker_accounting_is_conserved(inputs in arb_inputs(200, 8), cores in 1usize..5) {
         let join = SplitJoin::spawn(SplitJoinConfig::new(cores, 16));

@@ -42,8 +42,8 @@
 //! [`QueryRuntime::replan`] performs drain-and-handoff:
 //!
 //! 1. flush + [`drain_results`](joinsw::StreamJoin::drain_results) the
-//!    old engine (the drain barrier guarantees the collector caught up
-//!    with every result the workers handed off) and fan the harvest out;
+//!    old engine (behind the flush barrier every core has published
+//!    every match of everything flushed) and fan the harvest out;
 //! 2. shut the old engine down and verify completeness: total-ever
 //!    result count equals drained + residual, nothing orphaned, nothing
 //!    dropped;
@@ -902,9 +902,8 @@ impl QueryRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Engine`] — including
-    /// [`JoinError::DrainStalled`]
-    /// if a collector fails to catch up with its workers.
+    /// [`RuntimeError::Engine`] — whatever a group engine's flush
+    /// barrier reports (see [`joinsw::StreamJoin::drain_results`]).
     pub fn poll(&mut self) -> Result<u64, RuntimeError> {
         let mut total = 0;
         for group in self.groups.iter_mut() {
