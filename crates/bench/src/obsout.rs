@@ -32,10 +32,6 @@ pub fn take_harvest(figure: &str) -> TraceSet {
     set
 }
 
-/// Writes a Chrome-trace/Perfetto export of `set` to the default
-/// manifest directory, reporting the path on stderr. A no-op when the
-/// set holds no rings; a failure to write is a warning, never a failed
-/// run.
 /// Drains the harvest into a [`TraceSet`] named `figure` and writes it
 /// out — the one-call exit path for figure binaries. Does nothing when
 /// no rings were harvested (tracing off, or the figure has none).

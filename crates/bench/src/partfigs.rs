@@ -90,8 +90,7 @@ fn speedup_sweep(opts: &FigOpts, m: &mut RunManifest) -> Table {
     for exp in exponents {
         let window = 1usize << exp;
         let tuples = tuples_for(window);
-        // Both arms pin their dispatch mode explicitly: the A/B must
-        // hold even when `ACCEL_SW_PARTITIONING=hash` flips the default.
+        // Both arms name their dispatch mode: the A/B reads as one.
         let broadcast = measure_throughput_with::<SplitJoin>(
             SplitJoinConfig::new(cores, window)
                 .with_batch_size(batch)

@@ -41,24 +41,6 @@ pub enum Partitioning {
     Hash,
 }
 
-/// The process-wide default dispatch mode: `ACCEL_SW_PARTITIONING` when
-/// set to `broadcast` or `hash`, [`Partitioning::Broadcast`] otherwise
-/// (the CI bench-smoke job pins `hash` for its partitioned leg).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo must not silently change
-/// which dispatch discipline a whole CI leg measures.
-pub fn default_partitioning() -> Partitioning {
-    static PARTITIONING: std::sync::OnceLock<Partitioning> = std::sync::OnceLock::new();
-    *PARTITIONING.get_or_init(|| match std::env::var("ACCEL_SW_PARTITIONING") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("broadcast") => Partitioning::Broadcast,
-        Ok(v) if v.trim().eq_ignore_ascii_case("hash") => Partitioning::Hash,
-        Ok(v) => panic!("ACCEL_SW_PARTITIONING must be `broadcast` or `hash`, got {v:?}"),
-        Err(_) => Partitioning::Broadcast,
-    })
-}
-
 /// Default distribution batch size (tuples per batch message), used
 /// unless overridden by the `ACCEL_SW_BATCH` environment variable (CI
 /// runs the whole suite at `ACCEL_SW_BATCH=1` to prove batched and
@@ -106,7 +88,7 @@ pub struct JoinConfig {
     /// worker.
     pub pin_workers: bool,
     /// How tuples reach the join cores (see [`Partitioning`]); defaults
-    /// to [`default_partitioning`]. [`Partitioning::Hash`] requires an
+    /// to [`Partitioning::Broadcast`]. [`Partitioning::Hash`] requires an
     /// equi-join predicate (checked at spawn) and is SplitJoin-only.
     pub partitioning: Partitioning,
 }
@@ -118,10 +100,10 @@ impl JoinConfig {
     /// Identical to [`JoinConfig::from_env`] except that the fault plan
     /// starts empty — `new` is the data-path constructor, and scripted
     /// faults are opted into explicitly (or via `from_env`). The other
-    /// environment-overridable knobs (batch size, partitioning) *are*
-    /// env-aware here too: CI runs the entire test suite under
-    /// `ACCEL_SW_BATCH=1` precisely because every engine spawned through
-    /// this constructor picks the override up.
+    /// environment-overridable knob, the batch size, *is* env-aware here
+    /// too: CI runs the entire test suite under `ACCEL_SW_BATCH=1`
+    /// precisely because every engine spawned through this constructor
+    /// picks the override up.
     ///
     /// # Panics
     ///
@@ -138,7 +120,7 @@ impl JoinConfig {
             collect_results: true,
             fault_plan: FaultPlan::none(),
             pin_workers: false,
-            partitioning: default_partitioning(),
+            partitioning: Partitioning::Broadcast,
         }
     }
 
@@ -156,7 +138,6 @@ impl JoinConfig {
     /// | Variable | Field | Values | Built-in default |
     /// |---|---|---|---|
     /// | `ACCEL_SW_BATCH` | [`batch_size`](JoinConfig::batch_size) | positive integer | [`DEFAULT_BATCH_SIZE`] (256) |
-    /// | `ACCEL_SW_PARTITIONING` | [`partitioning`](JoinConfig::partitioning) | `broadcast`, `hash` | [`Partitioning::Broadcast`] |
     /// | `ACCEL_FAULTS` | [`fault_plan`](JoinConfig::fault_plan) | [`FaultPlan::parse`] spec | empty plan |
     ///
     /// Each variable is read once per process (the first resolution is
@@ -316,7 +297,7 @@ mod tests {
     fn partitioning_builder_and_default() {
         let config = JoinConfig::new(2, 8).with_partitioning(Partitioning::Hash);
         assert_eq!(config.partitioning, Partitioning::Hash);
-        assert_eq!(JoinConfig::new(2, 8).partitioning, default_partitioning());
+        assert_eq!(JoinConfig::new(2, 8).partitioning, Partitioning::Broadcast);
     }
 
     #[test]

@@ -34,36 +34,56 @@
 //! tuple) remains exact at any batch size, since `flush` drains the
 //! partial batch first.
 //!
+//! # Links
+//!
+//! A link is what it is in [`SplitJoin`](crate::splitjoin::SplitJoin): a
+//! bounded lock-free SPSC ring ([`streamcore::ring`]) of
+//! [`JoinConfig::channel_capacity`] messages — the two flow models differ
+//! in topology, not in transport. Every core polls two inboxes (R from
+//! its left, S from its right). Only the caller waits on a full ring
+//! (the supervised push at the two entries: the chain's back-pressure
+//! and its ordering-precision knob). A core whose onward ring is full
+//! holds that one message back, leaves the lane's inbox alone until the
+//! ring takes it, and keeps serving the other lane: two neighbours each
+//! waiting on the other's full ring would never drain, while a lane on
+//! its own runs one way and always does. A flush is a token pushed into
+//! both entries: it travels its lane behind the waves, and the core that
+//! ends its travel — the exit end, or the core before a cut — publishes
+//! it to the lane's barrier atomic, which [`HandshakeJoin::flush`]
+//! polls. Shutdown closes the two entry rings and the close travels the
+//! same way.
+//!
 //! # Fault tolerance
 //!
 //! The chain has no partition map to re-route over — a core *is* a link
 //! in both lanes — so degradation here means **severing**: a core lost to
-//! a scripted [`FaultPlan`](crate::fault::FaultPlan) kill (or a panic, or
-//! organic death) cuts both lanes at its position, and its neighbours
-//! detect the cut on their next forward, stop forwarding into it, and
-//! count every wave-carried window tuple that can no longer be parked as
-//! orphaned. Entry sends are supervised (bounded-backoff `send_timeout`
-//! watching the entry core's heartbeat); tuples offered to a severed
-//! entry are counted as orphaned rather than panicking the caller, and
-//! [`HandshakeJoin::flush`] degrades to a survivors-only barrier. The
+//! a scripted [`FaultPlan`] kill (or a panic, or organic death) cuts both
+//! lanes at its position, and its neighbours detect the cut on their
+//! next forward, stop forwarding into it, and count every wave-carried
+//! window tuple that can no longer be parked as orphaned. Entry pushes
+//! are supervised (yield, then bounded backoff, watching the entry core's
+//! heartbeat); tuples offered to a severed entry are counted as orphaned
+//! rather than panicking the caller, and [`HandshakeJoin::flush`]
+//! degrades to a survivors-only barrier: the cores each lane can still
+//! reach from its entry. The
 //! damage tally arrives in [`HandshakeOutcome::fault`]; with an empty
 //! plan and no organic failures it is all-zero and the data path is the
 //! pre-fault-model one.
 
-use std::cell::RefCell;
-use std::sync::atomic::Ordering;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use accel_error::JoinError;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use streamcore::{MatchPair, SlidingWindow, StreamTag, Tuple};
+use accel_error::{JoinError, WorkerStats};
+use streamcore::ring::{self, PopError, PushError, RingConsumer, RingProducer};
+use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
 
 use crate::config::{JoinConfig, JoinParams};
-use crate::fault::FaultReport;
+use crate::fault::{FaultPlan, FaultReport};
 use crate::supervise::{
-    span_start, supervised_send, take_outboxes, AliveGuard, SendStatus, WorkerCell,
+    join_cores, run_scripted_batch, span_start, supervised_push, take_outboxes, wait_until,
+    AliveGuard, BatchOutcome, Idle, ScriptedCore, SendStatus, WorkerCell,
 };
 
 /// Configuration of a [`HandshakeJoin`] chain: the shared [`JoinConfig`]
@@ -177,12 +197,28 @@ struct Wave {
 enum ChainMsg {
     /// A group of same-lane waves, forwarded core-to-core as one message.
     Waves { tag: StreamTag, waves: Vec<Wave> },
-    /// Flush token: forwarded to the end of the chain, then acknowledged.
-    /// It queues behind its lane's waves at every core, and a core
-    /// publishes a wave group's matches before it takes the next
-    /// message, so the acknowledgement covers them.
-    Flush(Sender<()>),
-    Stop,
+    /// Flush token: forwarded down its lane and published to the lane's
+    /// barrier atomic by the core that ends its travel. It queues behind
+    /// its lane's waves at every core, and a core publishes a wave
+    /// group's matches before it takes the next message, so the
+    /// published token covers them.
+    Flush(u64),
+}
+
+/// Lane index of a stream: R = 0 (rightward), S = 1 (leftward).
+fn side(tag: StreamTag) -> usize {
+    tag as usize
+}
+
+/// The caller's end of one lane: the link into the lane's entry core
+/// and the wave group being assembled for it.
+#[derive(Debug)]
+struct Entry {
+    link: RingProducer<ChainMsg>,
+    /// Position of the entry core (0 for R, N-1 for S).
+    core: usize,
+    /// Caller-side wave buffer; drained on flush/shutdown.
+    pending: Vec<Wave>,
 }
 
 /// A running software handshake join.
@@ -203,19 +239,19 @@ enum ChainMsg {
 /// ```
 #[derive(Debug)]
 pub struct HandshakeJoin {
-    /// Entry of the rightward (R) lane: core 0.
-    entry_r: Sender<ChainMsg>,
-    /// Entry of the leftward (S) lane: core N-1.
-    entry_s: Sender<ChainMsg>,
+    /// Lane entries, indexed by [`side`].
+    entries: RefCell<[Entry; 2]>,
+    /// Per-lane flush barrier: the highest token that has finished its
+    /// travel down the lane (see [`ChainMsg::Flush`]).
+    barrier: Arc<[AtomicU64; 2]>,
+    /// Flush tokens issued so far.
+    flush_seq: Cell<u64>,
     workers: Vec<JoinHandle<(u64, Option<obs::trace::TraceRing>)>>,
     cells: Vec<Arc<WorkerCell>>,
     /// `false` when counting-only: the outboxes stay empty and the
     /// result count comes from the cores' match counters.
     collecting: bool,
     batch_size: usize,
-    /// Caller-side wave buffers, one per lane; drained on flush/shutdown.
-    pending_r: RefCell<Vec<Wave>>,
-    pending_s: RefCell<Vec<Wave>>,
     batch_hist: RefCell<obs::Histogram>,
     /// Caller-side damage tally: tuples that could not even enter the
     /// chain because an entry core was gone.
@@ -285,52 +321,72 @@ impl HandshakeJoin {
         config.common.validate();
         let n = config.num_cores;
 
-        // Each core has one inbox per direction lane. Only the two entry
-        // channels are bounded (caller back-pressure); interior links are
-        // unbounded so opposite-direction sends can never form a blocking
-        // cycle between neighbouring cores. The pipeline is work-balanced
-        // (every wave does the same work at every core), so interior
-        // queues stay shallow in practice.
-        let mut r_lane: Vec<(Sender<ChainMsg>, Receiver<ChainMsg>)> = Vec::new();
-        let mut s_lane: Vec<(Sender<ChainMsg>, Receiver<ChainMsg>)> = Vec::new();
-        for i in 0..n {
-            r_lane.push(if i == 0 {
-                bounded(config.channel_capacity)
-            } else {
-                crossbeam::channel::unbounded()
-            });
-            s_lane.push(if i == n - 1 {
-                bounded(config.channel_capacity)
-            } else {
-                crossbeam::channel::unbounded()
-            });
-        }
-        let entry_r = r_lane[0].0.clone();
-        let entry_s = s_lane[n - 1].0.clone();
+        // One ring per core per lane, all of `channel_capacity` slots:
+        // ring i of the R lane feeds core i from the left (the caller at
+        // i = 0), ring i of the S lane from the right (the caller at
+        // i = N-1).
+        let links = || -> (Vec<_>, Vec<_>) {
+            (0..n).map(|_| ring::spsc::<ChainMsg>(config.channel_capacity)).unzip()
+        };
+        let (r_tx, r_rx) = links();
+        let (mut s_tx, s_rx) = links();
+        let mut r_next = r_tx.into_iter();
+        let entry = |link: Option<RingProducer<ChainMsg>>, core| Entry {
+            link: link.expect("a chain has at least one core"),
+            core,
+            pending: Vec::with_capacity(config.batch_size),
+        };
+        let entries = [entry(r_next.next(), 0), entry(s_tx.pop(), n - 1)];
+        let s_next = std::iter::once(None).chain(s_tx.into_iter().map(Some));
 
+        let barrier = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let sub = config.sub_window();
+        let lane = |inbox, next: Option<RingProducer<ChainMsg>>, downstream| Lane {
+            inbox,
+            open: true,
+            at_exit: next.is_none(),
+            next,
+            held: None,
+            window: SlidingWindow::new(sub),
+            downstream,
+            forwarded: 0,
+        };
         let mut cells = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
-        for position in 0..n {
-            let cfg = config.clone();
+        for (position, ((r_rx, s_rx), s_next)) in r_rx.into_iter().zip(s_rx).zip(s_next).enumerate() {
             let cell = Arc::new(WorkerCell::default());
             cells.push(Arc::clone(&cell));
-            let r_rx = r_lane[position].1.clone();
-            let s_rx = s_lane[position].1.clone();
-            let r_next = (position + 1 < n).then(|| r_lane[position + 1].0.clone());
-            let s_next = position.checked_sub(1).map(|p| s_lane[p].0.clone());
+            let core = ChainCore {
+                predicate: config.predicate,
+                collect: config.collect_results,
+                lanes: [
+                    lane(r_rx, r_next.next(), (n - 1 - position) * sub),
+                    lane(s_rx, s_next, position * sub),
+                ],
+                stats: WorkerStats::default(),
+                out: Vec::new(),
+                cell,
+                barrier: Arc::clone(&barrier),
+                first: 0,
+                idle: Idle::recv(),
+            };
+            let plan = config.fault_plan.clone();
             workers.push(std::thread::spawn(move || {
-                core_loop(position, &cfg, &r_rx, &s_rx, r_next, s_next, &cell)
+                // Outermost, so it drops last: a cell that reads dead has
+                // already dropped its link ends, which is what lets
+                // `flush` re-issue a token that can no longer strand.
+                let _guard = AliveGuard(Arc::clone(&core.cell));
+                core_loop(position, &plan, core)
             }));
         }
         Self {
-            entry_r,
-            entry_s,
+            entries: RefCell::new(entries),
+            barrier,
+            flush_seq: Cell::new(0),
             workers,
             cells,
             collecting: config.collect_results,
             batch_size: config.batch_size,
-            pending_r: RefCell::new(Vec::with_capacity(config.batch_size)),
-            pending_s: RefCell::new(Vec::with_capacity(config.batch_size)),
             batch_hist: RefCell::new(obs::Histogram::new()),
             report: RefCell::new(FaultReport::default()),
             live: obs::live::active().then(LiveChain::new),
@@ -344,24 +400,19 @@ impl HandshakeJoin {
     ///
     /// # Errors
     ///
-    /// [`JoinError::Saturated`] when the entry core's channel stays full
+    /// [`JoinError::Saturated`] when the entry core's ring stays full
     /// with a frozen heartbeat past the supervision deadline. A *severed*
     /// entry (its core killed or panicked) is not an error: the tuples
     /// are counted as orphaned in [`HandshakeOutcome::fault`] instead.
     pub fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
-        let pending = match tag {
-            StreamTag::R => &self.pending_r,
-            StreamTag::S => &self.pending_s,
-        };
-        let mut pending = pending.borrow_mut();
-        pending.push(Wave {
+        let mut entries = self.entries.borrow_mut();
+        let entry = &mut entries[side(tag)];
+        entry.pending.push(Wave {
             probe: tuple,
             store: Some(tuple),
         });
-        if pending.len() >= self.batch_size {
-            let waves = std::mem::take(&mut *pending);
-            drop(pending);
-            self.send_waves(tag, waves)?;
+        if entry.pending.len() >= self.batch_size {
+            self.send_waves(tag, entry)?;
         }
         Ok(())
     }
@@ -380,43 +431,39 @@ impl HandshakeJoin {
         self.flush()
     }
 
-    fn entry_for(&self, tag: StreamTag) -> (&Sender<ChainMsg>, usize) {
-        match tag {
-            StreamTag::R => (&self.entry_r, 0),
-            StreamTag::S => (&self.entry_s, self.cells.len() - 1),
-        }
+    /// Pushes `msg` into a lane's entry core under supervision.
+    fn send_entry(&self, entry: &mut Entry, msg: ChainMsg) -> Result<SendStatus, JoinError> {
+        let cell = &self.cells[entry.core];
+        Ok(supervised_push(&mut entry.link, cell, entry.core, msg)?.0)
     }
 
-    fn send_waves(&self, tag: StreamTag, waves: Vec<Wave>) -> Result<(), JoinError> {
-        if waves.is_empty() {
+    /// Injects the lane's pending wave group, if any, as one message.
+    fn send_waves(&self, tag: StreamTag, entry: &mut Entry) -> Result<(), JoinError> {
+        if entry.pending.is_empty() {
             return Ok(());
         }
-        self.batch_hist
-            .borrow_mut()
-            .record_value(waves.len() as u64);
+        let waves = std::mem::take(&mut entry.pending);
+        let count = waves.len() as u64;
+        self.batch_hist.borrow_mut().record_value(count);
         if let Some(lv) = self.live.as_ref() {
             lv.waves.incr();
-            lv.wave_tuples.add(waves.len() as u64);
-            lv.wave_depth.set(waves.len() as u64);
+            lv.wave_tuples.add(count);
+            lv.wave_depth.set(count);
         }
-        let (entry, core) = self.entry_for(tag);
-        let count = waves.len() as u64;
-        match supervised_send(entry, &self.cells[core], core, ChainMsg::Waves { tag, waves })? {
-            SendStatus::Sent => {}
-            SendStatus::Lost => {
-                // The entry core is gone: these tuples never enter the
-                // join at all.
-                self.report.borrow_mut().orphaned_tuples += count;
-            }
+        if let SendStatus::Lost = self.send_entry(entry, ChainMsg::Waves { tag, waves })? {
+            // The entry core is gone: these tuples never enter the join
+            // at all.
+            self.report.borrow_mut().orphaned_tuples += count;
         }
         Ok(())
     }
 
     fn drain_pending(&self) -> Result<(), JoinError> {
-        let r = std::mem::take(&mut *self.pending_r.borrow_mut());
-        self.send_waves(StreamTag::R, r)?;
-        let s = std::mem::take(&mut *self.pending_s.borrow_mut());
-        self.send_waves(StreamTag::S, s)
+        let mut entries = self.entries.borrow_mut();
+        for (tag, entry) in [StreamTag::R, StreamTag::S].into_iter().zip(entries.iter_mut()) {
+            self.send_waves(tag, entry)?;
+        }
+        Ok(())
     }
 
     /// Blocks until everything submitted before this call (including
@@ -426,38 +473,47 @@ impl HandshakeJoin {
     /// # Errors
     ///
     /// See [`HandshakeJoin::process`]. Once a core has died the barrier
-    /// degrades to best-effort: it covers the reachable part of the
-    /// chain and gives up waiting on acknowledgements that can no longer
-    /// arrive.
+    /// covers the survivors a lane can still reach: the token ends its
+    /// travel at the core before the cut.
     pub fn flush(&self) -> Result<(), JoinError> {
         self.drain_pending()?;
-        let (ack_tx, ack_rx) = bounded::<()>(2);
-        let mut sent = 0usize;
-        for tag in [StreamTag::R, StreamTag::S] {
-            let (entry, core) = self.entry_for(tag);
-            match supervised_send(entry, &self.cells[core], core, ChainMsg::Flush(ack_tx.clone()))? {
-                SendStatus::Sent => sent += 1,
-                SendStatus::Lost => {}
-            }
-        }
-        drop(ack_tx);
-        let mut acks = 0usize;
-        while acks < sent {
-            match ack_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(()) => acks += 1,
-                Err(RecvTimeoutError::Disconnected) => break,
-                // A dead core can strand a token (and its ack) in a
-                // severed link forever; stop waiting once any core is
-                // down — the barrier already covered the survivors that
-                // still forward.
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.cells.iter().any(|c| c.is_dead()) {
-                        break;
-                    }
+        let token = self.flush_seq.get() + 1;
+        self.flush_seq.set(token);
+        let mut entries = self.entries.borrow_mut();
+        // A token pushed into a core's ring just before that core dies
+        // is stranded there. A core reads dead only after its ring ends
+        // are gone, so a token issued *after* seeing it dead cannot
+        // strand at it: each newly seen death re-issues the token, and a
+        // lane whose entry is gone has nobody left to wait for.
+        let dead = || self.cells.iter().filter(|c| c.is_dead()).count();
+        let mut seen_dead = dead();
+        let mut waiting = [true; 2];
+        let mut issue = |waiting: &mut [bool; 2]| -> Result<(), JoinError> {
+            for (lane, wait) in waiting.iter_mut().enumerate() {
+                if *wait {
+                    let status = self.send_entry(&mut entries[lane], ChainMsg::Flush(token))?;
+                    *wait = matches!(status, SendStatus::Sent);
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        };
+        issue(&mut waiting)?;
+        wait_until(|| {
+            // Acquire pairs with the publishing core's Release: once the
+            // token shows, every hand-off it queued behind is visible.
+            for (lane, wait) in waiting.iter_mut().enumerate() {
+                *wait = *wait && self.barrier[lane].load(Ordering::Acquire) < token;
+            }
+            if waiting == [false; 2] {
+                return Ok(false);
+            }
+            let now_dead = dead();
+            if now_dead > seen_dead {
+                seen_dead = now_dead;
+                issue(&mut waiting)?;
+            }
+            Ok(true)
+        })
     }
 
     /// Flushes the chain, then removes and returns every match produced
@@ -487,26 +543,16 @@ impl HandshakeJoin {
         // Best effort: with an entry core gone the buffered waves are
         // already accounted as orphaned by `send_waves`.
         let _ = self.drain_pending();
-        let _ = self.entry_r.send(ChainMsg::Stop);
-        let _ = self.entry_s.send(ChainMsg::Stop);
-        drop(self.entry_r);
-        drop(self.entry_s);
+        // Closing the two entry links is the stop signal: each core
+        // drains a closed inbox and closes its own onward link, so the
+        // close travels down the lane behind the last wave. Nothing here
+        // can wait on a wedged core.
+        drop(self.entries);
         let mut counted = 0u64;
         let mut trace = Vec::new();
-        let mut panicked: Option<usize> = None;
-        for (i, w) in self.workers.into_iter().enumerate() {
-            match w.join() {
-                Ok((matches, ring)) => {
-                    counted += matches;
-                    trace.extend(ring);
-                }
-                Err(_) => {
-                    if panicked.is_none() {
-                        panicked = Some(i);
-                    }
-                    counted += self.cells[i].matches.load(Ordering::Relaxed);
-                }
-            }
+        for (matches, ring) in join_cores(self.workers, &self.cells)? {
+            counted += matches;
+            trace.extend(ring);
         }
         let mut report = self.report.into_inner();
         for (i, cell) in self.cells.iter().enumerate() {
@@ -517,12 +563,6 @@ impl HandshakeJoin {
             report.injected_stalls += cell.stalls.load(Ordering::Relaxed);
             report.injected_drops += cell.drops.load(Ordering::Relaxed);
             report.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
-        }
-        if let Some(worker) = panicked {
-            return Err(JoinError::WorkerPanicked {
-                worker,
-                stats_so_far: self.cells[worker].snapshot(),
-            });
         }
         // `results` holds only what no mid-run drain harvested; the
         // published totals are every match ever handed over, so the
@@ -587,53 +627,173 @@ impl crate::streamjoin::JoinSummary for HandshakeOutcome {
     }
 }
 
-/// Forwards `msg` downstream, severing the link on failure. Hands the
-/// message back when the link is (or just became) severed, so the
-/// caller can account for what it carried.
-fn forward(
-    next: &mut Option<Sender<ChainMsg>>,
-    msg: ChainMsg,
-) -> Result<(), ChainMsg> {
-    let Some(tx) = next else { return Err(msg) };
-    match tx.send(msg) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            // The downstream core is gone: drop our sender so its queue
-            // can be freed, and stop forwarding into the cut.
-            *next = None;
-            Err(e.0)
+/// One direction of the chain as a core sees it: the inbox it polls,
+/// the link onward, and its own stream's segment of the window.
+struct Lane {
+    inbox: RingConsumer<ChainMsg>,
+    /// `false` once the inbox has closed and drained.
+    open: bool,
+    /// The lane's last core: nothing is forwarded, and the tuples a wave
+    /// still carries there have expired.
+    at_exit: bool,
+    /// `None` at the exit end, once severed (the neighbour died), and
+    /// once this lane has closed.
+    next: Option<RingProducer<ChainMsg>>,
+    /// The one message `next` had no slot for; while it waits here the
+    /// lane's inbox is left alone (see the module docs, "Links").
+    held: Option<ChainMsg>,
+    window: SlidingWindow<Tuple>,
+    /// Capacity of the chain beyond this core; while the downstream
+    /// still has room the storage cascade forwards tuples unparked, so
+    /// the chain fills from the exit end.
+    downstream: usize,
+    forwarded: usize,
+}
+
+/// One core of the chain: a lane per direction (indexed by [`side`]),
+/// running statistics and the matches of the message in progress.
+struct ChainCore {
+    predicate: JoinPredicate,
+    /// Materialize matches (`false` = counting-only).
+    collect: bool,
+    lanes: [Lane; 2],
+    stats: WorkerStats,
+    /// Moved into the cell's outbox at the end of every wave group, so
+    /// empty between messages.
+    out: Vec<MatchPair>,
+    cell: Arc<WorkerCell>,
+    barrier: Arc<[AtomicU64; 2]>,
+    /// The lane `recv` asks first; alternates so neither starves.
+    first: usize,
+    idle: Idle,
+}
+
+impl ScriptedCore for ChainCore {
+    const WORK_SPAN: &'static str = "wave";
+    const HAND_OFF_SPAN: Option<&'static str> = None;
+
+    fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>) {
+        (&self.cell, &self.stats, &mut self.out)
+    }
+}
+
+impl ChainCore {
+    /// Probes and parks one wave group, then forwards it onward as one
+    /// message.
+    fn handle_waves(&mut self, tag: StreamTag, mut waves: Vec<Wave>) {
+        let [r, s] = &mut self.lanes;
+        let (own, opposite) = match tag {
+            StreamTag::R => (r, &s.window),
+            StreamTag::S => (s, &r.window),
+        };
+        for wave in &mut waves {
+            self.stats.tuples_seen += 1;
+            for &stored in opposite.iter() {
+                self.stats.comparisons += 1;
+                let pair = MatchPair::oriented(tag, wave.probe, stored);
+                if self.predicate.matches(pair.r, pair.s) {
+                    self.stats.matches += 1;
+                    if self.collect {
+                        self.out.push(pair);
+                    }
+                }
+            }
+            // Storage cascade: pass the carried tuple on while the chain
+            // beyond is still filling, else park it and carry on whatever
+            // it displaced.
+            if let Some(t) = wave.store {
+                if own.forwarded < own.downstream {
+                    own.forwarded += 1;
+                } else {
+                    self.stats.stored += 1;
+                    wave.store = own.window.insert(t);
+                }
+            }
         }
+        if !own.at_exit {
+            self.forward(side(tag), ChainMsg::Waves { tag, waves });
+        }
+    }
+
+    /// Offers `msg` to the lane's onward link: taken, held back when the
+    /// link is full, or at the end of its travel when there is no link
+    /// (the exit end) or the link turns out to be cut.
+    fn forward(&mut self, lane: usize, msg: ChainMsg) {
+        let l = &mut self.lanes[lane];
+        debug_assert!(l.held.is_none(), "a lane takes no message while one is held");
+        let Some(next) = l.next.as_mut() else {
+            return self.end_of_travel(lane, msg);
+        };
+        match next.try_push(msg) {
+            Ok(()) => {}
+            Err(PushError::Full(msg)) => l.held = Some(msg),
+            Err(PushError::Disconnected(msg)) => {
+                // The downstream core is gone: drop our end so its queue
+                // can be freed, and stop forwarding into the cut.
+                l.next = None;
+                self.end_of_travel(lane, msg);
+            }
+        }
+    }
+
+    /// Offers the lane's held message again; `true` once nothing is held
+    /// and the lane's inbox may be served.
+    fn offer_held(&mut self, lane: usize) -> bool {
+        if let Some(msg) = self.lanes[lane].held.take() {
+            self.forward(lane, msg);
+        }
+        self.lanes[lane].held.is_none()
+    }
+
+    /// A message that cannot go further: at a cut, every tuple a wave
+    /// still carries is a window tuple the join has now lost; a flush
+    /// token has covered every core its lane can reach.
+    fn end_of_travel(&self, lane: usize, msg: ChainMsg) {
+        match msg {
+            ChainMsg::Waves { waves, .. } => {
+                let stranded = waves.iter().filter(|w| w.store.is_some()).count() as u64;
+                self.cell.orphaned.fetch_add(stranded, Ordering::Relaxed);
+            }
+            // Release pairs with the caller's Acquire poll in `flush`.
+            ChainMsg::Flush(token) => {
+                self.barrier[lane].fetch_max(token, Ordering::Release);
+            }
+        }
+    }
+
+    /// Takes the next message from either lane. A lane whose inbox has
+    /// closed and drained drops its onward link, which closes the next
+    /// core's inbox in turn. `None` once both lanes are closed.
+    fn recv(&mut self) -> Option<(usize, ChainMsg)> {
+        while self.lanes.iter().any(|l| l.open) {
+            for lane in [self.first, 1 - self.first] {
+                if !self.lanes[lane].open || !self.offer_held(lane) {
+                    continue;
+                }
+                match self.lanes[lane].inbox.try_pop() {
+                    Ok(msg) => {
+                        self.first = 1 - lane;
+                        self.idle.reset();
+                        return Some((lane, msg));
+                    }
+                    Err(PopError::Empty) => {}
+                    Err(PopError::Disconnected) => {
+                        self.lanes[lane].open = false;
+                        self.lanes[lane].next = None;
+                    }
+                }
+            }
+            self.idle.wait();
+        }
+        None
     }
 }
 
 fn core_loop(
     position: usize,
-    config: &HandshakeConfig,
-    r_rx: &Receiver<ChainMsg>,
-    s_rx: &Receiver<ChainMsg>,
-    mut r_next: Option<Sender<ChainMsg>>,
-    mut s_next: Option<Sender<ChainMsg>>,
-    cell: &Arc<WorkerCell>,
+    plan: &FaultPlan,
+    mut core: ChainCore,
 ) -> (u64, Option<obs::trace::TraceRing>) {
-    let _guard = AliveGuard(Arc::clone(cell));
-    let plan = &config.fault_plan;
-    let sub = config.sub_window();
-    let n = config.num_cores;
-    let mut window_r: SlidingWindow<Tuple> = SlidingWindow::new(sub);
-    let mut window_s: SlidingWindow<Tuple> = SlidingWindow::new(sub);
-    // Capacity of the chain beyond this core, per lane; while the
-    // downstream still has room the storage cascade forwards tuples
-    // unparked, so the chain fills from the exit end.
-    let r_downstream = (n - 1 - position) * sub;
-    let s_downstream = position * sub;
-    let mut r_forwarded = 0usize;
-    let mut s_forwarded = 0usize;
-    let mut r_open = true;
-    let mut s_open = true;
-    let mut stats = accel_error::WorkerStats::default();
-    // Matches of the wave group being processed; moved into the cell's
-    // outbox at the group's end, so empty between messages.
-    let mut out: Vec<MatchPair> = Vec::new();
     let mut group_no: u64 = 0;
     let mut ring = obs::trace::enabled().then(|| {
         obs::trace::TraceRing::new(
@@ -643,34 +803,7 @@ fn core_loop(
     });
     let mut idle_since = span_start(&ring);
 
-    let publish = |cell: &WorkerCell, stats: &accel_error::WorkerStats| {
-        cell.tuples_seen.store(stats.tuples_seen, Ordering::Relaxed);
-        cell.stored.store(stats.stored, Ordering::Relaxed);
-        cell.comparisons.store(stats.comparisons, Ordering::Relaxed);
-        cell.matches.store(stats.matches, Ordering::Relaxed);
-        cell.heartbeat.fetch_add(1, Ordering::Relaxed);
-    };
-
-    while r_open || s_open {
-        // Alternate lanes fairly; block on select when both lanes open.
-        let (msg, from_r) = if r_open && s_open {
-            crossbeam::channel::select! {
-                recv(r_rx) -> m => (m.ok(), true),
-                recv(s_rx) -> m => (m.ok(), false),
-            }
-        } else if r_open {
-            (r_rx.recv().ok(), true)
-        } else {
-            (s_rx.recv().ok(), false)
-        };
-        let Some(msg) = msg else {
-            if from_r {
-                r_open = false;
-            } else {
-                s_open = false;
-            }
-            continue;
-        };
+    while let Some((lane, msg)) = core.recv() {
         if let Some(r) = ring.as_mut() {
             let t = obs::trace::now_ns();
             r.record("recv", idle_since, t.saturating_sub(idle_since));
@@ -678,136 +811,30 @@ fn core_loop(
         match msg {
             ChainMsg::Waves { tag, waves } => {
                 group_no += 1;
-                let stall = plan.stall_ms(position, group_no);
-                if stall > 0 {
-                    cell.stalls.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(stall));
-                }
-                if plan.drops(position, group_no) {
-                    // The group is lost in transit: never probed, never
-                    // parked, never forwarded — downstream windows
-                    // silently diverge. Deliberate corruption.
-                    cell.drops.fetch_add(1, Ordering::Relaxed);
-                    publish(cell, &stats);
-                    idle_since = span_start(&ring);
-                    continue;
-                }
-                // Process the group's waves in order, collecting the
-                // forwarded group for one downstream send.
-                let t0 = span_start(&ring);
-                let group = waves.len() as u64;
-                let mut onward = Vec::with_capacity(waves.len());
-                for wave in waves {
-                    let Wave { probe, store } = wave;
-                    stats.tuples_seen += 1;
-                    // Probe this core's opposite segment.
-                    let opposite = match tag {
-                        StreamTag::R => &window_s,
-                        StreamTag::S => &window_r,
-                    };
-                    for &stored in opposite.iter() {
-                        stats.comparisons += 1;
-                        let (r, s) = match tag {
-                            StreamTag::R => (probe, stored),
-                            StreamTag::S => (stored, probe),
-                        };
-                        if config.predicate.matches(r, s) {
-                            stats.matches += 1;
-                            if config.collect_results {
-                                out.push(MatchPair { r, s });
-                            }
-                        }
-                    }
-                    // Storage cascade.
-                    let (own, downstream, forwarded) = match tag {
-                        StreamTag::R => (&mut window_r, r_downstream, &mut r_forwarded),
-                        StreamTag::S => (&mut window_s, s_downstream, &mut s_forwarded),
-                    };
-                    let store = match store {
-                        Some(t) if *forwarded < downstream => {
-                            // Chain still filling beyond us: pass it on.
-                            *forwarded += 1;
-                            Some(t)
-                        }
-                        Some(t) => {
-                            stats.stored += 1;
-                            own.insert(t)
-                        }
-                        None => None,
-                    };
-                    onward.push(Wave { probe, store });
-                }
-                // Fast-forward the whole group onward as one message.
-                // At the exit end, any carried tuples have expired; at a
-                // severed link, every carried tuple is a window tuple
-                // the join has now lost.
-                let next = match tag {
-                    StreamTag::R => &mut r_next,
-                    StreamTag::S => &mut s_next,
-                };
-                let at_exit = match tag {
-                    StreamTag::R => position + 1 == n,
-                    StreamTag::S => position == 0,
-                };
-                if !at_exit {
-                    if let Err(ChainMsg::Waves { waves: lost, .. }) =
-                        forward(next, ChainMsg::Waves { tag, waves: onward })
-                    {
-                        let stranded =
-                            lost.iter().filter(|w| w.store.is_some()).count() as u64;
-                        cell.orphaned.fetch_add(stranded, Ordering::Relaxed);
-                    }
-                }
-                if let Some(r) = ring.as_mut() {
-                    let t1 = obs::trace::now_ns();
-                    r.record_arg("wave", t0, t1.saturating_sub(t0), group);
-                }
-                if plan.panics(position, group_no) {
-                    publish(cell, &stats);
-                    panic!(
-                        "fault injection: core {position} scripted panic at group {group_no}"
-                    );
-                }
-                if plan.kills(position, group_no) {
-                    // Cooperative abrupt exit: both lanes sever here.
-                    // Everything parked in our segments is orphaned,
-                    // and this group's unpublished matches die with us.
-                    cell.orphaned.fetch_add(
-                        (window_r.len() + window_s.len()) as u64,
-                        Ordering::Relaxed,
-                    );
-                    cell.results_dropped
-                        .fetch_add(out.len() as u64, Ordering::Relaxed);
-                    cell.killed.store(true, Ordering::Relaxed);
-                    publish(cell, &stats);
-                    return (stats.matches, ring);
-                }
-                cell.publish_results(&mut out);
-            }
-            ChainMsg::Flush(ack) => {
-                let next = if from_r { &mut r_next } else { &mut s_next };
-                // At the exit end — or a severed link — acknowledge
-                // directly: the barrier covers the reachable chain.
-                if let Err(ChainMsg::Flush(ack)) = forward(next, ChainMsg::Flush(ack)) {
-                    let _ = ack.send(());
+                let len = waves.len();
+                let outcome =
+                    run_scripted_batch(&mut core, plan, position, group_no, len, &mut ring, |c| {
+                        c.handle_waves(tag, waves)
+                    });
+                if let BatchOutcome::Kill = outcome {
+                    // Both lanes sever here, and everything parked in
+                    // our segments is orphaned.
+                    let parked: usize = core.lanes.iter().map(|l| l.window.len()).sum();
+                    core.cell.orphaned.fetch_add(parked as u64, Ordering::Relaxed);
+                    core.cell.killed.store(true, Ordering::Relaxed);
+                    return (core.stats.matches, ring);
                 }
             }
-            ChainMsg::Stop => {
-                let next = if from_r { &mut r_next } else { &mut s_next };
-                let _ = forward(next, ChainMsg::Stop);
-                if from_r {
-                    r_open = false;
-                } else {
-                    s_open = false;
-                }
-            }
+            // At the exit end there is no onward link, so the token's
+            // travel ends (and it is published) right here.
+            ChainMsg::Flush(token) => core.forward(lane, ChainMsg::Flush(token)),
         }
-        publish(cell, &stats);
+        core.cell.publish_stats(&core.stats);
         idle_since = span_start(&ring);
     }
-    debug_assert!(out.is_empty(), "matches are published at every message boundary");
-    publish(cell, &stats);
-    (stats.matches, ring)
+    debug_assert!(core.out.is_empty(), "matches are published at every message boundary");
+    core.cell.publish_stats(&core.stats);
+    (core.stats.matches, ring)
 }
 
 #[cfg(test)]
@@ -1045,6 +1072,117 @@ mod tests {
         // The reachable part of the chain kept joining.
         let want = reference_join(&inputs, 64, JoinPredicate::Equi).len() as u64;
         assert!(outcome.result_count < want, "a severed chain loses matches");
+    }
+
+    #[test]
+    fn full_links_in_both_directions_never_deadlock() {
+        // One-slot links everywhere and both lanes loaded with no flush
+        // until the end: neighbouring cores keep finding each other's
+        // link full. Cores that *waited* on a full link would stop
+        // draining their own inboxes and the chain would wedge; holding
+        // the one message back keeps every core serving its other lane.
+        let inputs: Vec<_> = WorkloadSpec::new(20_000, KeyDist::Uniform { domain: 16 })
+            .generate()
+            .collect();
+        let join = HandshakeJoin::spawn(
+            HandshakeConfig::new(4, 256).with_channel_capacity(1),
+        );
+        for &(tag, t) in &inputs {
+            join.process(tag, t).unwrap();
+        }
+        join.flush().unwrap();
+        let outcome = join.shutdown().unwrap();
+        let want = reference_join(&inputs, 256, JoinPredicate::Equi).len() as f64;
+        let got = outcome.result_count as f64;
+        let err = (got - want).abs() / want;
+        assert!(
+            err < 0.10,
+            "pipelined result count {got} deviates {:.1}% from {want}",
+            err * 100.0
+        );
+        assert!(!outcome.fault.degraded());
+    }
+
+    #[test]
+    fn the_barrier_covers_the_survivors_of_a_cut() {
+        // Two S tuples settle in core 0 (the S lane fills from its exit
+        // end). Core 1 then dies on the third arrival, whose flush may
+        // find its tokens stranded in the dying core's rings and must
+        // still return.
+        let plan = FaultPlan::parse("kill1@3").unwrap();
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(3, 12).with_fault_plan(plan));
+        for (tag, key) in [(StreamTag::S, 7), (StreamTag::S, 7), (StreamTag::R, 99)] {
+            join.process(tag, Tuple::new(key, 0)).unwrap();
+            join.flush().unwrap();
+        }
+        // Past the cut a token ends its travel at the core before it, so
+        // the barrier is still a barrier: core 0 has probed this arrival
+        // and handed its matches off by the time the drain looks.
+        join.process(StreamTag::R, Tuple::new(7, 1)).unwrap();
+        assert_eq!(join.drain_results().unwrap().len(), 2);
+        let outcome = join.shutdown().unwrap();
+        assert_eq!(outcome.fault.workers_lost, vec![1]);
+        assert_eq!(outcome.result_count, 2);
+    }
+
+    #[test]
+    fn a_dead_entry_core_leaves_nothing_to_wait_for() {
+        // A one-core chain is the entry of both lanes: once it is gone
+        // both tokens are refused at the entries and the barrier has
+        // nobody to wait for.
+        let plan = FaultPlan::parse("kill0@1").unwrap();
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(1, 8).with_fault_plan(plan));
+        join.process(StreamTag::S, Tuple::new(7, 0)).unwrap();
+        join.flush().unwrap();
+        for i in 0..3 {
+            join.process(StreamTag::R, Tuple::new(7, i)).unwrap();
+            join.flush().unwrap();
+        }
+        assert!(join.drain_results().unwrap().is_empty());
+        let outcome = join.shutdown().unwrap();
+        assert_eq!(outcome.fault.workers_lost, vec![0]);
+        // The parked S tuple died with the core; the three R tuples
+        // never got in.
+        assert_eq!(outcome.fault.orphaned_tuples, 4);
+        assert_eq!(outcome.result_count, 0);
+    }
+
+    #[test]
+    fn a_flush_issued_during_a_stall_covers_the_stalled_group() {
+        // Core 0 sleeps 40 ms before its second group — the R tuple that
+        // matches the S tuple parked there. The token queues behind the
+        // stalled group, so the drain waits the stall out.
+        let plan = FaultPlan::parse("stall0@2x40").unwrap();
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(2, 8).with_fault_plan(plan));
+        join.process(StreamTag::S, Tuple::new(7, 0)).unwrap();
+        join.flush().unwrap();
+        join.process(StreamTag::R, Tuple::new(7, 1)).unwrap();
+        assert_eq!(join.drain_results().unwrap().len(), 1);
+        let outcome = join.shutdown().unwrap();
+        assert_eq!(outcome.fault.injected_stalls, 1);
+        assert!(outcome.results.is_empty(), "the drain took the match");
+    }
+
+    #[test]
+    fn a_scripted_kill_drops_exactly_its_last_groups_matches() {
+        // One core, flushed per arrival, is exact against the reference,
+        // so the kill's damage is too: everything before the fatal group
+        // was handed off, the fatal group's matches are the drop count.
+        let inputs: Vec<_> = WorkloadSpec::new(60, KeyDist::Uniform { domain: 4 })
+            .generate()
+            .collect();
+        let plan = FaultPlan::parse("kill0@40").unwrap();
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(1, 16).with_fault_plan(plan));
+        for &(tag, t) in &inputs {
+            join.process(tag, t).unwrap();
+            join.flush().unwrap();
+        }
+        let outcome = join.shutdown().unwrap();
+        let before = reference_join(&inputs[..39], 16, JoinPredicate::Equi).len() as u64;
+        let with_fatal = reference_join(&inputs[..40], 16, JoinPredicate::Equi).len() as u64;
+        assert!(with_fatal > before, "the fatal group must find matches");
+        assert_eq!(outcome.result_count, before);
+        assert_eq!(outcome.fault.results_dropped, with_fatal - before);
     }
 
     #[test]

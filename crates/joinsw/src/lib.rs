@@ -85,10 +85,7 @@ pub mod streamjoin;
 mod supervise;
 
 pub use accel_error::{JoinError, WorkerStats};
-pub use config::{
-    default_batch_size, default_partitioning, JoinConfig, JoinParams, Partitioning,
-    DEFAULT_BATCH_SIZE,
-};
+pub use config::{default_batch_size, JoinConfig, JoinParams, Partitioning, DEFAULT_BATCH_SIZE};
 pub use fault::{FaultEvent, FaultPlan, FaultReport};
 pub use streamjoin::{JoinSummary, StreamJoin};
 

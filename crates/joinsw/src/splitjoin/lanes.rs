@@ -2,14 +2,11 @@
 //! message and the receiving end of its ring.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use streamcore::ring::{PopError, RingConsumer};
 use streamcore::{PartitionMap, StreamTag, Tuple};
 
-/// How long an idle thread sleeps between ring polls once spinning and
-/// yielding have not produced work.
-pub(super) const IDLE_SLEEP: Duration = Duration::from_micros(50);
+use crate::supervise::Idle;
 
 pub(super) enum Msg {
     /// One distribution batch resident in the shared
@@ -62,26 +59,14 @@ pub(super) struct PartEntry {
 }
 
 /// Blocking receive on a worker's distribution ring. `None` means the
-/// router is gone and the ring is fully drained. Spins briefly, then
-/// yields, then parks in short sleeps: the latency-critical wakeups
-/// (next batch in a loaded run) are caught by the spin/yield phases.
+/// router is gone and the ring is fully drained.
 pub(super) fn recv_msg(msgs: &mut RingConsumer<Msg>) -> Option<Msg> {
-    let mut spins = 0u32;
+    let mut idle = Idle::recv();
     loop {
         match msgs.try_pop() {
             Ok(msg) => return Some(msg),
             Err(PopError::Disconnected) => return None,
-            Err(PopError::Empty) => {
-                if spins < 64 {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else if spins < 192 {
-                    spins += 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
-            }
+            Err(PopError::Empty) => idle.wait(),
         }
     }
 }

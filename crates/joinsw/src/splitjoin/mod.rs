@@ -85,9 +85,8 @@
 //! Broadcast distribution sends every tuple to every worker — each probe
 //! pays O(window) regardless of core count. With
 //! [`Partitioning::Hash`]
-//! ([`JoinConfig::partitioning`](crate::config::JoinConfig::partitioning),
-//! overridable process-wide with `ACCEL_SW_PARTITIONING`) the window is
-//! instead *content-partitioned*
+//! ([`JoinConfig::with_partitioning`](crate::config::JoinConfig::with_partitioning))
+//! the window is instead *content-partitioned*
 //! by join key, PanJoin-style: rendezvous hashing
 //! ([`PartitionMap::key_owner`]) assigns each key an owning worker, the
 //! router ships each tuple only to its owner as a keyed sub-batch
@@ -179,7 +178,7 @@ use self::router::{PartRouter, ReplicaBuf, Router, SKETCH_CAPACITY};
 use self::worker::{worker_loop, WorkerExit};
 use crate::config::Partitioning;
 use crate::fault::FaultReport;
-use crate::supervise::{take_outboxes, WorkerCell};
+use crate::supervise::{join_cores, take_outboxes, WorkerCell};
 
 /// A running SplitJoin: N join-core threads.
 ///
@@ -209,10 +208,9 @@ impl SplitJoin {
         config.common.validate();
         let partitioned = config.partitioning == Partitioning::Hash;
         if partitioned {
-            // Checked here rather than in `JoinConfig::validate` so a
-            // process-wide `ACCEL_SW_PARTITIONING=hash` override does
-            // not panic engines that ignore the knob (the handshake
-            // chain validates the same shared config).
+            // Checked here rather than in `JoinConfig::validate`: the
+            // handshake chain validates the same shared config and
+            // ignores the knob.
             assert!(
                 config.predicate == JoinPredicate::Equi,
                 "hash partitioning requires an equi-join predicate"
@@ -424,33 +422,16 @@ impl SplitJoin {
         router.senders.clear();
         let mut worker_stats = Vec::with_capacity(self.workers.len());
         let mut trace = Vec::new();
-        let mut panicked: Option<usize> = None;
         let mut kernel_stats = KernelStats::default();
-        for (i, w) in self.workers.into_iter().enumerate() {
-            match w.join() {
-                Ok((stats, kstats, ring)) => {
-                    worker_stats.push(stats);
-                    kernel_stats.merge(&kstats);
-                    trace.extend(ring);
-                }
-                Err(_) => {
-                    if panicked.is_none() {
-                        panicked = Some(i);
-                    }
-                    worker_stats.push(router.cells[i].snapshot());
-                }
-            }
+        for (stats, kstats, ring) in join_cores(self.workers, &router.cells)? {
+            worker_stats.push(stats);
+            kernel_stats.merge(&kstats);
+            trace.extend(ring);
         }
         for cell in &router.cells {
             router.report.injected_stalls += cell.stalls.load(Ordering::Relaxed);
             router.report.injected_drops += cell.drops.load(Ordering::Relaxed);
             router.report.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
-        }
-        if let Some(worker) = panicked {
-            return Err(JoinError::WorkerPanicked {
-                worker,
-                stats_so_far: router.cells[worker].snapshot(),
-            });
         }
         // `results` holds only what no mid-run drain harvested; the
         // published totals are every match ever handed over, so the

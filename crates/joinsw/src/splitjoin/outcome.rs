@@ -7,7 +7,7 @@ use streamcore::MatchPair;
 use crate::fault::FaultReport;
 
 /// Distribution-ring and arena telemetry, attached to every outcome.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RingStats {
     /// Distribution-ring occupancy (queued messages) sampled at every
     /// router send.
@@ -17,20 +17,6 @@ pub struct RingStats {
     /// Nanoseconds the router waited for ring or arena space, one sample
     /// per send/publish that could not complete on the fast path.
     pub claim_wait_ns: obs::Histogram,
-}
-
-impl Clone for RingStats {
-    fn clone(&self) -> Self {
-        // `obs::Gauge` is deliberately not `Clone` (it is a live cell);
-        // cloning the stats copies its reading into a fresh gauge.
-        let peak_occupancy = obs::Gauge::new();
-        peak_occupancy.set(self.peak_occupancy.get());
-        Self {
-            occupancy: self.occupancy.clone(),
-            peak_occupancy,
-            claim_wait_ns: self.claim_wait_ns.clone(),
-        }
-    }
 }
 
 /// Partitioned-dispatch telemetry, attached to the outcome when the run

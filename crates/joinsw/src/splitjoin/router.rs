@@ -10,12 +10,12 @@ use accel_error::JoinError;
 use streamcore::ring::{self, ArenaWriter, RingProducer};
 use streamcore::{FreqSketch, PartitionMap, StreamTag, Tuple};
 
-use super::lanes::{Msg, PartEntry, IDLE_SLEEP};
+use super::lanes::{Msg, PartEntry};
 use super::live::LiveRouter;
 use super::outcome::RingStats;
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
 use crate::supervise::{
-    supervised_push, SendStatus, SendSupervisor, WorkerCell, CLAIM_SPIN_YIELDS,
+    supervised_push, wait_until, Idle, SendStatus, SendSupervisor, WorkerCell,
     SATURATION_DEADLINE,
 };
 
@@ -186,7 +186,7 @@ impl Router {
     /// [`JoinError::Saturated`].
     fn publish_to_arena(&mut self, batch: &[(StreamTag, Tuple)]) -> Result<u64, JoinError> {
         let mut sup = SendSupervisor::new();
-        let mut spins = 0u32;
+        let mut idle = Idle::claim();
         let mut wait_started: Option<Instant> = None;
         loop {
             let arena = self.arena.as_mut().expect("broadcast mode has an arena");
@@ -211,10 +211,7 @@ impl Router {
                         self.reap_dead()?;
                         continue;
                     }
-                    if spins < CLAIM_SPIN_YIELDS {
-                        spins += 1;
-                        std::thread::yield_now();
-                    } else {
+                    if !idle.relax() {
                         // Slow path only: export how far behind the
                         // slowest reader is and refresh its heartbeat
                         // age, so an armed scrape shows *which* worker
@@ -511,22 +508,18 @@ impl Router {
             lv.on_worker_lost(worker, orphans, self.map.live_count());
         }
         let t0 = Instant::now();
-        let mut spins = 0u32;
-        while !self.cells[worker].is_dead() {
+        wait_until(|| {
+            if self.cells[worker].is_dead() {
+                return Ok(false);
+            }
             if t0.elapsed() >= SATURATION_DEADLINE {
                 return Err(JoinError::Saturated {
                     worker,
                     waited_ms: t0.elapsed().as_millis() as u64,
                 });
             }
-            if spins < 1_024 {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        }
-        Ok(())
+            Ok(true)
+        })
     }
 
     /// Broadcast-mode recovery: closed-form orphan count, partition-map
@@ -634,8 +627,7 @@ impl Router {
         let lost = self.send_to_live(|| Msg::Flush(token))?;
         self.recover_all(lost)?;
         let mut waiting = self.map.live().to_vec();
-        let mut spins = 0u32;
-        loop {
+        wait_until(|| loop {
             // Acquire pairs with the worker's Release store: once we see
             // the token, everything the worker did before acknowledging
             // (probes, stores, result publishes) is visible.
@@ -643,19 +635,12 @@ impl Router {
                 self.map.is_live(w) && self.cells[w].flushed.load(Ordering::Acquire) < token
             });
             if waiting.is_empty() {
-                break;
+                return Ok(false);
             }
-            if waiting.iter().any(|&w| self.cells[w].is_dead()) {
-                self.reap_dead()?;
-                continue;
+            if !waiting.iter().any(|&w| self.cells[w].is_dead()) {
+                return Ok(true);
             }
-            if spins < 1_024 {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        }
-        Ok(())
+            self.reap_dead()?;
+        })
     }
 }

@@ -1,9 +1,8 @@
-//! One join core: window state, the two probe paths, the fault script
-//! and the thread loop.
+//! One join core: window state, the two probe paths and the thread
+//! loop.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use accel_error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
@@ -17,8 +16,9 @@ use super::lanes::{recv_msg, Msg, PartEntry};
 use super::live::LiveWorker;
 use super::{SplitJoinConfig, SwJoinAlgorithm};
 use crate::config::Partitioning;
-use crate::fault::FaultPlan;
-use crate::supervise::{span_start, AliveGuard, WorkerCell};
+use crate::supervise::{
+    run_scripted_batch, span_start, AliveGuard, BatchOutcome, ScriptedCore, WorkerCell,
+};
 
 /// What each worker thread leaves behind at exit.
 pub(super) type WorkerExit = (WorkerStats, KernelStats, Option<obs::trace::TraceRing>);
@@ -452,84 +452,15 @@ impl WorkerState {
             };
         }
     }
-
-    /// Publishes the statistics snapshot and advances the heartbeat —
-    /// once per processed message. With the live plane armed this also
-    /// timestamps the beat, which the router exports as
-    /// `splitjoin.worker.<i>.heartbeat_age_ns`.
-    fn publish(&self) {
-        self.cell.tuples_seen.store(self.stats.tuples_seen, Ordering::Relaxed);
-        self.cell.stored.store(self.stats.stored, Ordering::Relaxed);
-        self.cell.comparisons.store(self.stats.comparisons, Ordering::Relaxed);
-        self.cell.matches.store(self.stats.matches, Ordering::Relaxed);
-        self.cell.heartbeat.fetch_add(1, Ordering::Relaxed);
-        self.cell.stamp_beat();
-    }
 }
 
-/// What a scripted batch told the worker to do next.
-enum BatchOutcome {
-    Continue,
-    /// Scripted kill: exit the thread abruptly.
-    Kill,
-}
+impl ScriptedCore for WorkerState {
+    const WORK_SPAN: &'static str = "probe";
+    const HAND_OFF_SPAN: Option<&'static str> = Some("send");
 
-/// One distribution message through the fault script: stall, drop-or-
-/// probe, scripted panic, scripted kill — and, when it survives all of
-/// them, the hand-off of its matches to the cell's outbox, so a later
-/// [`Msg::Flush`] token covers them. `probe` is the mode's own work
-/// on the message's `len` entries — [`WorkerState::handle_batch`] for a
-/// broadcast batch, [`WorkerState::handle_part_entry`] per entry for a
-/// keyed sub-batch — so both dispatch modes share one script. `batch_no`
-/// is this worker's own received-message count (which, in keyed
-/// dispatch, can lag the router's batch count — a worker only gets a
-/// message when a key routes to it).
-fn run_scripted_batch(
-    w: &mut WorkerState,
-    plan: &FaultPlan,
-    position: usize,
-    batch_no: u64,
-    len: usize,
-    ring: &mut Option<obs::trace::TraceRing>,
-    probe: impl FnOnce(&mut WorkerState),
-) -> BatchOutcome {
-    let stall = plan.stall_ms(position, batch_no);
-    if stall > 0 {
-        w.cell.stalls.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(stall));
+    fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>) {
+        (&self.cell, &self.stats, &mut self.out)
     }
-    if plan.drops(position, batch_no) {
-        // The batch is lost in transit: no probes, no stores, and this
-        // worker's round-robin counters silently fall behind its
-        // siblings' — deliberate corruption.
-        w.cell.drops.fetch_add(1, Ordering::Relaxed);
-    } else {
-        let t0 = span_start(ring);
-        probe(w);
-        if let Some(r) = ring.as_mut() {
-            let t1 = obs::trace::now_ns();
-            r.record_arg("probe", t0, t1.saturating_sub(t0), len as u64);
-        }
-    }
-    if plan.panics(position, batch_no) {
-        w.publish();
-        panic!("fault injection: worker {position} scripted panic at batch {batch_no}");
-    }
-    if plan.kills(position, batch_no) {
-        // Abrupt exit: this message's matches die here, unpublished.
-        w.cell
-            .results_dropped
-            .fetch_add(w.out.len() as u64, Ordering::Relaxed);
-        w.publish();
-        return BatchOutcome::Kill;
-    }
-    let t0 = span_start(ring);
-    w.cell.publish_results(&mut w.out);
-    if let Some(r) = ring.as_mut() {
-        let t1 = obs::trace::now_ns();
-        r.record("send", t0, t1.saturating_sub(t0));
-    }
-    BatchOutcome::Continue
 }
 
 pub(super) fn worker_loop(
@@ -672,10 +603,10 @@ pub(super) fn worker_loop(
         if let (Some(lv), Some(t0)) = (live.as_mut(), busy_start) {
             lv.after_msg(&w.stats, t0);
         }
-        w.publish();
+        w.cell.publish_stats(&w.stats);
         idle_since = span_start(&ring);
     }
     debug_assert!(w.out.is_empty(), "matches are published at every message boundary");
-    w.publish();
+    w.cell.publish_stats(&w.stats);
     (w.stats, w.kstats, ring)
 }

@@ -1,19 +1,22 @@
-//! Crate-internal worker supervision primitives shared by the SplitJoin
-//! router and the handshake chain: the per-worker heartbeat/liveness
-//! cell (which also holds the core's result outbox), the scope guard
-//! that marks a cell dead on any exit path, the
-//! bounded-backoff policy ([`SendSupervisor`]), and the supervised send
-//! for each link kind (the handshake chain's channel `send_timeout`,
-//! SplitJoin's ring claim-retry).
+//! Crate-internal worker supervision primitives, one of each, shared by
+//! the SplitJoin router and the handshake chain: the per-worker
+//! heartbeat/liveness cell (which also holds the core's result outbox),
+//! the scope guard that marks a cell dead on any exit path, the idle
+//! policy every polling loop waits under ([`Idle`]), the bounded-backoff
+//! policy ([`SendSupervisor`]) and the supervised ring push built on the
+//! two, the barrier wait loop ([`wait_until`]), and the fault script a
+//! core runs each data message through ([`run_scripted_batch`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use accel_error::{JoinError, WorkerStats};
-use crossbeam::channel::{SendTimeoutError, Sender};
 use streamcore::ring::{PushError, RingProducer};
 use streamcore::MatchPair;
+
+use crate::fault::FaultPlan;
 
 /// First supervised-send timeout; doubles per retry up to
 /// [`BACKOFF_CAP_MS`].
@@ -30,6 +33,81 @@ pub(crate) const SATURATION_DEADLINE: Duration = Duration::from_secs(10);
 /// park on, and a draining consumer usually frees a slot within a
 /// scheduler quantum or two.
 pub(crate) const CLAIM_SPIN_YIELDS: u32 = 128;
+/// How long an idle thread sleeps between polls once spinning and
+/// yielding have not produced work.
+pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// The idle policy of every polling loop in the crate: spin briefly,
+/// then yield, then sleep. Rings and atomics have nothing to park on, so
+/// the cheap phases catch the wakeups that matter for latency and the
+/// sleep keeps a long wait off the CPU. The sites differ only in how
+/// long the cheap phases last.
+#[derive(Debug)]
+pub(crate) struct Idle {
+    spins: u32,
+    yields: u32,
+    polls: u32,
+}
+
+impl Idle {
+    /// A core waiting for its next message: the next batch of a loaded
+    /// run arrives within the spin/yield phases.
+    pub(crate) const fn recv() -> Self {
+        Self { spins: 64, yields: 128, polls: 0 }
+    }
+
+    /// A caller waiting at a barrier (a flush token, a retiring worker's
+    /// exit): the other side needs the CPU, so no spinning.
+    pub(crate) const fn barrier() -> Self {
+        Self { spins: 0, yields: 1_024, polls: 0 }
+    }
+
+    /// A producer waiting for ring or arena space.
+    pub(crate) const fn claim() -> Self {
+        Self { spins: 0, yields: CLAIM_SPIN_YIELDS, polls: 0 }
+    }
+
+    /// Work arrived: the next wait starts from the spin phase again.
+    pub(crate) fn reset(&mut self) {
+        self.polls = 0;
+    }
+
+    /// Spins or yields while the cheap phases last; `false` once they
+    /// are spent and the caller must sleep — on [`IDLE_SLEEP`]
+    /// ([`Idle::wait`]) or on its own clock (the supervised sends back
+    /// off under [`SendSupervisor`]).
+    pub(crate) fn relax(&mut self) -> bool {
+        if self.polls >= self.spins + self.yields {
+            return false;
+        }
+        self.polls += 1;
+        if self.polls <= self.spins {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// One unproductive poll's worth of waiting.
+    pub(crate) fn wait(&mut self) {
+        if !self.relax() {
+            std::thread::sleep(IDLE_SLEEP);
+        }
+    }
+}
+
+/// The barrier wait loop: polls `pending` under [`Idle::barrier`] until
+/// it reports nothing left to wait for.
+pub(crate) fn wait_until(
+    mut pending: impl FnMut() -> Result<bool, JoinError>,
+) -> Result<(), JoinError> {
+    let mut idle = Idle::barrier();
+    while pending()? {
+        idle.wait();
+    }
+    Ok(())
+}
 
 /// Shared per-worker supervision block: heartbeat + liveness for the
 /// coordinator, last published statistics for loss-tolerant shutdown,
@@ -75,8 +153,9 @@ pub(crate) struct WorkerCell {
     /// ownership model of its own (the handshake chain).
     pub(crate) orphaned: AtomicU64,
     /// Highest flush token this worker has acknowledged — SplitJoin's
-    /// flush barrier (the handshake chain carries an ack sender in the
-    /// message instead).
+    /// flush barrier, one acknowledgement per worker (the handshake
+    /// chain's token travels a whole lane, so its barrier is one atomic
+    /// per lane, held by the `HandshakeJoin`).
     pub(crate) flushed: AtomicU64,
 }
 
@@ -120,6 +199,19 @@ impl WorkerCell {
     pub(crate) fn heartbeat_age_ns(&self, now_ns: u64) -> Option<u64> {
         let beat = self.last_beat_ns.load(Ordering::Relaxed);
         (beat != 0).then(|| now_ns.saturating_sub(beat))
+    }
+
+    /// Publishes the core's statistics snapshot and advances the
+    /// heartbeat — once per processed message. With the live plane armed
+    /// this also timestamps the beat, which the SplitJoin router exports
+    /// as `splitjoin.worker.<i>.heartbeat_age_ns`.
+    pub(crate) fn publish_stats(&self, stats: &WorkerStats) {
+        self.tuples_seen.store(stats.tuples_seen, Ordering::Relaxed);
+        self.stored.store(stats.stored, Ordering::Relaxed);
+        self.comparisons.store(stats.comparisons, Ordering::Relaxed);
+        self.matches.store(stats.matches, Ordering::Relaxed);
+        self.heartbeat.fetch_add(1, Ordering::Relaxed);
+        self.stamp_beat();
     }
 
     pub(crate) fn snapshot(&self) -> WorkerStats {
@@ -177,9 +269,34 @@ impl Drop for AliveGuard {
     }
 }
 
+/// Joins every core thread and returns what each left behind, or
+/// [`JoinError::WorkerPanicked`] — naming the first core that panicked,
+/// with its last published statistics — once all of them have exited.
+pub(crate) fn join_cores<E>(
+    workers: Vec<JoinHandle<E>>,
+    cells: &[Arc<WorkerCell>],
+) -> Result<Vec<E>, JoinError> {
+    let mut exits = Vec::with_capacity(workers.len());
+    let mut panicked = None;
+    for (i, w) in workers.into_iter().enumerate() {
+        match w.join() {
+            Ok(exit) => exits.push(exit),
+            Err(_) => {
+                panicked.get_or_insert(i);
+            }
+        }
+    }
+    match panicked {
+        Some(worker) => {
+            Err(JoinError::WorkerPanicked { worker, stats_so_far: cells[worker].snapshot() })
+        }
+        None => Ok(exits),
+    }
+}
+
 pub(crate) enum SendStatus {
     Sent,
-    /// The worker's channel disconnected or its cell reports it dead:
+    /// The worker's ring disconnected or its cell reports it dead:
     /// recover and reroute, don't error.
     Lost,
 }
@@ -242,42 +359,13 @@ impl SendSupervisor {
     }
 }
 
-/// Bounded-backoff send with heartbeat supervision. Never blocks
-/// indefinitely on a dead or wedged worker: back-pressure with progress
-/// waits forever, a frozen heartbeat with a full channel for the whole
-/// [`SATURATION_DEADLINE`] reports [`JoinError::Saturated`].
-pub(crate) fn supervised_send<T>(
-    tx: &Sender<T>,
-    cell: &WorkerCell,
-    worker: usize,
-    mut msg: T,
-) -> Result<SendStatus, JoinError> {
-    let mut sup = SendSupervisor::new();
-    let mut timeout = Duration::from_millis(BACKOFF_START_MS);
-    loop {
-        match tx.send_timeout(msg, timeout) {
-            Ok(()) => return Ok(SendStatus::Sent),
-            Err(SendTimeoutError::Disconnected(_)) => return Ok(SendStatus::Lost),
-            Err(SendTimeoutError::Timeout(returned)) => {
-                msg = returned;
-                if cell.is_dead() {
-                    return Ok(SendStatus::Lost);
-                }
-                timeout = sup.next_wait(
-                    Instant::now(),
-                    worker,
-                    cell.heartbeat.load(Ordering::Relaxed),
-                )?;
-            }
-        }
-    }
-}
-
-/// Ring counterpart of [`supervised_send`]: claim-retry with
-/// a yield phase, then the same backoff/saturation policy (a ring has
-/// no blocking send to lean on). Returns the status plus the
-/// nanoseconds spent waiting, which the router feeds the claim-wait
-/// histogram.
+/// The supervised send: claim-retry with a yield phase, then the
+/// backoff/saturation policy (a ring has no blocking send to lean on).
+/// Never blocks indefinitely on a dead or wedged worker: back-pressure
+/// with progress waits forever, a frozen heartbeat with a full ring for
+/// the whole [`SATURATION_DEADLINE`] reports [`JoinError::Saturated`].
+/// Returns the status plus the nanoseconds spent waiting, which the
+/// router feeds the claim-wait histogram.
 pub(crate) fn supervised_push<T>(
     prod: &mut RingProducer<T>,
     cell: &WorkerCell,
@@ -292,15 +380,12 @@ pub(crate) fn supervised_push<T>(
     let t0 = Instant::now();
     let waited = |t0: Instant| t0.elapsed().as_nanos().max(1) as u64;
     let mut sup = SendSupervisor::new();
-    let mut spins = 0u32;
+    let mut idle = Idle::claim();
     loop {
         if cell.is_dead() {
             return Ok((SendStatus::Lost, waited(t0)));
         }
-        if spins < CLAIM_SPIN_YIELDS {
-            spins += 1;
-            std::thread::yield_now();
-        } else {
+        if !idle.relax() {
             let wait = sup.next_wait(
                 Instant::now(),
                 worker,
@@ -316,33 +401,89 @@ pub(crate) fn supervised_push<T>(
     }
 }
 
+/// What the fault script needs of a join core, whichever engine it
+/// belongs to.
+pub(crate) trait ScriptedCore {
+    /// Trace-span name of the core's own work on one data message.
+    const WORK_SPAN: &'static str;
+    /// Trace-span name of the hand-off of that message's matches;
+    /// `None` when the engine does not trace it.
+    const HAND_OFF_SPAN: Option<&'static str>;
+
+    /// The core's supervision cell, its running statistics, and the
+    /// matches of the message in progress.
+    fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>);
+}
+
+/// What a scripted batch told the core to do next.
+pub(crate) enum BatchOutcome {
+    Continue,
+    /// Scripted kill: exit the thread abruptly. The script has counted
+    /// the in-progress message's matches as dropped; what else dies with
+    /// the core (the chain's parked window tuples) is the engine's own
+    /// accounting.
+    Kill,
+}
+
+/// One data message through the fault script: stall, drop-or-work,
+/// scripted panic, scripted kill — and, when it survives all of them,
+/// the hand-off of its matches to the cell's outbox, so a later flush
+/// token covers them. `work` is the engine's own processing of the
+/// message's `len` entries: a broadcast batch or a keyed sub-batch in
+/// SplitJoin (where `batch_no`, the core's own received-message count,
+/// can lag the router's batch count under keyed dispatch — a worker only
+/// gets a message when a key routes to it), a wave group probed, parked
+/// and forwarded on the chain (which counts both lanes together).
+pub(crate) fn run_scripted_batch<C: ScriptedCore>(
+    core: &mut C,
+    plan: &FaultPlan,
+    position: usize,
+    batch_no: u64,
+    len: usize,
+    ring: &mut Option<obs::trace::TraceRing>,
+    work: impl FnOnce(&mut C),
+) -> BatchOutcome {
+    let stall = plan.stall_ms(position, batch_no);
+    if stall > 0 {
+        core.parts().0.stalls.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(stall));
+    }
+    if plan.drops(position, batch_no) {
+        // The message is lost in transit: never probed, never stored,
+        // never forwarded, and this core's view of the streams silently
+        // falls behind its siblings' — deliberate corruption.
+        core.parts().0.drops.fetch_add(1, Ordering::Relaxed);
+    } else {
+        let t0 = span_start(ring);
+        work(core);
+        if let Some(r) = ring.as_mut() {
+            let t1 = obs::trace::now_ns();
+            r.record_arg(C::WORK_SPAN, t0, t1.saturating_sub(t0), len as u64);
+        }
+    }
+    let (cell, stats, out) = core.parts();
+    if plan.panics(position, batch_no) {
+        cell.publish_stats(stats);
+        panic!("fault injection: core {position} scripted panic at message {batch_no}");
+    }
+    if plan.kills(position, batch_no) {
+        // Abrupt exit: this message's matches die here, unpublished.
+        cell.results_dropped.fetch_add(out.len() as u64, Ordering::Relaxed);
+        cell.publish_stats(stats);
+        return BatchOutcome::Kill;
+    }
+    let t0 = span_start(ring);
+    cell.publish_results(out);
+    if let (Some(r), Some(name)) = (ring.as_mut(), C::HAND_OFF_SPAN) {
+        let t1 = obs::trace::now_ns();
+        r.record(name, t0, t1.saturating_sub(t0));
+    }
+    BatchOutcome::Continue
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
-
-    #[test]
-    fn supervised_send_reports_disconnect_as_lost() {
-        let (tx, rx) = bounded::<u32>(1);
-        drop(rx);
-        let cell = WorkerCell::default();
-        assert!(matches!(
-            supervised_send(&tx, &cell, 0, 7),
-            Ok(SendStatus::Lost)
-        ));
-    }
-
-    #[test]
-    fn supervised_send_gives_up_on_a_dead_cell_with_a_full_channel() {
-        let (tx, _rx) = bounded::<u32>(1);
-        tx.send(1).unwrap(); // fill the channel; _rx never drains
-        let cell = WorkerCell::default();
-        cell.dead.store(true, Ordering::Release);
-        assert!(matches!(
-            supervised_send(&tx, &cell, 3, 2),
-            Ok(SendStatus::Lost)
-        ));
-    }
 
     #[test]
     fn supervised_push_gives_up_on_a_dead_cell_with_a_full_ring() {
@@ -365,6 +506,86 @@ mod tests {
             supervised_push(&mut tx, &cell, 0, 7),
             Ok((SendStatus::Lost, 0))
         ));
+    }
+
+    #[test]
+    fn idle_phases_are_spent_in_order_and_restart_on_reset() {
+        for (mut idle, spins, yields) in [
+            (Idle::recv(), 64, 128),
+            (Idle::barrier(), 0, 1_024),
+            (Idle::claim(), 0, CLAIM_SPIN_YIELDS),
+        ] {
+            assert_eq!((idle.spins, idle.yields), (spins, yields));
+            for _ in 0..spins + yields {
+                assert!(idle.relax(), "the cheap phases last {spins} spins + {yields} yields");
+            }
+            assert!(!idle.relax(), "spent: the caller sleeps");
+            assert!(!idle.relax(), "and keeps sleeping");
+            idle.reset();
+            assert!(idle.relax(), "work arrived: back to the cheap phases");
+        }
+    }
+
+    #[test]
+    fn wait_until_polls_to_completion_and_passes_errors_through() {
+        let mut polls = 0;
+        wait_until(|| {
+            polls += 1;
+            Ok(polls < 5)
+        })
+        .unwrap();
+        assert_eq!(polls, 5);
+        assert_eq!(wait_until(|| Err(JoinError::AllWorkersLost)), Err(JoinError::AllWorkersLost));
+    }
+
+    #[derive(Default)]
+    struct FakeCore {
+        cell: WorkerCell,
+        stats: WorkerStats,
+        out: Vec<MatchPair>,
+    }
+
+    impl ScriptedCore for FakeCore {
+        const WORK_SPAN: &'static str = "work";
+        const HAND_OFF_SPAN: Option<&'static str> = None;
+
+        fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>) {
+            (&self.cell, &self.stats, &mut self.out)
+        }
+    }
+
+    /// Runs message `batch_no` through the script; the work finds two
+    /// matches.
+    fn scripted(core: &mut FakeCore, plan: &FaultPlan, batch_no: u64) -> BatchOutcome {
+        run_scripted_batch(core, plan, 0, batch_no, 2, &mut None, |c| {
+            c.stats.matches += 2;
+            c.out.extend([mp(1), mp(2)]);
+        })
+    }
+
+    #[test]
+    fn a_scripted_drop_skips_the_work_and_counts_once() {
+        let plan = FaultPlan::parse("drop0@2").unwrap();
+        let mut core = FakeCore::default();
+        for batch_no in 1..=3 {
+            assert!(matches!(scripted(&mut core, &plan, batch_no), BatchOutcome::Continue));
+        }
+        assert_eq!(core.cell.drops.load(Ordering::Relaxed), 1);
+        assert_eq!(core.stats.matches, 4, "messages 1 and 3 did their work");
+        assert_eq!(core.cell.results_published.load(Ordering::Relaxed), 4);
+        assert!(core.out.is_empty(), "every surviving message hands its matches off");
+    }
+
+    #[test]
+    fn a_scripted_kill_drops_exactly_the_message_in_progress() {
+        let plan = FaultPlan::parse("kill0@2").unwrap();
+        let mut core = FakeCore::default();
+        assert!(matches!(scripted(&mut core, &plan, 1), BatchOutcome::Continue));
+        assert!(matches!(scripted(&mut core, &plan, 2), BatchOutcome::Kill));
+        assert_eq!(core.cell.results_dropped.load(Ordering::Relaxed), core.out.len() as u64);
+        assert_eq!(core.out.len(), 2, "the fatal message's matches are not handed off");
+        assert_eq!(core.cell.results_published.load(Ordering::Relaxed), 2);
+        assert_eq!(core.cell.snapshot().matches, 4, "the last snapshot includes the fatal message");
     }
 
     #[test]
