@@ -50,8 +50,10 @@
 //! both entries: it travels its lane behind the waves, and the core that
 //! ends its travel — the exit end, or the core before a cut — publishes
 //! it to the lane's barrier atomic, which [`HandshakeJoin::flush`]
-//! polls. Shutdown closes the two entry rings and the close travels the
-//! same way.
+//! polls — unless nothing was injected since the last completed flush,
+//! which returns at once. (SplitJoin's barrier counts finished messages;
+//! a token can be re-issued past a cut, a count cannot.) Shutdown closes
+//! the two entry rings and the close travels the same way.
 //!
 //! # Fault tolerance
 //!
@@ -246,6 +248,8 @@ pub struct HandshakeJoin {
     barrier: Arc<[AtomicU64; 2]>,
     /// Flush tokens issued so far.
     flush_seq: Cell<u64>,
+    /// A wave group was injected since the last completed flush.
+    unsettled: Cell<bool>,
     workers: Vec<JoinHandle<(u64, Option<obs::trace::TraceRing>)>>,
     cells: Vec<Arc<WorkerCell>>,
     /// `false` when counting-only: the outboxes stay empty and the
@@ -383,6 +387,7 @@ impl HandshakeJoin {
             entries: RefCell::new(entries),
             barrier,
             flush_seq: Cell::new(0),
+            unsettled: Cell::new(false),
             workers,
             cells,
             collecting: config.collect_results,
@@ -442,6 +447,7 @@ impl HandshakeJoin {
         if entry.pending.is_empty() {
             return Ok(());
         }
+        self.unsettled.set(true);
         let waves = std::mem::take(&mut entry.pending);
         let count = waves.len() as u64;
         self.batch_hist.borrow_mut().record_value(count);
@@ -468,7 +474,8 @@ impl HandshakeJoin {
 
     /// Blocks until everything submitted before this call (including
     /// partial wave groups, which are injected first) has traversed the
-    /// whole chain and every core has published the matches it found.
+    /// whole chain and every core has published the matches it found
+    /// (at once, if nothing was submitted since the last completed flush).
     ///
     /// # Errors
     ///
@@ -477,6 +484,9 @@ impl HandshakeJoin {
     /// travel at the core before the cut.
     pub fn flush(&self) -> Result<(), JoinError> {
         self.drain_pending()?;
+        if !self.unsettled.get() {
+            return Ok(());
+        }
         let token = self.flush_seq.get() + 1;
         self.flush_seq.set(token);
         let mut entries = self.entries.borrow_mut();
@@ -513,7 +523,9 @@ impl HandshakeJoin {
                 issue(&mut waiting)?;
             }
             Ok(true)
-        })
+        })?;
+        self.unsettled.set(false);
+        Ok(())
     }
 
     /// Flushes the chain, then removes and returns every match produced
@@ -829,11 +841,10 @@ fn core_loop(
             // travel ends (and it is published) right here.
             ChainMsg::Flush(token) => core.forward(lane, ChainMsg::Flush(token)),
         }
-        core.cell.publish_stats(&core.stats);
+        core.cell.finish_message(&core.stats);
         idle_since = span_start(&ring);
     }
     debug_assert!(core.out.is_empty(), "matches are published at every message boundary");
-    core.cell.publish_stats(&core.stats);
     (core.stats.matches, ring)
 }
 
@@ -1123,6 +1134,25 @@ mod tests {
         let outcome = join.shutdown().unwrap();
         assert_eq!(outcome.fault.workers_lost, vec![1]);
         assert_eq!(outcome.result_count, 2);
+    }
+
+    #[test]
+    fn an_idle_flush_issues_no_token() {
+        // The per-arrival flush settles the chain; the poll-time flush
+        // and drain that follow have nothing injected to wait for.
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(3, 12));
+        join.flush().unwrap();
+        assert_eq!(join.flush_seq.get(), 0, "nothing was ever injected");
+        join.process(StreamTag::S, Tuple::new(4, 0)).unwrap();
+        join.flush().unwrap();
+        join.flush().unwrap();
+        assert!(join.drain_results().unwrap().is_empty());
+        assert_eq!(join.flush_seq.get(), 1);
+        // An injection makes the next barrier a real one again.
+        join.process(StreamTag::R, Tuple::new(4, 1)).unwrap();
+        assert_eq!(join.drain_results().unwrap().len(), 1);
+        assert_eq!(join.flush_seq.get(), 2);
+        join.shutdown().unwrap();
     }
 
     #[test]

@@ -32,10 +32,9 @@ pub(super) enum Msg {
     /// turns. All survivors see it at the same position in their FIFO
     /// queues, so they switch at an identical tuple boundary.
     Reconfigure(Arc<PartitionMap>),
-    /// Barrier token: the worker publishes it to
-    /// [`WorkerCell::flushed`](crate::supervise::WorkerCell::flushed),
-    /// which the router polls.
-    Flush(u64),
+    /// Shutdown: the one message neither side counts. Every other is
+    /// counted when sent and when finished, and those two counts are the
+    /// flush barrier ([`Router::flush`](super::router::Router::flush)).
     Stop,
 }
 

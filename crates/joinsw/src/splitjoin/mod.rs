@@ -58,10 +58,11 @@
 //! sequence number per worker while every join core probes the
 //! arena-resident batch *in place*: zero-copy from router to probe.
 //! Nothing runs the other way but the worker's supervision cell: it
-//! holds the outbox, and the flush token the worker has reached, which
-//! the router polls — a worker stores a token only after it has
-//! published the matches of every message before it, so once the
-//! barrier returns the outboxes hold every match of everything flushed.
+//! holds the outbox, and the count of messages the worker has finished,
+//! advanced (`Release`) only after a message's matches are published.
+//! The flush barrier is no message but the router reading (`Acquire`)
+//! every live worker's count at the count it has sent that worker: the
+//! outboxes then hold every match of everything flushed.
 //!
 //! # Probe paths
 //!
@@ -292,7 +293,7 @@ impl SplitJoin {
                 ring,
                 arena,
                 ring_stats: RingStats::default(),
-                flush_seq: 0,
+                sent: vec![0; config.num_cores],
                 part,
                 live: obs::live::active().then(|| LiveRouter::new(&config)),
             }),

@@ -126,8 +126,10 @@ pub(super) struct Router {
     pub(super) arena: Option<ArenaWriter<(StreamTag, Tuple)>>,
     /// Ring occupancy / claim-wait telemetry.
     pub(super) ring_stats: RingStats,
-    /// Flush tokens issued so far (see [`Msg::Flush`]).
-    pub(super) flush_seq: u64,
+    /// Messages pushed into each position's ring so far: the epoch a
+    /// flush waits for that core's `heartbeat` to reach. Compared only
+    /// over the live map — a retired core may have died with some queued.
+    pub(super) sent: Vec<u64>,
     /// Keyed-dispatch state; `None` in broadcast mode.
     pub(super) part: Option<PartRouter>,
     /// Live-telemetry handles; `None` unless the plane was armed at
@@ -137,11 +139,11 @@ pub(super) struct Router {
 
 impl Router {
     /// Sends one message down worker `w`'s ring under supervision,
-    /// recording ring telemetry on the way. A retired position reports
-    /// [`SendStatus::Lost`].
+    /// recording ring telemetry on the way and counting it into the
+    /// lane's epoch. A retired position reports [`SendStatus::Lost`].
     fn send_msg(&mut self, w: usize, msg: Msg) -> Result<SendStatus, JoinError> {
         // Split borrows: the ring is &mut while cells/stats are read.
-        let Router { senders, cells, ring_stats, live, .. } = self;
+        let Router { senders, cells, ring_stats, live, sent, .. } = self;
         let Some(prod) = senders[w].as_mut() else { return Ok(SendStatus::Lost) };
         let depth = prod.len() as u64;
         ring_stats.occupancy.record_value(depth);
@@ -152,6 +154,9 @@ impl Router {
         let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg)?;
         if waited_ns > 0 {
             ring_stats.claim_wait_ns.record_value(waited_ns);
+        }
+        if let SendStatus::Sent = status {
+            sent[w] += 1;
         }
         Ok(status)
     }
@@ -497,8 +502,8 @@ impl Router {
     /// and panics alike). A scripted-kill victim is recovered
     /// proactively and may still be working through its queue; once it
     /// has exited, everything it will ever publish is in its outbox, so
-    /// the next flush barrier covers it without its acknowledgement, and
-    /// its arena reader can never read again.
+    /// the next flush barrier covers it without waiting for its epoch,
+    /// and its arena reader can never read again.
     fn retire_position(&mut self, worker: usize, orphans: u64) -> Result<(), JoinError> {
         self.map.retire(worker);
         self.senders[worker] = None;
@@ -519,7 +524,11 @@ impl Router {
                 });
             }
             Ok(true)
-        })
+        })?;
+        // Off the live map, the lane may stay short of `sent` for good;
+        // ahead it cannot be: a `Stop` and the exit path finish nothing.
+        debug_assert!(self.cells[worker].heartbeat.load(Ordering::Acquire) <= self.sent[worker]);
+        Ok(())
     }
 
     /// Broadcast-mode recovery: closed-form orphan count, partition-map
@@ -612,33 +621,27 @@ impl Router {
         self.recover_all(dead)
     }
 
-    /// Flush barrier over the survivors: every live worker gets a
-    /// [`Msg::Flush`] token and publishes it to its cell
-    /// ([`WorkerCell::flushed`]) — after the matches of every earlier
-    /// message, which it moved to its outbox at each message's end —
-    /// and the router polls the cells: no reverse link needed. A worker
-    /// that dies mid-flush simply never acknowledges: recovering it
-    /// retires its position, and the barrier covers the survivors
-    /// instead of deadlocking.
+    /// Flush barrier over the survivors, a *completion epoch* rather
+    /// than a message: a core advances its `heartbeat` with `Release`
+    /// once a message's matches are in its outbox, and this waits until
+    /// every live lane's `heartbeat`, loaded with `Acquire`, has reached
+    /// the `sent` count of its ring — the pair that makes the outboxes
+    /// complete behind the barrier. With nothing in flight it touches no
+    /// other thread. A worker that dies with messages queued never gets
+    /// there: recovering it retires its position, and the barrier covers
+    /// the survivors instead of deadlocking.
     pub(super) fn flush(&mut self) -> Result<(), JoinError> {
         self.require_live()?;
-        self.flush_seq += 1;
-        let token = self.flush_seq;
-        let lost = self.send_to_live(|| Msg::Flush(token))?;
-        self.recover_all(lost)?;
-        let mut waiting = self.map.live().to_vec();
         wait_until(|| loop {
-            // Acquire pairs with the worker's Release store: once we see
-            // the token, everything the worker did before acknowledging
-            // (probes, stores, result publishes) is visible.
-            waiting.retain(|&w| {
-                self.map.is_live(w) && self.cells[w].flushed.load(Ordering::Acquire) < token
-            });
-            if waiting.is_empty() {
-                return Ok(false);
+            let (mut behind, mut dead) = (false, false);
+            for &w in self.map.live() {
+                if self.cells[w].heartbeat.load(Ordering::Acquire) < self.sent[w] {
+                    behind = true;
+                    dead |= self.cells[w].is_dead();
+                }
             }
-            if !waiting.iter().any(|&w| self.cells[w].is_dead()) {
-                return Ok(true);
+            if !dead {
+                return Ok(behind);
             }
             self.reap_dead()?;
         })

@@ -271,6 +271,38 @@ fn flush_is_a_real_barrier() {
     assert_eq!(outcome.result_count, 64);
 }
 
+/// `(sent, finished, queued)` per position: the two counts the barrier
+/// compares, and what each distribution ring still holds.
+fn epochs(join: &SplitJoin) -> (Vec<u64>, Vec<u64>, Vec<usize>) {
+    let router = join.router.borrow();
+    let finished = router.cells.iter().map(|c| c.heartbeat.load(Ordering::Acquire)).collect();
+    let queued = router.senders.iter().flatten().map(|tx| tx.len()).collect();
+    (router.sent.clone(), finished, queued)
+}
+
+#[test]
+fn an_idle_flush_moves_no_count_and_sends_nothing() {
+    // The barrier compares two counts; it is not a message. With nothing
+    // sent since the last one it advances neither count — no core
+    // finished anything, so no core was handed anything — and the drain
+    // built on it does the same.
+    for config in [SplitJoinConfig::new(4, 64), part_config(4, 64)] {
+        let join = SplitJoin::spawn(config.with_batch_size(8));
+        for i in 0..100u32 {
+            let tag = if i % 2 == 0 { StreamTag::R } else { StreamTag::S };
+            join.process(tag, Tuple::new(i / 2 % 16, i)).unwrap();
+        }
+        join.flush().unwrap();
+        let (sent, finished, queued) = epochs(&join);
+        assert_eq!(finished, sent, "behind the barrier every core has finished what it was sent");
+        assert!(sent.iter().sum::<u64>() > 0 && queued.iter().all(|&n| n == 0));
+        join.flush().unwrap();
+        assert!(!join.drain_results().unwrap().is_empty());
+        assert_eq!(epochs(&join), (sent, finished, queued));
+        join.shutdown().unwrap();
+    }
+}
+
 #[test]
 fn batch_histogram_records_distribution_shape() {
     let join = SplitJoin::spawn(SplitJoinConfig::new(2, 8).with_batch_size(4));
@@ -678,10 +710,29 @@ fn partitioned_kill_is_recovered_with_exact_orphans() {
     assert!(outcome.result_count < healthy.result_count);
 }
 
+/// What the keyed router's ledger holds for `victim` once `routed` has
+/// been sent over a full map with splitting off: its rendezvous share of
+/// the last `window` tuples of each stream.
+fn ledger_of(victim: usize, cores: usize, window: usize, routed: &[(StreamTag, Tuple)]) -> u64 {
+    let map = PartitionMap::identity(cores);
+    [StreamTag::R, StreamTag::S]
+        .into_iter()
+        .map(|side| {
+            routed
+                .iter()
+                .rev()
+                .filter(|&&(tag, _)| tag == side)
+                .take(window)
+                .filter(|&&(_, t)| map.key_owner(t.key()) == victim)
+                .count() as u64
+        })
+        .sum()
+}
+
 #[test]
 fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
-    // Keyed dispatch acknowledges flushes through the per-worker
-    // token cells: a retired position must drop out of the barrier
+    // Keyed dispatch reaches the barrier through the per-worker
+    // epochs: a retired position must drop out of the barrier
     // instead of wedging it, the drain must complete over the
     // survivors, and the orphan count must be exactly the victim's
     // ledger — its share of the last window of each stream. The victim
@@ -714,22 +765,85 @@ fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
     assert!(outcome.results.is_empty(), "nothing surfaced after the drain");
     assert_eq!(drained.len() as u64, outcome.result_count, "the drain harvested everything");
 
-    let map = PartitionMap::identity(cores);
-    let before_kill = &inputs[..batch * after_batch as usize];
-    let ledger: usize = [StreamTag::R, StreamTag::S]
-        .into_iter()
-        .map(|side| {
-            before_kill
-                .iter()
-                .rev()
-                .filter(|&&(tag, _)| tag == side)
-                .take(window)
-                .filter(|&&(_, t)| map.key_owner(t.key()) == victim)
-                .count()
-        })
-        .sum();
+    let ledger = ledger_of(victim, cores, window, &inputs[..batch * after_batch as usize]);
     assert!(ledger > 0);
-    assert_eq!(outcome.fault.orphaned_tuples, ledger as u64);
+    assert_eq!(outcome.fault.orphaned_tuples, ledger);
+}
+
+#[test]
+fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
+    // The victim sleeps on the message before its fatal one while the
+    // router queues two more behind it, then dies inside the fatal one:
+    // its epoch stops short of what it was sent, for good. The router's
+    // copy of the script is blanked, so a kill is found the way a panic
+    // or an organic death is — by the barrier, which must retire the
+    // lane with exact orphan accounting and cover the survivors.
+    let inputs: Vec<_> = WorkloadSpec::new(300, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    let (cores, window, batch, victim, fatal) = (4usize, 64usize, 50usize, 1usize, 4u64);
+    let cases = [(false, false), (false, true), (true, false), (true, true)];
+    for (partitioned, panics) in cases {
+        let case = format!("partitioned {partitioned}, panic {panics}");
+        let fault = if panics {
+            FaultEvent::Panic { worker: victim, at_batch: fatal }
+        } else {
+            FaultEvent::Kill { worker: victim, after_batch: fatal }
+        };
+        let plan = FaultPlan::none()
+            .with(FaultEvent::Stall { worker: victim, at_batch: fatal - 1, millis: 50 })
+            .with(fault);
+        // Splitting disabled, so every key is stored at its rendezvous owner.
+        let config = if partitioned {
+            part_config(cores, window).with_hot_key_factor(1e9)
+        } else {
+            SplitJoinConfig::new(cores, window)
+        };
+        let join = SplitJoin::spawn(config.with_batch_size(batch).with_fault_plan(plan));
+        join.router.borrow_mut().plan = FaultPlan::none();
+        for &(tag, t) in &inputs {
+            join.process(tag, t).unwrap();
+        }
+        {
+            let router = join.router.borrow();
+            assert!(router.report.workers_lost.is_empty(), "{case}: nothing to notice while sending");
+            assert!(router.sent[victim] > fatal, "{case}: messages queue behind the fatal one");
+        }
+        let drained = join.drain_results().expect("the barrier covers the survivors");
+        assert!(!drained.is_empty(), "{case}");
+        assert!(join.drain_results().unwrap().is_empty(), "{case}: nothing is returned twice");
+        {
+            let router = join.router.borrow();
+            assert_eq!(router.report.workers_lost, vec![victim], "{case}");
+            let finished = |w: usize| router.cells[w].heartbeat.load(Ordering::Acquire);
+            assert_eq!(finished(victim), fatal - 1, "{case}: the fatal message never finishes");
+            for &w in router.map.live() {
+                assert_eq!(finished(w), router.sent[w], "{case}: survivor {w}");
+            }
+            // Everything any core handed over, the victim's first three
+            // messages included, came out of the one drain.
+            let published: u64 =
+                router.cells.iter().map(|c| c.results_published.load(Ordering::Relaxed)).sum();
+            assert_eq!(drained.len() as u64, published, "{case}");
+            let orphans = if partitioned {
+                // Everything routed counts, queued sub-batches included.
+                ledger_of(victim, cores, window, &inputs)
+            } else {
+                // Round-robin turns: both of its sub-windows were full.
+                2 * (window / cores) as u64
+            };
+            assert!(orphans > 0);
+            assert_eq!(router.report.orphaned_tuples, orphans, "{case}");
+        }
+        match join.shutdown() {
+            Ok(outcome) if !panics => {
+                assert!(outcome.results.is_empty(), "{case}: the drain took everything");
+                assert_eq!(outcome.result_count, drained.len() as u64, "{case}");
+            }
+            Err(JoinError::WorkerPanicked { worker, .. }) if panics => assert_eq!(worker, victim),
+            other => panic!("{case}: unexpected shutdown result {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -592,21 +592,15 @@ pub(super) fn worker_loop(
             Msg::Reconfigure(map) => {
                 w.map = Some(map);
             }
-            Msg::Flush(token) => {
-                // Every earlier message published its matches at its own
-                // boundary, so the token covers them. Release pairs with
-                // the router's Acquire poll.
-                w.cell.flushed.store(token, Ordering::Release);
-            }
             Msg::Stop => break,
         }
         if let (Some(lv), Some(t0)) = (live.as_mut(), busy_start) {
             lv.after_msg(&w.stats, t0);
         }
-        w.cell.publish_stats(&w.stats);
+        // The epoch step `Router::flush` waits for, behind the outbox publish.
+        w.cell.finish_message(&w.stats);
         idle_since = span_start(&ring);
     }
     debug_assert!(w.out.is_empty(), "matches are published at every message boundary");
-    w.cell.publish_stats(&w.stats);
     (w.stats, w.kstats, ring)
 }

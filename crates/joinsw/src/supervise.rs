@@ -32,60 +32,55 @@ pub(crate) const SATURATION_DEADLINE: Duration = Duration::from_secs(10);
 /// back to the sleeping [`SendSupervisor`] — rings have no condvar to
 /// park on, and a draining consumer usually frees a slot within a
 /// scheduler quantum or two.
-pub(crate) const CLAIM_SPIN_YIELDS: u32 = 128;
-/// How long an idle thread sleeps between polls once spinning and
-/// yielding have not produced work.
+pub(crate) const CLAIM_YIELDS: u32 = 128;
+/// How long an idle thread sleeps between polls once yielding has not
+/// produced work.
 pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
-/// The idle policy of every polling loop in the crate: spin briefly,
-/// then yield, then sleep. Rings and atomics have nothing to park on, so
-/// the cheap phases catch the wakeups that matter for latency and the
-/// sleep keeps a long wait off the CPU. The sites differ only in how
-/// long the cheap phases last.
+/// The idle policy of every polling loop in the crate: yield, then
+/// sleep. Rings and atomics have nothing to park on, so the yields catch
+/// the wakeups that matter for latency and the sleep keeps a long wait
+/// off the CPU. Nothing spins: every measured host has fewer hardware
+/// threads than an engine plus its caller, so the thread waited for
+/// needs the CPU. The sites differ only in how many yields they spend.
 #[derive(Debug)]
 pub(crate) struct Idle {
-    spins: u32,
     yields: u32,
     polls: u32,
 }
 
 impl Idle {
     /// A core waiting for its next message: the next batch of a loaded
-    /// run arrives within the spin/yield phases.
+    /// run arrives within the yield phase.
     pub(crate) const fn recv() -> Self {
-        Self { spins: 64, yields: 128, polls: 0 }
+        Self { yields: 128, polls: 0 }
     }
 
-    /// A caller waiting at a barrier (a flush token, a retiring worker's
-    /// exit): the other side needs the CPU, so no spinning.
+    /// A caller waiting at a barrier (an epoch, a token, a worker's exit).
     pub(crate) const fn barrier() -> Self {
-        Self { spins: 0, yields: 1_024, polls: 0 }
+        Self { yields: 1_024, polls: 0 }
     }
 
     /// A producer waiting for ring or arena space.
     pub(crate) const fn claim() -> Self {
-        Self { spins: 0, yields: CLAIM_SPIN_YIELDS, polls: 0 }
+        Self { yields: CLAIM_YIELDS, polls: 0 }
     }
 
-    /// Work arrived: the next wait starts from the spin phase again.
+    /// Work arrived: the next wait starts from the yield phase again.
     pub(crate) fn reset(&mut self) {
         self.polls = 0;
     }
 
-    /// Spins or yields while the cheap phases last; `false` once they
-    /// are spent and the caller must sleep — on [`IDLE_SLEEP`]
-    /// ([`Idle::wait`]) or on its own clock (the supervised sends back
-    /// off under [`SendSupervisor`]).
+    /// Yields while the yield phase lasts; `false` once it is spent and
+    /// the caller must sleep — on [`IDLE_SLEEP`] ([`Idle::wait`]) or on
+    /// its own clock (the supervised sends back off under
+    /// [`SendSupervisor`]).
     pub(crate) fn relax(&mut self) -> bool {
-        if self.polls >= self.spins + self.yields {
+        if self.polls >= self.yields {
             return false;
         }
         self.polls += 1;
-        if self.polls <= self.spins {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
+        std::thread::yield_now();
         true
     }
 
@@ -114,9 +109,11 @@ pub(crate) fn wait_until(
 /// and the worker-side fault tallies.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCell {
-    /// Messages processed; the supervisor reads this to tell a slow
-    /// worker (heartbeat advances) from a wedged one (frozen with a
-    /// full channel).
+    /// Messages finished ([`WorkerCell::finish_message`]). The supervisor
+    /// reads it to tell a slow worker (heartbeat advances) from a wedged
+    /// one (frozen with a full channel); SplitJoin's flush barrier waits
+    /// for it to reach the messages sent (the chain's barrier is a token
+    /// that travels a lane, one atomic per lane in the `HandshakeJoin`).
     pub(crate) heartbeat: AtomicU64,
     /// Monotonic instant (`obs::trace::now_ns`) of the last heartbeat
     /// publication; 0 = never. Written only while the live telemetry
@@ -152,11 +149,6 @@ pub(crate) struct WorkerCell {
     /// removed from the join — used where the coordinator has no
     /// ownership model of its own (the handshake chain).
     pub(crate) orphaned: AtomicU64,
-    /// Highest flush token this worker has acknowledged — SplitJoin's
-    /// flush barrier, one acknowledgement per worker (the handshake
-    /// chain's token travels a whole lane, so its barrier is one atomic
-    /// per lane, held by the `HandshakeJoin`).
-    pub(crate) flushed: AtomicU64,
 }
 
 impl WorkerCell {
@@ -183,17 +175,6 @@ impl WorkerCell {
         self.results_published.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Stamps the heartbeat instant for live-telemetry age export. Gated
-    /// on [`obs::live::active`] so inactive runs pay only a relaxed load
-    /// (and `--no-default-features` builds pay nothing).
-    #[inline]
-    pub(crate) fn stamp_beat(&self) {
-        if obs::live::active() {
-            self.last_beat_ns
-                .store(obs::trace::now_ns(), Ordering::Relaxed);
-        }
-    }
-
     /// Nanoseconds since the last stamped heartbeat at `now_ns`; `None`
     /// before the first beat (or when live telemetry is off).
     pub(crate) fn heartbeat_age_ns(&self, now_ns: u64) -> Option<u64> {
@@ -201,17 +182,28 @@ impl WorkerCell {
         (beat != 0).then(|| now_ns.saturating_sub(beat))
     }
 
-    /// Publishes the core's statistics snapshot and advances the
-    /// heartbeat — once per processed message. With the live plane armed
-    /// this also timestamps the beat, which the SplitJoin router exports
-    /// as `splitjoin.worker.<i>.heartbeat_age_ns`.
+    /// Publishes the core's statistics snapshot. On its own only where
+    /// a core exits inside a message (scripted panic or kill), which is
+    /// never counted as finished: its matches were not handed off.
     pub(crate) fn publish_stats(&self, stats: &WorkerStats) {
         self.tuples_seen.store(stats.tuples_seen, Ordering::Relaxed);
         self.stored.store(stats.stored, Ordering::Relaxed);
         self.comparisons.store(stats.comparisons, Ordering::Relaxed);
         self.matches.store(stats.matches, Ordering::Relaxed);
-        self.heartbeat.fetch_add(1, Ordering::Relaxed);
-        self.stamp_beat();
+    }
+
+    /// The end of every message a core survives: publishes its
+    /// statistics and advances the heartbeat — the `Release` that follows
+    /// the outbox publish and the statistics stores, so a barrier that
+    /// reads the new count with `Acquire` sees both. With the live plane
+    /// armed (else one relaxed load) the beat is timestamped for the
+    /// router's `splitjoin.worker.<i>.heartbeat_age_ns` gauges.
+    pub(crate) fn finish_message(&self, stats: &WorkerStats) {
+        self.publish_stats(stats);
+        self.heartbeat.fetch_add(1, Ordering::Release);
+        if obs::live::active() {
+            self.last_beat_ns.store(obs::trace::now_ns(), Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn snapshot(&self) -> WorkerStats {
@@ -428,7 +420,7 @@ pub(crate) enum BatchOutcome {
 /// One data message through the fault script: stall, drop-or-work,
 /// scripted panic, scripted kill — and, when it survives all of them,
 /// the hand-off of its matches to the cell's outbox, so a later flush
-/// token covers them. `work` is the engine's own processing of the
+/// barrier covers them. `work` is the engine's own processing of the
 /// message's `len` entries: a broadcast batch or a keyed sub-batch in
 /// SplitJoin (where `batch_no`, the core's own received-message count,
 /// can lag the router's batch count under keyed dispatch — a worker only
@@ -510,19 +502,19 @@ mod tests {
 
     #[test]
     fn idle_phases_are_spent_in_order_and_restart_on_reset() {
-        for (mut idle, spins, yields) in [
-            (Idle::recv(), 64, 128),
-            (Idle::barrier(), 0, 1_024),
-            (Idle::claim(), 0, CLAIM_SPIN_YIELDS),
+        for (mut idle, yields) in [
+            (Idle::recv(), 128),
+            (Idle::barrier(), 1_024),
+            (Idle::claim(), CLAIM_YIELDS),
         ] {
-            assert_eq!((idle.spins, idle.yields), (spins, yields));
-            for _ in 0..spins + yields {
-                assert!(idle.relax(), "the cheap phases last {spins} spins + {yields} yields");
+            assert_eq!(idle.yields, yields);
+            for _ in 0..yields {
+                assert!(idle.relax(), "the yield phase lasts {yields} yields");
             }
             assert!(!idle.relax(), "spent: the caller sleeps");
             assert!(!idle.relax(), "and keeps sleeping");
             idle.reset();
-            assert!(idle.relax(), "work arrived: back to the cheap phases");
+            assert!(idle.relax(), "work arrived: back to the yield phase");
         }
     }
 

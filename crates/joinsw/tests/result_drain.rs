@@ -3,8 +3,9 @@
 //! a scripted panic — for both threaded engines.
 //!
 //! A core publishes the matches of a message to its own outbox when the
-//! message ends; a drain is the flush barrier followed by taking every
-//! outbox. So a drain must return *exactly* the matches of everything
+//! message ends; a drain is the flush barrier (SplitJoin: every live
+//! core has finished as many messages as it was sent; the chain: a token
+//! behind the waves) followed by taking every outbox. So a drain must return *exactly* the matches of everything
 //! flushed so far that no earlier drain returned: nothing in flight,
 //! nothing twice.
 
@@ -88,7 +89,7 @@ fn drains_partition_the_reference<J: StreamJoin>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every drain returns exactly the reference matches of the arrivals
     /// flushed so far minus what earlier drains returned; the drains
@@ -105,15 +106,21 @@ proptest! {
         ),
         cores in prop::sample::select(vec![1usize, 2, 4]),
         engine in 0usize..3,
+        unbatched in any::<bool>(),
     ) {
         // 16 divides by every core count, so the effective window is 16.
         let window = 16usize;
+        // SplitJoin's barrier counts finished messages: at batch size 1
+        // every arrival is a message of its own, so every drain lands on
+        // a different epoch step (the chain is unbatched by default).
+        let mut split = SplitJoinConfig::new(cores, window);
+        if unbatched {
+            split = split.with_batch_size(1);
+        }
         match engine {
-            0 => drains_partition_the_reference::<SplitJoin>(
-                SplitJoinConfig::new(cores, window), &inputs, window, false)?,
+            0 => drains_partition_the_reference::<SplitJoin>(split, &inputs, window, false)?,
             1 => drains_partition_the_reference::<SplitJoin>(
-                SplitJoinConfig::new(cores, window).with_partitioning(Partitioning::Hash),
-                &inputs, window, false)?,
+                split.with_partitioning(Partitioning::Hash), &inputs, window, false)?,
             _ => drains_partition_the_reference::<HandshakeJoin>(
                 HandshakeConfig::new(cores, window), &inputs, window, true)?,
         }
