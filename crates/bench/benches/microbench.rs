@@ -45,9 +45,9 @@ fn hw_simulation(c: &mut Criterion) {
 }
 
 /// Sequential vs parallel simulation engines driving the same saturated
-/// 64-core uni-flow design. Thread counts come from `ACCEL_THREADS` (the
-/// CI matrix knob) with 1 and the host width as defaults; the quotient of
-/// the two lines is the parallel layer's wall-clock speedup on this host.
+/// 64-core uni-flow design. The parallel line runs at the host's width
+/// (`ParSimulator::auto()`); the quotient of the two lines is the
+/// parallel layer's wall-clock speedup on this host.
 fn par_simulation(c: &mut Criterion) {
     const TUPLES: u64 = 64;
     const KEY_DOMAIN: u32 = 1 << 20;

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use joinsw::baseline::reference_join;
 use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
-use joinsw::{FaultPlan, JoinError};
+use joinsw::{FaultPlan, JoinError, JoinParams, StreamJoin};
 use streamcore::{JoinPredicate, StreamTag, Tuple};
 
 use bench::FigOpts;
@@ -92,11 +92,7 @@ fn main() {
         ],
     );
     for &(label, spec, replicate) in scenarios {
-        let plan = if spec.is_empty() {
-            FaultPlan::none()
-        } else {
-            FaultPlan::parse(spec).expect("scenario spec parses")
-        };
+        let plan = FaultPlan::parse(spec).expect("scenario spec parses");
         let mut config = SplitJoinConfig::new(cores, window)
             .with_batch_size(batch)
             .with_fault_plan(plan);

@@ -270,9 +270,9 @@ fn measure_run_timed(
 /// The columns `--threads` adds to a simulated figure's table.
 const WALL_HEADERS: [&str; 3] = ["seq wall s", "par wall s", "speedup"];
 
-/// The pool width `--threads` asks for. 0 = host auto (`ACCEL_THREADS`,
-/// else available parallelism), the same resolution
-/// `ParSimulator::new(0)` would apply; resolved up front so the
+/// The pool width `--threads` asks for. 0 = the host's available
+/// parallelism, the same resolution `ParSimulator::new(0)` would
+/// apply; resolved up front so the
 /// `threads <= 1` sequential-only guards see the real width.
 fn pool_width(opts: &FigOpts) -> Option<usize> {
     opts.threads

@@ -13,6 +13,7 @@
 
 use joinsw::harness::measure_throughput_collecting;
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::JoinParams;
 use obs::RunManifest;
 
 use crate::opts::FigOpts;

@@ -5,7 +5,7 @@ use std::iter::Peekable;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
 
-use joinsw::default_batch_size;
+use joinsw::DEFAULT_BATCH_SIZE;
 
 /// The flag list, as `figs` and `faults` print it on a usage error.
 pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--samples N] \
@@ -16,8 +16,8 @@ pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--sam
 /// Flags (all optional; each figure applies its own defaults and
 /// ignores the flags it has no use for):
 ///
-/// * `--batch N` — distribution batch size ([`default_batch_size`] when
-///   absent, itself overridable via `ACCEL_SW_BATCH`).
+/// * `--batch N` — distribution batch size ([`DEFAULT_BATCH_SIZE`] when
+///   absent).
 /// * `--cores A,B,...` — join-core counts to run.
 /// * `--windows LO..HI` — inclusive window exponent range (`10..12`
 ///   means windows 2^10, 2^11, 2^12).
@@ -25,8 +25,7 @@ pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--sam
 ///   per point (kernel).
 /// * `--threads N` — also run every simulated point (fig14c, fig15) on
 ///   an `N`-wide parallel simulation pool and report the wall-clock
-///   speedup; `0` sizes the pool from the host (`ACCEL_THREADS`, else
-///   the CPU count).
+///   speedup; `0` sizes the pool from the host's CPU count.
 /// * `--trace [N]` — enable span tracing with 1-in-`N` provenance
 ///   sampling (`64` when the period is omitted); harvested rings are
 ///   written as a Perfetto trace next to the manifest. Tracing never
@@ -65,7 +64,7 @@ pub struct FigOpts {
 impl Default for FigOpts {
     fn default() -> Self {
         Self {
-            batch_size: default_batch_size(),
+            batch_size: DEFAULT_BATCH_SIZE,
             cores: None,
             windows: None,
             samples: None,

@@ -26,7 +26,7 @@
 use joinsw::config::Partitioning;
 use joinsw::harness::{host_parallelism, measure_throughput_with};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
-use joinsw::streamjoin::JoinSummary;
+use joinsw::{JoinParams, StreamJoin};
 use obs::RunManifest;
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
@@ -143,7 +143,7 @@ fn occupancy_arm(config: SplitJoinConfig, inputs: &[(streamcore::StreamTag, stre
     }
     join.flush().expect("occupancy flush failed");
     let outcome = join.shutdown().expect("occupancy shutdown failed");
-    assert!(!outcome.fault().degraded(), "occupancy run degraded");
+    assert!(!outcome.fault.degraded(), "occupancy run degraded");
     let stats = outcome
         .partition_stats
         .expect("hash dispatch reports partition stats");

@@ -24,6 +24,7 @@ use joinsw::harness::{
     PARALLEL_EFFICIENCY,
 };
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::{JoinParams, StreamJoin};
 use obs::{Histogram, RunManifest};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 use streamcore::JoinPredicate;

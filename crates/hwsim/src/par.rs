@@ -558,17 +558,9 @@ impl ParSimulator {
         }
     }
 
-    /// Creates an engine sized from the `ACCEL_THREADS` environment
-    /// variable if set, else from the host's available parallelism.
+    /// Creates an engine sized from the host's available parallelism.
     pub fn auto() -> Self {
-        let threads = std::env::var("ACCEL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            });
-        ParSimulator { threads, cycle: 0, last_stats: None }
+        Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// The configured thread budget.

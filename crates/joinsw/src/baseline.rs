@@ -141,7 +141,6 @@ struct BaselineState {
 
 impl StreamJoin for BaselineJoin {
     type Config = JoinConfig;
-    type Outcome = JoinOutcome;
 
     fn spawn(config: JoinConfig) -> Self {
         Self {
@@ -212,11 +211,7 @@ impl StreamJoin for BaselineJoin {
                 matches: s.matches,
             }],
             batch_sizes: s.batch_sizes,
-            trace: Vec::new(),
-            fault: crate::fault::FaultReport::default(),
-            ring_stats: None,
-            partition_stats: None,
-            kernel_stats: None,
+            ..JoinOutcome::default()
         })
     }
 }

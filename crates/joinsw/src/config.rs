@@ -10,14 +10,9 @@
 //! extensions (join algorithm, loss replication). The [`JoinParams`]
 //! trait is how generic code ([`StreamJoin`](crate::streamjoin::StreamJoin)
 //! implementations, the measurement harness) reaches the shared fields of
-//! any engine's config.
-
-//! # Environment overrides
-//!
-//! Every process-wide default below can be overridden from the
-//! environment; [`JoinConfig::from_env`] is the one documented entry
-//! point and holds the precedence table. Nothing else in the workspace
-//! parses these variables.
+//! any engine's config, and where the shared `with_*` builders are
+//! written, once, for all three config types. A configuration is a
+//! value: nothing here reads the process environment.
 
 use streamcore::JoinPredicate;
 
@@ -41,25 +36,11 @@ pub enum Partitioning {
     Hash,
 }
 
-/// Default distribution batch size (tuples per batch message), used
-/// unless overridden by the `ACCEL_SW_BATCH` environment variable (CI
-/// runs the whole suite at `ACCEL_SW_BATCH=1` to prove batched and
-/// unbatched feeding agree — which also sends every SplitJoin in the
-/// suite through the per-tuple probe path instead of the blocked one).
+/// Default distribution batch size (tuples per batch message). Batched
+/// and unbatched feeding agree at every size; the data-path suites run
+/// at `1` as well, which sends a SplitJoin through the per-tuple probe
+/// path instead of the blocked one.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
-
-/// The process-wide default batch size: `ACCEL_SW_BATCH` when set to a
-/// positive integer, [`DEFAULT_BATCH_SIZE`] otherwise.
-pub fn default_batch_size() -> usize {
-    static SIZE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SIZE.get_or_init(|| {
-        std::env::var("ACCEL_SW_BATCH")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_BATCH_SIZE)
-    })
-}
 
 /// The configuration fields shared by every software join engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,15 +76,7 @@ pub struct JoinConfig {
 
 impl JoinConfig {
     /// An equi-join configuration with the SplitJoin channel defaults
-    /// (capacity 1024, batch size [`default_batch_size`]) and no faults.
-    ///
-    /// Identical to [`JoinConfig::from_env`] except that the fault plan
-    /// starts empty — `new` is the data-path constructor, and scripted
-    /// faults are opted into explicitly (or via `from_env`). The other
-    /// environment-overridable knob, the batch size, *is* env-aware here
-    /// too: CI runs the entire test suite under `ACCEL_SW_BATCH=1`
-    /// precisely because every engine spawned through this constructor
-    /// picks the override up.
+    /// (capacity 1024, batch size [`DEFAULT_BATCH_SIZE`]) and no faults.
     ///
     /// # Panics
     ///
@@ -116,110 +89,12 @@ impl JoinConfig {
             window_size,
             predicate: JoinPredicate::Equi,
             channel_capacity: 1_024,
-            batch_size: default_batch_size(),
+            batch_size: DEFAULT_BATCH_SIZE,
             collect_results: true,
             fault_plan: FaultPlan::none(),
             pin_workers: false,
             partitioning: Partitioning::Broadcast,
         }
-    }
-
-    /// The fully environment-resolved configuration: every overridable
-    /// knob read from the process environment, exactly once, through
-    /// this one entry point. Engines, harnesses, and bench binaries go
-    /// through this (or [`JoinConfig::new`], which differs only in the
-    /// fault plan) instead of parsing variables themselves.
-    ///
-    /// Precedence is **builder > environment > built-in default**: a
-    /// `with_*` builder call (or direct field write) after construction
-    /// always wins over the environment, and the environment wins over
-    /// the built-in default.
-    ///
-    /// | Variable | Field | Values | Built-in default |
-    /// |---|---|---|---|
-    /// | `ACCEL_SW_BATCH` | [`batch_size`](JoinConfig::batch_size) | positive integer | [`DEFAULT_BATCH_SIZE`] (256) |
-    /// | `ACCEL_FAULTS` | [`fault_plan`](JoinConfig::fault_plan) | [`FaultPlan::parse`] spec | empty plan |
-    ///
-    /// Each variable is read once per process (the first resolution is
-    /// cached), so mutating the environment mid-run has no effect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` or `window_size` is zero, or if a set
-    /// variable holds an unrecognized value — a typo must not silently
-    /// change what a whole CI leg measures.
-    pub fn from_env(num_cores: usize, window_size: usize) -> Self {
-        let mut config = Self::new(num_cores, window_size);
-        config.fault_plan = FaultPlan::from_env();
-        config.fault_plan.validate(num_cores);
-        config
-    }
-
-    /// Selects the dispatch discipline (see [`Partitioning`]).
-    #[must_use]
-    pub fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
-        self.partitioning = partitioning;
-        self
-    }
-
-    /// Pins each join core to a CPU (see [`JoinConfig::pin_workers`]).
-    #[must_use]
-    pub fn with_pinning(mut self) -> Self {
-        self.pin_workers = true;
-        self
-    }
-
-    /// Replaces the join predicate.
-    #[must_use]
-    pub fn with_predicate(mut self, predicate: JoinPredicate) -> Self {
-        self.predicate = predicate;
-        self
-    }
-
-    /// Sets the batch size (see [`JoinConfig::batch_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the channel capacity (see [`JoinConfig::channel_capacity`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a zero-capacity link would
-    /// deadlock the distributor against its own workers.
-    #[must_use]
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be positive");
-        self.channel_capacity = capacity;
-        self
-    }
-
-    /// Disables result retention and collection (counting only).
-    #[must_use]
-    pub fn counting_only(mut self) -> Self {
-        self.collect_results = false;
-        self
-    }
-
-    /// Installs a fault plan, validating its targets against the core
-    /// count the same way `batch_size` / `channel_capacity` are
-    /// validated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan targets a worker `>= num_cores`.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        plan.validate(self.num_cores);
-        self.fault_plan = plan;
-        self
     }
 
     /// Per-core sub-window capacity.
@@ -249,12 +124,90 @@ impl JoinConfig {
 
 /// Access to the shared [`JoinConfig`] inside any engine's configuration
 /// type — what lets the harness set `collect_results`, read
-/// `window_size`, or install a [`FaultPlan`] generically.
-pub trait JoinParams {
+/// `window_size`, or install a [`FaultPlan`] generically — and the
+/// builders for those shared fields, provided once for every config
+/// type. The handshake chain ignores `partitioning` and `pin_workers`,
+/// set by builder or by field write.
+pub trait JoinParams: Sized {
     /// The shared configuration fields.
     fn common(&self) -> &JoinConfig;
     /// Mutable access to the shared configuration fields.
     fn common_mut(&mut self) -> &mut JoinConfig;
+
+    /// Selects the dispatch discipline (see [`Partitioning`]).
+    /// [`Partitioning::Hash`] requires an equi-join predicate and no
+    /// replication, checked at spawn.
+    #[must_use]
+    fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
+        self.common_mut().partitioning = partitioning;
+        self
+    }
+
+    /// Pins each join core to a CPU (see [`JoinConfig::pin_workers`]).
+    #[must_use]
+    fn with_pinning(mut self) -> Self {
+        self.common_mut().pin_workers = true;
+        self
+    }
+
+    /// Replaces the join predicate.
+    #[must_use]
+    fn with_predicate(mut self, predicate: JoinPredicate) -> Self {
+        self.common_mut().predicate = predicate;
+        self
+    }
+
+    /// Sets the batch size (see [`JoinConfig::batch_size`]): tuples per
+    /// distribution batch in SplitJoin, per wave group on the chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size` is zero.
+    #[must_use]
+    fn with_batch_size(mut self, batch_size: usize) -> Self {
+        assert!(batch_size > 0, "batch size must be positive");
+        self.common_mut().batch_size = batch_size;
+        self
+    }
+
+    /// Sets the channel capacity (see [`JoinConfig::channel_capacity`]).
+    /// On the handshake chain this is the *ordering precision* knob: it
+    /// bounds how many wave groups can be in flight, and therefore how
+    /// far result semantics can drift from strict arrival-order
+    /// semantics under pipelining.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero — a zero-capacity link would
+    /// deadlock the distributor against its own workers.
+    #[must_use]
+    fn with_channel_capacity(mut self, capacity: usize) -> Self {
+        assert!(capacity > 0, "channel capacity must be positive");
+        self.common_mut().channel_capacity = capacity;
+        self
+    }
+
+    /// Disables result retention and collection (counting only).
+    #[must_use]
+    fn counting_only(mut self) -> Self {
+        self.common_mut().collect_results = false;
+        self
+    }
+
+    /// Installs a fault plan, validating its targets against the core
+    /// count the same way `batch_size` / `channel_capacity` are
+    /// validated. Batch numbers count the messages each core processes
+    /// (on the chain: wave groups, both lanes combined).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan targets a worker `>= num_cores`.
+    #[must_use]
+    fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        plan.validate(self.common().num_cores);
+        self.common_mut().fault_plan = plan;
+        self
+    }
 }
 
 impl JoinParams for JoinConfig {
@@ -298,20 +251,6 @@ mod tests {
         let config = JoinConfig::new(2, 8).with_partitioning(Partitioning::Hash);
         assert_eq!(config.partitioning, Partitioning::Hash);
         assert_eq!(JoinConfig::new(2, 8).partitioning, Partitioning::Broadcast);
-    }
-
-    #[test]
-    fn from_env_matches_new_plus_the_env_fault_plan() {
-        // `from_env` and `new` resolve the same knobs from the same
-        // cached environment reads; the only divergence is the fault
-        // plan, which `from_env` takes from `ACCEL_FAULTS` (the empty
-        // plan when unset). Runs under any CI env leg unchanged.
-        let a = JoinConfig::from_env(4, 32);
-        let b = JoinConfig::new(4, 32);
-        assert_eq!(a.batch_size, b.batch_size);
-        assert_eq!(a.partitioning, b.partitioning);
-        assert_eq!(a.fault_plan, FaultPlan::from_env());
-        assert_eq!(b.fault_plan, FaultPlan::none());
     }
 
     #[test]

@@ -108,9 +108,8 @@ impl FaultPlan {
         self
     }
 
-    /// Parses the compact scenario grammar used by the `ACCEL_FAULTS`
-    /// environment variable and the `faults` bench binary: a
-    /// comma-separated list of
+    /// Parses the compact scenario grammar used by the fault test
+    /// tables and the `faults` bench binary: a comma-separated list of
     ///
     /// * `kill<W>[@B]` — kill worker W after batch B (default 100);
     /// * `stall[<W>][@B[x<MS>]]` — stall worker W (default 0) at batch B
@@ -134,22 +133,6 @@ impl FaultPlan {
             plan.events.push(parse_event(token)?);
         }
         Ok(plan)
-    }
-
-    /// The plan scripted by the `ACCEL_FAULTS` environment variable, or
-    /// the empty plan when it is unset. An unparseable value panics —
-    /// silently ignoring a scripted fault scenario would make a CI fault
-    /// leg vacuously green.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ACCEL_FAULTS` is set but does not parse.
-    pub fn from_env() -> Self {
-        match std::env::var("ACCEL_FAULTS") {
-            Ok(spec) => Self::parse(&spec)
-                .unwrap_or_else(|e| panic!("invalid ACCEL_FAULTS: {e}")),
-            Err(_) => Self::none(),
-        }
     }
 
     /// Validates the plan against a concrete core count, the same way

@@ -68,7 +68,7 @@
 //! rather than panicking the caller, and [`HandshakeJoin::flush`]
 //! degrades to a survivors-only barrier: the cores each lane can still
 //! reach from its entry. The
-//! damage tally arrives in [`HandshakeOutcome::fault`]; with an empty
+//! damage tally arrives in [`JoinOutcome::fault`]; with an empty
 //! plan and no organic failures it is all-zero and the data path is the
 //! pre-fault-model one.
 
@@ -83,9 +83,11 @@ use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
 
 use crate::config::{JoinConfig, JoinParams};
 use crate::fault::{FaultPlan, FaultReport};
+use crate::splitjoin::JoinOutcome;
+use crate::streamjoin::StreamJoin;
 use crate::supervise::{
-    join_cores, run_scripted_batch, span_start, supervised_push, take_outboxes, wait_until,
-    AliveGuard, BatchOutcome, Idle, ScriptedCore, SendStatus, WorkerCell,
+    join_cores, outcome, run_scripted_batch, span_start, supervised_push, take_outboxes,
+    wait_until, AliveGuard, BatchOutcome, Idle, ScriptedCore, SendStatus, WorkerCell,
 };
 
 /// Configuration of a [`HandshakeJoin`] chain: the shared [`JoinConfig`]
@@ -122,69 +124,15 @@ impl JoinParams for HandshakeConfig {
 
 impl HandshakeConfig {
     /// An equi-join chain with default channel sizing and unbatched
-    /// (`batch_size = 1`) waves.
+    /// (`batch_size = 1`) waves. The shared builders come from
+    /// [`JoinParams`].
     ///
     /// # Panics
     ///
     /// Panics if `num_cores` or `window_size` is zero.
     pub fn new(num_cores: usize, window_size: usize) -> Self {
-        let mut common = JoinConfig::new(num_cores, window_size);
-        common.channel_capacity = 256;
-        common.batch_size = 1;
-        Self { common }
-    }
-
-    /// Replaces the join predicate.
-    #[must_use]
-    pub fn with_predicate(mut self, predicate: streamcore::JoinPredicate) -> Self {
-        self.common = self.common.with_predicate(predicate);
-        self
-    }
-
-    /// Sets the entry channel capacity. This is the chain's *ordering
-    /// precision* knob: it bounds how many wave groups can be in flight,
-    /// and therefore how far result semantics can drift from strict
-    /// arrival-order semantics under pipelining.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.common = self.common.with_channel_capacity(capacity);
-        self
-    }
-
-    /// Sets the wave-group batch size (see
-    /// [`JoinConfig::batch_size`] and the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.common = self.common.with_batch_size(batch_size);
-        self
-    }
-
-    /// Disables result retention and collection (counting only).
-    #[must_use]
-    pub fn counting_only(mut self) -> Self {
-        self.common = self.common.counting_only();
-        self
-    }
-
-    /// Installs a fault plan (validated against the core count). Batch
-    /// numbers count the wave-group messages each core processes, both
-    /// lanes combined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan targets a core `>= num_cores`.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
-        self.common = self.common.with_fault_plan(plan);
-        self
+        let common = JoinConfig::new(num_cores, window_size);
+        Self { common: common.with_channel_capacity(256).with_batch_size(1) }
     }
 }
 
@@ -229,6 +177,7 @@ struct Entry {
 ///
 /// ```
 /// use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
+/// use joinsw::StreamJoin;
 /// use streamcore::{StreamTag, Tuple};
 ///
 /// let join = HandshakeJoin::spawn(HandshakeConfig::new(3, 12));
@@ -250,7 +199,7 @@ pub struct HandshakeJoin {
     flush_seq: Cell<u64>,
     /// A wave group was injected since the last completed flush.
     unsettled: Cell<bool>,
-    workers: Vec<JoinHandle<(u64, Option<obs::trace::TraceRing>)>>,
+    workers: Vec<JoinHandle<(WorkerStats, Option<obs::trace::TraceRing>)>>,
     cells: Vec<Arc<WorkerCell>>,
     /// `false` when counting-only: the outboxes stay empty and the
     /// result count comes from the cores' match counters.
@@ -291,29 +240,47 @@ impl LiveChain {
     }
 }
 
-/// Shutdown outcome of a [`HandshakeJoin`].
-#[derive(Debug, Clone, Default)]
-pub struct HandshakeOutcome {
-    /// Collected results no mid-run [`HandshakeJoin::drain_results`]
-    /// call harvested (all of them when nothing drained; empty when
-    /// counting only).
-    pub results: Vec<MatchPair>,
-    /// Total results ever observed, including drained ones.
-    pub result_count: u64,
-    /// Sizes of the wave groups injected at the chain entries (tuples per
-    /// message): `total()` is the number of entry messages.
-    pub batch_sizes: obs::Histogram,
-    /// Wall-clock span rings, one per core (`hs.core.<position>`): receive
-    /// waits and per-group wave processing. Empty unless tracing was
-    /// enabled when the chain was spawned (see `obs::trace`).
-    pub trace: Vec<obs::trace::TraceRing>,
-    /// What went wrong, if anything: severed cores, window tuples lost to
-    /// the cuts, scripted stalls and drops. All-zero (and
-    /// [`FaultReport::degraded`] is `false`) for a healthy run.
-    pub fault: FaultReport,
+impl HandshakeJoin {
+    /// Pushes `msg` into a lane's entry core under supervision.
+    fn send_entry(&self, entry: &mut Entry, msg: ChainMsg) -> Result<SendStatus, JoinError> {
+        let cell = &self.cells[entry.core];
+        Ok(supervised_push(&mut entry.link, cell, entry.core, msg)?.0)
+    }
+
+    /// Injects the lane's pending wave group, if any, as one message.
+    fn send_waves(&self, tag: StreamTag, entry: &mut Entry) -> Result<(), JoinError> {
+        if entry.pending.is_empty() {
+            return Ok(());
+        }
+        self.unsettled.set(true);
+        let waves = std::mem::take(&mut entry.pending);
+        let count = waves.len() as u64;
+        self.batch_hist.borrow_mut().record_value(count);
+        if let Some(lv) = self.live.as_ref() {
+            lv.waves.incr();
+            lv.wave_tuples.add(count);
+            lv.wave_depth.set(count);
+        }
+        if let SendStatus::Lost = self.send_entry(entry, ChainMsg::Waves { tag, waves })? {
+            // The entry core is gone: these tuples never enter the join
+            // at all.
+            self.report.borrow_mut().orphaned_tuples += count;
+        }
+        Ok(())
+    }
+
+    fn drain_pending(&self) -> Result<(), JoinError> {
+        let mut entries = self.entries.borrow_mut();
+        for (tag, entry) in [StreamTag::R, StreamTag::S].into_iter().zip(entries.iter_mut()) {
+            self.send_waves(tag, entry)?;
+        }
+        Ok(())
+    }
 }
 
-impl HandshakeJoin {
+impl StreamJoin for HandshakeJoin {
+    type Config = HandshakeConfig;
+
     /// Spawns the chain: one thread per core, collecting or not.
     ///
     /// # Panics
@@ -321,7 +288,7 @@ impl HandshakeJoin {
     /// Panics if `config.channel_capacity` or `config.batch_size` is
     /// zero, or the fault plan targets a core out of range (the builder
     /// methods reject these, but the fields are public).
-    pub fn spawn(config: HandshakeConfig) -> Self {
+    fn spawn(config: HandshakeConfig) -> Self {
         config.common.validate();
         let n = config.num_cores;
 
@@ -408,8 +375,8 @@ impl HandshakeJoin {
     /// [`JoinError::Saturated`] when the entry core's ring stays full
     /// with a frozen heartbeat past the supervision deadline. A *severed*
     /// entry (its core killed or panicked) is not an error: the tuples
-    /// are counted as orphaned in [`HandshakeOutcome::fault`] instead.
-    pub fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+    /// are counted as orphaned in [`JoinOutcome::fault`] instead.
+    fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
         let mut entries = self.entries.borrow_mut();
         let entry = &mut entries[side(tag)];
         entry.pending.push(Wave {
@@ -429,47 +396,11 @@ impl HandshakeJoin {
     /// # Errors
     ///
     /// See [`HandshakeJoin::process`].
-    pub fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
+    fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
         for &t in tuples {
             self.process(tag, t)?;
         }
         self.flush()
-    }
-
-    /// Pushes `msg` into a lane's entry core under supervision.
-    fn send_entry(&self, entry: &mut Entry, msg: ChainMsg) -> Result<SendStatus, JoinError> {
-        let cell = &self.cells[entry.core];
-        Ok(supervised_push(&mut entry.link, cell, entry.core, msg)?.0)
-    }
-
-    /// Injects the lane's pending wave group, if any, as one message.
-    fn send_waves(&self, tag: StreamTag, entry: &mut Entry) -> Result<(), JoinError> {
-        if entry.pending.is_empty() {
-            return Ok(());
-        }
-        self.unsettled.set(true);
-        let waves = std::mem::take(&mut entry.pending);
-        let count = waves.len() as u64;
-        self.batch_hist.borrow_mut().record_value(count);
-        if let Some(lv) = self.live.as_ref() {
-            lv.waves.incr();
-            lv.wave_tuples.add(count);
-            lv.wave_depth.set(count);
-        }
-        if let SendStatus::Lost = self.send_entry(entry, ChainMsg::Waves { tag, waves })? {
-            // The entry core is gone: these tuples never enter the join
-            // at all.
-            self.report.borrow_mut().orphaned_tuples += count;
-        }
-        Ok(())
-    }
-
-    fn drain_pending(&self) -> Result<(), JoinError> {
-        let mut entries = self.entries.borrow_mut();
-        for (tag, entry) in [StreamTag::R, StreamTag::S].into_iter().zip(entries.iter_mut()) {
-            self.send_waves(tag, entry)?;
-        }
-        Ok(())
     }
 
     /// Blocks until everything submitted before this call (including
@@ -482,7 +413,7 @@ impl HandshakeJoin {
     /// See [`HandshakeJoin::process`]. Once a core has died the barrier
     /// covers the survivors a lane can still reach: the token ends its
     /// travel at the core before the cut.
-    pub fn flush(&self) -> Result<(), JoinError> {
+    fn flush(&self) -> Result<(), JoinError> {
         self.drain_pending()?;
         if !self.unsettled.get() {
             return Ok(());
@@ -529,14 +460,13 @@ impl HandshakeJoin {
     }
 
     /// Flushes the chain, then removes and returns every match produced
-    /// so far and not yet drained — see
-    /// [`StreamJoin::drain_results`](crate::streamjoin::StreamJoin::drain_results).
-    /// Counting-only runs return an empty vector.
+    /// so far and not yet drained. Counting-only runs return an empty
+    /// vector.
     ///
     /// # Errors
     ///
     /// See [`HandshakeJoin::flush`].
-    pub fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
+    fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
         self.flush()?;
         Ok(take_outboxes(&self.cells))
     }
@@ -550,8 +480,8 @@ impl HandshakeJoin {
     /// [`JoinError::WorkerPanicked`] if a core thread panicked (with its
     /// last published statistics snapshot). Cores lost to *scripted
     /// kills* exit cleanly and do not error: their damage is in
-    /// [`HandshakeOutcome::fault`].
-    pub fn shutdown(self) -> Result<HandshakeOutcome, JoinError> {
+    /// [`JoinOutcome::fault`].
+    fn shutdown(self) -> Result<JoinOutcome, JoinError> {
         // Best effort: with an entry core gone the buffered waves are
         // already accounted as orphaned by `send_waves`.
         let _ = self.drain_pending();
@@ -560,82 +490,23 @@ impl HandshakeJoin {
         // close travels down the lane behind the last wave. Nothing here
         // can wait on a wedged core.
         drop(self.entries);
-        let mut counted = 0u64;
-        let mut trace = Vec::new();
-        for (matches, ring) in join_cores(self.workers, &self.cells)? {
-            counted += matches;
-            trace.extend(ring);
-        }
+        let (worker_stats, rings): (Vec<_>, Vec<_>) =
+            join_cores(self.workers, &self.cells)?.into_iter().unzip();
         let mut report = self.report.into_inner();
         for (i, cell) in self.cells.iter().enumerate() {
             if cell.killed.load(Ordering::Relaxed) {
                 report.workers_lost.push(i);
             }
             report.orphaned_tuples += cell.orphaned.load(Ordering::Relaxed);
-            report.injected_stalls += cell.stalls.load(Ordering::Relaxed);
-            report.injected_drops += cell.drops.load(Ordering::Relaxed);
-            report.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
         }
-        // `results` holds only what no mid-run drain harvested; the
-        // published totals are every match ever handed over, so the
-        // count survives draining.
-        let result_count = if self.collecting {
-            self.cells
-                .iter()
-                .map(|c| c.results_published.load(Ordering::Relaxed))
-                .sum()
-        } else {
-            counted
-        };
-        Ok(HandshakeOutcome {
-            results: take_outboxes(&self.cells),
-            result_count,
-            batch_sizes: self.batch_hist.into_inner(),
-            trace,
-            fault: report,
-        })
-    }
-}
-
-impl crate::streamjoin::StreamJoin for HandshakeJoin {
-    type Config = HandshakeConfig;
-    type Outcome = HandshakeOutcome;
-
-    fn spawn(config: HandshakeConfig) -> Self {
-        HandshakeJoin::spawn(config)
-    }
-    fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
-        HandshakeJoin::process(self, tag, tuple)
-    }
-    fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
-        HandshakeJoin::prefill(self, tag, tuples)
-    }
-    fn flush(&self) -> Result<(), JoinError> {
-        HandshakeJoin::flush(self)
-    }
-    fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
-        HandshakeJoin::drain_results(self)
-    }
-    fn shutdown(self) -> Result<HandshakeOutcome, JoinError> {
-        HandshakeJoin::shutdown(self)
-    }
-}
-
-impl crate::streamjoin::JoinSummary for HandshakeOutcome {
-    fn result_count(&self) -> u64 {
-        self.result_count
-    }
-    fn results(&self) -> &[MatchPair] {
-        &self.results
-    }
-    fn batch_sizes(&self) -> &obs::Histogram {
-        &self.batch_sizes
-    }
-    fn trace(&self) -> &[obs::trace::TraceRing] {
-        &self.trace
-    }
-    fn fault(&self) -> &FaultReport {
-        &self.fault
+        Ok(outcome(
+            &self.cells,
+            self.collecting,
+            worker_stats,
+            self.batch_hist.into_inner(),
+            rings.into_iter().flatten().collect(),
+            report,
+        ))
     }
 }
 
@@ -805,7 +676,7 @@ fn core_loop(
     position: usize,
     plan: &FaultPlan,
     mut core: ChainCore,
-) -> (u64, Option<obs::trace::TraceRing>) {
+) -> (WorkerStats, Option<obs::trace::TraceRing>) {
     let mut group_no: u64 = 0;
     let mut ring = obs::trace::enabled().then(|| {
         obs::trace::TraceRing::new(
@@ -834,7 +705,7 @@ fn core_loop(
                     let parked: usize = core.lanes.iter().map(|l| l.window.len()).sum();
                     core.cell.orphaned.fetch_add(parked as u64, Ordering::Relaxed);
                     core.cell.killed.store(true, Ordering::Relaxed);
-                    return (core.stats.matches, ring);
+                    return (core.stats, ring);
                 }
             }
             // At the exit end there is no onward link, so the token's
@@ -845,7 +716,7 @@ fn core_loop(
         idle_since = span_start(&ring);
     }
     debug_assert!(core.out.is_empty(), "matches are published at every message boundary");
-    (core.stats.matches, ring)
+    (core.stats, ring)
 }
 
 #[cfg(test)]

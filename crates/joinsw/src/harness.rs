@@ -20,6 +20,7 @@ use streamcore::metrics::{LatencyRecorder, LatencySummary, Throughput};
 use streamcore::{StreamTag, Tuple};
 
 use crate::config::JoinParams;
+use crate::splitjoin::JoinOutcome;
 use crate::streamjoin::StreamJoin;
 
 /// Parallel efficiency of the software SplitJoin when one thread per join
@@ -75,12 +76,11 @@ pub fn prefill_steady_state<J: StreamJoin>(
 ///
 /// See [`StreamJoin::process`].
 pub fn measure_throughput_with<J: StreamJoin>(
-    mut config: J::Config,
+    config: J::Config,
     tuples: u64,
     key_domain: u32,
-) -> Result<(Throughput, J::Outcome), JoinError> {
-    config.common_mut().collect_results = false;
-    measure_throughput_collecting::<J>(config, tuples, key_domain)
+) -> Result<(Throughput, JoinOutcome), JoinError> {
+    measure_throughput_collecting::<J>(config.counting_only(), tuples, key_domain)
 }
 
 /// [`measure_throughput_with`] that honors the config's
@@ -96,7 +96,7 @@ pub fn measure_throughput_collecting<J: StreamJoin>(
     config: J::Config,
     tuples: u64,
     key_domain: u32,
-) -> Result<(Throughput, J::Outcome), JoinError> {
+) -> Result<(Throughput, JoinOutcome), JoinError> {
     let window = config.common().window_size;
     let join = J::spawn(config);
     prefill_steady_state(&join, window)?;
@@ -124,13 +124,12 @@ pub fn measure_throughput_collecting<J: StreamJoin>(
 ///
 /// See [`StreamJoin::process`].
 pub fn measure_latency_with<J: StreamJoin>(
-    mut config: J::Config,
+    config: J::Config,
     samples: usize,
     key_domain: u32,
-) -> Result<(LatencySummary, obs::Histogram, J::Outcome), JoinError> {
+) -> Result<(LatencySummary, obs::Histogram, JoinOutcome), JoinError> {
     let window = config.common().window_size;
-    config.common_mut().collect_results = false;
-    let join = J::spawn(config);
+    let join = J::spawn(config.counting_only());
     prefill_steady_state(&join, window)?;
     let mut recorder = LatencyRecorder::new();
     for i in 0..samples {

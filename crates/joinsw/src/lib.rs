@@ -23,11 +23,13 @@
 //! * [`baseline`] — the strict-semantics reference join, plus
 //!   [`baseline::BaselineJoin`] wrapping it behind the unified trait.
 //! * [`streamjoin`] — the unified [`StreamJoin`] surface: every engine
-//!   behind the same five fallible verbs (spawn, process, prefill,
-//!   flush, shutdown), with [`JoinSummary`] as the common outcome view.
-//! * [`config`] — the shared [`JoinConfig`] builder (cores, window,
-//!   predicate, batching, channel capacity, fault plan) that every
-//!   engine-specific config embeds and exposes via [`JoinParams`].
+//!   behind the same fallible verbs (spawn, process, prefill, flush,
+//!   drain_results, shutdown), ending in the one
+//!   [`JoinOutcome`](splitjoin::JoinOutcome).
+//! * [`config`] — the shared [`JoinConfig`] (cores, window, predicate,
+//!   batching, channel capacity, fault plan) that every engine-specific
+//!   config embeds, and [`JoinParams`], which carries its builders. A
+//!   configuration is a value; the crate reads no environment variable.
 //! * [`fault`] — deterministic fault injection: a seedless, scripted
 //!   [`FaultPlan`] (kill/stall/drop/panic worker k at batch n) and the
 //!   [`FaultReport`] each outcome carries describing exactly what
@@ -85,13 +87,13 @@ pub mod streamjoin;
 mod supervise;
 
 pub use accel_error::{JoinError, WorkerStats};
-pub use config::{default_batch_size, JoinConfig, JoinParams, Partitioning, DEFAULT_BATCH_SIZE};
+pub use config::{JoinConfig, JoinParams, Partitioning, DEFAULT_BATCH_SIZE};
 pub use fault::{FaultEvent, FaultPlan, FaultReport};
-pub use streamjoin::{JoinSummary, StreamJoin};
+pub use streamjoin::StreamJoin;
 
 /// The convenient single import for driving the software joins: the
-/// unified trait surface, the shared configuration with its env-override
-/// story, the error vocabulary, and every engine type.
+/// unified trait surface, the shared configuration and its builders,
+/// the error vocabulary, and every engine type.
 ///
 /// ```
 /// use joinsw::prelude::*;
@@ -107,8 +109,8 @@ pub mod prelude {
     pub use crate::baseline::{BaselineJoin, NestedLoopJoin};
     pub use crate::config::{JoinConfig, JoinParams, Partitioning};
     pub use crate::fault::{FaultEvent, FaultPlan, FaultReport};
-    pub use crate::handshake::{HandshakeConfig, HandshakeJoin, HandshakeOutcome};
+    pub use crate::handshake::{HandshakeConfig, HandshakeJoin};
     pub use crate::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
-    pub use crate::streamjoin::{JoinSummary, StreamJoin};
+    pub use crate::streamjoin::StreamJoin;
     pub use accel_error::{JoinError, WorkerStats};
 }

@@ -5,8 +5,7 @@ use std::ops::{Deref, DerefMut};
 
 use streamcore::JoinPredicate;
 
-use crate::config::{JoinConfig, JoinParams, Partitioning};
-use crate::fault::FaultPlan;
+use crate::config::{JoinConfig, JoinParams};
 
 /// Default hot-key promotion factor (see
 /// [`SplitJoinConfig::hot_key_factor`]): a key is split once it exceeds
@@ -46,10 +45,10 @@ pub struct SplitJoinConfig {
     /// per-tuple copy on the router thread; off by default.
     pub replicate_on_loss: bool,
     /// Hot-key promotion threshold in partitioned mode
-    /// ([`Partitioning::Hash`]): a key is split across all live workers
-    /// once its sketched frequency reaches `hot_key_factor` fair shares
-    /// of the routed traffic (`estimate ≥ hot_key_factor × total /
-    /// live_workers`). Default [`DEFAULT_HOT_KEY_FACTOR`]; must be
+    /// ([`Partitioning::Hash`](crate::config::Partitioning::Hash)): a key
+    /// is split across all live workers once its sketched frequency
+    /// reaches `hot_key_factor` fair shares of the routed traffic
+    /// (`estimate ≥ hot_key_factor × total / live_workers`). Default [`DEFAULT_HOT_KEY_FACTOR`]; must be
     /// positive. Set it absurdly high (e.g. `1e9`) to disable splitting.
     pub hot_key_factor: f64,
     /// Minimum routed tuples (prefill included) before any hot-key
@@ -82,7 +81,7 @@ impl JoinParams for SplitJoinConfig {
 
 impl SplitJoinConfig {
     /// An equi-join configuration with default channel and batch sizing
-    /// (see [`default_batch_size`](crate::config::default_batch_size)).
+    /// (see [`JoinConfig::new`]).
     ///
     /// # Panics
     ///
@@ -97,19 +96,12 @@ impl SplitJoinConfig {
         }
     }
 
-    /// Replaces the join predicate.
-    #[must_use]
-    pub fn with_predicate(mut self, predicate: JoinPredicate) -> Self {
-        self.common = self.common.with_predicate(predicate);
-        self
-    }
-
     /// Selects the join algorithm.
     ///
     /// # Panics
     ///
     /// Panics if [`SwJoinAlgorithm::Hash`] is combined with a non-equi
-    /// predicate.
+    /// predicate (re-checked at spawn, whatever the builder order).
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: SwJoinAlgorithm) -> Self {
         assert!(
@@ -120,63 +112,11 @@ impl SplitJoinConfig {
         self
     }
 
-    /// Sets the distribution batch size (see
-    /// [`JoinConfig::batch_size`] for the semantics and the interaction
-    /// with `channel_capacity`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.common = self.common.with_batch_size(batch_size);
-        self
-    }
-
-    /// Sets the per-worker channel capacity (in batch messages; see
-    /// [`JoinConfig::channel_capacity`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.common = self.common.with_channel_capacity(capacity);
-        self
-    }
-
-    /// Disables result retention and collection (counting only).
-    #[must_use]
-    pub fn counting_only(mut self) -> Self {
-        self.common = self.common.counting_only();
-        self
-    }
-
-    /// Installs a fault plan (validated against the core count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan targets a worker `>= num_cores`.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.common = self.common.with_fault_plan(plan);
-        self
-    }
-
     /// Enables sub-window re-replication on worker loss (see
     /// [`SplitJoinConfig::replicate_on_loss`]).
     #[must_use]
     pub fn with_replication(mut self) -> Self {
         self.replicate_on_loss = true;
-        self
-    }
-
-    /// Selects the dispatch discipline (see [`Partitioning`]).
-    /// [`Partitioning::Hash`] requires an equi-join predicate and no
-    /// replication, checked at spawn.
-    #[must_use]
-    pub fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
-        self.common = self.common.with_partitioning(partitioning);
         self
     }
 
@@ -198,13 +138,6 @@ impl SplitJoinConfig {
     #[must_use]
     pub fn with_hot_sample(mut self, min_sample: u64) -> Self {
         self.hot_min_sample = min_sample;
-        self
-    }
-
-    /// Pins each join core to a CPU (see [`JoinConfig::pin_workers`]).
-    #[must_use]
-    pub fn with_pinning(mut self) -> Self {
-        self.common = self.common.with_pinning();
         self
     }
 }

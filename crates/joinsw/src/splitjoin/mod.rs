@@ -41,7 +41,7 @@
 //!   [`SplitJoin::drain_results`] is the flush barrier followed by taking
 //!   every outbox in position order: one cross-thread hop per match, one
 //!   barrier per drain. In counting-only mode
-//!   ([`JoinConfig::counting_only`](crate::config::JoinConfig::counting_only))
+//!   ([`JoinParams::counting_only`](crate::config::JoinParams::counting_only))
 //!   no match is materialized and the total is folded from per-worker
 //!   counters at shutdown.
 //!
@@ -86,7 +86,7 @@
 //! Broadcast distribution sends every tuple to every worker — each probe
 //! pays O(window) regardless of core count. With
 //! [`Partitioning::Hash`]
-//! ([`JoinConfig::with_partitioning`](crate::config::JoinConfig::with_partitioning))
+//! ([`JoinParams::with_partitioning`](crate::config::JoinParams::with_partitioning))
 //! the window is instead *content-partitioned*
 //! by join key, PanJoin-style: rendezvous hashing
 //! ([`PartitionMap::key_owner`]) assigns each key an owning worker, the
@@ -157,7 +157,6 @@ mod worker;
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -171,7 +170,6 @@ pub use self::config::{
     SplitJoinConfig, SwJoinAlgorithm, DEFAULT_HOT_KEY_FACTOR, DEFAULT_HOT_MIN_SAMPLE,
 };
 pub use self::outcome::{JoinOutcome, PartitionStats, RingStats};
-pub use crate::config::{default_batch_size, DEFAULT_BATCH_SIZE};
 
 use self::lanes::Msg;
 use self::live::{LiveRouter, LiveWorker};
@@ -179,7 +177,8 @@ use self::router::{PartRouter, ReplicaBuf, Router, SKETCH_CAPACITY};
 use self::worker::{worker_loop, WorkerExit};
 use crate::config::Partitioning;
 use crate::fault::FaultReport;
-use crate::supervise::{join_cores, take_outboxes, WorkerCell};
+use crate::streamjoin::StreamJoin;
+use crate::supervise::{join_cores, outcome, take_outboxes, WorkerCell};
 
 /// A running SplitJoin: N join-core threads.
 ///
@@ -198,15 +197,42 @@ pub struct SplitJoin {
 }
 
 impl SplitJoin {
+    fn drain_pending(&self) -> Result<(), JoinError> {
+        let mut pending = self.pending.borrow_mut();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let result = self.router.borrow_mut().send_batch(&pending);
+        pending.clear();
+        result
+    }
+
+    /// Number of batch messages broadcast so far (per worker).
+    pub fn batches_sent(&self) -> u64 {
+        self.router.borrow().batches_sent
+    }
+}
+
+impl StreamJoin for SplitJoin {
+    type Config = SplitJoinConfig;
+
     /// Spawns the worker threads.
     ///
     /// # Panics
     ///
     /// Panics if `config.channel_capacity` or `config.batch_size` is
-    /// zero, or the fault plan targets a worker out of range (the
+    /// zero, the fault plan targets a worker out of range, or a hash
+    /// algorithm or hash partitioning meets a non-equi predicate (the
     /// builder methods reject these, but the fields are public).
-    pub fn spawn(config: SplitJoinConfig) -> Self {
+    fn spawn(config: SplitJoinConfig) -> Self {
         config.common.validate();
+        // `with_algorithm` checks this too, but a later `with_predicate`
+        // or a field write gets past it, and a hash window never
+        // consults the predicate.
+        assert!(
+            config.algorithm != SwJoinAlgorithm::Hash || config.predicate == JoinPredicate::Equi,
+            "hash join requires an equi-join predicate"
+        );
         let partitioned = config.partitioning == Partitioning::Hash;
         if partitioned {
             // Checked here rather than in `JoinConfig::validate`: the
@@ -316,7 +342,7 @@ impl SplitJoin {
     /// frozen heartbeat past the supervision deadline. Losing *some*
     /// workers is not an error — the router re-partitions over the
     /// survivors and reports the damage in [`JoinOutcome::fault`].
-    pub fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+    fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
         let mut pending = self.pending.borrow_mut();
         pending.push((tag, tuple));
         if pending.len() >= self.batch_size {
@@ -334,24 +360,9 @@ impl SplitJoin {
     /// # Errors
     ///
     /// See [`SplitJoin::process`].
-    pub fn process_batch(&self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
+    fn process_batch(&self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
         self.drain_pending()?;
         self.router.borrow_mut().send_batch(batch)
-    }
-
-    fn drain_pending(&self) -> Result<(), JoinError> {
-        let mut pending = self.pending.borrow_mut();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let result = self.router.borrow_mut().send_batch(&pending);
-        pending.clear();
-        result
-    }
-
-    /// Number of batch messages broadcast so far (per worker).
-    pub fn batches_sent(&self) -> u64 {
-        self.router.borrow().batches_sent
     }
 
     /// Loads `tuples` directly into the sliding windows without probing —
@@ -361,7 +372,7 @@ impl SplitJoin {
     /// # Errors
     ///
     /// See [`SplitJoin::process`].
-    pub fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
+    fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
         self.drain_pending()?;
         self.router.borrow_mut().send_prefill(tag, tuples)
     }
@@ -374,20 +385,18 @@ impl SplitJoin {
     ///
     /// See [`SplitJoin::process`]. A worker dying *during* the flush is
     /// recovered, not an error: the barrier then covers the survivors.
-    pub fn flush(&self) -> Result<(), JoinError> {
+    fn flush(&self) -> Result<(), JoinError> {
         self.drain_pending()?;
         self.router.borrow_mut().flush()
     }
 
     /// Flushes, then removes and returns every match produced so far
-    /// and not yet drained — see
-    /// [`StreamJoin::drain_results`](crate::streamjoin::StreamJoin::drain_results).
-    /// Counting-only runs return an empty vector.
+    /// and not yet drained. Counting-only runs return an empty vector.
     ///
     /// # Errors
     ///
     /// See [`SplitJoin::flush`].
-    pub fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
+    fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
         // Behind the barrier every live worker has published the matches
         // of everything flushed, and a retired one has exited (recovery
         // waits for that), so the outboxes are complete.
@@ -408,7 +417,7 @@ impl SplitJoin {
     /// pre-fault-model shutdown used to lose by re-panicking). Workers
     /// lost to *scripted kills* exit cleanly and do not error: their
     /// damage is in [`JoinOutcome::fault`].
-    pub fn shutdown(self) -> Result<JoinOutcome, JoinError> {
+    fn shutdown(self) -> Result<JoinOutcome, JoinError> {
         // Best-effort drain: during shutdown a failed drain (e.g. every
         // worker already dead) degrades to dropping the buffered batch,
         // which the fault report already accounts as worker loss.
@@ -429,25 +438,6 @@ impl SplitJoin {
             kernel_stats.merge(&kstats);
             trace.extend(ring);
         }
-        for cell in &router.cells {
-            router.report.injected_stalls += cell.stalls.load(Ordering::Relaxed);
-            router.report.injected_drops += cell.drops.load(Ordering::Relaxed);
-            router.report.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
-        }
-        // `results` holds only what no mid-run drain harvested; the
-        // published totals are every match ever handed over, so the
-        // count survives draining. Counting-only folds the per-worker
-        // match counters instead.
-        let results = take_outboxes(&router.cells);
-        let result_count = if self.collecting {
-            router
-                .cells
-                .iter()
-                .map(|c| c.results_published.load(Ordering::Relaxed))
-                .sum()
-        } else {
-            worker_stats.iter().map(|w| w.matches).sum()
-        };
         if let Some(ring) = router.ring.take() {
             if !ring.is_empty() {
                 trace.push(ring);
@@ -465,42 +455,17 @@ impl SplitJoin {
             routed: part.routed,
         });
         Ok(JoinOutcome {
-            results,
-            result_count,
-            worker_stats,
-            batch_sizes: router.batch_hist,
-            trace,
-            fault: router.report,
             ring_stats: Some(router.ring_stats),
             partition_stats,
             kernel_stats: Some(kernel_stats),
+            ..outcome(
+                &router.cells,
+                self.collecting,
+                worker_stats,
+                router.batch_hist,
+                trace,
+                router.report,
+            )
         })
-    }
-}
-
-impl crate::streamjoin::StreamJoin for SplitJoin {
-    type Config = SplitJoinConfig;
-    type Outcome = JoinOutcome;
-
-    fn spawn(config: SplitJoinConfig) -> Self {
-        SplitJoin::spawn(config)
-    }
-    fn process(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
-        SplitJoin::process(self, tag, tuple)
-    }
-    fn process_batch(&self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
-        SplitJoin::process_batch(self, batch)
-    }
-    fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
-        SplitJoin::prefill(self, tag, tuples)
-    }
-    fn flush(&self) -> Result<(), JoinError> {
-        SplitJoin::flush(self)
-    }
-    fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
-        SplitJoin::drain_results(self)
-    }
-    fn shutdown(self) -> Result<JoinOutcome, JoinError> {
-        SplitJoin::shutdown(self)
     }
 }

@@ -58,11 +58,14 @@ impl PartitionStats {
     }
 }
 
-/// Everything a [`SplitJoin`](super::SplitJoin) leaves behind at shutdown.
+/// Everything a software join engine leaves behind at shutdown — the
+/// one outcome of [`StreamJoin::shutdown`](crate::streamjoin::StreamJoin::shutdown),
+/// whichever engine ran. The three `Option` telemetry fields are
+/// SplitJoin's.
 #[derive(Debug, Clone, Default)]
 pub struct JoinOutcome {
     /// Collected results no mid-run
-    /// [`SplitJoin::drain_results`](super::SplitJoin::drain_results) call
+    /// [`drain_results`](crate::streamjoin::StreamJoin::drain_results) call
     /// harvested (all of them when nothing drained; empty when
     /// configured counting-only).
     pub results: Vec<MatchPair>,
@@ -74,10 +77,12 @@ pub struct JoinOutcome {
     pub worker_stats: Vec<WorkerStats>,
     /// Distribution batch sizes (tuples per batch message), as recorded
     /// by the distributor: `total()` is the number of batch messages
-    /// sent per worker.
+    /// sent per worker (on the chain: wave groups injected at the
+    /// entries).
     pub batch_sizes: obs::Histogram,
-    /// Wall-clock span rings, one per worker (`sw.worker.<position>`):
-    /// receive waits and per-batch probe/prefill/flush work. A run that
+    /// Wall-clock span rings, one per worker (`sw.worker.<position>`,
+    /// `hs.core.<position>` on the chain): receive waits and per-batch
+    /// probe/prefill/flush work. A SplitJoin run that
     /// recovered workers also carries a `sw.router` ring with one
     /// `recover` span per loss. Empty unless tracing was enabled when
     /// the workers were spawned (see `obs::trace`).
@@ -86,15 +91,15 @@ pub struct JoinOutcome {
     /// recovery latency. All-zero (and [`FaultReport::degraded`] is
     /// `false`) for a healthy run.
     pub fault: FaultReport,
-    /// Distribution-ring telemetry. Always `Some`; the `Option` is what
-    /// the ledger benchmark compiles against.
+    /// Distribution-ring telemetry: `Some` from SplitJoin, `None` from
+    /// the chain and the baseline.
     pub ring_stats: Option<RingStats>,
     /// Partitioned-dispatch telemetry; `None` in broadcast mode, so
     /// broadcast manifests keep their exact pre-partitioning shape.
     pub partition_stats: Option<PartitionStats>,
     /// Probe-kernel telemetry, folded across workers (`tiles` stays 0
-    /// when only the per-tuple path ran). Always `Some`; the `Option` is
-    /// what the ledger benchmark compiles against.
+    /// when only the per-tuple path ran): `Some` from SplitJoin, `None`
+    /// from the chain and the baseline.
     pub kernel_stats: Option<KernelStats>,
 }
 
@@ -143,23 +148,5 @@ impl JoinOutcome {
             reg.record("splitjoin.kernel.scalar_fallbacks", ks.scalar_fallbacks);
         }
         reg
-    }
-}
-
-impl crate::streamjoin::JoinSummary for JoinOutcome {
-    fn result_count(&self) -> u64 {
-        self.result_count
-    }
-    fn results(&self) -> &[MatchPair] {
-        &self.results
-    }
-    fn batch_sizes(&self) -> &obs::Histogram {
-        &self.batch_sizes
-    }
-    fn trace(&self) -> &[obs::trace::TraceRing] {
-        &self.trace
-    }
-    fn fault(&self) -> &FaultReport {
-        &self.fault
     }
 }

@@ -1,7 +1,9 @@
 use super::*;
 use crate::baseline::reference_join;
+use crate::config::JoinParams;
 use crate::fault::{FaultEvent, FaultPlan};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use streamcore::kernel::MIN_BLOCK_PROBES;
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
@@ -225,6 +227,26 @@ fn hash_with_band_predicate_is_rejected() {
     let _ = SplitJoinConfig::new(2, 8)
         .with_predicate(JoinPredicate::Band { delta: 2 })
         .with_algorithm(SwJoinAlgorithm::Hash);
+}
+
+/// A hash window never consults the predicate, so a band predicate that
+/// reaches it (set after the algorithm, or written to the field) would
+/// silently return equi matches: spawn re-asserts what the builder does.
+#[test]
+#[should_panic(expected = "hash join requires an equi-join predicate")]
+fn spawn_rejects_a_band_predicate_set_after_the_hash_algorithm() {
+    let config = SplitJoinConfig::new(2, 8)
+        .with_algorithm(SwJoinAlgorithm::Hash)
+        .with_predicate(JoinPredicate::Band { delta: 2 });
+    let _ = SplitJoin::spawn(config);
+}
+
+#[test]
+#[should_panic(expected = "hash join requires an equi-join predicate")]
+fn spawn_rejects_a_hash_algorithm_written_past_the_builder() {
+    let mut config = SplitJoinConfig::new(2, 8).with_predicate(JoinPredicate::Band { delta: 2 });
+    config.algorithm = SwJoinAlgorithm::Hash;
+    let _ = SplitJoin::spawn(config);
 }
 
 #[test]

@@ -5,11 +5,15 @@
 //! [`SplitJoin`](crate::splitjoin::SplitJoin) router, the
 //! [`HandshakeJoin`](crate::handshake::HandshakeJoin) chain, and the
 //! single-threaded [`BaselineJoin`](crate::baseline::BaselineJoin)
-//! through the same five verbs — spawn, process, prefill, flush,
-//! shutdown — all fallible ([`JoinError`]) instead of panicking on a
-//! dead peer. [`JoinSummary`] is the matching outcome surface: result
-//! counts, batch-size and trace instrumentation, and the
-//! [`FaultReport`] describing any degradation.
+//! through the same verbs — spawn, process, process_batch, prefill,
+//! flush, drain_results, shutdown — all fallible ([`JoinError`]) instead
+//! of panicking on a dead peer, and all ending in the same
+//! [`JoinOutcome`]: result counts, per-core statistics, batch-size and
+//! trace instrumentation, and the
+//! [`FaultReport`](crate::fault::FaultReport) describing any
+//! degradation. The verbs are written once per engine, in its
+//! `impl StreamJoin`; an engine type has no inherent copies, so a caller
+//! brings this trait into scope (the [prelude](crate::prelude) does).
 //!
 //! Engine-internal disciplines stay out of this trait on purpose: the
 //! SplitJoin dispatch mode
@@ -21,7 +25,7 @@
 //!
 //! ```
 //! use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
-//! use joinsw::streamjoin::{JoinSummary, StreamJoin};
+//! use joinsw::streamjoin::StreamJoin;
 //! use streamcore::{StreamTag, Tuple};
 //!
 //! fn count_one<J: StreamJoin>(config: J::Config) -> u64 {
@@ -29,7 +33,7 @@
 //!     join.process(StreamTag::S, Tuple::new(7, 0)).unwrap();
 //!     join.process(StreamTag::R, Tuple::new(7, 1)).unwrap();
 //!     join.flush().unwrap();
-//!     join.shutdown().unwrap().result_count()
+//!     join.shutdown().unwrap().result_count
 //! }
 //!
 //! assert_eq!(count_one::<SplitJoin>(SplitJoinConfig::new(2, 8)), 1);
@@ -39,21 +43,7 @@ use accel_error::JoinError;
 use streamcore::{MatchPair, StreamTag, Tuple};
 
 use crate::config::JoinParams;
-use crate::fault::FaultReport;
-
-/// What every engine's shutdown outcome can report.
-pub trait JoinSummary {
-    /// Total matches observed.
-    fn result_count(&self) -> u64;
-    /// The collected results (empty when counting-only).
-    fn results(&self) -> &[MatchPair];
-    /// Sizes of the batch messages injected into the engine.
-    fn batch_sizes(&self) -> &obs::Histogram;
-    /// Wall-clock span rings (empty unless tracing was enabled).
-    fn trace(&self) -> &[obs::trace::TraceRing];
-    /// What went wrong, if anything.
-    fn fault(&self) -> &FaultReport;
-}
+use crate::splitjoin::JoinOutcome;
 
 /// A running software stream join, generically.
 ///
@@ -61,15 +51,12 @@ pub trait JoinSummary {
 /// generic code reaches the shared fields through
 /// [`JoinParams`]. All data-path verbs return
 /// [`JoinError`] instead of panicking — losing *some* capacity degrades
-/// the outcome's [`FaultReport`], and only unrecoverable conditions
-/// (every worker gone, a panic, saturation past the supervision
-/// deadline) surface as `Err`.
+/// the outcome's [`FaultReport`](crate::fault::FaultReport), and only
+/// unrecoverable conditions (every worker gone, a panic, saturation past
+/// the supervision deadline) surface as `Err`.
 pub trait StreamJoin: Sized {
     /// Engine configuration (must expose the shared [`JoinParams`]).
     type Config: JoinParams + Clone;
-    /// Engine shutdown outcome.
-    type Outcome: JoinSummary;
-
     /// Spawns the engine's threads.
     fn spawn(config: Self::Config) -> Self;
 
@@ -113,9 +100,9 @@ pub trait StreamJoin: Sized {
     /// and not yet drained — the mid-run harvest the continuous-query
     /// runtime fans out to standing queries while the engine keeps
     /// streaming. Counting-only engines return an empty vector; the
-    /// outcome's [`JoinSummary::result_count`] still reports the total
+    /// outcome's [`JoinOutcome::result_count`] still reports the total
     /// ever produced (drained + returned at shutdown), while
-    /// [`JoinSummary::results`] holds only the undrained remainder.
+    /// [`JoinOutcome::results`] holds only the undrained remainder.
     ///
     /// Mirrors the `drain_results` verb the `joinhw` hardware
     /// simulations have always exposed.
@@ -131,7 +118,7 @@ pub trait StreamJoin: Sized {
     /// # Errors
     ///
     /// See [`StreamJoin::process`].
-    fn shutdown(self) -> Result<Self::Outcome, JoinError>;
+    fn shutdown(self) -> Result<JoinOutcome, JoinError>;
 
     /// Fills both windows to steady state with non-matching keys (R
     /// keys `0..window_size`, S keys `window_size..2×window_size`) —

@@ -16,7 +16,8 @@ use accel_error::{JoinError, WorkerStats};
 use streamcore::ring::{PushError, RingProducer};
 use streamcore::MatchPair;
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultReport};
+use crate::splitjoin::JoinOutcome;
 
 /// First supervised-send timeout; doubles per retry up to
 /// [`BACKOFF_CAP_MS`].
@@ -239,6 +240,42 @@ pub(crate) fn take_outboxes(cells: &[Arc<WorkerCell>]) -> Vec<MatchPair> {
         *outbox = Vec::new();
     }
     all
+}
+
+/// The tail of every threaded engine's `shutdown`, once its cores are
+/// joined: folds the cores' fault tallies into `fault` and takes what is
+/// left in the outboxes. `results` holds only what no mid-run drain
+/// harvested; the published totals are every match ever handed over, so
+/// `result_count` survives draining. Counting-only publishes nothing and
+/// folds the per-core match counters instead. SplitJoin's telemetry
+/// fields are left `None`.
+pub(crate) fn outcome(
+    cells: &[Arc<WorkerCell>],
+    collecting: bool,
+    worker_stats: Vec<WorkerStats>,
+    batch_sizes: obs::Histogram,
+    trace: Vec<obs::trace::TraceRing>,
+    mut fault: FaultReport,
+) -> JoinOutcome {
+    for cell in cells {
+        fault.injected_stalls += cell.stalls.load(Ordering::Relaxed);
+        fault.injected_drops += cell.drops.load(Ordering::Relaxed);
+        fault.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
+    }
+    let result_count = if collecting {
+        cells.iter().map(|c| c.results_published.load(Ordering::Relaxed)).sum()
+    } else {
+        worker_stats.iter().map(|w| w.matches).sum()
+    };
+    JoinOutcome {
+        results: take_outboxes(cells),
+        result_count,
+        worker_stats,
+        batch_sizes,
+        trace,
+        fault,
+        ..JoinOutcome::default()
+    }
 }
 
 /// Start instant of a span that is recorded only into `ring`: an

@@ -8,8 +8,8 @@
 
 use joinsw::baseline::reference_join;
 use joinsw::fault::{FaultEvent, FaultPlan};
-use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
-use joinsw::JoinError;
+use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::{JoinError, JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use streamcore::{JoinPredicate, StreamTag, Tuple};
 
@@ -26,7 +26,7 @@ fn workload(tuples: usize, domain: u32) -> Vec<(StreamTag, Tuple)> {
         .collect()
 }
 
-fn run(config: SplitJoinConfig, inputs: &[(StreamTag, Tuple)]) -> Result<joinsw::splitjoin::JoinOutcome, JoinError> {
+fn run(config: SplitJoinConfig, inputs: &[(StreamTag, Tuple)]) -> Result<JoinOutcome, JoinError> {
     let join = SplitJoin::spawn(config);
     for &(tag, t) in inputs {
         join.process(tag, t)?;
@@ -224,8 +224,8 @@ fn scripted_panic_surfaces_with_stats() {
     }
 }
 
-/// `ACCEL_FAULTS`-style specs round-trip through the parser into plans
-/// that target real workers (spawn validates the worker indices).
+/// Specs round-trip through the parser into plans that target real
+/// workers (spawn validates the worker indices).
 #[test]
 fn fault_specs_parse_and_validate() {
     let plan = FaultPlan::parse("kill1@100,stall0@2x5,drop3@7").unwrap();
@@ -235,37 +235,42 @@ fn fault_specs_parse_and_validate() {
     assert!(FaultPlan::none().is_empty());
 }
 
-/// The CI fault-matrix leg: when `ACCEL_FAULTS` is set, replay its plan
-/// against a 4-core run and require the runtime to survive it — any
-/// non-panic scenario completes `Ok` with the damage on the report, and
-/// a panic scenario surfaces as `WorkerPanicked`. With the variable
-/// unset this degenerates to a healthy-run check.
+/// The fault plans every scripted-fault table replays: none, a kill
+/// with a stall, an early kill, a stall riding the supervised-send
+/// backoff, and a panic.
+const PLANS: [&str; 5] = ["", "kill1,stall", "kill1@50", "stall0@3x25", "panic2@5"];
+
+/// Each plan of the table against a 4-core run: the runtime survives
+/// it — any non-panic scenario completes `Ok` with the damage on the
+/// report, a panic scenario surfaces as `WorkerPanicked`, and the empty
+/// plan is a healthy run.
 #[test]
-fn env_scripted_faults_are_survivable() {
-    let plan = FaultPlan::from_env();
-    let expects_panic = !plan.is_empty()
-        && plan.events.iter().any(|e| matches!(e, FaultEvent::Panic { .. }));
-    let scripted = !plan.is_empty();
+fn scripted_fault_plans_are_survivable() {
     let inputs = workload(4_000, 32);
-    let result = run(
-        SplitJoinConfig::new(CORES, 256)
-            .with_batch_size(16)
-            .with_fault_plan(plan),
-        &inputs,
-    );
-    if expects_panic {
-        assert!(matches!(result, Err(JoinError::WorkerPanicked { .. })));
-        return;
-    }
-    let outcome = result.expect("non-panic fault plans must be survivable");
-    if scripted {
-        assert!(outcome.fault.degraded(), "scripted faults must be visible");
-    } else {
-        assert!(!outcome.fault.degraded());
-        assert_eq!(
-            outcome.result_count,
-            reference_join(&inputs, 256, JoinPredicate::Equi).len() as u64
+    for spec in PLANS {
+        let plan = FaultPlan::parse(spec).unwrap();
+        let expects_panic = plan.events.iter().any(|e| matches!(e, FaultEvent::Panic { .. }));
+        let scripted = !plan.is_empty();
+        let result = run(
+            SplitJoinConfig::new(CORES, 256)
+                .with_batch_size(16)
+                .with_fault_plan(plan),
+            &inputs,
         );
+        if expects_panic {
+            assert!(matches!(result, Err(JoinError::WorkerPanicked { .. })), "{spec}");
+            continue;
+        }
+        let outcome = result.expect("non-panic fault plans must be survivable");
+        if scripted {
+            assert!(outcome.fault.degraded(), "{spec}: scripted faults must be visible");
+        } else {
+            assert!(!outcome.fault.degraded());
+            assert_eq!(
+                outcome.result_count,
+                reference_join(&inputs, 256, JoinPredicate::Equi).len() as u64
+            );
+        }
     }
 }
 
@@ -283,20 +288,20 @@ proptest! {
     ) {
         let window = 16usize;
         let inputs = workload(tuples, domain);
-        let with_empty = run(
-            SplitJoinConfig::new(cores, window)
-                .with_fault_plan(FaultPlan::none()),
-            &inputs,
-        )
-        .unwrap();
-        let without = run(SplitJoinConfig::new(cores, window), &inputs).unwrap();
-
-        prop_assert_eq!(with_empty.result_count, without.result_count);
         let effective = cores * window.div_ceil(cores);
         let want = reference_join(&inputs, effective, JoinPredicate::Equi);
-        prop_assert_eq!(with_empty.result_count, want.len() as u64);
-        prop_assert!(!with_empty.fault.degraded());
-        prop_assert_eq!(with_empty.fault.recovery_ns.total(), 0);
-        prop_assert_eq!(with_empty.registry().get("fault.workers_lost"), None);
+        // Batch 1 is the per-tuple probe path, the default the blocked one.
+        for batch in [1, DEFAULT_BATCH_SIZE] {
+            let config = SplitJoinConfig::new(cores, window).with_batch_size(batch);
+            let with_empty =
+                run(config.clone().with_fault_plan(FaultPlan::none()), &inputs).unwrap();
+            let without = run(config, &inputs).unwrap();
+
+            prop_assert_eq!(with_empty.result_count, without.result_count);
+            prop_assert_eq!(with_empty.result_count, want.len() as u64);
+            prop_assert!(!with_empty.fault.degraded());
+            prop_assert_eq!(with_empty.fault.recovery_ns.total(), 0);
+            prop_assert_eq!(with_empty.registry().get("fault.workers_lost"), None);
+        }
     }
 }

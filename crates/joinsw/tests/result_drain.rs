@@ -15,9 +15,8 @@ use joinsw::baseline::reference_join;
 use joinsw::config::Partitioning;
 use joinsw::fault::{FaultEvent, FaultPlan};
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
-use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
-use joinsw::streamjoin::{JoinSummary, StreamJoin};
-use joinsw::JoinError;
+use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::{JoinError, JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use streamcore::{JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
@@ -80,11 +79,11 @@ fn drains_partition_the_reference<J: StreamJoin>(
         }
     }
     let outcome = join.shutdown().unwrap();
-    add(&mut seen, outcome.results());
-    delivered += outcome.results().len() as u64;
+    add(&mut seen, &outcome.results);
+    delivered += outcome.results.len() as u64;
     prop_assert_eq!(seen, as_multiset(&reference_join(&arrivals, window, JoinPredicate::Equi)));
-    prop_assert_eq!(outcome.result_count(), delivered);
-    prop_assert!(!outcome.fault().degraded());
+    prop_assert_eq!(outcome.result_count, delivered);
+    prop_assert!(!outcome.fault.degraded());
     Ok(())
 }
 
@@ -113,10 +112,8 @@ proptest! {
         // SplitJoin's barrier counts finished messages: at batch size 1
         // every arrival is a message of its own, so every drain lands on
         // a different epoch step (the chain is unbatched by default).
-        let mut split = SplitJoinConfig::new(cores, window);
-        if unbatched {
-            split = split.with_batch_size(1);
-        }
+        let split = SplitJoinConfig::new(cores, window)
+            .with_batch_size(if unbatched { 1 } else { DEFAULT_BATCH_SIZE });
         match engine {
             0 => drains_partition_the_reference::<SplitJoin>(split, &inputs, window, false)?,
             1 => drains_partition_the_reference::<SplitJoin>(
@@ -213,8 +210,7 @@ fn a_kill_drops_exactly_the_victims_last_message() {
     assert_eq!(outcome.fault.workers_lost, vec![victim]);
     assert_eq!(outcome.fault.results_dropped, model.dropped);
     assert_eq!(outcome.result_count, delivered);
-    let found: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
-    assert_eq!(outcome.result_count + outcome.fault.results_dropped, found);
+    assert_every_match_is_accounted(&outcome, "kill");
 }
 
 /// Drives any engine across a scripted kill of `victim` at message
@@ -229,7 +225,7 @@ fn kill_keeps_what_was_published<J: StreamJoin>(
     window: usize,
     after_chunk: usize,
     serialize: bool,
-) -> (J::Outcome, Multiset) {
+) -> (JoinOutcome, Multiset) {
     let arrivals: Vec<(StreamTag, Tuple)> = chunks.concat();
     let join = J::spawn(config);
     let mut seen = Multiset::new();
@@ -256,10 +252,10 @@ fn kill_keeps_what_was_published<J: StreamJoin>(
         fed += chunk.len();
     }
     let outcome = join.shutdown().unwrap();
-    add(&mut seen, outcome.results());
-    delivered += outcome.results().len() as u64;
-    assert_eq!(outcome.result_count(), delivered);
-    assert!(outcome.fault().degraded());
+    add(&mut seen, &outcome.results);
+    delivered += outcome.results.len() as u64;
+    assert_eq!(outcome.result_count, delivered);
+    assert!(outcome.fault.degraded());
     (outcome, seen)
 }
 
@@ -282,8 +278,7 @@ fn a_kill_keeps_what_was_published_under_hash_dispatch() {
     // Losing a shard only ever loses matches.
     let full = as_multiset(&reference_join(&inputs, window, JoinPredicate::Equi));
     assert!(is_submultiset(&seen, &full), "a degraded run invented a match");
-    let found: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
-    assert_eq!(outcome.result_count + outcome.fault.results_dropped, found);
+    assert_every_match_is_accounted(&outcome, "kill");
 }
 
 #[test]
@@ -355,37 +350,80 @@ fn a_panic_leaves_the_chains_drain_live() {
     assert!(matches!(join.shutdown(), Err(JoinError::WorkerPanicked { worker: 1, .. })));
 }
 
-/// The CI fault-matrix leg: replay the `ACCEL_FAULTS` plan (empty when
-/// unset) with a drain every few batches. Whatever the plan does, the
-/// drains plus the residue are the result count, and every match a
-/// worker found is either in that count or counted as dropped.
+/// Every match a core found is either in the result count or counted
+/// as dropped.
+fn assert_every_match_is_accounted(outcome: &JoinOutcome, case: &str) {
+    let found: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
+    assert_eq!(outcome.result_count + outcome.fault.results_dropped, found, "{case}");
+}
+
+/// Each plan of the fault table (see `fault_injection.rs`) with a drain
+/// every few batches. Whatever the plan does, the drains plus the
+/// residue are the result count, and every match a worker found is
+/// either in that count or counted as dropped.
 #[test]
-fn env_scripted_faults_keep_the_drain_accounting_exact() {
-    let plan = FaultPlan::from_env();
-    let expects_panic = plan.events.iter().any(|e| matches!(e, FaultEvent::Panic { .. }));
-    let healthy = plan.is_empty();
+fn scripted_fault_plans_keep_the_drain_accounting_exact() {
     let inputs = workload(4_000, 32);
-    let join = SplitJoin::spawn(
-        SplitJoinConfig::new(4, 256).with_batch_size(16).with_fault_plan(plan),
-    );
-    let mut delivered = 0u64;
-    for (i, chunk) in inputs.chunks(16).enumerate() {
-        join.process_batch(chunk).unwrap();
-        if i % 7 == 6 {
-            delivered += join.drain_results().unwrap().len() as u64;
+    for spec in ["", "kill1,stall", "kill1@50", "stall0@3x25", "panic2@5"] {
+        let plan = FaultPlan::parse(spec).unwrap();
+        let expects_panic = plan.events.iter().any(|e| matches!(e, FaultEvent::Panic { .. }));
+        let healthy = plan.is_empty();
+        let join = SplitJoin::spawn(
+            SplitJoinConfig::new(4, 256).with_batch_size(16).with_fault_plan(plan),
+        );
+        let mut delivered = 0u64;
+        for (i, chunk) in inputs.chunks(16).enumerate() {
+            join.process_batch(chunk).unwrap();
+            if i % 7 == 6 {
+                delivered += join.drain_results().unwrap().len() as u64;
+            }
+        }
+        let outcome = match join.shutdown() {
+            Ok(outcome) => outcome,
+            Err(JoinError::WorkerPanicked { .. }) if expects_panic => continue,
+            Err(e) => panic!("{spec}: non-panic fault plans must be survivable: {e}"),
+        };
+        assert!(!expects_panic, "{spec}: the panic must surface");
+        delivered += outcome.results.len() as u64;
+        assert_eq!(outcome.result_count, delivered, "{spec}");
+        assert_every_match_is_accounted(&outcome, spec);
+        if healthy {
+            let want = reference_join(&inputs, 256, JoinPredicate::Equi).len() as u64;
+            assert_eq!(outcome.result_count, want);
         }
     }
-    let outcome = match join.shutdown() {
-        Ok(outcome) => outcome,
-        Err(JoinError::WorkerPanicked { .. }) if expects_panic => return,
-        Err(e) => panic!("non-panic fault plans must be survivable: {e}"),
-    };
-    delivered += outcome.results.len() as u64;
-    assert_eq!(outcome.result_count, delivered);
-    let found: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
-    assert_eq!(outcome.result_count + outcome.fault.results_dropped, found);
-    if healthy {
-        let want = reference_join(&inputs, 256, JoinPredicate::Equi).len() as u64;
-        assert_eq!(outcome.result_count, want);
+}
+
+/// The chain reports its cores' statistics like SplitJoin does, so it is
+/// held to the same identity: healthy, across a kill drained mid-run
+/// (the victim's last wave group is the dropped part), and counting-only
+/// (nothing is published, so nothing can be dropped).
+#[test]
+fn the_chain_accounts_for_every_match_its_cores_found() {
+    let inputs = workload(160, 4);
+    for (spec, collect) in [("", true), ("kill1@50", true), ("", false), ("kill1@50", false)] {
+        let case = format!("plan `{spec}`, collecting {collect}");
+        let mut config =
+            HandshakeConfig::new(3, 12).with_fault_plan(FaultPlan::parse(spec).unwrap());
+        config.collect_results = collect;
+        let join = HandshakeJoin::spawn(config);
+        let mut delivered = 0u64;
+        for (i, &(tag, t)) in inputs.iter().enumerate() {
+            join.process(tag, t).unwrap();
+            if i % 10 == 9 {
+                delivered += join.drain_results().unwrap().len() as u64;
+            }
+        }
+        let outcome = join.shutdown().unwrap();
+        assert_eq!(outcome.worker_stats.len(), 3, "{case}");
+        assert_eq!(outcome.fault.degraded(), !spec.is_empty(), "{case}");
+        assert_every_match_is_accounted(&outcome, &case);
+        if collect {
+            assert!(outcome.result_count > 0, "{case}: the scenario must match");
+            assert_eq!(outcome.result_count, delivered + outcome.results.len() as u64, "{case}");
+        } else {
+            assert_eq!((delivered, outcome.results.len()), (0, 0), "{case}");
+            assert_eq!(outcome.fault.results_dropped, 0, "{case}");
+        }
     }
 }

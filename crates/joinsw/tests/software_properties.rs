@@ -1,7 +1,8 @@
 //! Property-based tests of the software joins.
 
 use joinsw::baseline::reference_join;
-use joinsw::splitjoin::{SplitJoin, SplitJoinConfig, SwJoinAlgorithm};
+use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig, SwJoinAlgorithm};
+use joinsw::{JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use streamcore::{JoinPredicate, MatchPair, StreamTag, Tuple};
@@ -24,6 +25,18 @@ fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
     m
 }
 
+fn run(config: SplitJoinConfig, inputs: &[(StreamTag, Tuple)]) -> JoinOutcome {
+    let join = SplitJoin::spawn(config);
+    for &(tag, t) in inputs {
+        join.process(tag, t).unwrap();
+    }
+    join.flush().unwrap();
+    join.shutdown().unwrap()
+}
+
+/// Batch 1 is the per-tuple probe path, the default the blocked one.
+const BATCHES: [usize; 2] = [1, DEFAULT_BATCH_SIZE];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -36,21 +49,19 @@ proptest! {
         let want = as_multiset(&reference_join(&inputs, effective, JoinPredicate::Equi));
 
         for algorithm in [SwJoinAlgorithm::NestedLoop, SwJoinAlgorithm::Hash] {
-            let join = SplitJoin::spawn(
-                SplitJoinConfig::new(cores, window).with_algorithm(algorithm),
-            );
-            for &(tag, t) in &inputs {
-                join.process(tag, t).unwrap();
+            for batch in BATCHES {
+                let config = SplitJoinConfig::new(cores, window)
+                    .with_algorithm(algorithm)
+                    .with_batch_size(batch);
+                prop_assert_eq!(
+                    as_multiset(&run(config, &inputs).results),
+                    want.clone(),
+                    "{:?} with {} cores at batch {}",
+                    algorithm,
+                    cores,
+                    batch
+                );
             }
-            join.flush().unwrap();
-            let outcome = join.shutdown().unwrap();
-            prop_assert_eq!(
-                as_multiset(&outcome.results),
-                want.clone(),
-                "{:?} with {} cores",
-                algorithm,
-                cores
-            );
         }
     }
 
@@ -59,19 +70,16 @@ proptest! {
     /// match counts sum to the engine's result count.
     #[test]
     fn worker_accounting_is_conserved(inputs in arb_inputs(200, 8), cores in 1usize..5) {
-        let join = SplitJoin::spawn(SplitJoinConfig::new(cores, 16));
-        for &(tag, t) in &inputs {
-            join.process(tag, t).unwrap();
+        for batch in BATCHES {
+            let outcome = run(SplitJoinConfig::new(cores, 16).with_batch_size(batch), &inputs);
+            let n = inputs.len() as u64;
+            let seen: u64 = outcome.worker_stats.iter().map(|w| w.tuples_seen).sum();
+            let stored: u64 = outcome.worker_stats.iter().map(|w| w.stored).sum();
+            let matches: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
+            prop_assert_eq!(seen, n * cores as u64);
+            prop_assert_eq!(stored, n);
+            prop_assert_eq!(matches, outcome.result_count);
+            prop_assert_eq!(outcome.results.len() as u64, outcome.result_count);
         }
-        join.flush().unwrap();
-        let outcome = join.shutdown().unwrap();
-        let n = inputs.len() as u64;
-        let seen: u64 = outcome.worker_stats.iter().map(|w| w.tuples_seen).sum();
-        let stored: u64 = outcome.worker_stats.iter().map(|w| w.stored).sum();
-        let matches: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
-        prop_assert_eq!(seen, n * cores as u64);
-        prop_assert_eq!(stored, n);
-        prop_assert_eq!(matches, outcome.result_count);
-        prop_assert_eq!(outcome.results.len() as u64, outcome.result_count);
     }
 }

@@ -54,19 +54,16 @@ impl RunManifest {
     ///
     /// The config block is pre-seeded so artifacts are self-describing:
     /// `obs_feature` records whether instrumentation was compiled in,
-    /// and each of the workspace's behaviour-shaping env overrides
-    /// (`ACCEL_SW_BATCH`, `ACCEL_THREADS`, `ACCEL_OBS_DIR`) is recorded
-    /// as `env.<NAME>` when set.
+    /// and `ACCEL_OBS_DIR`, the one environment variable the workspace
+    /// reads, is recorded as `env.ACCEL_OBS_DIR` when set.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         let mut config = vec![(
             "obs_feature".to_string(),
             if cfg!(feature = "enabled") { "on" } else { "off" }.to_string(),
         )];
-        for key in ["ACCEL_SW_BATCH", "ACCEL_THREADS", "ACCEL_OBS_DIR"] {
-            if let Ok(value) = std::env::var(key) {
-                config.push((format!("env.{key}"), value));
-            }
+        if let Ok(dir) = std::env::var("ACCEL_OBS_DIR") {
+            config.push(("env.ACCEL_OBS_DIR".to_string(), dir));
         }
         Self {
             name: name.into(),

@@ -90,7 +90,7 @@ use accel_error::JoinError;
 use fqp::placement::Objective;
 use fqp::plan::Catalog;
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
-use joinsw::prelude::{BaselineJoin, JoinConfig, JoinSummary, SplitJoin, SplitJoinConfig, StreamJoin};
+use joinsw::prelude::{BaselineJoin, JoinConfig, JoinOutcome, SplitJoin, SplitJoinConfig, StreamJoin};
 use streamcore::{MatchPair, StreamTag, Tuple};
 
 use crate::compile::{compile, AggSpec, CompileError, CompiledQuery, EngineKind, GroupKey, Shape};
@@ -195,20 +195,12 @@ impl RuntimeConfig {
 }
 
 /// Any physical engine behind one dispatchable surface. The
-/// [`StreamJoin`] trait has engine-specific associated types, so the
-/// runtime erases them with this enum rather than boxing.
+/// [`StreamJoin`] trait has an engine-specific `Config` type, so the
+/// runtime erases it with this enum rather than boxing.
 enum AnyEngine {
     Baseline(Box<BaselineJoin>),
     Split(Box<SplitJoin>),
     Handshake(Box<HandshakeJoin>),
-}
-
-/// What an engine reports at shutdown, engine-erased.
-struct EngineOutcome {
-    residual: Vec<MatchPair>,
-    result_count: u64,
-    orphaned_tuples: u64,
-    results_dropped: u64,
 }
 
 impl AnyEngine {
@@ -255,28 +247,16 @@ impl AnyEngine {
         }
     }
 
-    fn shutdown(self) -> Result<EngineOutcome, JoinError> {
-        fn erase<O: JoinSummary>(outcome: O) -> EngineOutcome {
-            EngineOutcome {
-                residual: outcome.results().to_vec(),
-                result_count: outcome.result_count(),
-                orphaned_tuples: outcome.fault().orphaned_tuples,
-                results_dropped: outcome.fault().results_dropped,
-            }
-        }
-        match self {
-            AnyEngine::Baseline(e) => e.shutdown().map(erase),
-            AnyEngine::Split(e) => e.shutdown().map(erase),
-            AnyEngine::Handshake(e) => e.shutdown().map(erase),
-        }
-    }
-
     /// Shuts the engine of group `key` down and balances its books:
     /// every result it produced since spawn was either `delivered` by
-    /// an earlier drain or is in the returned outcome's residual.
-    fn retire(self, key: &GroupKey, delivered: u64) -> Result<EngineOutcome, RuntimeError> {
-        let outcome = self.shutdown()?;
-        let delivered = delivered + outcome.residual.len() as u64;
+    /// an earlier drain or is in the returned outcome's `results`.
+    fn retire(self, key: &GroupKey, delivered: u64) -> Result<JoinOutcome, RuntimeError> {
+        let outcome = match self {
+            AnyEngine::Baseline(e) => e.shutdown(),
+            AnyEngine::Split(e) => e.shutdown(),
+            AnyEngine::Handshake(e) => e.shutdown(),
+        }?;
+        let delivered = delivered + outcome.results.len() as u64;
         if delivered != outcome.result_count {
             return Err(RuntimeError::Completeness {
                 group: key.to_string(),
@@ -970,7 +950,7 @@ impl QueryRuntime {
         fan_out(
             &mut self.queries,
             &group.members,
-            Block::Matches(&outcome.residual),
+            Block::Matches(&outcome.results),
         );
 
         // 3. Replay the shadow through the new engine in original
@@ -999,12 +979,12 @@ impl QueryRuntime {
             from,
             to: target,
             drained,
-            residual: outcome.residual.len() as u64,
+            residual: outcome.results.len() as u64,
             produced_total: outcome.result_count,
             // `retire` returned, so the books balanced.
             delivered_total: outcome.result_count,
-            orphaned_tuples: outcome.orphaned_tuples,
-            results_dropped: outcome.results_dropped,
+            orphaned_tuples: outcome.fault.orphaned_tuples,
+            results_dropped: outcome.fault.results_dropped,
             prefilled: (group.shadow_r.len(), group.shadow_s.len()),
             duplicates_discarded: duplicates,
         })
@@ -1070,7 +1050,7 @@ impl QueryRuntime {
             fan_out(
                 &mut self.queries,
                 &group.members,
-                Block::Matches(&outcome.residual),
+                Block::Matches(&outcome.results),
             );
         }
         let ids = std::mem::take(&mut self.ids);

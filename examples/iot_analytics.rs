@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use accel_landscape::joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use accel_landscape::joinsw::StreamJoin;
 use accel_landscape::streamcore::workload::{KeyDist, WorkloadSpec};
 use accel_landscape::streamcore::StreamTag;
 

@@ -31,7 +31,7 @@ use accel_landscape::joinsw::baseline::reference_join;
 use accel_landscape::joinsw::config::Partitioning;
 use accel_landscape::joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use accel_landscape::joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
-use accel_landscape::joinsw::{FaultEvent, FaultPlan};
+use accel_landscape::joinsw::{FaultEvent, FaultPlan, JoinParams, StreamJoin};
 use accel_landscape::streamcore::{JoinPredicate, MatchPair, StreamTag, Tuple};
 use proptest::prelude::*;
 
@@ -272,8 +272,7 @@ proptest! {
 }
 
 /// Runs a SplitJoin to completion in the given dispatch mode.
-/// `batch_size` is pinned explicitly so every comparison is immune to
-/// the `ACCEL_SW_BATCH` CI leg — identical batch boundaries are exactly
+/// `batch_size` is an argument — identical batch boundaries are exactly
 /// what makes two runs comparable point-for-point under a fault plan.
 fn run_dispatch(
     partitioning: Partitioning,

@@ -13,6 +13,7 @@
 use std::time::Duration;
 
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::{JoinParams, StreamJoin};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
 /// Every router- and worker-side live key a 2-core SplitJoin must

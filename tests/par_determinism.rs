@@ -53,8 +53,8 @@ fn throughput_runs_are_deterministic_across_repeats_and_threads() {
         for _ in 0..3 {
             assert_eq!(reference, throughput_on(&params, None), "{flow:?} repeat");
         }
-        // Every thread count, including 0 = auto (honors ACCEL_THREADS,
-        // the CI matrix knob) — each run twice.
+        // Every thread count, including 0 = the host's width — each run
+        // twice.
         for threads in [1usize, 2, 4, 8, 0] {
             assert_eq!(
                 reference,

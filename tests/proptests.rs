@@ -9,6 +9,7 @@ use accel_landscape::joinhw::uniflow::UniFlowJoin;
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinOperator, JoinPredicate};
 use accel_landscape::joinsw::baseline::reference_join;
 use accel_landscape::joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use accel_landscape::joinsw::StreamJoin;
 use accel_landscape::streamcore::{Field, Schema, SlidingWindow, StreamTag, Tuple};
 use proptest::prelude::*;
 
