@@ -117,7 +117,7 @@ fn main() {
         if label == "kill1@100" {
             // The acceptance scenario's damage accounting is the
             // manifest's counter set and recovery-latency histogram.
-            m.record_registry(&outcome.registry());
+            m.record_values(&outcome.values());
             m.histogram("fault.recovery_ns", outcome.fault.recovery_ns.clone());
         }
     }

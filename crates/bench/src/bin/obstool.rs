@@ -35,6 +35,7 @@
 //! prefix are matched against the sanitized exposition names), and
 //! `--retry N` retries a refused connection (the endpoint racing CI).
 
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use obs::json::Json;
@@ -132,18 +133,16 @@ fn load_manifest(path: &str) -> Result<RunManifest, String> {
 
 fn summarize(path: &str) -> Result<bool, String> {
     let m = load_manifest(path)?;
-    println!("manifest {} (git {}, threads {})", m.name(), obs_rev(&m), m.threads());
+    println!("manifest {} (git {}, threads {})", m.name(), m.git_rev(), m.threads());
     if !m.config_entries().is_empty() {
         println!("config:");
         for (k, v) in m.config_entries() {
             println!("  {k} = {v}");
         }
     }
-    let mut counters: Vec<(&str, u64)> = m.counters().iter().collect();
-    counters.sort();
-    if !counters.is_empty() {
+    if !m.counters().is_empty() {
         println!("counters:");
-        for (k, v) in counters {
+        for (k, v) in m.counters().iter() {
             println!("  {k} = {v}");
         }
     }
@@ -161,15 +160,6 @@ fn summarize(path: &str) -> Result<bool, String> {
         }
     }
     Ok(true)
-}
-
-/// The manifest's recorded git revision. (A free function only because
-/// `RunManifest` exposes it via serialization, not a getter.)
-fn obs_rev(m: &RunManifest) -> String {
-    Json::parse(&m.to_json())
-        .ok()
-        .and_then(|j| j.get("git_rev").and_then(Json::as_str).map(String::from))
-        .unwrap_or_default()
 }
 
 /// One drifted metric: `(metric, baseline, candidate, relative %)`.
@@ -197,17 +187,11 @@ fn manifest_drifts(a: &RunManifest, b: &RunManifest, tolerance: f64) -> Vec<Drif
             out.push((metric, va, vb, drift_pct(va, vb)));
         }
     };
-    let mut names: Vec<&str> = a.counters().iter().map(|(k, _)| k).collect();
-    for (k, _) in b.counters().iter() {
-        if !names.contains(&k) {
-            names.push(k);
-        }
-    }
-    names.sort_unstable();
+    let (ca, cb) = (a.counters(), b.counters());
+    let names: BTreeSet<&str> = ca.iter().chain(cb.iter()).map(|(k, _)| k).collect();
     for name in names {
-        let va = a.counters().get(name).unwrap_or(0) as f64;
-        let vb = b.counters().get(name).unwrap_or(0) as f64;
-        check(name.to_string(), va, vb);
+        let (va, vb) = (ca.get(name).unwrap_or(0), cb.get(name).unwrap_or(0));
+        check(name.to_string(), va as f64, vb as f64);
     }
     let digest = |m: &RunManifest, name: &str| -> Option<(f64, f64)> {
         m.histograms()
@@ -215,13 +199,12 @@ fn manifest_drifts(a: &RunManifest, b: &RunManifest, tolerance: f64) -> Vec<Drif
             .find(|(n, _)| n == name)
             .map(|(_, h)| (h.total() as f64, h.sum().unwrap_or(0) as f64))
     };
-    let mut hnames: Vec<&str> = a.histograms().iter().map(|(n, _)| n.as_str()).collect();
-    for (n, _) in b.histograms() {
-        if !hnames.contains(&n.as_str()) {
-            hnames.push(n);
-        }
-    }
-    hnames.sort_unstable();
+    let hnames: BTreeSet<&str> = a
+        .histograms()
+        .iter()
+        .chain(b.histograms())
+        .map(|(n, _)| n.as_str())
+        .collect();
     for name in hnames {
         let (na, sa) = digest(a, name).unwrap_or((0.0, 0.0));
         let (nb, sb) = digest(b, name).unwrap_or((0.0, 0.0));
@@ -430,24 +413,10 @@ fn parse_scrape_args(rest: &[String]) -> Option<(&str, Option<&str>, u32)> {
     addr.map(|a| (a, require, retries))
 }
 
-/// Prometheus exposition names replace everything outside
-/// `[a-zA-Z0-9_:]` with `_` — apply the same mapping to a dotted
-/// `--require` prefix so `splitjoin.` matches `splitjoin_…` samples.
-fn sanitize_prefix(prefix: &str) -> String {
-    prefix
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 fn scrape(addr: &str, require: Option<&str>, retries: u32) -> Result<bool, String> {
-    let want = require.map(sanitize_prefix);
+    // A dotted `--require` prefix matches the exposition's sanitized
+    // names: `splitjoin.` finds `splitjoin_…` samples.
+    let want = require.map(obs::scrape::metric_name);
     let mut attempt = 0;
     loop {
         // Both failure modes are retryable while attempts remain: a
@@ -595,12 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_prefix_matches_exposition_names() {
-        assert_eq!(sanitize_prefix("splitjoin.worker.0."), "splitjoin_worker_0_");
-        assert_eq!(sanitize_prefix("already_clean:ok"), "already_clean:ok");
-    }
-
-    #[test]
     fn sparkline_scales_and_downsamples() {
         assert_eq!(sparkline(&[], 10), "");
         assert_eq!(sparkline(&[5], 10), "▁");
@@ -616,7 +579,7 @@ mod tests {
     #[test]
     #[cfg(feature = "obs")]
     fn scrape_round_trips_against_a_live_endpoint() {
-        let reg = obs::live::LiveRegistry::new();
+        let reg = obs::Registry::new();
         reg.counter("splitjoin.tuples").add(41);
         reg.gauge("splitjoin.workers.live").set(4);
         let server = obs::scrape::serve(reg, 0).expect("bind ephemeral");
@@ -632,7 +595,7 @@ mod tests {
     fn series_commands_validate_and_summarize_a_real_artifact() {
         let dir = std::env::temp_dir().join(format!("obstool-series-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let reg = obs::live::LiveRegistry::new();
+        let reg = obs::Registry::new();
         let c = reg.counter("sw.tuples");
         let header = obs::series::SeriesHeader::new("obstool-test", 5);
         let mut writer = obs::series::SeriesWriter::create(&dir, header).unwrap();
@@ -640,7 +603,7 @@ mod tests {
             c.add(v);
             writer.append(&reg.snapshot()).unwrap();
         }
-        let path = writer.finish().unwrap();
+        let path = writer.finish();
         let path = path.to_str().unwrap();
         assert!(series_validate(path).unwrap());
         assert!(series_summarize(path).unwrap());

@@ -11,7 +11,7 @@ use joinhw::harness::{
     uniflow_throughput_model, LatencyRun, ThroughputRun,
 };
 use obs::provenance::ProvenanceTracker;
-use obs::{Histogram, Registry, RunManifest};
+use obs::{Histogram, RunManifest};
 use joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 use streamcore::{StreamTag, Tuple};
 
@@ -288,7 +288,7 @@ struct WallClock {
 
 impl WallClock {
     /// One point's [`WALL_HEADERS`] cells. The parallel engine's
-    /// per-worker utilization (`{key}par.worker.N.busy_cycles` /
+    /// per-worker utilization (`{key}hwsim.par.worker.N.busy_cycles` /
     /// `wait_cycles` / `busy_ns` / `wait_ns` — where the simulation pool
     /// spends its time) lands in `m`; its span rings go to the crate
     /// harvest when `rings` is set.
@@ -304,9 +304,9 @@ impl WallClock {
         let (par_cell, speedup_cell) = match par {
             Some((p, mut stats)) => {
                 self.par += p;
-                let mut reg = Registry::new();
-                stats.observe(&mut reg, &format!("{key}par."));
-                m.record_registry(&reg);
+                for (name, value) in stats.values().iter() {
+                    m.counter(format!("{key}{name}"), value);
+                }
                 if rings {
                     crate::obsout::harvest(stats.rings.drain(..));
                 }

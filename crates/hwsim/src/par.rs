@@ -269,25 +269,39 @@ impl ParStats {
         (self.run_ns > 0).then(|| self.coord_ns as f64 / self.run_ns as f64)
     }
 
-    /// Publishes the report into an [`obs::Registry`] under
-    /// `{prefix}threads`, `{prefix}cycles`, `{prefix}run_ns`,
-    /// `{prefix}coord_ns`, and `{prefix}worker.N.{busy_cycles,
-    /// wait_cycles, shards_executed, busy_ns, wait_ns}`.
-    pub fn observe(&self, reg: &mut obs::Registry, prefix: &str) {
-        reg.record(format!("{prefix}threads"), self.threads as u64);
-        reg.record(format!("{prefix}cycles"), self.cycles);
-        reg.record(format!("{prefix}run_ns"), self.run_ns);
-        reg.record(format!("{prefix}coord_ns"), self.coord_ns);
+    /// The report as `(key, value, kind)` readings — the one place the
+    /// engine's metric names are spelled: `hwsim.par.threads` (a gauge),
+    /// and the counters `hwsim.par.{cycles, run_ns, coord_ns}` and
+    /// `hwsim.par.worker.N.{busy_cycles, wait_cycles, shards_executed,
+    /// busy_ns, wait_ns}`.
+    fn metrics(&self) -> Vec<(String, u64, obs::MetricKind)> {
+        use obs::MetricKind::{Counter, Gauge};
+        let mut out = vec![
+            ("hwsim.par.threads".to_string(), self.threads as u64, Gauge),
+            ("hwsim.par.cycles".to_string(), self.cycles, Counter),
+            ("hwsim.par.run_ns".to_string(), self.run_ns, Counter),
+            ("hwsim.par.coord_ns".to_string(), self.coord_ns, Counter),
+        ];
         for (i, w) in self.workers.iter().enumerate() {
-            reg.record(format!("{prefix}worker.{i}.busy_cycles"), w.busy_cycles);
-            reg.record(format!("{prefix}worker.{i}.wait_cycles"), w.wait_cycles);
-            reg.record(
-                format!("{prefix}worker.{i}.shards_executed"),
-                w.shards_executed,
-            );
-            reg.record(format!("{prefix}worker.{i}.busy_ns"), w.busy_ns);
-            reg.record(format!("{prefix}worker.{i}.wait_ns"), w.wait_ns);
+            for (what, value) in [
+                ("busy_cycles", w.busy_cycles),
+                ("wait_cycles", w.wait_cycles),
+                ("shards_executed", w.shards_executed),
+                ("busy_ns", w.busy_ns),
+                ("wait_ns", w.wait_ns),
+            ] {
+                out.push((format!("hwsim.par.worker.{i}.{what}"), value, Counter));
+            }
         }
+        out
+    }
+
+    /// The report as a frozen map, under the same `hwsim.par.*` keys the
+    /// live plane accumulates each drive segment into — so after a single
+    /// segment the two agree key for key.
+    #[must_use]
+    pub fn values(&self) -> obs::Values {
+        self.metrics().into_iter().map(|(k, v, _)| (k, v)).collect()
     }
 }
 
@@ -804,27 +818,25 @@ impl ParSimulator {
 }
 
 /// Publishes one finished drive segment into the process-global live
-/// plane (`obs::live`) when it is armed: cumulative per-worker
-/// busy/wait/shard counters plus a pool-wide `hwsim.par.utilization_pct`
-/// gauge. Drive segments repeat (each `run`/`run_until` call is one), so
-/// the counters accumulate across a simulation while the gauge tracks
-/// the most recent segment. Costs one relaxed load when the plane is
-/// unarmed.
+/// plane (`obs::live`) when it is armed: every [`ParStats::metrics`]
+/// reading under its own key, plus a pool-wide
+/// `hwsim.par.utilization_pct` gauge. Drive segments repeat (each
+/// `run`/`run_until` call is one), so the counters accumulate across a
+/// simulation while the gauges track the most recent segment. Costs one
+/// relaxed load when the plane is unarmed.
 fn publish_live(stats: &ParStats) {
     if !obs::live::active() {
         return;
     }
     let reg = obs::live::global();
-    reg.counter("hwsim.par.cycles").add(stats.cycles);
-    reg.gauge("hwsim.par.threads").set(stats.threads as u64);
-    let (mut busy, mut wait) = (0u64, 0u64);
-    for (i, w) in stats.workers.iter().enumerate() {
-        busy += w.busy_ns;
-        wait += w.wait_ns;
-        reg.counter(&format!("hwsim.par.worker.{i}.busy_ns")).add(w.busy_ns);
-        reg.counter(&format!("hwsim.par.worker.{i}.wait_ns")).add(w.wait_ns);
-        reg.counter(&format!("hwsim.par.worker.{i}.shards")).add(w.shards_executed);
+    for (key, value, kind) in stats.metrics() {
+        match kind {
+            obs::MetricKind::Counter => reg.counter(&key).add(value),
+            obs::MetricKind::Gauge => reg.gauge(&key).set(value),
+        }
     }
+    let busy: u64 = stats.workers.iter().map(|w| w.busy_ns).sum();
+    let wait: u64 = stats.workers.iter().map(|w| w.wait_ns).sum();
     if let Some(pct) = (busy * 100).checked_div(busy + wait) {
         reg.gauge("hwsim.par.utilization_pct").set(pct);
     }
@@ -1078,10 +1090,9 @@ mod tests {
                 let total: u64 = stats.workers.iter().map(|w| w.shards_executed).sum();
                 assert_eq!(total, 7 * 3 * 50);
             }
-            let mut reg = obs::Registry::new();
-            stats.observe(&mut reg, "par.");
-            assert_eq!(reg.get("par.cycles"), Some(50));
-            assert_eq!(reg.get("par.worker.0.wait_cycles"), Some(0));
+            let values = stats.values();
+            assert_eq!(values.get("hwsim.par.cycles"), Some(50));
+            assert_eq!(values.get("hwsim.par.worker.0.wait_cycles"), Some(0));
             assert_eq!(sim.take_stats().as_ref(), Some(&stats));
             assert!(sim.last_stats().is_none());
         }

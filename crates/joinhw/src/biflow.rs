@@ -153,17 +153,6 @@ pub struct BiFlowJoin {
     collector_ptr: usize,
     collected: Vec<MatchPair>,
     accepted_tuples: u64,
-    /// Offers rejected because the stream's input register was occupied
-    /// (the chain's admission backpressure). No-op without `obs`.
-    offer_rejected: obs::Counter,
-    /// Waves admitted by the central coordinator.
-    waves_admitted: obs::Counter,
-    /// Cycles spent in neighbour handshakes.
-    handshake_cycles: obs::Counter,
-    /// Cycles spent probing opposite sub-windows.
-    probe_cycles: obs::Counter,
-    /// Probe cycles lost to result-FIFO backpressure.
-    probe_stalls: obs::Counter,
     /// Completed cycles (ticks in `begin_cycle`).
     cycle: u64,
     /// Cycle the in-flight wave entered its current core segment.
@@ -200,11 +189,6 @@ impl BiFlowJoin {
             collector_ptr: 0,
             collected: Vec::new(),
             accepted_tuples: 0,
-            offer_rejected: obs::Counter::new(),
-            waves_admitted: obs::Counter::new(),
-            handshake_cycles: obs::Counter::new(),
-            probe_cycles: obs::Counter::new(),
-            probe_stalls: obs::Counter::new(),
             cycle: 0,
             seg_start: 0,
             ring: obs::trace::enabled().then(|| {
@@ -261,7 +245,6 @@ impl BiFlowJoin {
             StreamTag::S => &mut self.pending_s,
         };
         if slot.is_some() {
-            self.offer_rejected.incr();
             return false;
         }
         *slot = Some((seq, tuple));
@@ -273,20 +256,6 @@ impl BiFlowJoin {
     /// Number of tuples accepted so far (both streams).
     pub fn accepted_tuples(&self) -> u64 {
         self.accepted_tuples
-    }
-
-    /// Publishes the chain's counters into `reg` under `prefix`:
-    /// `{prefix}accepted_tuples`, `{prefix}offer_rejected`,
-    /// `{prefix}waves_admitted`, `{prefix}handshake_cycles`,
-    /// `{prefix}probe_cycles`, `{prefix}probe_stalls`. Counter values are
-    /// 0 when the `obs` feature is off; `accepted_tuples` is always live.
-    pub fn observe(&self, reg: &mut obs::Registry, prefix: &str) {
-        reg.record(format!("{prefix}accepted_tuples"), self.accepted_tuples);
-        reg.counter(format!("{prefix}offer_rejected"), &self.offer_rejected);
-        reg.counter(format!("{prefix}waves_admitted"), &self.waves_admitted);
-        reg.counter(format!("{prefix}handshake_cycles"), &self.handshake_cycles);
-        reg.counter(format!("{prefix}probe_cycles"), &self.probe_cycles);
-        reg.counter(format!("{prefix}probe_stalls"), &self.probe_stalls);
     }
 
     /// Removes and returns all collected results.
@@ -365,7 +334,6 @@ impl BiFlowJoin {
             StreamTag::S => self.pending_s.take(),
         }
         .expect("pending tuple present");
-        self.waves_admitted.incr();
         self.wave = Some(Wave {
             tag,
             probe: tuple,
@@ -405,7 +373,6 @@ impl BiFlowJoin {
                     // First cycle at this core: the segment span opens.
                     self.seg_start = self.cycle;
                 }
-                self.handshake_cycles.incr();
                 if k > 1 {
                     wave.phase = WavePhase::Handshake(k - 1);
                 } else {
@@ -425,10 +392,8 @@ impl BiFlowJoin {
                 let core = &mut self.cores[wave.core];
                 if !core.results.can_push() {
                     // Back-pressure from the result port stalls the probe.
-                    self.probe_stalls.incr();
                     return;
                 }
-                self.probe_cycles.incr();
                 let stored = core.window_mut(wave.tag.other()).read(idx);
                 let (r, s) = match wave.tag {
                     StreamTag::R => (wave.probe, stored),

@@ -270,21 +270,6 @@ impl UniFlowJoin {
     pub fn core_mut(&mut self, index: usize) -> &mut JoinCore {
         &mut self.cores[index]
     }
-
-    /// Publishes the design's counters into `reg` under `prefix`:
-    /// the accepted-tuple count and aggregated [`CoreStats`] (always
-    /// live), plus the distribution network's stall counters under
-    /// `{prefix}dist.` and the gathering network's under
-    /// `{prefix}gather.` (0 when the `obs` feature is off).
-    pub fn observe(&self, reg: &mut obs::Registry, prefix: &str) {
-        reg.record(format!("{prefix}accepted_tuples"), self.accepted_tuples);
-        let stats = self.core_stats();
-        reg.record(format!("{prefix}tuples_processed"), stats.tuples_processed);
-        reg.record(format!("{prefix}comparisons"), stats.comparisons);
-        reg.record(format!("{prefix}matches"), stats.matches);
-        self.dist.observe(reg, &format!("{prefix}dist."));
-        self.gather.observe(reg, &format!("{prefix}gather."));
-    }
 }
 
 impl Component for UniFlowJoin {
@@ -703,26 +688,6 @@ mod tests {
                 "expected ~2x speedup, got {ratio:.2} ({cycles_by_cores:?})"
             );
         }
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn observe_reports_stall_and_delivery_counters() {
-        let params = DesignParams::new(FlowModel::UniFlow, 4, 16);
-        let mut join = UniFlowJoin::new(&params);
-        join.program(JoinOperator::equi(4));
-        let inputs = workload(100, 4);
-        drive(&mut join, &inputs, 100_000);
-        let mut reg = obs::Registry::new();
-        join.observe(&mut reg, "uni.");
-        assert_eq!(reg.get("uni.accepted_tuples"), Some(100));
-        // The lightweight broadcast delivers one copy per core per frame:
-        // 2 operator frames + 100 data tuples, 4 cores each.
-        assert_eq!(reg.get("uni.dist.delivered"), Some(102 * 4));
-        // Every match surfaces through the gathering network exactly once.
-        assert_eq!(reg.get("uni.gather.delivered"), reg.get("uni.matches"));
-        // At saturation the cores back-pressure the broadcast.
-        assert!(reg.get("uni.dist.head_stalls").unwrap() > 0);
     }
 
     #[cfg(feature = "obs")]

@@ -70,14 +70,6 @@ pub struct DistributionNetwork {
     dnodes: Vec<Fifo<Frame>>,
     num_cores: usize,
     fanout: usize,
-    /// Offers rejected because the input port was full. No-op without `obs`.
-    offer_rejected: obs::Counter,
-    /// Cycles where a buffered frame could not advance (input head blocked
-    /// by a non-ready fetcher or full root, or a DNode head whose broadcast
-    /// was blocked by at least one child).
-    head_stalls: obs::Counter,
-    /// Frames pushed into core fetchers (counts each per-core copy).
-    delivered: obs::Counter,
     /// Provenance watch: the sampled frame currently traversing the
     /// network, if any. Pure observation — never steers a frame.
     watch: Option<Frame>,
@@ -106,9 +98,6 @@ impl DistributionNetwork {
                 .collect(),
             num_cores,
             fanout,
-            offer_rejected: obs::Counter::new(),
-            head_stalls: obs::Counter::new(),
-            delivered: obs::Counter::new(),
             watch: None,
             watch_count: 0,
             watch_done: false,
@@ -158,20 +147,7 @@ impl DistributionNetwork {
 
     /// Offers a frame to the input port; returns `false` if back-pressured.
     pub fn offer(&mut self, frame: Frame) -> bool {
-        let accepted = self.input.push(frame).is_ok();
-        if !accepted {
-            self.offer_rejected.incr();
-        }
-        accepted
-    }
-
-    /// Publishes the network's counters into `reg` under `prefix`:
-    /// `{prefix}offer_rejected`, `{prefix}head_stalls`,
-    /// `{prefix}delivered`. All three are 0 when the `obs` feature is off.
-    pub fn observe(&self, reg: &mut obs::Registry, prefix: &str) {
-        reg.counter(format!("{prefix}offer_rejected"), &self.offer_rejected);
-        reg.counter(format!("{prefix}head_stalls"), &self.head_stalls);
-        reg.counter(format!("{prefix}delivered"), &self.delivered);
+        self.input.push(frame).is_ok()
     }
 
     /// `true` when no frame is buffered anywhere in the network.
@@ -200,42 +176,28 @@ impl DistributionNetwork {
             NetworkKind::Lightweight => {
                 // Broadcast to all fetchers at once; the broadcast is
                 // atomic, so it waits until every fetcher has room.
-                if self.input.can_pop() {
-                    if cores.iter().all(JoinCore::fetcher_ready) {
-                        let frame = self.input.pop().expect("frame available");
-                        for core in cores.iter_mut() {
-                            core.fetcher().push(frame).expect("checked fetcher_ready");
-                            self.delivered.incr();
-                            self.note_delivery(frame);
-                        }
-                    } else {
-                        self.head_stalls.incr();
+                if self.input.can_pop() && cores.iter().all(JoinCore::fetcher_ready) {
+                    let frame = self.input.pop().expect("frame available");
+                    for core in cores.iter_mut() {
+                        core.fetcher().push(frame).expect("checked fetcher_ready");
+                        self.note_delivery(frame);
                     }
                 }
             }
             NetworkKind::Scalable => {
                 if self.num_cores == 1 {
                     // Degenerate tree: input feeds the single fetcher.
-                    if self.input.can_pop() {
-                        if cores[0].fetcher_ready() {
-                            let f = self.input.pop().expect("frame available");
-                            cores[0].fetcher().push(f).expect("checked ready");
-                            self.delivered.incr();
-                            self.note_delivery(f);
-                        } else {
-                            self.head_stalls.incr();
-                        }
+                    if self.input.can_pop() && cores[0].fetcher_ready() {
+                        let f = self.input.pop().expect("frame available");
+                        cores[0].fetcher().push(f).expect("checked ready");
+                        self.note_delivery(f);
                     }
                     return;
                 }
                 // Root DNode pulls from the input port.
-                if self.input.can_pop() {
-                    if self.dnodes[0].can_push() {
-                        let f = self.input.pop().expect("frame available");
-                        self.dnodes[0].push(f).expect("checked can_push");
-                    } else {
-                        self.head_stalls.incr();
-                    }
+                if self.input.can_pop() && self.dnodes[0].can_push() {
+                    let f = self.input.pop().expect("frame available");
+                    self.dnodes[0].push(f).expect("checked can_push");
                 }
                 // Each DNode broadcasts its front frame to all children
                 // when every one can accept ("provided the next DNodes are
@@ -252,7 +214,6 @@ impl DistributionNetwork {
                         }
                     };
                     if !self.children(i).all(|c| ready(self, cores, c)) {
-                        self.head_stalls.incr();
                         continue;
                     }
                     let frame = self.dnodes[i].pop().expect("frame available");
@@ -264,7 +225,6 @@ impl DistributionNetwork {
                                 .fetcher()
                                 .push(frame)
                                 .expect("checked ready");
-                            self.delivered.incr();
                             self.note_delivery(frame);
                         }
                     }
@@ -296,11 +256,6 @@ pub struct GatheringNetwork {
     grants: Vec<usize>,
     num_cores: usize,
     fanout: usize,
-    /// Cycles where a GNode's granted upper port held a result but the
-    /// node's own buffer was full. No-op without `obs`.
-    push_stalls: obs::Counter,
-    /// Results delivered to the system output sink.
-    delivered: obs::Counter,
     /// Provenance watch: the sampled probe tuple whose result pairs are
     /// being counted at the sink. Pure observation.
     watch: Option<Tuple>,
@@ -327,8 +282,6 @@ impl GatheringNetwork {
             grants: vec![0; internal],
             num_cores,
             fanout,
-            push_stalls: obs::Counter::new(),
-            delivered: obs::Counter::new(),
             watch: None,
             watch_hits: 0,
         }
@@ -362,14 +315,6 @@ impl GatheringNetwork {
         }
     }
 
-    /// Publishes the network's counters into `reg` under `prefix`:
-    /// `{prefix}push_stalls`, `{prefix}delivered`. Both are 0 when the
-    /// `obs` feature is off.
-    pub fn observe(&self, reg: &mut obs::Registry, prefix: &str) {
-        reg.counter(format!("{prefix}push_stalls"), &self.push_stalls);
-        reg.counter(format!("{prefix}delivered"), &self.delivered);
-    }
-
     /// `true` when no result is buffered inside the network.
     pub fn is_empty(&self) -> bool {
         self.gnodes
@@ -393,7 +338,6 @@ impl GatheringNetwork {
                 if let Some(m) = cores[self.pointer].results().pop() {
                     self.note_sink(&m);
                     sink.push(m);
-                    self.delivered.incr();
                 }
                 self.pointer = (self.pointer + 1) % self.num_cores;
             }
@@ -402,7 +346,6 @@ impl GatheringNetwork {
                     if let Some(m) = cores[0].results().pop() {
                         self.note_sink(&m);
                         sink.push(m);
-                        self.delivered.incr();
                     }
                     return;
                 }
@@ -410,7 +353,6 @@ impl GatheringNetwork {
                 if let Some(m) = self.gnodes[0].pop() {
                     self.note_sink(&m);
                     sink.push(m);
-                    self.delivered.incr();
                 }
                 // Each GNode pulls from the granted upper port; the grant
                 // rotates every cycle (single-direction signalling, no
@@ -419,16 +361,6 @@ impl GatheringNetwork {
                     let granted = self.fanout * i + 1 + self.grants[i];
                     self.grants[i] = (self.grants[i] + 1) % self.fanout;
                     if !self.gnodes[i].can_push() {
-                        // Only a lost transfer opportunity if the granted
-                        // port actually had a result waiting.
-                        let blocked = if granted < self.gnodes.len() {
-                            self.gnodes[granted].can_pop()
-                        } else {
-                            cores[granted - self.gnodes.len()].results().can_pop()
-                        };
-                        if blocked {
-                            self.push_stalls.incr();
-                        }
                         continue;
                     }
                     let pulled = if granted < self.gnodes.len() {

@@ -17,7 +17,7 @@
 //! re-adopted from the coordinator's replica buffer, and the recovery
 //! latency distribution. An empty plan yields a report for which
 //! [`FaultReport::degraded`] is `false` and the outcome (including its
-//! manifest registry) is byte-identical to a build without the fault
+//! published values) is byte-identical to a build without the fault
 //! layer.
 
 use streamcore::PartitionMap;
@@ -273,9 +273,14 @@ pub struct FaultReport {
     pub recovery_ns: obs::Histogram,
 }
 
+/// The two `fault.*` names the live plane exports as they happen and
+/// [`FaultReport::publish`] repeats at shutdown.
+pub(crate) const KEY_WORKERS_LOST: &str = "fault.workers_lost";
+pub(crate) const KEY_ORPHANED_TUPLES: &str = "fault.orphaned_tuples";
+
 impl FaultReport {
     /// True when the run deviated from healthy behavior in any way.
-    /// Outcome registries publish their `fault.*` counters only in this
+    /// Outcomes publish their `fault.*` counters only in this
     /// case, so healthy manifests keep their exact pre-fault-model shape.
     pub fn degraded(&self) -> bool {
         !self.workers_lost.is_empty()
@@ -286,9 +291,9 @@ impl FaultReport {
 
     /// Publishes the report's counters under `fault.*` names into `reg`
     /// (call only when [`FaultReport::degraded`]; see there).
-    pub fn publish(&self, reg: &mut obs::Registry) {
-        reg.record("fault.workers_lost", self.workers_lost.len() as u64);
-        reg.record("fault.orphaned_tuples", self.orphaned_tuples);
+    pub fn publish(&self, reg: &mut obs::Values) {
+        reg.record(KEY_WORKERS_LOST, self.workers_lost.len() as u64);
+        reg.record(KEY_ORPHANED_TUPLES, self.orphaned_tuples);
         reg.record("fault.readopted_tuples", self.readopted_tuples);
         reg.record("fault.injected_stalls", self.injected_stalls);
         reg.record("fault.injected_drops", self.injected_drops);
@@ -393,7 +398,7 @@ mod tests {
         report.workers_lost.push(2);
         report.orphaned_tuples = 17;
         report.recovery_ns.record_value(1_000);
-        let mut reg = obs::Registry::new();
+        let mut reg = obs::Values::new();
         report.publish(&mut reg);
         assert_eq!(reg.get("fault.workers_lost"), Some(1));
         assert_eq!(reg.get("fault.orphaned_tuples"), Some(17));

@@ -221,12 +221,12 @@ pub struct HandshakeJoin {
 #[derive(Debug)]
 struct LiveChain {
     /// `handshake.waves` — wave groups injected at the chain entries.
-    waves: obs::live::SharedCounter,
+    waves: obs::Counter,
     /// `handshake.wave_tuples` — tuples carried by those groups.
-    wave_tuples: obs::live::SharedCounter,
+    wave_tuples: obs::Counter,
     /// `handshake.wave_depth` — size (waves per message) of the most
     /// recently injected group; the sampler turns it into a trajectory.
-    wave_depth: obs::live::SharedGauge,
+    wave_depth: obs::Gauge,
 }
 
 impl LiveChain {

@@ -4,7 +4,9 @@ use std::sync::Arc;
 
 use accel_error::WorkerStats;
 
+use super::outcome::key;
 use super::SplitJoinConfig;
+use crate::fault;
 use crate::supervise::WorkerCell;
 
 /// Router-side handles into the process-global live telemetry plane
@@ -17,48 +19,49 @@ use crate::supervise::WorkerCell;
 #[derive(Debug)]
 pub(super) struct LiveRouter {
     /// `splitjoin.batches` — caller batches routed.
-    batches: obs::live::SharedCounter,
+    batches: obs::Counter,
     /// `splitjoin.tuples` — stream tuples routed through batches.
-    tuples: obs::live::SharedCounter,
-    /// `splitjoin.partition.routed` — keyed-dispatch tuples routed
-    /// (stays 0 in broadcast mode).
-    pub(super) routed: obs::live::SharedCounter,
+    tuples: obs::Counter,
+    /// `splitjoin.partition.routed` — keyed-dispatch entries shipped, a
+    /// hot-key tuple counting once per worker reached (stays 0 in
+    /// broadcast mode).
+    pub(super) routed: obs::Counter,
     /// `splitjoin.ring.occupancy` — queued messages on the lane most
     /// recently pushed to (ring transport; instantaneous, the sampler
     /// turns it into a trajectory).
-    pub(super) ring_occupancy: obs::live::SharedGauge,
+    pub(super) ring_occupancy: obs::Gauge,
     /// `splitjoin.arena.lag` — published sequence minus the slowest
     /// reader's release watermark while the router waits on arena reuse.
-    pub(super) arena_lag: obs::live::SharedGauge,
+    pub(super) arena_lag: obs::Gauge,
     /// `splitjoin.workers.live` — live positions in the partition map.
-    workers_live: obs::live::SharedGauge,
+    workers_live: obs::Gauge,
     /// `fault.workers_lost` / `fault.orphaned_tuples` — degradation as
-    /// it happens (the post-mortem `fault.*` registry only exists after
+    /// it happens (the outcome's `fault.*` values only exist after
     /// shutdown).
-    workers_lost: obs::live::SharedCounter,
-    orphaned: obs::live::SharedCounter,
+    workers_lost: obs::Counter,
+    orphaned: obs::Counter,
     /// `splitjoin.worker.<i>.heartbeat_age_ns` — nanoseconds since each
     /// live worker's last heartbeat, refreshed once per routed batch (and
     /// for the laggard while the router waits on the arena), so a
     /// stalling worker is scrape-visible long before the 10 s
     /// saturation deadline.
-    pub(super) heartbeat_age: Vec<obs::live::SharedGauge>,
+    pub(super) heartbeat_age: Vec<obs::Gauge>,
 }
 
 impl LiveRouter {
     pub(super) fn new(config: &SplitJoinConfig) -> Self {
         let reg = obs::live::global();
         let this = Self {
-            batches: reg.counter("splitjoin.batches"),
+            batches: reg.counter(key::BATCHES),
             tuples: reg.counter("splitjoin.tuples"),
-            routed: reg.counter("splitjoin.partition.routed"),
+            routed: reg.counter(key::ROUTED),
             ring_occupancy: reg.gauge("splitjoin.ring.occupancy"),
             arena_lag: reg.gauge("splitjoin.arena.lag"),
             workers_live: reg.gauge("splitjoin.workers.live"),
-            workers_lost: reg.counter("fault.workers_lost"),
-            orphaned: reg.counter("fault.orphaned_tuples"),
+            workers_lost: reg.counter(fault::KEY_WORKERS_LOST),
+            orphaned: reg.counter(fault::KEY_ORPHANED_TUPLES),
             heartbeat_age: (0..config.num_cores)
-                .map(|i| reg.gauge(&format!("splitjoin.worker.{i}.heartbeat_age_ns")))
+                .map(|i| reg.gauge(&key::worker(i, "heartbeat_age_ns")))
                 .collect(),
         };
         this.workers_live.set(config.num_cores as u64);
@@ -97,14 +100,14 @@ impl LiveRouter {
 /// the last publication keep every exported counter monotone.
 #[derive(Debug)]
 pub(super) struct LiveWorker {
-    batches: obs::live::SharedCounter,
-    tuples: obs::live::SharedCounter,
-    matches: obs::live::SharedCounter,
+    batches: obs::Counter,
+    tuples: obs::Counter,
+    matches: obs::Counter,
     /// `splitjoin.matches` — pool-wide match total. Each match is found
     /// by exactly one worker, so the per-worker deltas sum exactly.
-    matches_total: obs::live::SharedCounter,
-    busy_ns: obs::live::SharedCounter,
-    pub(super) wait_ns: obs::live::SharedCounter,
+    matches_total: obs::Counter,
+    busy_ns: obs::Counter,
+    pub(super) wait_ns: obs::Counter,
     last_tuples: u64,
     last_matches: u64,
 }
@@ -112,12 +115,12 @@ pub(super) struct LiveWorker {
 impl LiveWorker {
     pub(super) fn new(position: usize) -> Self {
         let reg = obs::live::global();
-        let name = |suffix: &str| format!("splitjoin.worker.{position}.{suffix}");
+        let name = |what: &str| key::worker(position, what);
         Self {
             batches: reg.counter(&name("batches")),
             tuples: reg.counter(&name("tuples")),
             matches: reg.counter(&name("matches")),
-            matches_total: reg.counter("splitjoin.matches"),
+            matches_total: reg.counter(key::MATCHES),
             busy_ns: reg.counter(&name("busy_ns")),
             wait_ns: reg.counter(&name("wait_ns")),
             last_tuples: 0,
@@ -125,8 +128,11 @@ impl LiveWorker {
         }
     }
 
-    /// One processed message: service time plus stat deltas.
-    pub(super) fn after_msg(&mut self, stats: &WorkerStats, busy_start_ns: u64) {
+    /// One processed message: service time plus stat deltas. The
+    /// matches of a message a scripted kill took stay in the worker's own
+    /// tally, as they do in its `WorkerStats`, but were never
+    /// `handed_over` to the pool total (`fault.results_dropped`).
+    pub(super) fn after_msg(&mut self, stats: &WorkerStats, busy_start_ns: u64, handed_over: bool) {
         self.busy_ns
             .add(obs::trace::now_ns().saturating_sub(busy_start_ns));
         self.batches.incr();
@@ -136,7 +142,9 @@ impl LiveWorker {
         self.last_matches = stats.matches;
         if dm > 0 {
             self.matches.add(dm);
-            self.matches_total.add(dm);
+            if handed_over {
+                self.matches_total.add(dm);
+            }
         }
     }
 }

@@ -107,7 +107,7 @@
 //! one core. Old data stays where it was stored; probes reach everyone,
 //! so the transition loses nothing. Per-worker shard occupancy, split
 //! counts, and routing fan-out surface as
-//! [`PartitionStats`] (`splitjoin.partition.*` in the registry).
+//! [`PartitionStats`] (`splitjoin.partition.*` in the published values).
 //! Recovery keeps working — a dead position's ledger is its exact orphan
 //! count, and rendezvous hashing re-homes only the dead worker's keys —
 //! but replication is rejected at spawn, and non-equi predicates cannot
@@ -454,8 +454,12 @@ impl StreamJoin for SplitJoin {
             hot_splits: part.hot_splits,
             routed: part.routed,
         });
+        let ring_stats = router.ring_stats;
+        ring_stats
+            .peak_occupancy
+            .set(ring_stats.occupancy.max().unwrap_or(0));
         Ok(JoinOutcome {
-            ring_stats: Some(router.ring_stats),
+            ring_stats: Some(ring_stats),
             partition_stats,
             kernel_stats: Some(kernel_stats),
             ..outcome(

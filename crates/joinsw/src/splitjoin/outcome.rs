@@ -6,13 +6,29 @@ use streamcore::MatchPair;
 
 use crate::fault::FaultReport;
 
+/// The metric names SplitJoin publishes both ways — live, into
+/// `obs::live::global()` while it runs, and post-mortem, in
+/// [`JoinOutcome::values`]. Spelling each here once is what makes the
+/// two agree key for key.
+pub(super) mod key {
+    pub const BATCHES: &str = "splitjoin.batches";
+    pub const MATCHES: &str = "splitjoin.matches";
+    pub const ROUTED: &str = "splitjoin.partition.routed";
+
+    /// `splitjoin.worker.<position>.<what>`.
+    pub fn worker(position: usize, what: &str) -> String {
+        format!("splitjoin.worker.{position}.{what}")
+    }
+}
+
 /// Distribution-ring and arena telemetry, attached to every outcome.
 #[derive(Debug, Clone, Default)]
 pub struct RingStats {
     /// Distribution-ring occupancy (queued messages) sampled at every
     /// router send.
     pub occupancy: obs::Histogram,
-    /// Peak of the occupancy samples — the high-water gauge.
+    /// Peak of the occupancy samples (`occupancy.max()`), set once at
+    /// shutdown.
     pub peak_occupancy: obs::Gauge,
     /// Nanoseconds the router waited for ring or arena space, one sample
     /// per send/publish that could not complete on the fast path.
@@ -104,20 +120,21 @@ pub struct JoinOutcome {
 }
 
 impl JoinOutcome {
-    /// Publishes the run's counters under stable dotted names
-    /// (`splitjoin.worker<i>.probes`, `.stored`, `.matches`,
+    /// The run's counters under stable dotted names
+    /// (`splitjoin.worker.<i>.probes`, `.stored`, `.matches`,
     /// `splitjoin.batches`, …) for a
-    /// [`RunManifest`](obs::RunManifest). Degraded runs additionally
-    /// publish the `fault.*` namespace; healthy runs do **not**, so
-    /// manifests keep their exact pre-fault-model shape.
-    pub fn registry(&self) -> obs::Registry {
-        let mut reg = obs::Registry::new();
-        reg.record("splitjoin.batches", self.batch_sizes.total());
-        reg.record("splitjoin.matches", self.result_count);
+    /// [`RunManifest`](obs::RunManifest). A key the live plane also
+    /// exports carries the value its cell reached at shutdown. Degraded
+    /// runs additionally publish the `fault.*` namespace; healthy runs
+    /// do **not**, so manifests keep their exact pre-fault-model shape.
+    pub fn values(&self) -> obs::Values {
+        let mut reg = obs::Values::new();
+        reg.record(key::BATCHES, self.batch_sizes.total());
+        reg.record(key::MATCHES, self.result_count);
         for (i, ws) in self.worker_stats.iter().enumerate() {
-            reg.record(format!("splitjoin.worker{i}.probes"), ws.comparisons);
-            reg.record(format!("splitjoin.worker{i}.stored"), ws.stored);
-            reg.record(format!("splitjoin.worker{i}.matches"), ws.matches);
+            reg.record(key::worker(i, "probes"), ws.comparisons);
+            reg.record(key::worker(i, "stored"), ws.stored);
+            reg.record(key::worker(i, "matches"), ws.matches);
         }
         if self.fault.degraded() {
             self.fault.publish(&mut reg);
@@ -128,14 +145,14 @@ impl JoinOutcome {
         }
         if let Some(ps) = &self.partition_stats {
             reg.record("splitjoin.partition.hot_splits", ps.hot_splits);
-            reg.record("splitjoin.partition.routed", ps.routed);
+            reg.record(key::ROUTED, ps.routed);
             let mut max = 0u64;
             for (i, &occ) in ps.occupancy.iter().enumerate() {
-                reg.record(format!("splitjoin.partition.worker{i}.occupancy"), occ);
+                reg.record(format!("splitjoin.partition.worker.{i}.occupancy"), occ);
                 max = max.max(occ);
             }
             reg.record("splitjoin.partition.occupancy_max", max);
-            // Fixed-point (×1000) so the integer registry carries it.
+            // Fixed-point (×1000) so the integer map carries it.
             reg.record(
                 "splitjoin.partition.balance_x1000",
                 (ps.balance() * 1_000.0).round() as u64,

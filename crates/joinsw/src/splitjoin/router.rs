@@ -147,7 +147,6 @@ impl Router {
         let Some(prod) = senders[w].as_mut() else { return Ok(SendStatus::Lost) };
         let depth = prod.len() as u64;
         ring_stats.occupancy.record_value(depth);
-        ring_stats.peak_occupancy.max(depth);
         if let Some(lv) = live.as_ref() {
             lv.ring_occupancy.set(depth);
         }
@@ -376,6 +375,24 @@ impl Router {
         }
     }
 
+    /// Routes a block under keyed dispatch and ships the sub-batches,
+    /// mirroring the dispatch entries it added to `part.routed` into the
+    /// live plane.
+    fn route_block(
+        &mut self,
+        block: impl Iterator<Item = (StreamTag, Tuple)>,
+        probe: bool,
+    ) -> Result<(), JoinError> {
+        let before = self.part.as_ref().map_or(0, |part| part.routed);
+        for (tag, tuple) in block {
+            self.route_tuple(tag, tuple, probe);
+        }
+        if let (Some(lv), Some(part)) = (self.live.as_ref(), self.part.as_ref()) {
+            lv.routed.add(part.routed - before);
+        }
+        self.flush_outboxes()
+    }
+
     /// Ships every non-empty per-worker sub-batch as one [`Msg::Part`].
     /// A worker found dead mid-send is recovered and its sub-batch dies
     /// with it: the ledger already counts those tuples as stored there,
@@ -416,15 +433,9 @@ impl Router {
         self.batches_sent += 1;
         if let Some(lv) = self.live.as_ref() {
             lv.on_batch(batch.len(), &self.cells, self.map.live());
-            if self.part.is_some() {
-                lv.routed.add(batch.len() as u64);
-            }
         }
         if self.part.is_some() {
-            for &(tag, tuple) in batch {
-                self.route_tuple(tag, tuple, true);
-            }
-            self.flush_outboxes()?;
+            self.route_block(batch.iter().copied(), true)?;
         } else {
             self.note_batch(batch);
             let seq = self.publish_to_arena(batch)?;
@@ -451,10 +462,7 @@ impl Router {
         if self.part.is_some() {
             // Same keyed routing path, probing disabled — prefill still
             // advances the stream counters and the sketch.
-            for &t in tuples {
-                self.route_tuple(tag, t, false);
-            }
-            return self.flush_outboxes();
+            return self.route_block(tuples.iter().map(|&t| (tag, t)), false);
         }
         self.note_prefill(tag, tuples);
         let shared: Arc<[Tuple]> = tuples.to_vec().into();

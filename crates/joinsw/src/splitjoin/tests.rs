@@ -337,9 +337,9 @@ fn batch_histogram_records_distribution_shape() {
     assert_eq!(outcome.batch_sizes.total(), 3);
     assert_eq!(outcome.batch_sizes.max(), Some(4));
     assert_eq!(outcome.batch_sizes.min(), Some(2));
-    let reg = outcome.registry();
+    let reg = outcome.values();
     assert_eq!(reg.get("splitjoin.batches"), Some(3));
-    assert!(reg.get("splitjoin.worker0.probes").is_some());
+    assert!(reg.get("splitjoin.worker.0.probes").is_some());
     // Healthy run: the fault namespace must be absent.
     assert_eq!(reg.get("fault.workers_lost"), None);
 }
@@ -491,13 +491,13 @@ fn hash_algorithm_stays_on_the_per_tuple_path_at_every_batch_size() {
 }
 
 #[test]
-fn kernel_stats_surface_in_registry() {
+fn kernel_stats_surface_in_the_published_values() {
     let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
         .generate()
         .collect();
     let outcome =
         run_workload(SplitJoinConfig::new(2, 16).with_batch_size(64), &inputs);
-    let reg = outcome.registry();
+    let reg = outcome.values();
     assert!(reg.get("splitjoin.kernel.tiles").is_some_and(|t| t > 0));
     assert!(reg.get("splitjoin.kernel.lanes").is_some());
     assert!(reg.get("splitjoin.kernel.match_density_x1000").is_some());
@@ -883,35 +883,53 @@ fn partitioned_rejects_replication() {
 }
 
 #[test]
-fn partitioned_registry_publishes_partition_counters() {
+fn partitioned_outcome_publishes_partition_counters() {
     let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
         .generate()
         .collect();
     let outcome = run_workload(part_config(2, 32), &inputs);
-    let reg = outcome.registry();
+    let reg = outcome.values();
     assert!(reg.get("splitjoin.partition.routed").is_some_and(|v| v > 0));
     assert!(reg.get("splitjoin.partition.hot_splits").is_some());
     assert!(reg.get("splitjoin.partition.occupancy_max").is_some_and(|v| v > 0));
     assert!(reg.get("splitjoin.partition.balance_x1000").is_some_and(|v| v > 0));
-    assert!(reg.get("splitjoin.partition.worker0.occupancy").is_some());
-    assert!(reg.get("splitjoin.partition.worker1.occupancy").is_some());
+    assert!(reg.get("splitjoin.partition.worker.0.occupancy").is_some());
+    assert!(reg.get("splitjoin.partition.worker.1.occupancy").is_some());
     // Broadcast runs must keep their exact pre-partitioning shape.
     let broadcast = run_workload(SplitJoinConfig::new(2, 32), &inputs);
     assert!(broadcast.partition_stats.is_none());
     assert!(!broadcast
-        .registry()
+        .values()
         .iter()
         .any(|(n, _)| n.starts_with("splitjoin.partition.")));
 }
 
 #[test]
 #[cfg(feature = "obs")]
-fn live_plane_exports_router_and_worker_metrics() {
-    // The live registry is process-global: arm the plane, run one
-    // engine, then check the global snapshot for
-    // every exported key family. Sibling tests running concurrently
-    // can only *add* to the shared counters, so the floor
-    // assertions below stay race-free.
+fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() {
+    // The arming flag and the live registry are process-global and this
+    // is the one test of the binary that arms, so its two phases run in
+    // sequence here rather than as two tests racing on the flag.
+    //
+    // Unarmed: an engine must not touch the global registry. No other
+    // test spawns 11 cores, so `splitjoin.worker.10.` can only have been
+    // registered by this engine.
+    let inputs: Vec<_> = WorkloadSpec::new(50, KeyDist::Uniform { domain: 4 })
+        .generate()
+        .collect();
+    let outcome = run_workload(SplitJoinConfig::new(11, 22), &inputs);
+    assert!(!outcome.results.is_empty());
+    assert!(
+        !obs::live::global()
+            .entries()
+            .iter()
+            .any(|(name, _, _)| name.starts_with("splitjoin.worker.10.")),
+        "an unarmed engine registered live cells"
+    );
+
+    // Armed: every exported key family shows up in the global snapshot.
+    // Sibling engines spawned meanwhile can only *add* to the shared
+    // counters, so the floor assertions below stay race-free.
     obs::live::set_active(true);
     let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
         .generate()
@@ -920,7 +938,7 @@ fn live_plane_exports_router_and_worker_metrics() {
     obs::live::set_active(false);
     assert!(!outcome.results.is_empty());
 
-    let snap = obs::live::global().snapshot();
+    let snap = obs::live::global().values();
     for key in [
         "splitjoin.batches",
         "splitjoin.tuples",
@@ -947,20 +965,4 @@ fn live_plane_exports_router_and_worker_metrics() {
     assert!(snap.get("splitjoin.matches").unwrap() > 0);
     assert!(snap.get("splitjoin.ring.capacity").unwrap() > 0);
     assert!(snap.get("splitjoin.worker.0.busy_ns").unwrap() > 0);
-}
-
-#[test]
-#[cfg(feature = "obs")]
-fn unarmed_live_plane_registers_nothing_new() {
-    // Spawning without `obs::live::set_active(true)` must not touch
-    // the global registry — the engine's `live` field stays `None`.
-    obs::live::set_active(false);
-    let inputs: Vec<_> = WorkloadSpec::new(50, KeyDist::Uniform { domain: 4 })
-        .generate()
-        .collect();
-    let outcome = run_workload(SplitJoinConfig::new(2, 16), &inputs);
-    assert!(!outcome.results.is_empty());
-    // No assertion on registry size (armed sibling tests may be
-    // interleaved); instead prove the cheap-path predicate directly.
-    assert!(!obs::live::active());
 }

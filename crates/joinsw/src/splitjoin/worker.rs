@@ -533,6 +533,9 @@ pub(super) fn worker_loop(
             let t = obs::trace::now_ns();
             r.record("recv", idle_since, t.saturating_sub(idle_since));
         }
+        // A scripted kill took this message: the core exits below, after
+        // the live plane saw the message's tallies.
+        let mut killed = false;
         match msg {
             Msg::ArenaBatch { seq } => {
                 batch_no += 1;
@@ -550,9 +553,7 @@ pub(super) fn worker_loop(
                         w.handle_batch(batch)
                     });
                 reader.release(seq);
-                if let BatchOutcome::Kill = outcome {
-                    return (w.stats, w.kstats, ring);
-                }
+                killed = matches!(outcome, BatchOutcome::Kill);
             }
             Msg::Part(entries) => {
                 batch_no += 1;
@@ -563,9 +564,7 @@ pub(super) fn worker_loop(
                             w.handle_part_entry(e);
                         }
                     });
-                if let BatchOutcome::Kill = outcome {
-                    return (w.stats, w.kstats, ring);
-                }
+                killed = matches!(outcome, BatchOutcome::Kill);
             }
             Msg::Prefill(tag, tuples) => {
                 // Same round-robin discipline, no probing.
@@ -595,7 +594,10 @@ pub(super) fn worker_loop(
             Msg::Stop => break,
         }
         if let (Some(lv), Some(t0)) = (live.as_mut(), busy_start) {
-            lv.after_msg(&w.stats, t0);
+            lv.after_msg(&w.stats, t0, !killed);
+        }
+        if killed {
+            return (w.stats, w.kstats, ring);
         }
         // The epoch step `Router::flush` waits for, behind the outbox publish.
         w.cell.finish_message(&w.stats);

@@ -95,7 +95,7 @@ fn kill_one_worker_mid_stream_accounts_losses_exactly() {
     );
 
     // The loss lands in the manifest registry under fault.*.
-    let reg = outcome.registry();
+    let reg = outcome.values();
     assert_eq!(reg.get("fault.workers_lost"), Some(1));
     assert_eq!(reg.get("fault.orphaned_tuples"), Some(want));
     assert_eq!(reg.get("fault.recoveries"), Some(1));
@@ -301,7 +301,7 @@ proptest! {
             prop_assert_eq!(with_empty.result_count, want.len() as u64);
             prop_assert!(!with_empty.fault.degraded());
             prop_assert_eq!(with_empty.fault.recovery_ns.total(), 0);
-            prop_assert_eq!(with_empty.registry().get("fault.workers_lost"), None);
+            prop_assert_eq!(with_empty.values().get("fault.workers_lost"), None);
         }
     }
 }

@@ -1,54 +1,50 @@
-//! Named counter/gauge cells and the [`Registry`] snapshot store.
+//! The metric cells — [`Counter`] and [`Gauge`] — and the [`Registry`]
+//! that names them.
 //!
-//! [`Counter`] and [`Gauge`] are the hot-path primitives: plain
-//! [`Cell<u64>`](std::cell::Cell) wrappers when the `enabled` feature is
-//! on, zero-sized no-ops when it is off. They are *owned by* the
-//! instrumented component (a FIFO, a network node, a join core) so an
-//! increment is one unsynchronized machine add — no map lookup, no
-//! atomics, no allocation.
-//!
-//! Names enter the picture only at *snapshot* time: a component's
-//! `observe(&mut Registry, prefix)` method publishes its cells into a
-//! [`Registry`] under stable dotted names, and the registry feeds a
-//! [`RunManifest`](crate::RunManifest).
-
-use std::collections::BTreeMap;
+//! A cell is one relaxed shared atomic: the instrumented thread updates
+//! it, and a sampler, a scrape or a shutdown path reads the same value
+//! from any other thread. A component either owns a detached cell
+//! ([`Counter::new`]) or asks a [`Registry`] for a named one; reading
+//! every named cell at once gives a [`Values`] map.
 
 #[cfg(feature = "enabled")]
-use std::cell::Cell;
+use std::collections::BTreeMap;
+#[cfg(feature = "enabled")]
+use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(feature = "enabled")]
+use std::sync::{Arc, Mutex};
+
+use crate::values::{Snapshot, Values};
 
 /// A monotonically increasing event counter.
 ///
-/// With the `enabled` feature (the default) this is a [`Cell<u64>`]
-/// wrapper; without it the type is zero-sized, [`Counter::incr`] /
-/// [`Counter::add`] compile to nothing and [`Counter::get`] returns 0.
+/// One relaxed `fetch_add` per update, readable from any thread.
+/// **`Clone` shares the cell**: both handles observe the same evolving
+/// value — this is the one `Clone` contract of every cell in the crate
+/// ([`Gauge`] included), and what lets an engine hand one handle to its
+/// worker thread and another to a [`Registry`].
 ///
-/// # Clone is a value snapshot, not a shared handle
-///
-/// `Clone` copies the current value into an **independent** cell: after
-/// `let d = c.clone()`, increments to `c` are invisible through `d` and
-/// vice versa. This exists so components that derive `Clone` (the join
-/// networks) stay cloneable — a clone of an engine starts from the
-/// original's counts and diverges. If two parties must observe the *same*
-/// evolving value (an instrumented thread and a sampler), use
-/// [`live::SharedCounter`](crate::live::SharedCounter), whose `Clone`
-/// shares the underlying atomic.
+/// With the `enabled` feature off the type is zero-sized,
+/// [`Counter::incr`] / [`Counter::add`] compile to nothing and
+/// [`Counter::get`] returns 0.
 ///
 /// ```
 /// let stalls = obs::Counter::new();
+/// let seen_elsewhere = stalls.clone();
 /// stalls.incr();
 /// stalls.add(2);
 /// #[cfg(feature = "enabled")]
-/// assert_eq!(stalls.get(), 3);
+/// assert_eq!(seen_elsewhere.get(), 3);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     #[cfg(feature = "enabled")]
-    cell: Cell<u64>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// Creates a counter at zero.
+    /// Creates a detached counter at zero (use [`Registry::counter`] for
+    /// a named one).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -64,7 +60,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         #[cfg(feature = "enabled")]
-        self.cell.set(self.cell.get().wrapping_add(n));
+        self.cell.fetch_add(n, Ordering::Relaxed);
         #[cfg(not(feature = "enabled"))]
         let _ = n;
     }
@@ -75,44 +71,20 @@ impl Counter {
     pub fn get(&self) -> u64 {
         #[cfg(feature = "enabled")]
         {
-            self.cell.get()
+            self.cell.load(Ordering::Relaxed)
         }
         #[cfg(not(feature = "enabled"))]
         {
             0
         }
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        #[cfg(feature = "enabled")]
-        self.cell.set(0);
-    }
 }
 
-impl Clone for Counter {
-    fn clone(&self) -> Self {
-        let c = Counter::new();
-        c.add(self.get());
-        c
-    }
-}
-
-impl PartialEq for Counter {
-    fn eq(&self, other: &Self) -> bool {
-        self.get() == other.get()
-    }
-}
-
-impl Eq for Counter {}
-
-/// A last-value gauge (e.g. a high-water mark or a configuration knob).
+/// A last-value gauge (a high-water mark, a queue depth, a knob).
 ///
-/// Same cost model as [`Counter`]: one unsynchronized store when the
-/// `enabled` feature is on, a no-op otherwise. `Clone` has the same
-/// snapshot semantics as [`Counter`]'s — a value copy into an
-/// independent cell, **not** a shared handle (for that, see
-/// [`live::SharedGauge`](crate::live::SharedGauge)).
+/// Same cost model and sharing contract as [`Counter`]: relaxed atomic
+/// stores, `Clone` shares the cell, zero-sized no-op without the
+/// `enabled` feature.
 ///
 /// ```
 /// let depth = obs::Gauge::new();
@@ -122,14 +94,15 @@ impl Eq for Counter {}
 /// #[cfg(feature = "enabled")]
 /// assert_eq!(depth.get(), 9);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Gauge {
     #[cfg(feature = "enabled")]
-    cell: Cell<u64>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Gauge {
-    /// Creates a gauge at zero.
+    /// Creates a detached gauge at zero (use [`Registry::gauge`] for a
+    /// named one).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -139,7 +112,7 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         #[cfg(feature = "enabled")]
-        self.cell.set(v);
+        self.cell.store(v, Ordering::Relaxed);
         #[cfg(not(feature = "enabled"))]
         let _ = v;
     }
@@ -148,7 +121,7 @@ impl Gauge {
     #[inline]
     pub fn max(&self, v: u64) {
         #[cfg(feature = "enabled")]
-        self.cell.set(self.cell.get().max(v));
+        self.cell.fetch_max(v, Ordering::Relaxed);
         #[cfg(not(feature = "enabled"))]
         let _ = v;
     }
@@ -159,7 +132,7 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         #[cfg(feature = "enabled")]
         {
-            self.cell.get()
+            self.cell.load(Ordering::Relaxed)
         }
         #[cfg(not(feature = "enabled"))]
         {
@@ -168,40 +141,52 @@ impl Gauge {
     }
 }
 
-impl Clone for Gauge {
-    fn clone(&self) -> Self {
-        let g = Gauge::new();
-        g.set(self.get());
-        g
-    }
+/// Whether a registry entry is a counter (monotone) or a gauge
+/// (last-value). The scrape endpoint exposes this as the Prometheus
+/// `# TYPE` of each metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotonically increasing ([`Counter`]).
+    Counter,
+    /// Last value written ([`Gauge`]).
+    Gauge,
 }
 
-impl PartialEq for Gauge {
-    fn eq(&self, other: &Self) -> bool {
-        self.get() == other.get()
-    }
+#[cfg(feature = "enabled")]
+#[derive(Debug, Clone)]
+enum Slot {
+    Counter(Counter),
+    Gauge(Gauge),
 }
 
-impl Eq for Gauge {}
-
-/// An ordered name → value snapshot of counters and gauges.
+/// The named store of metric cells.
 ///
-/// Components publish into a registry under stable dotted names
-/// (`"uniflow.dist.input_stalls"`); a [`RunManifest`](crate::RunManifest)
-/// serializes the whole registry. The registry itself is *not*
-/// feature-gated — with observability compiled out it simply snapshots
-/// zeros.
+/// Cloning the registry shares the store; [`Registry::counter`] /
+/// [`Registry::gauge`] register-or-reuse by name, so an engine spawned
+/// twice in one process keeps accumulating into the same cells.
+/// Registration takes a mutex (cold path, spawn time); updates through
+/// the returned handles are lock-free relaxed atomics (hot path).
+/// [`crate::live::global`] is the process-wide instance.
+///
+/// Asking for an existing name with the *other* kind returns a fresh
+/// detached handle instead of panicking — telemetry must never take an
+/// engine down.
+///
+/// With the `enabled` feature off the registry stores nothing and its
+/// snapshots are empty.
 ///
 /// ```
-/// let mut reg = obs::Registry::new();
-/// reg.record("join.accepted", 42);
-/// reg.record("join.stalls", 3);
-/// assert_eq!(reg.get("join.stalls"), Some(3));
-/// assert_eq!(reg.iter().count(), 2);
+/// let reg = obs::Registry::new();
+/// let tuples = reg.counter("splitjoin.tuples");
+/// reg.gauge("splitjoin.ring.occupancy").set(3);
+/// tuples.add(256);
+/// #[cfg(feature = "enabled")]
+/// assert_eq!(reg.values().get("splitjoin.tuples"), Some(256));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
-    entries: BTreeMap<String, u64>,
+    #[cfg(feature = "enabled")]
+    inner: Arc<Mutex<BTreeMap<String, Slot>>>,
 }
 
 impl Registry {
@@ -211,50 +196,131 @@ impl Registry {
         Self::default()
     }
 
-    /// Records a value under `name`, overwriting any previous entry.
-    pub fn record(&mut self, name: impl Into<String>, value: u64) {
-        self.entries.insert(name.into(), value);
-    }
-
-    /// Records the current value of a [`Counter`] under `name`.
-    pub fn counter(&mut self, name: impl Into<String>, counter: &Counter) {
-        self.record(name, counter.get());
-    }
-
-    /// Records the current value of a [`Gauge`] under `name`.
-    pub fn gauge(&mut self, name: impl Into<String>, gauge: &Gauge) {
-        self.record(name, gauge.get());
-    }
-
-    /// Looks up a recorded value.
+    /// Returns the counter registered under `name`, creating it at zero
+    /// on first use.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.entries.get(name).copied()
+    pub fn counter(&self, name: &str) -> Counter {
+        #[cfg(feature = "enabled")]
+        {
+            let mut map = self.inner.lock().expect("registry poisoned");
+            match map
+                .entry(name.to_string())
+                .or_insert_with(|| Slot::Counter(Counter::new()))
+            {
+                Slot::Counter(c) => c.clone(),
+                Slot::Gauge(_) => Counter::new(),
+            }
+        }
+        #[cfg(not(feature = "enabled"))]
+        {
+            let _ = name;
+            Counter::new()
+        }
     }
 
-    /// Iterates entries in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(k, &v)| (k.as_str(), v))
+    /// Returns the gauge registered under `name`, creating it at zero on
+    /// first use.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Gauge {
+        #[cfg(feature = "enabled")]
+        {
+            let mut map = self.inner.lock().expect("registry poisoned");
+            match map
+                .entry(name.to_string())
+                .or_insert_with(|| Slot::Gauge(Gauge::new()))
+            {
+                Slot::Gauge(g) => g.clone(),
+                Slot::Counter(_) => Gauge::new(),
+            }
+        }
+        #[cfg(not(feature = "enabled"))]
+        {
+            let _ = name;
+            Gauge::new()
+        }
     }
 
-    /// Number of entries.
+    /// Unregisters every entry whose name starts with `prefix`, so a
+    /// registry whose owners come and go (standing queries) does not
+    /// grow forever. Handles already handed out keep working, detached.
+    /// The match is textual: pass the trailing separator
+    /// (`"query.q1."`, not `"query.q1"`, which would also take
+    /// `query.q10.*`).
+    pub fn remove_prefix(&self, prefix: &str) {
+        #[cfg(feature = "enabled")]
+        {
+            use std::ops::Bound;
+            let mut map = self.inner.lock().expect("registry poisoned");
+            let doomed: Vec<String> = map
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(|(name, _)| name.starts_with(prefix))
+                .map(|(name, _)| name.clone())
+                .collect();
+            for name in doomed {
+                map.remove(&name);
+            }
+        }
+        #[cfg(not(feature = "enabled"))]
+        let _ = prefix;
+    }
+
+    /// Every entry as `(name, value, kind)`, in name order. One call is
+    /// one consistent pass over the map, but values are read with relaxed
+    /// loads — a reading is *approximately* simultaneous, which is all
+    /// rate estimation needs.
+    #[must_use]
+    pub fn entries(&self) -> Vec<(String, u64, MetricKind)> {
+        #[cfg(feature = "enabled")]
+        {
+            let map = self.inner.lock().expect("registry poisoned");
+            map.iter()
+                .map(|(name, slot)| match slot {
+                    Slot::Counter(c) => (name.clone(), c.get(), MetricKind::Counter),
+                    Slot::Gauge(g) => (name.clone(), g.get(), MetricKind::Gauge),
+                })
+                .collect()
+        }
+        #[cfg(not(feature = "enabled"))]
+        {
+            Vec::new()
+        }
+    }
+
+    /// The current value of every entry, frozen.
+    #[must_use]
+    pub fn values(&self) -> Values {
+        self.entries()
+            .into_iter()
+            .map(|(name, value, _)| (name, value))
+            .collect()
+    }
+
+    /// [`Registry::values`] stamped with the capture time.
+    #[must_use]
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            t_ns: crate::trace::now_ns(),
+            values: self.values(),
+        }
+    }
+
+    /// Number of registered cells (0 when the feature is off).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        #[cfg(feature = "enabled")]
+        {
+            self.inner.lock().expect("registry poisoned").len()
+        }
+        #[cfg(not(feature = "enabled"))]
+        {
+            0
+        }
     }
 
-    /// True when no entries have been recorded.
+    /// True when no cells are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Copies every entry of `other` into `self` (overwriting name
-    /// collisions).
-    pub fn absorb(&mut self, other: &Registry) {
-        for (name, value) in other.iter() {
-            self.record(name, value);
-        }
+        self.len() == 0
     }
 }
 
@@ -264,97 +330,82 @@ mod tests {
 
     #[test]
     #[cfg(feature = "enabled")]
-    fn counter_counts() {
+    fn clone_shares_the_cell() {
         let c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
         let d = c.clone();
-        c.incr();
-        assert_eq!((c.get(), d.get()), (11, 10));
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
+        c.add(5);
+        d.incr();
+        assert_eq!((c.get(), d.get()), (6, 6));
 
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn counter_is_noop_when_disabled() {
-        let c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 0);
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-    }
-
-    #[test]
-    #[cfg(feature = "enabled")]
-    fn gauge_tracks_high_water_mark() {
         let g = Gauge::new();
+        let h = g.clone();
         g.set(5);
-        g.max(3);
-        assert_eq!(g.get(), 5);
-        g.max(8);
+        h.max(3);
+        assert_eq!((g.get(), h.get()), (5, 5));
+        h.max(8);
         assert_eq!(g.get(), 8);
     }
 
     #[test]
-    fn registry_snapshots_in_name_order() {
-        let mut reg = Registry::new();
-        reg.record("b", 2);
-        reg.record("a", 1);
-        reg.record("b", 3); // overwrite
-        let got: Vec<_> = reg.iter().collect();
-        assert_eq!(got, vec![("a", 1), ("b", 3)]);
+    #[cfg(feature = "enabled")]
+    fn registry_reuses_handles_by_name() {
+        let reg = Registry::new();
+        let a = reg.counter("x.n");
+        let b = reg.counter("x.n");
+        a.add(2);
+        b.add(3);
+        assert_eq!(reg.values().get("x.n"), Some(5));
+        assert_eq!(reg.len(), 1);
 
-        let mut sink = Registry::new();
-        sink.record("c", 9);
-        sink.absorb(&reg);
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.get("b"), Some(3));
-    }
-
-    #[test]
-    fn manifest_key_order_is_deterministic_across_runs() {
-        // Regression guard: two registries fed the same entries in
-        // *different* insertion orders must iterate (and therefore
-        // serialize into a RunManifest) identically — artifact diffs in
-        // CI depend on it.
-        let names = ["z.last", "a.first", "m.mid", "a.second", "fault.x"];
-        let mut forward = Registry::new();
-        for (i, n) in names.iter().enumerate() {
-            forward.record(*n, i as u64);
-        }
-        let mut reverse = Registry::new();
-        for (i, n) in names.iter().enumerate().rev() {
-            reverse.record(*n, i as u64);
-        }
-        let fwd: Vec<_> = forward.iter().map(|(k, _)| k.to_string()).collect();
-        let rev: Vec<_> = reverse.iter().map(|(k, _)| k.to_string()).collect();
-        assert_eq!(fwd, rev, "iteration order must not depend on insertion order");
-        let mut sorted = fwd.clone();
-        sorted.sort();
-        assert_eq!(fwd, sorted, "iteration is name-sorted");
-
-        let mut a = crate::RunManifest::new("order");
-        a.record_registry(&forward);
-        let mut b = crate::RunManifest::new("order");
-        b.record_registry(&reverse);
-        assert_eq!(a.to_json(), b.to_json(), "manifests must diff clean");
+        let g = reg.gauge("x.depth");
+        g.set(7);
+        g.max(3);
+        let values = reg.clone().values();
+        assert_eq!(values.get("x.depth"), Some(7));
+        let names: Vec<_> = values.iter().map(|(k, _)| k).collect();
+        assert_eq!(names, ["x.depth", "x.n"]);
     }
 
     #[test]
     #[cfg(feature = "enabled")]
-    fn clone_is_a_value_snapshot_not_a_shared_handle() {
-        let c = Counter::new();
-        c.add(4);
-        let snap = c.clone();
-        c.add(10);
-        assert_eq!((c.get(), snap.get()), (14, 4));
+    fn kind_mismatch_returns_a_detached_handle() {
+        let reg = Registry::new();
+        let _ = reg.counter("m");
+        let g = reg.gauge("m"); // wrong kind: detached, never panics
+        g.set(99);
+        assert_eq!(reg.values().get("m"), Some(0));
+    }
 
-        let g = Gauge::new();
-        g.set(8);
-        let gsnap = g.clone();
-        g.set(2);
-        assert_eq!((g.get(), gsnap.get()), (2, 8));
+    #[test]
+    #[cfg(feature = "enabled")]
+    fn remove_prefix_unregisters_exactly_the_prefixed_entries() {
+        let reg = Registry::new();
+        let rows = reg.counter("query.q1.rows");
+        let _ = reg.counter("query.q1.matches_in");
+        let _ = reg.counter("query.q10.rows");
+        let _ = reg.gauge("group.g.depth");
+        reg.remove_prefix("query.q1.");
+        let names: Vec<_> = reg.entries().into_iter().map(|(name, _, _)| name).collect();
+        assert_eq!(names, ["group.g.depth", "query.q10.rows"]);
+        // The detached handle still counts; a re-registration starts over.
+        rows.add(3);
+        assert_eq!(rows.get(), 3);
+        assert_eq!(reg.counter("query.q1.rows").get(), 0);
+        reg.remove_prefix("nothing.");
+        assert_eq!(reg.len(), 3);
+    }
+
+    #[test]
+    #[cfg(not(feature = "enabled"))]
+    fn disabled_plane_is_zero_sized_and_empty() {
+        assert_eq!(std::mem::size_of::<Counter>(), 0);
+        assert_eq!(std::mem::size_of::<Gauge>(), 0);
+        let reg = Registry::new();
+        let c = reg.counter("x");
+        c.add(9);
+        assert_eq!(c.get(), 0);
+        assert!(reg.snapshot().values.is_empty());
+        crate::live::set_active(true);
+        assert!(!crate::live::active());
     }
 }

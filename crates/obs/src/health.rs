@@ -23,25 +23,25 @@
 //!
 //! ```
 //! use obs::health::Health;
-//! use obs::live::Snapshot;
+//! use obs::Snapshot;
 //!
-//! let prev = Snapshot { t_ns: 0, values: vec![
-//!     ("splitjoin.tuples".into(), 0),
-//!     ("splitjoin.worker.0.busy_ns".into(), 0),
-//!     ("splitjoin.worker.0.wait_ns".into(), 0),
-//! ]};
-//! let cur = Snapshot { t_ns: 1_000_000_000, values: vec![
-//!     ("splitjoin.tuples".into(), 1_000_000),
-//!     ("splitjoin.worker.0.busy_ns".into(), 900_000_000),
-//!     ("splitjoin.worker.0.wait_ns".into(), 100_000_000),
-//! ]};
+//! let prev = Snapshot { t_ns: 0, values: [
+//!     ("splitjoin.tuples", 0),
+//!     ("splitjoin.worker.0.busy_ns", 0),
+//!     ("splitjoin.worker.0.wait_ns", 0),
+//! ].into_iter().collect() };
+//! let cur = Snapshot { t_ns: 1_000_000_000, values: [
+//!     ("splitjoin.tuples", 1_000_000),
+//!     ("splitjoin.worker.0.busy_ns", 900_000_000),
+//!     ("splitjoin.worker.0.wait_ns", 100_000_000),
+//! ].into_iter().collect() };
 //! let h = Health::derive(&prev, &cur);
 //! assert_eq!(h.tuples_per_sec, Some(1_000_000.0));
 //! assert_eq!(h.busy_fraction, Some(0.9));
 //! assert!(!h.pressured());
 //! ```
 
-use crate::live::Snapshot;
+use crate::Snapshot;
 
 /// Ring occupancy fraction at which [`Health::pressured`] trips.
 pub const PRESSURE_OCCUPANCY_FRACTION: f64 = 0.75;
@@ -91,7 +91,7 @@ impl Health {
         let mut wait = 0u64;
         let mut saw_cycle_split = false;
         let mut max_age: Option<u64> = None;
-        for (name, value) in &cur.values {
+        for (name, value) in cur.values.iter() {
             if name.ends_with(".busy_ns") {
                 if let Some(d) = cur.delta(prev, name) {
                     busy += d;
@@ -103,7 +103,7 @@ impl Health {
                     saw_cycle_split = true;
                 }
             } else if name.ends_with(".heartbeat_age_ns") {
-                max_age = Some(max_age.unwrap_or(0).max(*value));
+                max_age = Some(max_age.unwrap_or(0).max(value));
             }
         }
         let busy_fraction = if saw_cycle_split && busy + wait > 0 {
@@ -116,10 +116,10 @@ impl Health {
             busy_fraction,
             tuples_per_sec: cur.rate_per_sec(prev, "splitjoin.tuples"),
             matches_per_sec: cur.rate_per_sec(prev, "splitjoin.matches"),
-            ring_occupancy: cur.get("splitjoin.ring.occupancy"),
-            ring_capacity: cur.get("splitjoin.ring.capacity"),
+            ring_occupancy: cur.values.get("splitjoin.ring.occupancy"),
+            ring_capacity: cur.values.get("splitjoin.ring.capacity"),
             max_heartbeat_age_ns: max_age,
-            workers_live: cur.get("splitjoin.workers.live"),
+            workers_live: cur.values.get("splitjoin.workers.live"),
         }
     }
 
@@ -165,10 +165,7 @@ mod tests {
     fn snap(t_ns: u64, values: &[(&str, u64)]) -> Snapshot {
         Snapshot {
             t_ns,
-            values: values
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v))
-                .collect(),
+            values: values.iter().copied().collect(),
         }
     }
 

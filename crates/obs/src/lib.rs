@@ -2,58 +2,60 @@
 //!
 //! Everything the paper's evaluation argues from — throughput, end-to-end
 //! latency, per-core utilization — is a *measurement*, and this crate is
-//! where the workspace's measurements live. It has four pieces, layered
-//! from hot path to disk:
+//! where the workspace's measurements live. It has one metric model,
+//! read the same way during a run and after it:
 //!
-//! 1. **[`Counter`] / [`Gauge`]** — plain `u64` cells owned by the
-//!    instrumented component. An increment is one unsynchronized add;
-//!    with the `enabled` Cargo feature off (build the stack with
-//!    `--no-default-features`) the types are zero-sized and every
-//!    operation compiles to nothing. The join networks and FIFO chains
-//!    count their stalls with these.
-//! 2. **[`Registry`]** — a named snapshot (`"uniflow.dist.input_stalls"`
-//!    → value) that components publish their cells into on demand.
-//! 3. **[`Histogram`]** — 64 log2 buckets plus exact count/sum/min/max,
-//!    with p50/p95/p99 estimates. This replaces single-average latency
-//!    reporting throughout `streamcore::metrics`.
-//! 4. **[`RunManifest`]** — a JSON artifact (`target/obs/<name>.json`)
-//!    bundling git revision, thread count, configuration, the full
-//!    counter registry, and histogram buckets, written by every `fig*`
-//!    binary and the criterion groups. [`json`] is the tiny serializer /
-//!    parser underneath (the workspace builds offline; there is no
-//!    serde).
+//! 1. **[`Counter`] / [`Gauge`]** — relaxed shared-atomic `u64` cells.
+//!    `Clone` shares the cell, so the thread that updates one and the
+//!    thread that reads it hold the same value. With the `enabled` Cargo
+//!    feature off (build the stack with `--no-default-features`) the
+//!    types are zero-sized and every operation compiles to nothing.
+//! 2. **[`Registry`]** — the named store of cells
+//!    (`"splitjoin.worker.0.matches"` → cell). [`live::global`] is the
+//!    process-wide instance the engines register into when
+//!    [`live::set_active`] armed it; `query::QueryRuntime` owns its own.
+//! 3. **[`Values`]** — the one frozen, name-sorted name → value map: a
+//!    registry read at one instant ([`Registry::values`]; stamped with
+//!    its time it is a [`Snapshot`]), the counts an engine publishes at
+//!    shutdown, a manifest's counters, a line of a series file. An
+//!    engine that publishes a quantity both ways uses one key for both,
+//!    so a manifest agrees with the final sample of the run's series.
+//! 4. **[`Histogram`]** — 64 log2 buckets plus exact count/sum/min/max,
+//!    with p50/p95/p99 estimates, for everything that is a distribution
+//!    rather than a count.
 //!
-//! Two further modules answer *when* and *where* instead of *how much*:
-//! [`trace`] records bounded per-worker span rings (cycle-stamped in the
-//! simulation, wall-clock in the software data path) and exports them as
-//! Chrome trace-event JSON for <https://ui.perfetto.dev>; [`provenance`]
-//! samples 1-in-N tuples at ingest and attributes their end-to-end
-//! latency to pipeline stages (ingest → distribute → probe → gather →
-//! emit) with exact stage-sum accounting.
+//! Three artifacts carry these to disk, all under [`default_dir`] with a
+//! shared file stem: a **[`RunManifest`]** (`<name>.json`: git revision,
+//! thread count, configuration, a [`Values`] of counters and the
+//! histograms — written by every `figs` figure and the criterion
+//! groups), a **[`series`]** file (`<name>.series.jsonl`: one
+//! [`Snapshot`] per [`live::Sampler`] tick) and a **[`trace`]** export
+//! (`<name>.trace.json`). [`json`] is the tiny serializer / parser
+//! underneath (the workspace builds offline; there is no serde).
 //!
-//! Everything above is post-mortem; the **live telemetry plane** observes
-//! a run *while it executes*: [`live`] holds shared-atomic
-//! counters/gauges plus a background sampler, [`series`] is the JSONL
-//! time-series artifact it streams, [`health`] derives busy fraction /
-//! throughput / pressure from consecutive samples, and [`scrape`] serves
-//! the registry as Prometheus-style text over std TCP.
+//! [`trace`] and [`provenance`] answer *when* and *where* instead of
+//! *how much*: bounded per-worker span rings (cycle-stamped in the
+//! simulation, wall-clock in the software data path) exported as Chrome
+//! trace-event JSON for <https://ui.perfetto.dev>, and 1-in-N sampled
+//! tuples whose end-to-end latency is attributed to pipeline stages
+//! (ingest → distribute → probe → gather → emit) with exact stage-sum
+//! accounting. [`health`] derives busy fraction / throughput / pressure
+//! from two consecutive [`Snapshot`]s, and [`scrape`] serves a registry
+//! as Prometheus-style text over std TCP.
 //!
-//! Instrumentation must never change behaviour: counters carry no
+//! Instrumentation must never change behaviour: cells carry no
 //! control-flow, and the simulation's golden cycle-count pins are tested
 //! with the feature both on and off.
 //!
 //! # Example
 //!
 //! ```
-//! use obs::{Counter, Histogram, Registry, RunManifest};
+//! use obs::{Histogram, Registry, RunManifest};
 //!
-//! // Hot path: a component owns its cells.
-//! let stalls = Counter::new();
-//! stalls.incr();
-//!
-//! // Snapshot: publish under stable names.
-//! let mut reg = Registry::new();
-//! reg.counter("net.stalls", &stalls);
+//! // Hot path: a component holds handles to named cells.
+//! let reg = Registry::new();
+//! let matches = reg.counter("join.worker.0.matches");
+//! matches.add(3);
 //!
 //! // Measurement: record every sample, not just the mean.
 //! let mut service = Histogram::new();
@@ -61,12 +63,14 @@
 //!     service.record_value(cycles);
 //! }
 //!
-//! // Artifact: one JSON document per run.
+//! // Artifact: the registry's final reading, one JSON document per run.
 //! let mut manifest = RunManifest::new("example");
-//! manifest.record_registry(&reg);
+//! manifest.record_values(&reg.values());
 //! manifest.histogram("service_cycles", service);
 //! let parsed = RunManifest::from_json(&manifest.to_json()).unwrap();
 //! assert_eq!(parsed, manifest);
+//! #[cfg(feature = "enabled")]
+//! assert_eq!(parsed.counters().get("join.worker.0.matches"), Some(3));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,7 +86,9 @@ pub mod provenance;
 pub mod scrape;
 pub mod series;
 pub mod trace;
+mod values;
 
-pub use cell::{Counter, Gauge, Registry};
+pub use cell::{Counter, Gauge, MetricKind, Registry};
 pub use hist::Histogram;
 pub use manifest::{default_dir, git_rev, RunManifest, SCHEMA_VERSION};
+pub use values::{Snapshot, Values};

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::json::Json;
-use crate::{Histogram, Registry};
+use crate::{Histogram, Values};
 
 /// On-disk schema version written into every manifest.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -44,7 +44,7 @@ pub struct RunManifest {
     git_rev: String,
     threads: u64,
     config: Vec<(String, String)>,
-    counters: Registry,
+    counters: Values,
     histograms: Vec<(String, Histogram)>,
 }
 
@@ -70,7 +70,7 @@ impl RunManifest {
             git_rev: git_rev().to_string(),
             threads: 1,
             config,
-            counters: Registry::new(),
+            counters: Values::new(),
             histograms: Vec::new(),
         }
     }
@@ -79,6 +79,12 @@ impl RunManifest {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The git revision the manifest was stamped with.
+    #[must_use]
+    pub fn git_rev(&self) -> &str {
+        &self.git_rev
     }
 
     /// Records the worker-thread count of the run.
@@ -109,14 +115,15 @@ impl RunManifest {
         self.counters.record(name, value);
     }
 
-    /// Absorbs every entry of a [`Registry`] snapshot.
-    pub fn record_registry(&mut self, reg: &Registry) {
-        self.counters.absorb(reg);
+    /// Absorbs every entry of a [`Values`] map — what an engine
+    /// publishes at shutdown, or a registry's final reading.
+    pub fn record_values(&mut self, values: &Values) {
+        self.counters.absorb(values);
     }
 
-    /// The counter snapshot.
+    /// The recorded counters.
     #[must_use]
-    pub fn counters(&self) -> &Registry {
+    pub fn counters(&self) -> &Values {
         &self.counters
     }
 
@@ -147,24 +154,8 @@ impl RunManifest {
             ("git_rev".to_string(), Json::Str(self.git_rev.clone())),
             ("threads".to_string(), Json::UInt(self.threads)),
         ];
-        root.push((
-            "config".to_string(),
-            Json::Obj(
-                self.config
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "counters".to_string(),
-            Json::Obj(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), Json::UInt(v)))
-                    .collect(),
-            ),
-        ));
+        root.push(("config".to_string(), config_to_json(&self.config)));
+        root.push(("counters".to_string(), self.counters.to_json()));
         root.push((
             "histograms".to_string(),
             Json::Obj(
@@ -206,21 +197,11 @@ impl RunManifest {
             threads: field("threads")?
                 .as_u64()
                 .ok_or("`threads` must be an integer")?,
-            config: Vec::new(),
-            counters: Registry::new(),
+            config: config_from_json(field("config")?)?,
+            counters: Values::from_json(field("counters")?)
+                .map_err(|e| format!("`counters`: {e}"))?,
             histograms: Vec::new(),
         };
-        for (k, v) in field("config")?.as_obj().ok_or("`config` must be an object")? {
-            m.config
-                .push((k.clone(), v.as_str().ok_or("config values are strings")?.into()));
-        }
-        for (k, v) in field("counters")?
-            .as_obj()
-            .ok_or("`counters` must be an object")?
-        {
-            m.counters
-                .record(k.clone(), v.as_u64().ok_or("counter values are u64")?);
-        }
         for (k, v) in field("histograms")?
             .as_obj()
             .ok_or("`histograms` must be an object")?
@@ -237,14 +218,7 @@ impl RunManifest {
     ///
     /// Propagates filesystem errors.
     pub fn write_to_dir(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let stem: String = self
-            .name
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{stem}.json"));
+        let path = artifact_path(dir.as_ref(), &self.name, ".json")?;
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
@@ -280,6 +254,40 @@ pub fn default_dir() -> PathBuf {
         }
     }
     target
+}
+
+/// Where artifact `name` goes under `dir`, which is created as needed:
+/// `<dir>/<stem><suffix>`, the stem being `name` with every character
+/// outside `[alphanumeric-_]` replaced by `_`. Manifests (`.json`),
+/// traces (`.trace.json`) and series (`.series.jsonl`) of one run share
+/// the stem.
+pub(crate) fn artifact_path(dir: &Path, name: &str, suffix: &str) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let stem: String = name
+        .chars()
+        .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .collect();
+    Ok(dir.join(format!("{stem}{suffix}")))
+}
+
+/// The `config` object of a manifest or a series header: string pairs in
+/// insertion order.
+pub(crate) fn config_to_json(config: &[(String, String)]) -> Json {
+    Json::Obj(
+        config
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect(),
+    )
+}
+
+/// Inverse of [`config_to_json`].
+pub(crate) fn config_from_json(json: &Json) -> Result<Vec<(String, String)>, String> {
+    json.as_obj()
+        .ok_or("`config` must be an object")?
+        .iter()
+        .map(|(k, v)| Ok((k.clone(), v.as_str().ok_or("config values are strings")?.to_string())))
+        .collect()
 }
 
 /// The git revision baked into manifests: `git rev-parse --short=12 HEAD`

@@ -1,7 +1,7 @@
 //! A read-only Prometheus-style text exposition endpoint over std TCP.
 //!
 //! [`serve`] binds `127.0.0.1:<port>` (port 0 picks an ephemeral port)
-//! and answers every connection with one [`LiveRegistry`] snapshot
+//! and answers every connection with one [`Registry`] snapshot
 //! rendered as Prometheus text exposition — `# TYPE` line plus
 //! `name value` per metric, dots mapped to underscores. The server is
 //! deliberately minimal: no routing, no keep-alive, no query parameters;
@@ -12,10 +12,9 @@
 //! # Example
 //!
 //! ```
-//! use obs::live::LiveRegistry;
 //! use obs::scrape;
 //!
-//! let reg = LiveRegistry::new();
+//! let reg = obs::Registry::new();
 //! reg.counter("demo.events").add(3);
 //! let server = scrape::serve(reg, 0).unwrap();
 //! let body = scrape::scrape_once(&server.addr().to_string()).unwrap();
@@ -31,19 +30,17 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crate::live::{LiveRegistry, MetricKind};
+use crate::{MetricKind, Registry};
 
 /// Renders one registry snapshot as Prometheus text exposition
 /// (`text/plain; version=0.0.4`).
 ///
-/// Metric names keep their dotted registry names with every character
-/// outside `[a-zA-Z0-9_:]` mapped to `_`
-/// (`splitjoin.worker.0.batches` → `splitjoin_worker_0_batches`).
+/// Metric names are the registry names passed through [`metric_name`].
 #[must_use]
-pub fn exposition(reg: &LiveRegistry) -> String {
+pub fn exposition(reg: &Registry) -> String {
     let mut out = String::new();
     for (name, value, kind) in reg.entries() {
-        let metric = sanitize(&name);
+        let metric = metric_name(&name);
         let kind = match kind {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -53,7 +50,11 @@ pub fn exposition(reg: &LiveRegistry) -> String {
     out
 }
 
-fn sanitize(name: &str) -> String {
+/// The exposition name of registry key `name` (or of a key prefix):
+/// every character outside `[a-zA-Z0-9_:]` mapped to `_`
+/// (`splitjoin.worker.0.batches` → `splitjoin_worker_0_batches`).
+#[must_use]
+pub fn metric_name(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
@@ -114,7 +115,7 @@ impl Drop for ScrapeServer {
 /// # Errors
 ///
 /// Propagates the bind failure (port already taken, no loopback).
-pub fn serve(reg: LiveRegistry, port: u16) -> io::Result<ScrapeServer> {
+pub fn serve(reg: Registry, port: u16) -> io::Result<ScrapeServer> {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -144,7 +145,7 @@ pub fn serve(reg: LiveRegistry, port: u16) -> io::Result<ScrapeServer> {
     })
 }
 
-fn answer(conn: &mut TcpStream, reg: &LiveRegistry) -> io::Result<()> {
+fn answer(conn: &mut TcpStream, reg: &Registry) -> io::Result<()> {
     conn.set_read_timeout(Some(Duration::from_millis(500)))?;
     // Drain the request line + headers (best effort; we answer any verb
     // and any path the same way).
@@ -204,7 +205,7 @@ mod tests {
 
     #[test]
     fn serves_snapshots_until_stopped() {
-        let reg = LiveRegistry::new();
+        let reg = Registry::new();
         let events = reg.counter("unit.events");
         let depth = reg.gauge("unit.depth");
         events.add(41);
@@ -226,8 +227,7 @@ mod tests {
         // Scrapes see live updates — one scrape, one fresh snapshot.
         events.incr();
         let body = scrape_once(&addr).unwrap();
-        #[cfg(feature = "enabled")]
-        assert!(body.contains("unit_events 42"), "{body}");
+        assert_eq!(body.contains("unit_events 42"), cfg!(feature = "enabled"), "{body}");
 
         assert!(server.scrapes() >= 2);
         server.stop();
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn sanitizes_metric_names() {
-        assert_eq!(sanitize("splitjoin.worker.0.busy_ns"), "splitjoin_worker_0_busy_ns");
-        assert_eq!(sanitize("a-b c:d"), "a_b_c:d");
+        assert_eq!(metric_name("splitjoin.worker.0.busy_ns"), "splitjoin_worker_0_busy_ns");
+        assert_eq!(metric_name("a-b c:d"), "a_b_c:d");
     }
 }

@@ -4,9 +4,9 @@
 //! run: line 1 is a self-describing header (schema version, run name, git
 //! revision, sampling interval, configuration), and every further line is
 //! one compact-JSON [`Snapshot`] — monotone `seq`,
-//! monotonic `t_ns`, and the full name → value map. Appending a line per
-//! tick (instead of one document at the end) means a crashed or killed run
-//! still leaves a readable prefix.
+//! monotonic `t_ns`, and the full name → value map. Each line reaches the
+//! file in one write as its tick happens (instead of one document at the
+//! end), so a crashed or killed run still leaves a readable prefix.
 //!
 //! [`SeriesDoc::parse`] is the strict reader `obstool series validate`
 //! and CI use; [`SeriesWriter`] is the streaming writer.
@@ -14,14 +14,14 @@
 //! # Example
 //!
 //! ```
-//! use obs::live::Snapshot;
 //! use obs::series::{SeriesDoc, SeriesHeader, SeriesWriter};
+//! use obs::Snapshot;
 //!
 //! let dir = std::env::temp_dir().join(format!("series-doc-{}", std::process::id()));
 //! let mut w = SeriesWriter::create(&dir, SeriesHeader::new("demo", 25)).unwrap();
-//! w.append(&Snapshot { t_ns: 10, values: vec![("a.n".into(), 1)] }).unwrap();
-//! w.append(&Snapshot { t_ns: 20, values: vec![("a.n".into(), 5)] }).unwrap();
-//! let path = w.finish().unwrap();
+//! w.append(&Snapshot { t_ns: 10, values: [("a.n", 1)].into_iter().collect() }).unwrap();
+//! w.append(&Snapshot { t_ns: 20, values: [("a.n", 5)].into_iter().collect() }).unwrap();
+//! let path = w.finish();
 //!
 //! let doc = SeriesDoc::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
 //! assert_eq!(doc.samples.len(), 2);
@@ -30,11 +30,12 @@
 //! ```
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
-use crate::live::Snapshot;
+use crate::manifest::{artifact_path, config_from_json, config_to_json};
+use crate::{Snapshot, Values};
 
 /// On-disk schema version written into every series header.
 pub const SERIES_SCHEMA_VERSION: u64 = 1;
@@ -78,15 +79,7 @@ impl SeriesHeader {
             ("name".into(), Json::Str(self.name.clone())),
             ("git_rev".into(), Json::Str(self.git_rev.clone())),
             ("interval_ms".into(), Json::UInt(self.interval_ms)),
-            (
-                "config".into(),
-                Json::Obj(
-                    self.config
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
-            ),
+            ("config".into(), config_to_json(&self.config)),
         ])
     }
 
@@ -108,48 +101,15 @@ impl SeriesHeader {
                 .map(str::to_string)
                 .ok_or(format!("header `{k}` must be a string"))
         };
-        let mut header = Self {
+        Ok(Self {
             name: text("name")?,
             git_rev: text("git_rev")?,
             interval_ms: root
                 .get("interval_ms")
                 .and_then(Json::as_u64)
                 .ok_or("header `interval_ms` must be a u64")?,
-            config: Vec::new(),
-        };
-        for (k, v) in root
-            .get("config")
-            .and_then(Json::as_obj)
-            .ok_or("header `config` must be an object")?
-        {
-            header.config.push((
-                k.clone(),
-                v.as_str().ok_or("config values are strings")?.to_string(),
-            ));
-        }
-        Ok(header)
-    }
-}
-
-/// One parsed sample line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sample {
-    /// Zero-based sample index; strictly sequential within a file.
-    pub seq: u64,
-    /// Capture time, monotonic process nanoseconds (non-decreasing).
-    pub t_ns: u64,
-    /// `(name, value)` pairs as captured.
-    pub values: Vec<(String, u64)>,
-}
-
-impl Sample {
-    /// Looks up a value by exact name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, v)| v)
+            config: config_from_json(root.get("config").unwrap_or(&Json::Null))?,
+        })
     }
 }
 
@@ -157,7 +117,7 @@ impl Sample {
 /// line per sample after the header line.
 #[derive(Debug)]
 pub struct SeriesWriter {
-    out: BufWriter<File>,
+    out: File,
     path: PathBuf,
     next_seq: u64,
 }
@@ -171,21 +131,14 @@ impl SeriesWriter {
     ///
     /// Propagates filesystem errors.
     pub fn create(dir: impl AsRef<Path>, header: SeriesHeader) -> io::Result<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let stem: String = header
-            .name
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{stem}.series.jsonl"));
-        let mut out = BufWriter::new(File::create(&path)?);
-        writeln!(out, "{}", header.to_json().to_compact())?;
-        Ok(Self {
-            out,
+        let path = artifact_path(dir.as_ref(), &header.name, ".series.jsonl")?;
+        let mut writer = Self {
+            out: File::create(&path)?,
             path,
             next_seq: 0,
-        })
+        };
+        writer.write_line(&header.to_json())?;
+        Ok(writer)
     }
 
     /// The path being written.
@@ -194,38 +147,33 @@ impl SeriesWriter {
         &self.path
     }
 
+    /// One line, one unbuffered write: a reader (or a crash) between two
+    /// appends sees only whole lines.
+    fn write_line(&mut self, line: &Json) -> io::Result<()> {
+        let mut text = line.to_compact();
+        text.push('\n');
+        self.out.write_all(text.as_bytes())
+    }
+
     /// Appends one snapshot as a sample line (assigning the next `seq`).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append(&mut self, snap: &Snapshot) -> io::Result<()> {
-        let line = Json::Obj(vec![
+        self.write_line(&Json::Obj(vec![
             ("seq".into(), Json::UInt(self.next_seq)),
             ("t_ns".into(), Json::UInt(snap.t_ns)),
-            (
-                "values".into(),
-                Json::Obj(
-                    snap.values
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        writeln!(self.out, "{}", line.to_compact())?;
+            ("values".into(), snap.values.to_json()),
+        ]))?;
         self.next_seq += 1;
         Ok(())
     }
 
-    /// Flushes and returns the written path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.out.flush()?;
-        Ok(self.path)
+    /// Closes the file and returns the written path.
+    #[must_use]
+    pub fn finish(self) -> PathBuf {
+        self.path
     }
 }
 
@@ -234,8 +182,8 @@ impl SeriesWriter {
 pub struct SeriesDoc {
     /// The header line.
     pub header: SeriesHeader,
-    /// Every sample line, in file order.
-    pub samples: Vec<Sample>,
+    /// Every sample line, in file order: a line's `seq` is its index.
+    pub samples: Vec<Snapshot>,
 }
 
 impl SeriesDoc {
@@ -258,7 +206,7 @@ impl SeriesDoc {
             &Json::parse(first).map_err(|e| format!("line 1: {e}"))?,
         )
         .map_err(|e| format!("line 1: {e}"))?;
-        let mut samples: Vec<Sample> = Vec::new();
+        let mut samples: Vec<Snapshot> = Vec::new();
         for (idx, line) in lines {
             let lineno = idx + 1;
             let root = Json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
@@ -283,19 +231,9 @@ impl SeriesDoc {
                     ));
                 }
             }
-            let mut values = Vec::new();
-            for (k, v) in root
-                .get("values")
-                .and_then(Json::as_obj)
-                .ok_or(format!("line {lineno}: `values` must be an object"))?
-            {
-                values.push((
-                    k.clone(),
-                    v.as_u64()
-                        .ok_or(format!("line {lineno}: value `{k}` must be a u64"))?,
-                ));
-            }
-            samples.push(Sample { seq, t_ns, values });
+            let values = Values::from_json(root.get("values").unwrap_or(&Json::Null))
+                .map_err(|e| format!("line {lineno}: `values`: {e}"))?;
+            samples.push(Snapshot { t_ns, values });
         }
         if samples.is_empty() {
             return Err("series has a header but no samples".into());
@@ -309,7 +247,7 @@ impl SeriesDoc {
         let mut keys: Vec<&str> = self
             .samples
             .iter()
-            .flat_map(|s| s.values.iter().map(|(k, _)| k.as_str()))
+            .flat_map(|s| s.values.iter().map(|(k, _)| k))
             .collect();
         keys.sort_unstable();
         keys.dedup();
@@ -322,7 +260,7 @@ impl SeriesDoc {
     pub fn series_of(&self, key: &str) -> Vec<(u64, u64)> {
         self.samples
             .iter()
-            .filter_map(|s| s.get(key).map(|v| (s.t_ns, v)))
+            .filter_map(|s| s.values.get(key).map(|v| (s.t_ns, v)))
             .collect()
     }
 
@@ -354,24 +292,24 @@ impl SeriesDoc {
 mod tests {
     use super::*;
 
-    fn write_demo(dir: &Path) -> PathBuf {
+    fn demo_writer(dir: &Path) -> SeriesWriter {
         let mut header = SeriesHeader::new("demo run", 25);
         header.config("cores", 4);
         let mut w = SeriesWriter::create(dir, header).unwrap();
         for (t, v) in [(100u64, 0u64), (200, 512), (300, 2048)] {
             w.append(&Snapshot {
                 t_ns: t,
-                values: vec![("j.tuples".into(), v), ("j.depth".into(), v / 100)],
+                values: [("j.tuples", v), ("j.depth", v / 100)].into_iter().collect(),
             })
             .unwrap();
         }
-        w.finish().unwrap()
+        w
     }
 
     #[test]
     fn writes_parses_and_validates() {
         let dir = std::env::temp_dir().join(format!("series-test-{}", std::process::id()));
-        let path = write_demo(&dir);
+        let path = demo_writer(&dir).finish();
         assert_eq!(path.file_name().unwrap(), "demo_run.series.jsonl");
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = SeriesDoc::parse(&text).unwrap();
@@ -387,9 +325,22 @@ mod tests {
     }
 
     #[test]
+    fn the_file_parses_while_the_writer_is_still_alive() {
+        // What a killed run leaves behind is what is on disk before
+        // `finish`: every appended line must already be there, whole.
+        let dir = std::env::temp_dir().join(format!("series-live-{}", std::process::id()));
+        let writer = demo_writer(&dir);
+        let text = std::fs::read_to_string(writer.path()).unwrap();
+        let doc = SeriesDoc::parse(&text).expect("a readable prefix, not a torn line");
+        assert_eq!(doc.samples.len(), 3);
+        drop(writer);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn rejects_structural_damage() {
         let dir = std::env::temp_dir().join(format!("series-bad-{}", std::process::id()));
-        let text = std::fs::read_to_string(write_demo(&dir)).unwrap();
+        let text = std::fs::read_to_string(demo_writer(&dir).finish()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
         assert!(SeriesDoc::parse("").unwrap_err().contains("empty"));

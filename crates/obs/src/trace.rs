@@ -387,14 +387,7 @@ impl TraceSet {
     ///
     /// Propagates filesystem errors.
     pub fn write_to_dir(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let stem: String = self
-            .name
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{stem}.trace.json"));
+        let path = crate::manifest::artifact_path(dir.as_ref(), &self.name, ".trace.json")?;
         let mut text = self.to_json().to_string();
         text.push('\n');
         std::fs::write(&path, text)?;

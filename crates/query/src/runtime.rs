@@ -74,7 +74,7 @@
 //! Every query publishes `query.<id>.rows` / `query.<id>.matches_in` /
 //! `query.<id>.replans` counters and every group
 //! `group.<key>.arrivals` / `group.<key>.drained` into the runtime's
-//! [`LiveRegistry`](obs::live::LiveRegistry) (see
+//! [`Registry`](obs::Registry) (see
 //! [`QueryRuntime::live`]), and [`QueryRuntime::finish`] emits one
 //! [`RunManifest`](obs::RunManifest) per query. The `query.*` cells
 //! advance once per block, so a sampler sees them step at each `poll`;
@@ -348,8 +348,8 @@ struct EngineGroup {
     seq: u64,
     /// Results harvested from the *current* engine since it spawned.
     drained_since_spawn: u64,
-    arrivals: obs::live::SharedCounter,
-    drained: obs::live::SharedCounter,
+    arrivals: obs::Counter,
+    drained: obs::Counter,
 }
 
 impl EngineGroup {
@@ -485,9 +485,15 @@ struct Standing {
     seen: u64,
     /// Rows emitted (plain count, same reasoning).
     emitted: u64,
-    matches_in: obs::live::SharedCounter,
-    rows_out: obs::live::SharedCounter,
+    matches_in: obs::Counter,
+    rows_out: obs::Counter,
     replans: u64,
+}
+
+/// `query.<id>.<what>`: a query's key in the live registry and in its
+/// manifest alike.
+fn query_key(id: &str, what: &str) -> String {
+    format!("query.{id}.{what}")
 }
 
 impl Standing {
@@ -495,7 +501,7 @@ impl Standing {
         id: &str,
         compiled: CompiledQuery,
         group: Option<usize>,
-        live: &obs::live::LiveRegistry,
+        live: &obs::Registry,
     ) -> Self {
         let agg = match &compiled.shape {
             Shape::Single {
@@ -512,8 +518,8 @@ impl Standing {
             agg,
             seen: 0,
             emitted: 0,
-            matches_in: live.counter(&format!("query.{id}.matches_in")),
-            rows_out: live.counter(&format!("query.{id}.rows")),
+            matches_in: live.counter(&query_key(id, "matches_in")),
+            rows_out: live.counter(&query_key(id, "rows")),
             replans: 0,
         }
     }
@@ -718,7 +724,7 @@ pub struct QueryReport {
 pub struct QueryRuntime {
     catalog: Catalog,
     config: RuntimeConfig,
-    live: obs::live::LiveRegistry,
+    live: obs::Registry,
     groups: Slots<EngineGroup>,
     queries: Slots<Standing>,
     /// Query id → slot in `queries`.
@@ -733,7 +739,7 @@ impl QueryRuntime {
         Self {
             catalog,
             config,
-            live: obs::live::LiveRegistry::new(),
+            live: obs::Registry::new(),
             groups: Slots::new(),
             queries: Slots::new(),
             ids: BTreeMap::new(),
@@ -744,7 +750,7 @@ impl QueryRuntime {
     /// The runtime's live-metric registry (`query.*` and `group.*`
     /// series) — hand it to an [`obs::live::Sampler`] or scrape
     /// endpoint to watch standing queries in flight.
-    pub fn live(&self) -> &obs::live::LiveRegistry {
+    pub fn live(&self) -> &obs::Registry {
         &self.live
     }
 
@@ -968,9 +974,7 @@ impl QueryRuntime {
             if let Some(q) = self.queries.get_mut(member) {
                 q.compiled.engine = target;
                 q.replans += 1;
-                self.live
-                    .counter(&format!("query.{}.replans", q.id))
-                    .incr();
+                self.live.counter(&query_key(&q.id, "replans")).incr();
             }
         }
 
@@ -1012,7 +1016,7 @@ impl QueryRuntime {
         }
         self.ids.remove(id);
         let q = self.queries.remove(slot).ok_or_else(unknown)?;
-        self.live.remove_prefix(&format!("query.{id}."));
+        self.live.remove_prefix(&query_key(id, ""));
         match home {
             None => self.unroute(|route| route.singles.retain(|&s| s != slot)),
             Some(g) if self.groups.get(g).is_some_and(|group| group.members.is_empty()) => {
@@ -1071,9 +1075,9 @@ impl QueryRuntime {
         if let Some(key) = q.compiled.group() {
             manifest.config("group", key);
         }
-        manifest.counter(format!("query.{id}.matches_in"), q.seen);
-        manifest.counter(format!("query.{id}.rows"), q.emitted);
-        manifest.counter(format!("query.{id}.replans"), q.replans);
+        manifest.counter(query_key(&id, "matches_in"), q.seen);
+        manifest.counter(query_key(&id, "rows"), q.emitted);
+        manifest.counter(query_key(&id, "replans"), q.replans);
         QueryReport {
             engine,
             group: q.compiled.group().cloned(),
@@ -1294,13 +1298,22 @@ mod tests {
         feed(&mut rt, &inputs);
         rt.poll().unwrap();
 
-        let snap = rt.live().snapshot();
-        assert!(snap.get("group.trades_quotes_w16.arrivals").unwrap() > 0);
-        assert!(snap.get("query.tagged.matches_in").unwrap() > 0);
+        let live = rt.live().clone();
+        assert!(live.values().get("group.trades_quotes_w16.arrivals").unwrap() > 0);
+        assert!(live.values().get("query.tagged.matches_in").unwrap() > 0);
 
         let reports = rt.finish().unwrap();
         let manifest = &reports[0].manifest;
         assert_eq!(manifest.name(), "query_tagged");
+        // One key, one number: the manifest's query counters are the
+        // registry's final reading.
+        let last = live.values();
+        for (name, value) in manifest.counters().iter() {
+            if let Some(cell) = last.get(name) {
+                assert_eq!(cell, value, "{name}");
+            }
+        }
+        assert!(last.get("query.tagged.rows").is_some());
         let json = manifest.to_json();
         assert!(json.contains("query.tagged.rows"), "{json}");
         assert!(json.contains("trades"), "{json}");
@@ -1475,7 +1488,7 @@ mod tests {
             panic!("expected a joined shape");
         };
         *slot = post.clone();
-        Standing::new("p", compiled, None, &obs::live::LiveRegistry::new())
+        Standing::new("p", compiled, None, &obs::Registry::new())
     }
 
     /// A pipeline over `width`-field records from unconstrained draws.
@@ -1579,7 +1592,7 @@ mod tests {
                 panic!("expected a single-stream shape");
             };
             *slot = post.clone();
-            let mut q = Standing::new("p", compiled, None, &obs::live::LiveRegistry::new());
+            let mut q = Standing::new("p", compiled, None, &obs::Registry::new());
 
             let tuples: Vec<Tuple> = tuples.iter().map(|&(k, p)| Tuple::new(k, p)).collect();
             let want: Vec<Vec<u64>> = tuples

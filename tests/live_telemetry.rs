@@ -39,14 +39,6 @@ fn expected_splitjoin_keys() -> Vec<String> {
     keys
 }
 
-/// The exposition endpoint replaces everything outside `[a-zA-Z0-9_:]`
-/// with `_`.
-fn sanitized(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
-        .collect()
-}
-
 #[test]
 fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
     // Arm the plane before spawn — registration happens at spawn time.
@@ -82,7 +74,7 @@ fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
     let body = obs::scrape::scrape_once(&addr).expect("mid-run scrape");
     for key in expected_splitjoin_keys() {
         assert!(
-            body.lines().any(|l| l.starts_with(&sanitized(&key))),
+            body.lines().any(|l| l.starts_with(&obs::scrape::metric_name(&key))),
             "scrape is missing live key {key}:\n{body}"
         );
     }

@@ -1,0 +1,132 @@
+//! One metric model, checked end to end: when an engine publishes a
+//! quantity both into the armed live registry and in what it hands back
+//! at shutdown, both carry it under the same key — so the same name means
+//! the same number, and a run manifest agrees with the last sample of the
+//! run's series.
+//!
+//! One test function: the arming flag and the registry are
+//! process-global, and the phases below clear and re-read them in turn.
+#![cfg(feature = "obs")]
+
+use std::collections::BTreeMap;
+
+use accel_landscape::hwsim::{Control, Engine, ParSimulator};
+use accel_landscape::joinhw::harness::{build, prefill_steady_state};
+use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
+use joinsw::fault::FaultPlan;
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::{JoinParams, Partitioning, StreamJoin};
+use streamcore::workload::{KeyDist, WorkloadSpec};
+use streamcore::StreamTag;
+
+/// Every key both maps hold carries one value, `must_share` is among
+/// them, and no two names differ only in punctuation
+/// (`splitjoin.worker0.x` beside `splitjoin.worker.0.x`).
+fn assert_same_name_same_number(published: &obs::Values, live: &obs::Values, must_share: &[&str]) {
+    for (name, value) in published.iter() {
+        if let Some(cell) = live.get(name) {
+            assert_eq!(cell, value, "`{name}`: live cell vs published value");
+        }
+    }
+    for key in must_share {
+        assert!(
+            published.get(key).is_some(),
+            "`{key}` not published at shutdown"
+        );
+        assert!(live.get(key).is_some(), "`{key}` not in the live registry");
+    }
+    let mut spellings = BTreeMap::new();
+    for (name, _) in published.iter().chain(live.iter()) {
+        let bare: String = name.chars().filter(char::is_ascii_alphanumeric).collect();
+        let first = *spellings.entry(bare).or_insert(name);
+        assert_eq!(first, name, "one quantity under two spellings");
+    }
+}
+
+/// Runs `config` armed over a skewed stream (prefilled, so keyed
+/// dispatch routes both ways) from a registry cleared of earlier
+/// phases; returns what the engine published and the registry's final
+/// reading.
+fn armed_splitjoin(config: SplitJoinConfig) -> (obs::Values, obs::Values) {
+    let reg = obs::live::global();
+    reg.remove_prefix("splitjoin.");
+    reg.remove_prefix("fault.");
+    let inputs: Vec<_> = WorkloadSpec::new(3_000, KeyDist::Zipf { domain: 32, s: 1.2 })
+        .generate()
+        .collect();
+    let join = SplitJoin::spawn(config);
+    let seed: Vec<_> = inputs[..64].iter().map(|&(_, t)| t).collect();
+    join.prefill(StreamTag::R, &seed).unwrap();
+    for &(tag, t) in &inputs {
+        join.process(tag, t).unwrap();
+    }
+    join.flush().unwrap();
+    let outcome = join.shutdown().unwrap();
+    assert!(outcome.result_count > 0);
+    (outcome.values(), reg.values())
+}
+
+#[test]
+fn same_name_means_same_number_at_shutdown() {
+    obs::live::set_active(true);
+    let workers = [
+        "splitjoin.batches",
+        "splitjoin.matches",
+        "splitjoin.worker.0.matches",
+        "splitjoin.worker.1.matches",
+    ];
+
+    let (published, live) = armed_splitjoin(SplitJoinConfig::new(2, 64).with_batch_size(32));
+    assert_same_name_same_number(&published, &live, &workers);
+
+    let hash = SplitJoinConfig::new(2, 64)
+        .with_batch_size(32)
+        .with_partitioning(Partitioning::Hash)
+        .with_hot_sample(64);
+    let (published, live) = armed_splitjoin(hash);
+    assert_same_name_same_number(
+        &published,
+        &live,
+        &[&workers[..], &["splitjoin.partition.routed"]].concat(),
+    );
+    assert!(
+        published.get("splitjoin.partition.hot_splits").unwrap() > 0,
+        "the stream must split a hot key, or `routed` is just the tuple count"
+    );
+
+    // A degraded run publishes `fault.*` at shutdown; the live cells
+    // counted the same losses as they happened.
+    let plan = FaultPlan::parse("kill1@20").unwrap();
+    let (published, live) = armed_splitjoin(
+        SplitJoinConfig::new(2, 64)
+            .with_batch_size(32)
+            .with_fault_plan(plan),
+    );
+    assert_eq!(published.get("fault.workers_lost"), Some(1));
+    assert_same_name_same_number(
+        &published,
+        &live,
+        &["fault.workers_lost", "fault.orphaned_tuples"],
+    );
+
+    // One drive segment of the parallel simulator: its report and the
+    // cells it accumulated into agree on every `hwsim.par.*` key.
+    let params =
+        DesignParams::new(FlowModel::UniFlow, 8, 1 << 6).with_network(NetworkKind::Scalable);
+    let mut design = build(&params);
+    prefill_steady_state(design.as_mut(), params.window_size);
+    let mut sim = ParSimulator::new(2);
+    sim.run_driven(design.as_mut(), 200, &mut |_, _| Control::Continue);
+    obs::live::set_active(false);
+    let stats = sim.take_stats().expect("the segment recorded stats");
+    assert_eq!(stats.cycles, 200);
+    assert_same_name_same_number(
+        &stats.values(),
+        &obs::live::global().values(),
+        &[
+            "hwsim.par.cycles",
+            "hwsim.par.threads",
+            "hwsim.par.worker.1.shards_executed",
+        ],
+    );
+}

@@ -1,12 +1,11 @@
 //! Per-shard utilization accounting of the parallel simulation engine on
 //! a real join design: after any run, every worker's cycle ledger must
 //! balance — `busy_cycles + wait_cycles == ParStats::cycles` — at every
-//! thread count, and the report must publish cleanly into a registry.
+//! thread count, and the report must publish cleanly as named values.
 
 use accel_landscape::hwsim::{ParSimulator, ParStats};
 use accel_landscape::joinhw::harness::{build, prefill_steady_state, run_throughput_with};
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
-use accel_landscape::obs;
 
 fn run_and_take_stats(threads: usize) -> ParStats {
     let params = DesignParams::new(FlowModel::UniFlow, 8, 1 << 6)
@@ -48,13 +47,12 @@ fn busy_and_wait_cycles_sum_to_run_cycles_at_every_thread_count() {
 #[test]
 fn stats_publish_per_worker_keys_into_a_registry() {
     let stats = run_and_take_stats(2);
-    let mut reg = obs::Registry::new();
-    stats.observe(&mut reg, "par.");
-    assert_eq!(reg.get("par.threads"), Some(2));
-    assert_eq!(reg.get("par.cycles"), Some(stats.cycles));
+    let reg = stats.values();
+    assert_eq!(reg.get("hwsim.par.threads"), Some(2));
+    assert_eq!(reg.get("hwsim.par.cycles"), Some(stats.cycles));
     for i in 0..2 {
-        let busy = reg.get(&format!("par.worker.{i}.busy_cycles")).unwrap();
-        let wait = reg.get(&format!("par.worker.{i}.wait_cycles")).unwrap();
+        let busy = reg.get(&format!("hwsim.par.worker.{i}.busy_cycles")).unwrap();
+        let wait = reg.get(&format!("hwsim.par.worker.{i}.wait_cycles")).unwrap();
         assert_eq!(busy + wait, stats.cycles);
     }
 }
