@@ -6,13 +6,14 @@
 //! deterministic [`joinsw::FaultPlan`] and reports wall-clock
 //! throughput, the match count versus the strict single-threaded
 //! reference (completeness), and the runtime's own damage accounting
-//! (orphaned/readopted tuples, recovery latency). The acceptance
+//! (orphaned tuples, recovery latency). The acceptance
 //! scenario — kill worker 1 at batch 100 on 4 cores — also publishes
 //! its `fault.*` counters and the `fault.recovery_ns` histogram into
 //! the `faults` run manifest.
 //!
-//! Accepts `--cores N` (first value used), `--windows LO..HI` (first
-//! exponent used), and `--batch N`.
+//! Accepts `--cores N` (first value used; at least 2, since every kill
+//! targets worker 1), `--windows LO..HI` (first exponent used), and
+//! `--batch N`.
 
 use std::time::Instant;
 
@@ -54,6 +55,11 @@ fn run_scenario(
 fn main() {
     let opts = FigOpts::from_args(std::env::args().skip(1));
     let cores = opts.cores.clone().and_then(|c| c.first().copied()).unwrap_or(4);
+    if cores < 2 {
+        eprintln!("error: --cores must be at least 2 (the kill scenarios target worker 1)");
+        eprintln!("usage: faults {}", bench::USAGE);
+        std::process::exit(2);
+    }
     let exp = opts
         .windows
         .clone()
@@ -64,12 +70,11 @@ fn main() {
     let inputs = workload();
     let reference = reference_join(&inputs, window, JoinPredicate::Equi).len() as u64;
 
-    let scenarios: &[(&str, &str, bool)] = &[
-        ("baseline", "", false),
-        ("kill1@100", "kill1@100", false),
-        ("kill1@100 +replicate", "kill1@100", true),
-        ("stall0@3x25", "stall0@3x25", false),
-        ("drop0@5", "drop0@5", false),
+    let scenarios = [
+        ("baseline", ""),
+        ("kill1@100", "kill1@100"),
+        ("stall0@3x25", "stall0@3x25"),
+        ("drop0@5", "drop0@5"),
     ];
 
     let mut m = bench::obsout::manifest("faults");
@@ -87,18 +92,14 @@ fn main() {
             "matches",
             "completeness",
             "orphaned",
-            "readopted",
             "lost workers",
         ],
     );
-    for &(label, spec, replicate) in scenarios {
+    for (label, spec) in scenarios {
         let plan = FaultPlan::parse(spec).expect("scenario spec parses");
-        let mut config = SplitJoinConfig::new(cores, window)
+        let config = SplitJoinConfig::new(cores, window)
             .with_batch_size(batch)
             .with_fault_plan(plan);
-        if replicate {
-            config = config.with_replication();
-        }
         let (mtps, outcome) =
             run_scenario(config, &inputs).expect("degraded runs still complete");
         let completeness = 100.0 * outcome.result_count as f64 / reference as f64;
@@ -108,10 +109,9 @@ fn main() {
             outcome.result_count.to_string(),
             format!("{completeness:.2}%"),
             outcome.fault.orphaned_tuples.to_string(),
-            outcome.fault.readopted_tuples.to_string(),
             format!("{:?}", outcome.fault.workers_lost),
         ]);
-        let key = label.replace([' ', '@'], "_");
+        let key = label.replace('@', "_");
         m.config(format!("{key}.mtps"), format!("{mtps:.5}"));
         m.config(format!("{key}.completeness"), format!("{completeness:.4}"));
         if label == "kill1@100" {
@@ -125,7 +125,6 @@ fn main() {
         "completeness = matches / strict reference ({reference}); orphaned tuples \
          are sub-window entries that died with their worker"
     ));
-    t.note("re-replication re-adopts every orphan onto the survivors");
     println!("{t}");
     bench::obsout::emit(&m);
 }

@@ -7,7 +7,7 @@
 //! ([`SplitJoinConfig`](crate::splitjoin::SplitJoinConfig),
 //! [`HandshakeConfig`](crate::handshake::HandshakeConfig)) wrap it in a
 //! `common` field and deref to it, adding only their engine-specific
-//! extensions (join algorithm, loss replication). The [`JoinParams`]
+//! extensions (SplitJoin's hot-key thresholds). The [`JoinParams`]
 //! trait is how generic code ([`StreamJoin`](crate::streamjoin::StreamJoin)
 //! implementations, the measurement harness) reaches the shared fields of
 //! any engine's config, and where the shared `with_*` builders are
@@ -63,11 +63,6 @@ pub struct JoinConfig {
     /// Scripted faults for this run. The default is the empty plan, whose
     /// behavior is bit-for-bit the healthy data path.
     pub fault_plan: FaultPlan,
-    /// Pin each join core to a CPU (`position % available CPUs`) via
-    /// [`streamcore::affinity`]. Off by default; a failed pin degrades
-    /// to running unpinned. Only helps when the host has a core per
-    /// worker.
-    pub pin_workers: bool,
     /// How tuples reach the join cores (see [`Partitioning`]); defaults
     /// to [`Partitioning::Broadcast`]. [`Partitioning::Hash`] requires an
     /// equi-join predicate (checked at spawn) and is SplitJoin-only.
@@ -92,7 +87,6 @@ impl JoinConfig {
             batch_size: DEFAULT_BATCH_SIZE,
             collect_results: true,
             fault_plan: FaultPlan::none(),
-            pin_workers: false,
             partitioning: Partitioning::Broadcast,
         }
     }
@@ -126,8 +120,8 @@ impl JoinConfig {
 /// type — what lets the harness set `collect_results`, read
 /// `window_size`, or install a [`FaultPlan`] generically — and the
 /// builders for those shared fields, provided once for every config
-/// type. The handshake chain ignores `partitioning` and `pin_workers`,
-/// set by builder or by field write.
+/// type. The handshake chain ignores `partitioning`, set by builder or
+/// by field write.
 pub trait JoinParams: Sized {
     /// The shared configuration fields.
     fn common(&self) -> &JoinConfig;
@@ -135,18 +129,11 @@ pub trait JoinParams: Sized {
     fn common_mut(&mut self) -> &mut JoinConfig;
 
     /// Selects the dispatch discipline (see [`Partitioning`]).
-    /// [`Partitioning::Hash`] requires an equi-join predicate and no
-    /// replication, checked at spawn.
+    /// [`Partitioning::Hash`] requires an equi-join predicate, checked
+    /// at spawn.
     #[must_use]
     fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
         self.common_mut().partitioning = partitioning;
-        self
-    }
-
-    /// Pins each join core to a CPU (see [`JoinConfig::pin_workers`]).
-    #[must_use]
-    fn with_pinning(mut self) -> Self {
-        self.common_mut().pin_workers = true;
         self
     }
 
@@ -238,12 +225,6 @@ mod tests {
         assert!(!config.collect_results);
         assert_eq!(config.sub_window(), 16);
         assert_eq!(config.effective_window(), 48);
-    }
-
-    #[test]
-    fn pinning_builder() {
-        assert!(JoinConfig::new(2, 8).with_pinning().pin_workers);
-        assert!(!JoinConfig::new(2, 8).pin_workers);
     }
 
     #[test]

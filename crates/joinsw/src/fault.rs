@@ -13,8 +13,7 @@
 //!
 //! [`FaultReport`] is the other half: every join outcome carries one,
 //! summarizing what actually went wrong — which workers were lost, how
-//! many stored tuples their sub-windows orphaned, how many were
-//! re-adopted from the coordinator's replica buffer, and the recovery
+//! many stored tuples their sub-windows orphaned, and the recovery
 //! latency distribution. An empty plan yields a report for which
 //! [`FaultReport::degraded`] is `false` and the outcome (including its
 //! published values) is byte-identical to a build without the fault
@@ -257,10 +256,6 @@ pub struct FaultReport {
     /// future probes). Counted from the coordinator's ownership model at
     /// the recovery boundary, not from the dead worker's own claims.
     pub orphaned_tuples: u64,
-    /// Orphans re-inserted into survivor sub-windows from the
-    /// coordinator's replica buffer (only with
-    /// `SplitJoinConfig::replicate_on_loss`).
-    pub readopted_tuples: u64,
     /// Scripted stalls that fired.
     pub injected_stalls: u64,
     /// Scripted channel drops that fired.
@@ -268,8 +263,8 @@ pub struct FaultReport {
     /// Matches a worker found but never published: those of the message
     /// it was processing when a scripted kill took it.
     pub results_dropped: u64,
-    /// Wall-clock nanoseconds per recovery (retire + re-partition +
-    /// re-replicate), one histogram value per lost worker.
+    /// Wall-clock nanoseconds per SplitJoin recovery (retire +
+    /// re-partition), one histogram value per lost worker.
     pub recovery_ns: obs::Histogram,
 }
 
@@ -294,7 +289,6 @@ impl FaultReport {
     pub fn publish(&self, reg: &mut obs::Values) {
         reg.record(KEY_WORKERS_LOST, self.workers_lost.len() as u64);
         reg.record(KEY_ORPHANED_TUPLES, self.orphaned_tuples);
-        reg.record("fault.readopted_tuples", self.readopted_tuples);
         reg.record("fault.injected_stalls", self.injected_stalls);
         reg.record("fault.injected_drops", self.injected_drops);
         reg.record("fault.results_dropped", self.results_dropped);

@@ -15,8 +15,7 @@
 //!   that the distribution and result-gathering work "consume a portion
 //!   of the processors' capacity" — which is why both directions of the
 //!   data path are batched (see the module docs) and the sub-windows are
-//!   flat struct-of-arrays rings (`streamcore::FlatWindow` /
-//!   `streamcore::HashIndexWindow`).
+//!   flat struct-of-arrays rings (`streamcore::FlatWindow`).
 //! * [`handshake`] — bi-flow: a chain of threads through which R flows
 //!   left-to-right and S right-to-left with low-latency fast-forwarding,
 //!   with the same optional wave batching.

@@ -3,8 +3,6 @@
 
 use std::ops::{Deref, DerefMut};
 
-use streamcore::JoinPredicate;
-
 use crate::config::{JoinConfig, JoinParams};
 
 /// Default hot-key promotion factor (see
@@ -16,18 +14,6 @@ pub const DEFAULT_HOT_KEY_FACTOR: f64 = 0.5;
 /// (see [`SplitJoinConfig::hot_min_sample`]).
 pub const DEFAULT_HOT_MIN_SAMPLE: u64 = 1_024;
 
-/// Join algorithm inside each worker (mirrors `joinhw::JoinAlgorithm`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SwJoinAlgorithm {
-    /// Scan the whole opposite sub-window per probe — any predicate.
-    /// Backed by [`FlatWindow`](streamcore::FlatWindow): the scan walks a dense `u32` key array.
-    NestedLoop,
-    /// Probe a per-key hash index — equi-joins only, O(matches) probes.
-    /// Backed by [`HashIndexWindow`](streamcore::HashIndexWindow): a flat ring plus an
-    /// open-addressing key index.
-    Hash,
-}
-
 /// Configuration of a [`SplitJoin`](super::SplitJoin) instance: the shared
 /// [`JoinConfig`] plus the SplitJoin-specific extensions. Derefs to
 /// [`JoinConfig`], so the shared fields and `&self` helpers
@@ -37,13 +23,6 @@ pub enum SwJoinAlgorithm {
 pub struct SplitJoinConfig {
     /// The engine-independent configuration fields.
     pub common: JoinConfig,
-    /// Join algorithm (default nested-loop, as the paper measures).
-    pub algorithm: SwJoinAlgorithm,
-    /// Keep a coordinator-side replica ring of the last
-    /// `effective_window` tuples per stream and re-insert a dead
-    /// worker's orphans into survivor sub-windows on recovery. Costs a
-    /// per-tuple copy on the router thread; off by default.
-    pub replicate_on_loss: bool,
     /// Hot-key promotion threshold in partitioned mode
     /// ([`Partitioning::Hash`](crate::config::Partitioning::Hash)): a key
     /// is split across all live workers once its sketched frequency
@@ -89,35 +68,9 @@ impl SplitJoinConfig {
     pub fn new(num_cores: usize, window_size: usize) -> Self {
         Self {
             common: JoinConfig::new(num_cores, window_size),
-            algorithm: SwJoinAlgorithm::NestedLoop,
-            replicate_on_loss: false,
             hot_key_factor: DEFAULT_HOT_KEY_FACTOR,
             hot_min_sample: DEFAULT_HOT_MIN_SAMPLE,
         }
-    }
-
-    /// Selects the join algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SwJoinAlgorithm::Hash`] is combined with a non-equi
-    /// predicate (re-checked at spawn, whatever the builder order).
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: SwJoinAlgorithm) -> Self {
-        assert!(
-            algorithm != SwJoinAlgorithm::Hash || self.predicate == JoinPredicate::Equi,
-            "hash join requires an equi-join predicate"
-        );
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Enables sub-window re-replication on worker loss (see
-    /// [`SplitJoinConfig::replicate_on_loss`]).
-    #[must_use]
-    pub fn with_replication(mut self) -> Self {
-        self.replicate_on_loss = true;
-        self
     }
 
     /// Sets the hot-key promotion factor (see

@@ -24,10 +24,6 @@ pub(super) enum Msg {
     Part(Arc<[PartEntry]>),
     /// Window pre-fill (no probing), shared across all workers.
     Prefill(StreamTag, Arc<[Tuple]>),
-    /// Re-replicated orphans of a dead worker: insert directly into this
-    /// worker's own sub-window, without probing or advancing the
-    /// round-robin counters.
-    Adopt(StreamTag, Arc<[Tuple]>),
     /// A worker died: switch to this partition map for future storage
     /// turns. All survivors see it at the same position in their FIFO
     /// queues, so they switch at an identical tuple boundary.

@@ -66,20 +66,15 @@
 //!
 //! # Probe paths
 //!
-//! A worker picks its probe path from what it observes, never from an
-//! option. A broadcast batch of at least
-//! [`MIN_BLOCK_PROBES`](streamcore::kernel::MIN_BLOCK_PROBES) tuples
-//! against nested-loop windows runs the blocked batch×window compare
-//! tiles ([`streamcore::kernel`]); smaller batches (a caller that feeds
-//! per tuple and polls) and hash windows, whose chain walks cannot be
-//! tiled, run the per-tuple probe. The two are bit-identical in results
-//! and in [`WorkerStats`] — the per-tuple path is the in-tree reference
-//! the blocked path is tested against.
-//!
-//! Workers can optionally be pinned to cores
-//! ([`JoinConfig::pin_workers`](crate::config::JoinConfig::pin_workers))
-//! so each ring's two hot cache lines stay put — the software analogue
-//! of the hardware design's hard-wired point-to-point links.
+//! Each sub-window is a [`FlatWindow`](streamcore::FlatWindow), scanned
+//! nested-loop as the paper measures, and a worker picks its probe path
+//! from what it observes, never from an option: a broadcast batch of at
+//! least [`MIN_BLOCK_PROBES`](streamcore::kernel::MIN_BLOCK_PROBES)
+//! tuples runs the blocked batch×window compare tiles
+//! ([`streamcore::kernel`]); a smaller one (a caller that feeds per
+//! tuple and polls) runs the per-tuple probe. The two are bit-identical
+//! in results and in [`WorkerStats`] — the per-tuple path is the
+//! in-tree reference the blocked path is tested against.
 //!
 //! # Partitioned dispatch (PanJoin mode)
 //!
@@ -110,9 +105,8 @@
 //! [`PartitionStats`] (`splitjoin.partition.*` in the published values).
 //! Recovery keeps working — a dead position's ledger is its exact orphan
 //! count, and rendezvous hashing re-homes only the dead worker's keys —
-//! but replication is rejected at spawn, and non-equi predicates cannot
-//! be content-partitioned. See `docs/PARTITIONING.md` for a measured
-//! walkthrough.
+//! and non-equi predicates cannot be content-partitioned. See
+//! `docs/PARTITIONING.md` for a measured walkthrough.
 //!
 //! # Fault tolerance
 //!
@@ -133,11 +127,7 @@
 //!   re-partition future storage turns at the same message boundary, and
 //!   records the exact completeness loss — the tuples orphaned inside the
 //!   dead worker's sub-window — in the outcome's
-//!   [`FaultReport`];
-//! * with [`SplitJoinConfig::with_replication`], the router additionally
-//!   keeps a replica ring of the last `effective_window` tuples per
-//!   stream and re-inserts the orphans into survivor sub-windows on
-//!   recovery.
+//!   [`FaultReport`]. Those tuples stay lost: nothing re-replicates them.
 //!
 //! Scripted kills are recovered *proactively* at the exact batch boundary
 //! the plan names, which is what makes the orphan accounting exact: the
@@ -166,14 +156,12 @@ use streamcore::kernel::KernelStats;
 use streamcore::ring;
 use streamcore::{FreqSketch, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
-pub use self::config::{
-    SplitJoinConfig, SwJoinAlgorithm, DEFAULT_HOT_KEY_FACTOR, DEFAULT_HOT_MIN_SAMPLE,
-};
+pub use self::config::{SplitJoinConfig, DEFAULT_HOT_KEY_FACTOR, DEFAULT_HOT_MIN_SAMPLE};
 pub use self::outcome::{JoinOutcome, PartitionStats, RingStats};
 
 use self::lanes::Msg;
 use self::live::{LiveRouter, LiveWorker};
-use self::router::{PartRouter, ReplicaBuf, Router, SKETCH_CAPACITY};
+use self::router::{PartRouter, Router, SKETCH_CAPACITY};
 use self::worker::{worker_loop, WorkerExit};
 use crate::config::Partitioning;
 use crate::fault::FaultReport;
@@ -221,18 +209,12 @@ impl StreamJoin for SplitJoin {
     /// # Panics
     ///
     /// Panics if `config.channel_capacity` or `config.batch_size` is
-    /// zero, the fault plan targets a worker out of range, or a hash
-    /// algorithm or hash partitioning meets a non-equi predicate (the
-    /// builder methods reject these, but the fields are public).
+    /// zero, the fault plan targets a worker out of range, or hash
+    /// partitioning meets a non-equi predicate or a non-positive
+    /// hot-key factor (the builder methods reject some of these, but the
+    /// fields are public).
     fn spawn(config: SplitJoinConfig) -> Self {
         config.common.validate();
-        // `with_algorithm` checks this too, but a later `with_predicate`
-        // or a field write gets past it, and a hash window never
-        // consults the predicate.
-        assert!(
-            config.algorithm != SwJoinAlgorithm::Hash || config.predicate == JoinPredicate::Equi,
-            "hash join requires an equi-join predicate"
-        );
         let partitioned = config.partitioning == Partitioning::Hash;
         if partitioned {
             // Checked here rather than in `JoinConfig::validate`: the
@@ -241,11 +223,6 @@ impl StreamJoin for SplitJoin {
             assert!(
                 config.predicate == JoinPredicate::Equi,
                 "hash partitioning requires an equi-join predicate"
-            );
-            assert!(
-                !config.replicate_on_loss,
-                "replication is not supported with hash partitioning: orphan \
-                 re-adoption would need out-of-order shard inserts; use broadcast mode"
             );
             assert!(config.hot_key_factor > 0.0, "hot-key factor must be positive");
         }
@@ -283,10 +260,6 @@ impl StreamJoin for SplitJoin {
                 worker_loop(position, &cfg, msgs, arena, &cell, live)
             }));
         }
-        let replicas = config.replicate_on_loss.then(|| {
-            let cap = config.effective_window();
-            (ReplicaBuf::new(cap), ReplicaBuf::new(cap))
-        });
         let ring = obs::trace::enabled().then(|| {
             obs::trace::TraceRing::new("sw.router".to_string(), obs::trace::TimeDomain::Wall)
         });
@@ -314,7 +287,6 @@ impl StreamJoin for SplitJoin {
                 r_sent: 0,
                 s_sent: 0,
                 owned: None,
-                replicas,
                 report: FaultReport::default(),
                 ring,
                 arena,

@@ -55,9 +55,10 @@ pub struct PartitionStats {
 
 impl PartitionStats {
     /// Max-over-mean occupancy across the live positions — the
-    /// load-balance figure the skew sweep gates on (`1.0` is perfectly
-    /// even; broadcast-free skew pathologies push it toward the live
-    /// worker count). `0.0` when nothing is stored.
+    /// load-balance figure `figs partition` reports as
+    /// `zipf.<variant>.occupancy_ratio` (`1.0` is perfectly even;
+    /// broadcast-free skew pathologies push it toward the live worker
+    /// count). `0.0` when nothing is stored.
     #[must_use]
     pub fn balance(&self) -> f64 {
         let live: Vec<u64> = self.live.iter().map(|&w| self.occupancy[w]).collect();

@@ -25,43 +25,6 @@ use crate::supervise::{
 /// promotion threshold for any plausible core count.
 pub(super) const SKETCH_CAPACITY: usize = 64;
 
-/// Coordinator-side replica ring: the last `cap` tuples of one stream,
-/// each tagged with the worker that owned its storage turn when it was
-/// sent.
-#[derive(Debug)]
-pub(super) struct ReplicaBuf {
-    cap: usize,
-    buf: VecDeque<(usize, Tuple)>,
-}
-
-impl ReplicaBuf {
-    pub(super) fn new(cap: usize) -> Self {
-        Self { cap, buf: VecDeque::with_capacity(cap) }
-    }
-
-    pub(super) fn push(&mut self, owner: usize, tuple: Tuple) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back((owner, tuple));
-    }
-
-    /// The last `limit` tuples owned by `worker`, oldest first — exactly
-    /// the content of its sub-window ring at this moment.
-    pub(super) fn orphans_of(&self, worker: usize, limit: usize) -> Vec<Tuple> {
-        let mut found: Vec<Tuple> = self
-            .buf
-            .iter()
-            .rev()
-            .filter(|&&(o, _)| o == worker)
-            .take(limit)
-            .map(|&(_, t)| t)
-            .collect();
-        found.reverse();
-        found
-    }
-}
-
 /// Router-side state of the keyed dispatch
 /// ([`Partitioning::Hash`](crate::config::Partitioning::Hash)): the
 /// frequency sketch, the hot-key set, the per-worker outboxes, and
@@ -115,8 +78,6 @@ pub(super) struct Router {
     /// map is full (the closed form reproduces them on demand); kept
     /// incrementally once degraded.
     pub(super) owned: Option<(Vec<u64>, Vec<u64>)>,
-    /// Replica rings `(R, S)`, only with `replicate_on_loss`.
-    pub(super) replicas: Option<(ReplicaBuf, ReplicaBuf)>,
     pub(super) report: FaultReport,
     /// `sw.router` span ring (`recover` spans); attached to the outcome
     /// trace only when non-empty, so healthy traced runs are unchanged.
@@ -240,55 +201,20 @@ impl Router {
         }
     }
 
-    /// Per-stream accounting for an outgoing batch. Healthy fast path:
-    /// one tag-count pass. Degraded or replicating: per-tuple ownership
-    /// tracking.
-    fn note_batch(&mut self, batch: &[(StreamTag, Tuple)]) {
-        if self.owned.is_some() || self.replicas.is_some() {
-            for &(tag, tuple) in batch {
-                self.note_tuple(tag, tuple);
+    /// Per-stream accounting for outgoing tuples: the two stream
+    /// counters and, once degraded, the storage turn each tuple gives
+    /// its owner under the current map.
+    fn note_sent(&mut self, tags: impl Iterator<Item = StreamTag>) {
+        for tag in tags {
+            let sent = match tag {
+                StreamTag::R => &mut self.r_sent,
+                StreamTag::S => &mut self.s_sent,
+            };
+            if let Some((owned_r, owned_s)) = &mut self.owned {
+                let owned = if tag == StreamTag::R { owned_r } else { owned_s };
+                owned[self.map.owner(*sent)] += 1;
             }
-        } else {
-            let r = batch.iter().filter(|&&(tag, _)| tag == StreamTag::R).count() as u64;
-            self.r_sent += r;
-            self.s_sent += batch.len() as u64 - r;
-        }
-    }
-
-    fn note_prefill(&mut self, tag: StreamTag, tuples: &[Tuple]) {
-        if self.owned.is_some() || self.replicas.is_some() {
-            for &t in tuples {
-                self.note_tuple(tag, t);
-            }
-        } else {
-            match tag {
-                StreamTag::R => self.r_sent += tuples.len() as u64,
-                StreamTag::S => self.s_sent += tuples.len() as u64,
-            }
-        }
-    }
-
-    fn note_tuple(&mut self, tag: StreamTag, tuple: Tuple) {
-        let seq = match tag {
-            StreamTag::R => self.r_sent,
-            StreamTag::S => self.s_sent,
-        };
-        let owner = self.map.owner(seq);
-        if let Some((owned_r, owned_s)) = &mut self.owned {
-            match tag {
-                StreamTag::R => owned_r[owner] += 1,
-                StreamTag::S => owned_s[owner] += 1,
-            }
-        }
-        if let Some((rep_r, rep_s)) = &mut self.replicas {
-            match tag {
-                StreamTag::R => rep_r.push(owner, tuple),
-                StreamTag::S => rep_s.push(owner, tuple),
-            }
-        }
-        match tag {
-            StreamTag::R => self.r_sent += 1,
-            StreamTag::S => self.s_sent += 1,
+            *sent += 1;
         }
     }
 
@@ -437,7 +363,7 @@ impl Router {
         if self.part.is_some() {
             self.route_block(batch.iter().copied(), true)?;
         } else {
-            self.note_batch(batch);
+            self.note_sent(batch.iter().map(|&(tag, _)| tag));
             let seq = self.publish_to_arena(batch)?;
             self.broadcast(|| Msg::ArenaBatch { seq })?;
         }
@@ -464,7 +390,7 @@ impl Router {
             // advances the stream counters and the sketch.
             return self.route_block(tuples.iter().map(|&t| (tag, t)), false);
         }
-        self.note_prefill(tag, tuples);
+        self.note_sent(std::iter::repeat_n(tag, tuples.len()));
         let shared: Arc<[Tuple]> = tuples.to_vec().into();
         self.broadcast(|| Msg::Prefill(tag, shared.clone()))
     }
@@ -539,9 +465,9 @@ impl Router {
         Ok(())
     }
 
-    /// Broadcast-mode recovery: closed-form orphan count, partition-map
-    /// broadcast so survivors re-partition future storage turns at the
-    /// same message boundary, optional re-replication.
+    /// Broadcast-mode recovery: closed-form orphan count, then a
+    /// partition-map broadcast so survivors re-partition future storage
+    /// turns at the same message boundary.
     fn retire_broadcast(&mut self, worker: usize) -> Result<Vec<usize>, JoinError> {
         let sub = self.sub_window as u64;
         // Materialize exact per-worker turn counts before mutating the
@@ -562,51 +488,17 @@ impl Router {
             .as_mut()
             .expect("broadcast mode has an arena")
             .deactivate(worker);
-        if self.map.live_count() == 0 {
-            return Ok(Vec::new());
-        }
-
         let shared = Arc::new(self.map.clone());
-        let mut lost = self.send_to_live(|| Msg::Reconfigure(Arc::clone(&shared)))?;
-        let adoptable = self.replicas.as_ref().map(|(rep_r, rep_s)| {
-            (
-                rep_r.orphans_of(worker, sub as usize),
-                rep_s.orphans_of(worker, sub as usize),
-            )
-        });
-        if let Some((adopt_r, adopt_s)) = adoptable {
-            for (tag, adoptees) in [(StreamTag::R, adopt_r), (StreamTag::S, adopt_s)] {
-                if adoptees.is_empty() {
-                    continue;
-                }
-                self.report.readopted_tuples += adoptees.len() as u64;
-                let live = self.map.live().to_vec();
-                let mut per_worker: Vec<Vec<Tuple>> = vec![Vec::new(); live.len()];
-                for (i, t) in adoptees.into_iter().enumerate() {
-                    per_worker[i % live.len()].push(t);
-                }
-                for (slot, tuples) in per_worker.into_iter().enumerate() {
-                    let w = live[slot];
-                    if tuples.is_empty() || lost.contains(&w) || self.senders[w].is_none() {
-                        continue;
-                    }
-                    let shared: Arc<[Tuple]> = tuples.into();
-                    if let SendStatus::Lost = self.send_msg(w, Msg::Adopt(tag, shared))? {
-                        lost.push(w);
-                    }
-                }
-            }
-        }
-        Ok(lost)
+        self.send_to_live(|| Msg::Reconfigure(Arc::clone(&shared)))
     }
 
     /// Partitioned-mode recovery: retire the position and count its
     /// ledger occupancy as orphans. No partition-map broadcast is
     /// needed — partitioned workers are ownership-free (they store what
     /// the router stamps `store` on), future keys re-home through
-    /// rendezvous hashing the moment the map retires the position, and
-    /// replication is rejected at spawn. No arena reader to retire
-    /// either: partitioned mode never creates the arena.
+    /// rendezvous hashing the moment the map retires the position. No
+    /// arena reader to retire either: partitioned mode never creates the
+    /// arena.
     fn retire_part(&mut self, worker: usize) -> Result<(), JoinError> {
         let part = self.part.as_mut().expect("partitioned mode");
         let orphans = (part.ledger_r[worker].len() + part.ledger_s[worker].len()) as u64;

@@ -200,56 +200,6 @@ fn band_predicate_propagates_to_workers() {
 }
 
 #[test]
-fn hash_algorithm_matches_nested_loop_exactly() {
-    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Uniform { domain: 12 })
-        .generate()
-        .collect();
-    let nested = run_workload(SplitJoinConfig::new(4, 32), &inputs);
-    let hashed = run_workload(
-        SplitJoinConfig::new(4, 32).with_algorithm(SwJoinAlgorithm::Hash),
-        &inputs,
-    );
-    assert_eq!(
-        as_multiset(&hashed.results),
-        as_multiset(&nested.results)
-    );
-    // Hash workers compare only matching tuples.
-    let nested_cmp: u64 = nested.worker_stats.iter().map(|w| w.comparisons).sum();
-    let hashed_cmp: u64 = hashed.worker_stats.iter().map(|w| w.comparisons).sum();
-    let matches: u64 = hashed.worker_stats.iter().map(|w| w.matches).sum();
-    assert_eq!(hashed_cmp, matches);
-    assert!(nested_cmp > 2 * hashed_cmp);
-}
-
-#[test]
-#[should_panic(expected = "hash join requires an equi-join")]
-fn hash_with_band_predicate_is_rejected() {
-    let _ = SplitJoinConfig::new(2, 8)
-        .with_predicate(JoinPredicate::Band { delta: 2 })
-        .with_algorithm(SwJoinAlgorithm::Hash);
-}
-
-/// A hash window never consults the predicate, so a band predicate that
-/// reaches it (set after the algorithm, or written to the field) would
-/// silently return equi matches: spawn re-asserts what the builder does.
-#[test]
-#[should_panic(expected = "hash join requires an equi-join predicate")]
-fn spawn_rejects_a_band_predicate_set_after_the_hash_algorithm() {
-    let config = SplitJoinConfig::new(2, 8)
-        .with_algorithm(SwJoinAlgorithm::Hash)
-        .with_predicate(JoinPredicate::Band { delta: 2 });
-    let _ = SplitJoin::spawn(config);
-}
-
-#[test]
-#[should_panic(expected = "hash join requires an equi-join predicate")]
-fn spawn_rejects_a_hash_algorithm_written_past_the_builder() {
-    let mut config = SplitJoinConfig::new(2, 8).with_predicate(JoinPredicate::Band { delta: 2 });
-    config.algorithm = SwJoinAlgorithm::Hash;
-    let _ = SplitJoin::spawn(config);
-}
-
-#[test]
 #[should_panic(expected = "channel capacity must be positive")]
 fn zero_channel_capacity_is_rejected() {
     let _ = SplitJoinConfig::new(2, 8).with_channel_capacity(0);
@@ -466,31 +416,6 @@ fn blocked_counting_matches_per_tuple_counting() {
 }
 
 #[test]
-fn hash_algorithm_stays_on_the_per_tuple_path_at_every_batch_size() {
-    // Hash windows take the prefetched chain walk, never the tiles:
-    // identical results, zero tiles, lanes mirroring the hits.
-    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 12 })
-        .generate()
-        .collect();
-    let mk = |batch| {
-        SplitJoinConfig::new(2, 32)
-            .with_algorithm(SwJoinAlgorithm::Hash)
-            .with_batch_size(batch)
-    };
-    let (reference, rest) = assert_batch_size_invariant(mk, &inputs, "hash");
-    assert_eq!(
-        as_multiset(&reference.results),
-        as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
-    );
-    for (batch, outcome) in std::iter::once(&(1, reference)).chain(&rest) {
-        let ks = outcome.kernel_stats.unwrap();
-        assert_eq!(ks.tiles, 0, "hash probing never tiles (batch {batch})");
-        let matches: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
-        assert_eq!(ks.lanes, matches, "one lane per chain hit (batch {batch})");
-    }
-}
-
-#[test]
 fn kernel_stats_surface_in_the_published_values() {
     let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
         .generate()
@@ -502,17 +427,6 @@ fn kernel_stats_surface_in_the_published_values() {
     assert!(reg.get("splitjoin.kernel.lanes").is_some());
     assert!(reg.get("splitjoin.kernel.match_density_x1000").is_some());
     assert!(reg.get("splitjoin.kernel.scalar_fallbacks").is_some());
-}
-
-#[test]
-fn replica_buf_keeps_owner_positions_at_full_width() {
-    // Regression: owners were stored as `u8`, so position 256 aliased
-    // position 0 and recovery re-adopted the wrong orphans.
-    let mut buf = ReplicaBuf::new(8);
-    let t = Tuple::new(7, 70);
-    buf.push(256, t);
-    assert!(buf.orphans_of(0, 8).is_empty());
-    assert_eq!(buf.orphans_of(256, 8), vec![t]);
 }
 
 #[test]
@@ -694,7 +608,7 @@ fn partitioned_prefill_loads_without_probing() {
     assert_eq!(outcome.result_count, 1);
     assert_eq!(outcome.results[0].r.raw(), Tuple::new(3, 7).raw());
     // Keyed probes only touch the matching chain: comparisons ==
-    // matches, like the hash algorithm.
+    // matches.
     let comparisons: u64 = outcome.worker_stats.iter().map(|w| w.comparisons).sum();
     assert_eq!(comparisons, 1);
 }
@@ -874,12 +788,6 @@ fn partitioned_rejects_non_equi_predicates() {
     let _ = SplitJoin::spawn(
         part_config(2, 16).with_predicate(JoinPredicate::Band { delta: 2 }),
     );
-}
-
-#[test]
-#[should_panic(expected = "replication is not supported")]
-fn partitioned_rejects_replication() {
-    let _ = SplitJoin::spawn(part_config(2, 16).with_replication());
 }
 
 #[test]

@@ -1,20 +1,18 @@
 //! One join core: window state, the two probe paths and the thread
 //! loop.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use accel_error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
 use streamcore::ring::{ArenaReader, RingConsumer};
 use streamcore::{
-    FlatWindow, HashIndexWindow, JoinPredicate, MatchPair, PartitionMap, PartitionedWindow,
-    StreamTag, Tuple,
+    FlatWindow, JoinPredicate, MatchPair, PartitionMap, PartitionedWindow, StreamTag, Tuple,
 };
 
 use super::lanes::{recv_msg, Msg, PartEntry};
 use super::live::LiveWorker;
-use super::{SplitJoinConfig, SwJoinAlgorithm};
+use super::SplitJoinConfig;
 use crate::config::Partitioning;
 use crate::supervise::{
     run_scripted_batch, span_start, AliveGuard, BatchOutcome, ScriptedCore, WorkerCell,
@@ -22,34 +20,6 @@ use crate::supervise::{
 
 /// What each worker thread leaves behind at exit.
 pub(super) type WorkerExit = (WorkerStats, KernelStats, Option<obs::trace::TraceRing>);
-
-/// Worker-local sub-window storage, specialized per algorithm. Both
-/// variants are flat ring buffers (see `streamcore::window`).
-#[derive(Debug, Clone)]
-enum SwWindow {
-    Nested(FlatWindow),
-    Hash(HashIndexWindow),
-}
-
-impl SwWindow {
-    fn new(algorithm: SwJoinAlgorithm, capacity: usize) -> Self {
-        match algorithm {
-            SwJoinAlgorithm::NestedLoop => SwWindow::Nested(FlatWindow::new(capacity)),
-            SwJoinAlgorithm::Hash => SwWindow::Hash(HashIndexWindow::new(capacity)),
-        }
-    }
-
-    fn insert(&mut self, tuple: Tuple) {
-        match self {
-            SwWindow::Nested(w) => {
-                w.insert(tuple);
-            }
-            SwWindow::Hash(w) => {
-                w.insert(tuple);
-            }
-        }
-    }
-}
 
 /// Worker-side state of the keyed dispatch: one key-sharded window per
 /// stream, evicted by the router-stamped global sequence watermarks
@@ -110,8 +80,8 @@ struct WorkerState {
     position: u64,
     n: u64,
     predicate: JoinPredicate,
-    window_r: SwWindow,
-    window_s: SwWindow,
+    window_r: FlatWindow,
+    window_s: FlatWindow,
     r_count: u64,
     s_count: u64,
     stats: WorkerStats,
@@ -134,18 +104,14 @@ struct WorkerState {
 
 impl WorkerState {
     /// One distribution batch. The blocked kernel applies only where it
-    /// pays: nested-loop windows with enough probes to fill compare
-    /// tiles ([`MIN_BLOCK_PROBES`]). Everything else — hash windows
-    /// (whose chain walks are pointer-chasing, not scannable) and
-    /// undersized batches — runs the per-tuple path.
+    /// pays — batches with enough probes to fill compare tiles
+    /// ([`MIN_BLOCK_PROBES`]); undersized ones run the per-tuple path.
     fn handle_batch(&mut self, batch: &[(StreamTag, Tuple)]) {
-        if matches!(self.window_r, SwWindow::Nested(_)) {
-            if batch.len() >= MIN_BLOCK_PROBES {
-                self.handle_batch_blocked(batch);
-                return;
-            }
-            self.kstats.scalar_fallbacks += batch.len() as u64;
+        if batch.len() >= MIN_BLOCK_PROBES {
+            self.handle_batch_blocked(batch);
+            return;
         }
+        self.kstats.scalar_fallbacks += batch.len() as u64;
         for &(tag, tuple) in batch {
             self.handle_tuple(tag, tuple);
         }
@@ -171,10 +137,7 @@ impl WorkerState {
         let mut caps = [0usize; 2];
         {
             let WorkerState { window_r, window_s, scratch, .. } = self;
-            for (side, w) in [(0, &*window_r), (1, &*window_s)] {
-                let SwWindow::Nested(f) = w else {
-                    unreachable!("blocked batch path requires nested-loop windows")
-                };
+            for (side, f) in [(0, &*window_r), (1, &*window_s)] {
                 f.snapshot_into(
                     &mut scratch.snap_keys[side],
                     &mut scratch.snap_pays[side],
@@ -317,66 +280,41 @@ impl WorkerState {
 
     fn handle_tuple(&mut self, tag: StreamTag, tuple: Tuple) {
         self.stats.tuples_seen += 1;
-        // Probe the opposite sub-window. The nested-loop path scans the
-        // contiguous key segments of the flat window and touches a
-        // payload only when the key predicate holds. Disjoint field
-        // borrows: the window stays shared while stats/out mutate.
-        let WorkerState { predicate, window_r, window_s, stats, kstats, out, collect, .. } = self;
+        // Probe the opposite sub-window: scan the contiguous key
+        // segments of the flat window, touching a payload only when the
+        // key predicate holds. Disjoint field borrows: the window stays
+        // shared while stats/out mutate.
+        let WorkerState { predicate, window_r, window_s, stats, out, collect, .. } = self;
         let opposite = match tag {
             StreamTag::R => &*window_s,
             StreamTag::S => &*window_r,
         };
         let probe_key = tuple.key();
-        match opposite {
-            SwWindow::Nested(w) => {
-                if !*collect {
-                    // Counting-only: no pair materialization, so each
-                    // segment reduces to one predicate sweep over the
-                    // contiguous key array that the compiler can
-                    // vectorize (`count_matches` hoists the dispatch).
-                    let probe_is_r = tag == StreamTag::R;
-                    for (keys, _) in w.segments() {
-                        stats.comparisons += keys.len() as u64;
-                        stats.matches +=
-                            predicate.count_matches(probe_key, probe_is_r, keys) as u64;
-                    }
-                } else {
-                    for (keys, payloads) in w.segments() {
-                        // One comparison per stored key, counted per
-                        // segment so the scan itself stays branch-light.
-                        stats.comparisons += keys.len() as u64;
-                        for (i, &key) in keys.iter().enumerate() {
-                            let key_match = match tag {
-                                StreamTag::R => predicate.matches_keys(probe_key, key),
-                                StreamTag::S => predicate.matches_keys(key, probe_key),
-                            };
-                            if key_match {
-                                stats.matches += 1;
-                                out.push(MatchPair::oriented(
-                                    tag,
-                                    tuple,
-                                    Tuple::new(key, payloads[i]),
-                                ));
-                            }
-                        }
-                    }
-                }
+        if !*collect {
+            // Counting-only: no pair materialization, so each segment
+            // reduces to one predicate sweep over the contiguous key
+            // array that the compiler can vectorize (`count_matches`
+            // hoists the dispatch).
+            let probe_is_r = tag == StreamTag::R;
+            for (keys, _) in opposite.segments() {
+                stats.comparisons += keys.len() as u64;
+                stats.matches += predicate.count_matches(probe_key, probe_is_r, keys) as u64;
             }
-            SwWindow::Hash(w) => {
-                // A hash chain walk can't be tiled, but its latency can
-                // be hidden: prefetch the next chain node while
-                // evaluating the current one.
-                let mut matched = 0u64;
-                for stored in w.probe_prefetch(probe_key) {
-                    stats.comparisons += 1;
-                    stats.matches += 1;
-                    matched += 1;
-                    if *collect {
-                        out.push(MatchPair::oriented(tag, tuple, stored));
+        } else {
+            for (keys, payloads) in opposite.segments() {
+                // One comparison per stored key, counted per segment so
+                // the scan itself stays branch-light.
+                stats.comparisons += keys.len() as u64;
+                for (i, &key) in keys.iter().enumerate() {
+                    let key_match = match tag {
+                        StreamTag::R => predicate.matches_keys(probe_key, key),
+                        StreamTag::S => predicate.matches_keys(key, probe_key),
+                    };
+                    if key_match {
+                        stats.matches += 1;
+                        out.push(MatchPair::oriented(tag, tuple, Tuple::new(key, payloads[i])));
                     }
                 }
-                kstats.lanes += matched;
-                kstats.match_bits += matched;
             }
         }
         self.store(tag, tuple, true);
@@ -386,7 +324,7 @@ impl WorkerState {
     /// shard inside its eviction watermark, then store into the own
     /// shard when the router stamped this worker as the storage site.
     /// Probes are per-key chain walks (equi-join only), so comparisons
-    /// equal matches, as in [`SwJoinAlgorithm::Hash`].
+    /// equal matches.
     fn handle_part_entry(&mut self, e: PartEntry) {
         if e.probe {
             // Prefill entries are uncounted, as in broadcast mode.
@@ -475,11 +413,6 @@ pub(super) fn worker_loop(
     mut live: Option<LiveWorker>,
 ) -> WorkerExit {
     let _guard = AliveGuard(Arc::clone(cell));
-    if config.pin_workers {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Best effort: a refused pin just runs unpinned.
-        let _ = streamcore::affinity::pin_to_core(position % cpus);
-    }
     let partitioned = config.partitioning == Partitioning::Hash;
     // Partitioned mode never touches the round-robin windows; capacity
     // 1 keeps their allocation negligible without a zero-capacity edge.
@@ -489,8 +422,8 @@ pub(super) fn worker_loop(
         position: position as u64,
         n: config.num_cores as u64,
         predicate: config.predicate,
-        window_r: SwWindow::new(config.algorithm, sub),
-        window_s: SwWindow::new(config.algorithm, sub),
+        window_r: FlatWindow::new(sub),
+        window_s: FlatWindow::new(sub),
         r_count: 0,
         s_count: 0,
         stats: WorkerStats::default(),
@@ -576,17 +509,6 @@ pub(super) fn worker_loop(
                     let t1 = obs::trace::now_ns();
                     r.record_arg("insert", t0, t1.saturating_sub(t0), tuples.len() as u64);
                 }
-            }
-            Msg::Adopt(tag, tuples) => {
-                // A dead sibling's orphans, re-homed here: straight into
-                // our own window, no probing, no counter advance.
-                for &t in tuples.iter() {
-                    match tag {
-                        StreamTag::R => w.window_r.insert(t),
-                        StreamTag::S => w.window_s.insert(t),
-                    }
-                }
-                w.cell.adopted.fetch_add(tuples.len() as u64, Ordering::Relaxed);
             }
             Msg::Reconfigure(map) => {
                 w.map = Some(map);

@@ -144,8 +144,6 @@ pub(crate) struct WorkerCell {
     outbox: Mutex<Vec<MatchPair>>,
     /// Matches ever published to `outbox`, drained or not.
     pub(crate) results_published: AtomicU64,
-    /// Orphans adopted from a dead sibling's replica.
-    pub(crate) adopted: AtomicU64,
     /// Window tuples this worker's death (or a severed link next to it)
     /// removed from the join — used where the coordinator has no
     /// ownership model of its own (the handshake chain).

@@ -8,6 +8,7 @@
 
 use joinsw::baseline::reference_join;
 use joinsw::fault::{FaultEvent, FaultPlan};
+use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
 use joinsw::{JoinError, JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
@@ -101,42 +102,48 @@ fn kill_one_worker_mid_stream_accounts_losses_exactly() {
     assert_eq!(reg.get("fault.recoveries"), Some(1));
 }
 
-/// With sub-window re-replication enabled the router re-adopts every
-/// orphan onto the survivors: the readopted count equals the orphan
-/// count and the final results recover accordingly.
-#[test]
-fn replication_readopts_every_orphan() {
-    let window = 256;
-    let inputs = workload(4_000, 64);
-    let plan = FaultPlan::none().with(FaultEvent::Kill { worker: 1, after_batch: 100 });
-    let degraded = run(
-        SplitJoinConfig::new(CORES, window)
-            .with_batch_size(16)
-            .with_fault_plan(plan.clone()),
-        &inputs,
-    )
-    .unwrap();
-    let replicated = run(
-        SplitJoinConfig::new(CORES, window)
-            .with_batch_size(16)
-            .with_fault_plan(plan)
-            .with_replication(),
-        &inputs,
-    )
-    .unwrap();
+/// What a degraded outcome publishes under `fault.*`, sorted: the same
+/// six counters on both engines that can lose a core.
+const FAULT_KEYS: [&str; 6] = [
+    "fault.injected_drops",
+    "fault.injected_stalls",
+    "fault.orphaned_tuples",
+    "fault.recoveries",
+    "fault.results_dropped",
+    "fault.workers_lost",
+];
 
-    assert!(replicated.fault.orphaned_tuples > 0);
-    assert_eq!(
-        replicated.fault.readopted_tuples,
-        replicated.fault.orphaned_tuples,
-        "router replicas must cover the dead worker's whole window"
-    );
-    assert!(
-        replicated.result_count > degraded.result_count,
-        "re-adoption must recover matches: {} vs {}",
-        replicated.result_count,
-        degraded.result_count
-    );
+/// A kill on SplitJoin and on the handshake chain publishes exactly
+/// [`FAULT_KEYS`]: none missing, and no key the report cannot fill.
+#[test]
+fn a_degraded_outcome_publishes_exactly_the_fault_keys() {
+    let inputs = workload(4_000, 64);
+    let plan = || FaultPlan::parse("kill1@100").unwrap();
+    let split = run(
+        SplitJoinConfig::new(CORES, 256)
+            .with_batch_size(16)
+            .with_fault_plan(plan()),
+        &inputs,
+    )
+    .unwrap();
+    let chain = HandshakeJoin::spawn(HandshakeConfig::new(CORES, 64).with_fault_plan(plan()));
+    for &(tag, t) in &inputs {
+        chain.process(tag, t).unwrap();
+    }
+    chain.flush().unwrap();
+    let chain = chain.shutdown().unwrap();
+
+    for (engine, outcome) in [("splitjoin", split), ("handshake", chain)] {
+        assert_eq!(outcome.fault.workers_lost, vec![1], "{engine}: the kill fired");
+        let values = outcome.values();
+        let mut keys: Vec<&str> = values
+            .iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("fault."))
+            .collect();
+        keys.sort_unstable();
+        assert_eq!(keys, FAULT_KEYS, "{engine}");
+    }
 }
 
 /// A stalled worker recovers through the supervised-send backoff: no

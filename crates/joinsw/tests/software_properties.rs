@@ -1,7 +1,7 @@
 //! Property-based tests of the software joins.
 
 use joinsw::baseline::reference_join;
-use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig, SwJoinAlgorithm};
+use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
 use joinsw::{JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -40,28 +40,24 @@ const BATCHES: [usize; 2] = [1, DEFAULT_BATCH_SIZE];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Nested-loop and hash SplitJoin agree with the strict reference on
-    /// arbitrary interleavings and match each other exactly.
+    /// SplitJoin agrees with the strict reference on arbitrary
+    /// interleavings at every core count, on the per-tuple and the
+    /// blocked probe path alike.
     #[test]
     fn splitjoin_algorithms_agree(inputs in arb_inputs(150, 6), cores in 1usize..4) {
         let window = 12usize;
         let effective = cores * window.div_ceil(cores);
         let want = as_multiset(&reference_join(&inputs, effective, JoinPredicate::Equi));
 
-        for algorithm in [SwJoinAlgorithm::NestedLoop, SwJoinAlgorithm::Hash] {
-            for batch in BATCHES {
-                let config = SplitJoinConfig::new(cores, window)
-                    .with_algorithm(algorithm)
-                    .with_batch_size(batch);
-                prop_assert_eq!(
-                    as_multiset(&run(config, &inputs).results),
-                    want.clone(),
-                    "{:?} with {} cores at batch {}",
-                    algorithm,
-                    cores,
-                    batch
-                );
-            }
+        for batch in BATCHES {
+            let config = SplitJoinConfig::new(cores, window).with_batch_size(batch);
+            prop_assert_eq!(
+                as_multiset(&run(config, &inputs).results),
+                want.clone(),
+                "{} cores at batch {}",
+                cores,
+                batch
+            );
         }
     }
 

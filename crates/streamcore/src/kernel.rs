@@ -285,33 +285,6 @@ pub fn emit_block(
     }
 }
 
-/// Issues a best-effort read prefetch for `slice[idx]`; out-of-bounds
-/// indices and non-x86_64 targets are no-ops.
-///
-/// Used by hash-indexed chain walks to overlap the next chain node's
-/// cache miss with the current node's compare — the pointer-chasing
-/// analog of the blocked kernels' tile reuse.
-#[inline(always)]
-#[allow(unsafe_code)]
-pub fn prefetch_read<T>(slice: &[T], idx: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if idx < slice.len() {
-        // SAFETY: `idx` is in bounds, so the pointer derives from the
-        // slice's live allocation; PREFETCHT0 is a pure hint with no
-        // architectural effect on memory either way.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(
-                slice.as_ptr().add(idx).cast::<i8>(),
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (slice, idx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,14 +437,5 @@ mod tests {
         assert_eq!(a.lanes, 200);
         assert_eq!(a.density_x1000(), 250);
         assert_eq!(KernelStats::default().density_x1000(), 0);
-    }
-
-    #[test]
-    fn prefetch_is_safe_at_any_index() {
-        let v = vec![1u32, 2, 3];
-        prefetch_read(&v, 0);
-        prefetch_read(&v, 2);
-        prefetch_read(&v, 3); // out of bounds: no-op
-        prefetch_read::<u32>(&[], 0);
     }
 }

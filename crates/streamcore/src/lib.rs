@@ -11,8 +11,9 @@
 //!   Flexible Query Processor;
 //! * [`SlidingWindow`] — count-based sliding window semantics (the
 //!   generic `VecDeque` reference backend), plus the flat
-//!   struct-of-arrays backends [`FlatWindow`] and [`HashIndexWindow`]
-//!   used by the software join hot paths, and the key-sharded
+//!   struct-of-arrays backends [`FlatWindow`] (the SplitJoin
+//!   sub-window) and [`HashIndexWindow`] (its equi-indexed variant),
+//!   and the key-sharded
 //!   [`PartitionedWindow`] behind hash-partitioned dispatch;
 //! * [`PartitionMap`] — round-robin ownership of storage turns over live
 //!   worker positions, used by the software SplitJoin coordinator to
@@ -42,13 +43,13 @@
 //! assert_eq!(keys, vec![2, 3, 4]);
 //! ```
 
-// `deny` instead of `forbid`: the lock-free ring/arena transport, the
-// affinity shim, and the probe-kernel prefetch hint are the only
-// modules allowed to opt back in, each with per-block safety arguments.
+// `deny` instead of `forbid`: the lock-free ring/arena transport
+// (`ring.rs`) is the one module allowed to opt back in, with per-block
+// safety arguments, and the one CI runs under miri. A CI step fails on
+// `unsafe` anywhere else in this crate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod kernel;
 pub mod metrics;
 mod partition;

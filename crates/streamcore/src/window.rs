@@ -8,11 +8,12 @@
 //!   semantics (and the golden cycle pins downstream of them) never
 //!   move.
 //! * [`FlatWindow`] / [`HashIndexWindow`] — flat ring buffers over
-//!   [`Tuple`]s for the software join hot paths. `FlatWindow` stores
+//!   [`Tuple`]s. `FlatWindow`, the SplitJoin worker's sub-window, stores
 //!   keys and payloads in separate contiguous arrays
 //!   (struct-of-arrays), so a nested-loop probe is a linear scan of a
 //!   dense `u32` array; `HashIndexWindow` adds an open-addressing
-//!   equi-join index over the same ring. Both are cross-checked against
+//!   equi-join index over the same ring (the ledger measures its probe
+//!   rate beside the flat insert rate). Both are cross-checked against
 //!   `SlidingWindow` by randomized property tests
 //!   (`tests/window_backends.rs`).
 
@@ -318,7 +319,7 @@ impl IndexEntry {
 /// an insertion-ordered chain, and an open-addressing hash table mapping
 /// each live key to its chain. [`HashIndexWindow::probe`] therefore
 /// visits exactly the stored tuples equal to the probe key, oldest
-/// first, in O(matches) — the hash backend of the software SplitJoin.
+/// first, in O(matches).
 ///
 /// Expiry keeps the index exact: evicting the globally-oldest tuple pops
 /// the head of its key chain (insertion order makes them the same
@@ -522,28 +523,7 @@ impl HashIndexWindow {
             Ok(pos) => self.table[pos].first,
             Err(_) => NIL,
         };
-        ProbeHits {
-            window: self,
-            cur,
-            prefetch: false,
-        }
-    }
-
-    /// [`HashIndexWindow::probe`] with software prefetching: while each
-    /// chain node is evaluated, the next node's ring slots are hinted
-    /// into cache ([`kernel::prefetch_read`](crate::kernel::prefetch_read)),
-    /// overlapping the pointer-chase latency of long equi-chains. Yields
-    /// exactly the same tuples as `probe`.
-    pub fn probe_prefetch(&self, key: u32) -> ProbeHits<'_> {
-        let mut hits = self.probe(key);
-        hits.prefetch = true;
-        if hits.cur != NIL {
-            let slot = hits.cur as usize;
-            crate::kernel::prefetch_read(&self.keys, slot);
-            crate::kernel::prefetch_read(&self.payloads, slot);
-            crate::kernel::prefetch_read(&self.next, slot);
-        }
-        hits
+        ProbeHits { window: self, cur }
     }
 
     /// Iterates every stored tuple from oldest to newest (test support;
@@ -567,14 +547,11 @@ impl HashIndexWindow {
     }
 }
 
-/// Iterator over the equi-join hits of one [`HashIndexWindow::probe`]
-/// (or [`HashIndexWindow::probe_prefetch`]).
+/// Iterator over the equi-join hits of one [`HashIndexWindow::probe`].
 #[derive(Debug)]
 pub struct ProbeHits<'a> {
     window: &'a HashIndexWindow,
     cur: u32,
-    /// Hint the next chain node into cache while this one is consumed.
-    prefetch: bool,
 }
 
 impl Iterator for ProbeHits<'_> {
@@ -587,12 +564,6 @@ impl Iterator for ProbeHits<'_> {
         }
         let slot = self.cur as usize;
         self.cur = self.window.next[slot];
-        if self.prefetch && self.cur != NIL {
-            let nxt = self.cur as usize;
-            crate::kernel::prefetch_read(&self.window.keys, nxt);
-            crate::kernel::prefetch_read(&self.window.payloads, nxt);
-            crate::kernel::prefetch_read(&self.window.next, nxt);
-        }
         Some(Tuple::new(
             self.window.keys[slot],
             self.window.payloads[slot],
@@ -821,19 +792,6 @@ mod tests {
         w.snapshot_into(&mut keys, &mut pays, false);
         assert_eq!(keys, vec![2, 3, 4, 5]);
         assert!(pays.is_empty());
-    }
-
-    #[test]
-    fn hash_probe_prefetch_yields_identical_hits() {
-        let mut w = HashIndexWindow::new(8);
-        for i in 0..12u32 {
-            w.insert(Tuple::new(i % 3, i));
-        }
-        for key in 0..4u32 {
-            let plain: Vec<Tuple> = w.probe(key).collect();
-            let pre: Vec<Tuple> = w.probe_prefetch(key).collect();
-            assert_eq!(plain, pre, "prefetch must be perf-only (key {key})");
-        }
     }
 
     #[test]
