@@ -23,7 +23,10 @@ use streamcore::{Field, JoinPredicate, Record, Schema, StreamTag, Tuple};
 
 fn hw_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("hw_simulation");
-    for (name, flow) in [("uniflow", FlowModel::UniFlow), ("biflow", FlowModel::BiFlow)] {
+    for (name, flow) in [
+        ("uniflow", FlowModel::UniFlow),
+        ("biflow", FlowModel::BiFlow),
+    ] {
         group.bench_function(format!("{name}_16core_cycle"), |b| {
             let params = DesignParams::new(flow, 16, 1 << 10);
             let mut join = build(&params);
@@ -91,7 +94,11 @@ fn synthesis_model(c: &mut Criterion) {
     c.bench_function("synthesize_512core_report", |b| {
         let params = DesignParams::new(FlowModel::UniFlow, 512, 1 << 18)
             .with_network(joinhw::NetworkKind::Scalable);
-        b.iter(|| params.synthesize(black_box(&hwsim::devices::XC7VX485T)).unwrap());
+        b.iter(|| {
+            params
+                .synthesize(black_box(&hwsim::devices::XC7VX485T))
+                .unwrap()
+        });
     });
 }
 
@@ -132,9 +139,7 @@ fn sw_kernel(c: &mut Criterion) {
             b.iter(|| {
                 let total: u64 = probes
                     .iter()
-                    .map(|&p| {
-                        JoinPredicate::Equi.count_matches(p, true, black_box(&keys)) as u64
-                    })
+                    .map(|&p| JoinPredicate::Equi.count_matches(p, true, black_box(&keys)) as u64)
                     .sum();
                 black_box(total)
             });
@@ -184,9 +189,21 @@ fn select_variants(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("select_variants");
     let conditions = vec![
-        BoundCondition { field: 0, op: CmpOp::Gt, value: 10 },
-        BoundCondition { field: 1, op: CmpOp::Lt, value: 90 },
-        BoundCondition { field: 2, op: CmpOp::Eq, value: 1 },
+        BoundCondition {
+            field: 0,
+            op: CmpOp::Gt,
+            value: 10,
+        },
+        BoundCondition {
+            field: 1,
+            op: CmpOp::Lt,
+            value: 90,
+        },
+        BoundCondition {
+            field: 2,
+            op: CmpOp::Eq,
+            value: 1,
+        },
     ];
     group.bench_function("conjunction_3_conditions", |b| {
         let mut block = OpBlock::new(BlockId(0));
@@ -228,7 +245,11 @@ fn datapath_push(c: &mut Criterion) {
         path.activate(
             1,
             BlockProgram::Select {
-                conditions: vec![BoundCondition { field: 0, op: CmpOp::Gt, value: 90 }],
+                conditions: vec![BoundCondition {
+                    field: 0,
+                    op: CmpOp::Gt,
+                    value: 90,
+                }],
             },
         )
         .unwrap();
@@ -275,7 +296,9 @@ fn fqp_fabric(c: &mut Criterion) {
         let mut fabric = Fabric::new(4);
         let handle = assign(&plan, &mut fabric).unwrap();
         for i in 0..256u64 {
-            fabric.push("products", Record::new(vec![i, i * 2])).unwrap();
+            fabric
+                .push("products", Record::new(vec![i, i * 2]))
+                .unwrap();
         }
         let mut i = 0u64;
         b.iter(|| {

@@ -30,7 +30,11 @@ const KEY_DOMAIN: u32 = 64;
 fn workload() -> Vec<(StreamTag, Tuple)> {
     (0..TUPLES)
         .map(|seq| {
-            let tag = if seq % 2 == 0 { StreamTag::R } else { StreamTag::S };
+            let tag = if seq % 2 == 0 {
+                StreamTag::R
+            } else {
+                StreamTag::S
+            };
             let key = ((seq as u32).wrapping_mul(2_654_435_761) >> 16) % KEY_DOMAIN;
             (tag, Tuple::new(key, seq as u32))
         })
@@ -54,17 +58,17 @@ fn run_scenario(
 
 fn main() {
     let opts = FigOpts::from_args(std::env::args().skip(1));
-    let cores = opts.cores.clone().and_then(|c| c.first().copied()).unwrap_or(4);
+    let cores = opts
+        .cores
+        .clone()
+        .and_then(|c| c.first().copied())
+        .unwrap_or(4);
     if cores < 2 {
         eprintln!("error: --cores must be at least 2 (the kill scenarios target worker 1)");
         eprintln!("usage: faults {}", bench::USAGE);
         std::process::exit(2);
     }
-    let exp = opts
-        .windows
-        .clone()
-        .map(|w| *w.start())
-        .unwrap_or(9);
+    let exp = opts.windows.clone().map(|w| *w.start()).unwrap_or(9);
     let window = 1usize << exp;
     let batch = opts.batch_size;
     let inputs = workload();
@@ -100,8 +104,7 @@ fn main() {
         let config = SplitJoinConfig::new(cores, window)
             .with_batch_size(batch)
             .with_fault_plan(plan);
-        let (mtps, outcome) =
-            run_scenario(config, &inputs).expect("degraded runs still complete");
+        let (mtps, outcome) = run_scenario(config, &inputs).expect("degraded runs still complete");
         let completeness = 100.0 * outcome.result_count as f64 / reference as f64;
         t.row(vec![
             label.to_string(),

@@ -133,7 +133,12 @@ fn load_manifest(path: &str) -> Result<RunManifest, String> {
 
 fn summarize(path: &str) -> Result<bool, String> {
     let m = load_manifest(path)?;
-    println!("manifest {} (git {}, threads {})", m.name(), m.git_rev(), m.threads());
+    println!(
+        "manifest {} (git {}, threads {})",
+        m.name(),
+        m.git_rev(),
+        m.threads()
+    );
     if !m.config_entries().is_empty() {
         println!("config:");
         for (k, v) in m.config_entries() {
@@ -232,12 +237,7 @@ fn metrics_under<'m>(m: &'m RunManifest, prefix: &str) -> Vec<&'m str> {
     names
 }
 
-fn diff(
-    a_path: &str,
-    b_path: &str,
-    tolerance: f64,
-    require: Option<&str>,
-) -> Result<bool, String> {
+fn diff(a_path: &str, b_path: &str, tolerance: f64, require: Option<&str>) -> Result<bool, String> {
     let a = load_manifest(a_path)?;
     let b = load_manifest(b_path)?;
     if let Some(prefix) = require {
@@ -280,7 +280,10 @@ fn trace(path: &str) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let summary = obs::trace::validate(&doc).map_err(|e| format!("{path}: {e}"))?;
-    println!("valid Chrome trace: {} span(s), {} dropped", summary.spans, summary.dropped);
+    println!(
+        "valid Chrome trace: {} span(s), {} dropped",
+        summary.spans, summary.dropped
+    );
     for (track, spans) in &summary.tracks {
         println!("  {track}: {spans} span(s)");
     }
@@ -329,9 +332,9 @@ fn series_summarize(path: &str) -> Result<bool, String> {
         let last = points.last().map_or(0, |&(_, v)| v);
         let max = points.iter().map(|&(_, v)| v).max().unwrap_or(0);
         match doc.rate_of(key) {
-            Some(rate) if last >= first => println!(
-                "  {key}: {first} -> {last} (max {max}, {rate:.1}/s)"
-            ),
+            Some(rate) if last >= first => {
+                println!("  {key}: {first} -> {last} (max {max}, {rate:.1}/s)")
+            }
             _ => println!("  {key}: {first} -> {last} (max {max})"),
         }
     }
@@ -433,7 +436,10 @@ fn scrape(addr: &str, require: Option<&str>, retries: u32) -> Result<bool, Strin
                 match hits {
                     Some(0) if attempt >= retries => {
                         print!("{body}");
-                        println!("FAIL: no sample under `{}*` in the scrape", require.unwrap_or(""));
+                        println!(
+                            "FAIL: no sample under `{}*` in the scrape",
+                            require.unwrap_or("")
+                        );
                         return Ok(false);
                     }
                     Some(0) => eprintln!(
@@ -451,7 +457,10 @@ fn scrape(addr: &str, require: Option<&str>, retries: u32) -> Result<bool, Strin
             }
             Err(e) if attempt >= retries => return Err(format!("scrape {addr}: {e}")),
             Err(e) => {
-                eprintln!("scrape {addr} attempt {}/{retries} failed: {e}; retrying", attempt + 1);
+                eprintln!(
+                    "scrape {addr} attempt {}/{retries} failed: {e}; retrying",
+                    attempt + 1
+                );
             }
         }
         attempt += 1;
@@ -513,12 +522,22 @@ mod tests {
 
     #[test]
     fn diff_args_accept_tolerance_forms() {
-        let args: Vec<String> =
-            ["a.json", "b.json", "--tolerance", "5"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_diff_args(&args), Some(("a.json", "b.json", 5.0, None)));
-        let args: Vec<String> =
-            ["--tolerance=2.5", "a.json", "b.json"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_diff_args(&args), Some(("a.json", "b.json", 2.5, None)));
+        let args: Vec<String> = ["a.json", "b.json", "--tolerance", "5"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse_diff_args(&args),
+            Some(("a.json", "b.json", 5.0, None))
+        );
+        let args: Vec<String> = ["--tolerance=2.5", "a.json", "b.json"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse_diff_args(&args),
+            Some(("a.json", "b.json", 2.5, None))
+        );
         let args: Vec<String> = ["a.json"].iter().map(|s| s.to_string()).collect();
         assert_eq!(parse_diff_args(&args), None);
     }
@@ -557,7 +576,10 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(parse_scrape_args(&args), Some(("localhost:1", Some("fault."), 0)));
+        assert_eq!(
+            parse_scrape_args(&args),
+            Some(("localhost:1", Some("fault."), 0))
+        );
         assert_eq!(parse_scrape_args(&[]), None);
         let bad: Vec<String> = ["--retry".to_string()].to_vec();
         assert_eq!(parse_scrape_args(&bad), None);

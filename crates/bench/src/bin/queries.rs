@@ -175,10 +175,12 @@ fn run_shared(
                 .find(|id| runtime.engine_of(id) != Some(query::EngineKind::Inline))
                 .expect("at least one joined query")
                 .clone();
-            let report = runtime.replan(&target, Objective::MinLatency).unwrap_or_else(|e| {
-                eprintln!("error: re-plan failed: {e}");
-                std::process::exit(1);
-            });
+            let report = runtime
+                .replan(&target, Objective::MinLatency)
+                .unwrap_or_else(|e| {
+                    eprintln!("error: re-plan failed: {e}");
+                    std::process::exit(1);
+                });
             eprintln!("re-plan @tuple {seq}: {report}");
             if !report.lossless() {
                 eprintln!("error: handoff lost tuples: {report}");
@@ -257,7 +259,14 @@ fn main() {
             "Standing queries — {} concurrent on {} cores, window {}, zipf(s={}) over {} keys",
             opts.queries, opts.cores, opts.window, opts.skew, opts.domain
         ),
-        &["query", "engine", "matches in", "rows", "re-plans", "vs solo run"],
+        &[
+            "query",
+            "engine",
+            "matches in",
+            "rows",
+            "re-plans",
+            "vs solo run",
+        ],
     );
 
     let mut failures = 0usize;
@@ -292,7 +301,11 @@ fn main() {
             report.matches_in.to_string(),
             report.rows_emitted.to_string(),
             report.replans.to_string(),
-            if exact { "exact".into() } else { "MISMATCH".into() },
+            if exact {
+                "exact".into()
+            } else {
+                "MISMATCH".into()
+            },
         ]);
         run_manifest.counter(format!("query.{id}.rows"), report.rows_emitted);
         bench::obsout::emit(&report.manifest);
@@ -312,10 +325,17 @@ fn main() {
         0 => println!(
             "all {} queries exact vs solo reference runs{}",
             reports.len(),
-            if opts.replan { " (with one live re-plan)" } else { "" }
+            if opts.replan {
+                " (with one live re-plan)"
+            } else {
+                ""
+            }
         ),
         n => {
-            eprintln!("error: {n} quer{} diverged from solo reference", if n == 1 { "y" } else { "ies" });
+            eprintln!(
+                "error: {n} quer{} diverged from solo reference",
+                if n == 1 { "y" } else { "ies" }
+            );
             std::process::exit(1);
         }
     }

@@ -10,9 +10,9 @@ use joinhw::harness::{
     run_latency_with, run_throughput, run_throughput_observed, run_throughput_with,
     uniflow_throughput_model, LatencyRun, ThroughputRun,
 };
+use joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 use obs::provenance::ProvenanceTracker;
 use obs::{Histogram, RunManifest};
-use joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 use streamcore::{StreamTag, Tuple};
 
 use crate::opts::FigOpts;
@@ -200,8 +200,7 @@ fn measure_biflow_run(
     prefill_steady_state(join.as_mut(), params.window_size);
     // Bi-flow service time scales with the total window; keep runs short.
     let tuples = (1_500_000
-        / (joinhw::harness::biflow_service_cycles(params.window_size, params.num_cores)
-            as u64
+        / (joinhw::harness::biflow_service_cycles(params.window_size, params.num_cores) as u64
             + 1))
         .clamp(16, 256);
     let out = run_throughput_observed(
@@ -247,14 +246,23 @@ fn measure_run_timed(
     let mut join = harness::build(params);
     prefill_steady_state(join.as_mut(), params.window_size);
     let seq_start = Instant::now();
-    let (seq, gaps) =
-        run_throughput_observed(&mut Simulator::new(), join.as_mut(), tuples, THROUGHPUT_KEY_DOMAIN);
+    let (seq, gaps) = run_throughput_observed(
+        &mut Simulator::new(),
+        join.as_mut(),
+        tuples,
+        THROUGHPUT_KEY_DOMAIN,
+    );
     let seq_wall = seq_start.elapsed().as_secs_f64();
     // Harvest from the sequential run only; the parallel run is
     // cycle-identical, so folding both in would double-count samples.
     harvest_join(join.as_mut(), rings, prov);
     if threads <= 1 {
-        return TimedRun { run: seq, gaps, seq_wall, par: None };
+        return TimedRun {
+            run: seq,
+            gaps,
+            seq_wall,
+            par: None,
+        };
     }
     let mut join = harness::build(params);
     prefill_steady_state(join.as_mut(), params.window_size);
@@ -264,7 +272,12 @@ fn measure_run_timed(
     let par_wall = par_start.elapsed().as_secs_f64();
     assert_eq!(seq, par, "parallel engine must be cycle-exact");
     let stats = engine.take_stats().expect("parallel run records stats");
-    TimedRun { run: seq, gaps, seq_wall, par: Some((par_wall, stats)) }
+    TimedRun {
+        run: seq,
+        gaps,
+        seq_wall,
+        par: Some((par_wall, stats)),
+    }
 }
 
 /// The columns `--threads` adds to a simulated figure's table.
@@ -275,8 +288,13 @@ const WALL_HEADERS: [&str; 3] = ["seq wall s", "par wall s", "speedup"];
 /// apply; resolved up front so the
 /// `threads <= 1` sequential-only guards see the real width.
 fn pool_width(opts: &FigOpts) -> Option<usize> {
-    opts.threads
-        .map(|n| if n == 0 { ParSimulator::auto().threads() } else { n })
+    opts.threads.map(|n| {
+        if n == 0 {
+            ParSimulator::auto().threads()
+        } else {
+            n
+        }
+    })
 }
 
 /// Simulation wall clock per engine, summed over a `--threads` run.
@@ -398,7 +416,9 @@ pub fn fig14c(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     }
     match threads {
         Some(n) => wall.note(&mut t, n, "throughput columns"),
-        None => t.note("paper: ~2 orders of magnitude over the Virtex-5 realization at window 2^13"),
+        None => {
+            t.note("paper: ~2 orders of magnitude over the Virtex-5 realization at window 2^13")
+        }
     }
     m.histogram("service_gap_cycles", gaps_all);
     record_provenance(&mut m, &prov);
@@ -464,19 +484,39 @@ pub fn fig15(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     } else {
         headers.extend(["clock MHz", "latency us"]);
     }
-    let mut t = Table::new("Fig. 15 — uni-flow latency (planted match per core)", &headers);
+    let mut t = Table::new(
+        "Fig. 15 — uni-flow latency (planted match per core)",
+        &headers,
+    );
     let series: [(&str, &Device, NetworkKind, usize, Option<f64>); 3] = [
-        ("W 2^18 (V7)", &XC7VX485T, NetworkKind::Lightweight, 1 << 18, None),
-        ("W 2^18 (V7s)", &XC7VX485T, NetworkKind::Scalable, 1 << 18, Some(300.0)),
-        ("W 2^13 (V5)", &XC5VLX50T, NetworkKind::Lightweight, 1 << 13, Some(100.0)),
+        (
+            "W 2^18 (V7)",
+            &XC7VX485T,
+            NetworkKind::Lightweight,
+            1 << 18,
+            None,
+        ),
+        (
+            "W 2^18 (V7s)",
+            &XC7VX485T,
+            NetworkKind::Scalable,
+            1 << 18,
+            Some(300.0),
+        ),
+        (
+            "W 2^13 (V5)",
+            &XC5VLX50T,
+            NetworkKind::Lightweight,
+            1 << 13,
+            Some(100.0),
+        ),
     ];
     let mut wall = WallClock::default();
     for (s, (name, device, network, window, fixed_clock)) in series.into_iter().enumerate() {
         m.config(format!("series.{s}"), name);
         for exp in 1..=9u32 {
             let cores = 1u32 << exp;
-            let params =
-                DesignParams::new(FlowModel::UniFlow, cores, window).with_network(network);
+            let params = DesignParams::new(FlowModel::UniFlow, cores, window).with_network(network);
             let report = match fixed_clock {
                 Some(mhz) => params.synthesize_at(device, mhz),
                 None => params.synthesize(device),
@@ -504,7 +544,9 @@ pub fn fig15(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     }
     match threads {
         Some(n) => wall.note(&mut t, n, "cycle counts"),
-        None => t.note("paper: cycles similar across networks; lightweight loses in time via clock drop"),
+        None => t.note(
+            "paper: cycles similar across networks; lightweight loses in time via clock drop",
+        ),
     }
     m.histogram("latency_cycles", latencies);
     record_provenance(&mut m, &prov);
@@ -525,17 +567,38 @@ pub fn fig17(_: &FigOpts) -> (Vec<Table>, RunManifest) {
         let cores = 1u32 << exp;
         let v7l = DesignParams::new(FlowModel::UniFlow, cores, 1 << 18);
         let fmax = estimate_fmax(&XC7VX485T, &v7l.timing_profile()).mhz();
-        m.config(format!("v7_lightweight.c{cores}.fmax_mhz"), format!("{fmax:.1}"));
-        t.row(vec!["W 2^18 (V7)".into(), cores.to_string(), format!("{fmax:.1}")]);
+        m.config(
+            format!("v7_lightweight.c{cores}.fmax_mhz"),
+            format!("{fmax:.1}"),
+        );
+        t.row(vec![
+            "W 2^18 (V7)".into(),
+            cores.to_string(),
+            format!("{fmax:.1}"),
+        ]);
         let v7s = v7l.with_network(NetworkKind::Scalable);
         let fmax = estimate_fmax(&XC7VX485T, &v7s.timing_profile()).mhz();
-        m.config(format!("v7_scalable.c{cores}.fmax_mhz"), format!("{fmax:.1}"));
-        t.row(vec!["W 2^18 (V7s)".into(), cores.to_string(), format!("{fmax:.1}")]);
+        m.config(
+            format!("v7_scalable.c{cores}.fmax_mhz"),
+            format!("{fmax:.1}"),
+        );
+        t.row(vec![
+            "W 2^18 (V7s)".into(),
+            cores.to_string(),
+            format!("{fmax:.1}"),
+        ]);
         if cores <= 16 {
             let v5 = DesignParams::new(FlowModel::UniFlow, cores, 1 << 13);
             let fmax = estimate_fmax(&XC5VLX50T, &v5.timing_profile()).mhz();
-            m.config(format!("v5_lightweight.c{cores}.fmax_mhz"), format!("{fmax:.1}"));
-            t.row(vec!["W 2^13 (V5)".into(), cores.to_string(), format!("{fmax:.1}")]);
+            m.config(
+                format!("v5_lightweight.c{cores}.fmax_mhz"),
+                format!("{fmax:.1}"),
+            );
+            t.row(vec![
+                "W 2^13 (V5)".into(),
+                cores.to_string(),
+                format!("{fmax:.1}"),
+            ]);
         }
     }
     t.note("paper: V7 lightweight drops with fan-out; V7 scalable flat ~300; V5 flat, bump at 16");
@@ -601,7 +664,13 @@ pub fn power(_: &FigOpts) -> (Vec<Table>, RunManifest) {
 pub fn fanout_ablation() -> Table {
     let mut t = Table::new(
         "Ablation — scalable-network tree fan-out (64 cores, window 2^12, Virtex-7)",
-        &["fan-out", "tree depth", "latency cycles", "fmax MHz", "latency us"],
+        &[
+            "fan-out",
+            "tree depth",
+            "latency cycles",
+            "fmax MHz",
+            "latency us",
+        ],
     );
     let cores = 64u32;
     let window = 1usize << 12;
@@ -640,7 +709,13 @@ pub fn fanout_ablation() -> Table {
 pub fn hashjoin_ablation() -> Table {
     let mut t = Table::new(
         "Ablation — nested-loop vs hash join cores (16 cores, Virtex-5, 100 MHz)",
-        &["window", "key domain", "nested Mt/s", "hash Mt/s", "speedup"],
+        &[
+            "window",
+            "key domain",
+            "nested Mt/s",
+            "hash Mt/s",
+            "speedup",
+        ],
     );
     for &(window, domain) in &[
         (1usize << 10, 1u32 << 16),
@@ -650,8 +725,8 @@ pub fn hashjoin_ablation() -> Table {
     ] {
         let mut rates = Vec::new();
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let params = DesignParams::new(FlowModel::UniFlow, 16, window)
-                .with_algorithm(algorithm);
+            let params =
+                DesignParams::new(FlowModel::UniFlow, 16, window).with_algorithm(algorithm);
             let mut join = harness::build(&params);
             prefill_steady_state(join.as_mut(), window);
             let tuples = tuples_for(params.sub_window()).max(256);
@@ -680,7 +755,12 @@ pub fn hashjoin_ablation() -> Table {
 pub fn cloudscale_projection() -> Table {
     let mut t = Table::new(
         "Projection — uni-flow on the AWS F1 FPGA (XCVU9P, scalable networks)",
-        &["cores", "max window", "fmax MHz", "model Mt/s at max window"],
+        &[
+            "cores",
+            "max window",
+            "fmax MHz",
+            "model Mt/s at max window",
+        ],
     );
     for exp in [9u32, 10, 11, 12] {
         let cores = 1u32 << exp;
@@ -696,8 +776,7 @@ pub fn cloudscale_projection() -> Table {
         }
         match max_window {
             Some((wexp, mhz)) => {
-                let model =
-                    uniflow_throughput_model(1usize << wexp, cores, mhz) / 1e6;
+                let model = uniflow_throughput_model(1usize << wexp, cores, mhz) / 1e6;
                 t.row(vec![
                     cores.to_string(),
                     format!("2^{wexp}"),
@@ -836,6 +915,9 @@ mod tests {
         let params = DesignParams::new(FlowModel::UniFlow, 4, 1 << 8);
         let measured = measure_mtps(&params, 100.0);
         let model = uniflow_throughput_model(1 << 8, 4, 100.0) / 1e6;
-        assert!((measured - model).abs() / model < 0.15, "{measured} vs {model}");
+        assert!(
+            (measured - model).abs() / model < 0.15,
+            "{measured} vs {model}"
+        );
     }
 }

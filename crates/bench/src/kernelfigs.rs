@@ -64,14 +64,10 @@ pub fn kernel(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
             }
             let rate = (0..samples)
                 .map(|_| {
-                    measure_throughput_collecting::<SplitJoin>(
-                        config.clone(),
-                        tuples,
-                        KEY_DOMAIN,
-                    )
-                    .expect("kernel figure run failed")
-                    .0
-                    .million_per_second()
+                    measure_throughput_collecting::<SplitJoin>(config.clone(), tuples, KEY_DOMAIN)
+                        .expect("kernel figure run failed")
+                        .0
+                        .million_per_second()
                 })
                 .fold(0f64, f64::max);
             row.push(format!("{rate:.5}"));
@@ -80,7 +76,9 @@ pub fn kernel(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
         m.counter(format!("w2e{exp}.tuples"), tuples);
         t.row(row);
     }
-    t.note(format!("distribution batch size: {batch} (blocked tiles engage at >= 8 probes/batch)"));
+    t.note(format!(
+        "distribution batch size: {batch} (blocked tiles engage at >= 8 probes/batch)"
+    ));
     t.note("counting mode: popcount-only tiles; materializing mode: bitmask-then-emit pairs");
     t.note(format!(
         "each point is the best of {samples} run(s): scheduler noise only depresses a rate"
@@ -106,7 +104,11 @@ mod tests {
             for variant in ["blocked_count", "blocked_mat"] {
                 let key = format!("w2e{exp}.{variant}_mtps");
                 let rate = m.config_entries().iter().find(|(k, _)| *k == key);
-                let rate: f64 = rate.unwrap_or_else(|| panic!("{key} missing")).1.parse().unwrap();
+                let rate: f64 = rate
+                    .unwrap_or_else(|| panic!("{key} missing"))
+                    .1
+                    .parse()
+                    .unwrap();
                 assert!(rate > 0.0, "{key} = {rate}");
             }
         }

@@ -71,11 +71,21 @@ pub const FIGURES: &[(&str, FigureFn)] = &[
             vec![reconfigfig::deployment_paths(), reconfigfig::live_requery()],
         )
     }),
-    ("precision", |_| tables_only("precision", vec![swfigs::precision_ablation()])),
-    ("fanout", |_| tables_only("fanout", vec![hwfigs::fanout_ablation()])),
-    ("hashjoin", |_| tables_only("hashjoin", vec![hwfigs::hashjoin_ablation()])),
-    ("deferral", |_| tables_only("deferral", vec![hwfigs::deferral_ablation()])),
-    ("cloudscale", |_| tables_only("cloudscale", vec![hwfigs::cloudscale_projection()])),
+    ("precision", |_| {
+        tables_only("precision", vec![swfigs::precision_ablation()])
+    }),
+    ("fanout", |_| {
+        tables_only("fanout", vec![hwfigs::fanout_ablation()])
+    }),
+    ("hashjoin", |_| {
+        tables_only("hashjoin", vec![hwfigs::hashjoin_ablation()])
+    }),
+    ("deferral", |_| {
+        tables_only("deferral", vec![hwfigs::deferral_ablation()])
+    }),
+    ("cloudscale", |_| {
+        tables_only("cloudscale", vec![hwfigs::cloudscale_projection()])
+    }),
     ("kernel", kernelfigs::kernel),
     ("partition", partfigs::partition),
     ("swflow", swfigs::swflow),

@@ -111,7 +111,10 @@ pub fn live_start(figure: &str, interval_ms: u64, port: Option<u16>) -> LiveRun 
             None
         }
     });
-    LiveRun { sampler: Some(sampler), server }
+    LiveRun {
+        sampler: Some(sampler),
+        server,
+    }
 }
 
 impl LiveRun {

@@ -53,7 +53,10 @@ impl Table {
 
     /// Cell accessor (row, column) for assertions.
     pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
-        self.rows.get(row).and_then(|r| r.get(col)).map(String::as_str)
+        self.rows
+            .get(row)
+            .and_then(|r| r.get(col))
+            .map(String::as_str)
     }
 
     /// Renders the table as RFC-4180-ish CSV (quotes cells containing
@@ -69,7 +72,11 @@ impl Table {
         }
         let mut out = format!("# {}\n", self.title);
         let render = |cells: &[String]| {
-            cells.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
+            cells
+                .iter()
+                .map(|c| escape(c))
+                .collect::<Vec<_>>()
+                .join(",")
         };
         out.push_str(&render(&self.headers));
         out.push('\n');
@@ -98,7 +105,11 @@ impl fmt::Display for Table {
                 .join("  ")
         };
         writeln!(f, "{}", fmt_row(&self.headers))?;
-        writeln!(f, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()))?;
+        writeln!(
+            f,
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+        )?;
         for row in &self.rows {
             writeln!(f, "{}", fmt_row(row))?;
         }
@@ -140,9 +151,6 @@ mod tests {
         t.row(vec!["1,5".into(), "plain".into()]);
         t.row(vec!["quote\"d".into(), "2".into()]);
         let csv = t.to_csv();
-        assert_eq!(
-            csv,
-            "# fig\nx,y\n\"1,5\",plain\n\"quote\"\"d\",2\n"
-        );
+        assert_eq!(csv, "# fig\nx,y\n\"1,5\",plain\n\"quote\"\"d\",2\n");
     }
 }

@@ -73,7 +73,10 @@ impl std::fmt::Display for JoinError {
             JoinError::WorkerLost { worker } => {
                 write!(f, "join worker {worker} was lost mid-operation")
             }
-            JoinError::WorkerPanicked { worker, stats_so_far } => write!(
+            JoinError::WorkerPanicked {
+                worker,
+                stats_so_far,
+            } => write!(
                 f,
                 "join worker {worker} panicked after seeing {} tuples \
                  ({} stored, {} matches)",
@@ -99,26 +102,41 @@ mod tests {
     fn display_carries_the_worker_position() {
         let e = JoinError::WorkerLost { worker: 3 };
         assert!(e.to_string().contains("worker 3"));
-        let e = JoinError::Saturated { worker: 1, waited_ms: 250 };
+        let e = JoinError::Saturated {
+            worker: 1,
+            waited_ms: 250,
+        };
         assert!(e.to_string().contains("250 ms"));
     }
 
     #[test]
     fn worker_panicked_preserves_stats() {
-        let stats = WorkerStats { tuples_seen: 42, stored: 10, comparisons: 99, matches: 7 };
-        let e = JoinError::WorkerPanicked { worker: 2, stats_so_far: stats };
+        let stats = WorkerStats {
+            tuples_seen: 42,
+            stored: 10,
+            comparisons: 99,
+            matches: 7,
+        };
+        let e = JoinError::WorkerPanicked {
+            worker: 2,
+            stats_so_far: stats,
+        };
         match e {
-            JoinError::WorkerPanicked { worker, stats_so_far } => {
+            JoinError::WorkerPanicked {
+                worker,
+                stats_so_far,
+            } => {
                 assert_eq!(worker, 2);
                 assert_eq!(stats_so_far, stats);
             }
             other => panic!("unexpected variant {other:?}"),
         }
-        assert!(
-            JoinError::WorkerPanicked { worker: 2, stats_so_far: stats }
-                .to_string()
-                .contains("42 tuples")
-        );
+        assert!(JoinError::WorkerPanicked {
+            worker: 2,
+            stats_so_far: stats
+        }
+        .to_string()
+        .contains("42 tuples"));
     }
 
     #[test]

@@ -142,11 +142,7 @@ impl Fabric {
     /// # Errors
     ///
     /// Returns [`FabricError::UnknownBlock`] for an invalid id.
-    pub fn reprogram(
-        &mut self,
-        id: BlockId,
-        program: BlockProgram,
-    ) -> Result<(), FabricError> {
+    pub fn reprogram(&mut self, id: BlockId, program: BlockProgram) -> Result<(), FabricError> {
         let block = self
             .blocks
             .get_mut(id.0)
@@ -342,11 +338,7 @@ impl Fabric {
             for t in targets {
                 match t {
                     Target::Block(id, port) => {
-                        let _ = writeln!(
-                            out,
-                            "  b{from} -> b{} [label=\"{:?}\"];",
-                            id.0, port
-                        );
+                        let _ = writeln!(out, "  b{from} -> b{} [label=\"{:?}\"];", id.0, port);
                     }
                     Target::Sink(id) => {
                         let _ = writeln!(out, "  b{from} -> sink{};", id.0);

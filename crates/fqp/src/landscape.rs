@@ -258,10 +258,7 @@ mod tests {
 
     #[test]
     fn representational_dynamism_is_ordered() {
-        assert!(
-            RepresentationalModel::StaticCircuit
-                < RepresentationalModel::ParametrizedCircuit
-        );
+        assert!(RepresentationalModel::StaticCircuit < RepresentationalModel::ParametrizedCircuit);
         assert!(
             RepresentationalModel::ParametrizedCircuit
                 < RepresentationalModel::ParametrizedDataSegments

@@ -283,9 +283,15 @@ mod tests {
         let sites = default_sites();
         let p = place(&plan, &sites, Objective::MinLatency);
         // Two cheap filters: the host CPU wins (no transfer, 1 µs/op).
-        assert!(p.sites.iter().all(|&s| sites[s].kind == SiteKind::Cpu), "{p}");
+        assert!(
+            p.sites.iter().all(|&s| sites[s].kind == SiteKind::Cpu),
+            "{p}"
+        );
         assert!(p.latency_us <= 2.0 + 1e-9);
-        assert_eq!(p.system_model(&sites), crate::landscape::SystemModel::Standalone);
+        assert_eq!(
+            p.system_model(&sites),
+            crate::landscape::SystemModel::Standalone
+        );
     }
 
     #[test]
@@ -318,7 +324,10 @@ mod tests {
         );
         let p = place(&plan, &sites, Objective::MaxThroughput);
         assert_eq!(p.sites, vec![0, 1]);
-        assert_eq!(p.system_model(&sites), crate::landscape::SystemModel::CoProcessor);
+        assert_eq!(
+            p.system_model(&sites),
+            crate::landscape::SystemModel::CoProcessor
+        );
         // Latency = host op (1) + hop onto the engine (0 + 1) + join (2).
         assert!((p.latency_us - 4.0).abs() < 1e-9, "{p}");
     }

@@ -86,9 +86,7 @@ impl DeploymentPath {
                     halts_system: true,
                 },
             ],
-            DeploymentPath::ReSynthesis => {
-                DeploymentPath::HardwareRedesign.steps()[1..].to_vec()
-            }
+            DeploymentPath::ReSynthesis => DeploymentPath::HardwareRedesign.steps()[1..].to_vec(),
             DeploymentPath::FqpRemap => vec![
                 DeploymentStep {
                     name: "map new operators onto OP-Blocks",

@@ -71,10 +71,8 @@ pub fn distribute(plans: &[Plan], record_bits: u64, devices: &[Device]) -> Distr
     for idx in order {
         let mut placed = false;
         for (d, device) in devices.iter().enumerate() {
-            let mut candidate: Vec<Plan> = assignments[d]
-                .iter()
-                .map(|&i| plans[i].clone())
-                .collect();
+            let mut candidate: Vec<Plan> =
+                assignments[d].iter().map(|&i| plans[i].clone()).collect();
             candidate.push(plans[idx].clone());
             if provision(&candidate, record_bits, device).is_ok() {
                 assignments[d].push(idx);
@@ -114,9 +112,7 @@ fn plan_weight(plan: &Plan) -> usize {
         .iter()
         .map(|op| match op {
             PlanOp::Join { window, .. } | PlanOp::Aggregate { window, .. } => *window,
-            PlanOp::Select { .. }
-            | PlanOp::SelectTable { .. }
-            | PlanOp::Project { .. } => 1,
+            PlanOp::Select { .. } | PlanOp::SelectTable { .. } | PlanOp::Project { .. } => 1,
         })
         .sum::<usize>()
         .max(1)
@@ -177,7 +173,10 @@ mod tests {
         let mut plans: Vec<Plan> = (0..3).map(|i| join_plan(20 + i, 50_000)).collect();
         plans.extend((0..3).map(|i| join_plan(40 + i, 2_000)));
         let v5_only = distribute(&plans, 64, &[XC5VLX50T]);
-        assert!(!v5_only.is_complete(), "the V5 cannot hold 50k-tuple windows");
+        assert!(
+            !v5_only.is_complete(),
+            "the V5 cannot hold 50k-tuple windows"
+        );
         let both = distribute(&plans, 64, &[XC5VLX50T, XC7VX485T]);
         assert!(both.is_complete());
         assert_eq!(both.devices_used(), 2);

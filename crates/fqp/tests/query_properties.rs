@@ -31,8 +31,8 @@ fn catalog() -> Catalog {
 
 /// A strategy over syntactically valid WHERE clauses with known structure.
 fn arb_clause() -> impl Strategy<Value = String> {
-    let atom = (prop::sample::select(vec!["a", "b"]), 0u32..100)
-        .prop_map(|(f, v)| format!("{f} > {v}"));
+    let atom =
+        (prop::sample::select(vec!["a", "b"]), 0u32..100).prop_map(|(f, v)| format!("{f} > {v}"));
     atom.prop_recursive(3, 12, 3, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("{x} AND {y}")),

@@ -32,7 +32,10 @@ fn placement_is_deterministic_across_repeated_calls() {
         let first = place(&plan, &sites, objective);
         for _ in 0..10 {
             let again = place(&plan, &sites, objective);
-            assert_eq!(again.sites, first.sites, "{objective:?}: site choice drifted");
+            assert_eq!(
+                again.sites, first.sites,
+                "{objective:?}: site choice drifted"
+            );
             assert_eq!(
                 (again.throughput_tps, again.latency_us),
                 (first.throughput_tps, first.latency_us),
@@ -51,7 +54,10 @@ fn equal_plans_place_identically_regardless_of_origin() {
     let reparsed = Query::parse(&parsed.to_string()).unwrap();
     let a = bind(&parsed, &catalog()).unwrap();
     let b = bind(&reparsed, &catalog()).unwrap();
-    assert_eq!(a.ops, b.ops, "bind must be canonical over equivalent queries");
+    assert_eq!(
+        a.ops, b.ops,
+        "bind must be canonical over equivalent queries"
+    );
     let sites = default_sites();
     assert_eq!(
         place(&a, &sites, Objective::MaxThroughput).sites,
@@ -90,7 +96,8 @@ fn redeploying_a_query_reproduces_its_results_exactly() {
     let feed = |mgr: &mut QueryManager, id| {
         for k in 0..16u64 {
             mgr.push("products", Record::new(vec![k, 100 + k])).unwrap();
-            mgr.push("customers", Record::new(vec![k, 30 + (k % 8)])).unwrap();
+            mgr.push("customers", Record::new(vec![k, 30 + (k % 8)]))
+                .unwrap();
         }
         mgr.take_results(id).unwrap()
     };
@@ -103,7 +110,10 @@ fn redeploying_a_query_reproduces_its_results_exactly() {
     mgr.undeploy(first_id).unwrap();
     let second_id = mgr.deploy(&plan).unwrap();
     let second = feed(&mut mgr, second_id);
-    assert_eq!(first, second, "redeployed query diverged from its first run");
+    assert_eq!(
+        first, second,
+        "redeployed query diverged from its first run"
+    );
 }
 
 #[test]
@@ -138,14 +148,18 @@ fn binding_rejects_malformed_queries_with_typed_errors() {
     let unknown_stream = Query::parse("SELECT * FROM orders").unwrap();
     assert_eq!(
         bind(&unknown_stream, &c).unwrap_err(),
-        PlanError::UnknownStream { stream: "orders".into() }
+        PlanError::UnknownStream {
+            stream: "orders".into()
+        }
     );
 
     let unknown_join_stream =
         Query::parse("SELECT * FROM customers JOIN orders ON product_id WINDOW 8").unwrap();
     assert_eq!(
         bind(&unknown_join_stream, &c).unwrap_err(),
-        PlanError::UnknownStream { stream: "orders".into() }
+        PlanError::UnknownStream {
+            stream: "orders".into()
+        }
     );
 
     let unknown_field = Query::parse("SELECT * FROM customers WHERE height > 10").unwrap();
@@ -169,6 +183,9 @@ fn binding_rejects_malformed_queries_with_typed_errors() {
     let too_wide = Query::parse(&format!("SELECT * FROM customers WHERE {clause}")).unwrap();
     assert_eq!(
         bind(&too_wide, &c).unwrap_err(),
-        PlanError::TooManyAtoms { atoms: MAX_TRUTH_TABLE_ATOMS + 1, max: MAX_TRUTH_TABLE_ATOMS }
+        PlanError::TooManyAtoms {
+            atoms: MAX_TRUTH_TABLE_ATOMS + 1,
+            max: MAX_TRUTH_TABLE_ATOMS
+        }
     );
 }

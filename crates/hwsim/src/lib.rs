@@ -90,8 +90,8 @@ pub use fifo::Fifo;
 pub use par::{Control, Engine, ParSimulator, ParStats, Shard, Sharded, WorkerStats};
 pub use power::{PowerModel, PowerReport};
 pub use reg::{DelayLine, Register};
-pub use resources::{MemoryMapping, Resources, Utilization};
 pub use resources::LUTRAM_THRESHOLD_BITS as LUTRAM_THRESHOLD_BITS_DEFAULT;
+pub use resources::{MemoryMapping, Resources, Utilization};
 pub use sim::{Component, Simulator};
 pub use timing::{estimate_fmax, Frequency, TimingProfile};
 pub use trace::{SignalId, TraceRecorder};

@@ -493,7 +493,10 @@ fn worker_loop(gate: &Gate, index: usize) {
     // instead would race with an early first release and miss the phase.
     let mut seen = 0u64;
     let mut scratch: Vec<SendPtr> = Vec::new();
-    let mut guard = WorkerPanicGuard { gate, in_phase: false };
+    let mut guard = WorkerPanicGuard {
+        gate,
+        in_phase: false,
+    };
     let mut stats = WorkerStats::default();
     let mut ring = worker_ring(index);
     let mut cycle_had_work = false;
@@ -504,7 +507,10 @@ fn worker_loop(gate: &Gate, index: usize) {
         seen = gate.epoch.load(Ordering::Acquire);
         let op = gate.op.load(Ordering::Acquire);
         if op == OP_EXIT {
-            gate.stats.lock().expect("pool poisoned").push((index, stats, ring));
+            gate.stats
+                .lock()
+                .expect("pool poisoned")
+                .push((index, stats, ring));
             return;
         }
         guard.in_phase = true;
@@ -568,7 +574,11 @@ impl ParSimulator {
         if threads == 0 {
             Self::auto()
         } else {
-            ParSimulator { threads, cycle: 0, last_stats: None }
+            ParSimulator {
+                threads,
+                cycle: 0,
+                last_stats: None,
+            }
         }
     }
 
@@ -903,7 +913,10 @@ mod tests {
         fn new(n: usize) -> Self {
             Bank {
                 lanes: (0..n)
-                    .map(|_| Lane { reg: Register::new(0), evals: 0 })
+                    .map(|_| Lane {
+                        reg: Register::new(0),
+                        evals: 0,
+                    })
                     .collect(),
                 coord_pre: 0,
                 coord_post: 0,
@@ -991,7 +1004,11 @@ mod tests {
         let mut bank = Bank::new(4);
         let mut sim = ParSimulator::new(4);
         let stopped = sim.run_driven(&mut bank, 1_000, &mut |_, cycle| {
-            if cycle == 17 { Control::Stop } else { Control::Continue }
+            if cycle == 17 {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
         });
         assert!(stopped);
         assert_eq!(sim.cycle(), 17);
@@ -1059,7 +1076,11 @@ mod tests {
     fn engine_trait_is_interchangeable() {
         fn drive<E: Engine>(engine: &mut E, bank: &mut Bank) -> u64 {
             engine.run_driven(bank, 1_000, &mut |b: &mut Bank, _| {
-                if *b.lanes[0].reg.get() >= 13 { Control::Stop } else { Control::Continue }
+                if *b.lanes[0].reg.get() >= 13 {
+                    Control::Stop
+                } else {
+                    Control::Continue
+                }
             });
             engine.cycle()
         }
@@ -1104,7 +1125,11 @@ mod tests {
         let mut sim = ParSimulator::new(4);
         sim.run(&mut bank, 10);
         let stopped = sim.run_driven(&mut bank, 1_000, &mut |_, cycle| {
-            if cycle == 13 { Control::Stop } else { Control::Continue }
+            if cycle == 13 {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
         });
         assert!(stopped);
         // 10 cycles from the first run, stopped at absolute cycle 13.

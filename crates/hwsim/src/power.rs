@@ -116,7 +116,11 @@ mod tests {
     #[test]
     fn dynamic_power_scales_linearly_with_frequency() {
         let m = PowerModel::calibrated();
-        let res = Resources { luts: 1_000, ffs: 1_000, bram18: 10 };
+        let res = Resources {
+            luts: 1_000,
+            ffs: 1_000,
+            bram18: 10,
+        };
         let p100 = m.report(&XC5VLX50T, res, freq(100.0), 1.0);
         let p200 = m.report(&XC5VLX50T, res, freq(200.0), 1.0);
         assert!((p200.dynamic_mw / p100.dynamic_mw - 2.0).abs() < 1e-9);
@@ -125,7 +129,11 @@ mod tests {
     #[test]
     fn dynamic_power_scales_linearly_with_activity() {
         let m = PowerModel::calibrated();
-        let res = Resources { luts: 1_000, ffs: 0, bram18: 0 };
+        let res = Resources {
+            luts: 1_000,
+            ffs: 0,
+            bram18: 0,
+        };
         let full = m.report(&XC5VLX50T, res, freq(100.0), 1.0);
         let half = m.report(&XC5VLX50T, res, freq(100.0), 0.5);
         assert!((full.dynamic_mw / half.dynamic_mw - 2.0).abs() < 1e-9);
@@ -139,15 +147,26 @@ mod tests {
 
     #[test]
     fn display_formats_components() {
-        let r = PowerReport { static_mw: 1.0, dynamic_mw: 2.5 };
+        let r = PowerReport {
+            static_mw: 1.0,
+            dynamic_mw: 2.5,
+        };
         assert_eq!(r.to_string(), "3.50 mW (static 1.00 + dynamic 2.50)");
     }
 
     #[test]
     fn bigger_designs_burn_more_power() {
         let m = PowerModel::calibrated();
-        let small = Resources { luts: 5_000, ffs: 5_000, bram18: 64 };
-        let large = Resources { luts: 15_000, ffs: 12_000, bram18: 128 };
+        let small = Resources {
+            luts: 5_000,
+            ffs: 5_000,
+            bram18: 64,
+        };
+        let large = Resources {
+            luts: 15_000,
+            ffs: 12_000,
+            bram18: 128,
+        };
         let ps = m.report(&XC5VLX50T, small, freq(100.0), 1.0);
         let pl = m.report(&XC5VLX50T, large, freq(100.0), 1.0);
         assert!(pl.total_mw() > ps.total_mw());

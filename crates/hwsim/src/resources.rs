@@ -258,7 +258,14 @@ mod tests {
     #[test]
     fn small_memory_costs_luts() {
         let r = Resources::for_memory(2_048);
-        assert_eq!(r, Resources { luts: 64, ffs: 0, bram18: 0 });
+        assert_eq!(
+            r,
+            Resources {
+                luts: 64,
+                ffs: 0,
+                bram18: 0
+            }
+        );
     }
 
     #[test]
@@ -280,17 +287,50 @@ mod tests {
 
     #[test]
     fn arithmetic_composes() {
-        let a = Resources { luts: 1, ffs: 2, bram18: 3 };
-        let b = Resources { luts: 10, ffs: 20, bram18: 30 };
-        assert_eq!(a + b, Resources { luts: 11, ffs: 22, bram18: 33 });
-        assert_eq!(a * 4, Resources { luts: 4, ffs: 8, bram18: 12 });
+        let a = Resources {
+            luts: 1,
+            ffs: 2,
+            bram18: 3,
+        };
+        let b = Resources {
+            luts: 10,
+            ffs: 20,
+            bram18: 30,
+        };
+        assert_eq!(
+            a + b,
+            Resources {
+                luts: 11,
+                ffs: 22,
+                bram18: 33
+            }
+        );
+        assert_eq!(
+            a * 4,
+            Resources {
+                luts: 4,
+                ffs: 8,
+                bram18: 12
+            }
+        );
         let total: Resources = [a, b, a].into_iter().sum();
-        assert_eq!(total, Resources { luts: 12, ffs: 24, bram18: 36 });
+        assert_eq!(
+            total,
+            Resources {
+                luts: 12,
+                ffs: 24,
+                bram18: 36
+            }
+        );
     }
 
     #[test]
     fn check_fits_reports_first_overflow() {
-        let too_many_brams = Resources { luts: 0, ffs: 0, bram18: 121 };
+        let too_many_brams = Resources {
+            luts: 0,
+            ffs: 0,
+            bram18: 121,
+        };
         let err = too_many_brams.check_fits(&XC5VLX50T).unwrap_err();
         assert_eq!(err.resource, "BRAM18");
         assert_eq!(err.required, 121);
@@ -301,7 +341,11 @@ mod tests {
     #[test]
     fn utilization_percentages() {
         let u = Utilization::new(
-            Resources { luts: 14_400, ffs: 0, bram18: 60 },
+            Resources {
+                luts: 14_400,
+                ffs: 0,
+                bram18: 60,
+            },
             &XC5VLX50T,
         );
         assert!((u.lut_percent() - 50.0).abs() < 1e-9);

@@ -229,7 +229,11 @@ mod tests {
         let f2 = estimate_fmax(&XC5VLX50T, &lightweight(2)).mhz();
         let f16 = estimate_fmax(&XC5VLX50T, &lightweight(16)).mhz();
         let drop = (f2 - f16) / f2;
-        assert!(drop < 0.10, "V5 drop should be small, got {:.1}%", drop * 100.0);
+        assert!(
+            drop < 0.10,
+            "V5 drop should be small, got {:.1}%",
+            drop * 100.0
+        );
         // All V5 estimates must clear the paper's 100 MHz operating clock.
         for n in [2u64, 4, 8, 16] {
             assert!(estimate_fmax(&XC5VLX50T, &lightweight(n)).mhz() > 100.0);
@@ -241,13 +245,28 @@ mod tests {
         // The paper observes a frequency increase at 16 join cores on V5.
         let f8 = estimate_fmax(&XC5VLX50T, &lightweight(8)).mhz();
         let f16 = estimate_fmax(&XC5VLX50T, &lightweight(16)).mhz();
-        assert!(f16 > f8, "expected heuristic bump at 16 cores: {f16} vs {f8}");
+        assert!(
+            f16 > f8,
+            "expected heuristic bump at 16 cores: {f16} vs {f8}"
+        );
     }
 
     #[test]
     fn more_logic_levels_slow_the_clock() {
-        let shallow = estimate_fmax(&XC7VX485T, &TimingProfile { max_fanout: 2, logic_levels: 4 });
-        let deep = estimate_fmax(&XC7VX485T, &TimingProfile { max_fanout: 2, logic_levels: 12 });
+        let shallow = estimate_fmax(
+            &XC7VX485T,
+            &TimingProfile {
+                max_fanout: 2,
+                logic_levels: 4,
+            },
+        );
+        let deep = estimate_fmax(
+            &XC7VX485T,
+            &TimingProfile {
+                max_fanout: 2,
+                logic_levels: 12,
+            },
+        );
         assert!(deep < shallow);
     }
 }

@@ -117,13 +117,7 @@ impl TraceRecorder {
         let mut out = String::new();
         out.push_str("$timescale 1ns $end\n$scope module design $end\n");
         for (i, s) in self.signals.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "$var wire {} {} {} $end",
-                s.width,
-                vcd_id(i),
-                s.name
-            );
+            let _ = writeln!(out, "$var wire {} {} {} $end", s.width, vcd_id(i), s.name);
         }
         out.push_str("$upscope $end\n$enddefinitions $end\n");
         let mut current = u64::MAX;

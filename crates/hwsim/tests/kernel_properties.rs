@@ -1,8 +1,7 @@
 //! Property-based tests of the simulation kernel and synthesis models.
 
 use hwsim::{
-    devices, estimate_fmax, Bram, DelayLine, Frequency, PowerModel, Resources,
-    TimingProfile,
+    devices, estimate_fmax, Bram, DelayLine, Frequency, PowerModel, Resources, TimingProfile,
 };
 use proptest::prelude::*;
 

@@ -27,7 +27,9 @@ fn run_traced(cycles: u64) -> TraceRecorder {
     let mut trace = TraceRecorder::new();
     let value = trace.signal("value", 2);
     let msb = trace.signal("msb", 1);
-    let mut design = Gray { value: Register::new(0) };
+    let mut design = Gray {
+        value: Register::new(0),
+    };
     let mut sim = Simulator::new();
     for _ in 0..cycles {
         sim.step(&mut design);
@@ -43,7 +45,9 @@ fn run_traced(cycles: u64) -> TraceRecorder {
 fn header_declares_every_signal_before_definitions_end() {
     let vcd = run_traced(4).to_vcd();
     let defs_end = vcd.find("$enddefinitions").expect("definitions section");
-    let var_value = vcd.find("$var wire 2 ! value $end").expect("value declared");
+    let var_value = vcd
+        .find("$var wire 2 ! value $end")
+        .expect("value declared");
     let var_msb = vcd.find("$var wire 1 \" msb $end").expect("msb declared");
     assert!(vcd.starts_with("$timescale"));
     assert!(var_value < defs_end && var_msb < defs_end);

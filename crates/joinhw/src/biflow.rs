@@ -425,11 +425,14 @@ impl BiFlowJoin {
                 // carries onward — a one-slot shift along the chain.
                 if let Some(t) = wave.store {
                     if !self.deeper_has_room(wave.tag, wave.core) {
-                        wave.store =
-                            self.cores[wave.core].window_mut(wave.tag).store(t);
+                        wave.store = self.cores[wave.core].window_mut(wave.tag).store(t);
                     }
                 }
-                match (self.variant, wave.store, self.next_core(wave.tag, wave.core)) {
+                match (
+                    self.variant,
+                    wave.store,
+                    self.next_core(wave.tag, wave.core),
+                ) {
                     // Low-latency: the probe tuple is replicated to every
                     // core regardless of where storage settles.
                     (BiflowVariant::LowLatency, store, Some(next)) => {

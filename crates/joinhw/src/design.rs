@@ -34,14 +34,22 @@ pub const RESULT_FIFO_DEPTH: usize = 4;
 
 /// Base logic cost of one uni-flow join core (storage + processing FSMs,
 /// comparator, round-robin counters).
-const UNIFLOW_CORE: Resources = Resources { luts: 260, ffs: 240, bram18: 0 };
+const UNIFLOW_CORE: Resources = Resources {
+    luts: 260,
+    ffs: 240,
+    bram18: 0,
+};
 
 /// Base logic cost of one bi-flow join core: two buffer managers, the
 /// coordinator unit, five I/O ports, and the processing unit (Fig. 10) —
 /// roughly 3.5× the uni-flow core, plus four BRAM18 of neighbour and
 /// coordination buffers. This extra memory is what makes 16 bi-flow cores
 /// at window 2^13 infeasible on the Virtex-5 while uni-flow fits.
-const BIFLOW_CORE: Resources = Resources { luts: 900, ffs: 700, bram18: 4 };
+const BIFLOW_CORE: Resources = Resources {
+    luts: 900,
+    ffs: 700,
+    bram18: 4,
+};
 
 /// One DNode of the scalable distribution network (2-deep frame buffer
 /// plus broadcast drivers — cost grows with the tree fan-out).
@@ -65,23 +73,47 @@ fn gnode_cost(fanout: u64) -> Resources {
 
 /// The lightweight distribution network: an input register broadcast to
 /// all cores.
-const LIGHTWEIGHT_DIST: Resources = Resources { luts: 120, ffs: 70, bram18: 0 };
+const LIGHTWEIGHT_DIST: Resources = Resources {
+    luts: 120,
+    ffs: 70,
+    bram18: 0,
+};
 
 /// Fixed part of the lightweight gathering network (result bus register
 /// plus round-robin pointer); add [`LIGHTWEIGHT_GATHER_PER_CORE`] per core.
-const LIGHTWEIGHT_GATHER: Resources = Resources { luts: 60, ffs: 130, bram18: 0 };
-const LIGHTWEIGHT_GATHER_PER_CORE: Resources = Resources { luts: 10, ffs: 0, bram18: 0 };
+const LIGHTWEIGHT_GATHER: Resources = Resources {
+    luts: 60,
+    ffs: 130,
+    bram18: 0,
+};
+const LIGHTWEIGHT_GATHER_PER_CORE: Resources = Resources {
+    luts: 10,
+    ffs: 0,
+    bram18: 0,
+};
 
 /// Stream de-packetizer, query assigner, and result collector — the
 /// auxiliary blocks around any design (Fig. 5).
-const AUXILIARY: Resources = Resources { luts: 500, ffs: 400, bram18: 0 };
+const AUXILIARY: Resources = Resources {
+    luts: 500,
+    ffs: 400,
+    bram18: 0,
+};
 
 /// Per-core neighbour-link wiring of the bi-flow chain.
-const BIFLOW_LINK_PER_CORE: Resources = Resources { luts: 50, ffs: 0, bram18: 0 };
+const BIFLOW_LINK_PER_CORE: Resources = Resources {
+    luts: 50,
+    ffs: 0,
+    bram18: 0,
+};
 
 /// The bi-flow chain's central coordination module (low-latency handshake
 /// join fast-forwarding).
-const BIFLOW_COORDINATOR: Resources = Resources { luts: 800, ffs: 600, bram18: 0 };
+const BIFLOW_COORDINATOR: Resources = Resources {
+    luts: 800,
+    ffs: 600,
+    bram18: 0,
+};
 
 /// Switching-activity factors fed to the power model: uni-flow cores skip
 /// storage turns and have no neighbour traffic, bi-flow buffer managers
@@ -260,7 +292,11 @@ impl DesignParams {
         // block RAM the scarce LUT-RAM forces these FIFOs into BRAM too; on
         // Virtex-7 distributed RAM is plentiful and they stay in LUTs.
         let fifos_per_core = match (device.family, windows_in_bram) {
-            (Family::Virtex5, true) => Resources { luts: 0, ffs: 0, bram18: 2 },
+            (Family::Virtex5, true) => Resources {
+                luts: 0,
+                ffs: 0,
+                bram18: 2,
+            },
             _ => {
                 Resources::for_memory_with(
                     FETCHER_DEPTH as u64 * frame_bits,
@@ -277,8 +313,11 @@ impl DesignParams {
         let hash_extra = match self.algorithm {
             JoinAlgorithm::NestedLoop => Resources::ZERO,
             JoinAlgorithm::Hash => {
-                Resources { luts: 150, ffs: 40, bram18: 0 }
-                    + Resources::for_memory_on(self.sub_window() as u64 * 16, device) * 2
+                Resources {
+                    luts: 150,
+                    ffs: 40,
+                    bram18: 0,
+                } + Resources::for_memory_on(self.sub_window() as u64 * 16, device) * 2
             }
         };
 
@@ -287,9 +326,7 @@ impl DesignParams {
                 let core = UNIFLOW_CORE + windows_per_core + fifos_per_core + hash_extra;
                 let networks = match self.network {
                     NetworkKind::Lightweight => {
-                        LIGHTWEIGHT_DIST
-                            + LIGHTWEIGHT_GATHER
-                            + LIGHTWEIGHT_GATHER_PER_CORE * n
+                        LIGHTWEIGHT_DIST + LIGHTWEIGHT_GATHER + LIGHTWEIGHT_GATHER_PER_CORE * n
                     }
                     NetworkKind::Scalable => {
                         // A complete k-ary tree with N leaves has
@@ -366,8 +403,7 @@ impl DesignParams {
         let used = self.resources(device);
         used.check_fits(device)?;
         let clock = estimate_fmax(device, &self.timing_profile());
-        let power =
-            PowerModel::calibrated().report(device, used, clock, self.activity());
+        let power = PowerModel::calibrated().report(device, used, clock, self.activity());
         Ok(SynthesisReport {
             params: *self,
             device_name: device.name,

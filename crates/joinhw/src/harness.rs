@@ -124,9 +124,7 @@ pub fn build(params: &DesignParams) -> Box<dyn StreamJoin> {
 /// Fills both windows to capacity with non-matching keys (distinct per
 /// stream), leaving the design in steady state for a throughput run.
 pub fn prefill_steady_state(join: &mut dyn StreamJoin, window_size: usize) {
-    let r: Vec<Tuple> = (0..window_size as u32)
-        .map(|i| Tuple::new(i, i))
-        .collect();
+    let r: Vec<Tuple> = (0..window_size as u32).map(|i| Tuple::new(i, i)).collect();
     let s: Vec<Tuple> = (0..window_size as u32)
         .map(|i| Tuple::new(i + window_size as u32, i))
         .collect();
@@ -164,11 +162,7 @@ impl ThroughputRun {
 ///
 /// Panics if the design stops accepting input for an implausibly long
 /// stretch (a deadlock in the modeled flow control).
-pub fn run_throughput(
-    join: &mut dyn StreamJoin,
-    tuples: u64,
-    key_domain: u32,
-) -> ThroughputRun {
+pub fn run_throughput(join: &mut dyn StreamJoin, tuples: u64, key_domain: u32) -> ThroughputRun {
     run_throughput_with(&mut Simulator::new(), join, tuples, key_domain)
 }
 
@@ -229,7 +223,11 @@ pub fn run_throughput_observed<E: Engine>(
         if sent == tuples {
             return Control::Stop;
         }
-        let tag = if sent.is_multiple_of(2) { StreamTag::R } else { StreamTag::S };
+        let tag = if sent.is_multiple_of(2) {
+            StreamTag::R
+        } else {
+            StreamTag::S
+        };
         // Multiplicative hash (high bits) decorrelates the key sequence
         // from the strict R/S alternation — plain `seq % domain` would
         // give the two streams disjoint key parities.
@@ -242,10 +240,7 @@ pub fn run_throughput_observed<E: Engine>(
             last_accept = cycle;
         } else {
             stall += 1;
-            assert!(
-                stall < 100_000_000,
-                "input port wedged after {sent} tuples"
-            );
+            assert!(stall < 100_000_000, "input port wedged after {sent} tuples");
         }
         Control::Continue
     });
@@ -312,7 +307,11 @@ pub fn run_latency_with<E: Engine>(
             }
             offered_at = Some(cycle);
             last_result_cycle = cycle;
-            if join.quiescent() { Control::Stop } else { Control::Continue }
+            if join.quiescent() {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
         }
         Some(offered) => {
             let drained = join.drain_results();
@@ -324,7 +323,11 @@ pub fn run_latency_with<E: Engine>(
                 timed_out = true;
                 return Control::Stop;
             }
-            if join.quiescent() { Control::Stop } else { Control::Continue }
+            if join.quiescent() {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
         }
     });
     let offered = offered_at?;
@@ -343,11 +346,7 @@ pub fn run_latency_with<E: Engine>(
 /// *end* of each scan — the last-emitted result defines the latency, so
 /// this makes the probe exercise the full scan plus the full breadth of
 /// the gathering network, as the paper's latency experiment does.
-pub fn prefill_planted(
-    join: &mut dyn StreamJoin,
-    params: &DesignParams,
-    probe_key: u32,
-) {
+pub fn prefill_planted(join: &mut dyn StreamJoin, params: &DesignParams, probe_key: u32) {
     let window = params.window_size;
     let n = params.num_cores as usize;
     let sub = params.sub_window();
@@ -575,8 +574,12 @@ mod tests {
             })
             .collect();
         join.prefill(&r, &s);
-        let run = run_latency(join.as_mut(), (StreamTag::R, Tuple::new(7, u32::MAX)), 1_000_000)
-            .expect("quiesces");
+        let run = run_latency(
+            join.as_mut(),
+            (StreamTag::R, Tuple::new(7, u32::MAX)),
+            1_000_000,
+        )
+        .expect("quiesces");
         assert_eq!(run.results, cores as u64);
         let model = biflow_latency_cycles(window, cores);
         let measured = run.cycles_to_last_result as f64;
@@ -600,8 +603,7 @@ mod tests {
 
         let mut b = build(&params);
         prefill_steady_state(b.as_mut(), params.window_size);
-        let (run_b, gaps) =
-            run_throughput_observed(&mut Simulator::new(), b.as_mut(), 50, 1 << 20);
+        let (run_b, gaps) = run_throughput_observed(&mut Simulator::new(), b.as_mut(), 50, 1 << 20);
         assert_eq!(run_a, run_b, "recording gaps must not perturb the run");
         assert_eq!(gaps.total(), 50);
         assert!(gaps.p99() >= gaps.p50());

@@ -164,11 +164,7 @@ impl JoinCore {
     }
 
     /// Creates a core running the given join algorithm.
-    pub fn with_algorithm(
-        position: u32,
-        sub_window: usize,
-        algorithm: JoinAlgorithm,
-    ) -> Self {
+    pub fn with_algorithm(position: u32, sub_window: usize, algorithm: JoinAlgorithm) -> Self {
         Self {
             position,
             operator: None,
@@ -309,7 +305,12 @@ impl JoinCore {
     /// provenance watch if it targeted this tuple.
     fn probe_finished(&mut self, tag: StreamTag, tuple: Tuple, matches: u64) {
         if let Some(ring) = self.ring.as_mut() {
-            ring.record_arg("probe", self.probe_start, self.cycle - self.probe_start, matches);
+            ring.record_arg(
+                "probe",
+                self.probe_start,
+                self.cycle - self.probe_start,
+                matches,
+            );
         }
         if self.watch == Some((tag, tuple)) {
             self.watch = None;
@@ -565,8 +566,14 @@ mod tests {
         for c in [&mut c0, &mut c1] {
             run(c, 12);
         }
-        assert_eq!(c0.window_snapshot(StreamTag::R), vec![Tuple::new(0, 0), Tuple::new(2, 2)]);
-        assert_eq!(c1.window_snapshot(StreamTag::R), vec![Tuple::new(1, 1), Tuple::new(3, 3)]);
+        assert_eq!(
+            c0.window_snapshot(StreamTag::R),
+            vec![Tuple::new(0, 0), Tuple::new(2, 2)]
+        );
+        assert_eq!(
+            c1.window_snapshot(StreamTag::R),
+            vec![Tuple::new(1, 1), Tuple::new(3, 3)]
+        );
     }
 
     #[test]
@@ -643,7 +650,7 @@ mod tests {
         core.fetcher().load(Frame::TupleR(Tuple::new(3, 0)));
         run(&mut core, 6);
         assert_eq!(drain(&mut core).len(), 0); // equi: 3 != 5
-        // Switch to a band join with delta 2 — no re-synthesis, two frames.
+                                               // Switch to a band join with delta 2 — no re-synthesis, two frames.
         let words = JoinOperator {
             num_cores: 1,
             predicate: JoinPredicate::Band { delta: 2 },

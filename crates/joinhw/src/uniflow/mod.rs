@@ -141,9 +141,7 @@ impl UniFlowJoin {
             "operator core count must match the design"
         );
         assert!(
-            self.cores
-                .iter()
-                .all(|c| c.supports(operator.predicate)),
+            self.cores.iter().all(|c| c.supports(operator.predicate)),
             "hash join cores only support equi-join operators"
         );
         let words = operator.encode();
@@ -498,18 +496,17 @@ mod tests {
         join.program(JoinOperator::equi(cores));
         let mut sim = Simulator::new();
 
-        let offer_all = |join: &mut UniFlowJoin,
-                             sim: &mut Simulator,
-                             inputs: &[(StreamTag, Tuple)]| {
-            let mut idx = 0;
-            while idx < inputs.len() {
-                let (tag, t) = inputs[idx];
-                if join.offer(tag, t) {
-                    idx += 1;
+        let offer_all =
+            |join: &mut UniFlowJoin, sim: &mut Simulator, inputs: &[(StreamTag, Tuple)]| {
+                let mut idx = 0;
+                while idx < inputs.len() {
+                    let (tag, t) = inputs[idx];
+                    if join.offer(tag, t) {
+                        idx += 1;
+                    }
+                    sim.step(join);
                 }
-                sim.step(join);
-            }
-        };
+            };
 
         // Phase 1 under equi: store S keys 10, 20; probe with 11 (miss).
         let phase1: Vec<(StreamTag, Tuple)> = vec![
@@ -560,8 +557,7 @@ mod tests {
         let inputs = workload(400, 8);
         let mut counts = Vec::new();
         for algorithm in [crate::JoinAlgorithm::NestedLoop, crate::JoinAlgorithm::Hash] {
-            let params =
-                DesignParams::new(FlowModel::UniFlow, 4, 32).with_algorithm(algorithm);
+            let params = DesignParams::new(FlowModel::UniFlow, 4, 32).with_algorithm(algorithm);
             let mut join = UniFlowJoin::new(&params);
             join.program(JoinOperator::equi(4));
             drive(&mut join, &inputs, 400_000);
@@ -577,8 +573,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "hash join cores only support equi-join")]
     fn hash_cores_reject_non_equi_operators() {
-        let params = DesignParams::new(FlowModel::UniFlow, 2, 16)
-            .with_algorithm(crate::JoinAlgorithm::Hash);
+        let params =
+            DesignParams::new(FlowModel::UniFlow, 2, 16).with_algorithm(crate::JoinAlgorithm::Hash);
         let mut join = UniFlowJoin::new(&params);
         join.program(JoinOperator {
             num_cores: 2,
@@ -589,8 +585,8 @@ mod tests {
     #[test]
     fn wider_tree_fanout_produces_identical_results() {
         let inputs = workload(300, 8);
-        let base = DesignParams::new(FlowModel::UniFlow, 16, 64)
-            .with_network(NetworkKind::Scalable);
+        let base =
+            DesignParams::new(FlowModel::UniFlow, 16, 64).with_network(NetworkKind::Scalable);
         let mut reference = None;
         for fanout in [2u32, 4, 16] {
             let params = base.with_fanout(fanout);

@@ -278,7 +278,9 @@ impl GatheringNetwork {
         Self {
             kind,
             pointer: 0,
-            gnodes: (0..internal).map(|_| Fifo::new(NODE_BUFFER_DEPTH)).collect(),
+            gnodes: (0..internal)
+                .map(|_| Fifo::new(NODE_BUFFER_DEPTH))
+                .collect(),
             grants: vec![0; internal],
             num_cores,
             fanout,
@@ -513,11 +515,7 @@ mod tests {
         let _ = DistributionNetwork::new(NetworkKind::Scalable, 8, 4);
     }
 
-    fn gather_cycle(
-        net: &mut GatheringNetwork,
-        cores: &mut [JoinCore],
-        sink: &mut Vec<MatchPair>,
-    ) {
+    fn gather_cycle(net: &mut GatheringNetwork, cores: &mut [JoinCore], sink: &mut Vec<MatchPair>) {
         net.begin_cycle();
         for c in cores.iter_mut() {
             c.begin_cycle();

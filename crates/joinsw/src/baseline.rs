@@ -50,7 +50,7 @@ impl NestedLoopJoin {
             window_r: SlidingWindow::new(window_size),
             window_s: SlidingWindow::new(window_size),
             predicate,
-        comparisons: 0,
+            comparisons: 0,
         }
     }
 
@@ -273,7 +273,11 @@ mod tests {
     fn reference_join_counts_cross_matches() {
         let inputs: Vec<_> = (0..10u32)
             .map(|i| {
-                let tag = if i % 2 == 0 { StreamTag::R } else { StreamTag::S };
+                let tag = if i % 2 == 0 {
+                    StreamTag::R
+                } else {
+                    StreamTag::S
+                };
                 (tag, Tuple::new(0, i)) // all same key
             })
             .collect();

@@ -110,7 +110,10 @@ impl JoinConfig {
     /// Panics on a zero `channel_capacity` or `batch_size`, or a fault
     /// plan targeting a worker `>= num_cores`.
     pub fn validate(&self) {
-        assert!(self.channel_capacity > 0, "channel capacity must be positive");
+        assert!(
+            self.channel_capacity > 0,
+            "channel capacity must be positive"
+        );
         assert!(self.batch_size > 0, "batch size must be positive");
         self.fault_plan.validate(self.num_cores);
     }
@@ -237,9 +240,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "targets worker 5")]
     fn fault_plan_is_validated_like_the_sizing_knobs() {
-        let _ = JoinConfig::new(4, 32).with_fault_plan(
-            FaultPlan::none().with(FaultEvent::Kill { worker: 5, after_batch: 1 }),
-        );
+        let _ = JoinConfig::new(4, 32).with_fault_plan(FaultPlan::none().with(FaultEvent::Kill {
+            worker: 5,
+            after_batch: 1,
+        }));
     }
 
     #[test]

@@ -155,7 +155,10 @@ impl FaultPlan {
     /// side: recover these proactively at that exact boundary).
     pub fn kills_after(&self, batch: u64) -> impl Iterator<Item = usize> + '_ {
         self.events.iter().filter_map(move |e| match *e {
-            FaultEvent::Kill { worker, after_batch } if after_batch == batch => Some(worker),
+            FaultEvent::Kill {
+                worker,
+                after_batch,
+            } if after_batch == batch => Some(worker),
             _ => None,
         })
     }
@@ -172,9 +175,11 @@ impl FaultPlan {
         self.events
             .iter()
             .filter_map(|e| match *e {
-                FaultEvent::Stall { worker: w, at_batch, millis } if w == worker && at_batch == batch => {
-                    Some(millis)
-                }
+                FaultEvent::Stall {
+                    worker: w,
+                    at_batch,
+                    millis,
+                } if w == worker && at_batch == batch => Some(millis),
                 _ => None,
             })
             .sum()
@@ -211,10 +216,17 @@ fn parse_event(token: &str) -> Result<FaultEvent, String> {
             Some(t) => parse_num(t, "batch")?,
             None => 100,
         };
-        return Ok(FaultEvent::Kill { worker, after_batch });
+        return Ok(FaultEvent::Kill {
+            worker,
+            after_batch,
+        });
     }
     if let Some(w) = split_kind("stall") {
-        let worker = if w.is_empty() { 0 } else { parse_num(w, "worker")? as usize };
+        let worker = if w.is_empty() {
+            0
+        } else {
+            parse_num(w, "worker")? as usize
+        };
         let (at_batch, millis) = match tail {
             Some(t) => match t.split_once('x') {
                 Some((b, ms)) => (parse_num(b, "batch")?, parse_num(ms, "millis")?),
@@ -222,7 +234,11 @@ fn parse_event(token: &str) -> Result<FaultEvent, String> {
             },
             None => (50, 20),
         };
-        return Ok(FaultEvent::Stall { worker, at_batch, millis });
+        return Ok(FaultEvent::Stall {
+            worker,
+            at_batch,
+            millis,
+        });
     }
     if let Some(w) = split_kind("drop") {
         let worker = parse_num(w, "worker")? as usize;
@@ -303,7 +319,10 @@ impl FaultReport {
 /// occupancy lazily at the first recovery, so the healthy hot path never
 /// does per-tuple ownership accounting.
 pub fn round_robin_share(map: &PartitionMap, worker: usize, sent: u64) -> u64 {
-    debug_assert!(map.is_full(), "closed form only valid before any retirement");
+    debug_assert!(
+        map.is_full(),
+        "closed form only valid before any retirement"
+    );
     let n = map.total() as u64;
     let w = worker as u64;
     sent / n + u64::from(sent % n > w)
@@ -319,11 +338,28 @@ mod tests {
         assert_eq!(
             plan.events,
             vec![
-                FaultEvent::Kill { worker: 1, after_batch: 7 },
-                FaultEvent::Stall { worker: 0, at_batch: 3, millis: 5 },
-                FaultEvent::Drop { worker: 2, at_batch: 10 },
-                FaultEvent::Panic { worker: 0, at_batch: 9 },
-                FaultEvent::Stall { worker: 1, at_batch: 50, millis: 20 },
+                FaultEvent::Kill {
+                    worker: 1,
+                    after_batch: 7
+                },
+                FaultEvent::Stall {
+                    worker: 0,
+                    at_batch: 3,
+                    millis: 5
+                },
+                FaultEvent::Drop {
+                    worker: 2,
+                    at_batch: 10
+                },
+                FaultEvent::Panic {
+                    worker: 0,
+                    at_batch: 9
+                },
+                FaultEvent::Stall {
+                    worker: 1,
+                    at_batch: 50,
+                    millis: 20
+                },
             ]
         );
     }

@@ -132,7 +132,9 @@ impl HandshakeConfig {
     /// Panics if `num_cores` or `window_size` is zero.
     pub fn new(num_cores: usize, window_size: usize) -> Self {
         let common = JoinConfig::new(num_cores, window_size);
-        Self { common: common.with_channel_capacity(256).with_batch_size(1) }
+        Self {
+            common: common.with_channel_capacity(256).with_batch_size(1),
+        }
     }
 }
 
@@ -271,7 +273,10 @@ impl HandshakeJoin {
 
     fn drain_pending(&self) -> Result<(), JoinError> {
         let mut entries = self.entries.borrow_mut();
-        for (tag, entry) in [StreamTag::R, StreamTag::S].into_iter().zip(entries.iter_mut()) {
+        for (tag, entry) in [StreamTag::R, StreamTag::S]
+            .into_iter()
+            .zip(entries.iter_mut())
+        {
             self.send_waves(tag, entry)?;
         }
         Ok(())
@@ -297,7 +302,9 @@ impl StreamJoin for HandshakeJoin {
         // i = 0), ring i of the S lane from the right (the caller at
         // i = N-1).
         let links = || -> (Vec<_>, Vec<_>) {
-            (0..n).map(|_| ring::spsc::<ChainMsg>(config.channel_capacity)).unzip()
+            (0..n)
+                .map(|_| ring::spsc::<ChainMsg>(config.channel_capacity))
+                .unzip()
         };
         let (r_tx, r_rx) = links();
         let (mut s_tx, s_rx) = links();
@@ -324,7 +331,8 @@ impl StreamJoin for HandshakeJoin {
         };
         let mut cells = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
-        for (position, ((r_rx, s_rx), s_next)) in r_rx.into_iter().zip(s_rx).zip(s_next).enumerate() {
+        for (position, ((r_rx, s_rx), s_next)) in r_rx.into_iter().zip(s_rx).zip(s_next).enumerate()
+        {
             let cell = Arc::new(WorkerCell::default());
             cells.push(Arc::clone(&cell));
             let core = ChainCore {
@@ -603,7 +611,10 @@ impl ChainCore {
     /// (the exit end) or the link turns out to be cut.
     fn forward(&mut self, lane: usize, msg: ChainMsg) {
         let l = &mut self.lanes[lane];
-        debug_assert!(l.held.is_none(), "a lane takes no message while one is held");
+        debug_assert!(
+            l.held.is_none(),
+            "a lane takes no message while one is held"
+        );
         let Some(next) = l.next.as_mut() else {
             return self.end_of_travel(lane, msg);
         };
@@ -679,10 +690,7 @@ fn core_loop(
 ) -> (WorkerStats, Option<obs::trace::TraceRing>) {
     let mut group_no: u64 = 0;
     let mut ring = obs::trace::enabled().then(|| {
-        obs::trace::TraceRing::new(
-            format!("hs.core.{position}"),
-            obs::trace::TimeDomain::Wall,
-        )
+        obs::trace::TraceRing::new(format!("hs.core.{position}"), obs::trace::TimeDomain::Wall)
     });
     let mut idle_since = span_start(&ring);
 
@@ -703,7 +711,9 @@ fn core_loop(
                     // Both lanes sever here, and everything parked in
                     // our segments is orphaned.
                     let parked: usize = core.lanes.iter().map(|l| l.window.len()).sum();
-                    core.cell.orphaned.fetch_add(parked as u64, Ordering::Relaxed);
+                    core.cell
+                        .orphaned
+                        .fetch_add(parked as u64, Ordering::Relaxed);
                     core.cell.killed.store(true, Ordering::Relaxed);
                     return (core.stats, ring);
                 }
@@ -715,7 +725,10 @@ fn core_loop(
         core.cell.finish_message(&core.stats);
         idle_since = span_start(&ring);
     }
-    debug_assert!(core.out.is_empty(), "matches are published at every message boundary");
+    debug_assert!(
+        core.out.is_empty(),
+        "matches are published at every message boundary"
+    );
     (core.stats, ring)
 }
 
@@ -769,8 +782,7 @@ mod tests {
             .collect();
         let want = as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi));
         for batch in [4usize, 64] {
-            let join =
-                HandshakeJoin::spawn(HandshakeConfig::new(4, 32).with_batch_size(batch));
+            let join = HandshakeJoin::spawn(HandshakeConfig::new(4, 32).with_batch_size(batch));
             for &(tag, t) in &inputs {
                 join.process(tag, t).unwrap();
                 join.flush().unwrap();
@@ -810,9 +822,7 @@ mod tests {
         let inputs: Vec<_> = WorkloadSpec::new(4_000, KeyDist::Uniform { domain: 16 })
             .generate()
             .collect();
-        let join = HandshakeJoin::spawn(
-            HandshakeConfig::new(4, 256).with_channel_capacity(8),
-        );
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(4, 256).with_channel_capacity(8));
         for &(tag, t) in &inputs {
             join.process(tag, t).unwrap();
         }
@@ -864,9 +874,8 @@ mod tests {
         let want = reference_join(&inputs, 128, JoinPredicate::Equi).len() as f64;
         let mut errs = Vec::new();
         for capacity in [64usize, 2] {
-            let join = HandshakeJoin::spawn(
-                HandshakeConfig::new(4, 128).with_channel_capacity(capacity),
-            );
+            let join =
+                HandshakeJoin::spawn(HandshakeConfig::new(4, 128).with_channel_capacity(capacity));
             for &(tag, t) in &inputs {
                 join.process(tag, t).unwrap();
             }
@@ -910,10 +919,10 @@ mod tests {
         join.process(StreamTag::S, Tuple::new(7, 0)).unwrap();
         join.process(StreamTag::R, Tuple::new(7, 1)).unwrap();
         let outcome = join.shutdown().unwrap(); // no flush
-        // Both lanes race during shutdown, but the S tuple was injected
-        // first and each lane is a single 1-wave group; with both groups
-        // in flight the match may legitimately be observed from either
-        // side — what must never happen is losing the buffered tuples.
+                                                // Both lanes race during shutdown, but the S tuple was injected
+                                                // first and each lane is a single 1-wave group; with both groups
+                                                // in flight the match may legitimately be observed from either
+                                                // side — what must never happen is losing the buffered tuples.
         assert_eq!(outcome.batch_sizes.total(), 2, "both lanes injected");
     }
 
@@ -937,9 +946,7 @@ mod tests {
             .generate()
             .collect();
         let plan = FaultPlan::parse("kill1@5").unwrap();
-        let join = HandshakeJoin::spawn(
-            HandshakeConfig::new(4, 64).with_fault_plan(plan),
-        );
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(4, 64).with_fault_plan(plan));
         for &(tag, t) in &inputs {
             join.process(tag, t).unwrap();
         }
@@ -966,9 +973,7 @@ mod tests {
         let inputs: Vec<_> = WorkloadSpec::new(20_000, KeyDist::Uniform { domain: 16 })
             .generate()
             .collect();
-        let join = HandshakeJoin::spawn(
-            HandshakeConfig::new(4, 256).with_channel_capacity(1),
-        );
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(4, 256).with_channel_capacity(1));
         for &(tag, t) in &inputs {
             join.process(tag, t).unwrap();
         }
@@ -1092,9 +1097,7 @@ mod tests {
             .generate()
             .collect();
         let plan = FaultPlan::parse("stall0@2x5,drop1@3").unwrap();
-        let join = HandshakeJoin::spawn(
-            HandshakeConfig::new(2, 16).with_fault_plan(plan),
-        );
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(2, 16).with_fault_plan(plan));
         for &(tag, t) in &inputs {
             join.process(tag, t).unwrap();
         }
@@ -1112,15 +1115,16 @@ mod tests {
             .generate()
             .collect();
         let plan = FaultPlan::parse("panic1@3").unwrap();
-        let join = HandshakeJoin::spawn(
-            HandshakeConfig::new(2, 16).with_fault_plan(plan),
-        );
+        let join = HandshakeJoin::spawn(HandshakeConfig::new(2, 16).with_fault_plan(plan));
         for &(tag, t) in &inputs {
             join.process(tag, t).unwrap();
         }
         let _ = join.flush();
         match join.shutdown() {
-            Err(JoinError::WorkerPanicked { worker, stats_so_far }) => {
+            Err(JoinError::WorkerPanicked {
+                worker,
+                stats_so_far,
+            }) => {
                 assert_eq!(worker, 1);
                 assert!(stats_so_far.tuples_seen > 0, "snapshot published pre-panic");
             }
@@ -1160,8 +1164,11 @@ mod tests {
         assert_eq!(as_multiset(&outcome.results), want);
 
         assert_eq!(outcome.trace.len(), 4);
-        let mut tracks: Vec<_> =
-            outcome.trace.iter().map(|r| r.track().to_string()).collect();
+        let mut tracks: Vec<_> = outcome
+            .trace
+            .iter()
+            .map(|r| r.track().to_string())
+            .collect();
         tracks.sort();
         assert_eq!(tracks, ["hs.core.0", "hs.core.1", "hs.core.2", "hs.core.3"]);
         for ring in &outcome.trace {

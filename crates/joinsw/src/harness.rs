@@ -56,10 +56,7 @@ pub fn modeled_throughput(single_core: Throughput, num_cores: usize) -> f64 {
 /// # Errors
 ///
 /// See [`StreamJoin::process`].
-pub fn prefill_steady_state<J: StreamJoin>(
-    join: &J,
-    window_size: usize,
-) -> Result<(), JoinError> {
+pub fn prefill_steady_state<J: StreamJoin>(join: &J, window_size: usize) -> Result<(), JoinError> {
     join.warm(window_size)?;
     join.flush()
 }
@@ -102,7 +99,11 @@ pub fn measure_throughput_collecting<J: StreamJoin>(
     prefill_steady_state(&join, window)?;
     let start = Instant::now();
     for seq in 0..tuples {
-        let tag = if seq % 2 == 0 { StreamTag::R } else { StreamTag::S };
+        let tag = if seq % 2 == 0 {
+            StreamTag::R
+        } else {
+            StreamTag::S
+        };
         let key = ((seq as u32).wrapping_mul(2_654_435_761) >> 16) % key_domain;
         join.process(tag, Tuple::new(key, seq as u32))?;
     }
@@ -133,7 +134,11 @@ pub fn measure_latency_with<J: StreamJoin>(
     prefill_steady_state(&join, window)?;
     let mut recorder = LatencyRecorder::new();
     for i in 0..samples {
-        let tag = if i % 2 == 0 { StreamTag::R } else { StreamTag::S };
+        let tag = if i % 2 == 0 {
+            StreamTag::R
+        } else {
+            StreamTag::S
+        };
         let key = ((i as u32).wrapping_mul(2_654_435_761) >> 16) % key_domain;
         let start = Instant::now();
         join.process(tag, Tuple::new(key, i as u32))?;
@@ -205,10 +210,7 @@ mod tests {
                 // Each probe scans only the 64-tuple sub-window, not 256.
                 assert_eq!(ws.comparisons, 100 * 64);
             }
-            let one = Throughput::over_duration(
-                1_000,
-                std::time::Duration::from_secs(1),
-            );
+            let one = Throughput::over_duration(1_000, std::time::Duration::from_secs(1));
             assert_eq!(modeled_throughput(one, 4), 3_500.0);
         }
     }
@@ -220,9 +222,12 @@ mod tests {
         // (batch 64); every logical counter must be bit-identical, or a
         // `--batch` sweep of the figures would compare different joins.
         let run = |batch| {
-            let config =
-                SplitJoinConfig::new(3, 1 << 8).with_batch_size(batch).counting_only();
-            measure_throughput_with::<SplitJoin>(config, 3_000, 1 << 10).unwrap().1
+            let config = SplitJoinConfig::new(3, 1 << 8)
+                .with_batch_size(batch)
+                .counting_only();
+            measure_throughput_with::<SplitJoin>(config, 3_000, 1 << 10)
+                .unwrap()
+                .1
         };
         let (per_tuple, blocked) = (run(4), run(64));
         assert_eq!(per_tuple.result_count, blocked.result_count);
@@ -233,19 +238,13 @@ mod tests {
 
     #[test]
     fn every_engine_measures_through_the_unified_surface() {
-        let (t, _) = measure_throughput_with::<BaselineJoin>(
-            JoinConfig::new(1, 1 << 6),
-            500,
-            1 << 20,
-        )
-        .unwrap();
+        let (t, _) =
+            measure_throughput_with::<BaselineJoin>(JoinConfig::new(1, 1 << 6), 500, 1 << 20)
+                .unwrap();
         assert!(t.per_second() > 0.0);
-        let (t, outcome) = measure_throughput_with::<SplitJoin>(
-            SplitJoinConfig::new(2, 1 << 6),
-            500,
-            1 << 20,
-        )
-        .unwrap();
+        let (t, outcome) =
+            measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(2, 1 << 6), 500, 1 << 20)
+                .unwrap();
         assert!(t.per_second() > 0.0);
         assert!(!outcome.fault.degraded());
         let (t, _) = measure_throughput_with::<HandshakeJoin>(

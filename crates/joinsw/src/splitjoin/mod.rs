@@ -224,7 +224,10 @@ impl StreamJoin for SplitJoin {
                 config.predicate == JoinPredicate::Equi,
                 "hash partitioning requires an equi-join predicate"
             );
-            assert!(config.hot_key_factor > 0.0, "hot-key factor must be positive");
+            assert!(
+                config.hot_key_factor > 0.0,
+                "hot-key factor must be positive"
+            );
         }
 
         // Distribution path. The arena holds `channel_capacity + 2`

@@ -15,8 +15,7 @@ use super::live::LiveRouter;
 use super::outcome::RingStats;
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
 use crate::supervise::{
-    supervised_push, wait_until, Idle, SendStatus, SendSupervisor, WorkerCell,
-    SATURATION_DEADLINE,
+    supervised_push, wait_until, Idle, SendStatus, SendSupervisor, WorkerCell, SATURATION_DEADLINE,
 };
 
 /// Tracked-key capacity of the router's Misra–Gries sketch
@@ -104,8 +103,17 @@ impl Router {
     /// lane's epoch. A retired position reports [`SendStatus::Lost`].
     fn send_msg(&mut self, w: usize, msg: Msg) -> Result<SendStatus, JoinError> {
         // Split borrows: the ring is &mut while cells/stats are read.
-        let Router { senders, cells, ring_stats, live, sent, .. } = self;
-        let Some(prod) = senders[w].as_mut() else { return Ok(SendStatus::Lost) };
+        let Router {
+            senders,
+            cells,
+            ring_stats,
+            live,
+            sent,
+            ..
+        } = self;
+        let Some(prod) = senders[w].as_mut() else {
+            return Ok(SendStatus::Lost);
+        };
         let depth = prod.len() as u64;
         ring_stats.occupancy.record_value(depth);
         if let Some(lv) = live.as_ref() {
@@ -169,7 +177,9 @@ impl Router {
                     // No active readers left: deactivation freed every
                     // slot, so the retry succeeds (or AllWorkersLost
                     // surfaces at the caller's live-count check).
-                    let Some(laggard) = arena.laggard() else { continue };
+                    let Some(laggard) = arena.laggard() else {
+                        continue;
+                    };
                     if self.cells[laggard].is_dead() {
                         // The slot hog died — recover it (which also
                         // deactivates its arena reader) and retry.
@@ -211,7 +221,11 @@ impl Router {
                 StreamTag::S => &mut self.s_sent,
             };
             if let Some((owned_r, owned_s)) = &mut self.owned {
-                let owned = if tag == StreamTag::R { owned_r } else { owned_s };
+                let owned = if tag == StreamTag::R {
+                    owned_r
+                } else {
+                    owned_s
+                };
                 owned[self.map.owner(*sent)] += 1;
             }
             *sent += 1;
@@ -241,7 +255,10 @@ impl Router {
             StreamTag::S => self.s_sent += 1,
         }
         let live_count = self.map.live_count();
-        let part = self.part.as_mut().expect("route_tuple is partitioned-mode only");
+        let part = self
+            .part
+            .as_mut()
+            .expect("route_tuple is partitioned-mode only");
         part.sketch.observe(key);
         // Promote once the key's sketched share reaches `hot_factor`
         // fair shares of the routed traffic. Splitting on a single
@@ -291,7 +308,14 @@ impl Router {
             store_at
         } else {
             let w = self.map.key_owner(key);
-            part.outbox[w].push(PartEntry { tag, tuple, seq, opp, store: true, probe });
+            part.outbox[w].push(PartEntry {
+                tag,
+                tuple,
+                seq,
+                opp,
+                store: true,
+                probe,
+            });
             part.routed += 1;
             w
         };
@@ -424,7 +448,12 @@ impl Router {
             .record_value(t0.elapsed().as_nanos().max(1) as u64);
         if let Some(r) = self.ring.as_mut() {
             let now = obs::trace::now_ns();
-            r.record_arg("recover", span_start, now.saturating_sub(span_start), worker as u64);
+            r.record_arg(
+                "recover",
+                span_start,
+                now.saturating_sub(span_start),
+                worker as u64,
+            );
         }
         Ok(lost)
     }
@@ -475,8 +504,12 @@ impl Router {
         // from the two stream counters alone.
         if self.owned.is_none() {
             let n = self.map.total();
-            let owned_r = (0..n).map(|w| round_robin_share(&self.map, w, self.r_sent)).collect();
-            let owned_s = (0..n).map(|w| round_robin_share(&self.map, w, self.s_sent)).collect();
+            let owned_r = (0..n)
+                .map(|w| round_robin_share(&self.map, w, self.r_sent))
+                .collect();
+            let owned_s = (0..n)
+                .map(|w| round_robin_share(&self.map, w, self.s_sent))
+                .collect();
             self.owned = Some((owned_r, owned_s));
         }
         let (owned_r, owned_s) = self.owned.as_ref().expect("just materialized");

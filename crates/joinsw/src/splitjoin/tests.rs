@@ -52,10 +52,7 @@ fn every_batch_size_yields_identical_results() {
     let want = as_multiset(&reference_join(&inputs, 48, JoinPredicate::Equi));
     assert!(!want.is_empty());
     for batch in [1usize, 2, 7, 64, 256, 4_096] {
-        let outcome = run_workload(
-            SplitJoinConfig::new(3, 48).with_batch_size(batch),
-            &inputs,
-        );
+        let outcome = run_workload(SplitJoinConfig::new(3, 48).with_batch_size(batch), &inputs);
         assert_eq!(
             as_multiset(&outcome.results),
             want,
@@ -104,10 +101,7 @@ fn batch_processing_matches_per_tuple_processing() {
     let inputs: Vec<_> = WorkloadSpec::new(300, KeyDist::Uniform { domain: 8 })
         .generate()
         .collect();
-    let per_tuple = run_workload(
-        SplitJoinConfig::new(4, 32).with_batch_size(1),
-        &inputs,
-    );
+    let per_tuple = run_workload(SplitJoinConfig::new(4, 32).with_batch_size(1), &inputs);
     let join = SplitJoin::spawn(SplitJoinConfig::new(4, 32));
     for chunk in inputs.chunks(37) {
         join.process_batch(chunk).unwrap();
@@ -153,8 +147,7 @@ fn prefill_skips_probing_but_keeps_rotation() {
     join.flush().unwrap();
     let outcome = join.shutdown().unwrap();
     assert_eq!(outcome.result_count, 1);
-    let total_comparisons: u64 =
-        outcome.worker_stats.iter().map(|w| w.comparisons).sum();
+    let total_comparisons: u64 = outcome.worker_stats.iter().map(|w| w.comparisons).sum();
     assert_eq!(total_comparisons, 4, "prefill must not probe");
 }
 
@@ -178,7 +171,9 @@ fn counting_only_agrees_with_collection_at_every_batch_size() {
     let collected = run_workload(SplitJoinConfig::new(3, 24), &inputs);
     for batch in [1usize, 5, 256] {
         let counted = run_workload(
-            SplitJoinConfig::new(3, 24).with_batch_size(batch).counting_only(),
+            SplitJoinConfig::new(3, 24)
+                .with_batch_size(batch)
+                .counting_only(),
             &inputs,
         );
         assert_eq!(counted.result_count, collected.result_count);
@@ -188,8 +183,7 @@ fn counting_only_agrees_with_collection_at_every_batch_size() {
 
 #[test]
 fn band_predicate_propagates_to_workers() {
-    let config =
-        SplitJoinConfig::new(3, 9).with_predicate(JoinPredicate::Band { delta: 5 });
+    let config = SplitJoinConfig::new(3, 9).with_predicate(JoinPredicate::Band { delta: 5 });
     let join = SplitJoin::spawn(config);
     join.process(StreamTag::S, Tuple::new(100, 0)).unwrap();
     join.process(StreamTag::R, Tuple::new(104, 1)).unwrap();
@@ -223,8 +217,7 @@ fn spawn_validates_direct_field_writes() {
 #[should_panic(expected = "targets worker 9")]
 fn spawn_validates_fault_plan_targets() {
     let mut config = SplitJoinConfig::new(2, 8);
-    config.common.fault_plan =
-        crate::fault::FaultPlan::parse("kill9").unwrap();
+    config.common.fault_plan = crate::fault::FaultPlan::parse("kill9").unwrap();
     let _ = SplitJoin::spawn(config);
 }
 
@@ -235,7 +228,8 @@ fn flush_is_a_real_barrier() {
     let fill: Vec<Tuple> = (0..4_096u32).map(|i| Tuple::new(i, i)).collect();
     join.prefill(StreamTag::S, &fill).unwrap();
     for i in 0..64u32 {
-        join.process(StreamTag::R, Tuple::new(i, 1 << 20 | i)).unwrap();
+        join.process(StreamTag::R, Tuple::new(i, 1 << 20 | i))
+            .unwrap();
     }
     join.flush().unwrap();
     // After flush all probes are done: every R probed its key once.
@@ -247,7 +241,11 @@ fn flush_is_a_real_barrier() {
 /// compares, and what each distribution ring still holds.
 fn epochs(join: &SplitJoin) -> (Vec<u64>, Vec<u64>, Vec<usize>) {
     let router = join.router.borrow();
-    let finished = router.cells.iter().map(|c| c.heartbeat.load(Ordering::Acquire)).collect();
+    let finished = router
+        .cells
+        .iter()
+        .map(|c| c.heartbeat.load(Ordering::Acquire))
+        .collect();
     let queued = router.senders.iter().flatten().map(|tx| tx.len()).collect();
     (router.sent.clone(), finished, queued)
 }
@@ -261,12 +259,19 @@ fn an_idle_flush_moves_no_count_and_sends_nothing() {
     for config in [SplitJoinConfig::new(4, 64), part_config(4, 64)] {
         let join = SplitJoin::spawn(config.with_batch_size(8));
         for i in 0..100u32 {
-            let tag = if i % 2 == 0 { StreamTag::R } else { StreamTag::S };
+            let tag = if i % 2 == 0 {
+                StreamTag::R
+            } else {
+                StreamTag::S
+            };
             join.process(tag, Tuple::new(i / 2 % 16, i)).unwrap();
         }
         join.flush().unwrap();
         let (sent, finished, queued) = epochs(&join);
-        assert_eq!(finished, sent, "behind the barrier every core has finished what it was sent");
+        assert_eq!(
+            finished, sent,
+            "behind the barrier every core has finished what it was sent"
+        );
         assert!(sent.iter().sum::<u64>() > 0 && queued.iter().all(|&n| n == 0));
         join.flush().unwrap();
         assert!(!join.drain_results().unwrap().is_empty());
@@ -331,7 +336,10 @@ fn assert_batch_size_invariant(
             as_multiset(&reference.results),
             "{label}: result mismatch at batch {batch}"
         );
-        assert_eq!(outcome.result_count, reference.result_count, "{label}: batch {batch}");
+        assert_eq!(
+            outcome.result_count, reference.result_count,
+            "{label}: batch {batch}"
+        );
         assert_eq!(
             outcome.worker_stats, reference.worker_stats,
             "{label}: per-worker stat mismatch at batch {batch}"
@@ -341,7 +349,10 @@ fn assert_batch_size_invariant(
 }
 
 fn tiles(outcome: &JoinOutcome) -> u64 {
-    outcome.kernel_stats.expect("every run carries kernel stats").tiles
+    outcome
+        .kernel_stats
+        .expect("every run carries kernel stats")
+        .tiles
 }
 
 #[test]
@@ -356,7 +367,9 @@ fn blocked_path_is_bit_identical_to_per_tuple_path() {
         JoinPredicate::All,
     ] {
         let mk = |batch| {
-            SplitJoinConfig::new(3, 48).with_predicate(pred).with_batch_size(batch)
+            SplitJoinConfig::new(3, 48)
+                .with_predicate(pred)
+                .with_batch_size(batch)
         };
         let (reference, rest) = assert_batch_size_invariant(mk, &inputs, &format!("{pred:?}"));
         assert_eq!(
@@ -364,7 +377,11 @@ fn blocked_path_is_bit_identical_to_per_tuple_path() {
             as_multiset(&reference_join(&inputs, 48, pred)),
             "{pred:?}: vs reference join"
         );
-        assert_eq!(tiles(&reference), 0, "batch 1 must stay on the per-tuple path");
+        assert_eq!(
+            tiles(&reference),
+            0,
+            "batch 1 must stay on the per-tuple path"
+        );
         for (batch, outcome) in &rest {
             let blocked = *batch >= MIN_BLOCK_PROBES;
             if !blocked {
@@ -386,8 +403,7 @@ fn blocked_path_survives_intra_batch_window_wrap() {
         .collect();
     for cores in [1usize, 2, 3] {
         let mk = |batch| SplitJoinConfig::new(cores, 8).with_batch_size(batch);
-        let (reference, rest) =
-            assert_batch_size_invariant(mk, &inputs, &format!("{cores} cores"));
+        let (reference, rest) = assert_batch_size_invariant(mk, &inputs, &format!("{cores} cores"));
         let want = reference_join(&inputs, mk(1).effective_window(), JoinPredicate::Equi);
         assert_eq!(as_multiset(&reference.results), as_multiset(&want));
         let (_, widest) = rest.last().expect("blocked batch sizes ran");
@@ -403,7 +419,11 @@ fn blocked_counting_matches_per_tuple_counting() {
     let inputs: Vec<_> = WorkloadSpec::new(1_000, KeyDist::Uniform { domain: 16 })
         .generate()
         .collect();
-    let mk = |batch| SplitJoinConfig::new(3, 24).with_batch_size(batch).counting_only();
+    let mk = |batch| {
+        SplitJoinConfig::new(3, 24)
+            .with_batch_size(batch)
+            .counting_only()
+    };
     let (reference, rest) = assert_batch_size_invariant(mk, &inputs, "counting");
     assert_eq!(
         reference.result_count,
@@ -420,8 +440,7 @@ fn kernel_stats_surface_in_the_published_values() {
     let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
         .generate()
         .collect();
-    let outcome =
-        run_workload(SplitJoinConfig::new(2, 16).with_batch_size(64), &inputs);
+    let outcome = run_workload(SplitJoinConfig::new(2, 16).with_batch_size(64), &inputs);
     let reg = outcome.values();
     assert!(reg.get("splitjoin.kernel.tiles").is_some_and(|t| t > 0));
     assert!(reg.get("splitjoin.kernel.lanes").is_some());
@@ -470,19 +489,26 @@ fn tracing_records_worker_spans_without_changing_results() {
     for ring in &traced.trace {
         assert_eq!(ring.domain(), obs::trace::TimeDomain::Wall);
         assert!(!ring.is_empty(), "worker ring {} is empty", ring.track());
-        let names: HashMap<&str, u32> =
-            ring.events().iter().fold(HashMap::new(), |mut m, e| {
-                *m.entry(e.name).or_insert(0) += 1;
-                m
-            });
+        let names: HashMap<&str, u32> = ring.events().iter().fold(HashMap::new(), |mut m, e| {
+            *m.entry(e.name).or_insert(0) += 1;
+            m
+        });
         for name in names.keys() {
             assert!(
                 ["recv", "probe", "insert", "send"].contains(name),
                 "unexpected span name {name}"
             );
         }
-        assert!(names.contains_key("probe"), "no probe spans on {}", ring.track());
-        assert!(names.contains_key("insert"), "no insert spans on {}", ring.track());
+        assert!(
+            names.contains_key("probe"),
+            "no probe spans on {}",
+            ring.track()
+        );
+        assert!(
+            names.contains_key("insert"),
+            "no insert spans on {}",
+            ring.track()
+        );
     }
 }
 
@@ -536,7 +562,9 @@ fn partitioned_matches_reference_exactly() {
             "partitioned mismatch with {cores} cores"
         );
         assert!(!outcome.fault.degraded(), "healthy run must not degrade");
-        let ps = outcome.partition_stats.expect("partitioned runs carry stats");
+        let ps = outcome
+            .partition_stats
+            .expect("partitioned runs carry stats");
         assert_eq!(ps.live.len(), cores);
         // Steady state: the shards together hold exactly one window
         // per stream (the streams alternate, 250 tuples each > 64).
@@ -567,10 +595,17 @@ fn partitioned_hot_split_keeps_results_and_rebalances() {
         .collect();
     let want = as_multiset(&reference_join(&inputs, 64, JoinPredicate::Equi));
     let split = run_workload(part_config(4, 64).with_hot_sample(64), &inputs);
-    let nosplit =
-        run_workload(part_config(4, 64).with_hot_key_factor(1e9), &inputs);
-    assert_eq!(as_multiset(&split.results), want, "hot-split broke the join");
-    assert_eq!(as_multiset(&nosplit.results), want, "nosplit broke the join");
+    let nosplit = run_workload(part_config(4, 64).with_hot_key_factor(1e9), &inputs);
+    assert_eq!(
+        as_multiset(&split.results),
+        want,
+        "hot-split broke the join"
+    );
+    assert_eq!(
+        as_multiset(&nosplit.results),
+        want,
+        "nosplit broke the join"
+    );
     let split_stats = split.partition_stats.unwrap();
     let nosplit_stats = nosplit.partition_stats.unwrap();
     assert!(split_stats.hot_splits >= 1, "skewed run must promote a key");
@@ -598,7 +633,9 @@ fn partitioned_counting_only_agrees_with_collected() {
 #[test]
 fn partitioned_prefill_loads_without_probing() {
     let join = SplitJoin::spawn(part_config(2, 16));
-    let warm: Vec<Tuple> = (0..8).map(|k| Tuple::new(k, 100 + u32::from(k as u8))).collect();
+    let warm: Vec<Tuple> = (0..8)
+        .map(|k| Tuple::new(k, 100 + u32::from(k as u8)))
+        .collect();
     join.prefill(StreamTag::S, &warm).unwrap();
     // One probe against the warmed S shard: exactly one match, and
     // the prefill itself produced none.
@@ -641,7 +678,10 @@ fn partitioned_kill_is_recovered_with_exact_orphans() {
     let lossy = as_multiset(&outcome.results);
     let full = as_multiset(&healthy.results);
     for (pair, n) in &lossy {
-        assert!(full.get(pair).is_some_and(|m| m >= n), "degraded run invented {pair:?}");
+        assert!(
+            full.get(pair).is_some_and(|m| m >= n),
+            "degraded run invented {pair:?}"
+        );
     }
     assert!(outcome.result_count < healthy.result_count);
 }
@@ -685,23 +725,44 @@ fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
         .with_hot_key_factor(1e9)
         .with_fault_plan(
             FaultPlan::none()
-                .with(FaultEvent::Stall { worker: victim, at_batch: after_batch - 1, millis: 40 })
-                .with(FaultEvent::Kill { worker: victim, after_batch }),
+                .with(FaultEvent::Stall {
+                    worker: victim,
+                    at_batch: after_batch - 1,
+                    millis: 40,
+                })
+                .with(FaultEvent::Kill {
+                    worker: victim,
+                    after_batch,
+                }),
         );
     let join = SplitJoin::spawn(config);
     for &(tag, t) in &inputs {
         join.process(tag, t).unwrap();
     }
     join.flush().expect("barrier must cover the survivors");
-    let drained = join.drain_results().expect("drain must complete after a kill");
+    let drained = join
+        .drain_results()
+        .expect("drain must complete after a kill");
     assert!(!drained.is_empty());
     let outcome = join.shutdown().unwrap();
     assert_eq!(outcome.fault.workers_lost, vec![victim]);
     assert_eq!(outcome.fault.injected_stalls, 1, "the window was forced");
-    assert!(outcome.results.is_empty(), "nothing surfaced after the drain");
-    assert_eq!(drained.len() as u64, outcome.result_count, "the drain harvested everything");
+    assert!(
+        outcome.results.is_empty(),
+        "nothing surfaced after the drain"
+    );
+    assert_eq!(
+        drained.len() as u64,
+        outcome.result_count,
+        "the drain harvested everything"
+    );
 
-    let ledger = ledger_of(victim, cores, window, &inputs[..batch * after_batch as usize]);
+    let ledger = ledger_of(
+        victim,
+        cores,
+        window,
+        &inputs[..batch * after_batch as usize],
+    );
     assert!(ledger > 0);
     assert_eq!(outcome.fault.orphaned_tuples, ledger);
 }
@@ -722,12 +783,22 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
     for (partitioned, panics) in cases {
         let case = format!("partitioned {partitioned}, panic {panics}");
         let fault = if panics {
-            FaultEvent::Panic { worker: victim, at_batch: fatal }
+            FaultEvent::Panic {
+                worker: victim,
+                at_batch: fatal,
+            }
         } else {
-            FaultEvent::Kill { worker: victim, after_batch: fatal }
+            FaultEvent::Kill {
+                worker: victim,
+                after_batch: fatal,
+            }
         };
         let plan = FaultPlan::none()
-            .with(FaultEvent::Stall { worker: victim, at_batch: fatal - 1, millis: 50 })
+            .with(FaultEvent::Stall {
+                worker: victim,
+                at_batch: fatal - 1,
+                millis: 50,
+            })
             .with(fault);
         // Splitting disabled, so every key is stored at its rendezvous owner.
         let config = if partitioned {
@@ -742,24 +813,42 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
         }
         {
             let router = join.router.borrow();
-            assert!(router.report.workers_lost.is_empty(), "{case}: nothing to notice while sending");
-            assert!(router.sent[victim] > fatal, "{case}: messages queue behind the fatal one");
+            assert!(
+                router.report.workers_lost.is_empty(),
+                "{case}: nothing to notice while sending"
+            );
+            assert!(
+                router.sent[victim] > fatal,
+                "{case}: messages queue behind the fatal one"
+            );
         }
-        let drained = join.drain_results().expect("the barrier covers the survivors");
+        let drained = join
+            .drain_results()
+            .expect("the barrier covers the survivors");
         assert!(!drained.is_empty(), "{case}");
-        assert!(join.drain_results().unwrap().is_empty(), "{case}: nothing is returned twice");
+        assert!(
+            join.drain_results().unwrap().is_empty(),
+            "{case}: nothing is returned twice"
+        );
         {
             let router = join.router.borrow();
             assert_eq!(router.report.workers_lost, vec![victim], "{case}");
             let finished = |w: usize| router.cells[w].heartbeat.load(Ordering::Acquire);
-            assert_eq!(finished(victim), fatal - 1, "{case}: the fatal message never finishes");
+            assert_eq!(
+                finished(victim),
+                fatal - 1,
+                "{case}: the fatal message never finishes"
+            );
             for &w in router.map.live() {
                 assert_eq!(finished(w), router.sent[w], "{case}: survivor {w}");
             }
             // Everything any core handed over, the victim's first three
             // messages included, came out of the one drain.
-            let published: u64 =
-                router.cells.iter().map(|c| c.results_published.load(Ordering::Relaxed)).sum();
+            let published: u64 = router
+                .cells
+                .iter()
+                .map(|c| c.results_published.load(Ordering::Relaxed))
+                .sum();
             assert_eq!(drained.len() as u64, published, "{case}");
             let orphans = if partitioned {
                 // Everything routed counts, queued sub-batches included.
@@ -773,7 +862,10 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
         }
         match join.shutdown() {
             Ok(outcome) if !panics => {
-                assert!(outcome.results.is_empty(), "{case}: the drain took everything");
+                assert!(
+                    outcome.results.is_empty(),
+                    "{case}: the drain took everything"
+                );
                 assert_eq!(outcome.result_count, drained.len() as u64, "{case}");
             }
             Err(JoinError::WorkerPanicked { worker, .. }) if panics => assert_eq!(worker, victim),
@@ -785,9 +877,7 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
 #[test]
 #[should_panic(expected = "equi-join predicate")]
 fn partitioned_rejects_non_equi_predicates() {
-    let _ = SplitJoin::spawn(
-        part_config(2, 16).with_predicate(JoinPredicate::Band { delta: 2 }),
-    );
+    let _ = SplitJoin::spawn(part_config(2, 16).with_predicate(JoinPredicate::Band { delta: 2 }));
 }
 
 #[test]
@@ -799,8 +889,12 @@ fn partitioned_outcome_publishes_partition_counters() {
     let reg = outcome.values();
     assert!(reg.get("splitjoin.partition.routed").is_some_and(|v| v > 0));
     assert!(reg.get("splitjoin.partition.hot_splits").is_some());
-    assert!(reg.get("splitjoin.partition.occupancy_max").is_some_and(|v| v > 0));
-    assert!(reg.get("splitjoin.partition.balance_x1000").is_some_and(|v| v > 0));
+    assert!(reg
+        .get("splitjoin.partition.occupancy_max")
+        .is_some_and(|v| v > 0));
+    assert!(reg
+        .get("splitjoin.partition.balance_x1000")
+        .is_some_and(|v| v > 0));
     assert!(reg.get("splitjoin.partition.worker.0.occupancy").is_some());
     assert!(reg.get("splitjoin.partition.worker.1.occupancy").is_some());
     // Broadcast runs must keep their exact pre-partitioning shape.

@@ -136,7 +136,12 @@ impl WorkerState {
         let mut lens = [0usize; 2];
         let mut caps = [0usize; 2];
         {
-            let WorkerState { window_r, window_s, scratch, .. } = self;
+            let WorkerState {
+                window_r,
+                window_s,
+                scratch,
+                ..
+            } = self;
             for (side, f) in [(0, &*window_r), (1, &*window_s)] {
                 f.snapshot_into(
                     &mut scratch.snap_keys[side],
@@ -203,7 +208,11 @@ impl WorkerState {
             }
             // Probes against the S window (`g == 1`) carry R tuples.
             let probe_is_r = g == 1;
-            let tag = if probe_is_r { StreamTag::R } else { StreamTag::S };
+            let tag = if probe_is_r {
+                StreamTag::R
+            } else {
+                StreamTag::S
+            };
             let snap_keys = &scratch.snap_keys[g];
             let news = &scratch.news[g];
             if !materialize {
@@ -271,7 +280,11 @@ impl WorkerState {
         // two windows are independent, so side-major application lands
         // the same final ring state as the interleaved per-tuple path).
         for side in 0..2 {
-            let window = if side == 0 { &mut self.window_r } else { &mut self.window_s };
+            let window = if side == 0 {
+                &mut self.window_r
+            } else {
+                &mut self.window_s
+            };
             for &t in &self.scratch.news[side] {
                 window.insert(t);
             }
@@ -284,7 +297,15 @@ impl WorkerState {
         // segments of the flat window, touching a payload only when the
         // key predicate holds. Disjoint field borrows: the window stays
         // shared while stats/out mutate.
-        let WorkerState { predicate, window_r, window_s, stats, out, collect, .. } = self;
+        let WorkerState {
+            predicate,
+            window_r,
+            window_s,
+            stats,
+            out,
+            collect,
+            ..
+        } = self;
         let opposite = match tag {
             StreamTag::R => &*window_s,
             StreamTag::S => &*window_r,
@@ -312,7 +333,11 @@ impl WorkerState {
                     };
                     if key_match {
                         stats.matches += 1;
-                        out.push(MatchPair::oriented(tag, tuple, Tuple::new(key, payloads[i])));
+                        out.push(MatchPair::oriented(
+                            tag,
+                            tuple,
+                            Tuple::new(key, payloads[i]),
+                        ));
                     }
                 }
             }
@@ -331,7 +356,14 @@ impl WorkerState {
             self.stats.tuples_seen += 1;
         }
         // Disjoint field borrows, as in `handle_tuple`.
-        let WorkerState { part, stats, kstats, out, collect, .. } = self;
+        let WorkerState {
+            part,
+            stats,
+            kstats,
+            out,
+            collect,
+            ..
+        } = self;
         let ps = part.as_mut().expect("keyed dispatch needs shard state");
         let horizon = ps.horizon;
         let (own, opposite) = match e.tag {
@@ -454,7 +486,9 @@ pub(super) fn worker_loop(
         // exported as `.wait_ns` and the rest of the iteration as
         // `.busy_ns`; unarmed, neither clock is read.
         let wait_start = live.as_ref().map(|_| obs::trace::now_ns());
-        let Some(msg) = recv_msg(&mut msgs) else { break };
+        let Some(msg) = recv_msg(&mut msgs) else {
+            break;
+        };
         let busy_start = wait_start.map(|t0| {
             let now = obs::trace::now_ns();
             if let Some(lv) = live.as_ref() {
@@ -525,6 +559,9 @@ pub(super) fn worker_loop(
         w.cell.finish_message(&w.stats);
         idle_since = span_start(&ring);
     }
-    debug_assert!(w.out.is_empty(), "matches are published at every message boundary");
+    debug_assert!(
+        w.out.is_empty(),
+        "matches are published at every message boundary"
+    );
     (w.stats, w.kstats, ring)
 }

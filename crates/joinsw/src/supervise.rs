@@ -54,17 +54,26 @@ impl Idle {
     /// A core waiting for its next message: the next batch of a loaded
     /// run arrives within the yield phase.
     pub(crate) const fn recv() -> Self {
-        Self { yields: 128, polls: 0 }
+        Self {
+            yields: 128,
+            polls: 0,
+        }
     }
 
     /// A caller waiting at a barrier (an epoch, a token, a worker's exit).
     pub(crate) const fn barrier() -> Self {
-        Self { yields: 1_024, polls: 0 }
+        Self {
+            yields: 1_024,
+            polls: 0,
+        }
     }
 
     /// A producer waiting for ring or arena space.
     pub(crate) const fn claim() -> Self {
-        Self { yields: CLAIM_YIELDS, polls: 0 }
+        Self {
+            yields: CLAIM_YIELDS,
+            polls: 0,
+        }
     }
 
     /// Work arrived: the next wait starts from the yield phase again.
@@ -201,7 +210,8 @@ impl WorkerCell {
         self.publish_stats(stats);
         self.heartbeat.fetch_add(1, Ordering::Release);
         if obs::live::active() {
-            self.last_beat_ns.store(obs::trace::now_ns(), Ordering::Relaxed);
+            self.last_beat_ns
+                .store(obs::trace::now_ns(), Ordering::Relaxed);
         }
     }
 
@@ -261,7 +271,10 @@ pub(crate) fn outcome(
         fault.results_dropped += cell.results_dropped.load(Ordering::Relaxed);
     }
     let result_count = if collecting {
-        cells.iter().map(|c| c.results_published.load(Ordering::Relaxed)).sum()
+        cells
+            .iter()
+            .map(|c| c.results_published.load(Ordering::Relaxed))
+            .sum()
     } else {
         worker_stats.iter().map(|w| w.matches).sum()
     };
@@ -314,9 +327,10 @@ pub(crate) fn join_cores<E>(
         }
     }
     match panicked {
-        Some(worker) => {
-            Err(JoinError::WorkerPanicked { worker, stats_so_far: cells[worker].snapshot() })
-        }
+        Some(worker) => Err(JoinError::WorkerPanicked {
+            worker,
+            stats_so_far: cells[worker].snapshot(),
+        }),
         None => Ok(exits),
     }
 }
@@ -350,7 +364,10 @@ pub(crate) struct SendSupervisor {
 
 impl SendSupervisor {
     pub(crate) fn new() -> Self {
-        Self { backoff_ms: BACKOFF_START_MS, stuck: None }
+        Self {
+            backoff_ms: BACKOFF_START_MS,
+            stuck: None,
+        }
     }
 
     /// The next bounded wait (see the type docs), or
@@ -495,7 +512,8 @@ pub(crate) fn run_scripted_batch<C: ScriptedCore>(
     }
     if plan.kills(position, batch_no) {
         // Abrupt exit: this message's matches die here, unpublished.
-        cell.results_dropped.fetch_add(out.len() as u64, Ordering::Relaxed);
+        cell.results_dropped
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
         cell.publish_stats(stats);
         return BatchOutcome::Kill;
     }
@@ -562,7 +580,10 @@ mod tests {
         })
         .unwrap();
         assert_eq!(polls, 5);
-        assert_eq!(wait_until(|| Err(JoinError::AllWorkersLost)), Err(JoinError::AllWorkersLost));
+        assert_eq!(
+            wait_until(|| Err(JoinError::AllWorkersLost)),
+            Err(JoinError::AllWorkersLost)
+        );
     }
 
     #[derive(Default)]
@@ -595,24 +616,44 @@ mod tests {
         let plan = FaultPlan::parse("drop0@2").unwrap();
         let mut core = FakeCore::default();
         for batch_no in 1..=3 {
-            assert!(matches!(scripted(&mut core, &plan, batch_no), BatchOutcome::Continue));
+            assert!(matches!(
+                scripted(&mut core, &plan, batch_no),
+                BatchOutcome::Continue
+            ));
         }
         assert_eq!(core.cell.drops.load(Ordering::Relaxed), 1);
         assert_eq!(core.stats.matches, 4, "messages 1 and 3 did their work");
         assert_eq!(core.cell.results_published.load(Ordering::Relaxed), 4);
-        assert!(core.out.is_empty(), "every surviving message hands its matches off");
+        assert!(
+            core.out.is_empty(),
+            "every surviving message hands its matches off"
+        );
     }
 
     #[test]
     fn a_scripted_kill_drops_exactly_the_message_in_progress() {
         let plan = FaultPlan::parse("kill0@2").unwrap();
         let mut core = FakeCore::default();
-        assert!(matches!(scripted(&mut core, &plan, 1), BatchOutcome::Continue));
+        assert!(matches!(
+            scripted(&mut core, &plan, 1),
+            BatchOutcome::Continue
+        ));
         assert!(matches!(scripted(&mut core, &plan, 2), BatchOutcome::Kill));
-        assert_eq!(core.cell.results_dropped.load(Ordering::Relaxed), core.out.len() as u64);
-        assert_eq!(core.out.len(), 2, "the fatal message's matches are not handed off");
+        assert_eq!(
+            core.cell.results_dropped.load(Ordering::Relaxed),
+            core.out.len() as u64
+        );
+        assert_eq!(
+            core.out.len(),
+            2,
+            "the fatal message's matches are not handed off"
+        );
         assert_eq!(core.cell.results_published.load(Ordering::Relaxed), 2);
-        assert_eq!(core.cell.snapshot().matches, 4, "the last snapshot includes the fatal message");
+        assert_eq!(
+            core.cell.snapshot().matches,
+            4,
+            "the last snapshot includes the fatal message"
+        );
     }
 
     #[test]
@@ -626,15 +667,25 @@ mod tests {
     }
 
     fn mp(k: u32) -> MatchPair {
-        MatchPair { r: streamcore::Tuple::new(k, 0), s: streamcore::Tuple::new(k, 1) }
+        MatchPair {
+            r: streamcore::Tuple::new(k, 0),
+            s: streamcore::Tuple::new(k, 1),
+        }
     }
 
     #[test]
     fn outboxes_are_taken_in_position_order_and_keep_the_published_total() {
-        let cells = [Arc::new(WorkerCell::default()), Arc::new(WorkerCell::default())];
+        let cells = [
+            Arc::new(WorkerCell::default()),
+            Arc::new(WorkerCell::default()),
+        ];
         let mut out = Vec::new();
         cells[1].publish_results(&mut out);
-        assert_eq!(cells[1].results_published.load(Ordering::Relaxed), 0, "empty publishes are free");
+        assert_eq!(
+            cells[1].results_published.load(Ordering::Relaxed),
+            0,
+            "empty publishes are free"
+        );
         assert!(take_outboxes(&cells).is_empty());
 
         out.extend([mp(3), mp(4)]);
@@ -645,7 +696,10 @@ mod tests {
         out.push(mp(1));
         cells[0].publish_results(&mut out);
         assert_eq!(take_outboxes(&cells), [mp(1), mp(3), mp(4), mp(5)]);
-        assert!(take_outboxes(&cells).is_empty(), "nothing is returned twice");
+        assert!(
+            take_outboxes(&cells).is_empty(),
+            "nothing is returned twice"
+        );
         // Draining does not rewind the totals.
         assert_eq!(cells[0].results_published.load(Ordering::Relaxed), 1);
         assert_eq!(cells[1].results_published.load(Ordering::Relaxed), 3);
@@ -696,13 +750,18 @@ mod tests {
             }
         };
         // Backoff doubles 1,2,4,...,64 then stays capped...
-        let head: Vec<Duration> =
-            [1u64, 2, 4, 8, 16, 32, 64].iter().map(|&ms| Duration::from_millis(ms)).collect();
+        let head: Vec<Duration> = [1u64, 2, 4, 8, 16, 32, 64]
+            .iter()
+            .map(|&ms| Duration::from_millis(ms))
+            .collect();
         assert_eq!(&waits[..7], &head[..]);
         // ...except the final wait, which is clamped to the remaining
         // budget (10_000 = 63 + 155*64 + 17).
         assert_eq!(*waits.last().unwrap(), Duration::from_millis(17));
-        assert_eq!(elapsed, SATURATION_DEADLINE, "waits must sum to the deadline exactly");
+        assert_eq!(
+            elapsed, SATURATION_DEADLINE,
+            "waits must sum to the deadline exactly"
+        );
         match err {
             JoinError::Saturated { worker, waited_ms } => {
                 assert_eq!(worker, 3);
@@ -730,9 +789,16 @@ mod tests {
         // ...the heartbeat moves: the clock restarts and the policy
         // will happily wait another full deadline.
         let w = sup.next_wait(base + elapsed, 0, 2).unwrap();
-        assert_eq!(w, Duration::from_millis(BACKOFF_CAP_MS), "backoff stays capped, unclamped");
+        assert_eq!(
+            w,
+            Duration::from_millis(BACKOFF_CAP_MS),
+            "backoff stays capped, unclamped"
+        );
         let later = elapsed + Duration::from_secs(9);
-        assert!(sup.next_wait(base + later, 0, 2).is_ok(), "reset clock must not saturate early");
+        assert!(
+            sup.next_wait(base + later, 0, 2).is_ok(),
+            "reset clock must not saturate early"
+        );
         // A different worker index is also progress.
         assert!(sup.next_wait(base + later, 1, 2).is_ok());
     }

@@ -20,7 +20,11 @@ const CORES: usize = 4;
 fn workload(tuples: usize, domain: u32) -> Vec<(StreamTag, Tuple)> {
     (0..tuples)
         .map(|seq| {
-            let tag = if seq % 2 == 0 { StreamTag::R } else { StreamTag::S };
+            let tag = if seq % 2 == 0 {
+                StreamTag::R
+            } else {
+                StreamTag::S
+            };
             let key = ((seq as u32).wrapping_mul(2_654_435_761) >> 16) % domain;
             (tag, Tuple::new(key, seq as u32))
         })
@@ -66,7 +70,10 @@ fn kill_one_worker_mid_stream_accounts_losses_exactly() {
     let window = 256;
     let batch = 16;
     let inputs = workload(4_000, 64);
-    let plan = FaultPlan::none().with(FaultEvent::Kill { worker: 1, after_batch: 100 });
+    let plan = FaultPlan::none().with(FaultEvent::Kill {
+        worker: 1,
+        after_batch: 100,
+    });
     let outcome = run(
         SplitJoinConfig::new(CORES, window)
             .with_batch_size(batch)
@@ -134,7 +141,11 @@ fn a_degraded_outcome_publishes_exactly_the_fault_keys() {
     let chain = chain.shutdown().unwrap();
 
     for (engine, outcome) in [("splitjoin", split), ("handshake", chain)] {
-        assert_eq!(outcome.fault.workers_lost, vec![1], "{engine}: the kill fired");
+        assert_eq!(
+            outcome.fault.workers_lost,
+            vec![1],
+            "{engine}: the kill fired"
+        );
         let values = outcome.values();
         let mut keys: Vec<&str> = values
             .iter()
@@ -223,7 +234,10 @@ fn scripted_panic_surfaces_with_stats() {
         }
     };
     match err {
-        JoinError::WorkerPanicked { worker, stats_so_far } => {
+        JoinError::WorkerPanicked {
+            worker,
+            stats_so_far,
+        } => {
             assert_eq!(worker, 1);
             assert!(stats_so_far.tuples_seen > 0, "stats survive the panic");
         }
@@ -256,7 +270,10 @@ fn scripted_fault_plans_are_survivable() {
     let inputs = workload(4_000, 32);
     for spec in PLANS {
         let plan = FaultPlan::parse(spec).unwrap();
-        let expects_panic = plan.events.iter().any(|e| matches!(e, FaultEvent::Panic { .. }));
+        let expects_panic = plan
+            .events
+            .iter()
+            .any(|e| matches!(e, FaultEvent::Panic { .. }));
         let scripted = !plan.is_empty();
         let result = run(
             SplitJoinConfig::new(CORES, 256)
@@ -265,12 +282,18 @@ fn scripted_fault_plans_are_survivable() {
             &inputs,
         );
         if expects_panic {
-            assert!(matches!(result, Err(JoinError::WorkerPanicked { .. })), "{spec}");
+            assert!(
+                matches!(result, Err(JoinError::WorkerPanicked { .. })),
+                "{spec}"
+            );
             continue;
         }
         let outcome = result.expect("non-panic fault plans must be survivable");
         if scripted {
-            assert!(outcome.fault.degraded(), "{spec}: scripted faults must be visible");
+            assert!(
+                outcome.fault.degraded(),
+                "{spec}: scripted faults must be visible"
+            );
         } else {
             assert!(!outcome.fault.degraded());
             assert_eq!(

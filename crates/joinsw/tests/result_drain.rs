@@ -37,14 +37,19 @@ fn as_multiset(results: &[MatchPair]) -> Multiset {
 
 /// True when every pair of `part` is in `whole`, as often.
 fn is_submultiset(part: &Multiset, whole: &Multiset) -> bool {
-    part.iter().all(|(pair, n)| whole.get(pair).is_some_and(|m| m >= n))
+    part.iter()
+        .all(|(pair, n)| whole.get(pair).is_some_and(|m| m >= n))
 }
 
 /// Alternating R/S workload with keys hashed over `domain`.
 fn workload(tuples: usize, domain: u32) -> Vec<(StreamTag, Tuple)> {
     (0..tuples)
         .map(|seq| {
-            let tag = if seq % 2 == 0 { StreamTag::R } else { StreamTag::S };
+            let tag = if seq % 2 == 0 {
+                StreamTag::R
+            } else {
+                StreamTag::S
+            };
             let key = ((seq as u32).wrapping_mul(2_654_435_761) >> 16) % domain;
             (tag, Tuple::new(key, seq as u32))
         })
@@ -81,7 +86,10 @@ fn drains_partition_the_reference<J: StreamJoin>(
     let outcome = join.shutdown().unwrap();
     add(&mut seen, &outcome.results);
     delivered += outcome.results.len() as u64;
-    prop_assert_eq!(seen, as_multiset(&reference_join(&arrivals, window, JoinPredicate::Equi)));
+    prop_assert_eq!(
+        seen,
+        as_multiset(&reference_join(&arrivals, window, JoinPredicate::Equi))
+    );
     prop_assert_eq!(outcome.result_count, delivered);
     prop_assert!(!outcome.fault.degraded());
     Ok(())
@@ -176,7 +184,10 @@ fn model_broadcast_kill(
         }
         delivered_by_chunk.push(delivered.clone());
     }
-    KillModel { delivered_by_chunk, dropped }
+    KillModel {
+        delivered_by_chunk,
+        dropped,
+    }
 }
 
 /// Broadcast SplitJoin across a scripted kill, drained after every
@@ -203,7 +214,12 @@ fn a_kill_drops_exactly_the_victims_last_message() {
         let got = join.drain_results().unwrap();
         delivered += got.len() as u64;
         add(&mut seen, &got);
-        assert_eq!(seen, model.delivered_by_chunk[c], "drain after chunk {}", c + 1);
+        assert_eq!(
+            seen,
+            model.delivered_by_chunk[c],
+            "drain after chunk {}",
+            c + 1
+        );
     }
     let outcome = join.shutdown().unwrap();
     assert!(outcome.results.is_empty(), "every chunk was drained");
@@ -243,7 +259,10 @@ fn kill_keeps_what_was_published<J: StreamJoin>(
         add(&mut seen, &got);
         if c + 1 == after_chunk {
             let before_kill = reference_join(&arrivals[..fed], window, JoinPredicate::Equi);
-            assert!(!before_kill.is_empty(), "the scenario must publish before the kill");
+            assert!(
+                !before_kill.is_empty(),
+                "the scenario must publish before the kill"
+            );
             assert!(
                 is_submultiset(&as_multiset(&before_kill), &seen),
                 "matches published before the kill must be delivered"
@@ -277,7 +296,10 @@ fn a_kill_keeps_what_was_published_under_hash_dispatch() {
     assert_eq!(outcome.fault.workers_lost, vec![victim]);
     // Losing a shard only ever loses matches.
     let full = as_multiset(&reference_join(&inputs, window, JoinPredicate::Equi));
-    assert!(is_submultiset(&seen, &full), "a degraded run invented a match");
+    assert!(
+        is_submultiset(&seen, &full),
+        "a degraded run invented a match"
+    );
     assert_every_match_is_accounted(&outcome, "kill");
 }
 
@@ -312,20 +334,31 @@ fn a_panic_leaves_the_survivors_drain_live() {
     let inputs = workload(800, 16);
     let plan = FaultPlan::parse("panic1@3").unwrap();
     let join = SplitJoin::spawn(
-        SplitJoinConfig::new(4, 128).with_batch_size(16).with_fault_plan(plan),
+        SplitJoinConfig::new(4, 128)
+            .with_batch_size(16)
+            .with_fault_plan(plan),
     );
     for chunk in inputs.chunks(16) {
-        join.process_batch(chunk).expect("survivors absorb the stream");
+        join.process_batch(chunk)
+            .expect("survivors absorb the stream");
     }
-    let drained = join.drain_results().expect("the barrier covers the survivors");
+    let drained = join
+        .drain_results()
+        .expect("the barrier covers the survivors");
     // Worker 1 dies in its third batch; it had published the first two.
     // (No "only loses" check: the router notices a panic some batches
     // late, and at that re-partition a survivor's storage turn can slip
     // by two, keeping a tuple that long past the strict window.)
     let before_panic = reference_join(&inputs[..32], 128, JoinPredicate::Equi);
     assert!(!before_panic.is_empty());
-    assert!(is_submultiset(&as_multiset(&before_panic), &as_multiset(&drained)));
-    assert!(join.drain_results().expect("and again").is_empty(), "nothing is returned twice");
+    assert!(is_submultiset(
+        &as_multiset(&before_panic),
+        &as_multiset(&drained)
+    ));
+    assert!(
+        join.drain_results().expect("and again").is_empty(),
+        "nothing is returned twice"
+    );
     match join.shutdown() {
         Err(JoinError::WorkerPanicked { worker, .. }) => assert_eq!(worker, 1),
         other => panic!("expected WorkerPanicked, got {other:?}"),
@@ -346,15 +379,25 @@ fn a_panic_leaves_the_chains_drain_live() {
     // one by one, so every core had published their matches.
     let before_panic = reference_join(&inputs[..9], 12, JoinPredicate::Equi);
     assert!(!before_panic.is_empty());
-    assert!(is_submultiset(&as_multiset(&before_panic), &as_multiset(&drained)));
-    assert!(matches!(join.shutdown(), Err(JoinError::WorkerPanicked { worker: 1, .. })));
+    assert!(is_submultiset(
+        &as_multiset(&before_panic),
+        &as_multiset(&drained)
+    ));
+    assert!(matches!(
+        join.shutdown(),
+        Err(JoinError::WorkerPanicked { worker: 1, .. })
+    ));
 }
 
 /// Every match a core found is either in the result count or counted
 /// as dropped.
 fn assert_every_match_is_accounted(outcome: &JoinOutcome, case: &str) {
     let found: u64 = outcome.worker_stats.iter().map(|w| w.matches).sum();
-    assert_eq!(outcome.result_count + outcome.fault.results_dropped, found, "{case}");
+    assert_eq!(
+        outcome.result_count + outcome.fault.results_dropped,
+        found,
+        "{case}"
+    );
 }
 
 /// Each plan of the fault table (see `fault_injection.rs`) with a drain
@@ -366,10 +409,15 @@ fn scripted_fault_plans_keep_the_drain_accounting_exact() {
     let inputs = workload(4_000, 32);
     for spec in ["", "kill1,stall", "kill1@50", "stall0@3x25", "panic2@5"] {
         let plan = FaultPlan::parse(spec).unwrap();
-        let expects_panic = plan.events.iter().any(|e| matches!(e, FaultEvent::Panic { .. }));
+        let expects_panic = plan
+            .events
+            .iter()
+            .any(|e| matches!(e, FaultEvent::Panic { .. }));
         let healthy = plan.is_empty();
         let join = SplitJoin::spawn(
-            SplitJoinConfig::new(4, 256).with_batch_size(16).with_fault_plan(plan),
+            SplitJoinConfig::new(4, 256)
+                .with_batch_size(16)
+                .with_fault_plan(plan),
         );
         let mut delivered = 0u64;
         for (i, chunk) in inputs.chunks(16).enumerate() {
@@ -401,7 +449,12 @@ fn scripted_fault_plans_keep_the_drain_accounting_exact() {
 #[test]
 fn the_chain_accounts_for_every_match_its_cores_found() {
     let inputs = workload(160, 4);
-    for (spec, collect) in [("", true), ("kill1@50", true), ("", false), ("kill1@50", false)] {
+    for (spec, collect) in [
+        ("", true),
+        ("kill1@50", true),
+        ("", false),
+        ("kill1@50", false),
+    ] {
         let case = format!("plan `{spec}`, collecting {collect}");
         let mut config =
             HandshakeConfig::new(3, 12).with_fault_plan(FaultPlan::parse(spec).unwrap());
@@ -420,7 +473,11 @@ fn the_chain_accounts_for_every_match_its_cores_found() {
         assert_every_match_is_accounted(&outcome, &case);
         if collect {
             assert!(outcome.result_count > 0, "{case}: the scenario must match");
-            assert_eq!(outcome.result_count, delivered + outcome.results.len() as u64, "{case}");
+            assert_eq!(
+                outcome.result_count,
+                delivered + outcome.results.len() as u64,
+                "{case}"
+            );
         } else {
             assert_eq!((delivered, outcome.results.len()), (0, 0), "{case}");
             assert_eq!(outcome.fault.results_dropped, 0, "{case}");

@@ -220,7 +220,10 @@ mod tests {
         // Stalled worker.
         let cur = snap(
             10,
-            &[("splitjoin.worker.3.heartbeat_age_ns", PRESSURE_HEARTBEAT_AGE_NS)],
+            &[(
+                "splitjoin.worker.3.heartbeat_age_ns",
+                PRESSURE_HEARTBEAT_AGE_NS,
+            )],
         );
         assert!(Health::derive(&snap(0, &[]), &cur).pressured());
 

@@ -51,9 +51,7 @@ impl Json {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -374,12 +372,9 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
-                                    format!("bad \\u escape at byte {}", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| {
-                                format!("bad \\u escape at byte {}", self.pos)
-                            })?;
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
                             // Surrogate pairs are not produced by this
                             // writer; map lone surrogates to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -413,8 +408,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
         if !text.contains(['.', 'e', 'E']) {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::UInt(n));

@@ -190,19 +190,17 @@ impl Sampler {
         let thread_reg = reg.clone();
         let handle = thread::Builder::new()
             .name("obs-sampler".into())
-            .spawn(move || {
-                loop {
-                    let stopped = thread_gate.stopped.lock().expect("sampler gate poisoned");
-                    let (stopped, _) = thread_gate
-                        .cv
-                        .wait_timeout_while(stopped, interval, |s| !*s)
-                        .expect("sampler gate poisoned");
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    record_tick(&thread_state, thread_reg.snapshot(), capacity);
+            .spawn(move || loop {
+                let stopped = thread_gate.stopped.lock().expect("sampler gate poisoned");
+                let (stopped, _) = thread_gate
+                    .cv
+                    .wait_timeout_while(stopped, interval, |s| !*s)
+                    .expect("sampler gate poisoned");
+                if *stopped {
+                    return;
                 }
+                drop(stopped);
+                record_tick(&thread_state, thread_reg.snapshot(), capacity);
             })
             .expect("spawn obs-sampler thread");
         Self {

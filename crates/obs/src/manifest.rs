@@ -60,7 +60,12 @@ impl RunManifest {
     pub fn new(name: impl Into<String>) -> Self {
         let mut config = vec![(
             "obs_feature".to_string(),
-            if cfg!(feature = "enabled") { "on" } else { "off" }.to_string(),
+            if cfg!(feature = "enabled") {
+                "on"
+            } else {
+                "off"
+            }
+            .to_string(),
         )];
         if let Ok(dir) = std::env::var("ACCEL_OBS_DIR") {
             config.push(("env.ACCEL_OBS_DIR".to_string(), dir));
@@ -185,11 +190,13 @@ impl RunManifest {
         if schema != SCHEMA_VERSION {
             return Err(format!("unknown schema version {schema}"));
         }
-        let field = |k: &str| -> Result<&Json, String> {
-            root.get(k).ok_or(format!("missing `{k}`"))
-        };
+        let field =
+            |k: &str| -> Result<&Json, String> { root.get(k).ok_or(format!("missing `{k}`")) };
         let mut m = RunManifest {
-            name: field("name")?.as_str().ok_or("`name` must be a string")?.into(),
+            name: field("name")?
+                .as_str()
+                .ok_or("`name` must be a string")?
+                .into(),
             git_rev: field("git_rev")?
                 .as_str()
                 .ok_or("`git_rev` must be a string")?
@@ -265,7 +272,13 @@ pub(crate) fn artifact_path(dir: &Path, name: &str, suffix: &str) -> io::Result<
     std::fs::create_dir_all(dir)?;
     let stem: String = name
         .chars()
-        .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     Ok(dir.join(format!("{stem}{suffix}")))
 }
@@ -286,7 +299,12 @@ pub(crate) fn config_from_json(json: &Json) -> Result<Vec<(String, String)>, Str
     json.as_obj()
         .ok_or("`config` must be an object")?
         .iter()
-        .map(|(k, v)| Ok((k.clone(), v.as_str().ok_or("config values are strings")?.to_string())))
+        .map(|(k, v)| {
+            Ok((
+                k.clone(),
+                v.as_str().ok_or("config values are strings")?.to_string(),
+            ))
+        })
         .collect()
 }
 
@@ -387,8 +405,12 @@ mod tests {
     #[test]
     fn rejects_wrong_schema_and_missing_fields() {
         assert!(RunManifest::from_json("{}").is_err());
-        let bumped = sample().to_json().replacen("\"schema\": 1", "\"schema\": 99", 1);
-        assert!(RunManifest::from_json(&bumped).unwrap_err().contains("schema"));
+        let bumped = sample()
+            .to_json()
+            .replacen("\"schema\": 1", "\"schema\": 99", 1);
+        assert!(RunManifest::from_json(&bumped)
+            .unwrap_err()
+            .contains("schema"));
     }
 
     #[test]
@@ -404,7 +426,11 @@ mod tests {
     #[test]
     fn new_manifests_record_the_feature_state() {
         let m = RunManifest::new("x");
-        let expected = if cfg!(feature = "enabled") { "on" } else { "off" };
+        let expected = if cfg!(feature = "enabled") {
+            "on"
+        } else {
+            "off"
+        };
         assert_eq!(
             m.config_entries().first(),
             Some(&("obs_feature".to_string(), expected.to_string()))

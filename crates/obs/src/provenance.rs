@@ -116,7 +116,12 @@ impl ProvenanceTracker {
             flight: None,
             sampled: 0,
             completed: 0,
-            stage_hist: [Histogram::new(), Histogram::new(), Histogram::new(), Histogram::new()],
+            stage_hist: [
+                Histogram::new(),
+                Histogram::new(),
+                Histogram::new(),
+                Histogram::new(),
+            ],
             total_hist: Histogram::new(),
             stage_sum: [0; STAGES],
             total_sum: 0,
@@ -136,7 +141,12 @@ impl ProvenanceTracker {
         let pick = self.flight.is_none() && self.seen.is_multiple_of(self.every);
         self.seen = self.seen.wrapping_add(1);
         if pick {
-            self.flight = Some(Flight { id, ingest: now, last: now, next: 0 });
+            self.flight = Some(Flight {
+                id,
+                ingest: now,
+                last: now,
+                next: 0,
+            });
             self.sampled += 1;
         }
         pick
@@ -239,7 +249,10 @@ impl ProvenanceTracker {
                 format!("prov.{}_{unit}", stage.name()),
                 self.stage_hist[stage.index()].clone(),
             );
-            m.counter(format!("prov.{}_sum", stage.name()), self.stage_sum[stage.index()]);
+            m.counter(
+                format!("prov.{}_sum", stage.name()),
+                self.stage_sum[stage.index()],
+            );
         }
         m.histogram(format!("prov.total_{unit}"), self.total_hist.clone());
         m.counter("prov.total_sum", self.total_sum);

@@ -227,7 +227,11 @@ mod tests {
         // Scrapes see live updates — one scrape, one fresh snapshot.
         events.incr();
         let body = scrape_once(&addr).unwrap();
-        assert_eq!(body.contains("unit_events 42"), cfg!(feature = "enabled"), "{body}");
+        assert_eq!(
+            body.contains("unit_events 42"),
+            cfg!(feature = "enabled"),
+            "{body}"
+        );
 
         assert!(server.scrapes() >= 2);
         server.stop();
@@ -237,7 +241,10 @@ mod tests {
 
     #[test]
     fn sanitizes_metric_names() {
-        assert_eq!(metric_name("splitjoin.worker.0.busy_ns"), "splitjoin_worker_0_busy_ns");
+        assert_eq!(
+            metric_name("splitjoin.worker.0.busy_ns"),
+            "splitjoin_worker_0_busy_ns"
+        );
         assert_eq!(metric_name("a-b c:d"), "a_b_c:d");
     }
 }

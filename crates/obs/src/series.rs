@@ -200,12 +200,14 @@ impl SeriesDoc {
     ///
     /// Returns a message naming the offending line (1-based).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
         let (_, first) = lines.next().ok_or("empty series file")?;
-        let header = SeriesHeader::from_json(
-            &Json::parse(first).map_err(|e| format!("line 1: {e}"))?,
-        )
-        .map_err(|e| format!("line 1: {e}"))?;
+        let header =
+            SeriesHeader::from_json(&Json::parse(first).map_err(|e| format!("line 1: {e}"))?)
+                .map_err(|e| format!("line 1: {e}"))?;
         let mut samples: Vec<Snapshot> = Vec::new();
         for (idx, line) in lines {
             let lineno = idx + 1;
@@ -299,7 +301,9 @@ mod tests {
         for (t, v) in [(100u64, 0u64), (200, 512), (300, 2048)] {
             w.append(&Snapshot {
                 t_ns: t,
-                values: [("j.tuples", v), ("j.depth", v / 100)].into_iter().collect(),
+                values: [("j.tuples", v), ("j.depth", v / 100)]
+                    .into_iter()
+                    .collect(),
             })
             .unwrap();
         }
@@ -315,10 +319,16 @@ mod tests {
         let doc = SeriesDoc::parse(&text).unwrap();
         assert_eq!(doc.header.name, "demo run");
         assert_eq!(doc.header.interval_ms, 25);
-        assert_eq!(doc.header.config, vec![("cores".to_string(), "4".to_string())]);
+        assert_eq!(
+            doc.header.config,
+            vec![("cores".to_string(), "4".to_string())]
+        );
         assert_eq!(doc.samples.len(), 3);
         assert_eq!(doc.keys(), vec!["j.depth", "j.tuples"]);
-        assert_eq!(doc.series_of("j.tuples"), vec![(100, 0), (200, 512), (300, 2048)]);
+        assert_eq!(
+            doc.series_of("j.tuples"),
+            vec![(100, 0), (200, 512), (300, 2048)]
+        );
         assert_eq!(doc.rate_of("j.tuples"), Some(2048.0 * 1e9 / 200.0));
         assert_eq!(doc.span_ns(), 200);
         std::fs::remove_dir_all(&dir).ok();
@@ -346,23 +356,33 @@ mod tests {
         assert!(SeriesDoc::parse("").unwrap_err().contains("empty"));
         // Header alone is not a valid series.
         let header_only = text.lines().next().unwrap();
-        assert!(SeriesDoc::parse(header_only).unwrap_err().contains("no samples"));
+        assert!(SeriesDoc::parse(header_only)
+            .unwrap_err()
+            .contains("no samples"));
         // Wrong schema version.
-        assert!(SeriesDoc::parse(&text.replacen("\"schema\":1", "\"schema\":9", 1))
-            .unwrap_err()
-            .contains("schema"));
+        assert!(
+            SeriesDoc::parse(&text.replacen("\"schema\":1", "\"schema\":9", 1))
+                .unwrap_err()
+                .contains("schema")
+        );
         // Broken seq ordering.
-        assert!(SeriesDoc::parse(&text.replacen("\"seq\":1", "\"seq\":7", 1))
-            .unwrap_err()
-            .contains("out of order"));
+        assert!(
+            SeriesDoc::parse(&text.replacen("\"seq\":1", "\"seq\":7", 1))
+                .unwrap_err()
+                .contains("out of order")
+        );
         // Time going backwards.
-        assert!(SeriesDoc::parse(&text.replacen("\"t_ns\":300", "\"t_ns\":50", 1))
-            .unwrap_err()
-            .contains("backwards"));
+        assert!(
+            SeriesDoc::parse(&text.replacen("\"t_ns\":300", "\"t_ns\":50", 1))
+                .unwrap_err()
+                .contains("backwards")
+        );
         // Non-u64 value.
-        assert!(SeriesDoc::parse(&text.replacen("\"j.depth\":5", "\"j.depth\":-5", 1))
-            .unwrap_err()
-            .contains("u64"));
+        assert!(
+            SeriesDoc::parse(&text.replacen("\"j.depth\":5", "\"j.depth\":-5", 1))
+                .unwrap_err()
+                .contains("u64")
+        );
     }
 
     #[test]

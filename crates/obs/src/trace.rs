@@ -119,7 +119,12 @@ impl TraceRing {
 
     /// Records a span with an integer argument.
     pub fn record_arg(&mut self, name: &'static str, start: u64, dur: u64, arg: u64) {
-        let e = Event { name, start, dur, arg };
+        let e = Event {
+            name,
+            start,
+            dur,
+            arg,
+        };
         if self.buf.len() < self.cap {
             self.buf.push(e);
         } else {
@@ -331,7 +336,11 @@ impl TraceSet {
         let mut events = Vec::new();
         let mut other = vec![("trace_name".to_string(), Json::Str(self.name.clone()))];
         for (pid, label) in [(PID_CYCLES, "simulated cycles"), (PID_WALL, "wall clock")] {
-            if self.rings.iter().any(|r| pid_of(r.domain) == pid && !r.is_empty()) {
+            if self
+                .rings
+                .iter()
+                .any(|r| pid_of(r.domain) == pid && !r.is_empty())
+            {
                 events.push(metadata(pid, 0, "process_name", label));
             }
         }
@@ -511,7 +520,11 @@ pub fn validate(doc: &Json) -> Result<TraceSummary, String> {
             dropped += v.get("dropped").and_then(Json::as_u64).unwrap_or(0);
         }
     }
-    Ok(TraceSummary { spans, tracks, dropped })
+    Ok(TraceSummary {
+        spans,
+        tracks,
+        dropped,
+    })
 }
 
 #[cfg(test)]
@@ -537,7 +550,15 @@ mod tests {
         r.record("b", 3, 4);
         assert_eq!(r.dropped(), 0);
         let ev = r.events();
-        assert_eq!(ev[0], Event { name: "a", start: 1, dur: 2, arg: 42 });
+        assert_eq!(
+            ev[0],
+            Event {
+                name: "a",
+                start: 1,
+                dur: 2,
+                arg: 42
+            }
+        );
         assert_eq!(ev[1].name, "b");
     }
 

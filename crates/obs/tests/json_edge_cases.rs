@@ -12,7 +12,11 @@ fn every_escape_sequence_round_trips() {
     let s = "quote:\" backslash:\\ newline:\n return:\r tab:\t".to_string();
     let doc = Json::Str(s.clone());
     for text in [doc.to_string(), doc.to_compact()] {
-        assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.clone()), "in {text:?}");
+        assert_eq!(
+            Json::parse(&text).unwrap(),
+            Json::Str(s.clone()),
+            "in {text:?}"
+        );
     }
 }
 
@@ -162,17 +166,29 @@ fn compact_writer_matches_pretty_writer_semantically() {
     let doc = Json::Obj(vec![
         ("empty_arr".into(), Json::Arr(vec![])),
         ("empty_obj".into(), Json::Obj(vec![])),
-        ("nested".into(), Json::Arr(vec![
-            Json::Null,
-            Json::Bool(false),
-            Json::Str("s".into()),
-            Json::Obj(vec![("n".into(), Json::UInt(3))]),
-        ])),
+        (
+            "nested".into(),
+            Json::Arr(vec![
+                Json::Null,
+                Json::Bool(false),
+                Json::Str("s".into()),
+                Json::Obj(vec![("n".into(), Json::UInt(3))]),
+            ]),
+        ),
     ]);
     let compact = doc.to_compact();
-    assert!(!compact.contains('\n'), "compact stays on one line: {compact}");
-    assert!(!compact.contains(": "), "no decorative whitespace: {compact}");
-    assert_eq!(Json::parse(&compact).unwrap(), Json::parse(&doc.to_string()).unwrap());
+    assert!(
+        !compact.contains('\n'),
+        "compact stays on one line: {compact}"
+    );
+    assert!(
+        !compact.contains(": "),
+        "no decorative whitespace: {compact}"
+    );
+    assert_eq!(
+        Json::parse(&compact).unwrap(),
+        Json::parse(&doc.to_string()).unwrap()
+    );
 }
 
 #[test]

@@ -29,10 +29,15 @@ fn fleet() -> Vec<(&'static str, LogicalPlan)> {
     let join = || LogicalPlan::source("trades").join(LogicalPlan::source("quotes"), "sym", WINDOW);
     vec![
         ("all-pairs", join()),
-        ("big-qty", join().filter("qty", CmpOp::Gt, TUPLES as u64 / 2)),
+        (
+            "big-qty",
+            join().filter("qty", CmpOp::Gt, TUPLES as u64 / 2),
+        ),
         (
             "px-view",
-            join().filter("px", CmpOp::Gt, TUPLES as u64 / 4).project(["qty", "px"]),
+            join()
+                .filter("px", CmpOp::Gt, TUPLES as u64 / 4)
+                .project(["qty", "px"]),
         ),
         ("sym-only", join().project(["sym", "px"])),
     ]
@@ -79,8 +84,14 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
     for (seq, &(tag, tuple)) in inputs.iter().enumerate() {
         if seq == halfway {
             let handoff = runtime.replan("all-pairs", Objective::MinLatency).unwrap();
-            assert!(handoff.lossless(), "live re-plan must lose nothing: {handoff}");
-            assert_ne!(handoff.from, handoff.to, "objective flip should switch engines");
+            assert!(
+                handoff.lossless(),
+                "live re-plan must lose nothing: {handoff}"
+            );
+            assert_ne!(
+                handoff.from, handoff.to,
+                "objective flip should switch engines"
+            );
         }
         runtime.push(stream_of(tag), tuple).unwrap();
         if seq % 1024 == 1023 {
@@ -97,7 +108,10 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
             .expect("report matches an admitted query");
         assert_eq!(report.replans, 1, "{id} rides the group re-plan");
         let reference = solo_rows(id, plan, &inputs);
-        assert!(!reference.is_empty(), "{id} reference run must produce rows");
+        assert!(
+            !reference.is_empty(),
+            "{id} reference run must produce rows"
+        );
         assert_eq!(
             sorted(report.rows.clone()),
             sorted(reference),

@@ -83,7 +83,9 @@ impl KernelStats {
     /// lanes ran.
     #[must_use]
     pub fn density_x1000(&self) -> u64 {
-        (self.match_bits * 1000).checked_div(self.lanes).unwrap_or(0)
+        (self.match_bits * 1000)
+            .checked_div(self.lanes)
+            .unwrap_or(0)
     }
 }
 
@@ -290,7 +292,9 @@ mod tests {
     use super::*;
 
     fn keys(n: usize) -> Vec<u32> {
-        (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761) % 97).collect()
+        (0..n as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 97)
+            .collect()
     }
 
     fn reference_count(

@@ -53,9 +53,9 @@
 pub mod kernel;
 pub mod metrics;
 mod partition;
-pub mod ring;
 mod predicate;
 mod record;
+pub mod ring;
 mod sketch;
 mod tuple;
 mod window;

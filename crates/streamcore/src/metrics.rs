@@ -140,12 +140,18 @@ impl LatencyRecorder {
 
     /// Maximum sample, or `None` if empty.
     pub fn max(&self) -> Option<Duration> {
-        self.samples_ns.iter().max().map(|&n| Duration::from_nanos(n))
+        self.samples_ns
+            .iter()
+            .max()
+            .map(|&n| Duration::from_nanos(n))
     }
 
     /// Minimum sample, or `None` if empty.
     pub fn min(&self) -> Option<Duration> {
-        self.samples_ns.iter().min().map(|&n| Duration::from_nanos(n))
+        self.samples_ns
+            .iter()
+            .min()
+            .map(|&n| Duration::from_nanos(n))
     }
 
     /// Nearest-rank percentile (`p` in `[0, 100]`), or `None` if empty.

@@ -79,9 +79,10 @@ impl JoinPredicate {
     pub fn count_matches(&self, probe_key: u32, probe_is_r: bool, keys: &[u32]) -> usize {
         match *self {
             JoinPredicate::Equi => keys.iter().filter(|&&k| k == probe_key).count(),
-            JoinPredicate::Band { delta } => {
-                keys.iter().filter(|&&k| k.abs_diff(probe_key) <= delta).count()
-            }
+            JoinPredicate::Band { delta } => keys
+                .iter()
+                .filter(|&&k| k.abs_diff(probe_key) <= delta)
+                .count(),
             JoinPredicate::LessThan => {
                 if probe_is_r {
                     keys.iter().filter(|&&k| probe_key < k).count()

@@ -268,7 +268,10 @@ impl fmt::Display for SchemaError {
                 "field {field:?} ({width_bits} bits) exceeds segment budget of {segment_bits} bits"
             ),
             SchemaError::ArityMismatch { expected, actual } => {
-                write!(f, "record has {actual} values but schema has {expected} fields")
+                write!(
+                    f,
+                    "record has {actual} values but schema has {expected} fields"
+                )
             }
             SchemaError::ValueOutOfRange { field, value, max } => {
                 write!(f, "value {value} exceeds maximum {max} of field {field:?}")
@@ -343,7 +346,10 @@ mod tests {
         assert!(s.check(&Record::new(vec![1, 30, 1])).is_ok());
         assert!(matches!(
             s.check(&Record::new(vec![1, 30])),
-            Err(SchemaError::ArityMismatch { expected: 3, actual: 2 })
+            Err(SchemaError::ArityMismatch {
+                expected: 3,
+                actual: 2
+            })
         ));
         assert!(matches!(
             s.check(&Record::new(vec![1, 300, 1])),

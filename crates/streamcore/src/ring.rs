@@ -180,8 +180,9 @@ impl<T> fmt::Debug for RingConsumer<T> {
 /// anything.
 pub fn spsc<T: Send>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>) {
     assert!(capacity > 0, "ring capacity must be positive");
-    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> =
-        (0..capacity).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
+    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..capacity)
+        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+        .collect();
     let shared = Arc::new(RingShared {
         buf,
         head: CachePadded(AtomicU64::new(0)),
@@ -190,8 +191,16 @@ pub fn spsc<T: Send>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>) {
         receiver_gone: AtomicBool::new(false),
     });
     (
-        RingProducer { shared: Arc::clone(&shared), tail: 0, cached_head: 0 },
-        RingConsumer { shared, head: 0, cached_tail: 0 },
+        RingProducer {
+            shared: Arc::clone(&shared),
+            tail: 0,
+            cached_head: 0,
+        },
+        RingConsumer {
+            shared,
+            head: 0,
+            cached_tail: 0,
+        },
     )
 }
 
@@ -354,7 +363,11 @@ impl<T> RingConsumer<T> {
     /// is drained.
     pub fn try_pop(&mut self) -> Result<T, PopError> {
         if self.available() == 0 {
-            return Err(if self.finished() { PopError::Disconnected } else { PopError::Empty });
+            return Err(if self.finished() {
+                PopError::Disconnected
+            } else {
+                PopError::Empty
+            });
         }
         let slot = (self.head % self.capacity() as u64) as usize;
         // SAFETY: `available() > 0` means the producer published this
@@ -378,7 +391,11 @@ impl<T> RingConsumer<T> {
     pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, PopError> {
         let n = self.available().min(max);
         if n == 0 {
-            return if self.finished() { Err(PopError::Disconnected) } else { Ok(0) };
+            return if self.finished() {
+                Err(PopError::Disconnected)
+            } else {
+                Ok(0)
+            };
         }
         let cap = self.capacity();
         out.reserve(n);
@@ -498,13 +515,23 @@ pub fn batch_arena<T: Send + Sync>(
                 published: AtomicU64::new(0),
             })
             .collect(),
-        released: (0..readers).map(|_| CachePadded(AtomicU64::new(0))).collect(),
+        released: (0..readers)
+            .map(|_| CachePadded(AtomicU64::new(0)))
+            .collect(),
     });
     let handles = (0..readers)
-        .map(|index| ArenaReader { shared: Arc::clone(&shared), index, released: 0 })
+        .map(|index| ArenaReader {
+            shared: Arc::clone(&shared),
+            index,
+            released: 0,
+        })
         .collect();
     (
-        ArenaWriter { shared, seq: 0, active: vec![true; readers].into_boxed_slice() },
+        ArenaWriter {
+            shared,
+            seq: 0,
+            active: vec![true; readers].into_boxed_slice(),
+        },
         handles,
     )
 }
@@ -618,7 +645,10 @@ impl<T> ArenaReader<T> {
         let slots = self.shared.slots.len() as u64;
         let slot = &self.shared.slots[(seq % slots) as usize];
         let resident = slot.published.load(Ordering::Acquire);
-        assert_eq!(resident, seq, "arena slot holds batch {resident}, not {seq}");
+        assert_eq!(
+            resident, seq,
+            "arena slot holds batch {resident}, not {seq}"
+        );
         // SAFETY: `published == seq` (Acquire, pairing with the
         // writer's Release) proves the writer's data write
         // happens-before this read, and the writer will not overwrite
@@ -650,7 +680,9 @@ impl<T> ArenaReader<T> {
             return;
         }
         self.released = seq;
-        self.shared.released[self.index].0.store(seq, Ordering::Release);
+        self.shared.released[self.index]
+            .0
+            .store(seq, Ordering::Release);
     }
 
     /// The highest sequence this reader has released.
@@ -720,7 +752,11 @@ mod tests {
         assert_eq!(Arc::strong_count(&marker), 4);
         drop(tx);
         drop(rx);
-        assert_eq!(Arc::strong_count(&marker), 1, "ring drop must free queued items");
+        assert_eq!(
+            Arc::strong_count(&marker),
+            1,
+            "ring drop must free queued items"
+        );
     }
 
     #[test]

@@ -149,8 +149,14 @@ impl MatchPair {
     /// `probe_tag`.
     pub fn oriented(probe_tag: StreamTag, probe: Tuple, stored: Tuple) -> Self {
         match probe_tag {
-            StreamTag::R => MatchPair { r: probe, s: stored },
-            StreamTag::S => MatchPair { r: stored, s: probe },
+            StreamTag::R => MatchPair {
+                r: probe,
+                s: stored,
+            },
+            StreamTag::S => MatchPair {
+                r: stored,
+                s: probe,
+            },
         }
     }
 }
@@ -224,7 +230,10 @@ mod tests {
     fn display_forms() {
         assert_eq!(Tuple::new(1, 2).to_string(), "(1, 2)");
         assert_eq!(StreamTag::R.to_string(), "R");
-        let m = MatchPair { r: Tuple::new(1, 0), s: Tuple::new(1, 5) };
+        let m = MatchPair {
+            r: Tuple::new(1, 0),
+            s: Tuple::new(1, 5),
+        };
         assert_eq!(m.to_string(), "[R(1, 0) ⋈ S(1, 5)]");
     }
 }

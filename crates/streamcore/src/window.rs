@@ -250,12 +250,7 @@ impl FlatWindow {
     /// ([`kernel`](crate::kernel)) never touches them. Index `i` of the
     /// snapshot is the window's `i`-th oldest tuple, so per-probe
     /// expiry can be expressed as an index range over the snapshot.
-    pub fn snapshot_into(
-        &self,
-        keys: &mut Vec<u32>,
-        payloads: &mut Vec<u32>,
-        with_payloads: bool,
-    ) {
+    pub fn snapshot_into(&self, keys: &mut Vec<u32>, payloads: &mut Vec<u32>, with_payloads: bool) {
         keys.clear();
         payloads.clear();
         for (k, p) in self.segments() {
@@ -476,9 +471,7 @@ impl HashIndexWindow {
     fn unlink_oldest(&mut self) {
         let slot = self.head as u32;
         let key = self.keys[self.head];
-        let pos = self
-            .find(key)
-            .expect("evicted key must be indexed");
+        let pos = self.find(key).expect("evicted key must be indexed");
         debug_assert_eq!(
             self.table[pos].first, slot,
             "global oldest must head its key chain"
@@ -673,7 +666,11 @@ impl PartitionedWindow {
                 .get_mut(&key)
                 .expect("ordered tuple must have a chain");
             let evicted = chain.pop_front();
-            debug_assert_eq!(evicted.map(|(s, _)| s), Some(seq), "chain head is global head");
+            debug_assert_eq!(
+                evicted.map(|(s, _)| s),
+                Some(seq),
+                "chain head is global head"
+            );
             if chain.is_empty() {
                 self.chains.remove(&key);
             }

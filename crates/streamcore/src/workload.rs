@@ -326,7 +326,11 @@ mod tests {
         let spec = WorkloadSpec::new(10, KeyDist::Uniform { domain: 4 });
         let tags: Vec<_> = spec.generate().map(|(tag, _)| tag).collect();
         for (i, tag) in tags.iter().enumerate() {
-            let expect = if i % 2 == 0 { StreamTag::R } else { StreamTag::S };
+            let expect = if i % 2 == 0 {
+                StreamTag::R
+            } else {
+                StreamTag::S
+            };
             assert_eq!(*tag, expect);
         }
     }
@@ -395,8 +399,7 @@ mod tests {
 
     #[test]
     fn random_origin_mixes_streams() {
-        let spec = WorkloadSpec::new(2_000, KeyDist::Uniform { domain: 4 })
-            .with_random_origin();
+        let spec = WorkloadSpec::new(2_000, KeyDist::Uniform { domain: 4 }).with_random_origin();
         let r = spec
             .generate()
             .filter(|(tag, _)| *tag == StreamTag::R)
@@ -447,10 +450,7 @@ mod tests {
         let mut shuffled = 0;
         for (pos, (_, t)) in got.iter().enumerate() {
             let home = t.payload() as usize;
-            assert!(
-                pos.abs_diff(home) < 16,
-                "tuple {home} displaced to {pos}"
-            );
+            assert!(pos.abs_diff(home) < 16, "tuple {home} displaced to {pos}");
             if pos != home {
                 shuffled += 1;
             }

@@ -139,7 +139,9 @@ proptest! {
 #[test]
 fn band_edges_collapse_to_all_and_equi() {
     let probes = [0u32, 1, u32::MAX - 1, u32::MAX];
-    let keys: Vec<u32> = (0..17).map(|i| if i % 2 == 0 { i } else { u32::MAX - i }).collect();
+    let keys: Vec<u32> = (0..17)
+        .map(|i| if i % 2 == 0 { i } else { u32::MAX - i })
+        .collect();
     for probe_is_r in [true, false] {
         let mut s = KernelStats::default();
         let all = kernel::count_block(
@@ -159,8 +161,7 @@ fn band_edges_collapse_to_all_and_equi() {
             &mut s,
         );
         let mut s = KernelStats::default();
-        let equi =
-            kernel::count_block(JoinPredicate::Equi, probe_is_r, &probes, &keys, &mut s);
+        let equi = kernel::count_block(JoinPredicate::Equi, probe_is_r, &probes, &keys, &mut s);
         assert_eq!(equi_band, equi);
     }
 }

@@ -114,7 +114,10 @@ fn batch_claims_straddle_the_wrap_under_contention() {
     }
     producer.join().unwrap();
     assert_eq!(got.len() as u64, n);
-    assert!(got.iter().copied().eq(0..n), "lost, duplicated, or reordered");
+    assert!(
+        got.iter().copied().eq(0..n),
+        "lost, duplicated, or reordered"
+    );
 }
 
 #[test]

@@ -23,8 +23,8 @@ fn main() {
     let sw_cores = 28usize;
 
     // Hardware: 512 uni-flow cores at 300 MHz, cycle-accurate.
-    let params = DesignParams::new(FlowModel::UniFlow, hw_cores, window)
-        .with_network(NetworkKind::Scalable);
+    let params =
+        DesignParams::new(FlowModel::UniFlow, hw_cores, window).with_network(NetworkKind::Scalable);
     let report = params
         .synthesize_at(&devices::XC7VX485T, 300.0)
         .expect("fits the VC707");
@@ -45,10 +45,14 @@ fn main() {
         measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(1, window), 2_048, 1 << 20)
             .expect("software run failed");
     let sw = if host_parallelism() >= sw_cores {
-        measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(sw_cores, window), 16_384, 1 << 20)
-            .expect("software run failed")
-            .0
-            .per_second()
+        measure_throughput_with::<SplitJoin>(
+            SplitJoinConfig::new(sw_cores, window),
+            16_384,
+            1 << 20,
+        )
+        .expect("software run failed")
+        .0
+        .per_second()
     } else {
         println!(
             "\n(host has {} hardware thread(s); modeling {sw_cores}-core software rate)",

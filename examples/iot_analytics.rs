@@ -45,19 +45,13 @@ fn main() {
     let elapsed = start.elapsed();
     let outcome = join.shutdown().expect("join died");
 
-    let readings = batch
-        .iter()
-        .filter(|(tag, _)| *tag == StreamTag::R)
-        .count();
+    let readings = batch.iter().filter(|(tag, _)| *tag == StreamTag::R).count();
     println!(
         "processed {events} events ({readings} readings) in {elapsed:?} \
          -> {:.3} M events/s",
         events as f64 / elapsed.as_secs_f64() / 1e6
     );
-    println!(
-        "matched reading/threshold pairs: {}",
-        outcome.result_count
-    );
+    println!("matched reading/threshold pairs: {}", outcome.result_count);
 
     // Skew: the hottest sensor should dominate the match count.
     let mut per_sensor = std::collections::HashMap::new();

@@ -35,7 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     catalog.register(
         "products",
-        Schema::new(vec![Field::new("product_id", 32)?, Field::new("price", 32)?])?,
+        Schema::new(vec![
+            Field::new("product_id", 32)?,
+            Field::new("price", 32)?,
+        ])?,
     );
 
     let texts = [
@@ -83,7 +86,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mgr.push("customers", Record::new(vec![7, age, age % 2]))?;
     }
     for (id, text) in ids.iter().zip(texts) {
-        println!("  {} -> {} results   [{text}]", id, mgr.take_results(*id)?.len());
+        println!(
+            "  {} -> {} results   [{text}]",
+            id,
+            mgr.take_results(*id)?.len()
+        );
     }
 
     // 3. Statistics-driven re-optimization on a fresh fabric.
@@ -98,8 +105,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BlockId(0),
         BlockProgram::Select {
             conditions: vec![
-                BoundCondition { field: 1, op: CmpOp::Ge, value: 0 },   // always true
-                BoundCondition { field: 1, op: CmpOp::Gt, value: 95 }, // selective
+                BoundCondition {
+                    field: 1,
+                    op: CmpOp::Ge,
+                    value: 0,
+                }, // always true
+                BoundCondition {
+                    field: 1,
+                    op: CmpOp::Gt,
+                    value: 95,
+                }, // selective
             ],
         },
     )?;
@@ -108,13 +123,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for v in 0..1_000u64 {
         fabric.push("s", Record::new(vec![0, v % 100]))?;
     }
-    let evals: u64 = fabric.block(BlockId(0))?.condition_stats().iter().map(|s| s.0).sum();
+    let evals: u64 = fabric
+        .block(BlockId(0))?
+        .condition_stats()
+        .iter()
+        .map(|s| s.0)
+        .sum();
     println!("  before: {evals} condition evaluations / 1000 records");
     fabric.reoptimize_select(BlockId(0))?;
     for v in 0..1_000u64 {
         fabric.push("s", Record::new(vec![0, v % 100]))?;
     }
-    let evals: u64 = fabric.block(BlockId(0))?.condition_stats().iter().map(|s| s.0).sum();
+    let evals: u64 = fabric
+        .block(BlockId(0))?
+        .condition_stats()
+        .iter()
+        .map(|s| s.0)
+        .sum();
     println!("  after : {evals} condition evaluations / 1000 records");
 
     // 4. Heterogeneous placement.

@@ -26,7 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     catalog.register(
         "products",
-        Schema::new(vec![Field::new("product_id", 32)?, Field::new("price", 32)?])?,
+        Schema::new(vec![
+            Field::new("product_id", 32)?,
+            Field::new("price", 32)?,
+        ])?,
     );
 
     // 2. Parse and bind a continuous query (the paper's Fig. 7 example).

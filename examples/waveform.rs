@@ -47,8 +47,7 @@ fn main() -> std::io::Result<()> {
         last_accepted = join.accepted_tuples();
         trace.sample(results, total_results);
         for (i, &sig) in busy.iter().enumerate() {
-            let is_busy =
-                join.core_mut(i).processing_state() == ProcessingState::JoinProcessing;
+            let is_busy = join.core_mut(i).processing_state() == ProcessingState::JoinProcessing;
             trace.sample(sig, u64::from(is_busy));
         }
     }

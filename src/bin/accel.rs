@@ -18,9 +18,7 @@ use accel_landscape::fqp::landscape;
 use accel_landscape::fqp::plan::{bind, Catalog};
 use accel_landscape::fqp::query::Query;
 use accel_landscape::hwsim::{devices, Device};
-use accel_landscape::joinhw::harness::{
-    build, prefill_steady_state, run_throughput,
-};
+use accel_landscape::joinhw::harness::{build, prefill_steady_state, run_throughput};
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 
 const USAGE: &str = "\
@@ -96,7 +94,10 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags.entry(name.to_string()).or_default().push(value.clone());
+            flags
+                .entry(name.to_string())
+                .or_default()
+                .push(value.clone());
         } else {
             positional.push(a.clone());
         }
@@ -104,10 +105,7 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     Ok((positional, flags))
 }
 
-fn one<'a>(
-    flags: &'a HashMap<String, Vec<String>>,
-    name: &str,
-) -> Result<&'a str, String> {
+fn one<'a>(flags: &'a HashMap<String, Vec<String>>, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
         .and_then(|v| v.first())
@@ -128,8 +126,7 @@ fn parse_device(s: &str) -> Result<Device, String> {
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("invalid {what}: {s:?}"))
+    s.parse().map_err(|_| format!("invalid {what}: {s:?}"))
 }
 
 fn design_from_flags(flags: &HashMap<String, Vec<String>>) -> Result<DesignParams, String> {
@@ -209,10 +206,7 @@ fn catalog_from_flags(flags: &HashMap<String, Vec<String>>) -> Result<Catalog, S
     Ok(catalog)
 }
 
-fn explain(
-    positional: &[String],
-    flags: &HashMap<String, Vec<String>>,
-) -> Result<(), String> {
+fn explain(positional: &[String], flags: &HashMap<String, Vec<String>>) -> Result<(), String> {
     let text = positional.first().ok_or("missing query text")?;
     let catalog = catalog_from_flags(flags)?;
     let query = Query::parse(text).map_err(|e| e.to_string())?;
@@ -221,10 +215,7 @@ fn explain(
     Ok(())
 }
 
-fn deploy(
-    positional: &[String],
-    flags: &HashMap<String, Vec<String>>,
-) -> Result<(), String> {
+fn deploy(positional: &[String], flags: &HashMap<String, Vec<String>>) -> Result<(), String> {
     let text = positional.first().ok_or("missing query text")?;
     let catalog = catalog_from_flags(flags)?;
     let device = parse_device(one(flags, "device")?)?;

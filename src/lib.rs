@@ -48,9 +48,9 @@
 
 pub use fqp;
 pub use hwsim;
-pub use obs;
 pub use joinhw;
 pub use joinsw;
+pub use obs;
 pub use query;
 pub use streamcore;
 

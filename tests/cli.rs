@@ -30,7 +30,13 @@ fn landscape_lists_the_catalog() {
 #[test]
 fn synthesize_prints_a_report() {
     let out = accel(&[
-        "synthesize", "--cores", "16", "--window", "8192", "--device", "v5",
+        "synthesize",
+        "--cores",
+        "16",
+        "--window",
+        "8192",
+        "--device",
+        "v5",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
@@ -42,7 +48,13 @@ fn synthesize_prints_a_report() {
 #[test]
 fn synthesize_reports_infeasible_designs() {
     let out = accel(&[
-        "synthesize", "--cores", "64", "--window", "8192", "--device", "v5",
+        "synthesize",
+        "--cores",
+        "64",
+        "--window",
+        "8192",
+        "--device",
+        "v5",
     ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("BRAM18"));
@@ -51,8 +63,17 @@ fn synthesize_reports_infeasible_designs() {
 #[test]
 fn throughput_measures_a_small_design() {
     let out = accel(&[
-        "throughput", "--cores", "4", "--window", "256", "--device", "v5",
-        "--clock", "100", "--tuples", "64",
+        "throughput",
+        "--cores",
+        "4",
+        "--window",
+        "256",
+        "--device",
+        "v5",
+        "--clock",
+        "100",
+        "--tuples",
+        "64",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);

@@ -20,10 +20,8 @@ pub const FIG14A_THROUGHPUT: &[(u32, u64, u64, u64)] = &[
 
 /// Fig. 14b anchors — bi-flow chain, saturation run of 24 tuples with key
 /// domain 2^20: `(cores, window, accepted_tuples, cycles, results)`.
-pub const FIG14B_BIFLOW_THROUGHPUT: &[(u32, usize, u64, u64, u64)] = &[
-    (4, 64, 24, 1_598, 0),
-    (16, 128, 24, 3_698, 0),
-];
+pub const FIG14B_BIFLOW_THROUGHPUT: &[(u32, usize, u64, u64, u64)] =
+    &[(4, 64, 24, 1_598, 0), (16, 128, 24, 3_698, 0)];
 
 /// Fig. 15 anchors — uni-flow latency probe, window 2^13, one planted
 /// match per core (probe key 7): `(cores, scalable, cycles_to_last_result,

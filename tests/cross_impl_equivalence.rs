@@ -41,8 +41,7 @@ const CORES: u32 = 4;
 const WINDOW: usize = 32;
 
 fn run_uniflow(inputs: &[(StreamTag, Tuple)], network: NetworkKind) -> Vec<MatchPair> {
-    let params =
-        DesignParams::new(FlowModel::UniFlow, CORES, WINDOW).with_network(network);
+    let params = DesignParams::new(FlowModel::UniFlow, CORES, WINDOW).with_network(network);
     let mut join = UniFlowJoin::new(&params);
     join.program(JoinOperator::equi(CORES));
     drive_hw(&mut join, inputs)
@@ -204,7 +203,10 @@ fn healthy_runs_are_deterministic_at_every_worker_count() {
     for cores in [1usize, 2, 4, 8] {
         let (first, second) = run_twice(cores, 16, None, &inputs);
         assert_outcomes_agree(&first, &second, &format!("{cores} cores healthy"));
-        assert!(first.ring_stats.is_some(), "every run carries ring telemetry");
+        assert!(
+            first.ring_stats.is_some(),
+            "every run carries ring telemetry"
+        );
         assert!(!first.fault.degraded());
     }
 }
@@ -223,7 +225,10 @@ fn kill_and_stall_faults_are_deterministic() {
             millis: 5,
         });
         if cores > 1 {
-            plan = plan.with(FaultEvent::Kill { worker: cores - 1, after_batch: 4 });
+            plan = plan.with(FaultEvent::Kill {
+                worker: cores - 1,
+                after_batch: 4,
+            });
         }
         let (first, second) = run_twice(cores, 16, Some(&plan), &inputs);
         assert_outcomes_agree(&first, &second, &format!("{cores} cores faulted"));
@@ -241,7 +246,10 @@ fn drop_corruption_is_deterministic() {
     // one worker — deliberately. Every run must corrupt the same way
     // (same dropped batch boundary), so outcomes still agree.
     let inputs = workload(400, 8, 21);
-    let plan = FaultPlan::none().with(FaultEvent::Drop { worker: 1, at_batch: 3 });
+    let plan = FaultPlan::none().with(FaultEvent::Drop {
+        worker: 1,
+        at_batch: 3,
+    });
     let (first, second) = run_twice(4, 16, Some(&plan), &inputs);
     assert_outcomes_agree(&first, &second, "scripted drop");
     assert_eq!(first.fault.injected_drops, 1);
@@ -297,19 +305,17 @@ fn run_dispatch(
 
 /// A keyed workload with tunable skew: `s == 0.0` is uniform, larger
 /// exponents concentrate the key mass (classic Zipf at `s == 1.0`).
-fn keyed_workload(
-    tuples: usize,
-    domain: u32,
-    seed: u64,
-    s: f64,
-) -> Vec<(StreamTag, Tuple)> {
+fn keyed_workload(tuples: usize, domain: u32, seed: u64, s: f64) -> Vec<(StreamTag, Tuple)> {
     use accel_landscape::streamcore::workload::{KeyDist, WorkloadSpec};
     let keys = if s == 0.0 {
         KeyDist::Uniform { domain }
     } else {
         KeyDist::Zipf { domain, s }
     };
-    WorkloadSpec::new(tuples, keys).with_seed(seed).generate().collect()
+    WorkloadSpec::new(tuples, keys)
+        .with_seed(seed)
+        .generate()
+        .collect()
 }
 
 #[test]
@@ -378,12 +384,18 @@ fn partitioned_kill_of_a_partition_owner_degrades_cleanly() {
     // the healthy results — never an invented match.
     let inputs = keyed_workload(600, 8, 7, 1.0);
     let victim = 1usize;
-    let plan = FaultPlan::none().with(FaultEvent::Kill { worker: victim, after_batch: 4 });
+    let plan = FaultPlan::none().with(FaultEvent::Kill {
+        worker: victim,
+        after_batch: 4,
+    });
     let healthy = run_dispatch(Partitioning::Hash, 4, 16, None, &inputs);
     let lossy = run_dispatch(Partitioning::Hash, 4, 16, Some(&plan), &inputs);
     assert!(lossy.fault.degraded());
     assert_eq!(lossy.fault.workers_lost, vec![victim]);
-    assert!(lossy.fault.orphaned_tuples > 0, "owner kill must orphan stored tuples");
+    assert!(
+        lossy.fault.orphaned_tuples > 0,
+        "owner kill must orphan stored tuples"
+    );
     let healthy_set = as_multiset(&healthy.results);
     let lossy_set = as_multiset(&lossy.results);
     for (pair, &count) in &lossy_set {
@@ -393,8 +405,14 @@ fn partitioned_kill_of_a_partition_owner_degrades_cleanly() {
         );
     }
     let stats = lossy.partition_stats.expect("hash dispatch reports stats");
-    assert_eq!(stats.occupancy[victim], 0, "dead owner's ledger must be cleared");
-    assert!(!stats.live.contains(&victim), "victim must leave the live set");
+    assert_eq!(
+        stats.occupancy[victim], 0,
+        "dead owner's ledger must be cleared"
+    );
+    assert!(
+        !stats.live.contains(&victim),
+        "victim must leave the live set"
+    );
 }
 
 #[test]
@@ -406,7 +424,11 @@ fn per_tuple_and_blocked_paths_agree_across_dispatch_modes() {
         let run = |batch| run_dispatch(partitioning, CORES as usize, batch, None, &inputs);
         // Batch 1 runs the per-tuple probe: the in-tree reference path.
         let per_tuple = run(1);
-        assert_eq!(as_multiset(&per_tuple.results), want, "{partitioning:?}: vs reference");
+        assert_eq!(
+            as_multiset(&per_tuple.results),
+            want,
+            "{partitioning:?}: vs reference"
+        );
         // 7 stays on the per-tuple path; 8, 64 and 512 engage the
         // blocked tiles (broadcast dispatch only — keyed shards never
         // tile).
@@ -422,7 +444,10 @@ fn per_tuple_and_blocked_paths_agree_across_dispatch_modes() {
                 other.worker_stats, per_tuple.worker_stats,
                 "{label}: per-worker statistics diverge"
             );
-            let tiles = other.kernel_stats.expect("every run carries kernel telemetry").tiles;
+            let tiles = other
+                .kernel_stats
+                .expect("every run carries kernel telemetry")
+                .tiles;
             let blocked = partitioning == Partitioning::Broadcast && batch >= 8;
             assert_eq!(tiles > 0, blocked, "{label}: {tiles} tiles");
         }
@@ -446,7 +471,11 @@ fn equivalence_holds_under_bursty_arrivals() {
             want,
             "burst {burst} (uni-flow hw)"
         );
-        assert_eq!(as_multiset(&run_biflow(&inputs)), want, "burst {burst} (bi-flow hw)");
+        assert_eq!(
+            as_multiset(&run_biflow(&inputs)),
+            want,
+            "burst {burst} (bi-flow hw)"
+        );
         assert_eq!(
             as_multiset(&run_splitjoin_sw(&inputs)),
             want,

@@ -157,9 +157,12 @@ fn boolean_where_runs_on_the_fabric_and_the_hardware_bridge() {
 
     let mut fabric = Fabric::new(2);
     let handle = assign(&plan, &mut fabric).unwrap();
-    let mut hw =
-        accel_landscape::fqp::hwbridge::deploy_to_hardware(&plan, 2, &accel_landscape::hwsim::devices::XC7VX485T)
-            .unwrap();
+    let mut hw = accel_landscape::fqp::hwbridge::deploy_to_hardware(
+        &plan,
+        2,
+        &accel_landscape::hwsim::devices::XC7VX485T,
+    )
+    .unwrap();
 
     let product = Record::new(vec![7, 100]);
     fabric.push("products", product.clone()).unwrap();
@@ -193,8 +196,7 @@ fn landscape_places_fqp_at_maximum_dynamism() {
 fn join_windows_slide_inside_the_fabric() {
     let catalog = fig7_catalog();
     let plan = bind(
-        &Query::parse("SELECT * FROM customers JOIN products ON product_id WINDOW 2")
-            .unwrap(),
+        &Query::parse("SELECT * FROM customers JOIN products ON product_id WINDOW 2").unwrap(),
         &catalog,
     )
     .unwrap();

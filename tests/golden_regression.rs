@@ -36,7 +36,11 @@ fn throughput_both(params: &DesignParams, tuples: u64) -> (ThroughputRun, Throug
 fn fig14a_throughput_cycles_match_golden() {
     for &(cores, tuples, cycles, results) in golden::FIG14A_THROUGHPUT {
         let params = DesignParams::new(FlowModel::UniFlow, cores, 1 << 11);
-        let want = ThroughputRun { tuples, cycles, results };
+        let want = ThroughputRun {
+            tuples,
+            cycles,
+            results,
+        };
         let (seq, par) = throughput_both(&params, 128);
         assert_eq!(seq, want, "sequential drifted at {cores} cores");
         assert_eq!(par, want, "parallel drifted at {cores} cores");
@@ -47,7 +51,11 @@ fn fig14a_throughput_cycles_match_golden() {
 fn fig14b_biflow_throughput_cycles_match_golden() {
     for &(cores, window, tuples, cycles, results) in golden::FIG14B_BIFLOW_THROUGHPUT {
         let params = DesignParams::new(FlowModel::BiFlow, cores, window);
-        let want = ThroughputRun { tuples, cycles, results };
+        let want = ThroughputRun {
+            tuples,
+            cycles,
+            results,
+        };
         let (seq, par) = throughput_both(&params, 24);
         assert_eq!(seq, want, "sequential drifted at {cores} cores");
         assert_eq!(par, want, "parallel drifted at {cores} cores");
@@ -68,23 +76,55 @@ fn golden_cycles_are_identical_with_tracing_on() {
     let &(cores, tuples, cycles, results) = &golden::FIG14A_THROUGHPUT[0];
     let params = DesignParams::new(FlowModel::UniFlow, cores, 1 << 11);
     let (seq, par) = throughput_both(&params, 128);
-    assert_eq!(seq, ThroughputRun { tuples, cycles, results }, "traced fig14a seq drifted");
-    assert_eq!(par, ThroughputRun { tuples, cycles, results }, "traced fig14a par drifted");
+    assert_eq!(
+        seq,
+        ThroughputRun {
+            tuples,
+            cycles,
+            results
+        },
+        "traced fig14a seq drifted"
+    );
+    assert_eq!(
+        par,
+        ThroughputRun {
+            tuples,
+            cycles,
+            results
+        },
+        "traced fig14a par drifted"
+    );
 
     let &(cores, window, tuples, cycles, results) = &golden::FIG14B_BIFLOW_THROUGHPUT[0];
     let params = DesignParams::new(FlowModel::BiFlow, cores, window);
     let (seq, _) = throughput_both(&params, 24);
-    assert_eq!(seq, ThroughputRun { tuples, cycles, results }, "traced fig14b drifted");
+    assert_eq!(
+        seq,
+        ThroughputRun {
+            tuples,
+            cycles,
+            results
+        },
+        "traced fig14b drifted"
+    );
 
     let &(cores, scalable, last, quiescent, results) = &golden::FIG15_LATENCY[0];
-    let network = if scalable { NetworkKind::Scalable } else { NetworkKind::Lightweight };
+    let network = if scalable {
+        NetworkKind::Scalable
+    } else {
+        NetworkKind::Lightweight
+    };
     let params = DesignParams::new(FlowModel::UniFlow, cores, 1 << 13).with_network(network);
     let mut join = build(&params);
     prefill_planted(join.as_mut(), &params, 7);
     let probe = (StreamTag::R, Tuple::new(7, u32::MAX));
     let seq = run_latency_with(&mut Simulator::new(), join.as_mut(), probe, 10_000_000)
         .expect("quiesces");
-    let want = LatencyRun { cycles_to_last_result: last, cycles_to_quiescent: quiescent, results };
+    let want = LatencyRun {
+        cycles_to_last_result: last,
+        cycles_to_quiescent: quiescent,
+        results,
+    };
     assert_eq!(seq, want, "traced fig15 drifted");
 
     trace::disable();
@@ -93,9 +133,12 @@ fn golden_cycles_are_identical_with_tracing_on() {
 #[test]
 fn fig15_latency_cycles_match_golden() {
     for &(cores, scalable, last, quiescent, results) in golden::FIG15_LATENCY {
-        let network = if scalable { NetworkKind::Scalable } else { NetworkKind::Lightweight };
-        let params =
-            DesignParams::new(FlowModel::UniFlow, cores, 1 << 13).with_network(network);
+        let network = if scalable {
+            NetworkKind::Scalable
+        } else {
+            NetworkKind::Lightweight
+        };
+        let params = DesignParams::new(FlowModel::UniFlow, cores, 1 << 13).with_network(network);
         let probe = (StreamTag::R, Tuple::new(7, u32::MAX));
         let want = LatencyRun {
             cycles_to_last_result: last,
@@ -107,7 +150,10 @@ fn fig15_latency_cycles_match_golden() {
         prefill_planted(join.as_mut(), &params, 7);
         let seq = run_latency_with(&mut Simulator::new(), join.as_mut(), probe, 10_000_000)
             .expect("quiesces");
-        assert_eq!(seq, want, "sequential drifted at {cores} cores ({network:?})");
+        assert_eq!(
+            seq, want,
+            "sequential drifted at {cores} cores ({network:?})"
+        );
 
         let mut join = build(&params);
         prefill_planted(join.as_mut(), &params, 7);

@@ -32,7 +32,14 @@ fn expected_splitjoin_keys() -> Vec<String> {
     .map(String::from)
     .to_vec();
     for w in 0..2 {
-        for suffix in ["batches", "tuples", "matches", "busy_ns", "wait_ns", "heartbeat_age_ns"] {
+        for suffix in [
+            "batches",
+            "tuples",
+            "matches",
+            "busy_ns",
+            "wait_ns",
+            "heartbeat_age_ns",
+        ] {
             keys.push(format!("splitjoin.worker.{w}.{suffix}"));
         }
     }
@@ -74,7 +81,8 @@ fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
     let body = obs::scrape::scrape_once(&addr).expect("mid-run scrape");
     for key in expected_splitjoin_keys() {
         assert!(
-            body.lines().any(|l| l.starts_with(&obs::scrape::metric_name(&key))),
+            body.lines()
+                .any(|l| l.starts_with(&obs::scrape::metric_name(&key))),
             "scrape is missing live key {key}:\n{body}"
         );
     }
@@ -99,7 +107,10 @@ fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
     assert!(!doc.samples.is_empty());
     assert!(doc.keys().contains(&"splitjoin.tuples"));
     let tuples = doc.series_of("splitjoin.tuples");
-    assert!(tuples.windows(2).all(|w| w[0].1 <= w[1].1), "counter must be monotone");
+    assert!(
+        tuples.windows(2).all(|w| w[0].1 <= w[1].1),
+        "counter must be monotone"
+    );
     assert!(tuples.last().unwrap().1 >= 2_000);
 
     // Health derivation works over the retained ring.

@@ -55,8 +55,7 @@ fn uniflow_latency_model_tracks_simulation_for_both_networks() {
     for network in [NetworkKind::Lightweight, NetworkKind::Scalable] {
         for &cores in &[4u32, 16] {
             let window = 1usize << 12;
-            let params =
-                DesignParams::new(FlowModel::UniFlow, cores, window).with_network(network);
+            let params = DesignParams::new(FlowModel::UniFlow, cores, window).with_network(network);
             let mut join = build(&params);
             prefill_planted(join.as_mut(), &params, 3);
             let run = run_latency(

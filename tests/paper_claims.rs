@@ -5,8 +5,7 @@
 use accel_landscape::hwsim::devices::{XC5VLX50T, XC7VX485T};
 use accel_landscape::hwsim::{estimate_fmax, Frequency, PowerModel};
 use accel_landscape::joinhw::harness::{
-    biflow_throughput_model, build, prefill_steady_state, run_throughput,
-    uniflow_throughput_model,
+    biflow_throughput_model, build, prefill_steady_state, run_throughput, uniflow_throughput_model,
 };
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
 
@@ -68,8 +67,7 @@ fn linear_speedup_with_cores() {
 fn uniflow_beats_biflow_by_an_order_of_magnitude() {
     for exp in [8u32, 10, 12] {
         let w = 1usize << exp;
-        let ratio = uniflow_throughput_model(w, 16, 100.0)
-            / biflow_throughput_model(w, 16, 100.0);
+        let ratio = uniflow_throughput_model(w, 16, 100.0) / biflow_throughput_model(w, 16, 100.0);
         assert!(
             ratio >= 8.0,
             "window 2^{exp}: uni/bi ratio {ratio:.1} below an order of magnitude"
@@ -81,11 +79,11 @@ fn uniflow_beats_biflow_by_an_order_of_magnitude() {
 /// as 512 join cores and window sizes as large as 2^18." (Fig. 14c)
 #[test]
 fn v7_ceiling_is_512_cores_at_2_18() {
-    let max = DesignParams::new(FlowModel::UniFlow, 512, 1 << 18)
-        .with_network(NetworkKind::Scalable);
+    let max =
+        DesignParams::new(FlowModel::UniFlow, 512, 1 << 18).with_network(NetworkKind::Scalable);
     assert!(max.synthesize(&XC7VX485T).is_ok());
-    let beyond_window = DesignParams::new(FlowModel::UniFlow, 512, 1 << 19)
-        .with_network(NetworkKind::Scalable);
+    let beyond_window =
+        DesignParams::new(FlowModel::UniFlow, 512, 1 << 19).with_network(NetworkKind::Scalable);
     assert!(beyond_window.synthesize(&XC7VX485T).is_err());
     // Every window of Fig. 14c's sweep is realizable.
     for exp in 11..=18u32 {
@@ -136,16 +134,27 @@ fn power_claim() {
 /// scalable … no significant variations." (Fig. 17)
 #[test]
 fn clock_frequency_claims() {
-    let fmax = |device, params: DesignParams| {
-        estimate_fmax(device, &params.timing_profile()).mhz()
-    };
+    let fmax = |device, params: DesignParams| estimate_fmax(device, &params.timing_profile()).mhz();
     // V5: flat with a bump at 16.
-    let v5 = |n| fmax(&XC5VLX50T, DesignParams::new(FlowModel::UniFlow, n, 1 << 13));
+    let v5 = |n| {
+        fmax(
+            &XC5VLX50T,
+            DesignParams::new(FlowModel::UniFlow, n, 1 << 13),
+        )
+    };
     assert!(v5(16) > v5(8), "V5 bump at 16 cores");
     assert!((v5(2) - v5(8)).abs() / v5(2) < 0.10, "V5 flat 2..8");
     // V7 lightweight: monotone-ish decline, ~200 MHz at 512.
-    let v7 = |n| fmax(&XC7VX485T, DesignParams::new(FlowModel::UniFlow, n, 1 << 18));
-    assert!(v7(512) < 0.7 * v7(2), "V7 lightweight must drop substantially");
+    let v7 = |n| {
+        fmax(
+            &XC7VX485T,
+            DesignParams::new(FlowModel::UniFlow, n, 1 << 18),
+        )
+    };
+    assert!(
+        v7(512) < 0.7 * v7(2),
+        "V7 lightweight must drop substantially"
+    );
     assert!((180.0..230.0).contains(&v7(512)));
     // V7 scalable: flat at ~300 for every size.
     for exp in 1..=9u32 {

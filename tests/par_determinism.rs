@@ -19,12 +19,7 @@ fn throughput_on(params: &DesignParams, threads: Option<usize>) -> ThroughputRun
     prefill_steady_state(join.as_mut(), params.window_size);
     match threads {
         None => run_throughput_with(&mut Simulator::new(), join.as_mut(), 96, 1 << 20),
-        Some(t) => run_throughput_with(
-            &mut ParSimulator::new(t),
-            join.as_mut(),
-            96,
-            1 << 20,
-        ),
+        Some(t) => run_throughput_with(&mut ParSimulator::new(t), join.as_mut(), 96, 1 << 20),
     }
 }
 
@@ -34,12 +29,7 @@ fn latency_on(params: &DesignParams, threads: Option<usize>) -> LatencyRun {
     let probe = (StreamTag::R, Tuple::new(5, u32::MAX));
     let run = match threads {
         None => run_latency_with(&mut Simulator::new(), join.as_mut(), probe, 1_000_000),
-        Some(t) => run_latency_with(
-            &mut ParSimulator::new(t),
-            join.as_mut(),
-            probe,
-            1_000_000,
-        ),
+        Some(t) => run_latency_with(&mut ParSimulator::new(t), join.as_mut(), probe, 1_000_000),
     };
     run.expect("probe quiesces")
 }
@@ -72,14 +62,18 @@ fn throughput_runs_are_deterministic_across_repeats_and_threads() {
 
 #[test]
 fn latency_runs_are_deterministic_across_repeats_and_threads() {
-    let params = DesignParams::new(FlowModel::UniFlow, 8, 1 << 7)
-        .with_network(NetworkKind::Scalable);
+    let params =
+        DesignParams::new(FlowModel::UniFlow, 8, 1 << 7).with_network(NetworkKind::Scalable);
     let reference = latency_on(&params, None);
     for _ in 0..3 {
         assert_eq!(reference, latency_on(&params, None), "sequential repeat");
     }
     for threads in [1usize, 2, 4, 8, 0] {
-        assert_eq!(reference, latency_on(&params, Some(threads)), "{threads} threads");
+        assert_eq!(
+            reference,
+            latency_on(&params, Some(threads)),
+            "{threads} threads"
+        );
         assert_eq!(
             reference,
             latency_on(&params, Some(threads)),

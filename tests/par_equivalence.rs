@@ -12,8 +12,7 @@ mod common;
 
 use accel_landscape::hwsim::{Control, Engine, ParSimulator, Simulator};
 use accel_landscape::joinhw::harness::{
-    build, prefill_planted, prefill_steady_state, run_latency_with, run_throughput_with,
-    StreamJoin,
+    build, prefill_planted, prefill_steady_state, run_latency_with, run_throughput_with, StreamJoin,
 };
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
 use accel_landscape::streamcore::{MatchPair, StreamTag, Tuple};
@@ -49,12 +48,7 @@ fn drive_collect<E: Engine>(
     (engine.cycle(), join.accepted_tuples(), out)
 }
 
-fn params_for(
-    flow: FlowModel,
-    cores: u32,
-    window: usize,
-    scalable: bool,
-) -> DesignParams {
+fn params_for(flow: FlowModel, cores: u32, window: usize, scalable: bool) -> DesignParams {
     // Scalable (tree) networks require the core count to be a power of
     // the fan-out; other configurations use the lightweight network.
     let network = if scalable && cores.is_power_of_two() {

@@ -8,8 +8,8 @@ use accel_landscape::joinhw::harness::{build, prefill_steady_state, run_throughp
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
 
 fn run_and_take_stats(threads: usize) -> ParStats {
-    let params = DesignParams::new(FlowModel::UniFlow, 8, 1 << 6)
-        .with_network(NetworkKind::Scalable);
+    let params =
+        DesignParams::new(FlowModel::UniFlow, 8, 1 << 6).with_network(NetworkKind::Scalable);
     let mut join = build(&params);
     prefill_steady_state(join.as_mut(), params.window_size);
     let mut sim = ParSimulator::new(threads);
@@ -51,8 +51,12 @@ fn stats_publish_per_worker_keys_into_a_registry() {
     assert_eq!(reg.get("hwsim.par.threads"), Some(2));
     assert_eq!(reg.get("hwsim.par.cycles"), Some(stats.cycles));
     for i in 0..2 {
-        let busy = reg.get(&format!("hwsim.par.worker.{i}.busy_cycles")).unwrap();
-        let wait = reg.get(&format!("hwsim.par.worker.{i}.wait_cycles")).unwrap();
+        let busy = reg
+            .get(&format!("hwsim.par.worker.{i}.busy_cycles"))
+            .unwrap();
+        let wait = reg
+            .get(&format!("hwsim.par.worker.{i}.wait_cycles"))
+            .unwrap();
         assert_eq!(busy + wait, stats.cycles);
     }
 }
