@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::fabric::{Fabric, FabricError, SinkId, Target};
 use crate::opblock::{BlockId, BlockProgram, Port};
-use crate::plan::{Plan, PlanOp};
+use crate::plan::Plan;
 
 /// A deployed query: which blocks it occupies and where its results
 /// arrive. Returned by [`assign`]; pass to [`remove`] for dynamic query
@@ -101,11 +101,7 @@ pub fn assign(plan: &Plan, fabric: &mut Fabric) -> Result<QueryHandle, AssignErr
     }
 
     // Program each block for its operator.
-    let programs: Vec<BlockProgram> = if plan.ops.is_empty() {
-        vec![BlockProgram::Passthrough]
-    } else {
-        plan.ops.iter().map(op_to_program).collect()
-    };
+    let programs = BlockProgram::pipeline(plan);
     for (id, prog) in blocks.iter().zip(&programs) {
         fabric.reprogram(*id, prog.clone())?;
     }
@@ -148,41 +144,6 @@ pub fn remove(handle: &QueryHandle, fabric: &mut Fabric) -> Result<(), AssignErr
         fabric.release(id)?;
     }
     Ok(())
-}
-
-fn op_to_program(op: &PlanOp) -> BlockProgram {
-    match op {
-        PlanOp::Select { conditions } => BlockProgram::Select {
-            conditions: conditions.clone(),
-        },
-        PlanOp::SelectTable { atoms, table } => BlockProgram::TruthTableSelect {
-            atoms: atoms.clone(),
-            table: table.clone(),
-        },
-        PlanOp::Join {
-            key_left,
-            key_right,
-            window,
-        } => BlockProgram::Join {
-            key_left: *key_left,
-            key_right: *key_right,
-            window: *window,
-        },
-        PlanOp::Project { fields } => BlockProgram::Project {
-            fields: fields.clone(),
-        },
-        PlanOp::Aggregate {
-            func,
-            field,
-            window,
-            kind,
-        } => BlockProgram::Aggregate {
-            func: *func,
-            field: *field,
-            window: *window,
-            kind: *kind,
-        },
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,13 @@
 //! The pipeline:
 //!
 //! ```text
-//!   LogicalPlan ──compile──▶ fqp::plan::bind ──▶ fqp::placement::place
-//!   (logical)                (validate: typed     (engine choice over
-//!                             PlanErrors)          calibrated sites)
-//!        │
+//!   LogicalPlan (builder) ─┐
+//!                          ├─▶ fqp::query::Query ──compile──▶ fqp::plan::bind
+//!   Query::parse (text) ───┘   (the one AST)                 (the one lowering:
+//!                                                              typed PlanErrors)
+//!                                                                   │
+//!        ┌──── Shape + PostPipeline read off the bound ops, ◀───────┘
+//!        │     engine from fqp::placement::place over calibrated sites
 //!        ▼
 //!   CompiledQuery ──admit──▶ QueryRuntime ──▶ shared StreamJoin engines
 //!   (plan + engine           (multi-tenant:      (SplitJoin / handshake
@@ -22,13 +25,13 @@
 //!                             live re-plan)       stream-pair group)
 //! ```
 //!
-//! * [`logical`] — the [`LogicalPlan`] tree:
-//!   sources, filters, projections, window joins, and windowed
-//!   aggregates over named streams, with fluent builders.
-//! * [`mod@compile`] — validation against an
-//!   [`fqp::plan::Catalog`] (reusing [`fqp::plan::bind`], so unknown
-//!   streams/fields are the same typed [`fqp::plan::PlanError`]s),
-//!   engine-representability checks, and engine selection via
+//! * [`logical`] — the [`LogicalPlan`] builder: sources, filters,
+//!   projections, window joins, and windowed aggregates over named
+//!   streams, each call writing a clause of an [`fqp::query::Query`].
+//! * [`mod@compile`] — one [`fqp::plan::bind`] against an
+//!   [`fqp::plan::Catalog`] (unknown streams/fields are the same typed
+//!   [`fqp::plan::PlanError`]s), engine-representability checks, the
+//!   post pipeline read off the bound operators, and engine selection via
 //!   [`fqp::placement::place`] over engine-calibrated site profiles.
 //! * [`runtime`] — the multi-tenant
 //!   [`QueryRuntime`]: admission/cancellation,

@@ -231,6 +231,7 @@ proptest! {
     fn parsed_queries_round_trip(
         has_where in any::<bool>(),
         has_join in any::<bool>(),
+        has_post_where in any::<bool>(),
         window in 1usize..10_000,
         value in any::<u32>(),
     ) {
@@ -241,6 +242,10 @@ proptest! {
         }
         if has_join {
             text.push_str(&format!(" JOIN products ON product_id WINDOW {window}"));
+            // The join's own WHERE, over the joined record.
+            if has_post_where {
+                text.push_str(&format!(" WHERE price <= {value} AND age != 3"));
+            }
         }
         let q = Query::parse(&text).unwrap();
         prop_assert_eq!(Query::parse(&q.to_string()).unwrap(), q);
