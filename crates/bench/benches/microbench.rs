@@ -184,7 +184,7 @@ fn workload_generation(c: &mut Criterion) {
 
 fn select_variants(c: &mut Criterion) {
     use fqp::opblock::{BlockId, BlockProgram, OpBlock, Port};
-    use fqp::plan::BoundCondition;
+    use fqp::plan::{BoundCondition, PlanOp};
     use fqp::query::CmpOp;
 
     let mut group = c.benchmark_group("select_variants");
@@ -207,9 +207,9 @@ fn select_variants(c: &mut Criterion) {
     ];
     group.bench_function("conjunction_3_conditions", |b| {
         let mut block = OpBlock::new(BlockId(0));
-        block.reprogram(BlockProgram::Select {
+        block.reprogram(BlockProgram::Op(PlanOp::Select {
             conditions: conditions.clone(),
-        });
+        }));
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);
@@ -221,10 +221,10 @@ fn select_variants(c: &mut Criterion) {
         // passes).
         let table: Vec<bool> = (0..8).map(|m| m == 7).collect();
         let mut block = OpBlock::new(BlockId(1));
-        block.reprogram(BlockProgram::TruthTableSelect {
+        block.reprogram(BlockProgram::Op(PlanOp::SelectTable {
             atoms: conditions.clone(),
             table,
-        });
+        }));
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);
@@ -236,15 +236,14 @@ fn select_variants(c: &mut Criterion) {
 
 fn datapath_push(c: &mut Criterion) {
     use fqp::datapath::canonical_path;
-    use fqp::opblock::BlockProgram;
-    use fqp::plan::BoundCondition;
+    use fqp::plan::{BoundCondition, PlanOp};
     use fqp::query::CmpOp;
 
     c.bench_function("datapath_active_switch_push", |b| {
         let mut path = canonical_path();
         path.activate(
             1,
-            BlockProgram::Select {
+            PlanOp::Select {
                 conditions: vec![BoundCondition {
                     field: 0,
                     op: CmpOp::Gt,

@@ -11,8 +11,9 @@ use std::error::Error;
 use std::fmt;
 
 use crate::fabric::{Fabric, FabricError, SinkId, Target};
+use crate::manager::QueryId;
 use crate::opblock::{BlockId, BlockProgram, Port};
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanOp};
 
 /// A deployed query: which blocks it occupies and where its results
 /// arrive. Returned by [`assign`]; pass to [`remove`] for dynamic query
@@ -49,6 +50,11 @@ pub enum AssignError {
     },
     /// The fabric rejected a reconfiguration step.
     Fabric(FabricError),
+    /// No deployed query has this id.
+    UnknownQuery {
+        /// The offending id.
+        id: QueryId,
+    },
 }
 
 impl fmt::Display for AssignError {
@@ -62,6 +68,7 @@ impl fmt::Display for AssignError {
                 "plan needs {required} OP-Blocks but only {available} are idle"
             ),
             AssignError::Fabric(e) => write!(f, "fabric error: {e}"),
+            AssignError::UnknownQuery { id } => write!(f, "{id} is not deployed"),
         }
     }
 }
@@ -101,21 +108,20 @@ pub fn assign(plan: &Plan, fabric: &mut Fabric) -> Result<QueryHandle, AssignErr
     }
 
     // Program each block for its operator.
-    let programs = BlockProgram::pipeline(plan);
-    for (id, prog) in blocks.iter().zip(&programs) {
-        fabric.reprogram(*id, prog.clone())?;
+    for (id, prog) in blocks.iter().zip(BlockProgram::pipeline(plan)) {
+        fabric.reprogram(*id, prog)?;
     }
 
     // Wire: primary stream -> first block; chain left-port to left-port;
     // the join block's right port receives the secondary stream directly.
     fabric.bind_stream(&plan.primary, blocks[0], Port::Left);
-    for (i, prog) in programs.iter().enumerate() {
-        if let BlockProgram::Join { .. } = prog {
+    for (id, op) in blocks.iter().zip(&plan.ops) {
+        if let PlanOp::Join { .. } = op {
             let stream = plan
                 .secondary
                 .as_deref()
                 .expect("join implies a secondary stream");
-            fabric.bind_stream(stream, blocks[i], Port::Right);
+            fabric.bind_stream(stream, *id, Port::Right);
         }
     }
     let sink = fabric.add_sink();

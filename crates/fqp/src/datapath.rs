@@ -18,6 +18,7 @@ use std::fmt;
 use streamcore::Record;
 
 use crate::opblock::{BlockId, BlockProgram, OpBlock, Port};
+use crate::plan::PlanOp;
 
 /// What kind of component a stage is (where on the path it sits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,8 +64,7 @@ struct Stage {
 ///
 /// ```
 /// use fqp::datapath::{DataPath, StageKind};
-/// use fqp::opblock::BlockProgram;
-/// use fqp::plan::BoundCondition;
+/// use fqp::plan::{BoundCondition, PlanOp};
 /// use fqp::query::CmpOp;
 /// use streamcore::Record;
 ///
@@ -76,7 +76,7 @@ struct Stage {
 /// // Make the switch active: filter at line rate on the data path.
 /// path.activate(
 ///     1,
-///     BlockProgram::Select {
+///     PlanOp::Select {
 ///         conditions: vec![BoundCondition { field: 0, op: CmpOp::Gt, value: 90 }],
 ///     },
 /// )?;
@@ -122,18 +122,18 @@ impl DataPath {
     }
 
     /// Makes the stage at `index` active: couples it with an OP-Block
-    /// running `program`.
+    /// running `op`.
     ///
     /// # Errors
     ///
     /// Returns an error string for out-of-range indices.
-    pub fn activate(&mut self, index: usize, program: BlockProgram) -> Result<(), String> {
+    pub fn activate(&mut self, index: usize, op: PlanOp) -> Result<(), String> {
         let stage = self
             .stages
             .get_mut(index)
             .ok_or_else(|| format!("no stage at index {index}"))?;
         let mut block = OpBlock::new(BlockId(index));
-        block.reprogram(program);
+        block.reprogram(BlockProgram::Op(op));
         stage.block = Some(block);
         Ok(())
     }
@@ -224,8 +224,8 @@ mod tests {
     use crate::plan::BoundCondition;
     use crate::query::CmpOp;
 
-    fn hot_filter() -> BlockProgram {
-        BlockProgram::Select {
+    fn hot_filter() -> PlanOp {
+        PlanOp::Select {
             conditions: vec![BoundCondition {
                 field: 0,
                 op: CmpOp::Gt,
@@ -288,7 +288,7 @@ mod tests {
         // partial computation distributed along the path.
         let mut path = canonical_path();
         path.activate(1, hot_filter()).unwrap();
-        path.activate(2, BlockProgram::Project { fields: vec![0] })
+        path.activate(2, PlanOp::Project { fields: vec![0] })
             .unwrap();
         path.push(Record::new(vec![95, 1234]));
         path.push(Record::new(vec![50, 1234]));

@@ -354,7 +354,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::BoundCondition;
+    use crate::plan::{BoundCondition, PlanOp};
     use crate::query::CmpOp;
 
     fn rec(values: &[u64]) -> Record {
@@ -362,13 +362,13 @@ mod tests {
     }
 
     fn select_gt(field: usize, value: u64) -> BlockProgram {
-        BlockProgram::Select {
+        BlockProgram::Op(PlanOp::Select {
             conditions: vec![BoundCondition {
                 field,
                 op: CmpOp::Gt,
                 value,
             }],
-        }
+        })
     }
 
     #[test]
@@ -377,7 +377,7 @@ mod tests {
         let sink = f.add_sink();
         let (b0, b1) = (BlockId(0), BlockId(1));
         f.reprogram(b0, select_gt(0, 10)).unwrap();
-        f.reprogram(b1, BlockProgram::Project { fields: vec![1] })
+        f.reprogram(b1, BlockProgram::Op(PlanOp::Project { fields: vec![1] }))
             .unwrap();
         f.bind_stream("in", b0, Port::Left);
         f.connect(b0, Target::Block(b1, Port::Left)).unwrap();
@@ -410,11 +410,11 @@ mod tests {
         let b = BlockId(0);
         f.reprogram(
             b,
-            BlockProgram::Join {
+            BlockProgram::Op(PlanOp::Join {
                 key_left: 0,
                 key_right: 0,
                 window: 8,
-            },
+            }),
         )
         .unwrap();
         f.bind_stream("customers", b, Port::Left);

@@ -3,16 +3,18 @@
 //! topology at runtime", here targeting the cycle-accurate uni-flow design
 //! of [`joinhw`].
 //!
-//! [`deploy_to_hardware`] takes a bound select–join(–project) plan, runs
-//! the synthesis-report model for the chosen device, programs a
+//! [`deploy_to_hardware`] takes a bound plan with a join, runs the
+//! synthesis-report model for the chosen device, programs a
 //! [`UniFlowJoin`] with the plan's equi-join, and translates records to
 //! and from the 64-bit tuple format of the hardware: the join key rides in
 //! the tuple's key half, and the payload half indexes a record store kept
 //! beside the fabric (the paper's parametrized-data-segment idea in its
 //! simplest form: wide records stay in memory, the fabric sees fixed-width
-//! tuples). Selections on the primary stream execute in the OP-Block in
-//! front of the fabric; projections on the gathered results. A selection
-//! over the joined record has no block to run in and is rejected.
+//! tuples). Every other operator of the plan runs in an [`OpBlock`], as it
+//! does on a [`Fabric`](crate::fabric::Fabric): the operators before the
+//! join in front blocks on the primary stream, the operators after it — a
+//! selection over the joined record, a projection — in back blocks on the
+//! gathered results.
 
 use std::error::Error;
 use std::fmt;
@@ -23,46 +25,12 @@ use joinhw::uniflow::UniFlowJoin;
 use joinhw::{DesignParams, FlowModel, JoinOperator, SynthesisReport};
 use streamcore::{Record, StreamTag, Tuple};
 
-use crate::plan::{BoundCondition, Plan, PlanOp};
-
-/// The selection OP-Block standing in front of the join fabric.
-#[derive(Debug, Clone, Default)]
-enum Filter {
-    #[default]
-    None,
-    Conjunction(Vec<BoundCondition>),
-    Table {
-        atoms: Vec<BoundCondition>,
-        table: Vec<bool>,
-    },
-}
-
-impl Filter {
-    fn accepts(&self, values: &[u64]) -> bool {
-        match self {
-            Filter::None => true,
-            Filter::Conjunction(conds) => conds.iter().all(|c| c.eval(values)),
-            Filter::Table { atoms, table } => {
-                let mut mask = 0usize;
-                for (i, c) in atoms.iter().enumerate() {
-                    if c.eval(values) {
-                        mask |= 1 << i;
-                    }
-                }
-                table[mask]
-            }
-        }
-    }
-}
+use crate::opblock::{BlockId, BlockProgram, OpBlock, Port};
+use crate::plan::{Plan, PlanOp};
 
 /// Errors raised while deploying or driving a hardware-mapped query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HwBridgeError {
-    /// The plan contains an operator the join fabric cannot run.
-    UnsupportedPlan {
-        /// Which operator broke the mapping.
-        op: String,
-    },
     /// The plan has no join — there is nothing to accelerate.
     NoJoin,
     /// The design does not fit the device.
@@ -71,6 +39,13 @@ pub enum HwBridgeError {
     KeyTooWide {
         /// The offending value.
         value: u64,
+    },
+    /// A record reaching the join is too short to hold its join key.
+    MissingKey {
+        /// The stream the record was pushed on.
+        stream: String,
+        /// The join key's field index.
+        field: usize,
     },
     /// A record was pushed for a stream the plan does not read.
     UnknownStream {
@@ -82,13 +57,13 @@ pub enum HwBridgeError {
 impl fmt::Display for HwBridgeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HwBridgeError::UnsupportedPlan { op } => {
-                write!(f, "operator {op} cannot run on the join fabric")
-            }
             HwBridgeError::NoJoin => write!(f, "plan has no join to accelerate"),
             HwBridgeError::DoesNotFit(e) => write!(f, "design does not fit: {e}"),
             HwBridgeError::KeyTooWide { value } => {
                 write!(f, "join key {value} exceeds the 32-bit tuple key lane")
+            }
+            HwBridgeError::MissingKey { stream, field } => {
+                write!(f, "record on {stream:?} has no join key field {field}")
             }
             HwBridgeError::UnknownStream { stream } => {
                 write!(f, "plan does not read stream {stream:?}")
@@ -112,14 +87,15 @@ pub struct HwDeployment {
     sim: Simulator,
     primary: String,
     secondary: String,
-    filter: Filter,
     key_left: usize,
     key_right: usize,
-    project: Option<Vec<usize>>,
+    /// The operators before the join, on the primary stream.
+    front: Vec<OpBlock>,
+    /// The operators after the join, on the joined records.
+    back: Vec<OpBlock>,
     left_records: Vec<Record>,
     right_records: Vec<Record>,
     accepted: u64,
-    filtered: u64,
 }
 
 impl fmt::Debug for HwDeployment {
@@ -133,52 +109,40 @@ impl fmt::Debug for HwDeployment {
 }
 
 /// Maps `plan` onto a uni-flow join design with `num_cores` cores on
-/// `device`.
+/// `device`, with one OP-Block per other operator around it.
 ///
 /// # Errors
 ///
-/// Returns [`HwBridgeError::NoJoin`] for join-less plans,
-/// [`HwBridgeError::UnsupportedPlan`] for aggregates and for a selection
-/// after the join, and
+/// Returns [`HwBridgeError::NoJoin`] for join-less plans and
 /// [`HwBridgeError::DoesNotFit`] when synthesis fails.
 pub fn deploy_to_hardware(
     plan: &Plan,
     num_cores: u32,
     device: &Device,
 ) -> Result<HwDeployment, HwBridgeError> {
-    let mut filter = Filter::None;
-    let mut join_op = None;
-    let mut project = None;
-    for op in &plan.ops {
-        match op {
-            // The bridge's one selection block sits in front of the
-            // fabric, on the primary stream.
-            PlanOp::Select { .. } | PlanOp::SelectTable { .. } if join_op.is_some() => {
-                return Err(HwBridgeError::UnsupportedPlan {
-                    op: "selection over the joined record".to_string(),
-                });
-            }
-            PlanOp::Select { conditions: c } => filter = Filter::Conjunction(c.clone()),
-            PlanOp::SelectTable { atoms, table } => {
-                filter = Filter::Table {
-                    atoms: atoms.clone(),
-                    table: table.clone(),
-                };
-            }
+    let (at, key_left, key_right, window) = plan
+        .ops
+        .iter()
+        .enumerate()
+        .find_map(|(at, op)| match *op {
             PlanOp::Join {
                 key_left,
                 key_right,
                 window,
-            } => join_op = Some((*key_left, *key_right, *window)),
-            PlanOp::Project { fields } => project = Some(fields.clone()),
-            PlanOp::Aggregate { .. } => {
-                return Err(HwBridgeError::UnsupportedPlan {
-                    op: "aggregate".to_string(),
-                });
-            }
-        }
-    }
-    let (key_left, key_right, window) = join_op.ok_or(HwBridgeError::NoJoin)?;
+            } => Some((at, key_left, key_right, window)),
+            _ => None,
+        })
+        .ok_or(HwBridgeError::NoJoin)?;
+    let blocks = |first: usize, ops: &[PlanOp]| -> Vec<OpBlock> {
+        ops.iter()
+            .enumerate()
+            .map(|(i, op)| {
+                let mut block = OpBlock::new(BlockId(first + i));
+                block.reprogram(BlockProgram::Op(op.clone()));
+                block
+            })
+            .collect()
+    };
 
     let params = DesignParams::new(FlowModel::UniFlow, num_cores, window);
     let report = params.synthesize(device)?;
@@ -194,15 +158,25 @@ pub fn deploy_to_hardware(
             .secondary
             .clone()
             .expect("join implies a secondary stream"),
-        filter,
         key_left,
         key_right,
-        project,
+        front: blocks(0, &plan.ops[..at]),
+        back: blocks(at + 1, &plan.ops[at + 1..]),
         left_records: Vec::new(),
         right_records: Vec::new(),
         accepted: 0,
-        filtered: 0,
     })
+}
+
+/// Runs `records` through `blocks` in order, each block feeding the next.
+fn run_blocks(blocks: &mut [OpBlock], mut records: Vec<Record>) -> Vec<Record> {
+    for block in blocks {
+        records = records
+            .into_iter()
+            .flat_map(|r| block.process(Port::Left, r))
+            .collect();
+    }
+    records
 }
 
 impl HwDeployment {
@@ -216,9 +190,14 @@ impl HwDeployment {
         self.accepted
     }
 
-    /// Records dropped by the selection OP-Block in front of the fabric.
+    /// Records dropped by the OP-Blocks around the fabric: the
+    /// selections' rejects, since a projection drops nothing.
     pub fn filtered(&self) -> u64 {
-        self.filtered
+        self.front
+            .iter()
+            .chain(&self.back)
+            .map(|b| b.stats().records_in - b.stats().records_out)
+            .sum()
     }
 
     /// Clock cycles the fabric has run.
@@ -230,63 +209,61 @@ impl HwDeployment {
     ///
     /// # Errors
     ///
-    /// Returns [`HwBridgeError::UnknownStream`] or
-    /// [`HwBridgeError::KeyTooWide`].
+    /// Returns [`HwBridgeError::UnknownStream`],
+    /// [`HwBridgeError::MissingKey`] or [`HwBridgeError::KeyTooWide`].
     pub fn push(&mut self, stream: &str, record: Record) -> Result<(), HwBridgeError> {
         let stream = stream.to_ascii_lowercase();
-        let (tag, key_idx, store) = if stream == self.primary {
-            // The selection OP-Block filters the primary stream before it
-            // reaches the join fabric.
-            if !self.filter.accepts(record.values()) {
-                self.filtered += 1;
-                return Ok(());
-            }
-            (StreamTag::R, self.key_left, &mut self.left_records)
+        let (tag, field, records) = if stream == self.primary {
+            (
+                StreamTag::R,
+                self.key_left,
+                run_blocks(&mut self.front, vec![record]),
+            )
         } else if stream == self.secondary {
-            (StreamTag::S, self.key_right, &mut self.right_records)
+            (StreamTag::S, self.key_right, vec![record])
         } else {
             return Err(HwBridgeError::UnknownStream { stream });
         };
-        let key = record.get(key_idx).unwrap_or(0);
-        let key: u32 = key
-            .try_into()
-            .map_err(|_| HwBridgeError::KeyTooWide { value: key })?;
-        let payload = store.len() as u32;
-        store.push(record);
-        let tuple = Tuple::new(key, payload);
-        while !self.join.offer(tag, tuple) {
+        for record in records {
+            let key = record.get(field).ok_or_else(|| HwBridgeError::MissingKey {
+                stream: stream.clone(),
+                field,
+            })?;
+            let key: u32 = key
+                .try_into()
+                .map_err(|_| HwBridgeError::KeyTooWide { value: key })?;
+            let store = match tag {
+                StreamTag::R => &mut self.left_records,
+                StreamTag::S => &mut self.right_records,
+            };
+            let tuple = Tuple::new(key, store.len() as u32);
+            store.push(record);
+            while !self.join.offer(tag, tuple) {
+                self.sim.step(&mut self.join);
+            }
             self.sim.step(&mut self.join);
+            self.accepted += 1;
         }
-        self.sim.step(&mut self.join);
-        self.accepted += 1;
         Ok(())
     }
 
-    /// Runs the fabric to quiescence and returns the joined (and
-    /// projected) records produced so far.
+    /// Runs the fabric to quiescence and returns the joined records
+    /// produced so far, through the back OP-Blocks.
     pub fn finish(&mut self) -> Vec<Record> {
         while !self.join.quiescent() {
             self.sim.step(&mut self.join);
         }
-        self.join
+        let joined = self
+            .join
             .drain_results()
             .into_iter()
             .map(|m| {
-                let left = &self.left_records[m.r.payload() as usize];
-                let right = &self.right_records[m.s.payload() as usize];
-                let mut values = left.values().to_vec();
-                values.extend_from_slice(right.values());
-                match &self.project {
-                    Some(fields) => Record::new(
-                        fields
-                            .iter()
-                            .filter_map(|&i| values.get(i).copied())
-                            .collect(),
-                    ),
-                    None => Record::new(values),
-                }
+                let mut values = self.left_records[m.r.payload() as usize].values().to_vec();
+                values.extend_from_slice(self.right_records[m.s.payload() as usize].values());
+                Record::new(values)
             })
-            .collect()
+            .collect();
+        run_blocks(&mut self.back, joined)
     }
 
     /// Sustainable input throughput of this deployment at its synthesis
@@ -303,6 +280,8 @@ impl HwDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::assign;
+    use crate::fabric::Fabric;
     use crate::plan::{bind, Catalog};
     use crate::query::Query;
     use hwsim::devices::XC7VX485T;
@@ -341,8 +320,8 @@ mod tests {
         );
 
         // Software fabric execution.
-        let mut fabric = crate::fabric::Fabric::new(4);
-        let handle = crate::assign::assign(&plan, &mut fabric).unwrap();
+        let mut fabric = Fabric::new(4);
+        let handle = assign(&plan, &mut fabric).unwrap();
 
         // Hardware deployment.
         let mut hw = deploy_to_hardware(&plan, 4, &XC7VX485T).unwrap();
@@ -368,6 +347,85 @@ mod tests {
     }
 
     #[test]
+    fn the_bridge_runs_every_operator_the_fabric_runs() {
+        // (plan, records the selections drop): products 0..8 priced
+        // 11 × id, then six customers, five of whom buy a listed product.
+        let cases = [
+            (
+                "SELECT * FROM customers WHERE age > 25 \
+                 JOIN products ON product_id WINDOW 64",
+                1,
+            ),
+            (
+                "SELECT * FROM customers WHERE age > 60 OR product_id = 3 \
+                 JOIN products ON product_id WINDOW 64",
+                4,
+            ),
+            (
+                "SELECT * FROM customers JOIN products ON product_id WINDOW 64 \
+                 WHERE price > 30",
+                2,
+            ),
+            (
+                "SELECT age, price FROM customers \
+                 JOIN products ON product_id WINDOW 64",
+                0,
+            ),
+            (
+                "SELECT age, price FROM customers \
+                 JOIN products ON product_id WINDOW 64 WHERE price > 30",
+                2,
+            ),
+        ];
+        for (text, filtered) in cases {
+            let plan = plan_of(text);
+            let mut fabric = Fabric::new(4);
+            let handle = assign(&plan, &mut fabric).unwrap();
+            let mut hw = deploy_to_hardware(&plan, 4, &XC7VX485T).unwrap();
+            let products = (0..8u64).map(|pid| ("products", vec![pid, pid * 11]));
+            let customers = [(1u64, 30u64), (1, 20), (3, 40), (5, 70), (9, 50), (6, 26)]
+                .map(|(pid, age)| ("customers", vec![pid, age]));
+            for (stream, values) in products.chain(customers) {
+                fabric.push(stream, Record::new(values.clone())).unwrap();
+                hw.push(stream, Record::new(values)).unwrap();
+            }
+
+            let mut sw = fabric.take_sink(handle.sink).unwrap();
+            let mut hw_out = hw.finish();
+            sw.sort_by_key(|r| r.values().to_vec());
+            hw_out.sort_by_key(|r| r.values().to_vec());
+            assert!(!sw.is_empty(), "{text}");
+            assert_eq!(hw_out, sw, "{text}");
+            // The fabric's selections drop what the bridge's do.
+            let sw_filtered: u64 = handle
+                .blocks
+                .iter()
+                .map(|&id| fabric.block(id).unwrap())
+                .filter(|b| !matches!(b.program(), BlockProgram::Op(PlanOp::Join { .. })))
+                .map(|b| b.stats().records_in - b.stats().records_out)
+                .sum();
+            assert_eq!((hw.filtered(), sw_filtered), (filtered, filtered), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_keyless_record_is_rejected_not_joined_as_key_0() {
+        let plan = plan_of("SELECT * FROM customers JOIN products ON product_id WINDOW 16");
+        let mut hw = deploy_to_hardware(&plan, 2, &XC7VX485T).unwrap();
+        let err = hw.push("products", Record::new(vec![])).unwrap_err();
+        assert_eq!(
+            err,
+            HwBridgeError::MissingKey {
+                stream: "products".to_string(),
+                field: 0
+            }
+        );
+        hw.push("customers", Record::new(vec![0, 30])).unwrap();
+        assert!(hw.finish().is_empty());
+        assert_eq!(hw.accepted(), 1);
+    }
+
+    #[test]
     fn projection_applies_to_hardware_results() {
         let plan = plan_of(
             "SELECT age, price FROM customers \
@@ -382,32 +440,16 @@ mod tests {
 
     #[test]
     fn joinless_and_aggregate_plans_are_rejected() {
-        let select_only = plan_of("SELECT * FROM customers WHERE age > 5");
-        assert_eq!(
-            deploy_to_hardware(&select_only, 2, &XC7VX485T).unwrap_err(),
-            HwBridgeError::NoJoin
-        );
-        let agg = plan_of("SELECT COUNT(*) FROM customers WINDOW 8");
-        assert!(matches!(
-            deploy_to_hardware(&agg, 2, &XC7VX485T),
-            Err(HwBridgeError::UnsupportedPlan { .. })
-        ));
-    }
-
-    #[test]
-    fn a_selection_after_the_join_is_rejected() {
-        // `price` is field 3 of the joined record; the front block would
-        // have read field 3 of a two-field customer record.
-        let plan = plan_of(
-            "SELECT * FROM customers JOIN products ON product_id WINDOW 16 \
-             WHERE price > 5",
-        );
-        assert_eq!(
-            deploy_to_hardware(&plan, 2, &XC7VX485T).unwrap_err(),
-            HwBridgeError::UnsupportedPlan {
-                op: "selection over the joined record".to_string()
-            }
-        );
+        // An aggregate never rides a join, so it has nothing to accelerate.
+        for text in [
+            "SELECT * FROM customers WHERE age > 5",
+            "SELECT COUNT(*) FROM customers WINDOW 8",
+        ] {
+            assert_eq!(
+                deploy_to_hardware(&plan_of(text), 2, &XC7VX485T).unwrap_err(),
+                HwBridgeError::NoJoin
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,17 @@
 //! 5. [`assign::remove`] / [`fabric::Fabric::reprogram`] — change or
 //!    remove queries live ([`reconfig`] quantifies why this matters).
 //!
+//! # Where operators run
+//!
+//! [`plan::PlanOp`] is the one operator type and [`opblock::OpBlock`]
+//! the one runtime for it: a block programmed with
+//! [`opblock::BlockProgram::Op`] runs one bound operator, whether it sits
+//! on a [`fabric::Fabric`] (wired by [`assign`] or [`manager`]), on a
+//! [`datapath::DataPath`] stage, or beside the hardware join of
+//! [`hwbridge`], which runs every non-join operator of its plan in
+//! OP-Blocks. [`opblock::WindowAggregate`] is the one windowed aggregate,
+//! behind aggregate blocks and the `query` crate's inline aggregates.
+//!
 //! # Where FQP sits in the landscape
 //!
 //! [`landscape`] encodes the paper's four-layer design-space

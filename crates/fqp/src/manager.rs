@@ -19,7 +19,7 @@ use streamcore::Record;
 use crate::assign::AssignError;
 use crate::fabric::{Fabric, FabricError, SinkId, Target};
 use crate::opblock::{BlockId, BlockProgram, Port};
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanOp};
 
 /// Identifier of a deployed query within a [`QueryManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,7 +139,7 @@ impl QueryManager {
                     }
                     // Sharing a join block additionally requires the same
                     // secondary stream feeding its right port.
-                    if matches!(programs[n], BlockProgram::Join { .. })
+                    if matches!(programs[n], BlockProgram::Op(PlanOp::Join { .. }))
                         && d.secondary != plan.secondary
                     {
                         break;
@@ -175,7 +175,7 @@ impl QueryManager {
                 .bind_stream(&plan.primary, chain[0].0, Port::Left);
         }
         for (i, (id, prog)) in chain.iter().enumerate().skip(shared.len()) {
-            if matches!(prog, BlockProgram::Join { .. }) {
+            if matches!(prog, BlockProgram::Op(PlanOp::Join { .. })) {
                 let stream = plan
                     .secondary
                     .as_deref()
@@ -213,15 +213,13 @@ impl QueryManager {
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError`] wrapped in [`AssignError`] for stale ids.
+    /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
     pub fn undeploy(&mut self, id: QueryId) -> Result<(), AssignError> {
         let pos = self
             .deployed
             .iter()
             .position(|d| d.id == id)
-            .ok_or(AssignError::Fabric(FabricError::UnknownStream {
-                stream: id.to_string(),
-            }))?;
+            .ok_or(AssignError::UnknownQuery { id })?;
         let d = self.deployed.remove(pos);
         // Detach this query's private wiring from the shared prefix.
         if let Some((first_own, _)) = d.chain.get(d.owned_from) {
@@ -260,16 +258,14 @@ impl QueryManager {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown query ids.
-    pub fn take_results(&mut self, id: QueryId) -> Result<Vec<Record>, FabricError> {
+    /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
+    pub fn take_results(&mut self, id: QueryId) -> Result<Vec<Record>, AssignError> {
         let d = self
             .deployed
             .iter()
             .find(|d| d.id == id)
-            .ok_or(FabricError::UnknownSink {
-                id: SinkId(usize::MAX),
-            })?;
-        self.fabric.take_sink(d.sink)
+            .ok_or(AssignError::UnknownQuery { id })?;
+        Ok(self.fabric.take_sink(d.sink)?)
     }
 
     /// Graphviz DOT rendering of the shared topology (see
@@ -465,6 +461,9 @@ mod tests {
     #[test]
     fn undeploy_unknown_id_errors() {
         let mut mgr = QueryManager::new(1);
-        assert!(mgr.undeploy(QueryId(42)).is_err());
+        let unknown = AssignError::UnknownQuery { id: QueryId(42) };
+        assert_eq!(mgr.undeploy(QueryId(42)).unwrap_err(), unknown);
+        assert_eq!(mgr.take_results(QueryId(42)).unwrap_err(), unknown);
+        assert_eq!(unknown.to_string(), "query#42 is not deployed");
     }
 }

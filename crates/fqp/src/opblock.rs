@@ -4,7 +4,9 @@
 //! An OP-Block "implements selection, projection, and join operations,
 //! where the conditions of each operator can seamlessly be adjusted at
 //! runtime" — no re-synthesis, no halt. Each block has two input ports
-//! (joins use both) and one output.
+//! (joins use both) and one output, and runs one bound [`PlanOp`]; its
+//! program is that operator or one of the block-only states, idle and
+//! passthrough.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -12,7 +14,7 @@ use std::fmt;
 use hwsim::Resources;
 use streamcore::{Record, SlidingWindow};
 
-use crate::plan::{BoundCondition, Plan, PlanOp};
+use crate::plan::{Plan, PlanOp};
 use crate::query::{AggFunc, WindowKind};
 
 /// Identifier of a block within a fabric.
@@ -34,55 +36,17 @@ pub enum Port {
     Right,
 }
 
-/// The operator a block is currently programmed to execute.
+/// The operator a block is currently programmed to execute: one bound
+/// [`PlanOp`], or one of the two states only a block has.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BlockProgram {
     /// Unprogrammed: drop all input (a freshly allocated block).
     Idle,
     /// Forward records unchanged.
     Passthrough,
-    /// Emit only records satisfying every condition.
-    Select {
-        /// Conjunction of bound conditions.
-        conditions: Vec<BoundCondition>,
-    },
-    /// Emit only records whose atom-outcome bitmask hits a `true` entry
-    /// of the precomputed truth table (Ibex-style Boolean selection: all
-    /// atoms evaluate in parallel, one table lookup decides).
-    TruthTableSelect {
-        /// Atomic comparisons, bit `i` of the mask from `atoms[i]`.
-        atoms: Vec<BoundCondition>,
-        /// `2^atoms.len()` precomputed outcomes.
-        table: Vec<bool>,
-    },
-    /// Emit records containing only the listed fields, in order.
-    Project {
-        /// Field indices to keep.
-        fields: Vec<usize>,
-    },
-    /// Sliding-window equi-join of the two input ports; emits the
-    /// concatenation of the matching left and right records.
-    Join {
-        /// Key index in left-port records.
-        key_left: usize,
-        /// Key index in right-port records.
-        key_right: usize,
-        /// Per-port window capacity.
-        window: usize,
-    },
-    /// Windowed aggregate: sliding windows emit one single-field record
-    /// with the running aggregate per input record; tumbling windows emit
-    /// one record per full window, then reset.
-    Aggregate {
-        /// The aggregate function.
-        func: AggFunc,
-        /// Aggregated field index (`None` for `COUNT`).
-        field: Option<usize>,
-        /// Window size.
-        window: usize,
-        /// Sliding or tumbling advancement.
-        kind: WindowKind,
-    },
+    /// Run one bound operator. A join takes its two inputs on the two
+    /// ports and emits the left record followed by the right one.
+    Op(PlanOp),
 }
 
 impl BlockProgram {
@@ -91,11 +55,11 @@ impl BlockProgram {
         match self {
             BlockProgram::Idle => "idle",
             BlockProgram::Passthrough => "pass",
-            BlockProgram::Select { .. } => "select",
-            BlockProgram::TruthTableSelect { .. } => "select-table",
-            BlockProgram::Project { .. } => "project",
-            BlockProgram::Join { .. } => "join",
-            BlockProgram::Aggregate { .. } => "aggregate",
+            BlockProgram::Op(PlanOp::Select { .. }) => "select",
+            BlockProgram::Op(PlanOp::SelectTable { .. }) => "select-table",
+            BlockProgram::Op(PlanOp::Project { .. }) => "project",
+            BlockProgram::Op(PlanOp::Join { .. }) => "join",
+            BlockProgram::Op(PlanOp::Aggregate { .. }) => "aggregate",
         }
     }
 
@@ -105,40 +69,79 @@ impl BlockProgram {
         if plan.ops.is_empty() {
             vec![BlockProgram::Passthrough]
         } else {
-            plan.ops.iter().map(BlockProgram::from).collect()
+            plan.ops.iter().cloned().map(BlockProgram::Op).collect()
         }
     }
 }
 
-/// The one lowering from a bound operator to the block program that
-/// runs it.
-impl From<&PlanOp> for BlockProgram {
-    fn from(op: &PlanOp) -> Self {
-        match op.clone() {
-            PlanOp::Select { conditions } => BlockProgram::Select { conditions },
-            PlanOp::SelectTable { atoms, table } => BlockProgram::TruthTableSelect { atoms, table },
-            PlanOp::Join {
-                key_left,
-                key_right,
-                window,
-            } => BlockProgram::Join {
-                key_left,
-                key_right,
-                window,
-            },
-            PlanOp::Project { fields } => BlockProgram::Project { fields },
-            PlanOp::Aggregate {
-                func,
-                field,
-                window,
-                kind,
-            } => BlockProgram::Aggregate {
-                func,
-                field,
-                window,
-                kind,
-            },
+/// The running state of one windowed aggregate: the one implementation
+/// behind an aggregate OP-Block and the `query` runtime's inline
+/// aggregates. A sliding window emits the running value on every input;
+/// a tumbling window emits once per full window, then starts over.
+/// COUNT, SUM and AVG read a running `u128` sum (SUM keeps its low 64
+/// bits); MIN and MAX scan the window.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowAggregate {
+    func: AggFunc,
+    field: Option<usize>,
+    window: usize,
+    kind: WindowKind,
+    values: VecDeque<u64>,
+    sum: u128,
+}
+
+impl WindowAggregate {
+    /// The empty window of `op`, when `op` is a [`PlanOp::Aggregate`].
+    pub fn of(op: &PlanOp) -> Option<Self> {
+        let PlanOp::Aggregate {
+            func,
+            field,
+            window,
+            kind,
+        } = *op
+        else {
+            return None;
+        };
+        Some(Self {
+            func,
+            field,
+            window,
+            kind,
+            values: VecDeque::new(),
+            sum: 0,
+        })
+    }
+
+    /// Folds one record's field values in — the aggregated field, a
+    /// missing one as 0, or 1 for `COUNT` — and returns the aggregate
+    /// when the window emits.
+    pub fn push(&mut self, record: &[u64]) -> Option<u64> {
+        let value = self
+            .field
+            .map_or(1, |i| record.get(i).copied().unwrap_or(0));
+        self.values.push_back(value);
+        self.sum += u128::from(value);
+        if self.values.len() > self.window {
+            if let Some(expired) = self.values.pop_front() {
+                self.sum -= u128::from(expired);
+            }
         }
+        if self.kind == WindowKind::Tumbling && self.values.len() < self.window {
+            return None;
+        }
+        let len = self.values.len() as u64;
+        let out = match self.func {
+            AggFunc::Count => len,
+            AggFunc::Sum => self.sum as u64,
+            AggFunc::Avg => (self.sum / u128::from(len.max(1))) as u64,
+            AggFunc::Min => self.values.iter().copied().min().unwrap_or(0),
+            AggFunc::Max => self.values.iter().copied().max().unwrap_or(0),
+        };
+        if self.kind == WindowKind::Tumbling {
+            self.values.clear();
+            self.sum = 0;
+        }
+        Some(out)
     }
 }
 
@@ -160,9 +163,7 @@ pub struct OpBlock {
     program: BlockProgram,
     window_left: Option<SlidingWindow<Record>>,
     window_right: Option<SlidingWindow<Record>>,
-    /// Aggregate state: retained values plus an incremental sum.
-    agg_values: VecDeque<u64>,
-    agg_sum: u128,
+    aggregate: Option<WindowAggregate>,
     /// Per-condition statistics for Select programs: (evaluated, passed),
     /// parallel to the condition list. The paper's open problem #2 asks
     /// "how to collect and store statistics during query execution while
@@ -180,8 +181,7 @@ impl OpBlock {
             program: BlockProgram::Idle,
             window_left: None,
             window_right: None,
-            agg_values: VecDeque::new(),
-            agg_sum: 0,
+            aggregate: None,
             cond_stats: Vec::new(),
             stats: BlockStats::default(),
         }
@@ -208,19 +208,21 @@ impl OpBlock {
     }
 
     /// (Re)programs the block at runtime — the FQP micro-change path:
-    /// takes effect immediately, clearing any join windows.
+    /// takes effect immediately, clearing any join or aggregate window.
     pub fn reprogram(&mut self, program: BlockProgram) {
-        if let BlockProgram::Join { window, .. } = &program {
+        if let BlockProgram::Op(PlanOp::Join { window, .. }) = &program {
             self.window_left = Some(SlidingWindow::new((*window).max(1)));
             self.window_right = Some(SlidingWindow::new((*window).max(1)));
         } else {
             self.window_left = None;
             self.window_right = None;
         }
-        self.agg_values.clear();
-        self.agg_sum = 0;
+        self.aggregate = match &program {
+            BlockProgram::Op(op) => WindowAggregate::of(op),
+            _ => None,
+        };
         self.cond_stats = match &program {
-            BlockProgram::Select { conditions } => vec![(0, 0); conditions.len()],
+            BlockProgram::Op(PlanOp::Select { conditions }) => vec![(0, 0); conditions.len()],
             _ => Vec::new(),
         };
         self.program = program;
@@ -240,7 +242,7 @@ impl OpBlock {
     /// reset so the next measurement window is clean. A conjunction is
     /// order-insensitive, so results are unchanged.
     pub fn reoptimize_select(&mut self) -> bool {
-        let BlockProgram::Select { conditions } = &mut self.program else {
+        let BlockProgram::Op(PlanOp::Select { conditions }) = &mut self.program else {
             return false;
         };
         let mut order: Vec<usize> = (0..conditions.len()).collect();
@@ -273,7 +275,7 @@ impl OpBlock {
         let out = match &self.program {
             BlockProgram::Idle => Vec::new(),
             BlockProgram::Passthrough => vec![record],
-            BlockProgram::Select { conditions } => {
+            BlockProgram::Op(PlanOp::Select { conditions }) => {
                 // Short-circuit conjunction with per-condition statistics.
                 let mut all = true;
                 for (c, stat) in conditions.iter().zip(&mut self.cond_stats) {
@@ -291,7 +293,7 @@ impl OpBlock {
                     Vec::new()
                 }
             }
-            BlockProgram::TruthTableSelect { atoms, table } => {
+            BlockProgram::Op(PlanOp::SelectTable { atoms, table }) => {
                 // All atoms evaluate in parallel (no short-circuit): a
                 // single lookup decides.
                 let mut mask = 0usize;
@@ -306,18 +308,18 @@ impl OpBlock {
                     Vec::new()
                 }
             }
-            BlockProgram::Project { fields } => {
+            BlockProgram::Op(PlanOp::Project { fields }) => {
                 let values = fields
                     .iter()
                     .filter_map(|&i| record.get(i))
                     .collect::<Vec<u64>>();
                 vec![Record::new(values)]
             }
-            BlockProgram::Join {
+            BlockProgram::Op(PlanOp::Join {
                 key_left,
                 key_right,
                 ..
-            } => {
+            }) => {
                 let (key_probe, key_stored) = match port {
                     Port::Left => (*key_left, *key_right),
                     Port::Right => (*key_right, *key_left),
@@ -347,44 +349,12 @@ impl OpBlock {
                 }
                 out
             }
-            BlockProgram::Aggregate {
-                func,
-                field,
-                window,
-                kind,
-            } => {
-                let value = match field {
-                    Some(i) => record.get(*i).unwrap_or(0),
-                    None => 1, // COUNT counts tuples
-                };
-                self.agg_values.push_back(value);
-                self.agg_sum += value as u128;
-                if self.agg_values.len() > *window {
-                    let expired = self.agg_values.pop_front().expect("non-empty");
-                    self.agg_sum -= expired as u128;
-                }
-                let emit = match kind {
-                    WindowKind::Sliding => true,
-                    WindowKind::Tumbling => self.agg_values.len() == *window,
-                };
-                if !emit {
-                    Vec::new()
-                } else {
-                    let len = self.agg_values.len() as u64;
-                    let result = match func {
-                        AggFunc::Count => len,
-                        AggFunc::Sum => self.agg_sum as u64,
-                        AggFunc::Avg => (self.agg_sum / len.max(1) as u128) as u64,
-                        AggFunc::Min => self.agg_values.iter().copied().min().unwrap_or(0),
-                        AggFunc::Max => self.agg_values.iter().copied().max().unwrap_or(0),
-                    };
-                    if *kind == WindowKind::Tumbling {
-                        self.agg_values.clear();
-                        self.agg_sum = 0;
-                    }
-                    vec![Record::new(vec![result])]
-                }
-            }
+            BlockProgram::Op(PlanOp::Aggregate { .. }) => self
+                .aggregate
+                .as_mut()
+                .and_then(|agg| agg.push(record.values()))
+                .map(|value| vec![Record::new(vec![value])])
+                .unwrap_or_default(),
         };
         self.stats.records_out += out.len() as u64;
         out
@@ -407,7 +377,9 @@ impl OpBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::BoundCondition;
     use crate::query::CmpOp;
+    use proptest::prelude::*;
 
     fn rec(values: &[u64]) -> Record {
         Record::new(values.to_vec())
@@ -425,7 +397,7 @@ mod tests {
     #[test]
     fn select_filters_on_all_conditions() {
         let mut b = OpBlock::new(BlockId(1));
-        b.reprogram(BlockProgram::Select {
+        b.reprogram(BlockProgram::Op(PlanOp::Select {
             conditions: vec![
                 BoundCondition {
                     field: 1,
@@ -438,7 +410,7 @@ mod tests {
                     value: 1,
                 },
             ],
-        });
+        }));
         assert_eq!(b.process(Port::Left, rec(&[9, 30, 1])).len(), 1);
         assert!(b.process(Port::Left, rec(&[9, 30, 0])).is_empty());
         assert!(b.process(Port::Left, rec(&[9, 20, 1])).is_empty());
@@ -447,7 +419,7 @@ mod tests {
     #[test]
     fn project_keeps_fields_in_order() {
         let mut b = OpBlock::new(BlockId(2));
-        b.reprogram(BlockProgram::Project { fields: vec![2, 0] });
+        b.reprogram(BlockProgram::Op(PlanOp::Project { fields: vec![2, 0] }));
         let out = b.process(Port::Left, rec(&[10, 11, 12]));
         assert_eq!(out, vec![rec(&[12, 10])]);
     }
@@ -455,11 +427,11 @@ mod tests {
     #[test]
     fn join_emits_left_concat_right_regardless_of_probe_side() {
         let mut b = OpBlock::new(BlockId(3));
-        b.reprogram(BlockProgram::Join {
+        b.reprogram(BlockProgram::Op(PlanOp::Join {
             key_left: 0,
             key_right: 0,
             window: 4,
-        });
+        }));
         assert!(b.process(Port::Right, rec(&[7, 100])).is_empty());
         let out = b.process(Port::Left, rec(&[7, 55, 1]));
         assert_eq!(out, vec![rec(&[7, 55, 1, 7, 100])]);
@@ -471,11 +443,11 @@ mod tests {
     #[test]
     fn join_window_expires_oldest() {
         let mut b = OpBlock::new(BlockId(4));
-        b.reprogram(BlockProgram::Join {
+        b.reprogram(BlockProgram::Op(PlanOp::Join {
             key_left: 0,
             key_right: 0,
             window: 2,
-        });
+        }));
         for k in [1u64, 2, 3] {
             b.process(Port::Right, rec(&[k]));
         }
@@ -487,20 +459,20 @@ mod tests {
     #[test]
     fn reprogramming_switches_operator_and_clears_windows() {
         let mut b = OpBlock::new(BlockId(5));
-        b.reprogram(BlockProgram::Join {
+        b.reprogram(BlockProgram::Op(PlanOp::Join {
             key_left: 0,
             key_right: 0,
             window: 4,
-        });
+        }));
         b.process(Port::Right, rec(&[1]));
         b.reprogram(BlockProgram::Passthrough);
         assert_eq!(b.process(Port::Left, rec(&[1])), vec![rec(&[1])]);
         // Back to a join: the old window contents are gone.
-        b.reprogram(BlockProgram::Join {
+        b.reprogram(BlockProgram::Op(PlanOp::Join {
             key_left: 0,
             key_right: 0,
             window: 4,
-        });
+        }));
         assert!(b.process(Port::Left, rec(&[1])).is_empty());
         assert_eq!(b.stats().reprograms, 3);
     }
@@ -516,12 +488,12 @@ mod tests {
     #[test]
     fn aggregates_emit_running_values_over_the_window() {
         let mut b = OpBlock::new(BlockId(6));
-        b.reprogram(BlockProgram::Aggregate {
+        b.reprogram(BlockProgram::Op(PlanOp::Aggregate {
             func: AggFunc::Sum,
             field: Some(0),
             window: 3,
             kind: WindowKind::Sliding,
-        });
+        }));
         let mut sums = Vec::new();
         for v in [10u64, 20, 30, 40] {
             sums.push(b.process(Port::Left, rec(&[v]))[0].values()[0]);
@@ -540,12 +512,12 @@ mod tests {
         ];
         for (func, expected) in cases {
             let mut b = OpBlock::new(BlockId(7));
-            b.reprogram(BlockProgram::Aggregate {
+            b.reprogram(BlockProgram::Op(PlanOp::Aggregate {
                 func,
                 field: Some(0),
                 window: 2,
                 kind: WindowKind::Sliding,
-            });
+            }));
             let mut got = Vec::new();
             for v in [5u64, 3, 8, 1] {
                 got.push(b.process(Port::Left, rec(&[v]))[0].values()[0]);
@@ -557,12 +529,12 @@ mod tests {
     #[test]
     fn tumbling_windows_emit_once_per_full_window() {
         let mut b = OpBlock::new(BlockId(12));
-        b.reprogram(BlockProgram::Aggregate {
+        b.reprogram(BlockProgram::Op(PlanOp::Aggregate {
             func: AggFunc::Sum,
             field: Some(0),
             window: 3,
             kind: WindowKind::Tumbling,
-        });
+        }));
         let mut emitted = Vec::new();
         for v in 1..=7u64 {
             for r in b.process(Port::Left, rec(&[v])) {
@@ -576,12 +548,12 @@ mod tests {
     #[test]
     fn reprogramming_clears_aggregate_state() {
         let mut b = OpBlock::new(BlockId(8));
-        let count = BlockProgram::Aggregate {
+        let count = BlockProgram::Op(PlanOp::Aggregate {
             func: AggFunc::Count,
             field: None,
             window: 8,
             kind: WindowKind::Sliding,
-        };
+        });
         b.reprogram(count.clone());
         b.process(Port::Left, rec(&[1]));
         b.process(Port::Left, rec(&[2]));
@@ -593,7 +565,7 @@ mod tests {
     #[test]
     fn condition_stats_track_short_circuit_evaluation() {
         let mut b = OpBlock::new(BlockId(9));
-        b.reprogram(BlockProgram::Select {
+        b.reprogram(BlockProgram::Op(PlanOp::Select {
             conditions: vec![
                 BoundCondition {
                     field: 0,
@@ -606,7 +578,7 @@ mod tests {
                     value: 0,
                 }, // always true
             ],
-        });
+        }));
         for v in 0..100u64 {
             b.process(Port::Left, rec(&[v, 1]));
         }
@@ -620,7 +592,7 @@ mod tests {
     fn reoptimize_orders_cheapest_filter_first() {
         let mut b = OpBlock::new(BlockId(10));
         // Condition order is pessimal: the always-true one first.
-        b.reprogram(BlockProgram::Select {
+        b.reprogram(BlockProgram::Op(PlanOp::Select {
             conditions: vec![
                 BoundCondition {
                     field: 1,
@@ -633,7 +605,7 @@ mod tests {
                     value: 90,
                 }, // pass rate ~0.09
             ],
-        });
+        }));
         for v in 0..100u64 {
             b.process(Port::Left, rec(&[v, 1]));
         }
@@ -664,21 +636,69 @@ mod tests {
         assert_eq!(BlockProgram::Idle.mnemonic(), "idle");
         assert_eq!(BlockProgram::Passthrough.mnemonic(), "pass");
         assert_eq!(
-            BlockProgram::Select { conditions: vec![] }.mnemonic(),
+            BlockProgram::Op(PlanOp::Select { conditions: vec![] }).mnemonic(),
             "select"
         );
         assert_eq!(
-            BlockProgram::Project { fields: vec![] }.mnemonic(),
+            BlockProgram::Op(PlanOp::Project { fields: vec![] }).mnemonic(),
             "project"
         );
         assert_eq!(
-            BlockProgram::Join {
+            BlockProgram::Op(PlanOp::Join {
                 key_left: 0,
                 key_right: 0,
                 window: 1
-            }
+            })
             .mnemonic(),
             "join"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The running window, on its own and inside an aggregate block,
+        /// agrees with re-folding the window on every arrival — values
+        /// near `u64::MAX` included, so a 64-bit sum would overflow.
+        #[test]
+        fn aggregates_equal_a_naive_recompute(
+            window in 1usize..9,
+            values in prop::collection::vec(
+                prop_oneof![0u64..1_000, u64::MAX - 1_000..u64::MAX],
+                0..64,
+            ),
+        ) {
+            let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+            for func in funcs {
+                let naive = |held: &[u64]| {
+                    let sum: u128 = held.iter().map(|&v| u128::from(v)).sum();
+                    match func {
+                        AggFunc::Count => held.len() as u64,
+                        AggFunc::Sum => sum as u64,
+                        AggFunc::Min => held.iter().copied().min().unwrap_or(0),
+                        AggFunc::Max => held.iter().copied().max().unwrap_or(0),
+                        AggFunc::Avg => (sum / held.len() as u128) as u64,
+                    }
+                };
+                for kind in [WindowKind::Sliding, WindowKind::Tumbling] {
+                    let op = PlanOp::Aggregate { func, field: Some(1), window, kind };
+                    let mut agg = WindowAggregate::of(&op).unwrap();
+                    let mut block = OpBlock::new(BlockId(0));
+                    block.reprogram(BlockProgram::Op(op));
+                    for (i, &v) in values.iter().enumerate() {
+                        let want = match kind {
+                            WindowKind::Sliding => {
+                                Some(naive(&values[(i + 1).saturating_sub(window)..=i]))
+                            }
+                            WindowKind::Tumbling => ((i + 1) % window == 0)
+                                .then(|| naive(&values[i + 1 - window..=i])),
+                        };
+                        prop_assert_eq!(agg.push(&[0, v]), want, "{:?} {:?} at {}", func, kind, i);
+                        let emitted: Vec<Record> = want.map(|w| rec(&[w])).into_iter().collect();
+                        prop_assert_eq!(block.process(Port::Left, rec(&[0, v])), emitted);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,8 @@
 
 use hwsim::{CapacityError, Device, Resources, Utilization};
 
-use crate::opblock::{BlockProgram, OpBlock};
+use crate::manager::QueryManager;
+use crate::opblock::OpBlock;
 use crate::plan::{Plan, PlanOp};
 
 /// Fixed interconnect/bridge overhead of the fabric itself.
@@ -47,30 +48,17 @@ impl FabricSpec {
     }
 }
 
-/// Block count with the prefix-sharing rule of
-/// [`crate::manager::QueryManager`]: two plans share a pipeline prefix if
-/// they read the same primary stream and their leading operators are
-/// identical (joins additionally requiring the same secondary stream).
+/// Blocks `plans` occupy under [`QueryManager`]'s prefix sharing: the
+/// plans are deployed on a scratch manager and its report is read, so
+/// there is one sharing rule, the manager's.
 pub fn shared_block_count(plans: &[Plan]) -> usize {
-    // Each distinct prefix costs one block. A prefix is keyed by its
-    // primary stream, its block programs and — from a join on, since
-    // every block after the join sees the secondary's records — the
-    // secondary stream.
-    let pipelines: Vec<Vec<BlockProgram>> = plans.iter().map(BlockProgram::pipeline).collect();
-    let mut prefixes: Vec<(&str, Option<&str>, &[BlockProgram])> = Vec::new();
-    for (plan, programs) in plans.iter().zip(&pipelines) {
-        let mut secondary = None;
-        for i in 0..programs.len() {
-            if matches!(programs[i], BlockProgram::Join { .. }) {
-                secondary = plan.secondary.as_deref();
-            }
-            let key = (plan.primary.as_str(), secondary, &programs[..=i]);
-            if !prefixes.contains(&key) {
-                prefixes.push(key);
-            }
-        }
+    let mut manager = QueryManager::new(plans.iter().map(Plan::block_count).sum());
+    for plan in plans {
+        manager
+            .deploy(plan)
+            .expect("a fabric of the unshared size fits every plan");
     }
-    prefixes.len()
+    manager.sharing_report().blocks_in_use
 }
 
 /// Resource estimate for one plan's blocks, with `record_bits`-wide

@@ -139,7 +139,7 @@ pub fn measure_fqp_reconfiguration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::BoundCondition;
+    use crate::plan::{BoundCondition, PlanOp};
     use crate::query::CmpOp;
     use streamcore::Record;
 
@@ -179,13 +179,13 @@ mod tests {
         let d = measure_fqp_reconfiguration(
             &mut fabric,
             BlockId(0),
-            BlockProgram::Select {
+            BlockProgram::Op(PlanOp::Select {
                 conditions: vec![BoundCondition {
                     field: 0,
                     op: CmpOp::Gt,
                     value: 10,
                 }],
-            },
+            }),
         )
         .unwrap();
         // Generous bound: the point is "not minutes".
@@ -202,13 +202,13 @@ mod tests {
         fabric
             .reprogram(
                 b,
-                BlockProgram::Select {
+                BlockProgram::Op(PlanOp::Select {
                     conditions: vec![BoundCondition {
                         field: 0,
                         op: CmpOp::Gt,
                         value: 100,
                     }],
-                },
+                }),
             )
             .unwrap();
         fabric.bind_stream("s", b, crate::opblock::Port::Left);
@@ -221,13 +221,13 @@ mod tests {
         measure_fqp_reconfiguration(
             &mut fabric,
             b,
-            BlockProgram::Select {
+            BlockProgram::Op(PlanOp::Select {
                 conditions: vec![BoundCondition {
                     field: 0,
                     op: CmpOp::Gt,
                     value: 10,
                 }],
-            },
+            }),
         )
         .unwrap();
         fabric.push("s", Record::new(vec![50])).unwrap();

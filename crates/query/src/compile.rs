@@ -18,9 +18,9 @@
 
 use std::fmt;
 
+use fqp::opblock::WindowAggregate;
 use fqp::placement::{place, Objective, Placement, SiteKind, SiteProfile};
 use fqp::plan::{bind, BoundCondition, Catalog, Plan, PlanError, PlanOp};
-use fqp::query::{AggFunc, WindowKind};
 
 use crate::logical::LogicalPlan;
 
@@ -148,19 +148,6 @@ impl PostPipeline {
     }
 }
 
-/// A windowed-aggregate spec for single-stream queries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggSpec {
-    /// Aggregate function.
-    pub func: AggFunc,
-    /// Aggregated field index (`None` for `COUNT`).
-    pub field: Option<usize>,
-    /// Window size in tuples.
-    pub window: usize,
-    /// Sliding or tumbling advancement.
-    pub kind: WindowKind,
-}
-
 /// The physical shape of a compiled query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Shape {
@@ -173,8 +160,9 @@ pub enum Shape {
         arity: usize,
         /// Filter + projection over the arrival record.
         post: PostPipeline,
-        /// Windowed aggregate, if any (applied after the filter).
-        aggregate: Option<AggSpec>,
+        /// Windowed aggregate, if any (applied after the filter): the
+        /// bound operator's running window, empty when compiled.
+        aggregate: Option<WindowAggregate>,
     },
     /// Windowed equi-join executed on a shared physical engine; the
     /// runtime fans each match through the post pipeline.
@@ -344,19 +332,7 @@ pub fn compile(
                 window,
             } => join = Some((key_left, key_right, window)),
             PlanOp::Project { ref fields } => post.projection = Some(fields.clone()),
-            PlanOp::Aggregate {
-                func,
-                field,
-                window,
-                kind,
-            } => {
-                aggregate = Some(AggSpec {
-                    func,
-                    field,
-                    window,
-                    kind,
-                })
-            }
+            PlanOp::Aggregate { .. } => aggregate = WindowAggregate::of(op),
         }
     }
 
@@ -448,7 +424,7 @@ fn check_engine_tuple(stream: &str, schema: &streamcore::Schema) -> Result<(), C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fqp::query::CmpOp;
+    use fqp::query::{AggFunc, CmpOp, WindowKind};
     use streamcore::{Field, Schema};
 
     fn catalog() -> Catalog {
@@ -641,14 +617,12 @@ mod tests {
         let Shape::Single { aggregate, .. } = &q.shape else {
             panic!("expected single shape");
         };
-        assert_eq!(
-            aggregate,
-            &Some(AggSpec {
-                func: AggFunc::Count,
-                field: None,
-                window: 16,
-                kind: WindowKind::Tumbling,
-            })
-        );
+        let op = PlanOp::Aggregate {
+            func: AggFunc::Count,
+            field: None,
+            window: 16,
+            kind: WindowKind::Tumbling,
+        };
+        assert_eq!(aggregate, &WindowAggregate::of(&op));
     }
 }

@@ -95,7 +95,7 @@ use joinsw::prelude::{
 };
 use streamcore::{MatchPair, StreamTag, Tuple};
 
-use crate::compile::{compile, AggSpec, CompileError, CompiledQuery, EngineKind, GroupKey, Shape};
+use crate::compile::{compile, CompileError, CompiledQuery, EngineKind, GroupKey, Shape};
 use crate::logical::LogicalPlan;
 
 /// Errors surfaced by the runtime.
@@ -412,62 +412,6 @@ impl EngineGroup {
     }
 }
 
-/// The windowed-aggregate execution state of a single-stream query.
-struct AggState {
-    spec: AggSpec,
-    values: VecDeque<u64>,
-    /// Sum of `values` modulo 2^64, kept on push and evict so COUNT, SUM
-    /// and AVG cost O(1) per arrival; MIN and MAX scan the window.
-    sum: u64,
-}
-
-impl AggState {
-    fn new(spec: AggSpec) -> Self {
-        Self {
-            spec,
-            values: VecDeque::new(),
-            sum: 0,
-        }
-    }
-
-    fn push(&mut self, v: u64) -> Option<u64> {
-        use fqp::query::WindowKind;
-        self.values.push_back(v);
-        self.sum = self.sum.wrapping_add(v);
-        match self.spec.kind {
-            WindowKind::Sliding => {
-                if self.values.len() > self.spec.window {
-                    let evicted = self.values.pop_front().unwrap_or(0);
-                    self.sum = self.sum.wrapping_sub(evicted);
-                }
-                Some(self.eval())
-            }
-            WindowKind::Tumbling => {
-                if self.values.len() == self.spec.window {
-                    let out = self.eval();
-                    self.values.clear();
-                    self.sum = 0;
-                    Some(out)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn eval(&self) -> u64 {
-        use fqp::query::AggFunc;
-        let n = self.values.len() as u64;
-        match self.spec.func {
-            AggFunc::Count => n,
-            AggFunc::Sum => self.sum,
-            AggFunc::Min => self.values.iter().copied().min().unwrap_or(0),
-            AggFunc::Max => self.values.iter().copied().max().unwrap_or(0),
-            AggFunc::Avg => self.sum.checked_div(n).unwrap_or(0),
-        }
-    }
-}
-
 /// A run of records bound for standing queries, handed over whole:
 /// the matches of one engine drain, or a batch of arrivals on one
 /// stream.
@@ -484,7 +428,6 @@ struct Standing {
     /// Slot of the engine group a joined query is a member of.
     group: Option<usize>,
     rows: Vec<Vec<u64>>,
-    agg: Option<AggState>,
     /// Records fanned in (plain count — authoritative for reports even
     /// when the `obs` feature compiles the live counters to no-ops).
     seen: u64,
@@ -503,19 +446,11 @@ fn query_key(id: &str, what: &str) -> String {
 
 impl Standing {
     fn new(id: &str, compiled: CompiledQuery, group: Option<usize>, live: &obs::Registry) -> Self {
-        let agg = match &compiled.shape {
-            Shape::Single {
-                aggregate: Some(spec),
-                ..
-            } => Some(AggState::new(*spec)),
-            _ => None,
-        };
         Self {
             id: id.to_string(),
             compiled,
             group,
             rows: Vec::new(),
-            agg,
             seen: 0,
             emitted: 0,
             matches_in: live.counter(&query_key(id, "matches_in")),
@@ -531,7 +466,7 @@ impl Standing {
     /// the block. Rows come out in block order.
     fn absorb(&mut self, block: Block<'_>) {
         let before = self.rows.len();
-        let seen = match (&self.compiled.shape, block) {
+        let seen = match (&mut self.compiled.shape, block) {
             (
                 Shape::Joined {
                     left_arity,
@@ -541,7 +476,7 @@ impl Standing {
                 },
                 Block::Matches(matches),
             ) => {
-                let (left, width) = (*left_arity, left_arity + right_arity);
+                let (left, width) = (*left_arity, *left_arity + *right_arity);
                 self.rows.reserve(matches.len());
                 self.rows.extend(matches.iter().filter_map(|m| {
                     // Both sides written whole, the right one at the
@@ -556,13 +491,21 @@ impl Standing {
                 }));
                 matches.len() as u64
             }
-            (Shape::Single { arity, post, .. }, Block::Arrivals(tuples)) => {
+            (
+                Shape::Single {
+                    arity,
+                    post,
+                    aggregate,
+                    ..
+                },
+                Block::Arrivals(tuples),
+            ) => {
                 let records = tuples.iter().map(|t| [t.key() as u64, t.payload() as u64]);
-                if let Some(agg) = &mut self.agg {
-                    // Aggregates: filter, then fold the selected field.
+                if let Some(agg) = aggregate {
+                    // Aggregates: filter, then fold into the window.
                     for values in records.filter(|v| post.accepts(&v[..*arity])) {
-                        let v = agg.spec.field.map_or(1, |i| values[i]);
-                        self.rows.extend(agg.push(v).map(|out| vec![out]));
+                        self.rows
+                            .extend(agg.push(&values[..*arity]).map(|out| vec![out]));
                     }
                 } else {
                     self.rows.reserve(tuples.len());
@@ -649,11 +592,10 @@ pub struct HandoffReport {
     /// (zero in a healthy handoff: nothing arrives between the drain
     /// barrier and shutdown).
     pub residual: u64,
-    /// Total results the old engine produced over its whole life.
+    /// Total results the old engine produced over its whole life — all
+    /// of them delivered, or `replan` fails with
+    /// [`RuntimeError::Completeness`].
     pub produced_total: u64,
-    /// Total results delivered to queries over the engine's life
-    /// (earlier drains + final drain + residual).
-    pub delivered_total: u64,
     /// Window tuples orphaned by worker loss (0 unless faults were
     /// injected).
     pub orphaned_tuples: u64,
@@ -667,14 +609,12 @@ pub struct HandoffReport {
 }
 
 impl HandoffReport {
-    /// `true` when the handoff lost nothing: every result the old
-    /// engine ever produced reached the standing queries, no window
-    /// tuple was orphaned, and the new engine's windows hold exactly
-    /// the old engine's contents.
+    /// `true` when the handoff lost nothing: no window tuple was
+    /// orphaned and no result dropped, so the new engine's windows hold
+    /// exactly the old engine's contents. (Every result the old engine
+    /// produced reached the standing queries, or there is no report.)
     pub fn lossless(&self) -> bool {
-        self.produced_total == self.delivered_total
-            && self.orphaned_tuples == 0
-            && self.results_dropped == 0
+        self.orphaned_tuples == 0 && self.results_dropped == 0
     }
 }
 
@@ -1003,8 +943,6 @@ impl QueryRuntime {
             drained,
             residual: outcome.results.len() as u64,
             produced_total: outcome.result_count,
-            // `retire` returned, so the books balanced.
-            delivered_total: outcome.result_count,
             orphaned_tuples: outcome.fault.orphaned_tuples,
             results_dropped: outcome.fault.results_dropped,
             prefilled: (group.shadow_r.len(), group.shadow_s.len()),
@@ -1671,37 +1609,6 @@ mod tests {
             got.append(&mut q.rows);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!((q.seen, q.emitted), (tuples.len() as u64, want.len() as u64));
-        }
-
-        /// Running sums agree with re-folding the window on every arrival.
-        #[test]
-        fn aggregates_equal_a_naive_recompute(
-            window in 1usize..9,
-            values in prop::collection::vec(0u64..1_000, 0..64),
-        ) {
-            let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
-            for func in funcs {
-                let naive = |held: &[u64]| match func {
-                    AggFunc::Count => held.len() as u64,
-                    AggFunc::Sum => held.iter().sum(),
-                    AggFunc::Min => held.iter().copied().min().unwrap_or(0),
-                    AggFunc::Max => held.iter().copied().max().unwrap_or(0),
-                    AggFunc::Avg => held.iter().sum::<u64>() / held.len() as u64,
-                };
-                for kind in [WindowKind::Sliding, WindowKind::Tumbling] {
-                    let mut agg = AggState::new(AggSpec { func, field: Some(1), window, kind });
-                    for (i, &v) in values.iter().enumerate() {
-                        let want = match kind {
-                            WindowKind::Sliding => {
-                                Some(naive(&values[(i + 1).saturating_sub(window)..=i]))
-                            }
-                            WindowKind::Tumbling => ((i + 1) % window == 0)
-                                .then(|| naive(&values[i + 1 - window..=i])),
-                        };
-                        prop_assert_eq!(agg.push(v), want, "{:?} {:?} at {}", func, kind, i);
-                    }
-                }
-            }
         }
     }
 }

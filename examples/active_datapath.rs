@@ -8,13 +8,12 @@
 //! ```
 
 use accel_landscape::fqp::datapath::canonical_path;
-use accel_landscape::fqp::opblock::BlockProgram;
-use accel_landscape::fqp::plan::BoundCondition;
+use accel_landscape::fqp::plan::{BoundCondition, PlanOp};
 use accel_landscape::fqp::query::CmpOp;
 use accel_landscape::streamcore::Record;
 
 fn main() {
-    let filter = BlockProgram::Select {
+    let filter = PlanOp::Select {
         conditions: vec![BoundCondition {
             field: 0,
             op: CmpOp::Gt,

@@ -11,7 +11,7 @@ use std::time::Instant;
 use accel_landscape::fqp::assign::{assign, remove};
 use accel_landscape::fqp::fabric::Fabric;
 use accel_landscape::fqp::opblock::BlockProgram;
-use accel_landscape::fqp::plan::{bind, BoundCondition, Catalog};
+use accel_landscape::fqp::plan::{bind, BoundCondition, Catalog, PlanOp};
 use accel_landscape::fqp::query::{CmpOp, Query};
 use accel_landscape::fqp::reconfig::{measure_fqp_reconfiguration, DeploymentPath};
 use accel_landscape::streamcore::{Field, Record, Schema};
@@ -50,13 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d = measure_fqp_reconfiguration(
         &mut fabric,
         handle.blocks[0],
-        BlockProgram::Select {
+        BlockProgram::Op(PlanOp::Select {
             conditions: vec![BoundCondition {
                 field: 1,
                 op: CmpOp::Gt,
                 value: 110,
             }],
-        },
+        }),
     )?;
     println!("\nreprogrammed threshold 90 -> 110 in {d:?} (no halt)");
     push_batch(&mut fabric, 0);

@@ -97,13 +97,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n-- statistics-driven select re-optimization --");
     use accel_landscape::fqp::fabric::{Fabric, Target};
     use accel_landscape::fqp::opblock::{BlockId, BlockProgram, Port};
-    use accel_landscape::fqp::plan::BoundCondition;
+    use accel_landscape::fqp::plan::{BoundCondition, PlanOp};
     use accel_landscape::fqp::query::CmpOp;
     let mut fabric = Fabric::new(1);
     let sink = fabric.add_sink();
     fabric.reprogram(
         BlockId(0),
-        BlockProgram::Select {
+        BlockProgram::Op(PlanOp::Select {
             conditions: vec![
                 BoundCondition {
                     field: 1,
@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     value: 95,
                 }, // selective
             ],
-        },
+        }),
     )?;
     fabric.bind_stream("s", BlockId(0), Port::Left);
     fabric.connect(BlockId(0), Target::Sink(sink))?;

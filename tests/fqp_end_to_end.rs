@@ -5,7 +5,7 @@ use accel_landscape::fqp::assign::{assign, remove, AssignError};
 use accel_landscape::fqp::fabric::Fabric;
 use accel_landscape::fqp::landscape::{self, RepresentationalModel};
 use accel_landscape::fqp::opblock::BlockProgram;
-use accel_landscape::fqp::plan::{bind, BoundCondition, Catalog};
+use accel_landscape::fqp::plan::{bind, BoundCondition, Catalog, PlanOp};
 use accel_landscape::fqp::query::{CmpOp, Query};
 use accel_landscape::streamcore::{Field, Record, Schema};
 
@@ -99,13 +99,13 @@ fn micro_change_rebinds_conditions_without_redeployment() {
     fabric
         .reprogram(
             handle.blocks[0],
-            BlockProgram::Select {
+            BlockProgram::Op(PlanOp::Select {
                 conditions: vec![BoundCondition {
                     field: 1,
                     op: CmpOp::Gt,
                     value: 60,
                 }],
-            },
+            }),
         )
         .unwrap();
     fabric

@@ -196,15 +196,11 @@ proptest! {
         let query = Query::parse(&text).unwrap();
         let expr = query.where_expr.clone().expect("non-conjunctive clause");
         let plan = bind(&query, &catalog).unwrap();
-        let PlanOp::SelectTable { atoms, table } = &plan.ops[0] else {
-            panic!("expected truth-table select");
-        };
+        let op = plan.ops[0].clone();
+        assert!(matches!(op, PlanOp::SelectTable { .. }), "expected truth-table select");
 
         let mut block = OpBlock::new(BlockId(0));
-        block.reprogram(BlockProgram::TruthTableSelect {
-            atoms: atoms.clone(),
-            table: table.clone(),
-        });
+        block.reprogram(BlockProgram::Op(op));
         for (a, b, c) in records {
             let rec = Record::new(vec![a, b, c]);
             // Direct evaluation of the expression on this record.
