@@ -18,7 +18,8 @@
 use std::time::Instant;
 
 use joinsw::baseline::reference_join;
-use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::JoinOutcome;
 use joinsw::{FaultPlan, JoinError, JoinParams, StreamJoin};
 use streamcore::{JoinPredicate, StreamTag, Tuple};
 

@@ -599,7 +599,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn scrape_round_trips_against_a_live_endpoint() {
         let reg = obs::Registry::new();
         reg.counter("splitjoin.tuples").add(41);
@@ -629,12 +628,9 @@ mod tests {
         let path = path.to_str().unwrap();
         assert!(series_validate(path).unwrap());
         assert!(series_summarize(path).unwrap());
-        #[cfg(feature = "obs")]
-        {
-            assert!(series_spark(path, "sw.tuples").unwrap());
-            let err = series_spark(path, "missing.key").unwrap_err();
-            assert!(err.contains("known keys"), "{err}");
-        }
+        assert!(series_spark(path, "sw.tuples").unwrap());
+        let err = series_spark(path, "missing.key").unwrap_err();
+        assert!(err.contains("known keys"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -118,8 +118,7 @@ impl FigOpts {
     }
 
     /// Applies the `--trace` flag: enables span tracing at the parsed
-    /// sampling period for the whole process. Without the `obs` feature
-    /// the enable call is a no-op and no spans are ever recorded.
+    /// sampling period for the whole process.
     pub fn setup_trace(&self) {
         if let Some(n) = self.trace {
             obs::trace::enable(n);

@@ -23,7 +23,8 @@ use joinsw::harness::{
     host_parallelism, measure_latency_with, measure_throughput_with, modeled_throughput,
     PARALLEL_EFFICIENCY,
 };
-use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::JoinOutcome;
 use joinsw::{JoinParams, StreamJoin};
 use obs::{Histogram, RunManifest};
 use streamcore::workload::{KeyDist, WorkloadSpec};

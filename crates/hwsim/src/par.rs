@@ -44,6 +44,7 @@
 use crate::sim::{Component, Simulator};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Driver verdict returned by a [`run_driven`](Engine::run_driven) tick
 /// callback, controlling how the engine proceeds.
@@ -199,9 +200,8 @@ impl Engine for Simulator {
 /// The cycle-domain fields are always collected — they are a handful of
 /// integer adds per phase and deterministic, so the accounting identity
 /// `busy_cycles + wait_cycles == ParStats::cycles` holds exactly for
-/// every worker at any thread count. The `_ns` wall-clock fields need
-/// `Instant` reads in the barrier hot path and are only collected with
-/// the `obs` feature (the default); without it they read 0.
+/// every worker at any thread count. The `_ns` wall-clock fields are
+/// `Instant` reads around each phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Simulated cycles in which this worker executed at least one shard
@@ -215,18 +215,16 @@ pub struct WorkerStats {
     /// 0 under the sequential fallback, which does not decompose the
     /// design into shards.
     pub shards_executed: u64,
-    /// Wall-clock nanoseconds spent executing shard phases (`obs` only).
+    /// Wall-clock nanoseconds spent executing shard phases.
     pub busy_ns: u64,
     /// Wall-clock nanoseconds spent waiting at phase barriers — for
-    /// workers this includes the coordinator's exclusive phases (`obs`
-    /// only).
+    /// workers this includes the coordinator's exclusive phases.
     pub wait_ns: u64,
 }
 
 impl WorkerStats {
     /// Fraction of this worker's wall-clock spent executing shards
-    /// (`busy_ns / (busy_ns + wait_ns)`), or `None` without timing data
-    /// (`obs` feature off, or a zero-cycle run).
+    /// (`busy_ns / (busy_ns + wait_ns)`), or `None` when no time was recorded.
     #[must_use]
     pub fn utilization(&self) -> Option<f64> {
         let total = self.busy_ns + self.wait_ns;
@@ -246,10 +244,10 @@ pub struct ParStats {
     pub threads: usize,
     /// Simulated cycles covered by this report.
     pub cycles: u64,
-    /// Wall-clock nanoseconds for the whole run (`obs` feature only).
+    /// Wall-clock nanoseconds for the whole run.
     pub run_ns: u64,
     /// Wall-clock nanoseconds in the coordinator's exclusive phases —
-    /// network pushes/pops, result gathering, shard staging (`obs` only).
+    /// network pushes/pops, result gathering, shard staging.
     pub coord_ns: u64,
     /// Per-worker accounting; index 0 is the driving thread.
     pub workers: Vec<WorkerStats>,
@@ -263,7 +261,7 @@ pub struct ParStats {
 impl ParStats {
     /// Fraction of the run's wall-clock spent in exclusive coordinator
     /// phases — the serial share that bounds parallel speedup (Amdahl).
-    /// `None` without timing data.
+    /// `None` when no time was recorded.
     #[must_use]
     pub fn coordinator_share(&self) -> Option<f64> {
         (self.run_ns > 0).then(|| self.coord_ns as f64 / self.run_ns as f64)
@@ -305,28 +303,9 @@ impl ParStats {
     }
 }
 
-/// A monotonic timestamp when the `obs` feature collects wall-clock
-/// phase timings; a zero-sized unit otherwise, so call sites read the
-/// same either way.
-#[cfg(feature = "obs")]
-type Stamp = std::time::Instant;
-#[cfg(not(feature = "obs"))]
-type Stamp = ();
-
-#[cfg(feature = "obs")]
-fn stamp() -> Stamp {
-    std::time::Instant::now()
-}
-#[cfg(not(feature = "obs"))]
-fn stamp() -> Stamp {}
-
-#[cfg(feature = "obs")]
-fn lap(since: Stamp) -> u64 {
+/// Wall-clock nanoseconds since `since`.
+fn lap(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
-}
-#[cfg(not(feature = "obs"))]
-fn lap(_since: Stamp) -> u64 {
-    0
 }
 
 const OP_BEGIN: u64 = 0;
@@ -501,7 +480,7 @@ fn worker_loop(gate: &Gate, index: usize) {
     let mut ring = worker_ring(index);
     let mut cycle_had_work = false;
     loop {
-        let waiting = stamp();
+        let waiting = Instant::now();
         spin_until(|| gate.epoch.load(Ordering::Acquire) != seen);
         stats.wait_ns += lap(waiting);
         seen = gate.epoch.load(Ordering::Acquire);
@@ -514,7 +493,7 @@ fn worker_loop(gate: &Gate, index: usize) {
             return;
         }
         guard.in_phase = true;
-        let busy = stamp();
+        let busy = Instant::now();
         let span = ring.as_ref().map(|_| obs::trace::now_ns());
         let executed = gate.run_chunk(index, op, &mut scratch);
         if let (Some(ring), Some(t0)) = (ring.as_mut(), span) {
@@ -658,7 +637,7 @@ impl ParSimulator {
         tick: &mut dyn FnMut(&mut S, u64) -> Control,
     ) -> bool {
         let start_cycle = self.cycle;
-        let run_start = stamp();
+        let run_start = Instant::now();
         let mut stopped = false;
         let mut free = 0u64;
         for _ in 0..max_cycles {
@@ -708,7 +687,7 @@ impl ParSimulator {
         threads: usize,
     ) -> bool {
         let start_cycle = self.cycle;
-        let run_start = stamp();
+        let run_start = Instant::now();
         let gate = Gate::new(threads);
         let mut coord = WorkerStats::default();
         let mut coord_ring = worker_ring(0);
@@ -738,12 +717,12 @@ impl ParSimulator {
                 }
                 let mut executed = 0usize;
                 // Begin phase.
-                let t = stamp();
+                let t = Instant::now();
                 root.coord_begin_cycle();
                 gate.stage(root.shards());
                 coord_ns += lap(t);
                 gate.release(OP_BEGIN);
-                let t = stamp();
+                let t = Instant::now();
                 let span = coord_ring.as_ref().map(|_| obs::trace::now_ns());
                 let ran = gate.run_chunk(0, OP_BEGIN, &mut scratch);
                 if let (Some(ring), Some(t0)) = (coord_ring.as_mut(), span) {
@@ -752,16 +731,16 @@ impl ParSimulator {
                 }
                 executed += ran;
                 coord.busy_ns += lap(t);
-                let t = stamp();
+                let t = Instant::now();
                 gate.wait_workers();
                 coord.wait_ns += lap(t);
                 // Eval phase.
-                let t = stamp();
+                let t = Instant::now();
                 root.coord_eval_pre();
                 gate.stage(root.shards());
                 coord_ns += lap(t);
                 gate.release(OP_EVAL);
-                let t = stamp();
+                let t = Instant::now();
                 let span = coord_ring.as_ref().map(|_| obs::trace::now_ns());
                 let ran = gate.run_chunk(0, OP_EVAL, &mut scratch);
                 if let (Some(ring), Some(t0)) = (coord_ring.as_mut(), span) {
@@ -770,17 +749,17 @@ impl ParSimulator {
                 }
                 executed += ran;
                 coord.busy_ns += lap(t);
-                let t = stamp();
+                let t = Instant::now();
                 gate.wait_workers();
                 coord.wait_ns += lap(t);
-                let t = stamp();
+                let t = Instant::now();
                 root.coord_eval_post();
                 // Commit phase.
                 root.coord_commit();
                 gate.stage(root.shards());
                 coord_ns += lap(t);
                 gate.release(OP_COMMIT);
-                let t = stamp();
+                let t = Instant::now();
                 let span = coord_ring.as_ref().map(|_| obs::trace::now_ns());
                 let ran = gate.run_chunk(0, OP_COMMIT, &mut scratch);
                 if let (Some(ring), Some(t0)) = (coord_ring.as_mut(), span) {
@@ -789,7 +768,7 @@ impl ParSimulator {
                 }
                 executed += ran;
                 coord.busy_ns += lap(t);
-                let t = stamp();
+                let t = Instant::now();
                 gate.wait_workers();
                 coord.wait_ns += lap(t);
                 coord.shards_executed += executed as u64;
@@ -1140,7 +1119,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn tracing_collects_worker_rings_without_changing_results() {
         obs::trace::enable(1);

@@ -745,7 +745,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn tracing_records_wave_segments_without_changing_results() {
         let inputs = workload(60, 6);

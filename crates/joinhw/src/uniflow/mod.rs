@@ -686,7 +686,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn provenance_sampling_breaks_down_latency_without_changing_results() {
         let inputs = workload(200, 8);

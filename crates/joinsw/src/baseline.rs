@@ -13,7 +13,7 @@ use accel_error::JoinError;
 use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
 
 use crate::config::JoinConfig;
-use crate::splitjoin::JoinOutcome;
+use crate::outcome::{key, JoinOutcome};
 use crate::streamjoin::StreamJoin;
 
 /// An incremental single-threaded sliding-window join.
@@ -202,6 +202,7 @@ impl StreamJoin for BaselineJoin {
     fn shutdown(self) -> Result<JoinOutcome, JoinError> {
         let s = self.inner.into_inner();
         Ok(JoinOutcome {
+            engine: key::BASELINE,
             results: s.results,
             result_count: s.matches,
             worker_stats: vec![accel_error::WorkerStats {

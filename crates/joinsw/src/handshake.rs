@@ -83,7 +83,7 @@ use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
 
 use crate::config::{JoinConfig, JoinParams};
 use crate::fault::{FaultPlan, FaultReport};
-use crate::splitjoin::JoinOutcome;
+use crate::outcome::{key, JoinOutcome};
 use crate::streamjoin::StreamJoin;
 use crate::supervise::{
     join_cores, outcome, run_scripted_batch, span_start, supervised_push, take_outboxes,
@@ -222,8 +222,9 @@ pub struct HandshakeJoin {
 /// group — relaxed atomic stores, nothing per tuple.
 #[derive(Debug)]
 struct LiveChain {
-    /// `handshake.waves` — wave groups injected at the chain entries.
-    waves: obs::Counter,
+    /// `handshake.batches` — wave groups injected at the chain entries
+    /// (the outcome's `batch_sizes.total()`).
+    batches: obs::Counter,
     /// `handshake.wave_tuples` — tuples carried by those groups.
     wave_tuples: obs::Counter,
     /// `handshake.wave_depth` — size (waves per message) of the most
@@ -235,7 +236,7 @@ impl LiveChain {
     fn new() -> Self {
         let reg = obs::live::global();
         Self {
-            waves: reg.counter("handshake.waves"),
+            batches: reg.counter(&key::batches(key::HANDSHAKE)),
             wave_tuples: reg.counter("handshake.wave_tuples"),
             wave_depth: reg.gauge("handshake.wave_depth"),
         }
@@ -259,7 +260,7 @@ impl HandshakeJoin {
         let count = waves.len() as u64;
         self.batch_hist.borrow_mut().record_value(count);
         if let Some(lv) = self.live.as_ref() {
-            lv.waves.incr();
+            lv.batches.incr();
             lv.wave_tuples.add(count);
             lv.wave_depth.set(count);
         }
@@ -508,6 +509,7 @@ impl StreamJoin for HandshakeJoin {
             report.orphaned_tuples += cell.orphaned.load(Ordering::Relaxed);
         }
         Ok(outcome(
+            key::HANDSHAKE,
             &self.cells,
             self.collecting,
             worker_stats,
@@ -1144,7 +1146,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn tracing_records_core_spans_without_changing_results() {
         let inputs: Vec<_> = WorkloadSpec::new(120, KeyDist::Uniform { domain: 6 })
             .generate()

@@ -20,7 +20,7 @@ use streamcore::metrics::{LatencyRecorder, LatencySummary, Throughput};
 use streamcore::{StreamTag, Tuple};
 
 use crate::config::JoinParams;
-use crate::splitjoin::JoinOutcome;
+use crate::outcome::JoinOutcome;
 use crate::streamjoin::StreamJoin;
 
 /// Parallel efficiency of the software SplitJoin when one thread per join

@@ -23,8 +23,9 @@
 //!   [`baseline::BaselineJoin`] wrapping it behind the unified trait.
 //! * [`streamjoin`] — the unified [`StreamJoin`] surface: every engine
 //!   behind the same fallible verbs (spawn, process, prefill, flush,
-//!   drain_results, shutdown), ending in the one
-//!   [`JoinOutcome`](splitjoin::JoinOutcome).
+//!   drain_results, shutdown), ending in the one [`JoinOutcome`].
+//! * [`outcome`] — [`JoinOutcome`], what every engine leaves behind at
+//!   shutdown, published under the namespace of the engine that built it.
 //! * [`config`] — the shared [`JoinConfig`] (cores, window, predicate,
 //!   batching, channel capacity, fault plan) that every engine-specific
 //!   config embeds, and [`JoinParams`], which carries its builders. A
@@ -81,6 +82,7 @@ pub mod config;
 pub mod fault;
 pub mod handshake;
 pub mod harness;
+pub mod outcome;
 pub mod splitjoin;
 pub mod streamjoin;
 mod supervise;
@@ -88,6 +90,7 @@ mod supervise;
 pub use accel_error::{JoinError, WorkerStats};
 pub use config::{JoinConfig, JoinParams, Partitioning, DEFAULT_BATCH_SIZE};
 pub use fault::{FaultEvent, FaultPlan, FaultReport};
+pub use outcome::{JoinOutcome, PartitionStats, RingStats};
 pub use streamjoin::StreamJoin;
 
 /// The convenient single import for driving the software joins: the
@@ -109,7 +112,8 @@ pub mod prelude {
     pub use crate::config::{JoinConfig, JoinParams, Partitioning};
     pub use crate::fault::{FaultEvent, FaultPlan, FaultReport};
     pub use crate::handshake::{HandshakeConfig, HandshakeJoin};
-    pub use crate::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+    pub use crate::outcome::JoinOutcome;
+    pub use crate::splitjoin::{SplitJoin, SplitJoinConfig};
     pub use crate::streamjoin::StreamJoin;
     pub use accel_error::{JoinError, WorkerStats};
 }

@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use accel_error::WorkerStats;
 
-use super::outcome::key;
 use super::SplitJoinConfig;
 use crate::fault;
+use crate::outcome::key::{self, SPLITJOIN};
 use crate::supervise::WorkerCell;
 
 /// Router-side handles into the process-global live telemetry plane
@@ -52,7 +52,7 @@ impl LiveRouter {
     pub(super) fn new(config: &SplitJoinConfig) -> Self {
         let reg = obs::live::global();
         let this = Self {
-            batches: reg.counter(key::BATCHES),
+            batches: reg.counter(&key::batches(SPLITJOIN)),
             tuples: reg.counter("splitjoin.tuples"),
             routed: reg.counter(key::ROUTED),
             ring_occupancy: reg.gauge("splitjoin.ring.occupancy"),
@@ -61,7 +61,7 @@ impl LiveRouter {
             workers_lost: reg.counter(fault::KEY_WORKERS_LOST),
             orphaned: reg.counter(fault::KEY_ORPHANED_TUPLES),
             heartbeat_age: (0..config.num_cores)
-                .map(|i| reg.gauge(&key::worker(i, "heartbeat_age_ns")))
+                .map(|i| reg.gauge(&key::worker(SPLITJOIN, i, "heartbeat_age_ns")))
                 .collect(),
         };
         this.workers_live.set(config.num_cores as u64);
@@ -115,12 +115,12 @@ pub(super) struct LiveWorker {
 impl LiveWorker {
     pub(super) fn new(position: usize) -> Self {
         let reg = obs::live::global();
-        let name = |what: &str| key::worker(position, what);
+        let name = |what: &str| key::worker(SPLITJOIN, position, what);
         Self {
             batches: reg.counter(&name("batches")),
             tuples: reg.counter(&name("tuples")),
             matches: reg.counter(&name("matches")),
-            matches_total: reg.counter(key::MATCHES),
+            matches_total: reg.counter(&key::matches(SPLITJOIN)),
             busy_ns: reg.counter(&name("busy_ns")),
             wait_ns: reg.counter(&name("wait_ns")),
             last_tuples: 0,

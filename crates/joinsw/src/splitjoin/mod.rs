@@ -139,7 +139,6 @@
 mod config;
 mod lanes;
 mod live;
-mod outcome;
 mod router;
 #[cfg(test)]
 mod tests;
@@ -157,7 +156,6 @@ use streamcore::ring;
 use streamcore::{FreqSketch, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
 pub use self::config::{SplitJoinConfig, DEFAULT_HOT_KEY_FACTOR, DEFAULT_HOT_MIN_SAMPLE};
-pub use self::outcome::{JoinOutcome, PartitionStats, RingStats};
 
 use self::lanes::Msg;
 use self::live::{LiveRouter, LiveWorker};
@@ -165,6 +163,7 @@ use self::router::{PartRouter, Router, SKETCH_CAPACITY};
 use self::worker::{worker_loop, WorkerExit};
 use crate::config::Partitioning;
 use crate::fault::FaultReport;
+use crate::outcome::{key, JoinOutcome, PartitionStats, RingStats};
 use crate::streamjoin::StreamJoin;
 use crate::supervise::{join_cores, outcome, take_outboxes, WorkerCell};
 
@@ -438,6 +437,7 @@ impl StreamJoin for SplitJoin {
             partition_stats,
             kernel_stats: Some(kernel_stats),
             ..outcome(
+                key::SPLITJOIN,
                 &router.cells,
                 self.collecting,
                 worker_stats,

@@ -12,8 +12,8 @@ use streamcore::{FreqSketch, PartitionMap, StreamTag, Tuple};
 
 use super::lanes::{Msg, PartEntry};
 use super::live::LiveRouter;
-use super::outcome::RingStats;
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
+use crate::outcome::RingStats;
 use crate::supervise::{
     supervised_push, wait_until, Idle, SendStatus, SendSupervisor, WorkerCell, SATURATION_DEADLINE,
 };

@@ -449,7 +449,6 @@ fn kernel_stats_surface_in_the_published_values() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn tracing_records_worker_spans_without_changing_results() {
     let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
         .generate()
@@ -907,7 +906,6 @@ fn partitioned_outcome_publishes_partition_counters() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() {
     // The arming flag and the live registry are process-global and this
     // is the one test of the binary that arms, so its two phases run in

@@ -43,7 +43,7 @@ use accel_error::JoinError;
 use streamcore::{MatchPair, StreamTag, Tuple};
 
 use crate::config::JoinParams;
-use crate::splitjoin::JoinOutcome;
+use crate::outcome::JoinOutcome;
 
 /// A running software stream join, generically.
 ///

@@ -17,7 +17,7 @@ use streamcore::ring::{PushError, RingProducer};
 use streamcore::MatchPair;
 
 use crate::fault::{FaultPlan, FaultReport};
-use crate::splitjoin::JoinOutcome;
+use crate::outcome::JoinOutcome;
 
 /// First supervised-send timeout; doubles per retry up to
 /// [`BACKOFF_CAP_MS`].
@@ -258,6 +258,7 @@ pub(crate) fn take_outboxes(cells: &[Arc<WorkerCell>]) -> Vec<MatchPair> {
 /// folds the per-core match counters instead. SplitJoin's telemetry
 /// fields are left `None`.
 pub(crate) fn outcome(
+    engine: &'static str,
     cells: &[Arc<WorkerCell>],
     collecting: bool,
     worker_stats: Vec<WorkerStats>,
@@ -279,6 +280,7 @@ pub(crate) fn outcome(
         worker_stats.iter().map(|w| w.matches).sum()
     };
     JoinOutcome {
+        engine,
         results: take_outboxes(cells),
         result_count,
         worker_stats,

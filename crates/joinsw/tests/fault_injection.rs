@@ -9,7 +9,8 @@
 use joinsw::baseline::reference_join;
 use joinsw::fault::{FaultEvent, FaultPlan};
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
-use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::JoinOutcome;
 use joinsw::{JoinError, JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use streamcore::{JoinPredicate, StreamTag, Tuple};

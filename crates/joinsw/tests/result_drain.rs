@@ -15,7 +15,8 @@ use joinsw::baseline::reference_join;
 use joinsw::config::Partitioning;
 use joinsw::fault::{FaultEvent, FaultPlan};
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
-use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::JoinOutcome;
 use joinsw::{JoinError, JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;

@@ -1,7 +1,8 @@
 //! Property-based tests of the software joins.
 
 use joinsw::baseline::reference_join;
-use joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use joinsw::JoinOutcome;
 use joinsw::{JoinParams, StreamJoin, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -7,11 +7,8 @@
 //! ([`Counter::new`]) or asks a [`Registry`] for a named one; reading
 //! every named cell at once gives a [`Values`] map.
 
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex};
 
 use crate::values::{Snapshot, Values};
@@ -24,21 +21,15 @@ use crate::values::{Snapshot, Values};
 /// ([`Gauge`] included), and what lets an engine hand one handle to its
 /// worker thread and another to a [`Registry`].
 ///
-/// With the `enabled` feature off the type is zero-sized,
-/// [`Counter::incr`] / [`Counter::add`] compile to nothing and
-/// [`Counter::get`] returns 0.
-///
 /// ```
 /// let stalls = obs::Counter::new();
 /// let seen_elsewhere = stalls.clone();
 /// stalls.incr();
 /// stalls.add(2);
-/// #[cfg(feature = "enabled")]
 /// assert_eq!(seen_elsewhere.get(), 3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     cell: Arc<AtomicU64>,
 }
 
@@ -59,44 +50,31 @@ impl Counter {
     /// Increments by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.cell.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
-    /// Current value (0 when the `enabled` feature is off).
+    /// Current value.
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A last-value gauge (a high-water mark, a queue depth, a knob).
 ///
 /// Same cost model and sharing contract as [`Counter`]: relaxed atomic
-/// stores, `Clone` shares the cell, zero-sized no-op without the
-/// `enabled` feature.
+/// stores, `Clone` shares the cell.
 ///
 /// ```
 /// let depth = obs::Gauge::new();
 /// depth.set(7);
 /// depth.max(3); // keeps 7
 /// depth.max(9); // takes 9
-/// #[cfg(feature = "enabled")]
 /// assert_eq!(depth.get(), 9);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     cell: Arc<AtomicU64>,
 }
 
@@ -111,33 +89,20 @@ impl Gauge {
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, v: u64) {
-        #[cfg(feature = "enabled")]
         self.cell.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Raises the value to `v` if `v` is larger (high-water mark).
     #[inline]
     pub fn max(&self, v: u64) {
-        #[cfg(feature = "enabled")]
         self.cell.fetch_max(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
-    /// Current value (0 when the `enabled` feature is off).
+    /// Current value.
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -152,7 +117,6 @@ pub enum MetricKind {
     Gauge,
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 enum Slot {
     Counter(Counter),
@@ -172,20 +136,15 @@ enum Slot {
 /// detached handle instead of panicking — telemetry must never take an
 /// engine down.
 ///
-/// With the `enabled` feature off the registry stores nothing and its
-/// snapshots are empty.
-///
 /// ```
 /// let reg = obs::Registry::new();
 /// let tuples = reg.counter("splitjoin.tuples");
 /// reg.gauge("splitjoin.ring.occupancy").set(3);
 /// tuples.add(256);
-/// #[cfg(feature = "enabled")]
 /// assert_eq!(reg.values().get("splitjoin.tuples"), Some(256));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    #[cfg(feature = "enabled")]
     inner: Arc<Mutex<BTreeMap<String, Slot>>>,
 }
 
@@ -200,21 +159,13 @@ impl Registry {
     /// on first use.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        #[cfg(feature = "enabled")]
+        let mut map = self.inner.lock().expect("registry poisoned");
+        match map
+            .entry(name.to_string())
+            .or_insert_with(|| Slot::Counter(Counter::new()))
         {
-            let mut map = self.inner.lock().expect("registry poisoned");
-            match map
-                .entry(name.to_string())
-                .or_insert_with(|| Slot::Counter(Counter::new()))
-            {
-                Slot::Counter(c) => c.clone(),
-                Slot::Gauge(_) => Counter::new(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Counter::new()
+            Slot::Counter(c) => c.clone(),
+            Slot::Gauge(_) => Counter::new(),
         }
     }
 
@@ -222,46 +173,33 @@ impl Registry {
     /// first use.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
-        #[cfg(feature = "enabled")]
+        let mut map = self.inner.lock().expect("registry poisoned");
+        match map
+            .entry(name.to_string())
+            .or_insert_with(|| Slot::Gauge(Gauge::new()))
         {
-            let mut map = self.inner.lock().expect("registry poisoned");
-            match map
-                .entry(name.to_string())
-                .or_insert_with(|| Slot::Gauge(Gauge::new()))
-            {
-                Slot::Gauge(g) => g.clone(),
-                Slot::Counter(_) => Gauge::new(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Gauge::new()
+            Slot::Gauge(g) => g.clone(),
+            Slot::Counter(_) => Gauge::new(),
         }
     }
 
     /// Unregisters every entry whose name starts with `prefix`, so a
     /// registry whose owners come and go (standing queries) does not
-    /// grow forever. Handles already handed out keep working, detached.
-    /// The match is textual: pass the trailing separator
-    /// (`"query.q1."`, not `"query.q1"`, which would also take
+    /// grow forever. Handles already handed out keep working, detached,
+    /// and keep their values. The match is textual: pass the trailing
+    /// separator (`"query.q1."`, not `"query.q1"`, which would also take
     /// `query.q10.*`).
     pub fn remove_prefix(&self, prefix: &str) {
-        #[cfg(feature = "enabled")]
-        {
-            use std::ops::Bound;
-            let mut map = self.inner.lock().expect("registry poisoned");
-            let doomed: Vec<String> = map
-                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-                .take_while(|(name, _)| name.starts_with(prefix))
-                .map(|(name, _)| name.clone())
-                .collect();
-            for name in doomed {
-                map.remove(&name);
-            }
+        use std::ops::Bound;
+        let mut map = self.inner.lock().expect("registry poisoned");
+        let doomed: Vec<String> = map
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(name, _)| name.starts_with(prefix))
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in doomed {
+            map.remove(&name);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = prefix;
     }
 
     /// Every entry as `(name, value, kind)`, in name order. One call is
@@ -270,20 +208,13 @@ impl Registry {
     /// rate estimation needs.
     #[must_use]
     pub fn entries(&self) -> Vec<(String, u64, MetricKind)> {
-        #[cfg(feature = "enabled")]
-        {
-            let map = self.inner.lock().expect("registry poisoned");
-            map.iter()
-                .map(|(name, slot)| match slot {
-                    Slot::Counter(c) => (name.clone(), c.get(), MetricKind::Counter),
-                    Slot::Gauge(g) => (name.clone(), g.get(), MetricKind::Gauge),
-                })
-                .collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Vec::new()
-        }
+        let map = self.inner.lock().expect("registry poisoned");
+        map.iter()
+            .map(|(name, slot)| match slot {
+                Slot::Counter(c) => (name.clone(), c.get(), MetricKind::Counter),
+                Slot::Gauge(g) => (name.clone(), g.get(), MetricKind::Gauge),
+            })
+            .collect()
     }
 
     /// The current value of every entry, frozen.
@@ -304,17 +235,10 @@ impl Registry {
         }
     }
 
-    /// Number of registered cells (0 when the feature is off).
+    /// Number of registered cells.
     #[must_use]
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.lock().expect("registry poisoned").len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.inner.lock().expect("registry poisoned").len()
     }
 
     /// True when no cells are registered.
@@ -329,7 +253,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn clone_shares_the_cell() {
         let c = Counter::new();
         let d = c.clone();
@@ -347,7 +270,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn registry_reuses_handles_by_name() {
         let reg = Registry::new();
         let a = reg.counter("x.n");
@@ -367,7 +289,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn kind_mismatch_returns_a_detached_handle() {
         let reg = Registry::new();
         let _ = reg.counter("m");
@@ -377,35 +298,22 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn remove_prefix_unregisters_exactly_the_prefixed_entries() {
         let reg = Registry::new();
         let rows = reg.counter("query.q1.rows");
         let _ = reg.counter("query.q1.matches_in");
         let _ = reg.counter("query.q10.rows");
         let _ = reg.gauge("group.g.depth");
+        rows.add(2);
         reg.remove_prefix("query.q1.");
         let names: Vec<_> = reg.entries().into_iter().map(|(name, _, _)| name).collect();
         assert_eq!(names, ["group.g.depth", "query.q10.rows"]);
-        // The detached handle still counts; a re-registration starts over.
+        // The detached handle keeps its value and still counts; a
+        // re-registration starts over.
         rows.add(3);
-        assert_eq!(rows.get(), 3);
+        assert_eq!(rows.get(), 5);
         assert_eq!(reg.counter("query.q1.rows").get(), 0);
         reg.remove_prefix("nothing.");
         assert_eq!(reg.len(), 3);
-    }
-
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_plane_is_zero_sized_and_empty() {
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Gauge>(), 0);
-        let reg = Registry::new();
-        let c = reg.counter("x");
-        c.add(9);
-        assert_eq!(c.get(), 0);
-        assert!(reg.snapshot().values.is_empty());
-        crate::live::set_active(true);
-        assert!(!crate::live::active());
     }
 }

@@ -7,9 +7,7 @@
 //!
 //! 1. **[`Counter`] / [`Gauge`]** — relaxed shared-atomic `u64` cells.
 //!    `Clone` shares the cell, so the thread that updates one and the
-//!    thread that reads it hold the same value. With the `enabled` Cargo
-//!    feature off (build the stack with `--no-default-features`) the
-//!    types are zero-sized and every operation compiles to nothing.
+//!    thread that reads it hold the same value.
 //! 2. **[`Registry`]** — the named store of cells
 //!    (`"splitjoin.worker.0.matches"` → cell). [`live::global`] is the
 //!    process-wide instance the engines register into when
@@ -44,8 +42,9 @@
 //! as Prometheus-style text over std TCP.
 //!
 //! Instrumentation must never change behaviour: cells carry no
-//! control-flow, and the simulation's golden cycle-count pins are tested
-//! with the feature both on and off.
+//! control-flow, and the simulation's golden cycle-count pins hold with
+//! tracing switched on at run time
+//! (`golden_cycles_are_identical_with_tracing_on`).
 //!
 //! # Example
 //!
@@ -69,7 +68,6 @@
 //! manifest.histogram("service_cycles", service);
 //! let parsed = RunManifest::from_json(&manifest.to_json()).unwrap();
 //! assert_eq!(parsed, manifest);
-//! #[cfg(feature = "enabled")]
 //! assert_eq!(parsed.counters().get("join.worker.0.matches"), Some(3));
 //! ```
 

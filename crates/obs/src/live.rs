@@ -30,17 +30,14 @@
 //! tuples.add(256);
 //! let report = sampler.stop();
 //! // Always at least the final snapshot.
-//! #[cfg(feature = "enabled")]
 //! assert_eq!(report.snapshots.last().unwrap().values.get("splitjoin.tuples"), Some(512));
 //! ```
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
-
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::series::SeriesWriter;
 use crate::{Registry, Snapshot};
@@ -57,33 +54,20 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-#[cfg(feature = "enabled")]
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// Arms (or disarms) the global live plane. Hot layers consult
 /// [`active()`] once per engine spawn / batch, so flipping this before
 /// spawning is what makes live gauges appear.
 pub fn set_active(on: bool) {
-    #[cfg(feature = "enabled")]
     ACTIVE.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
-/// True when a live run was requested via [`set_active`]. Constant
-/// `false` with the `enabled` feature off, so guarded instrumentation
-/// compiles away entirely.
+/// True when a live run was requested via [`set_active`].
 #[inline]
 #[must_use]
 pub fn active() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        ACTIVE.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ACTIVE.load(Ordering::Relaxed)
 }
 
 /// [`Sampler`] tuning.
@@ -246,12 +230,6 @@ impl Sampler {
             series_error: state.series_error.clone(),
         }
     }
-
-    /// Takes an immediate out-of-schedule snapshot (the same ring/series
-    /// path as a timer tick), e.g. at a phase boundary worth marking.
-    pub fn sample_now(&self) {
-        record_tick(&self.state, self.reg.snapshot(), self.capacity);
-    }
 }
 
 impl Drop for Sampler {
@@ -297,12 +275,10 @@ mod tests {
         while sampler.ticks() < 6 {
             std::thread::yield_now();
         }
-        sampler.sample_now();
         let report = sampler.stop();
         assert!(report.ticks >= 6);
         assert!(report.snapshots.len() <= 4, "ring stays bounded");
         assert!(report.series_path.is_none());
-        #[cfg(feature = "enabled")]
         assert_eq!(
             report.snapshots.last().unwrap().values.get("t.events"),
             Some(10)

@@ -52,24 +52,14 @@ impl RunManifest {
     /// Creates a manifest for run `name` with the current git revision
     /// (see [`git_rev`]) and a thread count of 1.
     ///
-    /// The config block is pre-seeded so artifacts are self-describing:
-    /// `obs_feature` records whether instrumentation was compiled in,
-    /// and `ACCEL_OBS_DIR`, the one environment variable the workspace
-    /// reads, is recorded as `env.ACCEL_OBS_DIR` when set.
+    /// `ACCEL_OBS_DIR`, the one environment variable the workspace
+    /// reads, is pre-seeded into the config block as `env.ACCEL_OBS_DIR`
+    /// when set, so artifacts say where they were written.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        let mut config = vec![(
-            "obs_feature".to_string(),
-            if cfg!(feature = "enabled") {
-                "on"
-            } else {
-                "off"
-            }
-            .to_string(),
-        )];
-        if let Ok(dir) = std::env::var("ACCEL_OBS_DIR") {
-            config.push(("env.ACCEL_OBS_DIR".to_string(), dir));
-        }
+        let config = std::env::var("ACCEL_OBS_DIR")
+            .map(|dir| vec![("env.ACCEL_OBS_DIR".to_string(), dir)])
+            .unwrap_or_default();
         Self {
             name: name.into(),
             git_rev: git_rev().to_string(),
@@ -424,17 +414,12 @@ mod tests {
     }
 
     #[test]
-    fn new_manifests_record_the_feature_state() {
+    fn new_manifests_seed_only_the_environment() {
         let m = RunManifest::new("x");
-        let expected = if cfg!(feature = "enabled") {
-            "on"
-        } else {
-            "off"
-        };
-        assert_eq!(
-            m.config_entries().first(),
-            Some(&("obs_feature".to_string(), expected.to_string()))
-        );
+        assert!(m
+            .config_entries()
+            .iter()
+            .all(|(key, _)| key == "env.ACCEL_OBS_DIR"));
         // Every pre-seeded entry survives the JSON round trip.
         assert_eq!(RunManifest::from_json(&m.to_json()).unwrap(), m);
     }

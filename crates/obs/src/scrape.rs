@@ -18,7 +18,6 @@
 //! reg.counter("demo.events").add(3);
 //! let server = scrape::serve(reg, 0).unwrap();
 //! let body = scrape::scrape_once(&server.addr().to_string()).unwrap();
-//! #[cfg(feature = "enabled")]
 //! assert!(body.contains("demo_events 3"));
 //! server.stop();
 //! ```
@@ -214,24 +213,15 @@ mod tests {
         let addr = server.addr().to_string();
 
         let body = scrape_once(&addr).unwrap();
-        #[cfg(feature = "enabled")]
-        {
-            assert!(body.contains("# TYPE unit_events counter"), "{body}");
-            assert!(body.contains("unit_events 41"), "{body}");
-            assert!(body.contains("# TYPE unit_depth gauge"), "{body}");
-            assert!(body.contains("unit_depth 7"), "{body}");
-        }
-        #[cfg(not(feature = "enabled"))]
-        assert!(body.is_empty(), "{body}");
+        assert!(body.contains("# TYPE unit_events counter"), "{body}");
+        assert!(body.contains("unit_events 41"), "{body}");
+        assert!(body.contains("# TYPE unit_depth gauge"), "{body}");
+        assert!(body.contains("unit_depth 7"), "{body}");
 
         // Scrapes see live updates — one scrape, one fresh snapshot.
         events.incr();
         let body = scrape_once(&addr).unwrap();
-        assert_eq!(
-            body.contains("unit_events 42"),
-            cfg!(feature = "enabled"),
-            "{body}"
-        );
+        assert!(body.contains("unit_events 42"), "{body}");
 
         assert!(server.scrapes() >= 2);
         server.stop();

@@ -20,10 +20,8 @@
 //! Rings are *flight recorders*: when full they overwrite the oldest
 //! span and count the overwrite in [`TraceRing::dropped`], so the hot
 //! path never allocates after construction and never blocks. Tracing is
-//! globally off until a harness calls [`enable`]; with the crate's
-//! `enabled` Cargo feature off, [`enabled`] is a `const false` and no
-//! ring is ever constructed — the golden cycle-count pins hold with
-//! tracing on, off, and compiled out.
+//! globally off until a harness calls [`enable`], and the golden
+//! cycle-count pins hold with tracing on and off.
 //!
 //! # Example
 //!
@@ -43,6 +41,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -91,11 +90,10 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// Creates a ring named `track` using the process-global default
-    /// capacity (see [`ring_capacity`]).
+    /// Creates a ring named `track` holding the last 512 spans.
     #[must_use]
     pub fn new(track: impl Into<String>, domain: TimeDomain) -> Self {
-        Self::with_capacity(track, domain, ring_capacity())
+        Self::with_capacity(track, domain, DEFAULT_RING_CAPACITY)
     }
 
     /// Creates a ring holding at most `capacity` spans (clamped to ≥ 1).
@@ -174,88 +172,37 @@ impl TraceRing {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod runtime {
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(64);
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(64);
-    static RING_CAPACITY: AtomicUsize = AtomicUsize::new(512);
+/// Spans a ring built by [`TraceRing::new`] holds.
+const DEFAULT_RING_CAPACITY: usize = 512;
 
-    /// Turns tracing on process-wide and sets the provenance sampling
-    /// period (1-in-`sample_every` tuples; clamped to ≥ 1). Components
-    /// constructed while tracing is on allocate their rings; components
-    /// constructed while it is off carry `None` and stay span-free.
-    pub fn enable(sample_every: u64) {
-        SAMPLE_EVERY.store(sample_every.max(1), Ordering::Relaxed);
-        ENABLED.store(true, Ordering::Relaxed);
-    }
-
-    /// Turns tracing off process-wide (existing rings keep their spans).
-    pub fn disable() {
-        ENABLED.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether tracing is currently on.
-    #[must_use]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// The provenance sampling period set by [`enable`].
-    #[must_use]
-    pub fn sample_every() -> u64 {
-        SAMPLE_EVERY.load(Ordering::Relaxed)
-    }
-
-    /// Overrides the default per-ring capacity used by
-    /// [`TraceRing::new`](super::TraceRing::new) (clamped to ≥ 1).
-    pub fn set_ring_capacity(capacity: usize) {
-        RING_CAPACITY.store(capacity.max(1), Ordering::Relaxed);
-    }
-
-    /// The default per-ring capacity.
-    #[must_use]
-    pub fn ring_capacity() -> usize {
-        RING_CAPACITY.load(Ordering::Relaxed)
-    }
+/// Turns tracing on process-wide and sets the provenance sampling
+/// period (1-in-`sample_every` tuples; clamped to ≥ 1). Components
+/// constructed while tracing is on allocate their rings; components
+/// constructed while it is off carry `None` and stay span-free.
+pub fn enable(sample_every: u64) {
+    SAMPLE_EVERY.store(sample_every.max(1), Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
-#[cfg(not(feature = "enabled"))]
-mod runtime {
-    //! With the `enabled` feature off, tracing can never be turned on:
-    //! [`enabled`] is `const false`, so every hook site's
-    //! `trace::enabled().then(...)` collapses and no ring is built.
-
-    /// No-op (the `enabled` Cargo feature is off).
-    pub fn enable(_sample_every: u64) {}
-
-    /// No-op (the `enabled` Cargo feature is off).
-    pub fn disable() {}
-
-    /// Always `false` (the `enabled` Cargo feature is off).
-    #[must_use]
-    pub const fn enabled() -> bool {
-        false
-    }
-
-    /// The default sampling period (tracing can never be enabled).
-    #[must_use]
-    pub fn sample_every() -> u64 {
-        64
-    }
-
-    /// No-op (the `enabled` Cargo feature is off).
-    pub fn set_ring_capacity(_capacity: usize) {}
-
-    /// The default per-ring capacity.
-    #[must_use]
-    pub fn ring_capacity() -> usize {
-        512
-    }
+/// Turns tracing off process-wide (existing rings keep their spans).
+pub fn disable() {
+    ENABLED.store(false, Ordering::Relaxed);
 }
 
-pub use runtime::{disable, enable, enabled, ring_capacity, sample_every, set_ring_capacity};
+/// Whether tracing is currently on.
+#[must_use]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// The provenance sampling period set by [`enable`].
+#[must_use]
+pub fn sample_every() -> u64 {
+    SAMPLE_EVERY.load(Ordering::Relaxed)
+}
 
 /// Wall-clock nanoseconds since the first call in this process.
 ///
@@ -677,7 +624,6 @@ mod tests {
         assert!(b >= a);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn runtime_toggles_enable_state() {
         // Other tests share the process-global state; restore it.
@@ -686,9 +632,6 @@ mod tests {
         assert_eq!(sample_every(), 7);
         disable();
         assert!(!enabled());
-        set_ring_capacity(9);
-        assert_eq!(ring_capacity(), 9);
-        set_ring_capacity(512);
         enable(0); // clamps to 1
         assert_eq!(sample_every(), 1);
         disable();

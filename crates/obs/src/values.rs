@@ -16,10 +16,6 @@ use crate::json::Json;
 
 /// A name-sorted map of `u64` readings.
 ///
-/// Not feature-gated: with observability compiled out a registry
-/// freezes to an empty map, but counts an engine keeps for its own
-/// accounting still publish through it.
-///
 /// ```
 /// let mut values = obs::Values::new();
 /// values.record("join.stalls", 3);

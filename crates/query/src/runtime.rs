@@ -76,10 +76,12 @@
 //! `group.<key>.arrivals` / `group.<key>.drained` into the runtime's
 //! [`Registry`](obs::Registry) (see
 //! [`QueryRuntime::live`]), and [`QueryRuntime::finish`] emits one
-//! [`RunManifest`](obs::RunManifest) per query. The `query.*` cells
-//! advance once per block, so a sampler sees them step at each `poll`;
-//! `cancel` unregisters them, while `group.*` cells outlive their group
-//! as its final totals.
+//! [`RunManifest`](obs::RunManifest) per query. A query holds its three
+//! cells from admission on, and its report and manifest read them. The
+//! `query.*` cells advance once per block, so a sampler sees them step
+//! at each `poll`; `cancel` unregisters them (the report still reads the
+//! detached handles), while `group.*` cells outlive their group as its
+//! final totals.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -428,14 +430,12 @@ struct Standing {
     /// Slot of the engine group a joined query is a member of.
     group: Option<usize>,
     rows: Vec<Vec<u64>>,
-    /// Records fanned in (plain count — authoritative for reports even
-    /// when the `obs` feature compiles the live counters to no-ops).
-    seen: u64,
-    /// Rows emitted (plain count, same reasoning).
-    emitted: u64,
+    /// Records fanned in (`query.<id>.matches_in`).
     matches_in: obs::Counter,
+    /// Rows emitted (`query.<id>.rows`).
     rows_out: obs::Counter,
-    replans: u64,
+    /// Re-plans lived through (`query.<id>.replans`).
+    replans: obs::Counter,
 }
 
 /// `query.<id>.<what>`: a query's key in the live registry and in its
@@ -451,11 +451,9 @@ impl Standing {
             compiled,
             group,
             rows: Vec::new(),
-            seen: 0,
-            emitted: 0,
             matches_in: live.counter(&query_key(id, "matches_in")),
             rows_out: live.counter(&query_key(id, "rows")),
-            replans: 0,
+            replans: live.counter(&query_key(id, "replans")),
         }
     }
 
@@ -522,11 +520,8 @@ impl Standing {
             // An idle `poll`: leave the shared cells alone.
             return;
         }
-        let emitted = (self.rows.len() - before) as u64;
-        self.seen += seen;
-        self.emitted += emitted;
         self.matches_in.add(seen);
-        self.rows_out.add(emitted);
+        self.rows_out.add((self.rows.len() - before) as u64);
     }
 }
 
@@ -931,8 +926,7 @@ impl QueryRuntime {
         for &member in &group.members {
             if let Some(q) = self.queries.get_mut(member) {
                 q.compiled.engine = target;
-                q.replans += 1;
-                self.live.counter(&query_key(&q.id, "replans")).incr();
+                q.replans.incr();
             }
         }
 
@@ -1036,15 +1030,17 @@ impl QueryRuntime {
         if let Some(key) = q.compiled.group() {
             manifest.config("group", key);
         }
-        manifest.counter(query_key(&id, "matches_in"), q.seen);
-        manifest.counter(query_key(&id, "rows"), q.emitted);
-        manifest.counter(query_key(&id, "replans"), q.replans);
+        let (matches_in, rows_emitted, replans) =
+            (q.matches_in.get(), q.rows_out.get(), q.replans.get());
+        manifest.counter(query_key(&id, "matches_in"), matches_in);
+        manifest.counter(query_key(&id, "rows"), rows_emitted);
+        manifest.counter(query_key(&id, "replans"), replans);
         QueryReport {
             engine,
             group: q.compiled.group().cloned(),
-            matches_in: q.seen,
-            rows_emitted: q.emitted,
-            replans: q.replans,
+            matches_in,
+            rows_emitted,
+            replans,
             rows: q.rows,
             manifest,
             id,
@@ -1263,10 +1259,6 @@ mod tests {
         assert!(rt.finish().unwrap().is_empty());
     }
 
-    // Snapshot assertions need real live cells; without the `obs`
-    // feature every counter is a compiled-out no-op (report fields and
-    // manifests still carry the plain counts — see `Standing`).
-    #[cfg(feature = "obs")]
     #[test]
     fn live_counters_and_manifests_are_tagged_per_query() {
         let mut rt = runtime(2);
@@ -1301,15 +1293,10 @@ mod tests {
         assert!(json.contains("trades"), "{json}");
     }
 
-    // Registry sizes need real live cells, like the snapshot test above.
-    #[cfg(feature = "obs")]
     #[test]
     fn cancel_unregisters_the_querys_live_cells() {
         let mut rt = runtime(2);
         rt.admit("keeper", &joined()).unwrap();
-        // A re-plan registers the members' `.replans` cells: have the
-        // keeper's in place before counting.
-        rt.replan("keeper", Objective::MaxThroughput).unwrap();
         let start = rt.live().len();
         for i in 0..1_000 {
             let id = format!("q{i}");
@@ -1335,6 +1322,57 @@ mod tests {
                 "group.trades_quotes_w16.arrivals",
                 "group.trades_quotes_w16.drained"
             ]
+        );
+    }
+
+    #[test]
+    fn cancel_reports_the_per_record_counts_and_a_readmit_starts_from_zero() {
+        /// `(matches, rows)` of `joined().filter(qty > 100)` by the
+        /// reference join, one record at a time.
+        fn reference(inputs: &[(StreamTag, Tuple)]) -> (u64, u64) {
+            let matches = reference_join(inputs, 16, JoinPredicate::Equi);
+            let rows = matches.iter().filter(|m| m.r.payload() > 100).count();
+            (matches.len() as u64, rows as u64)
+        }
+        let counts = |report: &QueryReport| {
+            let counters = report.manifest.counters();
+            (
+                (report.matches_in, report.rows_emitted),
+                (
+                    counters.get("query.q.matches_in"),
+                    counters.get("query.q.rows"),
+                    counters.get("query.q.replans"),
+                ),
+            )
+        };
+        let plan = joined().filter("qty", CmpOp::Gt, 100);
+        let mut rt = runtime(2);
+
+        rt.admit("q", &plan).unwrap();
+        let inputs = workload(300, 12);
+        let (head, tail) = inputs.split_at(120);
+        feed(&mut rt, head);
+        rt.poll().unwrap();
+        feed(&mut rt, tail);
+        let (matches, rows) = reference(&inputs);
+        assert!(matches > 0 && rows > 0, "workload produced no rows");
+        let report = rt.cancel("q").unwrap();
+        assert_eq!(
+            counts(&report),
+            ((matches, rows), (Some(matches), Some(rows), Some(0)))
+        );
+
+        // The same id again: fresh cells, and a fresh group (the cancel
+        // reaped the old one), so the counts cover the new arrivals only.
+        rt.admit("q", &plan).unwrap();
+        assert_eq!(rt.live().values().get("query.q.matches_in"), Some(0));
+        let again = workload(100, 12);
+        feed(&mut rt, &again);
+        let (matches, rows) = reference(&again);
+        let report = rt.cancel("q").unwrap();
+        assert_eq!(
+            counts(&report),
+            ((matches, rows), (Some(matches), Some(rows), Some(0)))
         );
     }
 
@@ -1571,9 +1609,10 @@ mod tests {
                 got.append(&mut q.rows);
             }
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!((q.seen, q.emitted), (matches.len() as u64, want.len() as u64));
-            #[cfg(feature = "obs")]
-            prop_assert_eq!((q.matches_in.get(), q.rows_out.get()), (q.seen, q.emitted));
+            prop_assert_eq!(
+                (q.matches_in.get(), q.rows_out.get()),
+                (matches.len() as u64, want.len() as u64)
+            );
         }
 
         /// The same for single-stream queries, whose blocks are arrivals.
@@ -1608,7 +1647,10 @@ mod tests {
             q.absorb(Block::Arrivals(tail));
             got.append(&mut q.rows);
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!((q.seen, q.emitted), (tuples.len() as u64, want.len() as u64));
+            prop_assert_eq!(
+                (q.matches_in.get(), q.rows_out.get()),
+                (tuples.len() as u64, want.len() as u64)
+            );
         }
     }
 }

@@ -110,13 +110,6 @@ impl LatencyRecorder {
         self.sorted = false;
     }
 
-    /// Records a latency expressed in clock cycles at `mhz`.
-    pub fn record_cycles(&mut self, cycles: u64, mhz: f64) {
-        assert!(mhz > 0.0, "clock frequency must be positive");
-        let ns = cycles as f64 * 1_000.0 / mhz;
-        self.record(Duration::from_nanos(ns as u64));
-    }
-
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
         self.samples_ns.len()
@@ -299,13 +292,6 @@ mod tests {
         assert_eq!(rec.max(), None);
         assert_eq!(rec.percentile(50.0), None);
         assert_eq!(rec.summary(), None);
-    }
-
-    #[test]
-    fn record_cycles_converts_via_clock() {
-        let mut rec = LatencyRecorder::new();
-        rec.record_cycles(300, 300.0); // 300 cycles at 300 MHz = 1 us
-        assert_eq!(rec.max().unwrap(), Duration::from_micros(1));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   blocks, parametrized topologies, query assignment, and the
 //!   acceleration-landscape taxonomy of the paper's Section II;
 //! * [`obs`] — the observability layer: counters, log2 latency
-//!   histograms, registries, and JSON run manifests. Feature-gated: the
-//!   workspace's default `obs` feature enables collection; building with
-//!   `--no-default-features` compiles every counter to a no-op.
+//!   histograms, registries, and JSON run manifests, compiled into every
+//!   crate; `--trace` and `--live` switch spans and live telemetry on at
+//!   run time.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and the
 //! per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured results

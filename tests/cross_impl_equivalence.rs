@@ -30,7 +30,8 @@ use accel_landscape::joinhw::{DesignParams, FlowModel, JoinOperator, NetworkKind
 use accel_landscape::joinsw::baseline::reference_join;
 use accel_landscape::joinsw::config::Partitioning;
 use accel_landscape::joinsw::handshake::{HandshakeConfig, HandshakeJoin};
-use accel_landscape::joinsw::splitjoin::{JoinOutcome, SplitJoin, SplitJoinConfig};
+use accel_landscape::joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use accel_landscape::joinsw::JoinOutcome;
 use accel_landscape::joinsw::{FaultEvent, FaultPlan, JoinParams, StreamJoin};
 use accel_landscape::streamcore::{JoinPredicate, MatchPair, StreamTag, Tuple};
 use proptest::prelude::*;

@@ -67,9 +67,7 @@ fn golden_cycles_are_identical_with_tracing_on() {
     // Span tracing and provenance sampling must be behavior-neutral:
     // re-run a pin from each golden table with tracing at its most
     // intrusive setting (every tuple sampled) and demand the exact
-    // cycle counts. Under --no-default-features `enable` is a no-op
-    // and this degenerates to a plain golden re-run — which is the
-    // point: the pins hold in every build configuration.
+    // cycle counts: the pins hold with tracing on and off.
     use accel_landscape::obs::trace;
     trace::enable(1);
 

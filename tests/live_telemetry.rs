@@ -3,12 +3,6 @@
 //! scrape of every `splitjoin.*` live gauge — and leaves behind a
 //! parseable `*.series.jsonl` time-series artifact with health-derivable
 //! samples.
-//!
-//! Only built with the `obs` feature: without it the plane compiles to
-//! no-ops by design (`obs::live::active()` is `const false`), which
-//! `tests/golden_regression.rs` covers in the `--no-default-features` CI
-//! leg.
-#![cfg(feature = "obs")]
 
 use std::time::Duration;
 

@@ -6,7 +6,6 @@
 //!
 //! One test function: the arming flag and the registry are
 //! process-global, and the phases below clear and re-read them in turn.
-#![cfg(feature = "obs")]
 
 use std::collections::BTreeMap;
 
@@ -14,6 +13,7 @@ use accel_landscape::hwsim::{Control, Engine, ParSimulator};
 use accel_landscape::joinhw::harness::{build, prefill_steady_state};
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
 use joinsw::fault::FaultPlan;
+use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::{JoinParams, Partitioning, StreamJoin};
 use streamcore::workload::{KeyDist, WorkloadSpec};
@@ -43,17 +43,21 @@ fn assert_same_name_same_number(published: &obs::Values, live: &obs::Values, mus
     }
 }
 
-/// Runs `config` armed over a skewed stream (prefilled, so keyed
-/// dispatch routes both ways) from a registry cleared of earlier
-/// phases; returns what the engine published and the registry's final
-/// reading.
+/// A skewed stream, so keyed dispatch splits a hot key.
+fn skewed() -> Vec<(StreamTag, streamcore::Tuple)> {
+    WorkloadSpec::new(3_000, KeyDist::Zipf { domain: 32, s: 1.2 })
+        .generate()
+        .collect()
+}
+
+/// Runs `config` armed over [`skewed`] (prefilled, so keyed dispatch
+/// routes both ways) from a registry cleared of earlier phases; returns
+/// what the engine published and the registry's final reading.
 fn armed_splitjoin(config: SplitJoinConfig) -> (obs::Values, obs::Values) {
     let reg = obs::live::global();
     reg.remove_prefix("splitjoin.");
     reg.remove_prefix("fault.");
-    let inputs: Vec<_> = WorkloadSpec::new(3_000, KeyDist::Zipf { domain: 32, s: 1.2 })
-        .generate()
-        .collect();
+    let inputs = skewed();
     let join = SplitJoin::spawn(config);
     let seed: Vec<_> = inputs[..64].iter().map(|&(_, t)| t).collect();
     join.prefill(StreamTag::R, &seed).unwrap();
@@ -108,6 +112,27 @@ fn same_name_means_same_number_at_shutdown() {
         &live,
         &["fault.workers_lost", "fault.orphaned_tuples"],
     );
+
+    // The handshake chain publishes under its own namespace, and its
+    // wave groups are `handshake.batches` both live and at shutdown.
+    let reg = obs::live::global();
+    reg.remove_prefix("handshake.");
+    let chain = HandshakeJoin::spawn(HandshakeConfig::new(2, 64).with_batch_size(16));
+    for (tag, t) in skewed() {
+        chain.process(tag, t).unwrap();
+    }
+    chain.flush().unwrap();
+    let outcome = chain.shutdown().unwrap();
+    assert!(outcome.result_count > 0);
+    let published = outcome.values();
+    let foreign: Vec<_> = published
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("splitjoin."))
+        .collect();
+    assert!(foreign.is_empty(), "the chain published {foreign:?}");
+    assert!(published.get("handshake.worker.1.matches").is_some());
+    assert_same_name_same_number(&published, &reg.values(), &["handshake.batches"]);
 
     // One drive segment of the parallel simulator: its report and the
     // cells it accumulated into agree on every `hwsim.par.*` key.
