@@ -306,10 +306,7 @@ pub fn compile(
         }
     }
     let plan = bind(query, catalog)?;
-    let left = catalog
-        .schema(&plan.primary)
-        .expect("bind resolved the stream");
-    check_engine_tuple(&plan.primary, left)?;
+    let left = engine_schema(catalog, &plan.primary)?;
 
     // A Select filters the arrival of a single-stream query and the
     // joined record of a joined one (a filter below the join was
@@ -344,7 +341,8 @@ pub fn compile(
     }
     let placement = place(&placed, &engine_sites(cores), objective);
 
-    let Some((key_left, key_right, window)) = join else {
+    // `bind` writes a Join op exactly when the query has a join clause.
+    let (Some((key_left, key_right, window)), Some(clause)) = (join, &query.join) else {
         return Ok(CompiledQuery {
             placement,
             engine: EngineKind::Inline,
@@ -357,11 +355,7 @@ pub fn compile(
             plan,
         });
     };
-    let clause = query.join.as_ref().expect("a Join op binds a join clause");
-    let right = catalog
-        .schema(&clause.stream)
-        .expect("bind resolved the stream");
-    check_engine_tuple(&clause.stream, right)?;
+    let right = engine_schema(catalog, &clause.stream)?;
     // The engines join on the tuple's 32-bit key, which is field 0.
     for (stream, key) in [(&query.from, key_left), (&clause.stream, key_right)] {
         if key != 0 {
@@ -391,6 +385,21 @@ pub fn compile(
         },
         plan,
     })
+}
+
+/// The schema of a stream `bind` resolved, checked to fit the engine
+/// tuple.
+fn engine_schema<'c>(
+    catalog: &'c Catalog,
+    stream: &str,
+) -> Result<&'c streamcore::Schema, CompileError> {
+    let schema = catalog
+        .schema(stream)
+        .ok_or_else(|| PlanError::UnknownStream {
+            stream: stream.to_string(),
+        })?;
+    check_engine_tuple(stream, schema)?;
+    Ok(schema)
 }
 
 /// A stream fits the engines when its schema is one or two fields of at
