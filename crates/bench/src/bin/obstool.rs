@@ -10,7 +10,6 @@
 //! obstool series validate <file.series.jsonl>
 //! obstool series summarize <file.series.jsonl>
 //! obstool series spark <file.series.jsonl> <key>
-//! obstool scrape <ADDR> [--require PREFIX] [--retry N]
 //! ```
 //!
 //! `summarize` prints a manifest's config, counters, and histogram
@@ -28,12 +27,9 @@
 //! (`<figure>.series.jsonl`, written by the `--live` flag of the figure
 //! binaries): `validate` strictly checks the schema (CI runs it on the
 //! bench-smoke artifacts), `summarize` prints per-key digests and
-//! rates, and `spark` renders one key's trajectory as a sparkline.
-//! `scrape` performs a single HTTP scrape of a running figure's
-//! `--live-port` endpoint, printing the exposition; `--require PREFIX`
-//! fails unless a sample under the prefix is present (dots in the
-//! prefix are matched against the sanitized exposition names), and
-//! `--retry N` retries a refused connection (the endpoint racing CI).
+//! rates and the run's unhealthy stretches with their reasons
+//! ([`obs::health::unhealthy`]), and `spark` renders one key's
+//! trajectory as a sparkline.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -48,8 +44,7 @@ fn usage() -> ExitCode {
         \x20                   [--require PREFIX]\n\
         \x20      obstool trace <file.trace.json>\n\
         \x20      obstool series validate|summarize <file.series.jsonl>\n\
-        \x20      obstool series spark <file.series.jsonl> <key>\n\
-        \x20      obstool scrape <ADDR> [--require PREFIX] [--retry N]"
+        \x20      obstool series spark <file.series.jsonl> <key>"
     );
     ExitCode::from(2)
 }
@@ -68,10 +63,6 @@ fn main() -> ExitCode {
             Some("summarize") if args.len() == 3 => series_summarize(&args[2]),
             Some("spark") if args.len() == 4 => series_spark(&args[2], &args[3]),
             _ => return usage(),
-        },
-        Some("scrape") => match parse_scrape_args(&args[1..]) {
-            Some((addr, require, retries)) => scrape(addr, require, retries),
-            None => return usage(),
         },
         _ => return usage(),
     };
@@ -338,7 +329,28 @@ fn series_summarize(path: &str) -> Result<bool, String> {
             _ => println!("  {key}: {first} -> {last} (max {max})"),
         }
     }
+    for line in health_block(&doc) {
+        println!("{line}");
+    }
     Ok(true)
+}
+
+/// The `health` block of `series summarize`: every unhealthy stretch,
+/// in seconds since the first sample, with its reasons.
+fn health_block(doc: &obs::series::SeriesDoc) -> Vec<String> {
+    let stretches = obs::health::unhealthy(doc);
+    if stretches.is_empty() {
+        return vec!["health: healthy throughout".into()];
+    }
+    let t0 = doc.samples[0].t_ns;
+    let secs = |t: u64| (t - t0) as f64 / 1e9;
+    let mut lines = vec![format!("health: {} unhealthy stretch(es)", stretches.len())];
+    for stretch in &stretches {
+        let (start, end) = (secs(stretch.start_ns), secs(stretch.end_ns));
+        lines.push(format!("  {start:.3}s..{end:.3}s:"));
+        lines.extend(stretch.reasons.iter().map(|r| format!("    {r}")));
+    }
+    lines
 }
 
 /// Renders `values` as a fixed-palette sparkline, downsampled (by
@@ -381,91 +393,6 @@ fn series_spark(path: &str, key: &str) -> Result<bool, String> {
     println!("{key} ({} points, min {min}, max {max})", values.len());
     println!("{}", sparkline(&values, 72));
     Ok(true)
-}
-
-fn parse_scrape_args(rest: &[String]) -> Option<(&str, Option<&str>, u32)> {
-    let mut addr = None;
-    let mut require = None;
-    let mut retries = 0u32;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--require" => {
-                require = Some(rest.get(i + 1)?.as_str());
-                i += 2;
-            }
-            flag if flag.starts_with("--require=") => {
-                require = Some(&rest[i]["--require=".len()..]);
-                i += 1;
-            }
-            "--retry" => {
-                retries = rest.get(i + 1)?.parse().ok()?;
-                i += 2;
-            }
-            flag if flag.starts_with("--retry=") => {
-                retries = flag["--retry=".len()..].parse().ok()?;
-                i += 1;
-            }
-            a if addr.is_none() && !a.starts_with("--") => {
-                addr = Some(a);
-                i += 1;
-            }
-            _ => return None,
-        }
-    }
-    addr.map(|a| (a, require, retries))
-}
-
-fn scrape(addr: &str, require: Option<&str>, retries: u32) -> Result<bool, String> {
-    // A dotted `--require` prefix matches the exposition's sanitized
-    // names: `splitjoin.` finds `splitjoin_…` samples.
-    let want = require.map(obs::scrape::metric_name);
-    let mut attempt = 0;
-    loop {
-        // Both failure modes are retryable while attempts remain: a
-        // refused connection (endpoint not up yet) and a scrape where
-        // the required prefix has not registered yet (the figure's
-        // first engine has not spawned) — CI races both.
-        match obs::scrape::scrape_once(addr) {
-            Ok(body) => {
-                let hits = want.as_ref().map(|w| {
-                    body.lines()
-                        .filter(|l| !l.starts_with('#') && l.starts_with(w.as_str()))
-                        .count()
-                });
-                match hits {
-                    Some(0) if attempt >= retries => {
-                        print!("{body}");
-                        println!(
-                            "FAIL: no sample under `{}*` in the scrape",
-                            require.unwrap_or("")
-                        );
-                        return Ok(false);
-                    }
-                    Some(0) => eprintln!(
-                        "scrape {addr} attempt {}/{retries}: required prefix absent; retrying",
-                        attempt + 1
-                    ),
-                    found => {
-                        print!("{body}");
-                        if let (Some(prefix), Some(n)) = (require, found) {
-                            println!("required `{prefix}*` present: {n} sample(s)");
-                        }
-                        return Ok(true);
-                    }
-                }
-            }
-            Err(e) if attempt >= retries => return Err(format!("scrape {addr}: {e}")),
-            Err(e) => {
-                eprintln!(
-                    "scrape {addr} attempt {}/{retries} failed: {e}; retrying",
-                    attempt + 1
-                );
-            }
-        }
-        attempt += 1;
-        std::thread::sleep(std::time::Duration::from_millis(250));
-    }
 }
 
 #[cfg(test)]
@@ -563,29 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn scrape_args_parse_all_forms() {
-        let args: Vec<String> = ["127.0.0.1:9091", "--require", "splitjoin.", "--retry", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            parse_scrape_args(&args),
-            Some(("127.0.0.1:9091", Some("splitjoin."), 3))
-        );
-        let args: Vec<String> = ["--require=fault.", "localhost:1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            parse_scrape_args(&args),
-            Some(("localhost:1", Some("fault."), 0))
-        );
-        assert_eq!(parse_scrape_args(&[]), None);
-        let bad: Vec<String> = ["--retry".to_string()].to_vec();
-        assert_eq!(parse_scrape_args(&bad), None);
-    }
-
-    #[test]
     fn sparkline_scales_and_downsamples() {
         assert_eq!(sparkline(&[], 10), "");
         assert_eq!(sparkline(&[5], 10), "▁");
@@ -596,20 +500,6 @@ mod tests {
         // 100 points squeeze into the requested width.
         let wide: Vec<u64> = (0..100).collect();
         assert_eq!(sparkline(&wide, 8).chars().count(), 8);
-    }
-
-    #[test]
-    fn scrape_round_trips_against_a_live_endpoint() {
-        let reg = obs::Registry::new();
-        reg.counter("splitjoin.tuples").add(41);
-        reg.gauge("splitjoin.workers.live").set(4);
-        let server = obs::scrape::serve(reg, 0).expect("bind ephemeral");
-        let addr = server.addr().to_string();
-        assert!(scrape(&addr, Some("splitjoin."), 0).unwrap());
-        assert!(!scrape(&addr, Some("nonexistent."), 0).unwrap());
-        server.stop();
-        // A dead endpoint with no retries is a hard error.
-        assert!(scrape(&addr, None, 0).is_err());
     }
 
     #[test]
@@ -632,6 +522,36 @@ mod tests {
         let err = series_spark(path, "missing.key").unwrap_err();
         assert!(err.contains("known keys"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn series_summarize_names_the_stalled_stretch_or_healthy_throughout() {
+        use obs::health::PRESSURE_HEARTBEAT_AGE_NS as STALLED;
+        let doc = |ages: &[u64]| obs::series::SeriesDoc {
+            header: obs::series::SeriesHeader::new("synthetic", 500),
+            samples: ages
+                .iter()
+                .zip(0u64..)
+                .map(|(&age, i)| obs::Snapshot {
+                    t_ns: i * 500_000_000,
+                    values: [("splitjoin.worker.1.heartbeat_age_ns", age)]
+                        .into_iter()
+                        .collect(),
+                })
+                .collect(),
+        };
+        assert_eq!(
+            health_block(&doc(&[0, 0, STALLED, STALLED + 1, 0])),
+            [
+                "health: 1 unhealthy stretch(es)",
+                "  0.500s..1.500s:",
+                "    splitjoin.worker.1.heartbeat_age_ns = 2500000001 >= PRESSURE_HEARTBEAT_AGE_NS",
+            ]
+        );
+        assert_eq!(
+            health_block(&doc(&[0, 1, STALLED - 1])),
+            ["health: healthy throughout"]
+        );
     }
 
     #[test]

@@ -68,76 +68,52 @@ pub fn emit(m: &RunManifest) {
 }
 
 /// A figure binary's live-telemetry session: the armed global
-/// [`obs::live`] plane, a background sampler streaming
-/// `target/obs/<figure>.series.jsonl`, and (when a port was requested) a
-/// Prometheus-style scrape endpoint. Construct with [`live_start`],
+/// [`obs::live`] plane and a background sampler streaming
+/// `target/obs/<figure>.series.jsonl`. Construct with [`live_start`],
 /// tear down with [`LiveRun::finish`] — dropping without `finish` still
 /// stops the sampler, it just skips the stderr summary.
 #[derive(Debug)]
 pub struct LiveRun {
-    sampler: Option<obs::live::Sampler>,
-    server: Option<obs::scrape::ScrapeServer>,
+    sampler: obs::live::Sampler,
 }
 
-/// Arms the live plane and starts the sampler (and scrape endpoint,
-/// when `port` is given — `0` binds an ephemeral port, printed on
-/// stderr as `live scrape: <addr>`). Call *before* spawning engines:
-/// the hot layers only register their live gauges when the plane is
-/// armed at spawn. Failures to open the series file or bind the socket
-/// are warnings, never failed runs.
-pub fn live_start(figure: &str, interval_ms: u64, port: Option<u16>) -> LiveRun {
+/// Creates the series file, arms the live plane and starts the sampler.
+/// Call *before* spawning engines: the hot layers only register their
+/// live gauges when the plane is armed at spawn. A series file that
+/// cannot be created is a warning, never a failed run: the figure then
+/// runs without sampling (`None`).
+pub fn live_start(figure: &str, interval_ms: u64) -> Option<LiveRun> {
+    let interval_ms = interval_ms.max(1);
+    let mut header = obs::series::SeriesHeader::new(figure, interval_ms);
+    header.config("figure", figure);
+    let writer = match obs::series::SeriesWriter::create(obs::default_dir(), header) {
+        Ok(writer) => writer,
+        Err(e) => {
+            eprintln!("warning: series for `{figure}` not started: {e}; running without sampling");
+            return None;
+        }
+    };
     obs::live::set_active(true);
     let reg = obs::live::global().clone();
-    let cfg = obs::live::SamplerConfig {
-        interval: Duration::from_millis(interval_ms.max(1)),
-        ..Default::default()
-    };
-    let mut header = obs::series::SeriesHeader::new(figure, interval_ms.max(1));
-    header.config("figure", figure);
-    let sampler = match obs::series::SeriesWriter::create(obs::default_dir(), header) {
-        Ok(writer) => obs::live::Sampler::start_with_series(reg.clone(), cfg, writer),
-        Err(e) => {
-            eprintln!("warning: series for `{figure}` not started: {e}; sampling in memory");
-            obs::live::Sampler::start(reg.clone(), cfg)
-        }
-    };
-    let server = port.and_then(|p| match obs::scrape::serve(reg, p) {
-        Ok(server) => {
-            eprintln!("live scrape: {}", server.addr());
-            Some(server)
-        }
-        Err(e) => {
-            eprintln!("warning: scrape endpoint not started: {e}");
-            None
-        }
-    });
-    LiveRun {
-        sampler: Some(sampler),
-        server,
-    }
+    let interval = Duration::from_millis(interval_ms);
+    Some(LiveRun {
+        sampler: obs::live::Sampler::start(reg, interval, writer),
+    })
 }
 
 impl LiveRun {
-    /// Stops the sampler (flushing the series artifact) and the scrape
-    /// endpoint, disarms the plane, and reports what was produced on
-    /// stderr.
-    pub fn finish(mut self) {
-        if let Some(sampler) = self.sampler.take() {
-            let report = sampler.stop();
-            if let Some(e) = report.series_error {
-                eprintln!("warning: series write failed mid-run: {e}");
-            }
-            match report.series_path {
-                Some(path) => {
-                    eprintln!("series: {} ({} samples)", path.display(), report.ticks)
-                }
-                None => eprintln!("live sampling: {} snapshots (no series file)", report.ticks),
-            }
+    /// Stops the sampler (with a final sample), disarms the plane, and
+    /// reports the series artifact on stderr.
+    pub fn finish(self) {
+        let report = self.sampler.stop();
+        if let Some(e) = report.series_error {
+            eprintln!("warning: series write failed mid-run: {e}");
         }
-        if let Some(server) = self.server.take() {
-            eprintln!("live scrape: {} requests served", server.scrapes());
-            server.stop();
-        }
+        eprintln!(
+            "series: {} ({} samples)",
+            report.series_path.display(),
+            report.ticks
+        );
         obs::live::set_active(false);
     }
 }

@@ -9,7 +9,7 @@ use joinsw::DEFAULT_BATCH_SIZE;
 
 /// The flag list, as `figs` and `faults` print it on a usage error.
 pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--samples N] \
-                         [--threads N] [--trace [N]] [--live [MS]] [--live-port PORT] [--csv]";
+                         [--threads N] [--trace [N]] [--live [MS]] [--csv]";
 
 /// CLI options shared by every figure.
 ///
@@ -33,9 +33,6 @@ pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--sam
 /// * `--live [MS]` — arm the live telemetry plane and sample it every
 ///   `MS` milliseconds (`25` when omitted) into
 ///   `target/obs/<figure>.series.jsonl`.
-/// * `--live-port PORT` — additionally serve a read-only Prometheus-style
-///   scrape endpoint on `127.0.0.1:PORT` (`0` = ephemeral, printed on
-///   stderr). Implies `--live`.
 /// * `--csv` — print tables as CSV instead of aligned text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FigOpts {
@@ -55,8 +52,6 @@ pub struct FigOpts {
     /// Live-plane sampling interval in milliseconds, `None` when the
     /// plane stays unarmed.
     pub live: Option<u64>,
-    /// Scrape-endpoint port (implies `live`); `Some(0)` binds ephemeral.
-    pub live_port: Option<u16>,
     /// Print tables as CSV.
     pub csv: bool,
 }
@@ -71,7 +66,6 @@ impl Default for FigOpts {
             threads: None,
             trace: None,
             live: None,
-            live_port: None,
             csv: false,
         }
     }
@@ -125,20 +119,15 @@ impl FigOpts {
         }
     }
 
-    /// Applies the `--live` / `--live-port` flags: arms the live plane,
-    /// starts the background sampler (series artifact named after
-    /// `figure`) and, when a port was given, the scrape endpoint.
-    /// Returns `None` when live telemetry was not requested; the caller
-    /// runs [`LiveRun::finish`](crate::obsout::LiveRun::finish) after
-    /// the figure completes.
+    /// Applies the `--live` flag: arms the live plane and starts the
+    /// background sampler (series artifact named after `figure`).
+    /// Returns `None` when live telemetry was not requested or its
+    /// series file could not be created; the caller runs
+    /// [`LiveRun::finish`](crate::obsout::LiveRun::finish) after the
+    /// figure completes.
     #[must_use]
     pub fn setup_live(&self, figure: &str) -> Option<crate::obsout::LiveRun> {
-        let interval_ms = self.live.or(self.live_port.map(|_| 25))?;
-        Some(crate::obsout::live_start(
-            figure,
-            interval_ms,
-            self.live_port,
-        ))
+        crate::obsout::live_start(figure, self.live?)
     }
 
     /// Parses an argument list (`from_args` without the process exit).
@@ -195,13 +184,6 @@ impl FigOpts {
                         Some(v) => positive(flag, v)?,
                         None => 25,
                     });
-                }
-                "--live-port" => {
-                    let v = required(flag, inline, &mut rest)?;
-                    opts.live_port =
-                        Some(v.parse().map_err(|_| {
-                            format!("--live-port requires a port number, got `{v}`")
-                        })?);
                 }
                 "--csv" if inline.is_none() => opts.csv = true,
                 _ => return Err(format!("unknown flag `{arg}`")),
@@ -277,26 +259,15 @@ mod tests {
 
     #[test]
     fn opts_parse_live_flag_forms() {
-        let with_interval = parse(&["--live", "50"]).unwrap();
-        assert_eq!(with_interval.live, Some(50));
-        assert_eq!(with_interval.live_port, None);
+        assert_eq!(parse(&["--live", "50"]).unwrap().live, Some(50));
         assert_eq!(parse(&["--live=10"]).unwrap().live, Some(10));
         // Bare `--live` defaults to 25 ms, including before another flag.
         assert_eq!(parse(&["--live"]).unwrap().live, Some(25));
         let before_flag = parse(&["--live", "--batch", "32"]).unwrap();
         assert_eq!(before_flag.live, Some(25));
         assert_eq!(before_flag.batch_size, 32);
-        // `--live-port` alone implies live sampling in `setup_live`
-        // (port 0 = ephemeral); parsing keeps the fields independent.
-        let port_only = parse(&["--live-port", "0"]).unwrap();
-        assert_eq!(port_only.live, None);
-        assert_eq!(port_only.live_port, Some(0));
-        let both = parse(&["--live=5", "--live-port=9091"]).unwrap();
-        assert_eq!((both.live, both.live_port), (Some(5), Some(9091)));
         assert!(parse(&["--live", "0"]).is_err());
         assert!(parse(&["--live=x"]).is_err());
-        assert!(parse(&["--live-port", "70000"]).is_err());
-        assert!(parse(&["--live-port"]).is_err());
     }
 
     #[test]

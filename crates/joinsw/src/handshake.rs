@@ -247,7 +247,7 @@ impl HandshakeJoin {
     /// Pushes `msg` into a lane's entry core under supervision.
     fn send_entry(&self, entry: &mut Entry, msg: ChainMsg) -> Result<SendStatus, JoinError> {
         let cell = &self.cells[entry.core];
-        Ok(supervised_push(&mut entry.link, cell, entry.core, msg)?.0)
+        Ok(supervised_push(&mut entry.link, cell, entry.core, msg, None)?.0)
     }
 
     /// Injects the lane's pending wave group, if any, as one message.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use streamcore::ring::{PopError, RingConsumer};
 use streamcore::{PartitionMap, StreamTag, Tuple};
 
-use crate::supervise::Idle;
+use crate::supervise::{Idle, WorkerCell};
 
 pub(super) enum Msg {
     /// One distribution batch resident in the shared
@@ -54,14 +54,18 @@ pub(super) struct PartEntry {
 }
 
 /// Blocking receive on a worker's distribution ring. `None` means the
-/// router is gone and the ring is fully drained.
-pub(super) fn recv_msg(msgs: &mut RingConsumer<Msg>) -> Option<Msg> {
+/// router is gone and the ring is fully drained. Every empty poll
+/// stamps the worker's beat ([`WorkerCell::stamp_beat`]).
+pub(super) fn recv_msg(msgs: &mut RingConsumer<Msg>, cell: &WorkerCell) -> Option<Msg> {
     let mut idle = Idle::recv();
     loop {
         match msgs.try_pop() {
             Ok(msg) => return Some(msg),
             Err(PopError::Disconnected) => return None,
-            Err(PopError::Empty) => idle.wait(),
+            Err(PopError::Empty) => {
+                cell.stamp_beat();
+                idle.wait();
+            }
         }
     }
 }

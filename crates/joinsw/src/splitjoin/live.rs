@@ -26,10 +26,11 @@ pub(super) struct LiveRouter {
     /// hot-key tuple counting once per worker reached (stays 0 in
     /// broadcast mode).
     pub(super) routed: obs::Counter,
-    /// `splitjoin.ring.occupancy` — queued messages on the lane most
-    /// recently pushed to (ring transport; instantaneous, the sampler
-    /// turns it into a trajectory).
-    pub(super) ring_occupancy: obs::Gauge,
+    /// `splitjoin.worker.<i>.ring_occupancy` — messages queued on each
+    /// worker's lane, read at every push to it here and at every pop by
+    /// [`LiveWorker`] (instantaneous; the sampler turns it into a
+    /// trajectory).
+    pub(super) ring_occupancy: Vec<obs::Gauge>,
     /// `splitjoin.arena.lag` — published sequence minus the slowest
     /// reader's release watermark while the router waits on arena reuse.
     pub(super) arena_lag: obs::Gauge,
@@ -41,32 +42,35 @@ pub(super) struct LiveRouter {
     workers_lost: obs::Counter,
     orphaned: obs::Counter,
     /// `splitjoin.worker.<i>.heartbeat_age_ns` — nanoseconds since each
-    /// live worker's last heartbeat, refreshed once per routed batch (and
-    /// for the laggard while the router waits on the arena), so a
-    /// stalling worker is scrape-visible long before the 10 s
-    /// saturation deadline.
+    /// live worker's last heartbeat, refreshed once per routed batch and
+    /// for the worker the router is waiting on (a full lane, or the
+    /// arena's laggard), so a stalling worker shows in the live series
+    /// long before the 10 s saturation deadline.
     pub(super) heartbeat_age: Vec<obs::Gauge>,
 }
 
 impl LiveRouter {
     pub(super) fn new(config: &SplitJoinConfig) -> Self {
         let reg = obs::live::global();
+        let per_worker = |what: &str| -> Vec<obs::Gauge> {
+            (0..config.num_cores)
+                .map(|i| reg.gauge(&key::worker(SPLITJOIN, i, what)))
+                .collect()
+        };
         let this = Self {
             batches: reg.counter(&key::batches(SPLITJOIN)),
             tuples: reg.counter("splitjoin.tuples"),
             routed: reg.counter(key::ROUTED),
-            ring_occupancy: reg.gauge("splitjoin.ring.occupancy"),
+            ring_occupancy: per_worker("ring_occupancy"),
             arena_lag: reg.gauge("splitjoin.arena.lag"),
             workers_live: reg.gauge("splitjoin.workers.live"),
             workers_lost: reg.counter(fault::KEY_WORKERS_LOST),
             orphaned: reg.counter(fault::KEY_ORPHANED_TUPLES),
-            heartbeat_age: (0..config.num_cores)
-                .map(|i| reg.gauge(&key::worker(SPLITJOIN, i, "heartbeat_age_ns")))
-                .collect(),
+            heartbeat_age: per_worker("heartbeat_age_ns"),
         };
         this.workers_live.set(config.num_cores as u64);
         // Lane capacity is a constant of the run; exporting it lets
-        // `obs::health` turn occupancy into a pressure fraction.
+        // `obs::health` turn each lane's occupancy into a fraction.
         reg.gauge("splitjoin.ring.capacity")
             .set(config.channel_capacity as u64);
         this
@@ -108,6 +112,10 @@ pub(super) struct LiveWorker {
     matches_total: obs::Counter,
     busy_ns: obs::Counter,
     pub(super) wait_ns: obs::Counter,
+    /// The lane's `ring_occupancy` gauge, shared with [`LiveRouter`]:
+    /// the pop side keeps a lane that drained while the router was
+    /// blocked elsewhere from reading as full.
+    pub(super) ring_occupancy: obs::Gauge,
     last_tuples: u64,
     last_matches: u64,
 }
@@ -123,6 +131,7 @@ impl LiveWorker {
             matches_total: reg.counter(&key::matches(SPLITJOIN)),
             busy_ns: reg.counter(&name("busy_ns")),
             wait_ns: reg.counter(&name("wait_ns")),
+            ring_occupancy: reg.gauge(&name("ring_occupancy")),
             last_tuples: 0,
             last_matches: 0,
         }

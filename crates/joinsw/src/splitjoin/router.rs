@@ -117,9 +117,10 @@ impl Router {
         let depth = prod.len() as u64;
         ring_stats.occupancy.record_value(depth);
         if let Some(lv) = live.as_ref() {
-            lv.ring_occupancy.set(depth);
+            lv.ring_occupancy[w].set(depth);
         }
-        let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg)?;
+        let age = live.as_ref().map(|lv| &lv.heartbeat_age[w]);
+        let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg, age)?;
         if waited_ns > 0 {
             ring_stats.claim_wait_ns.record_value(waited_ns);
         }
@@ -189,7 +190,7 @@ impl Router {
                     if !idle.relax() {
                         // Slow path only: export how far behind the
                         // slowest reader is and refresh its heartbeat
-                        // age, so an armed scrape shows *which* worker
+                        // age, so the live series shows *which* worker
                         // is holding the arena and for how long.
                         if let Some(lv) = self.live.as_ref() {
                             let (seq, min) = {

@@ -944,7 +944,6 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
         "splitjoin.tuples",
         "splitjoin.matches",
         "splitjoin.partition.routed",
-        "splitjoin.ring.occupancy",
         "splitjoin.ring.capacity",
         "splitjoin.arena.lag",
         "splitjoin.workers.live",
@@ -957,6 +956,8 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
         "splitjoin.worker.0.wait_ns",
         "splitjoin.worker.0.heartbeat_age_ns",
         "splitjoin.worker.1.heartbeat_age_ns",
+        "splitjoin.worker.0.ring_occupancy",
+        "splitjoin.worker.1.ring_occupancy",
     ] {
         assert!(snap.get(key).is_some(), "missing live key {key}");
     }
@@ -965,4 +966,25 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
     assert!(snap.get("splitjoin.matches").unwrap() > 0);
     assert!(snap.get("splitjoin.ring.capacity").unwrap() > 0);
     assert!(snap.get("splitjoin.worker.0.busy_ns").unwrap() > 0);
+}
+
+#[test]
+fn a_lane_gauge_follows_the_worker_draining_it() {
+    // The router reads a lane's depth only when it pushes to it; blocked
+    // on another lane, it would leave this one reading full after the
+    // worker drained it. Position 11 of 12: keys no other test uses, and
+    // a worker handed its live handles directly needs no armed plane.
+    let gauge = obs::live::global().gauge("splitjoin.worker.11.ring_occupancy");
+    let (mut tx, msgs) = ring::spsc::<Msg>(4);
+    for _ in 0..3 {
+        gauge.set(tx.len() as u64);
+        let prefill: Arc<[Tuple]> = Arc::from([Tuple::new(1, 1)]);
+        assert!(tx.try_push(Msg::Prefill(StreamTag::R, prefill)).is_ok());
+    }
+    drop(tx);
+    assert_eq!(gauge.get(), 2, "the router's last reading");
+    let cell = Arc::new(WorkerCell::default());
+    let live = Some(LiveWorker::new(11));
+    worker_loop(11, &SplitJoinConfig::new(12, 24), msgs, None, &cell, live);
+    assert_eq!(gauge.get(), 0, "the worker's last pop emptied the lane");
 }

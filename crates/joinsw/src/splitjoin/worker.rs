@@ -486,13 +486,14 @@ pub(super) fn worker_loop(
         // exported as `.wait_ns` and the rest of the iteration as
         // `.busy_ns`; unarmed, neither clock is read.
         let wait_start = live.as_ref().map(|_| obs::trace::now_ns());
-        let Some(msg) = recv_msg(&mut msgs) else {
+        let Some(msg) = recv_msg(&mut msgs, cell) else {
             break;
         };
         let busy_start = wait_start.map(|t0| {
             let now = obs::trace::now_ns();
             if let Some(lv) = live.as_ref() {
                 lv.wait_ns.add(now.saturating_sub(t0));
+                lv.ring_occupancy.set(msgs.len() as u64);
             }
             now
         });

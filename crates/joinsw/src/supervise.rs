@@ -125,11 +125,11 @@ pub(crate) struct WorkerCell {
     /// for it to reach the messages sent (the chain's barrier is a token
     /// that travels a lane, one atomic per lane in the `HandshakeJoin`).
     pub(crate) heartbeat: AtomicU64,
-    /// Monotonic instant (`obs::trace::now_ns`) of the last heartbeat
-    /// publication; 0 = never. Written only while the live telemetry
-    /// plane is armed — the router exports
+    /// Monotonic instant (`obs::trace::now_ns`) the core was last seen
+    /// alive ([`WorkerCell::stamp_beat`]); 0 = never. Written only while
+    /// the live telemetry plane is armed — the router exports
     /// `splitjoin.worker.<i>.heartbeat_age_ns` gauges from it so a
-    /// stalling worker is visible to a scrape/sampler *long* before the
+    /// stalling worker is visible to the live sampler *long* before the
     /// 10 s [`SATURATION_DEADLINE`] fires.
     pub(crate) last_beat_ns: AtomicU64,
     /// Set when the worker thread exits, normally or by unwinding.
@@ -203,12 +203,21 @@ impl WorkerCell {
     /// The end of every message a core survives: publishes its
     /// statistics and advances the heartbeat — the `Release` that follows
     /// the outbox publish and the statistics stores, so a barrier that
-    /// reads the new count with `Acquire` sees both. With the live plane
-    /// armed (else one relaxed load) the beat is timestamped for the
-    /// router's `splitjoin.worker.<i>.heartbeat_age_ns` gauges.
+    /// reads the new count with `Acquire` sees both. The beat is then
+    /// timestamped ([`WorkerCell::stamp_beat`]).
     pub(crate) fn finish_message(&self, stats: &WorkerStats) {
         self.publish_stats(stats);
         self.heartbeat.fetch_add(1, Ordering::Release);
+        self.stamp_beat();
+    }
+
+    /// With the live plane armed (else one relaxed load), timestamps the
+    /// core as alive now for the router's
+    /// `splitjoin.worker.<i>.heartbeat_age_ns` gauges: at the end of a
+    /// message, and at every poll of an empty lane — a core waiting for
+    /// work is idle, not stalled, and must not read as silent the moment
+    /// work reaches it.
+    pub(crate) fn stamp_beat(&self) {
         if obs::live::active() {
             self.last_beat_ns
                 .store(obs::trace::now_ns(), Ordering::Relaxed);
@@ -411,12 +420,16 @@ impl SendSupervisor {
 /// with progress waits forever, a frozen heartbeat with a full ring for
 /// the whole [`SATURATION_DEADLINE`] reports [`JoinError::Saturated`].
 /// Returns the status plus the nanoseconds spent waiting, which the
-/// router feeds the claim-wait histogram.
+/// router feeds the claim-wait histogram. `age`, the worker's
+/// heartbeat-age gauge when the live plane is armed, is refreshed at
+/// every backoff step, so the live series shows how long the worker
+/// holding the sender up has been silent.
 pub(crate) fn supervised_push<T>(
     prod: &mut RingProducer<T>,
     cell: &WorkerCell,
     worker: usize,
     mut msg: T,
+    age: Option<&obs::Gauge>,
 ) -> Result<(SendStatus, u64), JoinError> {
     match prod.try_push(msg) {
         Ok(()) => return Ok((SendStatus::Sent, 0)),
@@ -432,6 +445,11 @@ pub(crate) fn supervised_push<T>(
             return Ok((SendStatus::Lost, waited(t0)));
         }
         if !idle.relax() {
+            if let Some(gauge) = age {
+                if let Some(a) = cell.heartbeat_age_ns(obs::trace::now_ns()) {
+                    gauge.set(a);
+                }
+            }
             let wait = sup.next_wait(
                 Instant::now(),
                 worker,
@@ -539,7 +557,7 @@ mod tests {
         let cell = WorkerCell::default();
         cell.dead.store(true, Ordering::Release);
         assert!(matches!(
-            supervised_push(&mut tx, &cell, 3, 2),
+            supervised_push(&mut tx, &cell, 3, 2, None),
             Ok((SendStatus::Lost, _))
         ));
     }
@@ -550,7 +568,7 @@ mod tests {
         drop(rx);
         let cell = WorkerCell::default();
         assert!(matches!(
-            supervised_push(&mut tx, &cell, 0, 7),
+            supervised_push(&mut tx, &cell, 0, 7, None),
             Ok((SendStatus::Lost, 0))
         ));
     }

@@ -2,7 +2,7 @@
 //! that names them.
 //!
 //! A cell is one relaxed shared atomic: the instrumented thread updates
-//! it, and a sampler, a scrape or a shutdown path reads the same value
+//! it, and a sampler or a shutdown path reads the same value
 //! from any other thread. A component either owns a detached cell
 //! ([`Counter::new`]) or asks a [`Registry`] for a named one; reading
 //! every named cell at once gives a [`Values`] map.
@@ -107,8 +107,7 @@ impl Gauge {
 }
 
 /// Whether a registry entry is a counter (monotone) or a gauge
-/// (last-value). The scrape endpoint exposes this as the Prometheus
-/// `# TYPE` of each metric.
+/// (last-value), as [`Registry::entries`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically increasing ([`Counter`]).
@@ -139,7 +138,7 @@ enum Slot {
 /// ```
 /// let reg = obs::Registry::new();
 /// let tuples = reg.counter("splitjoin.tuples");
-/// reg.gauge("splitjoin.ring.occupancy").set(3);
+/// reg.gauge("splitjoin.worker.0.ring_occupancy").set(3);
 /// tuples.add(256);
 /// assert_eq!(reg.values().get("splitjoin.tuples"), Some(256));
 /// ```

@@ -1,23 +1,25 @@
-//! Derived health signals: the bridge from raw live samples to an
-//! autoscaling / admission decision.
+//! Health: what a live series says about its run — which worker went
+//! silent, which ring filled, whether the pool ran out of service
+//! capacity, and when.
 //!
 //! `joinsw::supervise` only reports saturation *after* its 10-second
 //! deadline expires; by then the run is already lost. [`Health::derive`]
-//! turns two consecutive [`Snapshot`]s into the
-//! leading indicators a controller needs — busy fraction, throughput
-//! rate, ring occupancy, worker heartbeat age — and
-//! [`Health::pressured`] flags approaching saturation long before the
-//! deadline fires.
+//! reads the leading indicators from two consecutive [`Snapshot`]s, and
+//! [`Health::pressured`] returns a [`Reason`] for each one that reached
+//! its threshold: the key it read, its value, and the constant reached.
+//! [`unhealthy`] walks a parsed [`SeriesDoc`] and returns the stretches
+//! of the run that had reasons. It needs nothing but the file, and since
+//! every line is written whole, a reader tailing a live run's file gets
+//! the same answer for the prefix it has.
 //!
 //! The derivation is name-convention based, matching what the engines
 //! publish (see the workspace `ARCHITECTURE.md` for the full key list):
 //!
-//! * `*.busy_ns` / `*.wait_ns` — summed deltas give the busy fraction.
-//! * `splitjoin.tuples` / `splitjoin.matches` — deltas over elapsed time
-//!   give rates.
-//! * `splitjoin.ring.occupancy` / `splitjoin.ring.capacity` — queue
-//!   pressure.
-//! * `*.heartbeat_age_ns` — the max is the most-stalled worker.
+//! * `*.busy_ns` / `*.wait_ns` — summed deltas give the pool's busy
+//!   fraction.
+//! * `*.ring_occupancy` over `splitjoin.ring.capacity`, at both ends of
+//!   the interval — the pressure on each distribution lane.
+//! * `*.heartbeat_age_ns` — how long each worker has been silent.
 //!
 //! # Example
 //!
@@ -26,141 +28,194 @@
 //! use obs::Snapshot;
 //!
 //! let prev = Snapshot { t_ns: 0, values: [
-//!     ("splitjoin.tuples", 0),
 //!     ("splitjoin.worker.0.busy_ns", 0),
 //!     ("splitjoin.worker.0.wait_ns", 0),
 //! ].into_iter().collect() };
 //! let cur = Snapshot { t_ns: 1_000_000_000, values: [
-//!     ("splitjoin.tuples", 1_000_000),
 //!     ("splitjoin.worker.0.busy_ns", 900_000_000),
 //!     ("splitjoin.worker.0.wait_ns", 100_000_000),
+//!     ("splitjoin.worker.1.heartbeat_age_ns", 3_000_000_000),
 //! ].into_iter().collect() };
 //! let h = Health::derive(&prev, &cur);
-//! assert_eq!(h.tuples_per_sec, Some(1_000_000.0));
 //! assert_eq!(h.busy_fraction, Some(0.9));
-//! assert!(!h.pressured());
+//! let reasons = h.pressured();
+//! assert_eq!(reasons.len(), 1);
+//! assert_eq!(
+//!     reasons[0].to_string(),
+//!     "splitjoin.worker.1.heartbeat_age_ns = 3000000000 >= PRESSURE_HEARTBEAT_AGE_NS"
+//! );
 //! ```
 
+use std::fmt;
+
+use crate::series::SeriesDoc;
 use crate::Snapshot;
 
-/// Ring occupancy fraction at which [`Health::pressured`] trips.
+/// Ring occupancy fraction at which a lane is reported full.
 pub const PRESSURE_OCCUPANCY_FRACTION: f64 = 0.75;
 
-/// Worker heartbeat age at which [`Health::pressured`] trips: a quarter
+/// Worker heartbeat age at which a worker is reported stalled: a quarter
 /// of `joinsw::supervise`'s 10-second saturation deadline, so a stalled
 /// worker is visible with 7.5 seconds of headroom.
 pub const PRESSURE_HEARTBEAT_AGE_NS: u64 = 2_500_000_000;
 
-/// Busy fraction at which [`Health::pressured`] trips (the pool has no
+/// Busy fraction at which the pool is reported saturated (it has no
 /// spare service capacity left).
 pub const PRESSURE_BUSY_FRACTION: f64 = 0.95;
 
-/// Signals derived from two consecutive snapshots of the live registry.
+/// The readings of one sampling interval that the pressure thresholds
+/// apply to.
 ///
-/// Every field is `Option`al: a key the producing engine does not publish
-/// (or an interval too short to rate) simply yields `None` and never
-/// contributes to [`Health::pressured`].
-#[derive(Debug, Clone, PartialEq)]
+/// A key the producing engine does not publish simply yields no reading
+/// and never contributes to [`Health::pressured`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Health {
-    /// Elapsed time between the two snapshots, nanoseconds.
-    pub interval_ns: u64,
     /// Σ Δ`*.busy_ns` / (Σ Δ`*.busy_ns` + Σ Δ`*.wait_ns`) across every
     /// instrumented worker; `None` when nothing reported either.
     pub busy_fraction: Option<f64>,
-    /// Δ`splitjoin.tuples` per second.
-    pub tuples_per_sec: Option<f64>,
-    /// Δ`splitjoin.matches` per second.
-    pub matches_per_sec: Option<f64>,
-    /// Current `splitjoin.ring.occupancy` (slots in flight on the fullest
-    /// transport hop).
-    pub ring_occupancy: Option<u64>,
-    /// Current `splitjoin.ring.capacity`.
-    pub ring_capacity: Option<u64>,
-    /// Max over current `*.heartbeat_age_ns` — how long the most-stalled
-    /// worker has gone without publishing.
-    pub max_heartbeat_age_ns: Option<u64>,
-    /// Current `splitjoin.workers.live`.
-    pub workers_live: Option<u64>,
+    /// Every `*.heartbeat_age_ns` reading of the later snapshot.
+    pub heartbeat_ages: Vec<(String, u64)>,
+    /// Every `*.ring_occupancy` key in both snapshots, read as the lower
+    /// of its two values over `splitjoin.ring.capacity` (none without a
+    /// capacity): a lane counts as full only when it is full at both
+    /// ends of the interval, not when one push found it momentarily so.
+    pub occupancy: Vec<(String, f64)>,
+}
+
+/// One reading that reached its threshold.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reason {
+    /// The key read; `*.busy_ns` for the pool-wide busy fraction.
+    pub key: String,
+    /// The reading: nanoseconds for a heartbeat age, a fraction for
+    /// occupancy and busy time.
+    pub value: f64,
+    /// The name of the constant reached, e.g.
+    /// `"PRESSURE_HEARTBEAT_AGE_NS"`.
+    pub threshold: &'static str,
+}
+
+impl fmt::Display for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} = ", self.key)?;
+        if self.value.fract() == 0.0 {
+            write!(f, "{}", self.value)?;
+        } else {
+            write!(f, "{:.3}", self.value)?;
+        }
+        write!(f, " >= {}", self.threshold)
+    }
 }
 
 impl Health {
-    /// Derives health from two snapshots (`prev` taken before `cur`).
+    /// Derives the readings from two snapshots (`prev` taken before
+    /// `cur`).
     #[must_use]
     pub fn derive(prev: &Snapshot, cur: &Snapshot) -> Self {
-        let mut busy = 0u64;
-        let mut wait = 0u64;
-        let mut saw_cycle_split = false;
-        let mut max_age: Option<u64> = None;
+        let capacity = cur.values.get("splitjoin.ring.capacity").filter(|&c| c > 0);
+        let mut health = Self::default();
+        let (mut busy, mut wait) = (0u64, 0u64);
         for (name, value) in cur.values.iter() {
             if name.ends_with(".busy_ns") {
-                if let Some(d) = cur.delta(prev, name) {
-                    busy += d;
-                    saw_cycle_split = true;
-                }
+                busy += cur.delta(prev, name).unwrap_or(0);
             } else if name.ends_with(".wait_ns") {
-                if let Some(d) = cur.delta(prev, name) {
-                    wait += d;
-                    saw_cycle_split = true;
-                }
+                wait += cur.delta(prev, name).unwrap_or(0);
             } else if name.ends_with(".heartbeat_age_ns") {
-                max_age = Some(max_age.unwrap_or(0).max(value));
+                health.heartbeat_ages.push((name.to_string(), value));
+            } else if name.ends_with(".ring_occupancy") {
+                if let (Some(cap), Some(before)) = (capacity, prev.values.get(name)) {
+                    let fraction = value.min(before) as f64 / cap as f64;
+                    health.occupancy.push((name.to_string(), fraction));
+                }
             }
         }
-        let busy_fraction = if saw_cycle_split && busy + wait > 0 {
-            Some(busy as f64 / (busy + wait) as f64)
-        } else {
-            None
+        health.busy_fraction = (busy + wait > 0).then(|| busy as f64 / (busy + wait) as f64);
+        health
+    }
+
+    /// Every reading that reached its threshold: a worker silent for
+    /// ≥ [`PRESSURE_HEARTBEAT_AGE_NS`], a lane ≥
+    /// [`PRESSURE_OCCUPANCY_FRACTION`] full, or the pool ≥
+    /// [`PRESSURE_BUSY_FRACTION`] busy. Empty means healthy. A controller
+    /// acting on these still has seconds of headroom; `Saturated` means
+    /// it is too late.
+    #[must_use]
+    pub fn pressured(&self) -> Vec<Reason> {
+        let reason = |key: &str, value: f64, threshold| Reason {
+            key: key.to_string(),
+            value,
+            threshold,
         };
-        Self {
-            interval_ns: cur.t_ns.saturating_sub(prev.t_ns),
-            busy_fraction,
-            tuples_per_sec: cur.rate_per_sec(prev, "splitjoin.tuples"),
-            matches_per_sec: cur.rate_per_sec(prev, "splitjoin.matches"),
-            ring_occupancy: cur.values.get("splitjoin.ring.occupancy"),
-            ring_capacity: cur.values.get("splitjoin.ring.capacity"),
-            max_heartbeat_age_ns: max_age,
-            workers_live: cur.values.get("splitjoin.workers.live"),
-        }
+        let ages = self
+            .heartbeat_ages
+            .iter()
+            .filter(|(_, age)| *age >= PRESSURE_HEARTBEAT_AGE_NS)
+            .map(|(key, age)| reason(key, *age as f64, "PRESSURE_HEARTBEAT_AGE_NS"));
+        let lanes = self
+            .occupancy
+            .iter()
+            .filter(|(_, f)| *f >= PRESSURE_OCCUPANCY_FRACTION)
+            .map(|(key, f)| reason(key, *f, "PRESSURE_OCCUPANCY_FRACTION"));
+        let busy = self
+            .busy_fraction
+            .filter(|&f| f >= PRESSURE_BUSY_FRACTION)
+            .map(|f| reason("*.busy_ns", f, "PRESSURE_BUSY_FRACTION"));
+        ages.chain(lanes).chain(busy).collect()
     }
+}
 
-    /// Current ring occupancy as a fraction of capacity.
-    #[must_use]
-    pub fn occupancy_fraction(&self) -> Option<f64> {
-        match (self.ring_occupancy, self.ring_capacity) {
-            (Some(occ), Some(cap)) if cap > 0 => Some(occ as f64 / cap as f64),
-            _ => None,
-        }
-    }
+/// One stretch of a series in which every sampling interval had
+/// reasons.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Unhealthy {
+    /// `t_ns` of the sample that opens the stretch.
+    pub start_ns: u64,
+    /// `t_ns` of the sample that closes it.
+    pub end_ns: u64,
+    /// Every reason its intervals had, once per key and threshold, at
+    /// its peak value.
+    pub reasons: Vec<Reason>,
+}
 
-    /// The pre-`Saturated` pressure predicate: true when the system is
-    /// approaching the state where `joinsw::supervise` would eventually
-    /// give up — transport queues ≥ [`PRESSURE_OCCUPANCY_FRACTION`] full,
-    /// a worker silent for ≥ [`PRESSURE_HEARTBEAT_AGE_NS`], or the pool
-    /// ≥ [`PRESSURE_BUSY_FRACTION`] busy. A controller acting on this
-    /// signal still has seconds of headroom; `Saturated` means it is too
-    /// late.
-    #[must_use]
-    pub fn pressured(&self) -> bool {
-        if self
-            .occupancy_fraction()
-            .is_some_and(|f| f >= PRESSURE_OCCUPANCY_FRACTION)
-        {
-            return true;
+/// The unhealthy stretches of a series: [`Health::pressured`] over every
+/// pair of consecutive samples, adjacent unhealthy intervals merged.
+/// Empty means the run was healthy throughout.
+#[must_use]
+pub fn unhealthy(doc: &SeriesDoc) -> Vec<Unhealthy> {
+    let mut out: Vec<Unhealthy> = Vec::new();
+    let mut open = false;
+    for pair in doc.samples.windows(2) {
+        let reasons = Health::derive(&pair[0], &pair[1]).pressured();
+        if reasons.is_empty() {
+            open = false;
+            continue;
         }
-        if self
-            .max_heartbeat_age_ns
-            .is_some_and(|age| age >= PRESSURE_HEARTBEAT_AGE_NS)
-        {
-            return true;
+        match out.last_mut() {
+            Some(last) if open => {
+                last.end_ns = pair[1].t_ns;
+                for r in reasons {
+                    let same = |k: &&mut Reason| k.key == r.key && k.threshold == r.threshold;
+                    match last.reasons.iter_mut().find(same) {
+                        Some(kept) => kept.value = kept.value.max(r.value),
+                        None => last.reasons.push(r),
+                    }
+                }
+            }
+            _ => out.push(Unhealthy {
+                start_ns: pair[0].t_ns,
+                end_ns: pair[1].t_ns,
+                reasons,
+            }),
         }
-        self.busy_fraction
-            .is_some_and(|f| f >= PRESSURE_BUSY_FRACTION)
+        open = true;
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::SeriesHeader;
 
     fn snap(t_ns: u64, values: &[(&str, u64)]) -> Snapshot {
         Snapshot {
@@ -172,10 +227,8 @@ mod tests {
     #[test]
     fn empty_snapshots_derive_no_signals_and_no_pressure() {
         let h = Health::derive(&snap(0, &[]), &snap(10, &[]));
-        assert_eq!(h.interval_ns, 10);
-        assert_eq!(h.busy_fraction, None);
-        assert_eq!(h.tuples_per_sec, None);
-        assert!(!h.pressured());
+        assert_eq!(h, Health::default());
+        assert!(h.pressured().is_empty());
     }
 
     #[test]
@@ -200,36 +253,63 @@ mod tests {
         );
         let h = Health::derive(&prev, &cur);
         assert_eq!(h.busy_fraction, Some(0.4));
-        assert!(!h.pressured());
+        assert!(h.pressured().is_empty());
     }
 
     #[test]
-    fn pressure_trips_on_each_leading_indicator() {
-        // Queue nearly full.
-        let cur = snap(
-            10,
-            &[
-                ("splitjoin.ring.occupancy", 96),
-                ("splitjoin.ring.capacity", 128),
-            ],
-        );
-        let h = Health::derive(&snap(0, &[]), &cur);
-        assert_eq!(h.occupancy_fraction(), Some(0.75));
-        assert!(h.pressured());
+    fn each_reason_fires_at_its_threshold_and_names_its_key() {
+        const AGE: &str = "splitjoin.worker.3.heartbeat_age_ns";
+        const LANE: &str = "splitjoin.worker.1.ring_occupancy";
+        const CAP: &str = "splitjoin.ring.capacity";
+        const AT: u64 = PRESSURE_HEARTBEAT_AGE_NS;
+        type Readings = &'static [(&'static str, u64)];
+        const IDLE: Readings = &[("w.busy_ns", 0), ("w.wait_ns", 0)];
+        /// prev, cur, and the one reason expected as (key, threshold).
+        type Case = (Readings, Readings, Option<(&'static str, &'static str)>);
+        let table: [Case; 6] = [
+            (&[], &[(AGE, AT)], Some((AGE, "PRESSURE_HEARTBEAT_AGE_NS"))),
+            (&[], &[(AGE, AT - 1)], None),
+            (
+                &[(LANE, 128)],
+                &[(CAP, 128), (LANE, 96)],
+                Some((LANE, "PRESSURE_OCCUPANCY_FRACTION")),
+            ),
+            (&[(LANE, 95)], &[(CAP, 128), (LANE, 128)], None),
+            (
+                IDLE,
+                &[("w.busy_ns", 95), ("w.wait_ns", 5)],
+                Some(("*.busy_ns", "PRESSURE_BUSY_FRACTION")),
+            ),
+            (IDLE, &[("w.busy_ns", 94), ("w.wait_ns", 6)], None),
+        ];
+        for (prev, cur, want) in table {
+            let reasons = Health::derive(&snap(0, prev), &snap(100, cur)).pressured();
+            let got: Vec<_> = reasons
+                .iter()
+                .map(|r| (r.key.as_str(), r.threshold))
+                .collect();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "{cur:?}");
+        }
+    }
 
-        // Stalled worker.
-        let cur = snap(
-            10,
-            &[(
-                "splitjoin.worker.3.heartbeat_age_ns",
-                PRESSURE_HEARTBEAT_AGE_NS,
-            )],
-        );
-        assert!(Health::derive(&snap(0, &[]), &cur).pressured());
-
-        // Pool saturated on service time.
-        let prev = snap(0, &[("w.busy_ns", 0), ("w.wait_ns", 0)]);
-        let cur = snap(100, &[("w.busy_ns", 99), ("w.wait_ns", 1)]);
-        assert!(Health::derive(&prev, &cur).pressured());
+    #[test]
+    fn adjacent_unhealthy_intervals_merge_at_their_peak() {
+        const AGE: &str = "splitjoin.worker.1.heartbeat_age_ns";
+        let stalled = PRESSURE_HEARTBEAT_AGE_NS;
+        let ages = [0, stalled, stalled + 7, 0, stalled, 0];
+        let doc = SeriesDoc {
+            header: SeriesHeader::new("merge", 1),
+            samples: ages
+                .iter()
+                .zip(0u64..)
+                .map(|(&age, t)| snap(t * 10, &[(AGE, age)]))
+                .collect(),
+        };
+        let stretches = unhealthy(&doc);
+        let spans: Vec<_> = stretches.iter().map(|u| (u.start_ns, u.end_ns)).collect();
+        assert_eq!(spans, [(0, 20), (30, 40)]);
+        assert_eq!(stretches[0].reasons.len(), 1, "one reason per key");
+        assert_eq!(stretches[0].reasons[0].value, (stalled + 7) as f64);
+        assert_eq!(stretches[1].reasons[0].key, AGE);
     }
 }

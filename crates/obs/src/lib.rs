@@ -37,9 +37,8 @@
 //! trace-event JSON for <https://ui.perfetto.dev>, and 1-in-N sampled
 //! tuples whose end-to-end latency is attributed to pipeline stages
 //! (ingest → distribute → probe → gather → emit) with exact stage-sum
-//! accounting. [`health`] derives busy fraction / throughput / pressure
-//! from two consecutive [`Snapshot`]s, and [`scrape`] serves a registry
-//! as Prometheus-style text over std TCP.
+//! accounting. [`health`] reads a series file back and names what went
+//! wrong in it: which worker stalled, which ring filled, when.
 //!
 //! Instrumentation must never change behaviour: cells carry no
 //! control-flow, and the simulation's golden cycle-count pins hold with
@@ -81,7 +80,6 @@ pub mod json;
 pub mod live;
 mod manifest;
 pub mod provenance;
-pub mod scrape;
 pub mod series;
 pub mod trace;
 mod values;

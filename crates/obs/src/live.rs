@@ -5,35 +5,35 @@
 //!   [`set_active`] arms it so hot paths pay nothing unless a live run
 //!   was requested.
 //! * [`Sampler`] — a background thread snapshotting a registry at a fixed
-//!   interval into a bounded ring of [`Snapshot`]s, optionally streaming
-//!   each one to a [`SeriesWriter`]
-//!   (`target/obs/<run>.series.jsonl`).
+//!   interval and streaming each [`Snapshot`] to a [`SeriesWriter`]
+//!   (`target/obs/<run>.series.jsonl`), the plane's one output.
 //!
-//! [`crate::health`] derives busy fraction / throughput / pressure from
-//! consecutive snapshots, and [`crate::scrape`] serves the registry as
-//! Prometheus-style text over std TCP.
+//! [`crate::health`] reads that file back and names the unhealthy
+//! stretches of the run.
 //!
 //! # Example
 //!
 //! ```
-//! use obs::live::{Sampler, SamplerConfig};
+//! use obs::live::Sampler;
+//! use obs::series::{SeriesDoc, SeriesHeader, SeriesWriter};
 //! use std::time::Duration;
 //!
 //! let reg = obs::Registry::new();
 //! let tuples = reg.counter("splitjoin.tuples");
 //! tuples.add(256);
 //!
-//! let sampler = Sampler::start(
-//!     reg.clone(),
-//!     SamplerConfig { interval: Duration::from_millis(1), ..Default::default() },
-//! );
+//! let dir = std::env::temp_dir().join(format!("sampler-doc-{}", std::process::id()));
+//! let writer = SeriesWriter::create(&dir, SeriesHeader::new("demo", 1)).unwrap();
+//! let sampler = Sampler::start(reg.clone(), Duration::from_millis(1), writer);
 //! tuples.add(256);
 //! let report = sampler.stop();
 //! // Always at least the final snapshot.
-//! assert_eq!(report.snapshots.last().unwrap().values.get("splitjoin.tuples"), Some(512));
+//! let doc = SeriesDoc::parse(&std::fs::read_to_string(&report.series_path).unwrap()).unwrap();
+//! assert_eq!(doc.samples.last().unwrap().values.get("splitjoin.tuples"), Some(512));
+//! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
@@ -46,8 +46,7 @@ use crate::{Registry, Snapshot};
 ///
 /// Engines (`SplitJoin`, the handshake chain, `hwsim::par`) publish into
 /// this instance when [`active()`] is set; the bench binaries arm it with
-/// [`set_active`] before spawning and hand it to a [`Sampler`] and the
-/// scrape endpoint.
+/// [`set_active`] before spawning and hand it to a [`Sampler`].
 #[must_use]
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -70,47 +69,21 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// [`Sampler`] tuning.
-#[derive(Debug, Clone)]
-pub struct SamplerConfig {
-    /// Time between snapshots. Default 25 ms — coarse enough to stay
-    /// under the 2% overhead budget of the bench gate, fine enough to
-    /// resolve batch-scale dynamics.
-    pub interval: Duration,
-    /// In-memory ring capacity (oldest snapshots are dropped first; the
-    /// series file, when attached, keeps everything). Default 1024.
-    pub ring_capacity: usize,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_millis(25),
-            ring_capacity: 1024,
-        }
-    }
-}
-
 /// What a [`Sampler`] hands back from [`Sampler::stop`].
 #[derive(Debug)]
 pub struct SamplerReport {
-    /// The retained snapshot ring, oldest first (bounded by
-    /// [`SamplerConfig::ring_capacity`]).
-    pub snapshots: Vec<Snapshot>,
-    /// Total snapshots taken (may exceed `snapshots.len()` when the ring
-    /// wrapped).
+    /// Snapshots taken, the final one included.
     pub ticks: u64,
-    /// Where the series artifact was written, when one was attached.
-    pub series_path: Option<std::path::PathBuf>,
+    /// Where the series artifact was written.
+    pub series_path: PathBuf,
     /// The first I/O error hit while streaming the series, if any
-    /// (sampling continues in memory after a write error).
+    /// (sampling continues after a write error; later lines may land).
     pub series_error: Option<String>,
 }
 
 struct SamplerState {
-    ring: VecDeque<Snapshot>,
     ticks: u64,
-    writer: Option<SeriesWriter>,
+    writer: SeriesWriter,
     series_error: Option<String>,
 }
 
@@ -120,17 +93,15 @@ struct StopGate {
 }
 
 /// A background thread that snapshots a [`Registry`] at a fixed
-/// interval.
+/// interval and streams each sample to a [`SeriesWriter`] as one JSONL
+/// line.
 ///
-/// Each tick appends to a bounded in-memory ring and, when a
-/// [`SeriesWriter`] is attached, streams the sample as one JSONL line.
 /// [`Sampler::stop`] takes one final snapshot (so even sub-interval runs
 /// produce a sample), joins the thread, and returns a [`SamplerReport`].
 pub struct Sampler {
     reg: Registry,
     state: Arc<Mutex<SamplerState>>,
     gate: Arc<StopGate>,
-    capacity: usize,
     handle: Option<thread::JoinHandle<()>>,
 }
 
@@ -143,22 +114,11 @@ impl std::fmt::Debug for Sampler {
 }
 
 impl Sampler {
-    /// Starts sampling `reg` in the background (in-memory ring only).
+    /// Starts sampling `reg` every `interval` in the background, writing
+    /// every snapshot to `writer` as a series line.
     #[must_use]
-    pub fn start(reg: Registry, cfg: SamplerConfig) -> Self {
-        Self::spawn(reg, cfg, None)
-    }
-
-    /// Starts sampling `reg` and streams every snapshot to `writer` as a
-    /// JSONL series line.
-    #[must_use]
-    pub fn start_with_series(reg: Registry, cfg: SamplerConfig, writer: SeriesWriter) -> Self {
-        Self::spawn(reg, cfg, Some(writer))
-    }
-
-    fn spawn(reg: Registry, cfg: SamplerConfig, writer: Option<SeriesWriter>) -> Self {
+    pub fn start(reg: Registry, interval: Duration, writer: SeriesWriter) -> Self {
         let state = Arc::new(Mutex::new(SamplerState {
-            ring: VecDeque::new(),
             ticks: 0,
             writer,
             series_error: None,
@@ -167,8 +127,6 @@ impl Sampler {
             stopped: Mutex::new(false),
             cv: Condvar::new(),
         });
-        let capacity = cfg.ring_capacity.max(1);
-        let interval = cfg.interval;
         let thread_state = Arc::clone(&state);
         let thread_gate = Arc::clone(&gate);
         let thread_reg = reg.clone();
@@ -184,14 +142,13 @@ impl Sampler {
                     return;
                 }
                 drop(stopped);
-                record_tick(&thread_state, thread_reg.snapshot(), capacity);
+                record_tick(&thread_state, &thread_reg.snapshot());
             })
             .expect("spawn obs-sampler thread");
         Self {
             reg,
             state,
             gate,
-            capacity,
             handle: Some(handle),
         }
     }
@@ -203,8 +160,8 @@ impl Sampler {
     }
 
     /// Stops the sampler: takes one final snapshot (so even sub-interval
-    /// runs record their end state), joins the thread, closes the series
-    /// artifact, and returns everything retained.
+    /// runs record their end state), joins the thread, and reports what
+    /// was written.
     #[must_use]
     pub fn stop(mut self) -> SamplerReport {
         self.finish(true)
@@ -220,13 +177,12 @@ impl Sampler {
             let _ = handle.join();
         }
         if final_sample {
-            record_tick(&self.state, self.reg.snapshot(), self.capacity);
+            record_tick(&self.state, &self.reg.snapshot());
         }
-        let mut state = self.state.lock().expect("sampler poisoned");
+        let state = self.state.lock().expect("sampler poisoned");
         SamplerReport {
-            snapshots: state.ring.iter().cloned().collect(),
             ticks: state.ticks,
-            series_path: state.writer.take().map(SeriesWriter::finish),
+            series_path: state.writer.path().to_path_buf(),
             series_error: state.series_error.clone(),
         }
     }
@@ -240,48 +196,39 @@ impl Drop for Sampler {
     }
 }
 
-fn record_tick(state: &Mutex<SamplerState>, snap: Snapshot, capacity: usize) {
+fn record_tick(state: &Mutex<SamplerState>, snap: &Snapshot) {
     let mut state = state.lock().expect("sampler poisoned");
     state.ticks += 1;
-    if let Some(writer) = state.writer.as_mut() {
-        if let Err(e) = writer.append(&snap) {
-            state
-                .series_error
-                .get_or_insert_with(|| format!("append: {e}"));
-        }
+    if let Err(e) = state.writer.append(snap) {
+        state
+            .series_error
+            .get_or_insert_with(|| format!("append: {e}"));
     }
-    if state.ring.len() == capacity {
-        state.ring.pop_front();
-    }
-    state.ring.push_back(snap);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{SeriesDoc, SeriesHeader};
 
     #[test]
-    fn sampler_ticks_and_stops() {
+    fn sampler_ticks_into_the_series_and_stops() {
+        let dir = std::env::temp_dir().join(format!("sampler-test-{}", std::process::id()));
+        let writer = SeriesWriter::create(&dir, SeriesHeader::new("ticks", 1)).unwrap();
         let reg = Registry::new();
         let c = reg.counter("t.events");
-        let sampler = Sampler::start(
-            reg.clone(),
-            SamplerConfig {
-                interval: Duration::from_millis(1),
-                ring_capacity: 4,
-            },
-        );
+        let sampler = Sampler::start(reg.clone(), Duration::from_millis(1), writer);
         c.add(10);
         while sampler.ticks() < 6 {
             std::thread::yield_now();
         }
         let report = sampler.stop();
-        assert!(report.ticks >= 6);
-        assert!(report.snapshots.len() <= 4, "ring stays bounded");
-        assert!(report.series_path.is_none());
-        assert_eq!(
-            report.snapshots.last().unwrap().values.get("t.events"),
-            Some(10)
-        );
+        assert!(report.series_error.is_none(), "{:?}", report.series_error);
+        let text = std::fs::read_to_string(&report.series_path).unwrap();
+        let doc = SeriesDoc::parse(&text).unwrap();
+        assert!(report.ticks >= 7, "six timed ticks plus the final one");
+        assert_eq!(doc.samples.len() as u64, report.ticks, "one line per tick");
+        assert_eq!(doc.samples.last().unwrap().values.get("t.events"), Some(10));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

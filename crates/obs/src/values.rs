@@ -126,18 +126,6 @@ impl Snapshot {
                 .saturating_sub(prev.values.get(name)?),
         )
     }
-
-    /// The per-second rate of counter `name` between `prev` and `self`
-    /// (`None` when the key is missing or no time elapsed).
-    #[must_use]
-    pub fn rate_per_sec(&self, prev: &Snapshot, name: &str) -> Option<f64> {
-        let dt = self.t_ns.saturating_sub(prev.t_ns);
-        if dt == 0 {
-            return None;
-        }
-        let dv = self.delta(prev, name)?;
-        Some(dv as f64 * 1e9 / dt as f64)
-    }
 }
 
 #[cfg(test)]
@@ -183,16 +171,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_deltas_and_rates() {
+    fn snapshot_deltas() {
         let snap = |t_ns, a| Snapshot {
             t_ns,
             values: [("a", a), ("b", 7)].into_iter().collect(),
         };
         let (prev, cur) = (snap(1_000_000_000, 100), snap(3_000_000_000, 400));
         assert_eq!(cur.delta(&prev, "a"), Some(300));
-        assert_eq!(cur.rate_per_sec(&prev, "a"), Some(150.0));
-        assert_eq!(cur.rate_per_sec(&prev, "b"), Some(0.0));
-        assert_eq!(cur.rate_per_sec(&prev, "missing"), None);
-        assert_eq!(cur.rate_per_sec(&cur, "a"), None); // dt == 0
+        assert_eq!(cur.delta(&prev, "b"), Some(0));
+        assert_eq!(cur.delta(&prev, "missing"), None);
+        assert_eq!(prev.delta(&cur, "a"), Some(0), "saturates at zero");
     }
 }

@@ -760,8 +760,8 @@ impl QueryRuntime {
     }
 
     /// The runtime's live-metric registry (`query.*` and `group.*`
-    /// series) — hand it to an [`obs::live::Sampler`] or scrape
-    /// endpoint to watch standing queries in flight.
+    /// series) — hand it to an [`obs::live::Sampler`] to watch standing
+    /// queries in flight.
     pub fn live(&self) -> &obs::Registry {
         &self.live
     }

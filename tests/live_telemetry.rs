@@ -1,24 +1,25 @@
 //! End-to-end check of the live telemetry plane: an armed SplitJoin run
-//! is observable *while it is running* — through a Prometheus-style
-//! scrape of every `splitjoin.*` live gauge — and leaves behind a
-//! parseable `*.series.jsonl` time-series artifact with health-derivable
-//! samples.
+//! leaves behind a parseable `*.series.jsonl` artifact carrying every
+//! live `splitjoin.*` key, and that file alone names the worker a
+//! scripted stall froze, and no other.
 
 use std::time::Duration;
 
+use joinsw::fault::{FaultEvent, FaultPlan};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::{JoinParams, StreamJoin};
+use obs::health::{unhealthy, PRESSURE_HEARTBEAT_AGE_NS};
+use obs::series::{SeriesDoc, SeriesHeader, SeriesWriter};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
 /// Every router- and worker-side live key a 2-core SplitJoin must
-/// register at spawn, in dotted (registry) form.
+/// register at spawn.
 fn expected_splitjoin_keys() -> Vec<String> {
     let mut keys: Vec<String> = [
         "splitjoin.batches",
         "splitjoin.tuples",
         "splitjoin.matches",
         "splitjoin.partition.routed",
-        "splitjoin.ring.occupancy",
         "splitjoin.ring.capacity",
         "splitjoin.arena.lag",
         "splitjoin.workers.live",
@@ -33,6 +34,7 @@ fn expected_splitjoin_keys() -> Vec<String> {
             "busy_ns",
             "wait_ns",
             "heartbeat_age_ns",
+            "ring_occupancy",
         ] {
             keys.push(format!("splitjoin.worker.{w}.{suffix}"));
         }
@@ -41,65 +43,69 @@ fn expected_splitjoin_keys() -> Vec<String> {
 }
 
 #[test]
-fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
+fn the_series_file_alone_names_the_stalled_worker() {
     // Arm the plane before spawn — registration happens at spawn time.
     obs::live::set_active(true);
-    let reg = obs::live::global().clone();
-
     let dir = std::env::temp_dir().join(format!("live-telemetry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut header = obs::series::SeriesHeader::new("live-e2e", 5);
-    header.config("transport", "ring");
-    let writer = obs::series::SeriesWriter::create(&dir, header).unwrap();
-    let sampler = obs::live::Sampler::start_with_series(
-        reg.clone(),
-        obs::live::SamplerConfig {
-            interval: Duration::from_millis(5),
-            ..Default::default()
-        },
+    let mut header = SeriesHeader::new("live-e2e", 5);
+    header.config("fault", "stall1@2x3000");
+    let writer = SeriesWriter::create(&dir, header).unwrap();
+    let sampler = obs::live::Sampler::start(
+        obs::live::global().clone(),
+        Duration::from_millis(5),
         writer,
     );
-    let server = obs::scrape::serve(reg, 0).expect("bind ephemeral scrape port");
-    let addr = server.addr().to_string();
 
+    // Worker 1 freezes for 3 s before its second batch. Its 4-slot lane
+    // fills, and the router, still being fed, waits on it: that wait is
+    // where worker 1's heartbeat age keeps being refreshed.
+    const BATCH: usize = 32;
     let inputs: Vec<_> = WorkloadSpec::new(2_000, KeyDist::Uniform { domain: 16 })
         .generate()
         .collect();
-    let join = SplitJoin::spawn(SplitJoinConfig::new(2, 64).with_batch_size(32));
-    // Feed half the stream, then scrape mid-run: the run is still live
-    // (workers spawned, not yet shut down) when the endpoint answers.
-    let (first, second) = inputs.split_at(inputs.len() / 2);
-    for &(tag, t) in first {
-        join.process(tag, t).unwrap();
-    }
-    let body = obs::scrape::scrape_once(&addr).expect("mid-run scrape");
-    for key in expected_splitjoin_keys() {
-        assert!(
-            body.lines()
-                .any(|l| l.starts_with(&obs::scrape::metric_name(&key))),
-            "scrape is missing live key {key}:\n{body}"
-        );
-    }
-    for &(tag, t) in second {
-        join.process(tag, t).unwrap();
+    let stall = FaultEvent::Stall {
+        worker: 1,
+        at_batch: 2,
+        millis: 3_000,
+    };
+    let join = SplitJoin::spawn(
+        SplitJoinConfig::new(2, 64)
+            .with_batch_size(BATCH)
+            .with_channel_capacity(4)
+            .with_fault_plan(FaultPlan::none().with(stall)),
+    );
+    // Each batch waits for worker 0 to finish the one before, so the
+    // stall is the run's only pressure even on a starved host: a lane
+    // worker 0 left full for a whole sample, because the caller outran
+    // it, would be real pressure and rightly reported. It then waits two
+    // sample intervals, so the heartbeat ages the router refreshed at
+    // the last batch are sampled; the first batch after the stall must
+    // not find worker 0, idle all along, silent.
+    let worker0_batches = obs::live::global().counter("splitjoin.worker.0.batches");
+    for (sent, batch) in inputs.chunks(BATCH).enumerate() {
+        while worker0_batches.get() < sent as u64 {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        for &(tag, t) in batch {
+            join.process(tag, t).unwrap();
+        }
     }
     join.flush().unwrap();
     let outcome = join.shutdown().unwrap();
     obs::live::set_active(false);
     assert!(!outcome.results.is_empty());
 
-    assert!(server.scrapes() >= 1);
-    server.stop();
-
-    // The series artifact parses strictly and carries the splitjoin keys
-    // with a sane trajectory (tuples monotone, ending >= the stream).
     let report = sampler.stop();
     assert!(report.series_error.is_none(), "{:?}", report.series_error);
-    let path = report.series_path.expect("series file attached");
-    let doc = obs::series::SeriesDoc::parse(&std::fs::read_to_string(&path).unwrap())
+    let doc = SeriesDoc::parse(&std::fs::read_to_string(&report.series_path).unwrap())
         .expect("series artifact validates");
-    assert!(!doc.samples.is_empty());
-    assert!(doc.keys().contains(&"splitjoin.tuples"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let keys = doc.keys();
+    for key in expected_splitjoin_keys() {
+        assert!(keys.contains(&key.as_str()), "series lacks live key {key}");
+    }
     let tuples = doc.series_of("splitjoin.tuples");
     assert!(
         tuples.windows(2).all(|w| w[0].1 <= w[1].1),
@@ -107,13 +113,20 @@ fn scrape_during_a_live_run_returns_every_splitjoin_gauge() {
     );
     assert!(tuples.last().unwrap().1 >= 2_000);
 
-    // Health derivation works over the retained ring.
-    if report.snapshots.len() >= 2 {
-        let h = obs::health::Health::derive(
-            &report.snapshots[report.snapshots.len() - 2],
-            &report.snapshots[report.snapshots.len() - 1],
-        );
-        assert!(h.interval_ns > 0);
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    let stretches = unhealthy(&doc);
+    let reasons: Vec<_> = stretches.iter().flat_map(|u| &u.reasons).collect();
+    assert!(
+        reasons.iter().any(|r| {
+            r.key == "splitjoin.worker.1.heartbeat_age_ns"
+                && r.threshold == "PRESSURE_HEARTBEAT_AGE_NS"
+                && r.value >= PRESSURE_HEARTBEAT_AGE_NS as f64
+        }),
+        "no stretch names the stalled worker: {stretches:#?}"
+    );
+    assert!(
+        !reasons
+            .iter()
+            .any(|r| r.key.starts_with("splitjoin.worker.0.")),
+        "a stretch names the healthy worker: {stretches:#?}"
+    );
 }
