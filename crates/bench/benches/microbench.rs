@@ -10,8 +10,7 @@
 use criterion::{BatchSize, Criterion};
 use std::hint::black_box;
 
-use fqp::assign::assign;
-use fqp::fabric::Fabric;
+use fqp::manager::QueryManager;
 use fqp::plan::{bind, Catalog};
 use fqp::query::Query;
 use hwsim::{ParSimulator, Simulator};
@@ -292,8 +291,8 @@ fn fqp_fabric(c: &mut Criterion) {
     .unwrap();
 
     c.bench_function("fabric_push_select_join", |b| {
-        let mut fabric = Fabric::new(4);
-        let handle = assign(&plan, &mut fabric).unwrap();
+        let mut fabric = QueryManager::new(4);
+        let id = fabric.deploy(&plan).unwrap();
         for i in 0..256u64 {
             fabric
                 .push("products", Record::new(vec![i, i * 2]))
@@ -306,17 +305,17 @@ fn fqp_fabric(c: &mut Criterion) {
                 .push("customers", Record::new(vec![i % 256, 30]))
                 .unwrap();
             if i.is_multiple_of(1_024) {
-                fabric.take_sink(handle.sink).unwrap();
+                fabric.take_results(id).unwrap();
             }
         });
     });
 
-    c.bench_function("fabric_assign_and_remove", |b| {
+    c.bench_function("fabric_deploy_and_undeploy", |b| {
         b.iter_batched(
-            || Fabric::new(4),
+            || QueryManager::new(4),
             |mut fabric| {
-                let handle = assign(black_box(&plan), &mut fabric).unwrap();
-                fqp::assign::remove(&handle, &mut fabric).unwrap();
+                let id = fabric.deploy(black_box(&plan)).unwrap();
+                fabric.undeploy(id).unwrap();
             },
             BatchSize::SmallInput,
         );

@@ -3,8 +3,7 @@
 
 use std::time::Instant;
 
-use fqp::assign::{assign, remove};
-use fqp::fabric::Fabric;
+use fqp::manager::QueryManager;
 use fqp::plan::{bind, Catalog};
 use fqp::query::Query;
 use fqp::reconfig::DeploymentPath;
@@ -60,7 +59,7 @@ pub fn live_requery() -> Table {
         ])
         .unwrap(),
     );
-    let mut fabric = Fabric::new(8);
+    let mut fabric = QueryManager::new(8);
 
     let q1 = bind(
         &Query::parse("SELECT value FROM readings WHERE value > 90").unwrap(),
@@ -68,7 +67,7 @@ pub fn live_requery() -> Table {
     )
     .unwrap();
     let start = Instant::now();
-    let h1 = assign(&q1, &mut fabric).unwrap();
+    let h1 = fabric.deploy(&q1).unwrap();
     t.row(vec![
         "deploy query 1".into(),
         format!("{:?}", start.elapsed()),
@@ -87,7 +86,7 @@ pub fn live_requery() -> Table {
     )
     .unwrap();
     let start = Instant::now();
-    let h2 = assign(&q2, &mut fabric).unwrap();
+    let h2 = fabric.deploy(&q2).unwrap();
     t.row(vec![
         "deploy query 2 (mid-stream)".into(),
         format!("{:?}", start.elapsed()),
@@ -100,14 +99,14 @@ pub fn live_requery() -> Table {
             .unwrap();
     }
     let start = Instant::now();
-    remove(&h1, &mut fabric).unwrap();
+    fabric.undeploy(h1).unwrap();
     t.row(vec![
         "remove query 1 (mid-stream)".into(),
         format!("{:?}", start.elapsed()),
         "2000".into(),
     ]);
 
-    let collected = fabric.take_sink(h2.sink).unwrap().len();
+    let collected = fabric.take_results(h2).unwrap().len();
     t.note(format!(
         "query 2 collected {collected} results; no records were dropped at any point"
     ));

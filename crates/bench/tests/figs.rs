@@ -91,6 +91,36 @@ fn figs_names_the_figures_when_the_name_is_unknown_or_missing() {
 }
 
 #[test]
+fn every_figure_design_md_cites_is_a_figs_name() {
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+        .expect("DESIGN.md at the workspace root");
+    let index = design
+        .split("\n## ")
+        .find(|section| section.starts_with("4. "))
+        .expect("DESIGN.md has a §4");
+    let cited: Vec<&str> = index
+        .split("figs -- ")
+        .skip(1)
+        .map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .collect();
+    assert!(
+        cited.len() >= 10,
+        "too few `figs -- <name>` in §4: {cited:?}"
+    );
+    for name in cited {
+        assert!(
+            FIGURES.iter().any(|(figure, _)| *figure == name),
+            "DESIGN.md §4 cites `figs -- {name}`, which `figs` does not know"
+        );
+    }
+}
+
+#[test]
 fn figs_rejects_a_malformed_flag_before_running_anything() {
     let out = Command::new(env!("CARGO_BIN_EXE_figs"))
         .args(["fig14c", "--threads", "many"])

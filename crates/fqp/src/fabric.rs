@@ -181,15 +181,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Removes every edge out of `from`.
-    pub fn disconnect_all(&mut self, from: BlockId) -> Result<(), FabricError> {
-        if from.0 >= self.blocks.len() {
-            return Err(FabricError::UnknownBlock { id: from });
-        }
-        self.outputs[from.0].clear();
-        Ok(())
-    }
-
     /// Removes one specific edge (idempotent if absent).
     pub fn disconnect(&mut self, from: BlockId, to: Target) -> Result<(), FabricError> {
         if from.0 >= self.blocks.len() {
@@ -199,11 +190,16 @@ impl Fabric {
         Ok(())
     }
 
-    /// Returns a block to the idle pool: program cleared, output edges and
-    /// stream bindings removed — dynamic query removal.
+    /// Returns a block to the idle pool: program cleared, and every edge
+    /// and stream binding into or out of it removed — dynamic query
+    /// removal. A block reused later receives nothing its last user was
+    /// wired to.
     pub fn release(&mut self, id: BlockId) -> Result<(), FabricError> {
         self.reprogram(id, BlockProgram::Idle)?;
         self.outputs[id.0].clear();
+        for targets in &mut self.outputs {
+            targets.retain(|t| !matches!(t, Target::Block(b, _) if *b == id));
+        }
         for targets in self.entries.values_mut() {
             targets.retain(|(b, _)| *b != id);
         }
@@ -452,6 +448,31 @@ mod tests {
             f.push("x", rec(&[1])),
             Err(FabricError::UnknownStream { .. })
         ));
+    }
+
+    #[test]
+    fn a_released_block_loses_the_edges_into_it() {
+        // x on stream "a" feeds y; y is released and reused for a query
+        // on stream "b" with a sink of its own.
+        let mut f = Fabric::new(2);
+        let (x, y) = (BlockId(0), BlockId(1));
+        let old = f.add_sink();
+        f.reprogram(x, BlockProgram::Passthrough).unwrap();
+        f.reprogram(y, BlockProgram::Passthrough).unwrap();
+        f.bind_stream("a", x, Port::Left);
+        f.connect(x, Target::Block(y, Port::Left)).unwrap();
+        f.connect(y, Target::Sink(old)).unwrap();
+        f.release(y).unwrap();
+
+        let new = f.add_sink();
+        f.reprogram(y, BlockProgram::Passthrough).unwrap();
+        f.bind_stream("b", y, Port::Left);
+        f.connect(y, Target::Sink(new)).unwrap();
+        f.push("a", rec(&[1])).unwrap();
+        assert!(f.take_sink(new).unwrap().is_empty(), "{}", f.to_dot());
+        assert!(f.take_sink(old).unwrap().is_empty());
+        f.push("b", rec(&[2])).unwrap();
+        assert_eq!(f.take_sink(new).unwrap(), vec![rec(&[2])]);
     }
 
     #[test]

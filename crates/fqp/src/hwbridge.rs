@@ -280,8 +280,7 @@ impl HwDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::assign;
-    use crate::fabric::Fabric;
+    use crate::manager::QueryManager;
     use crate::plan::{bind, Catalog};
     use crate::query::Query;
     use hwsim::devices::XC7VX485T;
@@ -320,8 +319,8 @@ mod tests {
         );
 
         // Software fabric execution.
-        let mut fabric = Fabric::new(4);
-        let handle = assign(&plan, &mut fabric).unwrap();
+        let mut fabric = QueryManager::new(4);
+        let id = fabric.deploy(&plan).unwrap();
 
         // Hardware deployment.
         let mut hw = deploy_to_hardware(&plan, 4, &XC7VX485T).unwrap();
@@ -337,7 +336,7 @@ mod tests {
             hw.push("customers", customer).unwrap();
         }
 
-        let mut sw: Vec<Record> = fabric.take_sink(handle.sink).unwrap();
+        let mut sw: Vec<Record> = fabric.take_results(id).unwrap();
         let mut hw_out = hw.finish();
         sw.sort_by_key(|r| r.values().to_vec());
         hw_out.sort_by_key(|r| r.values().to_vec());
@@ -379,8 +378,8 @@ mod tests {
         ];
         for (text, filtered) in cases {
             let plan = plan_of(text);
-            let mut fabric = Fabric::new(4);
-            let handle = assign(&plan, &mut fabric).unwrap();
+            let mut fabric = QueryManager::new(4);
+            let id = fabric.deploy(&plan).unwrap();
             let mut hw = deploy_to_hardware(&plan, 4, &XC7VX485T).unwrap();
             let products = (0..8u64).map(|pid| ("products", vec![pid, pid * 11]));
             let customers = [(1u64, 30u64), (1, 20), (3, 40), (5, 70), (9, 50), (6, 26)]
@@ -390,17 +389,18 @@ mod tests {
                 hw.push(stream, Record::new(values)).unwrap();
             }
 
-            let mut sw = fabric.take_sink(handle.sink).unwrap();
+            let mut sw = fabric.take_results(id).unwrap();
             let mut hw_out = hw.finish();
             sw.sort_by_key(|r| r.values().to_vec());
             hw_out.sort_by_key(|r| r.values().to_vec());
             assert!(!sw.is_empty(), "{text}");
             assert_eq!(hw_out, sw, "{text}");
             // The fabric's selections drop what the bridge's do.
-            let sw_filtered: u64 = handle
-                .blocks
-                .iter()
-                .map(|&id| fabric.block(id).unwrap())
+            let sw_filtered: u64 = fabric
+                .blocks(id)
+                .unwrap()
+                .into_iter()
+                .map(|block| fabric.fabric().block(block).unwrap())
                 .filter(|b| !matches!(b.program(), BlockProgram::Op(PlanOp::Join { .. })))
                 .map(|b| b.stats().records_in - b.stats().records_out)
                 .sum();

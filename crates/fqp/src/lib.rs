@@ -14,18 +14,24 @@
 //! 1. [`query::Query::parse`] — parse the SQL-like dialect;
 //! 2. [`plan::bind`] — bind against stream schemas ([`plan::Catalog`])
 //!    into a pipeline of operators;
-//! 3. [`assign::assign`] — allocate idle [`opblock::OpBlock`]s on a
-//!    [`fabric::Fabric`], program them, and wire the pipeline;
-//! 4. [`fabric::Fabric::push`] — stream records through;
-//! 5. [`assign::remove`] / [`fabric::Fabric::reprogram`] — change or
-//!    remove queries live ([`reconfig`] quantifies why this matters).
+//! 3. [`manager::QueryManager::deploy`] — allocate idle
+//!    [`opblock::OpBlock`]s on its [`fabric::Fabric`], program them, and
+//!    wire the pipeline, sharing a matching prefix with queries already
+//!    deployed;
+//! 4. [`manager::QueryManager::push`] — stream records through;
+//! 5. [`manager::QueryManager::reprogram`] /
+//!    [`manager::QueryManager::undeploy`] — change or remove queries live
+//!    ([`reconfig`] quantifies why this matters).
+//!
+//! [`manager::QueryManager`] is the one deployer: nothing else puts a
+//! bound plan on a fabric or takes it off.
 //!
 //! # Where operators run
 //!
 //! [`plan::PlanOp`] is the one operator type and [`opblock::OpBlock`]
 //! the one runtime for it: a block programmed with
 //! [`opblock::BlockProgram::Op`] runs one bound operator, whether it sits
-//! on a [`fabric::Fabric`] (wired by [`assign`] or [`manager`]), on a
+//! on a [`fabric::Fabric`] (wired by [`manager`]), on a
 //! [`datapath::DataPath`] stage, or beside the hardware join of
 //! [`hwbridge`], which runs every non-join operator of its plan in
 //! OP-Blocks. [`opblock::WindowAggregate`] is the one windowed aggregate,
@@ -45,8 +51,7 @@
 //! # Example
 //!
 //! ```
-//! use fqp::assign::assign;
-//! use fqp::fabric::Fabric;
+//! use fqp::manager::QueryManager;
 //! use fqp::plan::{bind, Catalog};
 //! use fqp::query::Query;
 //! use streamcore::{Field, Record, Schema};
@@ -60,11 +65,13 @@
 //! let query = Query::parse("SELECT value FROM readings WHERE value > 90")?;
 //! let plan = bind(&query, &catalog)?;
 //!
-//! let mut fabric = Fabric::new(8);
-//! let handle = assign(&plan, &mut fabric)?;
-//! fabric.push("readings", Record::new(vec![1, 95]))?;
-//! fabric.push("readings", Record::new(vec![2, 50]))?;
-//! assert_eq!(fabric.take_sink(handle.sink)?, vec![Record::new(vec![95])]);
+//! let mut manager = QueryManager::new(8);
+//! let id = manager.deploy(&plan)?;
+//! manager.push("readings", Record::new(vec![1, 95]))?;
+//! manager.push("readings", Record::new(vec![2, 50]))?;
+//! assert_eq!(manager.take_results(id)?, vec![Record::new(vec![95])]);
+//! manager.undeploy(id)?;
+//! assert_eq!(manager.fabric().idle_blocks(), 8);
 //! # Ok(())
 //! # }
 //! ```
@@ -72,7 +79,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod assign;
 pub mod datapath;
 pub mod fabric;
 pub mod hwbridge;

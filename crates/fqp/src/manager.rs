@@ -1,22 +1,26 @@
-//! Multi-query management with inter-query operator sharing — the
-//! paper's open problem #4: "generalize the query mapping from
-//! single-query optimization to multi-query optimization to amortize the
-//! execution cost across the shared processing of several queries",
-//! in the spirit of the Rete-like global query plans it cites.
+//! Query deployment onto the fabric, with inter-query operator sharing —
+//! the paper's open problems #1/#2 (map a plan onto idle OP-Blocks at
+//! runtime) and #4: "generalize the query mapping from single-query
+//! optimization to multi-query optimization to amortize the execution
+//! cost across the shared processing of several queries", in the spirit
+//! of the Rete-like global query plans it cites.
 //!
-//! [`QueryManager::deploy`] looks for an already-deployed query whose
-//! operator pipeline starts with the same operators over the same streams
-//! and reuses those blocks (fan-out on the last shared block); only the
-//! differing suffix consumes fresh OP-Blocks. Shared blocks are
-//! reference-counted so [`QueryManager::undeploy`] releases exactly the
-//! blocks no surviving query needs.
+//! [`QueryManager`] is the one way a bound plan is put on a [`Fabric`],
+//! changed on it, and taken off it. [`QueryManager::deploy`] looks for an
+//! already-deployed query whose operator pipeline starts with the same
+//! operators over the same streams and reuses those blocks (fan-out on
+//! the last shared block); only the differing suffix consumes fresh
+//! OP-Blocks, one per operator. Two queries with no common prefix occupy
+//! blocks side by side, which is the paper's Fig. 7 layout. Shared blocks
+//! are reference-counted so [`QueryManager::undeploy`] releases exactly
+//! the blocks no surviving query needs.
 
 use std::collections::HashMap;
+use std::error::Error;
 use std::fmt;
 
 use streamcore::Record;
 
-use crate::assign::AssignError;
 use crate::fabric::{Fabric, FabricError, SinkId, Target};
 use crate::opblock::{BlockId, BlockProgram, Port};
 use crate::plan::{Plan, PlanOp};
@@ -31,6 +35,68 @@ impl fmt::Display for QueryId {
     }
 }
 
+/// Errors raised while deploying, changing or removing a query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AssignError {
+    /// Not enough idle blocks for the plan.
+    InsufficientBlocks {
+        /// Blocks the plan needs.
+        required: usize,
+        /// Idle blocks available.
+        available: usize,
+    },
+    /// The fabric rejected a reconfiguration step.
+    Fabric(FabricError),
+    /// No deployed query has this id.
+    UnknownQuery {
+        /// The offending id.
+        id: QueryId,
+    },
+    /// The query's pipeline has no operator at this position.
+    UnknownOp {
+        /// The query.
+        id: QueryId,
+        /// The offending position.
+        op: usize,
+    },
+    /// Another deployed query shares the block, so reprogramming it
+    /// would change that query too.
+    SharedBlock {
+        /// The shared block.
+        block: BlockId,
+        /// Deployed queries that run on it.
+        queries: usize,
+    },
+}
+
+impl fmt::Display for AssignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AssignError::InsufficientBlocks {
+                required,
+                available,
+            } => write!(
+                f,
+                "plan needs {required} OP-Blocks but only {available} are idle"
+            ),
+            AssignError::Fabric(e) => write!(f, "fabric error: {e}"),
+            AssignError::UnknownQuery { id } => write!(f, "{id} is not deployed"),
+            AssignError::UnknownOp { id, op } => write!(f, "{id} has no operator {op}"),
+            AssignError::SharedBlock { block, queries } => {
+                write!(f, "{block} is shared by {queries} deployed queries")
+            }
+        }
+    }
+}
+
+impl Error for AssignError {}
+
+impl From<FabricError> for AssignError {
+    fn from(e: FabricError) -> Self {
+        AssignError::Fabric(e)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Deployed {
     id: QueryId,
@@ -38,8 +104,6 @@ struct Deployed {
     secondary: Option<String>,
     /// The full pipeline, programs included (shared prefix + own suffix).
     chain: Vec<(BlockId, BlockProgram)>,
-    /// Index of the first block exclusively owned by this query.
-    owned_from: usize,
     sink: SinkId,
 }
 
@@ -115,8 +179,26 @@ impl QueryManager {
         &self.fabric
     }
 
+    /// Where query `id` sits in `deployed`.
+    fn position(&self, id: QueryId) -> Result<usize, AssignError> {
+        self.deployed
+            .iter()
+            .position(|d| d.id == id)
+            .ok_or(AssignError::UnknownQuery { id })
+    }
+
     /// Deploys `plan`, sharing the longest matching operator prefix of an
-    /// already-deployed query over the same streams.
+    /// already-deployed query over the same streams; every operator past
+    /// it gets an idle block of its own, programmed and wired behind the
+    /// prefix.
+    ///
+    /// Shared blocks are live: a plan deployed mid-stream runs on the
+    /// matching prefix's blocks as they are, so a shared join or
+    /// aggregate window already holds the records that arrived before
+    /// the deployment, and the new query's first results can pair a new
+    /// arrival with an earlier one. Its result stream starts at the
+    /// deployment (the rule `QueryRuntime::admit` documents for a query
+    /// joining a running group). A freshly allocated block starts empty.
     ///
     /// # Errors
     ///
@@ -202,38 +284,24 @@ impl QueryManager {
             id,
             primary: plan.primary.clone(),
             secondary: plan.secondary.clone(),
-            owned_from: shared.len(),
             chain,
             sink,
         });
         Ok(id)
     }
 
-    /// Removes a query, releasing every block no surviving query shares.
+    /// Removes a query: its own sink edge is disconnected, and every
+    /// block no surviving query shares is released (which also drops the
+    /// edges and stream bindings into it).
     ///
     /// # Errors
     ///
     /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
     pub fn undeploy(&mut self, id: QueryId) -> Result<(), AssignError> {
-        let pos = self
-            .deployed
-            .iter()
-            .position(|d| d.id == id)
-            .ok_or(AssignError::UnknownQuery { id })?;
-        let d = self.deployed.remove(pos);
-        // Detach this query's private wiring from the shared prefix.
-        if let Some((first_own, _)) = d.chain.get(d.owned_from) {
-            if d.owned_from > 0 {
-                self.fabric.disconnect(
-                    d.chain[d.owned_from - 1].0,
-                    Target::Block(*first_own, Port::Left),
-                )?;
-            }
-        } else if let Some((last, _)) = d.chain.last() {
-            // Entire chain shared: only the sink edge is private.
-            self.fabric.disconnect(*last, Target::Sink(d.sink))?;
-        }
-        for (block, _) in d.chain.iter().rev() {
+        let d = self.deployed.remove(self.position(id)?);
+        let (last, _) = d.chain.last().expect("non-empty");
+        self.fabric.disconnect(*last, Target::Sink(d.sink))?;
+        for (block, _) in &d.chain {
             let count = self.refcounts.get_mut(block).expect("refcounted");
             *count -= 1;
             if *count == 0 {
@@ -241,6 +309,48 @@ impl QueryManager {
                 self.fabric.release(*block)?;
             }
         }
+        Ok(())
+    }
+
+    /// The blocks a deployed query runs on, in pipeline order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
+    pub fn blocks(&self, id: QueryId) -> Result<Vec<BlockId>, AssignError> {
+        let d = &self.deployed[self.position(id)?];
+        Ok(d.chain.iter().map(|(block, _)| *block).collect())
+    }
+
+    /// Reprograms the block running operator `op` (its position in
+    /// pipeline order) of a deployed query — the paper's Fig. 6 micro
+    /// change, effective for the next record, with no redeployment. The
+    /// block's windows start empty. Later deployments compare their
+    /// prefixes against the new program.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AssignError::UnknownQuery`], [`AssignError::UnknownOp`]
+    /// past the pipeline's end, or [`AssignError::SharedBlock`] when
+    /// another deployed query runs on the block.
+    pub fn reprogram(
+        &mut self,
+        id: QueryId,
+        op: usize,
+        program: BlockProgram,
+    ) -> Result<(), AssignError> {
+        let pos = self.position(id)?;
+        let (block, _) = self.deployed[pos]
+            .chain
+            .get(op)
+            .ok_or(AssignError::UnknownOp { id, op })?;
+        let block = *block;
+        let queries = self.refcounts[&block];
+        if queries > 1 {
+            return Err(AssignError::SharedBlock { block, queries });
+        }
+        self.fabric.reprogram(block, program.clone())?;
+        self.deployed[pos].chain[op].1 = program;
         Ok(())
     }
 
@@ -260,12 +370,8 @@ impl QueryManager {
     ///
     /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
     pub fn take_results(&mut self, id: QueryId) -> Result<Vec<Record>, AssignError> {
-        let d = self
-            .deployed
-            .iter()
-            .find(|d| d.id == id)
-            .ok_or(AssignError::UnknownQuery { id })?;
-        Ok(self.fabric.take_sink(d.sink)?)
+        let sink = self.deployed[self.position(id)?].sink;
+        Ok(self.fabric.take_sink(sink)?)
     }
 
     /// Graphviz DOT rendering of the shared topology (see
@@ -288,8 +394,8 @@ impl QueryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{bind, Catalog};
-    use crate::query::Query;
+    use crate::plan::{bind, BoundCondition, Catalog};
+    use crate::query::{CmpOp, Query};
     use streamcore::{Field, Schema};
 
     fn catalog() -> Catalog {
@@ -322,6 +428,82 @@ mod tests {
         bind(&Query::parse(text).unwrap(), &catalog()).unwrap()
     }
 
+    fn age_over(value: u64) -> BlockProgram {
+        BlockProgram::Op(PlanOp::Select {
+            conditions: vec![BoundCondition {
+                field: 1,
+                op: CmpOp::Gt,
+                value,
+            }],
+        })
+    }
+
+    #[test]
+    fn fig7_two_queries_occupy_four_blocks() {
+        // The paper's Fig. 7: two select→join queries over the shared
+        // product stream, mapped onto four OP-Blocks.
+        let q1 = plan_of(
+            "SELECT * FROM customers WHERE age > 25 \
+             JOIN products ON product_id WINDOW 1536",
+        );
+        let q2 = plan_of(
+            "SELECT * FROM customers WHERE age > 25 AND gender = 1 \
+             JOIN products ON product_id WINDOW 2048",
+        );
+        let mut mgr = QueryManager::new(4);
+        let a = mgr.deploy(&q1).unwrap();
+        let b = mgr.deploy(&q2).unwrap();
+        assert_eq!(mgr.blocks(a).unwrap().len(), 2);
+        assert_eq!(mgr.blocks(b).unwrap().len(), 2);
+        assert_eq!(mgr.fabric().idle_blocks(), 0);
+
+        // Drive the shared streams: a 30-year-old female customer buying
+        // product 7, which exists in the product stream.
+        mgr.push("products", Record::new(vec![7, 100])).unwrap();
+        mgr.push("customers", Record::new(vec![7, 30, 1])).unwrap();
+        let out1 = mgr.take_results(a).unwrap();
+        assert_eq!(out1, vec![Record::new(vec![7, 30, 1, 7, 100])]);
+        assert_eq!(mgr.take_results(b).unwrap(), out1);
+
+        // A 20-year-old male matches neither query.
+        mgr.push("customers", Record::new(vec![7, 20, 0])).unwrap();
+        assert!(mgr.take_results(a).unwrap().is_empty());
+        assert!(mgr.take_results(b).unwrap().is_empty());
+    }
+
+    #[test]
+    fn insufficient_blocks_is_rejected_without_side_effects() {
+        let q = plan_of(
+            "SELECT * FROM customers WHERE age > 25 \
+             JOIN products ON product_id WINDOW 16",
+        );
+        let mut mgr = QueryManager::new(1);
+        let err = mgr.deploy(&q).unwrap_err();
+        assert_eq!(
+            err,
+            AssignError::InsufficientBlocks {
+                required: 2,
+                available: 1
+            }
+        );
+        assert_eq!(mgr.fabric().idle_blocks(), 1);
+        assert_eq!(mgr.sharing_report(), SharingReport::default());
+    }
+
+    #[test]
+    fn passthrough_query_uses_one_block() {
+        let q = plan_of("SELECT * FROM customers");
+        let mut mgr = QueryManager::new(1);
+        let a = mgr.deploy(&q).unwrap();
+        assert_eq!(mgr.blocks(a).unwrap().len(), 1);
+        mgr.push("customers", Record::new(vec![1, 2, 3])).unwrap();
+        assert_eq!(mgr.take_results(a).unwrap().len(), 1);
+        // The slot is reusable once the query is gone.
+        mgr.undeploy(a).unwrap();
+        assert_eq!(mgr.fabric().idle_blocks(), 1);
+        assert!(mgr.deploy(&q).is_ok());
+    }
+
     #[test]
     fn common_select_prefix_is_shared() {
         // Same selection, different join windows: the select block is
@@ -341,6 +523,7 @@ mod tests {
         assert_eq!(report.blocks_in_use, 3);
         assert_eq!(report.blocks_without_sharing, 4);
         assert_eq!(report.blocks_saved(), 1);
+        assert_eq!(mgr.blocks(a).unwrap()[0], mgr.blocks(b).unwrap()[0]);
 
         // Both queries see matching traffic.
         mgr.push("products", Record::new(vec![7, 10])).unwrap();
@@ -384,12 +567,101 @@ mod tests {
         // survive.
         assert_eq!(mgr.sharing_report().blocks_in_use, 2);
         assert_eq!(mgr.fabric().idle_blocks(), 1);
+        assert!(!mgr.to_dot().contains("b0 -> b2"), "{}", mgr.to_dot());
         mgr.push("products", Record::new(vec![3, 5])).unwrap();
         mgr.push("customers", Record::new(vec![3, 30, 0])).unwrap();
         assert_eq!(mgr.take_results(a).unwrap().len(), 1);
 
         mgr.undeploy(a).unwrap();
         assert_eq!(mgr.fabric().idle_blocks(), 3);
+    }
+
+    #[test]
+    fn an_undeployed_querys_sink_receives_nothing_in_either_order() {
+        // Two identical queries share their one block, so each owns
+        // nothing but its sink edge. Sinks are numbered in deployment
+        // order: `a` collects at sink 0, `b` at sink 1.
+        let q = plan_of("SELECT * FROM customers WHERE age > 25");
+        for first_out in [0, 1] {
+            let mut mgr = QueryManager::new(2);
+            let ids = [mgr.deploy(&q).unwrap(), mgr.deploy(&q).unwrap()];
+            let (gone, kept) = (ids[first_out], ids[1 - first_out]);
+            mgr.undeploy(gone).unwrap();
+            let dot = mgr.to_dot();
+            assert!(!dot.contains(&format!("-> sink{first_out};")), "{dot}");
+
+            mgr.push("customers", Record::new(vec![1, 30, 0])).unwrap();
+            assert_eq!(mgr.take_results(kept).unwrap().len(), 1);
+            let removed_sink = mgr.fabric.take_sink(SinkId(first_out)).unwrap();
+            assert!(
+                removed_sink.is_empty(),
+                "order {first_out}: {removed_sink:?}"
+            );
+            assert_eq!(
+                mgr.take_results(gone).unwrap_err(),
+                AssignError::UnknownQuery { id: gone }
+            );
+        }
+    }
+
+    #[test]
+    fn a_mid_stream_deploy_sees_the_shared_join_windows_earlier_records() {
+        // Same join, different projections: the second query shares the
+        // live join block, whose windows already hold product 7.
+        let q1 = plan_of("SELECT * FROM customers JOIN products ON product_id WINDOW 8");
+        let q2 = plan_of("SELECT price FROM customers JOIN products ON product_id WINDOW 8");
+        let mut mgr = QueryManager::new(3);
+        let a = mgr.deploy(&q1).unwrap();
+        mgr.push("products", Record::new(vec![7, 100])).unwrap();
+        let b = mgr.deploy(&q2).unwrap();
+        assert_eq!(mgr.blocks(a).unwrap()[0], mgr.blocks(b).unwrap()[0]);
+
+        mgr.push("customers", Record::new(vec![7, 30, 1])).unwrap();
+        assert_eq!(
+            mgr.take_results(b).unwrap(),
+            vec![Record::new(vec![100])],
+            "the shared window's earlier product is joined"
+        );
+        assert_eq!(mgr.take_results(a).unwrap().len(), 1);
+
+        // A join deployed on a fresh block starts empty.
+        let fresh = plan_of("SELECT * FROM customers JOIN products ON product_id WINDOW 16");
+        let c = mgr.deploy(&fresh).unwrap();
+        mgr.push("customers", Record::new(vec![7, 31, 0])).unwrap();
+        assert!(mgr.take_results(c).unwrap().is_empty());
+        assert_eq!(mgr.take_results(a).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn reprogram_changes_an_owned_block_and_refuses_a_shared_one() {
+        let q = plan_of("SELECT * FROM customers WHERE age > 25");
+        let mut mgr = QueryManager::new(2);
+        let a = mgr.deploy(&q).unwrap();
+        mgr.reprogram(a, 0, age_over(60)).unwrap();
+        mgr.push("customers", Record::new(vec![1, 30, 0])).unwrap();
+        mgr.push("customers", Record::new(vec![1, 70, 0])).unwrap();
+        let out = mgr.take_results(a).unwrap();
+        assert_eq!(out, vec![Record::new(vec![1, 70, 0])]);
+
+        // A later deploy of the original text no longer matches the
+        // reprogrammed block: it gets a block of its own.
+        let b = mgr.deploy(&q).unwrap();
+        assert_eq!(mgr.sharing_report().blocks_in_use, 2);
+        // Deploying the reprogrammed plan shares `a`'s block, which then
+        // refuses the change.
+        mgr.undeploy(b).unwrap();
+        let over_60 = plan_of("SELECT * FROM customers WHERE age > 60");
+        let c = mgr.deploy(&over_60).unwrap();
+        assert_eq!(mgr.sharing_report().blocks_in_use, 1);
+        let block = mgr.blocks(a).unwrap()[0];
+        assert_eq!(
+            mgr.reprogram(c, 0, age_over(10)).unwrap_err(),
+            AssignError::SharedBlock { block, queries: 2 }
+        );
+        assert_eq!(
+            mgr.reprogram(a, 1, age_over(10)).unwrap_err(),
+            AssignError::UnknownOp { id: a, op: 1 }
+        );
     }
 
     #[test]
@@ -464,6 +736,12 @@ mod tests {
         let unknown = AssignError::UnknownQuery { id: QueryId(42) };
         assert_eq!(mgr.undeploy(QueryId(42)).unwrap_err(), unknown);
         assert_eq!(mgr.take_results(QueryId(42)).unwrap_err(), unknown);
+        assert_eq!(mgr.blocks(QueryId(42)).unwrap_err(), unknown);
+        assert_eq!(
+            mgr.reprogram(QueryId(42), 0, BlockProgram::Passthrough)
+                .unwrap_err(),
+            unknown
+        );
         assert_eq!(unknown.to_string(), "query#42 is not deployed");
     }
 }

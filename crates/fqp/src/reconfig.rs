@@ -14,13 +14,10 @@
 //!    (µs–ms) and apply them (µs), with no halt at all.
 //!
 //! [`DeploymentPath::steps`] provides the modeled duration breakdown used
-//! by the `reconfig` bench; [`measure_fqp_reconfiguration`] measures the
-//! real thing against the in-process fabric.
+//! by the `reconfig` bench, which measures the real thing by timing
+//! [`QueryManager`](crate::manager::QueryManager) on a live fabric.
 
-use std::time::{Duration, Instant};
-
-use crate::fabric::{Fabric, FabricError};
-use crate::opblock::{BlockId, BlockProgram};
+use std::time::Duration;
 
 /// One step of a deployment pipeline, with its modeled duration range.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,28 +117,9 @@ impl DeploymentPath {
     }
 }
 
-/// Reprograms `block` on a live fabric and returns the measured wall-clock
-/// duration — the real counterpart of [`DeploymentPath::FqpRemap`].
-///
-/// # Errors
-///
-/// Propagates fabric errors for invalid block ids.
-pub fn measure_fqp_reconfiguration(
-    fabric: &mut Fabric,
-    block: BlockId,
-    program: BlockProgram,
-) -> Result<Duration, FabricError> {
-    let start = Instant::now();
-    fabric.reprogram(block, program)?;
-    Ok(start.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{BoundCondition, PlanOp};
-    use crate::query::CmpOp;
-    use streamcore::Record;
 
     #[test]
     fn fqp_is_orders_of_magnitude_faster_even_best_case() {
@@ -171,66 +149,5 @@ mod tests {
                 assert!(!s.name.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn real_reconfiguration_is_sub_millisecond() {
-        let mut fabric = Fabric::new(1);
-        let d = measure_fqp_reconfiguration(
-            &mut fabric,
-            BlockId(0),
-            BlockProgram::Op(PlanOp::Select {
-                conditions: vec![BoundCondition {
-                    field: 0,
-                    op: CmpOp::Gt,
-                    value: 10,
-                }],
-            }),
-        )
-        .unwrap();
-        // Generous bound: the point is "not minutes".
-        assert!(d < Duration::from_millis(50), "took {d:?}");
-    }
-
-    #[test]
-    fn reconfiguration_applies_without_dropping_the_fabric() {
-        // Change a live block's selection threshold between two records —
-        // the "update the current join operator in real-time" property.
-        let mut fabric = Fabric::new(1);
-        let sink = fabric.add_sink();
-        let b = BlockId(0);
-        fabric
-            .reprogram(
-                b,
-                BlockProgram::Op(PlanOp::Select {
-                    conditions: vec![BoundCondition {
-                        field: 0,
-                        op: CmpOp::Gt,
-                        value: 100,
-                    }],
-                }),
-            )
-            .unwrap();
-        fabric.bind_stream("s", b, crate::opblock::Port::Left);
-        fabric
-            .connect(b, crate::fabric::Target::Sink(sink))
-            .unwrap();
-        fabric.push("s", Record::new(vec![50])).unwrap();
-        assert!(fabric.take_sink(sink).unwrap().is_empty());
-
-        measure_fqp_reconfiguration(
-            &mut fabric,
-            b,
-            BlockProgram::Op(PlanOp::Select {
-                conditions: vec![BoundCondition {
-                    field: 0,
-                    op: CmpOp::Gt,
-                    value: 10,
-                }],
-            }),
-        )
-        .unwrap();
-        fabric.push("s", Record::new(vec![50])).unwrap();
-        assert_eq!(fabric.take_sink(sink).unwrap().len(), 1);
     }
 }

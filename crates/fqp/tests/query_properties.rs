@@ -1,8 +1,7 @@
 //! Property-based tests of the query layer: parsing, binding, truth-table
 //! compilation, and fabric deployment.
 
-use fqp::assign::assign;
-use fqp::fabric::Fabric;
+use fqp::manager::QueryManager;
 use fqp::plan::{bind, Catalog};
 use fqp::query::Query;
 use proptest::prelude::*;
@@ -71,11 +70,11 @@ proptest! {
         let Ok(plan) = bind(&q, &catalog()) else {
             return Ok(()); // too many atoms: covered above
         };
-        let mut fabric = Fabric::new(1);
-        let handle = assign(&plan, &mut fabric).unwrap();
+        let mut mgr = QueryManager::new(1);
+        let id = mgr.deploy(&plan).unwrap();
         for (a, b) in records {
-            fabric.push("s", Record::new(vec![a, b])).unwrap();
-            let passed = !fabric.take_sink(handle.sink).unwrap().is_empty();
+            mgr.push("s", Record::new(vec![a, b])).unwrap();
+            let passed = !mgr.take_results(id).unwrap().is_empty();
             // Naive evaluation straight off the AST.
             let naive = match (&q.where_expr, q.conditions.is_empty()) {
                 (Some(expr), _) => {
@@ -100,16 +99,16 @@ proptest! {
     }
 
     /// Join queries deploy onto any fabric with enough blocks, and the
-    /// handle always reports the plan's own block count.
+    /// manager always reports the plan's own block count.
     #[test]
-    fn assignment_block_accounting(extra in 0usize..4, window in 1usize..64) {
+    fn deployment_block_accounting(extra in 0usize..4, window in 1usize..64) {
         let text = format!("SELECT * FROM s JOIN t ON a WINDOW {window}");
         let plan = bind(&Query::parse(&text).unwrap(), &catalog()).unwrap();
-        let mut fabric = Fabric::new(plan.block_count() + extra);
-        let handle = assign(&plan, &mut fabric).unwrap();
-        prop_assert_eq!(handle.blocks.len(), plan.block_count());
-        prop_assert_eq!(fabric.idle_blocks(), extra);
-        fqp::assign::remove(&handle, &mut fabric).unwrap();
-        prop_assert_eq!(fabric.idle_blocks(), plan.block_count() + extra);
+        let mut mgr = QueryManager::new(plan.block_count() + extra);
+        let id = mgr.deploy(&plan).unwrap();
+        prop_assert_eq!(mgr.blocks(id).unwrap().len(), plan.block_count());
+        prop_assert_eq!(mgr.fabric().idle_blocks(), extra);
+        mgr.undeploy(id).unwrap();
+        prop_assert_eq!(mgr.fabric().idle_blocks(), plan.block_count() + extra);
     }
 }

@@ -8,12 +8,11 @@
 
 use std::time::Instant;
 
-use accel_landscape::fqp::assign::{assign, remove};
-use accel_landscape::fqp::fabric::Fabric;
+use accel_landscape::fqp::manager::QueryManager;
 use accel_landscape::fqp::opblock::BlockProgram;
 use accel_landscape::fqp::plan::{bind, BoundCondition, Catalog, PlanOp};
 use accel_landscape::fqp::query::{CmpOp, Query};
-use accel_landscape::fqp::reconfig::{measure_fqp_reconfiguration, DeploymentPath};
+use accel_landscape::fqp::reconfig::DeploymentPath;
 use accel_landscape::streamcore::{Field, Record, Schema};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "readings",
         Schema::new(vec![Field::new("sensor", 32)?, Field::new("value", 32)?])?,
     );
-    let mut fabric = Fabric::new(8);
+    let mut fabric = QueryManager::new(8);
 
     // Deploy an alerting query.
     let plan = bind(
@@ -30,10 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &catalog,
     )?;
     let t0 = Instant::now();
-    let handle = assign(&plan, &mut fabric)?;
+    let id = fabric.deploy(&plan)?;
     println!("deployed alert query in {:?}", t0.elapsed());
 
-    let push_batch = |fabric: &mut Fabric, base: u64| {
+    let push_batch = |fabric: &mut QueryManager, base: u64| {
         for i in 0..500u64 {
             fabric
                 .push("readings", Record::new(vec![i % 16, (base + i) % 120]))
@@ -41,15 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     push_batch(&mut fabric, 0);
-    println!(
-        "alerts at threshold 90: {}",
-        fabric.take_sink(handle.sink)?.len()
-    );
+    println!("alerts at threshold 90: {}", fabric.take_results(id)?.len());
 
-    // Micro change: tighten the threshold on the LIVE block.
-    let d = measure_fqp_reconfiguration(
-        &mut fabric,
-        handle.blocks[0],
+    // Micro change: tighten the threshold on the LIVE block (the query's
+    // first operator).
+    let t0 = Instant::now();
+    fabric.reprogram(
+        id,
+        0,
         BlockProgram::Op(PlanOp::Select {
             conditions: vec![BoundCondition {
                 field: 1,
@@ -58,16 +56,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }],
         }),
     )?;
+    let d = t0.elapsed();
     println!("\nreprogrammed threshold 90 -> 110 in {d:?} (no halt)");
     push_batch(&mut fabric, 0);
     println!(
         "alerts at threshold 110: {}",
-        fabric.take_sink(handle.sink)?.len()
+        fabric.take_results(id)?.len()
     );
 
     // Remove the query entirely; its blocks return to the pool.
-    remove(&handle, &mut fabric)?;
-    println!("\nquery removed; idle blocks: {}", fabric.idle_blocks());
+    fabric.undeploy(id)?;
+    println!(
+        "\nquery removed; idle blocks: {}",
+        fabric.fabric().idle_blocks()
+    );
 
     // Contrast with the synthesis-based deployment paths of Fig. 6.
     println!("\ndeployment-path comparison (modeled, Fig. 6):");

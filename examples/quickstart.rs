@@ -5,8 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use accel_landscape::fqp::assign::assign;
-use accel_landscape::fqp::fabric::Fabric;
+use accel_landscape::fqp::manager::QueryManager;
 use accel_landscape::fqp::plan::{bind, Catalog};
 use accel_landscape::fqp::query::Query;
 use accel_landscape::hwsim::devices;
@@ -42,14 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("plan  : {} operator block(s)\n", plan.block_count());
 
     // 3. Deploy onto an FQP fabric and stream a few records.
-    let mut fabric = Fabric::new(8);
-    let handle = assign(&plan, &mut fabric)?;
+    let mut fabric = QueryManager::new(8);
+    let id = fabric.deploy(&plan)?;
     fabric.push("products", Record::new(vec![7, 249]))?;
     fabric.push("products", Record::new(vec![9, 999]))?;
     fabric.push("customers", Record::new(vec![7, 34, 1]))?; // matches
     fabric.push("customers", Record::new(vec![7, 19, 0]))?; // too young
     fabric.push("customers", Record::new(vec![9, 40, 0]))?; // matches
-    for rec in fabric.take_sink(handle.sink)? {
+    for rec in fabric.take_results(id)? {
         println!("result: age={} price={}", rec.values()[0], rec.values()[1]);
     }
 

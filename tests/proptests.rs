@@ -279,10 +279,12 @@ proptest! {
     }
 
     /// QueryManager deploy/undeploy sequences keep the fabric consistent:
-    /// surviving queries keep producing correct results and fully
-    /// undeploying returns every block to the pool.
+    /// surviving queries keep producing correct results, no edge targets
+    /// an idle block, only deployed queries' sinks are wired (so only
+    /// they receive a pushed record), and fully undeploying returns
+    /// every block to the pool.
     #[test]
-    fn query_manager_lifecycle_is_consistent(ops in prop::collection::vec(any::<bool>(), 1..12)) {
+    fn query_manager_lifecycle_is_consistent(ops in prop::collection::vec(0u8..3, 1..12)) {
         use accel_landscape::fqp::manager::QueryManager;
         use accel_landscape::fqp::plan::{bind, Catalog};
         use accel_landscape::fqp::query::Query;
@@ -295,19 +297,29 @@ proptest! {
         let p1 = bind(&Query::parse("SELECT * FROM s WHERE v > 10").unwrap(), &catalog).unwrap();
         let p2 = bind(&Query::parse("SELECT v FROM s WHERE v > 10").unwrap(), &catalog).unwrap();
 
+        // 0 deploys the next plan, 1 undeploys the newest query and 2 the
+        // oldest, which may share blocks a later query still runs on.
         let mut mgr = QueryManager::new(6);
         let mut live = Vec::new();
         let mut counter = 0u64;
-        for &deploy in &ops {
-            if deploy {
+        for &op in &ops {
+            if op == 0 {
                 let plan = if counter.is_multiple_of(2) { &p1 } else { &p2 };
                 if let Ok(id) = mgr.deploy(plan) {
                     live.push(id);
                 }
                 counter += 1;
-            } else if let Some(id) = live.pop() {
+            } else if !live.is_empty() {
+                let id = if op == 1 { live.pop().unwrap() } else { live.remove(0) };
                 mgr.undeploy(id).unwrap();
             }
+            let wiring = Wiring::of(&mgr.to_dot());
+            prop_assert!(
+                wiring.block_targets.iter().all(|b| !wiring.idle.contains(b)),
+                "an edge targets an idle block:\n{}",
+                mgr.to_dot()
+            );
+            prop_assert_eq!(wiring.sink_edges, live.len(), "{}", mgr.to_dot());
             // Every surviving query still answers correctly.
             if !live.is_empty() {
                 mgr.push("s", Record::new(vec![50])).unwrap();
@@ -322,5 +334,38 @@ proptest! {
         }
         prop_assert_eq!(mgr.fabric().idle_blocks(), 6);
         prop_assert_eq!(mgr.sharing_report().queries, 0);
+    }
+}
+
+/// The wiring a [`Fabric::to_dot`](accel_landscape::fqp::fabric::Fabric::to_dot)
+/// rendering shows: idle blocks, the blocks edges lead into, and the
+/// number of edges into sinks.
+struct Wiring {
+    idle: Vec<String>,
+    block_targets: Vec<String>,
+    sink_edges: usize,
+}
+
+impl Wiring {
+    fn of(dot: &str) -> Self {
+        let mut wiring = Wiring {
+            idle: Vec::new(),
+            block_targets: Vec::new(),
+            sink_edges: 0,
+        };
+        for line in dot.lines().map(str::trim) {
+            let head = line.split([' ', ';']).next().unwrap_or_default();
+            if line.contains("style=dashed") {
+                wiring.idle.push(head.to_string());
+            } else if let Some((_, to)) = line.split_once(" -> ") {
+                let to = to.split([' ', ';']).next().unwrap_or_default();
+                if to.starts_with("sink") {
+                    wiring.sink_edges += 1;
+                } else {
+                    wiring.block_targets.push(to.to_string());
+                }
+            }
+        }
+        wiring
     }
 }
