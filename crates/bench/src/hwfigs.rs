@@ -1,14 +1,11 @@
 //! Hardware-side figures: 14a, 14b, 14c (throughput), 15 (latency),
 //! 17 (clock frequency), and the Section V power table.
 
-use std::time::Instant;
-
 use hwsim::devices::{XC5VLX50T, XC7VX485T, XCVU9P};
-use hwsim::{estimate_fmax, Device, ParSimulator, ParStats, Simulator};
+use hwsim::{estimate_fmax, Device, Simulator};
 use joinhw::harness::{
     self, biflow_throughput_model, prefill_planted, prefill_steady_state, run_latency,
-    run_latency_with, run_throughput, run_throughput_observed, run_throughput_with,
-    uniflow_throughput_model, LatencyRun, ThroughputRun,
+    run_throughput, run_throughput_observed, uniflow_throughput_model, LatencyRun, ThroughputRun,
 };
 use joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 use obs::provenance::ProvenanceTracker;
@@ -38,16 +35,36 @@ fn measure_mtps(params: &DesignParams, clock_mhz: f64) -> f64 {
         .million_per_second()
 }
 
-/// One cycle-accurate throughput point on the sequential engine plus its
-/// service-gap histogram (cycles between consecutive input acceptances);
-/// `rings` and `prov` as in [`measure_run_timed`].
+/// One cycle-accurate throughput point plus its service-gap histogram
+/// (cycles between consecutive input acceptances).
 fn measure_observed_traced(
     params: &DesignParams,
     rings: bool,
     prov: &mut Option<ProvenanceTracker>,
 ) -> (ThroughputRun, Histogram) {
-    let timed = measure_run_timed(params, 1, rings, prov);
-    (timed.run, timed.gaps)
+    measure_point(params, tuples_for(params.sub_window()), rings, prov)
+}
+
+/// Runs `tuples` inputs through a steady-state join on [`Simulator`].
+/// After the run, the join's span rings go to the crate harvest when
+/// `rings` is set and its provenance breakdown merges into `prov` — a
+/// no-op side channel unless [`obs::trace::enabled`].
+fn measure_point(
+    params: &DesignParams,
+    tuples: u64,
+    rings: bool,
+    prov: &mut Option<ProvenanceTracker>,
+) -> (ThroughputRun, Histogram) {
+    let mut join = harness::build(params);
+    prefill_steady_state(join.as_mut(), params.window_size);
+    let out = run_throughput_observed(
+        &mut Simulator::new(),
+        join.as_mut(),
+        tuples,
+        THROUGHPUT_KEY_DOMAIN,
+    );
+    harvest_join(join.as_mut(), rings, prov);
+    out
 }
 
 /// Harvests a finished join's observability side channel: span rings go
@@ -196,297 +213,87 @@ fn measure_biflow_run(
     rings: bool,
     prov: &mut Option<ProvenanceTracker>,
 ) -> (ThroughputRun, Histogram) {
-    let mut join = harness::build(params);
-    prefill_steady_state(join.as_mut(), params.window_size);
     // Bi-flow service time scales with the total window; keep runs short.
     let tuples = (1_500_000
         / (joinhw::harness::biflow_service_cycles(params.window_size, params.num_cores) as u64
             + 1))
         .clamp(16, 256);
-    let out = run_throughput_observed(
-        &mut Simulator::new(),
-        join.as_mut(),
-        tuples,
-        THROUGHPUT_KEY_DOMAIN,
-    );
-    harvest_join(join.as_mut(), rings, prov);
-    out
-}
-
-/// The parallel engine's half of a timed point: its wall clock and the
-/// pool's per-worker busy/wait accounting.
-type ParRun = (f64, ParStats);
-
-/// One throughput point timed under both engines.
-struct TimedRun {
-    run: ThroughputRun,
-    /// Service-gap histogram of the sequential run (the parallel run is
-    /// cycle-identical, so one histogram describes both).
-    gaps: Histogram,
-    seq_wall: f64,
-    /// The parallel run, when `threads > 1`.
-    par: Option<ParRun>,
-}
-
-/// One throughput point timed under both engines: the sequential
-/// [`ThroughputRun`] (with its wall-clock cost), and — when `threads > 1`
-/// — the identical run on a [`ParSimulator`] pool, with the pool's
-/// per-worker busy/wait accounting. Panics if the two engines disagree,
-/// which would break the parallel layer's cycle-exact contract. After
-/// the sequential run, the join's span rings go to the crate harvest
-/// when `rings` is set and its provenance breakdown merges into `prov` —
-/// a no-op side channel unless [`obs::trace::enabled`].
-fn measure_run_timed(
-    params: &DesignParams,
-    threads: usize,
-    rings: bool,
-    prov: &mut Option<ProvenanceTracker>,
-) -> TimedRun {
-    let tuples = tuples_for(params.sub_window());
-    let mut join = harness::build(params);
-    prefill_steady_state(join.as_mut(), params.window_size);
-    let seq_start = Instant::now();
-    let (seq, gaps) = run_throughput_observed(
-        &mut Simulator::new(),
-        join.as_mut(),
-        tuples,
-        THROUGHPUT_KEY_DOMAIN,
-    );
-    let seq_wall = seq_start.elapsed().as_secs_f64();
-    // Harvest from the sequential run only; the parallel run is
-    // cycle-identical, so folding both in would double-count samples.
-    harvest_join(join.as_mut(), rings, prov);
-    if threads <= 1 {
-        return TimedRun {
-            run: seq,
-            gaps,
-            seq_wall,
-            par: None,
-        };
-    }
-    let mut join = harness::build(params);
-    prefill_steady_state(join.as_mut(), params.window_size);
-    let mut engine = ParSimulator::new(threads);
-    let par_start = Instant::now();
-    let par = run_throughput_with(&mut engine, join.as_mut(), tuples, THROUGHPUT_KEY_DOMAIN);
-    let par_wall = par_start.elapsed().as_secs_f64();
-    assert_eq!(seq, par, "parallel engine must be cycle-exact");
-    let stats = engine.take_stats().expect("parallel run records stats");
-    TimedRun {
-        run: seq,
-        gaps,
-        seq_wall,
-        par: Some((par_wall, stats)),
-    }
-}
-
-/// The columns `--threads` adds to a simulated figure's table.
-const WALL_HEADERS: [&str; 3] = ["seq wall s", "par wall s", "speedup"];
-
-/// The pool width `--threads` asks for. 0 = the host's available
-/// parallelism, the same resolution `ParSimulator::new(0)` would
-/// apply; resolved up front so the
-/// `threads <= 1` sequential-only guards see the real width.
-fn pool_width(opts: &FigOpts) -> Option<usize> {
-    opts.threads.map(|n| {
-        if n == 0 {
-            ParSimulator::auto().threads()
-        } else {
-            n
-        }
-    })
-}
-
-/// Simulation wall clock per engine, summed over a `--threads` run.
-#[derive(Default)]
-struct WallClock {
-    seq: f64,
-    par: f64,
-}
-
-impl WallClock {
-    /// One point's [`WALL_HEADERS`] cells. The parallel engine's
-    /// per-worker utilization (`{key}hwsim.par.worker.N.busy_cycles` /
-    /// `wait_cycles` / `busy_ns` / `wait_ns` — where the simulation pool
-    /// spends its time) lands in `m`; its span rings go to the crate
-    /// harvest when `rings` is set.
-    fn cells(
-        &mut self,
-        m: &mut RunManifest,
-        key: &str,
-        seq_wall: f64,
-        par: Option<ParRun>,
-        rings: bool,
-    ) -> [String; 3] {
-        self.seq += seq_wall;
-        let (par_cell, speedup_cell) = match par {
-            Some((p, mut stats)) => {
-                self.par += p;
-                for (name, value) in stats.values().iter() {
-                    m.counter(format!("{key}{name}"), value);
-                }
-                if rings {
-                    crate::obsout::harvest(stats.rings.drain(..));
-                }
-                (format!("{p:.3}"), format!("{:.2}x", seq_wall / p))
-            }
-            None => ("-".into(), "-".into()),
-        };
-        [format!("{seq_wall:.3}"), par_cell, speedup_cell]
-    }
-
-    /// The table's closing note; `invariant` names what both engines
-    /// agree on.
-    fn note(&self, t: &mut Table, threads: usize, invariant: &str) {
-        if threads > 1 && self.par > 0.0 {
-            t.note(format!(
-                "--threads {threads}: total simulation wall clock {:.2}s sequential vs \
-                 {:.2}s parallel ({:.2}x); {invariant} are engine-invariant (cycle-exact)",
-                self.seq,
-                self.par,
-                self.seq / self.par
-            ));
-        } else {
-            t.note("run with --threads N to time the parallel simulation engine");
-        }
-    }
+    measure_point(params, tuples, rings, prov)
 }
 
 /// Fig. 14c — uni-flow throughput with 512 join cores on Virtex-7
 /// @300 MHz (scalable networks) across windows 2^11–2^18 (or
 /// `--windows`). The manifest holds per-point counters and the merged
 /// service-gap histogram.
-///
-/// With `--threads N` each point is also simulated on an `N`-wide
-/// [`ParSimulator`] pool: the measured throughput must match the
-/// sequential engine exactly (the runs are cycle-identical); the extra
-/// columns report the simulation's wall-clock cost per engine and the
-/// resulting speedup.
 pub fn fig14c(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
-    let threads = pool_width(opts);
     let mut m = crate::obsout::manifest("fig14c");
-    if let Some(n) = threads {
-        m.set_threads(n);
-    }
     m.config("device", "XC7VX485T");
     m.config("target_clock_mhz", 300);
     m.config("cores", 512);
     m.config("network", "scalable");
     let mut gaps_all = Histogram::new();
     let mut prov = None;
-    let mut headers = vec!["window", "model Mt/s", "measured Mt/s"];
-    if threads.is_some() {
-        headers.extend(WALL_HEADERS);
-    }
     let mut t = Table::new(
         "Fig. 14c — uni-flow, 512 cores, Virtex-7 (300 MHz, scalable networks)",
-        &headers,
+        &["window", "model Mt/s", "measured Mt/s"],
     );
     let cores = 512u32;
-    let mut wall = WallClock::default();
     let exponents = opts.windows.clone().unwrap_or(11..=18);
     let first = *exponents.start();
     for exp in exponents {
         let window = 1usize << exp;
         let params = DesignParams::new(FlowModel::UniFlow, cores, window)
             .with_network(NetworkKind::Scalable);
-        let mut row = vec![format!("2^{exp}")];
         match params.synthesize_at(&XC7VX485T, 300.0) {
             Ok(_) => {
                 let model = uniflow_throughput_model(window, cores, 300.0) / 1e6;
-                let timed =
-                    measure_run_timed(&params, threads.unwrap_or(1), exp == first, &mut prov);
-                let measured = timed.run.at_clock(300.0).million_per_second();
-                let key = format!("w2e{exp}.");
-                record_run(&mut m, &key, &timed.run);
-                gaps_all.merge(&timed.gaps);
-                row.extend([format!("{model:.3}"), format!("{measured:.3}")]);
-                if threads.is_some() {
-                    row.extend(wall.cells(&mut m, &key, timed.seq_wall, timed.par, exp == first));
-                }
+                let (run, gaps) = measure_observed_traced(&params, exp == first, &mut prov);
+                let measured = run.at_clock(300.0).million_per_second();
+                record_run(&mut m, &format!("w2e{exp}."), &run);
+                gaps_all.merge(&gaps);
+                t.row(vec![
+                    format!("2^{exp}"),
+                    format!("{model:.3}"),
+                    format!("{measured:.3}"),
+                ]);
             }
-            Err(e) => {
-                row.extend(["n/a".into(), format!("{e}")]);
-                if threads.is_some() {
-                    row.extend(["-"; 3].map(String::from));
-                }
-            }
-        }
-        t.row(row);
-    }
-    match threads {
-        Some(n) => wall.note(&mut t, n, "throughput columns"),
-        None => {
-            t.note("paper: ~2 orders of magnitude over the Virtex-5 realization at window 2^13")
+            Err(e) => t.row(vec![format!("2^{exp}"), "n/a".into(), format!("{e}")]),
         }
     }
+    t.note("paper: ~2 orders of magnitude over the Virtex-5 realization at window 2^13");
     m.histogram("service_gap_cycles", gaps_all);
     record_provenance(&mut m, &prov);
     (vec![t], m)
 }
 
-/// One latency point under both engines; panics if the parallel engine
-/// is not cycle-exact. Returns the run, the sequential wall clock, and —
-/// when `threads > 1` — the parallel run.
-fn measure_latency_timed(
+/// One latency point: a planted probe's cycles to its last result. The
+/// join's observability side channel is harvested as in
+/// [`measure_point`].
+fn measure_latency(
     params: &DesignParams,
-    threads: usize,
     rings: bool,
     prov: &mut Option<ProvenanceTracker>,
-) -> (LatencyRun, f64, Option<ParRun>) {
+) -> LatencyRun {
     const PROBE_KEY: u32 = 7;
-    const MAX_CYCLES: u64 = 20_000_000;
     let probe = (StreamTag::R, Tuple::new(PROBE_KEY, u32::MAX));
     let mut join = harness::build(params);
     prefill_planted(join.as_mut(), params, PROBE_KEY);
-    let seq_start = Instant::now();
-    let seq = run_latency(join.as_mut(), probe, MAX_CYCLES).expect("latency probe quiesces");
-    let seq_wall = seq_start.elapsed().as_secs_f64();
-    // Harvest from the sequential run only; the parallel run is
-    // cycle-identical, so folding both in would double-count samples.
+    let run = run_latency(join.as_mut(), probe, 20_000_000).expect("latency probe quiesces");
     harvest_join(join.as_mut(), rings, prov);
-    if threads <= 1 {
-        return (seq, seq_wall, None);
-    }
-    let mut join = harness::build(params);
-    prefill_planted(join.as_mut(), params, PROBE_KEY);
-    let mut engine = ParSimulator::new(threads);
-    let par_start = Instant::now();
-    let par = run_latency_with(&mut engine, join.as_mut(), probe, MAX_CYCLES)
-        .expect("latency probe quiesces");
-    let par_wall = par_start.elapsed().as_secs_f64();
-    assert_eq!(seq, par, "parallel engine must be cycle-exact");
-    let stats = engine.take_stats().expect("parallel run records stats");
-    (seq, seq_wall, Some((par_wall, stats)))
+    run
 }
 
 /// Fig. 15 — uni-flow hardware latency versus join cores, in cycles and
 /// microseconds, for the paper's three series. The manifest holds
 /// per-point latency-cycle counters and a histogram of all measured
 /// probe latencies (in cycles).
-///
-/// With `--threads N` each point is also simulated on an `N`-wide
-/// [`ParSimulator`] pool; cycle counts are engine-invariant, and the
-/// simulation wall clock and speedup columns take the clock column's
-/// place.
-pub fn fig15(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
-    let threads = pool_width(opts);
+pub fn fig15(_: &FigOpts) -> (Vec<Table>, RunManifest) {
     let mut m = crate::obsout::manifest("fig15");
-    if let Some(n) = threads {
-        m.set_threads(n);
-    }
     let mut latencies = Histogram::new();
     let mut prov = None;
-    let mut headers = vec!["series", "cores", "cycles"];
-    if threads.is_some() {
-        headers.push("latency us");
-        headers.extend(WALL_HEADERS);
-    } else {
-        headers.extend(["clock MHz", "latency us"]);
-    }
     let mut t = Table::new(
         "Fig. 15 — uni-flow latency (planted match per core)",
-        &headers,
+        &["series", "cores", "cycles", "clock MHz", "latency us"],
     );
     let series: [(&str, &Device, NetworkKind, usize, Option<f64>); 3] = [
         (
@@ -511,7 +318,6 @@ pub fn fig15(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
             Some(100.0),
         ),
     ];
-    let mut wall = WallClock::default();
     for (s, (name, device, network, window, fixed_clock)) in series.into_iter().enumerate() {
         m.config(format!("series.{s}"), name);
         for exp in 1..=9u32 {
@@ -524,30 +330,20 @@ pub fn fig15(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
             let Ok(report) = report else {
                 continue; // beyond the device's capacity for this series
             };
-            let (run, seq_wall, par) =
-                measure_latency_timed(&params, threads.unwrap_or(1), exp == 1, &mut prov);
-            let cycles = run.cycles_to_last_result;
-            let key = format!("s{s}.c{cores}.");
-            m.counter(format!("{key}latency_cycles"), cycles);
+            let cycles = measure_latency(&params, exp == 1, &mut prov).cycles_to_last_result;
+            m.counter(format!("s{s}.c{cores}.latency_cycles"), cycles);
             latencies.record_value(cycles);
             let mhz = report.clock.mhz();
-            let latency_us = format!("{:.2}", cycles as f64 / mhz);
-            let mut row = vec![name.to_string(), cores.to_string(), cycles.to_string()];
-            if threads.is_some() {
-                row.push(latency_us);
-                row.extend(wall.cells(&mut m, &key, seq_wall, par, exp == 1));
-            } else {
-                row.extend([format!("{mhz:.0}"), latency_us]);
-            }
-            t.row(row);
+            t.row(vec![
+                name.to_string(),
+                cores.to_string(),
+                cycles.to_string(),
+                format!("{mhz:.0}"),
+                format!("{:.2}", cycles as f64 / mhz),
+            ]);
         }
     }
-    match threads {
-        Some(n) => wall.note(&mut t, n, "cycle counts"),
-        None => t.note(
-            "paper: cycles similar across networks; lightweight loses in time via clock drop",
-        ),
-    }
+    t.note("paper: cycles similar across networks; lightweight loses in time via clock drop");
     m.histogram("latency_cycles", latencies);
     record_provenance(&mut m, &prov);
     (vec![t], m)

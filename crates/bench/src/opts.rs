@@ -9,7 +9,7 @@ use joinsw::DEFAULT_BATCH_SIZE;
 
 /// The flag list, as `figs` and `faults` print it on a usage error.
 pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--samples N] \
-                         [--threads N] [--trace [N]] [--live [MS]] [--csv]";
+                         [--trace [N]] [--live [MS]] [--csv]";
 
 /// CLI options shared by every figure.
 ///
@@ -23,9 +23,6 @@ pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--sam
 ///   means windows 2^10, 2^11, 2^12).
 /// * `--samples N` — latency samples per point (fig16), best-of-N runs
 ///   per point (kernel).
-/// * `--threads N` — also run every simulated point (fig14c, fig15) on
-///   an `N`-wide parallel simulation pool and report the wall-clock
-///   speedup; `0` sizes the pool from the host's CPU count.
 /// * `--trace [N]` — enable span tracing with 1-in-`N` provenance
 ///   sampling (`64` when the period is omitted); harvested rings are
 ///   written as a Perfetto trace next to the manifest. Tracing never
@@ -44,9 +41,6 @@ pub struct FigOpts {
     pub windows: Option<RangeInclusive<u32>>,
     /// Samples per point, `None` for the default.
     pub samples: Option<usize>,
-    /// Parallel simulation pool width (`Some(0)` = size from the host),
-    /// `None` when only the sequential engine runs.
-    pub threads: Option<usize>,
     /// Span-tracing sample period, `None` when tracing is off.
     pub trace: Option<u64>,
     /// Live-plane sampling interval in milliseconds, `None` when the
@@ -63,7 +57,6 @@ impl Default for FigOpts {
             cores: None,
             windows: None,
             samples: None,
-            threads: None,
             trace: None,
             live: None,
             csv: false,
@@ -165,14 +158,6 @@ impl FigOpts {
                 "--samples" => {
                     opts.samples = Some(positive(flag, required(flag, inline, &mut rest)?)?);
                 }
-                "--threads" => {
-                    let v = required(flag, inline, &mut rest)?;
-                    opts.threads = Some(v.parse().map_err(|_| {
-                        format!(
-                            "--threads requires a non-negative integer (0 = host auto), got `{v}`"
-                        )
-                    })?);
-                }
                 "--trace" => {
                     opts.trace = Some(match optional(inline, &mut rest) {
                         Some(v) => positive(flag, v)?,
@@ -221,27 +206,6 @@ mod tests {
         assert_eq!(eq_style.samples, Some(5));
         assert_eq!(eq_style.windows, Some(10..=11));
         assert_eq!(parse(&[]).unwrap(), FigOpts::default());
-    }
-
-    #[test]
-    fn opts_parse_threads_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().threads, None);
-        assert_eq!(parse(&["--threads", "2"]).unwrap().threads, Some(2));
-        assert_eq!(parse(&["--threads=4"]).unwrap().threads, Some(4));
-        // 0 is valid: size the pool from the host.
-        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, Some(0));
-        for bad in [
-            &["--threads"][..],
-            &["--threads", "x"],
-            &["--threads=-1"],
-            &["--threads="],
-        ] {
-            let e = parse(bad).unwrap_err();
-            assert!(
-                e.contains("--threads"),
-                "{bad:?}: error should name the flag: {e}"
-            );
-        }
     }
 
     #[test]

@@ -186,14 +186,15 @@ pub fn fig16(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     // point only (bounded export size); later points run untouched.
     let mut traced = !obs::trace::enabled();
     let mut measure = |config: SplitJoinConfig| {
-        let (s, hist, outcome) = measure_latency_with::<SplitJoin>(config, samples, KEY_DOMAIN)
-            .expect("fig16 run failed");
+        let (mut recorder, outcome) =
+            measure_latency_with::<SplitJoin>(config, samples, KEY_DOMAIN)
+                .expect("fig16 run failed");
         if !traced {
             traced = true;
             crate::obsout::harvest(outcome.trace);
         }
-        all_samples.merge(&hist);
-        s.p50
+        all_samples.merge(&recorder.histogram());
+        recorder.summary().expect("--samples is positive").p50
     };
     for exp in window_exps {
         let window = 1usize << exp;

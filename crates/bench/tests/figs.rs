@@ -122,17 +122,25 @@ fn every_figure_design_md_cites_is_a_figs_name() {
 
 #[test]
 fn figs_rejects_a_malformed_flag_before_running_anything() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figs"))
-        .args(["fig14c", "--threads", "many"])
-        .output()
-        .expect("figs runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty());
-    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-    assert!(
-        stderr.contains("--threads requires a non-negative integer"),
-        "{stderr}"
-    );
+    for (args, message) in [
+        (
+            ["fig14c", "--batch", "many"],
+            "--batch requires a positive integer",
+        ),
+        (
+            ["fig14c", "--frobnicate", "2"],
+            "unknown flag `--frobnicate`",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+            .args(args)
+            .output()
+            .expect("figs runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

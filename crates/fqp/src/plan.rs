@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use streamcore::{Field, Schema};
+use streamcore::{Field, Schema, SchemaError};
 
 use crate::query::{AggFunc, CmpOp, Condition, Projection, Query, WindowKind};
 
@@ -281,6 +281,15 @@ pub enum PlanError {
         /// The stream or record it was resolved against.
         context: String,
     },
+    /// A record the plan builds would carry two fields of one name: a
+    /// projection names a field twice, or a secondary field's
+    /// `{stream}_{field}` rename collides with a primary field.
+    DuplicateField {
+        /// The repeated name.
+        field: String,
+        /// The record it repeats in.
+        context: String,
+    },
     /// A Boolean `WHERE` clause has too many atomic comparisons for a
     /// precomputed truth table (the hardware stores `2^atoms` bits).
     TooManyAtoms {
@@ -297,6 +306,9 @@ impl fmt::Display for PlanError {
             PlanError::UnknownStream { stream } => write!(f, "unknown stream {stream:?}"),
             PlanError::UnknownField { field, context } => {
                 write!(f, "unknown field {field:?} in {context}")
+            }
+            PlanError::DuplicateField { field, context } => {
+                write!(f, "field {field:?} appears twice in {context}")
             }
             PlanError::TooManyAtoms { atoms, max } => {
                 write!(
@@ -318,7 +330,8 @@ impl Error for PlanError {}
 ///
 /// # Errors
 ///
-/// Returns [`PlanError`] when a stream or field cannot be resolved.
+/// Returns [`PlanError`] when a stream or field cannot be resolved, or
+/// when an output record would name a field twice.
 pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
     let primary_schema = catalog
         .schema(&query.from)
@@ -397,7 +410,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
         }
         secondary = Some(j.stream.clone());
     }
-    let joined_schema = Schema::new(output_fields).expect("at least one field");
+    let joined_schema = record_schema(output_fields, "joined record")?;
 
     // The join's own WHERE binds against the joined record, right after
     // the join.
@@ -460,7 +473,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
                 fields.push(joined_schema.fields()[i].clone());
             }
             ops.push(PlanOp::Project { fields: idx });
-            Schema::new(fields).expect("non-empty projection")
+            record_schema(fields, "query output")?
         }
     };
 
@@ -470,6 +483,20 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
         secondary,
         ops,
         output_schema,
+    })
+}
+
+/// The schema of a record `bind` assembles from already-valid fields.
+fn record_schema(fields: Vec<Field>, context: &str) -> Result<Schema, PlanError> {
+    Schema::new(fields).map_err(|e| match e {
+        SchemaError::DuplicateField { name } => PlanError::DuplicateField {
+            field: name,
+            context: context.to_string(),
+        },
+        // Every field came from a valid schema (widths in range), and a
+        // record holds the primary stream's fields or a parsed
+        // projection's, never none.
+        other => unreachable!("bound record schema: {other}"),
     })
 }
 
@@ -647,6 +674,38 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("nope"));
+    }
+
+    #[test]
+    fn a_projection_that_names_a_field_twice_is_a_typed_error() {
+        let mut cat = Catalog::new();
+        cat.register_spec("s=k:32").unwrap();
+        assert_eq!(
+            bind(&parse("SELECT k, k FROM s"), &cat).unwrap_err(),
+            PlanError::DuplicateField {
+                field: "k".into(),
+                context: "query output".into()
+            }
+        );
+    }
+
+    #[test]
+    fn a_renamed_secondary_field_that_collides_is_a_typed_error() {
+        let mut cat = Catalog::new();
+        cat.register_spec("l=k:32,r_k:32").unwrap();
+        cat.register_spec("r=k:32").unwrap();
+        let e = bind(&parse("SELECT * FROM l JOIN r ON k WINDOW 4"), &cat).unwrap_err();
+        assert_eq!(
+            e,
+            PlanError::DuplicateField {
+                field: "r_k".into(),
+                context: "joined record".into()
+            }
+        );
+        assert_eq!(
+            e.to_string(),
+            "field \"r_k\" appears twice in joined record"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use accel_error::JoinError;
-use streamcore::metrics::{LatencyRecorder, LatencySummary, Throughput};
+use streamcore::metrics::{LatencyRecorder, Throughput};
 use streamcore::{StreamTag, Tuple};
 
 use crate::config::JoinParams;
@@ -117,9 +117,9 @@ pub fn measure_throughput_collecting<J: StreamJoin>(
 /// pre-filled windows, each sample submits one tuple and waits until the
 /// engine has processed it and emitted its results (flush barrier) — the
 /// paper's definition of latency ("time to process and emit all results
-/// for a newly inserted tuple"). Returns the summary, the full sample
-/// distribution as a log2-bucketed [`obs::Histogram`] (nanoseconds), and
-/// the shutdown outcome.
+/// for a newly inserted tuple"). Returns the recorded samples — read
+/// them through [`LatencyRecorder::summary`] and
+/// [`LatencyRecorder::histogram`] — and the shutdown outcome.
 ///
 /// # Errors
 ///
@@ -128,7 +128,7 @@ pub fn measure_latency_with<J: StreamJoin>(
     config: J::Config,
     samples: usize,
     key_domain: u32,
-) -> Result<(LatencySummary, obs::Histogram, JoinOutcome), JoinError> {
+) -> Result<(LatencyRecorder, JoinOutcome), JoinError> {
     let window = config.common().window_size;
     let join = J::spawn(config.counting_only());
     prefill_steady_state(&join, window)?;
@@ -145,12 +145,7 @@ pub fn measure_latency_with<J: StreamJoin>(
         join.flush()?;
         recorder.record(start.elapsed());
     }
-    let outcome = join.shutdown()?;
-    Ok((
-        recorder.summary().expect("samples recorded"),
-        recorder.histogram(),
-        outcome,
-    ))
+    Ok((recorder, join.shutdown()?))
 }
 
 #[cfg(test)]
@@ -160,6 +155,7 @@ mod tests {
     use crate::config::JoinConfig;
     use crate::handshake::{HandshakeConfig, HandshakeJoin};
     use crate::splitjoin::{SplitJoin, SplitJoinConfig};
+    use streamcore::metrics::LatencySummary;
 
     fn split_throughput(cores: usize, window: usize, tuples: u64) -> Throughput {
         measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(cores, window), tuples, 1 << 20)
@@ -171,6 +167,8 @@ mod tests {
         measure_latency_with::<SplitJoin>(SplitJoinConfig::new(2, window), samples, 1 << 20)
             .unwrap()
             .0
+            .summary()
+            .unwrap()
     }
 
     #[test]

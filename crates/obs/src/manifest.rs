@@ -15,8 +15,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// and every histogram — serialized as pretty-printed JSON into
 /// `target/obs/<name>.json`.
 ///
-/// Manifests are what make perf runs comparable across commits: the
-/// `fig*` binaries and the criterion micro-benches each emit one, so two
+/// Manifests are what make perf runs comparable across commits: every
+/// `figs` figure and the `faults` and `queries` runs emit one, so two
 /// checkouts can be diffed artifact-to-artifact instead of eyeballing
 /// console tables.
 ///
@@ -26,7 +26,6 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// use obs::{Histogram, RunManifest};
 ///
 /// let mut m = RunManifest::new("fig14c");
-/// m.set_threads(4);
 /// m.config("cores", "512");
 /// m.counter("w2e11.cycles", 123_911);
 /// let mut h = Histogram::new();
@@ -80,11 +79,6 @@ impl RunManifest {
     #[must_use]
     pub fn git_rev(&self) -> &str {
         &self.git_rev
-    }
-
-    /// Records the worker-thread count of the run.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads as u64;
     }
 
     /// The recorded worker-thread count.
@@ -368,7 +362,6 @@ mod tests {
 
     fn sample() -> RunManifest {
         let mut m = RunManifest::new("unit-test run/42");
-        m.set_threads(4);
         m.config("cores", "512");
         m.config("window", "2^11");
         m.counter("cycles", (1u64 << 53) + 7); // beyond f64 integer range

@@ -97,6 +97,14 @@ fn explain_binds_against_cli_schemas() {
 }
 
 #[test]
+fn explain_rejects_a_field_named_twice_without_panicking() {
+    let out = accel(&["explain", "SELECT k, k FROM s", "--schema", "s=k:32"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("field \"k\" appears twice"), "{err}");
+}
+
+#[test]
 fn deploy_runs_the_hardware_bridge() {
     let out = accel(&[
         "deploy",

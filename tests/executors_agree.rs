@@ -4,7 +4,9 @@
 //! row multiset on the FQP fabric ([`QueryManager`]), on the hardware
 //! bridge ([`deploy_to_hardware`], 2 join cores) and on the standing-query
 //! runtime ([`QueryRuntime`], 2 cores), and that multiset is the reference
-//! join followed by the plan's post-join operators.
+//! join followed by the plan's post-join operators. A projection that
+//! names a field twice is rejected by all three with the same
+//! [`PlanError::DuplicateField`].
 //!
 //! Where the executors differ, a named test below documents how.
 
@@ -12,7 +14,7 @@ mod common;
 
 use accel_landscape::fqp::hwbridge::deploy_to_hardware;
 use accel_landscape::fqp::manager::QueryManager;
-use accel_landscape::fqp::plan::{bind, Catalog, Plan, PlanOp};
+use accel_landscape::fqp::plan::{bind, Catalog, Plan, PlanError, PlanOp};
 use accel_landscape::fqp::query::Query;
 use accel_landscape::hwsim::devices::XC7VX485T;
 use accel_landscape::joinsw::baseline::reference_join;
@@ -126,6 +128,8 @@ struct Case {
     arity: (usize, usize),
     window: usize,
     text: String,
+    /// The first field the projection names a second time, if any.
+    repeated: Option<String>,
     arrivals: Vec<Arrival>,
 }
 
@@ -146,14 +150,12 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 .chain(&["r_k", "b"][..ra])
                 .copied()
                 .collect();
-            // Each field at most once: `bind` cannot name an output
-            // field twice.
-            let mut projection: Vec<&str> = Vec::new();
-            for name in fields.iter().map(|&i| names[i % names.len()]) {
-                if !projection.contains(&name) {
-                    projection.push(name);
-                }
-            }
+            let projection: Vec<&str> = fields.iter().map(|&i| names[i % names.len()]).collect();
+            let repeated = projection
+                .iter()
+                .enumerate()
+                .find(|&(i, name)| !star && projection[..i].contains(name))
+                .map(|(_, name)| name.to_string());
             let select = if star {
                 "*".to_string()
             } else {
@@ -184,6 +186,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 arity: (la, ra),
                 window,
                 text,
+                repeated,
                 arrivals,
             }
         })
@@ -196,6 +199,21 @@ proptest! {
     fn the_three_executors_return_the_oracles_rows(case in arb_case()) {
         let catalog = catalog(case.arity.0, case.arity.1);
         let query = Query::parse(&case.text).unwrap();
+        if let Some(field) = case.repeated {
+            // The fabric and the bridge run only what `bind` returns, so
+            // its error is how both reject the text; `admit` binds alike.
+            let want = PlanError::DuplicateField { field, context: "query output".into() };
+            prop_assert_eq!(bind(&query, &catalog).unwrap_err(), want.clone(), "{}", case.text);
+            let mut rt = QueryRuntime::new(catalog, RuntimeConfig::new(2));
+            let err = rt.admit("q", &LogicalPlan::from(query)).unwrap_err();
+            prop_assert!(
+                matches!(&err, RuntimeError::Compile(CompileError::Plan(e)) if *e == want),
+                "runtime: {}: {}",
+                case.text,
+                err
+            );
+            return Ok(());
+        }
         let plan = bind(&query, &catalog).unwrap();
         let want = oracle(&plan, &case.arrivals, case.window);
         prop_assert_eq!(&on_the_fabric(&plan, &case.arrivals), &want, "fabric: {}", case.text);
