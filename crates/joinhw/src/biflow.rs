@@ -79,6 +79,13 @@ impl BiCore {
         }
     }
 
+    fn window(&self, tag: StreamTag) -> &SubWindow {
+        match tag {
+            StreamTag::R => &self.window_r,
+            StreamTag::S => &self.window_s,
+        }
+    }
+
     fn window_mut(&mut self, tag: StreamTag) -> &mut SubWindow {
         match tag {
             StreamTag::R => &mut self.window_r,
@@ -348,19 +355,13 @@ impl BiFlowJoin {
     /// storage cascade carries tuples past such cores so the chain fills
     /// from the exit end — exactly the layout steady-state displacement
     /// produces.
-    fn deeper_has_room(&mut self, tag: StreamTag, core: usize) -> bool {
-        let n = self.cores.len();
+    fn deeper_has_room(&self, tag: StreamTag, core: usize) -> bool {
         let sub = self.params.sub_window();
-        let range: Box<dyn Iterator<Item = usize>> = match tag {
-            StreamTag::R => Box::new(core + 1..n),
-            StreamTag::S => Box::new((0..core).rev()),
+        let deeper = match tag {
+            StreamTag::R => &self.cores[core + 1..],
+            StreamTag::S => &self.cores[..core],
         };
-        for i in range {
-            if self.cores[i].window_mut(tag).occupancy() < sub {
-                return true;
-            }
-        }
-        false
+        deeper.iter().any(|c| c.window(tag).occupancy() < sub)
     }
 
     fn step_wave(&mut self) {
@@ -494,9 +495,20 @@ impl Component for BiFlowJoin {
         self.admit();
     }
 
+    /// Latches the wave's current core alone. The probe is the only
+    /// writer of a result port, and the wave neither moves on nor ends in
+    /// a cycle that pushes, so no other core has anything staged.
     fn commit(&mut self) {
-        for c in &mut self.cores {
-            c.results.commit();
+        debug_assert!(
+            self.cores
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| self.wave.is_none_or(|w| w.core != i))
+                .all(|(_, c)| c.results.committed_len() == c.results.len()),
+            "a result port off the wave's core staged a push"
+        );
+        if let Some(wave) = self.wave {
+            self.cores[wave.core].results.commit();
         }
     }
 }
@@ -528,6 +540,15 @@ mod tests {
         inputs: &[(StreamTag, Tuple)],
         max_cycles: u64,
     ) -> Vec<MatchPair> {
+        drive_counted(join, inputs, max_cycles).0
+    }
+
+    /// [`drive`] that also returns the cycles to quiescence.
+    fn drive_counted(
+        join: &mut BiFlowJoin,
+        inputs: &[(StreamTag, Tuple)],
+        max_cycles: u64,
+    ) -> (Vec<MatchPair>, u64) {
         let mut sim = Simulator::new();
         let mut idx = 0;
         while idx < inputs.len() {
@@ -542,7 +563,7 @@ mod tests {
             sim.run_until(join, max_cycles, |j| j.quiescent()),
             "chain did not quiesce"
         );
-        join.drain_results()
+        (join.drain_results(), sim.cycle())
     }
 
     fn reference_join(inputs: &[(StreamTag, Tuple)], window: usize) -> Vec<MatchPair> {
@@ -622,6 +643,37 @@ mod tests {
         let got = drive(&mut join, &inputs, 4_000_000);
         let want = reference_join(&inputs, 16);
         assert_eq!(as_multiset(&got), as_multiset(&want));
+    }
+
+    #[test]
+    fn full_result_ports_stall_the_probe_without_losing_results() {
+        // One key for every arrival: each comparison matches, so a probe
+        // stages a result every cycle into a depth-4 port that the shared
+        // collector drains once every 4 cycles, and the probe waits on
+        // `can_push`. The pinned totals include those stalls.
+        let inputs: Vec<(StreamTag, Tuple)> = (0..96u32)
+            .map(|i| {
+                let tag = if i % 2 == 0 {
+                    StreamTag::R
+                } else {
+                    StreamTag::S
+                };
+                (tag, Tuple::new(1, i))
+            })
+            .collect();
+        let params = DesignParams::new(FlowModel::BiFlow, 4, 32);
+        for (variant, cycles) in [
+            (BiflowVariant::LowLatency, 5_805),
+            (BiflowVariant::Original, 4_649),
+        ] {
+            let mut join = BiFlowJoin::new(&params).with_variant(variant);
+            join.program(JoinOperator::equi(4));
+            let (got, took) = drive_counted(&mut join, &inputs, 1_000_000);
+            if variant == BiflowVariant::LowLatency {
+                assert_eq!(as_multiset(&got), as_multiset(&reference_join(&inputs, 32)));
+            }
+            assert_eq!(took, cycles, "{variant:?} cycle count drifted");
+        }
     }
 
     #[test]

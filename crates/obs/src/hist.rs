@@ -218,8 +218,9 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// Returns a message when a row's `low` is not a power of two or the
-    /// row counts disagree with `count`.
+    /// Returns a message when a row's `low` is not a power of two, a
+    /// bucket or the row total overflows `u64`, or the row counts disagree
+    /// with `count`.
     pub fn from_parts(
         rows: &[(u64, u64)],
         count: u64,
@@ -233,8 +234,11 @@ impl Histogram {
             if !low.is_power_of_two() {
                 return Err(format!("bucket low {low} is not a power of two"));
             }
-            h.buckets[low.trailing_zeros() as usize] += n;
-            total += n;
+            let bucket = &mut h.buckets[low.trailing_zeros() as usize];
+            *bucket = bucket
+                .checked_add(n)
+                .ok_or_else(|| format!("bucket {low} overflows u64"))?;
+            total = total.checked_add(n).ok_or("bucket counts overflow u64")?;
         }
         if total != count {
             return Err(format!("bucket counts sum to {total}, expected {count}"));
@@ -384,6 +388,16 @@ mod tests {
         assert_eq!(back, h);
         assert!(Histogram::from_parts(&[(3, 1)], 1, 3, 3, 3).is_err());
         assert!(Histogram::from_parts(&[(2, 1)], 2, 3, 3, 3).is_err());
+    }
+
+    #[test]
+    fn from_parts_rejects_counts_that_overflow() {
+        // The row total overflows across two buckets ...
+        let err = Histogram::from_parts(&[(1, u64::MAX), (2, 1)], 0, 0, 0, 0).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        // ... and one bucket overflows when a row repeats it.
+        let err = Histogram::from_parts(&[(1, u64::MAX), (1, 1)], 0, 0, 0, 0).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
     }
 
     #[test]

@@ -18,10 +18,21 @@ pub const FIG14A_THROUGHPUT: &[(u32, u64, u64, u64)] = &[
     (16, 128, 15_495, 2),
 ];
 
-/// Fig. 14b anchors — bi-flow chain, saturation run of 24 tuples with key
-/// domain 2^20: `(cores, window, accepted_tuples, cycles, results)`.
-pub const FIG14B_BIFLOW_THROUGHPUT: &[(u32, usize, u64, u64, u64)] =
-    &[(4, 64, 24, 1_598, 0), (16, 128, 24, 3_698, 0)];
+/// Fig. 14b anchors — bi-flow chain, saturation run of `accepted_tuples`
+/// tuples with key domain 2^20: `(cores, window, accepted_tuples, cycles,
+/// results)`. The last row is the ledger's `sim_biflow` design, whose run
+/// produces results.
+pub const FIG14B_BIFLOW_THROUGHPUT: &[(u32, usize, u64, u64, u64)] = &[
+    (4, 64, 24, 1_598, 0),
+    (16, 128, 24, 3_698, 0),
+    (16, 1 << 12, 25, 91_170, 2),
+];
+
+/// Fig. 14b latency anchor — bi-flow chain, one planted match per core
+/// (probe key 7): `(cores, window, cycles_to_last_result,
+/// cycles_to_quiescent, results)`.
+pub const FIG14B_BIFLOW_LATENCY: &[(u32, usize, u64, u64, u64)] =
+    &[(16, 1 << 12, 4_384, 4_384, 16)];
 
 /// Fig. 15 anchors — uni-flow latency probe, window 2^13, one planted
 /// match per core (probe key 7): `(cores, scalable, cycles_to_last_result,

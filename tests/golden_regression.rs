@@ -32,6 +32,25 @@ fn throughput_both(params: &DesignParams, tuples: u64) -> (ThroughputRun, Throug
     (seq, par)
 }
 
+/// The planted-window latency probe (key 7) on both engines.
+fn latency_both(params: &DesignParams) -> (LatencyRun, LatencyRun) {
+    let probe = (StreamTag::R, Tuple::new(7, u32::MAX));
+    let mut join = build(params);
+    prefill_planted(join.as_mut(), params, 7);
+    let seq = run_latency_with(&mut Simulator::new(), join.as_mut(), probe, 10_000_000)
+        .expect("quiesces");
+    let mut join = build(params);
+    prefill_planted(join.as_mut(), params, 7);
+    let par = run_latency_with(
+        &mut ParSimulator::new(PAR_THREADS),
+        join.as_mut(),
+        probe,
+        10_000_000,
+    )
+    .expect("quiesces");
+    (seq, par)
+}
+
 #[test]
 fn fig14a_throughput_cycles_match_golden() {
     for &(cores, tuples, cycles, results) in golden::FIG14A_THROUGHPUT {
@@ -56,9 +75,36 @@ fn fig14b_biflow_throughput_cycles_match_golden() {
             cycles,
             results,
         };
-        let (seq, par) = throughput_both(&params, 24);
-        assert_eq!(seq, want, "sequential drifted at {cores} cores");
-        assert_eq!(par, want, "parallel drifted at {cores} cores");
+        let (seq, par) = throughput_both(&params, tuples);
+        assert_eq!(
+            seq, want,
+            "sequential drifted at {cores} cores, window {window}"
+        );
+        assert_eq!(
+            par, want,
+            "parallel drifted at {cores} cores, window {window}"
+        );
+    }
+}
+
+#[test]
+fn fig14b_biflow_latency_cycles_match_golden() {
+    for &(cores, window, last, quiescent, results) in golden::FIG14B_BIFLOW_LATENCY {
+        let params = DesignParams::new(FlowModel::BiFlow, cores, window);
+        let want = LatencyRun {
+            cycles_to_last_result: last,
+            cycles_to_quiescent: quiescent,
+            results,
+        };
+        let (seq, par) = latency_both(&params);
+        assert_eq!(
+            seq, want,
+            "sequential drifted at {cores} cores, window {window}"
+        );
+        assert_eq!(
+            par, want,
+            "parallel drifted at {cores} cores, window {window}"
+        );
     }
 }
 
@@ -95,7 +141,7 @@ fn golden_cycles_are_identical_with_tracing_on() {
 
     let &(cores, window, tuples, cycles, results) = &golden::FIG14B_BIFLOW_THROUGHPUT[0];
     let params = DesignParams::new(FlowModel::BiFlow, cores, window);
-    let (seq, _) = throughput_both(&params, 24);
+    let (seq, _) = throughput_both(&params, tuples);
     assert_eq!(
         seq,
         ThroughputRun {
@@ -137,31 +183,16 @@ fn fig15_latency_cycles_match_golden() {
             NetworkKind::Lightweight
         };
         let params = DesignParams::new(FlowModel::UniFlow, cores, 1 << 13).with_network(network);
-        let probe = (StreamTag::R, Tuple::new(7, u32::MAX));
         let want = LatencyRun {
             cycles_to_last_result: last,
             cycles_to_quiescent: quiescent,
             results,
         };
-
-        let mut join = build(&params);
-        prefill_planted(join.as_mut(), &params, 7);
-        let seq = run_latency_with(&mut Simulator::new(), join.as_mut(), probe, 10_000_000)
-            .expect("quiesces");
+        let (seq, par) = latency_both(&params);
         assert_eq!(
             seq, want,
             "sequential drifted at {cores} cores ({network:?})"
         );
-
-        let mut join = build(&params);
-        prefill_planted(join.as_mut(), &params, 7);
-        let par = run_latency_with(
-            &mut ParSimulator::new(PAR_THREADS),
-            join.as_mut(),
-            probe,
-            10_000_000,
-        )
-        .expect("quiesces");
         assert_eq!(par, want, "parallel drifted at {cores} cores ({network:?})");
     }
 }
