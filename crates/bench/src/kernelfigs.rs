@@ -11,7 +11,7 @@
 //! exponent range, and `--samples` for the best-of-N run count per point
 //! (default 3).
 
-use joinsw::harness::measure_throughput_collecting;
+use joinsw::harness::measure_throughput;
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::JoinParams;
 use obs::RunManifest;
@@ -64,7 +64,7 @@ pub fn kernel(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
             }
             let rate = (0..samples)
                 .map(|_| {
-                    measure_throughput_collecting::<SplitJoin>(config.clone(), tuples, KEY_DOMAIN)
+                    measure_throughput::<SplitJoin>(config.clone(), tuples, KEY_DOMAIN)
                         .expect("kernel figure run failed")
                         .0
                         .million_per_second()

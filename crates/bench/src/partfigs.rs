@@ -25,7 +25,7 @@
 //! `docs/PARTITIONING.md` reproduces these numbers step by step.
 
 use joinsw::config::Partitioning;
-use joinsw::harness::{host_parallelism, measure_throughput_with};
+use joinsw::harness::{host_parallelism, measure_throughput};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::{JoinParams, StreamJoin};
 use obs::RunManifest;
@@ -96,10 +96,11 @@ fn speedup_sweep(opts: &FigOpts, m: &mut RunManifest) -> Table {
             ("partitioned", Partitioning::Hash),
         ]
         .map(|(arm, mode)| {
-            let (rate, outcome) = measure_throughput_with::<SplitJoin>(
+            let (rate, outcome) = measure_throughput::<SplitJoin>(
                 SplitJoinConfig::new(cores, window)
                     .with_batch_size(batch)
-                    .with_partitioning(mode),
+                    .with_partitioning(mode)
+                    .counting_only(),
                 tuples,
                 KEY_DOMAIN,
             )

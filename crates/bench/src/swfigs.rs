@@ -20,7 +20,7 @@ use std::time::Duration;
 use joinsw::baseline::reference_join;
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::harness::{
-    host_parallelism, measure_latency_with, measure_throughput_with, modeled_throughput,
+    host_parallelism, measure_latency_with, measure_throughput, modeled_throughput,
     PARALLEL_EFFICIENCY,
 };
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
@@ -93,16 +93,20 @@ pub fn fig14d(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
         if !traced {
             // One extra multi-worker run, purely for its timeline.
             traced = true;
-            let (_, outcome) = measure_throughput_with::<SplitJoin>(
-                SplitJoinConfig::new(max_cores, window).with_batch_size(batch),
+            let (_, outcome) = measure_throughput::<SplitJoin>(
+                SplitJoinConfig::new(max_cores, window)
+                    .with_batch_size(batch)
+                    .counting_only(),
                 tuples,
                 KEY_DOMAIN,
             )
             .expect("fig14d trace run failed");
             crate::obsout::harvest(outcome.trace);
         }
-        let (single, outcome) = measure_throughput_with::<SplitJoin>(
-            SplitJoinConfig::new(1, window).with_batch_size(batch),
+        let (single, outcome) = measure_throughput::<SplitJoin>(
+            SplitJoinConfig::new(1, window)
+                .with_batch_size(batch)
+                .counting_only(),
             tuples,
             KEY_DOMAIN,
         )
@@ -122,8 +126,10 @@ pub fn fig14d(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
         ];
         for &n in &cores {
             let mtps = if direct {
-                measure_throughput_with::<SplitJoin>(
-                    SplitJoinConfig::new(n, window).with_batch_size(batch),
+                measure_throughput::<SplitJoin>(
+                    SplitJoinConfig::new(n, window)
+                        .with_batch_size(batch)
+                        .counting_only(),
                     tuples * 8,
                     KEY_DOMAIN,
                 )
@@ -186,15 +192,15 @@ pub fn fig16(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     // point only (bounded export size); later points run untouched.
     let mut traced = !obs::trace::enabled();
     let mut measure = |config: SplitJoinConfig| {
-        let (mut recorder, outcome) =
-            measure_latency_with::<SplitJoin>(config, samples, KEY_DOMAIN)
-                .expect("fig16 run failed");
+        let (latencies, outcome) = measure_latency_with::<SplitJoin>(config, samples, KEY_DOMAIN)
+            .expect("fig16 run failed");
         if !traced {
             traced = true;
             crate::obsout::harvest(outcome.trace);
         }
-        all_samples.merge(&recorder.histogram());
-        recorder.summary().expect("--samples is positive").p50
+        let (p50, hist) = p50_and_histogram(latencies);
+        all_samples.merge(&hist);
+        p50.expect("--samples is positive")
     };
     for exp in window_exps {
         let window = 1usize << exp;
@@ -236,6 +242,19 @@ pub fn fig16(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     (vec![t], m)
 }
 
+/// One Fig. 16 point's samples, reduced: the exact nearest-rank median
+/// (rank `ceil(n / 2)`; `None` without samples) and the samples' log2
+/// histogram in nanoseconds, which the figure merges into `latency_ns`.
+fn p50_and_histogram(mut samples: Vec<Duration>) -> (Option<Duration>, Histogram) {
+    let mut hist = Histogram::new();
+    for &sample in &samples {
+        hist.record(sample);
+    }
+    samples.sort_unstable();
+    let rank = samples.len().div_ceil(2).max(1);
+    (samples.get(rank - 1).copied(), hist)
+}
+
 /// Ablation — software uni-flow (SplitJoin) vs software bi-flow
 /// (handshake join) throughput on this host at 4 threads: the Fig. 14b
 /// comparison, in software, over every second window exponent of
@@ -256,14 +275,18 @@ pub fn swflow(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
     for exp in windows.step_by(2) {
         let window = 1usize << exp;
         let tuples = (40_000_000 / window as u64).clamp(500, 8_192);
-        let (uni, uni_outcome) = measure_throughput_with::<SplitJoin>(
-            SplitJoinConfig::new(4, window).with_batch_size(batch),
+        let (uni, uni_outcome) = measure_throughput::<SplitJoin>(
+            SplitJoinConfig::new(4, window)
+                .with_batch_size(batch)
+                .counting_only(),
             tuples,
             KEY_DOMAIN,
         )
         .expect("swflow run failed");
-        let (bi, bi_outcome) = measure_throughput_with::<HandshakeJoin>(
-            HandshakeConfig::new(4, window).with_batch_size(batch),
+        let (bi, bi_outcome) = measure_throughput::<HandshakeJoin>(
+            HandshakeConfig::new(4, window)
+                .with_batch_size(batch)
+                .counting_only(),
             tuples,
             KEY_DOMAIN,
         )
@@ -393,6 +416,20 @@ mod tests {
     }
 
     #[test]
+    fn fig16_p50_is_the_nearest_rank_median() {
+        let us = Duration::from_micros;
+        let (p50, hist) = p50_and_histogram((1..=100).rev().map(us).collect());
+        assert_eq!(p50, Some(us(50)));
+        assert_eq!(hist.total(), 100);
+        assert_eq!((hist.min(), hist.max()), (Some(1_000), Some(100_000)));
+        // Two samples: rank ceil(2 / 2) = 1, the lower one.
+        assert_eq!(p50_and_histogram(vec![us(3), us(1)]).0, Some(us(1)));
+        let (p50, hist) = p50_and_histogram(Vec::new());
+        assert_eq!(p50, None);
+        assert!(hist.is_empty());
+    }
+
+    #[test]
     fn small_fig16_point_produces_rows() {
         let opts = FigOpts {
             cores: Some(vec![2, 4]),
@@ -400,6 +437,13 @@ mod tests {
             samples: Some(3),
             ..FigOpts::default()
         };
-        assert_eq!(fig16(&opts).0[0].len(), 2);
+        let (tables, m) = fig16(&opts);
+        assert_eq!(tables[0].len(), 2);
+        // Every sample of every run lands in `latency_ns`: one run per
+        // core count when measured; one single-core run plus one barrier
+        // run per core count when modeled.
+        let runs = if host_parallelism() >= 4 { 2 } else { 3 };
+        let (name, hist) = &m.histograms()[0];
+        assert_eq!((name.as_str(), hist.total()), ("latency_ns", runs * 3));
     }
 }

@@ -81,7 +81,6 @@ mod reg;
 mod resources;
 mod sim;
 mod timing;
-mod trace;
 
 pub use bram::{Bram, BramStats};
 pub use device::{devices, Device, Family};
@@ -94,4 +93,3 @@ pub use resources::LUTRAM_THRESHOLD_BITS as LUTRAM_THRESHOLD_BITS_DEFAULT;
 pub use resources::{MemoryMapping, Resources, Utilization};
 pub use sim::{Component, Simulator};
 pub use timing::{estimate_fmax, Frequency, TimingProfile};
-pub use trace::{SignalId, TraceRecorder};

@@ -100,27 +100,6 @@ impl Simulator {
         }
         false
     }
-
-    /// Runs `cycles` clock cycles, invoking `sampler` after each one with
-    /// the design and a recorder already positioned at the new cycle —
-    /// the convenient way to capture a waveform (see
-    /// [`TraceRecorder`](crate::TraceRecorder)).
-    pub fn run_traced<C, F>(
-        &mut self,
-        root: &mut C,
-        cycles: u64,
-        trace: &mut crate::TraceRecorder,
-        mut sampler: F,
-    ) where
-        C: Component + ?Sized,
-        F: FnMut(&C, &mut crate::TraceRecorder),
-    {
-        for _ in 0..cycles {
-            self.step(root);
-            trace.set_cycle(self.cycle);
-            sampler(root, trace);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,20 +154,6 @@ mod tests {
         let fired = sim.run_until(&mut c, 5, |c| *c.0.get() == 7);
         assert!(!fired);
         assert_eq!(sim.cycle(), 5);
-    }
-
-    #[test]
-    fn run_traced_samples_every_cycle() {
-        let mut c = Counter(Register::new(0));
-        let mut sim = Simulator::new();
-        let mut trace = crate::TraceRecorder::new();
-        let sig = trace.signal("count", 8);
-        sim.run_traced(&mut c, 5, &mut trace, |counter, t| {
-            t.sample(sig, *counter.0.get());
-        });
-        // The counter changes every cycle: five change events.
-        assert_eq!(trace.change_count(), 5);
-        assert!(trace.to_vcd().contains("#5"));
     }
 
     #[test]

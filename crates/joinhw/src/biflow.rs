@@ -799,6 +799,7 @@ mod tests {
 
     #[test]
     fn tracing_records_wave_segments_without_changing_results() {
+        let _flag = crate::trace_flag_lock();
         let inputs = workload(60, 6);
         let params = DesignParams::new(FlowModel::BiFlow, 4, 16);
         let mut plain = BiFlowJoin::new(&params);

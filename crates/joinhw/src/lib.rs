@@ -48,6 +48,15 @@ mod operator;
 mod subwindow;
 pub mod uniflow;
 
+/// Held by every test that flips the process-wide trace flag, so no
+/// other such test builds its untraced design while the flag is on.
+#[cfg(test)]
+fn trace_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use design::JoinAlgorithm;
 pub use hashwindow::HashWindow;
 pub use subwindow::SubWindow;

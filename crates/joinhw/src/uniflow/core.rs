@@ -75,7 +75,7 @@ impl WindowStore {
 
 /// Storage-core controller states (Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StorageState {
+pub(crate) enum StorageState {
     /// Waiting for a frame.
     Idle,
     /// First operator word latched; waiting for the second.
@@ -86,7 +86,7 @@ pub enum StorageState {
 
 /// Processing-core controller states (Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProcessingState {
+pub(crate) enum ProcessingState {
     /// No operator programmed yet.
     Idle,
     /// Scanning the opposite sub-window, one read per cycle.
@@ -224,16 +224,6 @@ impl JoinCore {
     /// Cumulative counters.
     pub fn stats(&self) -> CoreStats {
         self.stats
-    }
-
-    /// Current storage-controller state.
-    pub fn storage_state(&self) -> StorageState {
-        self.storage
-    }
-
-    /// Current processing-controller state.
-    pub fn processing_state(&self) -> ProcessingState {
-        self.processing
     }
 
     /// `true` when the core has no queued or in-flight work.
@@ -540,7 +530,7 @@ mod tests {
     #[test]
     fn programming_takes_two_cycles_and_resets_counts() {
         let core = programmed_core(0, 4, 8);
-        assert_eq!(core.processing_state(), ProcessingState::JoinWait);
+        assert_eq!(core.processing, ProcessingState::JoinWait);
     }
 
     #[test]

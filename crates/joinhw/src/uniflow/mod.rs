@@ -4,7 +4,7 @@
 mod core;
 mod network;
 
-pub use self::core::{CoreStats, JoinCore, ProcessingState, StorageState};
+pub use self::core::{CoreStats, JoinCore};
 pub use self::network::{DistributionNetwork, GatheringNetwork};
 
 use hwsim::{Component, Shard, Sharded};
@@ -263,11 +263,6 @@ impl UniFlowJoin {
         }
         total
     }
-
-    /// Access to an individual join core (verification).
-    pub fn core_mut(&mut self, index: usize) -> &mut JoinCore {
-        &mut self.cores[index]
-    }
 }
 
 impl Component for UniFlowJoin {
@@ -374,6 +369,15 @@ mod tests {
         inputs: &[(StreamTag, Tuple)],
         max_cycles: u64,
     ) -> Vec<MatchPair> {
+        drive_counted(join, inputs, max_cycles).0
+    }
+
+    /// [`drive`], also returning the cycles the run took.
+    fn drive_counted(
+        join: &mut UniFlowJoin,
+        inputs: &[(StreamTag, Tuple)],
+        max_cycles: u64,
+    ) -> (Vec<MatchPair>, u64) {
         let mut sim = Simulator::new();
         let mut idx = 0;
         while idx < inputs.len() {
@@ -386,7 +390,7 @@ mod tests {
         }
         let ok = sim.run_until(join, max_cycles, |j| j.quiescent());
         assert!(ok, "design did not quiesce");
-        join.drain_results()
+        (join.drain_results(), sim.cycle())
     }
 
     /// Reference strict-semantics nested-loop join over global windows.
@@ -688,6 +692,7 @@ mod tests {
 
     #[test]
     fn provenance_sampling_breaks_down_latency_without_changing_results() {
+        let _flag = crate::trace_flag_lock();
         let inputs = workload(200, 8);
         let params = DesignParams::new(FlowModel::UniFlow, 4, 32);
         let mut plain = UniFlowJoin::new(&params);
@@ -755,6 +760,46 @@ mod tests {
             assert!(!core.is_empty(), "{track} recorded probe spans");
             assert!(core.events().iter().all(|e| e.name == "probe"));
         }
+    }
+
+    #[test]
+    fn tracing_records_probe_spans_without_changing_results() {
+        let _flag = crate::trace_flag_lock();
+        let inputs = workload(200, 8);
+        let params = DesignParams::new(FlowModel::UniFlow, 4, 32);
+        let mut plain = UniFlowJoin::new(&params);
+        plain.program(JoinOperator::equi(4));
+        let (want, want_cycles) = drive_counted(&mut plain, &inputs, 200_000);
+
+        obs::trace::enable(1);
+        let mut traced = UniFlowJoin::new(&params);
+        obs::trace::disable();
+        traced.program(JoinOperator::equi(4));
+        let (got, cycles) = drive_counted(&mut traced, &inputs, 200_000);
+
+        assert_eq!(as_multiset(&got), as_multiset(&want));
+        assert_eq!(cycles, want_cycles, "tracing must not move a cycle");
+        assert!(!want.is_empty(), "test should exercise matches");
+
+        let rings = traced.take_trace();
+        assert!(rings
+            .iter()
+            .all(|r| r.domain() == obs::trace::TimeDomain::Cycles && r.dropped() == 0));
+        let coord = rings.iter().filter(|r| r.track() == "uniflow.coord");
+        assert!(coord.map(obs::trace::TraceRing::len).sum::<usize>() > 0);
+        // One probe track per core; each probe's arg is its match count,
+        // so the spans account for every result.
+        let mut matches = 0;
+        for i in 0..4 {
+            let track = format!("core.{i}");
+            let core: Vec<_> = rings.iter().filter(|r| r.track() == track).collect();
+            assert_eq!(core.len(), 1, "one {track} track");
+            let events = core[0].events();
+            assert_eq!(events.len(), inputs.len(), "{track} probes every tuple");
+            assert!(events.iter().all(|e| e.name == "probe"));
+            matches += events.iter().map(|e| e.arg).sum::<u64>();
+        }
+        assert_eq!(matches, got.len() as u64);
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! Measurement harness for the software joins (Figs. 14d and 16).
 //!
-//! The measurement loops are generic: [`measure_throughput_with`],
-//! [`measure_throughput_collecting`] and [`measure_latency_with`] drive
-//! any engine implementing [`StreamJoin`] — the SplitJoin router
-//! (`::<SplitJoin>`, Figs. 14d and 16), the handshake chain
-//! (`::<HandshakeJoin>`, the software side of Fig. 14b; it has no
-//! probe-free pre-fill, so its warm-up processes `2 × window` tuples
-//! through the chain), or the single-threaded baseline — through the
-//! same warm-up/feed/flush protocol. All of them are fallible: a run that
-//! loses its last worker (or trips the saturation supervisor) reports a
-//! [`JoinError`] instead of panicking mid-measurement, and scripted
-//! fault scenarios surface their damage in the returned outcome's
-//! fault report.
+//! The measurement loops are generic: [`measure_throughput`] and
+//! [`measure_latency_with`] drive any engine implementing
+//! [`StreamJoin`] — the SplitJoin router (`::<SplitJoin>`, Figs. 14d
+//! and 16), the handshake chain (`::<HandshakeJoin>`, the software side
+//! of Fig. 14b; it has no probe-free pre-fill, so its warm-up processes
+//! `2 × window` tuples through the chain), or the single-threaded
+//! baseline — through the same warm-up/feed/flush protocol. All of them
+//! are fallible: a run that loses its last worker (or trips the
+//! saturation supervisor) reports a [`JoinError`] instead of panicking
+//! mid-measurement, and scripted fault scenarios surface their damage in
+//! the returned outcome's fault report.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use accel_error::JoinError;
-use streamcore::metrics::{LatencyRecorder, Throughput};
+use streamcore::metrics::Throughput;
 use streamcore::{StreamTag, Tuple};
 
 use crate::config::JoinParams;
@@ -61,35 +60,21 @@ pub fn prefill_steady_state<J: StreamJoin>(join: &J, window_size: usize) -> Resu
     join.flush()
 }
 
-/// Measures steady-state input throughput of any [`StreamJoin`] engine:
-/// the windows are pre-filled (counting-only, so no materializing work
-/// distorts the rate), then `tuples` inputs (alternating R/S, keys
-/// hashed over `key_domain`) are pushed as fast as the engine absorbs
-/// them. Returns the rate together with the shutdown outcome, so bench
+/// Measures steady-state input throughput of any [`StreamJoin`] engine,
+/// run exactly as `config` says: the windows are pre-filled, then
+/// `tuples` inputs (alternating R/S, keys hashed over `key_domain`) are
+/// pushed as fast as the engine absorbs them. Pass
+/// `config.counting_only()` to time the counting path, as the
+/// throughput figures do; with `collect_results` on, the timed segment
+/// also builds every match and publishes it to the workers' outboxes.
+/// Returns the rate together with the shutdown outcome, so bench
 /// manifests can archive batch-size histograms, per-worker counters,
 /// and the fault report alongside the number.
 ///
 /// # Errors
 ///
 /// See [`StreamJoin::process`].
-pub fn measure_throughput_with<J: StreamJoin>(
-    config: J::Config,
-    tuples: u64,
-    key_domain: u32,
-) -> Result<(Throughput, JoinOutcome), JoinError> {
-    measure_throughput_collecting::<J>(config.counting_only(), tuples, key_domain)
-}
-
-/// [`measure_throughput_with`] that honors the config's
-/// `collect_results` flag instead of forcing counting-only. With
-/// collection on, the timed segment exercises the full materializing
-/// path — matches are built and published to the workers' outboxes —
-/// which is what the kernel figure's materializing variant times.
-///
-/// # Errors
-///
-/// See [`StreamJoin::process`].
-pub fn measure_throughput_collecting<J: StreamJoin>(
+pub fn measure_throughput<J: StreamJoin>(
     config: J::Config,
     tuples: u64,
     key_domain: u32,
@@ -117,9 +102,8 @@ pub fn measure_throughput_collecting<J: StreamJoin>(
 /// pre-filled windows, each sample submits one tuple and waits until the
 /// engine has processed it and emitted its results (flush barrier) — the
 /// paper's definition of latency ("time to process and emit all results
-/// for a newly inserted tuple"). Returns the recorded samples — read
-/// them through [`LatencyRecorder::summary`] and
-/// [`LatencyRecorder::histogram`] — and the shutdown outcome.
+/// for a newly inserted tuple"). Returns the samples in submission
+/// order and the shutdown outcome.
 ///
 /// # Errors
 ///
@@ -128,11 +112,11 @@ pub fn measure_latency_with<J: StreamJoin>(
     config: J::Config,
     samples: usize,
     key_domain: u32,
-) -> Result<(LatencyRecorder, JoinOutcome), JoinError> {
+) -> Result<(Vec<Duration>, JoinOutcome), JoinError> {
     let window = config.common().window_size;
     let join = J::spawn(config.counting_only());
     prefill_steady_state(&join, window)?;
-    let mut recorder = LatencyRecorder::new();
+    let mut latencies = Vec::with_capacity(samples);
     for i in 0..samples {
         let tag = if i % 2 == 0 {
             StreamTag::R
@@ -143,9 +127,9 @@ pub fn measure_latency_with<J: StreamJoin>(
         let start = Instant::now();
         join.process(tag, Tuple::new(key, i as u32))?;
         join.flush()?;
-        recorder.record(start.elapsed());
+        latencies.push(start.elapsed());
     }
-    Ok((recorder, join.shutdown()?))
+    Ok((latencies, join.shutdown()?))
 }
 
 #[cfg(test)]
@@ -155,20 +139,24 @@ mod tests {
     use crate::config::JoinConfig;
     use crate::handshake::{HandshakeConfig, HandshakeJoin};
     use crate::splitjoin::{SplitJoin, SplitJoinConfig};
-    use streamcore::metrics::LatencySummary;
 
     fn split_throughput(cores: usize, window: usize, tuples: u64) -> Throughput {
-        measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(cores, window), tuples, 1 << 20)
+        let config = SplitJoinConfig::new(cores, window).counting_only();
+        measure_throughput::<SplitJoin>(config, tuples, 1 << 20)
             .unwrap()
             .0
     }
 
-    fn split_latency(window: usize, samples: usize) -> LatencySummary {
+    fn split_latency(window: usize, samples: usize) -> Vec<Duration> {
         measure_latency_with::<SplitJoin>(SplitJoinConfig::new(2, window), samples, 1 << 20)
             .unwrap()
             .0
-            .summary()
-            .unwrap()
+    }
+
+    /// Nearest-rank median.
+    fn median(mut samples: Vec<Duration>) -> Duration {
+        samples.sort_unstable();
+        samples[samples.len().div_ceil(2) - 1]
     }
 
     #[test]
@@ -223,7 +211,7 @@ mod tests {
             let config = SplitJoinConfig::new(3, 1 << 8)
                 .with_batch_size(batch)
                 .counting_only();
-            measure_throughput_with::<SplitJoin>(config, 3_000, 1 << 10)
+            measure_throughput::<SplitJoin>(config, 3_000, 1 << 10)
                 .unwrap()
                 .1
         };
@@ -236,17 +224,23 @@ mod tests {
 
     #[test]
     fn every_engine_measures_through_the_unified_surface() {
-        let (t, _) =
-            measure_throughput_with::<BaselineJoin>(JoinConfig::new(1, 1 << 6), 500, 1 << 20)
-                .unwrap();
+        let (t, _) = measure_throughput::<BaselineJoin>(
+            JoinConfig::new(1, 1 << 6).counting_only(),
+            500,
+            1 << 20,
+        )
+        .unwrap();
         assert!(t.per_second() > 0.0);
-        let (t, outcome) =
-            measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(2, 1 << 6), 500, 1 << 20)
-                .unwrap();
+        let (t, outcome) = measure_throughput::<SplitJoin>(
+            SplitJoinConfig::new(2, 1 << 6).counting_only(),
+            500,
+            1 << 20,
+        )
+        .unwrap();
         assert!(t.per_second() > 0.0);
         assert!(!outcome.fault.degraded());
-        let (t, _) = measure_throughput_with::<HandshakeJoin>(
-            HandshakeConfig::new(2, 1 << 8),
+        let (t, _) = measure_throughput::<HandshakeJoin>(
+            HandshakeConfig::new(2, 1 << 8).counting_only(),
             2_000,
             1 << 20,
         )
@@ -256,21 +250,20 @@ mod tests {
     }
 
     #[test]
-    fn latency_summary_is_populated() {
+    fn latency_samples_are_populated() {
         let s = split_latency(1 << 10, 50);
-        assert_eq!(s.samples, 50);
-        assert!(s.mean.as_nanos() > 0);
-        assert!(s.max >= s.p50);
+        assert_eq!(s.len(), 50);
+        assert!(s.iter().sum::<Duration>() > Duration::ZERO);
     }
 
     #[test]
     fn latency_grows_with_window() {
         // Fig. 16 shape: larger windows -> longer scans -> higher latency.
-        let small = split_latency(1 << 10, 40);
-        let large = split_latency(1 << 15, 40);
+        let small = median(split_latency(1 << 10, 40));
+        let large = median(split_latency(1 << 15, 40));
         assert!(
-            large.p50 > small.p50,
-            "latency should grow with window: {small} vs {large}"
+            large > small,
+            "latency should grow with window: {small:?} vs {large:?}"
         );
     }
 }

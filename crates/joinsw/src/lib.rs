@@ -35,7 +35,7 @@
 //!   [`FaultReport`] each outcome carries describing exactly what
 //!   capacity and match-completeness was lost.
 //! * [`harness`] — the measurement loops behind those figures, now
-//!   generic over [`StreamJoin`]: [`harness::measure_throughput_with`]
+//!   generic over [`StreamJoin`]: [`harness::measure_throughput`]
 //!   and [`harness::measure_latency_with`], plus the calibrated
 //!   multi-core scaling model used when the host has fewer hardware
 //!   threads than join cores.

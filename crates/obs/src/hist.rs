@@ -16,8 +16,8 @@ use std::time::Duration;
 ///
 /// Values are plain `u64`s — the unit is whatever the caller records
 /// (wall-clock nanoseconds in the software harnesses, clock cycles in the
-/// simulated-hardware harnesses). The `ns`-suffixed methods exist for
-/// nanosecond ergonomics and [`Duration`] interop.
+/// simulated-hardware harnesses); [`Histogram::record`] takes a
+/// [`Duration`] as nanoseconds.
 ///
 /// # Example
 ///
@@ -30,9 +30,9 @@ use std::time::Duration;
 /// }
 /// assert_eq!(h.total(), 3);
 /// assert_eq!(h.max(), Some(5_000));
-/// assert_eq!(h.mode_bucket_ns(), Some((64, 128))); // two samples in [64, 128)
-/// assert_eq!(h.quantile(0.50), Some(127));         // bucket-upper-bound estimate
-/// assert_eq!(h.p99(), Some(5_000));                // clamped to the observed max
+/// assert_eq!(h.rows()[0], (64, 128, 2));   // two samples in [64, 128)
+/// assert_eq!(h.quantile(0.50), Some(127)); // bucket-upper-bound estimate
+/// assert_eq!(h.p99(), Some(5_000));        // clamped to the observed max
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -71,14 +71,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Records one sample in nanoseconds (alias of [`record_value`]
-    /// retained for the `streamcore::metrics` API).
-    ///
-    /// [`record_value`]: Histogram::record_value
-    pub fn record_ns(&mut self, ns: u64) {
-        self.record_value(ns);
     }
 
     /// Records one sample as a [`Duration`] (in nanoseconds).
@@ -168,23 +160,6 @@ impl Histogram {
     #[must_use]
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
-    }
-
-    /// The `[low, high)` range of the most populated bucket, or `None` if
-    /// empty. (The name keeps the historical `streamcore::metrics` API;
-    /// the unit is whatever was recorded.)
-    #[must_use]
-    pub fn mode_bucket_ns(&self) -> Option<(u64, u64)> {
-        if self.count == 0 {
-            return None;
-        }
-        let (i, _) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, n)| n)
-            .expect("64 buckets");
-        Some((1u64 << i, Self::bucket_high(i).saturating_add(1)))
     }
 
     /// Non-empty buckets as `(low, high, count)` rows, `high` exclusive.
@@ -289,7 +264,6 @@ mod tests {
             h.rows(),
             vec![(1, 2, 1), (2, 4, 2), (512, 1024, 1), (1024, 2048, 1)]
         );
-        assert_eq!(h.mode_bucket_ns(), Some((2, 4)));
     }
 
     #[test]
@@ -342,7 +316,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.sum(), None);
-        assert_eq!(h.mode_bucket_ns(), None);
         assert!(h.rows().is_empty());
     }
 
@@ -404,9 +377,7 @@ mod tests {
     fn duration_api_matches_value_api() {
         let mut a = Histogram::new();
         a.record(Duration::from_nanos(777));
-        a.record_ns(777);
         let mut b = Histogram::new();
-        b.record_value(777);
         b.record_value(777);
         assert_eq!(a, b);
     }

@@ -25,9 +25,9 @@
 //!   autovectorizer-friendly compare sweeps), the software analog of
 //!   the paper's comparator array;
 //! * [`workload`] — reproducible stream generators with controllable key
-//!   domains, skew, arrival interleaving, and bounded disorder;
-//! * [`metrics`] — throughput and latency recorders used by every
-//!   experiment harness.
+//!   domains, skew, and arrival interleaving;
+//! * [`metrics`] — the throughput rate used by every experiment
+//!   harness.
 //!
 //! # Example
 //!
@@ -49,6 +49,7 @@
 // `unsafe` anywhere else in this crate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod kernel;
 pub mod metrics;

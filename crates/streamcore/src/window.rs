@@ -471,6 +471,9 @@ impl HashIndexWindow {
     fn unlink_oldest(&mut self) {
         let slot = self.head as u32;
         let key = self.keys[self.head];
+        // Invariant: `link_slot` indexed every live slot's key on insert,
+        // and the head slot is live.
+        #[allow(clippy::expect_used)]
         let pos = self.find(key).expect("evicted key must be indexed");
         debug_assert_eq!(
             self.table[pos].first, slot,
@@ -661,6 +664,9 @@ impl PartitionedWindow {
                 break;
             }
             self.order.pop_front();
+            // Invariant: `insert` pushes every `order` entry onto its
+            // key's chain, and a chain is removed only once empty.
+            #[allow(clippy::expect_used)]
             let chain = self
                 .chains
                 .get_mut(&key)
@@ -699,6 +705,9 @@ impl PartitionedWindow {
     pub fn iter(&self) -> impl Iterator<Item = (u64, Tuple)> + '_ {
         self.order.iter().map(|&(seq, key)| {
             let chain = &self.chains[&key];
+            // Invariant: every `order` entry is in its key's chain, which
+            // `insert` keeps sorted by ascending sequence number.
+            #[allow(clippy::expect_used)]
             let idx = chain
                 .binary_search_by_key(&seq, |&(s, _)| s)
                 .expect("ordered tuple must be in its chain");

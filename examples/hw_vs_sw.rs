@@ -12,10 +12,9 @@ use accel_landscape::joinhw::harness::{
     build, prefill_steady_state, run_throughput, uniflow_throughput_model,
 };
 use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
-use accel_landscape::joinsw::harness::{
-    host_parallelism, measure_throughput_with, modeled_throughput,
-};
+use accel_landscape::joinsw::harness::{host_parallelism, measure_throughput, modeled_throughput};
 use accel_landscape::joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
+use accel_landscape::joinsw::JoinParams;
 
 fn main() {
     let window = 1 << 14; // keep the demo snappy; the paper uses 2^18
@@ -41,12 +40,15 @@ fn main() {
     println!("  {}", report.power);
 
     // Software: SplitJoin on this host.
-    let (single, _) =
-        measure_throughput_with::<SplitJoin>(SplitJoinConfig::new(1, window), 2_048, 1 << 20)
-            .expect("software run failed");
+    let (single, _) = measure_throughput::<SplitJoin>(
+        SplitJoinConfig::new(1, window).counting_only(),
+        2_048,
+        1 << 20,
+    )
+    .expect("software run failed");
     let sw = if host_parallelism() >= sw_cores {
-        measure_throughput_with::<SplitJoin>(
-            SplitJoinConfig::new(sw_cores, window),
+        measure_throughput::<SplitJoin>(
+            SplitJoinConfig::new(sw_cores, window).counting_only(),
             16_384,
             1 << 20,
         )
