@@ -6,7 +6,7 @@ use std::fmt;
 
 use streamcore::{Field, Schema, SchemaError};
 
-use crate::query::{AggFunc, CmpOp, Condition, Projection, Query, WindowKind};
+use crate::query::{AggFunc, BoolExpr, CmpOp, Condition, Projection, Query, WindowKind};
 
 /// Registry of stream schemas known to the planner.
 ///
@@ -119,10 +119,11 @@ pub enum PlanOp {
         /// The conjunction.
         conditions: Vec<BoundCondition>,
     },
-    /// Filter on an arbitrary Boolean expression, compiled Ibex-style at
-    /// planning time: the atoms are evaluated in parallel and the
-    /// precomputed truth table decides — "precomputation of a truth table
-    /// for Boolean expressions in software first" (paper, Section II).
+    /// Filter on any other Boolean expression, in the same positions as
+    /// [`PlanOp::Select`], compiled Ibex-style at planning time: the atoms
+    /// are evaluated in parallel and the precomputed truth table decides —
+    /// "precomputation of a truth table for Boolean expressions in
+    /// software first" (paper, Section II).
     SelectTable {
         /// Atomic comparisons, in truth-table bit order.
         atoms: Vec<BoundCondition>,
@@ -199,29 +200,23 @@ impl Plan {
         let mut out = String::new();
         let _ = writeln!(out, "Plan: {}", self.query);
         let _ = writeln!(out, "  Source: {}", self.primary);
-        // A Select names the primary stream's WHERE before the join and
+        // A select renders the primary stream's WHERE before the join and
         // the join's own WHERE after it.
-        let mut named = &self.query.conditions;
+        let text = |f: &Option<BoolExpr>| f.as_ref().map(ToString::to_string).unwrap_or_default();
+        let mut filter = text(&self.query.filter);
         for op in &self.ops {
             match op {
                 PlanOp::Select { conditions } => {
-                    let named: Vec<String> = named.iter().map(|c| c.to_string()).collect();
                     let _ = writeln!(
                         out,
-                        "  -> Select [{}] ({} bound condition(s))",
-                        named.join(" AND "),
+                        "  -> Select [{filter}] ({} bound condition(s))",
                         conditions.len()
                     );
                 }
                 PlanOp::SelectTable { atoms, table } => {
-                    let expr = self
-                        .query
-                        .where_expr
-                        .as_ref()
-                        .expect("table op implies a boolean clause");
                     let _ = writeln!(
                         out,
-                        "  -> Select [{expr}] (truth table: {} atoms, {} entries)",
+                        "  -> Select [{filter}] (truth table: {} atoms, {} entries)",
                         atoms.len(),
                         table.len()
                     );
@@ -229,7 +224,7 @@ impl Plan {
                 PlanOp::Join { window, .. } => {
                     let j = self.query.join.as_ref().expect("join op implies clause");
                     let _ = writeln!(out, "  -> Join {} ON {} WINDOW {window}", j.stream, j.on);
-                    named = &j.conditions;
+                    filter = text(&j.filter);
                 }
                 PlanOp::Project { .. } => {
                     // The projection defines the output schema, in order.
@@ -341,33 +336,9 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
 
     let mut ops = Vec::new();
 
-    // Selection binds against the primary stream: plain conjunctions map
-    // to a Select block; general Boolean clauses are compiled to a
-    // precomputed truth table over their bound atoms.
-    if !query.conditions.is_empty() {
-        let conditions = bind_conditions(&query.conditions, primary_schema, &query.from)?;
-        ops.push(PlanOp::Select { conditions });
-    } else if let Some(expr) = &query.where_expr {
-        let atom_refs = expr.atoms();
-        if atom_refs.len() > MAX_TRUTH_TABLE_ATOMS {
-            return Err(PlanError::TooManyAtoms {
-                atoms: atom_refs.len(),
-                max: MAX_TRUTH_TABLE_ATOMS,
-            });
-        }
-        let atoms = atom_refs
-            .into_iter()
-            .map(|c| bind_condition(c, primary_schema, &query.from))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Software-side precomputation: enumerate every atom-outcome
-        // combination once, at planning time.
-        let n = atoms.len();
-        let mut table = Vec::with_capacity(1 << n);
-        for mask in 0u32..(1 << n) {
-            let outcomes: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-            table.push(expr.eval_with(&outcomes));
-        }
-        ops.push(PlanOp::SelectTable { atoms, table });
+    // Selection binds against the primary stream.
+    if let Some(expr) = &query.filter {
+        ops.push(bind_filter(expr, primary_schema, &query.from)?);
     }
 
     // Join: output record = primary fields ++ secondary fields, secondary
@@ -414,9 +385,8 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
 
     // The join's own WHERE binds against the joined record, right after
     // the join.
-    if let Some(j) = query.join.as_ref().filter(|j| !j.conditions.is_empty()) {
-        let conditions = bind_conditions(&j.conditions, &joined_schema, "joined record")?;
-        ops.push(PlanOp::Select { conditions });
+    if let Some(expr) = query.join.as_ref().and_then(|j| j.filter.as_ref()) {
+        ops.push(bind_filter(expr, &joined_schema, "joined record")?);
     }
 
     // Aggregates replace the projection entirely (parser guarantees no
@@ -500,15 +470,39 @@ fn record_schema(fields: Vec<Field>, context: &str) -> Result<Schema, PlanError>
     })
 }
 
-fn bind_conditions(
-    conditions: &[Condition],
-    schema: &Schema,
-    context: &str,
-) -> Result<Vec<BoundCondition>, PlanError> {
-    conditions
-        .iter()
+/// Binds one `WHERE` clause: a flat conjunction of atoms becomes the
+/// short-circuit [`PlanOp::Select`]; any other expression is compiled to
+/// a precomputed truth table over its bound atoms.
+fn bind_filter(expr: &BoolExpr, schema: &Schema, context: &str) -> Result<PlanOp, PlanError> {
+    let conjunction = match expr {
+        BoolExpr::Atom(_) => true,
+        BoolExpr::And(es) => es.iter().all(|e| matches!(e, BoolExpr::Atom(_))),
+        BoolExpr::Or(_) | BoolExpr::Not(_) => false,
+    };
+    let atoms = expr.atoms();
+    if !conjunction && atoms.len() > MAX_TRUTH_TABLE_ATOMS {
+        return Err(PlanError::TooManyAtoms {
+            atoms: atoms.len(),
+            max: MAX_TRUTH_TABLE_ATOMS,
+        });
+    }
+    let atoms = atoms
+        .into_iter()
         .map(|c| bind_condition(c, schema, context))
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    if conjunction {
+        return Ok(PlanOp::Select { conditions: atoms });
+    }
+    // Software-side precomputation: enumerate every atom-outcome
+    // combination once, at planning time.
+    let n = atoms.len();
+    let table = (0u32..(1 << n))
+        .map(|mask| {
+            let outcomes: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
+            expr.eval_with(&outcomes)
+        })
+        .collect();
+    Ok(PlanOp::SelectTable { atoms, table })
 }
 
 fn bind_condition(
@@ -850,5 +844,45 @@ mod tests {
         let plan = bind(&q, &demo_catalog()).unwrap();
         assert!(plan.ops.is_empty());
         assert_eq!(plan.block_count(), 1);
+    }
+
+    #[test]
+    fn explain_pins_a_conjunction_before_and_after_the_join() {
+        let cat = demo_catalog();
+        let before = bind(
+            &parse(
+                "SELECT age, price FROM customers WHERE age > 25 AND gender = 1 \
+                 JOIN products ON product_id WINDOW 1536",
+            ),
+            &cat,
+        )
+        .unwrap();
+        assert_eq!(
+            before.explain(),
+            "Plan: SELECT age, price FROM customers WHERE age > 25 AND gender = 1 \
+             JOIN products ON product_id WINDOW 1536\n\
+             \x20 Source: customers\n\
+             \x20 -> Select [age > 25 AND gender = 1] (2 bound condition(s))\n\
+             \x20 -> Join products ON product_id WINDOW 1536\n\
+             \x20 -> Project [age, price]\n\
+             \x20 Output: (age:8, price:32)\n"
+        );
+        let after = bind(
+            &parse(
+                "SELECT * FROM customers JOIN products ON product_id WINDOW 8 \
+                 WHERE price > 5 AND age < 9",
+            ),
+            &cat,
+        )
+        .unwrap();
+        assert_eq!(
+            after.explain(),
+            "Plan: SELECT * FROM customers JOIN products ON product_id WINDOW 8 \
+             WHERE price > 5 AND age < 9\n\
+             \x20 Source: customers\n\
+             \x20 -> Join products ON product_id WINDOW 8\n\
+             \x20 -> Select [price > 5 AND age < 9] (2 bound condition(s))\n\
+             \x20 Output: (product_id:32, age:8, gender:1, products_product_id:32, price:32)\n"
+        );
     }
 }

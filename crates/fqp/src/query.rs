@@ -95,13 +95,16 @@ impl fmt::Display for Condition {
     }
 }
 
-/// An arbitrary Boolean `WHERE` expression over atomic comparisons.
+/// A Boolean `WHERE` expression over atomic comparisons.
 ///
-/// Pure conjunctions take the fast path through [`Query::conditions`];
-/// anything with `OR`/`NOT`/parentheses lands here and is compiled to an
-/// Ibex-style precomputed truth table at planning time ("precomputation
-/// of a truth table for Boolean expressions in software first", the
-/// paper's *Boolean formula precomputation* algorithmic pattern).
+/// Every `WHERE` clause is one of these; binding decides how it runs. A
+/// flat conjunction of atoms (one [`BoolExpr::Atom`], or one
+/// [`BoolExpr::And`] of atoms) binds to the short-circuit
+/// [`PlanOp::Select`](crate::plan::PlanOp::Select) fast path; anything
+/// with `OR`/`NOT` binds to an Ibex-style precomputed truth table
+/// ("precomputation of a truth table for Boolean expressions in software
+/// first", the paper's *Boolean formula precomputation* algorithmic
+/// pattern).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BoolExpr {
     /// An atomic comparison.
@@ -115,6 +118,24 @@ pub enum BoolExpr {
 }
 
 impl BoolExpr {
+    /// `lhs AND rhs`, flattened: a conjunction on either side contributes
+    /// its terms, so `(a AND b) AND c` is one `And` of three atoms. With
+    /// no `lhs` it is `rhs` alone.
+    pub fn and(lhs: Option<BoolExpr>, rhs: BoolExpr) -> BoolExpr {
+        let Some(lhs) = lhs else {
+            return rhs;
+        };
+        let mut terms = match lhs {
+            BoolExpr::And(es) => es,
+            e => vec![e],
+        };
+        match rhs {
+            BoolExpr::And(es) => terms.extend(es),
+            e => terms.push(e),
+        }
+        BoolExpr::And(terms)
+    }
+
     /// The atomic conditions, in depth-first order (the order truth-table
     /// bits are assigned).
     pub fn atoms(&self) -> Vec<&Condition> {
@@ -170,24 +191,6 @@ impl BoolExpr {
                 any
             }
             BoolExpr::Not(e) => !e.eval_inner(outcomes, idx),
-        }
-    }
-
-    /// Flattens a pure conjunction of atoms, if that is what this is.
-    pub fn as_conjunction(&self) -> Option<Vec<Condition>> {
-        match self {
-            BoolExpr::Atom(c) => Some(vec![c.clone()]),
-            BoolExpr::And(es) => {
-                let mut out = Vec::with_capacity(es.len());
-                for e in es {
-                    match e {
-                        BoolExpr::Atom(c) => out.push(c.clone()),
-                        _ => return None,
-                    }
-                }
-                Some(out)
-            }
-            _ => None,
         }
     }
 }
@@ -288,9 +291,10 @@ pub struct JoinClause {
     pub on: String,
     /// Count-based sliding-window size (per stream).
     pub window: usize,
-    /// Conjunctive `WHERE` after the window, over the joined record
-    /// (empty when absent).
-    pub conditions: Vec<Condition>,
+    /// `WHERE` after the window, over the joined record. The parser
+    /// accepts a conjunction of comparisons here; binding decides its
+    /// operator as for [`Query::filter`].
+    pub filter: Option<BoolExpr>,
 }
 
 /// A parsed continuous query.
@@ -300,12 +304,10 @@ pub struct Query {
     pub select: Projection,
     /// Primary input stream.
     pub from: String,
-    /// Flat-conjunction `WHERE` clause (empty when absent or when the
-    /// clause needs [`Query::where_expr`]).
-    pub conditions: Vec<Condition>,
-    /// General Boolean `WHERE` clause; `Some` exactly when the clause
-    /// contains `OR`/`NOT`/grouping (then `conditions` is empty).
-    pub where_expr: Option<BoolExpr>,
+    /// `WHERE` over the primary stream's arrivals. Binding decides its
+    /// operator: a flat conjunction takes the short-circuit fast path,
+    /// any other expression a precomputed truth table.
+    pub filter: Option<BoolExpr>,
     /// Optional windowed join (mutually exclusive with `aggregate`).
     pub join: Option<JoinClause>,
     /// Optional windowed aggregate.
@@ -335,13 +337,14 @@ impl fmt::Display for Query {
             }
         }
         write!(f, " FROM {}", self.from)?;
-        match &self.where_expr {
-            Some(expr) => write!(f, " WHERE {expr}")?,
-            None => write_where(f, &self.conditions)?,
+        if let Some(expr) = &self.filter {
+            write!(f, " WHERE {expr}")?;
         }
         if let Some(j) = &self.join {
             write!(f, " JOIN {} ON {} WINDOW {}", j.stream, j.on, j.window)?;
-            write_where(f, &j.conditions)?;
+            if let Some(expr) = &j.filter {
+                write!(f, " WHERE {expr}")?;
+            }
         }
         if let Some(a) = &self.aggregate {
             write!(f, " WINDOW {}", a.window)?;
@@ -351,14 +354,6 @@ impl fmt::Display for Query {
         }
         Ok(())
     }
-}
-
-/// ` WHERE a AND b …`, or nothing for an empty conjunction.
-fn write_where(f: &mut fmt::Formatter<'_>, conditions: &[Condition]) -> fmt::Result {
-    for (i, c) in conditions.iter().enumerate() {
-        write!(f, " {} {c}", if i == 0 { "WHERE" } else { "AND" })?;
-    }
-    Ok(())
 }
 
 /// Error produced by [`Query::parse`].
@@ -479,15 +474,11 @@ impl<'a> Parser<'a> {
         };
         self.expect_kw("FROM")?;
         let from = self.identifier("stream name")?;
-        let (conditions, where_expr) = if self.peek_kw("WHERE") {
+        let filter = if self.peek_kw("WHERE") {
             self.pos += 1;
-            let expr = self.bool_expr()?;
-            match expr.as_conjunction() {
-                Some(conds) => (conds, None),
-                None => (Vec::new(), Some(expr)),
-            }
+            Some(self.bool_expr()?)
         } else {
-            (Vec::new(), None)
+            None
         };
         let join = if self.peek_kw("JOIN") {
             if agg_head.is_some() {
@@ -502,20 +493,19 @@ impl<'a> Parser<'a> {
             let on = self.identifier("join key field")?;
             self.expect_kw("WINDOW")?;
             let window = self.positive_window()?;
-            let mut conditions = Vec::new();
-            if self.peek_kw("WHERE") {
+            // The join's WHERE is a conjunction of comparisons.
+            let mut filter = None;
+            let mut keyword = "WHERE";
+            while self.peek_kw(keyword) {
                 self.pos += 1;
-                conditions.push(self.condition()?);
-                while self.peek_kw("AND") {
-                    self.pos += 1;
-                    conditions.push(self.condition()?);
-                }
+                filter = Some(BoolExpr::and(filter, BoolExpr::Atom(self.condition()?)));
+                keyword = "AND";
             }
             Some(JoinClause {
                 stream,
                 on,
                 window,
-                conditions,
+                filter,
             })
         } else {
             None
@@ -548,8 +538,7 @@ impl<'a> Parser<'a> {
         Ok(Query {
             select,
             from,
-            conditions,
-            where_expr,
+            filter,
             join,
             aggregate,
         })
@@ -571,16 +560,12 @@ impl<'a> Parser<'a> {
 
     /// `term := factor (AND factor)*`
     fn bool_term(&mut self) -> Result<BoolExpr, ParseError> {
-        let mut factors = vec![self.bool_factor()?];
+        let mut term = self.bool_factor()?;
         while self.peek_kw("AND") {
             self.pos += 1;
-            factors.push(self.bool_factor()?);
+            term = BoolExpr::and(Some(term), self.bool_factor()?);
         }
-        Ok(if factors.len() == 1 {
-            factors.pop().expect("one factor")
-        } else {
-            BoolExpr::And(factors)
-        })
+        Ok(term)
     }
 
     /// `factor := NOT factor | '(' expr ')' | condition`
@@ -710,6 +695,12 @@ fn split_glued_condition(tok: &str) -> Option<(String, CmpOp, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{bind, Catalog, PlanOp};
+
+    /// A clause's atoms; none when it has no `WHERE`.
+    fn atoms(filter: &Option<BoolExpr>) -> Vec<&Condition> {
+        filter.as_ref().map(BoolExpr::atoms).unwrap_or_default()
+    }
 
     #[test]
     fn parses_the_papers_fig7_queries() {
@@ -719,8 +710,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q1.from, "customers");
-        assert_eq!(q1.conditions.len(), 1);
-        assert_eq!(q1.conditions[0].op, CmpOp::Gt);
+        assert_eq!(atoms(&q1.filter).len(), 1);
+        assert_eq!(atoms(&q1.filter)[0].op, CmpOp::Gt);
         let j = q1.join.unwrap();
         assert_eq!(j.stream, "products");
         assert_eq!(j.on, "product_id");
@@ -732,7 +723,7 @@ mod tests {
              JOIN products ON product_id WINDOW 2048",
         )
         .unwrap();
-        assert_eq!(q2.conditions.len(), 2);
+        assert_eq!(atoms(&q2.filter).len(), 2);
         assert_eq!(q2.join.unwrap().window, 2048);
     }
 
@@ -743,16 +734,17 @@ mod tests {
             q.select,
             Projection::Fields(vec!["a".into(), "b".into(), "c".into()])
         );
-        assert!(q.conditions.is_empty());
+        assert!(q.filter.is_none());
         assert!(q.join.is_none());
     }
 
     #[test]
     fn parses_glued_conditions() {
         let q = Query::parse("SELECT * FROM s WHERE age>25 AND size<=9").unwrap();
-        assert_eq!(q.conditions[0].op, CmpOp::Gt);
-        assert_eq!(q.conditions[1].op, CmpOp::Le);
-        assert_eq!(q.conditions[1].value, 9);
+        let conds = atoms(&q.filter);
+        assert_eq!(conds[0].op, CmpOp::Gt);
+        assert_eq!(conds[1].op, CmpOp::Le);
+        assert_eq!(conds[1].value, 9);
     }
 
     #[test]
@@ -795,16 +787,11 @@ mod tests {
     fn where_after_the_join_window_filters_the_joined_record() {
         let text = "SELECT * FROM trades JOIN quotes ON sym WINDOW 64 WHERE qty > 10 AND px<5";
         let q = Query::parse(text).unwrap();
-        assert!(
-            q.conditions.is_empty(),
-            "nothing filters the primary stream"
-        );
+        assert!(q.filter.is_none(), "nothing filters the primary stream");
         let j = q.join.as_ref().unwrap();
-        assert_eq!(j.conditions.len(), 2);
-        assert_eq!(
-            (j.conditions[1].field.as_str(), j.conditions[1].value),
-            ("px", 5)
-        );
+        let conds = atoms(&j.filter);
+        assert_eq!(conds.len(), 2);
+        assert_eq!((conds[1].field.as_str(), conds[1].value), ("px", 5));
         assert_eq!(
             q.to_string(),
             "SELECT * FROM trades JOIN quotes ON sym WINDOW 64 WHERE qty > 10 AND px < 5"
@@ -831,7 +818,7 @@ mod tests {
         let a = q.aggregate.as_ref().unwrap();
         assert_eq!(a.func, AggFunc::Avg);
         assert_eq!(a.field.as_deref(), Some("value"));
-        assert_eq!(q.conditions.len(), 1);
+        assert_eq!(atoms(&q.filter).len(), 1);
 
         for (text, func) in [
             ("SELECT SUM(v) FROM s WINDOW 4", AggFunc::Sum),
@@ -877,14 +864,13 @@ mod tests {
     #[test]
     fn parses_boolean_where_clauses() {
         let q = Query::parse("SELECT * FROM s WHERE a > 5 OR b < 3").unwrap();
-        assert!(q.conditions.is_empty());
-        let expr = q.where_expr.as_ref().unwrap();
+        let expr = q.filter.as_ref().unwrap();
         assert!(matches!(expr, BoolExpr::Or(es) if es.len() == 2));
         assert_eq!(expr.atoms().len(), 2);
 
         // AND binds tighter than OR.
         let q = Query::parse("SELECT * FROM s WHERE a > 5 OR b < 3 AND c = 1").unwrap();
-        match q.where_expr.as_ref().unwrap() {
+        match q.filter.as_ref().unwrap() {
             BoolExpr::Or(es) => {
                 assert!(matches!(es[0], BoolExpr::Atom(_)));
                 assert!(matches!(&es[1], BoolExpr::And(fs) if fs.len() == 2));
@@ -894,24 +880,40 @@ mod tests {
 
         // Parentheses override precedence; glued parens tokenize.
         let q = Query::parse("SELECT * FROM s WHERE (a > 5 OR b < 3) AND c = 1").unwrap();
-        assert!(matches!(q.where_expr.as_ref().unwrap(), BoolExpr::And(_)));
+        assert!(matches!(q.filter.as_ref().unwrap(), BoolExpr::And(_)));
         let q2 = Query::parse("SELECT * FROM s WHERE ( a > 5 OR b < 3 ) AND c = 1").unwrap();
-        assert_eq!(q.where_expr, q2.where_expr);
+        assert_eq!(q.filter, q2.filter);
 
         // NOT.
         let q = Query::parse("SELECT * FROM s WHERE NOT a = 1").unwrap();
-        assert!(matches!(q.where_expr.as_ref().unwrap(), BoolExpr::Not(_)));
+        assert!(matches!(q.filter.as_ref().unwrap(), BoolExpr::Not(_)));
     }
 
     #[test]
     fn pure_conjunctions_stay_on_the_fast_path() {
-        let q = Query::parse("SELECT * FROM s WHERE a > 5 AND b < 3").unwrap();
-        assert_eq!(q.conditions.len(), 2);
-        assert!(q.where_expr.is_none());
-        // Even when parenthesized as a whole.
-        let q = Query::parse("SELECT * FROM s WHERE (a > 5)").unwrap();
-        assert_eq!(q.conditions.len(), 1);
-        assert!(q.where_expr.is_none());
+        let mut catalog = Catalog::new();
+        catalog.register_spec("s=a:8,b:8").unwrap();
+        for (text, n) in [
+            ("SELECT * FROM s WHERE a > 5 AND b < 3", 2),
+            // Even when parenthesized as a whole.
+            ("SELECT * FROM s WHERE (a > 5)", 1),
+            // A parenthesized conjunction inside one flattens into it.
+            ("SELECT * FROM s WHERE (a > 1 AND b > 2) AND a < 9", 3),
+        ] {
+            let q = Query::parse(text).unwrap();
+            let flat = match q.filter.as_ref().unwrap() {
+                BoolExpr::Atom(_) => n == 1,
+                BoolExpr::And(es) => es.len() == n && atoms(&q.filter).len() == n,
+                _ => false,
+            };
+            assert!(flat, "{text} -> {:?}", q.filter);
+            let plan = bind(&q, &catalog).unwrap();
+            assert!(
+                matches!(&plan.ops[..], [PlanOp::Select { conditions }] if conditions.len() == n),
+                "{text} -> {:?}",
+                plan.ops
+            );
+        }
     }
 
     #[test]
@@ -921,6 +923,7 @@ mod tests {
             "SELECT * FROM s WHERE (a > 5 OR b < 3) AND c = 1",
             "SELECT * FROM s WHERE NOT (a = 1 OR b = 2)",
             "SELECT * FROM s WHERE NOT a = 1 AND b = 2",
+            "SELECT * FROM s WHERE (a > 1 AND b > 2) AND a < 9",
         ] {
             let q = Query::parse(text).unwrap();
             let q2 = Query::parse(&q.to_string()).unwrap();
@@ -931,7 +934,7 @@ mod tests {
     #[test]
     fn bool_expr_eval_with_follows_structure() {
         let q = Query::parse("SELECT * FROM s WHERE (a > 1 OR b > 1) AND NOT c > 1").unwrap();
-        let e = q.where_expr.unwrap();
+        let e = q.filter.unwrap();
         assert_eq!(e.atoms().len(), 3);
         // (t OR f) AND NOT f = true
         assert!(e.eval_with(&[true, false, false]));

@@ -76,24 +76,17 @@ proptest! {
             mgr.push("s", Record::new(vec![a, b])).unwrap();
             let passed = !mgr.take_results(id).unwrap().is_empty();
             // Naive evaluation straight off the AST.
-            let naive = match (&q.where_expr, q.conditions.is_empty()) {
-                (Some(expr), _) => {
-                    let outcomes: Vec<bool> = expr
-                        .atoms()
-                        .iter()
-                        .map(|c| {
-                            let v = if c.field == "a" { a } else { b };
-                            c.op.eval(v, c.value)
-                        })
-                        .collect();
-                    expr.eval_with(&outcomes)
-                }
-                (None, false) => q.conditions.iter().all(|c| {
-                    let v = if c.field == "a" { a } else { b };
-                    c.op.eval(v, c.value)
-                }),
-                (None, true) => true,
-            };
+            let naive = q.filter.as_ref().is_none_or(|expr| {
+                let outcomes: Vec<bool> = expr
+                    .atoms()
+                    .iter()
+                    .map(|c| {
+                        let v = if c.field == "a" { a } else { b };
+                        c.op.eval(v, c.value)
+                    })
+                    .collect();
+                expr.eval_with(&outcomes)
+            });
             prop_assert_eq!(passed, naive, "record ({}, {}) under {}", a, b, text);
         }
     }

@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 
-use accel_error::JoinError;
+use crate::error::JoinError;
 use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
 
 use crate::config::JoinConfig;
@@ -205,7 +205,7 @@ impl StreamJoin for BaselineJoin {
             engine: key::BASELINE,
             results: s.results,
             result_count: s.matches,
-            worker_stats: vec![accel_error::WorkerStats {
+            worker_stats: vec![crate::error::WorkerStats {
                 tuples_seen: s.tuples_seen,
                 stored: s.stored,
                 comparisons: s.join.comparisons(),

@@ -77,7 +77,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use accel_error::{JoinError, WorkerStats};
+use crate::error::{JoinError, WorkerStats};
 use streamcore::ring::{self, PopError, PushError, RingConsumer, RingProducer};
 use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
 
@@ -310,6 +310,9 @@ impl StreamJoin for HandshakeJoin {
         let (r_tx, r_rx) = links();
         let (mut s_tx, s_rx) = links();
         let mut r_next = r_tx.into_iter();
+        // Invariant: a chain has at least one core (`JoinConfig::new`
+        // rejects zero), so each lane has an entry ring.
+        #[allow(clippy::expect_used)]
         let entry = |link: Option<RingProducer<ChainMsg>>, core| Entry {
             link: link.expect("a chain has at least one core"),
             core,

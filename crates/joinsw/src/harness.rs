@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use accel_error::JoinError;
+use crate::error::JoinError;
 use streamcore::metrics::Throughput;
 use streamcore::{StreamTag, Tuple};
 

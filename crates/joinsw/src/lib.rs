@@ -75,10 +75,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod config;
+mod error;
 pub mod fault;
 pub mod handshake;
 pub mod harness;
@@ -87,8 +89,8 @@ pub mod splitjoin;
 pub mod streamjoin;
 mod supervise;
 
-pub use accel_error::{JoinError, WorkerStats};
 pub use config::{JoinConfig, JoinParams, Partitioning, DEFAULT_BATCH_SIZE};
+pub use error::{JoinError, WorkerStats};
 pub use fault::{FaultEvent, FaultPlan, FaultReport};
 pub use outcome::{JoinOutcome, PartitionStats, RingStats};
 pub use streamjoin::StreamJoin;
@@ -110,10 +112,10 @@ pub use streamjoin::StreamJoin;
 pub mod prelude {
     pub use crate::baseline::{BaselineJoin, NestedLoopJoin};
     pub use crate::config::{JoinConfig, JoinParams, Partitioning};
+    pub use crate::error::{JoinError, WorkerStats};
     pub use crate::fault::{FaultEvent, FaultPlan, FaultReport};
     pub use crate::handshake::{HandshakeConfig, HandshakeJoin};
     pub use crate::outcome::JoinOutcome;
     pub use crate::splitjoin::{SplitJoin, SplitJoinConfig};
     pub use crate::streamjoin::StreamJoin;
-    pub use accel_error::{JoinError, WorkerStats};
 }

@@ -1,7 +1,7 @@
 //! [`JoinOutcome`]: everything a run leaves behind at shutdown, whichever
 //! engine ran it, and the metric names it publishes under.
 
-use accel_error::WorkerStats;
+use crate::error::WorkerStats;
 use streamcore::kernel::KernelStats;
 use streamcore::MatchPair;
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use accel_error::WorkerStats;
+use crate::error::WorkerStats;
 
 use super::SplitJoinConfig;
 use crate::fault;

@@ -110,7 +110,7 @@
 //!
 //! # Fault tolerance
 //!
-//! Every data-path operation is fallible ([`accel_error::JoinError`])
+//! Every data-path operation is fallible ([`JoinError`])
 //! instead of `.expect`-ing peers alive, and the distribution side is a
 //! supervised *router*:
 //!
@@ -149,8 +149,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use accel_error::JoinError;
-pub use accel_error::WorkerStats;
+use crate::error::JoinError;
+pub use crate::error::WorkerStats;
 use streamcore::kernel::KernelStats;
 use streamcore::ring;
 use streamcore::{FreqSketch, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};

@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use accel_error::JoinError;
+use crate::error::JoinError;
 use streamcore::ring::{self, ArenaWriter, RingProducer};
 use streamcore::{FreqSketch, PartitionMap, StreamTag, Tuple};
 
@@ -52,6 +52,23 @@ pub(super) struct PartRouter {
     pub(super) outbox: Vec<Vec<PartEntry>>,
     pub(super) hot_splits: u64,
     pub(super) routed: u64,
+}
+
+impl PartRouter {
+    /// Partitioned-mode recovery: forget the worker's ledgers and
+    /// outbox, returning its ledger occupancy as the orphan count. No
+    /// partition-map broadcast is needed — partitioned workers are
+    /// ownership-free (they store what the router stamps `store` on),
+    /// future keys re-home through rendezvous hashing the moment the map
+    /// retires the position. No arena reader to retire either:
+    /// partitioned mode never creates the arena.
+    fn retire(&mut self, worker: usize) -> u64 {
+        let orphans = (self.ledger_r[worker].len() + self.ledger_s[worker].len()) as u64;
+        self.ledger_r[worker].clear();
+        self.ledger_s[worker].clear();
+        self.outbox[worker].clear();
+        orphans
+    }
 }
 
 /// The supervised distribution side: senders, supervision cells, the
@@ -163,6 +180,9 @@ impl Router {
         let mut idle = Idle::claim();
         let mut wait_started: Option<Instant> = None;
         loop {
+            // Invariant: only broadcast mode publishes, and broadcast
+            // mode always spawns the arena.
+            #[allow(clippy::expect_used)]
             let arena = self.arena.as_mut().expect("broadcast mode has an arena");
             match arena.try_publish(batch) {
                 Ok(seq) => {
@@ -193,11 +213,8 @@ impl Router {
                         // age, so the live series shows *which* worker
                         // is holding the arena and for how long.
                         if let Some(lv) = self.live.as_ref() {
-                            let (seq, min) = {
-                                let a = self.arena.as_ref().expect("broadcast mode has an arena");
-                                (a.seq(), a.min_released())
-                            };
-                            lv.arena_lag.set(seq.saturating_sub(min));
+                            lv.arena_lag
+                                .set(arena.seq().saturating_sub(arena.min_released()));
                             let now = obs::trace::now_ns();
                             if let Some(age) = self.cells[laggard].heartbeat_age_ns(now) {
                                 lv.heartbeat_age[laggard].set(age);
@@ -256,6 +273,9 @@ impl Router {
             StreamTag::S => self.s_sent += 1,
         }
         let live_count = self.map.live_count();
+        // Invariant: `route_block` is the only caller, and it runs only
+        // in partitioned mode.
+        #[allow(clippy::expect_used)]
         let part = self
             .part
             .as_mut()
@@ -288,9 +308,8 @@ impl Router {
                 }
             }
         }
-        let store_at = if part.hot.contains_key(&key) {
+        let store_at = if let Some(rr) = part.hot.get_mut(&key) {
             let live = self.map.live();
-            let rr = part.hot.get_mut(&key).expect("just checked");
             let store_at = live[(*rr % live.len() as u64) as usize];
             *rr += 1;
             for &w in live {
@@ -354,12 +373,9 @@ impl Router {
         let n = self.senders.len();
         let mut lost = Vec::new();
         for w in 0..n {
-            let entries = {
-                let part = self.part.as_mut().expect("partitioned mode");
-                if part.outbox[w].is_empty() {
-                    continue;
-                }
-                std::mem::take(&mut part.outbox[w])
+            let entries = match self.part.as_mut() {
+                Some(part) if !part.outbox[w].is_empty() => std::mem::take(&mut part.outbox[w]),
+                _ => continue,
             };
             if self.senders[w].is_none() {
                 continue;
@@ -438,11 +454,13 @@ impl Router {
         }
         let t0 = Instant::now();
         let span_start = obs::trace::now_ns();
-        let lost = if self.part.is_some() {
-            self.retire_part(worker)?;
-            Vec::new()
-        } else {
-            self.retire_broadcast(worker)?
+        let lost = match self.part.as_mut() {
+            Some(part) => {
+                let orphans = part.retire(worker);
+                self.retire_position(worker, orphans)?;
+                Vec::new()
+            }
+            None => self.retire_broadcast(worker)?,
         };
         self.report
             .recovery_ns
@@ -503,43 +521,27 @@ impl Router {
         // Materialize exact per-worker turn counts before mutating the
         // map: while it is still full the closed form reproduces them
         // from the two stream counters alone.
-        if self.owned.is_none() {
-            let n = self.map.total();
-            let owned_r = (0..n)
-                .map(|w| round_robin_share(&self.map, w, self.r_sent))
-                .collect();
-            let owned_s = (0..n)
-                .map(|w| round_robin_share(&self.map, w, self.s_sent))
-                .collect();
-            self.owned = Some((owned_r, owned_s));
-        }
-        let (owned_r, owned_s) = self.owned.as_ref().expect("just materialized");
+        let (map, r_sent, s_sent) = (&self.map, self.r_sent, self.s_sent);
+        let (owned_r, owned_s) = self.owned.get_or_insert_with(|| {
+            let share = |sent| {
+                (0..map.total())
+                    .map(|w| round_robin_share(map, w, sent))
+                    .collect()
+            };
+            (share(r_sent), share(s_sent))
+        });
         let orphans = owned_r[worker].min(sub) + owned_s[worker].min(sub);
         self.retire_position(worker, orphans)?;
         // The worker has exited, so the arena contract holds: a
-        // deactivated reader never reads again.
+        // deactivated reader never reads again. Invariant: broadcast
+        // mode always spawns the arena.
+        #[allow(clippy::expect_used)]
         self.arena
             .as_mut()
             .expect("broadcast mode has an arena")
             .deactivate(worker);
         let shared = Arc::new(self.map.clone());
         self.send_to_live(|| Msg::Reconfigure(Arc::clone(&shared)))
-    }
-
-    /// Partitioned-mode recovery: retire the position and count its
-    /// ledger occupancy as orphans. No partition-map broadcast is
-    /// needed — partitioned workers are ownership-free (they store what
-    /// the router stamps `store` on), future keys re-home through
-    /// rendezvous hashing the moment the map retires the position. No
-    /// arena reader to retire either: partitioned mode never creates the
-    /// arena.
-    fn retire_part(&mut self, worker: usize) -> Result<(), JoinError> {
-        let part = self.part.as_mut().expect("partitioned mode");
-        let orphans = (part.ledger_r[worker].len() + part.ledger_s[worker].len()) as u64;
-        part.ledger_r[worker].clear();
-        part.ledger_s[worker].clear();
-        part.outbox[worker].clear();
-        self.retire_position(worker, orphans)
     }
 
     /// Recovers any live-mapped worker whose cell reports it dead

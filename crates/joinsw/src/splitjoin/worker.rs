@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use accel_error::WorkerStats;
+use crate::error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
 use streamcore::ring::{ArenaReader, RingConsumer};
 use streamcore::{
@@ -364,6 +364,9 @@ impl WorkerState {
             collect,
             ..
         } = self;
+        // Invariant: the router sends `Msg::Part` only in partitioned
+        // mode, and every partitioned worker is spawned with shard state.
+        #[allow(clippy::expect_used)]
         let ps = part.as_mut().expect("keyed dispatch needs shard state");
         let horizon = ps.horizon;
         let (own, opposite) = match e.tag {
@@ -511,6 +514,9 @@ pub(super) fn worker_loop(
                 // the whole batch is processed (a scripted panic unwinds
                 // without releasing — recovery then waits for this
                 // thread to die before retiring the reader).
+                // Invariant: the router publishes arena batches only in
+                // broadcast mode, where every worker holds a reader.
+                #[allow(clippy::expect_used)]
                 let reader = arena
                     .as_mut()
                     .expect("arena batches only arrive in broadcast mode");

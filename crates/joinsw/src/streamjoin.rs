@@ -39,7 +39,7 @@
 //! assert_eq!(count_one::<SplitJoin>(SplitJoinConfig::new(2, 8)), 1);
 //! ```
 
-use accel_error::JoinError;
+use crate::error::JoinError;
 use streamcore::{MatchPair, StreamTag, Tuple};
 
 use crate::config::JoinParams;

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use accel_error::{JoinError, WorkerStats};
+use crate::error::{JoinError, WorkerStats};
 use streamcore::ring::{PushError, RingProducer};
 use streamcore::MatchPair;
 

@@ -298,7 +298,7 @@ pub fn compile(
         if query.aggregate.is_some() {
             return Err(unsupported("aggregate over a join"));
         }
-        if !query.conditions.is_empty() || query.where_expr.is_some() {
+        if query.filter.is_some() {
             return Err(filter_below_join("left"));
         }
         if join.stream == query.from {

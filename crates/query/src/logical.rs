@@ -40,7 +40,7 @@
 use std::fmt;
 
 use fqp::query::{
-    AggFunc, AggregateClause, CmpOp, Condition, JoinClause, Projection, Query, WindowKind,
+    AggFunc, AggregateClause, BoolExpr, CmpOp, Condition, JoinClause, Projection, Query, WindowKind,
 };
 
 use crate::compile::{filter_below_join, unsupported, CompileError};
@@ -63,21 +63,20 @@ impl LogicalPlan {
         LogicalPlan(Ok(Query {
             select: Projection::All,
             from: stream.into().to_ascii_lowercase(),
-            conditions: Vec::new(),
-            where_expr: None,
+            filter: None,
             join: None,
             aggregate: None,
         }))
     }
 
-    /// Adds one comparison to the plan's filter conjunction: the join's
-    /// `WHERE` once the plan has a join, the source's before.
+    /// ANDs one comparison onto the plan's `WHERE`: the join's once the
+    /// plan has a join, the source's before.
     pub fn filter(self, field: impl Into<String>, op: CmpOp, value: u64) -> Self {
-        let cond = Condition {
+        let cond = BoolExpr::Atom(Condition {
             field: field.into().to_ascii_lowercase(),
             op,
             value,
-        };
+        });
         self.and_then(|mut q| {
             if q.select != Projection::All {
                 return Err(unsupported(
@@ -87,10 +86,11 @@ impl LogicalPlan {
             if q.aggregate.is_some() {
                 return Err(topmost_aggregate());
             }
-            match &mut q.join {
-                Some(join) => join.conditions.push(cond),
-                None => q.conditions.push(cond),
-            }
+            let filter = match &mut q.join {
+                Some(join) => &mut join.filter,
+                None => &mut q.filter,
+            };
+            *filter = Some(BoolExpr::and(filter.take(), cond));
             Ok(q)
         })
     }
@@ -130,7 +130,7 @@ impl LogicalPlan {
                     stream: right.from,
                     on,
                     window,
-                    conditions: Vec::new(),
+                    filter: None,
                 }),
                 ..left
             })
@@ -206,8 +206,8 @@ fn topmost_aggregate() -> CompileError {
 fn join_side(side: Query, which: &str) -> Result<Query, CompileError> {
     if side.select == Projection::All && side.aggregate.is_none() {
         let filtered = match &side.join {
-            Some(join) => !join.conditions.is_empty(),
-            None => !side.conditions.is_empty() || side.where_expr.is_some(),
+            Some(join) => join.filter.is_some(),
+            None => side.filter.is_some(),
         };
         if filtered && (which == "right" || side.join.is_some()) {
             return Err(filter_below_join(which));
@@ -231,18 +231,21 @@ mod tests {
             .filter("qty", CmpOp::Gt, 5)
             .filter("sym", CmpOp::Lt, 100);
         let q = plan.query().unwrap();
-        assert_eq!(q.conditions.len(), 2, "filters merge into one conjunction");
+        assert!(
+            matches!(&q.filter, Some(BoolExpr::And(es)) if es.len() == 2),
+            "filters merge into one conjunction"
+        );
         assert_eq!(q.from, "trades");
 
         let joined = LogicalPlan::source("a")
             .join(LogicalPlan::source("b"), "k", 8)
             .filter("k", CmpOp::Ge, 1);
         let q = joined.query().unwrap();
-        assert!(
-            q.conditions.is_empty(),
-            "a filter after the join is the join's"
-        );
-        assert_eq!(q.join.as_ref().unwrap().conditions.len(), 1);
+        assert!(q.filter.is_none(), "a filter after the join is the join's");
+        assert!(matches!(
+            &q.join.as_ref().unwrap().filter,
+            Some(BoolExpr::Atom(_))
+        ));
     }
 
     #[test]
@@ -267,6 +270,50 @@ mod tests {
             agg.to_string(),
             "SELECT SUM(qty) FROM trades WINDOW 32 TUMBLING"
         );
+    }
+
+    #[test]
+    fn a_filter_on_a_parsed_boolean_clause_keeps_both() {
+        use fqp::manager::QueryManager;
+        use fqp::plan::{bind, Catalog, PlanOp};
+        use streamcore::Record;
+
+        use crate::compile::CompileError;
+        use crate::runtime::{QueryRuntime, RuntimeConfig, RuntimeError};
+
+        let mut catalog = Catalog::new();
+        catalog.register_spec("s=a:32,b:32").unwrap();
+        let parsed = Query::parse("SELECT * FROM s WHERE a > 10 OR b > 10").unwrap();
+        let plan = LogicalPlan::from(parsed).filter("a", CmpOp::Lt, 5);
+        let text = plan.to_string();
+        assert_eq!(text, "SELECT * FROM s WHERE ( a > 10 OR b > 10 ) AND a < 5");
+        let q = plan.query().unwrap();
+        assert_eq!(&Query::parse(&text).unwrap(), q);
+
+        let bound = bind(q, &catalog).unwrap();
+        assert!(
+            matches!(&bound.ops[..], [PlanOp::SelectTable { atoms, .. }] if atoms.len() == 3),
+            "{:?}",
+            bound.ops
+        );
+        let mut runtime = QueryRuntime::new(catalog, RuntimeConfig::new(1));
+        assert!(matches!(
+            runtime.admit("q", &plan),
+            Err(RuntimeError::Compile(CompileError::UnsupportedShape { .. }))
+        ));
+
+        let mut manager = QueryManager::new(1);
+        let id = manager.deploy(&bound).unwrap();
+        for (a, b) in [(1, 1), (20, 0), (3, 20)] {
+            manager.push("s", Record::new(vec![a, b])).unwrap();
+        }
+        let rows: Vec<Vec<u64>> = manager
+            .take_results(id)
+            .unwrap()
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect();
+        assert_eq!(rows, vec![vec![3, 20]]);
     }
 
     #[test]

@@ -104,12 +104,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use accel_error::JoinError;
 use fqp::placement::Objective;
 use fqp::plan::Catalog;
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::prelude::{
-    BaselineJoin, JoinConfig, JoinOutcome, SplitJoin, SplitJoinConfig, StreamJoin,
+    BaselineJoin, JoinConfig, JoinError, JoinOutcome, SplitJoin, SplitJoinConfig, StreamJoin,
 };
 use streamcore::{MatchPair, StreamTag, Tuple};
 

@@ -194,7 +194,7 @@ proptest! {
             "SELECT * FROM s WHERE (a > {ta} OR NOT b > {tb}) AND NOT (c > {tc} AND a > {tb})"
         );
         let query = Query::parse(&text).unwrap();
-        let expr = query.where_expr.clone().expect("non-conjunctive clause");
+        let expr = query.filter.clone().expect("a WHERE clause");
         let plan = bind(&query, &catalog).unwrap();
         let op = plan.ops[0].clone();
         assert!(matches!(op, PlanOp::SelectTable { .. }), "expected truth-table select");
