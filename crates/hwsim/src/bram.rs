@@ -4,8 +4,10 @@
 ///
 /// Models a true-dual-port BRAM: at most two accesses (reads or writes in
 /// any combination) per clock cycle, enforced with `debug_assert!` so that
-/// release-mode sweeps pay no cost. Access counters feed the power model's
-/// activity estimate.
+/// release-mode sweeps pay no cost. The access counters ([`Bram::stats`])
+/// are diagnostics: nothing in the workspace reads them, and the power
+/// model takes its activity factors from `DesignParams::activity()`
+/// constants instead.
 ///
 /// Reads return data immediately; designs that depend on the one-cycle
 /// synchronous-read latency of a real BRAM account for it in their FSM cycle
@@ -39,7 +41,9 @@ pub struct BramStats {
     pub reads: u64,
     /// Total write accesses since construction (or the last stats reset).
     pub writes: u64,
-    /// Total cycles observed via `begin_cycle`.
+    /// Total `begin_cycle` calls. A design that opens a BRAM only in the
+    /// cycles it may access it counts those cycles alone: a bi-flow chain
+    /// core counts the cycles the tuple wave spent there.
     pub cycles: u64,
 }
 
