@@ -25,7 +25,6 @@
 //! | `deferral` | ablation: original vs low-latency handshake join |
 //! | `cloudscale` | projection: uni-flow on the AWS F1 FPGA |
 //! | `kernel` | blocked probe kernel, counting and materializing (software SplitJoin) |
-//! | `partition` | broadcast vs hash-partitioned dispatch + zipf occupancy |
 //! | `swflow` | ablation: software uni-flow vs bi-flow throughput |
 
 #![forbid(unsafe_code)]
@@ -35,7 +34,6 @@ mod hwfigs;
 mod kernelfigs;
 pub mod obsout;
 mod opts;
-mod partfigs;
 mod reconfigfig;
 mod swfigs;
 mod table;
@@ -87,6 +85,5 @@ pub const FIGURES: &[(&str, FigureFn)] = &[
         tables_only("cloudscale", vec![hwfigs::cloudscale_projection()])
     }),
     ("kernel", kernelfigs::kernel),
-    ("partition", partfigs::partition),
     ("swflow", swfigs::swflow),
 ];

@@ -45,7 +45,7 @@ fn tuples_for(window: usize) -> u64 {
 
 /// The pairs a run's workers compared: its work, independent of the
 /// host's speed.
-pub(crate) fn comparisons(outcome: &JoinOutcome) -> u64 {
+fn comparisons(outcome: &JoinOutcome) -> u64 {
     outcome.worker_stats.iter().map(|w| w.comparisons).sum()
 }
 

@@ -21,12 +21,6 @@ fn point_keys(figure: &str) -> &'static [&'static [&'static str]] {
             &["w2e10.c1.p50", "w2e10.c1.p50_modeled_ns"],
             &["w2e10.c2.p50", "w2e10.c2.p50_modeled_ns"],
         ],
-        "partition" => &[
-            &["w2e10.broadcast_mtps"],
-            &["w2e10.partitioned_mtps"],
-            &["zipf.partitioned.occupancy_ratio"],
-            &["zipf.nosplit.occupancy_ratio"],
-        ],
         "kernel" => &[&["w2e10.blocked_count_mtps"], &["w2e10.blocked_mat_mtps"]],
         "swflow" => &[&["w2e10.splitjoin_mtps"], &["w2e10.handshake_mtps"]],
         _ => &[],
@@ -35,8 +29,6 @@ fn point_keys(figure: &str) -> &'static [&'static [&'static str]] {
 
 #[test]
 fn every_figure_runs_and_records_its_points() {
-    // `partition` runs at the first core count, and one worker has no
-    // one to split a hot key with: 2 leads.
     let opts = FigOpts {
         cores: Some(vec![2, 1]),
         windows: Some(10..=10),

@@ -90,4 +90,3 @@ pub mod plan;
 pub mod provision;
 pub mod query;
 pub mod reconfig;
-pub mod virtualize;

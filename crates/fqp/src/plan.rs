@@ -285,6 +285,14 @@ pub enum PlanError {
         /// The record it repeats in.
         context: String,
     },
+    /// A join or aggregate window of zero tuples, which could never
+    /// hold one. [`Query::parse`](crate::query::Query::parse) rejects
+    /// `WINDOW 0` in text; this catches a query built as a value.
+    ZeroWindow {
+        /// The stream the window is over: the joined stream, or the
+        /// aggregated one.
+        stream: String,
+    },
     /// A Boolean `WHERE` clause has too many atomic comparisons for a
     /// precomputed truth table (the hardware stores `2^atoms` bits).
     TooManyAtoms {
@@ -304,6 +312,9 @@ impl fmt::Display for PlanError {
             }
             PlanError::DuplicateField { field, context } => {
                 write!(f, "field {field:?} appears twice in {context}")
+            }
+            PlanError::ZeroWindow { stream } => {
+                write!(f, "the window over {stream:?} must hold at least one tuple")
             }
             PlanError::TooManyAtoms { atoms, max } => {
                 write!(
@@ -325,8 +336,9 @@ impl Error for PlanError {}
 ///
 /// # Errors
 ///
-/// Returns [`PlanError`] when a stream or field cannot be resolved, or
-/// when an output record would name a field twice.
+/// Returns [`PlanError`] when a stream or field cannot be resolved,
+/// when an output record would name a field twice, or when a join or
+/// aggregate window is zero.
 pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
     let primary_schema = catalog
         .schema(&query.from)
@@ -352,6 +364,11 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
                 .ok_or_else(|| PlanError::UnknownStream {
                     stream: j.stream.clone(),
                 })?;
+        if j.window == 0 {
+            return Err(PlanError::ZeroWindow {
+                stream: j.stream.clone(),
+            });
+        }
         let key_left = primary_schema
             .index_of(&j.on)
             .ok_or_else(|| PlanError::UnknownField {
@@ -392,6 +409,11 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
     // Aggregates replace the projection entirely (parser guarantees no
     // join alongside).
     if let Some(a) = &query.aggregate {
+        if a.window == 0 {
+            return Err(PlanError::ZeroWindow {
+                stream: query.from.clone(),
+            });
+        }
         let field = match &a.field {
             Some(name) => {
                 Some(

@@ -6,9 +6,8 @@
 //! validation rules. The per-engine configs
 //! ([`SplitJoinConfig`](crate::splitjoin::SplitJoinConfig),
 //! [`HandshakeConfig`](crate::handshake::HandshakeConfig)) wrap it in a
-//! `common` field and deref to it, adding only their engine-specific
-//! extensions (SplitJoin's hot-key thresholds). The [`JoinParams`]
-//! trait is how generic code ([`StreamJoin`](crate::streamjoin::StreamJoin)
+//! `common` field and deref to it. The [`JoinParams`] trait is how
+//! generic code ([`StreamJoin`](crate::streamjoin::StreamJoin)
 //! implementations, the measurement harness) reaches the shared fields of
 //! any engine's config, and where the shared `with_*` builders are
 //! written, once, for all three config types. A configuration is a
@@ -17,24 +16,6 @@
 use streamcore::JoinPredicate;
 
 use crate::fault::FaultPlan;
-
-/// How the SplitJoin router dispatches tuples to the join cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Partitioning {
-    /// Every batch goes to every worker; storage is round-robin by
-    /// sequence number ([`streamcore::PartitionMap::owner`]). Works for
-    /// any predicate — the paper's baseline discipline, and the
-    /// default.
-    Broadcast,
-    /// Content partitioning (PanJoin-style): the window is sharded by
-    /// join key ([`streamcore::PartitionMap::key_owner`]) and each
-    /// tuple travels only to its key's owner, so a probe touches one
-    /// worker's partition instead of all of them. Keys a frequency
-    /// sketch flags as hot are split online across all live workers.
-    /// Equi-joins only. SplitJoin only: the handshake chain's systolic
-    /// discipline is inherently broadcast-like and ignores this knob.
-    Hash,
-}
 
 /// Default distribution batch size (tuples per batch message). Batched
 /// and unbatched feeding agree at every size; the data-path suites run
@@ -63,10 +44,6 @@ pub struct JoinConfig {
     /// Scripted faults for this run. The default is the empty plan, whose
     /// behavior is bit-for-bit the healthy data path.
     pub fault_plan: FaultPlan,
-    /// How tuples reach the join cores (see [`Partitioning`]); defaults
-    /// to [`Partitioning::Broadcast`]. [`Partitioning::Hash`] requires an
-    /// equi-join predicate (checked at spawn) and is SplitJoin-only.
-    pub partitioning: Partitioning,
 }
 
 impl JoinConfig {
@@ -87,7 +64,6 @@ impl JoinConfig {
             batch_size: DEFAULT_BATCH_SIZE,
             collect_results: true,
             fault_plan: FaultPlan::none(),
-            partitioning: Partitioning::Broadcast,
         }
     }
 
@@ -123,22 +99,12 @@ impl JoinConfig {
 /// type — what lets the harness set `collect_results`, read
 /// `window_size`, or install a [`FaultPlan`] generically — and the
 /// builders for those shared fields, provided once for every config
-/// type. The handshake chain ignores `partitioning`, set by builder or
-/// by field write.
+/// type.
 pub trait JoinParams: Sized {
     /// The shared configuration fields.
     fn common(&self) -> &JoinConfig;
     /// Mutable access to the shared configuration fields.
     fn common_mut(&mut self) -> &mut JoinConfig;
-
-    /// Selects the dispatch discipline (see [`Partitioning`]).
-    /// [`Partitioning::Hash`] requires an equi-join predicate, checked
-    /// at spawn.
-    #[must_use]
-    fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
-        self.common_mut().partitioning = partitioning;
-        self
-    }
 
     /// Replaces the join predicate.
     #[must_use]
@@ -228,13 +194,6 @@ mod tests {
         assert!(!config.collect_results);
         assert_eq!(config.sub_window(), 16);
         assert_eq!(config.effective_window(), 48);
-    }
-
-    #[test]
-    fn partitioning_builder_and_default() {
-        let config = JoinConfig::new(2, 8).with_partitioning(Partitioning::Hash);
-        assert_eq!(config.partitioning, Partitioning::Hash);
-        assert_eq!(JoinConfig::new(2, 8).partitioning, Partitioning::Broadcast);
     }
 
     #[test]

@@ -89,10 +89,10 @@ pub mod splitjoin;
 pub mod streamjoin;
 mod supervise;
 
-pub use config::{JoinConfig, JoinParams, Partitioning, DEFAULT_BATCH_SIZE};
+pub use config::{JoinConfig, JoinParams, DEFAULT_BATCH_SIZE};
 pub use error::{JoinError, WorkerStats};
 pub use fault::{FaultEvent, FaultPlan, FaultReport};
-pub use outcome::{JoinOutcome, PartitionStats, RingStats};
+pub use outcome::{JoinOutcome, RingStats};
 pub use streamjoin::StreamJoin;
 
 /// The convenient single import for driving the software joins: the
@@ -111,7 +111,7 @@ pub use streamjoin::StreamJoin;
 /// ```
 pub mod prelude {
     pub use crate::baseline::{BaselineJoin, NestedLoopJoin};
-    pub use crate::config::{JoinConfig, JoinParams, Partitioning};
+    pub use crate::config::{JoinConfig, JoinParams};
     pub use crate::error::{JoinError, WorkerStats};
     pub use crate::fault::{FaultEvent, FaultPlan, FaultReport};
     pub use crate::handshake::{HandshakeConfig, HandshakeJoin};

@@ -16,7 +16,6 @@ pub(crate) mod key {
     pub const SPLITJOIN: &str = "splitjoin";
     pub const HANDSHAKE: &str = "handshake";
     pub const BASELINE: &str = "baseline";
-    pub const ROUTED: &str = "splitjoin.partition.routed";
 
     /// `<engine>.batches`.
     pub fn batches(engine: &str) -> String {
@@ -49,49 +48,9 @@ pub struct RingStats {
     pub claim_wait_ns: obs::Histogram,
 }
 
-/// Partitioned-dispatch telemetry, attached to the outcome when the run
-/// used [`Partitioning::Hash`](crate::config::Partitioning::Hash).
-#[derive(Debug, Clone, Default)]
-pub struct PartitionStats {
-    /// Live (unexpired) stored tuples per worker position at shutdown,
-    /// both streams combined, from the router's exact ledger. Retired
-    /// positions report zero.
-    pub occupancy: Vec<u64>,
-    /// Worker positions still live at shutdown.
-    pub live: Vec<usize>,
-    /// Keys the frequency sketch promoted to hot (split across all live
-    /// workers) during the run.
-    pub hot_splits: u64,
-    /// Total dispatch entries shipped; a hot-key tuple counts once per
-    /// worker reached, so `routed / tuples` is the effective fan-out.
-    pub routed: u64,
-}
-
-impl PartitionStats {
-    /// Max-over-mean occupancy across the live positions — the
-    /// load-balance figure `figs partition` reports as
-    /// `zipf.<variant>.occupancy_ratio` (`1.0` is perfectly even;
-    /// broadcast-free skew pathologies push it toward the live worker
-    /// count). `0.0` when nothing is stored.
-    #[must_use]
-    pub fn balance(&self) -> f64 {
-        let live: Vec<u64> = self.live.iter().map(|&w| self.occupancy[w]).collect();
-        if live.is_empty() {
-            return 0.0;
-        }
-        let max = live.iter().copied().max().unwrap_or(0) as f64;
-        let mean = live.iter().sum::<u64>() as f64 / live.len() as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
-            max / mean
-        }
-    }
-}
-
 /// Everything a software join engine leaves behind at shutdown — the
 /// one outcome of [`StreamJoin::shutdown`](crate::streamjoin::StreamJoin::shutdown),
-/// whichever engine ran. The three `Option` telemetry fields are
+/// whichever engine ran. The two `Option` telemetry fields are
 /// SplitJoin's.
 #[derive(Debug, Clone, Default)]
 pub struct JoinOutcome {
@@ -128,9 +87,6 @@ pub struct JoinOutcome {
     /// Distribution-ring telemetry: `Some` from SplitJoin, `None` from
     /// the chain and the baseline.
     pub ring_stats: Option<RingStats>,
-    /// Partitioned-dispatch telemetry; `None` in broadcast mode, so
-    /// broadcast manifests keep their exact pre-partitioning shape.
-    pub partition_stats: Option<PartitionStats>,
     /// Probe-kernel telemetry, folded across workers (`tiles` stays 0
     /// when only the per-tuple path ran): `Some` from SplitJoin, `None`
     /// from the chain and the baseline.
@@ -140,8 +96,8 @@ pub struct JoinOutcome {
 impl JoinOutcome {
     /// The run's counters under stable dotted names in the engine's
     /// namespace (`<engine>.worker.<i>.probes`, `.stored`, `.matches`,
-    /// `<engine>.batches`, `<engine>.matches`; SplitJoin's ring,
-    /// partition and kernel telemetry under `splitjoin.*`) for a
+    /// `<engine>.batches`, `<engine>.matches`; SplitJoin's ring and
+    /// kernel telemetry under `splitjoin.*`) for a
     /// [`RunManifest`](obs::RunManifest). A key the live plane also
     /// exports carries the value its cell reached at shutdown. Degraded
     /// runs additionally publish the `fault.*` namespace; healthy runs
@@ -162,21 +118,6 @@ impl JoinOutcome {
         if let Some(rs) = &self.ring_stats {
             reg.record("splitjoin.ring.occupancy_peak", rs.peak_occupancy.get());
             reg.record("splitjoin.ring.claim_waits", rs.claim_wait_ns.total());
-        }
-        if let Some(ps) = &self.partition_stats {
-            reg.record("splitjoin.partition.hot_splits", ps.hot_splits);
-            reg.record(key::ROUTED, ps.routed);
-            let mut max = 0u64;
-            for (i, &occ) in ps.occupancy.iter().enumerate() {
-                reg.record(format!("splitjoin.partition.worker.{i}.occupancy"), occ);
-                max = max.max(occ);
-            }
-            reg.record("splitjoin.partition.occupancy_max", max);
-            // Fixed-point (×1000) so the integer map carries it.
-            reg.record(
-                "splitjoin.partition.balance_x1000",
-                (ps.balance() * 1_000.0).round() as u64,
-            );
         }
         if let Some(ks) = &self.kernel_stats {
             reg.record("splitjoin.kernel.tiles", ks.tiles);

@@ -17,11 +17,6 @@ pub(super) enum Msg {
         /// Arena sequence number identifying the batch.
         seq: u64,
     },
-    /// One keyed-dispatch sub-batch (partitioned mode): only the
-    /// entries this worker owns or must probe, each stamped with the
-    /// global stream coordinates that keep its shard window-equivalent
-    /// to the broadcast realization.
-    Part(Arc<[PartEntry]>),
     /// Window pre-fill (no probing), shared across all workers.
     Prefill(StreamTag, Arc<[Tuple]>),
     /// A worker died: switch to this partition map for future storage
@@ -32,25 +27,6 @@ pub(super) enum Msg {
     /// counted when sent and when finished, and those two counts are the
     /// flush barrier ([`Router::flush`](super::router::Router::flush)).
     Stop,
-}
-
-/// One keyed-dispatch entry: a tuple plus the global stream coordinates
-/// the receiving worker needs to evict its shard by exactly the
-/// watermarks the broadcast window realizes.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct PartEntry {
-    pub(super) tag: StreamTag,
-    pub(super) tuple: Tuple,
-    /// Global per-stream sequence number of this tuple (0-based).
-    pub(super) seq: u64,
-    /// Opposite-stream tuple count at this tuple's arrival — the probe
-    /// watermark: the shard evicts below `opp - window` before probing.
-    pub(super) opp: u64,
-    /// Store into the own-stream shard (the key's owner, or the hot
-    /// round-robin turn).
-    pub(super) store: bool,
-    /// Probe the opposite-stream shard (`false` for prefill).
-    pub(super) probe: bool,
 }
 
 /// Blocking receive on a worker's distribution ring. `None` means the

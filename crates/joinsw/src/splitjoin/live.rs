@@ -22,10 +22,6 @@ pub(super) struct LiveRouter {
     batches: obs::Counter,
     /// `splitjoin.tuples` — stream tuples routed through batches.
     tuples: obs::Counter,
-    /// `splitjoin.partition.routed` — keyed-dispatch entries shipped, a
-    /// hot-key tuple counting once per worker reached (stays 0 in
-    /// broadcast mode).
-    pub(super) routed: obs::Counter,
     /// `splitjoin.worker.<i>.ring_occupancy` — messages queued on each
     /// worker's lane, read at every push to it here and at every pop by
     /// [`LiveWorker`] (instantaneous; the sampler turns it into a
@@ -60,7 +56,6 @@ impl LiveRouter {
         let this = Self {
             batches: reg.counter(&key::batches(SPLITJOIN)),
             tuples: reg.counter("splitjoin.tuples"),
-            routed: reg.counter(key::ROUTED),
             ring_occupancy: per_worker("ring_occupancy"),
             arena_lag: reg.gauge("splitjoin.arena.lag"),
             workers_live: reg.gauge("splitjoin.workers.live"),

@@ -53,10 +53,10 @@
 //! # Transport
 //!
 //! Distribution runs over lock-free SPSC rings ([`streamcore::ring`]),
-//! one per worker, and — in broadcast mode — a shared [batch
-//! arena](streamcore::ring::batch_arena), so a broadcast ships one
-//! sequence number per worker while every join core probes the
-//! arena-resident batch *in place*: zero-copy from router to probe.
+//! one per worker, and a shared [batch arena](streamcore::ring::batch_arena),
+//! so a broadcast ships one sequence number per worker while every join
+//! core probes the arena-resident batch *in place*: zero-copy from router
+//! to probe.
 //! Nothing runs the other way but the worker's supervision cell: it
 //! holds the outbox, and the count of messages the worker has finished,
 //! advanced (`Release`) only after a message's matches are published.
@@ -68,45 +68,13 @@
 //!
 //! Each sub-window is a [`FlatWindow`](streamcore::FlatWindow), scanned
 //! nested-loop as the paper measures, and a worker picks its probe path
-//! from what it observes, never from an option: a broadcast batch of at
-//! least [`MIN_BLOCK_PROBES`](streamcore::kernel::MIN_BLOCK_PROBES)
-//! tuples runs the blocked batch×window compare tiles
-//! ([`streamcore::kernel`]); a smaller one (a caller that feeds per
-//! tuple and polls) runs the per-tuple probe. The two are bit-identical
+//! from what it observes, never from an option: a batch of at least
+//! [`MIN_BLOCK_PROBES`](streamcore::kernel::MIN_BLOCK_PROBES) tuples runs
+//! the blocked batch×window compare tiles ([`streamcore::kernel`]); a
+//! smaller one (a caller that feeds per tuple and polls) runs the
+//! per-tuple probe. The two are bit-identical
 //! in results and in [`WorkerStats`] — the per-tuple path is the
 //! in-tree reference the blocked path is tested against.
-//!
-//! # Partitioned dispatch (PanJoin mode)
-//!
-//! Broadcast distribution sends every tuple to every worker — each probe
-//! pays O(window) regardless of core count. With
-//! [`Partitioning::Hash`]
-//! ([`JoinParams::with_partitioning`](crate::config::JoinParams::with_partitioning))
-//! the window is instead *content-partitioned*
-//! by join key, PanJoin-style: rendezvous hashing
-//! ([`PartitionMap::key_owner`]) assigns each key an owning worker, the
-//! router ships each tuple only to its owner as a keyed sub-batch
-//! (tuple + global stream coordinates), and the owner
-//! probes a per-key chain ([`streamcore::PartitionedWindow`]) instead of
-//! scanning a sub-window. Eviction uses the router-stamped global
-//! sequence watermarks — never local counts — so the union of the shards
-//! equals the broadcast window at every probe and the result multiset is
-//! identical to broadcast mode (the cross-impl equivalence suite pins
-//! this, uniform and zipf, healthy and under kills).
-//!
-//! Skew is handled online: a Misra–Gries sketch ([`FreqSketch`]) watches
-//! routed keys, and a key that exceeds
-//! [`SplitJoinConfig::hot_key_factor`] fair shares of the traffic is
-//! *split* — its stores rotate round-robin over all live workers while
-//! its probes broadcast, so one hot key no longer pins a whole stream to
-//! one core. Old data stays where it was stored; probes reach everyone,
-//! so the transition loses nothing. Per-worker shard occupancy, split
-//! counts, and routing fan-out surface as
-//! [`PartitionStats`] (`splitjoin.partition.*` in the published values).
-//! Recovery keeps working — a dead position's ledger is its exact orphan
-//! count, and rendezvous hashing re-homes only the dead worker's keys —
-//! and non-equi predicates cannot be content-partitioned. See
-//! `docs/PARTITIONING.md` for a measured walkthrough.
 //!
 //! # Fault tolerance
 //!
@@ -145,7 +113,6 @@ mod tests;
 mod worker;
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -153,17 +120,16 @@ use crate::error::JoinError;
 pub use crate::error::WorkerStats;
 use streamcore::kernel::KernelStats;
 use streamcore::ring;
-use streamcore::{FreqSketch, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
+use streamcore::{MatchPair, PartitionMap, StreamTag, Tuple};
 
-pub use self::config::{SplitJoinConfig, DEFAULT_HOT_KEY_FACTOR, DEFAULT_HOT_MIN_SAMPLE};
+pub use self::config::SplitJoinConfig;
 
 use self::lanes::Msg;
 use self::live::{LiveRouter, LiveWorker};
-use self::router::{PartRouter, Router, SKETCH_CAPACITY};
+use self::router::Router;
 use self::worker::{worker_loop, WorkerExit};
-use crate::config::Partitioning;
 use crate::fault::FaultReport;
-use crate::outcome::{key, JoinOutcome, PartitionStats, RingStats};
+use crate::outcome::{key, JoinOutcome, RingStats};
 use crate::streamjoin::StreamJoin;
 use crate::supervise::{join_cores, outcome, take_outboxes, WorkerCell};
 
@@ -208,54 +174,26 @@ impl StreamJoin for SplitJoin {
     /// # Panics
     ///
     /// Panics if `config.channel_capacity` or `config.batch_size` is
-    /// zero, the fault plan targets a worker out of range, or hash
-    /// partitioning meets a non-equi predicate or a non-positive
-    /// hot-key factor (the builder methods reject some of these, but the
-    /// fields are public).
+    /// zero, or the fault plan targets a worker out of range (the builder
+    /// methods reject these, but the fields are public).
     fn spawn(config: SplitJoinConfig) -> Self {
         config.common.validate();
-        let partitioned = config.partitioning == Partitioning::Hash;
-        if partitioned {
-            // Checked here rather than in `JoinConfig::validate`: the
-            // handshake chain validates the same shared config and
-            // ignores the knob.
-            assert!(
-                config.predicate == JoinPredicate::Equi,
-                "hash partitioning requires an equi-join predicate"
-            );
-            assert!(
-                config.hot_key_factor > 0.0,
-                "hot-key factor must be positive"
-            );
-        }
 
         // Distribution path. The arena holds `channel_capacity + 2`
         // batch slots: every batch a worker can have queued, plus the
         // one it is probing, plus the one being published — so arena
         // reuse only ever waits when a ring is itself saturated.
-        // Partitioned mode ships per-worker keyed sub-batches, not
-        // broadcasts — the shared arena would be pure overhead, so it is
-        // never created and recovery never retires readers.
-        let (arena, readers) = if partitioned {
-            (None, Vec::new())
-        } else {
-            let (writer, readers) = ring::batch_arena::<(StreamTag, Tuple)>(
-                config.channel_capacity + 2,
-                config.num_cores,
-            );
-            (Some(writer), readers)
-        };
-        let mut readers = readers.into_iter();
+        let (arena, readers) =
+            ring::batch_arena::<(StreamTag, Tuple)>(config.channel_capacity + 2, config.num_cores);
 
         let mut senders = Vec::with_capacity(config.num_cores);
         let mut cells = Vec::with_capacity(config.num_cores);
         let mut workers = Vec::with_capacity(config.num_cores);
-        for position in 0..config.num_cores {
+        for (position, arena) in readers.into_iter().enumerate() {
             let cell = Arc::new(WorkerCell::default());
             cells.push(Arc::clone(&cell));
             let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
             senders.push(Some(tx));
-            let arena = readers.next();
             let cfg = config.clone();
             let live = obs::live::active().then(|| LiveWorker::new(position));
             workers.push(std::thread::spawn(move || {
@@ -264,18 +202,6 @@ impl StreamJoin for SplitJoin {
         }
         let ring = obs::trace::enabled().then(|| {
             obs::trace::TraceRing::new("sw.router".to_string(), obs::trace::TimeDomain::Wall)
-        });
-        let part = partitioned.then(|| PartRouter {
-            window: config.effective_window() as u64,
-            sketch: FreqSketch::new(SKETCH_CAPACITY),
-            hot: HashMap::new(),
-            hot_factor: config.hot_key_factor,
-            min_sample: config.hot_min_sample,
-            ledger_r: vec![VecDeque::new(); config.num_cores],
-            ledger_s: vec![VecDeque::new(); config.num_cores],
-            outbox: vec![Vec::new(); config.num_cores],
-            hot_splits: 0,
-            routed: 0,
         });
         Self {
             router: RefCell::new(Router {
@@ -294,7 +220,6 @@ impl StreamJoin for SplitJoin {
                 arena,
                 ring_stats: RingStats::default(),
                 sent: vec![0; config.num_cores],
-                part,
                 live: obs::live::active().then(|| LiveRouter::new(&config)),
             }),
             workers,
@@ -417,24 +342,12 @@ impl StreamJoin for SplitJoin {
                 trace.push(ring);
             }
         }
-        let partition_stats = router.part.take().map(|part| PartitionStats {
-            occupancy: part
-                .ledger_r
-                .iter()
-                .zip(&part.ledger_s)
-                .map(|(r, s)| (r.len() + s.len()) as u64)
-                .collect(),
-            live: router.map.live().to_vec(),
-            hot_splits: part.hot_splits,
-            routed: part.routed,
-        });
         let ring_stats = router.ring_stats;
         ring_stats
             .peak_occupancy
             .set(ring_stats.occupancy.max().unwrap_or(0));
         Ok(JoinOutcome {
             ring_stats: Some(ring_stats),
-            partition_stats,
             kernel_stats: Some(kernel_stats),
             ..outcome(
                 key::SPLITJOIN,

@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use streamcore::kernel::MIN_BLOCK_PROBES;
 use streamcore::workload::{KeyDist, WorkloadSpec};
+use streamcore::JoinPredicate;
 
 fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
     let mut m = HashMap::new();
@@ -122,6 +123,17 @@ fn matches_reference_with_expiry() {
     let outcome = run_workload(SplitJoinConfig::new(4, 32), &inputs);
     let want = reference_join(&inputs, 32, JoinPredicate::Equi);
     assert_eq!(as_multiset(&outcome.results), as_multiset(&want));
+}
+
+#[test]
+fn matches_reference_under_skew() {
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Zipf { domain: 12, s: 0.8 })
+        .generate()
+        .collect();
+    let want = as_multiset(&reference_join(&inputs, 48, JoinPredicate::Equi));
+    assert!(!want.is_empty());
+    let outcome = run_workload(SplitJoinConfig::new(3, 48), &inputs);
+    assert_eq!(as_multiset(&outcome.results), want);
 }
 
 #[test]
@@ -256,28 +268,26 @@ fn an_idle_flush_moves_no_count_and_sends_nothing() {
     // sent since the last one it advances neither count — no core
     // finished anything, so no core was handed anything — and the drain
     // built on it does the same.
-    for config in [SplitJoinConfig::new(4, 64), part_config(4, 64)] {
-        let join = SplitJoin::spawn(config.with_batch_size(8));
-        for i in 0..100u32 {
-            let tag = if i % 2 == 0 {
-                StreamTag::R
-            } else {
-                StreamTag::S
-            };
-            join.process(tag, Tuple::new(i / 2 % 16, i)).unwrap();
-        }
-        join.flush().unwrap();
-        let (sent, finished, queued) = epochs(&join);
-        assert_eq!(
-            finished, sent,
-            "behind the barrier every core has finished what it was sent"
-        );
-        assert!(sent.iter().sum::<u64>() > 0 && queued.iter().all(|&n| n == 0));
-        join.flush().unwrap();
-        assert!(!join.drain_results().unwrap().is_empty());
-        assert_eq!(epochs(&join), (sent, finished, queued));
-        join.shutdown().unwrap();
+    let join = SplitJoin::spawn(SplitJoinConfig::new(4, 64).with_batch_size(8));
+    for i in 0..100u32 {
+        let tag = if i % 2 == 0 {
+            StreamTag::R
+        } else {
+            StreamTag::S
+        };
+        join.process(tag, Tuple::new(i / 2 % 16, i)).unwrap();
     }
+    join.flush().unwrap();
+    let (sent, finished, queued) = epochs(&join);
+    assert_eq!(
+        finished, sent,
+        "behind the barrier every core has finished what it was sent"
+    );
+    assert!(sent.iter().sum::<u64>() > 0 && queued.iter().all(|&n| n == 0));
+    join.flush().unwrap();
+    assert!(!join.drain_results().unwrap().is_empty());
+    assert_eq!(epochs(&join), (sent, finished, queued));
+    join.shutdown().unwrap();
 }
 
 #[test]
@@ -511,261 +521,6 @@ fn tracing_records_worker_spans_without_changing_results() {
     }
 }
 
-// ---- partitioned (keyed) dispatch ----
-
-fn part_config(cores: usize, window: usize) -> SplitJoinConfig {
-    SplitJoinConfig::new(cores, window).with_partitioning(Partitioning::Hash)
-}
-
-#[test]
-fn partitioned_counting_shortcut_matches_the_chain_walk() {
-    // Keyed dispatch + counting-only takes the O(1) chain-length
-    // shortcut; collecting runs walk the chain. The tallies must not
-    // move, at any batch size.
-    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Zipf { domain: 64, s: 1.2 })
-        .generate()
-        .collect();
-    let (walked, _) = assert_batch_size_invariant(
-        |batch| part_config(4, 32).with_batch_size(batch),
-        &inputs,
-        "keyed collecting",
-    );
-    let (counted, _) = assert_batch_size_invariant(
-        |batch| part_config(4, 32).with_batch_size(batch).counting_only(),
-        &inputs,
-        "keyed counting",
-    );
-    assert_eq!(
-        as_multiset(&walked.results),
-        as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
-    );
-    assert_eq!(counted.result_count, walked.result_count);
-    assert_eq!(counted.worker_stats, walked.worker_stats);
-    let ks = counted.kernel_stats.unwrap();
-    assert_eq!(ks.tiles, 0, "keyed dispatch never tiles");
-    assert_eq!(ks.lanes, counted.result_count, "one lane per chain entry");
-}
-
-#[test]
-fn partitioned_matches_reference_exactly() {
-    let inputs: Vec<_> = WorkloadSpec::new(500, KeyDist::Uniform { domain: 16 })
-        .generate()
-        .collect();
-    let want = as_multiset(&reference_join(&inputs, 64, JoinPredicate::Equi));
-    assert!(!want.is_empty());
-    for cores in [1usize, 2, 4, 8] {
-        let outcome = run_workload(part_config(cores, 64), &inputs);
-        assert_eq!(
-            as_multiset(&outcome.results),
-            want,
-            "partitioned mismatch with {cores} cores"
-        );
-        assert!(!outcome.fault.degraded(), "healthy run must not degrade");
-        let ps = outcome
-            .partition_stats
-            .expect("partitioned runs carry stats");
-        assert_eq!(ps.live.len(), cores);
-        // Steady state: the shards together hold exactly one window
-        // per stream (the streams alternate, 250 tuples each > 64).
-        assert_eq!(ps.occupancy.iter().sum::<u64>(), 128);
-    }
-}
-
-#[test]
-fn partitioned_matches_broadcast_under_skew() {
-    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Zipf { domain: 12, s: 0.8 })
-        .generate()
-        .collect();
-    let want = as_multiset(&reference_join(&inputs, 48, JoinPredicate::Equi));
-    assert!(!want.is_empty());
-    let broadcast = run_workload(SplitJoinConfig::new(3, 48), &inputs);
-    let partitioned = run_workload(part_config(3, 48), &inputs);
-    assert_eq!(as_multiset(&broadcast.results), want);
-    assert_eq!(as_multiset(&partitioned.results), want);
-}
-
-#[test]
-fn partitioned_hot_split_keeps_results_and_rebalances() {
-    // Heavy skew on a tiny domain: key 0 takes ~45% of the traffic.
-    // With the sample floor lowered the router must split it, and
-    // splitting must not change the result multiset.
-    let inputs: Vec<_> = WorkloadSpec::new(4_000, KeyDist::Zipf { domain: 8, s: 1.2 })
-        .generate()
-        .collect();
-    let want = as_multiset(&reference_join(&inputs, 64, JoinPredicate::Equi));
-    let split = run_workload(part_config(4, 64).with_hot_sample(64), &inputs);
-    let nosplit = run_workload(part_config(4, 64).with_hot_key_factor(1e9), &inputs);
-    assert_eq!(
-        as_multiset(&split.results),
-        want,
-        "hot-split broke the join"
-    );
-    assert_eq!(
-        as_multiset(&nosplit.results),
-        want,
-        "nosplit broke the join"
-    );
-    let split_stats = split.partition_stats.unwrap();
-    let nosplit_stats = nosplit.partition_stats.unwrap();
-    assert!(split_stats.hot_splits >= 1, "skewed run must promote a key");
-    assert_eq!(nosplit_stats.hot_splits, 0);
-    assert!(
-        split_stats.balance() < nosplit_stats.balance(),
-        "splitting must improve occupancy balance: split {:.2} vs nosplit {:.2}",
-        split_stats.balance(),
-        nosplit_stats.balance()
-    );
-}
-
-#[test]
-fn partitioned_counting_only_agrees_with_collected() {
-    let inputs: Vec<_> = WorkloadSpec::new(800, KeyDist::Zipf { domain: 10, s: 1.0 })
-        .generate()
-        .collect();
-    let collected = run_workload(part_config(4, 32), &inputs);
-    let counted = run_workload(part_config(4, 32).counting_only(), &inputs);
-    assert!(collected.result_count > 0);
-    assert_eq!(counted.result_count, collected.result_count);
-    assert!(counted.results.is_empty());
-}
-
-#[test]
-fn partitioned_prefill_loads_without_probing() {
-    let join = SplitJoin::spawn(part_config(2, 16));
-    let warm: Vec<Tuple> = (0..8)
-        .map(|k| Tuple::new(k, 100 + u32::from(k as u8)))
-        .collect();
-    join.prefill(StreamTag::S, &warm).unwrap();
-    // One probe against the warmed S shard: exactly one match, and
-    // the prefill itself produced none.
-    join.process(StreamTag::R, Tuple::new(3, 7)).unwrap();
-    join.flush().unwrap();
-    let outcome = join.shutdown().unwrap();
-    assert_eq!(outcome.result_count, 1);
-    assert_eq!(outcome.results[0].r.raw(), Tuple::new(3, 7).raw());
-    // Keyed probes only touch the matching chain: comparisons ==
-    // matches.
-    let comparisons: u64 = outcome.worker_stats.iter().map(|w| w.comparisons).sum();
-    assert_eq!(comparisons, 1);
-}
-
-#[test]
-fn partitioned_kill_is_recovered_with_exact_orphans() {
-    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
-        .generate()
-        .collect();
-    let victim = 1usize;
-    let config = part_config(4, 64)
-        .with_batch_size(50)
-        .with_fault_plan(FaultPlan::none().with(FaultEvent::Kill {
-            worker: victim,
-            after_batch: 4,
-        }));
-    let outcome = run_workload(config, &inputs);
-    assert!(outcome.fault.degraded());
-    assert_eq!(outcome.fault.workers_lost, vec![victim]);
-    // The victim owned a share of a full two-stream window when it
-    // died (4 batches of 50 ≫ 2×64 window).
-    assert!(outcome.fault.orphaned_tuples > 0);
-    assert!(outcome.fault.orphaned_tuples <= 128);
-    let ps = outcome.partition_stats.unwrap();
-    assert!(!ps.live.contains(&victim));
-    assert_eq!(ps.occupancy[victim], 0, "retired ledger must be cleared");
-    // Results from the healthy run form a superset: losing a shard
-    // only ever loses matches.
-    let healthy = run_workload(part_config(4, 64).with_batch_size(50), &inputs);
-    let lossy = as_multiset(&outcome.results);
-    let full = as_multiset(&healthy.results);
-    for (pair, n) in &lossy {
-        assert!(
-            full.get(pair).is_some_and(|m| m >= n),
-            "degraded run invented {pair:?}"
-        );
-    }
-    assert!(outcome.result_count < healthy.result_count);
-}
-
-/// What the keyed router's ledger holds for `victim` once `routed` has
-/// been sent over a full map with splitting off: its rendezvous share of
-/// the last `window` tuples of each stream.
-fn ledger_of(victim: usize, cores: usize, window: usize, routed: &[(StreamTag, Tuple)]) -> u64 {
-    let map = PartitionMap::identity(cores);
-    [StreamTag::R, StreamTag::S]
-        .into_iter()
-        .map(|side| {
-            routed
-                .iter()
-                .rev()
-                .filter(|&&(tag, _)| tag == side)
-                .take(window)
-                .filter(|&&(_, t)| map.key_owner(t.key()) == victim)
-                .count() as u64
-        })
-        .sum()
-}
-
-#[test]
-fn partitioned_kill_leaves_the_flush_and_drain_barriers_live() {
-    // Keyed dispatch reaches the barrier through the per-worker
-    // epochs: a retired position must drop out of the barrier
-    // instead of wedging it, the drain must complete over the
-    // survivors, and the orphan count must be exactly the victim's
-    // ledger — its share of the last window of each stream. The victim
-    // is stalled on the message before its kill, so the router retires
-    // it — and the caller flushes and drains — while it still has
-    // matches to publish: the barrier has to cover its exit.
-    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
-        .generate()
-        .collect();
-    let (cores, window, batch, victim, after_batch) = (4usize, 64usize, 50usize, 1usize, 4u64);
-    // Splitting disabled, so every key is stored at its rendezvous owner.
-    let config = part_config(cores, window)
-        .with_batch_size(batch)
-        .with_hot_key_factor(1e9)
-        .with_fault_plan(
-            FaultPlan::none()
-                .with(FaultEvent::Stall {
-                    worker: victim,
-                    at_batch: after_batch - 1,
-                    millis: 40,
-                })
-                .with(FaultEvent::Kill {
-                    worker: victim,
-                    after_batch,
-                }),
-        );
-    let join = SplitJoin::spawn(config);
-    for &(tag, t) in &inputs {
-        join.process(tag, t).unwrap();
-    }
-    join.flush().expect("barrier must cover the survivors");
-    let drained = join
-        .drain_results()
-        .expect("drain must complete after a kill");
-    assert!(!drained.is_empty());
-    let outcome = join.shutdown().unwrap();
-    assert_eq!(outcome.fault.workers_lost, vec![victim]);
-    assert_eq!(outcome.fault.injected_stalls, 1, "the window was forced");
-    assert!(
-        outcome.results.is_empty(),
-        "nothing surfaced after the drain"
-    );
-    assert_eq!(
-        drained.len() as u64,
-        outcome.result_count,
-        "the drain harvested everything"
-    );
-
-    let ledger = ledger_of(
-        victim,
-        cores,
-        window,
-        &inputs[..batch * after_batch as usize],
-    );
-    assert!(ledger > 0);
-    assert_eq!(outcome.fault.orphaned_tuples, ledger);
-}
-
 #[test]
 fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
     // The victim sleeps on the message before its fatal one while the
@@ -778,9 +533,8 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
         .generate()
         .collect();
     let (cores, window, batch, victim, fatal) = (4usize, 64usize, 50usize, 1usize, 4u64);
-    let cases = [(false, false), (false, true), (true, false), (true, true)];
-    for (partitioned, panics) in cases {
-        let case = format!("partitioned {partitioned}, panic {panics}");
+    for panics in [false, true] {
+        let case = format!("panic {panics}");
         let fault = if panics {
             FaultEvent::Panic {
                 worker: victim,
@@ -799,12 +553,7 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
                 millis: 50,
             })
             .with(fault);
-        // Splitting disabled, so every key is stored at its rendezvous owner.
-        let config = if partitioned {
-            part_config(cores, window).with_hot_key_factor(1e9)
-        } else {
-            SplitJoinConfig::new(cores, window)
-        };
+        let config = SplitJoinConfig::new(cores, window);
         let join = SplitJoin::spawn(config.with_batch_size(batch).with_fault_plan(plan));
         join.router.borrow_mut().plan = FaultPlan::none();
         for &(tag, t) in &inputs {
@@ -849,13 +598,8 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
                 .map(|c| c.results_published.load(Ordering::Relaxed))
                 .sum();
             assert_eq!(drained.len() as u64, published, "{case}");
-            let orphans = if partitioned {
-                // Everything routed counts, queued sub-batches included.
-                ledger_of(victim, cores, window, &inputs)
-            } else {
-                // Round-robin turns: both of its sub-windows were full.
-                2 * (window / cores) as u64
-            };
+            // Round-robin turns: both of its sub-windows were full.
+            let orphans = 2 * (window / cores) as u64;
             assert!(orphans > 0);
             assert_eq!(router.report.orphaned_tuples, orphans, "{case}");
         }
@@ -871,38 +615,6 @@ fn a_flush_over_a_lane_that_will_never_finish_reaps_it() {
             other => panic!("{case}: unexpected shutdown result {other:?}"),
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "equi-join predicate")]
-fn partitioned_rejects_non_equi_predicates() {
-    let _ = SplitJoin::spawn(part_config(2, 16).with_predicate(JoinPredicate::Band { delta: 2 }));
-}
-
-#[test]
-fn partitioned_outcome_publishes_partition_counters() {
-    let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 8 })
-        .generate()
-        .collect();
-    let outcome = run_workload(part_config(2, 32), &inputs);
-    let reg = outcome.values();
-    assert!(reg.get("splitjoin.partition.routed").is_some_and(|v| v > 0));
-    assert!(reg.get("splitjoin.partition.hot_splits").is_some());
-    assert!(reg
-        .get("splitjoin.partition.occupancy_max")
-        .is_some_and(|v| v > 0));
-    assert!(reg
-        .get("splitjoin.partition.balance_x1000")
-        .is_some_and(|v| v > 0));
-    assert!(reg.get("splitjoin.partition.worker.0.occupancy").is_some());
-    assert!(reg.get("splitjoin.partition.worker.1.occupancy").is_some());
-    // Broadcast runs must keep their exact pre-partitioning shape.
-    let broadcast = run_workload(SplitJoinConfig::new(2, 32), &inputs);
-    assert!(broadcast.partition_stats.is_none());
-    assert!(!broadcast
-        .values()
-        .iter()
-        .any(|(n, _)| n.starts_with("splitjoin.partition.")));
 }
 
 #[test]
@@ -943,7 +655,6 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
         "splitjoin.batches",
         "splitjoin.tuples",
         "splitjoin.matches",
-        "splitjoin.partition.routed",
         "splitjoin.ring.capacity",
         "splitjoin.arena.lag",
         "splitjoin.workers.live",
@@ -985,6 +696,8 @@ fn a_lane_gauge_follows_the_worker_draining_it() {
     assert_eq!(gauge.get(), 2, "the router's last reading");
     let cell = Arc::new(WorkerCell::default());
     let live = Some(LiveWorker::new(11));
-    worker_loop(11, &SplitJoinConfig::new(12, 24), msgs, None, &cell, live);
+    let (_arena, mut readers) = ring::batch_arena::<(StreamTag, Tuple)>(2, 1);
+    let reader = readers.remove(0);
+    worker_loop(11, &SplitJoinConfig::new(12, 24), msgs, reader, &cell, live);
     assert_eq!(gauge.get(), 0, "the worker's last pop emptied the lane");
 }

@@ -6,31 +6,17 @@ use std::sync::Arc;
 use crate::error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
 use streamcore::ring::{ArenaReader, RingConsumer};
-use streamcore::{
-    FlatWindow, JoinPredicate, MatchPair, PartitionMap, PartitionedWindow, StreamTag, Tuple,
-};
+use streamcore::{FlatWindow, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
-use super::lanes::{recv_msg, Msg, PartEntry};
+use super::lanes::{recv_msg, Msg};
 use super::live::LiveWorker;
 use super::SplitJoinConfig;
-use crate::config::Partitioning;
 use crate::supervise::{
     run_scripted_batch, span_start, AliveGuard, BatchOutcome, ScriptedCore, WorkerCell,
 };
 
 /// What each worker thread leaves behind at exit.
 pub(super) type WorkerExit = (WorkerStats, KernelStats, Option<obs::trace::TraceRing>);
-
-/// Worker-side state of the keyed dispatch: one key-sharded window per
-/// stream, evicted by the router-stamped global sequence watermarks
-/// (never local counts — that is what keeps the shard union exactly
-/// equal to the broadcast window at every probe).
-struct PartState {
-    window_r: PartitionedWindow,
-    window_s: PartitionedWindow,
-    /// Effective global window size.
-    horizon: u64,
-}
 
 /// One probe of the blocked batch path: the tuple plus the index spans
 /// describing exactly which stored tuples were visible to it at its
@@ -96,8 +82,6 @@ struct WorkerState {
     /// Materialize matches (`false` = counting-only).
     collect: bool,
     cell: Arc<WorkerCell>,
-    /// Keyed-dispatch shards; `None` in broadcast mode.
-    part: Option<PartState>,
     /// Blocked-path batch buffers.
     scratch: BlockedScratch,
 }
@@ -345,63 +329,6 @@ impl WorkerState {
         self.store(tag, tuple, true);
     }
 
-    /// One keyed-dispatch entry ([`Msg::Part`]): probe the opposite
-    /// shard inside its eviction watermark, then store into the own
-    /// shard when the router stamped this worker as the storage site.
-    /// Probes are per-key chain walks (equi-join only), so comparisons
-    /// equal matches.
-    fn handle_part_entry(&mut self, e: PartEntry) {
-        if e.probe {
-            // Prefill entries are uncounted, as in broadcast mode.
-            self.stats.tuples_seen += 1;
-        }
-        // Disjoint field borrows, as in `handle_tuple`.
-        let WorkerState {
-            part,
-            stats,
-            kstats,
-            out,
-            collect,
-            ..
-        } = self;
-        // Invariant: the router sends `Msg::Part` only in partitioned
-        // mode, and every partitioned worker is spawned with shard state.
-        #[allow(clippy::expect_used)]
-        let ps = part.as_mut().expect("keyed dispatch needs shard state");
-        let horizon = ps.horizon;
-        let (own, opposite) = match e.tag {
-            StreamTag::R => (&mut ps.window_r, &mut ps.window_s),
-            StreamTag::S => (&mut ps.window_s, &mut ps.window_r),
-        };
-        if e.probe {
-            opposite.evict_below(e.opp.saturating_sub(horizon));
-            if !*collect {
-                // Keyed shards chain by exact key, so every chain entry
-                // matches: counting-only probes collapse to the O(1)
-                // chain length instead of walking it.
-                let n = opposite.probe_len(e.tuple.key()) as u64;
-                stats.comparisons += n;
-                stats.matches += n;
-                kstats.lanes += n;
-                kstats.match_bits += n;
-            } else {
-                for stored in opposite.probe(e.tuple.key()) {
-                    stats.comparisons += 1;
-                    stats.matches += 1;
-                    out.push(MatchPair::oriented(e.tag, e.tuple, stored));
-                }
-            }
-        }
-        if e.store {
-            own.evict_below((e.seq + 1).saturating_sub(horizon));
-            own.insert(e.seq, e.tuple);
-            if e.probe {
-                // Prefill stores are uncounted, as in broadcast mode.
-                stats.stored += 1;
-            }
-        }
-    }
-
     /// Round-robin storage without central coordination; after a
     /// reconfigure, the broadcast partition map replaces the modulo.
     fn store(&mut self, tag: StreamTag, tuple: Tuple, count_stat: bool) {
@@ -441,17 +368,13 @@ pub(super) fn worker_loop(
     config: &SplitJoinConfig,
     mut msgs: RingConsumer<Msg>,
     // This worker's reader into the shared batch arena, where
-    // [`Msg::ArenaBatch`] payloads live; `None` in partitioned mode,
-    // which ships keyed sub-batches ([`Msg::Part`]) instead.
-    mut arena: Option<ArenaReader<(StreamTag, Tuple)>>,
+    // [`Msg::ArenaBatch`] payloads live.
+    mut arena: ArenaReader<(StreamTag, Tuple)>,
     cell: &Arc<WorkerCell>,
     mut live: Option<LiveWorker>,
 ) -> WorkerExit {
     let _guard = AliveGuard(Arc::clone(cell));
-    let partitioned = config.partitioning == Partitioning::Hash;
-    // Partitioned mode never touches the round-robin windows; capacity
-    // 1 keeps their allocation negligible without a zero-capacity edge.
-    let sub = if partitioned { 1 } else { config.sub_window() };
+    let sub = config.sub_window();
     let plan = &config.fault_plan;
     let mut w = WorkerState {
         position: position as u64,
@@ -467,11 +390,6 @@ pub(super) fn worker_loop(
         out: Vec::new(),
         collect: config.collect_results,
         cell: Arc::clone(cell),
-        part: partitioned.then(|| PartState {
-            window_r: PartitionedWindow::new(),
-            window_s: PartitionedWindow::new(),
-            horizon: config.effective_window() as u64,
-        }),
         scratch: BlockedScratch::default(),
     };
 
@@ -514,30 +432,13 @@ pub(super) fn worker_loop(
                 // the whole batch is processed (a scripted panic unwinds
                 // without releasing — recovery then waits for this
                 // thread to die before retiring the reader).
-                // Invariant: the router publishes arena batches only in
-                // broadcast mode, where every worker holds a reader.
-                #[allow(clippy::expect_used)]
-                let reader = arena
-                    .as_mut()
-                    .expect("arena batches only arrive in broadcast mode");
-                let batch = reader.read(seq);
+                let batch = arena.read(seq);
                 let len = batch.len();
                 let outcome =
                     run_scripted_batch(&mut w, plan, position, batch_no, len, &mut ring, |w| {
                         w.handle_batch(batch)
                     });
-                reader.release(seq);
-                killed = matches!(outcome, BatchOutcome::Kill);
-            }
-            Msg::Part(entries) => {
-                batch_no += 1;
-                let len = entries.len();
-                let outcome =
-                    run_scripted_batch(&mut w, plan, position, batch_no, len, &mut ring, |w| {
-                        for &e in entries.iter() {
-                            w.handle_part_entry(e);
-                        }
-                    });
+                arena.release(seq);
                 killed = matches!(outcome, BatchOutcome::Kill);
             }
             Msg::Prefill(tag, tuples) => {

@@ -15,13 +15,11 @@
 //! `impl StreamJoin`; an engine type has no inherent copies, so a caller
 //! brings this trait into scope (the [prelude](crate::prelude) does).
 //!
-//! Engine-internal disciplines stay out of this trait on purpose: the
-//! SplitJoin dispatch mode
-//! ([`Partitioning`](crate::config::Partitioning)) is a config knob, not
-//! API surface, which is what lets one generic harness A/B broadcast
-//! against partitioned dispatch without a line of engine-specific code —
-//! the cross-impl equivalence suite drives all engines and both dispatch
-//! modes through exactly this trait.
+//! Engine-internal disciplines stay out of this trait on purpose: what
+//! differs between engines lives in each engine's `Config`, which is what
+//! lets one generic harness drive every engine without a line of
+//! engine-specific code — the cross-impl equivalence suite drives all
+//! engines through exactly this trait.
 //!
 //! ```
 //! use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};

@@ -493,11 +493,9 @@ pub(crate) enum BatchOutcome {
 /// scripted panic, scripted kill — and, when it survives all of them,
 /// the hand-off of its matches to the cell's outbox, so a later flush
 /// barrier covers them. `work` is the engine's own processing of the
-/// message's `len` entries: a broadcast batch or a keyed sub-batch in
-/// SplitJoin (where `batch_no`, the core's own received-message count,
-/// can lag the router's batch count under keyed dispatch — a worker only
-/// gets a message when a key routes to it), a wave group probed, parked
-/// and forwarded on the chain (which counts both lanes together).
+/// message's `len` entries: a broadcast batch in SplitJoin, a wave group
+/// probed, parked and forwarded on the chain (which counts both lanes
+/// together).
 pub(crate) fn run_scripted_batch<C: ScriptedCore>(
     core: &mut C,
     plan: &FaultPlan,

@@ -1407,6 +1407,35 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_window_is_a_typed_error_for_joins_and_aggregates() {
+        use crate::compile::CompileError;
+        use fqp::plan::PlanError;
+
+        let mut rt = runtime(2);
+        let zero_join = LogicalPlan::source("trades").join(LogicalPlan::source("quotes"), "sym", 0);
+        let zero_sum = LogicalPlan::source("trades").aggregate(
+            AggFunc::Sum,
+            Some("qty"),
+            0,
+            WindowKind::Sliding,
+        );
+        for (id, plan, stream) in [("join", zero_join, "quotes"), ("sum", zero_sum, "trades")] {
+            match rt.admit(id, &plan) {
+                Err(RuntimeError::Compile(CompileError::Plan(PlanError::ZeroWindow {
+                    stream: named,
+                }))) => assert_eq!(named, stream, "{id}"),
+                other => panic!("{id}: expected a zero-window error, got {other:?}"),
+            }
+        }
+        assert_eq!(rt.group_count(), 0, "nothing was admitted");
+        rt.push("trades", Tuple::new(1, 5)).unwrap();
+        assert!(matches!(
+            rt.take_rows("sum"),
+            Err(RuntimeError::Unknown { .. })
+        ));
+    }
+
+    #[test]
     fn cancel_detaches_and_reaps_empty_groups() {
         let mut rt = runtime(2);
         rt.admit("a", &joined()).unwrap();

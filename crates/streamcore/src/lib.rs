@@ -12,15 +12,10 @@
 //! * [`SlidingWindow`] — count-based sliding window semantics (the
 //!   generic `VecDeque` reference backend), plus the flat
 //!   struct-of-arrays backends [`FlatWindow`] (the SplitJoin
-//!   sub-window) and [`HashIndexWindow`] (its equi-indexed variant),
-//!   and the key-sharded
-//!   [`PartitionedWindow`] behind hash-partitioned dispatch;
+//!   sub-window) and [`HashIndexWindow`] (its equi-indexed variant);
 //! * [`PartitionMap`] — round-robin ownership of storage turns over live
 //!   worker positions, used by the software SplitJoin coordinator to
-//!   re-partition around a lost core, plus rendezvous-hashed key
-//!   ownership ([`PartitionMap::key_owner`]) for content partitioning;
-//! * [`FreqSketch`] — bounded Misra–Gries heavy-hitter summary driving
-//!   online hot-key splitting;
+//!   re-partition around a lost core;
 //! * [`kernel`] — blocked batch×window probe kernels (tiled,
 //!   autovectorizer-friendly compare sweeps), the software analog of
 //!   the paper's comparator array;
@@ -57,7 +52,6 @@ mod partition;
 mod predicate;
 mod record;
 pub mod ring;
-mod sketch;
 mod tuple;
 mod window;
 pub mod workload;
@@ -65,6 +59,5 @@ pub mod workload;
 pub use partition::PartitionMap;
 pub use predicate::JoinPredicate;
 pub use record::{Field, Record, Schema, SchemaError};
-pub use sketch::FreqSketch;
 pub use tuple::{Frame, MatchPair, StreamTag, Tuple};
-pub use window::{FlatWindow, HashIndexWindow, PartitionedWindow, ProbeHits, SlidingWindow};
+pub use window::{FlatWindow, HashIndexWindow, ProbeHits, SlidingWindow};

@@ -9,12 +9,6 @@
 //! share the turns among themselves. While every position is live the map
 //! is exactly the original modulo — re-partitioning support costs the
 //! healthy path nothing.
-//!
-//! The hash-partitioned (PanJoin-style) dispatch reuses the same live
-//! set through [`PartitionMap::key_owner`]: join keys map to live
-//! positions by rendezvous hashing, so retiring a position re-homes only
-//! the dead position's keys and the survivors' stored partitions remain
-//! valid without moving a tuple.
 
 /// Maps per-stream storage turns (sequence numbers) to live worker
 /// positions, round-robin over the survivors.
@@ -101,38 +95,6 @@ impl PartitionMap {
         }
     }
 
-    /// The live position that owns join key `key` under content
-    /// (hash) partitioning.
-    ///
-    /// Ownership is decided by rendezvous (highest-random-weight)
-    /// hashing over the live set: every `(key, position)` pair gets a
-    /// pseudo-random weight and the live position with the highest
-    /// weight wins. Unlike `key % live_count`, retiring a position only
-    /// re-homes the keys that position owned — every other key keeps
-    /// its owner, so the survivors' stored partitions stay valid across
-    /// a re-partitioning (see `keys_are_sticky_across_retires`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no positions are live.
-    #[must_use]
-    pub fn key_owner(&self, key: u32) -> usize {
-        assert!(!self.live.is_empty(), "no live partitions");
-        // Pre-mix the key once so consecutive keys don't produce
-        // correlated weight sequences.
-        let mixed = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut best = self.live[0];
-        let mut best_weight = rendezvous_weight(mixed, best);
-        for &position in &self.live[1..] {
-            let weight = rendezvous_weight(mixed, position);
-            if weight > best_weight {
-                best = position;
-                best_weight = weight;
-            }
-        }
-        best
-    }
-
     /// Retires `position` from the live set, re-partitioning future turns
     /// over the survivors. Returns `false` if it was already retired.
     pub fn retire(&mut self, position: usize) -> bool {
@@ -145,19 +107,6 @@ impl PartitionMap {
             Err(_) => false,
         }
     }
-}
-
-/// The rendezvous weight of a (pre-mixed key, position) pair: a
-/// splitmix64-style finalizer so every pair looks independently random.
-#[inline]
-fn rendezvous_weight(mixed_key: u64, position: usize) -> u64 {
-    let mut x = mixed_key ^ (position as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
 }
 
 #[cfg(test)]
@@ -200,54 +149,6 @@ mod tests {
         for w in [1, 2, 3, 4, 6, 7] {
             assert_eq!(counts[w], 1_000, "worker {w} share");
         }
-    }
-
-    #[test]
-    fn key_owner_is_deterministic_and_roughly_balanced() {
-        let map = PartitionMap::identity(4);
-        let mut counts = [0u32; 4];
-        for key in 0..8_000u32 {
-            let owner = map.key_owner(key);
-            assert_eq!(owner, map.key_owner(key), "same key, same owner");
-            counts[owner] += 1;
-        }
-        // Rendezvous hashing balances uniform keys to within a few
-        // percent of the fair share (2000 each here).
-        for (w, &c) in counts.iter().enumerate() {
-            assert!(
-                (1_700..=2_300).contains(&c),
-                "worker {w} owns {c} of 8000 keys"
-            );
-        }
-    }
-
-    #[test]
-    fn keys_are_sticky_across_retires() {
-        // Retiring a position must only move the keys it owned; every
-        // other key keeps its owner, so survivors' partitions stay
-        // valid without any data movement.
-        let mut map = PartitionMap::identity(4);
-        let before: Vec<usize> = (0..4_000u32).map(|k| map.key_owner(k)).collect();
-        map.retire(2);
-        let mut moved = 0u32;
-        for (k, &owner_before) in before.iter().enumerate() {
-            let owner_after = map.key_owner(k as u32);
-            if owner_before == 2 {
-                assert_ne!(owner_after, 2, "key {k} must leave the dead position");
-                moved += 1;
-            } else {
-                assert_eq!(owner_after, owner_before, "key {k} must not move");
-            }
-        }
-        assert!(moved > 0, "position 2 owned some keys");
-    }
-
-    #[test]
-    #[should_panic(expected = "no live partitions")]
-    fn key_owner_panics_with_no_survivors() {
-        let mut map = PartitionMap::identity(1);
-        map.retire(0);
-        let _ = map.key_owner(7);
     }
 
     #[test]

@@ -567,161 +567,6 @@ impl Iterator for ProbeHits<'_> {
     }
 }
 
-/// One key-partitioned shard of a count-based sliding window, expired by
-/// global per-stream sequence number.
-///
-/// Under hash-partitioned dispatch each worker holds only the window
-/// tuples whose join key it owns, so a count-based capacity cannot be
-/// local: "the last `W` tuples of the stream" is a property of the
-/// *global* stream, and a shard's share of it grows and shrinks with the
-/// key distribution. The router therefore stamps every tuple with its
-/// global per-stream sequence number, and the shard expires by an
-/// explicit watermark instead of a fixed capacity:
-/// [`PartitionedWindow::evict_below`]`(count - W)` drops exactly the
-/// tuples a capacity-`W` global window would have expired. This keeps
-/// the partitioned realization's result multiset identical to the
-/// broadcast one.
-///
-/// Storage is a per-key FIFO chain plus a global arrival-order queue, so
-/// an equi-probe visits exactly the stored tuples equal to the probe key
-/// (oldest first, like [`HashIndexWindow::probe`]) and eviction pops
-/// from the front of both structures.
-///
-/// Sequence numbers must be inserted in ascending order (the router's
-/// per-worker lanes are FIFO, so routed sub-streams arrive sorted).
-///
-/// # Example
-///
-/// ```
-/// use streamcore::{PartitionedWindow, Tuple};
-///
-/// let mut w = PartitionedWindow::new();
-/// w.insert(0, Tuple::new(7, 100));
-/// w.insert(3, Tuple::new(9, 101));
-/// w.insert(5, Tuple::new(7, 102));
-/// // A global window of 4 at stream count 8 keeps seqs 4..8:
-/// // seqs 0 and 3 expire, only seq 5 survives.
-/// w.evict_below(4);
-/// let hits: Vec<u32> = w.probe(7).map(|t| t.payload()).collect();
-/// assert_eq!(hits, vec![102]);
-/// assert_eq!(w.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PartitionedWindow {
-    /// Per-key FIFO chains of `(seq, payload)`, ascending by seq.
-    chains: std::collections::HashMap<u32, VecDeque<(u64, u32)>>,
-    /// Global arrival order as `(seq, key)`, ascending by seq.
-    order: VecDeque<(u64, u32)>,
-}
-
-impl PartitionedWindow {
-    /// Creates an empty shard.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current number of live (unexpired) tuples in this shard.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// `true` if the shard holds no tuples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Number of distinct keys with live tuples.
-    #[must_use]
-    pub fn key_count(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// Stores `tuple` under global sequence number `seq`.
-    ///
-    /// `seq` must be strictly greater than every previously inserted
-    /// sequence number (checked in debug builds).
-    pub fn insert(&mut self, seq: u64, tuple: Tuple) {
-        debug_assert!(
-            self.order.back().is_none_or(|&(last, _)| last < seq),
-            "sequence numbers must arrive ascending"
-        );
-        self.order.push_back((seq, tuple.key()));
-        self.chains
-            .entry(tuple.key())
-            .or_default()
-            .push_back((seq, tuple.payload()));
-    }
-
-    /// Expires every tuple with sequence number below `min_seq` — the
-    /// shard's slice of a global window whose oldest live sequence
-    /// number is `min_seq`.
-    pub fn evict_below(&mut self, min_seq: u64) {
-        while let Some(&(seq, key)) = self.order.front() {
-            if seq >= min_seq {
-                break;
-            }
-            self.order.pop_front();
-            // Invariant: `insert` pushes every `order` entry onto its
-            // key's chain, and a chain is removed only once empty.
-            #[allow(clippy::expect_used)]
-            let chain = self
-                .chains
-                .get_mut(&key)
-                .expect("ordered tuple must have a chain");
-            let evicted = chain.pop_front();
-            debug_assert_eq!(
-                evicted.map(|(s, _)| s),
-                Some(seq),
-                "chain head is global head"
-            );
-            if chain.is_empty() {
-                self.chains.remove(&key);
-            }
-        }
-    }
-
-    /// Number of live tuples whose key equals `key`, in O(1) — the
-    /// counting-only shortcut of the blocked kernel integration: every
-    /// chain entry of an equi-probe is a match, so the tally needs no
-    /// chain walk.
-    #[must_use]
-    pub fn probe_len(&self, key: u32) -> usize {
-        self.chains.get(&key).map_or(0, VecDeque::len)
-    }
-
-    /// Visits the live tuples whose key equals `key`, oldest first.
-    pub fn probe(&self, key: u32) -> impl Iterator<Item = Tuple> + '_ {
-        self.chains
-            .get(&key)
-            .into_iter()
-            .flat_map(|chain| chain.iter())
-            .map(move |&(_, payload)| Tuple::new(key, payload))
-    }
-
-    /// Iterates every live tuple from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Tuple)> + '_ {
-        self.order.iter().map(|&(seq, key)| {
-            let chain = &self.chains[&key];
-            // Invariant: every `order` entry is in its key's chain, which
-            // `insert` keeps sorted by ascending sequence number.
-            #[allow(clippy::expect_used)]
-            let idx = chain
-                .binary_search_by_key(&seq, |&(s, _)| s)
-                .expect("ordered tuple must be in its chain");
-            (seq, Tuple::new(key, chain[idx].1))
-        })
-    }
-
-    /// Removes all elements.
-    pub fn clear(&mut self) {
-        self.chains.clear();
-        self.order.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,71 +643,5 @@ mod tests {
         w.snapshot_into(&mut keys, &mut pays, false);
         assert_eq!(keys, vec![2, 3, 4, 5]);
         assert!(pays.is_empty());
-    }
-
-    #[test]
-    fn partitioned_probe_len_counts_the_chain() {
-        let mut w = PartitionedWindow::new();
-        assert_eq!(w.probe_len(7), 0);
-        w.insert(0, Tuple::new(7, 1));
-        w.insert(1, Tuple::new(7, 2));
-        w.insert(2, Tuple::new(9, 3));
-        assert_eq!(w.probe_len(7), 2);
-        assert_eq!(w.probe_len(9), 1);
-        w.evict_below(1);
-        assert_eq!(w.probe_len(7), 1);
-    }
-
-    #[test]
-    fn partitioned_probe_hits_oldest_first() {
-        let mut w = PartitionedWindow::new();
-        w.insert(0, Tuple::new(7, 100));
-        w.insert(1, Tuple::new(9, 200));
-        w.insert(4, Tuple::new(7, 101));
-        let hits: Vec<u32> = w.probe(7).map(|t| t.payload()).collect();
-        assert_eq!(hits, vec![100, 101]);
-        assert_eq!(w.probe(8).count(), 0);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.key_count(), 2);
-    }
-
-    #[test]
-    fn partitioned_eviction_matches_a_global_capacity_window() {
-        // A shard owning a subset of keys, expired by watermark, must
-        // hold exactly the owned slice of a capacity-W SlidingWindow
-        // over the full stream.
-        const W: u64 = 16;
-        let owned = |key: u32| key.is_multiple_of(3);
-        let mut shard = PartitionedWindow::new();
-        let mut global = SlidingWindow::new(W as usize);
-        for seq in 0..200u64 {
-            let t = Tuple::new((seq % 23) as u32, seq as u32);
-            global.insert((seq, t));
-            if owned(t.key()) {
-                shard.evict_below((seq + 1).saturating_sub(W));
-                shard.insert(seq, t);
-            }
-        }
-        shard.evict_below(200u64.saturating_sub(W));
-        let expect: Vec<(u64, Tuple)> = global
-            .iter()
-            .filter(|(_, t)| owned(t.key()))
-            .copied()
-            .collect();
-        let got: Vec<(u64, Tuple)> = shard.iter().collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn partitioned_eviction_drops_emptied_keys() {
-        let mut w = PartitionedWindow::new();
-        w.insert(2, Tuple::new(5, 0));
-        w.insert(3, Tuple::new(6, 1));
-        w.evict_below(3);
-        assert_eq!(w.key_count(), 1);
-        assert_eq!(w.probe(5).count(), 0);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.key_count(), 0);
     }
 }

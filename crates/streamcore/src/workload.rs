@@ -3,14 +3,13 @@
 //! Experiments need interleaved R/S streams with controllable key
 //! distributions: the key domain sets join selectivity (under uniform
 //! keys a probe matches a window tuple with probability
-//! `1 / key_domain`), while [`KeyDist::Zipf`] models the skewed feeds
-//! that stress hash-partitioned dispatch. Arrival interleaving
-//! ([`ArrivalPattern`]) is controlled the same way.
+//! `1 / key_domain`), while [`KeyDist::Zipf`] models skewed feeds.
+//! Arrival interleaving ([`ArrivalPattern`]) is controlled the same way.
 //!
 //! Generators are deterministic given a seed, so every realization of a
-//! join — hardware simulation, broadcast SplitJoin, partitioned
-//! SplitJoin, handshake chain — sees the identical tuple sequence and
-//! their result multisets can be compared exactly. A workload feeds a
+//! join — hardware simulation, SplitJoin, handshake chain — sees the
+//! identical tuple sequence and their result multisets can be compared
+//! exactly. A workload feeds a
 //! join through the fallible `StreamJoin` API (`process` /
 //! `process_batch`, both `Result`-returning); the measurement loops in
 //! `joinsw::harness` and the equivalence suites in

@@ -10,16 +10,13 @@
 //! exact damage report — at every worker count, because batch message
 //! boundaries, not thread timing, decide what every worker sees.
 //!
-//! The next section pins *cross-dispatch* equivalence: hash-partitioned
-//! dispatch (PanJoin mode) must produce the same result multiset as
-//! broadcast dispatch — and both the single-threaded reference — on
-//! uniform and zipf-skewed workloads at every worker count, including
-//! when a scripted kill takes out a partition owner mid-run.
+//! The next section pins SplitJoin against the single-threaded reference
+//! on uniform and zipf-skewed workloads at every worker count.
 //!
 //! The final section pins *cross-path* equivalence: the blocked probe
 //! path (batches of 8 tuples or more) must be observationally identical
 //! to the per-tuple probe path (smaller batches) — results and
-//! per-worker statistics — in both dispatch modes.
+//! per-worker statistics.
 
 mod common;
 
@@ -28,7 +25,6 @@ use accel_landscape::joinhw::biflow::BiFlowJoin;
 use accel_landscape::joinhw::uniflow::UniFlowJoin;
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinOperator, NetworkKind};
 use accel_landscape::joinsw::baseline::reference_join;
-use accel_landscape::joinsw::config::Partitioning;
 use accel_landscape::joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use accel_landscape::joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use accel_landscape::joinsw::JoinOutcome;
@@ -187,14 +183,14 @@ fn assert_outcomes_agree(first: &JoinOutcome, second: &JoinOutcome, label: &str)
     );
 }
 
-/// Two broadcast-dispatch runs of the same configuration.
+/// Two runs of the same configuration.
 fn run_twice(
     cores: usize,
     batch_size: usize,
     plan: Option<&FaultPlan>,
     inputs: &[(StreamTag, Tuple)],
 ) -> (JoinOutcome, JoinOutcome) {
-    let run = || run_dispatch(Partitioning::Broadcast, cores, batch_size, plan, inputs);
+    let run = || run_splitjoin(cores, batch_size, plan, inputs);
     (run(), run())
 }
 
@@ -280,19 +276,16 @@ proptest! {
     }
 }
 
-/// Runs a SplitJoin to completion in the given dispatch mode.
-/// `batch_size` is an argument — identical batch boundaries are exactly
-/// what makes two runs comparable point-for-point under a fault plan.
-fn run_dispatch(
-    partitioning: Partitioning,
+/// Runs a SplitJoin to completion. `batch_size` is an argument —
+/// identical batch boundaries are exactly what makes two runs comparable
+/// point-for-point under a fault plan.
+fn run_splitjoin(
     cores: usize,
     batch_size: usize,
     plan: Option<&FaultPlan>,
     inputs: &[(StreamTag, Tuple)],
 ) -> JoinOutcome {
-    let mut config = SplitJoinConfig::new(cores, WINDOW)
-        .with_batch_size(batch_size)
-        .with_partitioning(partitioning);
+    let mut config = SplitJoinConfig::new(cores, WINDOW).with_batch_size(batch_size);
     if let Some(plan) = plan {
         config = config.with_fault_plan(plan.clone());
     }
@@ -304,9 +297,9 @@ fn run_dispatch(
     join.shutdown().unwrap()
 }
 
-/// A keyed workload with tunable skew: `s == 0.0` is uniform, larger
+/// A workload with tunable skew: `s == 0.0` is uniform, larger
 /// exponents concentrate the key mass (classic Zipf at `s == 1.0`).
-fn keyed_workload(tuples: usize, domain: u32, seed: u64, s: f64) -> Vec<(StreamTag, Tuple)> {
+fn skewed_workload(tuples: usize, domain: u32, seed: u64, s: f64) -> Vec<(StreamTag, Tuple)> {
     use accel_landscape::streamcore::workload::{KeyDist, WorkloadSpec};
     let keys = if s == 0.0 {
         KeyDist::Uniform { domain }
@@ -320,28 +313,18 @@ fn keyed_workload(tuples: usize, domain: u32, seed: u64, s: f64) -> Vec<(StreamT
 }
 
 #[test]
-fn partitioned_dispatch_matches_broadcast_at_every_worker_count() {
+fn skewed_workloads_match_the_reference_at_every_worker_count() {
     for s in [0.0, 1.0] {
-        let inputs = keyed_workload(600, 8, 42, s);
+        let inputs = skewed_workload(600, 8, 42, s);
         for cores in [1usize, 2, 4, 8] {
-            let broadcast = run_dispatch(Partitioning::Broadcast, cores, 16, None, &inputs);
-            let partitioned = run_dispatch(Partitioning::Hash, cores, 16, None, &inputs);
-            assert_eq!(
-                as_multiset(&partitioned.results),
-                as_multiset(&broadcast.results),
-                "s={s} cores={cores}: dispatch modes diverge"
-            );
-            assert_eq!(partitioned.result_count, broadcast.result_count);
-            assert!(
-                partitioned.partition_stats.is_some() && broadcast.partition_stats.is_none(),
-                "partition telemetry belongs to hash dispatch only"
-            );
-            assert!(!partitioned.fault.degraded());
+            let outcome = run_splitjoin(cores, 16, None, &inputs);
+            assert!(!outcome.fault.degraded());
+            assert_eq!(outcome.result_count, outcome.results.len() as u64);
             let window = SplitJoinConfig::new(cores, WINDOW).effective_window();
             assert_eq!(
-                as_multiset(&partitioned.results),
+                as_multiset(&outcome.results),
                 as_multiset(&reference_join(&inputs, window, JoinPredicate::Equi)),
-                "s={s} cores={cores}: partitioned vs reference"
+                "s={s} cores={cores}: SplitJoin vs reference"
             );
         }
     }
@@ -350,12 +333,11 @@ fn partitioned_dispatch_matches_broadcast_at_every_worker_count() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized cross-dispatch equivalence: any keyed workload —
-    /// uniform or zipf-skewed — at any worker count and batch size
-    /// joins identically under broadcast and hash-partitioned dispatch,
-    /// and both match the single-threaded reference.
+    /// Randomized skewed workloads: any workload — uniform or
+    /// zipf-skewed — at any worker count and batch size matches the
+    /// single-threaded reference.
     #[test]
-    fn partitioned_dispatch_agrees_on_random_workloads(
+    fn skewed_random_workloads_match_the_reference(
         n in 100usize..400,
         domain in 2u32..32,
         seed in any::<u64>(),
@@ -363,95 +345,43 @@ proptest! {
         batch in 1usize..64,
         skew in prop::sample::select(vec![0.0f64, 0.7, 1.3]),
     ) {
-        let inputs = keyed_workload(n, domain, seed, skew);
-        let broadcast = run_dispatch(Partitioning::Broadcast, cores, batch, None, &inputs);
-        let partitioned = run_dispatch(Partitioning::Hash, cores, batch, None, &inputs);
-        prop_assert_eq!(
-            as_multiset(&partitioned.results),
-            as_multiset(&broadcast.results)
-        );
-        prop_assert_eq!(partitioned.result_count, broadcast.result_count);
+        let inputs = skewed_workload(n, domain, seed, skew);
+        let outcome = run_splitjoin(cores, batch, None, &inputs);
+        prop_assert_eq!(outcome.result_count, outcome.results.len() as u64);
         let window = SplitJoinConfig::new(cores, WINDOW).effective_window();
         let want = as_multiset(&reference_join(&inputs, window, JoinPredicate::Equi));
-        prop_assert_eq!(as_multiset(&partitioned.results), want);
+        prop_assert_eq!(as_multiset(&outcome.results), want);
     }
 }
 
 #[test]
-fn partitioned_kill_of_a_partition_owner_degrades_cleanly() {
-    // Killing a partition owner orphans exactly the tuples its ledgers
-    // held (plus any in-flight sub-batches); the survivors re-home the
-    // dead worker's keys and the run completes with a lossy subset of
-    // the healthy results — never an invented match.
-    let inputs = keyed_workload(600, 8, 7, 1.0);
-    let victim = 1usize;
-    let plan = FaultPlan::none().with(FaultEvent::Kill {
-        worker: victim,
-        after_batch: 4,
-    });
-    let healthy = run_dispatch(Partitioning::Hash, 4, 16, None, &inputs);
-    let lossy = run_dispatch(Partitioning::Hash, 4, 16, Some(&plan), &inputs);
-    assert!(lossy.fault.degraded());
-    assert_eq!(lossy.fault.workers_lost, vec![victim]);
-    assert!(
-        lossy.fault.orphaned_tuples > 0,
-        "owner kill must orphan stored tuples"
-    );
-    let healthy_set = as_multiset(&healthy.results);
-    let lossy_set = as_multiset(&lossy.results);
-    for (pair, &count) in &lossy_set {
-        assert!(
-            healthy_set.get(pair).copied().unwrap_or(0) >= count,
-            "lossy run invented a match: {pair:?}"
-        );
-    }
-    let stats = lossy.partition_stats.expect("hash dispatch reports stats");
-    assert_eq!(
-        stats.occupancy[victim], 0,
-        "dead owner's ledger must be cleared"
-    );
-    assert!(
-        !stats.live.contains(&victim),
-        "victim must leave the live set"
-    );
-}
-
-#[test]
-fn per_tuple_and_blocked_paths_agree_across_dispatch_modes() {
+fn per_tuple_and_blocked_paths_agree() {
     let inputs = workload(600, 8, 123);
     let want = as_multiset(&reference_join(&inputs, WINDOW, JoinPredicate::Equi));
     assert!(!want.is_empty());
-    for partitioning in [Partitioning::Broadcast, Partitioning::Hash] {
-        let run = |batch| run_dispatch(partitioning, CORES as usize, batch, None, &inputs);
-        // Batch 1 runs the per-tuple probe: the in-tree reference path.
-        let per_tuple = run(1);
+    let run = |batch| run_splitjoin(CORES as usize, batch, None, &inputs);
+    // Batch 1 runs the per-tuple probe: the in-tree reference path.
+    let per_tuple = run(1);
+    assert_eq!(as_multiset(&per_tuple.results), want, "vs reference");
+    // 7 stays on the per-tuple path; 8, 64 and 512 engage the blocked
+    // tiles.
+    for batch in [7usize, 8, 64, 512] {
+        let other = run(batch);
+        let label = format!("batch {batch}");
         assert_eq!(
+            as_multiset(&other.results),
             as_multiset(&per_tuple.results),
-            want,
-            "{partitioning:?}: vs reference"
+            "{label}: probe paths diverge"
         );
-        // 7 stays on the per-tuple path; 8, 64 and 512 engage the
-        // blocked tiles (broadcast dispatch only — keyed shards never
-        // tile).
-        for batch in [7usize, 8, 64, 512] {
-            let other = run(batch);
-            let label = format!("{partitioning:?}/batch {batch}");
-            assert_eq!(
-                as_multiset(&other.results),
-                as_multiset(&per_tuple.results),
-                "{label}: probe paths diverge"
-            );
-            assert_eq!(
-                other.worker_stats, per_tuple.worker_stats,
-                "{label}: per-worker statistics diverge"
-            );
-            let tiles = other
-                .kernel_stats
-                .expect("every run carries kernel telemetry")
-                .tiles;
-            let blocked = partitioning == Partitioning::Broadcast && batch >= 8;
-            assert_eq!(tiles > 0, blocked, "{label}: {tiles} tiles");
-        }
+        assert_eq!(
+            other.worker_stats, per_tuple.worker_stats,
+            "{label}: per-worker statistics diverge"
+        );
+        let tiles = other
+            .kernel_stats
+            .expect("every run carries kernel telemetry")
+            .tiles;
+        assert_eq!(tiles > 0, batch >= 8, "{label}: {tiles} tiles");
     }
 }
 

@@ -19,7 +19,6 @@ fn expected_splitjoin_keys() -> Vec<String> {
         "splitjoin.batches",
         "splitjoin.tuples",
         "splitjoin.matches",
-        "splitjoin.partition.routed",
         "splitjoin.ring.capacity",
         "splitjoin.arena.lag",
         "splitjoin.workers.live",

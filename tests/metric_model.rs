@@ -15,7 +15,7 @@ use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
 use joinsw::fault::FaultPlan;
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
-use joinsw::{JoinParams, Partitioning, StreamJoin};
+use joinsw::{JoinParams, StreamJoin};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 use streamcore::StreamTag;
 
@@ -43,16 +43,16 @@ fn assert_same_name_same_number(published: &obs::Values, live: &obs::Values, mus
     }
 }
 
-/// A skewed stream, so keyed dispatch splits a hot key.
+/// A skewed stream over both sides.
 fn skewed() -> Vec<(StreamTag, streamcore::Tuple)> {
     WorkloadSpec::new(3_000, KeyDist::Zipf { domain: 32, s: 1.2 })
         .generate()
         .collect()
 }
 
-/// Runs `config` armed over [`skewed`] (prefilled, so keyed dispatch
-/// routes both ways) from a registry cleared of earlier phases; returns
-/// what the engine published and the registry's final reading.
+/// Runs `config` armed over [`skewed`] (after an R-side prefill) from a
+/// registry cleared of earlier phases; returns what the engine published
+/// and the registry's final reading.
 fn armed_splitjoin(config: SplitJoinConfig) -> (obs::Values, obs::Values) {
     let reg = obs::live::global();
     reg.remove_prefix("splitjoin.");
@@ -82,21 +82,6 @@ fn same_name_means_same_number_at_shutdown() {
 
     let (published, live) = armed_splitjoin(SplitJoinConfig::new(2, 64).with_batch_size(32));
     assert_same_name_same_number(&published, &live, &workers);
-
-    let hash = SplitJoinConfig::new(2, 64)
-        .with_batch_size(32)
-        .with_partitioning(Partitioning::Hash)
-        .with_hot_sample(64);
-    let (published, live) = armed_splitjoin(hash);
-    assert_same_name_same_number(
-        &published,
-        &live,
-        &[&workers[..], &["splitjoin.partition.routed"]].concat(),
-    );
-    assert!(
-        published.get("splitjoin.partition.hot_splits").unwrap() > 0,
-        "the stream must split a hot key, or `routed` is just the tuple count"
-    );
 
     // A degraded run publishes `fault.*` at shutdown; the live cells
     // counted the same losses as they happened.
