@@ -83,7 +83,7 @@ impl Error for FabricError {}
 /// let sink = fabric.add_sink();
 /// let b = fabric.block_ids()[0];
 /// fabric.reprogram(b, BlockProgram::Passthrough)?;
-/// fabric.bind_stream("sensor", b, Port::Left);
+/// fabric.bind_stream("sensor", b, Port::Left)?;
 /// fabric.connect(b, Target::Sink(sink))?;
 /// fabric.push("sensor", Record::new(vec![42]))?;
 /// assert_eq!(fabric.take_sink(sink)?, vec![Record::new(vec![42])]);
@@ -208,11 +208,25 @@ impl Fabric {
 
     /// Routes records arriving on `stream` into `(block, port)`. Multiple
     /// bindings fan the stream out (Fig. 7's shared product stream).
-    pub fn bind_stream(&mut self, stream: impl Into<String>, block: BlockId, port: Port) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::UnknownBlock`] for an invalid id; the
+    /// stream is left unbound.
+    pub fn bind_stream(
+        &mut self,
+        stream: impl Into<String>,
+        block: BlockId,
+        port: Port,
+    ) -> Result<(), FabricError> {
+        if block.0 >= self.blocks.len() {
+            return Err(FabricError::UnknownBlock { id: block });
+        }
         self.entries
             .entry(stream.into().to_ascii_lowercase())
             .or_default()
             .push((block, port));
+        Ok(())
     }
 
     /// `true` if `from` can reach `goal` through existing edges.
@@ -267,21 +281,6 @@ impl Fabric {
             }
         }
         Ok(())
-    }
-
-    /// Reorders a live Select block's conditions by their observed pass
-    /// rates (statistics-driven micro re-optimization; see
-    /// [`OpBlock::reoptimize_select`]). Returns `true` if the order
-    /// changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::UnknownBlock`] for an invalid id.
-    pub fn reoptimize_select(&mut self, id: BlockId) -> Result<bool, FabricError> {
-        self.blocks
-            .get_mut(id.0)
-            .map(OpBlock::reoptimize_select)
-            .ok_or(FabricError::UnknownBlock { id })
     }
 
     /// Removes and returns everything collected at `sink`.
@@ -375,7 +374,7 @@ mod tests {
         f.reprogram(b0, select_gt(0, 10)).unwrap();
         f.reprogram(b1, BlockProgram::Op(PlanOp::Project { fields: vec![1] }))
             .unwrap();
-        f.bind_stream("in", b0, Port::Left);
+        f.bind_stream("in", b0, Port::Left).unwrap();
         f.connect(b0, Target::Block(b1, Port::Left)).unwrap();
         f.connect(b1, Target::Sink(sink)).unwrap();
 
@@ -391,7 +390,7 @@ mod tests {
         let s2 = f.add_sink();
         let b = BlockId(0);
         f.reprogram(b, BlockProgram::Passthrough).unwrap();
-        f.bind_stream("x", b, Port::Left);
+        f.bind_stream("x", b, Port::Left).unwrap();
         f.connect(b, Target::Sink(s1)).unwrap();
         f.connect(b, Target::Sink(s2)).unwrap();
         f.push("x", rec(&[1])).unwrap();
@@ -413,8 +412,8 @@ mod tests {
             }),
         )
         .unwrap();
-        f.bind_stream("customers", b, Port::Left);
-        f.bind_stream("products", b, Port::Right);
+        f.bind_stream("customers", b, Port::Left).unwrap();
+        f.bind_stream("products", b, Port::Right).unwrap();
         f.connect(b, Target::Sink(sink)).unwrap();
 
         f.push("products", rec(&[7, 999])).unwrap();
@@ -440,7 +439,7 @@ mod tests {
         let mut f = Fabric::new(1);
         let b = BlockId(0);
         f.reprogram(b, BlockProgram::Passthrough).unwrap();
-        f.bind_stream("x", b, Port::Left);
+        f.bind_stream("x", b, Port::Left).unwrap();
         assert_eq!(f.idle_blocks(), 0);
         f.release(b).unwrap();
         assert_eq!(f.idle_blocks(), 1);
@@ -459,14 +458,14 @@ mod tests {
         let old = f.add_sink();
         f.reprogram(x, BlockProgram::Passthrough).unwrap();
         f.reprogram(y, BlockProgram::Passthrough).unwrap();
-        f.bind_stream("a", x, Port::Left);
+        f.bind_stream("a", x, Port::Left).unwrap();
         f.connect(x, Target::Block(y, Port::Left)).unwrap();
         f.connect(y, Target::Sink(old)).unwrap();
         f.release(y).unwrap();
 
         let new = f.add_sink();
         f.reprogram(y, BlockProgram::Passthrough).unwrap();
-        f.bind_stream("b", y, Port::Left);
+        f.bind_stream("b", y, Port::Left).unwrap();
         f.connect(y, Target::Sink(new)).unwrap();
         f.push("a", rec(&[1])).unwrap();
         assert!(f.take_sink(new).unwrap().is_empty(), "{}", f.to_dot());
@@ -497,11 +496,25 @@ mod tests {
     }
 
     #[test]
+    fn binding_a_stream_to_an_unknown_block_is_an_error() {
+        let mut f = Fabric::new(2);
+        assert_eq!(
+            f.bind_stream("s", BlockId(9), Port::Left),
+            Err(FabricError::UnknownBlock { id: BlockId(9) })
+        );
+        // Nothing was bound, so a push reports the stream, not a panic.
+        assert!(matches!(
+            f.push("s", rec(&[1])),
+            Err(FabricError::UnknownStream { .. })
+        ));
+    }
+
+    #[test]
     fn dot_export_covers_the_topology() {
         let mut f = Fabric::new(2);
         let sink = f.add_sink();
         f.reprogram(BlockId(0), select_gt(0, 5)).unwrap();
-        f.bind_stream("readings", BlockId(0), Port::Left);
+        f.bind_stream("readings", BlockId(0), Port::Left).unwrap();
         f.connect(BlockId(0), Target::Block(BlockId(1), Port::Left))
             .unwrap();
         f.connect(BlockId(1), Target::Sink(sink)).unwrap();

@@ -31,10 +31,9 @@
 //! [`plan::PlanOp`] is the one operator type and [`opblock::OpBlock`]
 //! the one runtime for it: a block programmed with
 //! [`opblock::BlockProgram::Op`] runs one bound operator, whether it sits
-//! on a [`fabric::Fabric`] (wired by [`manager`]), on a
-//! [`datapath::DataPath`] stage, or beside the hardware join of
-//! [`hwbridge`], which runs every non-join operator of its plan in
-//! OP-Blocks. [`opblock::WindowAggregate`] is the one windowed aggregate,
+//! on a [`fabric::Fabric`] (wired by [`manager`]) or beside the hardware
+//! join of [`hwbridge`], which runs every non-join operator of its plan
+//! in OP-Blocks. [`opblock::WindowAggregate`] is the one windowed aggregate,
 //! behind aggregate blocks and the `query` crate's inline aggregates.
 //!
 //! # Where FQP sits in the landscape
@@ -79,7 +78,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod datapath;
 pub mod fabric;
 pub mod hwbridge;
 pub mod landscape;
@@ -87,6 +85,5 @@ pub mod manager;
 pub mod opblock;
 pub mod placement;
 pub mod plan;
-pub mod provision;
 pub mod query;
 pub mod reconfig;

@@ -254,7 +254,7 @@ impl QueryManager {
         // is newly allocated (a shared first block is already bound).
         if shared.is_empty() {
             self.fabric
-                .bind_stream(&plan.primary, chain[0].0, Port::Left);
+                .bind_stream(&plan.primary, chain[0].0, Port::Left)?;
         }
         for (i, (id, prog)) in chain.iter().enumerate().skip(shared.len()) {
             if matches!(prog, BlockProgram::Op(PlanOp::Join { .. })) {
@@ -262,7 +262,7 @@ impl QueryManager {
                     .secondary
                     .as_deref()
                     .expect("join implies a secondary stream");
-                self.fabric.bind_stream(stream, *id, Port::Right);
+                self.fabric.bind_stream(stream, *id, Port::Right)?;
             }
             if i > 0 {
                 self.fabric
@@ -665,18 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn join_prefix_requires_matching_secondary_stream() {
-        // Same operator shape but a different secondary stream: the join
-        // must NOT be shared.
-        let q1 = plan_of("SELECT * FROM customers JOIN products ON product_id WINDOW 64");
-        let q2 = plan_of("SELECT * FROM customers JOIN returns ON product_id WINDOW 64");
-        let mut mgr = QueryManager::new(2);
-        mgr.deploy(&q1).unwrap();
-        mgr.deploy(&q2).unwrap();
-        assert_eq!(mgr.sharing_report().blocks_in_use, 2);
-    }
-
-    #[test]
     fn sharing_reduces_the_block_requirement() {
         let q1 = plan_of("SELECT * FROM customers WHERE age > 25");
         let q2 = plan_of("SELECT age FROM customers WHERE age > 25");
@@ -701,13 +689,65 @@ mod tests {
     }
 
     #[test]
-    fn unshared_streams_do_not_share() {
-        let q1 = plan_of("SELECT * FROM customers WHERE product_id > 0");
-        let q2 = plan_of("SELECT * FROM products WHERE product_id > 0");
-        let mut mgr = QueryManager::new(2);
-        mgr.deploy(&q1).unwrap();
-        mgr.deploy(&q2).unwrap();
-        assert_eq!(mgr.sharing_report().blocks_in_use, 2);
+    fn blocks_in_use_count_each_shared_prefix_once() {
+        const Q1: &str = "SELECT * FROM customers WHERE age > 25 \
+                          JOIN products ON product_id WINDOW 1536";
+        const Q2: &str = "SELECT * FROM customers WHERE age > 25 \
+                          JOIN products ON product_id WINDOW 2048";
+        const HOT: &str = "SELECT * FROM customers WHERE age > 25";
+        const ALL: &str = "SELECT * FROM customers";
+        let table: [(&[&str], usize); 11] = [
+            (&[Q1], 2),
+            (&[Q1, Q2], 3),
+            (&[Q1, Q1], 2),
+            (&[HOT, HOT], 1),
+            (&[HOT, "SELECT age FROM customers WHERE age > 25"], 2),
+            // The same operator over different streams.
+            (
+                &[
+                    "SELECT * FROM customers WHERE product_id > 0",
+                    "SELECT * FROM products WHERE product_id > 0",
+                ],
+                2,
+            ),
+            // A plan without operators takes one passthrough block per
+            // stream.
+            (&[ALL, "SELECT * FROM products"], 2),
+            (&[ALL, ALL], 1),
+            // The same join shape with a different secondary stream.
+            (
+                &[
+                    "SELECT * FROM customers JOIN products ON product_id WINDOW 64",
+                    "SELECT * FROM customers JOIN returns ON product_id WINDOW 64",
+                ],
+                2,
+            ),
+            // The same ops after joins with different secondaries: the
+            // blocks behind them see different records, so neither shares.
+            (
+                &[
+                    "SELECT age FROM customers JOIN products ON product_id WINDOW 64",
+                    "SELECT age FROM customers JOIN returns ON product_id WINDOW 64",
+                ],
+                4,
+            ),
+            (
+                &[
+                    "SELECT * FROM customers JOIN products ON product_id WINDOW 64 \
+                     WHERE product_id > 5",
+                    "SELECT * FROM customers JOIN returns ON product_id WINDOW 64 \
+                     WHERE product_id > 5",
+                ],
+                4,
+            ),
+        ];
+        for (texts, blocks) in table {
+            let mut mgr = QueryManager::new(16);
+            for text in texts {
+                mgr.deploy(&plan_of(text)).unwrap();
+            }
+            assert_eq!(mgr.sharing_report().blocks_in_use, blocks, "{texts:?}");
+        }
     }
 
     #[test]

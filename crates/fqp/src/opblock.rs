@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use hwsim::Resources;
 use streamcore::{Record, SlidingWindow};
 
 use crate::plan::{Plan, PlanOp};
@@ -164,12 +163,6 @@ pub struct OpBlock {
     window_left: Option<SlidingWindow<Record>>,
     window_right: Option<SlidingWindow<Record>>,
     aggregate: Option<WindowAggregate>,
-    /// Per-condition statistics for Select programs: (evaluated, passed),
-    /// parallel to the condition list. The paper's open problem #2 asks
-    /// "how to collect and store statistics during query execution while
-    /// minimizing the impact" — these counters are what the re-optimizer
-    /// consumes.
-    cond_stats: Vec<(u64, u64)>,
     stats: BlockStats,
 }
 
@@ -182,7 +175,6 @@ impl OpBlock {
             window_left: None,
             window_right: None,
             aggregate: None,
-            cond_stats: Vec::new(),
             stats: BlockStats::default(),
         }
     }
@@ -221,51 +213,8 @@ impl OpBlock {
             BlockProgram::Op(op) => WindowAggregate::of(op),
             _ => None,
         };
-        self.cond_stats = match &program {
-            BlockProgram::Op(PlanOp::Select { conditions }) => vec![(0, 0); conditions.len()],
-            _ => Vec::new(),
-        };
         self.program = program;
         self.stats.reprograms += 1;
-    }
-
-    /// Per-condition (evaluated, passed) counters of a Select program,
-    /// parallel to its condition list.
-    pub fn condition_stats(&self) -> &[(u64, u64)] {
-        &self.cond_stats
-    }
-
-    /// Reorders a Select program's conditions by observed pass rate,
-    /// cheapest filter first, so short-circuit evaluation does the least
-    /// work — the statistics-driven micro re-optimization of the paper's
-    /// open problem #2. Returns `true` if the order changed. Counters are
-    /// reset so the next measurement window is clean. A conjunction is
-    /// order-insensitive, so results are unchanged.
-    pub fn reoptimize_select(&mut self) -> bool {
-        let BlockProgram::Op(PlanOp::Select { conditions }) = &mut self.program else {
-            return false;
-        };
-        let mut order: Vec<usize> = (0..conditions.len()).collect();
-        order.sort_by(|&a, &b| {
-            let rate = |i: usize| {
-                let (eval, pass) = self.cond_stats[i];
-                if eval == 0 {
-                    1.0
-                } else {
-                    pass as f64 / eval as f64
-                }
-            };
-            rate(a).partial_cmp(&rate(b)).expect("finite rates")
-        });
-        let changed = order.iter().enumerate().any(|(i, &o)| i != o);
-        if changed {
-            let reordered: Vec<_> = order.iter().map(|&i| conditions[i]).collect();
-            *conditions = reordered;
-        }
-        for s in &mut self.cond_stats {
-            *s = (0, 0);
-        }
-        changed
     }
 
     /// Processes one record arriving on `port`, returning the emitted
@@ -276,18 +225,7 @@ impl OpBlock {
             BlockProgram::Idle => Vec::new(),
             BlockProgram::Passthrough => vec![record],
             BlockProgram::Op(PlanOp::Select { conditions }) => {
-                // Short-circuit conjunction with per-condition statistics.
-                let mut all = true;
-                for (c, stat) in conditions.iter().zip(&mut self.cond_stats) {
-                    stat.0 += 1;
-                    if c.eval(record.values()) {
-                        stat.1 += 1;
-                    } else {
-                        all = false;
-                        break;
-                    }
-                }
-                if all {
+                if conditions.iter().all(|c| c.eval(record.values())) {
                     vec![record]
                 } else {
                     Vec::new()
@@ -358,19 +296,6 @@ impl OpBlock {
         };
         self.stats.records_out += out.len() as u64;
         out
-    }
-
-    /// Synthesis-model resource cost of one OP-Block with `window`-sized
-    /// join buffers (used by fabric sizing): the block logic plus two
-    /// record windows of `record_bits` each.
-    pub fn resource_cost(window: usize, record_bits: u64) -> Resources {
-        // Control FSMs, comparators, and the programmable bridge ports.
-        let logic = Resources {
-            luts: 420,
-            ffs: 360,
-            bram18: 0,
-        };
-        logic + Resources::for_memory(window as u64 * record_bits) * 2
     }
 }
 
@@ -478,14 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_cost_scales_with_window() {
-        let small = OpBlock::resource_cost(16, 64);
-        let large = OpBlock::resource_cost(4_096, 64);
-        assert!(large.bram18 > small.bram18);
-        assert!(small.luts >= 420);
-    }
-
-    #[test]
     fn aggregates_emit_running_values_over_the_window() {
         let mut b = OpBlock::new(BlockId(6));
         b.reprogram(BlockProgram::Op(PlanOp::Aggregate {
@@ -560,75 +477,6 @@ mod tests {
         b.reprogram(count);
         let out = b.process(Port::Left, rec(&[3]));
         assert_eq!(out[0].values()[0], 1, "state must reset on reprogram");
-    }
-
-    #[test]
-    fn condition_stats_track_short_circuit_evaluation() {
-        let mut b = OpBlock::new(BlockId(9));
-        b.reprogram(BlockProgram::Op(PlanOp::Select {
-            conditions: vec![
-                BoundCondition {
-                    field: 0,
-                    op: CmpOp::Gt,
-                    value: 50,
-                }, // rarely true
-                BoundCondition {
-                    field: 1,
-                    op: CmpOp::Gt,
-                    value: 0,
-                }, // always true
-            ],
-        }));
-        for v in 0..100u64 {
-            b.process(Port::Left, rec(&[v, 1]));
-        }
-        let stats = b.condition_stats();
-        assert_eq!(stats[0], (100, 49)); // 51..=99 pass
-                                         // Second condition only evaluated when the first passed.
-        assert_eq!(stats[1], (49, 49));
-    }
-
-    #[test]
-    fn reoptimize_orders_cheapest_filter_first() {
-        let mut b = OpBlock::new(BlockId(10));
-        // Condition order is pessimal: the always-true one first.
-        b.reprogram(BlockProgram::Op(PlanOp::Select {
-            conditions: vec![
-                BoundCondition {
-                    field: 1,
-                    op: CmpOp::Gt,
-                    value: 0,
-                }, // pass rate ~1
-                BoundCondition {
-                    field: 0,
-                    op: CmpOp::Gt,
-                    value: 90,
-                }, // pass rate ~0.09
-            ],
-        }));
-        for v in 0..100u64 {
-            b.process(Port::Left, rec(&[v, 1]));
-        }
-        let before: u64 = b.condition_stats().iter().map(|s| s.0).sum();
-        assert_eq!(before, 200, "pessimal order evaluates both every time");
-        assert!(b.reoptimize_select());
-        // Same semantics, fewer evaluations.
-        let mut passed = 0;
-        for v in 0..100u64 {
-            passed += b.process(Port::Left, rec(&[v, 1])).len();
-        }
-        assert_eq!(passed, 9);
-        let after: u64 = b.condition_stats().iter().map(|s| s.0).sum();
-        assert!(after < 120, "selective filter first: {after} evaluations");
-        // Already-optimal order reports no change.
-        assert!(!b.reoptimize_select());
-    }
-
-    #[test]
-    fn reoptimize_is_a_noop_for_non_select_programs() {
-        let mut b = OpBlock::new(BlockId(11));
-        b.reprogram(BlockProgram::Passthrough);
-        assert!(!b.reoptimize_select());
     }
 
     #[test]
