@@ -83,7 +83,6 @@ pub mod hwbridge;
 pub mod landscape;
 pub mod manager;
 pub mod opblock;
-pub mod placement;
 pub mod plan;
 pub mod query;
 pub mod reconfig;

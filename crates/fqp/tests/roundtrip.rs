@@ -1,11 +1,10 @@
-//! Plan → placement → reconfigure round-trips: placement is a pure,
-//! deterministic function of `(plan, sites, objective)`; re-planning a
-//! deployed query (undeploy + redeploy, the FQP runtime-remap path)
-//! reproduces the original results exactly; and malformed queries are
-//! rejected with typed [`PlanError`]s, never panics.
+//! Plan → reconfigure round-trips: binding is canonical over equivalent
+//! queries; re-planning a deployed query (undeploy + redeploy, the FQP
+//! runtime-remap path) reproduces the original results exactly; and
+//! malformed queries are rejected with typed [`PlanError`]s, never
+//! panics.
 
 use fqp::manager::QueryManager;
-use fqp::placement::{default_sites, place, Objective};
 use fqp::plan::{bind, Catalog, Plan, PlanError, MAX_TRUTH_TABLE_ATOMS};
 use fqp::query::Query;
 use streamcore::Record;
@@ -25,31 +24,10 @@ const JOIN_QUERY: &str =
     "SELECT * FROM customers WHERE age > 25 JOIN products ON product_id WINDOW 1024";
 
 #[test]
-fn placement_is_deterministic_across_repeated_calls() {
-    let plan = plan_of(JOIN_QUERY);
-    let sites = default_sites();
-    for objective in [Objective::MaxThroughput, Objective::MinLatency] {
-        let first = place(&plan, &sites, objective);
-        for _ in 0..10 {
-            let again = place(&plan, &sites, objective);
-            assert_eq!(
-                again.sites, first.sites,
-                "{objective:?}: site choice drifted"
-            );
-            assert_eq!(
-                (again.throughput_tps, again.latency_us),
-                (first.throughput_tps, first.latency_us),
-                "{objective:?}: predicted figures drifted"
-            );
-        }
-    }
-}
-
-#[test]
-fn equal_plans_place_identically_regardless_of_origin() {
+fn equal_plans_bind_identically_regardless_of_origin() {
     // The same logical query arrives once via the text parser and once
     // re-parsed from its canonical rendering; binding must converge to
-    // the same plan, and the same plan to the same placement.
+    // the same plan.
     let parsed = Query::parse(JOIN_QUERY).unwrap();
     let reparsed = Query::parse(&parsed.to_string()).unwrap();
     let a = bind(&parsed, &catalog()).unwrap();
@@ -57,33 +35,6 @@ fn equal_plans_place_identically_regardless_of_origin() {
     assert_eq!(
         a.ops, b.ops,
         "bind must be canonical over equivalent queries"
-    );
-    let sites = default_sites();
-    assert_eq!(
-        place(&a, &sites, Objective::MaxThroughput).sites,
-        place(&b, &sites, Objective::MaxThroughput).sites,
-    );
-}
-
-#[test]
-fn objective_flip_round_trips_to_the_original_placement() {
-    // Re-planning is an involution: MaxThroughput -> MinLatency ->
-    // MaxThroughput must land exactly where the first placement did,
-    // or repeated re-plans would walk the system through drifting
-    // configurations.
-    let plan = plan_of(JOIN_QUERY);
-    let sites = default_sites();
-    let first = place(&plan, &sites, Objective::MaxThroughput);
-    let flipped = place(&plan, &sites, Objective::MinLatency);
-    let back = place(&plan, &sites, Objective::MaxThroughput);
-    assert_eq!(back.sites, first.sites);
-    assert_eq!(back.throughput_tps, first.throughput_tps);
-    assert_eq!(back.latency_us, first.latency_us);
-    // And the flip itself must actually trade throughput for latency
-    // (distinct optima) for the round-trip to be meaningful.
-    assert!(
-        flipped.latency_us <= first.latency_us,
-        "MinLatency placement may not be slower to respond than MaxThroughput's"
     );
 }
 

@@ -3,15 +3,15 @@
 //! [`JoinConfig`] holds the fields all engines agree on — cores, window,
 //! predicate, channel capacity, batch size, result collection, and the
 //! [`FaultPlan`] — with one set of builder methods and one set of
-//! validation rules. The per-engine configs
-//! ([`SplitJoinConfig`](crate::splitjoin::SplitJoinConfig),
-//! [`HandshakeConfig`](crate::handshake::HandshakeConfig)) wrap it in a
-//! `common` field and deref to it. The [`JoinParams`] trait is how
-//! generic code ([`StreamJoin`](crate::streamjoin::StreamJoin)
-//! implementations, the measurement harness) reaches the shared fields of
-//! any engine's config, and where the shared `with_*` builders are
-//! written, once, for all three config types. A configuration is a
-//! value: nothing here reads the process environment.
+//! validation rules. [`SplitJoinConfig`](crate::splitjoin::SplitJoinConfig)
+//! is `JoinConfig` itself; [`HandshakeConfig`](crate::handshake::HandshakeConfig)
+//! wraps it in a `common` field, for its own defaults, and derefs to it.
+//! The [`JoinParams`] trait is how generic code
+//! ([`StreamJoin`](crate::streamjoin::StreamJoin) implementations, the
+//! measurement harness) reaches the shared fields of any engine's config,
+//! and where the shared `with_*` builders are written, once, for both
+//! config types. A configuration is a value: nothing here reads the
+//! process environment.
 
 use streamcore::JoinPredicate;
 

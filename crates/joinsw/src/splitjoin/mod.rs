@@ -104,7 +104,6 @@
 //! plan none of this machinery runs per tuple: the router counts stream
 //! tags per batch and nothing else.
 
-mod config;
 mod lanes;
 mod live;
 mod router;
@@ -116,13 +115,16 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use crate::config::JoinConfig;
 use crate::error::JoinError;
 pub use crate::error::WorkerStats;
 use streamcore::kernel::KernelStats;
 use streamcore::ring;
 use streamcore::{MatchPair, PartitionMap, StreamTag, Tuple};
 
-pub use self::config::SplitJoinConfig;
+/// Configuration of a [`SplitJoin`] instance: the shared [`JoinConfig`]
+/// itself, since SplitJoin has no field of its own.
+pub type SplitJoinConfig = JoinConfig;
 
 use self::lanes::Msg;
 use self::live::{LiveRouter, LiveWorker};
@@ -177,7 +179,7 @@ impl StreamJoin for SplitJoin {
     /// zero, or the fault plan targets a worker out of range (the builder
     /// methods reject these, but the fields are public).
     fn spawn(config: SplitJoinConfig) -> Self {
-        config.common.validate();
+        config.validate();
 
         // Distribution path. The arena holds `channel_capacity + 2`
         // batch slots: every batch a worker can have queued, plus the

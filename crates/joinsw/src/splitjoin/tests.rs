@@ -229,7 +229,7 @@ fn spawn_validates_direct_field_writes() {
 #[should_panic(expected = "targets worker 9")]
 fn spawn_validates_fault_plan_targets() {
     let mut config = SplitJoinConfig::new(2, 8);
-    config.common.fault_plan = crate::fault::FaultPlan::parse("kill9").unwrap();
+    config.fault_plan = crate::fault::FaultPlan::parse("kill9").unwrap();
     let _ = SplitJoin::spawn(config);
 }
 

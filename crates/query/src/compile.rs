@@ -6,23 +6,37 @@
 //! unknown streams and fields surface as the same typed [`PlanError`]s
 //! the flexible query processor reports. It checks that the plan is
 //! *representable* on the software engines (64-bit tuples: at most two
-//! ≤32-bit fields per stream, join key first), and then chooses an
-//! engine by running [`fqp::placement::place`] over engine-calibrated
-//! [`SiteProfile`]s.
+//! ≤32-bit fields per stream, join key first), and then picks a joined
+//! query's engine by rule from the [`Objective`] and the pool width:
 //!
-//! The output is a [`CompiledQuery`]: the bound `fqp` plan, the
-//! placement decision, the chosen [`EngineKind`], and the
-//! [`PostPipeline`] — the bound plan's `Select` and `Project`, read off
-//! its operators — the runtime applies to each match the shared engine
-//! emits.
+//! * [`Objective::MinLatency`] → the handshake chain;
+//! * [`Objective::MaxThroughput`] on more than one core → SplitJoin;
+//! * otherwise → the single-threaded baseline.
+//!
+//! The rule reads neither the filter nor the projection: both run in
+//! the runtime after the engine, so they cannot change which engine is
+//! faster.
+//!
+//! The output is a [`CompiledQuery`]: the bound `fqp` plan, the chosen
+//! [`EngineKind`], and the [`PostPipeline`] — the bound plan's `Select`
+//! and `Project`, read off its operators — the runtime applies to each
+//! match the shared engine emits.
 
 use std::fmt;
 
 use fqp::opblock::WindowAggregate;
-use fqp::placement::{place, Objective, Placement, SiteKind, SiteProfile};
 use fqp::plan::{bind, BoundCondition, Catalog, Plan, PlanError, PlanOp};
 
 use crate::logical::LogicalPlan;
+
+/// What [`compile`] picks a joined query's engine for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Objective {
+    /// Minimize per-tuple latency: the handshake chain.
+    MinLatency,
+    /// Maximize throughput: SplitJoin over the worker pool.
+    MaxThroughput,
+}
 
 /// Which physical engine a compiled query runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,12 +196,8 @@ pub enum Shape {
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The bound `fqp` plan; `plan.query` is the query compiled. Drives
-    /// placement and `EXPLAIN`.
+    /// `EXPLAIN`.
     pub plan: Plan,
-    /// The placement decision over the engine-calibrated sites, one site
-    /// per engine operator: a joined query's filter over the joined
-    /// record runs in the runtime, not on a site, and is not placed.
-    pub placement: Placement,
     /// The chosen engine.
     pub engine: EngineKind,
     /// The physical shape the runtime executes.
@@ -223,62 +233,20 @@ pub(crate) fn filter_below_join(side: &str) -> CompileError {
     ))
 }
 
-/// Engine-calibrated execution sites, in [`EngineKind`] decoding order:
-/// baseline, splitjoin (scaled by `cores`), handshake chain.
-///
-/// Throughputs are order-of-magnitude calibrations from this repo's own
-/// software measurements (Figs. 14d/16 harnesses); they exist to make
-/// [`place`] pick the *right* engine for an objective, not to predict
-/// absolute numbers.
-pub fn engine_sites(cores: usize) -> Vec<SiteProfile> {
-    let cores = cores.max(1) as f64;
-    vec![
-        SiteProfile {
-            name: "baseline (1 core, nested loop)".into(),
-            kind: SiteKind::Cpu,
-            filter_tps: 50e6,
-            join_tps_per_1k_window: 1.2e6,
-            aggregate_tps: 30e6,
-            // Synchronous full-window probe per tuple.
-            tuple_latency_us: 20.0,
-            transfer_latency_us: 0.0,
-        },
-        SiteProfile {
-            name: "splitjoin router".into(),
-            kind: SiteKind::Cpu,
-            filter_tps: 50e6,
-            join_tps_per_1k_window: 0.9e6 * cores,
-            aggregate_tps: 30e6,
-            // Batched distribution and collection trade latency for
-            // throughput.
-            tuple_latency_us: 8.0,
-            transfer_latency_us: 0.5,
-        },
-        SiteProfile {
-            name: "handshake chain".into(),
-            kind: SiteKind::Cpu,
-            filter_tps: 50e6,
-            join_tps_per_1k_window: 0.6e6 * cores,
-            aggregate_tps: 30e6,
-            // Low-latency fast-forwarding through the chain.
-            tuple_latency_us: 2.0,
-            transfer_latency_us: 0.5,
-        },
-    ]
-}
-
-fn engine_of_site(site: usize) -> EngineKind {
-    match site {
-        0 => EngineKind::Baseline,
-        1 => EngineKind::Split,
-        _ => EngineKind::Handshake,
+/// The engine a joined query runs on under `objective` with a pool of
+/// `cores` threads.
+pub(crate) fn engine_for(objective: Objective, cores: usize) -> EngineKind {
+    match objective {
+        Objective::MinLatency => EngineKind::Handshake,
+        Objective::MaxThroughput if cores > 1 => EngineKind::Split,
+        Objective::MaxThroughput => EngineKind::Baseline,
     }
 }
 
 /// Compiles `logical` against `catalog` for a worker pool of `cores`
-/// threads, optimizing for `objective`: binds its query once with
-/// [`bind`], then reads the [`Shape`] and its [`PostPipeline`] off the
-/// bound operators.
+/// threads: binds its query once with [`bind`], reads the [`Shape`] and
+/// its [`PostPipeline`] off the bound operators, and picks a joined
+/// query's engine for `objective` by the rule in the module docs.
 ///
 /// # Errors
 ///
@@ -333,18 +301,9 @@ pub fn compile(
         }
     }
 
-    // Placement sees the engine's operators: the filter over the joined
-    // record runs on the caller, after the engine.
-    let mut placed = plan.clone();
-    if join.is_some() {
-        placed.ops.retain(|op| !matches!(op, PlanOp::Select { .. }));
-    }
-    let placement = place(&placed, &engine_sites(cores), objective);
-
     // `bind` writes a Join op exactly when the query has a join clause.
     let (Some((key_left, key_right, window)), Some(clause)) = (join, &query.join) else {
         return Ok(CompiledQuery {
-            placement,
             engine: EngineKind::Inline,
             shape: Shape::Single {
                 stream: query.from.clone(),
@@ -370,9 +329,7 @@ pub fn compile(
         }
     }
     Ok(CompiledQuery {
-        // The join is the first engine operator.
-        engine: engine_of_site(placement.sites[0]),
-        placement,
+        engine: engine_for(objective, cores),
         shape: Shape::Joined {
             key: GroupKey {
                 left: query.from.clone(),
@@ -503,15 +460,41 @@ mod tests {
 
     #[test]
     fn objectives_pick_different_engines() {
-        let latency = compile(&joined(), &catalog(), 4, Objective::MinLatency).unwrap();
-        assert_eq!(
-            latency.engine,
-            EngineKind::Handshake,
-            "{}",
-            latency.explain()
-        );
-        let single_core = compile(&joined(), &catalog(), 1, Objective::MaxThroughput).unwrap();
-        assert_eq!(single_core.engine, EngineKind::Baseline);
+        // The engine is the objective's and the pool's alone: a filter or
+        // a projection over the joined record never moves it.
+        let cat = catalog();
+        for cores in 1..=8 {
+            for objective in [Objective::MinLatency, Objective::MaxThroughput] {
+                let want = match (objective, cores) {
+                    (Objective::MinLatency, _) => EngineKind::Handshake,
+                    (Objective::MaxThroughput, 1) => EngineKind::Baseline,
+                    (Objective::MaxThroughput, _) => EngineKind::Split,
+                };
+                for window in 1..=128 {
+                    let join = || {
+                        LogicalPlan::source("trades").join(
+                            LogicalPlan::source("quotes"),
+                            "sym",
+                            window,
+                        )
+                    };
+                    for plan in [
+                        join(),
+                        join().filter("qty", CmpOp::Gt, 10),
+                        join().project(["qty", "px"]),
+                        join().filter("px", CmpOp::Lt, 50).project(["sym"]),
+                    ] {
+                        let q = compile(&plan, &cat, cores, objective).unwrap();
+                        assert_eq!(
+                            q.engine,
+                            want,
+                            "{cores} cores, {objective:?}:\n{}",
+                            q.explain()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

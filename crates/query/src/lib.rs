@@ -17,7 +17,7 @@
 //!                                                              typed PlanErrors)
 //!                                                                   │
 //!        ┌──── Shape + PostPipeline read off the bound ops, ◀───────┘
-//!        │     engine from fqp::placement::place over calibrated sites
+//!        │     engine by rule from the Objective and the pool width
 //!        ▼
 //!   CompiledQuery ──admit──▶ QueryRuntime ──▶ shared StreamJoin engines
 //!   (plan + engine           (multi-tenant:      (SplitJoin / handshake
@@ -31,8 +31,8 @@
 //! * [`mod@compile`] — one [`fqp::plan::bind`] against an
 //!   [`fqp::plan::Catalog`] (unknown streams/fields are the same typed
 //!   [`fqp::plan::PlanError`]s), engine-representability checks, the
-//!   post pipeline read off the bound operators, and engine selection via
-//!   [`fqp::placement::place`] over engine-calibrated site profiles.
+//!   post pipeline read off the bound operators, and the engine picked by
+//!   rule from the [`Objective`](compile::Objective) and the pool width.
 //! * [`runtime`] — the multi-tenant
 //!   [`QueryRuntime`]: admission/cancellation,
 //!   engine sharing per stream-pair group, per-query `query.<id>.*`
@@ -76,16 +76,15 @@ pub use runtime::{HandoffReport, QueryReport, QueryRuntime, RuntimeConfig, Runti
 /// The single import for writing and running standing queries: the
 /// logical-plan builder, the compiler surface, the runtime, and the
 /// `fqp` vocabulary they share (catalog, comparison/aggregate
-/// operators, placement objectives).
+/// operators).
 pub mod prelude {
     pub use crate::compile::{
-        compile, CompileError, CompiledQuery, EngineKind, GroupKey, PostPipeline,
+        compile, CompileError, CompiledQuery, EngineKind, GroupKey, Objective, PostPipeline,
     };
     pub use crate::logical::LogicalPlan;
     pub use crate::runtime::{
         HandoffReport, QueryReport, QueryRuntime, RuntimeConfig, RuntimeError,
     };
-    pub use fqp::placement::Objective;
     pub use fqp::plan::{Catalog, PlanError};
     pub use fqp::query::{AggFunc, CmpOp, WindowKind};
 }

@@ -85,7 +85,8 @@
 //! the handshake chain is exact only when waves are serialized (see
 //! `joinsw::handshake`'s equivalence tests), so the runtime flushes
 //! handshake groups after every arrival — which suits the engine's
-//! role: placement only chooses it when minimizing latency.
+//! role: [`compile`] picks it only under [`Objective::MinLatency`],
+//! whatever the query's filter or projection.
 //!
 //! # Telemetry
 //!
@@ -104,7 +105,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use fqp::placement::Objective;
 use fqp::plan::Catalog;
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::prelude::{
@@ -112,7 +112,9 @@ use joinsw::prelude::{
 };
 use streamcore::{MatchPair, StreamTag, Tuple};
 
-use crate::compile::{compile, CompileError, CompiledQuery, EngineKind, GroupKey, Shape};
+use crate::compile::{
+    compile, engine_for, CompileError, CompiledQuery, EngineKind, GroupKey, Objective, Shape,
+};
 use crate::logical::LogicalPlan;
 
 /// Errors surfaced by the runtime.
@@ -199,7 +201,7 @@ impl From<JoinError> for RuntimeError {
 pub struct RuntimeConfig {
     /// Worker-pool size shared by every spawned engine.
     pub cores: usize,
-    /// Placement objective used when compiling admitted queries.
+    /// Objective that picks the engine of each admitted query's group.
     pub objective: Objective,
 }
 
@@ -959,13 +961,7 @@ impl QueryRuntime {
         let slot = q
             .group
             .ok_or_else(|| RuntimeError::NotJoined { id: id.to_string() })?;
-        let target = compile(
-            &q.compiled.plan.query.clone().into(),
-            &self.catalog,
-            self.config.cores,
-            objective,
-        )?
-        .engine;
+        let target = engine_for(objective, self.config.cores);
         let group = self.groups.get_mut(slot).ok_or_else(unknown)?;
 
         // 1. Drain the old engine and fan the harvest out.
@@ -1381,6 +1377,25 @@ mod tests {
         );
         // Tumbling SUM over the unfiltered arrivals: one row per 4.
         assert_eq!(rt.take_rows("volume").unwrap(), vec![vec![95]]);
+    }
+
+    #[test]
+    fn a_projected_member_replans_its_group_where_a_bare_one_does() {
+        // The objective alone picks the engine, so re-planning a shared
+        // group through its projected member lands where re-planning it
+        // through the bare join does.
+        let mut rt = runtime(2);
+        assert_eq!(rt.admit("all", &joined()).unwrap(), EngineKind::Split);
+        let slim = joined().project(["qty", "px"]);
+        assert_eq!(rt.admit("slim", &slim).unwrap(), EngineKind::Split);
+        feed(&mut rt, &workload(64, 8));
+        for id in ["slim", "all"] {
+            let handoff = rt.replan(id, Objective::MaxThroughput).unwrap();
+            assert!(handoff.lossless(), "{id}: {handoff}");
+            assert_eq!(handoff.to, EngineKind::Split, "{id}: {handoff}");
+            assert_eq!(rt.engine_of("all"), Some(EngineKind::Split), "{id}");
+            assert_eq!(rt.engine_of("slim"), Some(EngineKind::Split), "{id}");
+        }
     }
 
     #[test]

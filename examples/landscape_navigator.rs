@@ -1,11 +1,9 @@
-//! Navigating the acceleration landscape: two of the paper's open
-//! problems as working code. Given a query workload, this example
+//! Navigating the acceleration landscape. Given a query workload, this
+//! example
 //!
-//! 1. deploys the queries with inter-query sharing (open problem #4 —
-//!    multi-query optimization),
-//! 2. places a heavy query across heterogeneous sites (open problem #5),
-//!    classifying the result in the Section II system models, and
-//! 3. prints the Section II landscape catalog.
+//! 1. deploys the queries with inter-query sharing (the paper's open
+//!    problem #4 — multi-query optimization), and
+//! 2. prints the Section II landscape catalog.
 //!
 //! ```sh
 //! cargo run --example landscape_navigator
@@ -13,7 +11,6 @@
 
 use accel_landscape::fqp::landscape;
 use accel_landscape::fqp::manager::QueryManager;
-use accel_landscape::fqp::placement::{default_sites, place, Objective};
 use accel_landscape::fqp::plan::{bind, Catalog, Plan};
 use accel_landscape::fqp::query::Query;
 use accel_landscape::streamcore::{Field, Record, Schema};
@@ -71,21 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 2. Heterogeneous placement.
-    println!("\n-- heterogeneous placement of the window-1536 join --");
-    let sites = default_sites();
-    for objective in [Objective::MaxThroughput, Objective::MinLatency] {
-        let p = place(&plans[0], &sites, objective);
-        let names: Vec<&str> = p.sites.iter().map(|&s| sites[s].name.as_str()).collect();
-        println!(
-            "  {objective:?}: {names:?} -> {:.2} Mt/s, {:.1} us  ({:?} model)",
-            p.throughput_tps / 1e6,
-            p.latency_us,
-            p.system_model(&sites)
-        );
-    }
-
-    // 3. The taxonomy itself.
+    // 2. The taxonomy itself.
     println!("\n-- Section II landscape catalog --");
     for s in landscape::catalog() {
         println!("  {s}");
