@@ -224,23 +224,8 @@ impl OpBlock {
         let out = match &self.program {
             BlockProgram::Idle => Vec::new(),
             BlockProgram::Passthrough => vec![record],
-            BlockProgram::Op(PlanOp::Select { conditions }) => {
-                if conditions.iter().all(|c| c.eval(record.values())) {
-                    vec![record]
-                } else {
-                    Vec::new()
-                }
-            }
-            BlockProgram::Op(PlanOp::SelectTable { atoms, table }) => {
-                // All atoms evaluate in parallel (no short-circuit): a
-                // single lookup decides.
-                let mut mask = 0usize;
-                for (i, c) in atoms.iter().enumerate() {
-                    if c.eval(record.values()) {
-                        mask |= 1 << i;
-                    }
-                }
-                if table[mask] {
+            BlockProgram::Op(op @ (PlanOp::Select { .. } | PlanOp::SelectTable { .. })) => {
+                if op.passes(record.values()) {
                     vec![record]
                 } else {
                     Vec::new()

@@ -160,6 +160,28 @@ pub enum PlanOp {
     },
 }
 
+impl PlanOp {
+    /// Whether a record with field values `values` passes this operator:
+    /// a [`PlanOp::Select`]'s conjunction holds, or the entry of a
+    /// [`PlanOp::SelectTable`]'s truth table that its atoms' outcomes
+    /// index is true (every atom is evaluated, as the parallel hardware
+    /// does). Every other operator passes every record.
+    #[inline]
+    pub fn passes(&self, values: &[u64]) -> bool {
+        match self {
+            PlanOp::Select { conditions } => conditions.iter().all(|c| c.eval(values)),
+            PlanOp::SelectTable { atoms, table } => {
+                let mask = atoms
+                    .iter()
+                    .enumerate()
+                    .fold(0, |mask, (i, c)| mask | usize::from(c.eval(values)) << i);
+                table[mask]
+            }
+            _ => true,
+        }
+    }
+}
+
 /// A query bound against the catalog: the operator pipeline plus schemas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {

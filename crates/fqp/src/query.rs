@@ -8,7 +8,7 @@
 //! SELECT <field, ...|*|AGG(<field>|*)> FROM <stream>
 //!   [WHERE <boolean expression over comparisons>]
 //!   [JOIN <stream> ON <field> WINDOW <n>
-//!     [WHERE <field> <op> <value> [AND ...]]]
+//!     [WHERE <boolean expression over comparisons>]]
 //!   [WINDOW <n> [TUMBLING]]
 //! ```
 //!
@@ -493,14 +493,12 @@ impl<'a> Parser<'a> {
             let on = self.identifier("join key field")?;
             self.expect_kw("WINDOW")?;
             let window = self.positive_window()?;
-            // The join's WHERE is a conjunction of comparisons.
-            let mut filter = None;
-            let mut keyword = "WHERE";
-            while self.peek_kw(keyword) {
+            let filter = if self.peek_kw("WHERE") {
                 self.pos += 1;
-                filter = Some(BoolExpr::and(filter, BoolExpr::Atom(self.condition()?)));
-                keyword = "AND";
-            }
+                Some(self.bool_expr()?)
+            } else {
+                None
+            };
             Some(JoinClause {
                 stream,
                 on,
@@ -797,9 +795,17 @@ mod tests {
             "SELECT * FROM trades JOIN quotes ON sym WINDOW 64 WHERE qty > 10 AND px < 5"
         );
         assert_eq!(Query::parse(&q.to_string()).unwrap(), q);
+        // The join's WHERE takes the same Boolean grammar as the first.
+        let text = "SELECT * FROM s JOIN t ON k WINDOW 8 WHERE a > 1 OR NOT b > 2";
+        let q = Query::parse(text).unwrap();
+        assert!(matches!(
+            q.join.as_ref().and_then(|j| j.filter.as_ref()),
+            Some(BoolExpr::Or(_))
+        ));
+        assert_eq!(q.to_string(), text);
         for bad in [
             "SELECT * FROM s JOIN t ON k WINDOW 8 WHERE",
-            "SELECT * FROM s JOIN t ON k WINDOW 8 WHERE a > 1 OR b > 2",
+            "SELECT * FROM s JOIN t ON k WINDOW 8 WHERE a > 1 OR",
             "SELECT * FROM s JOIN t ON k WINDOW 8 WHERE a > 1 WHERE b > 2",
         ] {
             assert!(Query::parse(bad).is_err(), "should reject {bad:?}");

@@ -18,14 +18,16 @@
 //! faster.
 //!
 //! The output is a [`CompiledQuery`]: the bound `fqp` plan, the chosen
-//! [`EngineKind`], and the [`PostPipeline`] — the bound plan's `Select`
-//! and `Project`, read off its operators — the runtime applies to each
-//! match the shared engine emits.
+//! [`EngineKind`], and the [`PostPipeline`] — the bound plan's `WHERE`
+//! (a conjunction or a truth table, evaluated by
+//! [`PlanOp::passes`](fqp::plan::PlanOp::passes) as on the fabric) and
+//! `Project`, read off its operators — the runtime applies to each match
+//! the shared engine emits.
 
 use std::fmt;
 
 use fqp::opblock::WindowAggregate;
-use fqp::plan::{bind, BoundCondition, Catalog, Plan, PlanError, PlanOp};
+use fqp::plan::{bind, Catalog, Plan, PlanError, PlanOp};
 
 use crate::logical::LogicalPlan;
 
@@ -130,12 +132,13 @@ impl From<PlanError> for CompileError {
 }
 
 /// The bound post-join (or post-source) pipeline the runtime applies to
-/// each record: a conjunction of conditions over the *unprojected*
-/// record, then an optional projection.
+/// each record: the bound `WHERE` over the *unprojected* record, then an
+/// optional projection.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PostPipeline {
-    /// Bound conditions over the full (joined) record.
-    pub conditions: Vec<BoundCondition>,
+    /// The bound [`PlanOp::Select`] or [`PlanOp::SelectTable`] over the
+    /// full (joined) record (`None` = keep every record).
+    pub filter: Option<PlanOp>,
     /// Output field indices into the full record (`None` = keep all).
     pub projection: Option<Vec<usize>>,
 }
@@ -155,10 +158,11 @@ impl PostPipeline {
         })
     }
 
-    /// The filter half of [`PostPipeline::apply`]: every condition holds.
+    /// The filter half of [`PostPipeline::apply`]: the record passes
+    /// the bound `WHERE`.
     #[inline]
     pub(crate) fn accepts(&self, values: &[u64]) -> bool {
-        self.conditions.iter().all(|c| c.eval(values))
+        self.filter.as_ref().is_none_or(|op| op.passes(values))
     }
 }
 
@@ -284,13 +288,7 @@ pub fn compile(
     let mut join = None;
     for op in &plan.ops {
         match *op {
-            PlanOp::Select { ref conditions } => post.conditions = conditions.clone(),
-            PlanOp::SelectTable { .. } => {
-                return Err(unsupported(
-                    "boolean WHERE clause — the post pipeline evaluates \
-                     conjunctions only",
-                ))
-            }
+            PlanOp::Select { .. } | PlanOp::SelectTable { .. } => post.filter = Some(op.clone()),
             PlanOp::Join {
                 key_left,
                 key_right,
@@ -437,8 +435,11 @@ mod tests {
         assert_eq!(key.to_string(), "trades⋈quotes/w64");
         assert_eq!((*left_arity, *right_arity), (2, 2));
         // qty is field 1 of trades; px is field 3 of the joined record.
-        assert_eq!(post.conditions[0].field, 1);
-        assert_eq!(post.conditions[1].field, 3);
+        let Some(PlanOp::Select { conditions }) = &post.filter else {
+            panic!("expected a conjunction, got {:?}", post.filter);
+        };
+        assert_eq!(conditions[0].field, 1);
+        assert_eq!(conditions[1].field, 3);
         assert_eq!(q.engine, EngineKind::Split, "{}", q.explain());
     }
 
@@ -542,12 +543,38 @@ mod tests {
         let agg_over_join = joined().aggregate(AggFunc::Count, None, 8, WindowKind::Sliding);
         let e = compile(&agg_over_join, &cat, 2, Objective::MaxThroughput).unwrap_err();
         assert!(e.to_string().contains("aggregate over a join"), "{e}");
+    }
 
-        // Parsed text can carry a truth-table WHERE the post pipeline
-        // cannot evaluate.
-        let boolean = fqp::query::Query::parse("SELECT * FROM trades WHERE qty > 1 OR sym = 2");
-        let e = compile(&boolean.unwrap().into(), &cat, 2, Objective::MaxThroughput).unwrap_err();
-        assert!(e.to_string().contains("boolean WHERE"), "{e}");
+    #[test]
+    fn a_boolean_where_runs_in_the_post_pipeline() {
+        // Parsed text can carry a truth-table WHERE, on one stream or
+        // over the joined record.
+        let cat = catalog();
+        for (text, accepted, rejected) in [
+            (
+                "SELECT * FROM trades WHERE qty > 5 OR sym = 2",
+                [vec![2, 0], vec![1, 6]],
+                vec![1, 5],
+            ),
+            (
+                "SELECT * FROM trades JOIN quotes ON sym WINDOW 8 WHERE qty > 5 OR NOT px > 2",
+                [vec![1, 6, 1, 9], vec![1, 0, 1, 2]],
+                vec![1, 5, 1, 3],
+            ),
+        ] {
+            let query = fqp::query::Query::parse(text).unwrap();
+            let q = compile(&query.into(), &cat, 2, Objective::MaxThroughput).unwrap();
+            let (Shape::Single { post, .. } | Shape::Joined { post, .. }) = &q.shape;
+            assert!(
+                matches!(post.filter, Some(PlanOp::SelectTable { .. })),
+                "{text}: {:?}",
+                post.filter
+            );
+            for row in accepted {
+                assert_eq!(post.apply(&row), Some(row.clone()), "{text}: {row:?}");
+            }
+            assert_eq!(post.apply(&rejected), None, "{text}: {rejected:?}");
+        }
     }
 
     #[test]

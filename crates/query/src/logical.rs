@@ -276,10 +276,9 @@ mod tests {
     fn a_filter_on_a_parsed_boolean_clause_keeps_both() {
         use fqp::manager::QueryManager;
         use fqp::plan::{bind, Catalog, PlanOp};
-        use streamcore::Record;
+        use streamcore::{Record, Tuple};
 
-        use crate::compile::CompileError;
-        use crate::runtime::{QueryRuntime, RuntimeConfig, RuntimeError};
+        use crate::runtime::{QueryRuntime, RuntimeConfig};
 
         let mut catalog = Catalog::new();
         catalog.register_spec("s=a:32,b:32").unwrap();
@@ -297,15 +296,12 @@ mod tests {
             bound.ops
         );
         let mut runtime = QueryRuntime::new(catalog, RuntimeConfig::new(1));
-        assert!(matches!(
-            runtime.admit("q", &plan),
-            Err(RuntimeError::Compile(CompileError::UnsupportedShape { .. }))
-        ));
-
+        runtime.admit("q", &plan).unwrap();
         let mut manager = QueryManager::new(1);
         let id = manager.deploy(&bound).unwrap();
         for (a, b) in [(1, 1), (20, 0), (3, 20)] {
             manager.push("s", Record::new(vec![a, b])).unwrap();
+            runtime.push("s", Tuple::new(a as u32, b as u32)).unwrap();
         }
         let rows: Vec<Vec<u64>> = manager
             .take_results(id)
@@ -314,6 +310,7 @@ mod tests {
             .map(|r| r.values().to_vec())
             .collect();
         assert_eq!(rows, vec![vec![3, 20]]);
+        assert_eq!(runtime.finish().unwrap()[0].rows, rows);
     }
 
     #[test]

@@ -1748,15 +1748,16 @@ mod tests {
         conditions: &[(usize, CmpOp, u64)],
         projection: &(bool, Vec<usize>),
     ) -> PostPipeline {
+        let conditions = conditions
+            .iter()
+            .map(|&(field, op, value)| fqp::plan::BoundCondition {
+                field: field % width,
+                op,
+                value,
+            })
+            .collect();
         PostPipeline {
-            conditions: conditions
-                .iter()
-                .map(|&(field, op, value)| fqp::plan::BoundCondition {
-                    field: field % width,
-                    op,
-                    value,
-                })
-                .collect(),
+            filter: Some(fqp::plan::PlanOp::Select { conditions }),
             projection: projection
                 .0
                 .then(|| projection.1.iter().map(|i| i % width).collect()),

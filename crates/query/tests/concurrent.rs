@@ -1,8 +1,10 @@
-//! Acceptance test for the ISSUE's multi-tenancy bar: at least four
-//! concurrent standing queries sharing one worker pool, each query's
-//! rows matching its single-query reference run exactly (multiset
-//! equality), and a live re-plan completing with zero lost tuples.
+//! The standing-query runtime's acceptance test: four joins sharing one
+//! worker pool beside an inline tumbling aggregate, each query's rows
+//! equal to its single-query reference run (multiset equality) through a
+//! live re-plan that loses no tuple and whose accounting balances, and
+//! each query's report, counters and manifest telling the same story.
 
+use obs::RunManifest;
 use query::prelude::*;
 use streamcore::workload::{KeyDist, WorkloadSpec};
 use streamcore::{StreamTag, Tuple};
@@ -40,6 +42,15 @@ fn fleet() -> Vec<(&'static str, LogicalPlan)> {
                 .project(["qty", "px"]),
         ),
         ("sym-only", join().project(["sym", "px"])),
+        (
+            "qty-sum",
+            LogicalPlan::source("trades").aggregate(
+                AggFunc::Sum,
+                Some("qty"),
+                WINDOW,
+                WindowKind::Tumbling,
+            ),
+        ),
     ]
 }
 
@@ -68,6 +79,7 @@ fn sorted(mut rows: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
 #[test]
 fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
     let fleet = fleet();
+    let joined = |id: &str| id != "qty-sum";
     let inputs = workload();
 
     let mut runtime = QueryRuntime::new(catalog(), RuntimeConfig::new(CORES));
@@ -77,12 +89,21 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
     assert_eq!(
         runtime.group_count(),
         1,
-        "all four queries must share one engine group (one worker pool)"
+        "all four joins must share one engine group (one worker pool)"
     );
 
     let halfway = inputs.len() / 2;
     for (seq, &(tag, tuple)) in inputs.iter().enumerate() {
         if seq == halfway {
+            let received = |runtime: &QueryRuntime, id: &str| {
+                let cell = format!("query.{id}.matches_in");
+                runtime.live().values().get(&cell).unwrap()
+            };
+            let before: Vec<(&str, u64)> = fleet
+                .iter()
+                .filter(|(id, _)| joined(id))
+                .map(|(id, _)| (*id, received(&runtime, id)))
+                .collect();
             let handoff = runtime.replan("all-pairs", Objective::MinLatency).unwrap();
             assert!(
                 handoff.lossless(),
@@ -92,6 +113,17 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
                 handoff.from, handoff.to,
                 "objective flip should switch engines"
             );
+            // The handoff's harvest is what each member received during
+            // it, and by then each has every match the old engine made.
+            for (id, before) in before {
+                let after = received(&runtime, id);
+                assert_eq!(
+                    after - before,
+                    handoff.drained + handoff.residual,
+                    "{id}: {handoff}"
+                );
+                assert_eq!(after, handoff.produced_total, "{id}: {handoff}");
+            }
         }
         runtime.push(stream_of(tag), tuple).unwrap();
         if seq % 1024 == 1023 {
@@ -106,7 +138,22 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
             .iter()
             .find(|(id, _)| *id == report.id)
             .expect("report matches an admitted query");
-        assert_eq!(report.replans, 1, "{id} rides the group re-plan");
+        let replans = u64::from(joined(id));
+        assert_eq!(report.replans, replans, "{id} rides the group re-plan");
+        let counters = report.manifest.counters();
+        for (name, value) in [
+            ("matches_in", report.matches_in),
+            ("rows", report.rows_emitted),
+            ("replans", report.replans),
+        ] {
+            let cell = format!("query.{id}.{name}");
+            assert_eq!(counters.get(&cell), Some(value), "{cell}");
+        }
+        assert_eq!(
+            RunManifest::from_json(&report.manifest.to_json()).as_ref(),
+            Ok(&report.manifest),
+            "{id}: the manifest must round-trip through JSON"
+        );
         let reference = solo_rows(id, plan, &inputs);
         assert!(
             !reference.is_empty(),

@@ -38,7 +38,7 @@ const SPLIT: &str = "Baseline Handshake Split Handshake Split Handshake";
 const INLINE: &str = "Inline Inline Inline Inline Inline Inline";
 
 /// `(plan, its text, its engines)`: the `runtime.rs` tests, the
-/// `tests/concurrent.rs` fleet, the `queries` bin fleet at its defaults,
+/// `tests/concurrent.rs` fleet, the `standing_queries` example's fleet,
 /// the ledger's templates (`benchmark/src/spec.rs`) at its windows, and
 /// the crate's doc examples. Engines are `compile(..).engine` at cores
 /// 1, 2, 4, each under `MaxThroughput` then `MinLatency`.
@@ -122,11 +122,11 @@ fn plans() -> Vec<(LogicalPlan, &'static str, &'static str)> {
         ),
     ];
     // The shared-group fleets: `concurrent.rs` (window 64, thresholds
-    // from 6 000 tuples), the `queries` bin (512, from 40 000 over 5
-    // queries) and the ledger (512 and 8 192, over the `u32` range).
+    // from 6 000 tuples), the `standing_queries` example (256, from
+    // 20 000) and the ledger (512 and 8 192, over the `u32` range).
     for (window, qty, px) in [
         (64, 3_000, 1_500),
-        (512, 13_333, 20_000),
+        (256, 6_666, 10_000),
         (512, (1 << 32) / 3, 1 << 31),
         (8192, (1 << 32) / 3, 1 << 31),
     ] {

@@ -1,10 +1,12 @@
 //! One plan, three executors, one meaning: every bound plan the three
 //! executors accept — `SELECT <*|projection> FROM l JOIN r ON k WINDOW w
-//! [WHERE conjunction]` over one- or two-field streams — returns the same
-//! row multiset on the FQP fabric ([`QueryManager`]), on the hardware
-//! bridge ([`deploy_to_hardware`], 2 join cores) and on the standing-query
-//! runtime ([`QueryRuntime`], 2 cores), and that multiset is the reference
-//! join followed by the plan's post-join operators. A projection that
+//! [WHERE <boolean expression>]` over one- or two-field streams, the
+//! `WHERE` a conjunction (`Select`) or anything else (a truth-table
+//! `SelectTable`) — returns the same row multiset on the FQP fabric
+//! ([`QueryManager`]), on the hardware bridge ([`deploy_to_hardware`], 2
+//! join cores) and on the standing-query runtime ([`QueryRuntime`], 2
+//! cores), and that multiset is the reference join followed by the plan's
+//! post-join operators. A projection that
 //! names a field twice is rejected by all three with the same
 //! [`PlanError::DuplicateField`].
 //!
@@ -15,7 +17,7 @@ mod common;
 use accel_landscape::fqp::hwbridge::deploy_to_hardware;
 use accel_landscape::fqp::manager::QueryManager;
 use accel_landscape::fqp::plan::{bind, Catalog, Plan, PlanError, PlanOp};
-use accel_landscape::fqp::query::Query;
+use accel_landscape::fqp::query::{BoolExpr, Query};
 use accel_landscape::hwsim::devices::XC7VX485T;
 use accel_landscape::joinsw::baseline::reference_join;
 use accel_landscape::query::{
@@ -53,8 +55,14 @@ fn sorted(mut rows: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
 
 /// The oracle: [`reference_join`] over the arrivals' keys, each match
 /// widened back to `left ++ right`, then the plan's operators after the
-/// join evaluated naively.
-fn oracle(plan: &Plan, arrivals: &[Arrival], window: usize) -> Vec<Vec<u64>> {
+/// join evaluated naively: a `WHERE` is the parsed `filter` evaluated
+/// over its atoms' outcomes, never the bound truth table.
+fn oracle(
+    plan: &Plan,
+    filter: Option<&BoolExpr>,
+    arrivals: &[Arrival],
+    window: usize,
+) -> Vec<Vec<u64>> {
     let mut stores = (Vec::new(), Vec::new());
     let tuples: Vec<(StreamTag, Tuple)> = arrivals
         .iter()
@@ -78,8 +86,13 @@ fn oracle(plan: &Plan, arrivals: &[Arrival], window: usize) -> Vec<Vec<u64>> {
         row.extend_from_slice(&stores.1[m.s.payload() as usize]);
         for op in &plan.ops[join_at + 1..] {
             match op {
-                PlanOp::Select { conditions } => {
-                    if !conditions.iter().all(|c| c.op.eval(row[c.field], c.value)) {
+                PlanOp::Select { conditions: atoms } | PlanOp::SelectTable { atoms, .. } => {
+                    let outcomes: Vec<bool> = atoms
+                        .iter()
+                        .map(|c| c.op.eval(row[c.field], c.value))
+                        .collect();
+                    let filter = filter.expect("a bound WHERE has its parsed clause");
+                    if !filter.eval_with(&outcomes) {
                         continue 'matches;
                     }
                 }
@@ -139,10 +152,21 @@ fn arb_case() -> impl Strategy<Value = Case> {
         1usize..3,
         2usize..33,
         (any::<bool>(), prop::collection::vec(0usize..4, 1..4)),
-        prop::collection::vec((0usize..4, 0usize..6, 0u64..16), 0..3),
+        (
+            prop::collection::vec(
+                (
+                    0usize..4,
+                    0usize..6,
+                    0u64..16,
+                    (any::<bool>(), any::<bool>()),
+                ),
+                0..4,
+            ),
+            any::<bool>(),
+        ),
         prop::collection::vec((any::<bool>(), 0u64..4, 0u64..16), 0..60),
     )
-        .prop_map(|(la, ra, half, (star, fields), conditions, arrivals)| {
+        .prop_map(|(la, ra, half, (star, fields), (atoms, group), arrivals)| {
             // The joined record's field names: `r`'s key collides with
             // `l`'s and is renamed by `bind`.
             let names: Vec<&str> = ["k", "a"][..la]
@@ -163,13 +187,27 @@ fn arb_case() -> impl Strategy<Value = Case> {
             };
             let window = 2 * half;
             let mut text = format!("SELECT {select} FROM l JOIN r ON k WINDOW {window}");
+            // Each atom may be negated and joined to the one before by
+            // OR instead of AND; `group` parenthesizes the first two.
             let ops = ["=", "!=", "<", "<=", ">", ">="];
-            let atoms: Vec<String> = conditions
-                .iter()
-                .map(|&(f, op, v)| format!("{} {} {v}", names[f % names.len()], ops[op]))
-                .collect();
-            if !atoms.is_empty() {
-                text.push_str(&format!(" WHERE {}", atoms.join(" AND ")));
+            let grouped = group && atoms.len() > 2;
+            for (i, &(f, op, v, (not, or))) in atoms.iter().enumerate() {
+                let keyword = match i {
+                    0 => " WHERE ",
+                    _ if or => " OR ",
+                    _ => " AND ",
+                };
+                let (open, close) = match i {
+                    0 if grouped => ("( ", ""),
+                    1 if grouped => ("", " )"),
+                    _ => ("", ""),
+                };
+                let not = if not { "NOT " } else { "" };
+                let name = names[f % names.len()];
+                text.push_str(&format!(
+                    "{keyword}{open}{not}{name} {} {v}{close}",
+                    ops[op]
+                ));
             }
             let arrivals = arrivals
                 .into_iter()
@@ -215,7 +253,8 @@ proptest! {
             return Ok(());
         }
         let plan = bind(&query, &catalog).unwrap();
-        let want = oracle(&plan, &case.arrivals, case.window);
+        let filter = query.join.as_ref().and_then(|j| j.filter.as_ref());
+        let want = oracle(&plan, filter, &case.arrivals, case.window);
         prop_assert_eq!(&on_the_fabric(&plan, &case.arrivals), &want, "fabric: {}", case.text);
         prop_assert_eq!(&on_the_bridge(&plan, &case.arrivals), &want, "bridge: {}", case.text);
         prop_assert_eq!(
@@ -270,9 +309,13 @@ fn a_pre_join_where_filters_before_the_window_on_the_fabric_and_the_bridge() {
             .filter(|(tag, v)| *tag == StreamTag::S || accept(v))
             .cloned()
             .collect();
-        assert_eq!(oracle(&unfiltered_join, &filtered, 4), fabric, "{text}");
+        assert_eq!(
+            oracle(&unfiltered_join, None, &filtered, 4),
+            fabric,
+            "{text}"
+        );
         // …which is not the same as filtering the join of raw windows.
-        let after: Vec<Vec<u64>> = oracle(&unfiltered_join, &arrivals, 4)
+        let after: Vec<Vec<u64>> = oracle(&unfiltered_join, None, &arrivals, 4)
             .into_iter()
             .filter(|row| accept(&row[..2]))
             .collect();
