@@ -33,7 +33,7 @@ pub(crate) mod key {
     }
 }
 
-/// Distribution-ring and arena telemetry, attached to every SplitJoin
+/// Distribution-ring telemetry, attached to every SplitJoin
 /// outcome.
 #[derive(Debug, Clone, Default)]
 pub struct RingStats {
@@ -43,8 +43,8 @@ pub struct RingStats {
     /// Peak of the occupancy samples (`occupancy.max()`), set once at
     /// shutdown.
     pub peak_occupancy: obs::Gauge,
-    /// Nanoseconds the router waited for ring or arena space, one sample
-    /// per send/publish that could not complete on the fast path.
+    /// Nanoseconds the router waited for ring space, one sample per
+    /// send that could not complete on the fast path.
     pub claim_wait_ns: obs::Histogram,
 }
 

@@ -9,14 +9,10 @@ use streamcore::{PartitionMap, StreamTag, Tuple};
 use crate::supervise::{Idle, WorkerCell};
 
 pub(super) enum Msg {
-    /// One distribution batch resident in the shared
-    /// [`batch arena`](streamcore::ring::batch_arena): the worker probes
-    /// arena slot `seq % slots` in place — zero-copy — and releases it
-    /// afterwards so the slot can be reused.
-    ArenaBatch {
-        /// Arena sequence number identifying the batch.
-        seq: u64,
-    },
+    /// One distribution batch, shared across all workers: each probes
+    /// it in place and drops its handle, so the buffer lives only while
+    /// some worker still has it queued or in hand.
+    Batch(Arc<[(StreamTag, Tuple)]>),
     /// Window pre-fill (no probing), shared across all workers.
     Prefill(StreamTag, Arc<[Tuple]>),
     /// A worker died: switch to this partition map for future storage

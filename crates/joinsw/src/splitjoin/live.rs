@@ -27,9 +27,6 @@ pub(super) struct LiveRouter {
     /// [`LiveWorker`] (instantaneous; the sampler turns it into a
     /// trajectory).
     pub(super) ring_occupancy: Vec<obs::Gauge>,
-    /// `splitjoin.arena.lag` — published sequence minus the slowest
-    /// reader's release watermark while the router waits on arena reuse.
-    pub(super) arena_lag: obs::Gauge,
     /// `splitjoin.workers.live` — live positions in the partition map.
     workers_live: obs::Gauge,
     /// `fault.workers_lost` / `fault.orphaned_tuples` — degradation as
@@ -39,9 +36,9 @@ pub(super) struct LiveRouter {
     orphaned: obs::Counter,
     /// `splitjoin.worker.<i>.heartbeat_age_ns` — nanoseconds since each
     /// live worker's last heartbeat, refreshed once per routed batch and
-    /// for the worker the router is waiting on (a full lane, or the
-    /// arena's laggard), so a stalling worker shows in the live series
-    /// long before the 10 s saturation deadline.
+    /// for the worker whose full lane the router is waiting on, so a
+    /// stalling worker shows in the live series long before the 10 s
+    /// saturation deadline.
     pub(super) heartbeat_age: Vec<obs::Gauge>,
 }
 
@@ -57,7 +54,6 @@ impl LiveRouter {
             batches: reg.counter(&key::batches(SPLITJOIN)),
             tuples: reg.counter("splitjoin.tuples"),
             ring_occupancy: per_worker("ring_occupancy"),
-            arena_lag: reg.gauge("splitjoin.arena.lag"),
             workers_live: reg.gauge("splitjoin.workers.live"),
             workers_lost: reg.counter(fault::KEY_WORKERS_LOST),
             orphaned: reg.counter(fault::KEY_ORPHANED_TUPLES),

@@ -33,8 +33,8 @@
 //! * **Distribution** — [`SplitJoin::process`] accumulates tuples in a
 //!   caller-side buffer and ships one batch message per
 //!   [`JoinConfig::batch_size`](crate::config::JoinConfig::batch_size)
-//!   tuples to every worker (one arena publish per batch, N sequence
-//!   numbers — not N copies).
+//!   tuples to every worker (one shared copy per batch, N handles to
+//!   it — not N copies).
 //! * **Collection** — a worker writes each match once, into a local
 //!   buffer, and at the end of every message moves that buffer (by
 //!   pointer when it can) into its own *outbox*.
@@ -53,10 +53,12 @@
 //! # Transport
 //!
 //! Distribution runs over lock-free SPSC rings ([`streamcore::ring`]),
-//! one per worker, and a shared [batch arena](streamcore::ring::batch_arena),
-//! so a broadcast ships one sequence number per worker while every join
-//! core probes the arena-resident batch *in place*: zero-copy from router
-//! to probe.
+//! one per worker, and nothing else. A batch is copied once into a
+//! shared `Arc<[_]>`; a broadcast pushes one handle to it down every
+//! worker's ring, and every join core probes it *in place* and drops its
+//! handle. A prefill travels the same way. The last handle dropped frees
+//! the batch, so the engine holds only the batches in flight, and the
+//! rings' back-pressure is the only wait on the way in.
 //! Nothing runs the other way but the worker's supervision cell: it
 //! holds the outbox, and the count of messages the worker has finished,
 //! advanced (`Release`) only after a message's matches are published.
@@ -82,12 +84,11 @@
 //! instead of `.expect`-ing peers alive, and the distribution side is a
 //! supervised *router*:
 //!
-//! * ring pushes and arena publishes retry with a yield phase and then
-//!   bounded exponential backoff (1 ms doubling to 64 ms) while watching
-//!   the lagging worker's heartbeat counter — back-pressure with
-//!   progress waits forever, a frozen heartbeat with a full ring (or
-//!   arena) for the whole supervision deadline reports
-//!   [`JoinError::Saturated`];
+//! * ring pushes retry with a yield phase and then bounded exponential
+//!   backoff (1 ms doubling to 64 ms) while watching the receiving
+//!   worker's heartbeat counter — back-pressure with progress waits
+//!   forever, a frozen heartbeat with a full ring for the whole
+//!   supervision deadline reports [`JoinError::Saturated`];
 //! * a worker found dead (scripted kill from the
 //!   [`FaultPlan`](crate::fault::FaultPlan), scripted panic, or organic
 //!   death) is *recovered*: the router retires its position from the
@@ -181,17 +182,10 @@ impl StreamJoin for SplitJoin {
     fn spawn(config: SplitJoinConfig) -> Self {
         config.validate();
 
-        // Distribution path. The arena holds `channel_capacity + 2`
-        // batch slots: every batch a worker can have queued, plus the
-        // one it is probing, plus the one being published — so arena
-        // reuse only ever waits when a ring is itself saturated.
-        let (arena, readers) =
-            ring::batch_arena::<(StreamTag, Tuple)>(config.channel_capacity + 2, config.num_cores);
-
         let mut senders = Vec::with_capacity(config.num_cores);
         let mut cells = Vec::with_capacity(config.num_cores);
         let mut workers = Vec::with_capacity(config.num_cores);
-        for (position, arena) in readers.into_iter().enumerate() {
+        for position in 0..config.num_cores {
             let cell = Arc::new(WorkerCell::default());
             cells.push(Arc::clone(&cell));
             let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
@@ -199,7 +193,7 @@ impl StreamJoin for SplitJoin {
             let cfg = config.clone();
             let live = obs::live::active().then(|| LiveWorker::new(position));
             workers.push(std::thread::spawn(move || {
-                worker_loop(position, &cfg, msgs, arena, &cell, live)
+                worker_loop(position, &cfg, msgs, &cell, live)
             }));
         }
         let ring = obs::trace::enabled().then(|| {
@@ -219,7 +213,6 @@ impl StreamJoin for SplitJoin {
                 owned: None,
                 report: FaultReport::default(),
                 ring,
-                arena,
                 ring_stats: RingStats::default(),
                 sent: vec![0; config.num_cores],
                 live: obs::live::active().then(|| LiveRouter::new(&config)),

@@ -6,16 +6,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::JoinError;
-use streamcore::ring::{self, ArenaWriter, RingProducer};
+use streamcore::ring::RingProducer;
 use streamcore::{PartitionMap, StreamTag, Tuple};
 
 use super::lanes::Msg;
 use super::live::LiveRouter;
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
 use crate::outcome::RingStats;
-use crate::supervise::{
-    supervised_push, wait_until, Idle, SendStatus, SendSupervisor, WorkerCell, SATURATION_DEADLINE,
-};
+use crate::supervise::{supervised_push, wait_until, SendStatus, WorkerCell, SATURATION_DEADLINE};
 
 /// The supervised distribution side: senders, supervision cells, the
 /// live partition map, and the bookkeeping that makes loss accounting
@@ -44,8 +42,6 @@ pub(super) struct Router {
     /// `sw.router` span ring (`recover` spans); attached to the outcome
     /// trace only when non-empty, so healthy traced runs are unchanged.
     pub(super) ring: Option<obs::trace::TraceRing>,
-    /// Writer side of the shared batch arena.
-    pub(super) arena: ArenaWriter<(StreamTag, Tuple)>,
     /// Ring occupancy / claim-wait telemetry.
     pub(super) ring_stats: RingStats,
     /// Messages pushed into each position's ring so far: the epoch a
@@ -113,62 +109,6 @@ impl Router {
         Ok(())
     }
 
-    /// Publishes one batch into the shared arena, waiting (supervised)
-    /// for slot reuse when the slowest reader is behind: a laggard that
-    /// keeps beating is back-pressure and waits forever; a frozen
-    /// laggard holding the arena full for the whole deadline is
-    /// [`JoinError::Saturated`].
-    fn publish_to_arena(&mut self, batch: &[(StreamTag, Tuple)]) -> Result<u64, JoinError> {
-        let mut sup = SendSupervisor::new();
-        let mut idle = Idle::claim();
-        let mut wait_started: Option<Instant> = None;
-        loop {
-            let arena = &mut self.arena;
-            match arena.try_publish(batch) {
-                Ok(seq) => {
-                    if let Some(t0) = wait_started {
-                        self.ring_stats
-                            .claim_wait_ns
-                            .record_value(t0.elapsed().as_nanos().max(1) as u64);
-                    }
-                    return Ok(seq);
-                }
-                Err(ring::ArenaFull) => {
-                    wait_started.get_or_insert_with(Instant::now);
-                    // No active readers left: deactivation freed every
-                    // slot, so the retry succeeds (or AllWorkersLost
-                    // surfaces at the caller's live-count check).
-                    let Some(laggard) = arena.laggard() else {
-                        continue;
-                    };
-                    if self.cells[laggard].is_dead() {
-                        // The slot hog died — recover it (which also
-                        // deactivates its arena reader) and retry.
-                        self.reap_dead()?;
-                        continue;
-                    }
-                    if !idle.relax() {
-                        // Slow path only: export how far behind the
-                        // slowest reader is and refresh its heartbeat
-                        // age, so the live series shows *which* worker
-                        // is holding the arena and for how long.
-                        if let Some(lv) = self.live.as_ref() {
-                            lv.arena_lag
-                                .set(arena.seq().saturating_sub(arena.min_released()));
-                            let now = obs::trace::now_ns();
-                            if let Some(age) = self.cells[laggard].heartbeat_age_ns(now) {
-                                lv.heartbeat_age[laggard].set(age);
-                            }
-                        }
-                        let beat = self.cells[laggard].heartbeat.load(Ordering::Relaxed);
-                        let wait = sup.next_wait(Instant::now(), laggard, beat)?;
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
-        }
-    }
-
     /// Per-stream accounting for outgoing tuples: the two stream
     /// counters and, once degraded, the storage turn each tuple gives
     /// its owner under the current map.
@@ -197,8 +137,8 @@ impl Router {
         self.recover_all(lost)
     }
 
-    /// Ships one caller batch: one arena publish, N sequence numbers
-    /// (zero-copy).
+    /// Ships one caller batch: one shared copy, whose handle goes down
+    /// every live worker's ring.
     pub(super) fn send_batch(&mut self, batch: &[(StreamTag, Tuple)]) -> Result<(), JoinError> {
         if batch.is_empty() {
             return Ok(());
@@ -210,8 +150,8 @@ impl Router {
             lv.on_batch(batch.len(), &self.cells, self.map.live());
         }
         self.note_sent(batch.iter().map(|&(tag, _)| tag));
-        let seq = self.publish_to_arena(batch)?;
-        self.broadcast(|| Msg::ArenaBatch { seq })?;
+        let shared: Arc<[(StreamTag, Tuple)]> = batch.into();
+        self.broadcast(|| Msg::Batch(Arc::clone(&shared)))?;
         // Proactive recovery at the scripted kill boundary: the victim
         // processes this batch and no more (its ring closes here, it
         // drains what was already queued and exits), so the closed-form
@@ -279,8 +219,7 @@ impl Router {
     /// A scripted-kill victim is recovered proactively and may still be
     /// working through its queue; once it has exited, everything it will
     /// ever publish is in its outbox, so the next flush barrier covers it
-    /// without waiting for its epoch, and its arena reader can never read
-    /// again.
+    /// without waiting for its epoch.
     fn retire(&mut self, worker: usize) -> Result<Vec<usize>, JoinError> {
         let sub = self.sub_window as u64;
         // Materialize exact per-worker turn counts before mutating the
@@ -319,9 +258,6 @@ impl Router {
         // Off the live map, the lane may stay short of `sent` for good;
         // ahead it cannot be: a `Stop` and the exit path finish nothing.
         debug_assert!(self.cells[worker].heartbeat.load(Ordering::Acquire) <= self.sent[worker]);
-        // The worker has exited, so the arena contract holds: a
-        // deactivated reader never reads again.
-        self.arena.deactivate(worker);
         let shared = Arc::new(self.map.clone());
         self.send_to_live(|| Msg::Reconfigure(Arc::clone(&shared)))
     }

@@ -656,7 +656,6 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
         "splitjoin.tuples",
         "splitjoin.matches",
         "splitjoin.ring.capacity",
-        "splitjoin.arena.lag",
         "splitjoin.workers.live",
         "fault.workers_lost",
         "fault.orphaned_tuples",
@@ -696,8 +695,26 @@ fn a_lane_gauge_follows_the_worker_draining_it() {
     assert_eq!(gauge.get(), 2, "the router's last reading");
     let cell = Arc::new(WorkerCell::default());
     let live = Some(LiveWorker::new(11));
-    let (_arena, mut readers) = ring::batch_arena::<(StreamTag, Tuple)>(2, 1);
-    let reader = readers.remove(0);
-    worker_loop(11, &SplitJoinConfig::new(12, 24), msgs, reader, &cell, live);
+    worker_loop(11, &SplitJoinConfig::new(12, 24), msgs, &cell, live);
     assert_eq!(gauge.get(), 0, "the worker's last pop emptied the lane");
+}
+
+#[test]
+fn a_dead_worker_pins_no_batch() {
+    // A worker killed after its first batch exits with two more queued;
+    // once the router drops its end of the lane, nothing may still hold
+    // the shared batch — neither the dead worker nor the closed ring.
+    let b: Arc<[(StreamTag, Tuple)]> = Arc::from([(StreamTag::R, Tuple::new(1, 1))]);
+    let (mut tx, msgs) = ring::spsc::<Msg>(4);
+    for _ in 0..3 {
+        assert!(tx.try_push(Msg::Batch(Arc::clone(&b))).is_ok());
+    }
+    let mut config = SplitJoinConfig::new(2, 8);
+    config.fault_plan = FaultPlan::parse("kill0@1").unwrap();
+    let cell = Arc::new(WorkerCell::default());
+    let (stats, _, _) = worker_loop(0, &config, msgs, &cell, None);
+    assert_eq!(stats.tuples_seen, 1, "the kill took the first batch");
+    assert!(cell.is_dead());
+    drop(tx);
+    assert_eq!(Arc::strong_count(&b), 1, "a batch outlived its lane");
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
-use streamcore::ring::{ArenaReader, RingConsumer};
+use streamcore::ring::RingConsumer;
 use streamcore::{FlatWindow, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
 use super::lanes::{recv_msg, Msg};
@@ -367,9 +367,6 @@ pub(super) fn worker_loop(
     position: usize,
     config: &SplitJoinConfig,
     mut msgs: RingConsumer<Msg>,
-    // This worker's reader into the shared batch arena, where
-    // [`Msg::ArenaBatch`] payloads live.
-    mut arena: ArenaReader<(StreamTag, Tuple)>,
     cell: &Arc<WorkerCell>,
     mut live: Option<LiveWorker>,
 ) -> WorkerExit {
@@ -426,19 +423,19 @@ pub(super) fn worker_loop(
         // the live plane saw the message's tallies.
         let mut killed = false;
         match msg {
-            Msg::ArenaBatch { seq } => {
+            Msg::Batch(batch) => {
                 batch_no += 1;
-                // Probe the arena slot in place; release it only after
-                // the whole batch is processed (a scripted panic unwinds
-                // without releasing — recovery then waits for this
-                // thread to die before retiring the reader).
-                let batch = arena.read(seq);
-                let len = batch.len();
-                let outcome =
-                    run_scripted_batch(&mut w, plan, position, batch_no, len, &mut ring, |w| {
-                        w.handle_batch(batch)
-                    });
-                arena.release(seq);
+                // Probed in place; this worker's handle drops at the end
+                // of the arm (or on unwind, under a scripted panic).
+                let outcome = run_scripted_batch(
+                    &mut w,
+                    plan,
+                    position,
+                    batch_no,
+                    batch.len(),
+                    &mut ring,
+                    |w| w.handle_batch(&batch),
+                );
                 killed = matches!(outcome, BatchOutcome::Kill);
             }
             Msg::Prefill(tag, tuples) => {

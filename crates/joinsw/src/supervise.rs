@@ -29,7 +29,7 @@ pub(crate) const BACKOFF_CAP_MS: u64 = 64;
 /// clock, so plain back-pressure (slow but alive workers) never trips
 /// it.
 pub(crate) const SATURATION_DEADLINE: Duration = Duration::from_secs(10);
-/// Yield-retry rounds a ring push or arena claim spends before falling
+/// Yield-retry rounds a ring push spends before falling
 /// back to the sleeping [`SendSupervisor`] — rings have no condvar to
 /// park on, and a draining consumer usually frees a slot within a
 /// scheduler quantum or two.
@@ -68,7 +68,7 @@ impl Idle {
         }
     }
 
-    /// A producer waiting for ring or arena space.
+    /// A producer waiting for ring space.
     pub(crate) const fn claim() -> Self {
         Self {
             yields: CLAIM_YIELDS,

@@ -38,10 +38,11 @@
 //! assert_eq!(keys, vec![2, 3, 4]);
 //! ```
 
-// `deny` instead of `forbid`: the lock-free ring/arena transport
-// (`ring.rs`) is the one module allowed to opt back in, with per-block
-// safety arguments, and the one CI runs under miri. A CI step fails on
-// `unsafe` anywhere else in this crate.
+// `deny` instead of `forbid`: `ring.rs` (the lock-free SPSC ring, the
+// engines' one transport, and the batch arena, which no engine uses) is
+// the one module allowed to opt back in, with per-block safety
+// arguments, and the one CI runs under miri. A CI step fails on `unsafe`
+// anywhere else in this crate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -1,5 +1,5 @@
-//! Lock-free single-producer/single-consumer rings and the shared batch
-//! arena behind the SplitJoin `ring` transport.
+//! Lock-free single-producer/single-consumer rings: the one link type
+//! both software join engines run on.
 //!
 //! The paper attributes the software join's ceiling to inter-core
 //! communication: every tuple crosses from the distribution thread to
@@ -7,9 +7,9 @@
 //! pays a mutex + condvar handoff per message; this module replaces it
 //! with the software analogue of the hardware design's dedicated
 //! point-to-point links — one bounded SPSC ring per direction per
-//! worker, plus a shared **batch arena** so a broadcast ships one
-//! sequence number per worker instead of `N` reference-count bumps on an
-//! `Arc`-boxed copy of the batch.
+//! worker. SplitJoin broadcasts a batch as one `Arc`-shared copy and a
+//! handle to it on every worker's ring. The module also keeps
+//! [`batch_arena`], which no engine uses (see its docs).
 //!
 //! # The head/tail protocol
 //!
@@ -37,21 +37,6 @@
 //! [`PopError::Disconnected`]); dropping the [`RingConsumer`] makes
 //! further pushes fail with [`PushError::Disconnected`]. Whatever is
 //! still queued when both ends are gone is dropped with the ring.
-//!
-//! # The batch arena
-//!
-//! [`batch_arena`] carves `slots` reusable buffers shared by one writer
-//! and `readers` readers. The writer publishes batch `seq` into slot
-//! `seq % slots`; each reader maps the sequence number it received (over
-//! its ring) back to the slice, probes it **in place**, and releases the
-//! sequence. Slot reuse waits until every *active* reader's released
-//! watermark has passed the slot's previous occupant, so the writer
-//! never overwrites a batch a reader may still be probing; a reader that
-//! died is deactivated (see [`ArenaWriter::deactivate`]) and drops out
-//! of the watermark minimum. The ring's `Release`/`Acquire` pair carries
-//! the happens-before edge from the slot write to the slot read, and the
-//! per-slot published sequence number turns any protocol violation into
-//! a panic instead of a data race.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -498,6 +483,22 @@ impl<T> fmt::Debug for ArenaReader<T> {
 
 /// Creates a batch arena of `slots` reusable buffers shared by one
 /// writer and `readers` readers (returned in reader-index order).
+///
+/// The writer publishes batch `seq` into slot `seq % slots`; each reader
+/// maps the sequence number it received (over its ring) back to the
+/// slice, probes it **in place**, and releases the sequence. Slot reuse
+/// waits until every *active* reader's released watermark has passed the
+/// slot's previous occupant, so the writer never overwrites a batch a
+/// reader may still be probing; a reader that died is deactivated (see
+/// [`ArenaWriter::deactivate`]) and drops out of the watermark minimum.
+/// The ring's `Release`/`Acquire` pair carries the happens-before edge
+/// from the slot write to the slot read, and the per-slot published
+/// sequence number turns any protocol violation into a panic instead of
+/// a data race.
+///
+/// No engine uses the arena: SplitJoin ships each batch as one shared
+/// `Arc<[_]>` over its rings. Its one caller is the benchmark ledger's
+/// `ring.arena_mops` row.
 ///
 /// # Panics
 ///

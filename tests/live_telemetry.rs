@@ -20,7 +20,6 @@ fn expected_splitjoin_keys() -> Vec<String> {
         "splitjoin.tuples",
         "splitjoin.matches",
         "splitjoin.ring.capacity",
-        "splitjoin.arena.lag",
         "splitjoin.workers.live",
     ]
     .map(String::from)
