@@ -42,3 +42,15 @@ pub const FIG15_LATENCY: &[(u32, bool, u64, u64, u64)] = &[
     (8, false, 1_035, 1_035, 8),
     (8, true, 1_041, 1_041, 8),
 ];
+
+/// `figs hashjoin` anchors — uni-flow, 16 hash-join cores, window 2^12,
+/// lightweight networks, steady-state prefill, saturation run of
+/// `accepted_tuples` tuples: `(key_domain, accepted_tuples, cycles,
+/// results)`. Sequential engine only.
+pub const HASHJOIN_THROUGHPUT: &[(u32, u64, u64, u64)] =
+    &[(1 << 16, 512, 514, 32), (64, 512, 1_122, 992)];
+
+/// Hash-core latency anchor — the same design, one planted match per
+/// core (probe key 7): `(cycles_to_last_result, cycles_to_quiescent,
+/// results)`. Sequential engine only.
+pub const HASHJOIN_LATENCY: (u64, u64, u64) = (20, 20, 16);

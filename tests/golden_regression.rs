@@ -3,6 +3,7 @@
 //! `tests/common/golden.rs` — on the sequential engine *and* on the
 //! parallel engine, which pins both the simulated machine and the
 //! parallel layer's cycle-exactness on real designs (Figs. 14a, 14b, 15).
+//! The hash-core pin (`figs hashjoin`) runs on the sequential engine only.
 
 mod common;
 
@@ -11,7 +12,7 @@ use accel_landscape::joinhw::harness::{
     build, prefill_planted, prefill_steady_state, run_latency_with, run_throughput_with,
     LatencyRun, ThroughputRun,
 };
-use accel_landscape::joinhw::{DesignParams, FlowModel, NetworkKind};
+use accel_landscape::joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 use accel_landscape::streamcore::{StreamTag, Tuple};
 use common::golden;
 
@@ -195,4 +196,36 @@ fn fig15_latency_cycles_match_golden() {
         );
         assert_eq!(par, want, "parallel drifted at {cores} cores ({network:?})");
     }
+}
+
+#[test]
+fn hash_core_cycles_match_golden() {
+    // The `figs hashjoin` design: a hash core probes only the matching
+    // bucket, so its cycles pin the bucket index's hit sequence.
+    let params =
+        DesignParams::new(FlowModel::UniFlow, 16, 1 << 12).with_algorithm(JoinAlgorithm::Hash);
+    for &(domain, tuples, cycles, results) in golden::HASHJOIN_THROUGHPUT {
+        let mut join = build(&params);
+        prefill_steady_state(join.as_mut(), params.window_size);
+        let run = run_throughput_with(&mut Simulator::new(), join.as_mut(), tuples, domain);
+        let want = ThroughputRun {
+            tuples,
+            cycles,
+            results,
+        };
+        assert_eq!(run, want, "hash core drifted at key domain {domain}");
+    }
+
+    let (last, quiescent, results) = golden::HASHJOIN_LATENCY;
+    let mut join = build(&params);
+    prefill_planted(join.as_mut(), &params, 7);
+    let probe = (StreamTag::R, Tuple::new(7, u32::MAX));
+    let run = run_latency_with(&mut Simulator::new(), join.as_mut(), probe, 10_000_000)
+        .expect("quiesces");
+    let want = LatencyRun {
+        cycles_to_last_result: last,
+        cycles_to_quiescent: quiescent,
+        results,
+    };
+    assert_eq!(run, want, "hash core latency drifted");
 }
