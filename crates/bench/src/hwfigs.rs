@@ -501,8 +501,14 @@ pub fn fanout_ablation() -> Table {
 /// limitation on the chosen join algorithm, e.g., nested-loop join or
 /// hash join"). Hash cores probe only the matching bucket, turning the
 /// scan-bound design into an input-bound one at low selectivity — at the
-/// price of index memory and an equi-join-only restriction.
-pub fn hashjoin_ablation() -> Table {
+/// price of index memory and an equi-join-only restriction. The manifest
+/// holds per-point tuple/cycle/result counters, keyed
+/// `{nested|hash}.w2e{n}.d{domain}.`.
+pub fn hashjoin(_: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let mut m = crate::obsout::manifest("hashjoin");
+    m.config("device", "XC5VLX50T");
+    m.config("target_clock_mhz", 100);
+    m.config("cores", 16);
     let mut t = Table::new(
         "Ablation — nested-loop vs hash join cores (16 cores, Virtex-5, 100 MHz)",
         &[
@@ -527,6 +533,15 @@ pub fn hashjoin_ablation() -> Table {
             prefill_steady_state(join.as_mut(), window);
             let tuples = tuples_for(params.sub_window()).max(256);
             let run = run_throughput(join.as_mut(), tuples, domain);
+            let name = match algorithm {
+                JoinAlgorithm::NestedLoop => "nested",
+                JoinAlgorithm::Hash => "hash",
+            };
+            record_run(
+                &mut m,
+                &format!("{name}.w2e{}.d{domain}.", window.ilog2()),
+                &run,
+            );
             rates.push(run.at_clock(100.0).million_per_second());
         }
         t.row(vec![
@@ -539,7 +554,7 @@ pub fn hashjoin_ablation() -> Table {
     }
     t.note("prefilled windows hold distinct keys; live keys drawn from the domain");
     t.note("hash cores cost index memory: compare `synthesize` reports per algorithm");
-    t
+    (vec![t], m)
 }
 
 /// Projection — the paper's conclusion points at cloud FPGAs ("Amazon …

@@ -75,9 +75,7 @@ pub const FIGURES: &[(&str, FigureFn)] = &[
     ("fanout", |_| {
         tables_only("fanout", vec![hwfigs::fanout_ablation()])
     }),
-    ("hashjoin", |_| {
-        tables_only("hashjoin", vec![hwfigs::hashjoin_ablation()])
-    }),
+    ("hashjoin", hwfigs::hashjoin),
     ("deferral", |_| {
         tables_only("deferral", vec![hwfigs::deferral_ablation()])
     }),

@@ -61,12 +61,16 @@ impl BramStats {
     }
 }
 
+// The methods a design calls every simulated cycle are `#[inline]`, so
+// each codegen unit of the calling crate can inline them: a design's
+// simulation speed then does not depend on which unit holds its code.
 impl<T> Bram<T> {
     /// Creates a BRAM with `capacity` addressable words, all unwritten.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[inline]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "bram capacity must be at least 1");
         let mut words = Vec::with_capacity(capacity);
@@ -79,11 +83,13 @@ impl<T> Bram<T> {
     }
 
     /// Number of addressable words.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.words.len()
     }
 
     /// Opens a new clock cycle: resets port accounting.
+    #[inline]
     pub fn begin_cycle(&mut self) {
         self.ports_used = 0;
         self.stats.cycles += 1;
@@ -96,6 +102,7 @@ impl<T> Bram<T> {
     ///
     /// Panics if `addr` is out of range. In debug builds, panics if more
     /// than two ports are used in one cycle.
+    #[inline]
     pub fn read(&mut self, addr: usize) -> Option<&T> {
         self.use_port();
         self.stats.reads += 1;
@@ -108,6 +115,7 @@ impl<T> Bram<T> {
     ///
     /// Panics if `addr` is out of range. In debug builds, panics if more
     /// than two ports are used in one cycle.
+    #[inline]
     pub fn write(&mut self, addr: usize, value: T) -> Option<T> {
         self.use_port();
         self.stats.writes += 1;
@@ -116,12 +124,14 @@ impl<T> Bram<T> {
 
     /// Writes without port accounting; for pre-filling state before a
     /// measurement starts.
+    #[inline]
     pub fn load(&mut self, addr: usize, value: T) {
         self.words[addr] = Some(value);
     }
 
     /// Reads without port or activity accounting — a diagnostic view for
     /// tests and verification, not part of the modeled design.
+    #[inline]
     pub fn peek(&self, addr: usize) -> Option<&T> {
         self.words[addr].as_ref()
     }

@@ -42,6 +42,9 @@ pub struct Fifo<T> {
     start_len: usize,
 }
 
+// The methods a design calls every simulated cycle are `#[inline]`, so
+// each codegen unit of the calling crate can inline them: a design's
+// simulation speed then does not depend on which unit holds its code.
 impl<T> Fifo<T> {
     /// Creates an empty FIFO holding at most `capacity` elements.
     ///
@@ -59,23 +62,27 @@ impl<T> Fifo<T> {
     }
 
     /// Maximum number of stored elements.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of elements currently poppable (cycle-start view minus pops
     /// already performed this cycle).
+    #[inline]
     pub fn len(&self) -> usize {
         self.items.len()
     }
 
     /// Returns `true` if no element is poppable this cycle.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
     /// Total occupancy including staged pushes (the occupancy the FIFO will
     /// report after the clock edge if nothing pops).
+    #[inline]
     pub fn committed_len(&self) -> usize {
         self.items.len() + self.staged.len()
     }
@@ -83,6 +90,7 @@ impl<T> Fifo<T> {
     /// Snapshots cycle-start occupancy. Call once per cycle before any
     /// `push`/`pop`. Elements pushed *between* cycles (e.g. by a testbench
     /// offering input) remain staged and latch at this cycle's commit.
+    #[inline]
     pub fn begin_cycle(&mut self) {
         self.start_len = self.items.len();
     }
@@ -90,6 +98,7 @@ impl<T> Fifo<T> {
     /// Returns `true` if a push is accepted this cycle: the registered
     /// `full` flag, based on cycle-start occupancy plus pushes already
     /// staged this cycle.
+    #[inline]
     pub fn can_push(&self) -> bool {
         self.start_len + self.staged.len() < self.capacity
     }
@@ -101,6 +110,7 @@ impl<T> Fifo<T> {
     /// Returns [`FifoFullError`] if the FIFO's registered `full` flag is
     /// asserted; the element is returned to the caller via the error path
     /// untouched (the staged queue is unchanged).
+    #[inline]
     pub fn push(&mut self, value: T) -> Result<(), FifoFullError> {
         if !self.can_push() {
             return Err(FifoFullError {
@@ -112,21 +122,25 @@ impl<T> Fifo<T> {
     }
 
     /// Returns `true` if an element is poppable this cycle.
+    #[inline]
     pub fn can_pop(&self) -> bool {
         !self.items.is_empty()
     }
 
     /// Pops the oldest element present at the start of the cycle, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
     }
 
     /// Peeks at the oldest poppable element without removing it.
+    #[inline]
     pub fn front(&self) -> Option<&T> {
         self.items.front()
     }
 
     /// Latches staged pushes, completing the clock cycle.
+    #[inline]
     pub fn commit(&mut self) {
         self.items.extend(self.staged.drain(..));
         // After the edge, occupancy snapshot becomes stale; refresh so that
@@ -143,6 +157,7 @@ impl<T> Fifo<T> {
     /// # Panics
     ///
     /// Panics if the FIFO is already at capacity.
+    #[inline]
     pub fn load(&mut self, value: T) {
         assert!(
             self.items.len() < self.capacity,

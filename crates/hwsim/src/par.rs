@@ -171,6 +171,9 @@ impl Engine for Simulator {
         Simulator::cycle(self)
     }
 
+    // `#[inline]` puts the drive loop in its caller's codegen unit, where
+    // the caller's `tick` closure can be inlined into it.
+    #[inline]
     fn run_driven<S: Sharded + ?Sized>(
         &mut self,
         root: &mut S,

@@ -70,6 +70,7 @@ impl Simulator {
     }
 
     /// Advances the design by one clock cycle.
+    #[inline]
     pub fn step<C: Component + ?Sized>(&mut self, root: &mut C) {
         root.begin_cycle();
         root.eval();

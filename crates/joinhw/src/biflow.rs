@@ -539,7 +539,9 @@ impl fmt::Display for BiFlowJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JoinPredicate;
     use hwsim::Simulator;
+    use joinsw::baseline::reference_join;
     use std::collections::HashMap;
 
     fn drive(
@@ -571,39 +573,6 @@ mod tests {
             "chain did not quiesce"
         );
         (join.drain_results(), sim.cycle())
-    }
-
-    fn reference_join(inputs: &[(StreamTag, Tuple)], window: usize) -> Vec<MatchPair> {
-        let mut wr: Vec<Tuple> = Vec::new();
-        let mut ws: Vec<Tuple> = Vec::new();
-        let mut out = Vec::new();
-        for &(tag, t) in inputs {
-            match tag {
-                StreamTag::R => {
-                    for &s in &ws {
-                        if t.key() == s.key() {
-                            out.push(MatchPair { r: t, s });
-                        }
-                    }
-                    wr.push(t);
-                    if wr.len() > window {
-                        wr.remove(0);
-                    }
-                }
-                StreamTag::S => {
-                    for &r in &wr {
-                        if r.key() == t.key() {
-                            out.push(MatchPair { r, s: t });
-                        }
-                    }
-                    ws.push(t);
-                    if ws.len() > window {
-                        ws.remove(0);
-                    }
-                }
-            }
-        }
-        out
     }
 
     fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
@@ -640,7 +609,7 @@ mod tests {
             let mut join = BiFlowJoin::new(&params).with_variant(variant);
             join.program(JoinOperator::equi(cores));
             let (got, took) = drive_counted(&mut join, &inputs, 2_000_000);
-            let want = reference_join(&inputs, window);
+            let want = reference_join(&inputs, window, JoinPredicate::Equi);
             assert!(!want.is_empty());
             if variant == BiflowVariant::LowLatency {
                 assert_eq!(
@@ -667,7 +636,7 @@ mod tests {
         let mut join = BiFlowJoin::new(&params);
         join.program(JoinOperator::equi(4));
         let got = drive(&mut join, &inputs, 4_000_000);
-        let want = reference_join(&inputs, 16);
+        let want = reference_join(&inputs, 16, JoinPredicate::Equi);
         assert_eq!(as_multiset(&got), as_multiset(&want));
     }
 
@@ -696,7 +665,10 @@ mod tests {
             join.program(JoinOperator::equi(4));
             let (got, took) = drive_counted(&mut join, &inputs, 1_000_000);
             if variant == BiflowVariant::LowLatency {
-                assert_eq!(as_multiset(&got), as_multiset(&reference_join(&inputs, 32)));
+                assert_eq!(
+                    as_multiset(&got),
+                    as_multiset(&reference_join(&inputs, 32, JoinPredicate::Equi))
+                );
             }
             assert_eq!(took, cycles, "{variant:?} cycle count drifted");
         }
@@ -789,7 +761,7 @@ mod tests {
     #[test]
     fn original_variant_defers_and_never_invents_results() {
         let inputs = workload(400, 6);
-        let want = reference_join(&inputs, 32);
+        let want = reference_join(&inputs, 32, JoinPredicate::Equi);
 
         let params = DesignParams::new(FlowModel::BiFlow, 4, 32);
         let mut original = BiFlowJoin::new(&params).with_variant(BiflowVariant::Original);

@@ -19,6 +19,7 @@ use hwsim::{
     estimate_fmax, CapacityError, Device, Family, Frequency, MemoryMapping, PowerModel,
     PowerReport, Resources, TimingProfile, Utilization,
 };
+use streamcore::JoinAlgorithm;
 
 /// Default width of a stream tuple on the wire, excluding the 2-bit
 /// header. Frame buses carry `tuple_bits + 2` bits and result buses
@@ -120,28 +121,6 @@ const BIFLOW_COORDINATOR: Resources = Resources {
 /// and coordination logic toggle every cycle.
 const UNIFLOW_ACTIVITY: f64 = 0.9;
 const BIFLOW_ACTIVITY: f64 = 1.0;
-
-/// Join algorithm executed inside each core. The paper: the join core
-/// implements the operator "without posing any limitation on the chosen
-/// join algorithm, e.g., nested-loop join or hash join".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinAlgorithm {
-    /// Scan the whole opposite sub-window, one tuple per cycle — works
-    /// for any predicate; the paper's measured configuration.
-    NestedLoop,
-    /// Probe a per-key bucket index — one cycle per *matching* tuple, but
-    /// restricted to equi-joins and costing extra index memory.
-    Hash,
-}
-
-impl fmt::Display for JoinAlgorithm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JoinAlgorithm::NestedLoop => write!(f, "nested-loop"),
-            JoinAlgorithm::Hash => write!(f, "hash"),
-        }
-    }
-}
 
 /// The data-flow model of a parallel stream join (Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -43,7 +43,6 @@
 pub mod biflow;
 mod design;
 pub mod harness;
-mod hashwindow;
 mod operator;
 mod subwindow;
 pub mod uniflow;
@@ -57,8 +56,7 @@ fn trace_flag_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub use design::JoinAlgorithm;
-pub use hashwindow::HashWindow;
+pub use streamcore::JoinAlgorithm;
 pub use subwindow::SubWindow;
 
 pub use design::{DesignParams, FlowModel, NetworkKind, SynthesisReport};

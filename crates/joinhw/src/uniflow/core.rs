@@ -2,10 +2,9 @@
 //! (Fig. 11), with the controller FSMs of Figs. 12 and 13.
 
 use hwsim::{Component, Fifo};
-use streamcore::{Frame, MatchPair, StreamTag, Tuple};
+use streamcore::{Frame, HashIndexWindow, JoinAlgorithm, MatchPair, StreamTag, Tuple};
 
-use crate::design::{JoinAlgorithm, FETCHER_DEPTH, RESULT_FIFO_DEPTH};
-use crate::hashwindow::HashWindow;
+use crate::design::{FETCHER_DEPTH, RESULT_FIFO_DEPTH};
 use crate::subwindow::SubWindow;
 use crate::{JoinOperator, JoinPredicate};
 
@@ -13,14 +12,14 @@ use crate::{JoinOperator, JoinPredicate};
 #[derive(Debug, Clone)]
 enum WindowStore {
     Nested(SubWindow),
-    Hash(HashWindow),
+    Hash(HashIndexWindow),
 }
 
 impl WindowStore {
     fn new(algorithm: JoinAlgorithm, capacity: usize) -> Self {
         match algorithm {
             JoinAlgorithm::NestedLoop => WindowStore::Nested(SubWindow::new(capacity)),
-            JoinAlgorithm::Hash => WindowStore::Hash(HashWindow::new(capacity)),
+            JoinAlgorithm::Hash => WindowStore::Hash(HashIndexWindow::new(capacity)),
         }
     }
 
@@ -32,43 +31,48 @@ impl WindowStore {
 
     fn store(&mut self, tuple: Tuple) {
         match self {
-            WindowStore::Nested(w) => {
-                w.store(tuple);
-            }
-            WindowStore::Hash(w) => {
-                w.store(tuple);
-            }
-        }
+            WindowStore::Nested(w) => w.store(tuple),
+            WindowStore::Hash(w) => w.insert(tuple),
+        };
     }
 
     fn load(&mut self, tuple: Tuple) {
         match self {
             WindowStore::Nested(w) => w.load(tuple),
-            WindowStore::Hash(w) => w.load(tuple),
+            WindowStore::Hash(w) => {
+                w.insert(tuple);
+            }
         }
     }
 
-    /// How many cycles a probe with `key` scans: the full occupancy for
-    /// nested-loop, the matching bucket for hash.
-    fn probe_len(&self, key: u32) -> usize {
+    /// Opens a probe with `key` and returns how many cycles it scans: the
+    /// full occupancy for nested-loop, the matching tuples for hash. A
+    /// hash probe copies its hits into `hits` once, oldest first, so each
+    /// scan cycle reads one by index; the copy stays exact because the
+    /// core fetches no frame mid-scan, so the scanned window cannot change.
+    fn begin_probe(&self, key: u32, hits: &mut Vec<Tuple>) -> usize {
         match self {
             WindowStore::Nested(w) => w.occupancy(),
-            WindowStore::Hash(w) => w.bucket_len(key),
+            WindowStore::Hash(w) => {
+                hits.clear();
+                hits.extend(w.probe(key));
+                hits.len()
+            }
         }
     }
 
-    /// The `idx`-th tuple of the probe sequence for `key`.
-    fn probe_read(&mut self, key: u32, idx: usize) -> Tuple {
+    /// The `idx`-th tuple of the open probe's scan.
+    fn probe_read(&mut self, hits: &[Tuple], idx: usize) -> Tuple {
         match self {
             WindowStore::Nested(w) => w.read(idx),
-            WindowStore::Hash(w) => w.bucket_read(key, idx),
+            WindowStore::Hash(_) => hits[idx],
         }
     }
 
-    fn snapshot(&mut self) -> Vec<Tuple> {
+    fn snapshot(&self) -> Vec<Tuple> {
         match self {
             WindowStore::Nested(w) => w.snapshot(),
-            WindowStore::Hash(w) => w.snapshot(),
+            WindowStore::Hash(w) => w.iter().collect(),
         }
     }
 }
@@ -135,6 +139,8 @@ pub struct JoinCore {
     processing: ProcessingState,
     store_tuple: Option<Tuple>,
     probe: Option<(StreamTag, Tuple)>,
+    /// The in-flight hash probe's hits, oldest first (reused buffer).
+    hits: Vec<Tuple>,
     scan_idx: usize,
     scan_len: usize,
     stats: CoreStats,
@@ -179,6 +185,7 @@ impl JoinCore {
             processing: ProcessingState::Idle,
             store_tuple: None,
             probe: None,
+            hits: Vec::new(),
             scan_idx: 0,
             scan_len: 0,
             stats: CoreStats::default(),
@@ -400,8 +407,8 @@ impl JoinCore {
         // whole occupancy for nested-loop cores; the matching bucket for
         // hash cores).
         let opposite_occ = match tag {
-            StreamTag::R => self.window_s.probe_len(tuple.key()),
-            StreamTag::S => self.window_r.probe_len(tuple.key()),
+            StreamTag::R => self.window_s.begin_probe(tuple.key(), &mut self.hits),
+            StreamTag::S => self.window_r.begin_probe(tuple.key(), &mut self.hits),
         };
         if opposite_occ == 0 {
             // Processing Skip: nothing to compare against.
@@ -442,8 +449,8 @@ impl JoinCore {
             return;
         }
         let stored = match tag {
-            StreamTag::R => self.window_s.probe_read(probe.key(), self.scan_idx),
-            StreamTag::S => self.window_r.probe_read(probe.key(), self.scan_idx),
+            StreamTag::R => self.window_s.probe_read(&self.hits, self.scan_idx),
+            StreamTag::S => self.window_r.probe_read(&self.hits, self.scan_idx),
         };
         self.stats.comparisons += 1;
         let predicate = self

@@ -360,8 +360,10 @@ impl Sharded for UniFlowJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JoinPredicate;
     use crate::NetworkKind;
     use hwsim::Simulator;
+    use joinsw::baseline::reference_join;
     use std::collections::HashMap;
 
     fn drive(
@@ -393,40 +395,6 @@ mod tests {
         (join.drain_results(), sim.cycle())
     }
 
-    /// Reference strict-semantics nested-loop join over global windows.
-    fn reference_join(inputs: &[(StreamTag, Tuple)], window: usize) -> Vec<MatchPair> {
-        let mut wr: Vec<Tuple> = Vec::new();
-        let mut ws: Vec<Tuple> = Vec::new();
-        let mut out = Vec::new();
-        for &(tag, t) in inputs {
-            match tag {
-                StreamTag::R => {
-                    for &s in &ws {
-                        if t.key() == s.key() {
-                            out.push(MatchPair { r: t, s });
-                        }
-                    }
-                    wr.push(t);
-                    if wr.len() > window {
-                        wr.remove(0);
-                    }
-                }
-                StreamTag::S => {
-                    for &r in &wr {
-                        if r.key() == t.key() {
-                            out.push(MatchPair { r, s: t });
-                        }
-                    }
-                    ws.push(t);
-                    if ws.len() > window {
-                        ws.remove(0);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
         let mut m = HashMap::new();
         for p in results {
@@ -452,7 +420,7 @@ mod tests {
             let mut join = UniFlowJoin::new(&params);
             join.program(JoinOperator::equi(cores));
             let got = drive(&mut join, &inputs, 200_000);
-            let want = reference_join(&inputs, 64);
+            let want = reference_join(&inputs, 64, JoinPredicate::Equi);
             assert_eq!(
                 as_multiset(&got),
                 as_multiset(&want),
@@ -470,7 +438,7 @@ mod tests {
         let mut join = UniFlowJoin::new(&params);
         join.program(JoinOperator::equi(4));
         let got = drive(&mut join, &inputs, 400_000);
-        let want = reference_join(&inputs, 16);
+        let want = reference_join(&inputs, 16, JoinPredicate::Equi);
         assert_eq!(as_multiset(&got), as_multiset(&want));
     }
 

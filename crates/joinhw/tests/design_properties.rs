@@ -1,24 +1,25 @@
 //! Property-based tests of the hardware designs and synthesis models.
 
-use joinhw::{DesignParams, FlowModel, HashWindow, JoinAlgorithm, NetworkKind, SubWindow};
+use joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind, SubWindow};
 use proptest::prelude::*;
-use streamcore::Tuple;
+use streamcore::{HashIndexWindow, Tuple};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The circular sub-window and the hash window agree with a model
-    /// FIFO across arbitrary store sequences, including wraparound.
+    /// The circular sub-window and the hash core's indexed window agree
+    /// with a model FIFO across arbitrary store sequences, including
+    /// wraparound.
     #[test]
     fn windows_match_a_model_fifo(cap in 1usize..24, keys in prop::collection::vec(0u32..6, 0..120)) {
         let mut nested = SubWindow::new(cap);
-        let mut hashed = HashWindow::new(cap);
+        let mut hashed = HashIndexWindow::new(cap);
         let mut model: Vec<Tuple> = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             let t = Tuple::new(k, i as u32);
             nested.begin_cycle();
             let expired = nested.store(t);
-            let h_expired = hashed.store(t);
+            let h_expired = hashed.insert(t);
             model.push(t);
             let model_expired = if model.len() > cap {
                 Some(model.remove(0))
@@ -29,11 +30,11 @@ proptest! {
             prop_assert_eq!(h_expired, model_expired);
         }
         prop_assert_eq!(nested.snapshot(), model.clone());
-        prop_assert_eq!(hashed.snapshot(), model.clone());
-        // Bucket views agree with filtered scans.
+        prop_assert_eq!(hashed.iter().collect::<Vec<_>>(), model.clone());
+        // Each probe's hits are the filtered scan, oldest first.
         for key in 0u32..6 {
             let scan: Vec<Tuple> = model.iter().copied().filter(|t| t.key() == key).collect();
-            prop_assert_eq!(hashed.bucket_len(key), scan.len());
+            prop_assert_eq!(hashed.probe(key).collect::<Vec<_>>(), scan);
         }
     }
 

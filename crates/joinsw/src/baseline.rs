@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 
 use crate::error::JoinError;
-use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
+use streamcore::{FlatWindow, JoinPredicate, MatchPair, StreamTag, Tuple};
 
 use crate::config::JoinConfig;
 use crate::outcome::{key, JoinOutcome};
@@ -37,8 +37,8 @@ use crate::streamjoin::StreamJoin;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NestedLoopJoin {
-    window_r: SlidingWindow<Tuple>,
-    window_s: SlidingWindow<Tuple>,
+    window_r: FlatWindow,
+    window_s: FlatWindow,
     predicate: JoinPredicate,
     comparisons: u64,
 }
@@ -47,8 +47,8 @@ impl NestedLoopJoin {
     /// Creates a join with per-stream windows of `window_size` tuples.
     pub fn new(window_size: usize, predicate: JoinPredicate) -> Self {
         Self {
-            window_r: SlidingWindow::new(window_size),
-            window_s: SlidingWindow::new(window_size),
+            window_r: FlatWindow::new(window_size),
+            window_s: FlatWindow::new(window_size),
             predicate,
             comparisons: 0,
         }
@@ -59,7 +59,7 @@ impl NestedLoopJoin {
         let mut out = Vec::new();
         match tag {
             StreamTag::R => {
-                for &s in self.window_s.iter() {
+                for s in self.window_s.iter() {
                     self.comparisons += 1;
                     if self.predicate.matches(tuple, s) {
                         out.push(MatchPair { r: tuple, s });
@@ -68,7 +68,7 @@ impl NestedLoopJoin {
                 self.window_r.insert(tuple);
             }
             StreamTag::S => {
-                for &r in self.window_r.iter() {
+                for r in self.window_r.iter() {
                     self.comparisons += 1;
                     if self.predicate.matches(r, tuple) {
                         out.push(MatchPair { r, s: tuple });

@@ -79,7 +79,7 @@ use std::thread::JoinHandle;
 
 use crate::error::{JoinError, WorkerStats};
 use streamcore::ring::{self, PopError, PushError, RingConsumer, RingProducer};
-use streamcore::{JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple};
+use streamcore::{FlatWindow, JoinPredicate, MatchPair, StreamTag, Tuple};
 
 use crate::config::{JoinConfig, JoinParams};
 use crate::fault::{FaultPlan, FaultReport};
@@ -329,7 +329,7 @@ impl StreamJoin for HandshakeJoin {
             at_exit: next.is_none(),
             next,
             held: None,
-            window: SlidingWindow::new(sub),
+            window: FlatWindow::new(sub),
             downstream,
             forwarded: 0,
         };
@@ -538,7 +538,7 @@ struct Lane {
     /// The one message `next` had no slot for; while it waits here the
     /// lane's inbox is left alone (see the module docs, "Links").
     held: Option<ChainMsg>,
-    window: SlidingWindow<Tuple>,
+    window: FlatWindow,
     /// Capacity of the chain beyond this core; while the downstream
     /// still has room the storage cascade forwards tuples unparked, so
     /// the chain fills from the exit end.
@@ -584,7 +584,7 @@ impl ChainCore {
         };
         for wave in &mut waves {
             self.stats.tuples_seen += 1;
-            for &stored in opposite.iter() {
+            for stored in opposite.iter() {
                 self.stats.comparisons += 1;
                 let pair = MatchPair::oriented(tag, wave.probe, stored);
                 if self.predicate.matches(pair.r, pair.s) {

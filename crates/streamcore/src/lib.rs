@@ -9,10 +9,13 @@
 //!   model with the 2-bit bus header of the hardware design;
 //! * [`Record`], [`Schema`] — wider, schema-described records for the
 //!   Flexible Query Processor;
+//! * [`JoinPredicate`], [`JoinAlgorithm`] — what a join matches and how
+//!   a core finds the matches;
 //! * [`SlidingWindow`] — count-based sliding window semantics (the
 //!   generic `VecDeque` reference backend), plus the flat
-//!   struct-of-arrays backends [`FlatWindow`] (the SplitJoin
-//!   sub-window) and [`HashIndexWindow`] (its equi-indexed variant);
+//!   struct-of-arrays backends [`FlatWindow`] (the nested-loop window
+//!   every software join scans) and [`HashIndexWindow`] (its
+//!   equi-indexed variant, the hardware hash cores' storage);
 //! * [`PartitionMap`] — round-robin ownership of storage turns over live
 //!   worker positions, used by the software SplitJoin coordinator to
 //!   re-partition around a lost core;
@@ -58,7 +61,7 @@ mod window;
 pub mod workload;
 
 pub use partition::PartitionMap;
-pub use predicate::JoinPredicate;
+pub use predicate::{JoinAlgorithm, JoinPredicate};
 pub use record::{Field, Record, Schema, SchemaError};
 pub use tuple::{Frame, MatchPair, StreamTag, Tuple};
 pub use window::{FlatWindow, HashIndexWindow, ProbeHits, SlidingWindow};

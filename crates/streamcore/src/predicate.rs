@@ -1,6 +1,33 @@
-//! Join predicates shared by the hardware and software join realizations.
+//! Join predicates and algorithms shared by the hardware and software
+//! join realizations.
+
+use std::fmt;
 
 use crate::Tuple;
+
+/// How a join core finds a probe's partners in the opposite window. The
+/// paper's join core implements its operator "without posing any
+/// limitation on the chosen join algorithm, e.g., nested-loop join or
+/// hash join".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum JoinAlgorithm {
+    /// Compare the probe against every stored tuple, oldest first — works
+    /// for any [`JoinPredicate`]; the paper's measured configuration.
+    NestedLoop,
+    /// Visit only the stored tuples sharing the probe's key, oldest first,
+    /// through a key index ([`HashIndexWindow`](crate::HashIndexWindow)) —
+    /// restricted to [`JoinPredicate::Equi`] and costing index memory.
+    Hash,
+}
+
+impl fmt::Display for JoinAlgorithm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JoinAlgorithm::NestedLoop => write!(f, "nested-loop"),
+            JoinAlgorithm::Hash => write!(f, "hash"),
+        }
+    }
+}
 
 /// The join condition evaluated between an R tuple and an S tuple.
 ///

@@ -2,18 +2,17 @@
 //!
 //! Two storage backends implement the same count-based semantics:
 //!
-//! * [`SlidingWindow`] — the generic `VecDeque` reference backend. Every
-//!   other realization in the workspace is validated against it, and the
-//!   hardware simulation (`joinhw`) keeps building on it, so its
-//!   semantics (and the golden cycle pins downstream of them) never
-//!   move.
+//! * [`SlidingWindow`] — the generic `VecDeque` reference backend. The
+//!   flat backends are validated against it, and it holds the Flexible
+//!   Query Processor's [`Record`](crate::Record) windows.
 //! * [`FlatWindow`] / [`HashIndexWindow`] — flat ring buffers over
-//!   [`Tuple`]s. `FlatWindow`, the SplitJoin worker's sub-window, stores
-//!   keys and payloads in separate contiguous arrays
+//!   [`Tuple`]s, one per [`JoinAlgorithm`](crate::JoinAlgorithm).
+//!   `FlatWindow` stores keys and payloads in separate contiguous arrays
 //!   (struct-of-arrays), so a nested-loop probe is a linear scan of a
-//!   dense `u32` array; `HashIndexWindow` adds an open-addressing
-//!   equi-join index over the same ring (the ledger measures its probe
-//!   rate beside the flat insert rate). Both are cross-checked against
+//!   dense `u32` array; the SplitJoin workers, the baseline join and the
+//!   handshake chain all scan it. `HashIndexWindow` adds an
+//!   open-addressing equi-join index over the same ring; the hardware
+//!   design's hash cores store through it. Both are cross-checked against
 //!   `SlidingWindow` by randomized property tests
 //!   (`tests/window_backends.rs`).
 
@@ -522,7 +521,7 @@ impl HashIndexWindow {
         ProbeHits { window: self, cur }
     }
 
-    /// Iterates every stored tuple from oldest to newest (test support;
+    /// Iterates every stored tuple from oldest to newest (verification;
     /// the hot path uses [`HashIndexWindow::probe`]).
     pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
         let cap = self.capacity();
@@ -617,6 +616,12 @@ mod tests {
     #[should_panic(expected = "capacity must be at least 1")]
     fn zero_capacity_panics() {
         let _ = SlidingWindow::<u8>::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be at least 1")]
+    fn hash_index_zero_capacity_panics() {
+        let _ = HashIndexWindow::new(0);
     }
 
     #[test]

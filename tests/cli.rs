@@ -81,6 +81,72 @@ fn throughput_measures_a_small_design() {
     assert!(text.contains("M tuples/s"), "{text}");
 }
 
+/// `(cycles, results)` from `accel throughput`'s `measured:` line.
+fn measured(text: &str) -> (u64, u64) {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("measured:"))
+        .unwrap_or_else(|| panic!("no measured line in {text}"));
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let after = |w: &str| {
+        let i = words.iter().position(|x| *x == w).expect(w);
+        words[i + 1]
+            .trim_start_matches('(')
+            .parse()
+            .expect("a count")
+    };
+    (after("over"), after("cycles"))
+}
+
+#[test]
+fn throughput_runs_either_join_algorithm() {
+    let run = |algorithm: &str| {
+        let out = accel(&[
+            "throughput",
+            "--cores",
+            "4",
+            "--window",
+            "256",
+            "--device",
+            "v5",
+            "--tuples",
+            "512",
+            "--algorithm",
+            algorithm,
+        ]);
+        assert!(out.status.success(), "{algorithm}: {}", stderr(&out));
+        measured(&stdout(&out))
+    };
+    let (nested_cycles, nested_results) = run("nested");
+    let (hash_cycles, hash_results) = run("hash");
+    // Same join, same stream: a hash core finds the same partners while
+    // probing only the matching bucket instead of the whole sub-window.
+    assert!(nested_results > 0, "the stream should produce matches");
+    assert_eq!(hash_results, nested_results);
+    assert!(
+        hash_cycles < nested_cycles,
+        "hash {hash_cycles} cycles vs nested {nested_cycles}"
+    );
+
+    let out = accel(&[
+        "throughput",
+        "--cores",
+        "4",
+        "--window",
+        "256",
+        "--device",
+        "v5",
+        "--algorithm",
+        "bogus",
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("unknown algorithm"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 #[test]
 fn explain_binds_against_cli_schemas() {
     let out = accel(&[

@@ -247,34 +247,32 @@ proptest! {
         prop_assert_eq!(Query::parse(&q.to_string()).unwrap(), q);
     }
 
-    /// The hash window retains exactly the same tuples as the nested
-    /// sub-window across arbitrary store sequences, and its buckets agree
-    /// with a linear scan.
+    /// The hash core's indexed window retains exactly the same tuples as
+    /// the nested sub-window across arbitrary store sequences, and each
+    /// probe's hits are the sub-window's filtered scan, oldest first.
     #[test]
     fn hash_window_equals_subwindow(
         cap in 1usize..16,
         keys in prop::collection::vec(0u32..8, 0..80),
     ) {
-        use accel_landscape::joinhw::{HashWindow, SubWindow};
-        let mut hash = HashWindow::new(cap);
+        use accel_landscape::joinhw::SubWindow;
+        use accel_landscape::streamcore::HashIndexWindow;
+        let mut hash = HashIndexWindow::new(cap);
         let mut nested = SubWindow::new(cap);
         for (i, &k) in keys.iter().enumerate() {
             let t = Tuple::new(k, i as u32);
-            hash.store(t);
+            hash.insert(t);
             nested.begin_cycle();
             nested.store(t);
         }
-        prop_assert_eq!(hash.snapshot(), nested.snapshot());
+        prop_assert_eq!(hash.iter().collect::<Vec<_>>(), nested.snapshot());
         for probe in 0u32..8 {
             let scan: Vec<Tuple> = nested
                 .snapshot()
                 .into_iter()
                 .filter(|t| t.key() == probe)
                 .collect();
-            prop_assert_eq!(hash.bucket_len(probe), scan.len());
-            for (i, want) in scan.iter().enumerate() {
-                prop_assert_eq!(hash.bucket_read(probe, i), *want);
-            }
+            prop_assert_eq!(hash.probe(probe).collect::<Vec<_>>(), scan);
         }
     }
 
