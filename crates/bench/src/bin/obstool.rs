@@ -527,16 +527,21 @@ mod tests {
     #[test]
     fn series_summarize_names_the_stalled_stretch_or_healthy_throughout() {
         use obs::health::PRESSURE_HEARTBEAT_AGE_NS as STALLED;
-        let doc = |ages: &[u64]| obs::series::SeriesDoc {
+        // Samples every 0.5 s from 10 s on, each `silence` after the
+        // worker's last beat.
+        let doc = |silences: &[u64]| obs::series::SeriesDoc {
             header: obs::series::SeriesHeader::new("synthetic", 500),
-            samples: ages
+            samples: silences
                 .iter()
                 .zip(0u64..)
-                .map(|(&age, i)| obs::Snapshot {
-                    t_ns: i * 500_000_000,
-                    values: [("splitjoin.worker.1.heartbeat_age_ns", age)]
-                        .into_iter()
-                        .collect(),
+                .map(|(&silence, i)| {
+                    let t_ns = 10_000_000_000 + i * 500_000_000;
+                    obs::Snapshot {
+                        t_ns,
+                        values: [("splitjoin.worker.1.last_beat_ns", t_ns - silence)]
+                            .into_iter()
+                            .collect(),
+                    }
                 })
                 .collect(),
         };
@@ -545,7 +550,7 @@ mod tests {
             [
                 "health: 1 unhealthy stretch(es)",
                 "  0.500s..1.500s:",
-                "    splitjoin.worker.1.heartbeat_age_ns = 2500000001 >= PRESSURE_HEARTBEAT_AGE_NS",
+                "    splitjoin.worker.1.last_beat_ns = 2500000001 >= PRESSURE_HEARTBEAT_AGE_NS",
             ]
         );
         assert_eq!(

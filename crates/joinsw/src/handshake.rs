@@ -247,7 +247,7 @@ impl HandshakeJoin {
     /// Pushes `msg` into a lane's entry core under supervision.
     fn send_entry(&self, entry: &mut Entry, msg: ChainMsg) -> Result<SendStatus, JoinError> {
         let cell = &self.cells[entry.core];
-        Ok(supervised_push(&mut entry.link, cell, entry.core, msg, None)?.0)
+        Ok(supervised_push(&mut entry.link, cell, entry.core, msg)?.0)
     }
 
     /// Injects the lane's pending wave group, if any, as one message.
@@ -337,7 +337,7 @@ impl StreamJoin for HandshakeJoin {
         let mut workers = Vec::with_capacity(n);
         for (position, ((r_rx, s_rx), s_next)) in r_rx.into_iter().zip(s_rx).zip(s_next).enumerate()
         {
-            let cell = Arc::new(WorkerCell::default());
+            let cell = Arc::new(WorkerCell::new(key::HANDSHAKE, position));
             cells.push(Arc::clone(&cell));
             let core = ChainCore {
                 predicate: config.predicate,
@@ -682,6 +682,9 @@ impl ChainCore {
                     }
                 }
             }
+            // Idle, not stalled: an empty poll is a beat, as in
+            // SplitJoin's `recv_msg`.
+            self.cell.stamp_beat();
             self.idle.wait();
         }
         None

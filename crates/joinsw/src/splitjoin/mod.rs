@@ -162,11 +162,6 @@ impl SplitJoin {
         pending.clear();
         result
     }
-
-    /// Number of batch messages broadcast so far (per worker).
-    pub fn batches_sent(&self) -> u64 {
-        self.router.borrow().batches_sent
-    }
 }
 
 impl StreamJoin for SplitJoin {
@@ -186,7 +181,7 @@ impl StreamJoin for SplitJoin {
         let mut cells = Vec::with_capacity(config.num_cores);
         let mut workers = Vec::with_capacity(config.num_cores);
         for position in 0..config.num_cores {
-            let cell = Arc::new(WorkerCell::default());
+            let cell = Arc::new(WorkerCell::new(key::SPLITJOIN, position));
             cells.push(Arc::clone(&cell));
             let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
             senders.push(Some(tx));
@@ -206,7 +201,6 @@ impl StreamJoin for SplitJoin {
                 map: PartitionMap::identity(config.num_cores),
                 plan: config.fault_plan.clone(),
                 sub_window: config.sub_window(),
-                batches_sent: 0,
                 batch_hist: obs::Histogram::new(),
                 r_sent: 0,
                 s_sent: 0,

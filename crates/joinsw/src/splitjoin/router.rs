@@ -28,7 +28,7 @@ pub(super) struct Router {
     pub(super) map: PartitionMap,
     pub(super) plan: FaultPlan,
     pub(super) sub_window: usize,
-    pub(super) batches_sent: u64,
+    /// Batch sizes; `total()` is the count of batches sent.
     pub(super) batch_hist: obs::Histogram,
     /// Tuples sent per stream (prefill included) — each healthy worker's
     /// local per-stream count equals these.
@@ -75,8 +75,7 @@ impl Router {
         if let Some(lv) = live.as_ref() {
             lv.ring_occupancy[w].set(depth);
         }
-        let age = live.as_ref().map(|lv| &lv.heartbeat_age[w]);
-        let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg, age)?;
+        let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg)?;
         if waited_ns > 0 {
             ring_stats.claim_wait_ns.record_value(waited_ns);
         }
@@ -145,9 +144,8 @@ impl Router {
         }
         self.require_live()?;
         self.batch_hist.record_value(batch.len() as u64);
-        self.batches_sent += 1;
         if let Some(lv) = self.live.as_ref() {
-            lv.on_batch(batch.len(), &self.cells, self.map.live());
+            lv.on_batch(batch.len());
         }
         self.note_sent(batch.iter().map(|&(tag, _)| tag));
         let shared: Arc<[(StreamTag, Tuple)]> = batch.into();
@@ -156,7 +154,7 @@ impl Router {
         // processes this batch and no more (its ring closes here, it
         // drains what was already queued and exits), so the closed-form
         // ownership shares are exactly its occupancy at death.
-        let kills: Vec<usize> = self.plan.kills_after(self.batches_sent).collect();
+        let kills: Vec<usize> = self.plan.kills_after(self.batch_hist.total()).collect();
         self.recover_all(kills)
     }
 
@@ -240,7 +238,7 @@ impl Router {
         self.report.workers_lost.push(worker);
         self.report.orphaned_tuples += orphans;
         if let Some(lv) = self.live.as_ref() {
-            lv.on_worker_lost(worker, orphans, self.map.live_count());
+            lv.on_worker_lost(orphans, self.map.live_count());
         }
         let t0 = Instant::now();
         wait_until(|| {

@@ -297,7 +297,6 @@ fn batch_histogram_records_distribution_shape() {
         join.process(StreamTag::R, Tuple::new(i, i)).unwrap();
     }
     join.flush().unwrap(); // two full batches of 4, one partial of 2
-    assert_eq!(join.batches_sent(), 3);
     let outcome = join.shutdown().unwrap();
     assert_eq!(outcome.batch_sizes.total(), 3);
     assert_eq!(outcome.batch_sizes.max(), Some(4));
@@ -624,20 +623,28 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
     // sequence here rather than as two tests racing on the flag.
     //
     // Unarmed: an engine must not touch the global registry. No other
-    // test spawns 11 cores, so `splitjoin.worker.10.` can only have been
-    // registered by this engine.
+    // test spawns 11 cores, so `<engine>.worker.10.` can only have been
+    // registered by these engines.
     let inputs: Vec<_> = WorkloadSpec::new(50, KeyDist::Uniform { domain: 4 })
         .generate()
         .collect();
     let outcome = run_workload(SplitJoinConfig::new(11, 22), &inputs);
     assert!(!outcome.results.is_empty());
-    assert!(
-        !obs::live::global()
-            .entries()
-            .iter()
-            .any(|(name, _, _)| name.starts_with("splitjoin.worker.10.")),
-        "an unarmed engine registered live cells"
-    );
+    let chain =
+        crate::handshake::HandshakeJoin::spawn(crate::handshake::HandshakeConfig::new(11, 22));
+    for &(tag, t) in &inputs {
+        chain.process(tag, t).unwrap();
+    }
+    assert!(chain.shutdown().unwrap().result_count > 0);
+    for prefix in ["splitjoin.worker.10.", "handshake.worker.10."] {
+        assert!(
+            !obs::live::global()
+                .entries()
+                .iter()
+                .any(|(name, _, _)| name.starts_with(prefix)),
+            "an unarmed engine registered live cells under {prefix}"
+        );
+    }
 
     // Armed: every exported key family shows up in the global snapshot.
     // Sibling engines spawned meanwhile can only *add* to the shared
@@ -664,8 +671,8 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
         "splitjoin.worker.0.matches",
         "splitjoin.worker.0.busy_ns",
         "splitjoin.worker.0.wait_ns",
-        "splitjoin.worker.0.heartbeat_age_ns",
-        "splitjoin.worker.1.heartbeat_age_ns",
+        "splitjoin.worker.0.last_beat_ns",
+        "splitjoin.worker.1.last_beat_ns",
         "splitjoin.worker.0.ring_occupancy",
         "splitjoin.worker.1.ring_occupancy",
     ] {

@@ -1,7 +1,9 @@
 //! Crate-internal worker supervision primitives, one of each, shared by
 //! the SplitJoin router and the handshake chain: the per-worker
-//! heartbeat/liveness cell (which also holds the core's result outbox),
-//! the scope guard that marks a cell dead on any exit path, the idle
+//! heartbeat/liveness cell (which also holds the core's result outbox
+//! and is where the live plane reads the core's statistics and beat
+//! stamp, see [`WorkerCell::new`]), the scope guard that marks a cell dead on any
+//! exit path, the idle
 //! policy every polling loop waits under ([`Idle`]), the bounded-backoff
 //! policy ([`SendSupervisor`]) and the supervised ring push built on the
 //! two, the barrier wait loop ([`wait_until`]), and the fault script a
@@ -17,7 +19,7 @@ use streamcore::ring::{PushError, RingProducer};
 use streamcore::MatchPair;
 
 use crate::fault::{FaultPlan, FaultReport};
-use crate::outcome::JoinOutcome;
+use crate::outcome::{key, JoinOutcome};
 
 /// First supervised-send timeout; doubles per retry up to
 /// [`BACKOFF_CAP_MS`].
@@ -115,8 +117,8 @@ pub(crate) fn wait_until(
 }
 
 /// Shared per-worker supervision block: heartbeat + liveness for the
-/// coordinator, last published statistics for loss-tolerant shutdown,
-/// and the worker-side fault tallies.
+/// coordinator, last published statistics for loss-tolerant shutdown
+/// and the live plane, and the worker-side fault tallies.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCell {
     /// Messages finished ([`WorkerCell::finish_message`]). The supervisor
@@ -126,21 +128,21 @@ pub(crate) struct WorkerCell {
     /// that travels a lane, one atomic per lane in the `HandshakeJoin`).
     pub(crate) heartbeat: AtomicU64,
     /// Monotonic instant (`obs::trace::now_ns`) the core was last seen
-    /// alive ([`WorkerCell::stamp_beat`]); 0 = never. Written only while
-    /// the live telemetry plane is armed — the router exports
-    /// `splitjoin.worker.<i>.heartbeat_age_ns` gauges from it so a
-    /// stalling worker is visible to the live sampler *long* before the
-    /// 10 s [`SATURATION_DEADLINE`] fires.
-    pub(crate) last_beat_ns: AtomicU64,
+    /// alive ([`WorkerCell::stamp_beat`]); 0 = not running (never
+    /// stamped, or cleared by [`AliveGuard`] at exit). Written only while
+    /// the live telemetry plane is armed; `obs::health` reads a sample's
+    /// time minus this stamp as how long the core has been silent, so a
+    /// stall is visible *long* before the 10 s [`SATURATION_DEADLINE`].
+    pub(crate) last_beat_ns: obs::Gauge,
     /// Set when the worker thread exits, normally or by unwinding.
     pub(crate) dead: AtomicBool,
     /// Set when the worker exits on a *scripted kill* — a cooperative
     /// death that shutdown reports as degradation, not as an error.
     pub(crate) killed: AtomicBool,
-    pub(crate) tuples_seen: AtomicU64,
-    pub(crate) stored: AtomicU64,
-    pub(crate) comparisons: AtomicU64,
-    pub(crate) matches: AtomicU64,
+    pub(crate) tuples_seen: obs::Gauge,
+    pub(crate) stored: obs::Gauge,
+    pub(crate) comparisons: obs::Gauge,
+    pub(crate) matches: obs::Gauge,
     /// Scripted stalls that fired on this worker.
     pub(crate) stalls: AtomicU64,
     /// Scripted channel drops that fired on this worker.
@@ -160,6 +162,31 @@ pub(crate) struct WorkerCell {
 }
 
 impl WorkerCell {
+    /// The cell of core `position` of an `engine`. With the live plane
+    /// armed, its statistics and beat stamp are new registry gauges
+    /// `<engine>.worker.<position>.{tuples,stored,probes,matches,last_beat_ns}`
+    /// ([`obs::Registry::fresh_gauge`]): the names read the newest
+    /// engine's running totals, and no other engine writes this core's
+    /// cell. Unarmed, they are detached.
+    pub(crate) fn new(engine: &str, position: usize) -> Self {
+        let armed = obs::live::active();
+        let gauge = |what: &str| {
+            if armed {
+                obs::live::global().fresh_gauge(&key::worker(engine, position, what))
+            } else {
+                obs::Gauge::new()
+            }
+        };
+        Self {
+            tuples_seen: gauge("tuples"),
+            stored: gauge("stored"),
+            comparisons: gauge("probes"),
+            matches: gauge("matches"),
+            last_beat_ns: gauge("last_beat_ns"),
+            ..Self::default()
+        }
+    }
+
     pub(crate) fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
     }
@@ -183,21 +210,14 @@ impl WorkerCell {
         self.results_published.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Nanoseconds since the last stamped heartbeat at `now_ns`; `None`
-    /// before the first beat (or when live telemetry is off).
-    pub(crate) fn heartbeat_age_ns(&self, now_ns: u64) -> Option<u64> {
-        let beat = self.last_beat_ns.load(Ordering::Relaxed);
-        (beat != 0).then(|| now_ns.saturating_sub(beat))
-    }
-
     /// Publishes the core's statistics snapshot. On its own only where
     /// a core exits inside a message (scripted panic or kill), which is
     /// never counted as finished: its matches were not handed off.
     pub(crate) fn publish_stats(&self, stats: &WorkerStats) {
-        self.tuples_seen.store(stats.tuples_seen, Ordering::Relaxed);
-        self.stored.store(stats.stored, Ordering::Relaxed);
-        self.comparisons.store(stats.comparisons, Ordering::Relaxed);
-        self.matches.store(stats.matches, Ordering::Relaxed);
+        self.tuples_seen.set(stats.tuples_seen);
+        self.stored.set(stats.stored);
+        self.comparisons.set(stats.comparisons);
+        self.matches.set(stats.matches);
     }
 
     /// The end of every message a core survives: publishes its
@@ -211,25 +231,22 @@ impl WorkerCell {
         self.stamp_beat();
     }
 
-    /// With the live plane armed (else one relaxed load), timestamps the
-    /// core as alive now for the router's
-    /// `splitjoin.worker.<i>.heartbeat_age_ns` gauges: at the end of a
-    /// message, and at every poll of an empty lane — a core waiting for
-    /// work is idle, not stalled, and must not read as silent the moment
-    /// work reaches it.
+    /// With the live plane armed (else one relaxed load), stamps the
+    /// core as alive now: at the end of a message, and at every poll of
+    /// an empty inbox — a core waiting for work is idle, not stalled, and
+    /// must not read as silent the moment work reaches it.
     pub(crate) fn stamp_beat(&self) {
         if obs::live::active() {
-            self.last_beat_ns
-                .store(obs::trace::now_ns(), Ordering::Relaxed);
+            self.last_beat_ns.set(obs::trace::now_ns());
         }
     }
 
     pub(crate) fn snapshot(&self) -> WorkerStats {
         WorkerStats {
-            tuples_seen: self.tuples_seen.load(Ordering::Relaxed),
-            stored: self.stored.load(Ordering::Relaxed),
-            comparisons: self.comparisons.load(Ordering::Relaxed),
-            matches: self.matches.load(Ordering::Relaxed),
+            tuples_seen: self.tuples_seen.get(),
+            stored: self.stored.get(),
+            comparisons: self.comparisons.get(),
+            matches: self.matches.get(),
         }
     }
 }
@@ -311,11 +328,13 @@ pub(crate) fn span_start(ring: &Option<obs::trace::TraceRing>) -> u64 {
 }
 
 /// Marks the cell dead when the worker thread exits — including by
-/// panic, since the guard drops during unwinding.
+/// panic, since the guard drops during unwinding — and clears its beat
+/// stamp, so an exited core never reads as silent.
 pub(crate) struct AliveGuard(pub(crate) Arc<WorkerCell>);
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
+        self.0.last_beat_ns.set(0);
         self.0.dead.store(true, Ordering::Release);
     }
 }
@@ -420,16 +439,12 @@ impl SendSupervisor {
 /// with progress waits forever, a frozen heartbeat with a full ring for
 /// the whole [`SATURATION_DEADLINE`] reports [`JoinError::Saturated`].
 /// Returns the status plus the nanoseconds spent waiting, which the
-/// router feeds the claim-wait histogram. `age`, the worker's
-/// heartbeat-age gauge when the live plane is armed, is refreshed at
-/// every backoff step, so the live series shows how long the worker
-/// holding the sender up has been silent.
+/// router feeds the claim-wait histogram.
 pub(crate) fn supervised_push<T>(
     prod: &mut RingProducer<T>,
     cell: &WorkerCell,
     worker: usize,
     mut msg: T,
-    age: Option<&obs::Gauge>,
 ) -> Result<(SendStatus, u64), JoinError> {
     match prod.try_push(msg) {
         Ok(()) => return Ok((SendStatus::Sent, 0)),
@@ -445,11 +460,6 @@ pub(crate) fn supervised_push<T>(
             return Ok((SendStatus::Lost, waited(t0)));
         }
         if !idle.relax() {
-            if let Some(gauge) = age {
-                if let Some(a) = cell.heartbeat_age_ns(obs::trace::now_ns()) {
-                    gauge.set(a);
-                }
-            }
             let wait = sup.next_wait(
                 Instant::now(),
                 worker,
@@ -555,7 +565,7 @@ mod tests {
         let cell = WorkerCell::default();
         cell.dead.store(true, Ordering::Release);
         assert!(matches!(
-            supervised_push(&mut tx, &cell, 3, 2, None),
+            supervised_push(&mut tx, &cell, 3, 2),
             Ok((SendStatus::Lost, _))
         ));
     }
@@ -566,7 +576,7 @@ mod tests {
         drop(rx);
         let cell = WorkerCell::default();
         assert!(matches!(
-            supervised_push(&mut tx, &cell, 0, 7, None),
+            supervised_push(&mut tx, &cell, 0, 7),
             Ok((SendStatus::Lost, 0))
         ));
     }
@@ -674,16 +684,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn heartbeat_age_tracks_stamped_beats() {
-        let cell = WorkerCell::default();
-        assert_eq!(cell.heartbeat_age_ns(123), None, "no beat yet");
-        cell.last_beat_ns.store(100, Ordering::Relaxed);
-        assert_eq!(cell.heartbeat_age_ns(250), Some(150));
-        // A sampler racing the beat may read an earlier clock: clamp.
-        assert_eq!(cell.heartbeat_age_ns(50), Some(0));
-    }
-
     fn mp(k: u32) -> MatchPair {
         MatchPair {
             r: streamcore::Tuple::new(k, 0),
@@ -741,9 +741,11 @@ mod tests {
     #[test]
     fn alive_guard_marks_death_on_drop() {
         let cell = Arc::new(WorkerCell::default());
+        cell.last_beat_ns.set(7);
         assert!(!cell.is_dead());
         drop(AliveGuard(Arc::clone(&cell)));
         assert!(cell.is_dead());
+        assert_eq!(cell.last_beat_ns.get(), 0, "an exited core is not silent");
     }
 
     /// Regression for the saturation off-by-a-backoff: with a frozen

@@ -126,7 +126,9 @@ enum Slot {
 ///
 /// Cloning the registry shares the store; [`Registry::counter`] /
 /// [`Registry::gauge`] register-or-reuse by name, so an engine spawned
-/// twice in one process keeps accumulating into the same cells.
+/// twice in one process keeps accumulating into the same cells;
+/// [`Registry::fresh_gauge`] instead gives each owner a cell of its own
+/// and hands the name to the newest.
 /// Registration takes a mutex (cold path, spawn time); updates through
 /// the returned handles are lock-free relaxed atomics (hot path).
 /// [`crate::live::global`] is the process-wide instance.
@@ -180,6 +182,17 @@ impl Registry {
             Slot::Gauge(g) => g.clone(),
             Slot::Counter(_) => Gauge::new(),
         }
+    }
+
+    /// Registers a new gauge at zero under `name`, taking the name from
+    /// whatever held it: for a cell that must stay its owner's alone.
+    /// Handles the name gave out before keep working, detached.
+    #[must_use]
+    pub fn fresh_gauge(&self, name: &str) -> Gauge {
+        let gauge = Gauge::new();
+        let mut map = self.inner.lock().expect("registry poisoned");
+        map.insert(name.to_string(), Slot::Gauge(gauge.clone()));
+        gauge
     }
 
     /// Unregisters every entry whose name starts with `prefix`, so a
@@ -294,6 +307,18 @@ mod tests {
         let g = reg.gauge("m"); // wrong kind: detached, never panics
         g.set(99);
         assert_eq!(reg.values().get("m"), Some(0));
+    }
+
+    #[test]
+    fn a_fresh_gauge_takes_the_name_and_detaches_the_old_handle() {
+        let reg = Registry::new();
+        let old = reg.gauge("w.0.tuples");
+        old.set(5);
+        let new = reg.fresh_gauge("w.0.tuples");
+        assert_eq!(reg.values().get("w.0.tuples"), Some(0));
+        old.set(9);
+        new.set(2);
+        assert_eq!((old.get(), reg.values().get("w.0.tuples")), (9, Some(2)));
     }
 
     #[test]

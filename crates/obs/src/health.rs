@@ -19,7 +19,12 @@
 //!   fraction.
 //! * `*.ring_occupancy` over `splitjoin.ring.capacity`, at both ends of
 //!   the interval — the pressure on each distribution lane.
-//! * `*.heartbeat_age_ns` — how long each worker has been silent.
+//! * `*.last_beat_ns` — the instant each worker was last seen alive, on
+//!   the sample's clock ([`crate::trace::now_ns`]). The sample's `t_ns`
+//!   minus that stamp is how long the worker has been silent; a stamp of
+//!   0 means the worker is not running, and is never silent. The reader
+//!   computes the silence, so it keeps growing while nothing but the
+//!   worker itself could have refreshed it.
 //!
 //! # Example
 //!
@@ -31,10 +36,10 @@
 //!     ("splitjoin.worker.0.busy_ns", 0),
 //!     ("splitjoin.worker.0.wait_ns", 0),
 //! ].into_iter().collect() };
-//! let cur = Snapshot { t_ns: 1_000_000_000, values: [
+//! let cur = Snapshot { t_ns: 4_000_000_000, values: [
 //!     ("splitjoin.worker.0.busy_ns", 900_000_000),
 //!     ("splitjoin.worker.0.wait_ns", 100_000_000),
-//!     ("splitjoin.worker.1.heartbeat_age_ns", 3_000_000_000),
+//!     ("splitjoin.worker.1.last_beat_ns", 1_000_000_000),
 //! ].into_iter().collect() };
 //! let h = Health::derive(&prev, &cur);
 //! assert_eq!(h.busy_fraction, Some(0.9));
@@ -42,7 +47,7 @@
 //! assert_eq!(reasons.len(), 1);
 //! assert_eq!(
 //!     reasons[0].to_string(),
-//!     "splitjoin.worker.1.heartbeat_age_ns = 3000000000 >= PRESSURE_HEARTBEAT_AGE_NS"
+//!     "splitjoin.worker.1.last_beat_ns = 3000000000 >= PRESSURE_HEARTBEAT_AGE_NS"
 //! );
 //! ```
 
@@ -54,7 +59,7 @@ use crate::Snapshot;
 /// Ring occupancy fraction at which a lane is reported full.
 pub const PRESSURE_OCCUPANCY_FRACTION: f64 = 0.75;
 
-/// Worker heartbeat age at which a worker is reported stalled: a quarter
+/// Worker silence at which a worker is reported stalled: a quarter
 /// of `joinsw::supervise`'s 10-second saturation deadline, so a stalled
 /// worker is visible with 7.5 seconds of headroom.
 pub const PRESSURE_HEARTBEAT_AGE_NS: u64 = 2_500_000_000;
@@ -73,8 +78,10 @@ pub struct Health {
     /// Σ Δ`*.busy_ns` / (Σ Δ`*.busy_ns` + Σ Δ`*.wait_ns`) across every
     /// instrumented worker; `None` when nothing reported either.
     pub busy_fraction: Option<f64>,
-    /// Every `*.heartbeat_age_ns` reading of the later snapshot.
-    pub heartbeat_ages: Vec<(String, u64)>,
+    /// Every non-zero `*.last_beat_ns` stamp of the later snapshot, as
+    /// nanoseconds of silence up to its `t_ns` (0 for a stamp taken after
+    /// the sample's clock read).
+    pub silences: Vec<(String, u64)>,
     /// Every `*.ring_occupancy` key in both snapshots, read as the lower
     /// of its two values over `splitjoin.ring.capacity` (none without a
     /// capacity): a lane counts as full only when it is full at both
@@ -87,7 +94,7 @@ pub struct Health {
 pub struct Reason {
     /// The key read; `*.busy_ns` for the pool-wide busy fraction.
     pub key: String,
-    /// The reading: nanoseconds for a heartbeat age, a fraction for
+    /// The reading: nanoseconds for a silence, a fraction for
     /// occupancy and busy time.
     pub value: f64,
     /// The name of the constant reached, e.g.
@@ -120,8 +127,11 @@ impl Health {
                 busy += cur.delta(prev, name).unwrap_or(0);
             } else if name.ends_with(".wait_ns") {
                 wait += cur.delta(prev, name).unwrap_or(0);
-            } else if name.ends_with(".heartbeat_age_ns") {
-                health.heartbeat_ages.push((name.to_string(), value));
+            } else if name.ends_with(".last_beat_ns") {
+                if value != 0 {
+                    let silence = cur.t_ns.saturating_sub(value);
+                    health.silences.push((name.to_string(), silence));
+                }
             } else if name.ends_with(".ring_occupancy") {
                 if let (Some(cap), Some(before)) = (capacity, prev.values.get(name)) {
                     let fraction = value.min(before) as f64 / cap as f64;
@@ -146,11 +156,11 @@ impl Health {
             value,
             threshold,
         };
-        let ages = self
-            .heartbeat_ages
+        let silent = self
+            .silences
             .iter()
-            .filter(|(_, age)| *age >= PRESSURE_HEARTBEAT_AGE_NS)
-            .map(|(key, age)| reason(key, *age as f64, "PRESSURE_HEARTBEAT_AGE_NS"));
+            .filter(|(_, ns)| *ns >= PRESSURE_HEARTBEAT_AGE_NS)
+            .map(|(key, ns)| reason(key, *ns as f64, "PRESSURE_HEARTBEAT_AGE_NS"));
         let lanes = self
             .occupancy
             .iter()
@@ -160,7 +170,7 @@ impl Health {
             .busy_fraction
             .filter(|&f| f >= PRESSURE_BUSY_FRACTION)
             .map(|f| reason("*.busy_ns", f, "PRESSURE_BUSY_FRACTION"));
-        ages.chain(lanes).chain(busy).collect()
+        silent.chain(lanes).chain(busy).collect()
     }
 }
 
@@ -258,17 +268,27 @@ mod tests {
 
     #[test]
     fn each_reason_fires_at_its_threshold_and_names_its_key() {
-        const AGE: &str = "splitjoin.worker.3.heartbeat_age_ns";
+        const BEAT: &str = "splitjoin.worker.3.last_beat_ns";
         const LANE: &str = "splitjoin.worker.1.ring_occupancy";
         const CAP: &str = "splitjoin.ring.capacity";
         const AT: u64 = PRESSURE_HEARTBEAT_AGE_NS;
+        /// `t_ns` of every `cur` snapshot below.
+        const T: u64 = 2 * AT;
         type Readings = &'static [(&'static str, u64)];
         const IDLE: Readings = &[("w.busy_ns", 0), ("w.wait_ns", 0)];
         /// prev, cur, and the one reason expected as (key, threshold).
         type Case = (Readings, Readings, Option<(&'static str, &'static str)>);
-        let table: [Case; 6] = [
-            (&[], &[(AGE, AT)], Some((AGE, "PRESSURE_HEARTBEAT_AGE_NS"))),
-            (&[], &[(AGE, AT - 1)], None),
+        let table: [Case; 8] = [
+            (
+                &[],
+                &[(BEAT, T - AT)],
+                Some((BEAT, "PRESSURE_HEARTBEAT_AGE_NS")),
+            ),
+            (&[], &[(BEAT, T - AT + 1)], None),
+            // Stamp 0: the worker is not running.
+            (&[], &[(BEAT, 0)], None),
+            // A stamp taken after the sample's clock read.
+            (&[], &[(BEAT, T + 1)], None),
             (
                 &[(LANE, 128)],
                 &[(CAP, 128), (LANE, 96)],
@@ -283,33 +303,45 @@ mod tests {
             (IDLE, &[("w.busy_ns", 94), ("w.wait_ns", 6)], None),
         ];
         for (prev, cur, want) in table {
-            let reasons = Health::derive(&snap(0, prev), &snap(100, cur)).pressured();
+            let reasons = Health::derive(&snap(0, prev), &snap(T, cur)).pressured();
             let got: Vec<_> = reasons
                 .iter()
                 .map(|r| (r.key.as_str(), r.threshold))
                 .collect();
             assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "{cur:?}");
         }
+        let silences = |stamp| Health::derive(&snap(0, &[]), &snap(T, &[(BEAT, stamp)])).silences;
+        assert_eq!(silences(0), [], "stamp 0 is no reading");
+        assert_eq!(silences(T + 1), [(BEAT.to_string(), 0)], "clamped to 0");
     }
 
     #[test]
     fn adjacent_unhealthy_intervals_merge_at_their_peak() {
-        const AGE: &str = "splitjoin.worker.1.heartbeat_age_ns";
+        const BEAT: &str = "splitjoin.worker.1.last_beat_ns";
         let stalled = PRESSURE_HEARTBEAT_AGE_NS;
-        let ages = [0, stalled, stalled + 7, 0, stalled, 0];
+        // Samples every 10 ns from T0 on, each stamped `silence` before
+        // its own clock read.
+        const T0: u64 = 10 * PRESSURE_HEARTBEAT_AGE_NS;
+        let silences = [0, stalled, stalled + 7, 0, stalled, 0];
         let doc = SeriesDoc {
             header: SeriesHeader::new("merge", 1),
-            samples: ages
+            samples: silences
                 .iter()
                 .zip(0u64..)
-                .map(|(&age, t)| snap(t * 10, &[(AGE, age)]))
+                .map(|(&silence, i)| {
+                    let t = T0 + i * 10;
+                    snap(t, &[(BEAT, t - silence)])
+                })
                 .collect(),
         };
         let stretches = unhealthy(&doc);
-        let spans: Vec<_> = stretches.iter().map(|u| (u.start_ns, u.end_ns)).collect();
+        let spans: Vec<_> = stretches
+            .iter()
+            .map(|u| (u.start_ns - T0, u.end_ns - T0))
+            .collect();
         assert_eq!(spans, [(0, 20), (30, 40)]);
         assert_eq!(stretches[0].reasons.len(), 1, "one reason per key");
         assert_eq!(stretches[0].reasons[0].value, (stalled + 7) as f64);
-        assert_eq!(stretches[1].reasons[0].key, AGE);
+        assert_eq!(stretches[1].reasons[0].key, BEAT);
     }
 }

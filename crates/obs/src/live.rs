@@ -45,7 +45,9 @@ use crate::{Registry, Snapshot};
 /// The process-wide live registry.
 ///
 /// Engines (`SplitJoin`, the handshake chain, `hwsim::par`) publish into
-/// this instance when [`active()`] is set; the bench binaries arm it with
+/// this instance when [`active()`] is set — a threaded core through its
+/// own supervision cell, whose statistics and beat stamp are gauges
+/// here, read as they stand; the bench binaries arm it with
 /// [`set_active`] before spawning and hand it to a [`Sampler`].
 #[must_use]
 pub fn global() -> &'static Registry {

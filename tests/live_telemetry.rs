@@ -28,10 +28,12 @@ fn expected_splitjoin_keys() -> Vec<String> {
         for suffix in [
             "batches",
             "tuples",
+            "stored",
+            "probes",
             "matches",
             "busy_ns",
             "wait_ns",
-            "heartbeat_age_ns",
+            "last_beat_ns",
             "ring_occupancy",
         ] {
             keys.push(format!("splitjoin.worker.{w}.{suffix}"));
@@ -55,8 +57,8 @@ fn the_series_file_alone_names_the_stalled_worker() {
     );
 
     // Worker 1 freezes for 3 s before its second batch. Its 4-slot lane
-    // fills, and the router, still being fed, waits on it: that wait is
-    // where worker 1's heartbeat age keeps being refreshed.
+    // fills, and the router, still being fed, waits on it; worker 1's
+    // beat stamp stays where the stall found it.
     const BATCH: usize = 32;
     let inputs: Vec<_> = WorkloadSpec::new(2_000, KeyDist::Uniform { domain: 16 })
         .generate()
@@ -76,9 +78,8 @@ fn the_series_file_alone_names_the_stalled_worker() {
     // stall is the run's only pressure even on a starved host: a lane
     // worker 0 left full for a whole sample, because the caller outran
     // it, would be real pressure and rightly reported. It then waits two
-    // sample intervals, so the heartbeat ages the router refreshed at
-    // the last batch are sampled; the first batch after the stall must
-    // not find worker 0, idle all along, silent.
+    // sample intervals; worker 0, idle all along, stamps its beat at
+    // every empty poll and must not read as silent.
     let worker0_batches = obs::live::global().counter("splitjoin.worker.0.batches");
     for (sent, batch) in inputs.chunks(BATCH).enumerate() {
         while worker0_batches.get() < sent as u64 {
@@ -115,7 +116,7 @@ fn the_series_file_alone_names_the_stalled_worker() {
     let reasons: Vec<_> = stretches.iter().flat_map(|u| &u.reasons).collect();
     assert!(
         reasons.iter().any(|r| {
-            r.key == "splitjoin.worker.1.heartbeat_age_ns"
+            r.key == "splitjoin.worker.1.last_beat_ns"
                 && r.threshold == "PRESSURE_HEARTBEAT_AGE_NS"
                 && r.value >= PRESSURE_HEARTBEAT_AGE_NS as f64
         }),

@@ -78,6 +78,8 @@ fn same_name_means_same_number_at_shutdown() {
         "splitjoin.matches",
         "splitjoin.worker.0.matches",
         "splitjoin.worker.1.matches",
+        "splitjoin.worker.0.probes",
+        "splitjoin.worker.0.stored",
     ];
 
     let (published, live) = armed_splitjoin(SplitJoinConfig::new(2, 64).with_batch_size(32));
@@ -98,8 +100,9 @@ fn same_name_means_same_number_at_shutdown() {
         &["fault.workers_lost", "fault.orphaned_tuples"],
     );
 
-    // The handshake chain publishes under its own namespace, and its
-    // wave groups are `handshake.batches` both live and at shutdown.
+    // The handshake chain publishes under its own namespace: its wave
+    // groups are `handshake.batches`, and each core's cell its
+    // `handshake.worker.<i>.*` keys, both live and at shutdown.
     let reg = obs::live::global();
     reg.remove_prefix("handshake.");
     let chain = HandshakeJoin::spawn(HandshakeConfig::new(2, 64).with_batch_size(16));
@@ -116,8 +119,17 @@ fn same_name_means_same_number_at_shutdown() {
         .filter(|name| name.starts_with("splitjoin."))
         .collect();
     assert!(foreign.is_empty(), "the chain published {foreign:?}");
-    assert!(published.get("handshake.worker.1.matches").is_some());
-    assert_same_name_same_number(&published, &reg.values(), &["handshake.batches"]);
+    assert_same_name_same_number(
+        &published,
+        &reg.values(),
+        &[
+            "handshake.batches",
+            "handshake.worker.0.matches",
+            "handshake.worker.0.probes",
+            "handshake.worker.1.matches",
+            "handshake.worker.1.probes",
+        ],
+    );
 
     // One drive segment of the parallel simulator: its report and the
     // cells it accumulated into agree on every `hwsim.par.*` key.
