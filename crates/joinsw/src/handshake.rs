@@ -18,6 +18,14 @@
 //! different window contents. The tests pin down both regimes: exactness
 //! under serialized feeding, statistical agreement under pipelining.
 //!
+//! Each core is a thread running the core loop both threaded engines
+//! share (`supervise::run_core`, which owns the receive clocks, message
+//! numbering, the fault script and the message boundary); the chain
+//! supplies only its two-lane receive and what a wave group or a flush
+//! token means to a core. Armed, the live plane therefore reads the same
+//! per-core keys from the chain as from SplitJoin,
+//! `handshake.worker.<i>.*` busy and wait time included.
+//!
 //! # Batched waves
 //!
 //! Like [`SplitJoin`](crate::splitjoin::SplitJoin), the chain can batch
@@ -59,7 +67,8 @@
 //!
 //! The chain has no partition map to re-route over — a core *is* a link
 //! in both lanes — so degradation here means **severing**: a core lost to
-//! a scripted [`FaultPlan`] kill (or a panic, or organic death) cuts both
+//! a scripted [`FaultPlan`](crate::fault::FaultPlan) kill (or a panic,
+//! or organic death) cuts both
 //! lanes at its position, and its neighbours detect the cut on their
 //! next forward, stop forwarding into it, and count every wave-carried
 //! window tuple that can no longer be parked as orphaned. Entry pushes
@@ -82,12 +91,12 @@ use streamcore::ring::{self, PopError, PushError, RingConsumer, RingProducer};
 use streamcore::{FlatWindow, JoinPredicate, MatchPair, StreamTag, Tuple};
 
 use crate::config::{JoinConfig, JoinParams};
-use crate::fault::{FaultPlan, FaultReport};
+use crate::fault::FaultReport;
 use crate::outcome::{key, JoinOutcome};
 use crate::streamjoin::StreamJoin;
 use crate::supervise::{
-    join_cores, outcome, run_scripted_batch, span_start, supervised_push, take_outboxes,
-    wait_until, AliveGuard, BatchOutcome, Idle, ScriptedCore, SendStatus, WorkerCell,
+    join_cores, outcome, run_core, supervised_push, take_outboxes, wait_until, Core, Idle,
+    LiveIntake, SendStatus, WorkerCell,
 };
 
 /// Configuration of a [`HandshakeJoin`] chain: the shared [`JoinConfig`]
@@ -211,36 +220,10 @@ pub struct HandshakeJoin {
     /// Caller-side damage tally: tuples that could not even enter the
     /// chain because an entry core was gone.
     report: RefCell<FaultReport>,
-    /// Live-telemetry handles; `None` unless the plane was armed at
-    /// spawn ([`obs::live::set_active`]).
-    live: Option<LiveChain>,
-}
-
-/// Handles into the process-global live plane (`obs::live`) for the
-/// handshake chain: wave-group throughput and the depth of the group
-/// most recently injected at an entry core. Updated once per injected
-/// group — relaxed atomic stores, nothing per tuple.
-#[derive(Debug)]
-struct LiveChain {
-    /// `handshake.batches` — wave groups injected at the chain entries
-    /// (the outcome's `batch_sizes.total()`).
-    batches: obs::Counter,
-    /// `handshake.wave_tuples` — tuples carried by those groups.
-    wave_tuples: obs::Counter,
-    /// `handshake.wave_depth` — size (waves per message) of the most
-    /// recently injected group; the sampler turns it into a trajectory.
-    wave_depth: obs::Gauge,
-}
-
-impl LiveChain {
-    fn new() -> Self {
-        let reg = obs::live::global();
-        Self {
-            batches: reg.counter(&key::batches(key::HANDSHAKE)),
-            wave_tuples: reg.counter("handshake.wave_tuples"),
-            wave_depth: reg.gauge("handshake.wave_depth"),
-        }
-    }
+    /// `handshake.batches` (wave groups injected at the entries, the
+    /// outcome's `batch_sizes.total()`) and `handshake.tuples`; `None`
+    /// unless the plane was armed at spawn ([`obs::live::set_active`]).
+    live: Option<LiveIntake>,
 }
 
 impl HandshakeJoin {
@@ -259,10 +242,8 @@ impl HandshakeJoin {
         let waves = std::mem::take(&mut entry.pending);
         let count = waves.len() as u64;
         self.batch_hist.borrow_mut().record_value(count);
-        if let Some(lv) = self.live.as_ref() {
-            lv.batches.incr();
-            lv.wave_tuples.add(count);
-            lv.wave_depth.set(count);
+        if let Some(intake) = self.live.as_ref() {
+            intake.on_batch(waves.len());
         }
         if let SendStatus::Lost = self.send_entry(entry, ChainMsg::Waves { tag, waves })? {
             // The entry core is gone: these tuples never enter the join
@@ -354,13 +335,7 @@ impl StreamJoin for HandshakeJoin {
                 idle: Idle::recv(),
             };
             let plan = config.fault_plan.clone();
-            workers.push(std::thread::spawn(move || {
-                // Outermost, so it drops last: a cell that reads dead has
-                // already dropped its link ends, which is what lets
-                // `flush` re-issue a token that can no longer strand.
-                let _guard = AliveGuard(Arc::clone(&core.cell));
-                core_loop(position, &plan, core)
-            }));
+            workers.push(std::thread::spawn(move || run_core(core, position, &plan)));
         }
         Self {
             entries: RefCell::new(entries),
@@ -373,7 +348,7 @@ impl StreamJoin for HandshakeJoin {
             batch_size: config.batch_size,
             batch_hist: RefCell::new(obs::Histogram::new()),
             report: RefCell::new(FaultReport::default()),
-            live: obs::live::active().then(LiveChain::new),
+            live: LiveIntake::new(key::HANDSHAKE, config.channel_capacity),
         }
     }
 
@@ -564,12 +539,86 @@ struct ChainCore {
     idle: Idle,
 }
 
-impl ScriptedCore for ChainCore {
+impl Core for ChainCore {
+    /// The lane a message came in on, and the message.
+    type Msg = (usize, ChainMsg);
+    type Data = (StreamTag, Vec<Wave>);
+    type Exit = (WorkerStats, Option<obs::trace::TraceRing>);
+    const TRACK: &'static str = "hs.core";
     const WORK_SPAN: &'static str = "wave";
     const HAND_OFF_SPAN: Option<&'static str> = None;
 
-    fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>) {
+    fn parts(&mut self) -> (&Arc<WorkerCell>, &WorkerStats, &mut Vec<MatchPair>) {
         (&self.cell, &self.stats, &mut self.out)
+    }
+
+    /// Takes the next message from either lane. A lane whose inbox has
+    /// closed and drained drops its onward link, which closes the next
+    /// core's inbox in turn. `None` once both lanes are closed.
+    fn recv(&mut self) -> Option<Self::Msg> {
+        while self.lanes.iter().any(|l| l.open) {
+            for lane in [self.first, 1 - self.first] {
+                if !self.lanes[lane].open || !self.offer_held(lane) {
+                    continue;
+                }
+                match self.lanes[lane].inbox.try_pop() {
+                    Ok(msg) => {
+                        self.first = 1 - lane;
+                        self.idle.reset();
+                        return Some((lane, msg));
+                    }
+                    Err(PopError::Empty) => {}
+                    Err(PopError::Disconnected) => {
+                        self.lanes[lane].open = false;
+                        self.lanes[lane].next = None;
+                    }
+                }
+            }
+            // Idle, not stalled: an empty poll is a beat, as in
+            // SplitJoin's `recv_msg`.
+            self.cell.stamp_beat();
+            self.idle.wait();
+        }
+        None
+    }
+
+    /// The fuller of the core's two inboxes.
+    fn queued(&self) -> usize {
+        self.lanes.iter().map(|l| l.inbox.len()).max().unwrap_or(0)
+    }
+
+    fn open(
+        &mut self,
+        (lane, msg): Self::Msg,
+        _: &mut Option<obs::trace::TraceRing>,
+    ) -> Option<(Self::Data, usize)> {
+        match msg {
+            ChainMsg::Waves { tag, waves } => {
+                let len = waves.len();
+                return Some(((tag, waves), len));
+            }
+            // At the exit end there is no onward link, so the token's
+            // travel ends (and it is published) right here.
+            ChainMsg::Flush(token) => self.forward(lane, ChainMsg::Flush(token)),
+        }
+        None
+    }
+
+    fn work(&mut self, (tag, waves): Self::Data) {
+        self.handle_waves(tag, waves);
+    }
+
+    /// Both lanes sever here, and everything parked in the core's
+    /// segments is orphaned.
+    fn on_kill(&mut self) {
+        let parked: usize = self.lanes.iter().map(|l| l.window.len()).sum();
+        self.cell
+            .orphaned
+            .fetch_add(parked as u64, Ordering::Relaxed);
+    }
+
+    fn exit(self, ring: Option<obs::trace::TraceRing>) -> Self::Exit {
+        (self.stats, ring)
     }
 }
 
@@ -659,85 +708,6 @@ impl ChainCore {
             }
         }
     }
-
-    /// Takes the next message from either lane. A lane whose inbox has
-    /// closed and drained drops its onward link, which closes the next
-    /// core's inbox in turn. `None` once both lanes are closed.
-    fn recv(&mut self) -> Option<(usize, ChainMsg)> {
-        while self.lanes.iter().any(|l| l.open) {
-            for lane in [self.first, 1 - self.first] {
-                if !self.lanes[lane].open || !self.offer_held(lane) {
-                    continue;
-                }
-                match self.lanes[lane].inbox.try_pop() {
-                    Ok(msg) => {
-                        self.first = 1 - lane;
-                        self.idle.reset();
-                        return Some((lane, msg));
-                    }
-                    Err(PopError::Empty) => {}
-                    Err(PopError::Disconnected) => {
-                        self.lanes[lane].open = false;
-                        self.lanes[lane].next = None;
-                    }
-                }
-            }
-            // Idle, not stalled: an empty poll is a beat, as in
-            // SplitJoin's `recv_msg`.
-            self.cell.stamp_beat();
-            self.idle.wait();
-        }
-        None
-    }
-}
-
-fn core_loop(
-    position: usize,
-    plan: &FaultPlan,
-    mut core: ChainCore,
-) -> (WorkerStats, Option<obs::trace::TraceRing>) {
-    let mut group_no: u64 = 0;
-    let mut ring = obs::trace::enabled().then(|| {
-        obs::trace::TraceRing::new(format!("hs.core.{position}"), obs::trace::TimeDomain::Wall)
-    });
-    let mut idle_since = span_start(&ring);
-
-    while let Some((lane, msg)) = core.recv() {
-        if let Some(r) = ring.as_mut() {
-            let t = obs::trace::now_ns();
-            r.record("recv", idle_since, t.saturating_sub(idle_since));
-        }
-        match msg {
-            ChainMsg::Waves { tag, waves } => {
-                group_no += 1;
-                let len = waves.len();
-                let outcome =
-                    run_scripted_batch(&mut core, plan, position, group_no, len, &mut ring, |c| {
-                        c.handle_waves(tag, waves)
-                    });
-                if let BatchOutcome::Kill = outcome {
-                    // Both lanes sever here, and everything parked in
-                    // our segments is orphaned.
-                    let parked: usize = core.lanes.iter().map(|l| l.window.len()).sum();
-                    core.cell
-                        .orphaned
-                        .fetch_add(parked as u64, Ordering::Relaxed);
-                    core.cell.killed.store(true, Ordering::Relaxed);
-                    return (core.stats, ring);
-                }
-            }
-            // At the exit end there is no onward link, so the token's
-            // travel ends (and it is published) right here.
-            ChainMsg::Flush(token) => core.forward(lane, ChainMsg::Flush(token)),
-        }
-        core.cell.finish_message(&core.stats);
-        idle_since = span_start(&ring);
-    }
-    debug_assert!(
-        core.out.is_empty(),
-        "matches are published at every message boundary"
-    );
-    (core.stats, ring)
 }
 
 #[cfg(test)]

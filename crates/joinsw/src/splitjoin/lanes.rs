@@ -26,16 +26,16 @@ pub(super) enum Msg {
 }
 
 /// Blocking receive on a worker's distribution ring. `None` means the
-/// router is gone and the ring is fully drained. Every empty poll
-/// stamps the worker's beat ([`WorkerCell::stamp_beat`]), the one
-/// reading the live plane's silence check takes: a worker waiting here
-/// is idle, not stalled.
+/// router sent `Stop`, or is gone and the ring is fully drained. Every
+/// empty poll stamps the worker's beat ([`WorkerCell::stamp_beat`]), the
+/// one reading the live plane's silence check takes: a worker waiting
+/// here is idle, not stalled.
 pub(super) fn recv_msg(msgs: &mut RingConsumer<Msg>, cell: &WorkerCell) -> Option<Msg> {
     let mut idle = Idle::recv();
     loop {
         match msgs.try_pop() {
+            Ok(Msg::Stop) | Err(PopError::Disconnected) => return None,
             Ok(msg) => return Some(msg),
-            Err(PopError::Disconnected) => return None,
             Err(PopError::Empty) => {
                 cell.stamp_beat();
                 idle.wait();

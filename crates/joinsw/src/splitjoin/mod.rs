@@ -128,13 +128,13 @@ use streamcore::{MatchPair, PartitionMap, StreamTag, Tuple};
 pub type SplitJoinConfig = JoinConfig;
 
 use self::lanes::Msg;
-use self::live::{LiveRouter, LiveWorker};
+use self::live::LiveRouter;
 use self::router::Router;
-use self::worker::{worker_loop, WorkerExit};
+use self::worker::{WorkerExit, WorkerState};
 use crate::fault::FaultReport;
 use crate::outcome::{key, JoinOutcome, RingStats};
 use crate::streamjoin::StreamJoin;
-use crate::supervise::{join_cores, outcome, take_outboxes, WorkerCell};
+use crate::supervise::{join_cores, outcome, run_core, take_outboxes, LiveIntake, WorkerCell};
 
 /// A running SplitJoin: N join-core threads.
 ///
@@ -186,9 +186,11 @@ impl StreamJoin for SplitJoin {
             let (tx, msgs) = ring::spsc::<Msg>(config.channel_capacity);
             senders.push(Some(tx));
             let cfg = config.clone();
-            let live = obs::live::active().then(|| LiveWorker::new(position));
+            // Built on its own thread, so its windows come from that
+            // thread's allocator arena, away from its siblings'.
             workers.push(std::thread::spawn(move || {
-                worker_loop(position, &cfg, msgs, &cell, live)
+                let core = WorkerState::new(position, &cfg, msgs, cell);
+                run_core(core, position, &cfg.fault_plan)
             }));
         }
         let ring = obs::trace::enabled().then(|| {
@@ -209,7 +211,8 @@ impl StreamJoin for SplitJoin {
                 ring,
                 ring_stats: RingStats::default(),
                 sent: vec![0; config.num_cores],
-                live: obs::live::active().then(|| LiveRouter::new(&config)),
+                intake: LiveIntake::new(key::SPLITJOIN, config.channel_capacity),
+                live: obs::live::active().then(|| LiveRouter::new(config.num_cores)),
             }),
             workers,
             collecting: config.collect_results,

@@ -13,7 +13,9 @@ use super::lanes::Msg;
 use super::live::LiveRouter;
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
 use crate::outcome::RingStats;
-use crate::supervise::{supervised_push, wait_until, SendStatus, WorkerCell, SATURATION_DEADLINE};
+use crate::supervise::{
+    supervised_push, wait_until, LiveIntake, SendStatus, WorkerCell, SATURATION_DEADLINE,
+};
 
 /// The supervised distribution side: senders, supervision cells, the
 /// live partition map, and the bookkeeping that makes loss accounting
@@ -50,6 +52,7 @@ pub(super) struct Router {
     pub(super) sent: Vec<u64>,
     /// Live-telemetry handles; `None` unless the plane was armed at
     /// spawn ([`obs::live::set_active`]).
+    pub(super) intake: Option<LiveIntake>,
     pub(super) live: Option<LiveRouter>,
 }
 
@@ -72,8 +75,8 @@ impl Router {
         };
         let depth = prod.len() as u64;
         ring_stats.occupancy.record_value(depth);
-        if let Some(lv) = live.as_ref() {
-            lv.ring_occupancy[w].set(depth);
+        if live.is_some() {
+            cells[w].ring_occupancy.set(depth);
         }
         let (status, waited_ns) = supervised_push(prod, &cells[w], w, msg)?;
         if waited_ns > 0 {
@@ -144,8 +147,8 @@ impl Router {
         }
         self.require_live()?;
         self.batch_hist.record_value(batch.len() as u64);
-        if let Some(lv) = self.live.as_ref() {
-            lv.on_batch(batch.len());
+        if let Some(intake) = self.intake.as_ref() {
+            intake.on_batch(batch.len());
         }
         self.note_sent(batch.iter().map(|&(tag, _)| tag));
         let shared: Arc<[(StreamTag, Tuple)]> = batch.into();

@@ -689,9 +689,12 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
 fn a_lane_gauge_follows_the_worker_draining_it() {
     // The router reads a lane's depth only when it pushes to it; blocked
     // on another lane, it would leave this one reading full after the
-    // worker drained it. Position 11 of 12: keys no other test uses, and
-    // a worker handed its live handles directly needs no armed plane.
-    let gauge = obs::live::global().gauge("splitjoin.worker.11.ring_occupancy");
+    // worker drained it. A cell given a pool counter is armed without
+    // arming the process-global plane.
+    let mut cell = WorkerCell::default();
+    cell.pool_matches = Some(obs::Counter::new());
+    let cell = Arc::new(cell);
+    let gauge = &cell.ring_occupancy;
     let (mut tx, msgs) = ring::spsc::<Msg>(4);
     for _ in 0..3 {
         gauge.set(tx.len() as u64);
@@ -700,9 +703,9 @@ fn a_lane_gauge_follows_the_worker_draining_it() {
     }
     drop(tx);
     assert_eq!(gauge.get(), 2, "the router's last reading");
-    let cell = Arc::new(WorkerCell::default());
-    let live = Some(LiveWorker::new(11));
-    worker_loop(11, &SplitJoinConfig::new(12, 24), msgs, &cell, live);
+    let config = SplitJoinConfig::new(12, 24);
+    let core = WorkerState::new(11, &config, msgs, Arc::clone(&cell));
+    run_core(core, 11, &config.fault_plan);
     assert_eq!(gauge.get(), 0, "the worker's last pop emptied the lane");
 }
 
@@ -719,7 +722,8 @@ fn a_dead_worker_pins_no_batch() {
     let mut config = SplitJoinConfig::new(2, 8);
     config.fault_plan = FaultPlan::parse("kill0@1").unwrap();
     let cell = Arc::new(WorkerCell::default());
-    let (stats, _, _) = worker_loop(0, &config, msgs, &cell, None);
+    let core = WorkerState::new(0, &config, msgs, Arc::clone(&cell));
+    let (stats, _, _) = run_core(core, 0, &config.fault_plan);
     assert_eq!(stats.tuples_seen, 1, "the kill took the first batch");
     assert!(cell.is_dead());
     drop(tx);

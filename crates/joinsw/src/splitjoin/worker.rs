@@ -1,5 +1,6 @@
-//! One join core: window state, the two probe paths and the thread
-//! loop.
+//! One join core: window state, the two probe paths, and its part of
+//! the core loop (`supervise::run_core`): its receive, and what each
+//! distribution message means to it.
 
 use std::sync::Arc;
 
@@ -9,11 +10,8 @@ use streamcore::ring::RingConsumer;
 use streamcore::{FlatWindow, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
 use super::lanes::{recv_msg, Msg};
-use super::live::LiveWorker;
 use super::SplitJoinConfig;
-use crate::supervise::{
-    run_scripted_batch, span_start, AliveGuard, BatchOutcome, ScriptedCore, WorkerCell,
-};
+use crate::supervise::{span_start, Core, WorkerCell};
 
 /// What each worker thread leaves behind at exit.
 pub(super) type WorkerExit = (WorkerStats, KernelStats, Option<obs::trace::TraceRing>);
@@ -62,7 +60,8 @@ fn tag_side(tag: StreamTag) -> usize {
     }
 }
 
-struct WorkerState {
+pub(super) struct WorkerState {
+    msgs: RingConsumer<Msg>,
     position: u64,
     n: u64,
     predicate: JoinPredicate,
@@ -87,6 +86,32 @@ struct WorkerState {
 }
 
 impl WorkerState {
+    pub(super) fn new(
+        position: usize,
+        config: &SplitJoinConfig,
+        msgs: RingConsumer<Msg>,
+        cell: Arc<WorkerCell>,
+    ) -> Self {
+        let sub = config.sub_window();
+        Self {
+            msgs,
+            position: position as u64,
+            n: config.num_cores as u64,
+            predicate: config.predicate,
+            window_r: FlatWindow::new(sub),
+            window_s: FlatWindow::new(sub),
+            r_count: 0,
+            s_count: 0,
+            stats: WorkerStats::default(),
+            kstats: KernelStats::default(),
+            map: None,
+            out: Vec::new(),
+            collect: config.collect_results,
+            cell,
+            scratch: BlockedScratch::default(),
+        }
+    }
+
     /// One distribution batch. The blocked kernel applies only where it
     /// pays — batches with enough probes to fill compare tiles
     /// ([`MIN_BLOCK_PROBES`]); undersized ones run the per-tuple path.
@@ -354,119 +379,61 @@ impl WorkerState {
     }
 }
 
-impl ScriptedCore for WorkerState {
+impl Core for WorkerState {
+    type Msg = Msg;
+    /// Probed in place; this worker's handle drops with the work (or on
+    /// unwind, under a scripted panic).
+    type Data = Arc<[(StreamTag, Tuple)]>;
+    type Exit = WorkerExit;
+    const TRACK: &'static str = "sw.worker";
     const WORK_SPAN: &'static str = "probe";
     const HAND_OFF_SPAN: Option<&'static str> = Some("send");
 
-    fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>) {
+    fn parts(&mut self) -> (&Arc<WorkerCell>, &WorkerStats, &mut Vec<MatchPair>) {
         (&self.cell, &self.stats, &mut self.out)
     }
-}
 
-pub(super) fn worker_loop(
-    position: usize,
-    config: &SplitJoinConfig,
-    mut msgs: RingConsumer<Msg>,
-    cell: &Arc<WorkerCell>,
-    mut live: Option<LiveWorker>,
-) -> WorkerExit {
-    let _guard = AliveGuard(Arc::clone(cell));
-    let sub = config.sub_window();
-    let plan = &config.fault_plan;
-    let mut w = WorkerState {
-        position: position as u64,
-        n: config.num_cores as u64,
-        predicate: config.predicate,
-        window_r: FlatWindow::new(sub),
-        window_s: FlatWindow::new(sub),
-        r_count: 0,
-        s_count: 0,
-        stats: WorkerStats::default(),
-        kstats: KernelStats::default(),
-        map: None,
-        out: Vec::new(),
-        collect: config.collect_results,
-        cell: Arc::clone(cell),
-        scratch: BlockedScratch::default(),
-    };
+    fn recv(&mut self) -> Option<Msg> {
+        recv_msg(&mut self.msgs, &self.cell)
+    }
 
-    let mut ring = obs::trace::enabled().then(|| {
-        obs::trace::TraceRing::new(
-            format!("sw.worker.{position}"),
-            obs::trace::TimeDomain::Wall,
-        )
-    });
-    let mut idle_since = span_start(&ring);
-    let mut batch_no: u64 = 0;
+    fn queued(&self) -> usize {
+        self.msgs.len()
+    }
 
-    loop {
-        // With the live plane armed, time spent blocked in `recv` is
-        // exported as `.wait_ns` and the rest of the iteration as
-        // `.busy_ns`; unarmed, neither clock is read.
-        let wait_start = live.as_ref().map(|_| obs::trace::now_ns());
-        let Some(msg) = recv_msg(&mut msgs, cell) else {
-            break;
-        };
-        let busy_start = wait_start.map(|t0| {
-            let now = obs::trace::now_ns();
-            if let Some(lv) = live.as_ref() {
-                lv.wait_ns.add(now.saturating_sub(t0));
-                lv.ring_occupancy.set(msgs.len() as u64);
-            }
-            now
-        });
-        if let Some(r) = ring.as_mut() {
-            let t = obs::trace::now_ns();
-            r.record("recv", idle_since, t.saturating_sub(idle_since));
-        }
-        // A scripted kill took this message: the core exits below, after
-        // the live plane saw the message's tallies.
-        let mut killed = false;
+    fn open(
+        &mut self,
+        msg: Msg,
+        ring: &mut Option<obs::trace::TraceRing>,
+    ) -> Option<(Self::Data, usize)> {
         match msg {
             Msg::Batch(batch) => {
-                batch_no += 1;
-                // Probed in place; this worker's handle drops at the end
-                // of the arm (or on unwind, under a scripted panic).
-                let outcome = run_scripted_batch(
-                    &mut w,
-                    plan,
-                    position,
-                    batch_no,
-                    batch.len(),
-                    &mut ring,
-                    |w| w.handle_batch(&batch),
-                );
-                killed = matches!(outcome, BatchOutcome::Kill);
+                let len = batch.len();
+                return Some((batch, len));
             }
             Msg::Prefill(tag, tuples) => {
                 // Same round-robin discipline, no probing.
-                let t0 = span_start(&ring);
+                let t0 = span_start(ring);
                 for &t in tuples.iter() {
-                    w.store(tag, t, false);
+                    self.store(tag, t, false);
                 }
                 if let Some(r) = ring.as_mut() {
                     let t1 = obs::trace::now_ns();
                     r.record_arg("insert", t0, t1.saturating_sub(t0), tuples.len() as u64);
                 }
             }
-            Msg::Reconfigure(map) => {
-                w.map = Some(map);
-            }
-            Msg::Stop => break,
+            Msg::Reconfigure(map) => self.map = Some(map),
+            // `recv_msg` ends the loop on it.
+            Msg::Stop => {}
         }
-        if let (Some(lv), Some(t0)) = (live.as_mut(), busy_start) {
-            lv.after_msg(&w.stats, t0, !killed);
-        }
-        if killed {
-            return (w.stats, w.kstats, ring);
-        }
-        // The epoch step `Router::flush` waits for, behind the outbox publish.
-        w.cell.finish_message(&w.stats);
-        idle_since = span_start(&ring);
+        None
     }
-    debug_assert!(
-        w.out.is_empty(),
-        "matches are published at every message boundary"
-    );
-    (w.stats, w.kstats, ring)
+
+    fn work(&mut self, batch: Self::Data) {
+        self.handle_batch(&batch);
+    }
+
+    fn exit(self, ring: Option<obs::trace::TraceRing>) -> WorkerExit {
+        (self.stats, self.kstats, ring)
+    }
 }

@@ -1,13 +1,15 @@
 //! Crate-internal worker supervision primitives, one of each, shared by
-//! the SplitJoin router and the handshake chain: the per-worker
+//! the SplitJoin router and the handshake chain: the one core loop both
+//! engines' threads run ([`run_core`]: the receive clocks, message
+//! numbering, the fault script each data message goes through
+//! ([`run_scripted_batch`]) and the message boundary), the per-worker
 //! heartbeat/liveness cell (which also holds the core's result outbox
-//! and is where the live plane reads the core's statistics and beat
-//! stamp, see [`WorkerCell::new`]), the scope guard that marks a cell dead on any
-//! exit path, the idle
+//! and every per-core reading of the live plane, see
+//! [`WorkerCell::new`]), the caller-side live handles ([`LiveIntake`]),
+//! the scope guard that marks a cell dead on any exit path, the idle
 //! policy every polling loop waits under ([`Idle`]), the bounded-backoff
 //! policy ([`SendSupervisor`]) and the supervised ring push built on the
-//! two, the barrier wait loop ([`wait_until`]), and the fault script a
-//! core runs each data message through ([`run_scripted_batch`]).
+//! two, and the barrier wait loop ([`wait_until`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -117,8 +119,9 @@ pub(crate) fn wait_until(
 }
 
 /// Shared per-worker supervision block: heartbeat + liveness for the
-/// coordinator, last published statistics for loss-tolerant shutdown
-/// and the live plane, and the worker-side fault tallies.
+/// coordinator, last published statistics for loss-tolerant shutdown,
+/// every per-core reading of the live plane, and the worker-side fault
+/// tallies.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCell {
     /// Messages finished ([`WorkerCell::finish_message`]). The supervisor
@@ -143,6 +146,20 @@ pub(crate) struct WorkerCell {
     pub(crate) stored: obs::Gauge,
     pub(crate) comparisons: obs::Gauge,
     pub(crate) matches: obs::Gauge,
+    /// Messages the core loop handled, and the nanoseconds it spent on
+    /// them and blocked in its receive; written only while armed.
+    pub(crate) batches: obs::Gauge,
+    pub(crate) busy_ns: obs::Gauge,
+    pub(crate) wait_ns: obs::Gauge,
+    /// Messages queued for the core: set by the core loop at each pop
+    /// while armed and by SplitJoin's router at each push (instantaneous;
+    /// the sampler turns it into a trajectory).
+    pub(crate) ring_occupancy: obs::Gauge,
+    /// `<engine>.matches`, the pool's match total, which every core adds
+    /// its surviving messages' matches to. `Some` only when the live
+    /// plane was armed at spawn, which is what makes the core loop time
+    /// its messages.
+    pub(crate) pool_matches: Option<obs::Counter>,
     /// Scripted stalls that fired on this worker.
     pub(crate) stalls: AtomicU64,
     /// Scripted channel drops that fired on this worker.
@@ -163,11 +180,11 @@ pub(crate) struct WorkerCell {
 
 impl WorkerCell {
     /// The cell of core `position` of an `engine`. With the live plane
-    /// armed, its statistics and beat stamp are new registry gauges
-    /// `<engine>.worker.<position>.{tuples,stored,probes,matches,last_beat_ns}`
+    /// armed, every per-core reading is a new registry gauge
+    /// `<engine>.worker.<position>.{tuples,stored,probes,matches,last_beat_ns,batches,busy_ns,wait_ns,ring_occupancy}`
     /// ([`obs::Registry::fresh_gauge`]): the names read the newest
     /// engine's running totals, and no other engine writes this core's
-    /// cell. Unarmed, they are detached.
+    /// cell. Unarmed, they are detached and the pool counter is `None`.
     pub(crate) fn new(engine: &str, position: usize) -> Self {
         let armed = obs::live::active();
         let gauge = |what: &str| {
@@ -183,6 +200,11 @@ impl WorkerCell {
             comparisons: gauge("probes"),
             matches: gauge("matches"),
             last_beat_ns: gauge("last_beat_ns"),
+            batches: gauge("batches"),
+            busy_ns: gauge("busy_ns"),
+            wait_ns: gauge("wait_ns"),
+            ring_occupancy: gauge("ring_occupancy"),
+            pool_matches: armed.then(|| obs::live::global().counter(&key::matches(engine))),
             ..Self::default()
         }
     }
@@ -248,6 +270,38 @@ impl WorkerCell {
             comparisons: self.comparisons.get(),
             matches: self.matches.get(),
         }
+    }
+}
+
+/// The caller-side live handles of a threaded engine, built from its
+/// name only when the plane is armed at spawn: `<engine>.batches` and
+/// `<engine>.tuples`, counted per message the caller injects, and the
+/// constant `<engine>.ring.capacity` that `obs::health` reads each of the
+/// engine's `ring_occupancy` gauges against. Per-core readings are the
+/// cells' ([`WorkerCell::new`]).
+#[derive(Debug)]
+pub(crate) struct LiveIntake {
+    batches: obs::Counter,
+    tuples: obs::Counter,
+}
+
+impl LiveIntake {
+    pub(crate) fn new(engine: &str, ring_capacity: usize) -> Option<Self> {
+        obs::live::active().then(|| {
+            let reg = obs::live::global();
+            reg.gauge(&format!("{engine}.ring.capacity"))
+                .set(ring_capacity as u64);
+            Self {
+                batches: reg.counter(&key::batches(engine)),
+                tuples: reg.counter(&format!("{engine}.tuples")),
+            }
+        })
+    }
+
+    /// One injected message of `len` tuples.
+    pub(crate) fn on_batch(&self, len: usize) {
+        self.batches.incr();
+        self.tuples.add(len as u64);
     }
 }
 
@@ -475,9 +529,18 @@ pub(crate) fn supervised_push<T>(
     }
 }
 
-/// What the fault script needs of a join core, whichever engine it
-/// belongs to.
-pub(crate) trait ScriptedCore {
+/// A join core as [`run_core`] drives it. The engine supplies only its
+/// receive, the handling of one message and what its thread leaves
+/// behind; the loop owns everything else.
+pub(crate) trait Core {
+    /// What the core's inboxes carry.
+    type Msg;
+    /// A data message, once [`Core::open`] has told it from a control one.
+    type Data;
+    /// What the core's thread returns.
+    type Exit;
+    /// Trace track of the core: `<TRACK>.<position>`.
+    const TRACK: &'static str;
     /// Trace-span name of the core's own work on one data message.
     const WORK_SPAN: &'static str;
     /// Trace-span name of the hand-off of that message's matches;
@@ -486,17 +549,106 @@ pub(crate) trait ScriptedCore {
 
     /// The core's supervision cell, its running statistics, and the
     /// matches of the message in progress.
-    fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>);
+    fn parts(&mut self) -> (&Arc<WorkerCell>, &WorkerStats, &mut Vec<MatchPair>);
+    /// The next message; `None` once the inboxes have closed and drained.
+    fn recv(&mut self) -> Option<Self::Msg>;
+    /// Messages still queued for the core (read only while armed).
+    fn queued(&self) -> usize;
+    /// Handles a control message in place (`None`), or hands a data
+    /// message back with its entry count, for the fault script
+    /// ([`run_scripted_batch`]) to pass to [`Core::work`].
+    fn open(
+        &mut self,
+        msg: Self::Msg,
+        ring: &mut Option<obs::trace::TraceRing>,
+    ) -> Option<(Self::Data, usize)>;
+    /// The engine's own processing of a data message.
+    fn work(&mut self, data: Self::Data);
+    /// What else dies with the core under a scripted kill.
+    fn on_kill(&mut self) {}
+    /// The thread's result, from the core and its trace ring.
+    fn exit(self, ring: Option<obs::trace::TraceRing>) -> Self::Exit;
 }
 
-/// What a scripted batch told the core to do next.
-pub(crate) enum BatchOutcome {
-    Continue,
-    /// Scripted kill: exit the thread abruptly. The script has counted
-    /// the in-progress message's matches as dropped; what else dies with
-    /// the core (the chain's parked window tuples) is the engine's own
-    /// accounting.
-    Kill,
+/// The one core loop of both threaded engines: receive, handle, and
+/// close each message at its boundary (statistics, heartbeat, beat
+/// stamp), tracing `recv` waits when tracing is on. With the live plane
+/// armed at spawn it also keeps the cell's `batches`, `busy_ns` (the
+/// message) and `wait_ns` (blocked in the receive) running, sets its
+/// `ring_occupancy` at each pop, and adds each surviving data message's
+/// matches to the pool counter; unarmed, it reads no clock per message.
+pub(crate) fn run_core<C: Core>(mut core: C, position: usize, plan: &FaultPlan) -> C::Exit {
+    let cell = Arc::clone(core.parts().0);
+    // Declared before the core, so it drops after it on every path,
+    // unwinding included: a cell that reads dead has already dropped the
+    // core's link ends (the chain's `flush` re-issues its token on that).
+    let _guard = AliveGuard(Arc::clone(&cell));
+    let mut core = core;
+    let mut ring = obs::trace::enabled().then(|| {
+        obs::trace::TraceRing::new(
+            format!("{}.{position}", C::TRACK),
+            obs::trace::TimeDomain::Wall,
+        )
+    });
+    // Only the core writes its loop-kept gauges, so each is its own
+    // running total.
+    let bump = |gauge: &obs::Gauge, by: u64| gauge.set(gauge.get() + by);
+    let armed = cell.pool_matches.is_some();
+    // The core's match count at its last message, for the pool delta.
+    let mut pooled = 0;
+    let mut idle_since = span_start(&ring);
+    let mut data_no: u64 = 0;
+    loop {
+        let wait_start = armed.then(obs::trace::now_ns);
+        let Some(msg) = core.recv() else {
+            break;
+        };
+        let busy_start = wait_start.map(|t0| {
+            let now = obs::trace::now_ns();
+            bump(&cell.wait_ns, now.saturating_sub(t0));
+            cell.ring_occupancy.set(core.queued() as u64);
+            now
+        });
+        if let Some(r) = ring.as_mut() {
+            let t = obs::trace::now_ns();
+            r.record("recv", idle_since, t.saturating_sub(idle_since));
+        }
+        let killed = match core.open(msg, &mut ring) {
+            Some((data, len)) => {
+                data_no += 1;
+                run_scripted_batch(&mut core, plan, position, data_no, len, &mut ring, |c| {
+                    c.work(data)
+                })
+            }
+            None => false,
+        };
+        let (_, stats, _) = core.parts();
+        if let (Some(pool), Some(t0)) = (&cell.pool_matches, busy_start) {
+            bump(&cell.busy_ns, obs::trace::now_ns().saturating_sub(t0));
+            bump(&cell.batches, 1);
+            // The matches of a message a scripted kill took stay in the
+            // core's own tally, as they do in its `WorkerStats`, but never
+            // reach the pool total (`fault.results_dropped`).
+            if !killed {
+                pool.add(stats.matches - pooled);
+            }
+            pooled = stats.matches;
+        }
+        if killed {
+            cell.killed.store(true, Ordering::Relaxed);
+            core.on_kill();
+            return core.exit(ring);
+        }
+        // The epoch step SplitJoin's flush waits for, behind the outbox
+        // publish.
+        cell.finish_message(stats);
+        idle_since = span_start(&ring);
+    }
+    debug_assert!(
+        core.parts().2.is_empty(),
+        "matches are published at every message boundary"
+    );
+    core.exit(ring)
 }
 
 /// One data message through the fault script: stall, drop-or-work,
@@ -505,8 +657,11 @@ pub(crate) enum BatchOutcome {
 /// barrier covers them. `work` is the engine's own processing of the
 /// message's `len` entries: a broadcast batch in SplitJoin, a wave group
 /// probed, parked and forwarded on the chain (which counts both lanes
-/// together).
-pub(crate) fn run_scripted_batch<C: ScriptedCore>(
+/// together). `true` when a scripted kill took the message: the core
+/// exits abruptly, the script having counted the message's matches as
+/// dropped; what else dies with it (the chain's parked window tuples) is
+/// the engine's own accounting ([`Core::on_kill`]).
+pub(crate) fn run_scripted_batch<C: Core>(
     core: &mut C,
     plan: &FaultPlan,
     position: usize,
@@ -514,7 +669,7 @@ pub(crate) fn run_scripted_batch<C: ScriptedCore>(
     len: usize,
     ring: &mut Option<obs::trace::TraceRing>,
     work: impl FnOnce(&mut C),
-) -> BatchOutcome {
+) -> bool {
     let stall = plan.stall_ms(position, batch_no);
     if stall > 0 {
         core.parts().0.stalls.fetch_add(1, Ordering::Relaxed);
@@ -543,7 +698,7 @@ pub(crate) fn run_scripted_batch<C: ScriptedCore>(
         cell.results_dropped
             .fetch_add(out.len() as u64, Ordering::Relaxed);
         cell.publish_stats(stats);
-        return BatchOutcome::Kill;
+        return true;
     }
     let t0 = span_start(ring);
     cell.publish_results(out);
@@ -551,7 +706,7 @@ pub(crate) fn run_scripted_batch<C: ScriptedCore>(
         let t1 = obs::trace::now_ns();
         r.record(name, t0, t1.saturating_sub(t0));
     }
-    BatchOutcome::Continue
+    false
 }
 
 #[cfg(test)]
@@ -614,41 +769,58 @@ mod tests {
         );
     }
 
+    /// A core whose inbox holds `inbox` data messages, each finding two
+    /// matches.
     #[derive(Default)]
     struct FakeCore {
-        cell: WorkerCell,
+        cell: Arc<WorkerCell>,
         stats: WorkerStats,
         out: Vec<MatchPair>,
+        inbox: u64,
     }
 
-    impl ScriptedCore for FakeCore {
+    impl Core for FakeCore {
+        type Msg = ();
+        type Data = ();
+        type Exit = Self;
+        const TRACK: &'static str = "fake";
         const WORK_SPAN: &'static str = "work";
         const HAND_OFF_SPAN: Option<&'static str> = None;
 
-        fn parts(&mut self) -> (&WorkerCell, &WorkerStats, &mut Vec<MatchPair>) {
+        fn parts(&mut self) -> (&Arc<WorkerCell>, &WorkerStats, &mut Vec<MatchPair>) {
             (&self.cell, &self.stats, &mut self.out)
+        }
+        fn recv(&mut self) -> Option<()> {
+            self.inbox = self.inbox.checked_sub(1)?;
+            Some(())
+        }
+        fn queued(&self) -> usize {
+            self.inbox as usize
+        }
+        fn open(&mut self, (): (), _: &mut Option<obs::trace::TraceRing>) -> Option<((), usize)> {
+            Some(((), 2))
+        }
+        fn work(&mut self, (): ()) {
+            self.stats.matches += 2;
+            self.out.extend([mp(1), mp(2)]);
+        }
+        fn exit(self, _: Option<obs::trace::TraceRing>) -> Self {
+            self
         }
     }
 
-    /// Runs message `batch_no` through the script; the work finds two
-    /// matches.
-    fn scripted(core: &mut FakeCore, plan: &FaultPlan, batch_no: u64) -> BatchOutcome {
-        run_scripted_batch(core, plan, 0, batch_no, 2, &mut None, |c| {
-            c.stats.matches += 2;
-            c.out.extend([mp(1), mp(2)]);
-        })
+    /// Runs three messages through the core loop under `plan`.
+    fn scripted(plan: &str) -> FakeCore {
+        let core = FakeCore {
+            inbox: 3,
+            ..FakeCore::default()
+        };
+        run_core(core, 0, &FaultPlan::parse(plan).unwrap())
     }
 
     #[test]
     fn a_scripted_drop_skips_the_work_and_counts_once() {
-        let plan = FaultPlan::parse("drop0@2").unwrap();
-        let mut core = FakeCore::default();
-        for batch_no in 1..=3 {
-            assert!(matches!(
-                scripted(&mut core, &plan, batch_no),
-                BatchOutcome::Continue
-            ));
-        }
+        let core = scripted("drop0@2");
         assert_eq!(core.cell.drops.load(Ordering::Relaxed), 1);
         assert_eq!(core.stats.matches, 4, "messages 1 and 3 did their work");
         assert_eq!(core.cell.results_published.load(Ordering::Relaxed), 4);
@@ -656,17 +828,16 @@ mod tests {
             core.out.is_empty(),
             "every surviving message hands its matches off"
         );
+        assert_eq!(core.cell.heartbeat.load(Ordering::Relaxed), 3);
+        assert!(core.cell.is_dead(), "the loop's exit marks the cell");
     }
 
     #[test]
     fn a_scripted_kill_drops_exactly_the_message_in_progress() {
-        let plan = FaultPlan::parse("kill0@2").unwrap();
-        let mut core = FakeCore::default();
-        assert!(matches!(
-            scripted(&mut core, &plan, 1),
-            BatchOutcome::Continue
-        ));
-        assert!(matches!(scripted(&mut core, &plan, 2), BatchOutcome::Kill));
+        let core = scripted("kill0@2");
+        assert_eq!(core.inbox, 1, "the core exits inside message 2");
+        assert!(core.cell.killed.load(Ordering::Relaxed));
+        assert_eq!(core.cell.heartbeat.load(Ordering::Relaxed), 1);
         assert_eq!(
             core.cell.results_dropped.load(Ordering::Relaxed),
             core.out.len() as u64

@@ -17,8 +17,9 @@
 //!
 //! * `*.busy_ns` / `*.wait_ns` — summed deltas give the pool's busy
 //!   fraction.
-//! * `*.ring_occupancy` over `splitjoin.ring.capacity`, at both ends of
-//!   the interval — the pressure on each distribution lane.
+//! * `<engine>.worker.<i>.ring_occupancy` over its own engine's
+//!   `<engine>.ring.capacity`, at both ends of the interval — the
+//!   pressure on each core's inbox.
 //! * `*.last_beat_ns` — the instant each worker was last seen alive, on
 //!   the sample's clock ([`crate::trace::now_ns`]). The sample's `t_ns`
 //!   minus that stamp is how long the worker has been silent; a stamp of
@@ -82,10 +83,11 @@ pub struct Health {
     /// nanoseconds of silence up to its `t_ns` (0 for a stamp taken after
     /// the sample's clock read).
     pub silences: Vec<(String, u64)>,
-    /// Every `*.ring_occupancy` key in both snapshots, read as the lower
-    /// of its two values over `splitjoin.ring.capacity` (none without a
-    /// capacity): a lane counts as full only when it is full at both
-    /// ends of the interval, not when one push found it momentarily so.
+    /// Every `<engine>.worker.<i>.ring_occupancy` key in both snapshots,
+    /// read as the lower of its two values over `<engine>.ring.capacity`
+    /// (none without a capacity): a lane counts as full only when it is
+    /// full at both ends of the interval, not when one push found it
+    /// momentarily so.
     pub occupancy: Vec<(String, f64)>,
 }
 
@@ -119,7 +121,6 @@ impl Health {
     /// `cur`).
     #[must_use]
     pub fn derive(prev: &Snapshot, cur: &Snapshot) -> Self {
-        let capacity = cur.values.get("splitjoin.ring.capacity").filter(|&c| c > 0);
         let mut health = Self::default();
         let (mut busy, mut wait) = (0u64, 0u64);
         for (name, value) in cur.values.iter() {
@@ -132,8 +133,12 @@ impl Health {
                     let silence = cur.t_ns.saturating_sub(value);
                     health.silences.push((name.to_string(), silence));
                 }
-            } else if name.ends_with(".ring_occupancy") {
-                if let (Some(cap), Some(before)) = (capacity, prev.values.get(name)) {
+            } else if let Some((engine, _)) = name
+                .strip_suffix(".ring_occupancy")
+                .and_then(|lane| lane.split_once(".worker."))
+            {
+                let capacity = cur.values.get(&format!("{engine}.ring.capacity"));
+                if let (Some(cap @ 1..), Some(before)) = (capacity, prev.values.get(name)) {
                     let fraction = value.min(before) as f64 / cap as f64;
                     health.occupancy.push((name.to_string(), fraction));
                 }
@@ -271,6 +276,8 @@ mod tests {
         const BEAT: &str = "splitjoin.worker.3.last_beat_ns";
         const LANE: &str = "splitjoin.worker.1.ring_occupancy";
         const CAP: &str = "splitjoin.ring.capacity";
+        const CORE: &str = "handshake.worker.1.ring_occupancy";
+        const CORE_CAP: &str = "handshake.ring.capacity";
         const AT: u64 = PRESSURE_HEARTBEAT_AGE_NS;
         /// `t_ns` of every `cur` snapshot below.
         const T: u64 = 2 * AT;
@@ -278,7 +285,7 @@ mod tests {
         const IDLE: Readings = &[("w.busy_ns", 0), ("w.wait_ns", 0)];
         /// prev, cur, and the one reason expected as (key, threshold).
         type Case = (Readings, Readings, Option<(&'static str, &'static str)>);
-        let table: [Case; 8] = [
+        let table: [Case; 10] = [
             (
                 &[],
                 &[(BEAT, T - AT)],
@@ -295,6 +302,13 @@ mod tests {
                 Some((LANE, "PRESSURE_OCCUPANCY_FRACTION")),
             ),
             (&[(LANE, 95)], &[(CAP, 128), (LANE, 128)], None),
+            // Each lane against its own engine's capacity.
+            (
+                &[(CORE, 256), (LANE, 128)],
+                &[(CAP, 1024), (CORE_CAP, 256), (CORE, 256), (LANE, 128)],
+                Some((CORE, "PRESSURE_OCCUPANCY_FRACTION")),
+            ),
+            (&[(CORE, 128)], &[(CAP, 128), (CORE, 128)], None),
             (
                 IDLE,
                 &[("w.busy_ns", 95), ("w.wait_ns", 5)],

@@ -1,30 +1,42 @@
-//! End-to-end check of the live telemetry plane: an armed SplitJoin run
+//! End-to-end checks of the live telemetry plane: an armed SplitJoin run
 //! leaves behind a parseable `*.series.jsonl` artifact carrying every
 //! live `splitjoin.*` key, and that file alone names the worker a
-//! scripted stall froze, and no other.
+//! scripted stall froze, and no other; the handshake chain registers the
+//! same per-core readings under its own name; and each engine's per-core
+//! names are its own.
+//!
+//! The arming flag and the registry are process-global, so the tests
+//! arm the plane one at a time ([`armed`]).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinsw::fault::{FaultEvent, FaultPlan};
+use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::{JoinParams, StreamJoin};
 use obs::health::{unhealthy, PRESSURE_HEARTBEAT_AGE_NS};
 use obs::series::{SeriesDoc, SeriesHeader, SeriesWriter};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
-/// Every router- and worker-side live key a 2-core SplitJoin must
-/// register at spawn.
-fn expected_splitjoin_keys() -> Vec<String> {
-    let mut keys: Vec<String> = [
-        "splitjoin.batches",
-        "splitjoin.tuples",
-        "splitjoin.matches",
-        "splitjoin.ring.capacity",
-        "splitjoin.workers.live",
-    ]
-    .map(String::from)
-    .to_vec();
-    for w in 0..2 {
+/// Arms the plane and holds it for one test; the test disarms it.
+fn armed() -> MutexGuard<'static, ()> {
+    static PLANE: Mutex<()> = Mutex::new(());
+    let held = PLANE.lock().unwrap_or_else(PoisonError::into_inner);
+    obs::live::set_active(true);
+    held
+}
+
+/// Every live key a `cores`-core engine named `engine` must register at
+/// spawn: the caller's, the pool's, and each core's.
+fn expected_keys(engine: &str, cores: usize) -> Vec<String> {
+    let mut keys: Vec<String> = ["batches", "tuples", "matches", "ring.capacity"]
+        .map(|what| format!("{engine}.{what}"))
+        .to_vec();
+    if engine == "splitjoin" {
+        keys.push("splitjoin.workers.live".to_string());
+    }
+    for w in 0..cores {
         for suffix in [
             "batches",
             "tuples",
@@ -36,7 +48,7 @@ fn expected_splitjoin_keys() -> Vec<String> {
             "last_beat_ns",
             "ring_occupancy",
         ] {
-            keys.push(format!("splitjoin.worker.{w}.{suffix}"));
+            keys.push(format!("{engine}.worker.{w}.{suffix}"));
         }
     }
     keys
@@ -45,7 +57,7 @@ fn expected_splitjoin_keys() -> Vec<String> {
 #[test]
 fn the_series_file_alone_names_the_stalled_worker() {
     // Arm the plane before spawn — registration happens at spawn time.
-    obs::live::set_active(true);
+    let _plane = armed();
     let dir = std::env::temp_dir().join(format!("live-telemetry-{}", std::process::id()));
     let mut header = SeriesHeader::new("live-e2e", 5);
     header.config("fault", "stall1@2x3000");
@@ -80,7 +92,7 @@ fn the_series_file_alone_names_the_stalled_worker() {
     // it, would be real pressure and rightly reported. It then waits two
     // sample intervals; worker 0, idle all along, stamps its beat at
     // every empty poll and must not read as silent.
-    let worker0_batches = obs::live::global().counter("splitjoin.worker.0.batches");
+    let worker0_batches = obs::live::global().gauge("splitjoin.worker.0.batches");
     for (sent, batch) in inputs.chunks(BATCH).enumerate() {
         while worker0_batches.get() < sent as u64 {
             std::thread::sleep(Duration::from_micros(50));
@@ -102,7 +114,7 @@ fn the_series_file_alone_names_the_stalled_worker() {
     std::fs::remove_dir_all(&dir).ok();
 
     let keys = doc.keys();
-    for key in expected_splitjoin_keys() {
+    for key in expected_keys("splitjoin", 2) {
         assert!(keys.contains(&key.as_str()), "series lacks live key {key}");
     }
     let tuples = doc.series_of("splitjoin.tuples");
@@ -128,4 +140,55 @@ fn the_series_file_alone_names_the_stalled_worker() {
             .any(|r| r.key.starts_with("splitjoin.worker.0.")),
         "a stretch names the healthy worker: {stretches:#?}"
     );
+}
+
+#[test]
+fn the_chain_registers_the_same_per_core_readings() {
+    let _plane = armed();
+    let chain = HandshakeJoin::spawn(HandshakeConfig::new(3, 48).with_batch_size(8));
+    obs::live::set_active(false);
+    let inputs: Vec<_> = WorkloadSpec::new(600, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    for &(tag, t) in &inputs {
+        chain.process(tag, t).unwrap();
+    }
+    chain.flush().unwrap();
+    assert!(chain.shutdown().unwrap().result_count > 0);
+
+    let snap = obs::live::global().values();
+    for key in expected_keys("handshake", 3) {
+        assert!(snap.get(&key).is_some(), "the chain lacks live key {key}");
+    }
+    assert!(snap.get("handshake.worker.0.busy_ns").unwrap() > 0);
+    assert_eq!(snap.get("handshake.tuples"), Some(600));
+}
+
+#[test]
+fn an_engine_spawned_later_owns_the_per_core_names() {
+    // Two 2-core SplitJoins, A then B: the per-core names are B's, so
+    // driving A alone must move none of them.
+    let _plane = armed();
+    let config = || SplitJoinConfig::new(2, 32).with_batch_size(16);
+    let (a, b) = (SplitJoin::spawn(config()), SplitJoin::spawn(config()));
+    obs::live::set_active(false);
+    let names = ["batches", "busy_ns", "wait_ns", "ring_occupancy"]
+        .map(|what| format!("splitjoin.worker.0.{what}"));
+    let read = || {
+        names
+            .each_ref()
+            .map(|n| obs::live::global().values().get(n))
+    };
+    let before = read();
+    assert!(before.iter().all(Option::is_some), "{before:?}");
+    let inputs: Vec<_> = WorkloadSpec::new(400, KeyDist::Uniform { domain: 16 })
+        .generate()
+        .collect();
+    for &(tag, t) in &inputs {
+        a.process(tag, t).unwrap();
+    }
+    a.flush().unwrap();
+    assert!(a.shutdown().unwrap().result_count > 0);
+    assert_eq!(read(), before, "A's work moved B's per-core readings");
+    b.shutdown().unwrap();
 }

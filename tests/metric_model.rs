@@ -101,8 +101,9 @@ fn same_name_means_same_number_at_shutdown() {
     );
 
     // The handshake chain publishes under its own namespace: its wave
-    // groups are `handshake.batches`, and each core's cell its
-    // `handshake.worker.<i>.*` keys, both live and at shutdown.
+    // groups are `handshake.batches`, its pool total `handshake.matches`,
+    // and each core's cell its `handshake.worker.<i>.*` keys, both live
+    // and at shutdown.
     let reg = obs::live::global();
     reg.remove_prefix("handshake.");
     let chain = HandshakeJoin::spawn(HandshakeConfig::new(2, 64).with_batch_size(16));
@@ -124,6 +125,7 @@ fn same_name_means_same_number_at_shutdown() {
         &reg.values(),
         &[
             "handshake.batches",
+            "handshake.matches",
             "handshake.worker.0.matches",
             "handshake.worker.0.probes",
             "handshake.worker.1.matches",
