@@ -23,6 +23,14 @@ fn main() {
         std::process::exit(2);
     }
     let opts = bench::FigOpts::from_args(args);
+    if let Some(error) = selected
+        .iter()
+        .find_map(|(figure, _)| bench::unrunnable(figure, &opts))
+    {
+        eprintln!("error: {error}");
+        eprintln!("usage: figs <name|all> {}", bench::USAGE);
+        std::process::exit(2);
+    }
     opts.setup_trace();
     for (figure, run) in selected {
         let live = opts.setup_live(figure);

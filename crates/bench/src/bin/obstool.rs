@@ -323,10 +323,8 @@ fn series_summarize(path: &str) -> Result<bool, String> {
         let last = points.last().map_or(0, |&(_, v)| v);
         let max = points.iter().map(|&(_, v)| v).max().unwrap_or(0);
         match doc.rate_of(key) {
-            Some(rate) if last >= first => {
-                println!("  {key}: {first} -> {last} (max {max}, {rate:.1}/s)")
-            }
-            _ => println!("  {key}: {first} -> {last} (max {max})"),
+            Some(rate) => println!("  {key}: {first} -> {last} (max {max}, {rate:.1}/s)"),
+            None => println!("  {key}: {first} -> {last} (max {max})"),
         }
     }
     for line in health_block(&doc) {

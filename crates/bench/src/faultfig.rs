@@ -1,19 +1,19 @@
-//! Fault-injection sweep: scripted kill/stall/drop scenarios against the
-//! SplitJoin runtime versus throughput and match completeness. Run with
-//! --release.
+//! The fault-injection sweep (`figs faults`): scripted kill/stall/drop
+//! scenarios against the SplitJoin runtime versus throughput and match
+//! completeness.
 //!
 //! Each scenario replays the same workload under a different
 //! deterministic [`joinsw::FaultPlan`] and reports wall-clock
 //! throughput, the match count versus the strict single-threaded
 //! reference (completeness), and the runtime's own damage accounting
-//! (orphaned tuples, recovery latency). The acceptance
-//! scenario — kill worker 1 at batch 100 on 4 cores — also publishes
-//! its `fault.*` counters and the `fault.recovery_ns` histogram into
-//! the `faults` run manifest.
+//! (orphaned tuples, recovery latency). The acceptance scenario — kill
+//! worker 1 at batch 100 on 4 cores — also publishes its `fault.*`
+//! counters and the `fault.recovery_ns` histogram into the `faults` run
+//! manifest.
 //!
 //! Accepts `--cores N` (first value used; at least 2, since every kill
-//! targets worker 1), `--windows LO..HI` (first exponent used), and
-//! `--batch N`.
+//! targets worker 1, which `figs` checks before running anything),
+//! `--windows LO..HI` (first exponent used), and `--batch N`.
 
 use std::time::Instant;
 
@@ -21,12 +21,22 @@ use joinsw::baseline::reference_join;
 use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::JoinOutcome;
 use joinsw::{FaultPlan, JoinError, JoinParams, StreamJoin};
+use obs::RunManifest;
 use streamcore::{JoinPredicate, StreamTag, Tuple};
 
-use bench::FigOpts;
+use crate::opts::FigOpts;
+use crate::table::Table;
 
 const TUPLES: usize = 60_000;
 const KEY_DOMAIN: u32 = 64;
+
+/// The sweep's core count: the first `--cores` value, 4 by default.
+pub(crate) fn cores(opts: &FigOpts) -> usize {
+    opts.cores
+        .as_ref()
+        .and_then(|c| c.first().copied())
+        .unwrap_or(4)
+}
 
 fn workload() -> Vec<(StreamTag, Tuple)> {
     (0..TUPLES)
@@ -57,19 +67,15 @@ fn run_scenario(
     Ok((inputs.len() as f64 / secs / 1e6, outcome))
 }
 
-fn main() {
-    let opts = FigOpts::from_args(std::env::args().skip(1));
-    let cores = opts
-        .cores
-        .clone()
-        .and_then(|c| c.first().copied())
-        .unwrap_or(4);
-    if cores < 2 {
-        eprintln!("error: --cores must be at least 2 (the kill scenarios target worker 1)");
-        eprintln!("usage: faults {}", bench::USAGE);
-        std::process::exit(2);
-    }
-    let exp = opts.windows.clone().map(|w| *w.start()).unwrap_or(9);
+/// The four scenarios on [`cores`] cores, window 2^9 by default.
+///
+/// # Panics
+///
+/// Panics below two cores (the kill scenarios target worker 1), or if a
+/// degraded run fails to complete.
+pub fn faults(opts: &FigOpts) -> (Vec<Table>, RunManifest) {
+    let cores = cores(opts);
+    let exp = opts.windows.clone().map_or(9, |w| *w.start());
     let window = 1usize << exp;
     let batch = opts.batch_size;
     let inputs = workload();
@@ -82,14 +88,14 @@ fn main() {
         ("drop0@5", "drop0@5"),
     ];
 
-    let mut m = bench::obsout::manifest("faults");
+    let mut m = crate::obsout::manifest("faults");
     m.config("cores", cores);
     m.config("window", format!("2^{exp}"));
     m.config("tuples", TUPLES);
     m.config("batch_size", batch);
     m.config("reference_matches", reference);
 
-    let mut t = bench::Table::new(
+    let mut t = Table::new(
         format!("Fault injection — SplitJoin on {cores} cores, window 2^{exp}"),
         &[
             "scenario",
@@ -129,6 +135,5 @@ fn main() {
         "completeness = matches / strict reference ({reference}); orphaned tuples \
          are sub-window entries that died with their worker"
     ));
-    println!("{t}");
-    bench::obsout::emit(&m);
+    (vec![t], m)
 }

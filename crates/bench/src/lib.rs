@@ -26,10 +26,12 @@
 //! | `cloudscale` | projection: uni-flow on the AWS F1 FPGA |
 //! | `kernel` | blocked probe kernel, counting and materializing (software SplitJoin) |
 //! | `swflow` | ablation: software uni-flow vs bi-flow throughput |
+//! | `faults` | fault injection: kill/stall/drop vs throughput and completeness |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod faultfig;
 mod hwfigs;
 mod kernelfigs;
 pub mod obsout;
@@ -84,4 +86,14 @@ pub const FIGURES: &[(&str, FigureFn)] = &[
     }),
     ("kernel", kernelfigs::kernel),
     ("swflow", swfigs::swflow),
+    ("faults", faultfig::faults),
 ];
+
+/// Why `figure` cannot run with `opts`, if it cannot; `figs` asks for
+/// every selected figure before running any. Every kill scenario of
+/// `faults` targets worker 1, so it needs at least two cores.
+#[must_use]
+pub fn unrunnable(figure: &str, opts: &FigOpts) -> Option<&'static str> {
+    (figure == "faults" && faultfig::cores(opts) < 2)
+        .then_some("--cores must be at least 2 (the kill scenarios target worker 1)")
+}

@@ -1,5 +1,5 @@
-//! The one command-line parser of `crates/bench`: the flags `figs` and
-//! `faults` accept, and the trace/live side effects they switch on.
+//! The one command-line parser of `crates/bench`: the flags `figs`
+//! accepts, and the trace/live side effects they switch on.
 
 use std::iter::Peekable;
 use std::ops::RangeInclusive;
@@ -7,7 +7,7 @@ use std::str::FromStr;
 
 use joinsw::DEFAULT_BATCH_SIZE;
 
-/// The flag list, as `figs` and `faults` print it on a usage error.
+/// The flag list, as `figs` prints it on a usage error.
 pub const USAGE: &str = "[--batch N] [--cores A,B,...] [--windows LO..HI] [--samples N] \
                          [--trace [N]] [--live [MS]] [--csv]";
 

@@ -1,5 +1,5 @@
-//! Every registered figure runs, the `figs` binary names them, and the
-//! `figs` and `faults` binaries reject bad flags before running.
+//! Every registered figure runs, the `figs` binary names them, and
+//! rejects bad flags before running.
 
 use std::process::Command;
 
@@ -139,10 +139,10 @@ fn figs_rejects_a_malformed_flag_before_running_anything() {
 fn faults_rejects_fewer_than_two_cores_before_running_anything() {
     // Every kill scenario targets worker 1.
     for cores in ["1", "0"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_faults"))
-            .args(["--cores", cores])
+        let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+            .args(["faults", "--cores", cores])
             .output()
-            .expect("faults runs");
+            .expect("figs runs");
         assert_eq!(out.status.code(), Some(2), "--cores {cores}");
         assert!(out.stdout.is_empty(), "--cores {cores}: nothing on stdout");
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");

@@ -108,7 +108,7 @@ impl FaultPlan {
     }
 
     /// Parses the compact scenario grammar used by the fault test
-    /// tables and the `faults` bench binary: a comma-separated list of
+    /// tables and the `figs faults` sweep: a comma-separated list of
     ///
     /// * `kill<W>[@B]` — kill worker W after batch B (default 100);
     /// * `stall[<W>][@B[x<MS>]]` — stall worker W (default 0) at batch B

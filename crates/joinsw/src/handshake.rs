@@ -19,9 +19,10 @@
 //! under serialized feeding, statistical agreement under pipelining.
 //!
 //! Each core is a thread running the core loop both threaded engines
-//! share (`supervise::run_core`, which owns the receive clocks, message
-//! numbering, the fault script and the message boundary); the chain
-//! supplies only its two-lane receive and what a wave group or a flush
+//! share (`supervise::run_core`, which owns the waiting, the receive
+//! clocks, message numbering, the fault script, the message boundary and
+//! the stop); the chain supplies only its two-lane receive, one
+//! non-blocking pass over both inboxes, and what a wave group or a flush
 //! token means to a core. Armed, the live plane therefore reads the same
 //! per-core keys from the chain as from SplitJoin,
 //! `handshake.worker.<i>.*` busy and wait time included.
@@ -95,8 +96,8 @@ use crate::fault::FaultReport;
 use crate::outcome::{key, JoinOutcome};
 use crate::streamjoin::StreamJoin;
 use crate::supervise::{
-    join_cores, outcome, run_core, supervised_push, take_outboxes, wait_until, Core, Idle,
-    LiveIntake, SendStatus, WorkerCell,
+    join_cores, outcome, run_core, supervised_push, take_outboxes, wait_until, Core, LiveIntake,
+    SendStatus, WorkerCell,
 };
 
 /// Configuration of a [`HandshakeJoin`] chain: the shared [`JoinConfig`]
@@ -210,7 +211,7 @@ pub struct HandshakeJoin {
     flush_seq: Cell<u64>,
     /// A wave group was injected since the last completed flush.
     unsettled: Cell<bool>,
-    workers: Vec<JoinHandle<(WorkerStats, Option<obs::trace::TraceRing>)>>,
+    workers: Vec<JoinHandle<Option<obs::trace::TraceRing>>>,
     cells: Vec<Arc<WorkerCell>>,
     /// `false` when counting-only: the outboxes stay empty and the
     /// result count comes from the cores' match counters.
@@ -332,7 +333,6 @@ impl StreamJoin for HandshakeJoin {
                 cell,
                 barrier: Arc::clone(&barrier),
                 first: 0,
-                idle: Idle::recv(),
             };
             let plan = config.fault_plan.clone();
             workers.push(std::thread::spawn(move || run_core(core, position, &plan)));
@@ -477,8 +477,7 @@ impl StreamJoin for HandshakeJoin {
         // close travels down the lane behind the last wave. Nothing here
         // can wait on a wedged core.
         drop(self.entries);
-        let (worker_stats, rings): (Vec<_>, Vec<_>) =
-            join_cores(self.workers, &self.cells)?.into_iter().unzip();
+        let rings = join_cores(self.workers, &self.cells)?;
         let mut report = self.report.into_inner();
         for (i, cell) in self.cells.iter().enumerate() {
             if cell.killed.load(Ordering::Relaxed) {
@@ -490,7 +489,6 @@ impl StreamJoin for HandshakeJoin {
             key::HANDSHAKE,
             &self.cells,
             self.collecting,
-            worker_stats,
             self.batch_hist.into_inner(),
             rings.into_iter().flatten().collect(),
             report,
@@ -534,16 +532,15 @@ struct ChainCore {
     out: Vec<MatchPair>,
     cell: Arc<WorkerCell>,
     barrier: Arc<[AtomicU64; 2]>,
-    /// The lane `recv` asks first; alternates so neither starves.
+    /// The lane `try_recv` asks first; alternates so neither starves.
     first: usize,
-    idle: Idle,
 }
 
 impl Core for ChainCore {
     /// The lane a message came in on, and the message.
     type Msg = (usize, ChainMsg);
     type Data = (StreamTag, Vec<Wave>);
-    type Exit = (WorkerStats, Option<obs::trace::TraceRing>);
+    type Exit = Option<obs::trace::TraceRing>;
     const TRACK: &'static str = "hs.core";
     const WORK_SPAN: &'static str = "wave";
     const HAND_OFF_SPAN: Option<&'static str> = None;
@@ -552,34 +549,32 @@ impl Core for ChainCore {
         (&self.cell, &self.stats, &mut self.out)
     }
 
-    /// Takes the next message from either lane. A lane whose inbox has
-    /// closed and drained drops its onward link, which closes the next
-    /// core's inbox in turn. `None` once both lanes are closed.
-    fn recv(&mut self) -> Option<Self::Msg> {
-        while self.lanes.iter().any(|l| l.open) {
-            for lane in [self.first, 1 - self.first] {
-                if !self.lanes[lane].open || !self.offer_held(lane) {
-                    continue;
+    /// One pass over both lanes for the next message. A lane whose inbox
+    /// has closed and drained drops its onward link, which closes the
+    /// next core's inbox in turn. [`PopError::Disconnected`] once both
+    /// lanes are closed.
+    fn try_recv(&mut self) -> Result<Self::Msg, PopError> {
+        for lane in [self.first, 1 - self.first] {
+            if !self.lanes[lane].open || !self.offer_held(lane) {
+                continue;
+            }
+            match self.lanes[lane].inbox.try_pop() {
+                Ok(msg) => {
+                    self.first = 1 - lane;
+                    return Ok((lane, msg));
                 }
-                match self.lanes[lane].inbox.try_pop() {
-                    Ok(msg) => {
-                        self.first = 1 - lane;
-                        self.idle.reset();
-                        return Some((lane, msg));
-                    }
-                    Err(PopError::Empty) => {}
-                    Err(PopError::Disconnected) => {
-                        self.lanes[lane].open = false;
-                        self.lanes[lane].next = None;
-                    }
+                Err(PopError::Empty) => {}
+                Err(PopError::Disconnected) => {
+                    self.lanes[lane].open = false;
+                    self.lanes[lane].next = None;
                 }
             }
-            // Idle, not stalled: an empty poll is a beat, as in
-            // SplitJoin's `recv_msg`.
-            self.cell.stamp_beat();
-            self.idle.wait();
         }
-        None
+        if self.lanes.iter().any(|l| l.open) {
+            Err(PopError::Empty)
+        } else {
+            Err(PopError::Disconnected)
+        }
     }
 
     /// The fuller of the core's two inboxes.
@@ -618,7 +613,7 @@ impl Core for ChainCore {
     }
 
     fn exit(self, ring: Option<obs::trace::TraceRing>) -> Self::Exit {
-        (self.stats, ring)
+        ring
     }
 }
 

@@ -314,18 +314,13 @@ impl StreamJoin for SplitJoin {
         // which the fault report already accounts as worker loss.
         let _ = self.drain_pending();
         let mut router = self.router.into_inner();
-        // Best effort: a full ring skips the Stop, and the producer drop
-        // below closes the ring — the worker drains what is queued and
-        // exits on disconnect, which is the same exit path.
-        for prod in router.senders.iter_mut().flatten() {
-            let _ = prod.try_push(Msg::Stop);
-        }
+        // Dropping the producers is the stop signal: each worker drains
+        // what is queued and exits once its ring reads closed. Nothing
+        // here can wait on a wedged worker.
         router.senders.clear();
-        let mut worker_stats = Vec::with_capacity(self.workers.len());
         let mut trace = Vec::new();
         let mut kernel_stats = KernelStats::default();
-        for (stats, kstats, ring) in join_cores(self.workers, &router.cells)? {
-            worker_stats.push(stats);
+        for (kstats, ring) in join_cores(self.workers, &router.cells)? {
             kernel_stats.merge(&kstats);
             trace.extend(ring);
         }
@@ -345,7 +340,6 @@ impl StreamJoin for SplitJoin {
                 key::SPLITJOIN,
                 &router.cells,
                 self.collecting,
-                worker_stats,
                 router.batch_hist,
                 trace,
                 router.report,

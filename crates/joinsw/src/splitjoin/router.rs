@@ -1,5 +1,7 @@
 //! The supervised distribution side: dispatch, loss accounting,
-//! recovery and the flush barrier.
+//! recovery and the flush barrier. Every wait it makes is a `supervise`
+//! function (`supervised_push`, `await_exit`, `wait_until`), and dropping
+//! its producers is what stops the workers.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -14,7 +16,7 @@ use super::live::LiveRouter;
 use crate::fault::{round_robin_share, FaultPlan, FaultReport};
 use crate::outcome::RingStats;
 use crate::supervise::{
-    supervised_push, wait_until, LiveIntake, SendStatus, WorkerCell, SATURATION_DEADLINE,
+    await_exit, supervised_push, wait_until, LiveIntake, SendStatus, WorkerCell,
 };
 
 /// The supervised distribution side: senders, supervision cells, the
@@ -210,12 +212,11 @@ impl Router {
 
     /// Retires one dead worker: counts its orphans in closed form, drops
     /// the position from the map, closes its ring and reports the loss —
-    /// then waits, bounded by the supervision deadline, for the worker
-    /// thread to actually exit (its `AliveGuard` flips the cell dead on
-    /// the way out, scripted kills and panics alike), and broadcasts the
-    /// new map so survivors re-partition future storage turns at the
-    /// same message boundary. Returns any further workers found dead
-    /// while notifying the survivors.
+    /// then waits for the worker thread to actually exit (`await_exit`,
+    /// bounded by the supervision deadline), and broadcasts the new map
+    /// so survivors re-partition future storage turns at the same
+    /// message boundary. Returns any further workers found dead while
+    /// notifying the survivors.
     ///
     /// A scripted-kill victim is recovered proactively and may still be
     /// working through its queue; once it has exited, everything it will
@@ -243,21 +244,9 @@ impl Router {
         if let Some(lv) = self.live.as_ref() {
             lv.on_worker_lost(orphans, self.map.live_count());
         }
-        let t0 = Instant::now();
-        wait_until(|| {
-            if self.cells[worker].is_dead() {
-                return Ok(false);
-            }
-            if t0.elapsed() >= SATURATION_DEADLINE {
-                return Err(JoinError::Saturated {
-                    worker,
-                    waited_ms: t0.elapsed().as_millis() as u64,
-                });
-            }
-            Ok(true)
-        })?;
+        await_exit(&self.cells[worker], worker)?;
         // Off the live map, the lane may stay short of `sent` for good;
-        // ahead it cannot be: a `Stop` and the exit path finish nothing.
+        // ahead it cannot be: the exit path finishes nothing.
         debug_assert!(self.cells[worker].heartbeat.load(Ordering::Acquire) <= self.sent[worker]);
         let shared = Arc::new(self.map.clone());
         self.send_to_live(|| Msg::Reconfigure(Arc::clone(&shared)))

@@ -723,8 +723,12 @@ fn a_dead_worker_pins_no_batch() {
     config.fault_plan = FaultPlan::parse("kill0@1").unwrap();
     let cell = Arc::new(WorkerCell::default());
     let core = WorkerState::new(0, &config, msgs, Arc::clone(&cell));
-    let (stats, _, _) = run_core(core, 0, &config.fault_plan);
-    assert_eq!(stats.tuples_seen, 1, "the kill took the first batch");
+    run_core(core, 0, &config.fault_plan);
+    assert_eq!(
+        cell.snapshot().tuples_seen,
+        1,
+        "the kill took the first batch"
+    );
     assert!(cell.is_dead());
     drop(tx);
     assert_eq!(Arc::strong_count(&b), 1, "a batch outlived its lane");

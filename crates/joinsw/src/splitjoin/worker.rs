@@ -1,20 +1,22 @@
 //! One join core: window state, the two probe paths, and its part of
-//! the core loop (`supervise::run_core`): its receive, and what each
-//! distribution message means to it.
+//! the core loop (`supervise::run_core`): its non-blocking receive (its
+//! ring's `try_pop`), and what each distribution message means to it.
+//! The loop does the waiting, and ends the core once the ring closes.
 
 use std::sync::Arc;
 
 use crate::error::WorkerStats;
 use streamcore::kernel::{self, KernelStats, MIN_BLOCK_PROBES};
-use streamcore::ring::RingConsumer;
+use streamcore::ring::{PopError, RingConsumer};
 use streamcore::{FlatWindow, JoinPredicate, MatchPair, PartitionMap, StreamTag, Tuple};
 
-use super::lanes::{recv_msg, Msg};
+use super::lanes::Msg;
 use super::SplitJoinConfig;
 use crate::supervise::{span_start, Core, WorkerCell};
 
-/// What each worker thread leaves behind at exit.
-pub(super) type WorkerExit = (WorkerStats, KernelStats, Option<obs::trace::TraceRing>);
+/// What each worker thread leaves behind at exit besides its statistics,
+/// which stay in its cell.
+pub(super) type WorkerExit = (KernelStats, Option<obs::trace::TraceRing>);
 
 /// One probe of the blocked batch path: the tuple plus the index spans
 /// describing exactly which stored tuples were visible to it at its
@@ -393,8 +395,8 @@ impl Core for WorkerState {
         (&self.cell, &self.stats, &mut self.out)
     }
 
-    fn recv(&mut self) -> Option<Msg> {
-        recv_msg(&mut self.msgs, &self.cell)
+    fn try_recv(&mut self) -> Result<Msg, PopError> {
+        self.msgs.try_pop()
     }
 
     fn queued(&self) -> usize {
@@ -423,8 +425,6 @@ impl Core for WorkerState {
                 }
             }
             Msg::Reconfigure(map) => self.map = Some(map),
-            // `recv_msg` ends the loop on it.
-            Msg::Stop => {}
         }
         None
     }
@@ -434,6 +434,6 @@ impl Core for WorkerState {
     }
 
     fn exit(self, ring: Option<obs::trace::TraceRing>) -> WorkerExit {
-        (self.stats, self.kstats, ring)
+        (self.kstats, ring)
     }
 }

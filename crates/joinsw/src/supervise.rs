@@ -1,15 +1,18 @@
 //! Crate-internal worker supervision primitives, one of each, shared by
-//! the SplitJoin router and the handshake chain: the one core loop both
-//! engines' threads run ([`run_core`]: the receive clocks, message
-//! numbering, the fault script each data message goes through
-//! ([`run_scripted_batch`]) and the message boundary), the per-worker
-//! heartbeat/liveness cell (which also holds the core's result outbox
-//! and every per-core reading of the live plane, see
+//! the SplitJoin router and the handshake chain, and the only place in
+//! the crate a thread waits: the one core loop both engines' threads run
+//! ([`run_core`]: the polled receive and its idle policy, the receive
+//! clocks, message numbering, the fault script each data message goes
+//! through ([`run_scripted_batch`]), the message boundary, and the stop,
+//! which is the core's inboxes closing), the per-worker
+//! heartbeat/liveness cell (which also holds the core's result outbox,
+//! its statistics and every per-core reading of the live plane, see
 //! [`WorkerCell::new`]), the caller-side live handles ([`LiveIntake`]),
 //! the scope guard that marks a cell dead on any exit path, the idle
 //! policy every polling loop waits under ([`Idle`]), the bounded-backoff
 //! policy ([`SendSupervisor`]) and the supervised ring push built on the
-//! two, and the barrier wait loop ([`wait_until`]).
+//! two, the barrier wait loop ([`wait_until`]) and the bounded wait for a
+//! retired core's exit ([`await_exit`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -17,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::{JoinError, WorkerStats};
-use streamcore::ring::{PushError, RingProducer};
+use streamcore::ring::{PopError, PushError, RingProducer};
 use streamcore::MatchPair;
 
 use crate::fault::{FaultPlan, FaultReport};
@@ -57,7 +60,7 @@ pub(crate) struct Idle {
 impl Idle {
     /// A core waiting for its next message: the next batch of a loaded
     /// run arrives within the yield phase.
-    pub(crate) const fn recv() -> Self {
+    pub(crate) const fn inbox() -> Self {
         Self {
             yields: 128,
             polls: 0,
@@ -118,9 +121,30 @@ pub(crate) fn wait_until(
     Ok(())
 }
 
+/// Waits for a retired core's thread to exit (its [`AliveGuard`] marks
+/// the cell dead on every path, scripted kills and panics alike), or
+/// reports [`JoinError::Saturated`] once it has not within the
+/// [`SATURATION_DEADLINE`].
+pub(crate) fn await_exit(cell: &WorkerCell, worker: usize) -> Result<(), JoinError> {
+    let t0 = Instant::now();
+    wait_until(|| {
+        if cell.is_dead() {
+            return Ok(false);
+        }
+        if t0.elapsed() >= SATURATION_DEADLINE {
+            return Err(JoinError::Saturated {
+                worker,
+                waited_ms: t0.elapsed().as_millis() as u64,
+            });
+        }
+        Ok(true)
+    })
+}
+
 /// Shared per-worker supervision block: heartbeat + liveness for the
-/// coordinator, last published statistics for loss-tolerant shutdown,
-/// every per-core reading of the live plane, and the worker-side fault
+/// coordinator, the core's published statistics (the one source of the
+/// outcome's `worker_stats` and of a panic's `stats_so_far`), every
+/// per-core reading of the live plane, and the worker-side fault
 /// tallies.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCell {
@@ -147,7 +171,7 @@ pub(crate) struct WorkerCell {
     pub(crate) comparisons: obs::Gauge,
     pub(crate) matches: obs::Gauge,
     /// Messages the core loop handled, and the nanoseconds it spent on
-    /// them and blocked in its receive; written only while armed.
+    /// them and waiting in its receive; written only while armed.
     pub(crate) batches: obs::Gauge,
     pub(crate) busy_ns: obs::Gauge,
     pub(crate) wait_ns: obs::Gauge,
@@ -235,7 +259,7 @@ impl WorkerCell {
     /// Publishes the core's statistics snapshot. On its own only where
     /// a core exits inside a message (scripted panic or kill), which is
     /// never counted as finished: its matches were not handed off.
-    pub(crate) fn publish_stats(&self, stats: &WorkerStats) {
+    fn publish_stats(&self, stats: &WorkerStats) {
         self.tuples_seen.set(stats.tuples_seen);
         self.stored.set(stats.stored);
         self.comparisons.set(stats.comparisons);
@@ -247,7 +271,7 @@ impl WorkerCell {
     /// the outbox publish and the statistics stores, so a barrier that
     /// reads the new count with `Acquire` sees both. The beat is then
     /// timestamped ([`WorkerCell::stamp_beat`]).
-    pub(crate) fn finish_message(&self, stats: &WorkerStats) {
+    fn finish_message(&self, stats: &WorkerStats) {
         self.publish_stats(stats);
         self.heartbeat.fetch_add(1, Ordering::Release);
         self.stamp_beat();
@@ -255,14 +279,18 @@ impl WorkerCell {
 
     /// With the live plane armed (else one relaxed load), stamps the
     /// core as alive now: at the end of a message, and at every poll of
-    /// an empty inbox — a core waiting for work is idle, not stalled, and
-    /// must not read as silent the moment work reaches it.
-    pub(crate) fn stamp_beat(&self) {
+    /// an empty inbox ([`run_core`]) — a core waiting for work is idle,
+    /// not stalled, and must not read as silent the moment work reaches
+    /// it.
+    fn stamp_beat(&self) {
         if obs::live::active() {
             self.last_beat_ns.set(obs::trace::now_ns());
         }
     }
 
+    /// The core's statistics as last published. A core publishes at the
+    /// end of every message and before it exits inside one, so once its
+    /// thread has exited this is everything it did.
     pub(crate) fn snapshot(&self) -> WorkerStats {
         WorkerStats {
             tuples_seen: self.tuples_seen.get(),
@@ -331,8 +359,10 @@ pub(crate) fn take_outboxes(cells: &[Arc<WorkerCell>]) -> Vec<MatchPair> {
 }
 
 /// The tail of every threaded engine's `shutdown`, once its cores are
-/// joined: folds the cores' fault tallies into `fault` and takes what is
-/// left in the outboxes. `results` holds only what no mid-run drain
+/// joined: reads each core's statistics from its cell
+/// ([`WorkerCell::snapshot`]), folds the cores' fault tallies into
+/// `fault` and takes what is left in the outboxes. `results` holds only
+/// what no mid-run drain
 /// harvested; the published totals are every match ever handed over, so
 /// `result_count` survives draining. Counting-only publishes nothing and
 /// folds the per-core match counters instead. SplitJoin's telemetry
@@ -341,11 +371,11 @@ pub(crate) fn outcome(
     engine: &'static str,
     cells: &[Arc<WorkerCell>],
     collecting: bool,
-    worker_stats: Vec<WorkerStats>,
     batch_sizes: obs::Histogram,
     trace: Vec<obs::trace::TraceRing>,
     mut fault: FaultReport,
 ) -> JoinOutcome {
+    let worker_stats: Vec<WorkerStats> = cells.iter().map(|c| c.snapshot()).collect();
     for cell in cells {
         fault.injected_stalls += cell.stalls.load(Ordering::Relaxed);
         fault.injected_drops += cell.drops.load(Ordering::Relaxed);
@@ -530,14 +560,16 @@ pub(crate) fn supervised_push<T>(
 }
 
 /// A join core as [`run_core`] drives it. The engine supplies only its
-/// receive, the handling of one message and what its thread leaves
-/// behind; the loop owns everything else.
+/// non-blocking receive, the handling of one message and what its thread
+/// leaves behind; the loop owns everything else, waiting and stopping
+/// included.
 pub(crate) trait Core {
     /// What the core's inboxes carry.
     type Msg;
     /// A data message, once [`Core::open`] has told it from a control one.
     type Data;
-    /// What the core's thread returns.
+    /// What the core's thread returns beyond its statistics, which stay
+    /// in its cell ([`outcome`] reads them there).
     type Exit;
     /// Trace track of the core: `<TRACK>.<position>`.
     const TRACK: &'static str;
@@ -550,8 +582,10 @@ pub(crate) trait Core {
     /// The core's supervision cell, its running statistics, and the
     /// matches of the message in progress.
     fn parts(&mut self) -> (&Arc<WorkerCell>, &WorkerStats, &mut Vec<MatchPair>);
-    /// The next message; `None` once the inboxes have closed and drained.
-    fn recv(&mut self) -> Option<Self::Msg>;
+    /// The next message if one is queued: [`PopError::Empty`] when none
+    /// is, [`PopError::Disconnected`] once the inboxes have closed and
+    /// drained, which ends the core.
+    fn try_recv(&mut self) -> Result<Self::Msg, PopError>;
     /// Messages still queued for the core (read only while armed).
     fn queued(&self) -> usize;
     /// Handles a control message in place (`None`), or hands a data
@@ -572,11 +606,15 @@ pub(crate) trait Core {
 
 /// The one core loop of both threaded engines: receive, handle, and
 /// close each message at its boundary (statistics, heartbeat, beat
-/// stamp), tracing `recv` waits when tracing is on. With the live plane
-/// armed at spawn it also keeps the cell's `batches`, `busy_ns` (the
-/// message) and `wait_ns` (blocked in the receive) running, sets its
-/// `ring_occupancy` at each pop, and adds each surviving data message's
-/// matches to the pool counter; unarmed, it reads no clock per message.
+/// stamp), tracing `recv` waits when tracing is on. It polls the core's
+/// inboxes under [`Idle::inbox`], stamping the beat at every empty poll (a
+/// core waiting for work is idle, not stalled), and ends the core once
+/// they have closed and drained: an engine stops its cores by dropping
+/// their producers. With the live plane armed at spawn it also keeps the
+/// cell's `batches`, `busy_ns` (the message) and `wait_ns` (waiting in
+/// the receive) running, sets its `ring_occupancy` at each pop, and adds
+/// each surviving data message's matches to the pool counter; unarmed,
+/// it reads no clock per message.
 pub(crate) fn run_core<C: Core>(mut core: C, position: usize, plan: &FaultPlan) -> C::Exit {
     let cell = Arc::clone(core.parts().0);
     // Declared before the core, so it drops after it on every path,
@@ -596,13 +634,21 @@ pub(crate) fn run_core<C: Core>(mut core: C, position: usize, plan: &FaultPlan) 
     let armed = cell.pool_matches.is_some();
     // The core's match count at its last message, for the pool delta.
     let mut pooled = 0;
+    let mut idle = Idle::inbox();
     let mut idle_since = span_start(&ring);
+    let mut wait_start = armed.then(obs::trace::now_ns);
     let mut data_no: u64 = 0;
     loop {
-        let wait_start = armed.then(obs::trace::now_ns);
-        let Some(msg) = core.recv() else {
-            break;
+        let msg = match core.try_recv() {
+            Ok(msg) => msg,
+            Err(PopError::Empty) => {
+                cell.stamp_beat();
+                idle.wait();
+                continue;
+            }
+            Err(PopError::Disconnected) => break,
         };
+        idle.reset();
         let busy_start = wait_start.map(|t0| {
             let now = obs::trace::now_ns();
             bump(&cell.wait_ns, now.saturating_sub(t0));
@@ -643,6 +689,7 @@ pub(crate) fn run_core<C: Core>(mut core: C, position: usize, plan: &FaultPlan) 
         // publish.
         cell.finish_message(stats);
         idle_since = span_start(&ring);
+        wait_start = armed.then(obs::trace::now_ns);
     }
     debug_assert!(
         core.parts().2.is_empty(),
@@ -739,7 +786,7 @@ mod tests {
     #[test]
     fn idle_phases_are_spent_in_order_and_restart_on_reset() {
         for (mut idle, yields) in [
-            (Idle::recv(), 128),
+            (Idle::inbox(), 128),
             (Idle::barrier(), 1_024),
             (Idle::claim(), CLAIM_YIELDS),
         ] {
@@ -770,13 +817,18 @@ mod tests {
     }
 
     /// A core whose inbox holds `inbox` data messages, each finding two
-    /// matches.
+    /// matches; with `gaps`, the inbox answers `Empty` once before each.
     #[derive(Default)]
     struct FakeCore {
         cell: Arc<WorkerCell>,
         stats: WorkerStats,
         out: Vec<MatchPair>,
         inbox: u64,
+        gaps: bool,
+        /// The last poll answered `Empty`.
+        gapped: bool,
+        /// `Empty` answers given.
+        empties: u64,
     }
 
     impl Core for FakeCore {
@@ -790,9 +842,18 @@ mod tests {
         fn parts(&mut self) -> (&Arc<WorkerCell>, &WorkerStats, &mut Vec<MatchPair>) {
             (&self.cell, &self.stats, &mut self.out)
         }
-        fn recv(&mut self) -> Option<()> {
-            self.inbox = self.inbox.checked_sub(1)?;
-            Some(())
+        fn try_recv(&mut self) -> Result<(), PopError> {
+            if self.inbox == 0 {
+                return Err(PopError::Disconnected);
+            }
+            if self.gaps && !self.gapped {
+                self.gapped = true;
+                self.empties += 1;
+                return Err(PopError::Empty);
+            }
+            self.gapped = false;
+            self.inbox -= 1;
+            Ok(())
         }
         fn queued(&self) -> usize {
             self.inbox as usize
@@ -816,6 +877,23 @@ mod tests {
             ..FakeCore::default()
         };
         run_core(core, 0, &FaultPlan::parse(plan).unwrap())
+    }
+
+    #[test]
+    fn an_empty_poll_waits_and_the_closed_inbox_ends_the_core() {
+        let core = FakeCore {
+            inbox: 3,
+            gaps: true,
+            ..FakeCore::default()
+        };
+        let core = run_core(core, 0, &FaultPlan::default());
+        assert_eq!(core.empties, 3, "one empty poll before each message");
+        assert_eq!(core.inbox, 0);
+        assert_eq!(core.cell.heartbeat.load(Ordering::Relaxed), 3);
+        assert_eq!(core.cell.snapshot().matches, 6);
+        assert_eq!(core.cell.results_published.load(Ordering::Relaxed), 6);
+        assert!(core.cell.is_dead(), "the loop ended on `Disconnected`");
+        assert!(!core.cell.killed.load(Ordering::Relaxed));
     }
 
     #[test]

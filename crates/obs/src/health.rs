@@ -15,8 +15,9 @@
 //! The derivation is name-convention based, matching what the engines
 //! publish (see the workspace `ARCHITECTURE.md` for the full key list):
 //!
-//! * `*.busy_ns` / `*.wait_ns` — summed deltas give the pool's busy
-//!   fraction.
+//! * `*.busy_ns` / `*.wait_ns` — summed deltas ([`Snapshot::delta`],
+//!   which reads a fall as an engine spawned later restarting the name)
+//!   give the pool's busy fraction.
 //! * `<engine>.worker.<i>.ring_occupancy` over its own engine's
 //!   `<engine>.ring.capacity`, at both ends of the interval — the
 //!   pressure on each core's inbox.
@@ -285,7 +286,7 @@ mod tests {
         const IDLE: Readings = &[("w.busy_ns", 0), ("w.wait_ns", 0)];
         /// prev, cur, and the one reason expected as (key, threshold).
         type Case = (Readings, Readings, Option<(&'static str, &'static str)>);
-        let table: [Case; 10] = [
+        let table: [Case; 11] = [
             (
                 &[],
                 &[(BEAT, T - AT)],
@@ -315,6 +316,13 @@ mod tests {
                 Some(("*.busy_ns", "PRESSURE_BUSY_FRACTION")),
             ),
             (IDLE, &[("w.busy_ns", 94), ("w.wait_ns", 6)], None),
+            // Both fall: a newer engine restarted the names, and the
+            // later values are the interval's increase.
+            (
+                &[("w.busy_ns", 1_000), ("w.wait_ns", 1_000)],
+                &[("w.busy_ns", 95), ("w.wait_ns", 5)],
+                Some(("*.busy_ns", "PRESSURE_BUSY_FRACTION")),
+            ),
         ];
         for (prev, cur, want) in table {
             let reasons = Health::derive(&snap(0, prev), &snap(T, cur)).pressured();

@@ -25,7 +25,7 @@
 //! Three artifacts carry these to disk, all under [`default_dir`] with a
 //! shared file stem: a **[`RunManifest`]** (`<name>.json`: git revision,
 //! thread count, configuration, a [`Values`] of counters and the
-//! histograms — written by every `figs` figure and the `faults` run,
+//! histograms — written by every `figs` figure,
 //! and carried by every standing query's report), a **[`series`]** file (`<name>.series.jsonl`: one
 //! [`Snapshot`] per [`live::Sampler`] tick) and a **[`trace`]** export
 //! (`<name>.trace.json`). [`json`] is the tiny serializer / parser

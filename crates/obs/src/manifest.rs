@@ -16,8 +16,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// `target/obs/<name>.json`.
 ///
 /// Manifests are what make perf runs comparable across commits: every
-/// `figs` figure and the `faults` run write one, so two checkouts can be
-/// diffed artifact-to-artifact instead of eyeballing console tables.
+/// `figs` figure writes one, so two checkouts can be diffed
+/// artifact-to-artifact instead of eyeballing console tables.
 ///
 /// # Example
 ///

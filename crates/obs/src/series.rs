@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 
 use crate::json::Json;
 use crate::manifest::{artifact_path, config_from_json, config_to_json};
+use crate::values::increase;
 use crate::{Snapshot, Values};
 
 /// On-disk schema version written into every series header.
@@ -266,18 +267,22 @@ impl SeriesDoc {
             .collect()
     }
 
-    /// The overall per-second rate of counter `key` across the file
-    /// (`None` when the key appears fewer than twice or no time elapsed).
+    /// The overall per-second rate of counter `key` across the file: the
+    /// sum of its per-interval increases, a fall read as a restart
+    /// ([`Snapshot::delta`]), over the time from its first sample to its
+    /// last (`None` when the key appears fewer than twice or no time
+    /// elapsed).
     #[must_use]
     pub fn rate_of(&self, key: &str) -> Option<f64> {
         let points = self.series_of(key);
-        let (t0, v0) = *points.first()?;
-        let (t1, v1) = *points.last()?;
+        let (t0, _) = *points.first()?;
+        let (t1, _) = *points.last()?;
         let dt = t1.saturating_sub(t0);
         if dt == 0 {
             return None;
         }
-        Some(v1.saturating_sub(v0) as f64 * 1e9 / dt as f64)
+        let total: u64 = points.windows(2).map(|w| increase(w[0].1, w[1].1)).sum();
+        Some(total as f64 * 1e9 / dt as f64)
     }
 
     /// Wall-clock span covered by the samples, in nanoseconds.
@@ -396,5 +401,21 @@ mod tests {
         let doc = SeriesDoc::parse(&text).unwrap();
         assert_eq!(doc.keys(), vec!["a", "b"]);
         assert_eq!(doc.series_of("b"), vec![(2, 9)]);
+    }
+
+    #[test]
+    fn a_falling_pair_is_a_restart_in_the_rate() {
+        // A newer engine's gauge restarts at 0: 100 -> 300 is +200, the
+        // fall to 50 is +50 from the restart, 50 -> 150 is +100.
+        let header = "{\"schema\":1,\"kind\":\"series\",\"name\":\"x\",\"git_rev\":\"abc\",\"interval_ms\":10,\"config\":{}}";
+        let samples: Vec<String> = [(100u64, 0u64), (300, 1), (50, 2), (150, 3)]
+            .iter()
+            .map(|(v, i)| {
+                let t = 1_000_000_000 * (i + 1);
+                format!("{{\"seq\":{i},\"t_ns\":{t},\"values\":{{\"w.busy_ns\":{v}}}}}")
+            })
+            .collect();
+        let doc = SeriesDoc::parse(&format!("{header}\n{}\n", samples.join("\n"))).unwrap();
+        assert_eq!(doc.rate_of("w.busy_ns"), Some(350.0 / 3.0));
     }
 }

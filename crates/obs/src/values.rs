@@ -116,16 +116,20 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The increase of `name` since `prev` (saturating at zero; `None`
-    /// when either snapshot lacks the key).
+    /// The increase of `name` since `prev` (`None` when either snapshot
+    /// lacks the key). A value below the earlier one is a restart — an
+    /// engine spawned later counts its names from 0 again — so the later
+    /// value is then the increase.
     #[must_use]
     pub fn delta(&self, prev: &Snapshot, name: &str) -> Option<u64> {
-        Some(
-            self.values
-                .get(name)?
-                .saturating_sub(prev.values.get(name)?),
-        )
+        Some(increase(prev.values.get(name)?, self.values.get(name)?))
     }
+}
+
+/// The increase of a running total from `before` to `after`, reading a
+/// fall as a restart from 0 ([`Snapshot::delta`]).
+pub(crate) fn increase(before: u64, after: u64) -> u64 {
+    after.checked_sub(before).unwrap_or(after)
 }
 
 #[cfg(test)]
@@ -180,6 +184,6 @@ mod tests {
         assert_eq!(cur.delta(&prev, "a"), Some(300));
         assert_eq!(cur.delta(&prev, "b"), Some(0));
         assert_eq!(cur.delta(&prev, "missing"), None);
-        assert_eq!(prev.delta(&cur, "a"), Some(0), "saturates at zero");
+        assert_eq!(prev.delta(&cur, "a"), Some(100), "a fall is a restart");
     }
 }
