@@ -30,18 +30,11 @@ pub struct WorkerStats {
 ///
 /// The pre-fault-model data path called `.expect("worker alive")` on every
 /// channel operation; these variants replace those panics. Losing a worker
-/// mid-stream is *not* automatically an error — the SplitJoin coordinator
-/// re-partitions over the survivors and reports the damage in its
-/// `FaultReport` — so `WorkerLost` only surfaces when degradation is
-/// impossible (e.g. a severed handshake chain, or no survivors remain).
+/// mid-stream is *not* an error: the SplitJoin coordinator re-partitions
+/// over the survivors, the handshake chain severs and counts orphans, and
+/// both report the damage in their `FaultReport`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinError {
-    /// A worker thread exited (or its channel disconnected) and the
-    /// operation could not be completed by rerouting around it.
-    WorkerLost {
-        /// Core position of the lost worker.
-        worker: usize,
-    },
     /// A worker thread panicked. Carries the statistics it had published
     /// before dying, so shutdown no longer loses them by re-panicking.
     WorkerPanicked {
@@ -50,9 +43,10 @@ pub enum JoinError {
         /// The worker's last published statistics snapshot.
         stats_so_far: WorkerStats,
     },
-    /// A worker's input channel stayed full with no heartbeat progress
-    /// for the whole supervision deadline: the worker is alive but wedged
-    /// (or the stall outlasted the bounded backoff).
+    /// A caller waited on a worker — for a slot in its full input ring,
+    /// or for a retiring worker to exit — and the worker's heartbeat did
+    /// not move for the whole supervision deadline: it is alive but
+    /// wedged.
     Saturated {
         /// Core position of the saturated worker.
         worker: usize,
@@ -66,9 +60,6 @@ pub enum JoinError {
 impl std::fmt::Display for JoinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JoinError::WorkerLost { worker } => {
-                write!(f, "join worker {worker} was lost mid-operation")
-            }
             JoinError::WorkerPanicked {
                 worker,
                 stats_so_far,
@@ -96,7 +87,10 @@ mod tests {
 
     #[test]
     fn display_carries_the_worker_position() {
-        let e = JoinError::WorkerLost { worker: 3 };
+        let e = JoinError::Saturated {
+            worker: 3,
+            waited_ms: 10,
+        };
         assert!(e.to_string().contains("worker 3"));
         let e = JoinError::Saturated {
             worker: 1,
@@ -139,8 +133,14 @@ mod tests {
     fn errors_are_comparable() {
         assert_eq!(JoinError::AllWorkersLost, JoinError::AllWorkersLost);
         assert_ne!(
-            JoinError::WorkerLost { worker: 0 },
-            JoinError::WorkerLost { worker: 1 }
+            JoinError::Saturated {
+                worker: 0,
+                waited_ms: 1
+            },
+            JoinError::Saturated {
+                worker: 1,
+                waited_ms: 1
+            }
         );
     }
 }

@@ -25,7 +25,10 @@
 //! non-blocking pass over both inboxes, and what a wave group or a flush
 //! token means to a core. Armed, the live plane therefore reads the same
 //! per-core keys from the chain as from SplitJoin,
-//! `handshake.worker.<i>.*` busy and wait time included.
+//! `handshake.worker.<i>.*` busy and wait time included. A wave probes
+//! a core's opposite segment with the probe SplitJoin's per-tuple path
+//! runs ([`FlatWindow::probe`]), so the two flow models share what a
+//! match is as well as how a core waits.
 //!
 //! # Batched waves
 //!
@@ -73,7 +76,7 @@
 //! lanes at its position, and its neighbours detect the cut on their
 //! next forward, stop forwarding into it, and count every wave-carried
 //! window tuple that can no longer be parked as orphaned. Entry pushes
-//! are supervised (yield, then bounded backoff, watching the entry core's
+//! are supervised (yield, then sleep, watching the entry core's
 //! heartbeat); tuples offered to a severed entry are counted as orphaned
 //! rather than panicking the caller, and [`HandshakeJoin::flush`]
 //! degrades to a survivors-only barrier: the cores each lane can still
@@ -628,16 +631,9 @@ impl ChainCore {
         };
         for wave in &mut waves {
             self.stats.tuples_seen += 1;
-            for stored in opposite.iter() {
-                self.stats.comparisons += 1;
-                let pair = MatchPair::oriented(tag, wave.probe, stored);
-                if self.predicate.matches(pair.r, pair.s) {
-                    self.stats.matches += 1;
-                    if self.collect {
-                        self.out.push(pair);
-                    }
-                }
-            }
+            self.stats.comparisons += opposite.len() as u64;
+            let out = self.collect.then_some(&mut self.out);
+            self.stats.matches += opposite.probe(self.predicate, tag, wave.probe, out) as u64;
             // Storage cascade: pass the carried tuple on while the chain
             // beyond is still filling, else park it and carry on whatever
             // it displaced.
@@ -726,23 +722,42 @@ mod tests {
     fn serialized_feeding_matches_reference_exactly() {
         // Flushing after every tuple serializes the waves: the chain then
         // implements strict semantics, like the hardware single-wave model.
+        // Every predicate, collecting and counting-only: `LessThan` is the
+        // one whose matches depend on which side probes.
         let inputs: Vec<_> = WorkloadSpec::new(120, KeyDist::Uniform { domain: 6 })
             .generate()
             .collect();
-        for cores in [1usize, 2, 4] {
-            let join = HandshakeJoin::spawn(HandshakeConfig::new(cores, 32));
-            for &(tag, t) in &inputs {
-                join.process(tag, t).unwrap();
-                join.flush().unwrap();
+        for predicate in [
+            JoinPredicate::Equi,
+            JoinPredicate::Band { delta: 2 },
+            JoinPredicate::LessThan,
+            JoinPredicate::All,
+        ] {
+            let want = reference_join(&inputs, 32, predicate);
+            for cores in [1usize, 2, 4] {
+                for collect in [true, false] {
+                    let mut config = HandshakeConfig::new(cores, 32).with_predicate(predicate);
+                    if !collect {
+                        config = config.counting_only();
+                    }
+                    let join = HandshakeJoin::spawn(config);
+                    for &(tag, t) in &inputs {
+                        join.process(tag, t).unwrap();
+                        join.flush().unwrap();
+                    }
+                    let outcome = join.shutdown().unwrap();
+                    let case = format!("{predicate:?}, {cores} cores, collect={collect}");
+                    if collect {
+                        assert_eq!(
+                            as_multiset(&outcome.results),
+                            as_multiset(&want),
+                            "mismatch: {case}"
+                        );
+                    }
+                    assert_eq!(outcome.result_count, want.len() as u64, "{case}");
+                    assert!(!outcome.fault.degraded(), "healthy run must not degrade");
+                }
             }
-            let outcome = join.shutdown().unwrap();
-            let want = reference_join(&inputs, 32, JoinPredicate::Equi);
-            assert_eq!(
-                as_multiset(&outcome.results),
-                as_multiset(&want),
-                "mismatch with {cores} cores"
-            );
-            assert!(!outcome.fault.degraded(), "healthy run must not degrade");
         }
     }
 

@@ -43,7 +43,7 @@
 //! # Fault model
 //!
 //! The data path never panics on a dead peer. Sends are supervised
-//! (bounded exponential backoff with a saturation deadline),
+//! (yield, then sleep, with a saturation deadline on a frozen heartbeat),
 //! worker liveness is tracked through heartbeat counters, and losing a
 //! join core *degrades* the run instead of aborting it: the SplitJoin
 //! router re-partitions new tuples over the survivors (see

@@ -84,11 +84,10 @@
 //! instead of `.expect`-ing peers alive, and the distribution side is a
 //! supervised *router*:
 //!
-//! * ring pushes retry with a yield phase and then bounded exponential
-//!   backoff (1 ms doubling to 64 ms) while watching the receiving
-//!   worker's heartbeat counter — back-pressure with progress waits
-//!   forever, a frozen heartbeat with a full ring for the whole
-//!   supervision deadline reports [`JoinError::Saturated`];
+//! * ring pushes retry with a yield phase and then 50 µs sleeps while
+//!   watching the receiving worker's heartbeat counter — back-pressure
+//!   with progress waits forever, a frozen heartbeat with a full ring for
+//!   the whole supervision deadline reports [`JoinError::Saturated`];
 //! * a worker found dead (scripted kill from the
 //!   [`FaultPlan`](crate::fault::FaultPlan), scripted panic, or organic
 //!   death) is *recovered*: the router retires its position from the

@@ -1,7 +1,15 @@
-//! One join core: window state, the two probe paths, and its part of
-//! the core loop (`supervise::run_core`): its non-blocking receive (its
+//! One join core: window state, its storage turn
+//! ([`WorkerState::take_turn`]), the two probe paths, and its part of the
+//! core loop (`supervise::run_core`): its non-blocking receive (its
 //! ring's `try_pop`), and what each distribution message means to it.
 //! The loop does the waiting, and ends the core once the ring closes.
+//!
+//! A message below [`MIN_BLOCK_PROBES`] tuples takes the per-tuple path:
+//! each tuple is one [`FlatWindow::probe`] of the opposite sub-window and
+//! a store. A larger one takes the blocked path, whose kernels probe a
+//! snapshot of both sub-windows and whose per-probe corrections sweep the
+//! batch's own stores with the same predicate sweeps the probe uses
+//! ([`JoinPredicate::count_matches`], [`JoinPredicate::emit_matches`]).
 
 use std::sync::Arc;
 
@@ -35,26 +43,26 @@ struct BlockedProbe {
 }
 
 /// Reused per-batch buffers of the blocked path. Arrays are indexed by
-/// window side (`0` = R, `1` = S, see [`tag_side`]); capacity persists
-/// across batches so steady state allocates nothing.
+/// window side (see [`tag_side`]); capacity persists across batches so
+/// steady state allocates nothing.
 #[derive(Debug, Default)]
 struct BlockedScratch {
     /// Oldest-first copy of each sub-window's keys.
     snap_keys: [Vec<u32>; 2],
     /// Payloads parallel to `snap_keys`; filled only when materializing.
     snap_pays: [Vec<u32>; 2],
-    /// Tuples this worker stores into each window during the batch.
-    news: [Vec<Tuple>; 2],
-    /// Keys parallel to `news` — counting-mode corrections scan this
-    /// contiguous slice instead of walking `news` pair by pair.
+    /// Keys of the tuples this worker stores into each window during
+    /// the batch, in arrival order.
     news_keys: [Vec<u32>; 2],
+    /// Payloads parallel to `news_keys`.
+    news_pays: [Vec<u32>; 2],
     /// Probes against each window, in batch order.
     probes: [Vec<BlockedProbe>; 2],
     /// Keys parallel to `probes` — the contiguous slice the kernel scans.
     probe_keys: [Vec<u32>; 2],
 }
 
-/// Scratch-array index of a stream side (R = 0, S = 1).
+/// Index of a stream's window and its scratch arrays (R = 0, S = 1).
 fn tag_side(tag: StreamTag) -> usize {
     match tag {
         StreamTag::R => 0,
@@ -67,10 +75,11 @@ pub(super) struct WorkerState {
     position: u64,
     n: u64,
     predicate: JoinPredicate,
-    window_r: FlatWindow,
-    window_s: FlatWindow,
-    r_count: u64,
-    s_count: u64,
+    /// The R and S sub-windows, indexed by [`tag_side`].
+    windows: [FlatWindow; 2],
+    /// Arrivals seen per stream, indexed by [`tag_side`]: the storage
+    /// turns ([`WorkerState::take_turn`]).
+    turns: [u64; 2],
     stats: WorkerStats,
     kstats: KernelStats,
     /// Re-partitioned ownership after a sibling died; `None` means the
@@ -100,10 +109,8 @@ impl WorkerState {
             position: position as u64,
             n: config.num_cores as u64,
             predicate: config.predicate,
-            window_r: FlatWindow::new(sub),
-            window_s: FlatWindow::new(sub),
-            r_count: 0,
-            s_count: 0,
+            windows: [FlatWindow::new(sub), FlatWindow::new(sub)],
+            turns: [0; 2],
             stats: WorkerStats::default(),
             kstats: KernelStats::default(),
             map: None,
@@ -146,36 +153,28 @@ impl WorkerState {
         let materialize = self.collect;
         let mut lens = [0usize; 2];
         let mut caps = [0usize; 2];
-        {
-            let WorkerState {
-                window_r,
-                window_s,
-                scratch,
-                ..
-            } = self;
-            for (side, f) in [(0, &*window_r), (1, &*window_s)] {
-                f.snapshot_into(
-                    &mut scratch.snap_keys[side],
-                    &mut scratch.snap_pays[side],
-                    materialize,
-                );
-                lens[side] = f.len();
-                caps[side] = f.capacity();
-                scratch.news[side].clear();
-                scratch.news_keys[side].clear();
-                scratch.probes[side].clear();
-                scratch.probe_keys[side].clear();
-            }
+        let scratch = &mut self.scratch;
+        for (side, f) in self.windows.iter().enumerate() {
+            f.snapshot_into(
+                &mut scratch.snap_keys[side],
+                &mut scratch.snap_pays[side],
+                materialize,
+            );
+            lens[side] = f.len();
+            caps[side] = f.capacity();
+            scratch.news_keys[side].clear();
+            scratch.news_pays[side].clear();
+            scratch.probes[side].clear();
+            scratch.probe_keys[side].clear();
         }
         self.stats.tuples_seen += batch.len() as u64;
         // Phase 1: walk the batch in arrival order, recording each
-        // probe's visibility span and making the round-robin store
-        // decision exactly as [`WorkerState::store`] would — but
+        // probe's visibility span and taking each storage turn — but
         // deferring the inserts themselves.
         for &(tag, tuple) in batch {
             let side = tag_side(tag);
             let g = 1 - side; // the window this tuple probes
-            let j = self.scratch.news[g].len();
+            let j = self.scratch.news_keys[g].len();
             let (l, cap) = (lens[g], caps[g]);
             self.stats.comparisons += (l + j).min(cap) as u64;
             let start = (l + j).saturating_sub(cap);
@@ -186,20 +185,10 @@ impl WorkerState {
                 new_lo: start.saturating_sub(l) as u32,
             });
             self.scratch.probe_keys[g].push(tuple.key());
-            let count = match tag {
-                StreamTag::R => &mut self.r_count,
-                StreamTag::S => &mut self.s_count,
-            };
-            let turn = *count;
-            *count += 1;
-            let my_turn = match &self.map {
-                None => turn % self.n == self.position,
-                Some(map) => map.owner(turn) == self.position as usize,
-            };
-            if my_turn {
+            if self.take_turn(tag) {
                 self.stats.stored += 1;
-                self.scratch.news[side].push(tuple);
                 self.scratch.news_keys[side].push(tuple.key());
+                self.scratch.news_pays[side].push(tuple.payload());
             }
         }
         // Phase 2: blocked probe per window, plus per-probe scalar
@@ -225,7 +214,6 @@ impl WorkerState {
                 StreamTag::S
             };
             let snap_keys = &scratch.snap_keys[g];
-            let news = &scratch.news[g];
             if !materialize {
                 let mut matched = kernel::count_block(
                     *predicate,
@@ -234,22 +222,13 @@ impl WorkerState {
                     snap_keys,
                     kstats,
                 );
-                let news_keys = &scratch.news_keys[g];
-                for p in probes {
-                    let span = &news_keys[p.new_lo as usize..p.j as usize];
-                    if p.sn_start > 0 || !span.is_empty() {
-                        kstats.scalar_fallbacks += 1;
-                    }
-                    if p.sn_start > 0 {
-                        matched -= predicate.count_matches(
-                            p.tuple.key(),
-                            probe_is_r,
-                            &snap_keys[..p.sn_start as usize],
-                        ) as u64;
-                    }
-                    // The intra-batch span is a contiguous key slice, so
-                    // the correction vectorizes like a window sweep.
-                    matched += predicate.count_matches(p.tuple.key(), probe_is_r, span) as u64;
+                // The evicted snapshot prefix, which the kernel counted.
+                for p in probes.iter().filter(|p| p.sn_start > 0) {
+                    matched -= predicate.count_matches(
+                        p.tuple.key(),
+                        probe_is_r,
+                        &snap_keys[..p.sn_start as usize],
+                    ) as u64;
                 }
                 stats.matches += matched;
             } else {
@@ -273,110 +252,63 @@ impl WorkerState {
                         ));
                     },
                 );
-                for p in probes {
-                    let span = &news[p.new_lo as usize..p.j as usize];
-                    if p.sn_start > 0 || !span.is_empty() {
-                        kstats.scalar_fallbacks += 1;
-                    }
-                    for t in span {
-                        if predicate.matches_oriented(p.tuple.key(), probe_is_r, t.key()) {
-                            stats.matches += 1;
-                            out.push(MatchPair::oriented(tag, p.tuple, *t));
-                        }
-                    }
+            }
+            // The intra-batch span each probe saw: a contiguous slice of
+            // the batch's own stores, swept like a window segment.
+            let (news_keys, news_pays) = (&scratch.news_keys[g], &scratch.news_pays[g]);
+            for p in probes {
+                let span = p.new_lo as usize..p.j as usize;
+                if p.sn_start > 0 || !span.is_empty() {
+                    kstats.scalar_fallbacks += 1;
                 }
+                let keys = &news_keys[span.clone()];
+                stats.matches += if materialize {
+                    predicate.emit_matches(tag, p.tuple, keys, &news_pays[span], out)
+                } else {
+                    predicate.count_matches(p.tuple.key(), probe_is_r, keys)
+                } as u64;
             }
         }
         // Phase 3: the deferred stores, in arrival order per side (the
         // two windows are independent, so side-major application lands
         // the same final ring state as the interleaved per-tuple path).
-        for side in 0..2 {
-            let window = if side == 0 {
-                &mut self.window_r
-            } else {
-                &mut self.window_s
-            };
-            for &t in &self.scratch.news[side] {
-                window.insert(t);
+        for (side, window) in self.windows.iter_mut().enumerate() {
+            let scratch = &self.scratch;
+            for (&k, &p) in scratch.news_keys[side].iter().zip(&scratch.news_pays[side]) {
+                window.insert(Tuple::new(k, p));
             }
         }
     }
 
     fn handle_tuple(&mut self, tag: StreamTag, tuple: Tuple) {
         self.stats.tuples_seen += 1;
-        // Probe the opposite sub-window: scan the contiguous key
-        // segments of the flat window, touching a payload only when the
-        // key predicate holds. Disjoint field borrows: the window stays
-        // shared while stats/out mutate.
-        let WorkerState {
-            predicate,
-            window_r,
-            window_s,
-            stats,
-            out,
-            collect,
-            ..
-        } = self;
-        let opposite = match tag {
-            StreamTag::R => &*window_s,
-            StreamTag::S => &*window_r,
-        };
-        let probe_key = tuple.key();
-        if !*collect {
-            // Counting-only: no pair materialization, so each segment
-            // reduces to one predicate sweep over the contiguous key
-            // array that the compiler can vectorize (`count_matches`
-            // hoists the dispatch).
-            let probe_is_r = tag == StreamTag::R;
-            for (keys, _) in opposite.segments() {
-                stats.comparisons += keys.len() as u64;
-                stats.matches += predicate.count_matches(probe_key, probe_is_r, keys) as u64;
-            }
-        } else {
-            for (keys, payloads) in opposite.segments() {
-                // One comparison per stored key, counted per segment so
-                // the scan itself stays branch-light.
-                stats.comparisons += keys.len() as u64;
-                for (i, &key) in keys.iter().enumerate() {
-                    let key_match = match tag {
-                        StreamTag::R => predicate.matches_keys(probe_key, key),
-                        StreamTag::S => predicate.matches_keys(key, probe_key),
-                    };
-                    if key_match {
-                        stats.matches += 1;
-                        out.push(MatchPair::oriented(
-                            tag,
-                            tuple,
-                            Tuple::new(key, payloads[i]),
-                        ));
-                    }
-                }
-            }
-        }
+        let opposite = &self.windows[1 - tag_side(tag)];
+        self.stats.comparisons += opposite.len() as u64;
+        let out = self.collect.then_some(&mut self.out);
+        self.stats.matches += opposite.probe(self.predicate, tag, tuple, out) as u64;
         self.store(tag, tuple, true);
     }
 
-    /// Round-robin storage without central coordination; after a
-    /// reconfigure, the broadcast partition map replaces the modulo.
-    fn store(&mut self, tag: StreamTag, tuple: Tuple, count_stat: bool) {
-        let count = match tag {
-            StreamTag::R => &mut self.r_count,
-            StreamTag::S => &mut self.s_count,
-        };
+    /// Advances stream `tag`'s arrival count and says whether this
+    /// worker stores that arrival: round-robin without central
+    /// coordination; after a reconfigure, the broadcast partition map
+    /// replaces the modulo.
+    fn take_turn(&mut self, tag: StreamTag) -> bool {
+        let count = &mut self.turns[tag_side(tag)];
         let turn = *count;
         *count += 1;
-        let my_turn = match &self.map {
+        match &self.map {
             None => turn % self.n == self.position,
             Some(map) => map.owner(turn) == self.position as usize,
-        };
-        if my_turn {
+        }
+    }
+
+    fn store(&mut self, tag: StreamTag, tuple: Tuple, count_stat: bool) {
+        if self.take_turn(tag) {
             if count_stat {
                 self.stats.stored += 1;
             }
-            match tag {
-                StreamTag::R => self.window_r.insert(tuple),
-                StreamTag::S => self.window_s.insert(tuple),
-            };
+            self.windows[tag_side(tag)].insert(tuple);
         }
     }
 }

@@ -9,10 +9,10 @@
 //! its statistics and every per-core reading of the live plane, see
 //! [`WorkerCell::new`]), the caller-side live handles ([`LiveIntake`]),
 //! the scope guard that marks a cell dead on any exit path, the idle
-//! policy every polling loop waits under ([`Idle`]), the bounded-backoff
-//! policy ([`SendSupervisor`]) and the supervised ring push built on the
-//! two, the barrier wait loop ([`wait_until`]) and the bounded wait for a
-//! retired core's exit ([`await_exit`]).
+//! policy every polling loop waits under ([`Idle`]), the one saturation
+//! rule ([`Watch`]) and the two waits it bounds, the supervised ring push
+//! ([`supervised_push`]) and the wait for a retired core's exit
+//! ([`await_exit`]), and the barrier wait loop ([`wait_until`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -26,21 +26,11 @@ use streamcore::MatchPair;
 use crate::fault::{FaultPlan, FaultReport};
 use crate::outcome::{key, JoinOutcome};
 
-/// First supervised-send timeout; doubles per retry up to
-/// [`BACKOFF_CAP_MS`].
-pub(crate) const BACKOFF_START_MS: u64 = 1;
-/// Supervised-send backoff ceiling (milliseconds).
-pub(crate) const BACKOFF_CAP_MS: u64 = 64;
-/// How long a full channel may show a frozen heartbeat before the
-/// supervisor reports [`JoinError::Saturated`]. Progress resets the
-/// clock, so plain back-pressure (slow but alive workers) never trips
+/// How long a core's heartbeat may stay frozen while a caller waits on
+/// it before [`Watch`] reports [`JoinError::Saturated`]. Progress resets
+/// the clock, so plain back-pressure (slow but alive workers) never trips
 /// it.
 pub(crate) const SATURATION_DEADLINE: Duration = Duration::from_secs(10);
-/// Yield-retry rounds a ring push spends before falling
-/// back to the sleeping [`SendSupervisor`] — rings have no condvar to
-/// park on, and a draining consumer usually frees a slot within a
-/// scheduler quantum or two.
-pub(crate) const CLAIM_YIELDS: u32 = 128;
 /// How long an idle thread sleeps between polls once yielding has not
 /// produced work.
 pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(50);
@@ -75,10 +65,11 @@ impl Idle {
         }
     }
 
-    /// A producer waiting for ring space.
+    /// A producer waiting for ring space: a draining consumer usually
+    /// frees a slot within a scheduler quantum or two.
     pub(crate) const fn claim() -> Self {
         Self {
-            yields: CLAIM_YIELDS,
+            yields: 128,
             polls: 0,
         }
     }
@@ -89,10 +80,8 @@ impl Idle {
     }
 
     /// Yields while the yield phase lasts; `false` once it is spent and
-    /// the caller must sleep — on [`IDLE_SLEEP`] ([`Idle::wait`]) or on
-    /// its own clock (the supervised sends back off under
-    /// [`SendSupervisor`]).
-    pub(crate) fn relax(&mut self) -> bool {
+    /// [`Idle::wait`] sleeps on [`IDLE_SLEEP`] instead.
+    fn relax(&mut self) -> bool {
         if self.polls >= self.yields {
             return false;
         }
@@ -121,22 +110,61 @@ pub(crate) fn wait_until(
     Ok(())
 }
 
+/// The one saturation rule of a caller waiting on core `worker`: the
+/// core is saturated once its heartbeat has stayed frozen for the whole
+/// [`SATURATION_DEADLINE`]; any progress restarts the clock, so a slow
+/// but live core is waited for as long as it takes.
+#[derive(Debug)]
+pub(crate) struct Watch {
+    worker: usize,
+    /// When the heartbeat was first seen at its current value, and the
+    /// value.
+    frozen: Option<(Instant, u64)>,
+}
+
+impl Watch {
+    pub(crate) fn new(worker: usize) -> Self {
+        Self {
+            worker,
+            frozen: None,
+        }
+    }
+
+    /// One poll of the core's `heartbeat` at `now`:
+    /// [`JoinError::Saturated`] once it has not moved for the deadline.
+    pub(crate) fn check(&mut self, now: Instant, heartbeat: u64) -> Result<(), JoinError> {
+        match self.frozen {
+            Some((since, beat)) if beat == heartbeat => {
+                let waited = now.saturating_duration_since(since);
+                if waited >= SATURATION_DEADLINE {
+                    return Err(JoinError::Saturated {
+                        worker: self.worker,
+                        waited_ms: waited.as_millis() as u64,
+                    });
+                }
+            }
+            _ => self.frozen = Some((now, heartbeat)),
+        }
+        Ok(())
+    }
+
+    /// [`Watch::check`] against the cell's heartbeat now.
+    fn poll(&mut self, cell: &WorkerCell) -> Result<(), JoinError> {
+        self.check(Instant::now(), cell.heartbeat.load(Ordering::Relaxed))
+    }
+}
+
 /// Waits for a retired core's thread to exit (its [`AliveGuard`] marks
 /// the cell dead on every path, scripted kills and panics alike), or
-/// reports [`JoinError::Saturated`] once it has not within the
-/// [`SATURATION_DEADLINE`].
+/// reports [`JoinError::Saturated`] under the [`Watch`]: a retiring core
+/// still working through its queue is not saturated.
 pub(crate) fn await_exit(cell: &WorkerCell, worker: usize) -> Result<(), JoinError> {
-    let t0 = Instant::now();
+    let mut watch = Watch::new(worker);
     wait_until(|| {
         if cell.is_dead() {
             return Ok(false);
         }
-        if t0.elapsed() >= SATURATION_DEADLINE {
-            return Err(JoinError::Saturated {
-                worker,
-                waited_ms: t0.elapsed().as_millis() as u64,
-            });
-        }
+        watch.poll(cell)?;
         Ok(true)
     })
 }
@@ -456,72 +484,12 @@ pub(crate) enum SendStatus {
     Lost,
 }
 
-/// The pure bounded-backoff + saturation-deadline policy, factored out
-/// of the send loops so it can be driven by a mock clock in tests.
-///
-/// Each call to [`SendSupervisor::next_wait`] reports one failed
-/// attempt against `(worker, heartbeat)` and asks how long to wait
-/// before the next. The backoff doubles from [`BACKOFF_START_MS`] to
-/// [`BACKOFF_CAP_MS`] regardless of progress; the saturation clock runs
-/// only while the same worker's heartbeat stays frozen, and any
-/// progress (or a different laggard) resets it. The returned wait is
-/// **clamped to the remaining deadline budget**, so the total frozen
-/// wait is exactly [`SATURATION_DEADLINE`] — not the deadline plus a
-/// trailing full backoff (the pre-clamp behavior reported `Saturated`
-/// at up to 10 s + 64 ms).
-#[derive(Debug)]
-pub(crate) struct SendSupervisor {
-    backoff_ms: u64,
-    /// `(deadline start, worker, heartbeat)` of the frozen streak.
-    stuck: Option<(Instant, usize, u64)>,
-}
-
-impl SendSupervisor {
-    pub(crate) fn new() -> Self {
-        Self {
-            backoff_ms: BACKOFF_START_MS,
-            stuck: None,
-        }
-    }
-
-    /// The next bounded wait (see the type docs), or
-    /// [`JoinError::Saturated`] once the frozen streak has consumed the
-    /// whole deadline.
-    pub(crate) fn next_wait(
-        &mut self,
-        now: Instant,
-        worker: usize,
-        heartbeat: u64,
-    ) -> Result<Duration, JoinError> {
-        let wait = Duration::from_millis(self.backoff_ms);
-        self.backoff_ms = (self.backoff_ms * 2).min(BACKOFF_CAP_MS);
-        match self.stuck {
-            Some((since, w, beat)) if w == worker && beat == heartbeat => {
-                let elapsed = now.saturating_duration_since(since);
-                if elapsed >= SATURATION_DEADLINE {
-                    return Err(JoinError::Saturated {
-                        worker,
-                        waited_ms: elapsed.as_millis() as u64,
-                    });
-                }
-                Ok(wait.min(SATURATION_DEADLINE - elapsed))
-            }
-            // Progress (or first attempt, or a different laggard):
-            // restart the deadline — plain back-pressure waits as long
-            // as it takes.
-            _ => {
-                self.stuck = Some((now, worker, heartbeat));
-                Ok(wait)
-            }
-        }
-    }
-}
-
-/// The supervised send: claim-retry with a yield phase, then the
-/// backoff/saturation policy (a ring has no blocking send to lean on).
-/// Never blocks indefinitely on a dead or wedged worker: back-pressure
-/// with progress waits forever, a frozen heartbeat with a full ring for
-/// the whole [`SATURATION_DEADLINE`] reports [`JoinError::Saturated`].
+/// The supervised send: retries the push under [`Idle::claim`] (a ring
+/// has no blocking send to lean on), checking the [`Watch`] at each
+/// poll. Never blocks indefinitely on a dead or wedged worker:
+/// back-pressure with progress waits forever, a frozen heartbeat with a
+/// full ring for the whole [`SATURATION_DEADLINE`] reports
+/// [`JoinError::Saturated`].
 /// Returns the status plus the nanoseconds spent waiting, which the
 /// router feeds the claim-wait histogram.
 pub(crate) fn supervised_push<T>(
@@ -537,20 +505,14 @@ pub(crate) fn supervised_push<T>(
     }
     let t0 = Instant::now();
     let waited = |t0: Instant| t0.elapsed().as_nanos().max(1) as u64;
-    let mut sup = SendSupervisor::new();
+    let mut watch = Watch::new(worker);
     let mut idle = Idle::claim();
     loop {
         if cell.is_dead() {
             return Ok((SendStatus::Lost, waited(t0)));
         }
-        if !idle.relax() {
-            let wait = sup.next_wait(
-                Instant::now(),
-                worker,
-                cell.heartbeat.load(Ordering::Relaxed),
-            )?;
-            std::thread::sleep(wait);
-        }
+        watch.poll(cell)?;
+        idle.wait();
         match prod.try_push(msg) {
             Ok(()) => return Ok((SendStatus::Sent, waited(t0))),
             Err(PushError::Disconnected(_)) => return Ok((SendStatus::Lost, waited(t0))),
@@ -788,7 +750,7 @@ mod tests {
         for (mut idle, yields) in [
             (Idle::inbox(), 128),
             (Idle::barrier(), 1_024),
-            (Idle::claim(), CLAIM_YIELDS),
+            (Idle::claim(), 128),
         ] {
             assert_eq!(idle.yields, yields);
             for _ in 0..yields {
@@ -997,78 +959,45 @@ mod tests {
         assert_eq!(cell.last_beat_ns.get(), 0, "an exited core is not silent");
     }
 
-    /// Regression for the saturation off-by-a-backoff: with a frozen
-    /// heartbeat the policy used to sleep a full capped backoff even
-    /// when less than that remained of the deadline, firing `Saturated`
-    /// at 10 s + 64 ms. Driven by a mock clock (fabricated `Instant`s),
-    /// the waits must sum to *exactly* the deadline.
+    /// The deadline is exact: a heartbeat frozen since `base` is
+    /// `Saturated` at exactly `base + SATURATION_DEADLINE`, reporting
+    /// those 10 000 ms, and not one nanosecond before. Driven by a mock
+    /// clock (fabricated `Instant`s).
     #[test]
     fn saturation_fires_at_exactly_the_deadline_under_a_mock_clock() {
         let base = Instant::now();
-        let mut sup = SendSupervisor::new();
-        let mut elapsed = Duration::ZERO;
-        let mut waits = Vec::new();
-        let err = loop {
-            match sup.next_wait(base + elapsed, 3, 42) {
-                Ok(w) => {
-                    assert!(w > Duration::ZERO, "zero wait would spin");
-                    waits.push(w);
-                    elapsed += w;
-                }
-                Err(e) => break e,
-            }
-        };
-        // Backoff doubles 1,2,4,...,64 then stays capped...
-        let head: Vec<Duration> = [1u64, 2, 4, 8, 16, 32, 64]
-            .iter()
-            .map(|&ms| Duration::from_millis(ms))
-            .collect();
-        assert_eq!(&waits[..7], &head[..]);
-        // ...except the final wait, which is clamped to the remaining
-        // budget (10_000 = 63 + 155*64 + 17).
-        assert_eq!(*waits.last().unwrap(), Duration::from_millis(17));
-        assert_eq!(
-            elapsed, SATURATION_DEADLINE,
-            "waits must sum to the deadline exactly"
+        let mut watch = Watch::new(3);
+        assert!(
+            watch.check(base, 42).is_ok(),
+            "the first poll starts the clock"
         );
-        match err {
-            JoinError::Saturated { worker, waited_ms } => {
+        let just_before = base + SATURATION_DEADLINE - Duration::from_nanos(1);
+        assert!(watch.check(just_before, 42).is_ok());
+        match watch.check(base + SATURATION_DEADLINE, 42) {
+            Err(JoinError::Saturated { worker, waited_ms }) => {
                 assert_eq!(worker, 3);
-                assert_eq!(waited_ms, 10_000, "not 10_064");
+                assert_eq!(waited_ms, 10_000);
             }
             other => panic!("expected Saturated, got {other:?}"),
         }
     }
 
-    /// Heartbeat progress (or a different laggard) restarts the
-    /// deadline; the backoff itself keeps doubling.
+    /// Heartbeat progress restarts the deadline.
     #[test]
     fn progress_resets_the_saturation_clock() {
         let base = Instant::now();
-        let mut sup = SendSupervisor::new();
+        let mut watch = Watch::new(0);
+        watch.check(base, 1).unwrap();
         // 9.9 s into a frozen streak on beat 1...
-        let mut elapsed = Duration::ZERO;
-        loop {
-            let w = sup.next_wait(base + elapsed, 0, 1).unwrap();
-            elapsed += w;
-            if elapsed >= Duration::from_millis(9_900) {
-                break;
-            }
-        }
-        // ...the heartbeat moves: the clock restarts and the policy
-        // will happily wait another full deadline.
-        let w = sup.next_wait(base + elapsed, 0, 2).unwrap();
-        assert_eq!(
-            w,
-            Duration::from_millis(BACKOFF_CAP_MS),
-            "backoff stays capped, unclamped"
-        );
-        let later = elapsed + Duration::from_secs(9);
+        let later = base + Duration::from_millis(9_900);
+        watch.check(later, 1).unwrap();
+        // ...the heartbeat moves: the clock restarts from there, and a
+        // whole deadline after the first poll is no saturation.
+        watch.check(later, 2).unwrap();
         assert!(
-            sup.next_wait(base + later, 0, 2).is_ok(),
+            watch.check(base + SATURATION_DEADLINE, 2).is_ok(),
             "reset clock must not saturate early"
         );
-        // A different worker index is also progress.
-        assert!(sup.next_wait(base + later, 1, 2).is_ok());
+        assert!(watch.check(later + SATURATION_DEADLINE, 2).is_err());
     }
 }

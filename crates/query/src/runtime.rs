@@ -65,15 +65,19 @@
 //! 2. shut the old engine down and verify completeness: total-ever
 //!    result count equals drained + residual, nothing orphaned, nothing
 //!    dropped;
-//! 3. spawn the new engine and *replay* the runtime's shadow windows —
-//!    the last `window` arrivals per stream, re-interleaved into their
-//!    original arrival order — through its ordinary `process` path, so
-//!    the new engine's windows are exactly the old engine's. The replay
-//!    re-produces matches between shadow tuples; every one of them was
-//!    already delivered by the old engine (both endpoints arrived, and
-//!    the later probed the earlier inside the window), so the runtime
-//!    drains and discards them, keeping each query's result stream an
-//!    exact continuation.
+//! 3. spawn the new engine and reload its windows from the runtime's
+//!    shadow windows — the last `window` arrivals per stream — through
+//!    its [`prefill`](joinsw::StreamJoin::prefill), once per stream. A
+//!    stream's window contents depend only on that stream's own arrival
+//!    order (SplitJoin's storage turns are counted per stream, the
+//!    baseline stores without probing, and the chain's storage cascade
+//!    parks a lane's tuples by that lane alone), so the new engine's
+//!    windows are exactly the old engine's. SplitJoin and the baseline
+//!    prefill without probing; the chain's prefill is ordinary
+//!    processing, which re-produces matches between shadow tuples that
+//!    the old engine already delivered, so the runtime drains and
+//!    discards whatever the prefill produced, keeping each query's
+//!    result stream an exact continuation.
 //!
 //! The returned [`HandoffReport`] carries the full accounting;
 //! [`HandoffReport::lossless`] is the zero-lost-tuples check.
@@ -263,6 +267,14 @@ impl AnyEngine {
         }
     }
 
+    fn prefill(&self, tag: StreamTag, tuples: &[Tuple]) -> Result<(), JoinError> {
+        match self {
+            AnyEngine::Baseline(e) => e.prefill(tag, tuples),
+            AnyEngine::Split(e) => e.prefill(tag, tuples),
+            AnyEngine::Handshake(e) => e.prefill(tag, tuples),
+        }
+    }
+
     fn drain_results(&self) -> Result<Vec<MatchPair>, JoinError> {
         match self {
             AnyEngine::Baseline(e) => e.drain_results(),
@@ -369,13 +381,10 @@ struct EngineGroup {
     kind: EngineKind,
     /// Query slots of the member queries, in admission order.
     members: Vec<usize>,
-    /// Last `window` arrivals per stream, each stamped with its global
-    /// arrival sequence number — the handoff replay source
-    /// (re-interleaved by stamp to reproduce arrival order).
-    shadow_r: VecDeque<(u64, Tuple)>,
-    shadow_s: VecDeque<(u64, Tuple)>,
-    /// Global arrival counter stamping the shadows.
-    seq: u64,
+    /// Last `window` arrivals per stream — what a handoff reloads into
+    /// the new engine's windows.
+    shadow_r: VecDeque<Tuple>,
+    shadow_s: VecDeque<Tuple>,
     /// Results harvested from the *current* engine since it spawned.
     drained_since_spawn: u64,
     arrivals: obs::Counter,
@@ -383,25 +392,19 @@ struct EngineGroup {
 }
 
 impl EngineGroup {
-    /// Hands one tuple to the engine.
-    fn feed(&self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
+    /// Hands one arrival to the engine and to its stream's shadow.
+    fn push(&mut self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
         self.engine.process(tag, tuple)?;
         // The handshake chain is only exact when waves are serialized —
         // see the module docs.
         if self.kind == EngineKind::Handshake {
             self.engine.flush()?;
         }
-        Ok(())
-    }
-
-    fn push(&mut self, tag: StreamTag, tuple: Tuple) -> Result<(), JoinError> {
-        self.feed(tag, tuple)?;
         let shadow = match tag {
             StreamTag::R => &mut self.shadow_r,
             StreamTag::S => &mut self.shadow_s,
         };
-        shadow.push_back((self.seq, tuple));
-        self.seq += 1;
+        shadow.push_back(tuple);
         if shadow.len() > self.key.window {
             shadow.pop_front();
         }
@@ -419,18 +422,6 @@ impl EngineGroup {
         self.drained.add(drained);
         fan_out(queries, &self.members, Block::Matches(&matches), cores);
         Ok(drained)
-    }
-
-    /// The shadows merged back into arrival order.
-    fn replay_sequence(&self) -> Vec<(StreamTag, Tuple)> {
-        let mut merged: Vec<(u64, StreamTag, Tuple)> = self
-            .shadow_r
-            .iter()
-            .map(|&(seq, t)| (seq, StreamTag::R, t))
-            .chain(self.shadow_s.iter().map(|&(seq, t)| (seq, StreamTag::S, t)))
-            .collect();
-        merged.sort_unstable_by_key(|&(seq, _, _)| seq);
-        merged.into_iter().map(|(_, tag, t)| (tag, t)).collect()
     }
 
     fn metric_key(key: &GroupKey) -> String {
@@ -670,10 +661,12 @@ pub struct HandoffReport {
     pub orphaned_tuples: u64,
     /// Results dropped on the engine's floor (0 unless faults).
     pub results_dropped: u64,
-    /// Tuples replayed into the new engine's windows `(R, S)`.
+    /// Tuples reloaded into the new engine's windows `(R, S)`.
     pub prefilled: (usize, usize),
-    /// Matches the replay re-produced and the runtime discarded — each
+    /// Matches the reload re-produced and the runtime discarded — each
     /// one a duplicate of a result the old engine already delivered.
+    /// Zero unless the new engine is the handshake chain, whose prefill
+    /// is ordinary processing.
     pub duplicates_discarded: u64,
 }
 
@@ -767,11 +760,6 @@ impl QueryRuntime {
         &self.live
     }
 
-    /// Admitted query ids, sorted.
-    pub fn query_ids(&self) -> Vec<&str> {
-        self.ids.keys().map(String::as_str).collect()
-    }
-
     /// Number of live engine groups (shared engines).
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -846,7 +834,6 @@ impl QueryRuntime {
             members: Vec::new(),
             shadow_r: VecDeque::with_capacity(key.window + 1),
             shadow_s: VecDeque::with_capacity(key.window + 1),
-            seq: 0,
             drained_since_spawn: 0,
             arrivals: self.live.counter(&format!("group.{metric}.arrivals")),
             drained: self.live.counter(&format!("group.{metric}.drained")),
@@ -986,13 +973,17 @@ impl QueryRuntime {
             self.config.cores,
         );
 
-        // 3. Replay the shadow through the new engine in original
-        // arrival order, then discard the duplicate matches it
-        // re-produces (already delivered by the old engine — see the
-        // module docs). After this the new engine's windows are exactly
-        // the old engine's and its result stream continues seamlessly.
-        for (tag, tuple) in group.replay_sequence() {
-            group.feed(tag, tuple)?;
+        // 3. Reload the new engine's windows from the shadows, then
+        // discard whatever matches the reload produced (only the chain's
+        // prefill probes, and what it finds was already delivered by the
+        // old engine — see the module docs). After this the new engine's
+        // windows are exactly the old engine's and its result stream
+        // continues seamlessly.
+        for (tag, shadow) in [
+            (StreamTag::R, &mut group.shadow_r),
+            (StreamTag::S, &mut group.shadow_s),
+        ] {
+            group.engine.prefill(tag, shadow.make_contiguous())?;
         }
         let duplicates = group.engine.drain_results()?.len() as u64;
         group.drained_since_spawn += duplicates;
@@ -1307,6 +1298,7 @@ mod tests {
 
         let inputs = workload(600, 16);
         let (first, rest) = inputs.split_at(300);
+        let (chain_leg, rest) = rest.split_at(150);
         feed(&mut rt, first);
         let handoff = rt.replan("q", Objective::MinLatency).unwrap();
         assert!(handoff.lossless(), "{handoff}");
@@ -1327,6 +1319,15 @@ mod tests {
                     .min(16),
             )
         );
+        feed(&mut rt, chain_leg);
+
+        // Back onto SplitJoin: its prefill stores without probing, so
+        // the reload re-produces nothing.
+        let handoff = rt.replan("q", Objective::MaxThroughput).unwrap();
+        assert!(handoff.lossless(), "{handoff}");
+        assert_eq!(handoff.to, EngineKind::Split);
+        assert_eq!(handoff.prefilled, (16, 16));
+        assert_eq!(handoff.duplicates_discarded, 0, "{handoff}");
         feed(&mut rt, rest);
 
         let reports = rt.finish().unwrap();
@@ -1343,7 +1344,7 @@ mod tests {
             })
             .collect();
         assert_eq!(sorted(reports[0].rows.clone()), sorted(want));
-        assert_eq!(reports[0].replans, 1);
+        assert_eq!(reports[0].replans, 2);
     }
 
     #[test]
@@ -1646,14 +1647,15 @@ mod tests {
             .collect()
     }
 
-    /// Arrivals each group has taken, as `(seq, R-shadow, S-shadow)` by key.
+    /// Arrivals each group has taken, as `(arrivals, R-shadow, S-shadow)`
+    /// by key.
     fn group_arrivals(rt: &QueryRuntime) -> BTreeMap<String, (u64, usize, usize)> {
         rt.groups
             .iter()
             .map(|(_, g)| {
                 (
                     g.key.to_string(),
-                    (g.seq, g.shadow_r.len(), g.shadow_s.len()),
+                    (g.arrivals.get(), g.shadow_r.len(), g.shadow_s.len()),
                 )
             })
             .collect()

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::Tuple;
+use crate::{MatchPair, StreamTag, Tuple};
 
 /// How a join core finds a probe's partners in the opposite window. The
 /// paper's join core implements its operator "without posing any
@@ -81,20 +81,6 @@ impl JoinPredicate {
         }
     }
 
-    /// Evaluates the predicate with an explicit probe orientation: the
-    /// probe key sits on the R side of the pair when `probe_is_r`, on
-    /// the S side otherwise. This is the per-pair form of the
-    /// orientation handling in [`JoinPredicate::count_matches`] and the
-    /// blocked kernels ([`kernel`](crate::kernel)).
-    #[inline]
-    pub fn matches_oriented(&self, probe_key: u32, probe_is_r: bool, stored_key: u32) -> bool {
-        if probe_is_r {
-            self.matches_keys(probe_key, stored_key)
-        } else {
-            self.matches_keys(stored_key, probe_key)
-        }
-    }
-
     /// Counts the stored keys matching a probe key in one sweep —
     /// semantically `keys.filter(|k| matches_keys(..)).count()` with the
     /// predicate dispatch hoisted out of the loop, so each arm is a
@@ -119,6 +105,34 @@ impl JoinPredicate {
             }
             JoinPredicate::All => keys.len(),
         }
+    }
+
+    /// The collecting form of [`JoinPredicate::count_matches`]: appends
+    /// every stored tuple (`keys[i]`, `payloads[i]`) matching `probe`,
+    /// which arrived on stream `tag`, to `out` as a
+    /// [`MatchPair::oriented`] pair, oldest first, and returns how many
+    /// it appended. A payload is read only for a key that matches.
+    #[inline]
+    pub fn emit_matches(
+        &self,
+        tag: StreamTag,
+        probe: Tuple,
+        keys: &[u32],
+        payloads: &[u32],
+        out: &mut Vec<MatchPair>,
+    ) -> usize {
+        let before = out.len();
+        let p = probe.key();
+        for (i, &k) in keys.iter().enumerate() {
+            let hit = match tag {
+                StreamTag::R => self.matches_keys(p, k),
+                StreamTag::S => self.matches_keys(k, p),
+            };
+            if hit {
+                out.push(MatchPair::oriented(tag, probe, Tuple::new(k, payloads[i])));
+            }
+        }
+        out.len() - before
     }
 }
 

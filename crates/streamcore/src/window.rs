@@ -9,8 +9,12 @@
 //!   [`Tuple`]s, one per [`JoinAlgorithm`](crate::JoinAlgorithm).
 //!   `FlatWindow` stores keys and payloads in separate contiguous arrays
 //!   (struct-of-arrays), so a nested-loop probe is a linear scan of a
-//!   dense `u32` array; the SplitJoin workers, the baseline join and the
-//!   handshake chain all scan it. `HashIndexWindow` adds an
+//!   dense `u32` array. The SplitJoin workers and the handshake chain
+//!   probe it through [`FlatWindow::probe`]; the SplitJoin workers'
+//!   blocked path snapshots it for the kernels
+//!   ([`FlatWindow::snapshot_into`]). The baseline join keeps its own
+//!   per-pair loop over [`FlatWindow::iter`], since it is the reference
+//!   the others are checked against. `HashIndexWindow` adds an
 //!   open-addressing equi-join index over the same ring; the hardware
 //!   design's hash cores store through it. Both are cross-checked against
 //!   `SlidingWindow` by randomized property tests
@@ -18,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use crate::Tuple;
+use crate::{JoinPredicate, MatchPair, StreamTag, Tuple};
 
 /// A count-based sliding window of capacity `W`.
 ///
@@ -138,7 +142,7 @@ impl<T> Extend<T> for SlidingWindow<T> {
 /// window scan streams through dense cache lines instead of chasing
 /// 64-bit tuples interleaved with `VecDeque` bookkeeping. Payloads are
 /// only touched when a key satisfies the predicate (see
-/// [`JoinPredicate::matches_keys`](crate::JoinPredicate::matches_keys)).
+/// [`FlatWindow::probe`]).
 ///
 /// # Example
 ///
@@ -241,6 +245,29 @@ impl FlatWindow {
                 (&self.keys[..wrap], &self.payloads[..wrap]),
             ]
         }
+    }
+
+    /// The nested-loop probe of a `probe` arriving on stream `tag`: one
+    /// comparison per stored tuple, oldest first, over both segments.
+    /// Collects each match into `out` as an oriented pair
+    /// ([`JoinPredicate::emit_matches`]), or only counts when `out` is
+    /// `None` ([`JoinPredicate::count_matches`]). Returns the number of
+    /// matches.
+    pub fn probe(
+        &self,
+        predicate: JoinPredicate,
+        tag: StreamTag,
+        probe: Tuple,
+        mut out: Option<&mut Vec<MatchPair>>,
+    ) -> usize {
+        let mut matches = 0;
+        for (keys, payloads) in self.segments() {
+            matches += match out.as_deref_mut() {
+                Some(out) => predicate.emit_matches(tag, probe, keys, payloads, out),
+                None => predicate.count_matches(probe.key(), tag == StreamTag::R, keys),
+            };
+        }
+        matches
     }
 
     /// Copies the window contents, oldest first, into contiguous

@@ -35,7 +35,8 @@ fn arb_predicate() -> impl Strategy<Value = JoinPredicate> {
 }
 
 /// The per-pair reference: every `(probe, key)` lane evaluated with the
-/// scalar oriented predicate, collected as ordered match coordinates.
+/// scalar predicate on the keys in (R, S) order, collected as ordered
+/// match coordinates.
 fn reference_pairs(
     pred: JoinPredicate,
     probe_is_r: bool,
@@ -45,7 +46,8 @@ fn reference_pairs(
     let mut pairs = Vec::new();
     for (pi, &p) in probes.iter().enumerate() {
         for (ki, &k) in keys.iter().enumerate() {
-            if pred.matches_oriented(p, probe_is_r, k) {
+            let (r, s) = if probe_is_r { (p, k) } else { (k, p) };
+            if pred.matches_keys(r, s) {
                 pairs.push((pi, ki));
             }
         }

@@ -9,28 +9,22 @@
 //! storage backend without moving any correctness contract.
 
 use proptest::prelude::*;
-use streamcore::{FlatWindow, HashIndexWindow, JoinPredicate, SlidingWindow, Tuple};
+use streamcore::{
+    FlatWindow, HashIndexWindow, JoinPredicate, MatchPair, SlidingWindow, StreamTag, Tuple,
+};
 
-/// The reference probe: scan the whole reference window, oldest first.
-fn reference_probe(w: &SlidingWindow<Tuple>, pred: JoinPredicate, probe: Tuple) -> Vec<Tuple> {
+/// The reference probe: scan the whole reference window, oldest first,
+/// with `probe` on its own side of each pair.
+fn reference_probe(
+    w: &SlidingWindow<Tuple>,
+    pred: JoinPredicate,
+    tag: StreamTag,
+    probe: Tuple,
+) -> Vec<MatchPair> {
     w.iter()
-        .copied()
-        .filter(|&stored| pred.matches(probe, stored))
+        .map(|&stored| MatchPair::oriented(tag, probe, stored))
+        .filter(|pair| pred.matches(pair.r, pair.s))
         .collect()
-}
-
-/// Scan a `FlatWindow` through its struct-of-arrays segments, the way the
-/// nested-loop join core does: keys first, payloads only on a match.
-fn flat_probe(w: &FlatWindow, pred: JoinPredicate, probe: Tuple) -> Vec<Tuple> {
-    let mut hits = Vec::new();
-    for (keys, payloads) in w.segments() {
-        for (i, &key) in keys.iter().enumerate() {
-            if pred.matches_keys(probe.key(), key) {
-                hits.push(Tuple::new(key, payloads[i]));
-            }
-        }
-    }
-    hits
 }
 
 proptest! {
@@ -48,14 +42,24 @@ proptest! {
         let mut reference: SlidingWindow<Tuple> = SlidingWindow::new(cap);
         for (i, &key) in keys.iter().enumerate() {
             let t = Tuple::new(key, i as u32);
-            // Probe before insert (Kang's ordering), for a couple of
-            // predicates spanning key-equality and range shapes.
-            for pred in [JoinPredicate::Equi, JoinPredicate::Band { delta: 2 }] {
-                prop_assert_eq!(
-                    flat_probe(&flat, pred, t),
-                    reference_probe(&reference, pred, t),
-                    "probe diverged at step {} (cap {})", i, cap
-                );
+            // Probe before insert (Kang's ordering), for every predicate,
+            // from either stream, collecting and counting-only.
+            for pred in [
+                JoinPredicate::Equi,
+                JoinPredicate::Band { delta: 2 },
+                JoinPredicate::LessThan,
+                JoinPredicate::All,
+            ] {
+                for tag in [StreamTag::R, StreamTag::S] {
+                    let want = reference_probe(&reference, pred, tag, t);
+                    let mut got = Vec::new();
+                    prop_assert_eq!(flat.probe(pred, tag, t, Some(&mut got)), want.len());
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{:?} probe from {:?} diverged at step {} (cap {})", pred, tag, i, cap
+                    );
+                    prop_assert_eq!(flat.probe(pred, tag, t, None), want.len());
+                }
             }
             let expired_flat = flat.insert(t);
             let expired_ref = reference.insert(t);
@@ -79,7 +83,10 @@ proptest! {
         for (i, &key) in keys.iter().enumerate() {
             let t = Tuple::new(key, i as u32);
             let got: Vec<Tuple> = hash.probe(t.key()).collect();
-            let want = reference_probe(&reference, JoinPredicate::Equi, t);
+            let want: Vec<Tuple> = reference_probe(&reference, JoinPredicate::Equi, StreamTag::R, t)
+                .into_iter()
+                .map(|pair| pair.s)
+                .collect();
             prop_assert_eq!(got, want, "probe diverged at step {} (cap {})", i, cap);
             // Probing keys absent from the window finds nothing.
             prop_assert_eq!(hash.probe(1 << 30).count(), 0);
