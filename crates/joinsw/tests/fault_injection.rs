@@ -158,7 +158,8 @@ fn a_degraded_outcome_publishes_exactly_the_fault_keys() {
     }
 }
 
-/// A stalled worker recovers through the supervised-send backoff: no
+/// A stalled worker recovers while the supervised send polls its full
+/// inbox under `Idle::claim`, watched by `supervise::Watch`: no
 /// deadlock, no lost tuples, results identical to a fault-free run.
 #[test]
 fn stall_and_recover_preserves_results() {
@@ -179,7 +180,7 @@ fn stall_and_recover_preserves_results() {
     .unwrap();
     assert!(
         start.elapsed() < std::time::Duration::from_secs(8),
-        "bounded backoff must not spiral"
+        "the supervised push's polling must end soon after the stall does"
     );
     assert_eq!(stalled.fault.injected_stalls, 1);
     assert!(stalled.fault.workers_lost.is_empty());
@@ -258,8 +259,9 @@ fn fault_specs_parse_and_validate() {
 }
 
 /// The fault plans every scripted-fault table replays: none, a kill
-/// with a stall, an early kill, a stall riding the supervised-send
-/// backoff, and a panic.
+/// with a stall, an early kill, a stall the supervised send polls
+/// through (under `Idle::claim`, watched by `supervise::Watch`), and a
+/// panic.
 const PLANS: [&str; 5] = ["", "kill1,stall", "kill1@50", "stall0@3x25", "panic2@5"];
 
 /// Each plan of the table against a 4-core run: the runtime survives

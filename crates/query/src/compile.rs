@@ -146,7 +146,7 @@ pub struct PostPipeline {
 impl PostPipeline {
     /// Runs the pipeline on one record's field values: `None` when a
     /// condition rejects it, otherwise the projected output row. The
-    /// runtime's block fan-out is a loop over this function.
+    /// runtime builds every row but an aggregate's with this function.
     #[inline]
     pub fn apply(&self, values: &[u64]) -> Option<Vec<u64>> {
         if !self.accepts(values) {
@@ -183,7 +183,7 @@ pub enum Shape {
         aggregate: Option<WindowAggregate>,
     },
     /// Windowed equi-join executed on a shared physical engine; the
-    /// runtime fans each match through the post pipeline.
+    /// runtime builds each match's row through the post pipeline.
     Joined {
         /// The engine-sharing key.
         key: GroupKey,

@@ -2,8 +2,9 @@
 //!
 //! A [`QueryRuntime`] admits compiled standing queries, shares one
 //! physical join engine between every query over the same stream pair
-//! and window (see [`GroupKey`]), routes arrivals, fans drained matches
-//! through each query's post pipeline, and supports *live re-planning*:
+//! and window (see [`GroupKey`]), routes arrivals, hands drained matches
+//! to every member query and builds each query's rows through its post
+//! pipeline when they are taken, and supports *live re-planning*:
 //! swapping a group's engine mid-run without losing a single result.
 //!
 //! # Sharing model
@@ -28,32 +29,41 @@
 //! much: one route lookup, one engine `process` and one shadow-window
 //! append per consuming group.
 //!
-//! Everything downstream of the engines is per *block*. A
-//! [`QueryRuntime::poll`] drains each group once and hands every member
-//! query the whole drained `&[MatchPair]` run: the record layout, the
-//! conditions and the projection are resolved once, the row buffer is
-//! reserved once, and the query's counters advance once by the block's
-//! totals. The residual of a retiring engine (`replan`, `cancel`,
-//! `finish`) and the arrivals of single-stream queries take the same
-//! path with blocks of their own size.
+//! Everything downstream of the engines is per *block*, and a joined
+//! query's rows are built when they are taken. A [`QueryRuntime::poll`]
+//! drains each group once and hands every member query the drained
+//! matches as one shared, reference-counted block, which the query only
+//! queues; the residual of a retiring engine (`replan`, `cancel`,
+//! `finish`) is delivered the same way. [`QueryRuntime::take_rows`]
+//! runs the query's queued blocks through its post pipeline in delivery
+//! order: the record layout, the conditions and the projection are
+//! resolved once, and the row buffer is reserved once. The reports of
+//! `cancel` and `finish` build what their query had not taken the same
+//! way. So the rows of one query exist at a time, unless the caller
+//! keeps them, and a block is freed once its last member has built from
+//! it. Single-stream queries build their rows on arrival: a queued
+//! arrival would cost more memory than the one row per window an
+//! aggregate emits.
 //!
-//! A large block fans out on up to [`RuntimeConfig::cores`] threads,
-//! which the engine workers are not using while the caller drains
-//! them. The consumers are dealt round-robin over the threads, the
-//! calling thread keeps the first share and spawns the others in a
-//! [`std::thread::scope`], and each query absorbs the block whole on
-//! exactly one thread, so its rows come out in the same order and its
-//! counters advance by the same amounts as on one thread. Before the
-//! split the calling thread reserves every consumer's row vector, so a
-//! spawned thread allocates only row payloads: large buffers stay in
-//! the caller's allocator arena, whose frees otherwise trim the helper's
-//! arena and cost thousands of page faults per block. A block splits
-//! only from 2 048 evaluations (matches × consumers) on: a scoped spawn
-//! plus its join costs 27–40 µs and one match through one query about
-//! 38 ns (on a 2-thread x86-64 Xeon), so halving the work pays for the
-//! spawn near 2 k evaluations. A single-arrival `push` and a `poll`
-//! after one arrival (a few dozen matches through a handful of queries)
-//! stay on the calling thread.
+//! A large block's rows are built on two threads; the engine workers
+//! idle while the caller takes rows. From 8 192 matches on, the block
+//! splits in halves: the calling thread builds the head into the
+//! query's row buffer, which it reserved for the whole block, a helper
+//! spawned in a [`std::thread::scope`] builds the tail into a vector of
+//! its own, and the caller appends the tail's rows after the head's, so
+//! rows come out in block order and the counters advance by the same
+//! amounts as on one thread. On `match_heavy` (2-thread x86-64 Xeon VM,
+//! four 6 s runs) that read 127–139 kt/s and 39.2 MB peak RSS, against
+//! 117–122 kt/s and 41.1–41.3 MB when the caller reserved the tail's
+//! buffer too. On the same host a row costs 27–53 ns to build
+//! (projected to whole), a scoped spawn plus join of an empty closure
+//! 33–39 µs, and a helper spawned while the caller computes starts
+//! 60–100 µs later (median). Halving `n` matches saves `n` × 14–26 ns,
+//! so the split cannot pay below about 4 k matches: timed against a
+//! serial build it lost 6–77 µs at 2 048 and 4 096 matches in every
+//! run, and from 8 192 on it won or lost by the host's noise (−200 to
+//! +630 µs at 8–32 k). A take after a single-arrival `poll` (a few dozen
+//! matches) stays on the calling thread.
 //!
 //! # Re-planning without loss
 //!
@@ -61,7 +71,7 @@
 //!
 //! 1. flush + [`drain_results`](joinsw::StreamJoin::drain_results) the
 //!    old engine (behind the flush barrier every core has published
-//!    every match of everything flushed) and fan the harvest out;
+//!    every match of everything flushed) and deliver the harvest;
 //! 2. shut the old engine down and verify completeness: total-ever
 //!    result count equals drained + residual, nothing orphaned, nothing
 //!    dropped;
@@ -101,13 +111,18 @@
 //! [`QueryRuntime::live`]), and [`QueryRuntime::finish`] emits one
 //! [`RunManifest`](obs::RunManifest) per query. A query holds its three
 //! cells from admission on, and its report and manifest read them. The
-//! `query.*` cells advance once per block, so a sampler sees them step
-//! at each `poll`; `cancel` unregisters them (the report still reads the
-//! detached handles), while `group.*` cells outlive their group as its
-//! final totals.
+//! `query.*` cells advance once per block: `matches_in` when a block is
+//! delivered (each `poll` and the drains of `replan`, `cancel` and
+//! `finish`), `rows` when its rows are built (at `take_rows`, or in the
+//! report), so between a `poll` and the next take a sampler sees the
+//! first step and not yet the second. A single-stream query advances
+//! both on arrival. `cancel` unregisters a query's cells (the report
+//! still reads the detached handles), while `group.*` cells outlive
+//! their group as its final totals.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use fqp::plan::Catalog;
 use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
@@ -345,12 +360,6 @@ impl<T> Slots<T> {
         self.slots.get_mut(at)?.as_mut()
     }
 
-    /// The live entries at the distinct slots `at`, in that order.
-    fn get_many_mut(&mut self, at: &[usize]) -> Vec<&mut T> {
-        let mut all: Vec<Option<&mut T>> = self.slots.iter_mut().map(Option::as_mut).collect();
-        at.iter().filter_map(|&i| all.get_mut(i)?.take()).collect()
-    }
-
     /// Live entries with their slots, in slot order.
     fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
         self.slots
@@ -412,15 +421,14 @@ impl EngineGroup {
         Ok(())
     }
 
-    /// Harvests the engine's pending matches and fans them out to the
-    /// member queries as one block on up to `cores` threads. Returns the
-    /// number drained.
-    fn drain(&mut self, queries: &mut Slots<Standing>, cores: usize) -> Result<u64, JoinError> {
+    /// Harvests the engine's pending matches and delivers them to the
+    /// member queries as one shared block. Returns the number drained.
+    fn drain(&mut self, queries: &mut Slots<Standing>) -> Result<u64, JoinError> {
         let matches = self.engine.drain_results()?;
         let drained = matches.len() as u64;
         self.drained_since_spawn += drained;
         self.drained.add(drained);
-        fan_out(queries, &self.members, Block::Matches(&matches), cores);
+        deliver(queries, &self.members, matches);
         Ok(drained)
     }
 
@@ -429,20 +437,17 @@ impl EngineGroup {
     }
 }
 
-/// A run of records bound for standing queries, handed over whole:
-/// the matches of one engine drain, or a batch of arrivals on one
-/// stream.
-#[derive(Clone, Copy)]
-enum Block<'a> {
-    Matches(&'a [MatchPair]),
-    Arrivals(&'a [Tuple]),
-}
-
-impl Block<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Block::Matches(matches) => matches.len(),
-            Block::Arrivals(tuples) => tuples.len(),
+/// Hands `matches` to each of `members` (query slots) as one shared
+/// block; an empty drain reaches no one.
+fn deliver(queries: &mut Slots<Standing>, members: &[usize], matches: Vec<MatchPair>) {
+    if matches.is_empty() {
+        return;
+    }
+    let block = Arc::new(matches);
+    for &slot in members {
+        if let Some(q) = queries.get_mut(slot) {
+            q.matches_in.add(block.len() as u64);
+            q.pending.push(Arc::clone(&block));
         }
     }
 }
@@ -453,8 +458,13 @@ struct Standing {
     compiled: CompiledQuery,
     /// Slot of the engine group a joined query is a member of.
     group: Option<usize>,
+    /// Rows built and not yet taken.
     rows: Vec<Vec<u64>>,
-    /// Records fanned in (`query.<id>.matches_in`).
+    /// Delivered match blocks whose rows are not built yet, oldest
+    /// first (joined queries only). A block is one engine drain, shared
+    /// by the group's members until each has built its rows from it.
+    pending: Vec<Arc<Vec<MatchPair>>>,
+    /// Records delivered (`query.<id>.matches_in`).
     matches_in: obs::Counter,
     /// Rows emitted (`query.<id>.rows`).
     rows_out: obs::Counter,
@@ -475,131 +485,108 @@ impl Standing {
             compiled,
             group,
             rows: Vec::new(),
+            pending: Vec::new(),
             matches_in: live.counter(&query_key(id, "matches_in")),
             rows_out: live.counter(&query_key(id, "rows")),
             replans: live.counter(&query_key(id, "replans")),
         }
     }
 
-    /// Makes room for every row `block` can produce: one per record,
-    /// except for an aggregate, which emits per window.
-    fn reserve(&mut self, block: Block<'_>) {
-        if let Shape::Single {
-            aggregate: Some(_), ..
-        } = self.compiled.shape
-        {
+    /// Runs single-stream arrivals through the query as they come: each
+    /// is widened to its field values, filtered and projected by
+    /// [`PostPipeline::apply`](crate::compile::PostPipeline::apply) or
+    /// folded into the aggregate, and the counters advance once for the
+    /// batch.
+    fn absorb(&mut self, tuples: &[Tuple]) {
+        let Shape::Single {
+            arity,
+            post,
+            aggregate,
+            ..
+        } = &mut self.compiled.shape
+        else {
             return;
+        };
+        let before = self.rows.len();
+        let records = tuples.iter().map(|t| [t.key() as u64, t.payload() as u64]);
+        if let Some(agg) = aggregate {
+            // Aggregates: filter, then fold into the window.
+            for values in records.filter(|v| post.accepts(&v[..*arity])) {
+                self.rows
+                    .extend(agg.push(&values[..*arity]).map(|out| vec![out]));
+            }
+        } else {
+            self.rows
+                .extend(records.filter_map(|v| post.apply(&v[..*arity])));
         }
-        self.rows.reserve(block.len());
+        self.matches_in.add(tuples.len() as u64);
+        self.rows_out.add((self.rows.len() - before) as u64);
     }
 
-    /// Runs a whole block through the query: every record is widened to
-    /// its field values (layout resolved once per block), filtered and
-    /// projected by [`PostPipeline::apply`](crate::compile::PostPipeline::apply)
-    /// or folded into the aggregate, and the counters advance once for
-    /// the block. Rows come out in block order; the row vector is
-    /// [`reserve`](Standing::reserve)d by the caller.
-    fn absorb(&mut self, block: Block<'_>) {
-        let before = self.rows.len();
-        let seen = match (&mut self.compiled.shape, block) {
-            (
-                Shape::Joined {
-                    left_arity,
-                    right_arity,
-                    post,
-                    ..
-                },
-                Block::Matches(matches),
-            ) => {
-                let (left, width) = (*left_arity, *left_arity + *right_arity);
-                self.rows.extend(matches.iter().filter_map(|m| {
-                    // Both sides written whole, the right one at the
-                    // left arity: with one-field streams the slot past
-                    // each side is overwritten or cut off by `width`.
-                    let mut values = [0u64; 4];
-                    values[0] = m.r.key() as u64;
-                    values[1] = m.r.payload() as u64;
-                    values[left] = m.s.key() as u64;
-                    values[left + 1] = m.s.payload() as u64;
-                    post.apply(&values[..width])
-                }));
-                matches.len() as u64
-            }
-            (
-                Shape::Single {
-                    arity,
-                    post,
-                    aggregate,
-                    ..
-                },
-                Block::Arrivals(tuples),
-            ) => {
-                let records = tuples.iter().map(|t| [t.key() as u64, t.payload() as u64]);
-                if let Some(agg) = aggregate {
-                    // Aggregates: filter, then fold into the window.
-                    for values in records.filter(|v| post.accepts(&v[..*arity])) {
-                        self.rows
-                            .extend(agg.push(&values[..*arity]).map(|out| vec![out]));
-                    }
-                } else {
-                    self.rows
-                        .extend(records.filter_map(|v| post.apply(&v[..*arity])));
-                }
-                tuples.len() as u64
-            }
-            // Routes pair joined queries with matches and single-stream
-            // queries with arrivals; nothing else reaches a query.
-            _ => return,
-        };
-        if seen == 0 {
-            // An idle `poll`: leave the shared cells alone.
+    /// Builds the rows of every pending block, oldest first, through the
+    /// joined query's [`PostPipeline::apply`](crate::compile::PostPipeline::apply)
+    /// (layout resolved once), and advances `rows` by what it built. With
+    /// `cores` ≥ 2 a block of at least [`SPLIT_MIN_EVALUATIONS`] matches
+    /// splits in halves: the caller builds the head, a scoped helper the
+    /// tail into a vector of its own, and the tail's rows follow the
+    /// head's. A panic on the helper resumes on the caller.
+    fn build(&mut self, cores: usize) {
+        let Shape::Joined {
+            left_arity,
+            right_arity,
+            post,
+            ..
+        } = &self.compiled.shape
+        else {
             return;
+        };
+        let (left, width) = (*left_arity, *left_arity + *right_arity);
+        let extend = |rows: &mut Vec<Vec<u64>>, matches: &[MatchPair]| {
+            rows.extend(matches.iter().filter_map(|m| {
+                // Both sides written whole, the right one at the left
+                // arity: with one-field streams the slot past each side
+                // is overwritten or cut off by `width`.
+                let mut values = [0u64; 4];
+                values[0] = m.r.key() as u64;
+                values[1] = m.r.payload() as u64;
+                values[left] = m.s.key() as u64;
+                values[left + 1] = m.s.payload() as u64;
+                post.apply(&values[..width])
+            }));
+        };
+        let before = self.rows.len();
+        self.rows
+            .reserve(self.pending.iter().map(|b| b.len()).sum());
+        for block in self.pending.drain(..) {
+            if cores < 2 || block.len() < SPLIT_MIN_EVALUATIONS {
+                extend(&mut self.rows, &block);
+                continue;
+            }
+            let (head, rest) = block.split_at(block.len() / 2);
+            let rows = &mut self.rows;
+            let mut tail = std::thread::scope(|scope| {
+                let helper = scope.spawn(|| {
+                    let mut tail = Vec::with_capacity(rest.len());
+                    extend(&mut tail, rest);
+                    tail
+                });
+                extend(rows, head);
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            self.rows.append(&mut tail);
         }
-        self.matches_in.add(seen);
         self.rows_out.add((self.rows.len() - before) as u64);
     }
 }
 
-/// Matches × consumers below which a block stays on the calling thread.
-/// Splitting `n` evaluations over two threads saves `n` × 38 ns / 2 and
-/// costs one scoped spawn plus join, 27–40 µs, so it pays from about
-/// 2 k evaluations on (see the module docs).
-const SPLIT_MIN_EVALUATIONS: usize = 2_048;
-
-/// The one fan-out path: hands `block` whole to each of `consumers`
-/// (query slots). Drained matches, the residual of a retiring engine
-/// and single-stream arrivals all come through here. A block of at
-/// least [`SPLIT_MIN_EVALUATIONS`] is dealt round-robin, one query at a
-/// time, over `min(cores, consumers)` threads, the calling thread
-/// taking the first share; every row vector is reserved before the
-/// split. A panic on a spawned thread resumes on the caller when the
-/// scope ends.
-fn fan_out(queries: &mut Slots<Standing>, consumers: &[usize], block: Block<'_>, cores: usize) {
-    let threads = cores.min(consumers.len());
-    if threads < 2 || block.len() * consumers.len() < SPLIT_MIN_EVALUATIONS {
-        // Every single-arrival `push` lands here: allocation-free.
-        for &slot in consumers {
-            if let Some(q) = queries.get_mut(slot) {
-                q.reserve(block);
-                q.absorb(block);
-            }
-        }
-        return;
-    }
-    let mut shares: Vec<Vec<&mut Standing>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, q) in queries.get_many_mut(consumers).into_iter().enumerate() {
-        q.reserve(block);
-        shares[i % threads].push(q);
-    }
-    let mut shares = shares.into_iter();
-    let own = shares.next().unwrap_or_default();
-    std::thread::scope(|scope| {
-        for share in shares {
-            scope.spawn(move || share.into_iter().for_each(|q| q.absorb(block)));
-        }
-        own.into_iter().for_each(|q| q.absorb(block));
-    });
-}
+/// Matches in one block below which its rows are built on the calling
+/// thread alone. A row costs 27–53 ns to build and a helper starts
+/// 60–100 µs after its spawn, so handing it half of `n` matches cannot
+/// pay below about 4 k; timed, the split lost at 4 096 in every run
+/// (see the module docs).
+const SPLIT_MIN_EVALUATIONS: usize = 8_192;
 
 /// Where one stream's arrivals go. The runtime keeps one route per
 /// stream that currently has a consumer, so `push` touches only those.
@@ -714,7 +701,7 @@ pub struct QueryReport {
     pub group: Option<GroupKey>,
     /// Output rows not yet taken via [`QueryRuntime::take_rows`].
     pub rows: Vec<Vec<u64>>,
-    /// Records fanned into the query (arrivals or join matches).
+    /// Records delivered to the query (arrivals or join matches).
     pub matches_in: u64,
     /// Output rows emitted over the query's life.
     pub rows_emitted: u64,
@@ -883,18 +870,17 @@ impl QueryRuntime {
                 }
             }
         }
-        fan_out(
-            &mut self.queries,
-            &route.singles,
-            Block::Arrivals(tuples),
-            self.config.cores,
-        );
+        for &slot in &route.singles {
+            if let Some(q) = self.queries.get_mut(slot) {
+                q.absorb(tuples);
+            }
+        }
         Ok(())
     }
 
-    /// Harvests every group engine's pending matches and fans them
-    /// through the member queries' post pipelines, one block per group.
-    /// Returns the total number of matches drained.
+    /// Harvests every group engine's pending matches and delivers them
+    /// to the member queries, one shared block per group; their rows are
+    /// built when taken. Returns the total number of matches drained.
     ///
     /// # Errors
     ///
@@ -903,12 +889,14 @@ impl QueryRuntime {
     pub fn poll(&mut self) -> Result<u64, RuntimeError> {
         let mut total = 0;
         for group in self.groups.iter_mut() {
-            total += group.drain(&mut self.queries, self.config.cores)?;
+            total += group.drain(&mut self.queries)?;
         }
         Ok(total)
     }
 
-    /// Takes the rows a query has produced since the last take.
+    /// Takes the rows a query has produced since the last take, first
+    /// building those of the match blocks delivered since (see the module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -919,6 +907,7 @@ impl QueryRuntime {
             .get(id)
             .and_then(|&slot| self.queries.get_mut(slot))
             .ok_or_else(|| RuntimeError::Unknown { id: id.to_string() })?;
+        q.build(self.config.cores);
         Ok(std::mem::take(&mut q.rows))
     }
 
@@ -951,14 +940,14 @@ impl QueryRuntime {
         let target = engine_for(objective, self.config.cores);
         let group = self.groups.get_mut(slot).ok_or_else(unknown)?;
 
-        // 1. Drain the old engine and fan the harvest out.
-        let drained = group.drain(&mut self.queries, self.config.cores)?;
+        // 1. Drain the old engine and deliver the harvest.
+        let drained = group.drain(&mut self.queries)?;
         let from = group.kind;
 
         // 2. Shut it down and verify completeness. The residual is
         // whatever slipped between the drain barrier and shutdown
-        // (nothing, absent concurrent pushes); it is fanned out too, so
-        // it is delivered, not lost.
+        // (nothing, absent concurrent pushes); it is delivered too, not
+        // lost.
         let old = std::mem::replace(
             &mut group.engine,
             AnyEngine::spawn(target, self.config.cores, group.key.window),
@@ -966,12 +955,8 @@ impl QueryRuntime {
         let delivered_before = std::mem::take(&mut group.drained_since_spawn);
         group.kind = target;
         let outcome = old.retire(&group.key, delivered_before)?;
-        fan_out(
-            &mut self.queries,
-            &group.members,
-            Block::Matches(&outcome.results),
-            self.config.cores,
-        );
+        let residual = outcome.results.len() as u64;
+        deliver(&mut self.queries, &group.members, outcome.results);
 
         // 3. Reload the new engine's windows from the shadows, then
         // discard whatever matches the reload produced (only the chain's
@@ -1000,7 +985,7 @@ impl QueryRuntime {
             from,
             to: target,
             drained,
-            residual: outcome.results.len() as u64,
+            residual,
             produced_total: outcome.result_count,
             orphaned_tuples: outcome.fault.orphaned_tuples,
             results_dropped: outcome.fault.results_dropped,
@@ -1026,7 +1011,7 @@ impl QueryRuntime {
         let slot = *self.ids.get(id).ok_or_else(unknown)?;
         let home = self.queries.get(slot).ok_or_else(unknown)?.group;
         if let Some(group) = home.and_then(|g| self.groups.get_mut(g)) {
-            group.drain(&mut self.queries, self.config.cores)?;
+            group.drain(&mut self.queries)?;
             group.members.retain(|&m| m != slot);
         }
         self.ids.remove(id);
@@ -1069,14 +1054,9 @@ impl QueryRuntime {
     /// [`RuntimeError::Engine`] or [`RuntimeError::Completeness`].
     pub fn finish(mut self) -> Result<Vec<QueryReport>, RuntimeError> {
         for mut group in self.groups.drain() {
-            group.drain(&mut self.queries, self.config.cores)?;
+            group.drain(&mut self.queries)?;
             let outcome = group.engine.retire(&group.key, group.drained_since_spawn)?;
-            fan_out(
-                &mut self.queries,
-                &group.members,
-                Block::Matches(&outcome.results),
-                self.config.cores,
-            );
+            deliver(&mut self.queries, &group.members, outcome.results);
         }
         let ids = std::mem::take(&mut self.ids);
         Ok(ids
@@ -1086,7 +1066,8 @@ impl QueryRuntime {
             .collect())
     }
 
-    fn report(config: &RuntimeConfig, q: Standing) -> QueryReport {
+    fn report(config: &RuntimeConfig, mut q: Standing) -> QueryReport {
+        q.build(config.cores);
         let (id, engine) = (q.id, q.compiled.engine);
         let mut manifest = obs::RunManifest::new(format!("query_{id}"));
         manifest.config("query", &q.compiled.plan.query);
@@ -1203,7 +1184,7 @@ mod tests {
     }
 
     #[test]
-    fn a_warmup_sized_poll_fans_out_on_two_threads_and_stays_exact() {
+    fn a_warmup_sized_take_splits_on_two_threads_and_stays_exact() {
         const WINDOW: usize = 128;
         let join =
             || LogicalPlan::source("trades").join(LogicalPlan::source("quotes"), "sym", WINDOW);
@@ -1230,15 +1211,21 @@ mod tests {
         assert_eq!(rt.group_count(), 1);
 
         // Warm-up as the ledger does it: four windows of arrivals, one
-        // poll, then single arrivals each followed by a poll.
+        // poll, then single arrivals each followed by a poll. Two
+        // queries take the warm-up block's rows at once, the other two
+        // build them at `finish`, behind the small blocks.
         let inputs = workload(6 * WINDOW, 8);
         let (warmup, singles) = inputs.split_at(4 * WINDOW);
         feed(&mut rt, warmup);
         let drained = rt.poll().unwrap() as usize;
         assert!(
-            drained * 4 >= SPLIT_MIN_EVALUATIONS,
-            "the poll must split: {drained} matches"
+            drained >= SPLIT_MIN_EVALUATIONS,
+            "the take must split: {drained} matches"
         );
+        let mut taken: BTreeMap<&str, Vec<Vec<u64>>> = BTreeMap::new();
+        for id in ["all", "big"] {
+            taken.insert(id, rt.take_rows(id).unwrap());
+        }
         for &arrival in singles {
             feed(&mut rt, &[arrival]);
             rt.poll().unwrap();
@@ -1270,7 +1257,9 @@ mod tests {
         ];
         for (id, want) in want {
             let report = by_id[id];
-            assert_eq!(sorted(report.rows.clone()), want, "{id}");
+            let mut rows = taken.remove(id).unwrap_or_default();
+            rows.extend(report.rows.iter().cloned());
+            assert_eq!(sorted(rows), want, "{id}");
             assert_eq!(
                 (report.matches_in, report.rows_emitted),
                 (whole.len() as u64, want.len() as u64),
@@ -1485,11 +1474,25 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        assert!(live.values().get("query.tagged.matches_in").unwrap() > 0);
+        // Between `poll` and `take_rows`: the delivery counted the
+        // matches in, and no row is built yet.
+        let polled = live.values();
+        let matches_in = polled.get("query.tagged.matches_in").unwrap();
+        assert!(matches_in > 0);
+        assert_eq!(polled.get("query.tagged.rows"), Some(0));
+
+        let rows = rt.take_rows("tagged").unwrap().len() as u64;
+        let taken = live.values();
+        assert_eq!(taken.get("query.tagged.matches_in"), Some(matches_in));
+        assert_eq!(taken.get("query.tagged.rows"), Some(rows));
+        assert!(rows > 0);
 
         let reports = rt.finish().unwrap();
         let manifest = &reports[0].manifest;
         assert_eq!(manifest.name(), "query_tagged");
+        for name in ["query.tagged.matches_in", "query.tagged.rows"] {
+            assert_eq!(manifest.counters().get(name), taken.get(name), "{name}");
+        }
         // One key, one number: the manifest's query counters are the
         // registry's final reading.
         let last = live.values();
@@ -1724,6 +1727,117 @@ mod tests {
         assert_eq!(seen + reports[0].rows.len() as u64, reference.len() as u64);
     }
 
+    /// Whole joined rows, `[r.key, r.payload, s.key, s.payload]`, of
+    /// the reference join over `inputs` from match `from` on.
+    fn reference_rows(inputs: &[(StreamTag, Tuple)], from: usize) -> Vec<Vec<u64>> {
+        reference_join(inputs, 16, JoinPredicate::Equi)[from..]
+            .iter()
+            .map(|m| {
+                vec![
+                    m.r.key() as u64,
+                    m.r.payload() as u64,
+                    m.s.key() as u64,
+                    m.s.payload() as u64,
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_query_admitted_after_a_poll_gets_none_of_its_matches() {
+        let mut rt = runtime(2);
+        rt.admit("early", &joined()).unwrap();
+        let inputs = workload(200, 8);
+        let (head, tail) = inputs.split_at(100);
+        feed(&mut rt, head);
+        let drained = rt.poll().unwrap();
+        assert!(drained > 0, "the head produced no matches");
+        // The poll's block is still pending for `early` when `late` joins.
+        rt.admit("late", &joined()).unwrap();
+        assert!(rt.take_rows("late").unwrap().is_empty());
+        assert_eq!(rt.live().values().get("query.late.matches_in"), Some(0));
+        let early = rt.take_rows("early").unwrap();
+        assert_eq!(sorted(early), sorted(reference_rows(head, 0)));
+
+        feed(&mut rt, tail);
+        rt.poll().unwrap();
+        let from = reference_join(head, 16, JoinPredicate::Equi).len();
+        let want = sorted(reference_rows(&inputs, from));
+        assert_eq!(sorted(rt.take_rows("late").unwrap()), want);
+        assert_eq!(sorted(rt.take_rows("early").unwrap()), want);
+    }
+
+    #[test]
+    fn cancel_and_finish_build_the_blocks_a_query_has_not_taken() {
+        let mut rt = runtime(2);
+        rt.admit("taker", &joined()).unwrap();
+        rt.admit("gone", &joined().filter("qty", CmpOp::Gt, 100))
+            .unwrap();
+        rt.admit("kept", &joined().project(["qty", "px"])).unwrap();
+        let inputs = workload(300, 12);
+        let (head, tail) = inputs.split_at(150);
+        feed(&mut rt, head);
+        rt.poll().unwrap();
+        let mut taken = rt.take_rows("taker").unwrap();
+        feed(&mut rt, tail);
+        rt.poll().unwrap();
+        // `gone` and `kept` hold two blocks each, none built.
+        assert_eq!(rt.live().values().get("query.gone.rows"), Some(0));
+
+        let whole = reference_rows(&inputs, 0);
+        let report = rt.cancel("gone").unwrap();
+        let want: Vec<Vec<u64>> = whole.iter().filter(|v| v[1] > 100).cloned().collect();
+        assert!(!want.is_empty(), "workload produced no rows");
+        assert_eq!(
+            (report.matches_in, report.rows_emitted),
+            (whole.len() as u64, want.len() as u64)
+        );
+        assert_eq!(sorted(report.rows), sorted(want));
+
+        taken.extend(rt.take_rows("taker").unwrap());
+        assert_eq!(sorted(taken), sorted(whole.clone()));
+        let reports = rt.finish().unwrap();
+        let kept = reports.iter().find(|r| r.id == "kept").unwrap();
+        let want: Vec<Vec<u64>> = whole.iter().map(|v| vec![v[1], v[3]]).collect();
+        assert_eq!(
+            (kept.matches_in, kept.rows_emitted),
+            (whole.len() as u64, want.len() as u64)
+        );
+        assert_eq!(sorted(kept.rows.clone()), sorted(want));
+    }
+
+    #[test]
+    fn rows_taken_right_after_a_replan_carry_on_exactly() {
+        let mut rt = runtime(4);
+        rt.admit("q", &joined()).unwrap();
+        let inputs = workload(600, 16);
+        let legs = [0, 200, 350, 500, 600];
+        // The reference rows of the arrivals `legs[i]..legs[i + 1]`.
+        let leg = |i: usize| {
+            let from = reference_join(&inputs[..legs[i]], 16, JoinPredicate::Equi).len();
+            sorted(reference_rows(&inputs[..legs[i + 1]], from))
+        };
+        feed(&mut rt, &inputs[..legs[1]]);
+        rt.poll().unwrap();
+        assert_eq!(sorted(rt.take_rows("q").unwrap()), leg(0));
+        // A re-plan delivers what the old engine still held: the next
+        // take is exactly the arrivals since the poll, on either engine.
+        for (i, objective) in [(1, Objective::MinLatency), (2, Objective::MaxThroughput)] {
+            feed(&mut rt, &inputs[legs[i]..legs[i + 1]]);
+            assert!(rt.replan("q", objective).unwrap().lossless());
+            assert_eq!(sorted(rt.take_rows("q").unwrap()), leg(i), "leg {i}");
+        }
+        feed(&mut rt, &inputs[legs[3]..]);
+        rt.poll().unwrap();
+        assert_eq!(sorted(rt.take_rows("q").unwrap()), leg(3));
+        let reports = rt.finish().unwrap();
+        assert!(reports[0].rows.is_empty());
+        assert_eq!(
+            reports[0].rows_emitted,
+            reference_rows(&inputs, 0).len() as u64
+        );
+    }
+
     /// A joined standing query over streams of the given arities, with
     /// `post` in place of the compiled pipeline.
     fn joined_standing(left: usize, right: usize, post: &PostPipeline) -> Standing {
@@ -1780,9 +1894,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Whole blocks through `absorb`, split at arbitrary poll points,
-        /// give the rows of a per-record `PostPipeline::apply` loop in
-        /// the same order, and the same counts.
+        /// Blocks delivered at arbitrary poll points and built at one
+        /// take give the rows of a per-record `PostPipeline::apply` loop
+        /// in the same order, and the same counts.
         #[test]
         fn block_fan_out_equals_the_per_record_reference(
             left in 1usize..3,
@@ -1815,24 +1929,25 @@ mod tests {
             let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (matches.len() + 1)).collect();
             cuts.extend([0, matches.len()]);
             cuts.sort_unstable();
-            let mut q = joined_standing(left, right, &post);
-            let mut got = Vec::new();
+            let mut queries = Slots::new();
+            let slot = queries.insert(joined_standing(left, right, &post));
             for span in cuts.windows(2) {
-                q.absorb(Block::Matches(&matches[span[0]..span[1]]));
-                got.append(&mut q.rows);
+                deliver(&mut queries, &[slot], matches[span[0]..span[1]].to_vec());
             }
-            prop_assert_eq!(&got, &want);
+            let q = queries.get_mut(slot).unwrap();
+            q.build(1);
+            prop_assert_eq!(&q.rows, &want);
             prop_assert_eq!(
                 (q.matches_in.get(), q.rows_out.get()),
                 (matches.len() as u64, want.len() as u64)
             );
         }
 
-        /// `fan_out` on 1–4 threads, for blocks below and above
+        /// `build` with 1–4 cores, over shared blocks below and above
         /// [`SPLIT_MIN_EVALUATIONS`], gives every member the rows, in
-        /// order, and the counts of a serial `absorb` loop.
+        /// order, and the counts of a build on one thread.
         #[test]
-        fn threaded_fan_out_equals_a_serial_absorb_loop(
+        fn take_time_split_equals_a_serial_build(
             left in 1usize..3,
             right in 1usize..3,
             members in prop::collection::vec(
@@ -1842,9 +1957,9 @@ mod tests {
                 ),
                 1..7,
             ),
-            matches in prop::collection::vec((0u32..5, 0u32..5, 0u32..5, 0u32..5), 0..1_500),
+            matches in prop::collection::vec((0u32..5, 0u32..5, 0u32..5, 0u32..5), 0..12_000),
             cores in 1usize..5,
-            rotate in 0usize..6,
+            cut in 0usize..12_001,
         ) {
             let posts: Vec<PostPipeline> = members
                 .iter()
@@ -1854,22 +1969,23 @@ mod tests {
                 .iter()
                 .map(|&(rk, rp, sk, sp)| MatchPair { r: Tuple::new(rk, rp), s: Tuple::new(sk, sp) })
                 .collect();
-            let block = Block::Matches(&matches);
+            let (head, tail) = matches.split_at(cut % (matches.len() + 1));
+            let run = |cores: usize| {
+                let mut queries = Slots::new();
+                let members: Vec<usize> = posts
+                    .iter()
+                    .map(|post| queries.insert(joined_standing(left, right, post)))
+                    .collect();
+                deliver(&mut queries, &members, head.to_vec());
+                deliver(&mut queries, &members, tail.to_vec());
+                queries.iter_mut().for_each(|q| q.build(cores));
+                queries
+            };
+            let serial = run(1);
+            let split = run(cores);
 
-            let mut serial: Vec<Standing> =
-                posts.iter().map(|post| joined_standing(left, right, post)).collect();
-            serial.iter_mut().for_each(|q| q.absorb(block));
-
-            let mut queries = Slots::new();
-            for post in &posts {
-                queries.insert(joined_standing(left, right, post));
-            }
-            let mut consumers: Vec<usize> = (0..posts.len()).collect();
-            consumers.rotate_left(rotate % posts.len());
-            fan_out(&mut queries, &consumers, block, cores);
-
-            for (slot, want) in serial.iter().enumerate() {
-                let got = queries.get(slot).unwrap();
+            for (slot, want) in serial.iter() {
+                let got = split.get(slot).unwrap();
                 prop_assert_eq!(&got.rows, &want.rows);
                 prop_assert_eq!(
                     (got.matches_in.get(), got.rows_out.get()),
@@ -1905,9 +2021,9 @@ mod tests {
                 .filter_map(|t| post.apply(&[t.key() as u64, t.payload() as u64][..arity]))
                 .collect();
             let (head, tail) = tuples.split_at(cut % (tuples.len() + 1));
-            q.absorb(Block::Arrivals(head));
+            q.absorb(head);
             let mut got = std::mem::take(&mut q.rows);
-            q.absorb(Block::Arrivals(tail));
+            q.absorb(tail);
             got.append(&mut q.rows);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(

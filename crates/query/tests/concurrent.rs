@@ -3,6 +3,11 @@
 //! equal to its single-query reference run (multiset equality) through a
 //! live re-plan that loses no tuple and whose accounting balances, and
 //! each query's report, counters and manifest telling the same story.
+//! Rows are taken mid-run by a rotating subset of the queries, right
+//! after the re-plan too, so a query's rows are what it took plus what
+//! its report still holds.
+
+use std::collections::BTreeMap;
 
 use obs::RunManifest;
 use query::prelude::*;
@@ -92,6 +97,19 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
         "all four joins must share one engine group (one worker pool)"
     );
 
+    // Every `take`, a different half of the fleet takes its rows.
+    let mut taken: BTreeMap<&str, Vec<Vec<u64>>> = BTreeMap::new();
+    let mut takes = 0;
+    let mut take = |runtime: &mut QueryRuntime| {
+        for (i, (id, _)) in fleet.iter().enumerate() {
+            if (i + takes) % 2 == 0 {
+                let rows = runtime.take_rows(id).unwrap();
+                taken.entry(*id).or_default().extend(rows);
+            }
+        }
+        takes += 1;
+    };
+
     let halfway = inputs.len() / 2;
     for (seq, &(tag, tuple)) in inputs.iter().enumerate() {
         if seq == halfway {
@@ -124,12 +142,18 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
                 );
                 assert_eq!(after, handoff.produced_total, "{id}: {handoff}");
             }
+            take(&mut runtime);
         }
         runtime.push(stream_of(tag), tuple).unwrap();
         if seq % 1024 == 1023 {
             runtime.poll().unwrap();
+            take(&mut runtime);
         }
     }
+    assert!(
+        takes > 2 && taken.len() == fleet.len(),
+        "every query took rows"
+    );
     let reports = runtime.finish().unwrap();
     assert_eq!(reports.len(), fleet.len());
 
@@ -159,8 +183,15 @@ fn four_concurrent_queries_share_one_pool_and_survive_a_live_replan() {
             !reference.is_empty(),
             "{id} reference run must produce rows"
         );
+        let mut rows = taken.remove(*id).unwrap_or_default();
+        rows.extend(report.rows.iter().cloned());
         assert_eq!(
-            sorted(report.rows.clone()),
+            rows.len() as u64,
+            report.rows_emitted,
+            "{id}: rows taken and reported are the rows emitted"
+        );
+        assert_eq!(
+            sorted(rows),
             sorted(reference),
             "{id}: shared (re-planned) run must equal its solo reference as a multiset"
         );
