@@ -26,16 +26,17 @@
 //! `series` works on the live-telemetry time-series artifacts
 //! (`<figure>.series.jsonl`, written by the `--live` flag of the figure
 //! binaries): `validate` strictly checks the schema (CI runs it on the
-//! bench-smoke artifacts), `summarize` prints per-key digests and
-//! rates and the run's unhealthy stretches with their reasons
-//! ([`obs::health::unhealthy`]), and `spark` renders one key's
-//! trajectory as a sparkline.
+//! bench-smoke artifacts), `summarize` prints each key as its kind
+//! reads (a total's rate, a level's range, a stamp's age) and the run's
+//! unhealthy stretches with their reasons ([`obs::health::unhealthy`]),
+//! and `spark` renders one key's trajectory as a sparkline.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use obs::json::Json;
-use obs::RunManifest;
+use obs::series::SeriesDoc;
+use obs::{MetricKind, RunManifest};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -281,9 +282,9 @@ fn trace(path: &str) -> Result<bool, String> {
     Ok(true)
 }
 
-fn load_series(path: &str) -> Result<obs::series::SeriesDoc, String> {
+fn load_series(path: &str) -> Result<SeriesDoc, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    obs::series::SeriesDoc::parse(&text).map_err(|e| format!("{path}: {e}"))
+    SeriesDoc::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn series_validate(path: &str) -> Result<bool, String> {
@@ -318,14 +319,7 @@ fn series_summarize(path: &str) -> Result<bool, String> {
     }
     println!("keys:");
     for key in doc.keys() {
-        let points = doc.series_of(key);
-        let first = points.first().map_or(0, |&(_, v)| v);
-        let last = points.last().map_or(0, |&(_, v)| v);
-        let max = points.iter().map(|&(_, v)| v).max().unwrap_or(0);
-        match doc.rate_of(key) {
-            Some(rate) => println!("  {key}: {first} -> {last} (max {max}, {rate:.1}/s)"),
-            None => println!("  {key}: {first} -> {last} (max {max})"),
-        }
+        println!("{}", key_line(&doc, key));
     }
     for line in health_block(&doc) {
         println!("{line}");
@@ -333,9 +327,34 @@ fn series_summarize(path: &str) -> Result<bool, String> {
     Ok(true)
 }
 
+/// One key's line of `series summarize`, as its kind reads: a total's
+/// rate, a level's range, a stamp's age at the key's last sample.
+fn key_line(doc: &SeriesDoc, key: &str) -> String {
+    let points = doc.series_of(key);
+    let first = points.first().map_or(0, |&(_, v)| v);
+    let (t_last, last) = points.last().copied().unwrap_or_default();
+    let min = points.iter().map(|&(_, v)| v).min().unwrap_or(0);
+    let max = points.iter().map(|&(_, v)| v).max().unwrap_or(0);
+    let reading = match doc.kind_of(key) {
+        MetricKind::Total => {
+            let rate = doc
+                .rate_of(key)
+                .map_or(String::new(), |r| format!(", {r:.1}/s"));
+            format!("{first} -> {last} (max {max}{rate})")
+        }
+        MetricKind::Level => format!("min {min}, max {max}, last {last}"),
+        MetricKind::Stamp if last == 0 => "not running".into(),
+        MetricKind::Stamp => format!(
+            "{:.3}s old at its last sample",
+            t_last.saturating_sub(last) as f64 / 1e9
+        ),
+    };
+    format!("  {key}: {reading}")
+}
+
 /// The `health` block of `series summarize`: every unhealthy stretch,
 /// in seconds since the first sample, with its reasons.
-fn health_block(doc: &obs::series::SeriesDoc) -> Vec<String> {
+fn health_block(doc: &SeriesDoc) -> Vec<String> {
     let stretches = obs::health::unhealthy(doc);
     if stretches.is_empty() {
         return vec!["health: healthy throughout".into()];
@@ -505,12 +524,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("obstool-series-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let reg = obs::Registry::new();
-        let c = reg.counter("sw.tuples");
+        let c = reg.metric("sw.tuples", MetricKind::Total);
         let header = obs::series::SeriesHeader::new("obstool-test", 5);
         let mut writer = obs::series::SeriesWriter::create(&dir, header).unwrap();
         for v in [10u64, 30, 60] {
             c.add(v);
-            writer.append(&reg.snapshot()).unwrap();
+            let t_ns = obs::trace::now_ns();
+            writer
+                .append(&obs::Snapshot {
+                    t_ns,
+                    values: reg.values(),
+                })
+                .unwrap();
         }
         let path = writer.finish();
         let path = path.to_str().unwrap();
@@ -527,8 +552,9 @@ mod tests {
         use obs::health::PRESSURE_HEARTBEAT_AGE_NS as STALLED;
         // Samples every 0.5 s from 10 s on, each `silence` after the
         // worker's last beat.
-        let doc = |silences: &[u64]| obs::series::SeriesDoc {
+        let doc = |silences: &[u64]| SeriesDoc {
             header: obs::series::SeriesHeader::new("synthetic", 500),
+            kinds: Default::default(),
             samples: silences
                 .iter()
                 .zip(0u64..)
@@ -554,6 +580,53 @@ mod tests {
         assert_eq!(
             health_block(&doc(&[0, 1, STALLED - 1])),
             ["health: healthy throughout"]
+        );
+    }
+
+    #[test]
+    fn series_summarize_prints_each_key_as_its_kind_reads() {
+        use MetricKind::{Level, Stamp, Total};
+        let sample = |t_ns: u64, values: [u64; 5]| obs::Snapshot {
+            t_ns,
+            values: [
+                "old.n",
+                "w.busy_ns",
+                "w.last_beat_ns",
+                "w.ring_occupancy",
+                "x.last_beat_ns",
+            ]
+            .into_iter()
+            .zip(values)
+            .collect(),
+        };
+        let doc = SeriesDoc {
+            header: obs::series::SeriesHeader::new("synthetic", 500),
+            kinds: [
+                ("w.busy_ns", Total),
+                ("w.last_beat_ns", Stamp),
+                ("w.ring_occupancy", Level),
+                ("x.last_beat_ns", Stamp),
+            ]
+            .into_iter()
+            .map(|(key, kind)| (key.to_string(), kind))
+            .collect(),
+            samples: vec![
+                sample(1_000_000_000, [10, 0, 1_000_000_000, 3, 7]),
+                sample(3_000_000_000, [30, 500_000_000, 2_500_000_000, 1, 0]),
+            ],
+        };
+        // `old.n` declares no kind, as in a file written before kinds:
+        // it reads as a total.
+        let lines: Vec<String> = doc.keys().into_iter().map(|k| key_line(&doc, k)).collect();
+        assert_eq!(
+            lines,
+            [
+                "  old.n: 10 -> 30 (max 30, 10.0/s)",
+                "  w.busy_ns: 0 -> 500000000 (max 500000000, 250000000.0/s)",
+                "  w.last_beat_ns: 0.500s old at its last sample",
+                "  w.ring_occupancy: min 1, max 3, last 1",
+                "  x.last_beat_ns: not running",
+            ]
         );
     }
 

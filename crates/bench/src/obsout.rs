@@ -77,28 +77,25 @@ pub struct LiveRun {
     sampler: obs::live::Sampler,
 }
 
-/// Creates the series file, arms the live plane and starts the sampler.
+/// Creates the series file, starts the sampler and arms the live plane.
 /// Call *before* spawning engines: the hot layers only register their
-/// live gauges when the plane is armed at spawn. A series file that
-/// cannot be created is a warning, never a failed run: the figure then
-/// runs without sampling (`None`).
+/// live cells when the plane is armed at spawn. A series file that
+/// cannot be created, or a sampler that cannot start, is a warning,
+/// never a failed run: the figure then runs without sampling (`None`).
 pub fn live_start(figure: &str, interval_ms: u64) -> Option<LiveRun> {
     let interval_ms = interval_ms.max(1);
     let mut header = obs::series::SeriesHeader::new(figure, interval_ms);
     header.config("figure", figure);
-    let writer = match obs::series::SeriesWriter::create(obs::default_dir(), header) {
-        Ok(writer) => writer,
-        Err(e) => {
-            eprintln!("warning: series for `{figure}` not started: {e}; running without sampling");
-            return None;
-        }
-    };
-    obs::live::set_active(true);
-    let reg = obs::live::global().clone();
     let interval = Duration::from_millis(interval_ms);
-    Some(LiveRun {
-        sampler: obs::live::Sampler::start(reg, interval, writer),
-    })
+    let reg = obs::live::global().clone();
+    let started = obs::series::SeriesWriter::create(obs::default_dir(), header)
+        .and_then(|writer| obs::live::Sampler::start(reg, interval, writer));
+    if let Err(e) = &started {
+        eprintln!("warning: series for `{figure}` not started: {e}; running without sampling");
+    }
+    let sampler = started.ok()?;
+    obs::live::set_active(true);
+    Some(LiveRun { sampler })
 }
 
 impl LiveRun {

@@ -42,6 +42,7 @@
 #![allow(unsafe_code)]
 
 use crate::sim::{Component, Simulator};
+use obs::MetricKind::{Level, Total};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -271,17 +272,16 @@ impl ParStats {
     }
 
     /// The report as `(key, value, kind)` readings — the one place the
-    /// engine's metric names are spelled: `hwsim.par.threads` (a gauge),
-    /// and the counters `hwsim.par.{cycles, run_ns, coord_ns}` and
+    /// engine's metric names are spelled: `hwsim.par.threads` (a level),
+    /// and the totals `hwsim.par.{cycles, run_ns, coord_ns}` and
     /// `hwsim.par.worker.N.{busy_cycles, wait_cycles, shards_executed,
     /// busy_ns, wait_ns}`.
     fn metrics(&self) -> Vec<(String, u64, obs::MetricKind)> {
-        use obs::MetricKind::{Counter, Gauge};
         let mut out = vec![
-            ("hwsim.par.threads".to_string(), self.threads as u64, Gauge),
-            ("hwsim.par.cycles".to_string(), self.cycles, Counter),
-            ("hwsim.par.run_ns".to_string(), self.run_ns, Counter),
-            ("hwsim.par.coord_ns".to_string(), self.coord_ns, Counter),
+            ("hwsim.par.threads".to_string(), self.threads as u64, Level),
+            ("hwsim.par.cycles".to_string(), self.cycles, Total),
+            ("hwsim.par.run_ns".to_string(), self.run_ns, Total),
+            ("hwsim.par.coord_ns".to_string(), self.coord_ns, Total),
         ];
         for (i, w) in self.workers.iter().enumerate() {
             for (what, value) in [
@@ -291,7 +291,7 @@ impl ParStats {
                 ("busy_ns", w.busy_ns),
                 ("wait_ns", w.wait_ns),
             ] {
-                out.push((format!("hwsim.par.worker.{i}.{what}"), value, Counter));
+                out.push((format!("hwsim.par.worker.{i}.{what}"), value, Total));
             }
         }
         out
@@ -812,9 +812,9 @@ impl ParSimulator {
 /// Publishes one finished drive segment into the process-global live
 /// plane (`obs::live`) when it is armed: every [`ParStats::metrics`]
 /// reading under its own key, plus a pool-wide
-/// `hwsim.par.utilization_pct` gauge. Drive segments repeat (each
-/// `run`/`run_until` call is one), so the counters accumulate across a
-/// simulation while the gauges track the most recent segment. Costs one
+/// `hwsim.par.utilization_pct` level. Drive segments repeat (each
+/// `run`/`run_until` call is one), so the totals accumulate across a
+/// simulation while the levels track the most recent segment. Costs one
 /// relaxed load when the plane is unarmed.
 fn publish_live(stats: &ParStats) {
     if !obs::live::active() {
@@ -822,15 +822,16 @@ fn publish_live(stats: &ParStats) {
     }
     let reg = obs::live::global();
     for (key, value, kind) in stats.metrics() {
+        let cell = reg.metric(&key, kind);
         match kind {
-            obs::MetricKind::Counter => reg.counter(&key).add(value),
-            obs::MetricKind::Gauge => reg.gauge(&key).set(value),
+            Total => cell.add(value),
+            _ => cell.set(value),
         }
     }
     let busy: u64 = stats.workers.iter().map(|w| w.busy_ns).sum();
     let wait: u64 = stats.workers.iter().map(|w| w.wait_ns).sum();
     if let Some(pct) = (busy * 100).checked_div(busy + wait) {
-        reg.gauge("hwsim.par.utilization_pct").set(pct);
+        reg.metric("hwsim.par.utilization_pct", Level).set(pct);
     }
 }
 

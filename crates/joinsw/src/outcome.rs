@@ -42,7 +42,7 @@ pub struct RingStats {
     pub occupancy: obs::Histogram,
     /// Peak of the occupancy samples (`occupancy.max()`), set once at
     /// shutdown.
-    pub peak_occupancy: obs::Gauge,
+    pub peak_occupancy: obs::Metric,
     /// Nanoseconds the router waited for ring space, one sample per
     /// send that could not complete on the fast path.
     pub claim_wait_ns: obs::Histogram,

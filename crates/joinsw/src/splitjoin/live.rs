@@ -14,21 +14,22 @@ use crate::fault;
 #[derive(Debug)]
 pub(super) struct LiveRouter {
     /// `splitjoin.workers.live` — live positions in the partition map.
-    workers_live: obs::Gauge,
+    workers_live: obs::Metric,
     /// `fault.workers_lost` / `fault.orphaned_tuples` — degradation as
     /// it happens (the outcome's `fault.*` values only exist after
     /// shutdown).
-    workers_lost: obs::Counter,
-    orphaned: obs::Counter,
+    workers_lost: obs::Metric,
+    orphaned: obs::Metric,
 }
 
 impl LiveRouter {
     pub(super) fn new(num_cores: usize) -> Self {
+        use obs::MetricKind::{Level, Total};
         let reg = obs::live::global();
         let this = Self {
-            workers_live: reg.gauge("splitjoin.workers.live"),
-            workers_lost: reg.counter(fault::KEY_WORKERS_LOST),
-            orphaned: reg.counter(fault::KEY_ORPHANED_TUPLES),
+            workers_live: reg.metric("splitjoin.workers.live", Level),
+            workers_lost: reg.metric(fault::KEY_WORKERS_LOST, Total),
+            orphaned: reg.metric(fault::KEY_ORPHANED_TUPLES, Total),
         };
         this.workers_live.set(num_cores as u64);
         this
@@ -37,7 +38,7 @@ impl LiveRouter {
     /// One retired worker. Its beat stamp is cleared by its own exit, so
     /// it stops reading as silent and the loss shows here instead.
     pub(super) fn on_worker_lost(&self, orphans: u64, live_count: usize) {
-        self.workers_lost.incr();
+        self.workers_lost.add(1);
         self.orphaned.add(orphans);
         self.workers_live.set(live_count as u64);
     }

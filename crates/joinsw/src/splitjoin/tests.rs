@@ -689,10 +689,10 @@ fn live_plane_registers_only_when_armed_and_exports_router_and_worker_metrics() 
 fn a_lane_gauge_follows_the_worker_draining_it() {
     // The router reads a lane's depth only when it pushes to it; blocked
     // on another lane, it would leave this one reading full after the
-    // worker drained it. A cell given a pool counter is armed without
+    // worker drained it. A cell given a pool total is armed without
     // arming the process-global plane.
     let mut cell = WorkerCell::default();
-    cell.pool_matches = Some(obs::Counter::new());
+    cell.pool_matches = Some(obs::Metric::new());
     let cell = Arc::new(cell);
     let gauge = &cell.ring_occupancy;
     let (mut tx, msgs) = ring::spsc::<Msg>(4);

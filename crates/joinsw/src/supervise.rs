@@ -20,6 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::{JoinError, WorkerStats};
+use obs::MetricKind::{Level, Stamp, Total};
 use streamcore::ring::{PopError, PushError, RingProducer};
 use streamcore::MatchPair;
 
@@ -188,30 +189,30 @@ pub(crate) struct WorkerCell {
     /// the live telemetry plane is armed; `obs::health` reads a sample's
     /// time minus this stamp as how long the core has been silent, so a
     /// stall is visible *long* before the 10 s [`SATURATION_DEADLINE`].
-    pub(crate) last_beat_ns: obs::Gauge,
+    pub(crate) last_beat_ns: obs::Metric,
     /// Set when the worker thread exits, normally or by unwinding.
     pub(crate) dead: AtomicBool,
     /// Set when the worker exits on a *scripted kill* — a cooperative
     /// death that shutdown reports as degradation, not as an error.
     pub(crate) killed: AtomicBool,
-    pub(crate) tuples_seen: obs::Gauge,
-    pub(crate) stored: obs::Gauge,
-    pub(crate) comparisons: obs::Gauge,
-    pub(crate) matches: obs::Gauge,
+    pub(crate) tuples_seen: obs::Metric,
+    pub(crate) stored: obs::Metric,
+    pub(crate) comparisons: obs::Metric,
+    pub(crate) matches: obs::Metric,
     /// Messages the core loop handled, and the nanoseconds it spent on
     /// them and waiting in its receive; written only while armed.
-    pub(crate) batches: obs::Gauge,
-    pub(crate) busy_ns: obs::Gauge,
-    pub(crate) wait_ns: obs::Gauge,
+    pub(crate) batches: obs::Metric,
+    pub(crate) busy_ns: obs::Metric,
+    pub(crate) wait_ns: obs::Metric,
     /// Messages queued for the core: set by the core loop at each pop
     /// while armed and by SplitJoin's router at each push (instantaneous;
     /// the sampler turns it into a trajectory).
-    pub(crate) ring_occupancy: obs::Gauge,
+    pub(crate) ring_occupancy: obs::Metric,
     /// `<engine>.matches`, the pool's match total, which every core adds
     /// its surviving messages' matches to. `Some` only when the live
     /// plane was armed at spawn, which is what makes the core loop time
     /// its messages.
-    pub(crate) pool_matches: Option<obs::Counter>,
+    pub(crate) pool_matches: Option<obs::Metric>,
     /// Scripted stalls that fired on this worker.
     pub(crate) stalls: AtomicU64,
     /// Scripted channel drops that fired on this worker.
@@ -232,31 +233,33 @@ pub(crate) struct WorkerCell {
 
 impl WorkerCell {
     /// The cell of core `position` of an `engine`. With the live plane
-    /// armed, every per-core reading is a new registry gauge
-    /// `<engine>.worker.<position>.{tuples,stored,probes,matches,last_beat_ns,batches,busy_ns,wait_ns,ring_occupancy}`
-    /// ([`obs::Registry::fresh_gauge`]): the names read the newest
-    /// engine's running totals, and no other engine writes this core's
-    /// cell. Unarmed, they are detached and the pool counter is `None`.
+    /// armed, every per-core reading is a new registry cell
+    /// `<engine>.worker.<position>.<what>` ([`obs::Registry::own`]): the
+    /// totals `tuples`, `stored`, `probes`, `matches`, `batches`,
+    /// `busy_ns` and `wait_ns`, the level `ring_occupancy` and the stamp
+    /// `last_beat_ns`. The names read the newest engine's readings, and
+    /// no other engine writes this core's cell. Unarmed, they are
+    /// detached and the pool total is `None`.
     pub(crate) fn new(engine: &str, position: usize) -> Self {
         let armed = obs::live::active();
-        let gauge = |what: &str| {
+        let cell = |what: &str, kind| {
             if armed {
-                obs::live::global().fresh_gauge(&key::worker(engine, position, what))
+                obs::live::global().own(&key::worker(engine, position, what), kind)
             } else {
-                obs::Gauge::new()
+                obs::Metric::new()
             }
         };
         Self {
-            tuples_seen: gauge("tuples"),
-            stored: gauge("stored"),
-            comparisons: gauge("probes"),
-            matches: gauge("matches"),
-            last_beat_ns: gauge("last_beat_ns"),
-            batches: gauge("batches"),
-            busy_ns: gauge("busy_ns"),
-            wait_ns: gauge("wait_ns"),
-            ring_occupancy: gauge("ring_occupancy"),
-            pool_matches: armed.then(|| obs::live::global().counter(&key::matches(engine))),
+            tuples_seen: cell("tuples", Total),
+            stored: cell("stored", Total),
+            comparisons: cell("probes", Total),
+            matches: cell("matches", Total),
+            last_beat_ns: cell("last_beat_ns", Stamp),
+            batches: cell("batches", Total),
+            busy_ns: cell("busy_ns", Total),
+            wait_ns: cell("wait_ns", Total),
+            ring_occupancy: cell("ring_occupancy", Level),
+            pool_matches: armed.then(|| obs::live::global().metric(&key::matches(engine), Total)),
             ..Self::default()
         }
     }
@@ -333,30 +336,30 @@ impl WorkerCell {
 /// name only when the plane is armed at spawn: `<engine>.batches` and
 /// `<engine>.tuples`, counted per message the caller injects, and the
 /// constant `<engine>.ring.capacity` that `obs::health` reads each of the
-/// engine's `ring_occupancy` gauges against. Per-core readings are the
+/// engine's `ring_occupancy` levels against. Per-core readings are the
 /// cells' ([`WorkerCell::new`]).
 #[derive(Debug)]
 pub(crate) struct LiveIntake {
-    batches: obs::Counter,
-    tuples: obs::Counter,
+    batches: obs::Metric,
+    tuples: obs::Metric,
 }
 
 impl LiveIntake {
     pub(crate) fn new(engine: &str, ring_capacity: usize) -> Option<Self> {
         obs::live::active().then(|| {
             let reg = obs::live::global();
-            reg.gauge(&format!("{engine}.ring.capacity"))
+            reg.metric(&format!("{engine}.ring.capacity"), Level)
                 .set(ring_capacity as u64);
             Self {
-                batches: reg.counter(&key::batches(engine)),
-                tuples: reg.counter(&format!("{engine}.tuples")),
+                batches: reg.metric(&key::batches(engine), Total),
+                tuples: reg.metric(&format!("{engine}.tuples"), Total),
             }
         })
     }
 
     /// One injected message of `len` tuples.
     pub(crate) fn on_batch(&self, len: usize) {
-        self.batches.incr();
+        self.batches.add(1);
         self.tuples.add(len as u64);
     }
 }
@@ -575,7 +578,7 @@ pub(crate) trait Core {
 /// their producers. With the live plane armed at spawn it also keeps the
 /// cell's `batches`, `busy_ns` (the message) and `wait_ns` (waiting in
 /// the receive) running, sets its `ring_occupancy` at each pop, and adds
-/// each surviving data message's matches to the pool counter; unarmed,
+/// each surviving data message's matches to the pool total; unarmed,
 /// it reads no clock per message.
 pub(crate) fn run_core<C: Core>(mut core: C, position: usize, plan: &FaultPlan) -> C::Exit {
     let cell = Arc::clone(core.parts().0);
@@ -590,9 +593,9 @@ pub(crate) fn run_core<C: Core>(mut core: C, position: usize, plan: &FaultPlan) 
             obs::trace::TimeDomain::Wall,
         )
     });
-    // Only the core writes its loop-kept gauges, so each is its own
-    // running total.
-    let bump = |gauge: &obs::Gauge, by: u64| gauge.set(gauge.get() + by);
+    // Only the core writes its loop-kept totals, so a load and a store
+    // keep each one, with no read-modify-write.
+    let bump = |total: &obs::Metric, by: u64| total.set(total.get() + by);
     let armed = cell.pool_matches.is_some();
     // The core's match count at its last message, for the pool delta.
     let mut pooled = 0;

@@ -347,6 +347,7 @@ mod tests {
         let silences = [0, stalled, stalled + 7, 0, stalled, 0];
         let doc = SeriesDoc {
             header: SeriesHeader::new("merge", 1),
+            kinds: Default::default(),
             samples: silences
                 .iter()
                 .zip(0u64..)

@@ -5,11 +5,13 @@
 //! where the workspace's measurements live. It has one metric model,
 //! read the same way during a run and after it:
 //!
-//! 1. **[`Counter`] / [`Gauge`]** — relaxed shared-atomic `u64` cells.
-//!    `Clone` shares the cell, so the thread that updates one and the
-//!    thread that reads it hold the same value.
+//! 1. **[`Metric`]** — the relaxed shared-atomic `u64` cell. `Clone`
+//!    shares the cell, so the thread that updates one and the thread
+//!    that reads it hold the same value.
 //! 2. **[`Registry`]** — the named store of cells
-//!    (`"splitjoin.worker.0.matches"` → cell). [`live::global`] is the
+//!    (`"splitjoin.worker.0.matches"` → cell), each name with one
+//!    [`MetricKind`] fixed at registration: a running total, a level or
+//!    a time stamp. [`live::global`] is the
 //!    process-wide instance the engines register into when
 //!    [`live::set_active`] armed it; `query::QueryRuntime` owns its own.
 //! 3. **[`Values`]** — the one frozen, name-sorted name → value map: a
@@ -26,8 +28,9 @@
 //! shared file stem: a **[`RunManifest`]** (`<name>.json`: git revision,
 //! thread count, configuration, a [`Values`] of counters and the
 //! histograms — written by every `figs` figure,
-//! and carried by every standing query's report), a **[`series`]** file (`<name>.series.jsonl`: one
-//! [`Snapshot`] per [`live::Sampler`] tick) and a **[`trace`]** export
+//! and carried by every standing query's report), a **[`series`]** file
+//! (`<name>.series.jsonl`: one [`Snapshot`] per [`live::Sampler`] tick,
+//! each key's kind beside its first sample) and a **[`trace`]** export
 //! (`<name>.trace.json`). [`json`] is the tiny serializer / parser
 //! underneath (the workspace builds offline; there is no serde).
 //!
@@ -52,7 +55,7 @@
 //!
 //! // Hot path: a component holds handles to named cells.
 //! let reg = Registry::new();
-//! let matches = reg.counter("join.worker.0.matches");
+//! let matches = reg.metric("join.worker.0.matches", obs::MetricKind::Total);
 //! matches.add(3);
 //!
 //! // Measurement: record every sample, not just the mean.
@@ -72,6 +75,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod cell;
 pub mod health;
@@ -84,7 +88,7 @@ pub mod series;
 pub mod trace;
 mod values;
 
-pub use cell::{Counter, Gauge, MetricKind, Registry};
+pub use cell::{Metric, MetricKind, Registry};
 pub use hist::Histogram;
 pub use manifest::{default_dir, git_rev, RunManifest, SCHEMA_VERSION};
 pub use values::{Snapshot, Values};

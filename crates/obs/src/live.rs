@@ -19,23 +19,26 @@
 //! use std::time::Duration;
 //!
 //! let reg = obs::Registry::new();
-//! let tuples = reg.counter("splitjoin.tuples");
+//! let tuples = reg.metric("splitjoin.tuples", obs::MetricKind::Total);
 //! tuples.add(256);
 //!
 //! let dir = std::env::temp_dir().join(format!("sampler-doc-{}", std::process::id()));
 //! let writer = SeriesWriter::create(&dir, SeriesHeader::new("demo", 1)).unwrap();
-//! let sampler = Sampler::start(reg.clone(), Duration::from_millis(1), writer);
+//! let sampler = Sampler::start(reg.clone(), Duration::from_millis(1), writer).unwrap();
 //! tuples.add(256);
 //! let report = sampler.stop();
 //! // Always at least the final snapshot.
 //! let doc = SeriesDoc::parse(&std::fs::read_to_string(&report.series_path).unwrap()).unwrap();
 //! assert_eq!(doc.samples.last().unwrap().values.get("splitjoin.tuples"), Some(512));
+//! assert_eq!(doc.kind_of("splitjoin.tuples"), obs::MetricKind::Total);
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -46,9 +49,10 @@ use crate::{Registry, Snapshot};
 ///
 /// Engines (`SplitJoin`, the handshake chain, `hwsim::par`) publish into
 /// this instance when [`active()`] is set — a threaded core through its
-/// own supervision cell, whose statistics and beat stamp are gauges
-/// here, read as they stand; the bench binaries arm it with
-/// [`set_active`] before spawning and hand it to a [`Sampler`].
+/// own supervision cell, whose running totals, levels and beat stamp
+/// are cells the newest engine owns by name ([`Registry::own`]); the
+/// bench binaries arm it with [`set_active`] before spawning and hand
+/// it to a [`Sampler`].
 #[must_use]
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -59,7 +63,7 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// Arms (or disarms) the global live plane. Hot layers consult
 /// [`active()`] once per engine spawn / batch, so flipping this before
-/// spawning is what makes live gauges appear.
+/// spawning is what makes live cells appear.
 pub fn set_active(on: bool) {
     ACTIVE.store(on, Ordering::Relaxed);
 }
@@ -89,22 +93,20 @@ struct SamplerState {
     series_error: Option<String>,
 }
 
-struct StopGate {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// A background thread that snapshots a [`Registry`] at a fixed
 /// interval and streams each sample to a [`SeriesWriter`] as one JSONL
-/// line.
+/// line, with the kind of each key the line is the first to hold.
+///
+/// A thread that panicked holding its lock left the state whole, so
+/// poisoning is recovered: telemetry never takes an engine down.
 ///
 /// [`Sampler::stop`] takes one final snapshot (so even sub-interval runs
 /// produce a sample), joins the thread, and returns a [`SamplerReport`].
 pub struct Sampler {
     reg: Registry,
     state: Arc<Mutex<SamplerState>>,
-    gate: Arc<StopGate>,
-    handle: Option<thread::JoinHandle<()>>,
+    /// Dropping the sender stops the thread.
+    thread: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>,
 }
 
 impl std::fmt::Debug for Sampler {
@@ -118,47 +120,37 @@ impl std::fmt::Debug for Sampler {
 impl Sampler {
     /// Starts sampling `reg` every `interval` in the background, writing
     /// every snapshot to `writer` as a series line.
-    #[must_use]
-    pub fn start(reg: Registry, interval: Duration, writer: SeriesWriter) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The sampling thread could not be spawned.
+    pub fn start(reg: Registry, interval: Duration, writer: SeriesWriter) -> io::Result<Self> {
         let state = Arc::new(Mutex::new(SamplerState {
             ticks: 0,
             writer,
             series_error: None,
         }));
-        let gate = Arc::new(StopGate {
-            stopped: Mutex::new(false),
-            cv: Condvar::new(),
-        });
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread_state = Arc::clone(&state);
-        let thread_gate = Arc::clone(&gate);
         let thread_reg = reg.clone();
         let handle = thread::Builder::new()
             .name("obs-sampler".into())
-            .spawn(move || loop {
-                let stopped = thread_gate.stopped.lock().expect("sampler gate poisoned");
-                let (stopped, _) = thread_gate
-                    .cv
-                    .wait_timeout_while(stopped, interval, |s| !*s)
-                    .expect("sampler gate poisoned");
-                if *stopped {
-                    return;
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    record_tick(&thread_state, &thread_reg);
                 }
-                drop(stopped);
-                record_tick(&thread_state, &thread_reg.snapshot());
-            })
-            .expect("spawn obs-sampler thread");
-        Self {
+            })?;
+        Ok(Self {
             reg,
             state,
-            gate,
-            handle: Some(handle),
-        }
+            thread: Some((stop, handle)),
+        })
     }
 
     /// Snapshots taken so far.
     #[must_use]
     pub fn ticks(&self) -> u64 {
-        self.state.lock().expect("sampler poisoned").ticks
+        lock(&self.state).ticks
     }
 
     /// Stops the sampler: takes one final snapshot (so even sub-interval
@@ -170,18 +162,14 @@ impl Sampler {
     }
 
     fn finish(&mut self, final_sample: bool) -> SamplerReport {
-        {
-            let mut stopped = self.gate.stopped.lock().expect("sampler gate poisoned");
-            *stopped = true;
-            self.gate.cv.notify_all();
-        }
-        if let Some(handle) = self.handle.take() {
+        if let Some((stop, handle)) = self.thread.take() {
+            drop(stop);
             let _ = handle.join();
         }
         if final_sample {
-            record_tick(&self.state, &self.reg.snapshot());
+            record_tick(&self.state, &self.reg);
         }
-        let state = self.state.lock().expect("sampler poisoned");
+        let state = lock(&self.state);
         SamplerReport {
             ticks: state.ticks,
             series_path: state.writer.path().to_path_buf(),
@@ -192,16 +180,34 @@ impl Sampler {
 
 impl Drop for Sampler {
     fn drop(&mut self) {
-        if self.handle.is_some() {
+        if self.thread.is_some() {
             let _ = self.finish(false);
         }
     }
 }
 
-fn record_tick(state: &Mutex<SamplerState>, snap: &Snapshot) {
-    let mut state = state.lock().expect("sampler poisoned");
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Reads every entry of `reg` once and appends it as the next sample.
+fn record_tick(state: &Mutex<SamplerState>, reg: &Registry) {
+    let t_ns = crate::trace::now_ns();
+    let entries = reg.entries();
+    let kinds = entries
+        .iter()
+        .map(|(name, _, kind)| (name.clone(), *kind))
+        .collect();
+    let values = entries
+        .into_iter()
+        .map(|(name, value, _)| (name, value))
+        .collect();
+    let mut state = lock(state);
     state.ticks += 1;
-    if let Err(e) = state.writer.append(snap) {
+    if let Err(e) = state
+        .writer
+        .append_kinded(&Snapshot { t_ns, values }, &kinds)
+    {
         state
             .series_error
             .get_or_insert_with(|| format!("append: {e}"));
@@ -218,8 +224,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sampler-test-{}", std::process::id()));
         let writer = SeriesWriter::create(&dir, SeriesHeader::new("ticks", 1)).unwrap();
         let reg = Registry::new();
-        let c = reg.counter("t.events");
-        let sampler = Sampler::start(reg.clone(), Duration::from_millis(1), writer);
+        let c = reg.metric("t.events", crate::MetricKind::Total);
+        let sampler = Sampler::start(reg.clone(), Duration::from_millis(1), writer).unwrap();
         c.add(10);
         while sampler.ticks() < 6 {
             std::thread::yield_now();

@@ -227,18 +227,6 @@ impl ProvenanceTracker {
         self.total_sum
     }
 
-    /// The end-to-end latency histogram over completed samples.
-    #[must_use]
-    pub fn total_histogram(&self) -> &Histogram {
-        &self.total_hist
-    }
-
-    /// The delta histogram for `stage`.
-    #[must_use]
-    pub fn stage_histogram(&self, stage: Stage) -> &Histogram {
-        &self.stage_hist[stage.index()]
-    }
-
     /// Merges the breakdown into a manifest: histograms
     /// `prov.<stage>_<unit>` and `prov.total_<unit>`, plus counters
     /// `prov.sampled`, `prov.completed`, `prov.sample_every`,
@@ -325,8 +313,8 @@ mod tests {
         assert_eq!(p.completed(), 2);
         assert_eq!(p.total_sum(), 41 + 30);
         assert_eq!(p.stage_sums().iter().sum::<u64>(), p.total_sum());
-        assert_eq!(p.total_histogram().total(), 2);
-        assert_eq!(p.stage_histogram(Stage::Probe).total(), 2);
+        assert_eq!(p.total_hist.total(), 2);
+        assert_eq!(p.stage_hist[Stage::Probe.index()].total(), 2);
     }
 
     #[test]
@@ -351,7 +339,7 @@ mod tests {
         assert_eq!(p.completed(), 0);
         assert_eq!(p.sampled(), 1);
         // The partial stamp stays in the stage histogram.
-        assert_eq!(p.stage_histogram(Stage::Distribute).total(), 1);
+        assert_eq!(p.stage_hist[Stage::Distribute.index()].total(), 1);
         assert!(p.offer(2, 10)); // a new sample can start
     }
 
@@ -404,7 +392,7 @@ mod tests {
         assert_eq!(a.completed(), 2);
         assert_eq!(a.total_sum(), 14);
         assert_eq!(a.stage_sums().iter().sum::<u64>(), a.total_sum());
-        assert_eq!(a.total_histogram().total(), 2);
+        assert_eq!(a.total_hist.total(), 2);
         // The in-flight sample of `other` does not leak across.
         assert_eq!(a.in_flight(), None);
     }

@@ -8,6 +8,11 @@
 //! file in one write as its tick happens (instead of one document at the
 //! end), so a crashed or killed run still leaves a readable prefix.
 //!
+//! A line may also carry `kinds`, the [`MetricKind`] of each key it is
+//! the first to hold (`"total"`, `"level"` or `"stamp"`): every key's
+//! kind is written once, beside its first sample. The field is optional,
+//! so schema 1 is unchanged; a key without a kind reads as a total.
+//!
 //! [`SeriesDoc::parse`] is the strict reader `obstool series validate`
 //! and CI use; [`SeriesWriter`] is the streaming writer.
 //!
@@ -29,6 +34,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -36,7 +42,16 @@ use std::path::{Path, PathBuf};
 use crate::json::Json;
 use crate::manifest::{artifact_path, config_from_json, config_to_json};
 use crate::values::increase;
-use crate::{Snapshot, Values};
+use crate::{MetricKind, Snapshot, Values};
+
+/// The on-disk name of a kind.
+fn kind_name(kind: MetricKind) -> &'static str {
+    match kind {
+        MetricKind::Total => "total",
+        MetricKind::Level => "level",
+        MetricKind::Stamp => "stamp",
+    }
+}
 
 /// On-disk schema version written into every series header.
 pub const SERIES_SCHEMA_VERSION: u64 = 1;
@@ -121,6 +136,8 @@ pub struct SeriesWriter {
     out: File,
     path: PathBuf,
     next_seq: u64,
+    /// Keys whose kind is already in the file.
+    declared: BTreeSet<String>,
 }
 
 impl SeriesWriter {
@@ -137,6 +154,7 @@ impl SeriesWriter {
             out: File::create(&path)?,
             path,
             next_seq: 0,
+            declared: BTreeSet::new(),
         };
         writer.write_line(&header.to_json())?;
         Ok(writer)
@@ -156,17 +174,48 @@ impl SeriesWriter {
         self.out.write_all(text.as_bytes())
     }
 
-    /// Appends one snapshot as a sample line (assigning the next `seq`).
+    /// Appends one snapshot as a sample line (assigning the next `seq`),
+    /// declaring no kinds.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append(&mut self, snap: &Snapshot) -> io::Result<()> {
-        self.write_line(&Json::Obj(vec![
+        self.append_kinded(snap, &BTreeMap::new())
+    }
+
+    /// Appends one snapshot as a sample line, declaring on it the kind
+    /// in `kinds` of every key it holds whose kind the file lacks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn append_kinded(
+        &mut self,
+        snap: &Snapshot,
+        kinds: &BTreeMap<String, MetricKind>,
+    ) -> io::Result<()> {
+        let new: Vec<(String, Json)> = snap
+            .values
+            .iter()
+            .filter(|(key, _)| !self.declared.contains(*key))
+            .filter_map(|(key, _)| {
+                Some((
+                    key.to_string(),
+                    Json::Str(kind_name(*kinds.get(key)?).into()),
+                ))
+            })
+            .collect();
+        let mut line = vec![
             ("seq".into(), Json::UInt(self.next_seq)),
             ("t_ns".into(), Json::UInt(snap.t_ns)),
-            ("values".into(), snap.values.to_json()),
-        ]))?;
+        ];
+        if !new.is_empty() {
+            line.push(("kinds".into(), Json::Obj(new.clone())));
+        }
+        line.push(("values".into(), snap.values.to_json()));
+        self.write_line(&Json::Obj(line))?;
+        self.declared.extend(new.into_iter().map(|(key, _)| key));
         self.next_seq += 1;
         Ok(())
     }
@@ -183,6 +232,8 @@ impl SeriesWriter {
 pub struct SeriesDoc {
     /// The header line.
     pub header: SeriesHeader,
+    /// The kind every declared key was declared with.
+    pub kinds: BTreeMap<String, MetricKind>,
     /// Every sample line, in file order: a line's `seq` is its index.
     pub samples: Vec<Snapshot>,
 }
@@ -194,7 +245,8 @@ impl SeriesDoc {
     /// `obstool series validate`: the header must carry schema
     /// [`SERIES_SCHEMA_VERSION`] and `kind: "series"`; at least one
     /// sample must follow; `seq` must count 0, 1, 2, … exactly; `t_ns`
-    /// must be non-decreasing; every value must be a JSON `u64`. Key sets
+    /// must be non-decreasing; every value must be a JSON `u64`; a key's
+    /// kind, if declared, is one of the three, declared once. Key sets
     /// may differ between samples (engines register mid-run).
     ///
     /// # Errors
@@ -210,6 +262,7 @@ impl SeriesDoc {
             SeriesHeader::from_json(&Json::parse(first).map_err(|e| format!("line 1: {e}"))?)
                 .map_err(|e| format!("line 1: {e}"))?;
         let mut samples: Vec<Snapshot> = Vec::new();
+        let mut kinds = BTreeMap::new();
         for (idx, line) in lines {
             let lineno = idx + 1;
             let root = Json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
@@ -234,6 +287,18 @@ impl SeriesDoc {
                     ));
                 }
             }
+            let declared = root.get("kinds").map_or(Some(&[][..]), Json::as_obj);
+            for (key, kind) in
+                declared.ok_or(format!("line {lineno}: `kinds` must be an object"))?
+            {
+                let kind = [MetricKind::Total, MetricKind::Level, MetricKind::Stamp]
+                    .into_iter()
+                    .find(|&k| kind.as_str() == Some(kind_name(k)))
+                    .ok_or(format!("line {lineno}: unknown kind of `{key}`"))?;
+                if kinds.insert(key.clone(), kind).is_some() {
+                    return Err(format!("line {lineno}: kind of `{key}` declared twice"));
+                }
+            }
             let values = Values::from_json(root.get("values").unwrap_or(&Json::Null))
                 .map_err(|e| format!("line {lineno}: `values`: {e}"))?;
             samples.push(Snapshot { t_ns, values });
@@ -241,7 +306,11 @@ impl SeriesDoc {
         if samples.is_empty() {
             return Err("series has a header but no samples".into());
         }
-        Ok(Self { header, samples })
+        Ok(Self {
+            header,
+            kinds,
+            samples,
+        })
     }
 
     /// Every key that appears in any sample, sorted and deduplicated.
@@ -267,13 +336,22 @@ impl SeriesDoc {
             .collect()
     }
 
-    /// The overall per-second rate of counter `key` across the file: the
+    /// The kind `key` was declared with; a total when none was.
+    #[must_use]
+    pub fn kind_of(&self, key: &str) -> MetricKind {
+        self.kinds.get(key).copied().unwrap_or(MetricKind::Total)
+    }
+
+    /// The overall per-second rate of total `key` across the file: the
     /// sum of its per-interval increases, a fall read as a restart
     /// ([`Snapshot::delta`]), over the time from its first sample to its
-    /// last (`None` when the key appears fewer than twice or no time
-    /// elapsed).
+    /// last (`None` for a level or a stamp, when the key appears fewer
+    /// than twice, or when no time elapsed).
     #[must_use]
     pub fn rate_of(&self, key: &str) -> Option<f64> {
+        if self.kind_of(key) != MetricKind::Total {
+            return None;
+        }
         let points = self.series_of(key);
         let (t0, _) = *points.first()?;
         let (t1, _) = *points.last()?;
@@ -405,7 +483,7 @@ mod tests {
 
     #[test]
     fn a_falling_pair_is_a_restart_in_the_rate() {
-        // A newer engine's gauge restarts at 0: 100 -> 300 is +200, the
+        // A newer engine's total restarts at 0: 100 -> 300 is +200, the
         // fall to 50 is +50 from the restart, 50 -> 150 is +100.
         let header = "{\"schema\":1,\"kind\":\"series\",\"name\":\"x\",\"git_rev\":\"abc\",\"interval_ms\":10,\"config\":{}}";
         let samples: Vec<String> = [(100u64, 0u64), (300, 1), (50, 2), (150, 3)]
@@ -417,5 +495,51 @@ mod tests {
             .collect();
         let doc = SeriesDoc::parse(&format!("{header}\n{}\n", samples.join("\n"))).unwrap();
         assert_eq!(doc.rate_of("w.busy_ns"), Some(350.0 / 3.0));
+    }
+
+    #[test]
+    fn a_falling_total_has_a_rate_and_a_level_and_a_stamp_have_none() {
+        use MetricKind::{Level, Stamp, Total};
+        let dir = std::env::temp_dir().join(format!("series-kinds-{}", std::process::id()));
+        let mut w = SeriesWriter::create(&dir, SeriesHeader::new("three kinds", 10)).unwrap();
+        let kinds: BTreeMap<String, MetricKind> = [
+            ("w.busy_ns", Total),
+            ("w.last_beat_ns", Stamp),
+            ("w.ring_occupancy", Level),
+        ]
+        .into_iter()
+        .map(|(key, kind)| (key.to_string(), kind))
+        .collect();
+        // All three fall at the third sample, as in the restart above.
+        for (i, v) in [100u64, 300, 50, 150].into_iter().enumerate() {
+            let t_ns = 1_000_000_000 * (i as u64 + 1);
+            let values = kinds.keys().map(|key| (key.as_str(), v)).collect();
+            w.append_kinded(&Snapshot { t_ns, values }, &kinds).unwrap();
+        }
+        let text = std::fs::read_to_string(w.finish()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            text.matches("\"kinds\"").count(),
+            1,
+            "one declaration per key"
+        );
+        let doc = SeriesDoc::parse(&text).unwrap();
+        assert_eq!(doc.kinds, kinds);
+        assert_eq!(doc.rate_of("w.busy_ns"), Some(350.0 / 3.0));
+        assert_eq!(doc.rate_of("w.ring_occupancy"), None);
+        assert_eq!(doc.rate_of("w.last_beat_ns"), None);
+        assert!(
+            SeriesDoc::parse(&text.replacen("\"level\"", "\"gauge\"", 1))
+                .unwrap_err()
+                .contains("unknown kind of `w.ring_occupancy`")
+        );
+        let twice = text.replacen(
+            "\"values\"",
+            "\"kinds\":{\"w.busy_ns\":\"total\"},\"values\"",
+            3,
+        );
+        assert!(SeriesDoc::parse(&twice)
+            .unwrap_err()
+            .contains("declared twice"));
     }
 }

@@ -6,6 +6,7 @@
 //! malformed input) is load-bearing for CI, not just a convenience.
 
 use obs::json::Json;
+use proptest::prelude::*;
 
 #[test]
 fn every_escape_sequence_round_trips() {
@@ -196,4 +197,55 @@ fn nonfinite_floats_write_as_null() {
     assert_eq!(Json::Float(f64::NAN).to_compact(), "null");
     assert_eq!(Json::Float(f64::INFINITY).to_compact(), "null");
     assert_eq!(Json::Float(1.25).to_compact(), "1.25");
+}
+
+/// Pieces of JSON and of broken JSON, and any character at all: joined
+/// at random they reach every branch of the parser, truncated escapes,
+/// numbers and multi-byte characters included.
+fn fragment() -> impl Strategy<Value = String> {
+    let pieces = vec![
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\\u",
+        "\\u00e9",
+        "\\ud800",
+        "-",
+        "0",
+        "7",
+        ".",
+        "1e",
+        "E+",
+        "18446744073709551616",
+        "null",
+        "tru",
+        "false",
+        " ",
+        "\n",
+        "é",
+        "𝄞",
+    ];
+    prop_oneof![
+        prop::sample::select(pieces).prop_map(str::to_string),
+        any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('?').to_string()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+    /// `obstool` parses whatever file it is given: any text gets a
+    /// document or an error, never a panic.
+    #[test]
+    fn parse_never_panics_on_arbitrary_text(pieces in prop::collection::vec(fragment(), 0..48)) {
+        let text = pieces.concat();
+        if let Err(e) = Json::parse(&text) {
+            prop_assert!(!e.is_empty(), "an error names what failed in {text:?}");
+        }
+    }
 }

@@ -129,6 +129,7 @@ use joinsw::handshake::{HandshakeConfig, HandshakeJoin};
 use joinsw::prelude::{
     BaselineJoin, JoinConfig, JoinError, JoinOutcome, SplitJoin, SplitJoinConfig, StreamJoin,
 };
+use obs::MetricKind::Total;
 use streamcore::{MatchPair, StreamTag, Tuple};
 
 use crate::compile::{
@@ -396,8 +397,8 @@ struct EngineGroup {
     shadow_s: VecDeque<Tuple>,
     /// Results harvested from the *current* engine since it spawned.
     drained_since_spawn: u64,
-    arrivals: obs::Counter,
-    drained: obs::Counter,
+    arrivals: obs::Metric,
+    drained: obs::Metric,
 }
 
 impl EngineGroup {
@@ -417,7 +418,7 @@ impl EngineGroup {
         if shadow.len() > self.key.window {
             shadow.pop_front();
         }
-        self.arrivals.incr();
+        self.arrivals.add(1);
         Ok(())
     }
 
@@ -465,11 +466,11 @@ struct Standing {
     /// by the group's members until each has built its rows from it.
     pending: Vec<Arc<Vec<MatchPair>>>,
     /// Records delivered (`query.<id>.matches_in`).
-    matches_in: obs::Counter,
+    matches_in: obs::Metric,
     /// Rows emitted (`query.<id>.rows`).
-    rows_out: obs::Counter,
+    rows_out: obs::Metric,
     /// Re-plans lived through (`query.<id>.replans`).
-    replans: obs::Counter,
+    replans: obs::Metric,
 }
 
 /// `query.<id>.<what>`: a query's key in the live registry and in its
@@ -486,9 +487,9 @@ impl Standing {
             group,
             rows: Vec::new(),
             pending: Vec::new(),
-            matches_in: live.counter(&query_key(id, "matches_in")),
-            rows_out: live.counter(&query_key(id, "rows")),
-            replans: live.counter(&query_key(id, "replans")),
+            matches_in: live.metric(&query_key(id, "matches_in"), Total),
+            rows_out: live.metric(&query_key(id, "rows"), Total),
+            replans: live.metric(&query_key(id, "replans"), Total),
         }
     }
 
@@ -822,8 +823,8 @@ impl QueryRuntime {
             shadow_r: VecDeque::with_capacity(key.window + 1),
             shadow_s: VecDeque::with_capacity(key.window + 1),
             drained_since_spawn: 0,
-            arrivals: self.live.counter(&format!("group.{metric}.arrivals")),
-            drained: self.live.counter(&format!("group.{metric}.drained")),
+            arrivals: self.live.metric(&format!("group.{metric}.arrivals"), Total),
+            drained: self.live.metric(&format!("group.{metric}.drained"), Total),
         });
         route_mut(&mut self.routes, &key.left)
             .groups
@@ -976,7 +977,7 @@ impl QueryRuntime {
         for &member in &group.members {
             if let Some(q) = self.queries.get_mut(member) {
                 q.compiled.engine = target;
-                q.replans.incr();
+                q.replans.add(1);
             }
         }
 
@@ -1511,7 +1512,7 @@ mod tests {
     fn cancel_unregisters_the_querys_live_cells() {
         let mut rt = runtime(2);
         rt.admit("keeper", &joined()).unwrap();
-        let start = rt.live().len();
+        let start = rt.live().entries().len();
         for i in 0..1_000 {
             let id = format!("q{i}");
             if i % 3 == 0 {
@@ -1525,7 +1526,7 @@ mod tests {
             }
             rt.cancel(&id).unwrap();
         }
-        assert_eq!(rt.live().len(), start);
+        assert_eq!(rt.live().entries().len(), start);
 
         // The last member reaps the group; its cells stay as final totals.
         rt.cancel("keeper").unwrap();

@@ -34,7 +34,8 @@ fn a_stall_behind_the_flush_barrier_is_named_on_both_engines() {
         obs::live::global().clone(),
         Duration::from_millis(5),
         writer,
-    );
+    )
+    .unwrap();
     let inputs: Vec<_> = WorkloadSpec::new(64, KeyDist::Uniform { domain: 16 })
         .generate()
         .collect();

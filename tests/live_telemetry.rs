@@ -17,6 +17,7 @@ use joinsw::splitjoin::{SplitJoin, SplitJoinConfig};
 use joinsw::{JoinParams, StreamJoin};
 use obs::health::{unhealthy, PRESSURE_HEARTBEAT_AGE_NS};
 use obs::series::{SeriesDoc, SeriesHeader, SeriesWriter};
+use obs::MetricKind::{self, Level, Stamp, Total};
 use streamcore::workload::{KeyDist, WorkloadSpec};
 
 /// Arms the plane and holds it for one test; the test disarms it.
@@ -26,6 +27,19 @@ fn armed() -> MutexGuard<'static, ()> {
     obs::live::set_active(true);
     held
 }
+
+/// Every per-core reading, with the kind it is registered with.
+const PER_CORE: [(&str, MetricKind); 9] = [
+    ("batches", Total),
+    ("tuples", Total),
+    ("stored", Total),
+    ("probes", Total),
+    ("matches", Total),
+    ("busy_ns", Total),
+    ("wait_ns", Total),
+    ("last_beat_ns", Stamp),
+    ("ring_occupancy", Level),
+];
 
 /// Every live key a `cores`-core engine named `engine` must register at
 /// spawn: the caller's, the pool's, and each core's.
@@ -37,21 +51,24 @@ fn expected_keys(engine: &str, cores: usize) -> Vec<String> {
         keys.push("splitjoin.workers.live".to_string());
     }
     for w in 0..cores {
-        for suffix in [
-            "batches",
-            "tuples",
-            "stored",
-            "probes",
-            "matches",
-            "busy_ns",
-            "wait_ns",
-            "last_beat_ns",
-            "ring_occupancy",
-        ] {
+        for (suffix, _) in PER_CORE {
             keys.push(format!("{engine}.worker.{w}.{suffix}"));
         }
     }
     keys
+}
+
+/// The global registry reports every per-core key of a `cores`-core
+/// `engine` with its kind.
+fn assert_per_core_kinds(engine: &str, cores: usize) {
+    let entries = obs::live::global().entries();
+    for w in 0..cores {
+        for (suffix, kind) in PER_CORE {
+            let key = format!("{engine}.worker.{w}.{suffix}");
+            let found = entries.iter().find(|(name, _, _)| *name == key);
+            assert_eq!(found.map(|e| e.2), Some(kind), "the kind of {key}");
+        }
+    }
 }
 
 #[test]
@@ -66,7 +83,8 @@ fn the_series_file_alone_names_the_stalled_worker() {
         obs::live::global().clone(),
         Duration::from_millis(5),
         writer,
-    );
+    )
+    .unwrap();
 
     // Worker 1 freezes for 3 s before its second batch. Its 4-slot lane
     // fills, and the router, still being fed, waits on it; worker 1's
@@ -92,7 +110,8 @@ fn the_series_file_alone_names_the_stalled_worker() {
     // it, would be real pressure and rightly reported. It then waits two
     // sample intervals; worker 0, idle all along, stamps its beat at
     // every empty poll and must not read as silent.
-    let worker0_batches = obs::live::global().gauge("splitjoin.worker.0.batches");
+    let worker0_batches =
+        obs::live::global().metric("splitjoin.worker.0.batches", obs::MetricKind::Total);
     for (sent, batch) in inputs.chunks(BATCH).enumerate() {
         while worker0_batches.get() < sent as u64 {
             std::thread::sleep(Duration::from_micros(50));
@@ -116,6 +135,11 @@ fn the_series_file_alone_names_the_stalled_worker() {
     let keys = doc.keys();
     for key in expected_keys("splitjoin", 2) {
         assert!(keys.contains(&key.as_str()), "series lacks live key {key}");
+    }
+    assert_per_core_kinds("splitjoin", 2);
+    for (suffix, kind) in PER_CORE {
+        let key = format!("splitjoin.worker.1.{suffix}");
+        assert_eq!(doc.kind_of(&key), kind, "the series' kind of {key}");
     }
     let tuples = doc.series_of("splitjoin.tuples");
     assert!(
@@ -160,6 +184,7 @@ fn the_chain_registers_the_same_per_core_readings() {
     for key in expected_keys("handshake", 3) {
         assert!(snap.get(&key).is_some(), "the chain lacks live key {key}");
     }
+    assert_per_core_kinds("handshake", 3);
     assert!(snap.get("handshake.worker.0.busy_ns").unwrap() > 0);
     assert_eq!(snap.get("handshake.tuples"), Some(600));
 }
