@@ -475,16 +475,8 @@ pub fn fanout_ablation() -> Table {
             .with_network(NetworkKind::Scalable)
             .with_fanout(fanout);
         let report = params.synthesize(&XC7VX485T).expect("fits");
-        let mut join = harness::build(&params);
-        prefill_planted(join.as_mut(), &params, 7);
-        let run = run_latency(
-            join.as_mut(),
-            (StreamTag::R, Tuple::new(7, u32::MAX)),
-            10_000_000,
-        )
-        .expect("quiesces");
         let depth = (cores as f64).log(fanout as f64).round() as u32 + 1;
-        let cycles = run.cycles_to_last_result;
+        let cycles = measure_latency(&params, false, &mut None).cycles_to_last_result;
         t.row(vec![
             fanout.to_string(),
             depth.to_string(),
@@ -612,11 +604,12 @@ pub fn cloudscale_projection() -> Table {
 /// in how many cycles. The deferral of the original flow is exactly what
 /// motivated the low-latency variant the paper's bi-flow design uses.
 pub fn deferral_ablation() -> Table {
-    use hwsim::Simulator;
     use joinhw::biflow::{BiFlowJoin, BiflowVariant};
     use joinhw::JoinOperator;
     use streamcore::workload::{KeyDist, WorkloadSpec};
 
+    /// Far beyond the ~90 k cycles either design takes on this stream.
+    const MAX_CYCLES: u64 = 50_000_000;
     let mut t = Table::new(
         "Ablation — handshake-join variant vs result deferral (4 cores, window 64)",
         &["variant", "results", "reference", "coverage", "cycles"],
@@ -625,23 +618,11 @@ pub fn deferral_ablation() -> Table {
         .generate()
         .collect();
     // Strict reference count via the uni-flow design (verified exact).
-    let reference = {
-        let params = DesignParams::new(FlowModel::UniFlow, 4, 64);
-        let mut join = harness::build(&params);
-        let mut sim = Simulator::new();
-        let mut idx = 0;
-        while idx < inputs.len() {
-            let (tag, tuple) = inputs[idx];
-            if join.offer(tag, tuple) {
-                idx += 1;
-            }
-            sim.step(join.as_mut());
-        }
-        while !join.quiescent() {
-            sim.step(join.as_mut());
-        }
-        join.drain_results().len()
-    };
+    let mut uniflow = harness::build(&DesignParams::new(FlowModel::UniFlow, 4, 64));
+    let reference = harness::run_stream(uniflow.as_mut(), &inputs, MAX_CYCLES)
+        .expect("uni-flow design stalled")
+        .0
+        .len();
     for (name, variant) in [
         ("low-latency", BiflowVariant::LowLatency),
         ("original", BiflowVariant::Original),
@@ -649,27 +630,15 @@ pub fn deferral_ablation() -> Table {
         let params = DesignParams::new(FlowModel::BiFlow, 4, 64);
         let mut join = BiFlowJoin::new(&params).with_variant(variant);
         join.program(JoinOperator::equi(4));
-        let mut sim = Simulator::new();
-        let mut idx = 0;
-        let mut results = 0usize;
-        while idx < inputs.len() {
-            let (tag, tuple) = inputs[idx];
-            if join.offer(tag, tuple) {
-                idx += 1;
-            }
-            sim.step(&mut join);
-            results += join.drain_results().len();
-        }
-        while !join.quiescent() {
-            sim.step(&mut join);
-        }
-        results += join.drain_results().len();
+        let (results, cycles) =
+            harness::run_stream(&mut join, &inputs, MAX_CYCLES).expect("bi-flow design stalled");
+        let results = results.len();
         t.row(vec![
             name.to_string(),
             results.to_string(),
             reference.to_string(),
             format!("{:.1}%", 100.0 * results as f64 / reference as f64),
-            sim.cycle().to_string(),
+            cycles.to_string(),
         ]);
     }
     t.note("original handshake join defers matches until tuples physically meet; a finite stream strands the rest");

@@ -115,12 +115,12 @@ impl Fabric {
 
     /// Number of blocks not currently programmed.
     pub fn idle_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_idle()).count()
+        self.idle().count()
     }
 
-    /// Finds an unprogrammed block, if any.
-    pub fn find_idle(&self) -> Option<BlockId> {
-        self.blocks.iter().find(|b| b.is_idle()).map(OpBlock::id)
+    /// The unprogrammed blocks, in index order.
+    pub fn idle(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.blocks.iter().filter(|b| b.is_idle()).map(OpBlock::id)
     }
 
     /// Immutable access to a block.
@@ -528,12 +528,12 @@ mod tests {
     }
 
     #[test]
-    fn find_idle_tracks_programming() {
+    fn idle_tracks_programming() {
         let mut f = Fabric::new(2);
-        assert_eq!(f.find_idle(), Some(BlockId(0)));
+        assert_eq!(f.idle().next(), Some(BlockId(0)));
         f.reprogram(BlockId(0), BlockProgram::Passthrough).unwrap();
-        assert_eq!(f.find_idle(), Some(BlockId(1)));
+        assert_eq!(f.idle().next(), Some(BlockId(1)));
         f.reprogram(BlockId(1), BlockProgram::Passthrough).unwrap();
-        assert_eq!(f.find_idle(), None);
+        assert_eq!(f.idle().next(), None);
     }
 }

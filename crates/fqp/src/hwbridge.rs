@@ -4,25 +4,28 @@
 //! of [`joinhw`].
 //!
 //! [`deploy_to_hardware`] takes a bound plan with a join, runs the
-//! synthesis-report model for the chosen device, programs a
-//! [`UniFlowJoin`] with the plan's equi-join, and translates records to
-//! and from the 64-bit tuple format of the hardware: the join key rides in
-//! the tuple's key half, and the payload half indexes a record store kept
-//! beside the fabric (the paper's parametrized-data-segment idea in its
-//! simplest form: wide records stay in memory, the fabric sees fixed-width
-//! tuples). Every other operator of the plan runs in an [`OpBlock`], as it
+//! synthesis-report model for the chosen device, builds the uni-flow
+//! design with [`harness::build`] (an equi-join), and translates records
+//! to and from the 64-bit tuple format of the hardware: the join key rides
+//! in the tuple's key half, and the payload half carries the record's
+//! per-stream sequence number into a record store kept beside the fabric
+//! (the paper's parametrized-data-segment idea in its simplest form: wide
+//! records stay in memory, the fabric sees fixed-width tuples). A store
+//! keeps only the records the design's windows can still join once
+//! [`HwDeployment::finish`] has drained. [`harness::feed`] and
+//! [`harness::settle`] drive the design. Every other operator of the plan runs in an [`OpBlock`], as it
 //! does on a [`Fabric`](crate::fabric::Fabric): the operators before the
 //! join in front blocks on the primary stream, the operators after it — a
 //! selection over the joined record, a projection — in back blocks on the
 //! gathered results.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use hwsim::{CapacityError, Device, Simulator};
-use joinhw::harness::uniflow_throughput_model;
-use joinhw::uniflow::UniFlowJoin;
-use joinhw::{DesignParams, FlowModel, JoinOperator, SynthesisReport};
+use joinhw::harness::{self, uniflow_throughput_model, Stall, StreamJoin};
+use joinhw::{DesignParams, FlowModel, SynthesisReport};
 use streamcore::{Record, StreamTag, Tuple};
 
 use crate::opblock::{BlockId, BlockProgram, OpBlock, Port};
@@ -31,7 +34,8 @@ use crate::plan::{Plan, PlanOp};
 /// Errors raised while deploying or driving a hardware-mapped query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HwBridgeError {
-    /// The plan has no join — there is nothing to accelerate.
+    /// The plan has no join, or no secondary stream for its join —
+    /// there is nothing to accelerate.
     NoJoin,
     /// The design does not fit the device.
     DoesNotFit(CapacityError),
@@ -52,6 +56,8 @@ pub enum HwBridgeError {
         /// The stream name.
         stream: String,
     },
+    /// The design stopped accepting input or did not quiesce.
+    Stalled(Stall),
 }
 
 impl fmt::Display for HwBridgeError {
@@ -68,6 +74,7 @@ impl fmt::Display for HwBridgeError {
             HwBridgeError::UnknownStream { stream } => {
                 write!(f, "plan does not read stream {stream:?}")
             }
+            HwBridgeError::Stalled(stall) => write!(f, "fabric {stall}"),
         }
     }
 }
@@ -80,11 +87,43 @@ impl From<CapacityError> for HwBridgeError {
     }
 }
 
+/// One stream's records the fabric may still join, oldest first. A
+/// record's tuple carries its sequence number; `base` is the front
+/// record's, so both wrap together past `u32::MAX`.
+#[derive(Debug, Default)]
+struct RecordStore {
+    base: u32,
+    records: VecDeque<Record>,
+}
+
+impl RecordStore {
+    /// Stores `record` and returns its sequence number.
+    fn push(&mut self, record: Record) -> u32 {
+        self.records.push_back(record);
+        self.base.wrapping_add(self.records.len() as u32 - 1)
+    }
+
+    fn get(&self, seq: u32) -> &Record {
+        &self.records[seq.wrapping_sub(self.base) as usize]
+    }
+
+    /// Drops all but the newest `keep` records.
+    fn retain_newest(&mut self, keep: usize) {
+        let old = self.records.len().saturating_sub(keep);
+        self.records.drain(..old);
+        self.base = self.base.wrapping_add(old as u32);
+    }
+}
+
 /// A query running on the simulated hardware join fabric.
 pub struct HwDeployment {
     report: SynthesisReport,
-    join: UniFlowJoin,
+    join: Box<dyn StreamJoin>,
     sim: Simulator,
+    /// The records a window holds per stream: `sub_window × num_cores`.
+    window: usize,
+    /// Cycles a feed or a settle may take before it counts as a stall.
+    max_cycles: u64,
     primary: String,
     secondary: String,
     key_left: usize,
@@ -93,9 +132,8 @@ pub struct HwDeployment {
     front: Vec<OpBlock>,
     /// The operators after the join, on the joined records.
     back: Vec<OpBlock>,
-    left_records: Vec<Record>,
-    right_records: Vec<Record>,
-    accepted: u64,
+    left_records: RecordStore,
+    right_records: RecordStore,
 }
 
 impl fmt::Debug for HwDeployment {
@@ -103,7 +141,7 @@ impl fmt::Debug for HwDeployment {
         f.debug_struct("HwDeployment")
             .field("primary", &self.primary)
             .field("secondary", &self.secondary)
-            .field("accepted", &self.accepted)
+            .field("accepted", &self.accepted())
             .finish_non_exhaustive()
     }
 }
@@ -113,8 +151,9 @@ impl fmt::Debug for HwDeployment {
 ///
 /// # Errors
 ///
-/// Returns [`HwBridgeError::NoJoin`] for join-less plans and
-/// [`HwBridgeError::DoesNotFit`] when synthesis fails.
+/// Returns [`HwBridgeError::NoJoin`] for join-less plans (or a join
+/// with no secondary stream) and [`HwBridgeError::DoesNotFit`] when
+/// synthesis fails.
 pub fn deploy_to_hardware(
     plan: &Plan,
     num_cores: u32,
@@ -133,6 +172,7 @@ pub fn deploy_to_hardware(
             _ => None,
         })
         .ok_or(HwBridgeError::NoJoin)?;
+    let secondary = plan.secondary.clone().ok_or(HwBridgeError::NoJoin)?;
     let blocks = |first: usize, ops: &[PlanOp]| -> Vec<OpBlock> {
         ops.iter()
             .enumerate()
@@ -146,25 +186,24 @@ pub fn deploy_to_hardware(
 
     let params = DesignParams::new(FlowModel::UniFlow, num_cores, window);
     let report = params.synthesize(device)?;
-    let mut join = UniFlowJoin::new(&params);
-    join.program(JoinOperator::equi(num_cores));
+    let window = params.sub_window() * num_cores as usize;
 
     Ok(HwDeployment {
-        report,
-        join,
+        join: harness::build(&params),
         sim: Simulator::new(),
+        window,
+        // A tuple takes a sub-window scan plus a result per window slot;
+        // a thousand of those is a wedge, not a busy design.
+        max_cycles: 1_000 * (window as u64 + 64),
+        report,
         primary: plan.primary.clone(),
-        secondary: plan
-            .secondary
-            .clone()
-            .expect("join implies a secondary stream"),
+        secondary,
         key_left,
         key_right,
         front: blocks(0, &plan.ops[..at]),
         back: blocks(at + 1, &plan.ops[at + 1..]),
-        left_records: Vec::new(),
-        right_records: Vec::new(),
-        accepted: 0,
+        left_records: RecordStore::default(),
+        right_records: RecordStore::default(),
     })
 }
 
@@ -187,7 +226,7 @@ impl HwDeployment {
 
     /// Records accepted into the fabric so far.
     pub fn accepted(&self) -> u64 {
-        self.accepted
+        self.join.accepted_tuples()
     }
 
     /// Records dropped by the OP-Blocks around the fabric: the
@@ -210,7 +249,8 @@ impl HwDeployment {
     /// # Errors
     ///
     /// Returns [`HwBridgeError::UnknownStream`],
-    /// [`HwBridgeError::MissingKey`] or [`HwBridgeError::KeyTooWide`].
+    /// [`HwBridgeError::MissingKey`], [`HwBridgeError::KeyTooWide`] or
+    /// [`HwBridgeError::Stalled`].
     pub fn push(&mut self, stream: &str, record: Record) -> Result<(), HwBridgeError> {
         let stream = stream.to_ascii_lowercase();
         let (tag, field, records) = if stream == self.primary {
@@ -236,34 +276,34 @@ impl HwDeployment {
                 StreamTag::R => &mut self.left_records,
                 StreamTag::S => &mut self.right_records,
             };
-            let tuple = Tuple::new(key, store.len() as u32);
-            store.push(record);
-            while !self.join.offer(tag, tuple) {
-                self.sim.step(&mut self.join);
-            }
-            self.sim.step(&mut self.join);
-            self.accepted += 1;
+            let input = [(tag, Tuple::new(key, store.push(record)))];
+            harness::feed(&mut self.sim, self.join.as_mut(), &input, self.max_cycles)
+                .map_err(HwBridgeError::Stalled)?;
         }
         Ok(())
     }
 
     /// Runs the fabric to quiescence and returns the joined records
-    /// produced so far, through the back OP-Blocks.
-    pub fn finish(&mut self) -> Vec<Record> {
-        while !self.join.quiescent() {
-            self.sim.step(&mut self.join);
-        }
-        let joined = self
-            .join
-            .drain_results()
+    /// produced so far, through the back OP-Blocks. Afterwards each
+    /// record store holds only the design's effective window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwBridgeError::Stalled`] if the fabric does not quiesce.
+    pub fn finish(&mut self) -> Result<Vec<Record>, HwBridgeError> {
+        let results = harness::settle(&mut self.sim, self.join.as_mut(), self.max_cycles)
+            .map_err(HwBridgeError::Stalled)?;
+        let joined = results
             .into_iter()
             .map(|m| {
-                let mut values = self.left_records[m.r.payload() as usize].values().to_vec();
-                values.extend_from_slice(self.right_records[m.s.payload() as usize].values());
+                let mut values = self.left_records.get(m.r.payload()).values().to_vec();
+                values.extend_from_slice(self.right_records.get(m.s.payload()).values());
                 Record::new(values)
             })
             .collect();
-        run_blocks(&mut self.back, joined)
+        self.left_records.retain_newest(self.window);
+        self.right_records.retain_newest(self.window);
+        Ok(run_blocks(&mut self.back, joined))
     }
 
     /// Sustainable input throughput of this deployment at its synthesis
@@ -337,7 +377,7 @@ mod tests {
         }
 
         let mut sw: Vec<Record> = fabric.take_results(id).unwrap();
-        let mut hw_out = hw.finish();
+        let mut hw_out = hw.finish().unwrap();
         sw.sort_by_key(|r| r.values().to_vec());
         hw_out.sort_by_key(|r| r.values().to_vec());
         assert_eq!(hw_out, sw);
@@ -390,7 +430,7 @@ mod tests {
             }
 
             let mut sw = fabric.take_results(id).unwrap();
-            let mut hw_out = hw.finish();
+            let mut hw_out = hw.finish().unwrap();
             sw.sort_by_key(|r| r.values().to_vec());
             hw_out.sort_by_key(|r| r.values().to_vec());
             assert!(!sw.is_empty(), "{text}");
@@ -409,6 +449,52 @@ mod tests {
     }
 
     #[test]
+    fn record_stores_hold_at_most_two_windows_and_match_the_fabric() {
+        // Window 16 on 2 cores: the design's effective window is the
+        // plan's, so the fabric's join is the same join.
+        let plan = plan_of("SELECT * FROM customers JOIN products ON product_id WINDOW 16");
+        let mut fabric = QueryManager::new(4);
+        let id = fabric.deploy(&plan).unwrap();
+        let mut hw = deploy_to_hardware(&plan, 2, &XC7VX485T).unwrap();
+        assert_eq!(hw.window, 16);
+        let mut hw_out = Vec::new();
+        for round in 0..10u64 {
+            for i in 0..16u64 {
+                let n = round * 16 + i;
+                for (stream, values) in
+                    [("products", vec![n % 5, n]), ("customers", vec![n % 3, n])]
+                {
+                    fabric.push(stream, Record::new(values.clone())).unwrap();
+                    hw.push(stream, Record::new(values)).unwrap();
+                    assert!(hw.left_records.records.len() <= 2 * hw.window);
+                    assert!(hw.right_records.records.len() <= 2 * hw.window);
+                }
+            }
+            hw_out.extend(hw.finish().unwrap());
+        }
+        let mut sw = fabric.take_results(id).unwrap();
+        sw.sort_by_key(|r| r.values().to_vec());
+        hw_out.sort_by_key(|r| r.values().to_vec());
+        assert!(!sw.is_empty());
+        assert_eq!(hw_out, sw);
+        assert_eq!(hw.accepted(), 320);
+    }
+
+    #[test]
+    fn record_store_sequence_numbers_wrap_with_their_base() {
+        let mut store = RecordStore {
+            base: u32::MAX - 1,
+            records: VecDeque::new(),
+        };
+        let seqs: Vec<u32> = (0..4).map(|v| store.push(Record::new(vec![v]))).collect();
+        assert_eq!(seqs, [u32::MAX - 1, u32::MAX, 0, 1]);
+        store.retain_newest(2);
+        assert_eq!(store.base, 0);
+        assert_eq!(store.get(1), &Record::new(vec![3]));
+        assert_eq!(store.get(0), &Record::new(vec![2]));
+    }
+
+    #[test]
     fn a_keyless_record_is_rejected_not_joined_as_key_0() {
         let plan = plan_of("SELECT * FROM customers JOIN products ON product_id WINDOW 16");
         let mut hw = deploy_to_hardware(&plan, 2, &XC7VX485T).unwrap();
@@ -421,7 +507,7 @@ mod tests {
             }
         );
         hw.push("customers", Record::new(vec![0, 30])).unwrap();
-        assert!(hw.finish().is_empty());
+        assert!(hw.finish().unwrap().is_empty());
         assert_eq!(hw.accepted(), 1);
     }
 
@@ -434,7 +520,7 @@ mod tests {
         let mut hw = deploy_to_hardware(&plan, 2, &XC7VX485T).unwrap();
         hw.push("products", Record::new(vec![3, 99])).unwrap();
         hw.push("customers", Record::new(vec![3, 41])).unwrap();
-        let out = hw.finish();
+        let out = hw.finish().unwrap();
         assert_eq!(out, vec![Record::new(vec![41, 99])]);
     }
 

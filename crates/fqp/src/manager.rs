@@ -67,6 +67,8 @@ pub enum AssignError {
         /// Deployed queries that run on it.
         queries: usize,
     },
+    /// The plan joins but names no secondary stream to join with.
+    MissingSecondary,
 }
 
 impl fmt::Display for AssignError {
@@ -85,6 +87,7 @@ impl fmt::Display for AssignError {
             AssignError::SharedBlock { block, queries } => {
                 write!(f, "{block} is shared by {queries} deployed queries")
             }
+            AssignError::MissingSecondary => write!(f, "plan joins no secondary stream"),
         }
     }
 }
@@ -234,44 +237,48 @@ impl QueryManager {
             .unwrap_or_default();
 
         let suffix = &programs[shared.len()..];
-        let available = self.fabric.idle_blocks();
-        if available < suffix.len() {
+        let free: Vec<BlockId> = self.fabric.idle().take(suffix.len()).collect();
+        if free.len() < suffix.len() {
             return Err(AssignError::InsufficientBlocks {
                 required: suffix.len(),
-                available,
+                available: free.len(),
             });
+        }
+        let is_join = |prog: &BlockProgram| matches!(prog, BlockProgram::Op(PlanOp::Join { .. }));
+        if plan.secondary.is_none() && suffix.iter().any(is_join) {
+            return Err(AssignError::MissingSecondary);
         }
 
         // Allocate and program the suffix.
         let mut chain = shared.clone();
-        for prog in suffix {
-            let id = self.fabric.find_idle().expect("counted above");
+        for (id, prog) in free.into_iter().zip(suffix) {
             self.fabric.reprogram(id, prog.clone())?;
             chain.push((id, prog.clone()));
         }
 
-        // Wiring. The primary stream feeds the first block only when it
-        // is newly allocated (a shared first block is already bound).
-        if shared.is_empty() {
-            self.fabric
-                .bind_stream(&plan.primary, chain[0].0, Port::Left)?;
-        }
-        for (i, (id, prog)) in chain.iter().enumerate().skip(shared.len()) {
-            if matches!(prog, BlockProgram::Op(PlanOp::Join { .. })) {
-                let stream = plan
-                    .secondary
-                    .as_deref()
-                    .expect("join implies a secondary stream");
-                self.fabric.bind_stream(stream, *id, Port::Right)?;
-            }
-            if i > 0 {
-                self.fabric
-                    .connect(chain[i - 1].0, Target::Block(*id, Port::Left))?;
-            }
-        }
+        // Wiring: each new block gets its streams (the primary one only
+        // at the head of the chain; a shared block is already bound) and
+        // every block from the last shared one on feeds its successor,
+        // the last one the query's sink.
         let sink = self.fabric.add_sink();
-        self.fabric
-            .connect(chain.last().expect("non-empty").0, Target::Sink(sink))?;
+        let next = chain
+            .iter()
+            .skip(1)
+            .map(|&(id, _)| Target::Block(id, Port::Left))
+            .chain([Target::Sink(sink)]);
+        for (i, (&(id, ref prog), to)) in chain.iter().zip(next).enumerate() {
+            if i >= shared.len() {
+                if i == 0 {
+                    self.fabric.bind_stream(&plan.primary, id, Port::Left)?;
+                }
+                if let Some(stream) = plan.secondary.as_ref().filter(|_| is_join(prog)) {
+                    self.fabric.bind_stream(stream, id, Port::Right)?;
+                }
+            }
+            if i + 1 >= shared.len() {
+                self.fabric.connect(id, to)?;
+            }
+        }
 
         // Reference counting over the whole chain.
         for (id, _) in &chain {
@@ -299,10 +306,13 @@ impl QueryManager {
     /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
     pub fn undeploy(&mut self, id: QueryId) -> Result<(), AssignError> {
         let d = self.deployed.remove(self.position(id)?);
-        let (last, _) = d.chain.last().expect("non-empty");
-        self.fabric.disconnect(*last, Target::Sink(d.sink))?;
+        if let Some(&(last, _)) = d.chain.last() {
+            self.fabric.disconnect(last, Target::Sink(d.sink))?;
+        }
         for (block, _) in &d.chain {
-            let count = self.refcounts.get_mut(block).expect("refcounted");
+            // Every deployed block is counted; an uncounted one would be
+            // this query's alone.
+            let count = self.refcounts.entry(*block).or_insert(1);
             *count -= 1;
             if *count == 0 {
                 self.refcounts.remove(block);

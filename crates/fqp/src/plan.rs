@@ -244,9 +244,11 @@ impl Plan {
                     );
                 }
                 PlanOp::Join { window, .. } => {
-                    let j = self.query.join.as_ref().expect("join op implies clause");
-                    let _ = writeln!(out, "  -> Join {} ON {} WINDOW {window}", j.stream, j.on);
-                    filter = text(&j.filter);
+                    // A plan built as a value may lack the clause.
+                    let j = self.query.join.as_ref();
+                    let (stream, on) = j.map_or(("?", "?"), |j| (j.stream.as_str(), j.on.as_str()));
+                    let _ = writeln!(out, "  -> Join {stream} ON {on} WINDOW {window}");
+                    filter = j.map(|j| text(&j.filter)).unwrap_or_default();
                 }
                 PlanOp::Project { .. } => {
                     // The projection defines the output schema, in order.
@@ -259,15 +261,15 @@ impl Plan {
                     let _ = writeln!(out, "  -> Project [{}]", names.join(", "));
                 }
                 PlanOp::Aggregate { func, window, .. } => {
-                    let a = self
+                    let field = self
                         .query
                         .aggregate
                         .as_ref()
-                        .expect("aggregate op implies clause");
+                        .and_then(|a| a.field.as_deref());
                     let _ = writeln!(
                         out,
                         "  -> Aggregate {func:?}({}) WINDOW {window}",
-                        a.field.as_deref().unwrap_or("*")
+                        field.unwrap_or("*")
                     );
                 }
             }
@@ -323,6 +325,9 @@ pub enum PlanError {
         /// The supported maximum.
         max: usize,
     },
+    /// A record the plan builds is no valid schema: it has no field, or
+    /// a field of a width outside 1–64 bits.
+    Schema(SchemaError),
 }
 
 impl fmt::Display for PlanError {
@@ -345,6 +350,7 @@ impl fmt::Display for PlanError {
                      support at most {max}"
                 )
             }
+            PlanError::Schema(e) => write!(f, "invalid record schema: {e}"),
         }
     }
 }
@@ -415,8 +421,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
             } else {
                 f.name().to_string()
             };
-            output_fields
-                .push(Field::new(name, f.width_bits()).expect("source width already valid"));
+            output_fields.push(Field::new(name, f.width_bits()).map_err(PlanError::Schema)?);
         }
         secondary = Some(j.stream.clone());
     }
@@ -459,8 +464,8 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
             Some(f) => format!("{}_{}", a.func.to_string().to_ascii_lowercase(), f),
             None => "count".to_string(),
         };
-        let output_schema =
-            Schema::new(vec![Field::new(out_name, 64).expect("valid width")]).expect("one field");
+        let field = Field::new(out_name, 64).map_err(PlanError::Schema)?;
+        let output_schema = record_schema(vec![field], "aggregate output")?;
         return Ok(Plan {
             query: query.clone(),
             primary: query.from.clone(),
@@ -500,17 +505,17 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
     })
 }
 
-/// The schema of a record `bind` assembles from already-valid fields.
+/// The schema of a record `bind` assembles.
 fn record_schema(fields: Vec<Field>, context: &str) -> Result<Schema, PlanError> {
     Schema::new(fields).map_err(|e| match e {
         SchemaError::DuplicateField { name } => PlanError::DuplicateField {
             field: name,
             context: context.to_string(),
         },
-        // Every field came from a valid schema (widths in range), and a
-        // record holds the primary stream's fields or a parsed
-        // projection's, never none.
-        other => unreachable!("bound record schema: {other}"),
+        // `bind` builds records from valid schemas and parsed
+        // projections, so only a query built as a value (an empty
+        // projection, say) lands here.
+        other => PlanError::Schema(other),
     })
 }
 

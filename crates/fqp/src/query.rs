@@ -544,16 +544,16 @@ impl<'a> Parser<'a> {
 
     /// `expr := term (OR term)*`
     fn bool_expr(&mut self) -> Result<BoolExpr, ParseError> {
-        let mut terms = vec![self.bool_term()?];
+        let first = self.bool_term()?;
+        if !self.peek_kw("OR") {
+            return Ok(first);
+        }
+        let mut terms = vec![first];
         while self.peek_kw("OR") {
             self.pos += 1;
             terms.push(self.bool_term()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one term")
-        } else {
-            BoolExpr::Or(terms)
-        })
+        Ok(BoolExpr::Or(terms))
     }
 
     /// `term := factor (AND factor)*`

@@ -35,6 +35,7 @@ use hwsim::{Component, Fifo, Sharded};
 use streamcore::{MatchPair, StreamTag, Tuple};
 
 use crate::design::RESULT_FIFO_DEPTH;
+use crate::harness::StreamJoin;
 use crate::subwindow::SubWindow;
 use crate::{DesignParams, FlowModel, JoinOperator};
 
@@ -124,25 +125,18 @@ struct Wave {
 /// # Example
 ///
 /// ```
-/// use hwsim::Simulator;
 /// use joinhw::biflow::BiFlowJoin;
+/// use joinhw::harness::run_stream;
 /// use joinhw::{DesignParams, FlowModel, JoinOperator};
 /// use streamcore::{StreamTag, Tuple};
 ///
 /// let params = DesignParams::new(FlowModel::BiFlow, 2, 16);
 /// let mut join = BiFlowJoin::new(&params);
 /// join.program(JoinOperator::equi(2));
-/// let mut sim = Simulator::new();
-/// for (tag, key) in [(StreamTag::S, 3), (StreamTag::R, 3)] {
-///     while !join.offer(tag, Tuple::new(key, 0)) {
-///         sim.step(&mut join);
-///     }
-///     sim.step(&mut join);
-/// }
-/// while !join.quiescent() {
-///     sim.step(&mut join);
-/// }
-/// assert_eq!(join.drain_results().len(), 1);
+/// let inputs = [(StreamTag::S, Tuple::new(3, 0)), (StreamTag::R, Tuple::new(3, 0))];
+/// let (results, _cycles) = run_stream(&mut join, &inputs, 10_000)?;
+/// assert_eq!(results.len(), 1);
+/// # Ok::<(), joinhw::harness::Stall>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct BiFlowJoin {
@@ -204,27 +198,11 @@ impl BiFlowJoin {
         }
     }
 
-    /// Detaches the chain's wave-segment span ring. Empty unless tracing
-    /// was enabled when the design was built.
-    pub fn take_trace(&mut self) -> Vec<obs::trace::TraceRing> {
-        self.ring.take().into_iter().collect()
-    }
-
-    /// The design parameters.
-    pub fn params(&self) -> &DesignParams {
-        &self.params
-    }
-
     /// Selects the handshake-join variant (default:
     /// [`BiflowVariant::LowLatency`]).
     pub fn with_variant(mut self, variant: BiflowVariant) -> Self {
         self.variant = variant;
         self
-    }
-
-    /// The active variant.
-    pub fn variant(&self) -> BiflowVariant {
-        self.variant
     }
 
     /// Programs the join operator on every core of the chain.
@@ -238,70 +216,6 @@ impl BiFlowJoin {
             "operator core count must match the design"
         );
         self.operator = Some(operator);
-    }
-
-    /// Offers a tuple at the chain end for its stream (R left, S right).
-    /// Returns `false` when that input register is occupied.
-    pub fn offer(&mut self, tag: StreamTag, tuple: Tuple) -> bool {
-        if self.operator.is_none() {
-            return false;
-        }
-        let seq = self.arrival_seq;
-        let slot = match tag {
-            StreamTag::R => &mut self.pending_r,
-            StreamTag::S => &mut self.pending_s,
-        };
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some((seq, tuple));
-        self.arrival_seq += 1;
-        self.accepted_tuples += 1;
-        true
-    }
-
-    /// Number of tuples accepted so far (both streams).
-    pub fn accepted_tuples(&self) -> u64 {
-        self.accepted_tuples
-    }
-
-    /// Removes and returns all collected results.
-    pub fn drain_results(&mut self) -> Vec<MatchPair> {
-        std::mem::take(&mut self.collected)
-    }
-
-    /// Results collected and not yet drained.
-    pub fn pending_results(&self) -> usize {
-        self.collected.len()
-    }
-
-    /// `true` when no tuple is pending, in flight, or undrained.
-    pub fn quiescent(&self) -> bool {
-        self.wave.is_none()
-            && self.pending_r.is_none()
-            && self.pending_s.is_none()
-            && self
-                .cores
-                .iter()
-                .all(|c| c.results.is_empty() && c.results.committed_len() == 0)
-    }
-
-    /// Direct pre-fill of the chain's windows. Tuples are laid out in the
-    /// order a streamed fill would produce: the oldest tuples furthest
-    /// from the entry end (next to expire), the newest at the entry core.
-    pub fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
-        let n = self.cores.len();
-        let sub = self.params.sub_window();
-        assert!(r.len() <= n * sub && s.len() <= n * sub, "prefill overflow");
-        // The chain fills from the exit end: the oldest R tuples live at
-        // core n-1 (R's exit), the oldest S tuples at core 0 (S's exit).
-        // Iterating oldest-first keeps each segment in chronological order.
-        for (i, &t) in r.iter().enumerate() {
-            self.cores[n - 1 - i / sub].window_r.load(t);
-        }
-        for (i, &t) in s.iter().enumerate() {
-            self.cores[i / sub].window_s.load(t);
-        }
     }
 
     fn entry_core(&self, tag: StreamTag) -> usize {
@@ -473,6 +387,78 @@ impl BiFlowJoin {
     }
 }
 
+impl StreamJoin for BiFlowJoin {
+    /// Offers a tuple at the chain end for its stream (R left, S right).
+    /// Returns `false` when that input register is occupied.
+    fn offer(&mut self, tag: StreamTag, tuple: Tuple) -> bool {
+        if self.operator.is_none() {
+            return false;
+        }
+        let seq = self.arrival_seq;
+        let slot = match tag {
+            StreamTag::R => &mut self.pending_r,
+            StreamTag::S => &mut self.pending_s,
+        };
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some((seq, tuple));
+        self.arrival_seq += 1;
+        self.accepted_tuples += 1;
+        true
+    }
+
+    /// `true` when no tuple is pending, in flight, or undrained.
+    fn quiescent(&self) -> bool {
+        self.wave.is_none()
+            && self.pending_r.is_none()
+            && self.pending_s.is_none()
+            && self
+                .cores
+                .iter()
+                .all(|c| c.results.is_empty() && c.results.committed_len() == 0)
+    }
+
+    /// Results collected and not yet drained.
+    fn pending_results(&self) -> usize {
+        self.collected.len()
+    }
+
+    /// Removes and returns all collected results.
+    fn drain_results(&mut self) -> Vec<MatchPair> {
+        std::mem::take(&mut self.collected)
+    }
+
+    /// Direct pre-fill of the chain's windows. Tuples are laid out in the
+    /// order a streamed fill would produce: the oldest tuples furthest
+    /// from the entry end (next to expire), the newest at the entry core.
+    fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
+        let n = self.cores.len();
+        let sub = self.params.sub_window();
+        assert!(r.len() <= n * sub && s.len() <= n * sub, "prefill overflow");
+        // The chain fills from the exit end: the oldest R tuples live at
+        // core n-1 (R's exit), the oldest S tuples at core 0 (S's exit).
+        // Iterating oldest-first keeps each segment in chronological order.
+        for (i, &t) in r.iter().enumerate() {
+            self.cores[n - 1 - i / sub].window_r.load(t);
+        }
+        for (i, &t) in s.iter().enumerate() {
+            self.cores[i / sub].window_s.load(t);
+        }
+    }
+
+    /// Number of tuples accepted so far (both streams).
+    fn accepted_tuples(&self) -> u64 {
+        self.accepted_tuples
+    }
+
+    /// Detaches the chain's wave-segment span ring. Empty unless tracing
+    /// was enabled when the design was built.
+    fn take_trace(&mut self) -> Vec<obs::trace::TraceRing> {
+        self.ring.take().into_iter().collect()
+    }
+}
+
 impl Component for BiFlowJoin {
     /// Opens the wave's current core alone: every BRAM access and every
     /// `can_push` happens there. A core the wave reaches (on admission or
@@ -539,41 +525,10 @@ impl fmt::Display for BiFlowJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_stream;
     use crate::JoinPredicate;
-    use hwsim::Simulator;
     use joinsw::baseline::reference_join;
     use std::collections::HashMap;
-
-    fn drive(
-        join: &mut BiFlowJoin,
-        inputs: &[(StreamTag, Tuple)],
-        max_cycles: u64,
-    ) -> Vec<MatchPair> {
-        drive_counted(join, inputs, max_cycles).0
-    }
-
-    /// [`drive`] that also returns the cycles to quiescence.
-    fn drive_counted(
-        join: &mut BiFlowJoin,
-        inputs: &[(StreamTag, Tuple)],
-        max_cycles: u64,
-    ) -> (Vec<MatchPair>, u64) {
-        let mut sim = Simulator::new();
-        let mut idx = 0;
-        while idx < inputs.len() {
-            let (tag, t) = inputs[idx];
-            if join.offer(tag, t) {
-                idx += 1;
-            }
-            sim.step(join);
-            assert!(sim.cycle() < max_cycles, "inputs not accepted in time");
-        }
-        assert!(
-            sim.run_until(join, max_cycles, |j| j.quiescent()),
-            "chain did not quiesce"
-        );
-        (join.drain_results(), sim.cycle())
-    }
 
     fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
         let mut m = HashMap::new();
@@ -608,7 +563,7 @@ mod tests {
             let params = DesignParams::new(FlowModel::BiFlow, cores, window);
             let mut join = BiFlowJoin::new(&params).with_variant(variant);
             join.program(JoinOperator::equi(cores));
-            let (got, took) = drive_counted(&mut join, &inputs, 2_000_000);
+            let (got, took) = run_stream(&mut join, &inputs, 2_000_000).expect("chain settles");
             let want = reference_join(&inputs, window, JoinPredicate::Equi);
             assert!(!want.is_empty());
             if variant == BiflowVariant::LowLatency {
@@ -635,7 +590,9 @@ mod tests {
         let params = DesignParams::new(FlowModel::BiFlow, 4, 16);
         let mut join = BiFlowJoin::new(&params);
         join.program(JoinOperator::equi(4));
-        let got = drive(&mut join, &inputs, 4_000_000);
+        let got = run_stream(&mut join, &inputs, 4_000_000)
+            .expect("chain settles")
+            .0;
         let want = reference_join(&inputs, 16, JoinPredicate::Equi);
         assert_eq!(as_multiset(&got), as_multiset(&want));
     }
@@ -663,7 +620,7 @@ mod tests {
         ] {
             let mut join = BiFlowJoin::new(&params).with_variant(variant);
             join.program(JoinOperator::equi(4));
-            let (got, took) = drive_counted(&mut join, &inputs, 1_000_000);
+            let (got, took) = run_stream(&mut join, &inputs, 1_000_000).expect("chain settles");
             if variant == BiflowVariant::LowLatency {
                 assert_eq!(
                     as_multiset(&got),
@@ -710,16 +667,14 @@ mod tests {
                 .map(|i| Tuple::new(i + 1000, i))
                 .collect();
             join.prefill(&r, &s);
-            let mut sim = Simulator::new();
-            let mut sent = 0;
-            while sent < 8 {
-                if join.offer(StreamTag::R, Tuple::new(1 << 20, sent)) {
-                    sent += 1;
-                }
-                sim.step(&mut join);
-            }
-            sim.run_until(&mut join, 1_000_000, |j| j.quiescent());
-            cycles.push(sim.cycle());
+            let probes: Vec<_> = (0..8)
+                .map(|i| (StreamTag::R, Tuple::new(1 << 20, i)))
+                .collect();
+            cycles.push(
+                run_stream(&mut join, &probes, 1_000_000)
+                    .expect("chain settles")
+                    .1,
+            );
         }
         // More cores does NOT speed up bi-flow materially.
         let ratio = cycles[0] as f64 / cycles[1] as f64;
@@ -743,7 +698,9 @@ mod tests {
         a.program(JoinOperator::equi(2));
         let mut inputs = fill.clone();
         inputs.push(probe);
-        let ra: Vec<_> = drive(&mut a, &inputs, 100_000)
+        let ra: Vec<_> = run_stream(&mut a, &inputs, 100_000)
+            .expect("chain settles")
+            .0
             .into_iter()
             .filter(|m| m.r == Tuple::new(6, 99))
             .collect();
@@ -753,7 +710,9 @@ mod tests {
         let s: Vec<Tuple> = fill.iter().map(|&(_, t)| t).collect();
         // Window is 8 per stream across 2 cores: all fit.
         b.prefill(&[], &s);
-        let rb = drive(&mut b, &[probe], 10_000);
+        let rb = run_stream(&mut b, &[probe], 10_000)
+            .expect("chain settles")
+            .0;
         assert_eq!(as_multiset(&ra), as_multiset(&rb));
         assert_eq!(rb.len(), 1);
     }
@@ -766,7 +725,9 @@ mod tests {
         let params = DesignParams::new(FlowModel::BiFlow, 4, 32);
         let mut original = BiFlowJoin::new(&params).with_variant(BiflowVariant::Original);
         original.program(JoinOperator::equi(4));
-        let got = drive(&mut original, &inputs, 4_000_000);
+        let got = run_stream(&mut original, &inputs, 4_000_000)
+            .expect("chain settles")
+            .0;
 
         // Subset of the strict results: deferral can only delay or drop
         // matches at stream end, never fabricate them.
@@ -802,13 +763,17 @@ mod tests {
         let params = DesignParams::new(FlowModel::BiFlow, 4, 16);
         let mut plain = BiFlowJoin::new(&params);
         plain.program(JoinOperator::equi(4));
-        let want = drive(&mut plain, &inputs, 2_000_000);
+        let want = run_stream(&mut plain, &inputs, 2_000_000)
+            .expect("chain settles")
+            .0;
         assert!(plain.take_trace().is_empty(), "tracing off: no ring");
 
         obs::trace::enable(1);
         let mut traced = BiFlowJoin::new(&params);
         traced.program(JoinOperator::equi(4));
-        let got = drive(&mut traced, &inputs, 2_000_000);
+        let got = run_stream(&mut traced, &inputs, 2_000_000)
+            .expect("chain settles")
+            .0;
         obs::trace::disable();
 
         assert_eq!(as_multiset(&got), as_multiset(&want));

@@ -10,9 +10,15 @@
 //!   results for a newly inserted tuple" — windows are pre-filled with a
 //!   planted match per join core, one probe tuple is injected, and the
 //!   cycle at which the last result reaches the collector is recorded.
+//! * **A finite stream** ([`run_stream`], or [`feed`] and [`settle`] on a
+//!   caller's [`Simulator`]): every input offered in order until accepted,
+//!   then the design stepped to quiescence and its results drained. This
+//!   is the one drive loop for a design's results.
 //!
 //! The analytic models at the bottom cross-validate the cycle-accurate
 //! simulation (see `tests/model_vs_sim.rs` at the workspace root).
+
+use std::fmt;
 
 use hwsim::{Control, Engine, Sharded, Simulator};
 use streamcore::metrics::Throughput;
@@ -53,57 +59,6 @@ pub trait StreamJoin: Sharded {
     }
 }
 
-impl StreamJoin for UniFlowJoin {
-    fn offer(&mut self, tag: StreamTag, tuple: Tuple) -> bool {
-        UniFlowJoin::offer(self, tag, tuple)
-    }
-    fn quiescent(&self) -> bool {
-        UniFlowJoin::quiescent(self)
-    }
-    fn pending_results(&self) -> usize {
-        UniFlowJoin::pending_results(self)
-    }
-    fn drain_results(&mut self) -> Vec<MatchPair> {
-        UniFlowJoin::drain_results(self)
-    }
-    fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
-        UniFlowJoin::prefill(self, r, s)
-    }
-    fn accepted_tuples(&self) -> u64 {
-        UniFlowJoin::accepted_tuples(self)
-    }
-    fn take_trace(&mut self) -> Vec<obs::trace::TraceRing> {
-        UniFlowJoin::take_trace(self)
-    }
-    fn take_provenance(&mut self) -> Option<obs::provenance::ProvenanceTracker> {
-        UniFlowJoin::take_provenance(self)
-    }
-}
-
-impl StreamJoin for BiFlowJoin {
-    fn offer(&mut self, tag: StreamTag, tuple: Tuple) -> bool {
-        BiFlowJoin::offer(self, tag, tuple)
-    }
-    fn quiescent(&self) -> bool {
-        BiFlowJoin::quiescent(self)
-    }
-    fn pending_results(&self) -> usize {
-        BiFlowJoin::pending_results(self)
-    }
-    fn drain_results(&mut self) -> Vec<MatchPair> {
-        BiFlowJoin::drain_results(self)
-    }
-    fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
-        BiFlowJoin::prefill(self, r, s)
-    }
-    fn accepted_tuples(&self) -> u64 {
-        BiFlowJoin::accepted_tuples(self)
-    }
-    fn take_trace(&mut self) -> Vec<obs::trace::TraceRing> {
-        BiFlowJoin::take_trace(self)
-    }
-}
-
 /// Builds the design named by `params`, programmed with an equi-join.
 pub fn build(params: &DesignParams) -> Box<dyn StreamJoin> {
     let op = crate::JoinOperator::equi(params.num_cores);
@@ -119,6 +74,85 @@ pub fn build(params: &DesignParams) -> Box<dyn StreamJoin> {
             Box::new(j)
         }
     }
+}
+
+/// A design that did not make progress within a driver's cycle bound:
+/// the cycles the stalled call stepped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stall(pub u64);
+
+impl fmt::Display for Stall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "design stalled for {} cycles", self.0)
+    }
+}
+
+impl std::error::Error for Stall {}
+
+/// Offers `inputs` in order, stepping `sim` once per attempt and retrying
+/// each input until the design accepts it.
+///
+/// # Errors
+///
+/// Returns a [`Stall`] once `max_cycles` cycles pass with input left.
+pub fn feed(
+    sim: &mut Simulator,
+    join: &mut dyn StreamJoin,
+    inputs: &[(StreamTag, Tuple)],
+    max_cycles: u64,
+) -> Result<(), Stall> {
+    let start = sim.cycle();
+    for &(tag, tuple) in inputs {
+        loop {
+            if sim.cycle() - start >= max_cycles {
+                return Err(Stall(max_cycles));
+            }
+            let taken = join.offer(tag, tuple);
+            sim.step(join);
+            if taken {
+                break;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Steps `sim` until the design is quiescent, then drains its results.
+///
+/// # Errors
+///
+/// Returns a [`Stall`] if the design is still busy after `max_cycles`.
+pub fn settle(
+    sim: &mut Simulator,
+    join: &mut dyn StreamJoin,
+    max_cycles: u64,
+) -> Result<Vec<MatchPair>, Stall> {
+    let start = sim.cycle();
+    while !join.quiescent() {
+        if sim.cycle() - start >= max_cycles {
+            return Err(Stall(max_cycles));
+        }
+        sim.step(join);
+    }
+    Ok(join.drain_results())
+}
+
+/// Runs a finite stream through `join` on a fresh [`Simulator`]:
+/// [`feed`], then [`settle`], each within `max_cycles`. Returns the
+/// results and the cycles the run took.
+///
+/// # Errors
+///
+/// Returns the [`Stall`] of whichever phase ran out of cycles.
+pub fn run_stream(
+    join: &mut dyn StreamJoin,
+    inputs: &[(StreamTag, Tuple)],
+    max_cycles: u64,
+) -> Result<(Vec<MatchPair>, u64), Stall> {
+    let mut sim = Simulator::new();
+    feed(&mut sim, join, inputs, max_cycles)?;
+    let results = settle(&mut sim, join, max_cycles)?;
+    Ok((results, sim.cycle()))
 }
 
 /// Fills both windows to capacity with non-matching keys (distinct per

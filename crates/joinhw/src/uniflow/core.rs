@@ -61,7 +61,10 @@ impl WindowStore {
         }
     }
 
-    /// The `idx`-th tuple of the open probe's scan.
+    /// The `idx`-th tuple of the open probe's scan. Read every scan
+    /// cycle, so `#[inline]`: whether `JoinCore::eval` inlines it must not
+    /// depend on which codegen unit holds `SubWindow::read`.
+    #[inline]
     fn probe_read(&mut self, hits: &[Tuple], idx: usize) -> Tuple {
         match self {
             WindowStore::Nested(w) => w.read(idx),

@@ -10,41 +10,35 @@ pub use self::network::{DistributionNetwork, GatheringNetwork};
 use hwsim::{Component, Shard, Sharded};
 use streamcore::{Frame, MatchPair, StreamTag, Tuple};
 
+use crate::harness::StreamJoin;
 use crate::{DesignParams, FlowModel, JoinOperator};
 
 /// The complete uni-flow parallel stream join design.
 ///
-/// Drive it like hardware: [`offer`](UniFlowJoin::offer) frames into the
+/// Drive it like hardware: [`offer`](StreamJoin::offer) frames into the
 /// distribution network (one per cycle at most), step the clock via the
 /// [`Component`] interface, and read joined pairs from
-/// [`drain_results`](UniFlowJoin::drain_results).
+/// [`drain_results`](StreamJoin::drain_results).
+/// [`harness::run_stream`](crate::harness::run_stream) is that loop.
 ///
 /// # Example
 ///
 /// ```
-/// use hwsim::Simulator;
+/// use joinhw::harness::run_stream;
 /// use joinhw::uniflow::UniFlowJoin;
 /// use joinhw::{DesignParams, FlowModel, JoinOperator};
 /// use streamcore::{StreamTag, Tuple};
 ///
 /// let params = DesignParams::new(FlowModel::UniFlow, 4, 64);
 /// let mut join = UniFlowJoin::new(&params);
-/// let mut sim = Simulator::new();
 /// join.program(JoinOperator::equi(4));
 ///
 /// // Feed one S tuple, then a matching R tuple.
-/// for (tag, key) in [(StreamTag::S, 7), (StreamTag::R, 7)] {
-///     while !join.offer(tag, Tuple::new(key, 0)) {
-///         sim.step(&mut join);
-///     }
-///     sim.step(&mut join);
-/// }
-/// while !join.quiescent() {
-///     sim.step(&mut join);
-/// }
-/// let results = join.drain_results();
+/// let inputs = [(StreamTag::S, Tuple::new(7, 0)), (StreamTag::R, Tuple::new(7, 0))];
+/// let (results, _cycles) = run_stream(&mut join, &inputs, 10_000)?;
 /// assert_eq!(results.len(), 1);
 /// assert_eq!(results[0].r.key(), 7);
+/// # Ok::<(), joinhw::harness::Stall>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniFlowJoin {
@@ -124,11 +118,6 @@ impl UniFlowJoin {
         }
     }
 
-    /// The design parameters.
-    pub fn params(&self) -> &DesignParams {
-        &self.params
-    }
-
     /// Queues the two operator-instruction frames for broadcast; they are
     /// injected ahead of data tuples as input slots free up.
     ///
@@ -149,9 +138,36 @@ impl UniFlowJoin {
         self.pending_program.push(Frame::Operator(words[1]));
     }
 
+    /// Stamps `stage` for the in-flight sample at the current cycle (if
+    /// the sample is due for it) and mirrors the stage as a span on the
+    /// coordinator ring.
+    fn stamp_stage(&mut self, stage: obs::provenance::Stage, name: &'static str) {
+        let Some(p) = self.prov.as_mut() else { return };
+        if let Some((from, to)) = p.tracker.stamp(stage, self.cycle) {
+            if let Some(ring) = self.coord_ring.as_mut() {
+                ring.record(name, from, to - from);
+            }
+        }
+    }
+
+    /// Aggregated per-core statistics.
+    pub fn core_stats(&self) -> CoreStats {
+        let mut total = CoreStats::default();
+        for c in &self.cores {
+            let s = c.stats();
+            total.tuples_processed += s.tuples_processed;
+            total.comparisons += s.comparisons;
+            total.matches += s.matches;
+            total.stored += s.stored;
+        }
+        total
+    }
+}
+
+impl StreamJoin for UniFlowJoin {
     /// Offers one tuple to the input port. Returns `false` when
     /// back-pressured (or while operator frames are still queued).
-    pub fn offer(&mut self, tag: StreamTag, tuple: Tuple) -> bool {
+    fn offer(&mut self, tag: StreamTag, tuple: Tuple) -> bool {
         if !self.pending_program.is_empty() || !self.dist.can_accept() {
             return false;
         }
@@ -177,68 +193,32 @@ impl UniFlowJoin {
         ok
     }
 
-    /// Stamps `stage` for the in-flight sample at the current cycle (if
-    /// the sample is due for it) and mirrors the stage as a span on the
-    /// coordinator ring.
-    fn stamp_stage(&mut self, stage: obs::provenance::Stage, name: &'static str) {
-        let Some(p) = self.prov.as_mut() else { return };
-        if let Some((from, to)) = p.tracker.stamp(stage, self.cycle) {
-            if let Some(ring) = self.coord_ring.as_mut() {
-                ring.record(name, from, to - from);
-            }
-        }
-    }
-
-    /// Number of data tuples accepted by the input port so far.
-    pub fn accepted_tuples(&self) -> u64 {
-        self.accepted_tuples
-    }
-
-    /// Removes and returns all results collected so far.
-    pub fn drain_results(&mut self) -> Vec<MatchPair> {
-        // The sample's results leave the design when the harness drains
-        // them — that is its Emit stamp (a no-op until Gather is done).
-        self.stamp_stage(obs::provenance::Stage::Emit, "emit");
-        std::mem::take(&mut self.collected)
-    }
-
-    /// Detaches every span ring in the design — the coordinator's
-    /// stage-latency ring plus one probe ring per core. Empty unless
-    /// tracing was enabled when the design was built.
-    pub fn take_trace(&mut self) -> Vec<obs::trace::TraceRing> {
-        let mut rings: Vec<_> = self.coord_ring.take().into_iter().collect();
-        rings.extend(self.cores.iter_mut().filter_map(JoinCore::take_ring));
-        rings
-    }
-
-    /// Detaches the per-tuple provenance tracker (abandoning any
-    /// incomplete sample). `None` unless tracing was enabled when the
-    /// design was built.
-    pub fn take_provenance(&mut self) -> Option<obs::provenance::ProvenanceTracker> {
-        self.prov.take().map(|mut p| {
-            p.tracker.abandon();
-            p.tracker
-        })
-    }
-
-    /// Results collected and not yet drained.
-    pub fn pending_results(&self) -> usize {
-        self.collected.len()
-    }
-
     /// `true` when every queue, core, and network in the design is empty.
-    pub fn quiescent(&self) -> bool {
+    fn quiescent(&self) -> bool {
         self.pending_program.is_empty()
             && self.dist.is_empty()
             && self.gather.is_empty()
             && self.cores.iter().all(JoinCore::quiescent)
     }
 
+    /// Results collected and not yet drained.
+    fn pending_results(&self) -> usize {
+        self.collected.len()
+    }
+
+    /// Removes and returns all results collected so far.
+    fn drain_results(&mut self) -> Vec<MatchPair> {
+        // The sample's results leave the design when the harness drains
+        // them — that is its Emit stamp (a no-op until Gather is done).
+        self.stamp_stage(obs::provenance::Stage::Emit, "emit");
+        std::mem::take(&mut self.collected)
+    }
+
     /// Direct pre-fill of the sliding windows (bypasses the clocked data
     /// path): `r` and `s` are distributed round-robin exactly as the
     /// storage cores would, and the storage counters are advanced so
     /// subsequent live tuples continue the rotation seamlessly.
-    pub fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
+    fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
         let n = self.cores.len();
         for (i, &t) in r.iter().enumerate() {
             self.cores[i % n].prefill(StreamTag::R, t);
@@ -251,17 +231,28 @@ impl UniFlowJoin {
         }
     }
 
-    /// Aggregated per-core statistics.
-    pub fn core_stats(&self) -> CoreStats {
-        let mut total = CoreStats::default();
-        for c in &self.cores {
-            let s = c.stats();
-            total.tuples_processed += s.tuples_processed;
-            total.comparisons += s.comparisons;
-            total.matches += s.matches;
-            total.stored += s.stored;
-        }
-        total
+    /// Number of data tuples accepted by the input port so far.
+    fn accepted_tuples(&self) -> u64 {
+        self.accepted_tuples
+    }
+
+    /// Detaches every span ring in the design — the coordinator's
+    /// stage-latency ring plus one probe ring per core. Empty unless
+    /// tracing was enabled when the design was built.
+    fn take_trace(&mut self) -> Vec<obs::trace::TraceRing> {
+        let mut rings: Vec<_> = self.coord_ring.take().into_iter().collect();
+        rings.extend(self.cores.iter_mut().filter_map(JoinCore::take_ring));
+        rings
+    }
+
+    /// Detaches the per-tuple provenance tracker (abandoning any
+    /// incomplete sample). `None` unless tracing was enabled when the
+    /// design was built.
+    fn take_provenance(&mut self) -> Option<obs::provenance::ProvenanceTracker> {
+        self.prov.take().map(|mut p| {
+            p.tracker.abandon();
+            p.tracker
+        })
     }
 }
 
@@ -360,40 +351,12 @@ impl Sharded for UniFlowJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{feed, run_stream, settle};
     use crate::JoinPredicate;
     use crate::NetworkKind;
     use hwsim::Simulator;
     use joinsw::baseline::reference_join;
     use std::collections::HashMap;
-
-    fn drive(
-        join: &mut UniFlowJoin,
-        inputs: &[(StreamTag, Tuple)],
-        max_cycles: u64,
-    ) -> Vec<MatchPair> {
-        drive_counted(join, inputs, max_cycles).0
-    }
-
-    /// [`drive`], also returning the cycles the run took.
-    fn drive_counted(
-        join: &mut UniFlowJoin,
-        inputs: &[(StreamTag, Tuple)],
-        max_cycles: u64,
-    ) -> (Vec<MatchPair>, u64) {
-        let mut sim = Simulator::new();
-        let mut idx = 0;
-        while idx < inputs.len() {
-            let (tag, t) = inputs[idx];
-            if join.offer(tag, t) {
-                idx += 1;
-            }
-            sim.step(join);
-            assert!(sim.cycle() < max_cycles, "inputs not accepted in time");
-        }
-        let ok = sim.run_until(join, max_cycles, |j| j.quiescent());
-        assert!(ok, "design did not quiesce");
-        (join.drain_results(), sim.cycle())
-    }
 
     fn as_multiset(results: &[MatchPair]) -> HashMap<(u64, u64), u32> {
         let mut m = HashMap::new();
@@ -419,7 +382,9 @@ mod tests {
             let params = DesignParams::new(FlowModel::UniFlow, cores, 64);
             let mut join = UniFlowJoin::new(&params);
             join.program(JoinOperator::equi(cores));
-            let got = drive(&mut join, &inputs, 200_000);
+            let got = run_stream(&mut join, &inputs, 200_000)
+                .expect("design settles")
+                .0;
             let want = reference_join(&inputs, 64, JoinPredicate::Equi);
             assert_eq!(
                 as_multiset(&got),
@@ -437,7 +402,9 @@ mod tests {
         let params = DesignParams::new(FlowModel::UniFlow, 4, 16);
         let mut join = UniFlowJoin::new(&params);
         join.program(JoinOperator::equi(4));
-        let got = drive(&mut join, &inputs, 400_000);
+        let got = run_stream(&mut join, &inputs, 400_000)
+            .expect("design settles")
+            .0;
         let want = reference_join(&inputs, 16, JoinPredicate::Equi);
         assert_eq!(as_multiset(&got), as_multiset(&want));
     }
@@ -451,8 +418,12 @@ mod tests {
         let mut b = UniFlowJoin::new(&sc);
         a.program(JoinOperator::equi(8));
         b.program(JoinOperator::equi(8));
-        let ra = drive(&mut a, &inputs, 400_000);
-        let rb = drive(&mut b, &inputs, 400_000);
+        let ra = run_stream(&mut a, &inputs, 400_000)
+            .expect("design settles")
+            .0;
+        let rb = run_stream(&mut b, &inputs, 400_000)
+            .expect("design settles")
+            .0;
         assert_eq!(as_multiset(&ra), as_multiset(&rb));
     }
 
@@ -468,27 +439,18 @@ mod tests {
         join.program(JoinOperator::equi(cores));
         let mut sim = Simulator::new();
 
-        let offer_all =
-            |join: &mut UniFlowJoin, sim: &mut Simulator, inputs: &[(StreamTag, Tuple)]| {
-                let mut idx = 0;
-                while idx < inputs.len() {
-                    let (tag, t) = inputs[idx];
-                    if join.offer(tag, t) {
-                        idx += 1;
-                    }
-                    sim.step(join);
-                }
-            };
-
         // Phase 1 under equi: store S keys 10, 20; probe with 11 (miss).
         let phase1: Vec<(StreamTag, Tuple)> = vec![
             (StreamTag::S, Tuple::new(10, 0)),
             (StreamTag::S, Tuple::new(20, 1)),
             (StreamTag::R, Tuple::new(11, 2)),
         ];
-        offer_all(&mut join, &mut sim, &phase1);
-        sim.run_until(&mut join, 10_000, |j| j.quiescent());
-        assert!(join.drain_results().is_empty(), "equi: 11 matches nothing");
+        feed(&mut sim, &mut join, &phase1, u64::MAX).expect("unbounded");
+        let results = settle(&mut sim, &mut join, 10_000);
+        assert!(
+            results.is_ok_and(|r| r.is_empty()),
+            "equi: 11 matches nothing"
+        );
 
         // Live re-program to a band join (|Δkey| <= 1), then re-probe.
         join.program(JoinOperator {
@@ -496,9 +458,8 @@ mod tests {
             predicate: crate::JoinPredicate::Band { delta: 1 },
         });
         let phase2 = vec![(StreamTag::R, Tuple::new(11, 3))];
-        offer_all(&mut join, &mut sim, &phase2);
-        assert!(sim.run_until(&mut join, 10_000, |j| j.quiescent()));
-        let results = join.drain_results();
+        feed(&mut sim, &mut join, &phase2, u64::MAX).expect("unbounded");
+        let results = settle(&mut sim, &mut join, 10_000).expect("design settles");
         assert_eq!(results.len(), 1, "band: 11 matches stored 10");
         assert_eq!(results[0].s, Tuple::new(10, 0));
         // Re-programming resets the round-robin counters but the windows
@@ -516,8 +477,12 @@ mod tests {
         let mut b = UniFlowJoin::new(&hashed);
         a.program(JoinOperator::equi(4));
         b.program(JoinOperator::equi(4));
-        let ra = drive(&mut a, &inputs, 400_000);
-        let rb = drive(&mut b, &inputs, 400_000);
+        let ra = run_stream(&mut a, &inputs, 400_000)
+            .expect("design settles")
+            .0;
+        let rb = run_stream(&mut b, &inputs, 400_000)
+            .expect("design settles")
+            .0;
         assert_eq!(as_multiset(&ra), as_multiset(&rb));
         assert!(!ra.is_empty());
     }
@@ -532,7 +497,7 @@ mod tests {
             let params = DesignParams::new(FlowModel::UniFlow, 4, 32).with_algorithm(algorithm);
             let mut join = UniFlowJoin::new(&params);
             join.program(JoinOperator::equi(4));
-            drive(&mut join, &inputs, 400_000);
+            run_stream(&mut join, &inputs, 400_000).expect("design settles");
             let stats = join.core_stats();
             counts.push((stats.comparisons, stats.matches));
         }
@@ -564,7 +529,11 @@ mod tests {
             let params = base.with_fanout(fanout);
             let mut join = UniFlowJoin::new(&params);
             join.program(JoinOperator::equi(16));
-            let results = as_multiset(&drive(&mut join, &inputs, 400_000));
+            let results = as_multiset(
+                &run_stream(&mut join, &inputs, 400_000)
+                    .expect("design settles")
+                    .0,
+            );
             match &reference {
                 None => reference = Some(results),
                 Some(want) => assert_eq!(&results, want, "fan-out {fanout}"),
@@ -583,7 +552,9 @@ mod tests {
         a.program(JoinOperator::equi(4));
         let mut inputs = fill.clone();
         inputs.push(probe);
-        let ra = drive(&mut a, &inputs, 400_000);
+        let ra = run_stream(&mut a, &inputs, 400_000)
+            .expect("design settles")
+            .0;
 
         // Variant B: prefill directly, then stream only the probe.
         let mut b = UniFlowJoin::new(&params);
@@ -599,7 +570,9 @@ mod tests {
             .map(|&(_, t)| t)
             .collect();
         b.prefill(&r, &s);
-        let rb = drive(&mut b, &[probe], 10_000);
+        let rb = run_stream(&mut b, &[probe], 10_000)
+            .expect("design settles")
+            .0;
 
         // A's results include fill-phase matches; B's only the probe's.
         let probe_matches_a: Vec<_> = ra
@@ -616,7 +589,7 @@ mod tests {
         let mut join = UniFlowJoin::new(&params);
         join.program(JoinOperator::equi(2));
         let inputs = workload(50, 4);
-        drive(&mut join, &inputs, 100_000);
+        run_stream(&mut join, &inputs, 100_000).expect("design settles");
         assert_eq!(join.accepted_tuples(), 50);
     }
 
@@ -636,17 +609,12 @@ mod tests {
                 .map(|i| Tuple::new(i + window as u32, i))
                 .collect();
             join.prefill(&r, &s);
-            let mut sim = Simulator::new();
             // Push 64 more tuples at max rate.
-            let mut sent = 0u32;
-            while sent < 64 {
-                if join.offer(StreamTag::R, Tuple::new(1 << 20, sent)) {
-                    sent += 1;
-                }
-                sim.step(&mut join);
-            }
-            sim.run_until(&mut join, 1_000_000, |j| j.quiescent());
-            cycles_by_cores.push(sim.cycle());
+            let probes: Vec<_> = (0..64)
+                .map(|i| (StreamTag::R, Tuple::new(1 << 20, i)))
+                .collect();
+            let (_, cycles) = run_stream(&mut join, &probes, 1_000_000).expect("design settles");
+            cycles_by_cores.push(cycles);
         }
         // Halving ratio within tolerance.
         for w in cycles_by_cores.windows(2) {
@@ -665,7 +633,9 @@ mod tests {
         let params = DesignParams::new(FlowModel::UniFlow, 4, 32);
         let mut plain = UniFlowJoin::new(&params);
         plain.program(JoinOperator::equi(4));
-        let want = drive(&mut plain, &inputs, 200_000);
+        let want = run_stream(&mut plain, &inputs, 200_000)
+            .expect("design settles")
+            .0;
         assert!(plain.take_trace().is_empty(), "tracing off: no rings");
         assert!(plain.take_provenance().is_none(), "tracing off: no tracker");
 
@@ -737,13 +707,13 @@ mod tests {
         let params = DesignParams::new(FlowModel::UniFlow, 4, 32);
         let mut plain = UniFlowJoin::new(&params);
         plain.program(JoinOperator::equi(4));
-        let (want, want_cycles) = drive_counted(&mut plain, &inputs, 200_000);
+        let (want, want_cycles) = run_stream(&mut plain, &inputs, 200_000).expect("design settles");
 
         obs::trace::enable(1);
         let mut traced = UniFlowJoin::new(&params);
         obs::trace::disable();
         traced.program(JoinOperator::equi(4));
-        let (got, cycles) = drive_counted(&mut traced, &inputs, 200_000);
+        let (got, cycles) = run_stream(&mut traced, &inputs, 200_000).expect("design settles");
 
         assert_eq!(as_multiset(&got), as_multiset(&want));
         assert_eq!(cycles, want_cycles, "tracing must not move a cycle");

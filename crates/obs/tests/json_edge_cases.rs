@@ -78,6 +78,19 @@ fn deep_nesting_round_trips() {
 }
 
 #[test]
+fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+    for open in ["[", "{\"d\":"] {
+        let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+    }
+    // 512 nested arrays still parse; one more does not.
+    let deepest = format!("{}{}", "[".repeat(512), "]".repeat(512));
+    assert!(Json::parse(&deepest).is_ok());
+    let past = format!("{}{}", "[".repeat(513), "]".repeat(513));
+    assert!(Json::parse(&past).is_err());
+}
+
+#[test]
 fn u64_boundaries_stay_exact() {
     for n in [
         0u64,

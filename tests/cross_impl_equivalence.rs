@@ -2,7 +2,8 @@
 //! equi-join — uni-flow hardware (both network variants), bi-flow
 //! hardware, multithreaded software SplitJoin, software handshake join
 //! (serialized), and the single-threaded reference — produces the same
-//! result multiset on the same workload.
+//! result multiset on the same workload; both hardware designs also
+//! under a band and an ordering predicate.
 //!
 //! The second half of the file pins *run-to-run determinism*: two runs
 //! of the same SplitJoin configuration must agree — results, counts,
@@ -20,8 +21,8 @@
 
 mod common;
 
-use accel_landscape::hwsim::Simulator;
 use accel_landscape::joinhw::biflow::BiFlowJoin;
+use accel_landscape::joinhw::harness::run_stream;
 use accel_landscape::joinhw::uniflow::UniFlowJoin;
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinOperator, NetworkKind};
 use accel_landscape::joinsw::baseline::reference_join;
@@ -37,44 +38,32 @@ use common::{as_multiset, workload};
 const CORES: u32 = 4;
 const WINDOW: usize = 32;
 
-fn run_uniflow(inputs: &[(StreamTag, Tuple)], network: NetworkKind) -> Vec<MatchPair> {
+fn run_uniflow(
+    inputs: &[(StreamTag, Tuple)],
+    network: NetworkKind,
+    predicate: JoinPredicate,
+) -> Vec<MatchPair> {
     let params = DesignParams::new(FlowModel::UniFlow, CORES, WINDOW).with_network(network);
     let mut join = UniFlowJoin::new(&params);
-    join.program(JoinOperator::equi(CORES));
-    drive_hw(&mut join, inputs)
+    join.program(JoinOperator {
+        num_cores: CORES,
+        predicate,
+    });
+    run_stream(&mut join, inputs, 10_000_000)
+        .expect("uni-flow stalled")
+        .0
 }
 
-fn run_biflow(inputs: &[(StreamTag, Tuple)]) -> Vec<MatchPair> {
+fn run_biflow(inputs: &[(StreamTag, Tuple)], predicate: JoinPredicate) -> Vec<MatchPair> {
     let params = DesignParams::new(FlowModel::BiFlow, CORES, WINDOW);
     let mut join = BiFlowJoin::new(&params);
-    join.program(JoinOperator::equi(CORES));
-    let mut sim = Simulator::new();
-    let mut idx = 0;
-    while idx < inputs.len() {
-        let (tag, t) = inputs[idx];
-        if join.offer(tag, t) {
-            idx += 1;
-        }
-        sim.step(&mut join);
-        assert!(sim.cycle() < 50_000_000, "bi-flow stalled");
-    }
-    assert!(sim.run_until(&mut join, 50_000_000, |j| j.quiescent()));
-    join.drain_results()
-}
-
-fn drive_hw(join: &mut UniFlowJoin, inputs: &[(StreamTag, Tuple)]) -> Vec<MatchPair> {
-    let mut sim = Simulator::new();
-    let mut idx = 0;
-    while idx < inputs.len() {
-        let (tag, t) = inputs[idx];
-        if join.offer(tag, t) {
-            idx += 1;
-        }
-        sim.step(join);
-        assert!(sim.cycle() < 10_000_000, "uni-flow stalled");
-    }
-    assert!(sim.run_until(join, 10_000_000, |j| j.quiescent()));
-    join.drain_results()
+    join.program(JoinOperator {
+        num_cores: CORES,
+        predicate,
+    });
+    run_stream(&mut join, inputs, 50_000_000)
+        .expect("bi-flow stalled")
+        .0
 }
 
 fn run_splitjoin_sw(inputs: &[(StreamTag, Tuple)]) -> Vec<MatchPair> {
@@ -102,16 +91,28 @@ fn all_five_realizations_agree_with_the_reference() {
     assert!(!want.is_empty(), "workload must produce matches");
 
     assert_eq!(
-        as_multiset(&run_uniflow(&inputs, NetworkKind::Lightweight)),
+        as_multiset(&run_uniflow(
+            &inputs,
+            NetworkKind::Lightweight,
+            JoinPredicate::Equi
+        )),
         want,
         "uni-flow hardware (lightweight)"
     );
     assert_eq!(
-        as_multiset(&run_uniflow(&inputs, NetworkKind::Scalable)),
+        as_multiset(&run_uniflow(
+            &inputs,
+            NetworkKind::Scalable,
+            JoinPredicate::Equi
+        )),
         want,
         "uni-flow hardware (scalable)"
     );
-    assert_eq!(as_multiset(&run_biflow(&inputs)), want, "bi-flow hardware");
+    assert_eq!(
+        as_multiset(&run_biflow(&inputs, JoinPredicate::Equi)),
+        want,
+        "bi-flow hardware"
+    );
     assert_eq!(
         as_multiset(&run_splitjoin_sw(&inputs)),
         want,
@@ -125,12 +126,39 @@ fn all_five_realizations_agree_with_the_reference() {
 }
 
 #[test]
+fn both_hardware_designs_agree_with_the_reference_off_equi() {
+    // A band and an ordering predicate reach every core's comparator the
+    // way the equi-join does: each design must still equal the reference.
+    let inputs = workload(300, 16, 7);
+    for predicate in [JoinPredicate::Band { delta: 2 }, JoinPredicate::LessThan] {
+        let want = as_multiset(&reference_join(&inputs, WINDOW, predicate));
+        assert!(!want.is_empty(), "{predicate:?} must produce matches");
+        for network in [NetworkKind::Lightweight, NetworkKind::Scalable] {
+            assert_eq!(
+                as_multiset(&run_uniflow(&inputs, network, predicate)),
+                want,
+                "uni-flow hardware ({network:?}) under {predicate:?}"
+            );
+        }
+        assert_eq!(
+            as_multiset(&run_biflow(&inputs, predicate)),
+            want,
+            "bi-flow hardware under {predicate:?}"
+        );
+    }
+}
+
+#[test]
 fn equivalence_holds_across_seeds_and_selectivities() {
     for (seed, domain) in [(1u64, 4u32), (2, 16), (3, 64)] {
         let inputs = workload(300, domain, seed);
         let want = as_multiset(&reference_join(&inputs, WINDOW, JoinPredicate::Equi));
         assert_eq!(
-            as_multiset(&run_uniflow(&inputs, NetworkKind::Lightweight)),
+            as_multiset(&run_uniflow(
+                &inputs,
+                NetworkKind::Lightweight,
+                JoinPredicate::Equi
+            )),
             want,
             "seed {seed} domain {domain} (hw)"
         );
@@ -398,12 +426,16 @@ fn equivalence_holds_under_bursty_arrivals() {
         let want = as_multiset(&reference_join(&inputs, WINDOW, JoinPredicate::Equi));
         assert!(!want.is_empty());
         assert_eq!(
-            as_multiset(&run_uniflow(&inputs, NetworkKind::Scalable)),
+            as_multiset(&run_uniflow(
+                &inputs,
+                NetworkKind::Scalable,
+                JoinPredicate::Equi
+            )),
             want,
             "burst {burst} (uni-flow hw)"
         );
         assert_eq!(
-            as_multiset(&run_biflow(&inputs)),
+            as_multiset(&run_biflow(&inputs, JoinPredicate::Equi)),
             want,
             "burst {burst} (bi-flow hw)"
         );

@@ -120,7 +120,13 @@ fn on_the_bridge(plan: &Plan, arrivals: &[Arrival]) -> Vec<Vec<u64>> {
     for (tag, values) in arrivals {
         hw.push(stream(*tag), Record::new(values.clone())).unwrap();
     }
-    sorted(hw.finish().iter().map(|r| r.values().to_vec()).collect())
+    sorted(
+        hw.finish()
+            .unwrap()
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect(),
+    )
 }
 
 fn on_the_runtime(catalog: &Catalog, query: &Query, arrivals: &[Arrival]) -> Vec<Vec<u64>> {

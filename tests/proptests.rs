@@ -4,7 +4,8 @@
 
 mod common;
 
-use accel_landscape::hwsim::{Fifo, Simulator};
+use accel_landscape::hwsim::Fifo;
+use accel_landscape::joinhw::harness::run_stream;
 use accel_landscape::joinhw::uniflow::UniFlowJoin;
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinOperator, JoinPredicate};
 use accel_landscape::joinsw::baseline::reference_join;
@@ -36,21 +37,12 @@ proptest! {
         let params = DesignParams::new(FlowModel::UniFlow, cores, window);
         let mut join = UniFlowJoin::new(&params);
         join.program(JoinOperator::equi(cores));
-        let mut sim = Simulator::new();
-        let mut idx = 0;
-        while idx < inputs.len() {
-            let (tag, t) = inputs[idx];
-            if join.offer(tag, t) {
-                idx += 1;
-            }
-            sim.step(&mut join);
-            prop_assert!(sim.cycle() < 2_000_000, "stalled");
-        }
-        prop_assert!(sim.run_until(&mut join, 2_000_000, |j| j.quiescent()));
+        let (got, _) = run_stream(&mut join, &inputs, 2_000_000)
+            .map_err(|stall| TestCaseError::fail(format!("stalled: {stall}")))?;
         // Effective window: cores x ceil(window/cores).
         let effective = cores as usize * window.div_ceil(cores as usize);
         let want = reference_join(&inputs, effective, JoinPredicate::Equi);
-        prop_assert_eq!(as_multiset(&join.drain_results()), as_multiset(&want));
+        prop_assert_eq!(as_multiset(&got), as_multiset(&want));
     }
 
     /// The multithreaded software SplitJoin implements strict semantics.
