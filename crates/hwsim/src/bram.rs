@@ -1,13 +1,14 @@
-//! A block-RAM model with port accounting and activity counters.
+//! A block-RAM model: words are plain values, checked for dual-port use in
+//! debug builds.
 
 /// On-chip block RAM holding `capacity` words of type `T`.
 ///
 /// Models a true-dual-port BRAM: at most two accesses (reads or writes in
-/// any combination) per clock cycle, enforced with `debug_assert!` so that
-/// release-mode sweeps pay no cost. The access counters ([`Bram::stats`])
-/// are diagnostics: nothing in the workspace reads them, and the power
-/// model takes its activity factors from `DesignParams::activity()`
-/// constants instead.
+/// any combination) per clock cycle. The port count exists only under
+/// `debug_assertions`, so release-mode sweeps pay nothing for the check.
+/// A word never written reads `T::default()`, as a RAM initialised to
+/// zero at configuration does. There are no access counters: the power
+/// model takes its activity factors from `DesignParams::activity()`.
 ///
 /// Reads return data immediately; designs that depend on the one-cycle
 /// synchronous-read latency of a real BRAM account for it in their FSM cycle
@@ -23,49 +24,23 @@
 /// let mut w: Bram<u64> = Bram::new(16);
 /// w.begin_cycle();
 /// w.write(3, 42);
-/// assert_eq!(w.read(3), Some(&42)); // second port, same cycle
+/// assert_eq!(w.read(3), 42); // second port, same cycle
 /// w.begin_cycle();
-/// assert_eq!(w.read(4), None); // never written
+/// assert_eq!(w.read(4), 0); // never written
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bram<T> {
-    words: Vec<Option<T>>,
+    words: Vec<T>,
+    #[cfg(debug_assertions)]
     ports_used: u8,
-    stats: BramStats,
-}
-
-/// Cumulative access counters for a [`Bram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct BramStats {
-    /// Total read accesses since construction (or the last stats reset).
-    pub reads: u64,
-    /// Total write accesses since construction (or the last stats reset).
-    pub writes: u64,
-    /// Total `begin_cycle` calls. A design that opens a BRAM only in the
-    /// cycles it may access it counts those cycles alone: a bi-flow chain
-    /// core counts the cycles the tuple wave spent there.
-    pub cycles: u64,
-}
-
-impl BramStats {
-    /// Fraction of cycles in which at least one port was active.
-    ///
-    /// Upper-bounded at 1.0; with dual-port access patterns the raw
-    /// accesses-per-cycle may exceed one.
-    pub fn activity(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        let accesses = (self.reads + self.writes) as f64;
-        (accesses / self.cycles as f64).min(1.0)
-    }
 }
 
 // The methods a design calls every simulated cycle are `#[inline]`, so
 // each codegen unit of the calling crate can inline them: a design's
 // simulation speed then does not depend on which unit holds its code.
-impl<T> Bram<T> {
-    /// Creates a BRAM with `capacity` addressable words, all unwritten.
+impl<T: Copy + Default> Bram<T> {
+    /// Creates a BRAM with `capacity` addressable words, all
+    /// `T::default()`.
     ///
     /// # Panics
     ///
@@ -73,12 +48,10 @@ impl<T> Bram<T> {
     #[inline]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "bram capacity must be at least 1");
-        let mut words = Vec::with_capacity(capacity);
-        words.resize_with(capacity, || None);
         Self {
-            words,
+            words: vec![T::default(); capacity],
+            #[cfg(debug_assertions)]
             ports_used: 0,
-            stats: BramStats::default(),
         }
     }
 
@@ -88,70 +61,67 @@ impl<T> Bram<T> {
         self.words.len()
     }
 
-    /// Opens a new clock cycle: resets port accounting.
+    /// Opens a new clock cycle: both ports are free again.
     #[inline]
     pub fn begin_cycle(&mut self) {
-        self.ports_used = 0;
-        self.stats.cycles += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.ports_used = 0;
+        }
     }
 
-    /// Reads the word at `addr`, or `None` if that address was never
-    /// written.
+    /// Reads the word at `addr`.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range. In debug builds, panics if more
     /// than two ports are used in one cycle.
     #[inline]
-    pub fn read(&mut self, addr: usize) -> Option<&T> {
+    pub fn read(&mut self, addr: usize) -> T {
         self.use_port();
-        self.stats.reads += 1;
-        self.words[addr].as_ref()
+        self.words[addr]
     }
 
-    /// Writes `value` at `addr`, returning the previous word if present.
+    /// Writes `value` at `addr`, returning the word it replaces.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range. In debug builds, panics if more
     /// than two ports are used in one cycle.
     #[inline]
-    pub fn write(&mut self, addr: usize, value: T) -> Option<T> {
+    pub fn write(&mut self, addr: usize, value: T) -> T {
         self.use_port();
-        self.stats.writes += 1;
-        self.words[addr].replace(value)
+        std::mem::replace(&mut self.words[addr], value)
     }
 
-    /// Writes without port accounting; for pre-filling state before a
-    /// measurement starts.
+    /// Writes `values` from `addr` on without port accounting; for
+    /// pre-filling state before a measurement starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the words run past the end of the RAM.
     #[inline]
-    pub fn load(&mut self, addr: usize, value: T) {
-        self.words[addr] = Some(value);
+    pub fn load(&mut self, addr: usize, values: &[T]) {
+        self.words[addr..addr + values.len()].copy_from_slice(values);
     }
 
-    /// Reads without port or activity accounting — a diagnostic view for
-    /// tests and verification, not part of the modeled design.
+    /// Reads without port accounting — a diagnostic view for tests and
+    /// verification, not part of the modeled design.
     #[inline]
-    pub fn peek(&self, addr: usize) -> Option<&T> {
-        self.words[addr].as_ref()
+    pub fn peek(&self, addr: usize) -> T {
+        self.words[addr]
     }
 
-    /// Cumulative access statistics.
-    pub fn stats(&self) -> BramStats {
-        self.stats
-    }
-
-    /// Resets access statistics (e.g. after warm-up, before measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = BramStats::default();
-    }
-
+    #[inline]
     fn use_port(&mut self) {
-        self.ports_used += 1;
-        debug_assert!(
-            self.ports_used <= 2,
-            "more than two BRAM ports used in one cycle"
-        );
+        #[cfg(debug_assertions)]
+        {
+            self.ports_used += 1;
+            assert!(
+                self.ports_used <= 2,
+                "more than two BRAM ports used in one cycle"
+            );
+        }
     }
 }
 
@@ -166,24 +136,24 @@ mod tests {
         b.write(0, 10);
         b.write(7, 20);
         b.begin_cycle();
-        assert_eq!(b.read(0), Some(&10));
-        assert_eq!(b.read(7), Some(&20));
+        assert_eq!(b.read(0), 10);
+        assert_eq!(b.read(7), 20);
     }
 
     #[test]
-    fn unwritten_address_reads_none() {
+    fn unwritten_address_reads_the_default() {
         let mut b: Bram<u64> = Bram::new(4);
         b.begin_cycle();
-        assert_eq!(b.read(2), None);
+        assert_eq!(b.read(2), 0);
     }
 
     #[test]
     fn write_returns_previous_value() {
         let mut b: Bram<u32> = Bram::new(2);
         b.begin_cycle();
-        assert_eq!(b.write(0, 1), None);
+        assert_eq!(b.write(0, 1), 0);
         b.begin_cycle();
-        assert_eq!(b.write(0, 2), Some(1));
+        assert_eq!(b.write(0, 2), 1);
     }
 
     #[test]
@@ -198,48 +168,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_accesses_and_cycles() {
-        let mut b: Bram<u8> = Bram::new(4);
-        for i in 0..10usize {
-            b.begin_cycle();
-            if i % 2 == 0 {
-                b.write(i % 4, i as u8);
-            }
-        }
-        let s = b.stats();
-        assert_eq!(s.cycles, 10);
-        assert_eq!(s.writes, 5);
-        assert_eq!(s.reads, 0);
-        assert!((s.activity() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn activity_saturates_at_one() {
-        let mut b: Bram<u8> = Bram::new(4);
-        for _ in 0..5 {
-            b.begin_cycle();
-            b.read(0);
-            b.write(1, 1);
-        }
-        assert!((b.stats().activity() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn load_bypasses_port_accounting() {
         let mut b: Bram<u8> = Bram::new(4);
-        b.load(0, 9);
+        b.load(1, &[9, 8, 7]);
         b.begin_cycle();
-        assert_eq!(b.read(0), Some(&9));
-        assert_eq!(b.stats().writes, 0);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut b: Bram<u8> = Bram::new(4);
-        b.begin_cycle();
-        b.write(0, 1);
-        b.reset_stats();
-        assert_eq!(b.stats(), BramStats::default());
+        assert_eq!(b.read(0), 0);
+        assert_eq!(b.read(3), 7);
+        assert_eq!(b.peek(1), 9);
     }
 
     #[test]

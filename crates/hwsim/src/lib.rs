@@ -17,7 +17,8 @@
 //!   sequential [`Simulator`];
 //! * **hardware building blocks**: registered FIFOs ([`Fifo`]), registers
 //!   ([`Register`]), fixed delay lines ([`DelayLine`]), and a block-RAM
-//!   model ([`Bram`]) with port accounting and activity counters;
+//!   model ([`Bram`]) whose words are plain values, its two ports checked
+//!   in debug builds;
 //! * **synthesis-report models**: an FPGA device catalog ([`Device`],
 //!   [`devices`]), LUT/FF/BRAM resource accounting ([`Resources`],
 //!   [`Utilization`]), a fan-out-driven maximum-clock-frequency estimator
@@ -82,7 +83,7 @@ mod resources;
 mod sim;
 mod timing;
 
-pub use bram::{Bram, BramStats};
+pub use bram::Bram;
 pub use device::{devices, Device, Family};
 pub use error::{CapacityError, FifoFullError};
 pub use fifo::Fifo;

@@ -32,20 +32,21 @@ proptest! {
         prop_assert_eq!(out, values);
     }
 
-    /// BRAM reads always return the most recent write per address.
+    /// BRAM reads always return the most recent write per address, and
+    /// the default for an address never written.
     #[test]
     fn bram_is_last_write_wins(ops in prop::collection::vec((0usize..16, any::<u64>()), 1..200)) {
         let mut bram: Bram<u64> = Bram::new(16);
-        let mut model = [None::<u64>; 16];
+        let mut model = [u64::default(); 16];
         for (addr, value) in ops {
             bram.begin_cycle();
-            bram.write(addr, value);
-            model[addr] = Some(value);
+            prop_assert_eq!(bram.write(addr, value), model[addr]);
+            model[addr] = value;
             bram.begin_cycle();
-            prop_assert_eq!(bram.read(addr).copied(), model[addr]);
+            prop_assert_eq!(bram.read(addr), model[addr]);
         }
         for (addr, want) in model.iter().enumerate() {
-            prop_assert_eq!(bram.peek(addr).copied(), *want);
+            prop_assert_eq!(bram.peek(addr), *want);
         }
     }
 

@@ -8,7 +8,8 @@ use streamcore::Tuple;
 /// oldest tuple.
 #[derive(Debug, Clone)]
 pub struct SubWindow {
-    bram: Bram<u64>,
+    bram: Bram<Tuple>,
+    /// The address the next stored tuple goes to.
     head: usize,
     occupancy: usize,
 }
@@ -45,12 +46,12 @@ impl SubWindow {
     /// Stores `tuple`, expiring and returning the oldest stored tuple if
     /// the sub-window was full. Costs one BRAM write port.
     pub fn store(&mut self, tuple: Tuple) -> Option<Tuple> {
-        let expired = self
-            .bram
-            .write(self.head, tuple.raw())
-            .filter(|_| self.occupancy == self.capacity())
-            .map(Tuple::from_raw);
-        self.head = (self.head + 1) % self.capacity();
+        let expired =
+            Some(self.bram.write(self.head, tuple)).filter(|_| self.occupancy == self.capacity());
+        self.head += 1;
+        if self.head == self.capacity() {
+            self.head = 0;
+        }
         if self.occupancy < self.capacity() {
             self.occupancy += 1;
         }
@@ -67,38 +68,44 @@ impl SubWindow {
         assert!(idx < self.occupancy, "read index {idx} out of occupancy");
         let cap = self.capacity();
         let oldest = (self.head + cap - self.occupancy) % cap;
-        let addr = (oldest + idx) % cap;
-        Tuple::from_raw(*self.bram.read(addr).expect("occupied slot"))
+        self.bram.read((oldest + idx) % cap)
     }
 
-    /// Loads a tuple directly, bypassing clocked port accounting — for
-    /// pre-filling windows before a measurement.
-    pub fn load(&mut self, tuple: Tuple) {
+    /// Stores `tuples` in order, bypassing clocked port accounting — for
+    /// pre-filling windows before a measurement. The window then holds
+    /// what [`store`](Self::store) would leave, one tuple at a time: the
+    /// same tuples in the same order, the same occupancy, and the same
+    /// tuple expired next. When `tuples` outnumber the capacity, only the
+    /// newest are written.
+    pub fn fill(&mut self, tuples: &[Tuple]) {
         let cap = self.capacity();
-        self.bram.load(self.head, tuple.raw());
-        self.head = (self.head + 1) % cap;
-        if self.occupancy < cap {
-            self.occupancy += 1;
+        let kept = &tuples[tuples.len().saturating_sub(cap)..];
+        let (to_end, wrapped) = kept.split_at(kept.len().min(cap - self.head));
+        self.bram.load(self.head, to_end);
+        self.bram.load(0, wrapped);
+        self.head += kept.len();
+        if self.head >= cap {
+            self.head -= cap;
         }
+        self.occupancy = (self.occupancy + tuples.len()).min(cap);
     }
 
     /// Iterates over stored tuples from oldest to newest, without port
     /// accounting (test/verification use).
     pub fn snapshot(&self) -> Vec<Tuple> {
         let occ = self.occupancy;
-        let mut out = Vec::with_capacity(occ);
         let cap = self.capacity();
         let oldest = (self.head + cap - occ) % cap;
-        for i in 0..occ {
-            let addr = (oldest + i) % cap;
-            out.push(Tuple::from_raw(*self.bram.peek(addr).expect("occupied")));
-        }
-        out
+        (0..occ)
+            .map(|i| self.bram.peek((oldest + i) % cap))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(k: u32) -> Tuple {
@@ -145,15 +152,51 @@ mod tests {
     }
 
     #[test]
-    fn load_bypasses_ports_and_matches_store_semantics() {
+    fn fill_bypasses_ports_and_matches_store_semantics() {
         let mut a = SubWindow::new(3);
         let mut b = SubWindow::new(3);
-        for k in 0..5 {
-            a.load(t(k));
+        let ts: Vec<Tuple> = (0..5).map(t).collect();
+        a.fill(&ts);
+        for &x in &ts {
             b.begin_cycle();
-            b.store(t(k));
+            b.store(x);
         }
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bulk fills, after any earlier ones, leave what storing the same
+        /// tuples one at a time leaves: the same tuples in the same order,
+        /// the same occupancy, and the same tuple expired next.
+        #[test]
+        fn fill_equals_storing_one_at_a_time(
+            cap in 1usize..9,
+            earlier in prop::collection::vec(0usize..20, 0..4),
+            len in 0usize..30,
+        ) {
+            let mut bulk = SubWindow::new(cap);
+            let mut single = SubWindow::new(cap);
+            let mut next = 0u32;
+            let mut batch = |n: usize| {
+                let ts: Vec<Tuple> = (next..next + n as u32).map(t).collect();
+                next += n as u32;
+                ts
+            };
+            for xs in earlier.into_iter().chain([len]).map(&mut batch) {
+                bulk.fill(&xs);
+                for &x in &xs {
+                    single.begin_cycle();
+                    single.store(x);
+                }
+            }
+            prop_assert_eq!(bulk.snapshot(), single.snapshot());
+            prop_assert_eq!(bulk.occupancy(), single.occupancy());
+            bulk.begin_cycle();
+            single.begin_cycle();
+            prop_assert_eq!(bulk.store(t(u32::MAX)), single.store(t(u32::MAX)));
+        }
     }
 
     #[test]

@@ -36,11 +36,13 @@ impl WindowStore {
         };
     }
 
-    fn load(&mut self, tuple: Tuple) {
+    fn fill(&mut self, tuples: &[Tuple]) {
         match self {
-            WindowStore::Nested(w) => w.load(tuple),
+            WindowStore::Nested(w) => w.fill(tuples),
             WindowStore::Hash(w) => {
-                w.insert(tuple);
+                for &t in tuples {
+                    w.insert(t);
+                }
             }
         }
     }
@@ -249,12 +251,12 @@ impl JoinCore {
             )
     }
 
-    /// Loads a tuple directly into this core's sub-window for `tag`
-    /// (pre-fill path; see `UniFlowJoin::prefill`).
-    pub fn prefill(&mut self, tag: StreamTag, tuple: Tuple) {
+    /// Loads `tuples`, oldest first, directly into this core's sub-window
+    /// for `tag` (pre-fill path; see `UniFlowJoin::prefill`).
+    pub fn prefill(&mut self, tag: StreamTag, tuples: &[Tuple]) {
         match tag {
-            StreamTag::R => self.window_r.load(tuple),
-            StreamTag::S => self.window_s.load(tuple),
+            StreamTag::R => self.window_r.fill(tuples),
+            StreamTag::S => self.window_s.fill(tuples),
         }
     }
 
@@ -608,9 +610,8 @@ mod tests {
     #[test]
     fn scan_takes_one_cycle_per_window_tuple() {
         let mut core = programmed_core(0, 1, 16);
-        for i in 0..8u32 {
-            core.prefill(StreamTag::S, Tuple::new(i + 100, i));
-        }
+        let fill: Vec<Tuple> = (0..8u32).map(|i| Tuple::new(i + 100, i)).collect();
+        core.prefill(StreamTag::S, &fill);
         core.fetcher().load(Frame::TupleR(Tuple::new(1, 0)));
         // Fetch cycle + 8 scan cycles.
         let mut cycles = 0;
@@ -626,9 +627,7 @@ mod tests {
     #[test]
     fn full_result_fifo_stalls_the_scan() {
         let mut core = programmed_core(0, 1, 16);
-        for _ in 0..8 {
-            core.prefill(StreamTag::S, Tuple::new(7, 0));
-        }
+        core.prefill(StreamTag::S, &[Tuple::new(7, 0); 8]);
         core.fetcher().load(Frame::TupleR(Tuple::new(7, 1)));
         // Run without draining: the 4-deep result FIFO fills, the scan
         // stalls rather than dropping matches.
@@ -646,7 +645,7 @@ mod tests {
     #[test]
     fn reprogramming_at_runtime_switches_predicate() {
         let mut core = programmed_core(0, 1, 8);
-        core.prefill(StreamTag::S, Tuple::new(5, 0));
+        core.prefill(StreamTag::S, &[Tuple::new(5, 0)]);
         core.fetcher().load(Frame::TupleR(Tuple::new(3, 0)));
         run(&mut core, 6);
         assert_eq!(drain(&mut core).len(), 0); // equi: 3 != 5
@@ -668,7 +667,7 @@ mod tests {
     fn quiescent_reflects_outstanding_work() {
         let mut core = programmed_core(0, 1, 8);
         assert!(core.quiescent());
-        core.prefill(StreamTag::S, Tuple::new(1, 0));
+        core.prefill(StreamTag::S, &[Tuple::new(1, 0)]);
         core.fetcher().load(Frame::TupleR(Tuple::new(1, 0)));
         cycle(&mut core);
         assert!(!core.quiescent());

@@ -217,16 +217,17 @@ impl StreamJoin for UniFlowJoin {
     /// Direct pre-fill of the sliding windows (bypasses the clocked data
     /// path): `r` and `s` are distributed round-robin exactly as the
     /// storage cores would, and the storage counters are advanced so
-    /// subsequent live tuples continue the rotation seamlessly.
+    /// subsequent live tuples continue the rotation seamlessly: core `c`
+    /// holds tuples `c, c + n, …` of each stream.
     fn prefill(&mut self, r: &[Tuple], s: &[Tuple]) {
         let n = self.cores.len();
-        for (i, &t) in r.iter().enumerate() {
-            self.cores[i % n].prefill(StreamTag::R, t);
-        }
-        for (i, &t) in s.iter().enumerate() {
-            self.cores[i % n].prefill(StreamTag::S, t);
-        }
-        for core in &mut self.cores {
+        let mut mine = Vec::with_capacity(r.len().max(s.len()).div_ceil(n));
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            for (tag, stream) in [(StreamTag::R, r), (StreamTag::S, s)] {
+                mine.clear();
+                mine.extend((c..stream.len()).step_by(n).map(|i| stream[i]));
+                core.prefill(tag, &mine);
+            }
             core.set_counts(r.len() as u64, s.len() as u64);
         }
     }
@@ -543,44 +544,56 @@ mod tests {
 
     #[test]
     fn prefill_matches_streamed_fill() {
-        let fill = workload(64, 8);
+        // Part of a window, and three windows' worth per stream (every
+        // sub-window wraps and expires twice over), on nested-loop and on
+        // hash cores.
         let probe = (StreamTag::R, Tuple::new(3, 999));
+        for per_stream in [20, 3 * 32] {
+            let fill = workload(2 * per_stream, 8);
+            let stream = |tag| -> Vec<Tuple> {
+                fill.iter()
+                    .filter(|(t, _)| *t == tag)
+                    .map(|&(_, t)| t)
+                    .collect()
+            };
+            let (r, s) = (stream(StreamTag::R), stream(StreamTag::S));
+            assert_eq!((r.len(), s.len()), (per_stream, per_stream));
+            for algorithm in [crate::JoinAlgorithm::NestedLoop, crate::JoinAlgorithm::Hash] {
+                let params = DesignParams::new(FlowModel::UniFlow, 4, 32).with_algorithm(algorithm);
+                let case = format!("{algorithm}, {per_stream} per stream");
 
-        // Variant A: stream everything.
-        let params = DesignParams::new(FlowModel::UniFlow, 4, 32);
-        let mut a = UniFlowJoin::new(&params);
-        a.program(JoinOperator::equi(4));
-        let mut inputs = fill.clone();
-        inputs.push(probe);
-        let ra = run_stream(&mut a, &inputs, 400_000)
-            .expect("design settles")
-            .0;
+                // Variant A: stream everything.
+                let mut a = UniFlowJoin::new(&params);
+                a.program(JoinOperator::equi(4));
+                let mut inputs = fill.clone();
+                inputs.push(probe);
+                let ra = run_stream(&mut a, &inputs, 400_000)
+                    .expect("design settles")
+                    .0;
 
-        // Variant B: prefill directly, then stream only the probe.
-        let mut b = UniFlowJoin::new(&params);
-        b.program(JoinOperator::equi(4));
-        let r: Vec<Tuple> = fill
-            .iter()
-            .filter(|(t, _)| *t == StreamTag::R)
-            .map(|&(_, t)| t)
-            .collect();
-        let s: Vec<Tuple> = fill
-            .iter()
-            .filter(|(t, _)| *t == StreamTag::S)
-            .map(|&(_, t)| t)
-            .collect();
-        b.prefill(&r, &s);
-        let rb = run_stream(&mut b, &[probe], 10_000)
-            .expect("design settles")
-            .0;
+                // Variant B: prefill directly, then stream only the probe.
+                let mut b = UniFlowJoin::new(&params);
+                b.program(JoinOperator::equi(4));
+                b.prefill(&r, &s);
+                let rb = run_stream(&mut b, &[probe], 10_000)
+                    .expect("design settles")
+                    .0;
 
-        // A's results include fill-phase matches; B's only the probe's.
-        let probe_matches_a: Vec<_> = ra
-            .into_iter()
-            .filter(|m| m.r == Tuple::new(3, 999))
-            .collect();
-        assert_eq!(as_multiset(&probe_matches_a), as_multiset(&rb));
-        assert!(!rb.is_empty());
+                // A's results include fill-phase matches; B's only the
+                // probe's.
+                let probe_matches_a: Vec<_> = ra
+                    .into_iter()
+                    .filter(|m| m.r == Tuple::new(3, 999))
+                    .collect();
+                assert_eq!(as_multiset(&probe_matches_a), as_multiset(&rb), "{case}");
+                assert!(!rb.is_empty(), "{case}");
+                for (ca, cb) in a.cores.iter_mut().zip(&mut b.cores) {
+                    for tag in [StreamTag::R, StreamTag::S] {
+                        assert_eq!(ca.window_snapshot(tag), cb.window_snapshot(tag), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
