@@ -66,11 +66,6 @@ impl Device {
             bram18: self.bram18,
         }
     }
-
-    /// Bits of block RAM available (18,432 bits per BRAM18).
-    pub fn bram_bits(&self) -> u64 {
-        self.bram18 * crate::resources::BRAM18_BITS
-    }
 }
 
 impl fmt::Display for Device {
@@ -150,12 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn bram_bits_accounting() {
-        // 60 x 36Kb = 2,211,840 bits on the V5 part.
-        assert_eq!(XC5VLX50T.bram_bits(), 120 * 18 * 1024);
-    }
-
-    #[test]
     fn v7_is_strictly_larger_and_faster_than_v5() {
         let (v5, v7) = (&XC5VLX50T, &XC7VX485T);
         assert!(v7.luts > v5.luts);
@@ -182,7 +171,7 @@ mod tests {
         use super::devices::XCVU9P;
         let (v7, vu9p) = (&XC7VX485T, &XCVU9P);
         assert!(vu9p.luts > 3 * v7.luts);
-        assert!(vu9p.bram_bits() > 4 * v7.bram_bits());
+        assert!(vu9p.bram18 > 4 * v7.bram18);
         assert_eq!(vu9p.to_string(), "XCVU9P (UltraScale+)");
     }
 

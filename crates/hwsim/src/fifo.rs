@@ -156,36 +156,17 @@ impl<T> Fifo<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the FIFO is already at capacity.
+    /// Panics if the FIFO holds `capacity` elements counting staged
+    /// pushes: the next `commit` would leave it above capacity.
     #[inline]
     pub fn load(&mut self, value: T) {
         assert!(
-            self.items.len() < self.capacity,
+            self.committed_len() < self.capacity,
             "load into full fifo (capacity {})",
             self.capacity
         );
         self.items.push_back(value);
         self.start_len = self.items.len();
-    }
-
-    /// Removes all elements and staged pushes.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.staged.clear();
-        self.start_len = 0;
-    }
-}
-
-impl<T> Extend<T> for Fifo<T> {
-    /// Extends the FIFO via [`load`](Fifo::load) semantics (unclocked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator yields more elements than remaining capacity.
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for v in iter {
-            self.load(v);
-        }
     }
 }
 
@@ -255,9 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn load_and_extend_bypass_clocking() {
+    fn load_bypasses_clocking() {
         let mut f = Fifo::new(3);
-        f.extend([1u8, 2, 3]);
+        for v in [1u8, 2, 3] {
+            f.load(v);
+        }
         assert_eq!(f.len(), 3);
         assert_eq!(f.front(), Some(&1));
     }
@@ -271,14 +254,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let mut f = Fifo::new(4);
+    #[should_panic(expected = "load into full fifo")]
+    fn load_counts_staged_pushes() {
+        // Two staged pushes fill a capacity-2 FIFO at the next edge, so a
+        // load now would leave it holding three.
+        let mut f = Fifo::new(2);
         f.begin_cycle();
         f.push(1u8).unwrap();
-        f.clear();
-        f.commit();
-        assert!(f.is_empty());
-        assert_eq!(f.committed_len(), 0);
+        f.push(2u8).unwrap();
+        f.load(3u8);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   [`ParSimulator`] that evaluates shards across a persistent worker
 //!   pool with a barrier per phase — cycle-exact with respect to the
 //!   sequential [`Simulator`];
-//! * **hardware building blocks**: registered FIFOs ([`Fifo`]), registers
-//!   ([`Register`]), fixed delay lines ([`DelayLine`]), and a block-RAM
-//!   model ([`Bram`]) whose words are plain values, its two ports checked
-//!   in debug builds;
+//! * **hardware building blocks**: registered FIFOs ([`Fifo`]) and a
+//!   block-RAM model ([`Bram`]) whose words are plain values, its two
+//!   ports checked in debug builds;
 //! * **synthesis-report models**: an FPGA device catalog ([`Device`],
 //!   [`devices`]), LUT/FF/BRAM resource accounting ([`Resources`],
 //!   [`Utilization`]), a fan-out-driven maximum-clock-frequency estimator
@@ -78,7 +77,6 @@ mod error;
 mod fifo;
 pub mod par;
 mod power;
-mod reg;
 mod resources;
 mod sim;
 mod timing;
@@ -89,7 +87,6 @@ pub use error::{CapacityError, FifoFullError};
 pub use fifo::Fifo;
 pub use par::{Control, Engine, ParSimulator, ParStats, Shard, Sharded, WorkerStats};
 pub use power::{PowerModel, PowerReport};
-pub use reg::{DelayLine, Register};
 pub use resources::LUTRAM_THRESHOLD_BITS as LUTRAM_THRESHOLD_BITS_DEFAULT;
 pub use resources::{MemoryMapping, Resources, Utilization};
 pub use sim::{Component, Simulator};

@@ -864,13 +864,15 @@ impl Engine for ParSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Register;
 
     /// A bank of independent counters: the canonical sharded design.
-    /// Each lane also records which cycles it observed, so tests can
-    /// verify the schedule, not just the end state.
+    /// Each lane's `eval` stages its next value and `commit` latches it;
+    /// each lane also counts its evals, so tests can verify the
+    /// schedule, not just the end state.
+    #[derive(Default)]
     struct Lane {
-        reg: Register<u64>,
+        value: u64,
+        next: u64,
         evals: u64,
     }
 
@@ -878,11 +880,10 @@ mod tests {
         fn begin_cycle(&mut self) {}
         fn eval(&mut self) {
             self.evals += 1;
-            let next = self.reg.get() + 1;
-            self.reg.set(next);
+            self.next = self.value + 1;
         }
         fn commit(&mut self) {
-            self.reg.commit();
+            self.value = self.next;
         }
     }
 
@@ -895,12 +896,7 @@ mod tests {
     impl Bank {
         fn new(n: usize) -> Self {
             Bank {
-                lanes: (0..n)
-                    .map(|_| Lane {
-                        reg: Register::new(0),
-                        evals: 0,
-                    })
-                    .collect(),
+                lanes: (0..n).map(|_| Lane::default()).collect(),
                 coord_pre: 0,
                 coord_post: 0,
             }
@@ -939,7 +935,7 @@ mod tests {
 
     fn check_bank(bank: &Bank, cycles: u64) {
         for lane in &bank.lanes {
-            assert_eq!(*lane.reg.get(), cycles);
+            assert_eq!(lane.value, cycles);
             assert_eq!(lane.evals, cycles);
         }
         assert_eq!(bank.coord_pre, cycles);
@@ -971,7 +967,7 @@ mod tests {
         let mut sim = ParSimulator::new(4);
         let mut observed = Vec::new();
         sim.run_driven(&mut bank, 50, &mut |b: &mut Bank, cycle| {
-            observed.push((cycle, *b.lanes[0].reg.get()));
+            observed.push((cycle, b.lanes[0].value));
             Control::Continue
         });
         // At each tick the lane value equals the cycle count: every
@@ -1016,42 +1012,41 @@ mod tests {
         // Fire mid-run.
         let mut bank = Bank::new(3);
         let mut par = ParSimulator::new(3);
-        let fired = par.run_until(&mut bank, 100, |b| *b.lanes[0].reg.get() == 7);
+        let fired = par.run_until(&mut bank, 100, |b| b.lanes[0].value == 7);
         assert!(fired);
         assert_eq!(par.cycle(), 7);
 
         // Budget exhaustion: predicate never fires.
         let mut bank = Bank::new(3);
         let mut par = ParSimulator::new(3);
-        let fired = par.run_until(&mut bank, 5, |b| *b.lanes[0].reg.get() == 7);
+        let fired = par.run_until(&mut bank, 5, |b| b.lanes[0].value == 7);
         assert!(!fired);
         assert_eq!(par.cycle(), 5);
 
         // Fires exactly on the last budgeted cycle, like Simulator.
         let mut bank = Bank::new(3);
         let mut par = ParSimulator::new(3);
-        let fired = par.run_until(&mut bank, 7, |b| *b.lanes[0].reg.get() == 7);
+        let fired = par.run_until(&mut bank, 7, |b| b.lanes[0].value == 7);
         assert!(fired);
     }
 
     #[test]
     fn unsharded_designs_fall_back_to_sequential() {
-        struct Plain(Register<u64>);
+        struct Plain(Lane);
         impl Component for Plain {
             fn begin_cycle(&mut self) {}
             fn eval(&mut self) {
-                let next = self.0.get() + 1;
-                self.0.set(next);
+                Component::eval(&mut self.0);
             }
             fn commit(&mut self) {
-                self.0.commit();
+                Component::commit(&mut self.0);
             }
         }
         impl Sharded for Plain {}
-        let mut plain = Plain(Register::new(0));
+        let mut plain = Plain(Lane::default());
         let mut sim = ParSimulator::new(8);
         sim.run(&mut plain, 42);
-        assert_eq!(*plain.0.get(), 42);
+        assert_eq!(plain.0.value, 42);
         assert_eq!(sim.cycle(), 42);
     }
 
@@ -1059,7 +1054,7 @@ mod tests {
     fn engine_trait_is_interchangeable() {
         fn drive<E: Engine>(engine: &mut E, bank: &mut Bank) -> u64 {
             engine.run_driven(bank, 1_000, &mut |b: &mut Bank, _| {
-                if *b.lanes[0].reg.get() >= 13 {
+                if b.lanes[0].value >= 13 {
                     Control::Stop
                 } else {
                     Control::Continue

@@ -46,24 +46,17 @@ impl Resources {
         bram18: 0,
     };
 
-    /// Resource cost of a memory of `bits` bits under the default
-    /// mapping threshold ([`LUTRAM_THRESHOLD_BITS`]). Device-aware callers
-    /// should prefer [`Resources::for_memory_on`].
-    ///
-    /// * at or below the threshold: distributed RAM, costing `bits / 32`
-    ///   LUTs (rounded up);
-    /// * larger: `⌈bits / 18,432⌉` BRAM18 units.
-    pub fn for_memory(bits: u64) -> Resources {
-        Self::for_memory_with(bits, LUTRAM_THRESHOLD_BITS)
-    }
-
     /// Resource cost of a memory of `bits` bits using `device`'s
     /// family-specific LUT-RAM threshold (see `DESIGN.md` §6).
     pub fn for_memory_on(bits: u64, device: &Device) -> Resources {
         Self::for_memory_with(bits, device.lutram_threshold_bits)
     }
 
-    /// Resource cost with an explicit LUT-RAM/BRAM threshold.
+    /// Resource cost with an explicit LUT-RAM/BRAM threshold:
+    ///
+    /// * at or below the threshold: distributed RAM, costing `bits / 32`
+    ///   LUTs (rounded up);
+    /// * larger: `⌈bits / 18,432⌉` BRAM18 units.
     pub fn for_memory_with(bits: u64, threshold_bits: u64) -> Resources {
         if bits == 0 {
             return Resources::ZERO;
@@ -81,12 +74,6 @@ impl Resources {
                 bram18: bits.div_ceil(BRAM18_BITS),
             }
         }
-    }
-
-    /// How a memory maps under the default threshold; device-aware callers
-    /// should prefer [`Resources::memory_mapping_on`].
-    pub fn memory_mapping(bits: u64) -> MemoryMapping {
-        Self::memory_mapping_with(bits, LUTRAM_THRESHOLD_BITS)
     }
 
     /// How a memory maps on `device`.
@@ -246,18 +233,18 @@ mod tests {
     #[test]
     fn memory_mapping_threshold() {
         assert_eq!(
-            Resources::memory_mapping(LUTRAM_THRESHOLD_BITS),
+            Resources::memory_mapping_with(LUTRAM_THRESHOLD_BITS, LUTRAM_THRESHOLD_BITS),
             MemoryMapping::LutRam
         );
         assert_eq!(
-            Resources::memory_mapping(LUTRAM_THRESHOLD_BITS + 1),
+            Resources::memory_mapping_with(LUTRAM_THRESHOLD_BITS + 1, LUTRAM_THRESHOLD_BITS),
             MemoryMapping::BlockRam
         );
     }
 
     #[test]
     fn small_memory_costs_luts() {
-        let r = Resources::for_memory(2_048);
+        let r = Resources::for_memory_with(2_048, LUTRAM_THRESHOLD_BITS);
         assert_eq!(
             r,
             Resources {
@@ -271,18 +258,27 @@ mod tests {
     #[test]
     fn large_memory_costs_bram_rounded_up() {
         // 32 Kb -> 2 BRAM18 (18 Kb each).
-        let r = Resources::for_memory(32 * 1024);
+        let r = Resources::for_memory_with(32 * 1024, LUTRAM_THRESHOLD_BITS);
         assert_eq!(r.bram18, 2);
         assert_eq!(r.luts, 0);
         // Exactly one BRAM18 worth of bits -> 1 unit.
-        assert_eq!(Resources::for_memory(BRAM18_BITS).bram18, 1);
+        assert_eq!(
+            Resources::for_memory_with(BRAM18_BITS, LUTRAM_THRESHOLD_BITS).bram18,
+            1
+        );
         // One bit more -> 2 units.
-        assert_eq!(Resources::for_memory(BRAM18_BITS + 1).bram18, 2);
+        assert_eq!(
+            Resources::for_memory_with(BRAM18_BITS + 1, LUTRAM_THRESHOLD_BITS).bram18,
+            2
+        );
     }
 
     #[test]
     fn zero_memory_is_free() {
-        assert_eq!(Resources::for_memory(0), Resources::ZERO);
+        assert_eq!(
+            Resources::for_memory_with(0, LUTRAM_THRESHOLD_BITS),
+            Resources::ZERO
+        );
     }
 
     #[test]

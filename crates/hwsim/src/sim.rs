@@ -33,24 +33,27 @@ pub trait Component {
 /// # Example
 ///
 /// ```
-/// use hwsim::{Component, Register, Simulator};
+/// use hwsim::{Component, Simulator};
 ///
-/// struct Counter(Register<u64>);
+/// // A counter register: `eval` stages the next value, `commit` latches it.
+/// struct Counter {
+///     value: u64,
+///     next: u64,
+/// }
 /// impl Component for Counter {
 ///     fn begin_cycle(&mut self) {}
 ///     fn eval(&mut self) {
-///         let next = self.0.get() + 1;
-///         self.0.set(next);
+///         self.next = self.value + 1;
 ///     }
 ///     fn commit(&mut self) {
-///         self.0.commit();
+///         self.value = self.next;
 ///     }
 /// }
 ///
-/// let mut c = Counter(Register::new(0));
+/// let mut c = Counter { value: 0, next: 0 };
 /// let mut sim = Simulator::new();
 /// sim.run(&mut c, 10);
-/// assert_eq!(*c.0.get(), 10);
+/// assert_eq!(c.value, 10);
 /// assert_eq!(sim.cycle(), 10);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
@@ -106,79 +109,67 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Register;
 
-    struct Counter(Register<u64>);
+    /// A counter register: `eval` stages the next value, `commit` latches
+    /// it. `observed` records the value each `eval` saw.
+    #[derive(Default)]
+    struct Counter {
+        value: u64,
+        next: u64,
+        observed: Vec<u64>,
+    }
 
     impl Component for Counter {
         fn begin_cycle(&mut self) {}
         fn eval(&mut self) {
-            let next = self.0.get() + 1;
-            self.0.set(next);
+            self.next = self.value + 1;
+            self.observed.push(self.value);
         }
         fn commit(&mut self) {
-            self.0.commit();
+            self.value = self.next;
         }
     }
 
     #[test]
     fn step_advances_one_cycle() {
-        let mut c = Counter(Register::new(0));
+        let mut c = Counter::default();
         let mut sim = Simulator::new();
         sim.step(&mut c);
         assert_eq!(sim.cycle(), 1);
-        assert_eq!(*c.0.get(), 1);
+        assert_eq!(c.value, 1);
     }
 
     #[test]
     fn run_advances_many_cycles() {
-        let mut c = Counter(Register::new(0));
+        let mut c = Counter::default();
         let mut sim = Simulator::new();
         sim.run(&mut c, 1000);
         assert_eq!(sim.cycle(), 1000);
-        assert_eq!(*c.0.get(), 1000);
+        assert_eq!(c.value, 1000);
     }
 
     #[test]
     fn run_until_stops_on_predicate() {
-        let mut c = Counter(Register::new(0));
+        let mut c = Counter::default();
         let mut sim = Simulator::new();
-        let fired = sim.run_until(&mut c, 100, |c| *c.0.get() == 7);
+        let fired = sim.run_until(&mut c, 100, |c| c.value == 7);
         assert!(fired);
         assert_eq!(sim.cycle(), 7);
     }
 
     #[test]
     fn run_until_gives_up_after_max_cycles() {
-        let mut c = Counter(Register::new(0));
+        let mut c = Counter::default();
         let mut sim = Simulator::new();
-        let fired = sim.run_until(&mut c, 5, |c| *c.0.get() == 7);
+        let fired = sim.run_until(&mut c, 5, |c| c.value == 7);
         assert!(!fired);
         assert_eq!(sim.cycle(), 5);
     }
 
     #[test]
     fn register_update_is_not_visible_within_cycle() {
-        // A register written during eval must still read its old value
-        // until commit.
-        struct TwoReads {
-            r: Register<u32>,
-            observed: Vec<u32>,
-        }
-        impl Component for TwoReads {
-            fn begin_cycle(&mut self) {}
-            fn eval(&mut self) {
-                self.r.set(self.r.get() + 1);
-                self.observed.push(*self.r.get());
-            }
-            fn commit(&mut self) {
-                self.r.commit();
-            }
-        }
-        let mut c = TwoReads {
-            r: Register::new(0),
-            observed: Vec::new(),
-        };
+        // A value staged during eval must not be seen until commit.
+        let mut c = Counter::default();
         let mut sim = Simulator::new();
         sim.run(&mut c, 3);
         // eval observes the value at the start of each cycle.

@@ -65,11 +65,6 @@ impl Frequency {
         self.0
     }
 
-    /// The frequency in hertz.
-    pub fn hz(&self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// The clock period in nanoseconds.
     pub fn period_ns(&self) -> f64 {
         1_000.0 / self.0
@@ -175,7 +170,6 @@ mod tests {
     #[test]
     fn frequency_conversions() {
         let f = Frequency::from_mhz(250.0);
-        assert_eq!(f.hz(), 250e6);
         assert_eq!(f.period_ns(), 4.0);
         assert_eq!(f.cycles_to_us(500), 2.0);
         assert_eq!(f.to_string(), "250.0 MHz");

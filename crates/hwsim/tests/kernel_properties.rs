@@ -1,36 +1,10 @@
 //! Property-based tests of the simulation kernel and synthesis models.
 
-use hwsim::{
-    devices, estimate_fmax, Bram, DelayLine, Frequency, PowerModel, Resources, TimingProfile,
-};
+use hwsim::{devices, estimate_fmax, Bram, Frequency, PowerModel, Resources, TimingProfile};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A delay line is a perfect conveyor: pushing a dense stream yields
-    /// the same stream delayed by exactly `depth` edges.
-    #[test]
-    fn delay_line_is_a_conveyor(depth in 1usize..8, values in prop::collection::vec(any::<u32>(), 0..64)) {
-        let mut d: DelayLine<u32> = DelayLine::new(depth);
-        let mut out = Vec::new();
-        for &v in &values {
-            d.push(Some(v));
-            d.commit();
-            if let Some(&o) = d.output() {
-                out.push(o);
-            }
-        }
-        // Flush the pipeline.
-        for _ in 0..depth {
-            d.push(None);
-            d.commit();
-            if let Some(&o) = d.output() {
-                out.push(o);
-            }
-        }
-        prop_assert_eq!(out, values);
-    }
 
     /// BRAM reads always return the most recent write per address, and
     /// the default for an address never written.

@@ -525,8 +525,9 @@ impl fmt::Display for BiFlowJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_stream;
+    use crate::harness::{feed, run_stream, settle};
     use crate::JoinPredicate;
+    use hwsim::Simulator;
     use joinsw::baseline::reference_join;
     use std::collections::HashMap;
 
@@ -798,6 +799,41 @@ mod tests {
             assert!(e.arg < 4, "core index in range");
             assert!(e.dur > u64::from(HANDSHAKE_CYCLES));
         }
+    }
+
+    /// Every occupancy the chain reports after `feed`ing `n` tuples and
+    /// settling: the results left after the drain, whether an input
+    /// register or a wave still holds a tuple, and each core's two
+    /// sub-windows and result FIFO.
+    fn occupancies(n: usize) -> Vec<usize> {
+        let params = DesignParams::new(FlowModel::BiFlow, 4, 64);
+        let mut join = BiFlowJoin::new(&params);
+        join.program(JoinOperator::equi(4));
+        let mut sim = Simulator::new();
+        feed(&mut sim, &mut join, &workload(n, 8), u64::MAX).expect("unbounded");
+        settle(&mut sim, &mut join, 1_000_000).expect("chain settles");
+        let mut counts = vec![
+            join.pending_results(),
+            usize::from(join.pending_r.is_some()),
+            usize::from(join.pending_s.is_some()),
+            usize::from(join.wave.is_some()),
+        ];
+        for core in &join.cores {
+            counts.push(core.window_r.occupancy());
+            counts.push(core.window_s.occupancy());
+            counts.push(core.results.committed_len());
+        }
+        counts
+    }
+
+    #[test]
+    fn state_is_bounded_by_the_window_not_the_stream() {
+        // 1 024 tuples fill each 16-tuple sub-window sixteen times over;
+        // four times as many must leave every count where it was.
+        let short = occupancies(1_024);
+        assert_eq!(short, occupancies(4 * 1_024));
+        let windows: Vec<usize> = short[4..].iter().step_by(3).copied().collect();
+        assert_eq!(windows, [16; 4], "every R sub-window is full");
     }
 
     #[test]

@@ -354,24 +354,6 @@ impl DesignParams {
         }
     }
 
-    /// Power estimate at a *measured* switching activity (from a
-    /// simulation run) instead of the vectorless default — the
-    /// simulation-based power flow of real synthesis tools.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CapacityError`] if the design does not fit `device`.
-    pub fn power_at_activity(
-        &self,
-        device: &Device,
-        clock: Frequency,
-        activity: f64,
-    ) -> Result<PowerReport, CapacityError> {
-        let used = self.resources(device);
-        used.check_fits(device)?;
-        Ok(PowerModel::calibrated().report(device, used, clock, activity))
-    }
-
     /// Runs the synthesis-report model: utilization, clock, and power.
     ///
     /// # Errors
@@ -649,16 +631,6 @@ mod tests {
         // A quarter of the window restores feasibility.
         let wide_small = uni(16, 1 << 11).with_tuple_bits(256);
         assert!(wide_small.synthesize(&XC5VLX50T).is_ok());
-    }
-
-    #[test]
-    fn measured_activity_power_scales_from_vectorless() {
-        let params = uni(16, 1 << 12);
-        let clock = Frequency::from_mhz(100.0);
-        let low = params.power_at_activity(&XC5VLX50T, clock, 0.3).unwrap();
-        let high = params.power_at_activity(&XC5VLX50T, clock, 0.9).unwrap();
-        assert!(high.dynamic_mw > 2.9 * low.dynamic_mw);
-        assert_eq!(high.static_mw, low.static_mw);
     }
 
     #[test]

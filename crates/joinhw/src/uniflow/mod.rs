@@ -520,6 +520,47 @@ mod tests {
         });
     }
 
+    /// Every occupancy the design reports after `feed`ing `n` tuples and
+    /// settling: the results left after the drain, the queued operator
+    /// frames, whether either tree still holds a frame, and each core's
+    /// two sub-windows, fetcher and result FIFO.
+    fn occupancies(params: &DesignParams, n: usize) -> Vec<usize> {
+        let mut join = UniFlowJoin::new(params);
+        join.program(JoinOperator::equi(params.num_cores));
+        let mut sim = Simulator::new();
+        feed(&mut sim, &mut join, &workload(n, 8), u64::MAX).expect("unbounded");
+        settle(&mut sim, &mut join, 1_000_000).expect("design settles");
+        let mut counts = vec![
+            join.pending_results(),
+            join.pending_program.len(),
+            usize::from(!join.dist.is_empty()),
+            usize::from(!join.gather.is_empty()),
+        ];
+        for core in &mut join.cores {
+            counts.push(core.window_snapshot(StreamTag::R).len());
+            counts.push(core.window_snapshot(StreamTag::S).len());
+            counts.push(core.fetcher().committed_len());
+            counts.push(core.results().committed_len());
+        }
+        counts
+    }
+
+    #[test]
+    fn state_is_bounded_by_the_window_not_the_stream() {
+        // 1 024 tuples fill each 16-tuple sub-window sixteen times over;
+        // four times as many must leave every count where it was.
+        for algorithm in [crate::JoinAlgorithm::NestedLoop, crate::JoinAlgorithm::Hash] {
+            let params = DesignParams::new(FlowModel::UniFlow, 4, 64).with_algorithm(algorithm);
+            let short = occupancies(&params, 1_024);
+            assert_eq!(short, occupancies(&params, 4 * 1_024), "{algorithm:?}");
+            let windows: Vec<usize> = short[4..].iter().step_by(4).copied().collect();
+            assert_eq!(
+                windows, [16; 4],
+                "{algorithm:?}: every R sub-window is full"
+            );
+        }
+    }
+
     #[test]
     fn wider_tree_fanout_produces_identical_results() {
         let inputs = workload(300, 8);

@@ -117,20 +117,6 @@ impl Frame {
             StreamTag::S => Frame::TupleS(tuple),
         }
     }
-
-    /// The tuple carried, if this is a tuple frame.
-    pub fn as_tuple(&self) -> Option<(StreamTag, Tuple)> {
-        match *self {
-            Frame::TupleR(t) => Some((StreamTag::R, t)),
-            Frame::TupleS(t) => Some((StreamTag::S, t)),
-            Frame::Operator(_) => None,
-        }
-    }
-
-    /// `true` if this frame programs the join operator.
-    pub fn is_operator(&self) -> bool {
-        matches!(self, Frame::Operator(_))
-    }
 }
 
 /// A join result: the pair of input tuples that satisfied the join
@@ -202,16 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_tuple_round_trip() {
+    fn frame_tuple_picks_the_streams_variant() {
         let t = Tuple::new(1, 2);
-        for tag in [StreamTag::R, StreamTag::S] {
-            let f = Frame::tuple(tag, t);
-            assert_eq!(f.as_tuple(), Some((tag, t)));
-            assert!(!f.is_operator());
-        }
-        let op = Frame::Operator(0xff);
-        assert!(op.is_operator());
-        assert_eq!(op.as_tuple(), None);
+        assert_eq!(Frame::tuple(StreamTag::R, t), Frame::TupleR(t));
+        assert_eq!(Frame::tuple(StreamTag::S, t), Frame::TupleS(t));
     }
 
     #[test]
