@@ -30,10 +30,9 @@
 //!
 //! [`plan::PlanOp`] is the one operator type and [`opblock::OpBlock`]
 //! the one runtime for it: a block programmed with
-//! [`opblock::BlockProgram::Op`] runs one bound operator, whether it sits
-//! on a [`fabric::Fabric`] (wired by [`manager`]) or beside the hardware
-//! join of [`hwbridge`], which runs every non-join operator of its plan
-//! in OP-Blocks. [`opblock::WindowAggregate`] is the one windowed aggregate,
+//! [`opblock::BlockProgram::Op`] runs one bound operator on a
+//! [`fabric::Fabric`] (wired by [`manager`]).
+//! [`opblock::WindowAggregate`] is the one windowed aggregate,
 //! behind aggregate blocks and the `query` crate's inline aggregates.
 //!
 //! # Where FQP sits in the landscape
@@ -80,7 +79,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fabric;
-pub mod hwbridge;
 pub mod landscape;
 pub mod manager;
 pub mod opblock;

@@ -13,12 +13,13 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use accel_landscape::fqp::hwbridge::deploy_to_hardware;
 use accel_landscape::fqp::landscape;
-use accel_landscape::fqp::plan::{bind, Catalog};
+use accel_landscape::fqp::plan::{bind, Catalog, PlanOp};
 use accel_landscape::fqp::query::Query;
 use accel_landscape::hwsim::{devices, Device};
-use accel_landscape::joinhw::harness::{build, prefill_steady_state, run_throughput};
+use accel_landscape::joinhw::harness::{
+    build, prefill_steady_state, run_throughput, uniflow_throughput_model,
+};
 use accel_landscape::joinhw::{DesignParams, FlowModel, JoinAlgorithm, NetworkKind};
 
 const USAGE: &str = "\
@@ -41,8 +42,8 @@ USAGE:
       Parse and bind a query, print the EXPLAIN plan.
 
   accel deploy <query> --schema ... --cores N --device v5|v7
-      Map a join query onto the hardware fabric; print the synthesis
-      report and the sustainable-throughput estimate.
+      Size a uni-flow design for a join query's window; print the
+      synthesis report and the sustainable-throughput estimate.
 ";
 
 fn main() -> ExitCode {
@@ -223,11 +224,21 @@ fn deploy(positional: &[String], flags: &HashMap<String, Vec<String>>) -> Result
     let query = Query::parse(text).map_err(|e| e.to_string())?;
     let plan = bind(&query, &catalog).map_err(|e| e.to_string())?;
     print!("{}", plan.explain());
-    let hw = deploy_to_hardware(&plan, cores, &device).map_err(|e| e.to_string())?;
-    println!("{}", hw.report());
+    let window = plan
+        .ops
+        .iter()
+        .find_map(|op| match *op {
+            PlanOp::Join { window, .. } => Some(window),
+            _ => None,
+        })
+        .ok_or("plan has no join to accelerate")?;
+    let report = DesignParams::new(FlowModel::UniFlow, cores, window)
+        .synthesize(&device)
+        .map_err(|e| format!("design does not fit: {e}"))?;
+    println!("{report}");
     println!(
         "sustainable input throughput: {:.3} M tuples/s",
-        hw.throughput_estimate() / 1e6
+        uniflow_throughput_model(window, cores, report.clock.mhz()) / 1e6
     );
     Ok(())
 }

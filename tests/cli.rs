@@ -170,11 +170,11 @@ fn explain_rejects_a_field_named_twice_without_panicking() {
     assert!(err.contains("field \"k\" appears twice"), "{err}");
 }
 
-#[test]
-fn deploy_runs_the_hardware_bridge() {
-    let out = accel(&[
+/// `accel deploy` on README's schemas, cores and device.
+fn deploy(query: &str) -> Output {
+    accel(&[
         "deploy",
-        "SELECT * FROM a JOIN b ON k WINDOW 1024",
+        query,
         "--schema",
         "a=k:32,x:32",
         "--schema",
@@ -183,11 +183,42 @@ fn deploy_runs_the_hardware_bridge() {
         "8",
         "--device",
         "v7",
-    ]);
+    ])
+}
+
+#[test]
+fn deploy_prints_the_synthesis_report() {
+    let out = deploy("SELECT * FROM a JOIN b ON k WINDOW 1024");
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("Join b ON k WINDOW 1024"), "{text}");
-    assert!(text.contains("sustainable input throughput"), "{text}");
+    // README's example output.
+    for line in [
+        "Join b ON k WINDOW 1024",
+        "uni-flow join, 8 cores, window 2^10 per stream, lightweight network on XC7VX485T",
+        "clock 279.9 MHz",
+        "sustainable input throughput: 2.186 M tuples/s",
+    ] {
+        assert!(text.contains(line), "{line:?} missing from:\n{text}");
+    }
+}
+
+#[test]
+fn deploy_rejects_a_plan_it_cannot_accelerate() {
+    for (query, error) in [
+        (
+            "SELECT * FROM a WHERE x > 5",
+            "plan has no join to accelerate",
+        ),
+        (
+            "SELECT * FROM a JOIN b ON k WINDOW 4000000",
+            "design does not fit",
+        ),
+    ] {
+        let out = deploy(query);
+        assert_eq!(out.status.code(), Some(1), "{query}");
+        let err = stderr(&out);
+        assert!(err.contains(error), "{query}: {err}");
+    }
 }
 
 #[test]

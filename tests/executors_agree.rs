@@ -1,24 +1,20 @@
-//! One plan, three executors, one meaning: every bound plan the three
+//! One plan, two executors, one meaning: every bound plan both
 //! executors accept — `SELECT <*|projection> FROM l JOIN r ON k WINDOW w
 //! [WHERE <boolean expression>]` over one- or two-field streams, the
 //! `WHERE` a conjunction (`Select`) or anything else (a truth-table
 //! `SelectTable`) — returns the same row multiset on the FQP fabric
-//! ([`QueryManager`]), on the hardware bridge ([`deploy_to_hardware`], 2
-//! join cores) and on the standing-query runtime ([`QueryRuntime`], 2
-//! cores), and that multiset is the reference join followed by the plan's
-//! post-join operators. A projection that
-//! names a field twice is rejected by all three with the same
-//! [`PlanError::DuplicateField`].
+//! ([`QueryManager`]) and on the standing-query runtime ([`QueryRuntime`],
+//! 2 cores), and that multiset is the reference join followed by the
+//! plan's post-join operators. A projection that names a field twice is
+//! rejected by both with the same [`PlanError::DuplicateField`].
 //!
 //! Where the executors differ, a named test below documents how.
 
 mod common;
 
-use accel_landscape::fqp::hwbridge::deploy_to_hardware;
 use accel_landscape::fqp::manager::QueryManager;
 use accel_landscape::fqp::plan::{bind, Catalog, Plan, PlanError, PlanOp};
 use accel_landscape::fqp::query::{BoolExpr, Query};
-use accel_landscape::hwsim::devices::XC7VX485T;
 use accel_landscape::joinsw::baseline::reference_join;
 use accel_landscape::query::{
     CompileError, LogicalPlan, QueryRuntime, RuntimeConfig, RuntimeError,
@@ -113,20 +109,6 @@ fn on_the_fabric(plan: &Plan, arrivals: &[Arrival]) -> Vec<Vec<u64>> {
     }
     let rows = mgr.take_results(id).unwrap();
     sorted(rows.iter().map(|r| r.values().to_vec()).collect())
-}
-
-fn on_the_bridge(plan: &Plan, arrivals: &[Arrival]) -> Vec<Vec<u64>> {
-    let mut hw = deploy_to_hardware(plan, 2, &XC7VX485T).unwrap();
-    for (tag, values) in arrivals {
-        hw.push(stream(*tag), Record::new(values.clone())).unwrap();
-    }
-    sorted(
-        hw.finish()
-            .unwrap()
-            .iter()
-            .map(|r| r.values().to_vec())
-            .collect(),
-    )
 }
 
 fn on_the_runtime(catalog: &Catalog, query: &Query, arrivals: &[Arrival]) -> Vec<Vec<u64>> {
@@ -240,12 +222,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn the_three_executors_return_the_oracles_rows(case in arb_case()) {
+    fn both_executors_return_the_oracles_rows(case in arb_case()) {
         let catalog = catalog(case.arity.0, case.arity.1);
         let query = Query::parse(&case.text).unwrap();
         if let Some(field) = case.repeated {
-            // The fabric and the bridge run only what `bind` returns, so
-            // its error is how both reject the text; `admit` binds alike.
+            // The fabric runs only what `bind` returns, so its error is
+            // how it rejects the text; `admit` binds alike.
             let want = PlanError::DuplicateField { field, context: "query output".into() };
             prop_assert_eq!(bind(&query, &catalog).unwrap_err(), want.clone(), "{}", case.text);
             let mut rt = QueryRuntime::new(catalog, RuntimeConfig::new(2));
@@ -262,7 +244,6 @@ proptest! {
         let filter = query.join.as_ref().and_then(|j| j.filter.as_ref());
         let want = oracle(&plan, filter, &case.arrivals, case.window);
         prop_assert_eq!(&on_the_fabric(&plan, &case.arrivals), &want, "fabric: {}", case.text);
-        prop_assert_eq!(&on_the_bridge(&plan, &case.arrivals), &want, "bridge: {}", case.text);
         prop_assert_eq!(
             &on_the_runtime(&catalog, &query, &case.arrivals),
             &want,
@@ -274,13 +255,13 @@ proptest! {
 
 /// The known difference: a `WHERE` before the `JOIN` — conjunctive or
 /// boolean — filters the primary stream in front of the window on the
-/// fabric and the bridge, so the window holds only accepted arrivals.
-/// Both agree with the reference join over the filtered arrivals, and
-/// that differs from filtering the joined records of raw windows.
+/// fabric, so the window holds only accepted arrivals. The fabric agrees
+/// with the reference join over the filtered arrivals, and that differs
+/// from filtering the joined records of raw windows.
 /// `compile` rejects the shape: the runtime's windows hold raw arrivals
 /// (CQL), so it has no place to run such a filter.
 #[test]
-fn a_pre_join_where_filters_before_the_window_on_the_fabric_and_the_bridge() {
+fn a_pre_join_where_filters_before_the_window_on_the_fabric() {
     let catalog = catalog(2, 2);
     let arrivals: Vec<Arrival> = common::workload(400, 4, 7)
         .into_iter()
@@ -307,7 +288,6 @@ fn a_pre_join_where_filters_before_the_window_on_the_fabric_and_the_bridge() {
         let plan = bind(&query, &catalog).unwrap();
         let fabric = on_the_fabric(&plan, &arrivals);
         assert!(!fabric.is_empty(), "{text}");
-        assert_eq!(on_the_bridge(&plan, &arrivals), fabric, "{text}");
 
         // The filter runs before the window…
         let filtered: Vec<Arrival> = arrivals
