@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use streamcore::Record;
+use streamcore::{Record, Schema, SchemaError};
 
 use crate::fabric::{Fabric, FabricError, SinkId, Target};
 use crate::opblock::{BlockId, BlockProgram, Port};
@@ -69,6 +69,19 @@ pub enum AssignError {
     },
     /// The plan joins but names no secondary stream to join with.
     MissingSecondary,
+    /// The plan reads a stream that deployed queries read under another
+    /// schema.
+    SchemaConflict {
+        /// The stream.
+        stream: String,
+    },
+    /// A pushed record does not fit its stream's schema.
+    BadRecord {
+        /// The stream.
+        stream: String,
+        /// Why [`Schema::check`] rejected the record.
+        error: SchemaError,
+    },
 }
 
 impl fmt::Display for AssignError {
@@ -88,6 +101,12 @@ impl fmt::Display for AssignError {
                 write!(f, "{block} is shared by {queries} deployed queries")
             }
             AssignError::MissingSecondary => write!(f, "plan joins no secondary stream"),
+            AssignError::SchemaConflict { stream } => {
+                write!(f, "stream {stream:?} is deployed under another schema")
+            }
+            AssignError::BadRecord { stream, error } => {
+                write!(f, "record for stream {stream:?}: {error}")
+            }
         }
     }
 }
@@ -164,6 +183,9 @@ pub struct QueryManager {
     next_id: u64,
     deployed: Vec<Deployed>,
     refcounts: HashMap<BlockId, usize>,
+    /// The schema of every stream a deployed query reads, by lowercase
+    /// name (stream names match case-insensitively, as in the fabric).
+    schemas: HashMap<String, Schema>,
 }
 
 impl QueryManager {
@@ -174,6 +196,7 @@ impl QueryManager {
             next_id: 0,
             deployed: Vec::new(),
             refcounts: HashMap::new(),
+            schemas: HashMap::new(),
         }
     }
 
@@ -207,8 +230,21 @@ impl QueryManager {
     ///
     /// Returns [`AssignError::InsufficientBlocks`] when the *unshared*
     /// suffix does not fit the idle pool (sharing reduces the
-    /// requirement); the fabric is left unchanged in that case.
+    /// requirement), or [`AssignError::SchemaConflict`] when the plan
+    /// reads a deployed stream under another schema; the fabric is left
+    /// unchanged in both cases.
     pub fn deploy(&mut self, plan: &Plan) -> Result<QueryId, AssignError> {
+        for (stream, schema) in &plan.inputs {
+            if self
+                .schemas
+                .get(&stream.to_ascii_lowercase())
+                .is_some_and(|s| s != schema)
+            {
+                return Err(AssignError::SchemaConflict {
+                    stream: stream.clone(),
+                });
+            }
+        }
         let programs = BlockProgram::pipeline(plan);
 
         // Longest shareable prefix across deployed queries.
@@ -285,6 +321,10 @@ impl QueryManager {
             *self.refcounts.entry(*id).or_insert(0) += 1;
         }
 
+        for (stream, schema) in &plan.inputs {
+            self.schemas
+                .insert(stream.to_ascii_lowercase(), schema.clone());
+        }
         let id = QueryId(self.next_id);
         self.next_id += 1;
         self.deployed.push(Deployed {
@@ -319,6 +359,15 @@ impl QueryManager {
                 self.fabric.release(*block)?;
             }
         }
+        let deployed = &self.deployed;
+        self.schemas.retain(|stream, _| {
+            deployed.iter().any(|d| {
+                d.primary.eq_ignore_ascii_case(stream)
+                    || d.secondary
+                        .as_ref()
+                        .is_some_and(|s| s.eq_ignore_ascii_case(stream))
+            })
+        });
         Ok(())
     }
 
@@ -368,10 +417,19 @@ impl QueryManager {
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::UnknownStream`] if no deployed query reads
-    /// `stream`.
-    pub fn push(&mut self, stream: &str, record: Record) -> Result<(), FabricError> {
-        self.fabric.push(stream, record)
+    /// Returns [`AssignError::BadRecord`] if the record does not fit the
+    /// stream's schema, and [`FabricError::UnknownStream`] (as
+    /// [`AssignError::Fabric`]) if no deployed query reads `stream`.
+    pub fn push(&mut self, stream: &str, record: Record) -> Result<(), AssignError> {
+        if let Some(schema) = self.schemas.get(&stream.to_ascii_lowercase()) {
+            schema
+                .check(&record)
+                .map_err(|error| AssignError::BadRecord {
+                    stream: stream.to_string(),
+                    error,
+                })?;
+        }
+        Ok(self.fabric.push(stream, record)?)
     }
 
     /// Removes and returns the results of one query.
@@ -506,7 +564,7 @@ mod tests {
         let mut mgr = QueryManager::new(1);
         let a = mgr.deploy(&q).unwrap();
         assert_eq!(mgr.blocks(a).unwrap().len(), 1);
-        mgr.push("customers", Record::new(vec![1, 2, 3])).unwrap();
+        mgr.push("customers", Record::new(vec![1, 2, 1])).unwrap();
         assert_eq!(mgr.take_results(a).unwrap().len(), 1);
         // The slot is reusable once the query is gone.
         mgr.undeploy(a).unwrap();
@@ -793,5 +851,73 @@ mod tests {
             unknown
         );
         assert_eq!(unknown.to_string(), "query#42 is not deployed");
+    }
+
+    #[test]
+    fn push_rejects_a_record_that_does_not_fit_its_streams_schema() {
+        let mut catalog = Catalog::new();
+        catalog.register_spec("s=a:8,b:32").unwrap();
+        catalog.register_spec("t=a:8,c:32").unwrap();
+        let plan = |text| bind(&Query::parse(text).unwrap(), &catalog).unwrap();
+        let mut mgr = QueryManager::new(4);
+        let project = mgr.deploy(&plan("SELECT b FROM s")).unwrap();
+        let join = mgr
+            .deploy(&plan("SELECT * FROM s JOIN t ON a WINDOW 4"))
+            .unwrap();
+        mgr.push("t", Record::new(vec![44, 7])).unwrap();
+        for (stream, values, error) in [
+            (
+                "s",
+                vec![1],
+                SchemaError::ArityMismatch {
+                    expected: 2,
+                    actual: 1,
+                },
+            ),
+            (
+                "S",
+                vec![300, 5, 9],
+                SchemaError::ArityMismatch {
+                    expected: 2,
+                    actual: 3,
+                },
+            ),
+            (
+                "s",
+                vec![300, 5],
+                SchemaError::ValueOutOfRange {
+                    field: "a".into(),
+                    value: 300,
+                    max: 255,
+                },
+            ),
+        ] {
+            let bad = AssignError::BadRecord {
+                stream: stream.into(),
+                error,
+            };
+            assert_eq!(mgr.push(stream, Record::new(values)), Err(bad));
+        }
+        // Nothing reached either query; a fitting record still does.
+        assert!(mgr.take_results(project).unwrap().is_empty());
+        assert!(mgr.take_results(join).unwrap().is_empty());
+        mgr.push("s", Record::new(vec![44, 5])).unwrap();
+        assert_eq!(mgr.take_results(project).unwrap(), [Record::new(vec![5])]);
+        assert_eq!(
+            mgr.take_results(join).unwrap(),
+            [Record::new(vec![44, 5, 44, 7])]
+        );
+
+        // Another catalog's `s` cannot join the deployed one; once no
+        // query reads `s`, it can.
+        let mut other = Catalog::new();
+        other.register_spec("s=a:16").unwrap();
+        let wide = bind(&Query::parse("SELECT * FROM s").unwrap(), &other).unwrap();
+        let conflict = AssignError::SchemaConflict { stream: "s".into() };
+        assert_eq!(mgr.deploy(&wide), Err(conflict));
+        mgr.undeploy(project).unwrap();
+        mgr.undeploy(join).unwrap();
+        mgr.deploy(&wide).unwrap();
+        mgr.push("s", Record::new(vec![300])).unwrap();
     }
 }

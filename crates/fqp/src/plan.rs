@@ -191,6 +191,9 @@ pub struct Plan {
     pub primary: String,
     /// Secondary stream name (joins only).
     pub secondary: Option<String>,
+    /// Each input stream with the schema it was bound against: the
+    /// primary first, then a join's secondary.
+    pub inputs: Vec<(String, Schema)>,
     /// Operators in pipeline order:
     /// Select? → (Join → Select?)? → (Project | Aggregate)?.
     pub ops: Vec<PlanOp>,
@@ -375,6 +378,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
         })?;
 
     let mut ops = Vec::new();
+    let mut inputs = vec![(query.from.clone(), primary_schema.clone())];
 
     // Selection binds against the primary stream.
     if let Some(expr) = &query.filter {
@@ -424,6 +428,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
             output_fields.push(Field::new(name, f.width_bits()).map_err(PlanError::Schema)?);
         }
         secondary = Some(j.stream.clone());
+        inputs.push((j.stream.clone(), secondary_schema.clone()));
     }
     let joined_schema = record_schema(output_fields, "joined record")?;
 
@@ -470,6 +475,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
             query: query.clone(),
             primary: query.from.clone(),
             secondary: None,
+            inputs,
             ops,
             output_schema,
         });
@@ -500,6 +506,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<Plan, PlanError> {
         query: query.clone(),
         primary: query.from.clone(),
         secondary,
+        inputs,
         ops,
         output_schema,
     })

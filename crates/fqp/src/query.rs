@@ -17,6 +17,10 @@
 //! the windows hold raw arrivals, the condition prunes matches). The
 //! trailing `WINDOW` belongs to an aggregate head and excludes `JOIN`.
 //!
+//! Keywords are case-insensitive. Whitespace separates words; around
+//! operators, commas and parentheses it is optional, so `v>9`, `v >9`
+//! and `v > 9` parse alike, as do `COUNT(*)` and `COUNT( * )`.
+//!
 //! # Example
 //!
 //! ```
@@ -378,45 +382,38 @@ struct Parser<'a> {
     pos: usize,
 }
 
+/// The two-character comparison operators; every other operator is one
+/// character.
+const TWO_CHAR_OPS: [&str; 5] = [">=", "<=", "!=", "<>", "=="];
+
+fn is_word_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
 impl<'a> Parser<'a> {
+    /// Splits `text` into words (`[A-Za-z0-9_]+`), the
+    /// [`TWO_CHAR_OPS`], and any other non-space character on its own.
+    /// Whitespace only separates tokens, so spacing never changes the
+    /// parse.
     fn new(text: &'a str) -> Self {
-        // Tokenize on whitespace; commas and parentheses become their own
-        // tokens, except that aggregate heads like `COUNT(*)` stay whole.
-        // Comparison operators are whitespace-separated or glued to their
-        // operands.
         let mut tokens = Vec::new();
-        for raw in text.split_whitespace() {
-            if parse_agg_head(raw).is_some() {
-                tokens.push(raw);
-                continue;
-            }
-            let mut start = 0;
-            for (i, c) in raw.char_indices() {
-                if matches!(c, ',' | '(' | ')') {
-                    if start < i {
-                        tokens.push(&raw[start..i]);
-                    }
-                    tokens.push(&raw[i..i + 1]);
-                    start = i + 1;
-                }
-            }
-            if start < raw.len() {
-                tokens.push(&raw[start..]);
-            }
+        let mut rest = text.trim_start();
+        while let Some(c) = rest.chars().next() {
+            let len = if is_word_char(c) {
+                rest.find(|c| !is_word_char(c)).unwrap_or(rest.len())
+            } else if TWO_CHAR_OPS.iter().any(|op| rest.starts_with(op)) {
+                2
+            } else {
+                c.len_utf8()
+            };
+            tokens.push(&rest[..len]);
+            rest = rest[len..].trim_start();
         }
         Self { tokens, pos: 0 }
     }
 
     fn peek(&self) -> Option<&'a str> {
         self.tokens.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<&'a str> {
-        let t = self.peek();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
     }
 
     fn err(&self, expected: &str) -> ParseError {
@@ -426,26 +423,30 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(t) if t.eq_ignore_ascii_case(kw) => {
-                self.pos += 1;
-                Ok(())
-            }
-            _ => Err(self.err(&format!("keyword {kw}"))),
-        }
+    /// Whether the next token is `kw`, in any case.
+    fn peek_is(&self, kw: &str) -> bool {
+        self.peek().is_some_and(|t| t.eq_ignore_ascii_case(kw))
     }
 
-    fn peek_kw(&self, kw: &str) -> bool {
-        self.peek().is_some_and(|t| t.eq_ignore_ascii_case(kw))
+    /// Consumes the next token if it is `kw`, in any case.
+    fn eat(&mut self, kw: &str) -> bool {
+        let found = self.peek_is(kw);
+        self.pos += usize::from(found);
+        found
+    }
+
+    fn expect(&mut self, kw: &str) -> Result<(), ParseError> {
+        if self.eat(kw) {
+            Ok(())
+        } else {
+            Err(self.err(&format!("{kw:?}")))
+        }
     }
 
     fn identifier(&mut self, what: &str) -> Result<String, ParseError> {
         match self.peek() {
-            Some(t)
-                if t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                    && t.chars().next().is_some_and(|c| c.is_ascii_alphabetic()) =>
-            {
+            // A token starting with a letter is a whole word.
+            Some(t) if t.starts_with(|c: char| c.is_ascii_alphabetic()) => {
                 self.pos += 1;
                 Ok(t.to_ascii_lowercase())
             }
@@ -464,41 +465,27 @@ impl<'a> Parser<'a> {
     }
 
     fn query(&mut self) -> Result<Query, ParseError> {
-        self.expect_kw("SELECT")?;
-        let agg_head = self.peek().and_then(parse_agg_head);
+        self.expect("SELECT")?;
+        let agg_head = self.agg_head()?;
         let select = if agg_head.is_some() {
-            self.pos += 1;
             Projection::All
         } else {
             self.projection()?
         };
-        self.expect_kw("FROM")?;
+        self.expect("FROM")?;
         let from = self.identifier("stream name")?;
-        let filter = if self.peek_kw("WHERE") {
-            self.pos += 1;
-            Some(self.bool_expr()?)
-        } else {
-            None
-        };
-        let join = if self.peek_kw("JOIN") {
+        let filter = self.where_clause()?;
+        let join = if self.peek_is("JOIN") {
             if agg_head.is_some() {
-                return Err(ParseError {
-                    expected: "WINDOW clause (aggregates cannot be combined with JOIN)".to_string(),
-                    found: "JOIN".to_string(),
-                });
+                return Err(self.err("WINDOW clause (aggregates cannot be combined with JOIN)"));
             }
             self.pos += 1;
             let stream = self.identifier("join stream name")?;
-            self.expect_kw("ON")?;
+            self.expect("ON")?;
             let on = self.identifier("join key field")?;
-            self.expect_kw("WINDOW")?;
+            self.expect("WINDOW")?;
             let window = self.positive_window()?;
-            let filter = if self.peek_kw("WHERE") {
-                self.pos += 1;
-                Some(self.bool_expr()?)
-            } else {
-                None
-            };
+            let filter = self.where_clause()?;
             Some(JoinClause {
                 stream,
                 on,
@@ -510,10 +497,9 @@ impl<'a> Parser<'a> {
         };
         let aggregate = match agg_head {
             Some((func, field)) => {
-                self.expect_kw("WINDOW")?;
+                self.expect("WINDOW")?;
                 let window = self.positive_window()?;
-                let kind = if self.peek_kw("TUMBLING") {
-                    self.pos += 1;
+                let kind = if self.eat("TUMBLING") {
                     WindowKind::Tumbling
                 } else {
                     WindowKind::Sliding
@@ -527,11 +513,8 @@ impl<'a> Parser<'a> {
             }
             None => None,
         };
-        if let Some(t) = self.peek() {
-            return Err(ParseError {
-                expected: "end of query".to_string(),
-                found: t.to_string(),
-            });
+        if self.peek().is_some() {
+            return Err(self.err("end of query"));
         }
         Ok(Query {
             select,
@@ -542,15 +525,47 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// `head := FUNC '(' ('*' | field) ')'`, where only `COUNT` takes
+    /// `*`. A function name not followed by `(` is a projection field.
+    fn agg_head(&mut self) -> Result<Option<(AggFunc, Option<String>)>, ParseError> {
+        let func = match self.peek().map(str::to_ascii_uppercase).as_deref() {
+            Some("COUNT") => AggFunc::Count,
+            Some("SUM") => AggFunc::Sum,
+            Some("MIN") => AggFunc::Min,
+            Some("MAX") => AggFunc::Max,
+            Some("AVG") => AggFunc::Avg,
+            _ => return Ok(None),
+        };
+        if self.tokens.get(self.pos + 1) != Some(&"(") {
+            return Ok(None);
+        }
+        self.pos += 2;
+        let field = if func == AggFunc::Count && self.eat("*") {
+            None
+        } else {
+            Some(self.identifier("aggregate field")?)
+        };
+        self.expect(")")?;
+        Ok(Some((func, field)))
+    }
+
+    /// An optional `WHERE <expr>`.
+    fn where_clause(&mut self) -> Result<Option<BoolExpr>, ParseError> {
+        if self.eat("WHERE") {
+            Ok(Some(self.bool_expr()?))
+        } else {
+            Ok(None)
+        }
+    }
+
     /// `expr := term (OR term)*`
     fn bool_expr(&mut self) -> Result<BoolExpr, ParseError> {
         let first = self.bool_term()?;
-        if !self.peek_kw("OR") {
+        if !self.peek_is("OR") {
             return Ok(first);
         }
         let mut terms = vec![first];
-        while self.peek_kw("OR") {
-            self.pos += 1;
+        while self.eat("OR") {
             terms.push(self.bool_term()?);
         }
         Ok(BoolExpr::Or(terms))
@@ -559,8 +574,7 @@ impl<'a> Parser<'a> {
     /// `term := factor (AND factor)*`
     fn bool_term(&mut self) -> Result<BoolExpr, ParseError> {
         let mut term = self.bool_factor()?;
-        while self.peek_kw("AND") {
-            self.pos += 1;
+        while self.eat("AND") {
             term = BoolExpr::and(Some(term), self.bool_factor()?);
         }
         Ok(term)
@@ -568,62 +582,41 @@ impl<'a> Parser<'a> {
 
     /// `factor := NOT factor | '(' expr ')' | condition`
     fn bool_factor(&mut self) -> Result<BoolExpr, ParseError> {
-        if self.peek_kw("NOT") {
-            self.pos += 1;
+        if self.eat("NOT") {
             return Ok(BoolExpr::Not(Box::new(self.bool_factor()?)));
         }
-        if self.peek() == Some("(") {
-            self.pos += 1;
+        if self.eat("(") {
             let inner = self.bool_expr()?;
-            if self.peek() != Some(")") {
-                return Err(self.err("closing parenthesis"));
-            }
-            self.pos += 1;
+            self.expect(")")?;
             return Ok(inner);
         }
         Ok(BoolExpr::Atom(self.condition()?))
     }
 
     fn positive_window(&mut self) -> Result<usize, ParseError> {
-        let window = self.number("window size")? as usize;
-        if window == 0 {
-            return Err(ParseError {
-                expected: "positive window size".to_string(),
-                found: "0".to_string(),
-            });
+        let zero = self.err("positive window size");
+        match self.number("window size")? {
+            0 => Err(zero),
+            n => Ok(n as usize),
         }
-        Ok(window)
     }
 
     fn projection(&mut self) -> Result<Projection, ParseError> {
-        if self.peek() == Some("*") {
-            self.pos += 1;
+        if self.eat("*") {
             return Ok(Projection::All);
         }
         let mut fields = vec![self.identifier("projection field")?];
-        while self.peek() == Some(",") {
-            self.pos += 1;
+        while self.eat(",") {
             fields.push(self.identifier("projection field")?);
         }
         Ok(Projection::Fields(fields))
     }
 
     fn condition(&mut self) -> Result<Condition, ParseError> {
-        // Accept both "age > 25" and "age>25".
-        let tok = self.next().ok_or_else(|| self.err("condition"))?;
-        if let Some((field, op, value)) = split_glued_condition(tok) {
-            return Ok(Condition { field, op, value });
-        }
-        let field = validate_ident(tok).ok_or_else(|| self.err("condition field"))?;
-        let op = self.cmp_op()?;
-        let value = self.number("condition literal")?;
-        Ok(Condition { field, op, value })
-    }
-
-    fn cmp_op(&mut self) -> Result<CmpOp, ParseError> {
+        let field = self.identifier("condition field")?;
         let op = match self.peek() {
-            Some("=") | Some("==") => CmpOp::Eq,
-            Some("!=") | Some("<>") => CmpOp::Ne,
+            Some("=" | "==") => CmpOp::Eq,
+            Some("!=" | "<>") => CmpOp::Ne,
             Some("<") => CmpOp::Lt,
             Some("<=") => CmpOp::Le,
             Some(">") => CmpOp::Gt,
@@ -631,63 +624,9 @@ impl<'a> Parser<'a> {
             _ => return Err(self.err("comparison operator")),
         };
         self.pos += 1;
-        Ok(op)
+        let value = self.number("condition literal")?;
+        Ok(Condition { field, op, value })
     }
-}
-
-/// Recognizes an aggregate head token like `COUNT(*)` or `sum(price)`.
-fn parse_agg_head(tok: &str) -> Option<(AggFunc, Option<String>)> {
-    let open = tok.find('(')?;
-    if !tok.ends_with(')') {
-        return None;
-    }
-    let func = match tok[..open].to_ascii_uppercase().as_str() {
-        "COUNT" => AggFunc::Count,
-        "SUM" => AggFunc::Sum,
-        "MIN" => AggFunc::Min,
-        "MAX" => AggFunc::Max,
-        "AVG" => AggFunc::Avg,
-        _ => return None,
-    };
-    let arg = &tok[open + 1..tok.len() - 1];
-    let field = if arg == "*" {
-        if func != AggFunc::Count {
-            return None; // only COUNT takes `*`
-        }
-        None
-    } else {
-        Some(validate_ident(arg)?)
-    };
-    Some((func, field))
-}
-
-fn validate_ident(tok: &str) -> Option<String> {
-    let ok = tok.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && tok.chars().next().is_some_and(|c| c.is_ascii_alphabetic());
-    ok.then(|| tok.to_ascii_lowercase())
-}
-
-fn split_glued_condition(tok: &str) -> Option<(String, CmpOp, u64)> {
-    for (sym, op) in [
-        (">=", CmpOp::Ge),
-        ("<=", CmpOp::Le),
-        ("!=", CmpOp::Ne),
-        ("<>", CmpOp::Ne),
-        ("==", CmpOp::Eq),
-        ("=", CmpOp::Eq),
-        (">", CmpOp::Gt),
-        ("<", CmpOp::Lt),
-    ] {
-        if let Some((lhs, rhs)) = tok.split_once(sym) {
-            if lhs.is_empty() || rhs.is_empty() {
-                continue;
-            }
-            let field = validate_ident(lhs)?;
-            let value = rhs.parse().ok()?;
-            return Some((field, op, value));
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -743,6 +682,62 @@ mod tests {
         assert_eq!(conds[0].op, CmpOp::Gt);
         assert_eq!(conds[1].op, CmpOp::Le);
         assert_eq!(conds[1].value, 9);
+    }
+
+    #[test]
+    fn spacing_around_operators_and_parentheses_is_optional() {
+        for (text, same_as) in [
+            ("SELECT * FROM s WHERE v >9", "SELECT * FROM s WHERE v > 9"),
+            ("SELECT * FROM s WHERE v> 9", "SELECT * FROM s WHERE v > 9"),
+            (
+                "SELECT COUNT( * ) FROM s WINDOW 4",
+                "SELECT COUNT(*) FROM s WINDOW 4",
+            ),
+            (
+                "SELECT SUM (v) FROM s WINDOW 4",
+                "SELECT SUM(v) FROM s WINDOW 4",
+            ),
+            (
+                "SELECT a,b FROM s WHERE NOT(a>=1 OR b<>2)AND(c==3)",
+                "SELECT a , b FROM s WHERE NOT ( a >= 1 OR b != 2 ) AND ( c = 3 )",
+            ),
+        ] {
+            let q = Query::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(q, Query::parse(same_as).unwrap(), "{text}");
+        }
+        // A function name without `(` is a field.
+        let q = Query::parse("SELECT count, sum FROM s").unwrap();
+        assert_eq!(
+            q.select,
+            Projection::Fields(vec!["count".into(), "sum".into()])
+        );
+        assert!(q.aggregate.is_none());
+    }
+
+    #[test]
+    fn an_error_names_the_offending_token() {
+        for (text, expected, found) in [
+            ("SELECT * FROM s WHERE v> x", "condition literal", "x"),
+            ("SELECT * FROM s WHERE v >> 9", "condition literal", ">"),
+            ("SELECT * FROM s WHERE v => 9", "condition literal", ">"),
+            ("SELECT * FROM s WHERE 9 < v", "condition field", "9"),
+            ("SELECT SUM(*) FROM s WINDOW 4", "aggregate field", "*"),
+            ("SELECT COUNT(*] FROM s WINDOW 4", "\")\"", "]"),
+            ("SELECT * FROM s WHERE (v > 9", "\")\"", "<end>"),
+            ("SELECT * FROM s WHERE v>9;", "end of query", ";"),
+            (
+                "SELECT * FROM s JOIN t ON k WINDOW 00",
+                "positive window size",
+                "00",
+            ),
+        ] {
+            let err = Query::parse(text).unwrap_err();
+            assert_eq!(
+                (err.expected.as_str(), err.found.as_str()),
+                (expected, found),
+                "{text}"
+            );
+        }
     }
 
     #[test]

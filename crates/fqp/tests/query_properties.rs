@@ -106,6 +106,81 @@ proptest! {
     }
 }
 
+/// Well-formed queries over every comparison operator, projection list,
+/// aggregate head and `WHERE` placement.
+fn arb_query() -> impl Strategy<Value = String> {
+    let atom = (
+        prop::sample::select(vec!["a", "b"]),
+        prop::sample::select(vec!["=", "!=", "<", "<=", ">", ">=", "==", "<>"]),
+        0u32..100,
+    )
+        .prop_map(|(f, op, v)| format!("{f} {op} {v}"));
+    let clause = atom.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("{x} AND {y}")),
+            (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("( {x} OR {y} )")),
+            inner.prop_map(|x| format!("NOT ( {x} )")),
+        ]
+    });
+    let shape = prop::sample::select(vec![
+        "SELECT * FROM s WHERE {}",
+        "SELECT a, b FROM s WHERE {}",
+        "SELECT COUNT(*) FROM s WHERE {} WINDOW 4",
+        "SELECT SUM(a) FROM s WHERE {} WINDOW 8 TUMBLING",
+        "SELECT b, c FROM s JOIN t ON a WINDOW 8 WHERE {}",
+    ]);
+    (shape, clause).prop_map(|(shape, clause)| shape.replace("{}", &clause))
+}
+
+/// `text` with the spacing changed wherever the lexer ignores it: next
+/// to a comma, a parenthesis or `*`, and between an operator and its
+/// operands. Each such gap gets 0, 1 or 2 spaces, cycling through
+/// `picks`; every other gap keeps its spacing.
+fn respace(text: &str, picks: &[usize]) -> String {
+    let op = |c: char| "<>=!".contains(c);
+    let free = |x: char, y: char| ",()*".contains(x) || ",()*".contains(y) || op(x) != op(y);
+    let mut out = String::new();
+    let mut prev: Option<char> = None;
+    let mut gap = 0;
+    let mut picks = picks.iter().cycle();
+    for c in text.chars() {
+        if c == ' ' {
+            gap += 1;
+            continue;
+        }
+        if let Some(p) = prev {
+            let spaces = if free(p, c) {
+                *picks.next().unwrap()
+            } else {
+                gap
+            };
+            out.extend(std::iter::repeat_n(' ', spaces));
+        }
+        out.push(c);
+        prev = Some(c);
+        gap = 0;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Spaces around operators, commas and parentheses are optional: a
+    /// rendered query with any of them added or removed parses to the
+    /// same query.
+    #[test]
+    fn spacing_never_changes_the_parse(
+        text in arb_query(),
+        picks in prop::collection::vec(0usize..3, 1..16),
+    ) {
+        let rendered = Query::parse(&text).unwrap().to_string();
+        let q = Query::parse(&rendered).unwrap();
+        let respaced = respace(&rendered, &picks);
+        prop_assert_eq!(&Query::parse(&respaced).unwrap(), &q, "{}", respaced);
+    }
+}
+
 /// Pieces of the query dialect and of broken queries, and any character
 /// at all: joined at random they reach every branch of the parser.
 fn query_fragment() -> impl Strategy<Value = String> {

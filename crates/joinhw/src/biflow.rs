@@ -153,7 +153,6 @@ pub struct BiFlowJoin {
     arrival_seq: u64,
     collector_ptr: usize,
     collected: Vec<MatchPair>,
-    accepted_tuples: u64,
     /// Completed cycles (ticks in `begin_cycle`).
     cycle: u64,
     /// Cycle the in-flight wave entered its current core segment.
@@ -189,7 +188,6 @@ impl BiFlowJoin {
             arrival_seq: 0,
             collector_ptr: 0,
             collected: Vec::new(),
-            accepted_tuples: 0,
             cycle: 0,
             seg_start: 0,
             ring: obs::trace::enabled().then(|| {
@@ -404,7 +402,6 @@ impl StreamJoin for BiFlowJoin {
         }
         *slot = Some((seq, tuple));
         self.arrival_seq += 1;
-        self.accepted_tuples += 1;
         true
     }
 
@@ -445,11 +442,6 @@ impl StreamJoin for BiFlowJoin {
         for (core, chunk) in self.cores.iter_mut().zip(s.chunks(sub)) {
             core.window_s.fill(chunk);
         }
-    }
-
-    /// Number of tuples accepted so far (both streams).
-    fn accepted_tuples(&self) -> u64 {
-        self.accepted_tuples
     }
 
     /// Detaches the chain's wave-segment span ring. Empty unless tracing

@@ -37,11 +37,8 @@ pub(crate) mod key {
 /// outcome.
 #[derive(Debug, Clone, Default)]
 pub struct RingStats {
-    /// Distribution-ring occupancy (queued messages) sampled at every
+    /// Peak distribution-ring occupancy (queued messages) seen at any
     /// router send.
-    pub occupancy: obs::Histogram,
-    /// Peak of the occupancy samples (`occupancy.max()`), set once at
-    /// shutdown.
     pub peak_occupancy: obs::Metric,
     /// Nanoseconds the router waited for ring space, one sample per
     /// send that could not complete on the fast path.

@@ -328,12 +328,8 @@ impl StreamJoin for SplitJoin {
                 trace.push(ring);
             }
         }
-        let ring_stats = router.ring_stats;
-        ring_stats
-            .peak_occupancy
-            .set(ring_stats.occupancy.max().unwrap_or(0));
         Ok(JoinOutcome {
-            ring_stats: Some(ring_stats),
+            ring_stats: Some(router.ring_stats),
             kernel_stats: Some(kernel_stats),
             ..outcome(
                 key::SPLITJOIN,

@@ -76,7 +76,9 @@ impl Router {
             return Ok(SendStatus::Lost);
         };
         let depth = prod.len() as u64;
-        ring_stats.occupancy.record_value(depth);
+        if depth > ring_stats.peak_occupancy.get() {
+            ring_stats.peak_occupancy.set(depth);
+        }
         if live.is_some() {
             cells[w].ring_occupancy.set(depth);
         }

@@ -163,6 +163,16 @@ fn explain_binds_against_cli_schemas() {
 }
 
 #[test]
+fn explain_prints_one_plan_for_any_spacing_around_an_operator() {
+    let explain = |query| accel(&["explain", query, "--schema", "s=v:32,w:8"]);
+    let spaced = explain("SELECT v FROM s WHERE v > 9");
+    assert!(spaced.status.success(), "{}", stderr(&spaced));
+    let glued = explain("SELECT v FROM s WHERE v >9");
+    assert!(glued.status.success(), "{}", stderr(&glued));
+    assert_eq!(stdout(&glued), stdout(&spaced));
+}
+
+#[test]
 fn explain_rejects_a_field_named_twice_without_panicking() {
     let out = accel(&["explain", "SELECT k, k FROM s", "--schema", "s=k:32"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
