@@ -15,23 +15,26 @@
 //! 2. [`plan::bind`] — bind against stream schemas ([`plan::Catalog`])
 //!    into a pipeline of operators;
 //! 3. [`manager::QueryManager::deploy`] — allocate idle
-//!    [`opblock::OpBlock`]s on its [`fabric::Fabric`], program them, and
+//!    [`opblock::OpBlock`]s of the manager's fabric, program them, and
 //!    wire the pipeline, sharing a matching prefix with queries already
 //!    deployed;
 //! 4. [`manager::QueryManager::push`] — stream records through;
 //! 5. [`manager::QueryManager::reprogram`] /
 //!    [`manager::QueryManager::undeploy`] — change or remove queries live
-//!    ([`reconfig`] quantifies why this matters).
+//!    ([`reconfig`] quantifies why this matters); `undeploy` hands back
+//!    the results the query had not taken.
 //!
-//! [`manager::QueryManager`] is the one deployer: nothing else puts a
-//! bound plan on a fabric or takes it off.
+//! [`manager::QueryManager`] is the fabric and its one deployer: it owns
+//! the blocks, their wiring, the stream entries and each deployed
+//! query's results, and nothing else puts a bound plan on the blocks or
+//! takes it off.
 //!
 //! # Where operators run
 //!
 //! [`plan::PlanOp`] is the one operator type and [`opblock::OpBlock`]
 //! the one runtime for it: a block programmed with
-//! [`opblock::BlockProgram::Op`] runs one bound operator on a
-//! [`fabric::Fabric`] (wired by [`manager`]).
+//! [`opblock::BlockProgram::Op`] runs one bound operator on the fabric
+//! of a [`manager::QueryManager`], which wires it.
 //! [`opblock::WindowAggregate`] is the one windowed aggregate,
 //! behind aggregate blocks and the `query` crate's inline aggregates.
 //!
@@ -68,8 +71,8 @@
 //! manager.push("readings", Record::new(vec![1, 95]))?;
 //! manager.push("readings", Record::new(vec![2, 50]))?;
 //! assert_eq!(manager.take_results(id)?, vec![Record::new(vec![95])]);
-//! manager.undeploy(id)?;
-//! assert_eq!(manager.fabric().idle_blocks(), 8);
+//! assert!(manager.undeploy(id)?.is_empty());
+//! assert_eq!(manager.idle_blocks(), 8);
 //! # Ok(())
 //! # }
 //! ```
@@ -78,7 +81,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod fabric;
 pub mod landscape;
 pub mod manager;
 pub mod opblock;

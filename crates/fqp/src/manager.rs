@@ -1,32 +1,35 @@
-//! Query deployment onto the fabric, with inter-query operator sharing —
-//! the paper's open problems #1/#2 (map a plan onto idle OP-Blocks at
-//! runtime) and #4: "generalize the query mapping from single-query
-//! optimization to multi-query optimization to amortize the execution
-//! cost across the shared processing of several queries", in the spirit
-//! of the Rete-like global query plans it cites.
+//! The FQP fabric and its one deployer, with inter-query operator
+//! sharing — the paper's open problems #1/#2 (map a plan onto idle
+//! OP-Blocks at runtime) and #4: "generalize the query mapping from
+//! single-query optimization to multi-query optimization to amortize the
+//! execution cost across the shared processing of several queries", in
+//! the spirit of the Rete-like global query plans it cites.
 //!
-//! [`QueryManager`] is the one way a bound plan is put on a [`Fabric`],
-//! changed on it, and taken off it. [`QueryManager::deploy`] looks for an
+//! [`QueryManager`] is the *parametrized topology*: a pool of OP-Blocks
+//! fixed at construction (the paper's synthesis) whose programs, wiring,
+//! stream entries and query outputs change at runtime, in microseconds
+//! and without a halt (Fig. 6). It owns all of it, each deployed query's
+//! untaken results included. [`QueryManager::deploy`] looks for an
 //! already-deployed query whose operator pipeline starts with the same
 //! operators over the same streams and reuses those blocks (fan-out on
 //! the last shared block); only the differing suffix consumes fresh
 //! OP-Blocks, one per operator. Two queries with no common prefix occupy
 //! blocks side by side, which is the paper's Fig. 7 layout. Shared blocks
 //! are reference-counted so [`QueryManager::undeploy`] releases exactly
-//! the blocks no surviving query needs.
+//! the blocks no surviving query needs, and hands back the query's
+//! untaken results: nothing of a removed query stays behind.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
 use streamcore::{Record, Schema, SchemaError};
 
-use crate::fabric::{Fabric, FabricError, SinkId, Target};
-use crate::opblock::{BlockId, BlockProgram, Port};
+use crate::opblock::{BlockId, BlockProgram, OpBlock, Port};
 use crate::plan::{Plan, PlanOp};
 
 /// Identifier of a deployed query within a [`QueryManager`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(u64);
 
 impl fmt::Display for QueryId {
@@ -35,7 +38,8 @@ impl fmt::Display for QueryId {
     }
 }
 
-/// Errors raised while deploying, changing or removing a query.
+/// Errors raised while deploying, changing or removing a query, or
+/// pushing a record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AssignError {
     /// Not enough idle blocks for the plan.
@@ -45,8 +49,6 @@ pub enum AssignError {
         /// Idle blocks available.
         available: usize,
     },
-    /// The fabric rejected a reconfiguration step.
-    Fabric(FabricError),
     /// No deployed query has this id.
     UnknownQuery {
         /// The offending id.
@@ -75,6 +77,11 @@ pub enum AssignError {
         /// The stream.
         stream: String,
     },
+    /// A record was pushed for a stream no deployed query reads.
+    UnknownStream {
+        /// The stream.
+        stream: String,
+    },
     /// A pushed record does not fit its stream's schema.
     BadRecord {
         /// The stream.
@@ -94,7 +101,6 @@ impl fmt::Display for AssignError {
                 f,
                 "plan needs {required} OP-Blocks but only {available} are idle"
             ),
-            AssignError::Fabric(e) => write!(f, "fabric error: {e}"),
             AssignError::UnknownQuery { id } => write!(f, "{id} is not deployed"),
             AssignError::UnknownOp { id, op } => write!(f, "{id} has no operator {op}"),
             AssignError::SharedBlock { block, queries } => {
@@ -103,6 +109,9 @@ impl fmt::Display for AssignError {
             AssignError::MissingSecondary => write!(f, "plan joins no secondary stream"),
             AssignError::SchemaConflict { stream } => {
                 write!(f, "stream {stream:?} is deployed under another schema")
+            }
+            AssignError::UnknownStream { stream } => {
+                write!(f, "no deployed query reads stream {stream:?}")
             }
             AssignError::BadRecord { stream, error } => {
                 write!(f, "record for stream {stream:?}: {error}")
@@ -113,20 +122,32 @@ impl fmt::Display for AssignError {
 
 impl Error for AssignError {}
 
-impl From<FabricError> for AssignError {
-    fn from(e: FabricError) -> Self {
-        AssignError::Fabric(e)
-    }
+/// Where a block's output goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// An input port of a block.
+    Block(BlockId, Port),
+    /// A deployed query's results.
+    Query(QueryId),
 }
 
-#[derive(Debug, Clone)]
+/// A stream some deployed query reads.
+#[derive(Debug)]
+struct Stream {
+    schema: Schema,
+    /// The block ports its records enter; several fan it out (Fig. 7's
+    /// shared product stream).
+    entries: Vec<(BlockId, Port)>,
+}
+
+#[derive(Debug)]
 struct Deployed {
-    id: QueryId,
     primary: String,
     secondary: Option<String>,
     /// The full pipeline, programs included (shared prefix + own suffix).
     chain: Vec<(BlockId, BlockProgram)>,
-    sink: SinkId,
+    /// Results not taken yet.
+    results: Vec<Record>,
 }
 
 /// Statistics about sharing across currently deployed queries.
@@ -147,8 +168,8 @@ impl SharingReport {
     }
 }
 
-/// Deploys queries onto a fabric with operator sharing and reference
-/// counting.
+/// A fabric of OP-Blocks and the queries deployed on it, with operator
+/// sharing and reference counting.
 ///
 /// # Example
 ///
@@ -173,44 +194,36 @@ impl SharingReport {
 ///
 /// mgr.push("readings", Record::new(vec![1, 95]))?;
 /// assert_eq!(mgr.take_results(a)?.len(), 1);
-/// assert_eq!(mgr.take_results(b)?.len(), 1);
+/// assert_eq!(mgr.undeploy(b)?, vec![Record::new(vec![1, 95])]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct QueryManager {
-    fabric: Fabric,
+    blocks: Vec<OpBlock>,
+    /// Each block's output edges, by block index.
+    outputs: Vec<Vec<Target>>,
+    /// The streams deployed queries read, by lowercase name (stream
+    /// names match case-insensitively).
+    streams: BTreeMap<String, Stream>,
     next_id: u64,
-    deployed: Vec<Deployed>,
+    deployed: BTreeMap<QueryId, Deployed>,
     refcounts: HashMap<BlockId, usize>,
-    /// The schema of every stream a deployed query reads, by lowercase
-    /// name (stream names match case-insensitively, as in the fabric).
-    schemas: HashMap<String, Schema>,
 }
 
 impl QueryManager {
-    /// Creates a manager over a fresh fabric of `num_blocks` OP-Blocks.
+    /// Creates a manager over a fabric of `num_blocks` idle OP-Blocks.
     pub fn new(num_blocks: usize) -> Self {
         Self {
-            fabric: Fabric::new(num_blocks),
-            next_id: 0,
-            deployed: Vec::new(),
-            refcounts: HashMap::new(),
-            schemas: HashMap::new(),
+            blocks: (0..num_blocks).map(|i| OpBlock::new(BlockId(i))).collect(),
+            outputs: vec![Vec::new(); num_blocks],
+            ..Self::default()
         }
     }
 
-    /// Read access to the underlying fabric.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// Where query `id` sits in `deployed`.
-    fn position(&self, id: QueryId) -> Result<usize, AssignError> {
-        self.deployed
-            .iter()
-            .position(|d| d.id == id)
-            .ok_or(AssignError::UnknownQuery { id })
+    /// Number of blocks no query runs on.
+    pub fn idle_blocks(&self) -> usize {
+        self.blocks.iter().filter(|b| b.is_idle()).count()
     }
 
     /// Deploys `plan`, sharing the longest matching operator prefix of an
@@ -230,15 +243,16 @@ impl QueryManager {
     ///
     /// Returns [`AssignError::InsufficientBlocks`] when the *unshared*
     /// suffix does not fit the idle pool (sharing reduces the
-    /// requirement), or [`AssignError::SchemaConflict`] when the plan
+    /// requirement), [`AssignError::MissingSecondary`] for a join with no
+    /// secondary stream, or [`AssignError::SchemaConflict`] when the plan
     /// reads a deployed stream under another schema; the fabric is left
-    /// unchanged in both cases.
+    /// unchanged in each case.
     pub fn deploy(&mut self, plan: &Plan) -> Result<QueryId, AssignError> {
         for (stream, schema) in &plan.inputs {
             if self
-                .schemas
+                .streams
                 .get(&stream.to_ascii_lowercase())
-                .is_some_and(|s| s != schema)
+                .is_some_and(|s| s.schema != *schema)
             {
                 return Err(AssignError::SchemaConflict {
                     stream: stream.clone(),
@@ -250,7 +264,7 @@ impl QueryManager {
         // Longest shareable prefix across deployed queries.
         let shared: Vec<(BlockId, BlockProgram)> = self
             .deployed
-            .iter()
+            .values()
             .filter(|d| d.primary == plan.primary)
             .map(|d| {
                 let mut n = 0;
@@ -273,7 +287,13 @@ impl QueryManager {
             .unwrap_or_default();
 
         let suffix = &programs[shared.len()..];
-        let free: Vec<BlockId> = self.fabric.idle().take(suffix.len()).collect();
+        let free: Vec<BlockId> = self
+            .blocks
+            .iter()
+            .filter(|b| b.is_idle())
+            .map(OpBlock::id)
+            .take(suffix.len())
+            .collect();
         if free.len() < suffix.len() {
             return Err(AssignError::InsufficientBlocks {
                 required: suffix.len(),
@@ -288,66 +308,98 @@ impl QueryManager {
         // Allocate and program the suffix.
         let mut chain = shared.clone();
         for (id, prog) in free.into_iter().zip(suffix) {
-            self.fabric.reprogram(id, prog.clone())?;
+            self.blocks[id.0].reprogram(prog.clone());
             chain.push((id, prog.clone()));
+        }
+        for (stream, schema) in &plan.inputs {
+            self.streams
+                .entry(stream.to_ascii_lowercase())
+                .or_insert_with(|| Stream {
+                    schema: schema.clone(),
+                    entries: Vec::new(),
+                });
         }
 
         // Wiring: each new block gets its streams (the primary one only
         // at the head of the chain; a shared block is already bound) and
         // every block from the last shared one on feeds its successor,
-        // the last one the query's sink.
-        let sink = self.fabric.add_sink();
+        // the last one the query's results. Every new edge leads into a
+        // block allocated above or into this query's results, and
+        // `release` strips every edge of a freed block, so the wiring
+        // stays acyclic and `push` always ends.
+        let id = QueryId(self.next_id);
+        self.next_id += 1;
         let next = chain
             .iter()
             .skip(1)
-            .map(|&(id, _)| Target::Block(id, Port::Left))
-            .chain([Target::Sink(sink)]);
-        for (i, (&(id, ref prog), to)) in chain.iter().zip(next).enumerate() {
+            .map(|&(block, _)| Target::Block(block, Port::Left))
+            .chain([Target::Query(id)]);
+        for (i, (&(block, ref prog), to)) in chain.iter().zip(next).enumerate() {
             if i >= shared.len() {
                 if i == 0 {
-                    self.fabric.bind_stream(&plan.primary, id, Port::Left)?;
+                    self.bind(&plan.primary, block, Port::Left);
                 }
                 if let Some(stream) = plan.secondary.as_ref().filter(|_| is_join(prog)) {
-                    self.fabric.bind_stream(stream, id, Port::Right)?;
+                    self.bind(stream, block, Port::Right);
                 }
             }
             if i + 1 >= shared.len() {
-                self.fabric.connect(id, to)?;
+                self.outputs[block.0].push(to);
             }
         }
 
         // Reference counting over the whole chain.
-        for (id, _) in &chain {
-            *self.refcounts.entry(*id).or_insert(0) += 1;
+        for (block, _) in &chain {
+            *self.refcounts.entry(*block).or_insert(0) += 1;
         }
-
-        for (stream, schema) in &plan.inputs {
-            self.schemas
-                .insert(stream.to_ascii_lowercase(), schema.clone());
-        }
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
-        self.deployed.push(Deployed {
+        self.deployed.insert(
             id,
-            primary: plan.primary.clone(),
-            secondary: plan.secondary.clone(),
-            chain,
-            sink,
-        });
+            Deployed {
+                primary: plan.primary.clone(),
+                secondary: plan.secondary.clone(),
+                chain,
+                results: Vec::new(),
+            },
+        );
         Ok(id)
     }
 
-    /// Removes a query: its own sink edge is disconnected, and every
-    /// block no surviving query shares is released (which also drops the
-    /// edges and stream bindings into it).
+    /// Routes `stream`'s records into `port` of `block`; `deploy` has
+    /// registered the stream.
+    fn bind(&mut self, stream: &str, block: BlockId, port: Port) {
+        if let Some(s) = self.streams.get_mut(&stream.to_ascii_lowercase()) {
+            s.entries.push((block, port));
+        }
+    }
+
+    /// Returns a block to the idle pool: program cleared, and every edge
+    /// and stream entry into or out of it removed, so a block reused
+    /// later receives nothing its last user was wired to.
+    fn release(&mut self, id: BlockId) {
+        self.blocks[id.0].reprogram(BlockProgram::Idle);
+        self.outputs[id.0].clear();
+        for targets in &mut self.outputs {
+            targets.retain(|t| !matches!(t, Target::Block(b, _) if *b == id));
+        }
+        for stream in self.streams.values_mut() {
+            stream.entries.retain(|(b, _)| *b != id);
+        }
+    }
+
+    /// Removes a query and returns the results it had not taken. Its
+    /// output edge goes, every block no surviving query shares is
+    /// released, and a stream no surviving query reads is forgotten.
     ///
     /// # Errors
     ///
     /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
-    pub fn undeploy(&mut self, id: QueryId) -> Result<(), AssignError> {
-        let d = self.deployed.remove(self.position(id)?);
+    pub fn undeploy(&mut self, id: QueryId) -> Result<Vec<Record>, AssignError> {
+        let d = self
+            .deployed
+            .remove(&id)
+            .ok_or(AssignError::UnknownQuery { id })?;
         if let Some(&(last, _)) = d.chain.last() {
-            self.fabric.disconnect(last, Target::Sink(d.sink))?;
+            self.outputs[last.0].retain(|t| *t != Target::Query(id));
         }
         for (block, _) in &d.chain {
             // Every deployed block is counted; an uncounted one would be
@@ -356,19 +408,14 @@ impl QueryManager {
             *count -= 1;
             if *count == 0 {
                 self.refcounts.remove(block);
-                self.fabric.release(*block)?;
+                self.release(*block);
             }
         }
-        let deployed = &self.deployed;
-        self.schemas.retain(|stream, _| {
-            deployed.iter().any(|d| {
-                d.primary.eq_ignore_ascii_case(stream)
-                    || d.secondary
-                        .as_ref()
-                        .is_some_and(|s| s.eq_ignore_ascii_case(stream))
-            })
-        });
-        Ok(())
+        // A stream with no entry left has no reader: each query's head
+        // block is bound to its primary stream, its join block to its
+        // secondary.
+        self.streams.retain(|_, s| !s.entries.is_empty());
+        Ok(d.results)
     }
 
     /// The blocks a deployed query runs on, in pipeline order.
@@ -377,7 +424,10 @@ impl QueryManager {
     ///
     /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
     pub fn blocks(&self, id: QueryId) -> Result<Vec<BlockId>, AssignError> {
-        let d = &self.deployed[self.position(id)?];
+        let d = self
+            .deployed
+            .get(&id)
+            .ok_or(AssignError::UnknownQuery { id })?;
         Ok(d.chain.iter().map(|(block, _)| *block).collect())
     }
 
@@ -398,38 +448,68 @@ impl QueryManager {
         op: usize,
         program: BlockProgram,
     ) -> Result<(), AssignError> {
-        let pos = self.position(id)?;
-        let (block, _) = self.deployed[pos]
+        let d = self
+            .deployed
+            .get_mut(&id)
+            .ok_or(AssignError::UnknownQuery { id })?;
+        let (block, current) = d
             .chain
-            .get(op)
+            .get_mut(op)
             .ok_or(AssignError::UnknownOp { id, op })?;
-        let block = *block;
-        let queries = self.refcounts[&block];
+        let queries = self.refcounts[block];
         if queries > 1 {
-            return Err(AssignError::SharedBlock { block, queries });
+            return Err(AssignError::SharedBlock {
+                block: *block,
+                queries,
+            });
         }
-        self.fabric.reprogram(block, program.clone())?;
-        self.deployed[pos].chain[op].1 = program;
+        self.blocks[block.0].reprogram(program.clone());
+        *current = program;
         Ok(())
     }
 
-    /// Pushes one record into the fabric.
+    /// Pushes one record into the fabric and runs it to quiescence.
     ///
     /// # Errors
     ///
-    /// Returns [`AssignError::BadRecord`] if the record does not fit the
-    /// stream's schema, and [`FabricError::UnknownStream`] (as
-    /// [`AssignError::Fabric`]) if no deployed query reads `stream`.
+    /// Returns [`AssignError::UnknownStream`] if no deployed query reads
+    /// `stream`, and [`AssignError::BadRecord`] if the record does not
+    /// fit the stream's schema.
     pub fn push(&mut self, stream: &str, record: Record) -> Result<(), AssignError> {
-        if let Some(schema) = self.schemas.get(&stream.to_ascii_lowercase()) {
-            schema
-                .check(&record)
-                .map_err(|error| AssignError::BadRecord {
-                    stream: stream.to_string(),
-                    error,
-                })?;
+        let Some(entry) = self.streams.get(&stream.to_ascii_lowercase()) else {
+            return Err(AssignError::UnknownStream {
+                stream: stream.to_string(),
+            });
+        };
+        entry
+            .schema
+            .check(&record)
+            .map_err(|error| AssignError::BadRecord {
+                stream: stream.to_string(),
+                error,
+            })?;
+        let mut work: Vec<(Target, Record)> = entry
+            .entries
+            .iter()
+            .map(|&(block, port)| (Target::Block(block, port), record.clone()))
+            .collect();
+        while let Some((target, rec)) = work.pop() {
+            match target {
+                Target::Query(id) => {
+                    if let Some(d) = self.deployed.get_mut(&id) {
+                        d.results.push(rec);
+                    }
+                }
+                Target::Block(block, port) => {
+                    for out in self.blocks[block.0].process(port, rec) {
+                        for &to in &self.outputs[block.0] {
+                            work.push((to, out.clone()));
+                        }
+                    }
+                }
+            }
         }
-        Ok(self.fabric.push(stream, record)?)
+        Ok(())
     }
 
     /// Removes and returns the results of one query.
@@ -438,15 +518,54 @@ impl QueryManager {
     ///
     /// Returns [`AssignError::UnknownQuery`] for an id not deployed.
     pub fn take_results(&mut self, id: QueryId) -> Result<Vec<Record>, AssignError> {
-        let sink = self.deployed[self.position(id)?].sink;
-        Ok(self.fabric.take_sink(sink)?)
+        self.deployed
+            .get_mut(&id)
+            .map(|d| std::mem::take(&mut d.results))
+            .ok_or(AssignError::UnknownQuery { id })
     }
 
-    /// Graphviz DOT rendering of the shared topology (see
-    /// [`Fabric::to_dot`]) — shared prefix blocks show their fan-out to
-    /// every dependent query's suffix.
+    /// Renders the topology as a Graphviz DOT document: stream entries,
+    /// programmed blocks (labelled with their operator mnemonic), idle
+    /// blocks (dashed), one output node per deployed query, and every
+    /// edge — shared prefix blocks show their fan-out to every dependent
+    /// query's suffix.
     pub fn to_dot(&self) -> String {
-        self.fabric.to_dot()
+        use std::fmt::Write as _;
+        let mut out = String::from("digraph fqp {\n  rankdir=LR;\n");
+        for (name, stream) in &self.streams {
+            let _ = writeln!(out, "  \"stream_{name}\" [shape=cds, label=\"{name}\"];");
+            for (block, port) in &stream.entries {
+                let _ = writeln!(
+                    out,
+                    "  \"stream_{name}\" -> b{} [label=\"{port:?}\"];",
+                    block.0
+                );
+            }
+        }
+        for b in &self.blocks {
+            let style = if b.is_idle() { ", style=dashed" } else { "" };
+            let _ = writeln!(
+                out,
+                "  b{0} [shape=box, label=\"#{0} {1}\"{style}];",
+                b.id().0,
+                b.program().mnemonic(),
+            );
+        }
+        for id in self.deployed.keys() {
+            let _ = writeln!(out, "  query{} [shape=doublecircle, label=\"{id}\"];", id.0);
+        }
+        for (from, targets) in self.outputs.iter().enumerate() {
+            for t in targets {
+                let _ = match t {
+                    Target::Block(id, port) => {
+                        writeln!(out, "  b{from} -> b{} [label=\"{port:?}\"];", id.0)
+                    }
+                    Target::Query(id) => writeln!(out, "  b{from} -> query{};", id.0),
+                };
+            }
+        }
+        out.push_str("}\n");
+        out
     }
 
     /// Sharing statistics across the deployed queries.
@@ -454,7 +573,7 @@ impl QueryManager {
         SharingReport {
             queries: self.deployed.len(),
             blocks_in_use: self.refcounts.len(),
-            blocks_without_sharing: self.deployed.iter().map(|d| d.chain.len()).sum(),
+            blocks_without_sharing: self.deployed.values().map(|d| d.chain.len()).sum(),
         }
     }
 }
@@ -523,7 +642,7 @@ mod tests {
         let b = mgr.deploy(&q2).unwrap();
         assert_eq!(mgr.blocks(a).unwrap().len(), 2);
         assert_eq!(mgr.blocks(b).unwrap().len(), 2);
-        assert_eq!(mgr.fabric().idle_blocks(), 0);
+        assert_eq!(mgr.idle_blocks(), 0);
 
         // Drive the shared streams: a 30-year-old female customer buying
         // product 7, which exists in the product stream.
@@ -554,7 +673,7 @@ mod tests {
                 available: 1
             }
         );
-        assert_eq!(mgr.fabric().idle_blocks(), 1);
+        assert_eq!(mgr.idle_blocks(), 1);
         assert_eq!(mgr.sharing_report(), SharingReport::default());
     }
 
@@ -566,9 +685,17 @@ mod tests {
         assert_eq!(mgr.blocks(a).unwrap().len(), 1);
         mgr.push("customers", Record::new(vec![1, 2, 1])).unwrap();
         assert_eq!(mgr.take_results(a).unwrap().len(), 1);
-        // The slot is reusable once the query is gone.
+        // The slot is reusable once the query is gone, and its stream is
+        // forgotten until a query reads it again.
         mgr.undeploy(a).unwrap();
-        assert_eq!(mgr.fabric().idle_blocks(), 1);
+        assert_eq!(mgr.idle_blocks(), 1);
+        let unread = AssignError::UnknownStream {
+            stream: "Customers".into(),
+        };
+        assert_eq!(
+            mgr.push("Customers", Record::new(vec![1, 2, 1])),
+            Err(unread)
+        );
         assert!(mgr.deploy(&q).is_ok());
     }
 
@@ -634,41 +761,41 @@ mod tests {
         // q2's join block is released; the shared select and q1's join
         // survive.
         assert_eq!(mgr.sharing_report().blocks_in_use, 2);
-        assert_eq!(mgr.fabric().idle_blocks(), 1);
+        assert_eq!(mgr.idle_blocks(), 1);
         assert!(!mgr.to_dot().contains("b0 -> b2"), "{}", mgr.to_dot());
         mgr.push("products", Record::new(vec![3, 5])).unwrap();
         mgr.push("customers", Record::new(vec![3, 30, 0])).unwrap();
         assert_eq!(mgr.take_results(a).unwrap().len(), 1);
 
         mgr.undeploy(a).unwrap();
-        assert_eq!(mgr.fabric().idle_blocks(), 3);
+        assert_eq!(mgr.idle_blocks(), 3);
     }
 
     #[test]
-    fn an_undeployed_querys_sink_receives_nothing_in_either_order() {
+    fn undeploy_returns_the_untaken_results_and_leaves_no_output_in_either_order() {
         // Two identical queries share their one block, so each owns
-        // nothing but its sink edge. Sinks are numbered in deployment
-        // order: `a` collects at sink 0, `b` at sink 1.
+        // nothing but its output. Query ids are numbered in deployment
+        // order: `a` is query#0, `b` query#1.
         let q = plan_of("SELECT * FROM customers WHERE age > 25");
+        let early = Record::new(vec![1, 40, 0]);
         for first_out in [0, 1] {
             let mut mgr = QueryManager::new(2);
             let ids = [mgr.deploy(&q).unwrap(), mgr.deploy(&q).unwrap()];
             let (gone, kept) = (ids[first_out], ids[1 - first_out]);
-            mgr.undeploy(gone).unwrap();
+            mgr.push("customers", early.clone()).unwrap();
+            assert_eq!(mgr.undeploy(gone).unwrap(), vec![early.clone()]);
             let dot = mgr.to_dot();
-            assert!(!dot.contains(&format!("-> sink{first_out};")), "{dot}");
+            assert!(!dot.contains(&format!("query{first_out}")), "{dot}");
+            assert_eq!(dot.matches("shape=doublecircle").count(), 1, "{dot}");
 
             mgr.push("customers", Record::new(vec![1, 30, 0])).unwrap();
-            assert_eq!(mgr.take_results(kept).unwrap().len(), 1);
-            let removed_sink = mgr.fabric.take_sink(SinkId(first_out)).unwrap();
-            assert!(
-                removed_sink.is_empty(),
-                "order {first_out}: {removed_sink:?}"
-            );
+            assert_eq!(mgr.take_results(kept).unwrap().len(), 2);
             assert_eq!(
                 mgr.take_results(gone).unwrap_err(),
                 AssignError::UnknownQuery { id: gone }
             );
+            assert!(mgr.undeploy(kept).unwrap().is_empty());
+            assert_eq!(mgr.idle_blocks(), 2);
         }
     }
 
@@ -828,14 +955,24 @@ mod tests {
             "SELECT * FROM customers WHERE age > 25 \
              JOIN products ON product_id WINDOW 128",
         );
-        let mut mgr = QueryManager::new(3);
+        let mut mgr = QueryManager::new(4);
         mgr.deploy(&q1).unwrap();
         mgr.deploy(&q2).unwrap();
         let dot = mgr.to_dot();
-        // The shared select (block 0) feeds both join blocks.
+        assert!(dot.starts_with("digraph fqp {"), "{dot}");
+        assert!(dot.contains("\"stream_customers\" -> b0"), "{dot}");
+        assert!(
+            dot.contains("\"stream_products\" -> b2 [label=\"Right\"]"),
+            "{dot}"
+        );
+        assert!(dot.contains("#0 select"), "{dot}");
+        assert!(dot.contains("#3 idle\", style=dashed"), "{dot}");
+        // The shared select (block 0) feeds both join blocks, each of
+        // which feeds its own query's output.
         assert!(dot.contains("b0 -> b1"), "{dot}");
         assert!(dot.contains("b0 -> b2"), "{dot}");
-        assert!(dot.matches("sink").count() >= 2, "{dot}");
+        assert!(dot.contains("b1 -> query0;"), "{dot}");
+        assert!(dot.contains("b2 -> query1;"), "{dot}");
     }
 
     #[test]

@@ -144,17 +144,6 @@ impl WindowAggregate {
     }
 }
 
-/// Cumulative per-block counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockStats {
-    /// Records consumed (both ports).
-    pub records_in: u64,
-    /// Records emitted.
-    pub records_out: u64,
-    /// Times the block has been reprogrammed.
-    pub reprograms: u64,
-}
-
 /// One OP-Block instance.
 #[derive(Debug, Clone)]
 pub struct OpBlock {
@@ -163,7 +152,6 @@ pub struct OpBlock {
     window_left: Option<SlidingWindow<Record>>,
     window_right: Option<SlidingWindow<Record>>,
     aggregate: Option<WindowAggregate>,
-    stats: BlockStats,
 }
 
 impl OpBlock {
@@ -175,7 +163,6 @@ impl OpBlock {
             window_left: None,
             window_right: None,
             aggregate: None,
-            stats: BlockStats::default(),
         }
     }
 
@@ -194,11 +181,6 @@ impl OpBlock {
         matches!(self.program, BlockProgram::Idle)
     }
 
-    /// Cumulative counters.
-    pub fn stats(&self) -> BlockStats {
-        self.stats
-    }
-
     /// (Re)programs the block at runtime — the FQP micro-change path:
     /// takes effect immediately, clearing any join or aggregate window.
     pub fn reprogram(&mut self, program: BlockProgram) {
@@ -214,14 +196,12 @@ impl OpBlock {
             _ => None,
         };
         self.program = program;
-        self.stats.reprograms += 1;
     }
 
     /// Processes one record arriving on `port`, returning the emitted
     /// records.
     pub fn process(&mut self, port: Port, record: Record) -> Vec<Record> {
-        self.stats.records_in += 1;
-        let out = match &self.program {
+        match &self.program {
             BlockProgram::Idle => Vec::new(),
             BlockProgram::Passthrough => vec![record],
             BlockProgram::Op(op @ (PlanOp::Select { .. } | PlanOp::SelectTable { .. })) => {
@@ -278,9 +258,7 @@ impl OpBlock {
                 .and_then(|agg| agg.push(record.values()))
                 .map(|value| vec![Record::new(vec![value])])
                 .unwrap_or_default(),
-        };
-        self.stats.records_out += out.len() as u64;
-        out
+        }
     }
 }
 
@@ -300,8 +278,6 @@ mod tests {
         let mut b = OpBlock::new(BlockId(0));
         assert!(b.is_idle());
         assert!(b.process(Port::Left, rec(&[1, 2])).is_empty());
-        assert_eq!(b.stats().records_in, 1);
-        assert_eq!(b.stats().records_out, 0);
     }
 
     #[test]
@@ -384,7 +360,6 @@ mod tests {
             window: 4,
         }));
         assert!(b.process(Port::Left, rec(&[1])).is_empty());
-        assert_eq!(b.stats().reprograms, 3);
     }
 
     #[test]

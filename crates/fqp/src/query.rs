@@ -203,7 +203,9 @@ impl fmt::Display for BoolExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BoolExpr::Atom(c) => write!(f, "{c}"),
-            BoolExpr::And(es) => {
+            // A disjunction inside either keeps its parentheses, so the
+            // rendering re-parses to the same tree.
+            BoolExpr::And(es) | BoolExpr::Or(es) => {
                 let parts: Vec<String> = es
                     .iter()
                     .map(|e| match e {
@@ -211,11 +213,12 @@ impl fmt::Display for BoolExpr {
                         _ => e.to_string(),
                     })
                     .collect();
-                write!(f, "{}", parts.join(" AND "))
-            }
-            BoolExpr::Or(es) => {
-                let parts: Vec<String> = es.iter().map(|e| e.to_string()).collect();
-                write!(f, "{}", parts.join(" OR "))
+                let sep = if matches!(self, BoolExpr::And(_)) {
+                    " AND "
+                } else {
+                    " OR "
+                };
+                write!(f, "{}", parts.join(sep))
             }
             BoolExpr::Not(e) => match **e {
                 BoolExpr::Atom(_) => write!(f, "NOT {e}"),

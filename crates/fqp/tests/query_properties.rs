@@ -36,6 +36,9 @@ fn arb_clause() -> impl Strategy<Value = String> {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("{x} AND {y}")),
             (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("{x} OR {y}")),
+            // An OR nested in parentheses inside an OR.
+            (inner.clone(), inner.clone(), inner.clone())
+                .prop_map(|(x, y, z)| format!("( {x} OR {y} ) OR {z}")),
             inner.prop_map(|x| format!("NOT ( {x} )")),
         ]
     })
@@ -100,9 +103,9 @@ proptest! {
         let mut mgr = QueryManager::new(plan.block_count() + extra);
         let id = mgr.deploy(&plan).unwrap();
         prop_assert_eq!(mgr.blocks(id).unwrap().len(), plan.block_count());
-        prop_assert_eq!(mgr.fabric().idle_blocks(), extra);
+        prop_assert_eq!(mgr.idle_blocks(), extra);
         mgr.undeploy(id).unwrap();
-        prop_assert_eq!(mgr.fabric().idle_blocks(), plan.block_count() + extra);
+        prop_assert_eq!(mgr.idle_blocks(), plan.block_count() + extra);
     }
 }
 

@@ -410,8 +410,8 @@ impl<T> Drop for RingConsumer<T> {
 // ---------------------------------------------------------------------------
 
 /// The writer's claim failed because a slot it must reuse is still held
-/// by an active reader that has not yet released the slot's previous
-/// occupant. Retry after the laggard makes progress (or is deactivated).
+/// by a reader that has not yet released the slot's previous occupant.
+/// Retry after that reader makes progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaFull;
 
@@ -432,8 +432,8 @@ struct ArenaShared<T> {
     released: Box<[CachePadded<AtomicU64>]>,
 }
 
-// SAFETY: the watermark protocol (writer waits for every active
-// reader's released watermark before reusing a slot; readers check the
+// SAFETY: the watermark protocol (writer waits for every reader's
+// released watermark before reusing a slot; readers check the
 // published sequence before reading and cannot release a sequence while
 // still borrowing its slice — `release` takes &mut self) gives each
 // slot alternating exclusive-write / shared-read phases, ordered by the
@@ -443,15 +443,12 @@ unsafe impl<T: Send> Send for ArenaShared<T> {}
 #[allow(unsafe_code)]
 unsafe impl<T: Send + Sync> Sync for ArenaShared<T> {}
 
-/// The writing half of a batch arena: publishes batches, tracks which
-/// readers still participate in the reuse watermark.
+/// The writing half of a batch arena: publishes a batch into a slot once
+/// every reader has released the slot's previous batch.
 pub struct ArenaWriter<T> {
     shared: Arc<ArenaShared<T>>,
     /// Highest sequence number published (0 = none yet).
     seq: u64,
-    /// Readers still counted in the reuse minimum. Deactivated readers
-    /// (dead workers) no longer hold slots back.
-    active: Box<[bool]>,
 }
 
 /// One reader's handle: maps received sequence numbers back to slices
@@ -487,10 +484,9 @@ impl<T> fmt::Debug for ArenaReader<T> {
 /// The writer publishes batch `seq` into slot `seq % slots`; each reader
 /// maps the sequence number it received (over its ring) back to the
 /// slice, probes it **in place**, and releases the sequence. Slot reuse
-/// waits until every *active* reader's released watermark has passed the
-/// slot's previous occupant, so the writer never overwrites a batch a
-/// reader may still be probing; a reader that died is deactivated (see
-/// [`ArenaWriter::deactivate`]) and drops out of the watermark minimum.
+/// waits until every reader's released watermark has passed the slot's
+/// previous occupant, so the writer never overwrites a batch a reader
+/// may still be probing.
 /// The ring's `Release`/`Acquire` pair carries the happens-before edge
 /// from the slot write to the slot read, and the per-slot published
 /// sequence number turns any protocol violation into a panic instead of
@@ -527,14 +523,7 @@ pub fn batch_arena<T: Send + Sync>(
             released: 0,
         })
         .collect();
-    (
-        ArenaWriter {
-            shared,
-            seq: 0,
-            active: vec![true; readers].into_boxed_slice(),
-        },
-        handles,
-    )
+    (ArenaWriter { shared, seq: 0 }, handles)
 }
 
 impl<T> ArenaWriter<T> {
@@ -548,42 +537,14 @@ impl<T> ArenaWriter<T> {
         self.seq
     }
 
-    /// The lowest released watermark over the active readers, or
-    /// `u64::MAX` when none remain active.
+    /// The lowest released watermark over all readers.
     pub fn min_released(&self) -> u64 {
-        self.active
+        self.shared
+            .released
             .iter()
-            .zip(self.shared.released.iter())
-            .filter(|(active, _)| **active)
-            .map(|(_, cell)| cell.0.load(Ordering::Acquire))
+            .map(|cell| cell.0.load(Ordering::Acquire))
             .min()
             .unwrap_or(u64::MAX)
-    }
-
-    /// The active reader holding the reuse watermark back (lowest
-    /// released), if any reader is still active — who a supervisor
-    /// should health-check when a claim keeps failing.
-    pub fn laggard(&self) -> Option<usize> {
-        self.active
-            .iter()
-            .enumerate()
-            .zip(self.shared.released.iter())
-            .filter(|((_, active), _)| **active)
-            .min_by_key(|(_, cell)| cell.0.load(Ordering::Acquire))
-            .map(|((index, _), _)| index)
-    }
-
-    /// Removes a reader from the reuse watermark. Call only for a
-    /// reader that will never read again (its worker thread has exited)
-    /// — the writer may immediately overwrite anything it had not
-    /// released.
-    pub fn deactivate(&mut self, reader: usize) {
-        self.active[reader] = false;
-    }
-
-    /// `true` while `reader` still participates in the reuse watermark.
-    pub fn is_active(&self, reader: usize) -> bool {
-        self.active[reader]
     }
 
     /// Publishes `items` as the next batch and returns its sequence
@@ -594,8 +555,7 @@ impl<T> ArenaWriter<T> {
     /// # Errors
     ///
     /// [`ArenaFull`] when the slot's previous occupant is still held by
-    /// an active reader; nothing is written and the claim can be
-    /// retried.
+    /// a reader; nothing is written and the claim can be retried.
     pub fn try_publish(&mut self, items: &[T]) -> Result<u64, ArenaFull>
     where
         T: Copy,
@@ -607,12 +567,11 @@ impl<T> ArenaWriter<T> {
         }
         let slot = &self.shared.slots[(seq % slots) as usize];
         // SAFETY: the slot's previous occupant is `seq - slots`, and
-        // every active reader has released it (checked above with
-        // Acquire loads that pair with the readers' Release stores, so
-        // their in-place reads happen-before this overwrite). Inactive
-        // readers never read again by the `deactivate` contract. No
-        // reader reads *this* sequence until it observes the
-        // `published` store below via its ring message.
+        // every reader has released it (checked above with Acquire loads
+        // that pair with the readers' Release stores, so their in-place
+        // reads happen-before this overwrite). No reader reads *this*
+        // sequence until it observes the `published` store below via its
+        // ring message.
         #[allow(unsafe_code)]
         unsafe {
             let buf = &mut *slot.data.get();
@@ -802,27 +761,16 @@ mod tests {
         assert_eq!(w.try_publish(&[5]), Err(ArenaFull));
         assert_eq!(readers[0].read(1), &[1, 2, 3]);
         assert_eq!(readers[1].read(1), &[1, 2, 3]);
-        for r in &mut readers {
-            r.release(1);
-        }
+        // One reader still holding batch 1 keeps its slot from reuse.
+        readers[0].release(1);
+        assert_eq!(w.min_released(), 0);
+        assert_eq!(w.try_publish(&[5]), Err(ArenaFull));
+        readers[1].release(1);
+        assert_eq!(w.min_released(), 1);
         let s3 = w.try_publish(&[5]).unwrap();
         assert_eq!(s3, 3);
         assert_eq!(readers[0].read(2), &[4]);
         assert_eq!(readers[1].read(3), &[5]);
-    }
-
-    #[test]
-    fn arena_deactivated_reader_stops_holding_slots() {
-        let (mut w, mut readers) = batch_arena::<u64>(1, 2);
-        w.try_publish(&[7]).unwrap();
-        readers[0].release(1);
-        // Reader 1 never released: full until it is deactivated.
-        assert_eq!(w.try_publish(&[8]), Err(ArenaFull));
-        assert_eq!(w.laggard(), Some(1));
-        w.deactivate(1);
-        assert!(!w.is_active(1));
-        assert_eq!(w.try_publish(&[8]), Ok(2));
-        assert_eq!(readers[0].read(2), &[8]);
     }
 
     #[test]

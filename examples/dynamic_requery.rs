@@ -59,16 +59,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d = t0.elapsed();
     println!("\nreprogrammed threshold 90 -> 110 in {d:?} (no halt)");
     push_batch(&mut fabric, 0);
-    println!(
-        "alerts at threshold 110: {}",
-        fabric.take_results(id)?.len()
-    );
+    let alerts_at_110 = fabric.take_results(id)?.len();
+    println!("alerts at threshold 110: {alerts_at_110}");
 
-    // Remove the query entirely; its blocks return to the pool.
-    fabric.undeploy(id)?;
+    // Remove the query entirely, with one more batch it has not taken:
+    // undeploy hands those alerts back and every block returns to the pool.
+    push_batch(&mut fabric, 0);
+    let untaken = fabric.undeploy(id)?;
+    assert_eq!(
+        untaken.len(),
+        alerts_at_110,
+        "undeploy returns the untaken alerts"
+    );
+    assert_eq!(fabric.idle_blocks(), 8, "every block is idle again");
     println!(
-        "\nquery removed; idle blocks: {}",
-        fabric.fabric().idle_blocks()
+        "\nquery removed with {} untaken alerts; idle blocks: {}",
+        untaken.len(),
+        fabric.idle_blocks()
     );
 
     // Contrast with the synthesis-based deployment paths of Fig. 6.

@@ -8,7 +8,8 @@
 //! executor that kept more than its window would return more), and a
 //! second drain must return nothing (none are held back). The runtime
 //! also keeps its live-metric entries and its re-plan's reloaded windows
-//! at their size.
+//! at their size, and the FQP manager keeps nothing of a query it has
+//! taken off.
 
 use accel_landscape::fqp::manager::QueryManager;
 use accel_landscape::fqp::plan::{bind, Catalog};
@@ -96,6 +97,30 @@ fn query_manager_state_is_bounded_by_the_window() {
         let probe = mgr.take_results(id).unwrap().len();
         let again = mgr.take_results(id).unwrap().len();
         assert_eq!([probe, again], [WINDOW, 0], "{n} arrivals");
+    }
+}
+
+/// A thousand deploy → push → undeploy cycles of one plan leave the
+/// manager as it started: every block idle, no query output left in its
+/// topology, and each undeploy hands back the one result its query had
+/// not taken.
+#[test]
+fn query_manager_churn_leaves_nothing_behind() {
+    for text in ["SELECT * FROM l WHERE a > 0", QUERY] {
+        let plan = bind(&Query::parse(text).unwrap(), &catalog()).unwrap();
+        let mut mgr = QueryManager::new(plan.block_count());
+        for seq in 1..=1_000u64 {
+            let id = mgr.deploy(&plan).unwrap();
+            // A join's secondary first, so the primary record matches it.
+            for (stream, _) in plan.inputs.iter().rev() {
+                mgr.push(stream, Record::new(vec![u64::from(KEY), seq]))
+                    .unwrap();
+            }
+            assert_eq!(mgr.undeploy(id).unwrap().len(), 1, "{text}, cycle {seq}");
+        }
+        let dot = mgr.to_dot();
+        assert_eq!(dot.matches("shape=doublecircle").count(), 0, "{text}");
+        assert_eq!(mgr.idle_blocks(), plan.block_count(), "{text}");
     }
 }
 

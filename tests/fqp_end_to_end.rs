@@ -56,7 +56,7 @@ fn fig7_multi_query_lifecycle() {
     let mut mgr = QueryManager::new(4);
     let h1 = mgr.deploy(&q1).unwrap();
     let h2 = mgr.deploy(&q2).unwrap();
-    assert_eq!(mgr.fabric().idle_blocks(), 0);
+    assert_eq!(mgr.idle_blocks(), 0);
 
     // A fifth query cannot fit…
     let q3 = bind(&Query::parse("SELECT * FROM customers").unwrap(), &catalog).unwrap();

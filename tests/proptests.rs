@@ -270,11 +270,12 @@ proptest! {
 
     /// QueryManager deploy/undeploy sequences keep the fabric consistent:
     /// surviving queries keep producing correct results, no edge targets
-    /// an idle block, only deployed queries' sinks are wired (so only
-    /// they receive a pushed record), and fully undeploying returns
-    /// every block to the pool.
+    /// an idle block, only deployed queries have an output node and an
+    /// edge into it (so only they receive a pushed record), each undeploy
+    /// returns exactly the records its query had not taken, and fully
+    /// undeploying returns every block to the pool.
     #[test]
-    fn query_manager_lifecycle_is_consistent(ops in prop::collection::vec(0u8..3, 1..12)) {
+    fn query_manager_lifecycle_is_consistent(ops in prop::collection::vec(0u8..4, 1..12)) {
         use accel_landscape::fqp::manager::QueryManager;
         use accel_landscape::fqp::plan::{bind, Catalog};
         use accel_landscape::fqp::query::Query;
@@ -288,7 +289,9 @@ proptest! {
         let p2 = bind(&Query::parse("SELECT v FROM s WHERE v > 10").unwrap(), &catalog).unwrap();
 
         // 0 deploys the next plan, 1 undeploys the newest query and 2 the
-        // oldest, which may share blocks a later query still runs on.
+        // oldest, which may share blocks a later query still runs on; 3
+        // leaves this round's results untaken. `live` holds each query
+        // with the count of its untaken results, each one `[50]`.
         let mut mgr = QueryManager::new(6);
         let mut live = Vec::new();
         let mut counter = 0u64;
@@ -296,12 +299,12 @@ proptest! {
             if op == 0 {
                 let plan = if counter.is_multiple_of(2) { &p1 } else { &p2 };
                 if let Ok(id) = mgr.deploy(plan) {
-                    live.push(id);
+                    live.push((id, 0));
                 }
                 counter += 1;
-            } else if !live.is_empty() {
-                let id = if op == 1 { live.pop().unwrap() } else { live.remove(0) };
-                mgr.undeploy(id).unwrap();
+            } else if op < 3 && !live.is_empty() {
+                let (id, untaken) = if op == 1 { live.pop().unwrap() } else { live.remove(0) };
+                prop_assert_eq!(mgr.undeploy(id).unwrap(), vec![Record::new(vec![50]); untaken]);
             }
             let wiring = Wiring::of(&mgr.to_dot());
             prop_assert!(
@@ -309,31 +312,37 @@ proptest! {
                 "an edge targets an idle block:\n{}",
                 mgr.to_dot()
             );
-            prop_assert_eq!(wiring.sink_edges, live.len(), "{}", mgr.to_dot());
+            prop_assert_eq!(wiring.outputs, live.len(), "{}", mgr.to_dot());
+            prop_assert_eq!(wiring.output_edges, live.len(), "{}", mgr.to_dot());
             // Every surviving query still answers correctly.
             if !live.is_empty() {
                 mgr.push("s", Record::new(vec![50])).unwrap();
                 mgr.push("s", Record::new(vec![5])).unwrap();
-                for &id in &live {
-                    prop_assert_eq!(mgr.take_results(id).unwrap().len(), 1);
+                for (id, untaken) in &mut live {
+                    *untaken += 1;
+                    if op != 3 {
+                        prop_assert_eq!(mgr.take_results(*id).unwrap().len(), *untaken);
+                        *untaken = 0;
+                    }
                 }
             }
         }
-        for id in live {
-            mgr.undeploy(id).unwrap();
+        for (id, untaken) in live {
+            prop_assert_eq!(mgr.undeploy(id).unwrap().len(), untaken);
         }
-        prop_assert_eq!(mgr.fabric().idle_blocks(), 6);
+        prop_assert_eq!(mgr.idle_blocks(), 6);
         prop_assert_eq!(mgr.sharing_report().queries, 0);
     }
 }
 
-/// The wiring a [`Fabric::to_dot`](accel_landscape::fqp::fabric::Fabric::to_dot)
-/// rendering shows: idle blocks, the blocks edges lead into, and the
-/// number of edges into sinks.
+/// The wiring a [`QueryManager::to_dot`](accel_landscape::fqp::manager::QueryManager::to_dot)
+/// rendering shows: idle blocks, the blocks edges lead into, the number
+/// of query output nodes and the number of edges into them.
 struct Wiring {
     idle: Vec<String>,
     block_targets: Vec<String>,
-    sink_edges: usize,
+    outputs: usize,
+    output_edges: usize,
 }
 
 impl Wiring {
@@ -341,16 +350,19 @@ impl Wiring {
         let mut wiring = Wiring {
             idle: Vec::new(),
             block_targets: Vec::new(),
-            sink_edges: 0,
+            outputs: 0,
+            output_edges: 0,
         };
         for line in dot.lines().map(str::trim) {
             let head = line.split([' ', ';']).next().unwrap_or_default();
             if line.contains("style=dashed") {
                 wiring.idle.push(head.to_string());
+            } else if line.contains("shape=doublecircle") {
+                wiring.outputs += 1;
             } else if let Some((_, to)) = line.split_once(" -> ") {
                 let to = to.split([' ', ';']).next().unwrap_or_default();
-                if to.starts_with("sink") {
-                    wiring.sink_edges += 1;
+                if to.starts_with("query") {
+                    wiring.output_edges += 1;
                 } else {
                     wiring.block_targets.push(to.to_string());
                 }
